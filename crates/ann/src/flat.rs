@@ -3,6 +3,7 @@
 //! the recall experiments of Figure 4.
 // lint: hot-path
 
+use crate::index::AnnIndex;
 use crate::topk::{Neighbor, TopK};
 use crate::vectors::{sq_l2, VectorSet};
 
@@ -69,55 +70,24 @@ impl FlatIndex {
         }
         tk.into_sorted()
     }
-
-    /// Traced twin of [`FlatIndex::search`]: identical results, plus
-    /// `backend`/`visited` annotations on `span`.
-    pub fn search_traced(
-        &self,
-        query: &[f32],
-        k: usize,
-        span: &emblookup_obs::TraceSpan,
-    ) -> Vec<Neighbor> {
-        span.annotate("backend", "flat");
-        span.annotate("visited", self.vectors.len() as u64);
-        self.search(query, k)
-    }
-
-    /// Searches many queries, optionally in parallel across the pool.
-    ///
-    /// `threads == 1` runs sequentially; larger values fan the query
-    /// batch out over the persistent compute pool. This is the
-    /// GPU-surrogate bulk path of the speedup tables.
-    pub fn search_batch(&self, queries: &VectorSet, k: usize, threads: usize) -> Vec<Vec<Neighbor>> {
-        batch_search(queries, k, threads, |q, k| self.search(q, k))
-    }
 }
 
-/// Applies `search` to every query, preserving order. `threads == 1`
-/// stays on the calling thread; otherwise the batch runs on the
-/// persistent work-stealing pool ([`emblookup_pool::Pool::global`]) in
-/// chunks, with each result written to its own slot — output is
-/// bit-identical across thread counts. Shared by every index type in
-/// this crate.
-pub fn batch_search<F>(
-    queries: &VectorSet,
-    k: usize,
-    threads: usize,
-    search: F,
-) -> Vec<Vec<Neighbor>>
-where
-    F: Fn(&[f32], usize) -> Vec<Neighbor> + Sync,
-{
-    let n = queries.len();
-    if n == 0 {
-        return Vec::new();
+impl AnnIndex for FlatIndex {
+    fn name(&self) -> &'static str {
+        "flat"
     }
-    let threads = threads.max(1).min(n);
-    if threads == 1 {
-        return queries.iter().map(|q| search(q, k)).collect();
+
+    fn len(&self) -> usize {
+        self.vectors.len()
     }
-    let grain = n.div_ceil(threads * 2).max(1);
-    emblookup_pool::Pool::global().parallel_map(n, grain, |i| search(queries.get(i), k))
+
+    fn nbytes(&self) -> usize {
+        self.vectors.nbytes()
+    }
+
+    fn search_counted(&self, query: &[f32], k: usize) -> (Vec<Neighbor>, u64) {
+        (self.search(query, k), self.vectors.len() as u64)
+    }
 }
 
 #[cfg(test)]

@@ -11,6 +11,7 @@
 //! plain nearest-`m` pruning severs on clustered data.
 // lint: hot-path
 
+use crate::index::AnnIndex;
 use crate::kernels::sq_l2;
 use crate::topk::{Neighbor, TopK};
 use crate::vectors::VectorSet;
@@ -304,32 +305,27 @@ impl HnswIndex {
         (self.vectors, self.links, self.entry, self.max_level, self.config)
     }
 
-    /// Searches many queries, optionally in parallel across the pool.
-    pub fn search_batch(&self, queries: &VectorSet, k: usize, threads: usize) -> Vec<Vec<Neighbor>> {
-        crate::flat::batch_search(queries, k, threads, |q, k| self.search(q, k))
-    }
-
     /// Approximate `k` nearest neighbours, ascending by distance.
     pub fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
         self.search_counted(query, k).0
     }
+}
 
-    /// Traced twin of [`HnswIndex::search`]: identical results, plus
-    /// `backend`/`visited` annotations on `span`.
-    pub fn search_traced(
-        &self,
-        query: &[f32],
-        k: usize,
-        span: &emblookup_obs::TraceSpan,
-    ) -> Vec<Neighbor> {
-        let (hits, visited) = self.search_counted(query, k);
-        span.annotate("backend", "hnsw");
-        span.annotate("visited", visited);
-        hits
+impl AnnIndex for HnswIndex {
+    fn name(&self) -> &'static str {
+        "hnsw"
     }
 
-    /// The search body, also returning how many graph nodes were
-    /// visited on the base layer.
+    fn len(&self) -> usize {
+        self.vectors.len()
+    }
+
+    fn nbytes(&self) -> usize {
+        // the inherent method (inherent wins path resolution)
+        HnswIndex::nbytes(self)
+    }
+
+    /// The count is the graph nodes visited on the base layer.
     fn search_counted(&self, query: &[f32], k: usize) -> (Vec<Neighbor>, u64) {
         if k == 0 {
             return (Vec::new(), 0);

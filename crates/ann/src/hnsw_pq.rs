@@ -12,9 +12,9 @@
 //!    scored with [`crate::kernels::adc`] and the layer-0 beam stages
 //!    each node's unvisited peers contiguously and scores them with one
 //!    [`crate::kernels::adc_block`] call against the shared table.
-//! 3. **Re-rank**: the final `ef` frontier goes through the exact
-//!    re-ranking tail shared with [`crate::refine`], so reported
-//!    distances are true squared L2, not ADC estimates.
+//! 3. **Re-rank**: the final `ef` frontier goes through an exact
+//!    re-ranking tail against the raw vectors, so reported distances
+//!    are true squared L2, not ADC estimates.
 //!
 //! Determinism matches the rest of the crate: for a fixed kernel
 //! variant, a search is a pure function of `(index, query, k)` — the
@@ -22,10 +22,10 @@
 // lint: hot-path
 
 use crate::hnsw::{Far, HnswConfig, HnswIndex, Near};
+use crate::index::{batch_grain, AnnIndex};
 use crate::kernels;
 use crate::pq::{PqConfig, ProductQuantizer};
-use crate::refine::exact_rerank;
-use crate::topk::Neighbor;
+use crate::topk::{Neighbor, TopK};
 use crate::vectors::VectorSet;
 use std::collections::BinaryHeap;
 
@@ -59,6 +59,21 @@ std::thread_local! {
     /// Single-query searches reuse one scratch per thread; batch search
     /// threads its own per-chunk scratch through the pool instead.
     static SCRATCH: std::cell::RefCell<Scratch> = std::cell::RefCell::new(Scratch::default());
+}
+
+/// Exact re-ranking tail: scores each candidate id against the raw
+/// vectors with the dispatched kernel and keeps the `k` nearest.
+/// Candidates may arrive in any order; ties and final order are fixed by
+/// [`TopK`].
+fn exact_rerank<I>(raw: &VectorSet, query: &[f32], candidates: I, k: usize) -> Vec<Neighbor>
+where
+    I: IntoIterator<Item = usize>,
+{
+    let mut tk = TopK::new(k);
+    for i in candidates {
+        tk.push(i, kernels::sq_l2(query, raw.get(i)));
+    }
+    tk.into_sorted()
 }
 
 /// HNSW graph whose traversal is scored with batched ADC over PQ codes
@@ -230,42 +245,7 @@ impl HnswPqIndex {
     /// Approximate `k` nearest neighbours, ascending by exact distance
     /// (the frontier is re-ranked against the raw vectors).
     pub fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
-        SCRATCH.with(|s| self.search_with_scratch(query, k, &mut s.borrow_mut()).0)
-    }
-
-    /// Traced twin of [`HnswPqIndex::search`]: identical results, plus
-    /// `backend`/`visited` annotations on `span`.
-    pub fn search_traced(
-        &self,
-        query: &[f32],
-        k: usize,
-        span: &emblookup_obs::TraceSpan,
-    ) -> Vec<Neighbor> {
-        let (hits, visited) =
-            SCRATCH.with(|s| self.search_with_scratch(query, k, &mut s.borrow_mut()));
-        span.annotate("backend", "hnswpq");
-        span.annotate("visited", visited);
-        hits
-    }
-
-    /// Batch search; `threads > 1` fans queries out over the persistent
-    /// pool with one scratch (ADC table + bitset) per chunk. Results are
-    /// bit-identical to the single-query path at any width.
-    pub fn search_batch(&self, queries: &VectorSet, k: usize, threads: usize) -> Vec<Vec<Neighbor>> {
-        let n = queries.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let threads = threads.max(1).min(n);
-        let run = |scratch: &mut Scratch, i: usize| {
-            self.search_with_scratch(queries.get(i), k, scratch).0
-        };
-        if threads == 1 {
-            let mut scratch = Scratch::default();
-            return (0..n).map(|i| run(&mut scratch, i)).collect();
-        }
-        let grain = n.div_ceil(threads * 2).max(1);
-        emblookup_pool::Pool::global().parallel_map_with(n, grain, Scratch::default, run)
+        self.search_counted(query, k).0
     }
 
     /// The search body: ADC-scored descent + beam, exact re-rank tail.
@@ -366,8 +346,8 @@ impl HnswPqIndex {
         }
         crate::metrics::hnswpq_visited().add(visited_count);
 
-        // exact re-rank of the ADC top-`R` pool through the shared
-        // tail, then map BFS ids back to original vector ids
+        // exact re-rank of the ADC top-`R` pool, then map BFS ids back
+        // to original vector ids
         let pool_ids = pool.drain().map(|Far(_, id)| id as usize);
         let mut hits = exact_rerank(&self.raw, query, pool_ids, k);
         for h in &mut hits {
@@ -378,6 +358,49 @@ impl HnswPqIndex {
         scratch.results = results;
         scratch.pool = pool;
         (hits, visited_count)
+    }
+}
+
+impl AnnIndex for HnswPqIndex {
+    fn name(&self) -> &'static str {
+        "hnswpq"
+    }
+
+    fn len(&self) -> usize {
+        self.raw.len()
+    }
+
+    fn nbytes(&self) -> usize {
+        // the inherent method (inherent wins path resolution)
+        HnswPqIndex::nbytes(self)
+    }
+
+    fn search_counted(&self, query: &[f32], k: usize) -> (Vec<Neighbor>, u64) {
+        SCRATCH.with(|s| self.search_with_scratch(query, k, &mut s.borrow_mut()))
+    }
+
+    /// Batch search; `threads > 1` fans queries out over the persistent
+    /// pool with one scratch (ADC table + bitset) per chunk. Results are
+    /// bit-identical to the single-query path at any width.
+    fn search_batch(&self, queries: &VectorSet, k: usize, threads: usize) -> Vec<Vec<Neighbor>> {
+        let n = queries.len();
+        if n == 0 {
+            return Vec::new();
+        }
+        let threads = threads.max(1).min(n);
+        let run = |scratch: &mut Scratch, i: usize| {
+            self.search_with_scratch(queries.get(i), k, scratch).0
+        };
+        if threads == 1 {
+            let mut scratch = Scratch::default();
+            return (0..n).map(|i| run(&mut scratch, i)).collect();
+        }
+        emblookup_pool::Pool::global().parallel_map_with(
+            n,
+            batch_grain(n, threads),
+            Scratch::default,
+            run,
+        )
     }
 }
 

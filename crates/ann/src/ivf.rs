@@ -6,7 +6,7 @@
 //! search" (§III-C); this is the approximate non-compressed option.
 // lint: hot-path
 
-use crate::flat::batch_search;
+use crate::index::AnnIndex;
 use crate::kernels::sq_l2;
 use crate::kmeans::{KMeans, KMeansConfig};
 use crate::topk::{Neighbor, TopK};
@@ -99,22 +99,22 @@ impl IvfIndex {
     pub fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
         self.search_counted(query, k).0
     }
+}
 
-    /// Traced twin of [`IvfIndex::search`]: identical results, plus
-    /// `backend`/`visited` annotations on `span`.
-    pub fn search_traced(
-        &self,
-        query: &[f32],
-        k: usize,
-        span: &emblookup_obs::TraceSpan,
-    ) -> Vec<Neighbor> {
-        let (hits, visited) = self.search_counted(query, k);
-        span.annotate("backend", "ivf");
-        span.annotate("visited", visited);
-        hits
+impl AnnIndex for IvfIndex {
+    fn name(&self) -> &'static str {
+        "ivf"
     }
 
-    /// The search body, also returning how many vectors were scanned.
+    fn len(&self) -> usize {
+        self.vectors.len()
+    }
+
+    fn nbytes(&self) -> usize {
+        // the inherent method (inherent wins path resolution)
+        IvfIndex::nbytes(self)
+    }
+
     fn search_counted(&self, query: &[f32], k: usize) -> (Vec<Neighbor>, u64) {
         if self.vectors.is_empty() || k == 0 {
             return (Vec::new(), 0);
@@ -140,11 +140,6 @@ impl IvfIndex {
         crate::metrics::ivf_searches().inc();
         crate::metrics::ivf_visited().add(visited);
         (tk.into_sorted(), visited)
-    }
-
-    /// Batch search across `threads` threads.
-    pub fn search_batch(&self, queries: &VectorSet, k: usize, threads: usize) -> Vec<Vec<Neighbor>> {
-        batch_search(queries, k, threads, |q, k| self.search(q, k))
     }
 }
 

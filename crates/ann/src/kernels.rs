@@ -22,7 +22,7 @@
 //!
 //! For a *fixed* variant, every kernel is a pure function of its inputs:
 //! results are bit-identical across calls, threads, and pool widths.
-//! Scalar and SIMD variants of `sq_l2`/`dot`/`sq8_asym` may differ in
+//! Scalar and SIMD variants of `sq_l2`/`dot` may differ in
 //! float rounding (different add order, FMA contraction); tests bound
 //! the divergence at 1e-5 relative error. The ADC kernels are stricter:
 //! [`adc`] sums in ascending sub-quantizer order in every variant, and
@@ -202,24 +202,6 @@ pub fn sq_l2_block(query: &[f32], rows: &[f32], out: &mut [f32]) {
     scalar::sq_l2_block(query, rows, out);
 }
 
-/// Asymmetric SQ8 squared distance: raw query vs per-dimension affine
-/// code `mins[j] + code[j] * scales[j]`.
-#[inline]
-pub fn sq8_asym(query: &[f32], code: &[u8], mins: &[f32], scales: &[f32]) -> f32 {
-    debug_assert_eq!(query.len(), code.len());
-    #[cfg(target_arch = "x86_64")]
-    if variant() == V_AVX2 {
-        // lint: allow(L002) gated by dispatch: V_AVX2 is published only after is_x86_feature_detected verified avx2+fma
-        return unsafe { x86::sq8_asym_avx2(query, code, mins, scales) };
-    }
-    #[cfg(target_arch = "aarch64")]
-    if variant() == V_NEON {
-        // lint: allow(L002) gated by dispatch: V_NEON implies NEON, which is baseline on aarch64
-        return unsafe { neon::sq8_asym_neon(query, code, mins, scales) };
-    }
-    scalar::sq8_asym(query, code, mins, scales)
-}
-
 /// Unrolled scalar reference kernels — the fallback variant and the
 /// ground truth the SIMD paths are tested against. Four independent
 /// accumulators break the serial float dependency chain (the compiler
@@ -316,32 +298,6 @@ pub mod scalar {
         for (o, row) in out.iter_mut().zip(rows.chunks_exact(dim)) {
             *o = sq_l2(query, row);
         }
-    }
-
-    /// Asymmetric SQ8 distance (reference).
-    #[inline]
-    pub fn sq8_asym(query: &[f32], code: &[u8], mins: &[f32], scales: &[f32]) -> f32 {
-        let n = code.len();
-        let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-        let mut j = 0;
-        while j + 4 <= n {
-            let d0 = query[j] - (mins[j] + code[j] as f32 * scales[j]);
-            let d1 = query[j + 1] - (mins[j + 1] + code[j + 1] as f32 * scales[j + 1]);
-            let d2 = query[j + 2] - (mins[j + 2] + code[j + 2] as f32 * scales[j + 2]);
-            let d3 = query[j + 3] - (mins[j + 3] + code[j + 3] as f32 * scales[j + 3]);
-            s0 += d0 * d0;
-            s1 += d1 * d1;
-            s2 += d2 * d2;
-            s3 += d3 * d3;
-            j += 4;
-        }
-        let mut rest = 0.0f32;
-        while j < n {
-            let d = query[j] - (mins[j] + code[j] as f32 * scales[j]);
-            rest += d * d;
-            j += 1;
-        }
-        (s0 + s1) + (s2 + s3) + rest
     }
 }
 
@@ -557,38 +513,6 @@ mod x86 {
             *o = sq_l2_avx2(query, rows.get_unchecked(i * dim..(i + 1) * dim));
         }
     }
-
-    /// Asymmetric SQ8 distance: widen 8 code bytes, dequantize with one
-    /// FMA, accumulate the squared diff with another.
-    ///
-    /// # Safety
-    /// Requires AVX2+FMA; called only when `variant() == V_AVX2`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    // lint: allow(L002) sound under dispatch: V_AVX2 is published only after runtime avx2+fma detection
-    pub unsafe fn sq8_asym_avx2(query: &[f32], code: &[u8], mins: &[f32], scales: &[f32]) -> f32 {
-        let n = code.len().min(query.len());
-        let mut acc = _mm256_setzero_ps();
-        let mut i = 0;
-        while i + 8 <= n {
-            let c = _mm_loadl_epi64(code.as_ptr().add(i) as *const __m128i);
-            let cf = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(c));
-            let x = _mm256_fmadd_ps(
-                cf,
-                _mm256_loadu_ps(scales.as_ptr().add(i)),
-                _mm256_loadu_ps(mins.as_ptr().add(i)),
-            );
-            let d = _mm256_sub_ps(_mm256_loadu_ps(query.as_ptr().add(i)), x);
-            acc = _mm256_fmadd_ps(d, d, acc);
-            i += 8;
-        }
-        let mut sum = hsum256(acc);
-        while i < n {
-            let d = query[i] - (mins[i] + code[i] as f32 * scales[i]);
-            sum += d * d;
-            i += 1;
-        }
-        sum
-    }
 }
 
 /// NEON kernels (aarch64; NEON is architecturally baseline there, so
@@ -686,37 +610,6 @@ mod neon {
             *o = sq_l2_neon(query, rows.get_unchecked(i * dim..(i + 1) * dim));
         }
     }
-
-    /// Asymmetric SQ8 distance: widen 4 code bytes per step, dequantize
-    /// and accumulate with FMA.
-    ///
-    /// # Safety
-    /// Requires NEON; called only when `variant() == V_NEON`.
-    #[target_feature(enable = "neon")]
-    // lint: allow(L002) sound under dispatch: V_NEON is published only on aarch64 where NEON is baseline
-    pub unsafe fn sq8_asym_neon(query: &[f32], code: &[u8], mins: &[f32], scales: &[f32]) -> f32 {
-        let n = code.len().min(query.len());
-        let mut acc = vdupq_n_f32(0.0);
-        let mut i = 0;
-        let mut widened = [0.0f32; 4];
-        while i + 4 <= n {
-            for (w, &c) in widened.iter_mut().zip(&code[i..i + 4]) {
-                *w = c as f32;
-            }
-            let cf = vld1q_f32(widened.as_ptr());
-            let x = vfmaq_f32(vld1q_f32(mins.as_ptr().add(i)), cf, vld1q_f32(scales.as_ptr().add(i)));
-            let d = vsubq_f32(vld1q_f32(query.as_ptr().add(i)), x);
-            acc = vfmaq_f32(acc, d, d);
-            i += 4;
-        }
-        let mut sum = vaddvq_f32(acc);
-        while i < n {
-            let d = query[i] - (mins[i] + code[i] as f32 * scales[i]);
-            sum += d * d;
-            i += 1;
-        }
-        sum
-    }
 }
 
 #[cfg(test)]
@@ -759,14 +652,6 @@ mod tests {
             assert!(e < 1e-5, "sq_l2 dim {dim}: rel err {e}");
             let e = rel_err(dot(&a, &b), scalar::dot(&a, &b));
             assert!(e < 1e-5, "dot dim {dim}: rel err {e}");
-            let mins = random_vec(dim, &mut rng);
-            let scales: Vec<f32> = (0..dim).map(|_| rng.gen_range(0.001..0.1)).collect();
-            let code: Vec<u8> = (0..dim).map(|_| rng.gen_range(0..=255u16) as u8).collect();
-            let e = rel_err(
-                sq8_asym(&a, &code, &mins, &scales),
-                scalar::sq8_asym(&a, &code, &mins, &scales),
-            );
-            assert!(e < 1e-5, "sq8_asym dim {dim}: rel err {e}");
         }
     }
 

@@ -2,38 +2,36 @@
 //!
 //! Similarity search and vector compression for the EmbLookup reproduction
 //! — the FAISS stand-in. Provides the exact flat index (EL-NC), product
-//! quantization (EL, §III-D), IVF-Flat, PCA (the Figure 5 compression
-//! baseline), k-means, and a MinHash LSH used by the Table V baseline.
+//! quantization (EL, §III-D), IVF-Flat, HNSW and PQ-fused HNSW — all
+//! searched through the one [`AnnIndex`] trait — plus PCA (the Figure 5
+//! compression baseline), k-means, and a MinHash LSH used by the Table V
+//! baseline.
 
 #![warn(missing_docs)]
 
 pub mod flat;
 pub mod hnsw;
 pub mod hnsw_pq;
+mod index;
 pub mod ivf;
-pub mod ivfpq;
 pub mod kernels;
 pub mod kmeans;
 pub mod lsh;
 mod metrics;
 pub mod pca;
 pub mod pq;
-pub mod refine;
-pub mod sq;
 pub mod topk;
 pub mod vectors;
 
 pub use flat::FlatIndex;
 pub use hnsw::{HnswConfig, HnswIndex};
 pub use hnsw_pq::{HnswPqConfig, HnswPqIndex};
+pub use index::AnnIndex;
 pub use ivf::{IvfConfig, IvfIndex};
-pub use ivfpq::{IvfPqConfig, IvfPqIndex};
 pub use kmeans::{KMeans, KMeansConfig};
 pub use lsh::{LshConfig, MinHashLsh};
 pub use pca::Pca;
 pub use pq::{PqConfig, PqIndex, ProductQuantizer};
-pub use refine::RefinedPqIndex;
-pub use sq::{ScalarQuantizer, SqIndex};
 pub use topk::{Neighbor, TopK};
 pub use vectors::{sq_l2, VectorSet};
 

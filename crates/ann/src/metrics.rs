@@ -29,7 +29,5 @@ static_counter!(ivf_searches, names::ANN_IVF_SEARCHES);
 static_counter!(ivf_visited, names::ANN_IVF_VISITED);
 static_counter!(pq_searches, names::ANN_PQ_SEARCHES);
 static_counter!(pq_visited, names::ANN_PQ_VISITED);
-static_counter!(ivfpq_searches, names::ANN_IVFPQ_SEARCHES);
-static_counter!(ivfpq_visited, names::ANN_IVFPQ_VISITED);
 static_counter!(hnswpq_searches, names::ANN_HNSWPQ_SEARCHES);
 static_counter!(hnswpq_visited, names::ANN_HNSWPQ_VISITED);

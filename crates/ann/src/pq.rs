@@ -8,6 +8,7 @@
 //! distances turns each distance evaluation into `m` table lookups.
 // lint: hot-path
 
+use crate::index::{batch_grain, AnnIndex};
 use crate::kernels::{self, sq_l2};
 use crate::kmeans::{KMeans, KMeansConfig};
 use crate::topk::{Neighbor, TopK};
@@ -254,20 +255,6 @@ impl PqIndex {
         self.search_with_table(&table, k)
     }
 
-    /// Traced twin of [`PqIndex::search`]: identical results, plus
-    /// `backend`/`visited` annotations on `span` (an ADC scan always
-    /// visits every stored code).
-    pub fn search_traced(
-        &self,
-        query: &[f32],
-        k: usize,
-        span: &emblookup_obs::TraceSpan,
-    ) -> Vec<Neighbor> {
-        span.annotate("backend", "pq");
-        span.annotate("visited", self.n as u64);
-        self.search(query, k)
-    }
-
     /// Scan under an already-built ADC table — the shared tail of the
     /// single-query and batched paths. Codes are scored in fixed-size
     /// blocks through [`kernels::adc_block`], which is bit-exact against
@@ -291,6 +278,26 @@ impl PqIndex {
         }
         tk.into_sorted()
     }
+}
+
+impl AnnIndex for PqIndex {
+    fn name(&self) -> &'static str {
+        "pq"
+    }
+
+    fn len(&self) -> usize {
+        self.n
+    }
+
+    fn nbytes(&self) -> usize {
+        // the inherent method (inherent wins path resolution)
+        PqIndex::nbytes(self)
+    }
+
+    /// An ADC scan always visits every stored code.
+    fn search_counted(&self, query: &[f32], k: usize) -> (Vec<Neighbor>, u64) {
+        (self.search(query, k), self.n as u64)
+    }
 
     /// Batch search; `threads > 1` fans the queries out over the
     /// persistent compute pool. Either way, one distance-table buffer is
@@ -298,7 +305,7 @@ impl PqIndex {
     /// of being reallocated per query, and the scan itself goes through
     /// the same [`ProductQuantizer::adc`] as [`PqIndex::search`], so
     /// results are exactly equal to the single-query path.
-    pub fn search_batch(&self, queries: &VectorSet, k: usize, threads: usize) -> Vec<Vec<Neighbor>> {
+    fn search_batch(&self, queries: &VectorSet, k: usize, threads: usize) -> Vec<Vec<Neighbor>> {
         let n = queries.len();
         if n == 0 {
             return Vec::new();
@@ -315,8 +322,7 @@ impl PqIndex {
             let mut table = Vec::new();
             return (0..n).map(|i| run(&mut table, i)).collect();
         }
-        let grain = n.div_ceil(threads * 2).max(1);
-        emblookup_pool::Pool::global().parallel_map_with(n, grain, Vec::new, run)
+        emblookup_pool::Pool::global().parallel_map_with(n, batch_grain(n, threads), Vec::new, run)
     }
 }
 

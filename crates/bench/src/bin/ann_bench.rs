@@ -14,8 +14,8 @@
 //! the batched 4-lane ADC kernel over per-code scoring.
 
 use emblookup_ann::{
-    kernels, FlatIndex, HnswConfig, HnswIndex, HnswPqConfig, HnswPqIndex, IvfConfig, IvfIndex,
-    Neighbor, PqConfig, PqIndex, VectorSet,
+    kernels, AnnIndex, FlatIndex, HnswConfig, HnswIndex, HnswPqConfig, HnswPqIndex, IvfConfig,
+    IvfIndex, PqConfig, PqIndex, VectorSet,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -77,19 +77,21 @@ struct BackendRun {
     nbytes: usize,
 }
 
-/// Runs every query `PASSES` times through `search`, returning recall@10
+/// Runs every query `PASSES` times through `index`, recording recall@10
 /// against `truth` and the p50/p99 of the per-query minimum latencies.
 /// Taking each query's best-of-passes measures the cost of the query
 /// itself rather than of a scheduler preemption that landed on one run.
 fn measure(
+    index: &dyn AnnIndex,
+    build_ms: u128,
     queries: &VectorSet,
     truth: &[HashSet<usize>],
-    mut search: impl FnMut(&[f32]) -> Vec<Neighbor>,
-) -> (f64, u64, u64) {
+) -> BackendRun {
+    let search = |i: usize| index.search_counted(queries.get(i), K).0;
     // warm-up pass: touch every code path (and the one-shot kernel
     // dispatch) before the clock starts
     for i in 0..queries.len().min(8) {
-        black_box(search(queries.get(i)));
+        black_box(search(i));
     }
     let mut lats = vec![u64::MAX; queries.len()];
     let mut hit = 0usize;
@@ -97,7 +99,7 @@ fn measure(
     for pass in 0..PASSES {
         for i in 0..queries.len() {
             let t = Instant::now();
-            let res = black_box(search(queries.get(i)));
+            let res = black_box(search(i));
             lats[i] = lats[i].min(t.elapsed().as_nanos() as u64);
             if pass == 0 {
                 hit += res.iter().filter(|n| truth[i].contains(&n.index)).count();
@@ -106,9 +108,14 @@ fn measure(
         }
     }
     lats.sort_unstable();
-    let p50 = lats[lats.len() / 2];
-    let p99 = lats[(lats.len() * 99 / 100).min(lats.len() - 1)];
-    (hit as f64 / total.max(1) as f64, p50, p99)
+    BackendRun {
+        name: index.name(),
+        recall_at_10: hit as f64 / total.max(1) as f64,
+        p50_ns: lats[lats.len() / 2],
+        p99_ns: lats[(lats.len() * 99 / 100).min(lats.len() - 1)],
+        build_ms,
+        nbytes: index.nbytes(),
+    }
 }
 
 /// One scale tier: builds every backend over the same vectors, measures
@@ -167,94 +174,36 @@ fn run_tier(n: usize, nq: usize, threads: usize) -> Vec<BackendRun> {
         PqConfig { m: 16, ks: 256, kmeans_iters: 6, seed: 0 }
     };
 
-    let mut out = Vec::new();
-    {
-        let (recall, p50, p99) = measure(&queries, &truth, |q| flat.search(q, K));
-        out.push(BackendRun {
-            name: "flat",
-            recall_at_10: recall,
-            p50_ns: p50,
-            p99_ns: p99,
-            build_ms: flat_build,
-            nbytes: flat.nbytes(),
-        });
-    }
-    {
-        eprintln!("[ann_bench] tier {n}: building ivf");
+    let hnsw_cfg = |m: usize, ef_search: usize| HnswConfig {
+        m,
+        ef_construction: ef.max(2 * m),
+        ef_search,
+        seed: 0,
+    };
+    type Builder<'a> = Box<dyn Fn() -> Box<dyn AnnIndex> + 'a>;
+    let builders: [Builder; 4] = [
+        Box::new(|| {
+            Box::new(IvfIndex::build(
+                data.clone(),
+                IvfConfig { nlist, nprobe, kmeans_iters: 5, seed: 0 },
+            ))
+        }),
+        Box::new(|| Box::new(PqIndex::build(&data, pq_cfg))),
+        Box::new(|| Box::new(HnswIndex::build(data.clone(), hnsw_cfg(hm, ef)))),
+        Box::new(|| {
+            Box::new(HnswPqIndex::build(
+                &data,
+                HnswPqConfig { hnsw: hnsw_cfg(hpm, hpef), pq: pq_cfg },
+            ))
+        }),
+    ];
+    let mut out = vec![measure(&flat, flat_build, &queries, &truth)];
+    for build in &builders {
         let t = Instant::now();
-        let ivf = IvfIndex::build(
-            data.clone(),
-            IvfConfig { nlist, nprobe, kmeans_iters: 5, seed: 0 },
-        );
-        let build = t.elapsed().as_millis();
-        let (recall, p50, p99) = measure(&queries, &truth, |q| ivf.search(q, K));
-        out.push(BackendRun {
-            name: "ivf",
-            recall_at_10: recall,
-            p50_ns: p50,
-            p99_ns: p99,
-            build_ms: build,
-            nbytes: ivf.nbytes(),
-        });
-    }
-    {
-        eprintln!("[ann_bench] tier {n}: building pq");
-        let t = Instant::now();
-        let pq = PqIndex::build(&data, pq_cfg);
-        let build = t.elapsed().as_millis();
-        let (recall, p50, p99) = measure(&queries, &truth, |q| pq.search(q, K));
-        out.push(BackendRun {
-            name: "pq",
-            recall_at_10: recall,
-            p50_ns: p50,
-            p99_ns: p99,
-            build_ms: build,
-            nbytes: pq.nbytes(),
-        });
-    }
-    {
-        eprintln!("[ann_bench] tier {n}: building hnsw");
-        let t = Instant::now();
-        let hnsw = HnswIndex::build(
-            data.clone(),
-            HnswConfig { m: hm, ef_construction: ef.max(2 * hm), ef_search: ef, seed: 0 },
-        );
-        let build = t.elapsed().as_millis();
-        let (recall, p50, p99) = measure(&queries, &truth, |q| hnsw.search(q, K));
-        out.push(BackendRun {
-            name: "hnsw",
-            recall_at_10: recall,
-            p50_ns: p50,
-            p99_ns: p99,
-            build_ms: build,
-            nbytes: hnsw.nbytes(),
-        });
-    }
-    {
-        eprintln!("[ann_bench] tier {n}: building hnswpq");
-        let t = Instant::now();
-        let hp = HnswPqIndex::build(
-            &data,
-            HnswPqConfig {
-                hnsw: HnswConfig {
-                    m: hpm,
-                    ef_construction: ef.max(2 * hpm),
-                    ef_search: hpef,
-                    seed: 0,
-                },
-                pq: pq_cfg,
-            },
-        );
-        let build = t.elapsed().as_millis();
-        let (recall, p50, p99) = measure(&queries, &truth, |q| hp.search(q, K));
-        out.push(BackendRun {
-            name: "hnswpq",
-            recall_at_10: recall,
-            p50_ns: p50,
-            p99_ns: p99,
-            build_ms: build,
-            nbytes: hp.nbytes(),
-        });
+        let index = build();
+        let build_ms = t.elapsed().as_millis();
+        eprintln!("[ann_bench] tier {n}: built {} in {build_ms} ms", index.name());
+        out.push(measure(index.as_ref(), build_ms, &queries, &truth));
     }
     out
 }

@@ -8,8 +8,8 @@
 use crate::config::Compression;
 use crate::model::EmbLookupModel;
 use emblookup_ann::{
-    FlatIndex, HnswConfig, HnswIndex, HnswPqConfig, HnswPqIndex, IvfConfig, IvfIndex, Neighbor,
-    Pca, PqIndex, VectorSet,
+    AnnIndex, FlatIndex, HnswConfig, HnswIndex, HnswPqConfig, HnswPqIndex, IvfConfig, IvfIndex,
+    Neighbor, Pca, PqIndex, VectorSet,
 };
 use emblookup_kg::{EntityId, KnowledgeGraph};
 use emblookup_obs::names;
@@ -17,20 +17,64 @@ use emblookup_obs::names;
 /// Index over entity embeddings with one of the supported backends.
 pub struct EntityIndex {
     ids: Vec<EntityId>,
-    backend: Backend,
+    index: Box<dyn AnnIndex>,
     dim: usize,
     /// True when several rows map to one entity (alias indexing): results
     /// must then be deduplicated by entity.
     multi_row: bool,
 }
 
-enum Backend {
-    Flat(FlatIndex),
-    Pq(PqIndex),
-    Pca { pca: Pca, flat: FlatIndex },
-    Ivf(IvfIndex),
-    Hnsw(HnswIndex),
-    HnswPq(HnswPqIndex),
+/// Flat index over PCA-projected vectors; queries are projected on the
+/// way in.
+struct PcaFlat {
+    pca: Pca,
+    flat: FlatIndex,
+}
+
+impl AnnIndex for PcaFlat {
+    fn name(&self) -> &'static str {
+        "pca"
+    }
+
+    fn len(&self) -> usize {
+        self.flat.len()
+    }
+
+    /// Projected vectors plus the mean/component rows needed to project
+    /// queries.
+    fn nbytes(&self) -> usize {
+        self.flat.nbytes() + self.pca.nbytes()
+    }
+
+    fn search_counted(&self, query: &[f32], k: usize) -> (Vec<Neighbor>, u64) {
+        self.flat.search_counted(&self.pca.project(query), k)
+    }
+}
+
+/// The index rows of `kg` under `model`: one embedded label per entity,
+/// plus — when the model indexes aliases (§III-C option: higher storage,
+/// higher alias recall) — one row per alias mapping back to the same
+/// entity id.
+pub(crate) fn embed_rows(
+    model: &EmbLookupModel,
+    kg: &KnowledgeGraph,
+    threads: usize,
+) -> (Vec<EntityId>, VectorSet) {
+    let mut labels: Vec<&str> = kg.entities().map(|e| e.label.as_str()).collect();
+    let mut ids: Vec<EntityId> = kg.entities().map(|e| e.id).collect();
+    if model.config().index_aliases {
+        for e in kg.entities() {
+            for alias in &e.aliases {
+                labels.push(alias.as_str());
+                ids.push(e.id);
+            }
+        }
+    }
+    let mut vectors = VectorSet::new(model.dim());
+    for v in &model.embed_batch(&labels, threads) {
+        vectors.push(v);
+    }
+    (ids, vectors)
 }
 
 impl EntityIndex {
@@ -51,24 +95,7 @@ impl EntityIndex {
         let span = emblookup_obs::Span::enter(names::INDEX_BUILD)
             .field("entities", kg.num_entities() as u64)
             .field("backend", compression.name());
-        let mut labels: Vec<&str> = kg.entities().map(|e| e.label.as_str()).collect();
-        let mut ids: Vec<EntityId> = kg.entities().map(|e| e.id).collect();
-        if model.config().index_aliases {
-            // §III-C option: one extra index row per alias, mapping back to
-            // the same entity id (higher storage, higher alias recall)
-            for e in kg.entities() {
-                for alias in &e.aliases {
-                    labels.push(alias.as_str());
-                    ids.push(e.id);
-                }
-            }
-        }
-        let embeddings = model.embed_batch(&labels, threads);
-        let dim = model.dim();
-        let mut vectors = VectorSet::new(dim);
-        for v in &embeddings {
-            vectors.push(v);
-        }
+        let (ids, vectors) = embed_rows(model, kg, threads);
         let index = Self::from_vectors(ids, vectors, compression);
         emblookup_obs::global()
             .gauge(names::INDEX_ENTITIES)
@@ -90,41 +117,38 @@ impl EntityIndex {
             sorted.sort_unstable();
             sorted.windows(2).any(|w| w[0] == w[1])
         };
-        let backend = match compression {
-            Compression::None => Backend::Flat(FlatIndex::new(vectors)),
+        let hnsw_config = |m: usize, ef_search: usize| HnswConfig {
+            m,
+            ef_search,
+            ef_construction: ef_search.max(2 * m),
+            seed: 0xC0DE,
+        };
+        let index: Box<dyn AnnIndex> = match compression {
+            Compression::None => Box::new(FlatIndex::new(vectors)),
             Compression::Pq { m, ks } => {
-                let cfg = Compression::pq_config(m, ks, 0xC0DE);
-                Backend::Pq(PqIndex::build(&vectors, cfg))
+                Box::new(PqIndex::build(&vectors, Compression::pq_config(m, ks, 0xC0DE)))
             }
             Compression::Pca { k } => {
                 let pca = Pca::fit(&vectors, k, 0xC0DE);
-                let projected = pca.project_set(&vectors);
-                Backend::Pca { pca, flat: FlatIndex::new(projected) }
+                let flat = FlatIndex::new(pca.project_set(&vectors));
+                Box::new(PcaFlat { pca, flat })
             }
-            Compression::Ivf { nlist, nprobe } => Backend::Ivf(IvfIndex::build(
+            Compression::Ivf { nlist, nprobe } => Box::new(IvfIndex::build(
                 vectors,
                 IvfConfig { nlist, nprobe, kmeans_iters: 15, seed: 0xC0DE },
             )),
-            Compression::Hnsw { m, ef_search } => Backend::Hnsw(HnswIndex::build(
-                vectors,
-                HnswConfig { m, ef_search, ef_construction: ef_search.max(2 * m), seed: 0xC0DE },
-            )),
-            Compression::HnswPq { m, ef_search, pq_m, pq_ks } => {
-                Backend::HnswPq(HnswPqIndex::build(
-                    &vectors,
-                    HnswPqConfig {
-                        hnsw: HnswConfig {
-                            m,
-                            ef_search,
-                            ef_construction: ef_search.max(2 * m),
-                            seed: 0xC0DE,
-                        },
-                        pq: Compression::pq_config(pq_m, pq_ks, 0xC0DE),
-                    },
-                ))
+            Compression::Hnsw { m, ef_search } => {
+                Box::new(HnswIndex::build(vectors, hnsw_config(m, ef_search)))
             }
+            Compression::HnswPq { m, ef_search, pq_m, pq_ks } => Box::new(HnswPqIndex::build(
+                &vectors,
+                HnswPqConfig {
+                    hnsw: hnsw_config(m, ef_search),
+                    pq: Compression::pq_config(pq_m, pq_ks, 0xC0DE),
+                },
+            )),
         };
-        EntityIndex { ids, backend, dim, multi_row }
+        EntityIndex { ids, index, dim, multi_row }
     }
 
     /// Number of indexed entities.
@@ -148,16 +172,7 @@ impl EntityIndex {
     /// (codebooks, projection matrices, centroids, posting or neighbour
     /// lists).
     pub fn nbytes(&self) -> usize {
-        match &self.backend {
-            Backend::Flat(f) => f.nbytes(),
-            Backend::Pq(p) => p.nbytes(),
-            // projected vectors plus the mean/component rows needed to
-            // project queries
-            Backend::Pca { pca, flat } => flat.nbytes() + pca.nbytes(),
-            Backend::Ivf(i) => i.nbytes(),
-            Backend::Hnsw(h) => h.nbytes(),
-            Backend::HnswPq(i) => i.nbytes(),
-        }
+        self.index.nbytes()
     }
 
     /// The entity id stored at an internal index position.
@@ -167,61 +182,62 @@ impl EntityIndex {
 
     /// Stable lower-case name of the active ANN backend.
     pub fn backend_name(&self) -> &'static str {
-        match &self.backend {
-            Backend::Flat(_) => "flat",
-            Backend::Pq(_) => "pq",
-            Backend::Pca { .. } => "pca",
-            Backend::Ivf(_) => "ivf",
-            Backend::Hnsw(_) => "hnsw",
-            Backend::HnswPq(_) => "hnswpq",
-        }
+        self.index.name()
     }
 
     /// `k` nearest entities to a query embedding, ascending by distance.
     /// With alias indexing, an entity reachable through several rows is
     /// returned once at its best distance.
     pub fn search(&self, query: &[f32], k: usize) -> Vec<(EntityId, f32)> {
-        self.search_inner(query, k, None)
+        self.search_counted(query, k).0
     }
 
-    /// Traced twin of [`EntityIndex::search`]: identical results, with
-    /// the backend's `backend`/`visited` annotations recorded on `span`.
+    /// [`EntityIndex::search`] that also records the backend's name and
+    /// visited count as `backend`/`visited` annotations on `span`.
     pub fn search_traced(
         &self,
         query: &[f32],
         k: usize,
         span: &emblookup_obs::TraceSpan,
     ) -> Vec<(EntityId, f32)> {
-        self.search_inner(query, k, Some(span))
+        let (hits, visited) = self.search_counted(query, k);
+        span.annotate("backend", self.index.name());
+        span.annotate("visited", visited);
+        hits
     }
 
-    fn search_inner(
+    fn search_counted(&self, query: &[f32], k: usize) -> (Vec<(EntityId, f32)>, u64) {
+        let (rows, visited) = self.index.search_counted(query, self.fetch(k));
+        (self.to_entities(rows, k), visited)
+    }
+
+    /// Batch search across `threads` threads.
+    pub fn search_batch(
         &self,
-        query: &[f32],
+        queries: &VectorSet,
         k: usize,
-        span: Option<&emblookup_obs::TraceSpan>,
-    ) -> Vec<(EntityId, f32)> {
-        let fetch = if self.multi_row { k.saturating_mul(3) } else { k };
-        let raw: Vec<Neighbor> = match (&self.backend, span) {
-            (Backend::Flat(f), None) => f.search(query, fetch),
-            (Backend::Flat(f), Some(s)) => f.search_traced(query, fetch, s),
-            (Backend::Pq(p), None) => p.search(query, fetch),
-            (Backend::Pq(p), Some(s)) => p.search_traced(query, fetch, s),
-            (Backend::Pca { pca, flat }, None) => flat.search(&pca.project(query), fetch),
-            (Backend::Pca { pca, flat }, Some(s)) => {
-                // annotate as the composite backend, not the inner flat
-                s.annotate("backend", "pca");
-                s.annotate("visited", flat.len() as u64);
-                flat.search(&pca.project(query), fetch)
-            }
-            (Backend::Ivf(i), None) => i.search(query, fetch),
-            (Backend::Ivf(i), Some(s)) => i.search_traced(query, fetch, s),
-            (Backend::Hnsw(h), None) => h.search(query, fetch),
-            (Backend::Hnsw(h), Some(s)) => h.search_traced(query, fetch, s),
-            (Backend::HnswPq(i), None) => i.search(query, fetch),
-            (Backend::HnswPq(i), Some(s)) => i.search_traced(query, fetch, s),
-        };
-        let mapped = raw.into_iter().map(|n| (self.ids[n.index], n.dist));
+        threads: usize,
+    ) -> Vec<Vec<(EntityId, f32)>> {
+        self.index
+            .search_batch(queries, self.fetch(k), threads)
+            .into_iter()
+            .map(|rows| self.to_entities(rows, k))
+            .collect()
+    }
+
+    /// Rows to fetch for `k` entities: alias rows are over-fetched so
+    /// that `k` distinct entities survive deduplication.
+    fn fetch(&self, k: usize) -> usize {
+        if self.multi_row {
+            k.saturating_mul(3)
+        } else {
+            k
+        }
+    }
+
+    /// Maps row hits to entities, keeping each entity's first (best) row.
+    fn to_entities(&self, rows: Vec<Neighbor>, k: usize) -> Vec<(EntityId, f32)> {
+        let mapped = rows.into_iter().map(|n| (self.ids[n.index], n.dist));
         if !self.multi_row {
             return mapped.collect();
         }
@@ -236,39 +252,6 @@ impl EntityIndex {
             }
         }
         out
-    }
-
-    /// Batch search across `threads` threads.
-    pub fn search_batch(
-        &self,
-        queries: &VectorSet,
-        k: usize,
-        threads: usize,
-    ) -> Vec<Vec<(EntityId, f32)>> {
-        if self.multi_row {
-            // alias-indexed path needs per-query dedup; reuse `search`
-            return (0..queries.len())
-                .map(|i| self.search(queries.get(i), k))
-                .collect();
-        }
-        let raw = match &self.backend {
-            Backend::Flat(f) => f.search_batch(queries, k, threads),
-            Backend::Pq(p) => p.search_batch(queries, k, threads),
-            Backend::Pca { pca, flat } => {
-                let projected = pca.project_set(queries);
-                flat.search_batch(&projected, k, threads)
-            }
-            Backend::Ivf(i) => i.search_batch(queries, k, threads),
-            Backend::Hnsw(h) => h.search_batch(queries, k, threads),
-            Backend::HnswPq(i) => i.search_batch(queries, k, threads),
-        };
-        raw.into_iter()
-            .map(|hits| {
-                hits.into_iter()
-                    .map(|n| (self.ids[n.index], n.dist))
-                    .collect()
-            })
-            .collect()
     }
 }
 
@@ -343,7 +326,7 @@ mod tests {
     }
 
     #[test]
-    fn traced_search_matches_untraced_and_annotates_every_backend() {
+    fn traced_and_batch_search_match_plain_search_on_every_backend() {
         use emblookup_obs::{AnnoValue, Trace, TraceClock};
         let compressions = [
             Compression::None,
@@ -354,24 +337,43 @@ mod tests {
             Compression::HnswPq { m: 8, ef_search: 64, pq_m: 4, pq_ks: 16 },
         ];
         for compression in compressions {
-            let (ids, vs) = toy_vectors(120, 8);
-            let q = vs.get(11).to_vec();
-            let idx = EntityIndex::from_vectors(ids, vs, compression);
-            let trace = Trace::start(1, TraceClock::real());
-            let root = trace.root(emblookup_obs::names::SPAN_STAGE_SEARCH);
-            let traced = idx.search_traced(&q, 5, &root);
-            assert_eq!(traced, idx.search(&q, 5), "backend {}", idx.backend_name());
-            root.finish();
-            let data = trace.snapshot();
-            assert_eq!(
-                data.root_annotation("backend"),
-                Some(AnnoValue::Str(idx.backend_name())),
-            );
-            assert!(
-                matches!(data.root_annotation("visited"), Some(AnnoValue::U64(v)) if v > 0),
-                "backend {} must report visited > 0",
-                idx.backend_name()
-            );
+            // second pass: two rows per entity, the alias-indexed layout
+            for multi_row in [false, true] {
+                let (mut ids, vs) = toy_vectors(120, 8);
+                if multi_row {
+                    ids = (0..120u32).map(|i| EntityId(i / 2)).collect();
+                }
+                let q = vs.get(11).to_vec();
+                let mut queries = VectorSet::new(8);
+                for i in 0..9 {
+                    queries.push(vs.get(i * 13));
+                }
+                let idx = EntityIndex::from_vectors(ids, vs, compression);
+                let case = format!("backend {} multi_row {multi_row}", idx.backend_name());
+
+                let trace = Trace::start(1, TraceClock::real());
+                let root = trace.root(emblookup_obs::names::SPAN_STAGE_SEARCH);
+                let traced = idx.search_traced(&q, 5, &root);
+                assert_eq!(traced, idx.search(&q, 5), "{case}");
+                root.finish();
+                let data = trace.snapshot();
+                assert_eq!(
+                    data.root_annotation("backend"),
+                    Some(AnnoValue::Str(idx.backend_name())),
+                );
+                assert!(
+                    matches!(data.root_annotation("visited"), Some(AnnoValue::U64(v)) if v > 0),
+                    "{case} must report visited > 0"
+                );
+
+                for threads in [1, 2] {
+                    let batch = idx.search_batch(&queries, 5, threads);
+                    assert_eq!(batch.len(), queries.len());
+                    for (hits, query) in batch.iter().zip(queries.iter()) {
+                        assert_eq!(*hits, idx.search(query, 5), "{case} threads {threads}");
+                    }
+                }
+            }
         }
     }
 }

@@ -22,8 +22,6 @@ pub struct EmbLookup {
     model: Arc<EmbLookupModel>,
     index: EntityIndex,
     report: TrainReport,
-    /// Threads used for bulk lookups (the GPU-surrogate path).
-    pub bulk_threads: usize,
     /// Pre-resolved latency histogram: the hot lookup path does a single
     /// atomic record per query and never touches the registry lock.
     lookup_hist: Arc<Histogram>,
@@ -123,7 +121,6 @@ impl EmbLookup {
             model,
             index,
             report,
-            bulk_threads: num_threads(),
             lookup_hist: reg.histogram(names::LOOKUP_LATENCY),
             bulk_hist: reg.histogram(names::LOOKUP_BULK),
             bulk_query_hist: reg.histogram(names::LOOKUP_LATENCY_BULK),
@@ -176,7 +173,7 @@ impl EmbLookup {
     }
 
     /// Bulk lookup: embeds all queries and searches the index, both split
-    /// across `self.bulk_threads` threads.
+    /// across [`num_threads`] threads (the GPU-surrogate path).
     ///
     /// Whole-batch wall time goes to `lookup.bulk`; the same time divided
     /// across the batch's queries is attributed per query into
@@ -184,12 +181,13 @@ impl EmbLookup {
     /// one comparable `lookup.latency.*` family.
     pub fn bulk_lookup(&self, queries: &[&str], k: usize) -> Vec<Vec<(EntityId, f32)>> {
         let start = std::time::Instant::now();
-        let embeddings = self.model.embed_batch(queries, self.bulk_threads);
+        let threads = num_threads();
+        let embeddings = self.model.embed_batch(queries, threads);
         let mut qs = VectorSet::new(self.model.dim());
         for e in &embeddings {
             qs.push(e);
         }
-        let hits = self.index.search_batch(&qs, k, self.bulk_threads);
+        let hits = self.index.search_batch(&qs, k, threads);
         let elapsed = start.elapsed();
         self.bulk_hist.record_duration(elapsed);
         if !queries.is_empty() {
@@ -223,56 +221,23 @@ impl EmbLookup {
         hits
     }
 
-    /// Traced twin of [`EmbLookup::bulk_lookup`]: each query runs the
-    /// embed + search pipeline inside a `pool.chunk` child span of
-    /// `parent`. Chunking is derived from the query count alone (at
+    /// Traced, fallible twin of [`EmbLookup::bulk_lookup`]: each query
+    /// runs the embed + search pipeline inside a `pool.chunk` child span
+    /// of `parent`. Chunking is derived from the query count alone (at
     /// most [`EmbLookup::BULK_TRACE_CHUNKS`] chunks), never from the
     /// pool width, so the span tree shape is identical at every
     /// `EMBLOOKUP_THREADS` setting; results are bit-identical to the
     /// untraced batched path.
-    pub fn bulk_lookup_traced(
-        &self,
-        queries: &[&str],
-        k: usize,
-        parent: &emblookup_obs::TraceSpan,
-    ) -> Vec<Vec<(EntityId, f32)>> {
-        let start = std::time::Instant::now();
-        parent.annotate("backend", self.index.backend_name());
-        parent.annotate("queries", queries.len() as u64);
-        let n = queries.len();
-        if n == 0 {
-            self.bulk_hist.record_duration(start.elapsed());
-            return Vec::new();
-        }
-        let grain = n.div_ceil(Self::BULK_TRACE_CHUNKS).max(1);
-        let hits = emblookup_pool::Pool::global().parallel_map_traced(
-            n,
-            grain,
-            parent,
-            names::SPAN_POOL_CHUNK,
-            |i| {
-                let emb = self.model.embed(queries[i]);
-                self.index.search(&emb, k)
-            },
-        );
-        let elapsed = start.elapsed();
-        self.bulk_hist.record_duration(elapsed);
-        let per_query = u64::try_from(elapsed.as_nanos() / n as u128).unwrap_or(u64::MAX);
-        self.bulk_query_hist.record_n(per_query, n as u64);
-        self.bulk_queries.add(n as u64);
-        hits
-    }
-
-    /// Upper bound on `pool.chunk` spans per traced bulk request; also
-    /// the divisor deriving the deterministic chunk grain.
-    pub const BULK_TRACE_CHUNKS: usize = 8;
-
-    /// Fallible twin of [`EmbLookup::bulk_lookup_traced`]; see
-    /// [`EmbLookup::try_lookup_with_distances`] for the containment
-    /// contract.
+    ///
+    /// A panic escaping the embed or search stage (e.g. a pool
+    /// [`TaskPanic`] rethrown by the fan-out) is contained and surfaced
+    /// as a [`LookupError`] so one poisoned query cannot take the process
+    /// down — the serving layer maps it to a per-request `500`.
     ///
     /// # Errors
     /// [`LookupError`] carrying the contained panic message.
+    ///
+    /// [`TaskPanic`]: emblookup_pool::TaskPanic
     pub fn try_bulk_lookup_traced(
         &self,
         queries: &[&str],
@@ -280,48 +245,38 @@ impl EmbLookup {
         parent: &emblookup_obs::TraceSpan,
     ) -> Result<Vec<Vec<(EntityId, f32)>>, LookupError> {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.bulk_lookup_traced(queries, k, parent)
+            let start = std::time::Instant::now();
+            parent.annotate("backend", self.index.backend_name());
+            parent.annotate("queries", queries.len() as u64);
+            let n = queries.len();
+            if n == 0 {
+                self.bulk_hist.record_duration(start.elapsed());
+                return Vec::new();
+            }
+            let grain = n.div_ceil(Self::BULK_TRACE_CHUNKS).max(1);
+            let hits = emblookup_pool::Pool::global().parallel_map_traced(
+                n,
+                grain,
+                parent,
+                names::SPAN_POOL_CHUNK,
+                |i| {
+                    let emb = self.model.embed(queries[i]);
+                    self.index.search(&emb, k)
+                },
+            );
+            let elapsed = start.elapsed();
+            self.bulk_hist.record_duration(elapsed);
+            let per_query = u64::try_from(elapsed.as_nanos() / n as u128).unwrap_or(u64::MAX);
+            self.bulk_query_hist.record_n(per_query, n as u64);
+            self.bulk_queries.add(n as u64);
+            hits
         }))
         .map_err(LookupError::from_panic)
     }
 
-    /// Fallible twin of [`EmbLookup::lookup_with_distances`]: a panic
-    /// escaping the embed or search stage (e.g. a pool [`TaskPanic`]
-    /// rethrown by a batched backend) is contained and surfaced as a
-    /// [`LookupError`] so one poisoned query cannot take the process
-    /// down — the serving layer maps it to a per-request `500`.
-    ///
-    /// # Errors
-    /// [`LookupError`] carrying the contained panic message.
-    ///
-    /// [`TaskPanic`]: emblookup_pool::TaskPanic
-    pub fn try_lookup_with_distances(
-        &self,
-        q: &str,
-        k: usize,
-    ) -> Result<Vec<(EntityId, f32)>, LookupError> {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.lookup_with_distances(q, k)
-        }))
-        .map_err(LookupError::from_panic)
-    }
-
-    /// Fallible twin of [`EmbLookup::bulk_lookup`]; see
-    /// [`EmbLookup::try_lookup_with_distances`] for the containment
-    /// contract.
-    ///
-    /// # Errors
-    /// [`LookupError`] carrying the contained panic message.
-    pub fn try_bulk_lookup(
-        &self,
-        queries: &[&str],
-        k: usize,
-    ) -> Result<Vec<Vec<(EntityId, f32)>>, LookupError> {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.bulk_lookup(queries, k)
-        }))
-        .map_err(LookupError::from_panic)
-    }
+    /// Upper bound on `pool.chunk` spans per traced bulk request; also
+    /// the divisor deriving the deterministic chunk grain.
+    pub const BULK_TRACE_CHUNKS: usize = 8;
 }
 
 impl LookupService for EmbLookup {
@@ -468,17 +423,6 @@ mod tests {
     }
 
     #[test]
-    fn try_lookup_matches_infallible_path() {
-        let (el, s) = trained();
-        let label = &s.kg.entities().next().unwrap().label;
-        let fallible = el.try_lookup_with_distances(label, 5).expect("healthy index");
-        let direct = el.lookup_with_distances(label, 5);
-        assert_eq!(fallible, direct);
-        let bulk = el.try_bulk_lookup(&[label.as_str()], 5).expect("healthy index");
-        assert_eq!(bulk[0], direct);
-    }
-
-    #[test]
     fn traced_lookups_match_untraced_and_build_stage_spans() {
         use emblookup_obs::{Trace, TraceClock};
         let (el, s) = trained();
@@ -498,7 +442,9 @@ mod tests {
 
         let bulk_trace = Trace::start(0xBEEF, TraceClock::real());
         let bulk_root = bulk_trace.root(names::SPAN_LOOKUP_REQUEST);
-        let traced_bulk = el.bulk_lookup_traced(&labels, 3, &bulk_root);
+        let traced_bulk = el
+            .try_bulk_lookup_traced(&labels, 3, &bulk_root)
+            .expect("healthy index");
         assert_eq!(traced_bulk, el.bulk_lookup(&labels, 3));
         bulk_root.finish();
         let bulk_data = bulk_trace.snapshot();

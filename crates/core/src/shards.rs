@@ -16,7 +16,7 @@
 //! the entity id, never the row.
 
 use crate::config::Compression;
-use crate::index::EntityIndex;
+use crate::index::{embed_rows, EntityIndex};
 use crate::model::EmbLookupModel;
 use emblookup_ann::VectorSet;
 use emblookup_kg::{EntityId, KnowledgeGraph};
@@ -59,27 +59,17 @@ impl ShardedIndex {
     ) -> Self {
         assert!(num_shards > 0, "sharding into zero shards");
         assert!(kg.num_entities() > 0, "sharding an empty knowledge graph");
-        let mut labels: Vec<&str> = kg.entities().map(|e| e.label.as_str()).collect();
-        let mut ids: Vec<EntityId> = kg.entities().map(|e| e.id).collect();
-        if model.config().index_aliases {
-            // Alias rows ride along exactly as in `EntityIndex::build`;
-            // hashing on the id keeps them on their entity's shard.
-            for e in kg.entities() {
-                for alias in &e.aliases {
-                    labels.push(alias.as_str());
-                    ids.push(e.id);
-                }
-            }
-        }
-        let embeddings = model.embed_batch(&labels, threads);
-        let dim = model.dim();
+        // alias rows hash on the entity id, so they stay on their
+        // entity's shard
+        let (ids, vectors) = embed_rows(model, kg, threads);
+        let dim = vectors.dim();
         let mut shard_ids: Vec<Vec<EntityId>> = (0..num_shards).map(|_| Vec::new()).collect();
         let mut shard_vecs: Vec<VectorSet> =
             (0..num_shards).map(|_| VectorSet::new(dim)).collect();
         for (row, id) in ids.iter().enumerate() {
             let s = shard_of(*id, num_shards);
             shard_ids[s].push(*id);
-            shard_vecs[s].push(&embeddings[row]);
+            shard_vecs[s].push(vectors.get(row));
         }
         let shards = shard_ids
             .into_iter()

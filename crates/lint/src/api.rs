@@ -56,7 +56,7 @@ impl Snapshot {
         self.add_items(krate, rel, src_rel, sf.class, &public_items(sf));
     }
 
-    /// Variant over pre-extracted items (the facts/cache path, where no
+    /// Variant over pre-extracted items (the facts path, where no
     /// parsed [`SourceFile`] exists).
     pub fn add_items(
         &mut self,

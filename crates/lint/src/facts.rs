@@ -1,6 +1,5 @@
 //! Per-file analysis facts — everything the workspace passes need,
-//! decoupled from the token stream so results can round-trip through
-//! the incremental cache ([`crate::cache`]) without re-lexing.
+//! decoupled from the token stream.
 //!
 //! [`FileFacts::extract`] runs every per-file pass once (raw rule
 //! violations, `emblookup_*::` references, public API items, `use`

@@ -126,8 +126,8 @@ pub fn check_source(sf: &SourceFile, krate: &str, refs: &[CrateRef]) -> Vec<Viol
     check_refs(&sf.path, krate, refs)
 }
 
-/// Path-based variant of [`check_source`] for pre-extracted facts (the
-/// incremental cache path, where no parsed [`SourceFile`] exists).
+/// Path-based variant of [`check_source`] for pre-extracted facts
+/// (where no parsed [`SourceFile`] exists).
 pub fn check_refs(path: &str, krate: &str, refs: &[CrateRef]) -> Vec<Violation> {
     let mut out = Vec::new();
     for r in refs {

@@ -25,9 +25,7 @@
 //!   blocking site (L012) and guard-free shared-state write detection
 //!   (L013); `--atomics-report` renders the committed `ATOMICS.md`.
 //!
-//! Per-file analysis results round-trip through an incremental
-//! content-hash cache ([`cache`], under `target/emblookup-lint/`);
-//! allow-directive suppression is applied centrally by [`workspace`]
+//! Allow-directive suppression is applied centrally by [`workspace`]
 //! so stale directives can be audited.
 //!
 //! The `emblookup-lint` binary walks `crates/*/src` and `src/`
@@ -43,7 +41,6 @@
 #![warn(missing_docs)]
 
 pub mod api;
-pub mod cache;
 pub mod callgraph;
 pub mod cargo;
 pub mod dataflow;

@@ -3,7 +3,7 @@
 //! usage/IO error.
 //!
 //! ```text
-//! emblookup-lint [--root DIR] [--format text|json] [--no-cache]
+//! emblookup-lint [--root DIR] [--format text|json]
 //!                [--api-check | --api-bless]
 //!                [--fix-metric-names [--write]]
 //! emblookup-lint --explain Lxxx
@@ -23,10 +23,6 @@
 //! * `--atomics-report` prints the per-atomic protocol inventory
 //!   (markdown) and exits; CI regenerates the committed `ATOMICS.md`
 //!   from it and fails on drift.
-//! * `--no-cache` bypasses the incremental fact cache under
-//!   `target/emblookup-lint/` (a cached run reports identical
-//!   diagnostics; the flag exists for debugging and the CI identity
-//!   test).
 //!
 //! Advisory warnings (the stale-allow audit) are printed after the
 //! violations and never affect the exit code.
@@ -63,7 +59,6 @@ struct Options {
     write: bool,
     api_check: bool,
     api_bless: bool,
-    no_cache: bool,
     explain: Option<String>,
     atomics_report: bool,
 }
@@ -76,7 +71,6 @@ fn parse_args() -> Result<Options, String> {
         write: false,
         api_check: false,
         api_bless: false,
-        no_cache: false,
         explain: None,
         atomics_report: false,
     };
@@ -96,7 +90,6 @@ fn parse_args() -> Result<Options, String> {
             "--write" => opts.write = true,
             "--api-check" => opts.api_check = true,
             "--api-bless" => opts.api_bless = true,
-            "--no-cache" => opts.no_cache = true,
             "--atomics-report" => opts.atomics_report = true,
             "--explain" => {
                 let v = args.next().ok_or("--explain requires a rule id (e.g. L008)")?;
@@ -104,7 +97,7 @@ fn parse_args() -> Result<Options, String> {
             }
             "--help" | "-h" => {
                 println!(
-                    "emblookup-lint [--root DIR] [--format text|json] [--no-cache] [--api-check | --api-bless] [--fix-metric-names [--write]] | --explain Lxxx | --atomics-report\n\
+                    "emblookup-lint [--root DIR] [--format text|json] [--api-check | --api-bless] [--fix-metric-names [--write]] | --explain Lxxx | --atomics-report\n\
                      Repo-specific lints: L001 panic-freedom, L002 hot-path, L003 metric names,\n\
                      L004 TODO hygiene, L005 crate layering, L006 API drift (API.lock), L007 float discipline,\n\
                      L008 determinism, L009 lock discipline, L010 interprocedural hot-path effects,\n\
@@ -147,8 +140,7 @@ fn run() -> Result<ExitCode, String> {
             .ok_or("no workspace root found (run inside the repo or pass --root)")?,
     };
     let registry = obs_name_registry();
-    let use_cache = !opts.no_cache;
-    let mut ws = Workspace::load(&root, &registry, use_cache)?;
+    let mut ws = Workspace::load(&root, &registry)?;
 
     if opts.atomics_report {
         print!("{}", dataflow::atomics_report(&ws.files));
@@ -184,7 +176,7 @@ fn run() -> Result<ExitCode, String> {
         }
         println!("--fix-metric-names: {rewritten} file(s) rewritten");
         // report on the rewritten tree
-        ws = Workspace::load(&root, &registry, use_cache)?;
+        ws = Workspace::load(&root, &registry)?;
     }
 
     let report = ws.check();
@@ -213,10 +205,8 @@ fn run() -> Result<ExitCode, String> {
         }
         println!("emblookup-lint: {}", report::render_rule_summary(&violations));
         println!(
-            "emblookup-lint: {} files checked ({} cached, {} cold), {} violation{}, {} warning{}{}",
+            "emblookup-lint: {} files checked, {} violation{}, {} warning{}{}",
             ws.files.len(),
-            ws.cache_hits,
-            ws.cache_misses,
             violations.len(),
             if violations.len() == 1 { "" } else { "s" },
             warnings.len(),

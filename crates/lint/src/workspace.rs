@@ -1,9 +1,8 @@
 //! Workspace-level analysis: loads every manifest and lintable source
-//! file once (through the incremental fact cache when enabled), then
-//! runs the per-file passes (L001–L004, L007), the layering pass
-//! (L005), the interprocedural rules (L008–L010) and the API snapshot
-//! (L006) over the shared model. This is what the `emblookup-lint`
-//! binary drives.
+//! file once, then runs the per-file passes (L001–L004, L007), the
+//! layering pass (L005), the interprocedural rules (L008–L010) and the
+//! API snapshot (L006) over the shared model. This is what the
+//! `emblookup-lint` binary drives.
 //!
 //! Allow-directive suppression is **central**: every pass returns raw
 //! violations, and this module matches them against the owning file's
@@ -16,7 +15,6 @@
 //! access site is warned as unused.
 
 use crate::api::Snapshot;
-use crate::cache;
 use crate::cargo::{read_manifests, Manifest};
 use crate::engine::{NameRegistry, Violation};
 use crate::facts::FileFacts;
@@ -32,10 +30,6 @@ pub struct Workspace {
     pub manifests: Vec<Manifest>,
     /// Extracted per-file facts, sorted by path.
     pub files: Vec<FileFacts>,
-    /// Files served from the incremental cache.
-    pub cache_hits: usize,
-    /// Files analyzed cold this run.
-    pub cache_misses: usize,
 }
 
 /// Outcome of a full check: hard errors and advisory warnings.
@@ -48,58 +42,26 @@ pub struct Report {
 
 impl Workspace {
     /// Reads manifests and sources under `root`, extracting facts for
-    /// each file — via the content-hash cache under
-    /// `target/emblookup-lint/` unless `use_cache` is false. The cache
-    /// is refreshed (best-effort) after a run with any misses.
-    pub fn load(root: &Path, registry: &NameRegistry, use_cache: bool) -> Result<Workspace, String> {
+    /// each file.
+    pub fn load(root: &Path, registry: &NameRegistry) -> Result<Workspace, String> {
         let manifests = read_manifests(root)
             .map_err(|e| format!("reading manifests under {}: {e}", root.display()))?;
         let rels = walk::lintable_files(root)
             .map_err(|e| format!("walking {}: {e}", root.display()))?;
-        let reg_hash = cache::registry_hash(registry);
-        let cached = if use_cache { cache::load(root, reg_hash) } else { cache::Cache::default() };
         let mut files = Vec::with_capacity(rels.len());
-        let mut hashes = Vec::with_capacity(rels.len());
-        let mut hits = 0usize;
-        let mut misses = 0usize;
         for rel_path in rels {
             let rel = rel_path.to_string_lossy().replace('\\', "/");
             let src = std::fs::read_to_string(root.join(&rel_path))
                 .map_err(|e| format!("reading {rel}: {e}"))?;
-            let hash = cache::fnv1a(src.as_bytes());
             let (krate, src_rel) = owner(&manifests, &rel);
-            match cached.get(&rel, hash) {
-                Some(f) if f.krate == krate && f.src_rel == src_rel => {
-                    files.push(f.clone());
-                    hits += 1;
-                }
-                _ => {
-                    files.push(FileFacts::extract(&rel, &src_rel, &krate, &src, registry));
-                    misses += 1;
-                }
-            }
-            hashes.push(hash);
+            files.push(FileFacts::extract(&rel, &src_rel, &krate, &src, registry));
         }
-        if use_cache && misses > 0 {
-            let entries: Vec<(u64, &FileFacts)> =
-                hashes.iter().copied().zip(files.iter()).collect();
-            // best-effort: a read-only target/ only costs the next run
-            let _ = cache::save(root, reg_hash, &entries);
-        }
-        Ok(Workspace {
-            root: root.to_path_buf(),
-            manifests,
-            files,
-            cache_hits: hits,
-            cache_misses: misses,
-        })
+        Ok(Workspace { root: root.to_path_buf(), manifests, files })
     }
 
-    /// In-memory constructor for fixture tests: no filesystem, no
-    /// cache.
+    /// In-memory constructor for fixture tests: no filesystem.
     pub fn from_parts(manifests: Vec<Manifest>, files: Vec<FileFacts>) -> Workspace {
-        let misses = files.len();
-        Workspace { root: PathBuf::new(), manifests, files, cache_hits: 0, cache_misses: misses }
+        Workspace { root: PathBuf::new(), manifests, files }
     }
 
     /// Runs every pass and applies allow suppression centrally. (L006

@@ -372,16 +372,16 @@ fn fix_write_round_trips_and_relints_clean() {
 }
 
 // ---------------------------------------------------------------------
-// incremental fact cache: a cached run must report exactly what a cold
-// run reports
+// on-disk load: a workspace read from the filesystem reports what the
+// in-memory fixtures report
 
 #[test]
-fn cached_run_reports_identical_diagnostics_to_cold_run() {
+fn workspace_loaded_from_disk_reports_every_rule_family() {
     use emblookup_lint::engine::obs_name_registry;
     use emblookup_lint::workspace::Workspace;
     use std::fs;
 
-    let root = std::env::temp_dir().join(format!("emblookup-lint-cache-{}", std::process::id()));
+    let root = std::env::temp_dir().join(format!("emblookup-lint-load-{}", std::process::id()));
     let _ = fs::remove_dir_all(&root);
     fs::create_dir_all(root.join("crates/kg/src")).expect("mkdir");
     fs::create_dir_all(root.join("crates/ann/src")).expect("mkdir");
@@ -415,9 +415,7 @@ fn cached_run_reports_identical_diagnostics_to_cold_run() {
          pub fn dead(x: Option<u32>) -> u32 { x.unwrap() }\n",
     )
     .expect("write");
-    // the concurrency-protocol facts (atomic decls/accesses, deadline
-    // params/checks, write sites, Arc/static sharing roots) must
-    // round-trip through the cache too: L011 + L012 + L013 findings
+    // the concurrency-protocol family: L011 + L012 + L013 findings
     fs::create_dir_all(root.join("crates/serve/src")).expect("mkdir");
     fs::write(
         root.join("crates/serve/Cargo.toml"),
@@ -440,39 +438,19 @@ fn cached_run_reports_identical_diagnostics_to_cold_run() {
     )
     .expect("write");
 
-    let registry = obs_name_registry();
-    let cold_ws = Workspace::load(&root, &registry, true).expect("cold load");
-    assert_eq!(cold_ws.cache_hits, 0, "first run must be fully cold");
-    let cold = cold_ws.check();
-
-    let warm_ws = Workspace::load(&root, &registry, true).expect("warm load");
-    assert!(warm_ws.cache_misses == 0, "second run must be fully cached");
-    assert!(warm_ws.cache_hits > 0);
-    let warm = warm_ws.check();
+    let report = Workspace::load(&root, &obs_name_registry()).expect("load").check();
 
     // the fixture exercises raw per-file rules (L001), interprocedural
     // effects (L010), the concurrency-protocol family (L011–L013) and
-    // the stale-allow audit — all must round-trip
-    let key = |v: &emblookup_lint::engine::Violation| {
-        (v.file.clone(), v.line, v.rule.clone(), v.message.clone())
-    };
-    assert!(!cold.violations.is_empty(), "fixture must produce diagnostics");
-    assert!(!cold.warnings.is_empty(), "fixture must produce a stale-allow warning");
-    for rule in ["L011", "L012", "L013"] {
+    // the stale-allow audit
+    assert!(!report.warnings.is_empty(), "fixture must produce a stale-allow warning");
+    for rule in ["L001", "L010", "L011", "L012", "L013"] {
         assert!(
-            cold.violations.iter().any(|v| v.rule == rule),
+            report.violations.iter().any(|v| v.rule == rule),
             "fixture must produce a {rule} diagnostic: {:?}",
-            cold.violations
+            report.violations
         );
     }
-    assert_eq!(
-        cold.violations.iter().map(key).collect::<Vec<_>>(),
-        warm.violations.iter().map(key).collect::<Vec<_>>()
-    );
-    assert_eq!(
-        cold.warnings.iter().map(key).collect::<Vec<_>>(),
-        warm.warnings.iter().map(key).collect::<Vec<_>>()
-    );
 
     let _ = fs::remove_dir_all(&root);
 }

@@ -67,10 +67,6 @@ names! {
     ANN_PQ_SEARCHES => "ann.pq.searches",
     /// Counter of codes visited by PQ searches.
     ANN_PQ_VISITED => "ann.pq.visited_nodes",
-    /// Counter of IVFPQ searches.
-    ANN_IVFPQ_SEARCHES => "ann.ivfpq.searches",
-    /// Counter of codes visited by IVFPQ searches.
-    ANN_IVFPQ_VISITED => "ann.ivfpq.visited_nodes",
     /// Counter of PQ-fused HNSW searches.
     ANN_HNSWPQ_SEARCHES => "ann.hnswpq.searches",
     /// Counter of graph nodes visited by PQ-fused HNSW searches.

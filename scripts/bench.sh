@@ -189,12 +189,12 @@ for i, r in enumerate(rows):
 PY
 
 # Lint-runtime stanza: the static-analysis gate is part of every push,
-# so its cold-run wall time is a perf number worth tracking alongside
+# so its wall time is a perf number worth tracking alongside
 # the lookup latencies (ci.sh enforces the 30 s budget; this just
 # reports).
 echo
-echo "== emblookup-lint cold-run wall time (per-push gate; ci.sh budget 30s) =="
+echo "== emblookup-lint wall time (per-push gate; ci.sh budget 30s) =="
 lint_start_ns=$(date +%s%N)
-cargo run -q -p emblookup-lint --release --offline -- --no-cache > /dev/null || true
+cargo run -q -p emblookup-lint --release --offline > /dev/null || true
 lint_end_ns=$(date +%s%N)
-printf 'emblookup-lint --no-cache: %d ms\n' $(( (lint_end_ns - lint_start_ns) / 1000000 ))
+printf 'emblookup-lint: %d ms\n' $(( (lint_end_ns - lint_start_ns) / 1000000 ))

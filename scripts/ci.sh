@@ -11,11 +11,13 @@ cargo build --release --offline
 # Tests run twice: pinned to one thread (pure serial pool paths) and at the
 # machine default. Batch kernels write disjoint output slots, so both
 # configurations must produce identical results — divergence is a bug.
-echo "== cargo test -q --offline (EMBLOOKUP_THREADS=1) =="
-EMBLOOKUP_THREADS=1 cargo test -q --offline
+# --workspace: the root package alone is 9 test binaries; every crate's
+# unit and integration tests are part of the gate.
+echo "== cargo test -q --offline --workspace (EMBLOOKUP_THREADS=1) =="
+EMBLOOKUP_THREADS=1 cargo test -q --offline --workspace
 
-echo "== cargo test -q --offline (default threads) =="
-cargo test -q --offline
+echo "== cargo test -q --offline --workspace (default threads) =="
+cargo test -q --offline --workspace
 
 # Kernel-dispatch matrix: the ann suite must hold under both the forced
 # scalar fallback and auto-detected SIMD (EMBLOOKUP_KERNEL resolves once
@@ -68,10 +70,9 @@ echo "== emblookup-lint --api-check (L001-L013 incl. layering, API drift, interp
 # --api-bless); the --fix-metric-names dry run prints the
 # literal→constant plan for the log. The full pass (including the
 # whole-workspace fixed point) must finish within a 30 s wall-clock
-# budget so the gate stays cheap enough to run on every push; --no-cache
-# keeps the timing honest on warm checkouts.
+# budget so the gate stays cheap enough to run on every push.
 lint_start=$(date +%s)
-cargo run -q -p emblookup-lint --release --offline -- --no-cache --api-check --fix-metric-names
+cargo run -q -p emblookup-lint --release --offline -- --api-check --fix-metric-names
 lint_elapsed=$(( $(date +%s) - lint_start ))
 echo "emblookup-lint: full pass took ${lint_elapsed}s (budget 30s)"
 if [ "$lint_elapsed" -gt 30 ]; then

@@ -3,8 +3,8 @@
 //! reasonable recall against the exact flat index.
 
 use emblookup::ann::{
-    lsh::LshConfig, FlatIndex, HnswConfig, HnswIndex, IvfConfig, IvfIndex, IvfPqConfig,
-    IvfPqIndex, Neighbor, PqConfig, PqIndex, RefinedPqIndex, SqIndex, VectorSet,
+    lsh::LshConfig, AnnIndex, FlatIndex, HnswConfig, HnswIndex, HnswPqConfig, HnswPqIndex,
+    IvfConfig, IvfIndex, PqConfig, PqIndex, VectorSet,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -19,16 +19,11 @@ fn random_set(n: usize, dim: usize, seed: u64) -> VectorSet {
     vs
 }
 
-fn recall_vs_flat(
-    flat: &FlatIndex,
-    search: &dyn Fn(&[f32], usize) -> Vec<Neighbor>,
-    queries: &VectorSet,
-    k: usize,
-) -> f64 {
+fn recall_vs_flat(flat: &FlatIndex, index: &dyn AnnIndex, queries: &VectorSet, k: usize) -> f64 {
     let mut acc = 0.0;
     for q in queries.iter() {
         let truth: Vec<usize> = flat.search(q, k).iter().map(|n| n.index).collect();
-        let got: Vec<usize> = search(q, k).iter().map(|n| n.index).collect();
+        let got: Vec<usize> = index.search_counted(q, k).0.iter().map(|n| n.index).collect();
         acc += truth.iter().filter(|i| got.contains(i)).count() as f64 / k as f64;
     }
     acc / queries.len() as f64
@@ -41,29 +36,38 @@ fn all_backends_honor_the_search_contract() {
     let flat = FlatIndex::new(data.clone());
 
     let pq_cfg = PqConfig { m: 4, ks: 32, kmeans_iters: 8, seed: 0 };
-    let pq = PqIndex::build(&data, pq_cfg);
-    let refined = RefinedPqIndex::new(PqIndex::build(&data, pq_cfg), data.clone(), 6);
-    let ivf = IvfIndex::build(data.clone(), IvfConfig { nlist: 16, nprobe: 6, kmeans_iters: 8, seed: 0 });
-    let ivfpq = IvfPqIndex::build(
-        &data,
-        IvfPqConfig { nlist: 16, nprobe: 8, pq: pq_cfg, kmeans_iters: 8, seed: 0 },
-    );
-    let hnsw = HnswIndex::build(data.clone(), HnswConfig::default());
-    let sq = SqIndex::build(&data);
-
-    type SearchFn = Box<dyn Fn(&[f32], usize) -> Vec<Neighbor>>;
-    let backends: Vec<(&str, SearchFn, f64)> = vec![
-        ("pq", Box::new(move |q, k| pq.search(q, k)), 0.45),
-        ("refined_pq", Box::new(move |q, k| refined.search(q, k)), 0.85),
-        ("ivf", Box::new(move |q, k| ivf.search(q, k)), 0.55),
-        ("ivfpq", Box::new(move |q, k| ivfpq.search(q, k)), 0.35),
-        ("hnsw", Box::new(move |q, k| hnsw.search(q, k)), 0.80),
-        ("sq8", Box::new(move |q, k| sq.search(q, k)), 0.90),
+    let backends: Vec<(Box<dyn AnnIndex>, f64)> = vec![
+        (Box::new(flat.clone()), 1.0),
+        (Box::new(PqIndex::build(&data, pq_cfg)), 0.45),
+        (
+            Box::new(IvfIndex::build(
+                data.clone(),
+                IvfConfig { nlist: 16, nprobe: 6, kmeans_iters: 8, seed: 0 },
+            )),
+            0.55,
+        ),
+        (Box::new(HnswIndex::build(data.clone(), HnswConfig::default())), 0.80),
+        (
+            Box::new(HnswPqIndex::build(
+                &data,
+                HnswPqConfig {
+                    // quantized traversal needs a wider beam than exact HNSW
+                    hnsw: HnswConfig { ef_search: 96, ..HnswConfig::default() },
+                    pq: pq_cfg,
+                },
+            )),
+            0.85,
+        ),
     ];
 
-    for (name, search, min_recall) in &backends {
+    for (index, min_recall) in &backends {
+        let name = index.name();
+        assert_eq!(index.len(), 600, "{name}");
+        assert!(index.nbytes() > 0, "{name} reports no storage");
+
         // contract: sorted ascending, distinct, bounded by k
-        let hits = search(queries.get(0), 10);
+        let (hits, visited) = index.search_counted(queries.get(0), 10);
+        assert!(visited > 0, "{name} visited nothing");
         assert!(hits.len() <= 10, "{name} overflowed k");
         for w in hits.windows(2) {
             assert!(w[0].dist <= w[1].dist, "{name} returned unsorted results");
@@ -74,8 +78,17 @@ fn all_backends_honor_the_search_contract() {
         assert_eq!(ids.len(), hits.len(), "{name} returned duplicates");
 
         // recall floor
-        let r = recall_vs_flat(&flat, search.as_ref(), &queries, 10);
+        let r = recall_vs_flat(&flat, index.as_ref(), &queries, 10);
         assert!(r >= *min_recall, "{name} recall@10 {r} below floor {min_recall}");
+
+        // the batched path is bit-identical to per-query search at any width
+        for threads in [1, 2] {
+            let batch = index.search_batch(&queries, 10, threads);
+            assert_eq!(batch.len(), queries.len(), "{name}");
+            for (q, hits) in queries.iter().zip(&batch) {
+                assert_eq!(*hits, index.search_counted(q, 10).0, "{name} threads {threads}");
+            }
+        }
     }
 }
 
