@@ -5,7 +5,7 @@
 //! # Dispatch
 //!
 //! The first distance call resolves a kernel *variant* once per process
-//! and caches it in an [`AtomicU8`]:
+//! and caches it in a [`Flag`]:
 //!
 //! | variant    | when                                                        |
 //! |------------|-------------------------------------------------------------|
@@ -39,7 +39,7 @@
 //! sound.
 // lint: hot-path
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use emblookup_obs::sync::Flag;
 
 /// Variant value before first resolution.
 const V_UNRESOLVED: u8 = 0;
@@ -51,16 +51,15 @@ const V_AVX2: u8 = 2;
 const V_NEON: u8 = 3;
 
 // One-shot publication of the resolved kernel variant: init() detects CPU
-// features / reads EMBLOOKUP_KERNEL once and store(Release)s; hot-path
-// readers load(Acquire) and treat 0 as "unresolved". A benign race between
+// features / reads EMBLOOKUP_KERNEL once and `set`s (Release); hot-path
+// readers `get` (Acquire) and treat 0 as "unresolved". A benign race between
 // first callers only repeats the cheap, idempotent detection.
-// lint: atomic(flag) one-shot publish of the detected kernel variant
-static KERNEL: AtomicU8 = AtomicU8::new(V_UNRESOLVED);
+static KERNEL: Flag = Flag::new(V_UNRESOLVED);
 
 /// Resolved kernel variant, resolving it on first use.
 #[inline]
 fn variant() -> u8 {
-    match KERNEL.load(Ordering::Acquire) {
+    match KERNEL.get() {
         V_UNRESOLVED => init(),
         v => v,
     }
@@ -73,7 +72,7 @@ fn init() -> u8 {
     let forced_scalar = std::env::var("EMBLOOKUP_KERNEL")
         .is_ok_and(|v| v.trim().eq_ignore_ascii_case("scalar"));
     let v = if forced_scalar { V_SCALAR } else { detect() };
-    KERNEL.store(v, Ordering::Release);
+    KERNEL.set(v);
     v
 }
 

@@ -8,12 +8,14 @@
 //! baseline.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod flat;
 pub mod hnsw;
 pub mod hnsw_pq;
 mod index;
 pub mod ivf;
+#[allow(unsafe_code)]
 pub mod kernels;
 pub mod kmeans;
 pub mod lsh;

@@ -6,8 +6,8 @@
 // lint: hot-path
 
 use emblookup_kg::{Candidate, LookupService};
+use emblookup_obs::Counter;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 // lint: allow(L002) the memo table needs shared interior mutability; one short critical section per query, amortized by hits
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -15,17 +15,15 @@ use std::time::Duration;
 /// Memoizing wrapper around any [`LookupService`].
 ///
 /// The cache key is `(query, k)`; hits cost nothing on the virtual clock.
-/// Hit/miss counters are plain relaxed atomics; only the memo table
+/// Hit/miss counters are plain relaxed counters; only the memo table
 /// itself sits behind a mutex.
 pub struct CachedService<S: LookupService> {
     inner: S,
     // lint: allow(L002) the memo table needs shared interior mutability; one short critical section per query, amortized by hits
     cache: Mutex<HashMap<(String, usize), Vec<Candidate>>>,
     name: String,
-    // lint: atomic(counter) statistics only
-    hits: AtomicU64,
-    // lint: atomic(counter) statistics only
-    misses: AtomicU64,
+    hits: Counter,
+    misses: Counter,
 }
 
 impl<S: LookupService> CachedService<S> {
@@ -38,8 +36,8 @@ impl<S: LookupService> CachedService<S> {
             // lint: allow(L002) the memo table needs shared interior mutability; one short critical section per query, amortized by hits
             cache: Mutex::new(HashMap::new()),
             name,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            hits: Counter::default(),
+            misses: Counter::default(),
         }
     }
 
@@ -52,7 +50,7 @@ impl<S: LookupService> CachedService<S> {
 
     /// `(hits, misses)` counters since construction.
     pub fn stats(&self) -> (u64, u64) {
-        (self.hits.load(Relaxed), self.misses.load(Relaxed))
+        (self.hits.get(), self.misses.get())
     }
 
     /// The wrapped service.
@@ -66,10 +64,10 @@ impl<S: LookupService> LookupService for CachedService<S> {
         // lint: allow(L002) the memo map needs an owned key for insert; no borrowed-tuple lookup exists
         let key = (q.to_string(), k);
         if let Some(hit) = self.table().get(&key) {
-            self.hits.fetch_add(1, Relaxed);
+            self.hits.inc();
             return hit.clone();
         }
-        self.misses.fetch_add(1, Relaxed);
+        self.misses.inc();
         let result = self.inner.lookup(q, k);
         self.table().insert(key, result.clone());
         result
@@ -83,10 +81,10 @@ impl<S: LookupService> LookupService for CachedService<S> {
         // lint: allow(L002) the memo map needs an owned key for insert; no borrowed-tuple lookup exists
         let key = (q.to_string(), k);
         if let Some(hit) = self.table().get(&key) {
-            self.hits.fetch_add(1, Relaxed);
+            self.hits.inc();
             return (hit.clone(), Duration::ZERO);
         }
-        self.misses.fetch_add(1, Relaxed);
+        self.misses.inc();
         let (result, elapsed) = self.inner.lookup_timed(q, k);
         self.table().insert(key, result.clone());
         (result, elapsed)

@@ -9,6 +9,7 @@
 //! EmbLookup transparently.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cached;
 pub mod catalog;

@@ -13,6 +13,8 @@
 //! plus the active distance-kernel variant and the measured speedup of
 //! the batched 4-lane ADC kernel over per-code scoring.
 
+#![forbid(unsafe_code)]
+
 use emblookup_ann::{
     kernels, AnnIndex, FlatIndex, HnswConfig, HnswIndex, HnswPqConfig, HnswPqIndex, IvfConfig,
     IvfIndex, PqConfig, PqIndex, VectorSet,

@@ -1,6 +1,8 @@
 //! Diagnostic: how well does each leg (fastText alone, full model) map
 //! aliases and typos onto labels? Developer tool, not a paper experiment.
 
+#![forbid(unsafe_code)]
+
 use emblookup_ann::{FlatIndex, VectorSet};
 use emblookup_embed::{Corpus, FastText, FastTextConfig, StringEncoder};
 use emblookup_kg::{generate, KgFlavor, SynthKgConfig};

@@ -2,6 +2,8 @@
 //! trains EmbLookup at smoke scale and prints hit@k / CEA numbers so the
 //! developer can sanity-check model quality before running `repro`.
 
+#![forbid(unsafe_code)]
+
 use emblookup_baselines::{ElasticLikeService, ExactMatchService, LevenshteinService};
 use emblookup_bench::harness::{hit_rate_at_k, Env, Scale};
 use emblookup_kg::{KgFlavor, LookupService};

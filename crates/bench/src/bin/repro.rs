@@ -15,6 +15,8 @@
 //! `BENCH_lookup.json`. Set `EMBLOOKUP_OBS=stderr` or
 //! `EMBLOOKUP_OBS_JSON=<path>` for live stage events.
 
+#![forbid(unsafe_code)]
+
 use emblookup_bench::experiments as exp;
 use emblookup_bench::harness::{Env, Scale};
 use emblookup_kg::KgFlavor;

@@ -27,6 +27,8 @@
 //! counts by outcome, server-side breaker/partial/pin counters, and
 //! client-observed p50/p99 latency.
 
+#![forbid(unsafe_code)]
+
 use emblookup_core::{EmbLookup, EmbLookupConfig};
 use emblookup_kg::{generate, EntityId, KnowledgeGraph, SynthKgConfig};
 use emblookup_obs::{names, MetricsRegistry};

@@ -6,6 +6,7 @@
 //! runner so the workspace needs no external bench framework).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod experiments;
 pub mod harness;

@@ -7,6 +7,7 @@
 //! verbalized from the knowledge graph — no pre-trained checkpoints.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod bert_mini;
 pub mod corpus;

@@ -7,6 +7,7 @@
 //! the Wikidata and DBPedia dumps that cannot ship with the repository.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod aliases;
 pub mod lookup;

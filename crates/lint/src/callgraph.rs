@@ -43,7 +43,6 @@
 //! scanner; their effects must be seeded in named functions.
 
 use crate::cargo::Manifest;
-use crate::dataflow::{AtomicAccess, WriteSite, ATOMIC_METHODS, ORDERINGS};
 use crate::engine::SourceFile;
 use crate::facts::FileFacts;
 use crate::lexer::TokenKind;
@@ -127,9 +126,6 @@ pub struct FnFact {
     /// suppression — the stale-allow audit must count these as used
     /// even though no central violation ever matches them.
     pub seed_allows: Vec<(String, u32)>,
-    /// True for `&mut self` / `mut self` receivers (exclusive access:
-    /// L013 never flags writes through them).
-    pub mut_self: bool,
     /// True when the signature carries a deadline-bearing parameter or
     /// return (`DeadlineClock`, or a param named `clock`/`deadline`) —
     /// the L012 budget contract.
@@ -138,10 +134,6 @@ pub struct FnFact {
     /// (`.expired()`, `.remaining_ms()`, `DeadlineClock::new`, …); a
     /// site at line L is deadline-dominated when a check precedes it.
     pub deadline_checks: Vec<u32>,
-    /// Atomic access sites (method + `Ordering` arguments) — L011.
-    pub atomic_accesses: Vec<AtomicAccess>,
-    /// Assignments through `self` or a `static` root — L013.
-    pub writes: Vec<WriteSite>,
 }
 
 /// Method names that resolve only through the precise paths
@@ -242,7 +234,6 @@ struct Scanner<'a> {
     sig: Vec<usize>,
     rwlock_names: HashSet<String>,
     unordered: HashSet<String>,
-    statics: HashSet<String>,
     out: Vec<FnFact>,
     fn_stack: Vec<FnCtx>,
     ty_stack: Vec<(String, i32)>,
@@ -261,7 +252,6 @@ impl<'a> Scanner<'a> {
             sig,
             rwlock_names: HashSet::new(),
             unordered: HashSet::new(),
-            statics: HashSet::new(),
             out: Vec::new(),
             fn_stack: Vec::new(),
             ty_stack: Vec::new(),
@@ -296,16 +286,7 @@ impl<'a> Scanner<'a> {
     /// a backward walk bounded by expression-boundary tokens.
     fn prescan_declared_names(&mut self) {
         for s in 0..self.sig.len() {
-            let t = self.txt(s);
-            if t == "static" {
-                // `static [mut] NAME :` — roots of L013's write check
-                let n = if self.txt(s + 1) == "mut" { s + 2 } else { s + 1 };
-                if self.is_ident(n) && self.txt(n + 1) == ":" {
-                    self.statics.insert(self.txt(n).to_string());
-                }
-                continue;
-            }
-            let target = match t {
+            let target = match self.txt(s) {
                 "RwLock" => 0u8,
                 "HashMap" | "HashSet" => 1u8,
                 _ => continue,
@@ -549,9 +530,6 @@ impl<'a> Scanner<'a> {
                 "for" => {
                     self.scan_for_loop(s);
                 }
-                "=" => {
-                    self.scan_assign(s);
-                }
                 _ => {
                     if self.kind(s) == Some(TokenKind::Ident) && !self.fn_stack.is_empty() {
                         self.scan_ident(s);
@@ -611,13 +589,12 @@ impl<'a> Scanner<'a> {
         let line = self.line(s);
         let is_test = self.sig.get(s).is_some_and(|&j| self.sf.in_test(j));
         // find the body `{` (or `;` — bodyless trait decls get no node),
-        // extracting receiver mutability and deadline-bearing params on
-        // the way through the signature
+        // extracting deadline-bearing params on the way through the
+        // signature
         let mut k = s + 2;
         let mut paren = 0i32;
         let mut angle = 0i32;
         let mut prev = String::new();
-        let mut mut_self = false;
         let mut deadline_param = false;
         while k < self.sig.len() {
             let t = self.txt(k);
@@ -628,7 +605,6 @@ impl<'a> Scanner<'a> {
                 ">" if prev != "-" && prev != "=" => angle -= 1,
                 "{" if paren <= 0 && angle <= 0 => break,
                 ";" if paren <= 0 && angle <= 0 => return,
-                "self" if prev == "mut" => mut_self = true,
                 "DeadlineClock" => deadline_param = true,
                 ":" if matches!(prev.as_str(), "clock" | "deadline") => deadline_param = true,
                 _ => {}
@@ -651,11 +627,8 @@ impl<'a> Scanner<'a> {
                 acquires: Vec::new(),
                 det_sites: Vec::new(),
                 seed_allows: Vec::new(),
-                mut_self,
                 deadline_param,
                 deadline_checks: Vec::new(),
-                atomic_accesses: Vec::new(),
-                writes: Vec::new(),
             },
             // the `{` itself is processed by the main loop, so the body
             // runs at depth + 1
@@ -736,29 +709,6 @@ impl<'a> Scanner<'a> {
         }
         if in_test {
             return;
-        }
-        // atomic access sites: an ATOMIC_METHODS call with at least one
-        // `Ordering` ident in its argument list (the ordering argument
-        // is what distinguishes `AtomicU64::load` from, say, a cache's
-        // `load`)
-        if ATOMIC_METHODS.contains(&name) && !recv.is_empty() {
-            let close = self.match_close(s + 1, "(", ")");
-            let mut orderings: Vec<String> = Vec::new();
-            for k in s + 2..close {
-                if self.is_ident(k) && ORDERINGS.contains(&self.txt(k)) {
-                    orderings.push(self.txt(k).to_string());
-                }
-            }
-            if !orderings.is_empty() {
-                if let Some(ctx) = self.fn_stack.last_mut() {
-                    ctx.fact.atomic_accesses.push(AtomicAccess {
-                        field: recv.clone(),
-                        method: name.to_string(),
-                        orderings,
-                        line,
-                    });
-                }
-            }
         }
         if DEADLINE_METHODS.contains(&name) {
             if let Some(ctx) = self.fn_stack.last_mut() {
@@ -867,55 +817,6 @@ impl<'a> Scanner<'a> {
                 self.acquire(key, line, binding, stmt_only);
             }
             _ => {}
-        }
-    }
-
-    /// Records assignments whose target path roots at `self` or a
-    /// `static` — the write sites L013 checks against guard regions.
-    /// Comparison/`=>`/`let`-binding/deref `=` tokens are excluded;
-    /// compound assignments (`+=` …) count as writes.
-    fn scan_assign(&mut self, s: usize) {
-        if self.fn_stack.is_empty()
-            || self.fn_stack.last().is_some_and(|c| c.fact.is_test)
-        {
-            return;
-        }
-        // `==` / `=>` (and the first `=` never follows `=`,`!`,`<`,`>`)
-        if matches!(self.txt(s + 1), "=" | ">") {
-            return;
-        }
-        let prev = self.txt(s.wrapping_sub(1)).to_string();
-        if matches!(prev.as_str(), "=" | "!" | "<" | ">") {
-            return;
-        }
-        // compound assignment: the LHS ends one token earlier
-        let e = if matches!(prev.as_str(), "+" | "-" | "*" | "/" | "%" | "&" | "|" | "^") {
-            s.wrapping_sub(2)
-        } else {
-            s.wrapping_sub(1)
-        };
-        if !self.is_ident(e) {
-            return;
-        }
-        let start = self.path_start(e);
-        // bindings, type-ascribed defaults, and deref writes (`*g = …`,
-        // guard-mediated by construction) are not shared-state writes
-        if matches!(self.txt(start.wrapping_sub(1)), "let" | "mut" | ":" | "*" | ".") {
-            return;
-        }
-        let root = self.txt(start).to_string();
-        let is_self_field = root == "self" && start < e;
-        if !is_self_field && !self.statics.contains(&root) {
-            return;
-        }
-        let mut target = String::new();
-        for k in start..=e {
-            target.push_str(self.txt(k));
-        }
-        let line = self.line(s);
-        let held = self.held_keys();
-        if let Some(ctx) = self.fn_stack.last_mut() {
-            ctx.fact.writes.push(WriteSite { target, line, held });
         }
     }
 
@@ -1533,33 +1434,6 @@ mod tests {
     }
 
     #[test]
-    fn atomic_accesses_record_method_and_orderings() {
-        let src = r#"
-            pub struct Ring;
-            impl Ring {
-                pub fn record(&self) {
-                    self.head.fetch_add(1, Ordering::Relaxed);
-                    let h = self.head.load(Ordering::Acquire);
-                    self.slots.compare_exchange(h, h + 1, Ordering::Acquire, Ordering::Relaxed);
-                    self.cache.load(key);
-                }
-            }
-        "#;
-        let f = fns(src);
-        let acc = &f[0].atomic_accesses;
-        assert_eq!(acc.len(), 3, "{acc:?}");
-        assert_eq!(acc[0].field, "head");
-        assert_eq!(acc[0].method, "fetch_add");
-        assert_eq!(acc[0].orderings, vec!["Relaxed".to_string()]);
-        assert_eq!(acc[1].orderings, vec!["Acquire".to_string()]);
-        assert_eq!(
-            acc[2].orderings,
-            vec!["Acquire".to_string(), "Relaxed".to_string()],
-            "CAS keeps success then failure order"
-        );
-    }
-
-    #[test]
     fn deadline_params_and_checks_are_extracted() {
         let src = r#"
             pub fn stage(clock: &DeadlineClock) -> bool { clock.expired() }
@@ -1575,54 +1449,6 @@ mod tests {
         assert_eq!(f[2].deadline_checks.len(), 1, "construction dominates like a check");
         assert!(!f[3].deadline_param);
         assert!(f[3].deadline_checks.is_empty());
-    }
-
-    #[test]
-    fn mut_self_receivers_are_marked() {
-        let src = r#"
-            pub struct S;
-            impl S {
-                pub fn shared(&self) {}
-                pub fn excl(&mut self) {}
-                pub fn own(mut self) {}
-            }
-        "#;
-        let f = fns(src);
-        assert!(!f[0].mut_self);
-        assert!(f[1].mut_self);
-        assert!(f[2].mut_self);
-    }
-
-    #[test]
-    fn self_and_static_writes_are_recorded_with_guards() {
-        let src = r#"
-            static mut SCRATCH: usize = 0;
-            pub struct S;
-            impl S {
-                pub fn poke(&self) {
-                    self.cursor = 1;
-                    self.stats.total += 2;
-                    let local = 3;
-                    local = 4;
-                }
-                pub fn locked(&self) {
-                    let g = self.state.lock();
-                    self.cursor = 5;
-                }
-                pub fn raw() {
-                    unsafe { SCRATCH = 7; }
-                }
-            }
-            pub fn cmp(a: u32) -> bool { a == 1 }
-        "#;
-        let f = fns(src);
-        let poke: Vec<&str> = f[0].writes.iter().map(|w| w.target.as_str()).collect();
-        assert_eq!(poke, vec!["self.cursor", "self.stats.total"], "{:?}", f[0].writes);
-        assert_eq!(f[1].writes.len(), 1);
-        assert_eq!(f[1].writes[0].held, vec!["state".to_string()]);
-        assert_eq!(f[2].writes.len(), 1);
-        assert_eq!(f[2].writes[0].target, "SCRATCH");
-        assert!(f[3].writes.is_empty(), "comparisons are not writes");
     }
 
     #[test]

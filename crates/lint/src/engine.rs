@@ -8,6 +8,7 @@
 //! | L003 | metric & span names come from `emblookup_obs::names`, never string literals |
 //! | L004 | task-marker comments carry an issue reference (`#123` or a URL) |
 //! | L007 | float discipline: no `==`/`!=` against float operands, no panicking or inconsistent `partial_cmp` comparators (use `total_cmp`) |
+//! | L011 | `std::sync::atomic` is named in non-test library code only inside `crates/obs/src/sync.rs` |
 //! | L000 | the lint directives themselves are well-formed (allow needs a reason) |
 //!
 //! The workspace-level rules L005 (crate layering) and L006 (public-API
@@ -27,12 +28,8 @@ use std::collections::{BTreeMap, HashSet};
 /// ([`crate::effects`]); the rest are per-file passes on [`SourceFile`].
 pub const RULES: &[&str] = &[
     "L001", "L002", "L003", "L004", "L005", "L006", "L007", "L008", "L009", "L010", "L011",
-    "L012", "L013",
+    "L012",
 ];
-
-/// The atomic protocols a `// lint: atomic(...)` annotation may declare
-/// (see [`crate::dataflow`] for the per-protocol ordering tables).
-pub const PROTOCOLS: &[&str] = &["counter", "flag", "seqlock", "ring_head", "refcount"];
 
 /// One `// lint: allow(Lxxx) reason` directive. It suppresses `rule` on
 /// its own line and the next source line; the stale-allow audit reports
@@ -49,26 +46,6 @@ impl AllowDecl {
     /// True when this directive covers `rule` at `line`.
     pub fn covers(&self, rule: &str, line: u32) -> bool {
         self.rule == rule && (line == self.line || line == self.line + 1)
-    }
-}
-
-/// One `// lint: atomic(protocol) reason` directive. It binds the atomic
-/// declaration (or access) on its own line or the next source line to
-/// one of [`PROTOCOLS`]; unbound directives are reported by the
-/// stale-annotation audit.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AtomicMark {
-    /// Declared protocol (one of [`PROTOCOLS`]).
-    pub protocol: String,
-    /// 1-based line of the directive comment.
-    pub line: u32,
-}
-
-impl AtomicMark {
-    /// True when this directive covers an atomic declaration or access
-    /// at `line`.
-    pub fn covers(&self, line: u32) -> bool {
-        line == self.line || line == self.line + 1
     }
 }
 
@@ -93,9 +70,10 @@ pub struct Violation {
 pub enum FileClass {
     /// Library code: all rules apply.
     Lib,
-    /// Binary / CLI code (`main.rs`, `src/bin/…`): panic-freedom and
-    /// hot-path rules are relaxed, name and task-marker hygiene still
-    /// apply.
+    /// Binary, bench, integration-test and example code (`main.rs`,
+    /// `bin/`, `benches/`, `tests/`, `examples/`): panic-freedom,
+    /// hot-path and atomics rules are relaxed, name and task-marker
+    /// hygiene still apply.
     Bin,
 }
 
@@ -104,8 +82,7 @@ pub fn classify(path: &str) -> FileClass {
     let normalized = path.replace('\\', "/");
     if normalized.ends_with("/main.rs")
         || normalized == "main.rs"
-        || normalized.contains("/bin/")
-        || normalized.contains("/benches/")
+        || normalized.split('/').any(|dir| matches!(dir, "bin" | "benches" | "tests" | "examples"))
     {
         FileClass::Bin
     } else {
@@ -139,8 +116,6 @@ pub struct SourceFile {
     hot_path: bool,
     /// Allow directives in declaration order.
     allows: Vec<AllowDecl>,
-    /// Atomic-protocol directives in declaration order.
-    atomic_marks: Vec<AtomicMark>,
     /// Malformed-directive diagnostics discovered during parsing.
     directive_errors: Vec<(u32, String)>,
 }
@@ -152,7 +127,6 @@ impl SourceFile {
         let test_ranges = find_test_ranges(&tokens);
         let mut hot_path = false;
         let mut allows: Vec<AllowDecl> = Vec::new();
-        let mut atomic_marks: Vec<AtomicMark> = Vec::new();
         let mut directive_errors = Vec::new();
         for t in &tokens {
             if t.kind != TokenKind::LineComment {
@@ -195,30 +169,10 @@ impl SourceFile {
                     None => directive_errors
                         .push((t.line, "unclosed lint allow directive".to_string())),
                 }
-            } else if let Some(rest) = directive.strip_prefix("atomic(") {
-                match rest.split_once(')') {
-                    Some((proto, _reason)) => {
-                        let proto = proto.trim();
-                        if PROTOCOLS.contains(&proto) {
-                            atomic_marks
-                                .push(AtomicMark { protocol: proto.to_string(), line: t.line });
-                        } else {
-                            directive_errors.push((
-                                t.line,
-                                format!(
-                                    "unknown atomic protocol `{proto}` (expected one of {})",
-                                    PROTOCOLS.join("|")
-                                ),
-                            ));
-                        }
-                    }
-                    None => directive_errors
-                        .push((t.line, "unclosed lint atomic directive".to_string())),
-                }
             } else {
                 directive_errors.push((
                     t.line,
-                    format!("unknown lint directive `{directive}` (expected `hot-path`, `allow(Lxxx) reason`, or `atomic(protocol) reason`)"),
+                    format!("unknown lint directive `{directive}` (expected `hot-path` or `allow(Lxxx) reason`)"),
                 ));
             }
         }
@@ -229,7 +183,6 @@ impl SourceFile {
             test_ranges,
             hot_path,
             allows,
-            atomic_marks,
             directive_errors,
         }
     }
@@ -263,13 +216,6 @@ impl SourceFile {
     /// Whether the file is a `// lint: hot-path` module.
     pub(crate) fn is_hot_path(&self) -> bool {
         self.hot_path
-    }
-
-    /// The file's `// lint: atomic(protocol)` directives, in declaration
-    /// order — consumed by the dataflow pass's atomic-declaration scan
-    /// and the stale-annotation audit.
-    pub(crate) fn atomic_marks(&self) -> &[AtomicMark] {
-        &self.atomic_marks
     }
 
     /// Previous non-comment token before `idx`.
@@ -316,6 +262,7 @@ impl SourceFile {
         self.check_l003(registry, &mut out);
         self.check_l004(&mut out);
         self.check_l007(&mut out);
+        self.check_l011(&mut out);
         out.sort_by(|a, b| a.line.cmp(&b.line).then_with(|| a.rule.cmp(&b.rule)));
         out
     }
@@ -465,6 +412,40 @@ impl SourceFile {
                     }
                 }
                 _ => {}
+            }
+        }
+    }
+
+    /// L011 — `std::sync::atomic` is confined to the one module whose
+    /// types hard-code each protocol's `Ordering` (built like L002's
+    /// `#[target_feature]` confinement). Fires on `atomic` as a path
+    /// segment: `sync::atomic` (imported or fully qualified) and
+    /// `atomic::…` (nested `use` groups, module aliases).
+    fn check_l011(&self, out: &mut Vec<Violation>) {
+        if self.class != FileClass::Lib
+            || self.path.replace('\\', "/").ends_with("crates/obs/src/sync.rs")
+        {
+            return;
+        }
+        let sig: Vec<(usize, &Token)> =
+            self.tokens.iter().enumerate().filter(|(_, t)| !t.is_comment()).collect();
+        let txt = |s: usize| sig.get(s).map_or("", |(_, t)| t.text.as_str());
+        for (s, &(i, t)) in sig.iter().enumerate() {
+            if t.kind != TokenKind::Ident || t.text != "atomic" || self.in_test(i) {
+                continue;
+            }
+            let after_sync = s >= 3 && [txt(s - 3), txt(s - 2), txt(s - 1)] == ["sync", ":", ":"];
+            if after_sync || [txt(s + 1), txt(s + 2)] == [":", ":"] {
+                self.push(
+                    out,
+                    "L011",
+                    t.line,
+                    "`std::sync::atomic` named outside `crates/obs/src/sync.rs`; use an \
+                     `emblookup_obs::sync` type (`RelaxedU64`, `Flag`, `RingHead`, `RefCount`, \
+                     `SeqPair`), or add the protocol you need there together with its test"
+                        .to_string(),
+                    None,
+                );
             }
         }
     }

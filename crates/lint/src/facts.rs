@@ -9,8 +9,7 @@
 //! interprocedural rules never touch a [`SourceFile`] again.
 
 use crate::callgraph::{scan_fns, FnFact};
-use crate::dataflow::{scan_atomics, scan_shared_roots, AtomicDecl};
-use crate::engine::{AllowDecl, AtomicMark, FileClass, NameRegistry, SourceFile, Violation};
+use crate::engine::{AllowDecl, FileClass, NameRegistry, SourceFile, Violation};
 use crate::parser::{crate_refs, public_items, use_imports, ApiItem, CrateRef, ImportMap};
 
 /// The complete analysis output for one source file.
@@ -39,16 +38,6 @@ pub struct FileFacts {
     pub imports: ImportMap,
     /// Per-function facts (call graph input).
     pub fns: Vec<FnFact>,
-    /// Atomic field/static declarations with protocols (L011 input).
-    pub atomics: Vec<AtomicDecl>,
-    /// `// lint: atomic(…)` directives (access-site overrides + the
-    /// stale-annotation audit).
-    pub atomic_marks: Vec<AtomicMark>,
-    /// Type names wrapped in `Arc<…>` anywhere in the file (L013's
-    /// shared-type evidence).
-    pub arc_types: Vec<String>,
-    /// `static` item names (L013's write roots).
-    pub statics: Vec<String>,
 }
 
 impl FileFacts {
@@ -61,7 +50,6 @@ impl FileFacts {
         registry: &NameRegistry,
     ) -> FileFacts {
         let sf = SourceFile::parse(rel, src);
-        let (arc_types, statics) = scan_shared_roots(&sf);
         FileFacts {
             rel: rel.to_string(),
             src_rel: src_rel.to_string(),
@@ -74,10 +62,6 @@ impl FileFacts {
             api: public_items(&sf),
             imports: use_imports(&sf),
             fns: scan_fns(&sf),
-            atomics: scan_atomics(&sf),
-            atomic_marks: sf.atomic_marks().to_vec(),
-            arc_types,
-            statics,
         }
     }
 

@@ -7,8 +7,9 @@
 //! * **Per-file** ([`engine`]): panic-freedom in library code (L001),
 //!   lock/allocation bans in `// lint: hot-path` modules (L002),
 //!   metric-name provenance from `emblookup_obs::names` (L003),
-//!   task-marker hygiene (L004) and float discipline — NaN-hazardous
-//!   `==`/`partial_cmp` patterns (L007).
+//!   task-marker hygiene (L004), float discipline — NaN-hazardous
+//!   `==`/`partial_cmp` patterns (L007) — and confinement of
+//!   `std::sync::atomic` to `crates/obs/src/sync.rs` (L011).
 //! * **Workspace-level** ([`workspace`]): crate-layering conformance
 //!   against the declared layer DAG (L005, [`layers`]) and public-API
 //!   drift gating against the checked-in `API.lock` (L006, [`api`]),
@@ -16,14 +17,10 @@
 //! * **Interprocedural** ([`rules`]): a workspace call graph
 //!   ([`callgraph`]) with a propagated effect lattice ([`effects`])
 //!   drives determinism analysis (L008), lock-order/pool-interaction
-//!   discipline (L009) and transitive hot-path effect gating (L010),
-//!   with diagnostics that print the offending call chain.
-//! * **Concurrency protocol** ([`dataflow`] + [`rules`]): atomic
-//!   fields bound to declared `// lint: atomic(protocol)` disciplines
-//!   checked per access against the ordering tables (L011), deadline
-//!   propagation from serve request handlers to every reachable
-//!   blocking site (L012) and guard-free shared-state write detection
-//!   (L013); `--atomics-report` renders the committed `ATOMICS.md`.
+//!   discipline (L009), transitive hot-path effect gating (L010) and
+//!   deadline propagation from serve request handlers to every
+//!   reachable blocking site (L012), with diagnostics that print the
+//!   offending call chain.
 //!
 //! Allow-directive suppression is applied centrally by [`workspace`]
 //! so stale directives can be audited.
@@ -39,11 +36,11 @@
 //! `--api-bless` workflow.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod api;
 pub mod callgraph;
 pub mod cargo;
-pub mod dataflow;
 pub mod effects;
 pub mod engine;
 pub mod facts;
@@ -62,7 +59,7 @@ pub use workspace::{Report, Workspace};
 
 /// Lints a single in-memory source file against the obs name registry —
 /// the entry point the fixture tests use. Runs the per-file passes
-/// (L001–L004, L007); the workspace passes need manifests and a lockfile
+/// (L001–L004, L007, L011); the workspace passes need manifests and a lockfile
 /// and run through [`Workspace`].
 pub fn lint_source(path: &str, src: &str) -> Vec<Violation> {
     SourceFile::parse(path, src).check(&obs_name_registry())

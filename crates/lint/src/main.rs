@@ -7,7 +7,6 @@
 //!                [--api-check | --api-bless]
 //!                [--fix-metric-names [--write]]
 //! emblookup-lint --explain Lxxx
-//! emblookup-lint --atomics-report
 //! ```
 //!
 //! * `--api-check` additionally diffs the current public-API snapshot
@@ -20,9 +19,6 @@
 //!   reflects the rewritten tree.
 //! * `--explain Lxxx` prints the rule's rationale, an offending example
 //!   and the escape-hatch policy from the in-source rule-doc table.
-//! * `--atomics-report` prints the per-atomic protocol inventory
-//!   (markdown) and exits; CI regenerates the committed `ATOMICS.md`
-//!   from it and fails on drift.
 //!
 //! Advisory warnings (the stale-allow audit) are printed after the
 //! violations and never affect the exit code.
@@ -39,7 +35,7 @@
 //!  "files_checked":42,
 //!  "rule_counts":{"L000":0,"L001":1,"L002":0,"L003":0,"L004":0,
 //!                 "L005":0,"L006":0,"L007":0,"L008":0,"L009":0,
-//!                 "L010":0,"L011":0,"L012":0,"L013":0}}
+//!                 "L010":0,"L011":0,"L012":0}}
 //! ```
 //!
 //! `violations` is sorted by (file, line, rule); `suggestion` appears
@@ -48,7 +44,9 @@
 //! `rule_counts` always lists every catalog rule, zeros included, in
 //! catalog order.
 
-use emblookup_lint::{api, dataflow, fix, obs_name_registry, report, rules, walk, workspace, Workspace};
+#![forbid(unsafe_code)]
+
+use emblookup_lint::{api, fix, obs_name_registry, report, rules, walk, workspace, Workspace};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -60,7 +58,6 @@ struct Options {
     api_check: bool,
     api_bless: bool,
     explain: Option<String>,
-    atomics_report: bool,
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -72,7 +69,6 @@ fn parse_args() -> Result<Options, String> {
         api_check: false,
         api_bless: false,
         explain: None,
-        atomics_report: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -90,20 +86,18 @@ fn parse_args() -> Result<Options, String> {
             "--write" => opts.write = true,
             "--api-check" => opts.api_check = true,
             "--api-bless" => opts.api_bless = true,
-            "--atomics-report" => opts.atomics_report = true,
             "--explain" => {
                 let v = args.next().ok_or("--explain requires a rule id (e.g. L008)")?;
                 opts.explain = Some(v);
             }
             "--help" | "-h" => {
                 println!(
-                    "emblookup-lint [--root DIR] [--format text|json] [--api-check | --api-bless] [--fix-metric-names [--write]] | --explain Lxxx | --atomics-report\n\
+                    "emblookup-lint [--root DIR] [--format text|json] [--api-check | --api-bless] [--fix-metric-names [--write]] | --explain Lxxx\n\
                      Repo-specific lints: L001 panic-freedom, L002 hot-path, L003 metric names,\n\
                      L004 TODO hygiene, L005 crate layering, L006 API drift (API.lock), L007 float discipline,\n\
                      L008 determinism, L009 lock discipline, L010 interprocedural hot-path effects,\n\
-                     L011 atomics-ordering protocols, L012 deadline propagation, L013 guard-free shared writes.\n\
-                     `--explain Lxxx` prints any rule's rationale, example and escape-hatch policy;\n\
-                     `--atomics-report` prints the ATOMICS.md protocol inventory."
+                     L011 raw atomics confined to obs::sync, L012 deadline propagation.\n\
+                     `--explain Lxxx` prints any rule's rationale, example and escape-hatch policy."
                 );
                 std::process::exit(0);
             }
@@ -141,11 +135,6 @@ fn run() -> Result<ExitCode, String> {
     };
     let registry = obs_name_registry();
     let mut ws = Workspace::load(&root, &registry)?;
-
-    if opts.atomics_report {
-        print!("{}", dataflow::atomics_report(&ws.files));
-        return Ok(ExitCode::SUCCESS);
-    }
 
     if opts.api_bless {
         let snapshot = ws.api_snapshot();

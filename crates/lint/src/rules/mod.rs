@@ -1,8 +1,8 @@
-//! Interprocedural rule families (L008–L013) and the single-source
+//! Interprocedural rule families (L008–L010, L012) and the single-source
 //! rule documentation table behind `--explain` and the CONTRIBUTING.md
 //! catalog check.
 //!
-//! The per-file rules (L001–L004, L007) live in [`crate::engine`]; the
+//! The per-file rules (L001–L004, L007, L011) live in [`crate::engine`]; the
 //! workspace rules L005/L006 in [`crate::layers`] / [`crate::api`].
 //! This module owns the rules that need the call graph
 //! ([`crate::callgraph`]) and the propagated effect lattice
@@ -10,12 +10,10 @@
 //! workspace driver applies `// lint: allow` directives centrally so
 //! their usage feeds the stale-allow audit.
 
-pub mod atomics;
 pub mod deadline;
 pub mod determinism;
 pub mod hotpath;
 pub mod locks;
-pub mod shared;
 
 use crate::callgraph::CallGraph;
 use crate::cargo::Manifest;
@@ -175,20 +173,17 @@ pub const RULE_DOCS: &[RuleDoc] = &[
     },
     RuleDoc {
         id: "L011",
-        title: "atomics-ordering discipline",
-        rationale: "Every atomic field follows a declared protocol \
-                    (`// lint: atomic(counter|flag|seqlock|ring_head|refcount) reason` on the \
-                    line above the declaration; un-annotated atomics are inferred as `counter`), \
-                    and every load/store/RMW/CAS site must use an `Ordering` the protocol \
-                    admits — e.g. a `flag` is stored with Release and loaded with Acquire, a \
-                    `ring_head` publishes with Release and is scanned with Acquire. The tables \
-                    live in `crates/lint/src/dataflow.rs` and DESIGN.md §1.3; \
-                    `--atomics-report` regenerates the committed ATOMICS.md inventory.",
-        example: "// lint: atomic(ring_head) publishes slot writes\nhead: AtomicU64,\n…\nself.head.fetch_add(1, Ordering::Relaxed) // ring_head publish must be Release",
-        escape: "Fix the ordering, or re-declare the protocol (e.g. `atomic(counter)`) when the \
-                 field really is a statistic — the reason must say why no reader relies on the \
-                 access ordering. `// lint: allow(L011) reason` exists for genuinely mixed \
-                 disciplines but re-declaration is preferred.",
+        title: "raw atomics confined to obs::sync",
+        rationale: "`std::sync::atomic` may be named in non-test library code only inside \
+                    `crates/obs/src/sync.rs`. Everywhere else an atomic is one of that module's \
+                    types (`RelaxedU64`, `Flag`, `RingHead`, `RefCount`, `SeqPair`), whose methods \
+                    hard-code the `Ordering` their protocol needs — so a `Relaxed`-published ring \
+                    head or a torn seqlock (both real bugs, PR 8) cannot be written at a call \
+                    site. Binaries, benches, tests and examples are exempt.",
+        example: "use std::sync::atomic::{AtomicU64, Ordering}; // in crates/serve/src/x.rs",
+        escape: "Pick the `emblookup_obs::sync` type for the protocol; if none fits, add the \
+                 protocol to `sync.rs` together with a test that pins what it publishes. \
+                 `// lint: allow(L011) reason` exists but the tree carries none.",
     },
     RuleDoc {
         id: "L012",
@@ -204,19 +199,6 @@ pub const RULE_DOCS: &[RuleDoc] = &[
         escape: "Pass the handler's `DeadlineClock` down the chain (preferred), dominate the \
                  blocking site with `clock.expired()` / `remaining_ms()`, or \
                  `// lint: allow(L012) reason` when the wait is provably bounded (say by what).",
-    },
-    RuleDoc {
-        id: "L013",
-        title: "guard-free shared-state writes",
-        rationale: "Assignments to fields of `Arc`-shared types through a `&self` receiver, or \
-                    to `static` items, with no lock guard held are data races the type system \
-                    did not catch (usually via `unsafe`, interior mutability misuse, or a \
-                    `static mut`). The guard tracker from L009 supplies the held-set; sharing \
-                    evidence is any `Arc<T>` appearance workspace-wide.",
-        example: "impl Registry { pub fn poke(&self) { self.cursor = 1; } }\npub fn install(r: Arc<Registry>) {}",
-        escape: "Guard the write with the owning lock, take `&mut self`, make the field atomic \
-                 (then L011 governs it), or `// lint: allow(L013) reason` when the write is \
-                 provably pre-sharing (e.g. builder code that runs before the Arc is cloned).",
     },
 ];
 
@@ -248,17 +230,15 @@ pub fn explain(id: &str) -> Option<String> {
 pub fn run(manifests: &[Manifest], files: &[FileFacts]) -> Vec<Violation> {
     let g = CallGraph::build(manifests, files);
     let fx = propagate(&g);
-    run_on(&g, &fx, files)
+    run_on(&g, &fx)
 }
 
 /// Variant over a prebuilt graph + effects (shared with tests).
-pub fn run_on(g: &CallGraph, fx: &Effects, files: &[FileFacts]) -> Vec<Violation> {
+pub fn run_on(g: &CallGraph, fx: &Effects) -> Vec<Violation> {
     let mut out = determinism::check(g, fx);
     out.extend(locks::check(g, fx));
     out.extend(hotpath::check(g, fx));
-    out.extend(atomics::check(files));
     out.extend(deadline::check(g));
-    out.extend(shared::check(g, files));
     out.sort_by(|a, b| {
         a.file.cmp(&b.file).then_with(|| a.line.cmp(&b.line)).then_with(|| a.rule.cmp(&b.rule))
     });

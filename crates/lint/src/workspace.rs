@@ -1,6 +1,6 @@
 //! Workspace-level analysis: loads every manifest and lintable source
-//! file once, then runs the per-file passes (L001–L004, L007), the
-//! layering pass (L005), the interprocedural rules (L008–L010) and the
+//! file once, then runs the per-file passes (L001–L004, L007, L011), the
+//! layering pass (L005), the interprocedural rules (L008–L010, L012) and the
 //! API snapshot (L006) over the shared model. This is what the
 //! `emblookup-lint` binary drives.
 //!
@@ -10,9 +10,7 @@
 //! the stale-allow audit possible — a directive that suppressed
 //! nothing anywhere in the run is reported as a warning. Manifest-side
 //! L005 violations and L000 directive errors bypass suppression by
-//! construction. The same audit covers `// lint: atomic(protocol)`
-//! annotations: one that binds no atomic declaration and covers no
-//! access site is warned as unused.
+//! construction.
 
 use crate::api::Snapshot;
 use crate::cargo::{read_manifests, Manifest};
@@ -130,30 +128,6 @@ impl Workspace {
                     });
                 }
             }
-            // unused-atomic-mark audit: an `atomic(proto)` directive
-            // must bind a declaration or cover an access site
-            for m in &f.atomic_marks {
-                let binds_decl = f.atomics.iter().any(|a| a.declared && m.covers(a.line));
-                let binds_access = f
-                    .fns
-                    .iter()
-                    .flat_map(|fun| fun.atomic_accesses.iter())
-                    .any(|a| m.covers(a.line));
-                if !binds_decl && !binds_access {
-                    warnings.push(Violation {
-                        file: f.rel.clone(),
-                        line: m.line,
-                        rule: "L000".to_string(),
-                        message: format!(
-                            "unused `// lint: atomic({})` annotation: no atomic declaration or \
-                             access on the next line; move it above the field or access, or \
-                             remove it",
-                            m.protocol
-                        ),
-                        suggestion: None,
-                    });
-                }
-            }
         }
 
         sort(&mut violations);
@@ -253,32 +227,6 @@ mod tests {
         assert_eq!(report.warnings[0].rule, "L000");
         assert_eq!(report.warnings[0].line, 1);
         assert!(report.warnings[0].message.contains("stale"), "{}", report.warnings[0].message);
-    }
-
-    #[test]
-    fn unused_atomic_mark_is_warned() {
-        let src = "\
-// lint: atomic(flag) nothing atomic follows
-pub struct S { n: u64 }
-pub struct T {
-    // lint: atomic(counter) bound to a declaration
-    hits: AtomicU64,
-}
-impl T {
-    pub fn bump(&self) { self.hits.fetch_add(1, Ordering::Relaxed); }
-}
-";
-        let f = FileFacts::fixture("crates/obs/src/lib.rs", "emblookup-obs", src);
-        let ws = Workspace::from_parts(vec![manifest("emblookup-obs", "crates/obs")], vec![f]);
-        let report = ws.check();
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
-        assert_eq!(report.warnings.len(), 1, "{:?}", report.warnings);
-        assert_eq!(report.warnings[0].line, 1);
-        assert!(
-            report.warnings[0].message.contains("unused `// lint: atomic(flag)`"),
-            "{}",
-            report.warnings[0].message
-        );
     }
 
     #[test]

@@ -334,6 +334,65 @@ fn l007_integer_comparisons_are_clean() {
     assert_eq!(rules_at(LIB, src), vec![]);
 }
 
+// ----------------------------------------------------------------- L011
+
+#[test]
+fn l011_raw_atomics_outside_obs_sync_fire_with_file_and_line() {
+    // imported, fully qualified, and through a nested `use` group
+    let serve = "use std::sync::atomic::AtomicU64;\n\
+                 pub fn f() -> bool {\n\
+                 \x20   std::sync::atomic::AtomicBool::new(false).into_inner()\n\
+                 }\n\
+                 use std::sync::{atomic::Ordering, Arc};\n";
+    // PR 8's two real bugs (the Relaxed-published ring head, the torn
+    // exemplar slots) both started as raw `AtomicU64` fields; naming
+    // the type there is now the error
+    let ring = "use std::sync::atomic::{AtomicU64, Ordering};\npub struct Ring { head: AtomicU64 }\n";
+    let hist = "pub struct Slot { version: std::sync::atomic::AtomicU64 }\n";
+    for (path, src, lines) in [
+        ("crates/serve/src/x.rs", serve, vec![1, 3, 5]),
+        ("crates/obs/src/ring.rs", ring, vec![1]),
+        ("crates/obs/src/hist.rs", hist, vec![1]),
+    ] {
+        let vs = lint_source(path, src);
+        let got: Vec<(&str, &str, u32)> =
+            vs.iter().map(|v| (v.file.as_str(), v.rule.as_str(), v.line)).collect();
+        let want: Vec<(&str, &str, u32)> = lines.iter().map(|&l| (path, "L011", l)).collect();
+        assert_eq!(got, want);
+        assert!(vs[0].message.contains("crates/obs/src/sync.rs"), "{}", vs[0].message);
+    }
+}
+
+#[test]
+fn l011_is_clean_in_obs_sync_tests_and_non_library_files() {
+    let src = "use std::sync::atomic::{AtomicU64, Ordering};\npub struct S(AtomicU64);\n";
+    assert_eq!(rules_at("crates/obs/src/sync.rs", src), vec![]);
+    for path in [
+        "crates/demo/src/main.rs",
+        "crates/demo/src/bin/tool.rs",
+        "crates/demo/benches/b.rs",
+        "crates/demo/tests/it.rs",
+        "examples/quickstart.rs",
+    ] {
+        assert_eq!(rules_at(path, src), vec![], "{path}");
+    }
+    let in_test = "#[cfg(test)]\nmod tests {\n    use std::sync::atomic::{AtomicUsize, Ordering};\n}\n";
+    assert_eq!(rules_at(LIB, in_test), vec![]);
+    // a variable or field that merely is called `atomic` is not a path
+    let named = "pub struct S { atomic: bool }\npub fn f(s: &S) -> bool { s.atomic }\n";
+    assert_eq!(rules_at(LIB, named), vec![]);
+}
+
+#[test]
+fn l011_is_suppressible_only_by_an_allow_with_reason() {
+    let bare = "// lint: allow(L011)\nuse std::sync::atomic::AtomicU64;\n";
+    let got = rules_at(LIB, bare);
+    assert!(got.contains(&("L000".to_string(), 1)), "got {got:?}");
+    assert!(got.contains(&("L011".to_string(), 2)), "got {got:?}");
+    let ok = "// lint: allow(L011) fixture: FFI handshake needs a raw AtomicU32\nuse std::sync::atomic::AtomicU32;\n";
+    assert_eq!(rules_at(LIB, ok), vec![]);
+}
+
 // ------------------------------------------------------- JSON golden
 
 #[test]
@@ -350,7 +409,7 @@ fn json_report_is_golden_stable() {
         "\"message\":\".unwrap() can panic; propagate a Result or add `// lint: allow(L001) reason`\"}",
         "],\"warnings\":[],\"files_checked\":1,",
         "\"rule_counts\":{\"L000\":0,\"L001\":1,\"L002\":0,\"L003\":1,\"L004\":0,\"L005\":0,\"L006\":0,",
-        "\"L007\":0,\"L008\":0,\"L009\":0,\"L010\":0,\"L011\":0,\"L012\":0,\"L013\":0}}"
+        "\"L007\":0,\"L008\":0,\"L009\":0,\"L010\":0,\"L011\":0,\"L012\":0}}"
     );
     assert_eq!(got, want);
 }
@@ -415,7 +474,8 @@ fn workspace_loaded_from_disk_reports_every_rule_family() {
          pub fn dead(x: Option<u32>) -> u32 { x.unwrap() }\n",
     )
     .expect("write");
-    // the concurrency-protocol family: L011 + L012 + L013 findings
+    // a raw atomic outside obs::sync (L011) and an undeadlined
+    // blocking site under a serve handler (L012)
     fs::create_dir_all(root.join("crates/serve/src")).expect("mkdir");
     fs::write(
         root.join("crates/serve/Cargo.toml"),
@@ -424,16 +484,13 @@ fn workspace_loaded_from_disk_reports_every_rule_family() {
     .expect("write");
     fs::write(
         root.join("crates/serve/src/server.rs"),
-        "pub struct St {\n\
-         \x20   // lint: atomic(flag) fixture shutdown marker\n\
+        "use std::sync::atomic::{AtomicBool, Ordering};\n\
+         pub struct St {\n\
          \x20   stop: AtomicBool,\n\
-         \x20   cursor: usize,\n\
          }\n\
          impl St {\n\
          \x20   pub fn raise(&self) { self.stop.store(true, Ordering::Relaxed); }\n\
-         \x20   pub fn poke(&self) { self.cursor = 1; }\n\
          }\n\
-         pub fn share(s: Arc<St>) {}\n\
          pub fn handle_lookup(req: u32) -> u32 { rx.recv(); req }\n",
     )
     .expect("write");
@@ -441,10 +498,10 @@ fn workspace_loaded_from_disk_reports_every_rule_family() {
     let report = Workspace::load(&root, &obs_name_registry()).expect("load").check();
 
     // the fixture exercises raw per-file rules (L001), interprocedural
-    // effects (L010), the concurrency-protocol family (L011–L013) and
-    // the stale-allow audit
+    // effects (L010), atomics confinement (L011), deadline propagation
+    // (L012) and the stale-allow audit
     assert!(!report.warnings.is_empty(), "fixture must produce a stale-allow warning");
-    for rule in ["L001", "L010", "L011", "L012", "L013"] {
+    for rule in ["L001", "L010", "L011", "L012"] {
         assert!(
             report.violations.iter().any(|v| v.rule == rule),
             "fixture must produce a {rule} diagnostic: {:?}",

@@ -7,10 +7,7 @@
 //! (6.25%). Recording is a handful of relaxed atomic adds — safe to call
 //! concurrently from any number of threads, with no lock anywhere.
 
-use std::sync::atomic::{
-    AtomicU64,
-    Ordering::{AcqRel, Acquire, Relaxed, Release},
-};
+use crate::sync::{RelaxedU64, SeqPair};
 
 /// Values below this are counted in exact unit buckets.
 const LINEAR_CUTOFF: u64 = 16;
@@ -65,86 +62,22 @@ pub struct Exemplar {
     pub trace_id: u64,
 }
 
-/// A lock-free exemplar slot: a seqlock-style `(value, trace_id)` pair.
-/// Writers skip on contention (the request path never blocks); readers
-/// retry on a torn read.
-///
-/// The handshake follows the uniform `seqlock` discipline (DESIGN.md
-/// §1.3): every load is `Acquire`, every store and the claiming CAS are
-/// `Release`-or-stronger. That makes the odd/even check sound: if a
-/// reader's data load synchronizes-with a writer's `Release` data
-/// store, that writer's odd version CAS (program-order-before the data
-/// store) is visible too, so the reader's `Acquire` recheck sees the
-/// odd or advanced version and retries — with the earlier all-`Relaxed`
-/// accesses, the recheck could validate a torn `(value, trace_id)`
-/// pair.
-#[derive(Debug, Default)]
-struct ExemplarSlot {
-    // lint: atomic(seqlock) version word of the (value, trace_id) pair
-    version: AtomicU64,
-    // lint: atomic(seqlock) data slot published under `version`
-    value: AtomicU64,
-    // lint: atomic(seqlock) data slot published under `version`
-    trace_id: AtomicU64,
-}
-
-impl ExemplarSlot {
-    /// Best-effort publish; a concurrent writer wins and this write is
-    /// silently skipped.
-    fn offer(&self, value: u64, trace_id: u64) {
-        let v = self.version.load(Acquire);
-        if v % 2 == 1 {
-            return; // writer in progress
-        }
-        if self
-            .version
-            .compare_exchange(v, v + 1, AcqRel, Relaxed)
-            .is_err()
-        {
-            return;
-        }
-        self.value.store(value, Release);
-        self.trace_id.store(trace_id, Release);
-        self.version.store(v + 2, Release);
-    }
-
-    fn value(&self) -> u64 {
-        self.value.load(Acquire)
-    }
-
-    fn read(&self) -> Option<Exemplar> {
-        for _ in 0..4 {
-            let v1 = self.version.load(Acquire);
-            if v1 == 0 || v1 % 2 == 1 {
-                if v1 == 0 {
-                    return None;
-                }
-                continue;
-            }
-            let value = self.value.load(Acquire);
-            let trace_id = self.trace_id.load(Acquire);
-            if self.version.load(Acquire) == v1 {
-                return (trace_id != 0).then_some(Exemplar { value, trace_id });
-            }
-        }
-        None
-    }
+/// The `(value, trace_id)` pair a slot holds, if a traced record wrote one.
+fn exemplar(slot: &SeqPair) -> Option<Exemplar> {
+    let (value, trace_id) = slot.read()?;
+    (trace_id != 0).then_some(Exemplar { value, trace_id })
 }
 
 /// Concurrent log-bucketed histogram over `u64` values.
 pub struct Histogram {
-    // lint: atomic(counter) statistics only; snapshots are point-in-time
-    buckets: Box<[AtomicU64; NUM_BUCKETS]>,
-    // lint: atomic(counter) statistics only
-    count: AtomicU64,
-    // lint: atomic(counter) statistics only
-    sum: AtomicU64,
-    // lint: atomic(counter) statistics only
-    min: AtomicU64,
-    // lint: atomic(counter) statistics only
-    max: AtomicU64,
-    ex_max: ExemplarSlot,
-    ex_last: ExemplarSlot,
+    buckets: Box<[RelaxedU64; NUM_BUCKETS]>,
+    count: RelaxedU64,
+    sum: RelaxedU64,
+    min: RelaxedU64,
+    max: RelaxedU64,
+    /// `(value, trace_id)` of the largest / the latest exemplar.
+    ex_max: SeqPair,
+    ex_last: SeqPair,
 }
 
 impl std::fmt::Debug for Histogram {
@@ -165,28 +98,28 @@ impl Default for Histogram {
 impl Histogram {
     /// An empty histogram.
     pub fn new() -> Self {
-        // `AtomicU64` is not Copy; build the array through a Vec once.
-        let v: Vec<AtomicU64> = (0..NUM_BUCKETS).map(|_| AtomicU64::new(0)).collect();
+        // `RelaxedU64` is not Copy; build the array through a Vec once.
+        let v: Vec<RelaxedU64> = (0..NUM_BUCKETS).map(|_| RelaxedU64::new(0)).collect();
         // lint: allow(L001) infallible: the Vec is built with exactly NUM_BUCKETS elements one line up
-        let buckets: Box<[AtomicU64; NUM_BUCKETS]> = v.into_boxed_slice().try_into().expect("bucket count is fixed");
+        let buckets: Box<[RelaxedU64; NUM_BUCKETS]> = v.into_boxed_slice().try_into().expect("bucket count is fixed");
         Histogram {
             buckets,
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
-            ex_max: ExemplarSlot::default(),
-            ex_last: ExemplarSlot::default(),
+            count: RelaxedU64::new(0),
+            sum: RelaxedU64::new(0),
+            min: RelaxedU64::new(u64::MAX),
+            max: RelaxedU64::new(0),
+            ex_max: SeqPair::new(),
+            ex_last: SeqPair::new(),
         }
     }
 
     /// Records one value. Lock-free: five relaxed atomic RMW operations.
     pub fn record(&self, value: u64) {
-        self.buckets[bucket_of(value)].fetch_add(1, Relaxed);
-        self.count.fetch_add(1, Relaxed);
-        self.sum.fetch_add(value, Relaxed);
-        self.min.fetch_min(value, Relaxed);
-        self.max.fetch_max(value, Relaxed);
+        self.buckets[bucket_of(value)].add(1);
+        self.count.add(1);
+        self.sum.add(value);
+        self.min.min(value);
+        self.max.max(value);
     }
 
     /// Records a [`std::time::Duration`] as nanoseconds (saturating).
@@ -206,7 +139,7 @@ impl Histogram {
             return;
         }
         self.ex_last.offer(value, trace_id);
-        if value >= self.ex_max.value() {
+        if value >= self.ex_max.first() {
             self.ex_max.offer(value, trace_id);
         }
     }
@@ -223,34 +156,34 @@ impl Histogram {
         if n == 0 {
             return;
         }
-        self.buckets[bucket_of(value)].fetch_add(n, Relaxed);
-        self.count.fetch_add(n, Relaxed);
-        self.sum.fetch_add(value.saturating_mul(n), Relaxed);
-        self.min.fetch_min(value, Relaxed);
-        self.max.fetch_max(value, Relaxed);
+        self.buckets[bucket_of(value)].add(n);
+        self.count.add(n);
+        self.sum.add(value.saturating_mul(n));
+        self.min.min(value);
+        self.max.max(value);
     }
 
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
-        self.count.load(Relaxed)
+        self.count.get()
     }
 
     /// Sum of recorded values.
     pub fn sum(&self) -> u64 {
-        self.sum.load(Relaxed)
+        self.sum.get()
     }
 
     /// A point-in-time copy of the histogram state.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let buckets: Vec<u64> = self.buckets.iter().map(|b| b.load(Relaxed)).collect();
+        let buckets: Vec<u64> = self.buckets.iter().map(RelaxedU64::get).collect();
         HistogramSnapshot {
-            count: self.count.load(Relaxed),
-            sum: self.sum.load(Relaxed),
-            min: self.min.load(Relaxed),
-            max: self.max.load(Relaxed),
+            count: self.count.get(),
+            sum: self.sum.get(),
+            min: self.min.get(),
+            max: self.max.get(),
             buckets,
-            exemplar_max: self.ex_max.read(),
-            exemplar_last: self.ex_last.read(),
+            exemplar_max: exemplar(&self.ex_max),
+            exemplar_last: exemplar(&self.ex_last),
         }
     }
 }
@@ -515,42 +448,6 @@ mod tests {
         assert_eq!(s.count, 4);
         assert_eq!(s.exemplar_max(), Some(Exemplar { value: 5_000, trace_id: 0xB }));
         assert_eq!(s.exemplar_last(), Some(Exemplar { value: 300, trace_id: 0xC }));
-    }
-
-    #[test]
-    fn exemplar_reads_are_never_torn() {
-        // regression for the seqlock fix: writers publish (value,
-        // trace_id) pairs with trace_id == value + 1; a reader that
-        // validates a read must never observe a mixed pair. Under the
-        // earlier all-Relaxed handshake the version recheck could
-        // validate a torn read.
-        use std::sync::Arc;
-        let slot = Arc::new(ExemplarSlot::default());
-        std::thread::scope(|scope| {
-            for t in 0..4u64 {
-                let slot = Arc::clone(&slot);
-                scope.spawn(move || {
-                    for i in 0..20_000u64 {
-                        let value = t * 1_000_000 + i + 1;
-                        slot.offer(value, value + 1);
-                    }
-                });
-            }
-            for _ in 0..2 {
-                let slot = Arc::clone(&slot);
-                scope.spawn(move || {
-                    for _ in 0..50_000 {
-                        if let Some(e) = slot.read() {
-                            assert_eq!(
-                                e.trace_id,
-                                e.value + 1,
-                                "torn exemplar: value and trace_id from different writes"
-                            );
-                        }
-                    }
-                });
-            }
-        });
     }
 
     #[test]

@@ -49,12 +49,14 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod export;
 pub mod fmt;
 pub mod names;
 pub mod ring;
 pub mod sample;
+pub mod sync;
 pub mod trace;
 mod hist;
 mod json;

@@ -5,50 +5,48 @@
 //! construction, before any hot loop) and then operate on plain atomics.
 
 use crate::hist::{Histogram, HistogramSnapshot};
+use crate::sync::RelaxedU64;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Monotonically increasing counter.
 #[derive(Debug, Default)]
 pub struct Counter {
-    // lint: atomic(counter) statistics only
-    value: AtomicU64,
+    value: RelaxedU64,
 }
 
 impl Counter {
     /// Increments by one.
     pub fn inc(&self) {
-        self.value.fetch_add(1, Relaxed);
+        self.value.add(1);
     }
 
     /// Increments by `n`.
     pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Relaxed);
+        self.value.add(n);
     }
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.value.load(Relaxed)
+        self.value.get()
     }
 }
 
 /// Last-write-wins gauge holding an `f64`.
 #[derive(Debug, Default)]
 pub struct Gauge {
-    // lint: atomic(counter) last-write-wins f64 bits; no ordering contract
-    bits: AtomicU64,
+    bits: RelaxedU64,
 }
 
 impl Gauge {
     /// Sets the gauge.
     pub fn set(&self, v: f64) {
-        self.bits.store(v.to_bits(), Relaxed);
+        self.bits.set(v.to_bits());
     }
 
     /// Current value.
     pub fn get(&self) -> f64 {
-        f64::from_bits(self.bits.load(Relaxed))
+        f64::from_bits(self.bits.get())
     }
 }
 

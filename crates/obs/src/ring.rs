@@ -9,20 +9,18 @@
 //! than blocking the request path. Memory is bounded by
 //! `capacity × Arc<TraceData>`.
 
+use crate::sync::{RelaxedU64, RingHead};
 use crate::trace::TraceData;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Fixed-capacity overwrite-oldest store of recent traces.
 #[derive(Debug)]
 pub struct FlightRecorder {
     slots: Vec<Mutex<Option<Arc<TraceData>>>>,
-    // lint: atomic(ring_head) the claimed value orders slot writes for scanners
-    head: AtomicU64,
-    // lint: atomic(counter) statistics only
-    recorded: AtomicU64,
-    // lint: atomic(counter) statistics only
-    dropped: AtomicU64,
+    /// The claimed value orders slot writes for scanners.
+    head: RingHead,
+    recorded: RelaxedU64,
+    dropped: RelaxedU64,
 }
 
 impl FlightRecorder {
@@ -31,9 +29,9 @@ impl FlightRecorder {
         let capacity = capacity.max(1);
         FlightRecorder {
             slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
-            head: AtomicU64::new(0),
-            recorded: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
+            head: RingHead::new(0),
+            recorded: RelaxedU64::new(0),
+            dropped: RelaxedU64::new(0),
         }
     }
 
@@ -42,19 +40,17 @@ impl FlightRecorder {
     /// trace is dropped and counted instead of blocking. Returns
     /// whether the trace was stored.
     pub fn record(&self, trace: Arc<TraceData>) -> bool {
-        // Release: a scanner that observes the advanced head (Acquire in
-        // `recent`) must also observe the slot writes published before
-        // earlier advances; Relaxed here let `recent` start from a head
-        // value ahead of the slot state it paired with.
-        let slot = (self.head.fetch_add(1, Ordering::Release) as usize) % self.slots.len();
+        // `recent` must see the slot writes made before any claim it
+        // observes: `RingHead`'s Release/Acquire pairing
+        let slot = (self.head.claim() as usize) % self.slots.len();
         match self.slots[slot].try_lock() {
             Ok(mut guard) => {
                 *guard = Some(trace);
-                self.recorded.fetch_add(1, Ordering::Relaxed);
+                self.recorded.add(1);
                 true
             }
             Err(_) => {
-                self.dropped.fetch_add(1, Ordering::Relaxed);
+                self.dropped.add(1);
                 false
             }
         }
@@ -64,7 +60,7 @@ impl FlightRecorder {
     /// head. Slots that are contended right now are skipped.
     pub fn recent(&self) -> Vec<Arc<TraceData>> {
         let n = self.slots.len();
-        let head = self.head.load(Ordering::Acquire) as usize;
+        let head = self.head.get() as usize;
         let mut out = Vec::with_capacity(n);
         for i in 0..n {
             let slot = (head + i) % n;
@@ -89,12 +85,12 @@ impl FlightRecorder {
 
     /// Total traces successfully recorded since construction.
     pub fn recorded(&self) -> u64 {
-        self.recorded.load(Ordering::Relaxed)
+        self.recorded.get()
     }
 
     /// Total traces dropped to slot contention since construction.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.dropped.get()
     }
 }
 

@@ -20,7 +20,7 @@
 //! `about:tracing` / Perfetto).
 
 use crate::json::escape_json;
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::sync::RelaxedU64;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -63,8 +63,8 @@ pub fn trace_id_from_index(index: u64) -> u64 {
 /// `std::thread::ThreadId` so span records stay plain `u64`s.
 pub fn thread_ordinal() -> u64 {
     use std::cell::Cell;
-    // lint: atomic(counter) id allocator; uniqueness, not ordering
-    static NEXT: AtomicU64 = AtomicU64::new(1);
+    // id allocator: uniqueness, not ordering
+    static NEXT: RelaxedU64 = RelaxedU64::new(1);
     thread_local! {
         static ORDINAL: Cell<u64> = const { Cell::new(0) };
     }
@@ -73,7 +73,7 @@ pub fn thread_ordinal() -> u64 {
         if v != 0 {
             return v;
         }
-        let v = NEXT.fetch_add(1, Ordering::Relaxed);
+        let v = NEXT.add(1);
         cell.set(v);
         v
     })
@@ -87,7 +87,7 @@ pub enum TraceClock {
     /// A shared virtual nanosecond counter; only explicit advances (the
     /// fault harness's injected latency) move it, so durations are
     /// deterministic.
-    Virtual(Arc<AtomicU64>),
+    Virtual(Arc<RelaxedU64>),
 }
 
 impl TraceClock {
@@ -97,7 +97,7 @@ impl TraceClock {
     }
 
     /// A virtual clock over a shared nanosecond counter.
-    pub fn virtual_shared(ns: Arc<AtomicU64>) -> Self {
+    pub fn virtual_shared(ns: Arc<RelaxedU64>) -> Self {
         TraceClock::Virtual(ns)
     }
 
@@ -105,8 +105,8 @@ impl TraceClock {
     pub fn now_ns(&self) -> u64 {
         match self {
             TraceClock::Real(epoch) => epoch.elapsed().as_nanos() as u64,
-            // lint: atomic(counter) virtual clock: a late-by-one read only shifts a span timestamp
-            TraceClock::Virtual(ns) => ns.load(Ordering::Relaxed),
+            // a late-by-one read only shifts a span timestamp
+            TraceClock::Virtual(ns) => ns.get(),
         }
     }
 }
@@ -455,14 +455,14 @@ mod tests {
 
     #[test]
     fn virtual_clock_builds_deterministic_tree() {
-        let ns = Arc::new(AtomicU64::new(0));
+        let ns = Arc::new(RelaxedU64::new(0));
         let trace = Trace::start(7, TraceClock::virtual_shared(Arc::clone(&ns)));
         let root = trace.root("train.total");
         let child = root.child("train.mining");
-        ns.fetch_add(5_000, Ordering::Relaxed);
+        ns.add(5_000);
         child.annotate("visited", 42u64);
         child.finish();
-        ns.fetch_add(1_000, Ordering::Relaxed);
+        ns.add(1_000);
         root.finish();
         let data = trace.snapshot();
         assert_eq!(data.spans.len(), 2);
@@ -479,13 +479,13 @@ mod tests {
 
     #[test]
     fn deferred_spans_begin_late_and_open_spans_clamp() {
-        let ns = Arc::new(AtomicU64::new(0));
+        let ns = Arc::new(RelaxedU64::new(0));
         let trace = Trace::start(9, TraceClock::virtual_shared(Arc::clone(&ns)));
         let root = trace.root("train.total");
         let chunk = root.child_deferred("train.mining");
-        ns.fetch_add(100, Ordering::Relaxed);
+        ns.add(100);
         chunk.begin();
-        ns.fetch_add(50, Ordering::Relaxed);
+        ns.add(50);
         chunk.finish();
         chunk.finish(); // idempotent
         let never_begun = root.child_deferred("train.triplet");
@@ -501,10 +501,10 @@ mod tests {
 
     #[test]
     fn chrome_export_is_complete_events() {
-        let ns = Arc::new(AtomicU64::new(0));
+        let ns = Arc::new(RelaxedU64::new(0));
         let trace = Trace::start(3, TraceClock::virtual_shared(ns.clone()));
         let root = trace.root("train.total");
-        ns.fetch_add(2_500, Ordering::Relaxed);
+        ns.add(2_500);
         root.finish();
         let chrome = traces_to_chrome_json(&[trace.snapshot()]);
         assert!(chrome.starts_with("{\"traceEvents\":["));

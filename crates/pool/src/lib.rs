@@ -37,15 +37,16 @@
 //! load with `429` instead of queueing unboundedly.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 use emblookup_obs::names;
+use emblookup_obs::sync::{Flag, RefCount};
 use emblookup_obs::TraceSpan;
 use emblookup_obs::{Counter, Gauge};
 use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -101,8 +102,8 @@ impl std::error::Error for TaskPanic {}
 struct JobCore {
     data: *const (),
     call: unsafe fn(*const (), usize, usize),
-    // lint: atomic(refcount) chunks outstanding; the zero observer frees `data`
-    pending: AtomicUsize,
+    /// Chunks outstanding; the zero observer frees `data`.
+    pending: RefCount,
     panic_payload: Mutex<Option<Box<dyn Any + Send>>>,
     done: Mutex<bool>,
     done_cv: Condvar,
@@ -110,14 +111,50 @@ struct JobCore {
 
 // SAFETY: `data` points at a `Sync` closure owned by the submitting
 // frame, which outlives every task of the job (see struct docs).
+#[allow(unsafe_code)]
 unsafe impl Send for JobCore {}
+#[allow(unsafe_code)]
 unsafe impl Sync for JobCore {}
+
+#[allow(unsafe_code)]
+impl JobCore {
+    /// Runs chunk `lo..hi` of the erased closure.
+    fn run_chunk(&self, lo: usize, hi: usize) {
+        // SAFETY: `call` is the trampoline `job_for` paired with `data`,
+        // and the submitting frame keeps the pointee alive until
+        // `pending` reaches zero, which is after this chunk.
+        unsafe { (self.call)(self.data, lo, hi) }
+    }
+}
 
 /// Monomorphized trampoline re-typing `data` back to the concrete
 /// closure; pairing it with `data` in [`job_for`] is what keeps the
 /// erasure sound (no dyn fat pointers involved).
+///
+/// # Safety
+/// `data` must point at a live `F`.
+#[allow(unsafe_code)]
 unsafe fn call_chunk<F: Fn(usize, usize) + Sync>(data: *const (), lo: usize, hi: usize) {
     unsafe { (*(data as *const F))(lo, hi) }
+}
+
+/// Output buffer of a parallel map, written through disjoint indices
+/// from several chunks at once.
+struct SlotPtr<U>(*mut Option<U>);
+// SAFETY: the pointer is only written through `write`, whose contract
+// gives each index to one writer; `U: Send` lets values cross threads.
+#[allow(unsafe_code)]
+unsafe impl<U: Send> Sync for SlotPtr<U> {}
+#[allow(unsafe_code)]
+unsafe impl<U: Send> Send for SlotPtr<U> {}
+#[allow(unsafe_code)]
+impl<U> SlotPtr<U> {
+    /// # Safety
+    /// Each index must be written at most once while the backing
+    /// buffer is alive and no other reference observes slot `i`.
+    unsafe fn write(&self, i: usize, v: U) {
+        unsafe { *self.0.add(i) = Some(v) }
+    }
 }
 
 /// Erases `runner` into a [`JobCore`] expecting `pending` chunks.
@@ -125,7 +162,7 @@ fn job_for<F: Fn(usize, usize) + Sync>(runner: &F, pending: usize) -> Arc<JobCor
     Arc::new(JobCore {
         data: runner as *const F as *const (),
         call: call_chunk::<F>,
-        pending: AtomicUsize::new(pending),
+        pending: RefCount::new(pending),
         panic_payload: Mutex::new(None),
         done: Mutex::new(false),
         done_cv: Condvar::new(),
@@ -176,18 +213,17 @@ struct Shared {
     /// Overflow queue for submissions from non-worker threads.
     injector: Mutex<VecDeque<Task>>,
     /// Tasks currently sitting in any queue (not yet picked up).
-    // lint: atomic(refcount) gates the worker sleep/wake handshake
-    queued: AtomicUsize,
+    /// Gates the worker sleep/wake handshake.
+    queued: RefCount,
     /// Detached tasks currently waiting in the injector (the quantity the
-    /// bounded mode caps).
-    // lint: atomic(refcount) gates the bounded-injector admission wait
-    detached_queued: AtomicUsize,
+    /// bounded mode caps); gates the bounded-injector admission wait.
+    detached_queued: RefCount,
     /// `usize::MAX` when unbounded.
     injector_cap: usize,
     sleep: Mutex<()>,
     wake: Condvar,
-    // lint: atomic(flag) one-way shutdown publication to workers
-    shutdown: AtomicBool,
+    /// One-way shutdown publication to workers.
+    shutdown: Flag,
     tasks_total: Arc<Counter>,
     steals: Arc<Counter>,
     queue_depth: Arc<Gauge>,
@@ -195,12 +231,12 @@ struct Shared {
 
 impl Shared {
     fn note_enqueued(&self, added: usize) {
-        let now = self.queued.fetch_add(added, Ordering::AcqRel) + added;
+        let now = self.queued.inc(added) + added;
         self.queue_depth.set(now as f64);
     }
 
     fn note_dequeued(&self) {
-        let prev = self.queued.fetch_sub(1, Ordering::AcqRel);
+        let prev = self.queued.dec();
         self.queue_depth.set(prev.saturating_sub(1) as f64);
     }
 
@@ -215,7 +251,7 @@ impl Shared {
         }
         if let Some(t) = lock(&self.injector).pop_front() {
             if matches!(t, Task::Detached(_)) {
-                self.detached_queued.fetch_sub(1, Ordering::AcqRel);
+                self.detached_queued.dec();
             }
             self.note_dequeued();
             return Some(t);
@@ -245,16 +281,14 @@ impl Shared {
         self.tasks_total.inc();
         match task {
             Task::Chunk { job, lo, hi } => {
-                let result = panic::catch_unwind(AssertUnwindSafe(|| unsafe {
-                    (job.call)(job.data, lo, hi)
-                }));
+                let result = panic::catch_unwind(AssertUnwindSafe(|| job.run_chunk(lo, hi)));
                 if let Err(payload) = result {
                     let mut slot = lock(&job.panic_payload);
                     if slot.is_none() {
                         *slot = Some(payload);
                     }
                 }
-                if job.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+                if job.pending.dec() == 1 {
                     let mut done = lock(&job.done);
                     *done = true;
                     job.done_cv.notify_all();
@@ -292,11 +326,11 @@ fn worker_loop(shared: Arc<Shared>, me: usize) {
             shared.run_task(task);
             continue;
         }
-        if shared.shutdown.load(Ordering::Acquire) {
+        if shared.shutdown.is_raised() {
             break;
         }
         let guard = lock(&shared.sleep);
-        if shared.queued.load(Ordering::Acquire) == 0 && !shared.shutdown.load(Ordering::Acquire) {
+        if shared.queued.get() == 0 && !shared.shutdown.is_raised() {
             // timed wait as a lost-wakeup backstop; producers notify under
             // the same lock, so this normally wakes promptly on new work
             let _ = shared
@@ -337,12 +371,12 @@ impl Pool {
         let shared = Arc::new(Shared {
             deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             injector: Mutex::new(VecDeque::new()),
-            queued: AtomicUsize::new(0),
-            detached_queued: AtomicUsize::new(0),
+            queued: RefCount::new(0),
+            detached_queued: RefCount::new(0),
             injector_cap,
             sleep: Mutex::new(()),
             wake: Condvar::new(),
-            shutdown: AtomicBool::new(false),
+            shutdown: Flag::new(0),
             tasks_total: reg.counter(names::POOL_TASKS),
             steals: reg.counter(names::POOL_STEALS),
             queue_depth: reg.gauge(names::POOL_QUEUE_DEPTH),
@@ -376,7 +410,7 @@ impl Pool {
     /// Detached tasks currently waiting in the injector — the serving
     /// layer mirrors this into its `serve.queue.depth` gauge.
     pub fn detached_depth(&self) -> usize {
-        self.shared.detached_queued.load(Ordering::Acquire)
+        self.shared.detached_queued.get()
     }
 
     /// Configured bounded-injector capacity, `None` when unbounded.
@@ -409,11 +443,11 @@ impl Pool {
         }
         {
             let mut inj = lock(&self.shared.injector);
-            let depth = self.shared.detached_queued.load(Ordering::Acquire);
+            let depth = self.shared.detached_queued.get();
             if depth >= self.shared.injector_cap {
                 return Err(QueueFull { cap: self.shared.injector_cap, depth });
             }
-            self.shared.detached_queued.fetch_add(1, Ordering::AcqRel);
+            self.shared.detached_queued.inc(1);
             inj.push_back(Task::Detached(Box::new(f)));
         }
         self.shared.note_enqueued(1);
@@ -534,18 +568,6 @@ impl Pool {
         I: Fn() -> S + Sync,
         F: Fn(&mut S, usize) -> U + Sync,
     {
-        struct SlotPtr<U>(*mut Option<U>);
-        unsafe impl<U: Send> Sync for SlotPtr<U> {}
-        unsafe impl<U: Send> Send for SlotPtr<U> {}
-        impl<U> SlotPtr<U> {
-            /// # Safety
-            /// Each index must be written at most once while the backing
-            /// buffer is alive and no other reference observes slot `i`.
-            unsafe fn write(&self, i: usize, v: U) {
-                unsafe { *self.0.add(i) = Some(v) }
-            }
-        }
-
         let mut out: Vec<Option<U>> = Vec::with_capacity(n);
         out.resize_with(n, || None);
         let slots = SlotPtr(out.as_mut_ptr());
@@ -556,6 +578,7 @@ impl Pool {
                 // SAFETY: chunks partition 0..n, so each index is visited
                 // exactly once and writes land in disjoint slots of a
                 // buffer that outlives the call.
+                #[allow(unsafe_code)]
                 unsafe { slots.write(i, v) };
             }
         };
@@ -608,18 +631,6 @@ impl Pool {
         U: Send,
         F: Fn(usize) -> U + Sync,
     {
-        struct SlotPtr<U>(*mut Option<U>);
-        unsafe impl<U: Send> Sync for SlotPtr<U> {}
-        unsafe impl<U: Send> Send for SlotPtr<U> {}
-        impl<U> SlotPtr<U> {
-            /// # Safety
-            /// Each index must be written at most once while the backing
-            /// buffer is alive and no other reference observes slot `i`.
-            unsafe fn write(&self, i: usize, v: U) {
-                unsafe { *self.0.add(i) = Some(v) }
-            }
-        }
-
         if n == 0 {
             return Ok(Vec::new());
         }
@@ -655,6 +666,7 @@ impl Pool {
                     // SAFETY: chunk ranges partition 0..n, so each index
                     // is visited exactly once and writes land in disjoint
                     // slots of a buffer that outlives the call.
+                    #[allow(unsafe_code)]
                     unsafe { slots.write(i, v) };
                 }
                 spans[ci].finish();
@@ -782,7 +794,7 @@ impl Pool {
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        self.shared.shutdown.raise();
         {
             let _g = lock(&self.shared.sleep);
             self.shared.wake.notify_all();
@@ -816,7 +828,7 @@ pub fn default_threads() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
     #[test]
     fn parallel_for_visits_every_index_once() {
@@ -983,7 +995,7 @@ mod tests {
     #[test]
     fn traced_map_has_width_independent_span_shape() {
         use emblookup_obs::{AnnoValue, Trace, TraceClock};
-        use std::sync::atomic::AtomicU64 as Ns;
+        use emblookup_obs::sync::RelaxedU64 as Ns;
 
         let shape = |threads: usize| {
             let pool = Pool::with_threads(threads);

@@ -9,6 +9,7 @@
 //! internal, so only self-consistency matters.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod rngs;
 pub mod seq;

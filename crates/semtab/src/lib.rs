@@ -8,6 +8,7 @@
 //! DoSeR, Katara).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod csv_io;
 pub mod datasets;

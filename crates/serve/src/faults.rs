@@ -17,9 +17,9 @@
 //! the default config carries `None`, so release binaries cannot
 //! trip over a stray fault plan.
 
+use emblookup_obs::sync::RelaxedU64;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -200,7 +200,7 @@ impl FaultLayer {
 /// [`DeadlineClock::frac_remaining`], the fraction of budget still
 /// unspent.
 ///
-/// Virtual time lives in a shared `Arc<AtomicU64>` of nanoseconds so
+/// Virtual time lives in a shared `Arc<RelaxedU64>` of nanoseconds so
 /// the same counter can drive a request's trace clock
 /// ([`emblookup_obs::TraceClock::Virtual`]): injected latency then
 /// shows up identically in deadline accounting and captured span
@@ -209,8 +209,8 @@ impl FaultLayer {
 pub struct DeadlineClock {
     start: Instant,
     budget_ms: u64,
-    // lint: atomic(counter) virtual clock; monotone accrual, no ordering contract
-    virtual_ns: Arc<AtomicU64>,
+    /// Monotone accrual; nothing is published through it.
+    virtual_ns: Arc<RelaxedU64>,
     virtual_only: bool,
 }
 
@@ -218,12 +218,12 @@ impl DeadlineClock {
     /// Starts a clock with `budget_ms` of budget. With `virtual_only`,
     /// injected latency advances the clock instead of sleeping.
     pub fn new(budget_ms: u64, virtual_only: bool) -> Self {
-        Self::with_virtual_ns(budget_ms, virtual_only, Arc::new(AtomicU64::new(0)))
+        Self::with_virtual_ns(budget_ms, virtual_only, Arc::new(RelaxedU64::new(0)))
     }
 
     /// Like [`DeadlineClock::new`], but accruing virtual time into a
     /// caller-provided shared nanosecond counter.
-    pub fn with_virtual_ns(budget_ms: u64, virtual_only: bool, virtual_ns: Arc<AtomicU64>) -> Self {
+    pub fn with_virtual_ns(budget_ms: u64, virtual_only: bool, virtual_ns: Arc<RelaxedU64>) -> Self {
         DeadlineClock {
             start: Instant::now(),
             budget_ms,
@@ -233,7 +233,7 @@ impl DeadlineClock {
     }
 
     /// The shared virtual nanosecond counter behind this clock.
-    pub fn virtual_ns_handle(&self) -> Arc<AtomicU64> {
+    pub fn virtual_ns_handle(&self) -> Arc<RelaxedU64> {
         Arc::clone(&self.virtual_ns)
     }
 
@@ -250,8 +250,7 @@ impl DeadlineClock {
             return;
         }
         if self.virtual_only {
-            self.virtual_ns
-                .fetch_add(ms.saturating_mul(1_000_000), Ordering::Relaxed);
+            self.virtual_ns.add(ms.saturating_mul(1_000_000));
         } else {
             std::thread::sleep(std::time::Duration::from_millis(ms));
         }
@@ -264,7 +263,7 @@ impl DeadlineClock {
 
     /// Virtual milliseconds accrued so far.
     pub fn virtual_elapsed_ms(&self) -> u64 {
-        self.virtual_ns.load(Ordering::Relaxed) / 1_000_000
+        self.virtual_ns.get() / 1_000_000
     }
 
     /// Budget left counting only deterministic inputs: in virtual mode
@@ -372,13 +371,13 @@ mod tests {
 
     #[test]
     fn shared_virtual_ns_drives_deterministic_remaining() {
-        let ns = Arc::new(AtomicU64::new(0));
+        let ns = Arc::new(RelaxedU64::new(0));
         let clock = DeadlineClock::with_virtual_ns(100, true, Arc::clone(&ns));
         clock.advance_ms(30);
-        assert_eq!(ns.load(Ordering::Relaxed), 30_000_000, "trace clock sees the advance");
+        assert_eq!(ns.get(), 30_000_000, "trace clock sees the advance");
         assert_eq!(clock.virtual_elapsed_ms(), 30);
         assert_eq!(clock.deterministic_remaining_ms(), 70);
-        ns.fetch_add(80_000_000, Ordering::Relaxed);
+        ns.add(80_000_000);
         assert_eq!(clock.deterministic_remaining_ms(), 0, "external advances count too");
         assert!(clock.expired());
     }

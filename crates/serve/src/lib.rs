@@ -58,6 +58,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod breaker;
 pub mod client;
@@ -111,7 +112,10 @@ pub struct ServeConfig {
     pub slow_trace_ms: u64,
     /// Number of hash-partitioned index shards the full rung
     /// scatter-gathers; `1` (the default) serves the single unsharded
-    /// index.
+    /// index of the service passed to `Server::start`. Above `1` the
+    /// server re-embeds the graph at startup and builds every shard with
+    /// the model config's `compression`; the passed service's own index
+    /// is then unused.
     pub shards: usize,
     /// Consecutive failures (deadline-miss / error / panic) that open a
     /// shard's circuit breaker.

@@ -68,6 +68,7 @@ use crate::ServeConfig;
 use emblookup_core::{merge_topk, EmbLookup, EntityIndex, ShardedIndex};
 use emblookup_kg::{EntityId, KnowledgeGraph};
 use emblookup_obs::names;
+use emblookup_obs::sync::{Flag, RelaxedU64};
 use emblookup_obs::{
     format_trace_id, parse_trace_id, trace_id_from_index, traces_to_chrome_json, AnnoValue,
     Counter, Gauge, Histogram, MetricsRegistry, RetainedTrace, Trace, TraceClock, TraceData,
@@ -78,7 +79,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -166,8 +166,7 @@ struct ServerState {
     /// Flight recorder + tail sampler every completed trace publishes to.
     hub: TraceHub,
     /// Request indices in arrival order; the fault layer's replay key.
-    // lint: atomic(counter) accept-order index allocator
-    seq: AtomicU64,
+    seq: RelaxedU64,
     /// Hash-partitioned shards + per-shard breakers when `shards > 1`.
     sharded: Option<ShardServing>,
     /// Whole-service breaker pinning sustained overload to the string rung.
@@ -199,23 +198,31 @@ struct TraceCtx {
     /// The shared virtual nanosecond counter when the fault harness
     /// runs in virtual time; the deadline clock accrues into it so
     /// injected latency shows up in span durations.
-    // lint: atomic(counter) virtual clock handle; see DeadlineClock
-    virtual_ns: Option<Arc<AtomicU64>>,
+    virtual_ns: Option<Arc<RelaxedU64>>,
 }
 
 /// A running server. Dropping it (or calling [`Server::shutdown`])
 /// stops the accept loop and joins the worker pool.
 pub struct Server {
     addr: SocketAddr,
-    // lint: atomic(flag) one-way stop publication to the accept loop
-    shutdown: Arc<AtomicBool>,
+    /// One-way stop publication to the accept and connection loops.
+    shutdown: Arc<Flag>,
     handle: Option<JoinHandle<()>>,
     registry: Arc<MetricsRegistry>,
 }
 
 impl Server {
     /// Binds `config.addr`, builds the degradation ladder, and starts
-    /// the accept loop. Metrics go to the process-global registry.
+    /// the accept loop. Metrics go to a fresh registry of the server's
+    /// own ([`Server::registry`]).
+    ///
+    /// Which index answers the full rung depends on `config.shards`:
+    /// at `shards <= 1` it is `service`'s own `EntityIndex`, as built by
+    /// the caller. At `shards > 1` that index is **not** consulted:
+    /// startup re-embeds every label of `kg` with `service.model()` and
+    /// builds the shards with `service.model().config().compression`,
+    /// so an index the caller built with another compression (or over
+    /// another graph) does not carry over.
     ///
     /// # Errors
     /// Propagates socket bind/configuration failures.
@@ -224,9 +231,11 @@ impl Server {
         Self::start_with_registry(service, kg, config, registry)
     }
 
-    /// Like [`Server::start`] but exporting into a caller-supplied
-    /// registry — tests use a private registry per server instance to
-    /// assert exact counter values without cross-test interference.
+    /// Like [`Server::start`] (same rule for which index serves: the
+    /// service's own at `shards <= 1`, a re-embedded sharded one at
+    /// `shards > 1`) but exporting into a caller-supplied registry —
+    /// tests use a private registry per server instance to assert exact
+    /// counter values without cross-test interference.
     ///
     /// # Errors
     /// Propagates socket bind/configuration failures.
@@ -283,11 +292,11 @@ impl Server {
             registry: Arc::clone(&registry),
             metrics,
             hub,
-            seq: AtomicU64::new(0),
+            seq: RelaxedU64::new(0),
             sharded,
             overload,
         });
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let shutdown = Arc::new(Flag::new(0));
         let shutdown_flag = Arc::clone(&shutdown);
         let handle = std::thread::Builder::new()
             .name("emblookup-serve-accept".to_string())
@@ -321,7 +330,7 @@ impl Server {
     /// Stops accepting, joins the accept thread (which joins the pool).
     /// Idempotent.
     pub fn shutdown(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.shutdown.raise();
         // Unblock the accept call with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
         if let Some(handle) = self.handle.take() {
@@ -340,16 +349,16 @@ fn accept_loop(
     listener: &TcpListener,
     state: &Arc<ServerState>,
     pool: &Arc<Pool>,
-    shutdown: &Arc<AtomicBool>,
+    shutdown: &Arc<Flag>,
 ) {
     loop {
         let Ok((stream, _)) = listener.accept() else {
-            if shutdown.load(Ordering::SeqCst) {
+            if shutdown.is_raised() {
                 return;
             }
             continue;
         };
-        if shutdown.load(Ordering::SeqCst) {
+        if shutdown.is_raised() {
             return;
         }
         state.metrics.connections.inc();
@@ -372,13 +381,13 @@ fn connection_loop(
     mut stream: TcpStream,
     state: &Arc<ServerState>,
     pool: &Arc<Pool>,
-    shutdown: &AtomicBool,
+    shutdown: &Flag,
 ) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(
         state.config.read_timeout_ms.max(1),
     )));
     loop {
-        if shutdown.load(Ordering::SeqCst) {
+        if shutdown.is_raised() {
             return;
         }
         let req = match read_request(&mut stream, MAX_BODY_BYTES) {
@@ -480,7 +489,7 @@ fn mint_trace(req: &Request, idx: u64, virtual_time: bool) -> TraceCtx {
         .and_then(parse_trace_id)
         .unwrap_or_else(|| trace_id_from_index(idx));
     let (clock, virtual_ns) = if virtual_time {
-        let ns = Arc::new(AtomicU64::new(0));
+        let ns = Arc::new(RelaxedU64::new(0));
         (TraceClock::virtual_shared(Arc::clone(&ns)), Some(ns))
     } else {
         (TraceClock::real(), None)
@@ -571,7 +580,7 @@ fn admit(
     stream: &mut TcpStream,
     keep_alive: bool,
 ) {
-    let idx = state.seq.fetch_add(1, Ordering::SeqCst);
+    let idx = state.seq.add(1);
     let (faults, virtual_time) = faults_for(state, idx);
     let ctx = mint_trace(&req, idx, virtual_time);
     if faults.shed {

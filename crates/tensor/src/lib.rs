@@ -23,6 +23,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod conv;
 pub mod graph;

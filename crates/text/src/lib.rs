@@ -6,6 +6,7 @@
 //! error model of the evaluation section.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod alphabet;
 pub mod distance;

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Best-effort dynamic cross-check for the concurrency-protocol lints
-# (L011-L013): runs the pool/obs/serve test suites under
-# ThreadSanitizer and Miri where the toolchain allows it.
+# Best-effort dynamic cross-check for the concurrency protocols in
+# crates/obs/src/sync.rs: runs the pool/obs/serve test suites (obs's
+# include the sync protocol tests) under ThreadSanitizer and Miri where
+# the toolchain allows it.
 #
 # Both checks need a nightly toolchain (TSan needs -Z sanitizer=thread
 # and a rebuilt std via -Z build-std; Miri is a rustup component). This
@@ -9,7 +10,7 @@
 # probes for its prerequisites and SKIPS gracefully when they are
 # missing — the script succeeding while skipping everything is the
 # expected outcome offline. It is NOT part of tier-1 CI (scripts/ci.sh);
-# see CONTRIBUTING.md "Concurrency rules".
+# see CONTRIBUTING.md "Concurrency".
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -55,7 +56,7 @@ else
 fi
 
 if [ "$ran_any" -eq 0 ]; then
-    echo "sanitize.sh: nothing ran (no nightly tooling available) — static coverage only (L011-L013 via scripts/ci.sh)"
+    echo "sanitize.sh: nothing ran (no nightly tooling available) — static coverage only (obs::sync's types and tests, L011 confinement and forbid(unsafe_code) via scripts/ci.sh)"
 else
     echo "sanitize.sh: done"
 fi

@@ -15,6 +15,8 @@
 //! one span tree, and `--chrome` dumps Chrome `trace_event` JSON that
 //! loads in `about:tracing` or <https://ui.perfetto.dev>.
 
+#![forbid(unsafe_code)]
+
 use emblookup::core::{EmbLookup, EmbLookupConfig, EmbLookupModel};
 use emblookup::kg::{generate, kg_from_bytes, kg_to_bytes, LookupService, SynthKgConfig};
 use emblookup::serve::json::{self, Json};

@@ -35,6 +35,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use emblookup_ann as ann;
 pub use emblookup_baselines as baselines;
