@@ -220,6 +220,28 @@ impl EmbLookupConfig {
         if self.conv_layers == 0 {
             return Err("conv_layers must be positive".into());
         }
+        for (name, value) in [
+            ("kernels", self.kernels),
+            ("max_len", self.max_len),
+            ("fusion_hidden", self.fusion_hidden),
+            ("fasttext_dim", self.fasttext_dim),
+            ("pool_segments", self.pool_segments),
+        ] {
+            if value == 0 {
+                return Err(format!("{name} must be positive"));
+            }
+        }
+        if self.kernel_size.is_multiple_of(2) {
+            // "same" padding of kernel_size / 2 preserves the length only for odd kernels
+            return Err(format!("kernel_size = {} must be odd", self.kernel_size));
+        }
+        if self.pool_segments > self.max_len {
+            // a segment with no sample would pool to -inf and embed to NaN
+            return Err(format!(
+                "pool_segments = {} must not exceed max_len = {}",
+                self.pool_segments, self.max_len
+            ));
+        }
         if self.epochs == 0 {
             return Err("epochs must be positive".into());
         }
@@ -326,20 +348,36 @@ mod tests {
 
     #[test]
     fn validate_rejects_zero_fields() {
-        for f in 0..4 {
+        type Break = fn(&mut EmbLookupConfig);
+        let cases: [(&str, Break); 12] = [
+            ("embedding_dim", |c| c.embedding_dim = 0),
+            ("conv_layers", |c| c.conv_layers = 0),
+            ("epochs", |c| c.epochs = 0),
+            ("batch_size", |c| c.batch_size = 0),
+            // each of these used to panic or embed to NaN inside `embed`
+            ("kernels", |c| c.kernels = 0),
+            ("max_len", |c| c.max_len = 0),
+            ("fusion_hidden", |c| c.fusion_hidden = 0),
+            ("fasttext_dim", |c| c.fasttext_dim = 0),
+            ("pool_segments", |c| c.pool_segments = 0),
+            ("pool_segments", |c| c.pool_segments = c.max_len + 1),
+            ("kernel_size", |c| c.kernel_size = 0),
+            ("kernel_size", |c| c.kernel_size = 4),
+        ];
+        for (field, break_it) in cases {
             let mut c = EmbLookupConfig::default();
-            match f {
-                0 => c.embedding_dim = 0,
-                1 => c.conv_layers = 0,
-                2 => c.epochs = 0,
-                _ => c.batch_size = 0,
-            }
-            assert!(c.validate().is_err(), "field {f} not validated");
+            break_it(&mut c);
+            let err = c.validate().expect_err(field);
+            assert!(err.contains(field), "{field}: message {err:?} does not name it");
         }
+        let mut edge = EmbLookupConfig::default();
+        edge.pool_segments = edge.max_len; // one sample per segment is fine
+        assert!(edge.validate().is_ok());
     }
 
     #[test]
-    fn tiny_is_valid() {
+    fn presets_are_valid() {
+        assert!(EmbLookupConfig::default().validate().is_ok());
         assert!(EmbLookupConfig::tiny(0).validate().is_ok());
         assert!(EmbLookupConfig::fast(0).validate().is_ok());
     }

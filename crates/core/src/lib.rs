@@ -39,7 +39,7 @@ pub use errors::{LookupError, TrainError};
 pub use eval::Workload;
 pub use index::EntityIndex;
 pub use mining::{mine_triplets, MiningConfig, Triplet, TripletFamily};
-pub use model::EmbLookupModel;
+pub use model::{EmbLookupModel, EmbedScratch};
 pub use service::{num_threads, EmbLookup};
 pub use shards::{merge_topk, shard_of, ShardedIndex};
 pub use trainer::{train, EpochStats, TrainReport};

@@ -141,6 +141,123 @@ impl EmbLookupModel {
     /// Graph-free embedding of a mention — the hot path used to embed
     /// every KG entity when building the index and every query at lookup.
     pub fn embed(&self, s: &str) -> Vec<f32> {
+        let mut out = vec![0.0f32; self.config.embedding_dim];
+        self.embed_into(s, &mut EmbedScratch::default(), &mut out);
+        out
+    }
+
+    /// [`EmbLookupModel::embed`] into `out`, working in `scratch`: once the
+    /// scratch has been through one call it allocates nothing. The pass
+    /// runs over plain slices — character rows straight into the first
+    /// layer's tap gather, the other layers plane to plane, the pooled
+    /// maxima and the fastText vector written side by side into the fused
+    /// vector, two matrix-vector products — with every sum in the order
+    /// the tensor path (`Conv1dLayer::infer`, `Linear::infer`,
+    /// `FastText::embed`) runs it, so the embedding is the same bits.
+    ///
+    /// # Panics
+    /// Panics unless `out` has `dim()` elements.
+    pub fn embed_into(&self, s: &str, scratch: &mut EmbedScratch, out: &mut [f32]) {
+        let c = &self.config;
+        assert_eq!(out.len(), c.embedding_dim, "embedding output len {} != dim {}", out.len(), c.embedding_dim);
+        let (len, pad, segments) = (c.max_len, c.kernel_size / 2, c.pool_segments);
+        let stride = len + 2 * pad;
+        let plane = c.kernels * stride;
+        let pooled = c.kernels * segments;
+
+        // [plane | plane | fused = pooled ++ fastText | hidden | fastText token mean]
+        let EmbedScratch { buf, token } = scratch;
+        buf.resize(2 * plane + pooled + 2 * c.fasttext_dim + c.fusion_hidden, 0.0);
+        let (planes, rest) = buf.split_at_mut(2 * plane);
+        let (fused, rest) = rest.split_at_mut(pooled + c.fasttext_dim);
+        let (hidden, token_vec) = rest.split_at_mut(c.fusion_hidden);
+        // the layers write samples only and read the `pad` zeros around
+        // them; whatever used this scratch last may have had another shape
+        planes.fill(0.0);
+        let (mut x, mut y) = planes.split_at_mut(plane);
+
+        self.convs[0].infer_onehot(&self.store, self.onehot.indices(s), x, len);
+        relu(x);
+        for conv in &self.convs[1..] {
+            conv.infer_rows(&self.store, x, y, len);
+            relu(y);
+            std::mem::swap(&mut x, &mut y);
+        }
+        // segmented max over time per channel (mirrors the graph op)
+        let chunk = len / segments;
+        for (row, maxima) in x.chunks_exact(stride).zip(fused.chunks_exact_mut(segments)) {
+            let row = &row[pad..pad + len];
+            for (seg, m) in maxima.iter_mut().enumerate() {
+                let lo = seg * chunk;
+                let hi = if seg + 1 == segments { len } else { lo + chunk };
+                *m = row[lo..hi].iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            }
+        }
+        self.semantic.embed_into(s, token, token_vec, &mut fused[pooled..]);
+
+        self.fuse1.infer_into(&self.store, fused, hidden);
+        relu(hidden);
+        self.fuse2.infer_into(&self.store, hidden, out);
+        if c.l2_normalize {
+            let norm = out.iter().map(|x| x * x).sum::<f32>().sqrt();
+            if norm > 1e-12 {
+                for v in out.iter_mut() {
+                    *v /= norm;
+                }
+            }
+        }
+    }
+
+    /// Embeds a batch of mentions, preserving order — the bulk path
+    /// behind index building and batched queries. `threads == 1` stays
+    /// on the calling thread; larger values fan out over the persistent
+    /// compute pool, one [`EmbedScratch`] per chunk. Each mention's
+    /// embedding lands in its own output slot, so results are
+    /// bit-identical across thread counts.
+    pub fn embed_batch(&self, mentions: &[&str], threads: usize) -> Vec<Vec<f32>> {
+        let n = mentions.len();
+        if n == 0 {
+            return Vec::new();
+        }
+        let embed_one = |scratch: &mut EmbedScratch, i: usize| {
+            let mut out = vec![0.0f32; self.config.embedding_dim];
+            self.embed_into(mentions[i], scratch, &mut out);
+            out
+        };
+        let threads = threads.max(1).min(n);
+        if threads == 1 {
+            let mut scratch = EmbedScratch::default();
+            return (0..n).map(|i| embed_one(&mut scratch, i)).collect();
+        }
+        let grain = n.div_ceil(threads * 2).max(1);
+        emblookup_pool::Pool::global().parallel_map_with(n, grain, EmbedScratch::default, embed_one)
+    }
+}
+
+/// Working memory of [`EmbLookupModel::embed_into`]: the activation planes
+/// and vectors of one forward pass in a single buffer, and the fastText
+/// leg's token buffer. A fresh one is empty; the first call sizes it for
+/// the model, later calls reuse it. Nothing in it outlives a call, so one
+/// scratch may serve any sequence of strings and models — one per thread.
+#[derive(Debug, Default)]
+pub struct EmbedScratch {
+    buf: Vec<f32>,
+    token: String,
+}
+
+fn relu(xs: &mut [f32]) {
+    for v in xs {
+        *v = v.max(0.0);
+    }
+}
+
+#[cfg(test)]
+impl EmbLookupModel {
+    /// The forward pass as it was before [`EmbLookupModel::embed_into`] —
+    /// a `Tensor` per layer out of the training path's primitives
+    /// (`conv1d_forward` behind `Conv1dLayer::infer`, `Tensor::matmul`) and
+    /// `FastText::embed`: the slow oracle `embed` must match bit for bit.
+    fn embed_reference(&self, s: &str) -> Vec<f32> {
         let mut x = self.encode_chars(s);
         for conv in &self.convs {
             x = conv.infer(&self.store, &x);
@@ -148,7 +265,6 @@ impl EmbLookupModel {
                 *v = v.max(0.0);
             }
         }
-        // segmented max over time per channel (mirrors the graph op)
         let (c, l) = (x.shape()[0], x.shape()[1]);
         let segments = self.config.pool_segments;
         let chunk = l / segments;
@@ -162,12 +278,20 @@ impl EmbLookupModel {
             }
         }
         fused.extend(self.semantic.embed(s));
-        let cat = Tensor::vector(&fused);
-        let mut h = self.fuse1.infer(&self.store, &cat);
-        for v in h.data_mut() {
+        let param = |name: &str| self.store.iter().find(|p| p.1 == name).expect("registered").2;
+        let linear = |x: Vec<f32>, layer: &str| -> Vec<f32> {
+            let row = Tensor::from_vec(&[1, x.len()], x);
+            let mut y = row.matmul(param(&format!("{layer}.w"))).into_data();
+            for (o, &b) in y.iter_mut().zip(param(&format!("{layer}.b")).data()) {
+                *o += b;
+            }
+            y
+        };
+        let mut h = linear(fused, "fuse1");
+        for v in &mut h {
             *v = v.max(0.0);
         }
-        let mut out = self.fuse2.infer(&self.store, &h).into_data();
+        let mut out = linear(h, "fuse2");
         if self.config.l2_normalize {
             let norm = out.iter().map(|x| x * x).sum::<f32>().sqrt();
             if norm > 1e-12 {
@@ -178,24 +302,6 @@ impl EmbLookupModel {
         }
         out
     }
-
-    /// Embeds a batch of mentions, preserving order — the bulk path
-    /// behind index building and batched queries. `threads == 1` stays
-    /// on the calling thread; larger values fan out over the persistent
-    /// compute pool. Each mention's embedding lands in its own output
-    /// slot, so results are bit-identical across thread counts.
-    pub fn embed_batch(&self, mentions: &[&str], threads: usize) -> Vec<Vec<f32>> {
-        let n = mentions.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let threads = threads.max(1).min(n);
-        if threads == 1 {
-            return mentions.iter().map(|m| self.embed(m)).collect();
-        }
-        let grain = n.div_ceil(threads * 2).max(1);
-        emblookup_pool::Pool::global().parallel_map(n, grain, |i| self.embed(mentions[i]))
-    }
 }
 
 #[cfg(test)]
@@ -203,17 +309,114 @@ mod tests {
     use super::*;
     use crate::config::EmbLookupConfig;
     use emblookup_embed::{Corpus, FastTextConfig};
+    use emblookup_text::NoiseInjector;
+    use rand::Rng;
 
-    fn tiny_model() -> EmbLookupModel {
+    fn fasttext(dim: usize) -> FastText {
         let mut corpus = Corpus::default();
         for s in ["germany europe", "deutschland europe", "tokyo asia"] {
             corpus.add_sentence(s.split(' ').map(String::from).collect());
         }
-        let ft = FastText::train(
+        FastText::train(
             &corpus,
-            FastTextConfig { dim: 16, buckets: 1 << 10, epochs: 2, ..Default::default() },
+            FastTextConfig { dim, buckets: 1 << 10, epochs: 2, ..Default::default() },
+        )
+    }
+
+    fn tiny_model() -> EmbLookupModel {
+        EmbLookupModel::new(fasttext(16), EmbLookupConfig::tiny(1))
+    }
+
+    /// The paper's shape (64-d, 5 x 8 x 3, `max_len` 32) with weights as
+    /// training leaves them: no bias is zero. With `letter_detectors` the
+    /// first layer is rewritten so that channels 5, 2 and 6 fire on 'a',
+    /// 'b' and 'c' and nothing else fires at all: every column of the
+    /// second layer's input then has at most one nonzero, in channels
+    /// that do not ascend with time, and — the plane being 8 wide — the
+    /// tensor path gathers there, summing in another order than its dense
+    /// loop. The slice pass has to make the same choice.
+    fn paper_model(letter_detectors: bool) -> EmbLookupModel {
+        let mut m = EmbLookupModel::new(fasttext(64), EmbLookupConfig::default());
+        let mut rng = StdRng::seed_from_u64(99);
+        let rows = m.onehot.rows();
+        let pos = |c: char| m.onehot.alphabet().pos(c);
+        let taps = [(5, pos('a'), 0.7), (2, pos('b'), 0.9), (6, pos('c'), 1.3)];
+        let ids: Vec<_> = m.store.iter().map(|p| p.0).collect();
+        for id in ids {
+            let name = m.store.name(id).to_string();
+            let data = m.store.get_mut(id).data_mut();
+            if name.ends_with(".b") {
+                data.iter_mut().for_each(|b| *b = rng.gen_range(-0.3..0.3));
+            }
+            if letter_detectors && name == "conv0.b" {
+                data.fill(0.0);
+            }
+            if letter_detectors && name == "conv0.w" {
+                data.fill(0.0);
+                for (ch, row, w) in taps {
+                    data[(ch * rows + row) * 3 + 1] = w;
+                }
+            }
+        }
+        m
+    }
+
+    /// ≥ 2 000 typo-corrupted labels, then the strings picked to break an
+    /// encoder: empty, blank, outside the alphabet, over `max_len`, tokens
+    /// whose wrapped length sits below, on and above the n-gram range,
+    /// mixed case — and a short string right after the longest one, which
+    /// finds anything a reused scratch carries over.
+    fn differential_corpus() -> Vec<String> {
+        let labels = [
+            "germany", "federal republic of germany", "east berlin", "tokyo", "new york city",
+            "at&t corp.", "route 66", "st. john's (canada)", "rio de janeiro", "o'neill-smith",
+            "university of california, berkeley", "x", "international business machines", "1990",
+        ];
+        let typos = NoiseInjector::typos();
+        let mut rng = StdRng::seed_from_u64(2024);
+        let mut out: Vec<String> =
+            (0..2100).map(|i| typos.corrupt(labels[i % labels.len()], &mut rng)).collect();
+        out.extend(
+            ["", " ", "日本語", "Ünïcode Straße", "a", "ab", "abc", "abcd", "GerMANY", "EAST berlin"]
+                .map(String::from),
         );
-        EmbLookupModel::new(ft, EmbLookupConfig::tiny(1))
+        out.push("x".repeat(500));
+        out.push("q".into());
+        out.push("the quick brown fox jumps over the lazy dog again and again".into());
+        out.push("ab".into());
+        out.extend(["abcabccbaabc", "cba", "bca cab abc", "ccbbaa", "a b c ab"].map(String::from));
+        out
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn embed_is_bit_identical_to_the_tensor_reference() {
+        let corpus = differential_corpus();
+        let refs: Vec<&str> = corpus.iter().map(String::as_str).collect();
+        let models = [tiny_model(), paper_model(false), paper_model(true)];
+        let want: Vec<Vec<Vec<u32>>> = models
+            .iter()
+            .map(|m| refs.iter().map(|s| bits(&m.embed_reference(s))).collect())
+            .collect();
+        // one scratch for every string and — interleaved — every model
+        let mut scratch = EmbedScratch::default();
+        for (i, s) in refs.iter().enumerate() {
+            for (m, want) in models.iter().zip(&want) {
+                let mut out = vec![f32::NAN; m.dim()];
+                m.embed_into(s, &mut scratch, &mut out);
+                assert_eq!(bits(&out), want[i], "embed_into differs for {s:?}");
+                assert_eq!(bits(&m.embed(s)), want[i], "embed differs for {s:?}");
+            }
+        }
+        for (m, want) in models.iter().zip(&want) {
+            for threads in [1usize, 4] {
+                let got: Vec<Vec<u32>> = m.embed_batch(&refs, threads).iter().map(|v| bits(v)).collect();
+                assert_eq!(&got, want, "embed_batch differs at {threads} threads");
+            }
+        }
     }
 
     #[test]

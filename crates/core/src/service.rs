@@ -183,10 +183,7 @@ impl EmbLookup {
         let start = std::time::Instant::now();
         let threads = num_threads();
         let embeddings = self.model.embed_batch(queries, threads);
-        let mut qs = VectorSet::new(self.model.dim());
-        for e in &embeddings {
-            qs.push(e);
-        }
+        let qs = VectorSet::from_flat(self.model.dim(), embeddings.concat());
         let hits = self.index.search_batch(&qs, k, threads);
         let elapsed = start.elapsed();
         self.bulk_hist.record_duration(elapsed);

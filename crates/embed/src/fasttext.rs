@@ -9,7 +9,6 @@
 use crate::corpus::Corpus;
 use crate::encoder::StringEncoder;
 use crate::sgns::{NegativeSampler, SgnsModel};
-use emblookup_text::tokenize::{fasttext_ngrams, words};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::hash_map::DefaultHasher;
@@ -108,21 +107,103 @@ impl FastText {
         FastText { model, config, idf, max_idf }
     }
 
+    /// Training-time feature ids of one vocabulary token.
     fn ngram_ids(token: &str, config: &FastTextConfig) -> Vec<u32> {
-        fasttext_ngrams(token, config.min_n, config.max_n)
-            .into_iter()
-            .map(|g| {
-                let mut h = DefaultHasher::new();
-                g.hash(&mut h);
-                (h.finish() % config.buckets as u64) as u32
-            })
-            .collect()
+        let mut ids = Vec::new();
+        for_each_feature(&format!("<{token}>"), config, |id| ids.push(id));
+        ids
     }
 
     /// Embeds a single token through its n-gram features.
     pub fn token_vector(&self, token: &str) -> Vec<f32> {
         let ids = Self::ngram_ids(token, &self.config);
         self.model.embed_features(&ids)
+    }
+
+    /// [`StringEncoder::embed`] into caller-owned memory, allocating
+    /// nothing once `wrapped` has the capacity of the longest string seen:
+    /// `out` receives the embedding, `token_vec` (same length, the model's
+    /// dimension) and `wrapped` are working space whose contents on entry
+    /// do not matter. Every sum runs in the order `embed` always used —
+    /// features in `n`-then-position order into the token mean, tokens in
+    /// string order into the idf-weighted mean — so the result is
+    /// bit-identical to it.
+    ///
+    /// # Panics
+    /// Panics unless `out` and `token_vec` both have length `dim()`.
+    pub fn embed_into(&self, s: &str, wrapped: &mut String, token_vec: &mut [f32], out: &mut [f32]) {
+        let dim = self.model.dim();
+        assert_eq!(out.len(), dim, "fastText output length {} != dim {dim}", out.len());
+        assert_eq!(token_vec.len(), dim, "fastText scratch length {} != dim {dim}", token_vec.len());
+        out.fill(0.0);
+        // no token is longer than the string: grow once, not once per token
+        wrapped.clear();
+        wrapped.reserve(s.len() + 2);
+        let mut total_w = 0.0f32;
+        // `tokenize::words`, one token at a time into the reused buffer
+        for raw in s.split(|c: char| !c.is_alphanumeric()).filter(|t| !t.is_empty()) {
+            wrapped.clear();
+            wrapped.push('<');
+            wrapped.push_str(raw);
+            wrapped.make_ascii_lowercase();
+            wrapped.push('>');
+            let token = &wrapped[1..wrapped.len() - 1];
+            let w = self.idf.get(token).copied().unwrap_or(self.max_idf);
+
+            token_vec.fill(0.0);
+            let mut features = 0usize;
+            for_each_feature(wrapped, &self.config, |id| {
+                for (t, &x) in token_vec.iter_mut().zip(self.model.in_row(id)) {
+                    *t += x;
+                }
+                features += 1;
+            });
+            // every token has at least its whole-word feature
+            let inv = 1.0 / features as f32;
+            for (a, t) in out.iter_mut().zip(token_vec.iter()) {
+                *a += w * (*t * inv);
+            }
+            total_w += w;
+        }
+        if total_w > 0.0 {
+            for a in out.iter_mut() {
+                *a /= total_w;
+            }
+        }
+    }
+}
+
+/// The one enumeration of a token's subword features, shared by training
+/// ([`FastText::ngram_ids`]) and inference ([`FastText::embed_into`]) so the
+/// two cannot drift: every window of `n` characters of the wrapped token
+/// `"<token>"` for `n` in `min_n..=max_n`, by `n` then by position, and then
+/// the whole wrapped token unless one of those windows already was it. Each
+/// feature is handed over as its hash bucket — `DefaultHasher` over the
+/// n-gram as a `str`, which is what hashing the owned `String` fed it.
+fn for_each_feature(wrapped: &str, config: &FastTextConfig, mut f: impl FnMut(u32)) {
+    assert!(
+        config.min_n > 0 && config.min_n <= config.max_n,
+        "invalid n-gram range {}..={}",
+        config.min_n,
+        config.max_n
+    );
+    let mut emit = |gram: &str| {
+        let mut h = DefaultHasher::new();
+        gram.hash(&mut h);
+        f((h.finish() % config.buckets as u64) as u32);
+    };
+    let chars = wrapped.chars().count();
+    for n in config.min_n..=config.max_n.min(chars) {
+        // a window starting at character `i` ends where character `i + n`
+        // starts, or at the end of the string for the last window
+        let starts = wrapped.char_indices().map(|(at, _)| at);
+        let ends = starts.clone().skip(n).chain(std::iter::once(wrapped.len()));
+        for (start, end) in starts.zip(ends) {
+            emit(&wrapped[start..end]);
+        }
+    }
+    if !(config.min_n..=config.max_n).contains(&chars) {
+        emit(wrapped);
     }
 }
 
@@ -135,25 +216,8 @@ impl StringEncoder for FastText {
     /// non-empty alphabetic input — n-grams always exist. Unknown tokens
     /// get the maximum idf (they are maximally distinctive).
     fn embed(&self, s: &str) -> Vec<f32> {
-        let tokens = words(s);
         let mut acc = vec![0.0f32; self.dim()];
-        if tokens.is_empty() {
-            return acc;
-        }
-        let mut total_w = 0.0f32;
-        for token in &tokens {
-            let w = self.idf.get(token).copied().unwrap_or(self.max_idf);
-            let v = self.token_vector(token);
-            for (a, x) in acc.iter_mut().zip(v) {
-                *a += w * x;
-            }
-            total_w += w;
-        }
-        if total_w > 0.0 {
-            for a in &mut acc {
-                *a /= total_w;
-            }
-        }
+        self.embed_into(s, &mut String::new(), &mut vec![0.0f32; self.dim()], &mut acc);
         acc
     }
 
@@ -166,6 +230,9 @@ impl StringEncoder for FastText {
 mod tests {
     use super::*;
     use crate::word2vec::{Word2Vec, Word2VecConfig};
+    use emblookup_text::tokenize::{fasttext_ngrams, words};
+    use emblookup_text::NoiseInjector;
+    use rand::Rng;
 
     fn toy_corpus() -> Corpus {
         let mut c = Corpus::default();
@@ -228,6 +295,89 @@ mod tests {
         let a = FastText::train(&corpus, small_config());
         let b = FastText::train(&corpus, small_config());
         assert_eq!(a.embed("germany"), b.embed("germany"));
+    }
+
+    /// A feature id the way it was computed before the walker existed:
+    /// an owned n-gram `String` through `DefaultHasher`.
+    fn owned_ngram_ids(token: &str, config: &FastTextConfig) -> Vec<u32> {
+        fasttext_ngrams(token, config.min_n, config.max_n)
+            .into_iter()
+            .map(|g: String| {
+                let mut h = DefaultHasher::new();
+                g.hash(&mut h);
+                (h.finish() % config.buckets as u64) as u32
+            })
+            .collect()
+    }
+
+    /// `embed` as it was before `embed_into`: owned tokens, owned n-gram
+    /// strings, `embed_features` — the slow oracle of the differential test.
+    fn embed_oracle(ft: &FastText, s: &str) -> Vec<f32> {
+        let mut acc = vec![0.0f32; ft.dim()];
+        let mut total_w = 0.0f32;
+        for token in &words(s) {
+            let w = ft.idf.get(token).copied().unwrap_or(ft.max_idf);
+            let v = ft.model.embed_features(&owned_ngram_ids(token, &ft.config));
+            for (a, x) in acc.iter_mut().zip(v) {
+                *a += w * x;
+            }
+            total_w += w;
+        }
+        if total_w > 0.0 {
+            for a in &mut acc {
+                *a /= total_w;
+            }
+        }
+        acc
+    }
+
+    #[test]
+    fn walker_ids_equal_owned_ngram_hashes() {
+        let mut rng = StdRng::seed_from_u64(77);
+        let pool: Vec<char> = "abcdexyz019éß日本ñ".chars().collect();
+        let config = small_config();
+        let fixed = ["a", "ab", "abc", "abcd", "abcde"].map(String::from);
+        let seeded = (0..500).map(|_| {
+            let len = rng.gen_range(1..=12);
+            (0..len).map(|_| pool[rng.gen_range(0..pool.len())]).collect::<String>()
+        });
+        for token in fixed.into_iter().chain(seeded).collect::<Vec<_>>() {
+            assert_eq!(
+                FastText::ngram_ids(&token, &config),
+                owned_ngram_ids(&token, &config),
+                "{token:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn embed_into_is_bit_identical_to_the_owned_string_path() {
+        let ft = FastText::train(&toy_corpus(), small_config());
+        let mut rng = StdRng::seed_from_u64(5);
+        let typos = NoiseInjector::typos();
+        let labels = ["germany", "deutschland", "tokyo japan", "Federal Republic of Germany"];
+        let mut strings: Vec<String> = [
+            "", " ", "日本語", "Ünïcode Straße", "a", "ab", "abc", "abcd", "GerMANY tokyo",
+            "AT&T Corp.", "route 66",
+        ]
+        .map(String::from)
+        .to_vec();
+        strings.push("x".repeat(500));
+        strings.push("q".to_string()); // short after long: nothing of the long token may survive
+        for i in 0..600 {
+            strings.push(typos.corrupt(labels[i % labels.len()], &mut rng));
+        }
+        // one set of working buffers for the whole run, dirty on entry
+        let mut wrapped = String::from("<stale>");
+        let mut token_vec = vec![f32::NAN; ft.dim()];
+        let mut out = vec![f32::NAN; ft.dim()];
+        for s in &strings {
+            ft.embed_into(s, &mut wrapped, &mut token_vec, &mut out);
+            let want = embed_oracle(&ft, s);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&out), bits(&want), "embed_into differs for {s:?}");
+            assert_eq!(bits(&ft.embed(s)), bits(&want), "embed differs for {s:?}");
+        }
     }
 }
 

@@ -71,6 +71,11 @@ impl SgnsModel {
         self.dim
     }
 
+    /// The input vector of feature `f`.
+    pub(crate) fn in_row(&self, f: u32) -> &[f32] {
+        &self.in_vecs[f as usize * self.dim..(f as usize + 1) * self.dim]
+    }
+
     /// Mean of the input-feature vectors for `features`; the zero vector
     /// for an empty feature set.
     pub fn embed_features(&self, features: &[u32]) -> Vec<f32> {
@@ -79,8 +84,7 @@ impl SgnsModel {
             return out;
         }
         for &f in features {
-            let row = &self.in_vecs[f as usize * self.dim..(f as usize + 1) * self.dim];
-            for (o, &x) in out.iter_mut().zip(row) {
+            for (o, &x) in out.iter_mut().zip(self.in_row(f)) {
                 *o += x;
             }
         }

@@ -139,6 +139,101 @@ fn column_onehot(xd: &[f32], c_in: usize, l: usize) -> Option<Vec<(u32, f32)>> {
     Some(cols)
 }
 
+// ---------------------------------------------------------------------
+// Slice kernels of the graph-free encoder pass. A plane is `[C][L + K - 1]`
+// row-major: each row carries `K / 2` zeros on either side of its `L`
+// samples (K odd), so tap `kk` of output `t` reads padded position
+// `t + kk` with no edge cases. A kernel writes the `L` samples of every
+// output row and never touches its halo. Each adds in the order
+// `conv1d_forward` adds — that is what makes the encoder's output
+// bit-identical to the tensor path — so the terms `conv1d_forward` skips
+// (out-of-range taps, empty channels, zero weights) appear here as `+ w·0`,
+// which changes no finite sum.
+// ---------------------------------------------------------------------
+
+/// One "same"-padded layer over a padded plane: `x` is `[C_in][L + K - 1]`,
+/// `w` `[C_out][C_in][K]`, `b` `[C_out]`, `y` `[C_out][L + K - 1]`. Like
+/// `conv1d_forward` it gathers when no input column has two nonzeros (and
+/// the input is not narrow) and runs the dense sum otherwise; the two sum
+/// in different orders, so the choice is part of the result.
+pub(crate) fn conv1d_rows(x: &[f32], w: &[f32], b: &[f32], y: &mut [f32], k: usize, l: usize) {
+    let (stride, pad) = (l + k - 1, k / 2);
+    let c_in = x.len() / stride;
+    let sample = |ci: usize, u: usize| x[ci * stride + pad + u];
+    // lint: allow(L007) exact-zero sparsity test, NaN counts as occupied — the test `column_onehot` makes; a dense plane fails it in its first column
+    let nonzeros = |u: usize| (0..c_in).filter(move |&ci| sample(ci, u) != 0.0);
+    if c_in >= 8 && (0..l).all(|u| nonzeros(u).nth(1).is_none()) {
+        fill_bias(b, y, k, l);
+        for u in 0..l {
+            for ci in nonzeros(u) {
+                scatter_sample(w, y, (c_in, k, l), (u, ci, sample(ci, u)));
+            }
+        }
+        return;
+    }
+    // dense: bias first, then (ci, kk) in lexicographic order, multiply then add
+    for (co, (yrow, &bias)) in y.chunks_exact_mut(stride).zip(b).enumerate() {
+        let orow = &mut yrow[pad..pad + l];
+        orow.fill(bias);
+        let taps = &w[co * c_in * k..(co + 1) * c_in * k];
+        for (xrow, wrow) in x.chunks_exact(stride).zip(taps.chunks_exact(k)) {
+            for (kk, &wv) in wrow.iter().enumerate() {
+                for (o, &xv) in orow.iter_mut().zip(&xrow[kk..kk + l]) {
+                    *o += wv * xv;
+                }
+            }
+        }
+    }
+}
+
+/// The first layer: its input plane is one-hot, given as the row of each
+/// occupied column in column order, and is never built — every output is
+/// the bias plus one weight tap per character in reach, ascending in time,
+/// which is the gather `conv1d_forward` performs on the one-hot matrix.
+pub(crate) fn conv1d_rows_onehot(
+    rows: impl Iterator<Item = usize>,
+    w: &[f32],
+    b: &[f32],
+    y: &mut [f32],
+    k: usize,
+    l: usize,
+) {
+    let c_in = w.len() / (b.len() * k);
+    fill_bias(b, y, k, l);
+    for (u, ci) in rows.take(l).enumerate() {
+        assert!(ci < c_in, "one-hot row {ci} outside {c_in} input channels");
+        scatter_sample(w, y, (c_in, k, l), (u, ci, 1.0));
+    }
+}
+
+fn fill_bias(b: &[f32], y: &mut [f32], k: usize, l: usize) {
+    for (yrow, &bias) in y.chunks_exact_mut(l + k - 1).zip(b) {
+        yrow[k / 2..][..l].fill(bias);
+    }
+}
+
+/// Adds what one input sample — value `val` of channel `ci` at time `u` —
+/// contributes to every output row: tap `kk` lands on output `u + pad - kk`.
+/// Called for `u = 0, 1, …` it sums each output in ascending `u`.
+#[inline]
+fn scatter_sample(
+    w: &[f32],
+    y: &mut [f32],
+    (c_in, k, l): (usize, usize, usize),
+    (u, ci, val): (usize, usize, f32),
+) {
+    let (stride, pad) = (l + k - 1, k / 2);
+    for (co, yrow) in y.chunks_exact_mut(stride).enumerate() {
+        let taps = &w[(co * c_in + ci) * k..][..k];
+        for (kk, &wv) in taps.iter().enumerate() {
+            let at = u + k - 1 - kk; // padded position of output `u + pad - kk`
+            if (pad..pad + l).contains(&at) {
+                yrow[at] += val * wv;
+            }
+        }
+    }
+}
+
 /// Gradients of the forward convolution. Returns `(gx, gw, gb)`.
 pub fn conv1d_backward(
     x: &Tensor,
@@ -330,6 +425,75 @@ mod tests {
             assert_eq!(fast.shape(), slow.shape());
             for (a, bb) in fast.data().iter().zip(slow.data()) {
                 assert!((a - bb).abs() < 1e-5, "mismatch {a} vs {bb} at {c_in},{l},{c_out},{k},{pad}");
+            }
+        }
+    }
+
+    /// `[C, L]` tensor → padded plane.
+    fn to_plane(x: &Tensor, k: usize) -> Vec<f32> {
+        let (c, l) = (x.shape()[0], x.shape()[1]);
+        let mut plane = vec![0.0f32; c * (l + k - 1)];
+        for (prow, xrow) in plane.chunks_exact_mut(l + k - 1).zip(x.data().chunks_exact(l)) {
+            prow[k / 2..][..l].copy_from_slice(xrow);
+        }
+        plane
+    }
+
+    /// Checks a plane kernel's output against `conv1d_forward` bit for bit
+    /// and against `conv_reference` within rounding, and that the halo of
+    /// `y` — handed in dirty between the halos — is still zero.
+    fn check_plane(run: impl Fn(&mut [f32]), x: &Tensor, w: &Tensor, b: &Tensor, what: &str) {
+        let (l, c_out, k) = (x.shape()[1], w.shape()[0], w.shape()[2]);
+        let (stride, pad) = (l + k - 1, k / 2);
+        let mut y = to_plane(&Tensor::full(&[c_out, l], f32::NAN), k);
+        run(&mut y);
+        let fast = conv1d_forward(x, w, b, pad);
+        let slow = conv_reference(x, w, b, pad);
+        for (co, yrow) in y.chunks_exact(stride).enumerate() {
+            assert!(yrow[..pad].iter().chain(&yrow[pad + l..]).all(|v| v.to_bits() == 0), "{what}: halo written");
+            for t in 0..l {
+                let got = yrow[pad + t];
+                assert_eq!(got.to_bits(), fast.data()[co * l + t].to_bits(), "{what}: [{co},{t}] vs forward");
+                assert!((got - slow.data()[co * l + t]).abs() < 1e-5, "{what}: [{co},{t}] vs reference");
+            }
+        }
+    }
+
+    #[test]
+    fn plane_kernels_match_forward_bitwise_and_reference() {
+        let mut rng = StdRng::seed_from_u64(21);
+        for (c_in, l, c_out, k) in [(8, 32, 8, 3), (6, 16, 6, 3), (3, 7, 2, 5), (9, 5, 4, 1), (8, 1, 3, 3)] {
+            let w = Tensor::uniform(&[c_out, c_in, k], -1.0, 1.0, &mut rng);
+            let b = Tensor::uniform(&[c_out], -0.5, 0.5, &mut rng);
+            // dense activations, as after a ReLU: some exact zeros, one empty channel
+            let mut dense = Tensor::uniform(&[c_in, l], -1.0, 1.0, &mut rng);
+            for v in dense.data_mut() {
+                *v = v.max(0.0);
+            }
+            dense.data_mut()[..l].fill(0.0);
+            // at most one nonzero per column, some columns empty: gathers when c_in >= 8
+            let mut sparse = Tensor::zeros(&[c_in, l]);
+            for t in (0..l).filter(|t| t % 4 != 3) {
+                sparse.data_mut()[((t * 5 + 2) % c_in) * l + t] = 0.25 + t as f32;
+            }
+            for (x, what) in [(&dense, "dense"), (&sparse, "sparse"), (&Tensor::zeros(&[c_in, l]), "empty")] {
+                let plane = to_plane(x, k);
+                let what = format!("{what} {c_in}x{l}->{c_out} k{k}");
+                check_plane(|y| conv1d_rows(&plane, w.data(), b.data(), y, k, l), x, &w, &b, &what);
+            }
+            // one-hot columns for the first `filled` times, rows in any order
+            if c_in < 8 {
+                continue; // `conv1d_forward` gathers wide inputs only, and an alphabet is wide
+            }
+            for filled in [0, 1, l / 2, l] {
+                let rows: Vec<usize> = (0..filled).map(|t| (t * 7 + 3) % c_in).collect();
+                let mut onehot = Tensor::zeros(&[c_in, l]);
+                for (t, &r) in rows.iter().enumerate() {
+                    onehot.data_mut()[r * l + t] = 1.0;
+                }
+                let what = format!("onehot {filled}/{l} of {c_in}->{c_out} k{k}");
+                let run = |y: &mut [f32]| conv1d_rows_onehot(rows.iter().copied(), w.data(), b.data(), y, k, l);
+                check_plane(run, &onehot, &w, &b, &what);
             }
         }
     }

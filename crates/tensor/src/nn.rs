@@ -62,20 +62,42 @@ impl Linear {
 
     /// Graph-free forward for inference on `[n, in_dim]` or `[in_dim]`.
     pub fn infer(&self, store: &ParamStore, x: &Tensor) -> Tensor {
-        let w = store.get(self.w);
-        let b = store.get(self.b);
-        let rows = if x.rank() == 1 { 1 } else { x.rows() };
-        let x2 = x.clone().reshape(&[rows, self.in_dim]);
-        let mut y = x2.matmul(w);
-        for r in 0..rows {
-            for j in 0..self.out_dim {
-                y.data_mut()[r * self.out_dim + j] += b.data()[j];
+        if x.rank() == 1 {
+            let mut y = vec![0.0f32; self.out_dim];
+            self.infer_into(store, x.data(), &mut y);
+            return Tensor::from_vec(&[self.out_dim], y);
+        }
+        let mut y = x.matmul(store.get(self.w));
+        for row in y.data_mut().chunks_exact_mut(self.out_dim) {
+            for (o, &bias) in row.iter_mut().zip(store.get(self.b).data()) {
+                *o += bias;
             }
         }
-        if x.rank() == 1 {
-            y.reshape(&[self.out_dim])
-        } else {
-            y
+        y
+    }
+
+    /// [`Linear::infer`] for one row, slice to slice: `y = x W + b` with
+    /// the sums in the order the row-vector `matmul` runs them — from
+    /// zero, input by input with zero inputs skipped, the bias last — so
+    /// the two agree bit for bit.
+    ///
+    /// # Panics
+    /// Panics unless `x` has `in_dim` and `y` `out_dim` elements.
+    pub fn infer_into(&self, store: &ParamStore, x: &[f32], y: &mut [f32]) {
+        assert_eq!(x.len(), self.in_dim, "linear input len {} != in_dim {}", x.len(), self.in_dim);
+        assert_eq!(y.len(), self.out_dim, "linear output len {} != out_dim {}", y.len(), self.out_dim);
+        y.fill(0.0);
+        for (&a, wrow) in x.iter().zip(store.get(self.w).data().chunks_exact(self.out_dim)) {
+            // lint: allow(L007) exact-zero sparsity skip, as in `matmul`: ReLU leaves many inputs exactly zero
+            if a == 0.0 {
+                continue;
+            }
+            for (o, &wv) in y.iter_mut().zip(wrow) {
+                *o += a * wv;
+            }
+        }
+        for (o, &bias) in y.iter_mut().zip(store.get(self.b).data()) {
+            *o += bias;
         }
     }
 
@@ -150,6 +172,46 @@ impl Conv1dLayer {
             self.in_channels
         );
         crate::conv::conv1d_forward(x, store.get(self.w), store.get(self.b), self.pad)
+    }
+
+    /// [`Conv1dLayer::infer`] plane to plane, for odd kernels. A plane is
+    /// `[C][len + kernel - 1]` row-major, every row holding `pad` zeros,
+    /// its `len` samples, `pad` zeros; `y`'s samples are overwritten with
+    /// exactly the values `infer` returns for `x`'s, its zeros are left
+    /// alone.
+    ///
+    /// # Panics
+    /// Panics if either plane's size disagrees with the layer and `len`.
+    pub fn infer_rows(&self, store: &ParamStore, x: &[f32], y: &mut [f32], len: usize) {
+        assert_eq!(x.len(), self.plane_len(self.in_channels, len), "conv input plane size");
+        assert_eq!(y.len(), self.plane_len(self.out_channels, len), "conv output plane size");
+        let (w, b) = (store.get(self.w).data(), store.get(self.b).data());
+        crate::conv::conv1d_rows(x, w, b, y, self.kernel, len);
+    }
+
+    /// [`Conv1dLayer::infer_rows`] for a one-hot input that is never
+    /// built: `rows` yields, column by column from the first, the row
+    /// holding the `1.0`; columns past its end are empty.
+    ///
+    /// # Panics
+    /// Panics if `y`'s size disagrees with the layer and `len`, or a row
+    /// is not below `in_channels`.
+    pub fn infer_onehot(
+        &self,
+        store: &ParamStore,
+        rows: impl Iterator<Item = usize>,
+        y: &mut [f32],
+        len: usize,
+    ) {
+        assert_eq!(y.len(), self.plane_len(self.out_channels, len), "conv output plane size");
+        let (w, b) = (store.get(self.w).data(), store.get(self.b).data());
+        crate::conv::conv1d_rows_onehot(rows, w, b, y, self.kernel, len);
+    }
+
+    /// Elements of a `channels`-row plane over `len` samples.
+    fn plane_len(&self, channels: usize, len: usize) -> usize {
+        assert!(!self.kernel.is_multiple_of(2), "conv planes need an odd kernel, got {}", self.kernel);
+        channels * (len + self.kernel - 1)
     }
 }
 
@@ -412,6 +474,58 @@ mod tests {
         let x = Tensor::uniform(&[4], -1.0, 1.0, &mut rng);
         let y = layer.infer(&store, &x);
         assert_eq!(y.shape(), &[3]);
+    }
+
+    #[test]
+    fn linear_infer_into_is_the_row_vector_matmul_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut store = ParamStore::new();
+        let layer = Linear::new(&mut store, "l", 13, 9, &mut rng);
+        *store.get_mut(layer.b) = Tensor::uniform(&[9], -1.0, 1.0, &mut rng);
+        let mut x = Tensor::uniform(&[13], -1.0, 1.0, &mut rng);
+        for i in [0, 4, 12] {
+            x.data_mut()[i] = 0.0; // the skipped inputs
+        }
+        let mut want = x.clone().reshape(&[1, 13]).matmul(store.get(layer.w));
+        for (o, &b) in want.data_mut().iter_mut().zip(store.get(layer.b).data()) {
+            *o += b;
+        }
+        let mut got = vec![f32::NAN; 9];
+        layer.infer_into(&store, x.data(), &mut got);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(want.data()));
+        assert_eq!(bits(layer.infer(&store, &x).data()), bits(want.data()));
+    }
+
+    #[test]
+    fn conv_planes_match_infer_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut store = ParamStore::new();
+        let (c_in, c_out, k, l) = (10, 4, 3, 12);
+        let layer = Conv1dLayer::new(&mut store, "c", c_in, c_out, k, &mut rng);
+        *store.get_mut(layer.b) = Tensor::uniform(&[c_out], -1.0, 1.0, &mut rng);
+        let stride = l + k - 1;
+        let samples = |plane: &[f32]| -> Vec<u32> {
+            plane.chunks_exact(stride).flat_map(|r| &r[k / 2..][..l]).map(|v| v.to_bits()).collect()
+        };
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+
+        let rows = [3usize, 9, 0, 3, 7];
+        let mut onehot = Tensor::zeros(&[c_in, l]);
+        for (t, &r) in rows.iter().enumerate() {
+            onehot.set2(r, t, 1.0);
+        }
+        let mut y = vec![0.0f32; c_out * stride];
+        layer.infer_onehot(&store, rows.iter().copied(), &mut y, l);
+        assert_eq!(samples(&y), bits(&layer.infer(&store, &onehot)));
+
+        let x = Tensor::uniform(&[c_in, l], -1.0, 1.0, &mut rng);
+        let mut plane = vec![0.0f32; c_in * stride];
+        for (prow, xrow) in plane.chunks_exact_mut(stride).zip(x.data().chunks_exact(l)) {
+            prow[k / 2..][..l].copy_from_slice(xrow);
+        }
+        layer.infer_rows(&store, &plane, &mut y, l);
+        assert_eq!(samples(&y), bits(&layer.infer(&store, &x)));
     }
 
     #[test]

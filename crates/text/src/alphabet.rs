@@ -15,6 +15,9 @@ use std::collections::BTreeMap;
 pub struct Alphabet {
     chars: Vec<char>,
     index: BTreeMap<char, usize>,
+    /// `pos` of every ASCII code point, case-folded — entity labels are
+    /// almost entirely ASCII, so the map is only consulted for the rest.
+    ascii: [u32; 128],
 }
 
 impl Alphabet {
@@ -31,7 +34,12 @@ impl Alphabet {
                 list.push(c);
             }
         }
-        Alphabet { chars: list, index }
+        let mut ascii = [0u32; 128];
+        for (b, slot) in (0u8..).zip(&mut ascii) {
+            let folded = char::from(b.to_ascii_lowercase());
+            *slot = *index.get(&folded).unwrap_or(&list.len()) as u32;
+        }
+        Alphabet { chars: list, index, ascii }
     }
 
     /// The default EmbLookup alphabet: lowercase ASCII letters, digits,
@@ -57,8 +65,11 @@ impl Alphabet {
     /// Positional index of `c`, or the `<unk>` slot for unknown characters.
     /// Uppercase ASCII is folded to lowercase first.
     pub fn pos(&self, c: char) -> usize {
-        let c = c.to_ascii_lowercase();
-        *self.index.get(&c).unwrap_or(&self.chars.len())
+        match self.ascii.get(c as usize) {
+            Some(&p) => p as usize,
+            // non-ASCII has no ASCII case folding to apply
+            None => *self.index.get(&c).unwrap_or(&self.chars.len()),
+        }
     }
 
     /// True when `c` (case-folded) is a member of the alphabet.
@@ -114,11 +125,17 @@ impl OneHotEncoder {
     pub fn encode(&self, s: &str) -> Vec<f32> {
         let rows = self.rows();
         let mut out = vec![0.0f32; rows * self.max_len];
-        for (col, c) in s.chars().take(self.max_len).enumerate() {
-            let row = self.alphabet.pos(c);
+        for (col, row) in self.indices(s).enumerate() {
             out[row * self.max_len + col] = 1.0;
         }
         out
+    }
+
+    /// The same encoding without the matrix: the one-hot row of each of
+    /// the first `max_len` characters, in column order. Columns past the
+    /// end of the string have no row and are simply not yielded.
+    pub fn indices<'a>(&'a self, s: &'a str) -> impl Iterator<Item = usize> + 'a {
+        s.chars().take(self.max_len).map(|c| self.alphabet.pos(c))
     }
 
     /// Shape of the encoded matrix as `(rows, cols)`.
@@ -177,6 +194,35 @@ mod tests {
         let enc = OneHotEncoder::new(Alphabet::default_lookup(), 4);
         let m = enc.encode("");
         assert!(m.iter().all(|&x| x == 0.0));
+    }
+
+    #[test]
+    fn ascii_table_agrees_with_the_map() {
+        // an alphabet with uppercase and non-ASCII members: uppercase
+        // entries are unreachable (input is folded first), 'é' is not
+        let alpha = Alphabet::new("abXé-".chars());
+        let unk = alpha.len() - 1;
+        for c in (0u8..128).map(char::from).chain("éÉ日ß".chars()) {
+            let folded = c.to_ascii_lowercase();
+            let expected = alpha.chars().iter().position(|&a| a == folded).unwrap_or(unk);
+            assert_eq!(alpha.pos(c), expected, "{c:?}");
+        }
+        assert_eq!(alpha.pos('x'), unk);
+        assert_eq!(alpha.pos('é'), 3);
+    }
+
+    #[test]
+    fn indices_are_the_nonzero_rows_of_encode() {
+        let enc = OneHotEncoder::new(Alphabet::default_lookup(), 8);
+        for s in ["", "cad", "East Berlin 1990", "日本語 x", "  "] {
+            let m = enc.encode(s);
+            let idx: Vec<usize> = enc.indices(s).collect();
+            assert_eq!(idx.len(), s.chars().count().min(8));
+            for col in 0..8 {
+                let rows: Vec<usize> = (0..enc.rows()).filter(|r| m[r * 8 + col] != 0.0).collect();
+                assert_eq!(rows, idx.get(col).copied().into_iter().collect::<Vec<_>>(), "{s:?} col {col}");
+            }
+        }
     }
 
     #[test]

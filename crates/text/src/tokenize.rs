@@ -50,10 +50,10 @@ pub fn fasttext_ngrams(token: &str, min_n: usize, max_n: usize) -> Vec<String> {
             out.push(w.iter().collect());
         }
     }
-    // the whole wrapped word is always its own feature
-    let whole: String = wrapped.iter().collect();
-    if !out.contains(&whole) {
-        out.push(whole);
+    // the whole wrapped word is always its own feature; the windows above
+    // already produced it exactly when its length is one of the `n`
+    if !(min_n..=max_n).contains(&wrapped.len()) {
+        out.push(wrapped.iter().collect());
     }
     out
 }
@@ -98,6 +98,16 @@ mod tests {
         assert!(g.contains(&"b>".to_string()));
         assert!(g.contains(&"<ab".to_string()));
         assert!(g.contains(&"<ab>".to_string())); // whole word
+    }
+
+    #[test]
+    fn whole_word_feature_appears_exactly_once() {
+        // wrapped lengths below, at both ends of, inside and above 3..=5
+        for token in ["", "a", "ab", "abc", "abcd", "abcdefgh", "日本"] {
+            let whole = format!("<{token}>");
+            let g = fasttext_ngrams(token, 3, 5);
+            assert_eq!(g.iter().filter(|x| **x == whole).count(), 1, "{token:?}: {g:?}");
+        }
     }
 
     #[test]

@@ -24,6 +24,15 @@ EMBLOOKUP_THREADS=1 cargo test -q --offline --workspace
 echo "== cargo test -q --offline --workspace (default threads) =="
 cargo test -q --offline --workspace
 
+# The benchmark package is a workspace of its own (path dependencies on
+# crates/*), so --workspace never compiles it: without these two lines a
+# signature change that breaks the harness is found only when the PR is
+# benchmarked. Builds into the git-ignored benchmark/target, as
+# benchmark/run.sh does.
+echo "== benchmark package: cargo build --release + cargo test (offline) =="
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 # Kernel-dispatch matrix: the ann suite must hold under both the forced
 # scalar fallback and auto-detected SIMD (EMBLOOKUP_KERNEL resolves once
 # per process, so each setting needs its own run). The ANN bench smoke

@@ -1,0 +1,136 @@
+//! Heap-allocation budget of the query path, counted in the running binary.
+//!
+//! The lint's hot-path rules (L002/L010) match allocation *idioms* in the
+//! source — `format!`, `to_string`, `Box::new`; a `Tensor` per layer or a
+//! `String` per n-gram is invisible to them. This test wraps the global
+//! allocator and counts what one call really does. Every bound below is a
+//! ratchet: it states today's figure and may only be lowered.
+//!
+//! One `#[test]` only: the counter is process-wide, so that the pool's
+//! workers are counted too, and a second test running beside this one
+//! would be counted with them.
+
+use emblookup::core::{EmbLookupModel, EmbedScratch};
+use emblookup::embed::{Corpus, FastText, FastTextConfig};
+use emblookup::obs::sync::RelaxedU64;
+use emblookup::prelude::*;
+use emblookup::text::NoiseInjector;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::Arc;
+
+struct CountingAllocator;
+
+static ALLOCATIONS: RelaxedU64 = RelaxedU64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`, whose
+// contract is the one the caller already upholds; the counter is a relaxed
+// atomic add and allocates nothing.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.add(1);
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.add(1);
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.add(1);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// Allocations (and reallocations) made, on any thread, while `f` runs.
+fn allocations<T>(f: impl FnOnce() -> T) -> u64 {
+    let before = ALLOCATIONS.get();
+    std::hint::black_box(f());
+    ALLOCATIONS.get() - before
+}
+
+/// The most any one of `queries` costs under `f`.
+fn worst<'a>(queries: &[&'a str], mut f: impl FnMut(&'a str)) -> u64 {
+    queries.iter().map(|q| allocations(|| f(q))).max().unwrap_or(0)
+}
+
+#[test]
+fn query_path_stays_inside_its_allocation_budget() {
+    // the paper's architecture over the 600-entity graph; the weights need
+    // no training to allocate like trained ones
+    let synth = generate(SynthKgConfig::small(11));
+    let config = EmbLookupConfig::default();
+    let fasttext = FastText::train(
+        &Corpus::from_kg(&synth.kg),
+        FastTextConfig { dim: config.fasttext_dim, epochs: 1, ..Default::default() },
+    );
+    let model = Arc::new(EmbLookupModel::new(fasttext, config));
+
+    // 200 mixed strings: labels, one typo each, aliases, and the shapes
+    // that take the odd branches (empty, blank, non-alphabet, over max_len)
+    let typos = NoiseInjector::typos();
+    let mut rng = StdRng::seed_from_u64(3);
+    let mut owned: Vec<String> =
+        ["", " ", "日本語", "Ünïcode Straße", "a"].map(String::from).to_vec();
+    owned.push("x".repeat(500));
+    for e in synth.kg.entities().take(65) {
+        owned.push(e.label.clone());
+        owned.push(typos.corrupt(&e.label, &mut rng));
+        owned.push(e.aliases.first().unwrap_or(&e.label).clone());
+    }
+    let queries: Vec<&str> = owned.iter().map(String::as_str).take(200).collect();
+    assert_eq!(queries.len(), 200);
+
+    // A warm scratch allocates nothing. The one warm-up call is on the
+    // longest string: the token buffer grows to the longest string seen.
+    let mut scratch = EmbedScratch::default();
+    let mut out = vec![0.0f32; model.dim()];
+    let longest = queries.iter().copied().max_by_key(|q| q.len()).unwrap_or("");
+    model.embed_into(longest, &mut scratch, &mut out);
+    let warm = allocations(|| {
+        for q in &queries {
+            model.embed_into(q, &mut scratch, &mut out);
+        }
+    });
+    assert_eq!(warm, 0, "embed_into with a warm scratch allocated {warm} times over 200 strings");
+
+    // `embed` = a fresh scratch (its float buffer, its token buffer) + the
+    // output vector. Was 91 per call on average with a `Tensor` per layer.
+    let embed = worst(&queries, |q| drop(model.embed(q)));
+    assert!(embed <= 3, "embed allocated {embed} times (budget 3)");
+
+    // A lookup adds what `EntityIndex::search` costs on top of `embed`: the
+    // neighbour list and the entity list, and on PQ the query's distance
+    // table. Was 94.
+    for (compression, budget) in [(Compression::None, 5), (Compression::default_pq(), 6)] {
+        let service = EmbLookup::from_model(Arc::clone(&model), &synth.kg, compression);
+        service.lookup_with_distances(longest, 10);
+        let lookup = worst(&queries, |q| drop(service.lookup_with_distances(q, 10)));
+        assert!(
+            lookup <= budget,
+            "lookup_with_distances on {} allocated {lookup} times (budget {budget})",
+            compression.name()
+        );
+
+        // Bulk: three per query — the output vector from `embed_batch`,
+        // the neighbour list, the entity list — and a per-call part that
+        // grows with the pool width: a scratch and a task per chunk, the
+        // result slots, the batch's query matrix (8 at width 1, 38 at 2,
+        // 85 at 8 when this was written).
+        let batch: Vec<&str> = queries.iter().copied().cycle().take(256).collect();
+        service.bulk_lookup(&batch, 10);
+        let bulk = allocations(|| drop(service.bulk_lookup(&batch, 10)));
+        let bulk_budget = 3 * batch.len() as u64 + 16 * (emblookup::core::num_threads() as u64 + 1);
+        assert!(
+            bulk <= bulk_budget,
+            "bulk_lookup of 256 on {} allocated {bulk} times (budget {bulk_budget})",
+            compression.name()
+        );
+    }
+}
