@@ -1,6 +1,6 @@
 //! PQ-fused HNSW traversal (kANNolo-style, arXiv:2501.06121).
 //!
-//! The plain [`HnswIndex`](crate::hnsw::HnswIndex) scores every beam
+//! The plain [`HnswIndex`] scores every beam
 //! candidate with an exact `sq_l2` against full-precision vectors. This
 //! variant fuses product quantization into the traversal instead:
 //!

@@ -13,7 +13,6 @@ pub mod bert_mini;
 pub mod corpus;
 pub mod encoder;
 pub mod fasttext;
-pub mod gru_encoder;
 pub mod lstm_encoder;
 pub mod sgns;
 pub mod transe;
@@ -23,7 +22,6 @@ pub use bert_mini::{BertMini, BertMiniConfig};
 pub use corpus::Corpus;
 pub use encoder::StringEncoder;
 pub use fasttext::{FastText, FastTextConfig};
-pub use gru_encoder::{GruEncoder, GruEncoderConfig};
 pub use lstm_encoder::{LstmEncoder, LstmEncoderConfig};
 pub use transe::{TransE, TransEConfig};
 pub use word2vec::{Word2Vec, Word2VecConfig};

@@ -165,21 +165,11 @@ pub const STD_METHODS: &[&str] = &[
     "values_mut", "wait", "wait_timeout", "windows", "wrapping_add", "write", "zip",
 ];
 
-/// Pool fan-out entry points: a caller blocks until the parallel work
-/// completes (the `POOLWAIT` effect).
-pub const POOLWAIT_NAMES: &[&str] = &[
-    "parallel_for",
-    "try_parallel_for",
-    "parallel_map",
-    "try_parallel_map",
-    "parallel_map_with",
-    "try_parallel_map_with",
-    "parallel_map_traced",
-    "try_parallel_map_traced",
-];
-
-/// Pool submission entry points (the `SUBMITS` effect).
-pub const SUBMIT_NAMES: &[&str] = &["submit", "try_submit"];
+/// The pool's blocking entry points — exactly its public fork-join
+/// calls: the caller blocks until the parallel work completes (the
+/// `POOLWAIT` effect). `scatter` is the one on the serve request path.
+pub const POOLWAIT_NAMES: &[&str] =
+    &["parallel_map", "parallel_map_with", "parallel_map_traced", "scatter"];
 
 /// Method names that constitute a deadline check for L012: calling any
 /// of these on a clock dominates the rest of the function body.

@@ -14,7 +14,7 @@
 //! take, directly or through callees), the substrate of the L009
 //! cross-crate lock-order graph.
 
-use crate::callgraph::{CallGraph, POOLWAIT_NAMES, SUBMIT_NAMES};
+use crate::callgraph::{CallGraph, POOLWAIT_NAMES};
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
@@ -30,11 +30,9 @@ pub const PANICS: u8 = 1 << 3;
 /// Produces results whose order depends on unordered iteration or
 /// thread interleaving (an L008 determinism hazard).
 pub const NONDET: u8 = 1 << 4;
-/// Submits work to the compute pool (`Pool::submit`/`try_submit`).
-pub const SUBMITS: u8 = 1 << 5;
-/// Waits for pool fan-out to complete (`parallel_for`/`parallel_map`
-/// family) — blocking with respect to the bounded injector.
-pub const POOLWAIT: u8 = 1 << 6;
+/// Waits for pool fan-out to complete (the `parallel_map` family and
+/// `scatter`): the caller blocks, helping, until every chunk has run.
+pub const POOLWAIT: u8 = 1 << 5;
 
 /// Human-readable name of a single effect bit.
 pub fn bit_name(bit: u8) -> &'static str {
@@ -44,7 +42,6 @@ pub fn bit_name(bit: u8) -> &'static str {
         BLOCKS => "blocks",
         PANICS => "panics",
         NONDET => "nondeterministic-order",
-        SUBMITS => "submits-to-pool",
         POOLWAIT => "waits-on-pool",
         _ => "unknown",
     }
@@ -83,7 +80,7 @@ pub struct Effects {
     pub acq_witness: BTreeMap<(usize, String), Witness>,
 }
 
-const ALL_BITS: [u8; 7] = [ALLOC, LOCKS, BLOCKS, PANICS, NONDET, SUBMITS, POOLWAIT];
+const ALL_BITS: [u8; 6] = [ALLOC, LOCKS, BLOCKS, PANICS, NONDET, POOLWAIT];
 
 /// Crate-qualified lock key for a file-local receiver ident.
 pub fn lock_key(krate: &str, ident: &str) -> String {
@@ -144,21 +141,12 @@ pub fn propagate(g: &CallGraph) -> Effects {
             }
         }
         for c in &node.fact.calls {
-            let bit = if SUBMIT_NAMES.contains(&c.name.as_str()) {
-                Some(SUBMITS)
-            } else if POOLWAIT_NAMES.contains(&c.name.as_str()) {
-                Some(POOLWAIT)
-            } else {
-                None
-            };
-            if let Some(b) = bit {
-                if effects[i] & b == 0 {
-                    effects[i] |= b;
-                    witness.insert(
-                        (i, b),
-                        Witness::Local { line: c.line, what: format!("`{}(…)`", c.name) },
-                    );
-                }
+            if POOLWAIT_NAMES.contains(&c.name.as_str()) && effects[i] & POOLWAIT == 0 {
+                effects[i] |= POOLWAIT;
+                witness.insert(
+                    (i, POOLWAIT),
+                    Witness::Local { line: c.line, what: format!("`{}(…)`", c.name) },
+                );
             }
         }
     }

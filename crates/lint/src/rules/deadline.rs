@@ -1,6 +1,6 @@
 //! L012 — deadline propagation: every function reachable from a
-//! `crates/serve` request handler that blocks (a `BLOCKS` seed, a pool
-//! `submit`, or a `parallel_*` fan-out) must either receive a
+//! `crates/serve` request handler that blocks (a `BLOCKS` seed or a
+//! pool fan-out: `parallel_map*`, `scatter`) must either receive a
 //! deadline-bearing parameter (`DeadlineClock`, or a param named
 //! `clock`/`deadline`) or be dominated by a deadline check
 //! (`.expired()`, `.remaining_ms()`, a `DeadlineClock::…`
@@ -14,7 +14,7 @@
 //! dominated is a violation, reported with the handler→…→site witness
 //! chain (file:line per hop).
 
-use crate::callgraph::{CallGraph, POOLWAIT_NAMES, SUBMIT_NAMES};
+use crate::callgraph::{CallGraph, POOLWAIT_NAMES};
 use crate::effects::BLOCKS;
 use crate::engine::Violation;
 use std::collections::VecDeque;
@@ -90,9 +90,7 @@ pub fn check(g: &CallGraph) -> Vec<Violation> {
             .map(|s| (s.line, s.what.clone()))
             .collect();
         for c in &node.fact.calls {
-            if SUBMIT_NAMES.contains(&c.name.as_str()) {
-                sites.push((c.line, format!("`{}(…)` submits pool work", c.name)));
-            } else if POOLWAIT_NAMES.contains(&c.name.as_str()) {
+            if POOLWAIT_NAMES.contains(&c.name.as_str()) {
                 sites.push((c.line, format!("`{}(…)` blocks on pool fan-out", c.name)));
             }
         }
@@ -222,9 +220,13 @@ pub fn drain(req: u32) -> u32 { rx.recv(); req }
     }
 
     #[test]
-    fn pool_submission_counts_as_a_blocking_site() {
+    fn golden_clockless_handler_to_scatter_chain_is_flagged() {
+        // the shape of the real request path: handler → stage → the
+        // shard scatter on the global pool, with no clock anywhere
         let serve = "\
-pub fn handle_lookup(req: u32) -> u32 { pool.submit(move || req); req }
+pub fn handle_lookup(req: u32) -> u32 { search_stage(req) }
+pub fn search_stage(req: u32) -> u32 { scatter_shards(req) }
+pub fn scatter_shards(req: u32) -> u32 { Pool::global().scatter(2, |i| i); req }
 ";
         let v = run(vec![FileFacts::fixture(
             "crates/serve/src/server.rs",
@@ -232,7 +234,14 @@ pub fn handle_lookup(req: u32) -> u32 { pool.submit(move || req); req }
             serve,
         )]);
         assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].message.contains("submits pool work"), "{}", v[0].message);
+        assert_eq!(
+            v[0].message,
+            "`scatter_shards` blocks without a deadline budget (crates/serve/src/server.rs:3: \
+             `scatter(…)` blocks on pool fan-out) and is reachable from a serve request \
+             handler: `handle_lookup` (crates/serve/src/server.rs:1) → `search_stage` \
+             (crates/serve/src/server.rs:2) → `scatter_shards` — pass a `DeadlineClock` \
+             parameter down the chain or dominate the site with a deadline check",
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! float accumulation must not escape (DESIGN.md §7).
 
 use crate::callgraph::CallGraph;
-use crate::effects::{Effects, POOLWAIT, SUBMITS};
+use crate::effects::{Effects, POOLWAIT};
 use crate::engine::Violation;
 
 /// Emits one violation per determinism site recorded by the scanner.
@@ -30,14 +30,14 @@ pub fn check(g: &CallGraph, fx: &Effects) -> Vec<Violation> {
     out
 }
 
-/// Forward reachability from every function that submits to or waits on
-/// the pool: an over-approximation of "code that may run per pool
+/// Forward reachability from every function that waits on a pool
+/// fan-out: an over-approximation of "code that may run per pool
 /// task / whose output feeds a parallel merge".
 fn pool_reachable(g: &CallGraph, fx: &Effects) -> Vec<bool> {
     let n = g.nodes.len();
     let mut mark = vec![false; n];
     let mut stack: Vec<usize> = (0..n)
-        .filter(|&i| fx.effects[i] & (SUBMITS | POOLWAIT) != 0)
+        .filter(|&i| fx.effects[i] & POOLWAIT != 0)
         .collect();
     while let Some(i) = stack.pop() {
         if mark[i] {
@@ -96,7 +96,7 @@ pub fn ids(counts: &HashMap<u32, u32>) -> Vec<u32> {
     fn pool_parallel_reachability_is_annotated() {
         let src = "\
 use std::collections::HashMap;
-pub fn fan_out(p: &Pool) { p.parallel_for(0, 8, |i| shard(i)); }
+pub fn fan_out(p: &Pool) { p.parallel_map(0, 8, |i| shard(i)); }
 pub fn shard(i: usize) {}
 pub fn weigh(w: &HashMap<u32, f32>) -> f32 { w.values().sum::<f32>() }
 pub fn run(p: &Pool, w: &HashMap<u32, f32>) -> f32 { fan_out(p); weigh(w) }

@@ -3,8 +3,8 @@
 //! pool submission / fan-out / blocking calls (deadlock risk with the
 //! bounded injector).
 
-use crate::callgraph::{CallGraph, POOLWAIT_NAMES, SUBMIT_NAMES};
-use crate::effects::{lock_key, Effects, BLOCKS, POOLWAIT, SUBMITS};
+use crate::callgraph::{CallGraph, POOLWAIT_NAMES};
+use crate::effects::{lock_key, Effects, BLOCKS, POOLWAIT};
 use crate::engine::Violation;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -169,9 +169,9 @@ fn shortest_path<'a>(
     None
 }
 
-/// Family (b): a guard held across pool submission, fan-out, or a
-/// blocking call. With the bounded injector, `submit` can block on a
-/// full queue while the workers draining it need the held lock.
+/// Family (b): a guard held across a pool fan-out or a blocking call.
+/// The caller of a fan-out helps run its chunks (and any other queued
+/// chunk), so a chunk that needs the held lock deadlocks against it.
 fn held_across_pool(g: &CallGraph, fx: &Effects) -> Vec<Violation> {
     let mut out = Vec::new();
     for (i, node) in g.nodes.iter().enumerate() {
@@ -182,9 +182,7 @@ fn held_across_pool(g: &CallGraph, fx: &Effects) -> Vec<Violation> {
                 continue;
             }
             let held = call.held.join("`, `");
-            if SUBMIT_NAMES.contains(&call.name.as_str())
-                || POOLWAIT_NAMES.contains(&call.name.as_str())
-            {
+            if POOLWAIT_NAMES.contains(&call.name.as_str()) {
                 if seen_lines.insert(call.line) {
                     out.push(Violation {
                         file: node.file.clone(),
@@ -192,8 +190,8 @@ fn held_across_pool(g: &CallGraph, fx: &Effects) -> Vec<Violation> {
                         rule: "L009".to_string(),
                         message: format!(
                             "in `{}`, lock guard `{held}` is held across pool call \
-                             `{}(…)` — the bounded injector can block here while workers \
-                             need the lock; drop the guard first",
+                             `{}(…)` — the caller blocks here while the chunks it waits \
+                             for may need the lock; drop the guard first",
                             node.fact.name, call.name
                         ),
                         suggestion: None,
@@ -221,12 +219,9 @@ fn held_across_pool(g: &CallGraph, fx: &Effects) -> Vec<Violation> {
                 if j == i {
                     continue;
                 }
-                let bad = fx.effects[j] & (BLOCKS | SUBMITS | POOLWAIT);
+                let bad = fx.effects[j] & (BLOCKS | POOLWAIT);
                 if bad != 0 && seen_lines.insert(call.line) {
-                    let bit = [SUBMITS, POOLWAIT, BLOCKS]
-                        .into_iter()
-                        .find(|&b| bad & b != 0)
-                        .unwrap_or(BLOCKS);
+                    let bit = if bad & POOLWAIT != 0 { POOLWAIT } else { BLOCKS };
                     out.push(Violation {
                         file: node.file.clone(),
                         line: call.line,
@@ -337,27 +332,45 @@ impl Reg {
     }
 
     #[test]
-    fn golden_guard_held_across_submit() {
+    fn golden_guard_held_across_scatter() {
+        // the one pool call on the serve request path, directly and
+        // through a callee (which prints the chain down to the call)
         let src = "\
-pub fn dispatch(pool: &Pool, state: &std::sync::Mutex<u32>) {
-    let g = state.lock();
-    pool.submit(move || work());
+pub fn gather(pool: &Pool, breakers: &std::sync::Mutex<u32>) {
+    let g = breakers.lock();
+    pool.scatter(4, |i| search(i));
 }
-pub fn work() {}
+pub fn search(i: usize) {}
+pub fn fan_out(pool: &Pool) { pool.scatter(4, |i| search(i)); }
+pub fn record(pool: &Pool, breakers: &std::sync::Mutex<u32>) {
+    let g = breakers.lock();
+    fan_out(pool);
+}
 ";
-        let (v, _) = run(vec![FileFacts::fixture("crates/core/src/lib.rs", "emblookup-core", src)]);
-        assert_eq!(v.len(), 1, "{v:?}");
+        let (v, _) = run(vec![FileFacts::fixture("crates/serve/src/lib.rs", "emblookup-serve", src)]);
+        assert_eq!(v.len(), 2, "{v:?}");
         assert_eq!(v[0].line, 3);
-        assert!(v[0].message.contains("held across pool call `submit(…)`"), "{}", v[0].message);
+        assert_eq!(
+            v[0].message,
+            "in `gather`, lock guard `breakers` is held across pool call `scatter(…)` — the \
+             caller blocks here while the chunks it waits for may need the lock; drop the \
+             guard first"
+        );
+        assert_eq!(v[1].line, 9);
+        assert_eq!(
+            v[1].message,
+            "in `record`, lock guard `breakers` is held across `fan_out(…)`, which \
+             transitively waits-on-pool: `fan_out` (crates/serve/src/lib.rs:6: `scatter(…)`)"
+        );
     }
 
     #[test]
-    fn guard_dropped_before_submit_is_clean() {
+    fn guard_dropped_before_scatter_is_clean() {
         let src = "\
 pub fn dispatch(pool: &Pool, state: &std::sync::Mutex<u32>) {
     let g = state.lock();
     drop(g);
-    pool.submit(move || work());
+    pool.scatter(2, |_| work());
 }
 pub fn work() {}
 ";
@@ -386,13 +399,13 @@ pub fn update(state: &std::sync::Mutex<u32>) {
     }
 
     #[test]
-    fn consumed_guard_chain_is_not_held_across_submit() {
+    fn consumed_guard_chain_is_not_held_across_scatter() {
         // `.lock().unwrap().take()` drops the guard at the end of the
         // statement — nothing is held when the pool call follows
         let src = "\
 pub fn relay(slot: &std::sync::Mutex<Option<u32>>, pool: &Pool) {
     let v = slot.lock().unwrap().take();
-    pool.submit(move || work(v));
+    pool.scatter(2, |_| work(v));
 }
 pub fn work(v: Option<u32>) {}
 ";
@@ -406,7 +419,7 @@ pub fn work(v: Option<u32>) {}
         let src = "\
 pub fn relay(slot: &std::sync::Mutex<u32>, pool: &Pool) {
     let g = slot.lock().unwrap();
-    pool.submit(move || work());
+    pool.scatter(2, |_| work());
 }
 pub fn work() {}
 ";

@@ -14,7 +14,7 @@
 //!   end or from the injector;
 //! * the **caller participates**: while waiting for its job it executes
 //!   pending tasks instead of blocking, which makes nested
-//!   [`Pool::parallel_for`] calls deadlock-free even on a single worker;
+//!   [`Pool::parallel_map`] calls deadlock-free even on a single worker;
 //! * task closures borrow from the caller's stack. This is safe because
 //!   the submitting call does not return until every chunk of its job
 //!   has completed (the job handle counts outstanding chunks).
@@ -25,16 +25,13 @@
 //! Tests that need explicit widths construct their own
 //! [`Pool::with_threads`].
 //!
-//! Panics inside tasks are contained per L001: [`Pool::try_parallel_for`]
-//! surfaces them as a [`TaskPanic`] error; the panicking variants rethrow
-//! the message as a panic on the calling thread, so a poisoned job never
-//! takes a worker down.
+//! Panics inside tasks are contained per L001: a worker catches them,
+//! and the `parallel_map*` calls rethrow the message as a panic on the
+//! calling thread while [`Pool::scatter`] reports it per index as a
+//! [`TaskPanic`] — a poisoned job never takes a worker down.
 //!
-//! For network-facing serving, [`Pool::with_threads_bounded`] builds a
-//! pool in **bounded-injector mode**: [`Pool::try_submit`] enqueues
-//! detached (fire-and-forget) tasks but refuses with [`QueueFull`] once
-//! [`BoundedQueue::cap`] tasks are already waiting, so a server sheds
-//! load with `429` instead of queueing unboundedly.
+//! Fork-join is the only mode: every task is one chunk of a job whose
+//! submitter is waiting (and helping) inside the call that created it.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -95,7 +92,7 @@ impl std::fmt::Display for TaskPanic {
 
 impl std::error::Error for TaskPanic {}
 
-/// One outstanding `parallel_for` (or `join`) invocation: a lifetime- and
+/// One outstanding fork-join invocation: a lifetime- and
 /// type-erased chunk runner plus completion bookkeeping. The raw pointer
 /// stays valid because the submitting call blocks (work-helping) until
 /// `pending` reaches zero, and only then lets the pointee drop.
@@ -169,42 +166,12 @@ fn job_for<F: Fn(usize, usize) + Sync>(runner: &F, pending: usize) -> Arc<JobCor
     })
 }
 
-/// Capacity of the bounded-injector backpressure mode: at most `cap`
-/// detached tasks (submitted through [`Pool::try_submit`]) may wait in
-/// the injector at once. Chunked jobs (`parallel_for` family) are not
-/// bounded — their callers help-execute and thus self-limit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BoundedQueue {
-    /// Maximum queued (not yet running) detached tasks.
-    pub cap: usize,
-}
-
-/// A detached submission was rejected because the bounded injector is at
-/// capacity — the caller should shed load (HTTP 429) or retry later.
-#[derive(Debug, Clone)]
-pub struct QueueFull {
-    /// Configured injector capacity.
-    pub cap: usize,
-    /// Detached tasks queued at the time of rejection.
-    pub depth: usize,
-}
-
-impl std::fmt::Display for QueueFull {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "pool injector full: {} queued / cap {}", self.depth, self.cap)
-    }
-}
-
-impl std::error::Error for QueueFull {}
-
-/// A unit of executable work: either one chunk of a `parallel_for`-style
-/// job, or a detached fire-and-forget closure from [`Pool::try_submit`].
-enum Task {
-    /// A half-open index range of one chunked job.
-    Chunk { job: Arc<JobCore>, lo: usize, hi: usize },
-    /// An owned closure with no completion handle; panics are contained
-    /// and dropped so the worker survives.
-    Detached(Box<dyn FnOnce() + Send + 'static>),
+/// A unit of executable work: the half-open index range `lo..hi` of one
+/// chunked job.
+struct Task {
+    job: Arc<JobCore>,
+    lo: usize,
+    hi: usize,
 }
 
 struct Shared {
@@ -215,11 +182,6 @@ struct Shared {
     /// Tasks currently sitting in any queue (not yet picked up).
     /// Gates the worker sleep/wake handshake.
     queued: RefCount,
-    /// Detached tasks currently waiting in the injector (the quantity the
-    /// bounded mode caps); gates the bounded-injector admission wait.
-    detached_queued: RefCount,
-    /// `usize::MAX` when unbounded.
-    injector_cap: usize,
     sleep: Mutex<()>,
     wake: Condvar,
     /// One-way shutdown publication to workers.
@@ -250,9 +212,6 @@ impl Shared {
             }
         }
         if let Some(t) = lock(&self.injector).pop_front() {
-            if matches!(t, Task::Detached(_)) {
-                self.detached_queued.dec();
-            }
             self.note_dequeued();
             return Some(t);
         }
@@ -272,31 +231,22 @@ impl Shared {
         None
     }
 
-    /// Runs one task under `catch_unwind`. Chunk panics record the first
-    /// payload on their job and signal completion of the last chunk;
-    /// detached panics are contained and dropped — the submitting side
-    /// (e.g. the serving layer) is responsible for converting its own
-    /// panics into error responses before they reach the pool boundary.
+    /// Runs one task under `catch_unwind`: a panic records the first
+    /// payload on its job, and the last chunk signals completion.
     fn run_task(&self, task: Task) {
         self.tasks_total.inc();
-        match task {
-            Task::Chunk { job, lo, hi } => {
-                let result = panic::catch_unwind(AssertUnwindSafe(|| job.run_chunk(lo, hi)));
-                if let Err(payload) = result {
-                    let mut slot = lock(&job.panic_payload);
-                    if slot.is_none() {
-                        *slot = Some(payload);
-                    }
-                }
-                if job.pending.dec() == 1 {
-                    let mut done = lock(&job.done);
-                    *done = true;
-                    job.done_cv.notify_all();
-                }
+        let Task { job, lo, hi } = task;
+        let result = panic::catch_unwind(AssertUnwindSafe(|| job.run_chunk(lo, hi)));
+        if let Err(payload) = result {
+            let mut slot = lock(&job.panic_payload);
+            if slot.is_none() {
+                *slot = Some(payload);
             }
-            Task::Detached(f) => {
-                let _ = panic::catch_unwind(AssertUnwindSafe(f));
-            }
+        }
+        if job.pending.dec() == 1 {
+            let mut done = lock(&job.done);
+            *done = true;
+            job.done_cv.notify_all();
         }
     }
 
@@ -350,30 +300,16 @@ pub struct Pool {
 impl Pool {
     /// Builds a pool with `threads` total parallelism **including the
     /// submitting thread**: `threads - 1` workers are spawned, and the
-    /// caller of [`Pool::parallel_for`] works alongside them.
+    /// caller of [`Pool::parallel_map`] works alongside them.
     /// `with_threads(1)` spawns no workers and executes everything inline
     /// on the caller — the deterministic serial configuration.
     pub fn with_threads(threads: usize) -> Self {
-        Self::build(threads.max(1) - 1, usize::MAX)
-    }
-
-    /// Builds a pool in **bounded-injector mode** for serving workloads:
-    /// `workers` dedicated worker threads (min 1 — detached submissions
-    /// have no help-waiting caller, so every unit of parallelism must be
-    /// a real worker) and an injector that admits at most `queue.cap`
-    /// waiting detached tasks. [`Pool::try_submit`] sheds beyond the cap.
-    pub fn with_threads_bounded(workers: usize, queue: BoundedQueue) -> Self {
-        Self::build(workers.max(1), queue.cap)
-    }
-
-    fn build(workers: usize, injector_cap: usize) -> Self {
+        let workers = threads.max(1) - 1;
         let reg = emblookup_obs::global();
         let shared = Arc::new(Shared {
             deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             injector: Mutex::new(VecDeque::new()),
             queued: RefCount::new(0),
-            detached_queued: RefCount::new(0),
-            injector_cap,
             sleep: Mutex::new(()),
             wake: Condvar::new(),
             shutdown: Flag::new(0),
@@ -387,6 +323,7 @@ impl Pool {
                 // a failed spawn only narrows parallelism: the missing
                 // worker's deque is still drained through steals
                 std::thread::Builder::new()
+                    // lint: allow(L002) once per worker at pool construction, never per task
                     .name(format!("emblookup-pool-{i}"))
                     .spawn(move || worker_loop(shared, i))
                     .ok()
@@ -407,55 +344,6 @@ impl Pool {
         self.shared.deques.len() + 1
     }
 
-    /// Detached tasks currently waiting in the injector — the serving
-    /// layer mirrors this into its `serve.queue.depth` gauge.
-    pub fn detached_depth(&self) -> usize {
-        self.shared.detached_queued.get()
-    }
-
-    /// Configured bounded-injector capacity, `None` when unbounded.
-    pub fn injector_cap(&self) -> Option<usize> {
-        (self.shared.injector_cap != usize::MAX).then_some(self.shared.injector_cap)
-    }
-
-    /// Submits a detached fire-and-forget task, refusing with [`QueueFull`]
-    /// when the bounded injector already holds `cap` waiting tasks — the
-    /// admission-control primitive of the serving layer: reject work while
-    /// it is still cheap instead of queueing unboundedly.
-    ///
-    /// The capacity check and the push happen under the injector lock, so
-    /// the cap is exact. Tasks already *executing* on a worker do not
-    /// count against the cap — the bound is on waiting work. A panic
-    /// inside `f` is contained by the worker and dropped.
-    ///
-    /// On a pool built with no workers (`with_threads(1)`) the task runs
-    /// inline on the calling thread — the degenerate serial mode; real
-    /// serving pools come from [`Pool::with_threads_bounded`], which
-    /// always spawns at least one worker.
-    pub fn try_submit<F>(&self, f: F) -> Result<(), QueueFull>
-    where
-        F: FnOnce() + Send + 'static,
-    {
-        if self.shared.deques.is_empty() {
-            self.shared.tasks_total.inc();
-            let _ = panic::catch_unwind(AssertUnwindSafe(f));
-            return Ok(());
-        }
-        {
-            let mut inj = lock(&self.shared.injector);
-            let depth = self.shared.detached_queued.get();
-            if depth >= self.shared.injector_cap {
-                return Err(QueueFull { cap: self.shared.injector_cap, depth });
-            }
-            self.shared.detached_queued.inc(1);
-            inj.push_back(Task::Detached(Box::new(f)));
-        }
-        self.shared.note_enqueued(1);
-        let _g = lock(&self.shared.sleep);
-        self.shared.wake.notify_all();
-        Ok(())
-    }
-
     /// Worker index when the current thread belongs to this pool.
     fn current_worker(&self) -> Option<usize> {
         let key = Arc::as_ptr(&self.shared) as usize;
@@ -465,36 +353,10 @@ impl Pool {
         })
     }
 
-    /// Runs `f(i)` for every `i in 0..n`, splitting the range into chunks
-    /// of at least `grain` indices executed across the pool. Returns a
-    /// [`TaskPanic`] error if any invocation panicked (every chunk still
-    /// runs to completion or unwinds before this returns).
-    pub fn try_parallel_for<F>(&self, n: usize, grain: usize, f: F) -> Result<(), TaskPanic>
-    where
-        F: Fn(usize) + Sync,
-    {
-        let runner = |lo: usize, hi: usize| {
-            for i in lo..hi {
-                f(i);
-            }
-        };
-        self.run_chunked(n, grain, &runner)
-    }
-
-    /// Like [`Pool::try_parallel_for`], but rethrows a task panic on the
-    /// calling thread.
-    pub fn parallel_for<F>(&self, n: usize, grain: usize, f: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        if let Err(e) = self.try_parallel_for(n, grain, f) {
-            e.resume();
-        }
-    }
-
     /// Maps `f` over `0..n` into a `Vec` in index order, computing the
-    /// entries across the pool. Chunking follows `grain` as in
-    /// [`Pool::parallel_for`]. Task panics are rethrown on the caller.
+    /// entries across the pool in chunks of at least `grain` indices
+    /// (every chunk runs to completion or unwinds before this returns).
+    /// Task panics are rethrown on the caller.
     pub fn parallel_map<U, F>(&self, n: usize, grain: usize, f: F) -> Vec<U>
     where
         U: Send,
@@ -506,8 +368,8 @@ impl Pool {
         }
     }
 
-    /// Fallible variant of [`Pool::parallel_map`].
-    pub fn try_parallel_map<U, F>(&self, n: usize, grain: usize, f: F) -> Result<Vec<U>, TaskPanic>
+    /// [`Pool::parallel_map`] with a task panic surfaced as an error.
+    fn try_parallel_map<U, F>(&self, n: usize, grain: usize, f: F) -> Result<Vec<U>, TaskPanic>
     where
         U: Send,
         F: Fn(usize) -> U + Sync,
@@ -516,7 +378,7 @@ impl Pool {
     }
 
     /// Fans `f` out over `0..n` (grain 1, one task per index) with
-    /// **per-index panic containment**: unlike [`Pool::try_parallel_map`],
+    /// **per-index panic containment**: unlike [`Pool::parallel_map`],
     /// where one panicking index fails the whole job, each index's
     /// outcome is reported independently as `Ok(value)` or
     /// `Err(TaskPanic)` in index order. This is the scatter-gather
@@ -555,8 +417,8 @@ impl Pool {
         }
     }
 
-    /// Fallible variant of [`Pool::parallel_map_with`].
-    pub fn try_parallel_map_with<S, U, I, F>(
+    /// [`Pool::parallel_map_with`] with a task panic surfaced as an error.
+    fn try_parallel_map_with<S, U, I, F>(
         &self,
         n: usize,
         grain: usize,
@@ -588,8 +450,17 @@ impl Pool {
         Ok(collected)
     }
 
-    /// Like [`Pool::try_parallel_map_traced`], but rethrows a task
-    /// panic on the calling thread.
+    /// Traced [`Pool::parallel_map`]: maps `f` over `0..n` with one
+    /// `pool.chunk` child span per chunk under `parent`, annotated with
+    /// the chunk's `lo`/`hi` range and stamped with the worker thread
+    /// that ran it. Task panics are rethrown on the caller.
+    ///
+    /// Unlike the untraced paths, chunking here is derived from `n` and
+    /// `grain` **only** — never from the worker count — so the span
+    /// tree a request produces has an identical shape at every pool
+    /// width (only the `thread` ordinal each chunk records may differ).
+    /// All chunk spans are created sequentially on the calling thread
+    /// before execution begins, which pins their span ids.
     pub fn parallel_map_traced<U, F>(
         &self,
         n: usize,
@@ -608,18 +479,8 @@ impl Pool {
         }
     }
 
-    /// Traced [`Pool::try_parallel_map`]: maps `f` over `0..n` with one
-    /// `pool.chunk` child span per chunk under `parent`, annotated with
-    /// the chunk's `lo`/`hi` range and stamped with the worker thread
-    /// that ran it.
-    ///
-    /// Unlike the untraced paths, chunking here is derived from `n` and
-    /// `grain` **only** — never from the worker count — so the span
-    /// tree a request produces has an identical shape at every pool
-    /// width (only the `thread` ordinal each chunk records may differ).
-    /// All chunk spans are created sequentially on the calling thread
-    /// before execution begins, which pins their span ids.
-    pub fn try_parallel_map_traced<U, F>(
+    /// [`Pool::parallel_map_traced`] with a task panic surfaced as an error.
+    fn try_parallel_map_traced<U, F>(
         &self,
         n: usize,
         grain: usize,
@@ -678,53 +539,6 @@ impl Pool {
         Ok(collected)
     }
 
-    /// Runs two closures, potentially in parallel: `b` is offered to the
-    /// pool while the caller runs `a`, then the caller helps until `b`
-    /// finishes. Panics from either side are rethrown once both settled.
-    pub fn join<A, B, RA, RB>(&self, a: A, b: B) -> (RA, RB)
-    where
-        A: FnOnce() -> RA + Send,
-        B: FnOnce() -> RB + Send,
-        RA: Send,
-        RB: Send,
-    {
-        if self.shared.deques.is_empty() {
-            return (a(), b());
-        }
-        let cell: Mutex<(Option<B>, Option<RB>)> = Mutex::new((Some(b), None));
-        let runner = |_lo: usize, _hi: usize| {
-            let mut g = lock(&cell);
-            if let Some(bf) = g.0.take() {
-                let rb = bf();
-                g.1 = Some(rb);
-            }
-        };
-        let job = job_for(&runner, 1);
-        let me = self.current_worker();
-        self.shared
-            .push_tasks(vec![Task::Chunk { job: Arc::clone(&job), lo: 0, hi: 1 }], me);
-        // run `a` on the caller; contain its panic so we never unwind
-        // while `b` may still borrow `runner`/`cell` from this frame
-        let ra = panic::catch_unwind(AssertUnwindSafe(a));
-        self.help_until_done(&job);
-        let b_panic = lock(&job.panic_payload).take();
-        match ra {
-            Err(payload) => panic::resume_unwind(payload),
-            Ok(ra) => {
-                if let Some(payload) = b_panic {
-                    panic::resume_unwind(payload);
-                }
-                let rb = lock(&cell).1.take();
-                match rb {
-                    Some(rb) => (ra, rb),
-                    // unreachable: no recorded panic implies `b` stored
-                    // its result; keep a structured fallback regardless
-                    None => TaskPanic { message: "join: task result missing".to_owned() }.resume(),
-                }
-            }
-        }
-    }
-
     /// Splits `0..n` into chunks and executes `runner(lo, hi)` for each
     /// across the pool, helping from the calling thread until done.
     fn run_chunked<F>(&self, n: usize, grain: usize, runner: &F) -> Result<(), TaskPanic>
@@ -755,7 +569,7 @@ impl Pool {
         let me = self.current_worker();
         let tasks = ranges
             .into_iter()
-            .map(|(lo, hi)| Task::Chunk { job: Arc::clone(&job), lo, hi })
+            .map(|(lo, hi)| Task { job: Arc::clone(&job), lo, hi })
             .collect();
         self.shared.push_tasks(tasks, me);
         self.help_until_done(&job);
@@ -828,15 +642,15 @@ pub fn default_threads() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
     #[test]
-    fn parallel_for_visits_every_index_once() {
+    fn parallel_map_visits_every_index_once() {
         for threads in [1, 2, 4] {
             let pool = Pool::with_threads(threads);
             let n = 1000;
             let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-            pool.parallel_for(n, 7, |i| {
+            pool.parallel_map(n, 7, |i| {
                 hits[i].fetch_add(1, Ordering::Relaxed);
             });
             assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
@@ -911,33 +725,38 @@ mod tests {
     #[test]
     fn zero_len_and_single_index_work() {
         let pool = Pool::with_threads(4);
-        pool.parallel_for(0, 8, |_| unreachable!("no indices"));
+        let none: Vec<usize> = pool.parallel_map(0, 8, |_| unreachable!("no indices"));
+        assert!(none.is_empty());
         let out = pool.parallel_map(1, 8, |i| i + 41);
         assert_eq!(out, vec![41]);
     }
 
     #[test]
-    fn nested_parallel_for_completes() {
-        let pool = Pool::with_threads(4);
-        let total = AtomicU64::new(0);
-        pool.parallel_for(8, 1, |i| {
-            // nested submission from both worker and caller threads
-            let local: u64 = pool
-                .parallel_map(10, 2, |j| (i * 10 + j) as u64)
-                .into_iter()
-                .sum();
-            total.fetch_add(local, Ordering::Relaxed);
-        });
-        let expect: u64 = (0..80u64).sum();
-        assert_eq!(total.load(Ordering::Relaxed), expect);
+    fn nested_parallel_map_completes() {
+        // threads = 2 is the single-worker case: the caller and the one
+        // worker must help-execute the inner jobs instead of parking
+        for threads in [2, 4] {
+            let pool = Pool::with_threads(threads);
+            let total = AtomicU64::new(0);
+            pool.parallel_map(8, 1, |i| {
+                // nested submission from both worker and caller threads
+                let local: u64 = pool
+                    .parallel_map(10, 2, |j| (i * 10 + j) as u64)
+                    .into_iter()
+                    .sum();
+                total.fetch_add(local, Ordering::Relaxed);
+            });
+            let expect: u64 = (0..80u64).sum();
+            assert_eq!(total.load(Ordering::Relaxed), expect);
+        }
     }
 
     #[test]
-    fn try_parallel_for_surfaces_panic_as_error() {
+    fn task_panic_surfaces_as_error_and_workers_survive() {
         for threads in [1, 4] {
             let pool = Pool::with_threads(threads);
             let err = pool
-                .try_parallel_for(64, 4, |i| {
+                .try_parallel_map(64, 4, |i| {
                     if i == 13 {
                         panic!("boom at 13");
                     }
@@ -952,9 +771,9 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "deliberate")]
-    fn parallel_for_rethrows_panic() {
+    fn parallel_map_rethrows_panic() {
         let pool = Pool::with_threads(4);
-        pool.parallel_for(16, 1, |i| {
+        pool.parallel_map(16, 1, |i| {
             if i == 5 {
                 panic!("deliberate");
             }
@@ -962,21 +781,13 @@ mod tests {
     }
 
     #[test]
-    fn join_runs_both_sides() {
-        for threads in [1, 4] {
-            let pool = Pool::with_threads(threads);
-            let (a, b) = pool.join(|| 2 + 2, || "ok".len());
-            assert_eq!((a, b), (4, 2));
-        }
-    }
-
-    #[test]
-    fn join_from_inside_parallel_for() {
+    fn scatter_from_inside_parallel_map() {
         let pool = Pool::with_threads(3);
         let acc = AtomicU64::new(0);
-        pool.parallel_for(6, 1, |i| {
-            let (a, b) = pool.join(|| i as u64, || (i * i) as u64);
-            acc.fetch_add(a + b, Ordering::Relaxed);
+        pool.parallel_map(6, 1, |i| {
+            let parts = pool.scatter(2, |side| if side == 0 { i as u64 } else { (i * i) as u64 });
+            let sum: u64 = parts.into_iter().map(|r| r.expect("no panic")).sum();
+            acc.fetch_add(sum, Ordering::Relaxed);
         });
         let expect: u64 = (0..6u64).map(|i| i + i * i).sum();
         assert_eq!(acc.load(Ordering::Relaxed), expect);
@@ -1043,88 +854,9 @@ mod tests {
     }
 
     #[test]
-    fn try_submit_runs_detached_tasks() {
-        let pool = Pool::with_threads_bounded(2, BoundedQueue { cap: 64 });
-        let hits = Arc::new(AtomicUsize::new(0));
-        for _ in 0..20 {
-            let hits = Arc::clone(&hits);
-            pool.try_submit(move || {
-                hits.fetch_add(1, Ordering::SeqCst);
-            })
-            .expect("under cap");
-        }
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while hits.load(Ordering::SeqCst) < 20 {
-            assert!(std::time::Instant::now() < deadline, "detached tasks not drained");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-
-    #[test]
-    fn try_submit_sheds_at_capacity() {
-        // one worker, blocked; cap 2 → two queued tasks admitted, third shed
-        let pool = Pool::with_threads_bounded(1, BoundedQueue { cap: 2 });
-        let release = Arc::new(AtomicBool::new(false));
-        let gate = Arc::clone(&release);
-        pool.try_submit(move || {
-            while !gate.load(Ordering::Acquire) {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        })
-        .expect("blocker admitted");
-        // give the worker a moment to pick the blocker up
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while pool.detached_depth() > 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        pool.try_submit(|| {}).expect("first queued");
-        pool.try_submit(|| {}).expect("second queued");
-        let err = pool.try_submit(|| {}).expect_err("cap reached");
-        assert_eq!(err.cap, 2);
-        assert!(err.depth >= 2, "depth {}", err.depth);
-        release.store(true, Ordering::Release);
-    }
-
-    #[test]
-    fn detached_panic_leaves_pool_serving() {
-        let pool = Pool::with_threads_bounded(1, BoundedQueue { cap: 8 });
-        pool.try_submit(|| panic!("injected detached panic")).expect("admitted");
-        let done = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&done);
-        pool.try_submit(move || flag.store(true, Ordering::Release))
-            .expect("admitted after panic");
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while !done.load(Ordering::Acquire) {
-            assert!(std::time::Instant::now() < deadline, "worker died after panic");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        // chunked jobs still work on the same pool
-        let out = pool.parallel_map(8, 2, |i| i);
-        assert_eq!(out.len(), 8);
-    }
-
-    #[test]
-    fn zero_worker_pool_runs_submissions_inline() {
-        let pool = Pool::with_threads(1);
-        let ran = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&ran);
-        pool.try_submit(move || flag.store(true, Ordering::Release))
-            .expect("inline execution");
-        assert!(ran.load(Ordering::Acquire));
-        assert_eq!(pool.injector_cap(), None);
-    }
-
-    #[test]
-    fn bounded_pool_reports_cap() {
-        let pool = Pool::with_threads_bounded(2, BoundedQueue { cap: 7 });
-        assert_eq!(pool.injector_cap(), Some(7));
-        assert_eq!(pool.detached_depth(), 0);
-    }
-
-    #[test]
     fn drop_joins_workers() {
         let pool = Pool::with_threads(4);
-        pool.parallel_for(100, 5, |_| {});
+        pool.parallel_map(100, 5, |_| {});
         drop(pool); // must not hang
     }
 

@@ -16,9 +16,12 @@
 //!
 //! Three robustness mechanisms compose:
 //!
-//! * **Admission control** — `POST` work enters the worker pool through
-//!   a bounded injector; at capacity the server sheds with `429` +
-//!   `Retry-After` instead of queueing without bound.
+//! * **Admission control** — a request runs on the connection thread
+//!   that read it, after passing a gate: at most
+//!   [`ServeConfig::workers`] compute at once, at most
+//!   [`ServeConfig::queue_cap`] wait (the wait counts against the
+//!   deadline), and the rest are shed with `429` + `Retry-After`
+//!   instead of queueing without bound.
 //! * **Deadlines** — every request carries a budget (header
 //!   `x-emblookup-deadline-ms` or the config default), checked at stage
 //!   boundaries; exhaustion yields `504` naming the stage.
@@ -63,6 +66,7 @@
 pub mod breaker;
 pub mod client;
 pub mod faults;
+mod gate;
 pub mod http;
 pub mod json;
 pub mod ladder;
@@ -79,11 +83,11 @@ pub use server::Server;
 pub struct ServeConfig {
     /// Bind address; `"127.0.0.1:0"` picks a free port.
     pub addr: String,
-    /// Worker threads for the request pool; `0` means
-    /// [`emblookup_pool::default_threads`].
+    /// Requests computing at once (each on its own connection thread);
+    /// `0` means [`emblookup_pool::default_threads`].
     pub workers: usize,
-    /// Bounded-injector capacity: queued-but-unstarted requests beyond
-    /// this are shed with `429`.
+    /// Requests waiting for a slot: one that finds this many already
+    /// waiting is shed with `429`, so `0` sheds every `POST`.
     pub queue_cap: usize,
     /// Deadline budget when the client sends no
     /// `x-emblookup-deadline-ms` header, in milliseconds.

@@ -6,24 +6,24 @@
 //! The accept thread only accepts: each TCP connection gets its own
 //! connection thread that reads HTTP/1.1 keep-alive requests in order
 //! (pipelining-safe, because [`read_request`] never reads past one
-//! request's body). Tiny control-plane GETs (`/healthz`, `/metrics`,
-//! `/debug/traces*`) are answered inline on the connection thread so
-//! they can never be shed behind data-plane load. `POST` bodies are
-//! parsed and then submitted to the shared worker [`Pool`]'s **bounded
-//! injector** ([`Pool::try_submit`]): when the queue is at capacity the
-//! submission fails synchronously and the connection thread answers
-//! `429` with a deterministically jittered `Retry-After` — load is shed
-//! at the door, not buffered into an unbounded backlog. Admitted
-//! requests compute their response on a worker, hand it back through a
-//! condvar slot, and the connection thread writes it — responses stay
-//! in request order per connection.
+//! request's body) and **runs each request itself** — there is one
+//! thread kind per request and no hand-off. Tiny control-plane GETs
+//! (`/healthz`, `/metrics`, `/debug/traces*`) are answered at once, so
+//! they can never be shed behind data-plane load. A `POST` first passes
+//! the admission gate (`gate.rs`): at most `ServeConfig::workers`
+//! requests compute at once, at most `ServeConfig::queue_cap` wait for
+//! a slot, and the rest are answered `429` with a deterministically
+//! jittered `Retry-After` — load is shed at the door, not buffered into
+//! an unbounded backlog. The wait is the request's `stage.admit` span
+//! and is charged to its deadline. Which waiting connection gets the
+//! next free slot is unspecified; responses stay in request order per
+//! connection by construction, because the thread that read a request
+//! writes its response before reading the next.
 //!
-//! The pool rides in an `Arc` held by the accept thread and every
-//! connection thread; handler tasks capture only [`ServerState`], so
-//! the last `Arc` is always dropped by a serve-side thread, never by a
-//! pool worker (no self-join). Request indices are assigned in arrival
-//! order under the `seq` counter — the anchor for deterministic fault
-//! replay.
+//! Request indices are assigned in arrival order under the `seq`
+//! counter — the anchor for deterministic fault replay. The only pool
+//! the serving tier touches is the global compute pool (the sharded
+//! scatter and the bulk embedding/search fan-out).
 //!
 //! ## Sharding, breakers, and the overload pin
 //!
@@ -48,7 +48,7 @@
 //!
 //! ## Tracing
 //!
-//! A [`Trace`] is minted per request on the accept thread (id from the
+//! A [`Trace`] is minted per request on arrival (id from the
 //! `x-emblookup-trace-id` header or derived from the request index) and
 //! threaded explicitly through the handler: every stage gets a child
 //! span, the full-rung search descends into the ANN backend, and bulk
@@ -61,6 +61,7 @@
 
 use crate::breaker::{BreakerState, OverloadPin, ShardBreaker, Transition};
 use crate::faults::{DeadlineClock, FaultLayer, Stage, StageFaults};
+use crate::gate::Gate;
 use crate::http::{read_request, write_response, Request, Response};
 use crate::json::{self, Json};
 use crate::ladder::{Ladder, Rung};
@@ -74,12 +75,12 @@ use emblookup_obs::{
     Counter, Gauge, Histogram, MetricsRegistry, RetainedTrace, Trace, TraceClock, TraceData,
     TraceHub, TraceSpan, Trigger,
 };
-use emblookup_pool::{BoundedQueue, Pool};
+use emblookup_pool::Pool;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -139,9 +140,10 @@ impl ServeMetrics {
 }
 
 /// Locks a serve-side mutex, ignoring poison: everything behind these
-/// mutexes is plain breaker/bookkeeping state, and handler panics are
-/// already contained by `catch_unwind` upstream.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// mutexes is plain breaker/gate bookkeeping whose every update leaves
+/// it valid, and handler panics are already contained by `catch_unwind`
+/// upstream.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -153,7 +155,7 @@ struct ShardServing {
 }
 
 /// Everything the request handlers need, shared between the accept
-/// thread and the pool workers.
+/// thread and the connection threads.
 struct ServerState {
     service: EmbLookup,
     ladder: Ladder,
@@ -167,6 +169,8 @@ struct ServerState {
     hub: TraceHub,
     /// Request indices in arrival order; the fault layer's replay key.
     seq: RelaxedU64,
+    /// Admission: `workers` running, `queue_cap` waiting, the rest shed.
+    gate: Gate,
     /// Hash-partitioned shards + per-shard breakers when `shards > 1`.
     sharded: Option<ShardServing>,
     /// Whole-service breaker pinning sustained overload to the string rung.
@@ -190,19 +194,22 @@ impl ServerState {
     }
 }
 
-/// The per-request trace context, minted on the accept thread so span
-/// ids follow accept order, then moved into the handler task.
-struct TraceCtx {
+/// What one request carries from arrival to response.
+struct RequestCtx<'a> {
+    req: &'a Request,
+    /// Arrival-order index: the fault-replay key (shard tasks and the
+    /// breakers key off it too).
+    idx: u64,
+    faults: StageFaults,
     /// The `serve.request` root span; stage spans hang off it.
     root: TraceSpan,
-    /// The shared virtual nanosecond counter when the fault harness
-    /// runs in virtual time; the deadline clock accrues into it so
-    /// injected latency shows up in span durations.
-    virtual_ns: Option<Arc<RelaxedU64>>,
+    /// `stage.admit`, opened on arrival so that its duration is the
+    /// wait for a running slot; the handler prologue closes it.
+    admit: TraceSpan,
 }
 
 /// A running server. Dropping it (or calling [`Server::shutdown`])
-/// stops the accept loop and joins the worker pool.
+/// stops the accept loop.
 pub struct Server {
     addr: SocketAddr,
     /// One-way stop publication to the accept and connection loops.
@@ -259,7 +266,7 @@ impl Server {
         } else {
             config.workers
         };
-        let queue_cap = config.queue_cap;
+        let gate = Gate::new(workers, config.queue_cap);
         let hub = TraceHub::new(config.trace_ring_cap, config.trace_retain_per_trigger, &registry);
         let sharded = if config.shards > 1 {
             // Built single-threaded like the ladder: startup cost, paid
@@ -293,6 +300,7 @@ impl Server {
             metrics,
             hub,
             seq: RelaxedU64::new(0),
+            gate,
             sharded,
             overload,
         });
@@ -300,15 +308,7 @@ impl Server {
         let shutdown_flag = Arc::clone(&shutdown);
         let handle = std::thread::Builder::new()
             .name("emblookup-serve-accept".to_string())
-            .spawn(move || {
-                // Shared with every connection thread through an Arc;
-                // handler tasks capture only `ServerState`, so the last
-                // Arc (and the worker join) always lands on a serve
-                // thread, never on a pool worker.
-                let pool =
-                    Arc::new(Pool::with_threads_bounded(workers, BoundedQueue { cap: queue_cap }));
-                accept_loop(&listener, &state, &pool, &shutdown_flag);
-            })?;
+            .spawn(move || accept_loop(&listener, &state, &shutdown_flag))?;
         Ok(Server {
             addr,
             shutdown,
@@ -327,8 +327,7 @@ impl Server {
         &self.registry
     }
 
-    /// Stops accepting, joins the accept thread (which joins the pool).
-    /// Idempotent.
+    /// Stops accepting and joins the accept thread. Idempotent.
     pub fn shutdown(&mut self) {
         self.shutdown.raise();
         // Unblock the accept call with a throwaway connection.
@@ -345,12 +344,7 @@ impl Drop for Server {
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    state: &Arc<ServerState>,
-    pool: &Arc<Pool>,
-    shutdown: &Arc<Flag>,
-) {
+fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>, shutdown: &Arc<Flag>) {
     loop {
         let Ok((stream, _)) = listener.accept() else {
             if shutdown.is_raised() {
@@ -363,26 +357,18 @@ fn accept_loop(
         }
         state.metrics.connections.inc();
         let conn_state = Arc::clone(state);
-        let conn_pool = Arc::clone(pool);
         let conn_shutdown = Arc::clone(shutdown);
         // A failed spawn (fd/thread exhaustion) drops the connection —
         // the client sees a reset and retries; the server stays up.
         let _ = std::thread::Builder::new()
             .name("emblookup-serve-conn".to_string())
-            .spawn(move || {
-                connection_loop(stream, &conn_state, &conn_pool, &conn_shutdown);
-            });
+            .spawn(move || connection_loop(stream, &conn_state, &conn_shutdown));
     }
 }
 
 /// Serves one keep-alive connection: reads requests in order until the
 /// client closes, asks for `Connection: close`, errors, or shutdown.
-fn connection_loop(
-    mut stream: TcpStream,
-    state: &Arc<ServerState>,
-    pool: &Arc<Pool>,
-    shutdown: &Flag,
-) {
+fn connection_loop(mut stream: TcpStream, state: &ServerState, shutdown: &Flag) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(
         state.config.read_timeout_ms.max(1),
     )));
@@ -407,97 +393,77 @@ fn connection_loop(
         let keep_alive = !req
             .header("connection")
             .is_some_and(|v| v.eq_ignore_ascii_case("close"));
-        match (req.method.as_str(), req.path.as_str()) {
-            // Control plane: answered inline, never queued, never shed.
-            ("GET", "/healthz") => {
-                write_response(
-                    &mut stream,
-                    &Response::json(200, "{\"status\":\"ok\"}".to_string()),
-                    keep_alive,
-                );
-            }
+        let resp = match (req.method.as_str(), req.path.as_str()) {
+            // Control plane: answered at once, never queued, never shed.
+            ("GET", "/healthz") => Response::json(200, "{\"status\":\"ok\"}".to_string()),
             ("GET", "/metrics") => {
-                state
-                    .metrics
-                    .queue_depth
-                    .set(pool.detached_depth() as f64);
-                let body = state.registry.snapshot().to_prometheus();
-                write_response(&mut stream, &Response::text(200, body), keep_alive);
+                state.metrics.queue_depth.set(state.gate.waiting() as f64);
+                Response::text(200, state.registry.snapshot().to_prometheus())
             }
-            ("GET", "/debug/traces") => {
-                write_response(
-                    &mut stream,
-                    &Response::json(200, debug_traces_json(state)),
-                    keep_alive,
-                );
-            }
+            ("GET", "/debug/traces") => Response::json(200, debug_traces_json(state)),
             ("GET", "/debug/traces/chrome") => {
-                let traces: Vec<TraceData> = state
-                    .hub
-                    .sampler
-                    .retained()
-                    .iter()
-                    .map(|r| (*r.trace).clone())
-                    .collect();
-                write_response(
-                    &mut stream,
-                    &Response::json(200, traces_to_chrome_json(&traces)),
-                    keep_alive,
-                );
+                let retained = state.hub.sampler.retained();
+                let traces: Vec<TraceData> = retained.iter().map(|r| (*r.trace).clone()).collect();
+                Response::json(200, traces_to_chrome_json(&traces))
             }
             ("GET", path) if path.starts_with("/debug/traces/") => {
                 let found = path
                     .strip_prefix("/debug/traces/")
                     .and_then(parse_trace_id)
                     .and_then(|id| state.hub.find(id));
-                let resp = match found {
+                match found {
                     Some(r) => Response::json(200, retained_trace_json(&r)),
                     None => Response::json(404, "{\"error\":\"trace not found\"}".to_string()),
-                };
-                write_response(&mut stream, &resp, keep_alive);
+                }
             }
-            ("POST", "/lookup") | ("POST", "/lookup/bulk") => {
-                admit(state, pool, req, &mut stream, keep_alive);
-            }
+            ("POST", "/lookup") | ("POST", "/lookup/bulk") => admit(state, &req),
             ("GET", _) | ("POST", _) => {
-                write_response(
-                    &mut stream,
-                    &Response::json(404, "{\"error\":\"not found\"}".to_string()),
-                    keep_alive,
-                );
+                Response::json(404, "{\"error\":\"not found\"}".to_string())
             }
-            _ => {
-                write_response(
-                    &mut stream,
-                    &Response::json(405, "{\"error\":\"method not allowed\"}".to_string()),
-                    keep_alive,
-                );
-            }
-        }
+            _ => Response::json(405, "{\"error\":\"method not allowed\"}".to_string()),
+        };
+        write_response(&mut stream, &resp, keep_alive);
         if !keep_alive {
             return;
         }
     }
 }
 
-/// Mints the request's trace on the accept thread: id from the client
-/// header (else derived from the accept index), clock virtual when the
-/// fault harness runs in virtual time.
-fn mint_trace(req: &Request, idx: u64, virtual_time: bool) -> TraceCtx {
+/// Everything that happens on arrival: the request takes the next
+/// index (and with it its scripted faults), its trace is minted (id from
+/// the client header, else derived from the index), `stage.admit` opens
+/// and the deadline clock starts — so time spent waiting for a slot is
+/// both visible and charged. Under the virtual-time fault harness the two
+/// clocks share one nanosecond counter, so injected latency shows up in
+/// span durations.
+fn arrive<'a>(state: &ServerState, req: &'a Request) -> (RequestCtx<'a>, DeadlineClock) {
+    let idx = state.seq.add(1);
+    let (faults, virtual_time) = match &state.faults {
+        Some(layer) => (layer.for_request(idx), layer.virtual_time()),
+        None => (StageFaults::default(), false),
+    };
     let id = req
         .header("x-emblookup-trace-id")
         .and_then(parse_trace_id)
         .unwrap_or_else(|| trace_id_from_index(idx));
-    let (clock, virtual_ns) = if virtual_time {
+    let budget_ms = req
+        .header("x-emblookup-deadline-ms")
+        .and_then(|v| v.parse::<u64>().ok())
+        .map(|ms| ms.clamp(1, state.config.max_deadline_ms))
+        .unwrap_or(state.config.default_deadline_ms);
+    let (trace_clock, clock) = if virtual_time {
         let ns = Arc::new(RelaxedU64::new(0));
-        (TraceClock::virtual_shared(Arc::clone(&ns)), Some(ns))
+        (
+            TraceClock::virtual_shared(Arc::clone(&ns)),
+            DeadlineClock::with_virtual_ns(budget_ms, true, ns),
+        )
     } else {
-        (TraceClock::real(), None)
+        (TraceClock::real(), DeadlineClock::new(budget_ms, false))
     };
-    let trace = Trace::start(id, clock);
-    let root = trace.root(names::SPAN_SERVE_REQUEST);
+    let root = Trace::start(id, trace_clock).root(names::SPAN_SERVE_REQUEST);
     root.annotate("request", idx);
-    TraceCtx { root, virtual_ns }
+    let admit = root.child(names::SPAN_STAGE_ADMIT);
+    (RequestCtx { req, idx, faults, root, admit }, clock)
 }
 
 /// Deterministic bounded jitter for `Retry-After`: seeded off the
@@ -520,31 +486,23 @@ fn retry_after_ms(state: &ServerState, idx: u64) -> u64 {
 /// jittered `Retry-After` (exact milliseconds in
 /// `x-emblookup-retry-after-ms`; the standard header rounds up to
 /// whole seconds).
-fn shed_response(
-    state: &ServerState,
-    ctx: &TraceCtx,
-    reason: &'static str,
-    idx: u64,
-    stream: &mut TcpStream,
-    keep_alive: bool,
-) {
-    let admit_span = ctx.root.child(names::SPAN_STAGE_ADMIT);
-    admit_span.annotate("shed", 1u64);
-    admit_span.annotate("reason", reason);
-    admit_span.finish();
+fn shed_response(state: &ServerState, ctx: &RequestCtx, reason: &'static str) -> Response {
+    state.metrics.shed.inc();
+    ctx.admit.annotate("shed", 1u64);
+    ctx.admit.annotate("reason", reason);
+    ctx.admit.finish();
     ctx.root.annotate("status", 429u64);
     ctx.root.finish();
     let trace_id = ctx.root.trace().id();
     state.hub.publish(ctx.root.trace().snapshot(), &[Trigger::Shed]);
-    let retry_ms = retry_after_ms(state, idx);
-    let resp = Response::json(
+    let retry_ms = retry_after_ms(state, ctx.idx);
+    Response::json(
         429,
         format!("{{\"error\":\"shed\",\"reason\":\"{}\"}}", json::escape(reason)),
     )
     .with_header("retry-after", &retry_ms.div_ceil(1000).max(1).to_string())
     .with_header("x-emblookup-retry-after-ms", &retry_ms.to_string())
-    .with_header("x-emblookup-trace-id", &format_trace_id(trace_id));
-    write_response(stream, &resp, keep_alive);
+    .with_header("x-emblookup-trace-id", &format_trace_id(trace_id))
 }
 
 /// The trigger classes a completed request hit, derived from its
@@ -568,139 +526,61 @@ fn triggers_for(state: &ServerState, data: &TraceData, panicked: bool, status: u
     triggers
 }
 
-/// Admission control: submit the request to the bounded injector; on
-/// `QueueFull` (or an injected shed fault), shed with `429`. Admitted
-/// requests compute their response on a worker and hand it back
-/// through a condvar slot so the connection thread can write it in
-/// request order.
-fn admit(
-    state: &Arc<ServerState>,
-    pool: &Arc<Pool>,
-    req: Request,
-    stream: &mut TcpStream,
-    keep_alive: bool,
-) {
-    let idx = state.seq.add(1);
-    let (faults, virtual_time) = faults_for(state, idx);
-    let ctx = mint_trace(&req, idx, virtual_time);
-    if faults.shed {
-        state.metrics.shed.inc();
-        shed_response(state, &ctx, "fault injected", idx, stream, keep_alive);
-        return;
+/// Admission control, then the request itself, on the connection
+/// thread: take a running slot at the gate (or shed with `429` when
+/// `queue_cap` requests already wait, or on an injected shed fault), run
+/// the handler under `catch_unwind`, publish the trace; the slot is
+/// freed on return, before the caller writes the response.
+fn admit(state: &ServerState, req: &Request) -> Response {
+    let (ctx, clock) = arrive(state, req);
+    ctx.admit.annotate("queued", state.gate.waiting() as u64);
+    if ctx.faults.shed {
+        return shed_response(state, &ctx, "fault injected");
     }
-    // `try_submit` consumes its closure even when it sheds, so the
-    // request (and the trace context) ride in a shared slot the
-    // connection thread can take back.
-    let payload = Arc::new(Mutex::new(Some((req, ctx))));
-    let done: Arc<(Mutex<Option<Response>>, Condvar)> =
-        Arc::new((Mutex::new(None), Condvar::new()));
-    let task_payload = Arc::clone(&payload);
-    let task_done = Arc::clone(&done);
-    let task_state = Arc::clone(state);
-    let outcome = pool.try_submit(move || {
-        let taken = lock(&task_payload).take();
-        let Some((req, ctx)) = taken else {
-            return;
-        };
-        // Counted here, not on the connection thread after `try_submit`
-        // returns: the client must never observe a response whose
-        // admission is not yet reflected in the counters.
-        task_state.metrics.admitted.inc();
-        let start = Instant::now();
-        let trace_id = ctx.root.trace().id();
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            dispatch_post(&task_state, &req, idx, faults, &ctx)
-        }));
-        let panicked = caught.is_err();
-        let resp = caught.unwrap_or_else(|_| {
-            task_state.metrics.panics.inc();
-            task_state.metrics.errors.inc();
-            Response::json(500, "{\"error\":\"internal panic (contained)\"}".to_string())
-        });
-        ctx.root.annotate("status", u64::from(resp.status));
-        ctx.root.finish();
-        let data = ctx.root.trace().snapshot();
-        let triggers = triggers_for(&task_state, &data, panicked, resp.status);
-        // Published before the response is handed back: a client that
-        // saw the answer can always fetch its trace.
-        task_state.hub.publish(data, &triggers);
-        task_state
-            .metrics
-            .latency
-            .record_duration_with_exemplar(start.elapsed(), trace_id);
-        let resp = resp.with_header("x-emblookup-trace-id", &format_trace_id(trace_id));
-        *lock(&task_done.0) = Some(resp);
-        task_done.1.notify_all();
+    let Some(_permit) = state.gate.enter() else {
+        return shed_response(state, &ctx, "queue full");
+    };
+    state.metrics.admitted.inc();
+    let start = Instant::now();
+    let trace_id = ctx.root.trace().id();
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        dispatch_post(state, &ctx, &clock)
+    }));
+    let panicked = caught.is_err();
+    let resp = caught.unwrap_or_else(|_| {
+        state.metrics.panics.inc();
+        state.metrics.errors.inc();
+        Response::json(500, "{\"error\":\"internal panic (contained)\"}".to_string())
     });
-    state.metrics.queue_depth.set(pool.detached_depth() as f64);
-    match outcome {
-        Ok(()) => {
-            // Safe to block: this connection thread holds an `Arc<Pool>`
-            // keeping the workers alive, and the worker signals after
-            // storing the response.
-            let mut guard = lock(&done.0);
-            let resp = loop {
-                if let Some(r) = guard.take() {
-                    break r;
-                }
-                guard = done
-                    .1
-                    .wait(guard)
-                    .unwrap_or_else(PoisonError::into_inner);
-            };
-            drop(guard);
-            write_response(stream, &resp, keep_alive);
-        }
-        Err(_full) => {
-            state.metrics.shed.inc();
-            let reclaimed = lock(&payload).take();
-            if let Some((_req, ctx)) = reclaimed {
-                shed_response(state, &ctx, "queue full", idx, stream, keep_alive);
-            }
-        }
-    }
+    ctx.root.annotate("status", u64::from(resp.status));
+    ctx.root.finish();
+    let data = ctx.root.trace().snapshot();
+    let triggers = triggers_for(state, &data, panicked, resp.status);
+    // Published before the response is written: a client that saw the
+    // answer can always fetch its trace.
+    state.hub.publish(data, &triggers);
+    state
+        .metrics
+        .latency
+        .record_duration_with_exemplar(start.elapsed(), trace_id);
+    resp.with_header("x-emblookup-trace-id", &format_trace_id(trace_id))
 }
 
-fn dispatch_post(
-    state: &ServerState,
-    req: &Request,
-    idx: u64,
-    faults: StageFaults,
-    ctx: &TraceCtx,
-) -> Response {
-    match req.path.as_str() {
+fn dispatch_post(state: &ServerState, ctx: &RequestCtx, clock: &DeadlineClock) -> Response {
+    match ctx.req.path.as_str() {
         "/lookup" => {
-            let (resp, pinned) = handle_lookup(state, req, idx, faults, ctx);
+            let (resp, pinned) = handle_lookup(state, ctx, clock);
             // Pinned answers skip the full pipeline, so they carry no
             // signal about whether the overload cleared; only full
             // attempts (200 = recovered, 504 = still drowning) feed the
             // pin's state machine.
             if state.config.overload_threshold > 0 && !pinned && matches!(resp.status, 200 | 504) {
-                lock(&state.overload).record(idx, resp.status == 504);
+                lock(&state.overload).record(ctx.idx, resp.status == 504);
             }
             resp
         }
-        _ => handle_bulk(state, req, idx, faults, ctx),
+        _ => handle_bulk(state, ctx, clock),
     }
-}
-
-/// The request's deadline clock; under virtual time it accrues into the
-/// trace's shared nanosecond counter so injected latency is visible in
-/// span durations.
-fn request_clock(state: &ServerState, req: &Request, ctx: &TraceCtx) -> DeadlineClock {
-    match &ctx.virtual_ns {
-        Some(ns) => DeadlineClock::with_virtual_ns(budget_ms(state, req), true, Arc::clone(ns)),
-        None => DeadlineClock::new(budget_ms(state, req), false),
-    }
-}
-
-/// Pulls the request's deadline budget: header override (clamped) or
-/// the config default.
-fn budget_ms(state: &ServerState, req: &Request) -> u64 {
-    req.header("x-emblookup-deadline-ms")
-        .and_then(|v| v.parse::<u64>().ok())
-        .map(|ms| ms.clamp(1, state.config.max_deadline_ms))
-        .unwrap_or(state.config.default_deadline_ms)
 }
 
 /// One retained trace as `{"triggers":[…],"trace":{…}}`.
@@ -746,13 +626,6 @@ fn debug_traces_json(state: &ServerState) -> String {
     out
 }
 
-fn faults_for(state: &ServerState, idx: u64) -> (StageFaults, bool) {
-    match &state.faults {
-        Some(layer) => (layer.for_request(idx), layer.virtual_time()),
-        None => (StageFaults::default(), false),
-    }
-}
-
 fn bad_request(state: &ServerState, why: &str) -> Response {
     state.metrics.errors.inc();
     Response::json(400, format!("{{\"error\":\"{}\"}}", json::escape(why)))
@@ -796,37 +669,41 @@ fn results_json(state: &ServerState, results: &[(EntityId, f32)]) -> String {
     out
 }
 
-fn ok_response(state: &ServerState, rung: Rung, results: &[(EntityId, f32)], ctx: &TraceCtx) -> Response {
+/// What follows a `/lookup` search on any rung: the search stage's
+/// deadline check, then the rank stage renders the `200`.
+fn finish_lookup(
+    state: &ServerState,
+    ctx: &RequestCtx,
+    clock: &DeadlineClock,
+    rung: Rung,
+    results: &[(EntityId, f32)],
+    answered: Option<(usize, usize)>,
+) -> Response {
+    if clock.expired() {
+        return tag_shards(deadline_response(state, Stage::Search, clock), answered);
+    }
+    let rank_span = ctx.root.child(names::SPAN_STAGE_RANK);
     match rung {
         Rung::Full => {}
         Rung::Flat => state.metrics.degraded_flat.inc(),
         Rung::Qgram => state.metrics.degraded_qgram.inc(),
     }
     ctx.root.annotate("rung", rung.name());
-    Response::json(
-        200,
-        format!(
-            "{{\"rung\":\"{}\",\"degraded\":{},\"results\":{}}}",
-            rung.name(),
-            rung != Rung::Full,
-            results_json(state, results)
-        ),
-    )
-}
-
-/// The replay-relevant identity of one admitted request, passed into
-/// the scatter so shard tasks can key fault injection off it.
-#[derive(Clone, Copy)]
-struct ShardReq {
-    idx: u64,
-    faults: StageFaults,
+    let body = format!(
+        "{{\"rung\":\"{}\",\"degraded\":{},\"results\":{}}}",
+        rung.name(),
+        rung != Rung::Full,
+        results_json(state, results)
+    );
+    rank_span.finish();
+    tag_shards(Response::json(200, body), answered)
 }
 
 /// Scatter-gathers one closure across every breaker-admitted shard on
 /// the global pool, each attempt under a private slice of the request's
 /// remaining deadline budget. Returns the delivered per-shard results
-/// (in shard order), the number of shards that answered, and the total
-/// shard count.
+/// (in shard order; fewer than every shard is a partial answer, counted
+/// and annotated on `parent`) and the total shard count.
 ///
 /// Determinism: shard spans are pre-created sequentially
 /// ([`TraceSpan::child_deferred`]) so span ids are width-independent;
@@ -838,16 +715,16 @@ fn scatter_shards<T: Send>(
     state: &ServerState,
     sharded: &ShardServing,
     clock: &DeadlineClock,
-    req: ShardReq,
+    ctx: &RequestCtx,
     parent: &TraceSpan,
     search: &(dyn Fn(&EntityIndex, &TraceSpan) -> T + Sync),
-) -> (Vec<T>, usize, usize) {
+) -> (Vec<T>, usize) {
     let total = sharded.index.num_shards();
     let mut attempted: Vec<usize> = Vec::with_capacity(total);
     {
         let mut breakers = lock(&sharded.breakers);
         for (i, b) in breakers.iter_mut().enumerate() {
-            if b.admit(req.idx) {
+            if b.admit(ctx.idx) {
                 if b.state() == BreakerState::HalfOpen {
                     state.metrics.breaker_probes.inc();
                 }
@@ -856,7 +733,8 @@ fn scatter_shards<T: Send>(
         }
     }
     if attempted.is_empty() {
-        return (Vec::new(), 0, total);
+        parent.annotate("all_shards_failed", 1u64);
+        return (Vec::new(), total);
     }
     let slice_ms = (clock.deterministic_remaining_ms() / attempted.len() as u64).max(1);
     let is_virtual = clock.is_virtual();
@@ -877,18 +755,18 @@ fn scatter_shards<T: Send>(
         // deadline without dragging the shared clock (and the other
         // shards) down with it.
         let shard_clock = DeadlineClock::new(slice_ms, is_virtual);
-        if let Some((target, ms)) = req.faults.shard_latency {
+        if let Some((target, ms)) = ctx.faults.shard_latency {
             if target as usize % total == shard_idx {
                 span.annotate("fault_latency_ms", ms);
                 shard_clock.advance_ms(ms);
             }
         }
-        if let Some(target) = req.faults.shard_panic {
+        if let Some(target) = ctx.faults.shard_panic {
             if target as usize % total == shard_idx {
                 span.annotate("fault_panic", 1u64);
                 span.finish();
                 // lint: allow(L001) fault-injected panic is this line's entire purpose
-                panic!("injected fault: panic in shard {shard_idx} (request {})", req.idx);
+                panic!("injected fault: panic in shard {shard_idx} (request {})", ctx.idx);
             }
         }
         if shard_clock.expired() {
@@ -909,7 +787,7 @@ fn scatter_shards<T: Send>(
         // The request's own clock pays for the slowest shard attempt,
         // capped at the slice: one stalled shard costs its slice, never
         // the whole budget.
-        let injected = req
+        let injected = ctx
             .faults
             .shard_latency
             .filter(|(target, _)| attempted.contains(&(*target as usize % total)))
@@ -932,7 +810,7 @@ fn scatter_shards<T: Send>(
                 false
             }
         };
-        match breakers[shard_idx].record(req.idx, ok) {
+        match breakers[shard_idx].record(ctx.idx, ok) {
             Some(Transition::Opened | Transition::Reopened) => state.metrics.breaker_opened.inc(),
             Some(Transition::Readmitted) => state.metrics.breaker_readmitted.inc(),
             None => {}
@@ -943,127 +821,128 @@ fn scatter_shards<T: Send>(
         .filter(|b| b.state() != BreakerState::Open)
         .count();
     state.metrics.shards_live.set(live as f64);
-    let ok_count = delivered.len();
-    (delivered, ok_count, total)
+    if delivered.is_empty() {
+        parent.annotate("all_shards_failed", 1u64);
+    } else if delivered.len() < total {
+        state.metrics.partial.inc();
+        parent.annotate("partial", 1u64);
+    }
+    (delivered, total)
 }
 
-/// Full-rung sharded search: scatter the query embedding, merge the
-/// per-shard top-k deterministically. `None` means no shard answered.
-fn sharded_search(
+/// Tags a response assembled from shards with `x-emblookup-shards: k/N`.
+fn tag_shards(resp: Response, answered: Option<(usize, usize)>) -> Response {
+    match answered {
+        Some((ok, total)) => resp.with_header("x-emblookup-shards", &format!("{ok}/{total}")),
+        None => resp,
+    }
+}
+
+/// How every faultable stage starts: note the budget left on its span,
+/// then apply the stage's injected latency to the clock.
+fn begin_stage(span: &TraceSpan, clock: &DeadlineClock, fault_latency_ms: u64) {
+    span.annotate("deadline_remaining_ms", clock.deterministic_remaining_ms());
+    if fault_latency_ms > 0 {
+        span.annotate("fault_latency_ms", fault_latency_ms);
+    }
+    clock.advance_ms(fault_latency_ms);
+}
+
+/// The prologue both handlers share: closes the admit stage (whose span
+/// has been open since arrival — the deadline check here is what charges
+/// the queue wait), then decodes the body into JSON plus the clamped
+/// `k`. `Err` is the finished `504`/`400` response.
+fn open_request(
     state: &ServerState,
-    sharded: &ShardServing,
+    ctx: &RequestCtx,
     clock: &DeadlineClock,
-    req: ShardReq,
-    emb: &[f32],
-    k: usize,
-    parent: &TraceSpan,
-) -> (Option<Vec<(EntityId, f32)>>, usize, usize) {
-    let (per_shard, ok, total) = scatter_shards(state, sharded, clock, req, parent, &|shard, span| {
-        shard.search_traced(emb, k, span)
-    });
-    if ok == 0 {
-        return (None, 0, total);
-    }
-    (Some(merge_topk(&per_shard, k)), ok, total)
-}
-
-/// `POST /lookup` — the degradation ladder lives here. Returns the
-/// response plus whether it was answered from the overload pin (pinned
-/// answers must not feed back into the pin's own state machine).
-fn handle_lookup(
-    state: &ServerState,
-    req: &Request,
-    idx: u64,
-    faults: StageFaults,
-    ctx: &TraceCtx,
-) -> (Response, bool) {
-    let clock = request_clock(state, req, ctx);
-
+) -> Result<(Json, usize), Response> {
     // -- admit stage ----------------------------------------------------
-    let admit_span = ctx.root.child(names::SPAN_STAGE_ADMIT);
-    admit_span.annotate("deadline_remaining_ms", clock.deterministic_remaining_ms());
-    if faults.admit_latency_ms > 0 {
-        admit_span.annotate("fault_latency_ms", faults.admit_latency_ms);
-    }
-    clock.advance_ms(faults.admit_latency_ms);
-    admit_span.finish();
+    begin_stage(&ctx.admit, clock, ctx.faults.admit_latency_ms);
+    ctx.admit.finish();
     if clock.expired() {
-        return (deadline_response(state, Stage::Admit, &clock), false);
+        return Err(deadline_response(state, Stage::Admit, clock));
     }
 
     // -- decode stage ---------------------------------------------------
     // Early returns leave the span open; the completion snapshot clamps
     // it, which reads as "the request died decoding" — honest.
     let decode_span = ctx.root.child(names::SPAN_STAGE_DECODE);
-    let body = match std::str::from_utf8(&req.body) {
-        Ok(s) => s,
-        Err(_) => return (bad_request(state, "body is not UTF-8"), false),
-    };
-    let parsed = match json::parse(body) {
-        Ok(v) => v,
-        Err(why) => return (bad_request(state, why), false),
-    };
-    let Some(q) = parsed.get("q").and_then(Json::as_str) else {
-        return (bad_request(state, "missing string field 'q'"), false);
-    };
+    let body = std::str::from_utf8(&ctx.req.body)
+        .map_err(|_| bad_request(state, "body is not UTF-8"))?;
+    let parsed = json::parse(body).map_err(|why| bad_request(state, why))?;
     let k = parsed
         .get("k")
         .and_then(Json::as_u64)
         .unwrap_or(10)
         .clamp(1, state.config.max_k as u64) as usize;
     decode_span.finish();
+    Ok((parsed, k))
+}
+
+/// Opens the search stage of either handler and applies its injected
+/// faults: latency on the clock, then the containment drill — a
+/// deliberately panicking backend, which the per-request `catch_unwind`
+/// in [`admit`] turns into one `500`; the annotation survives into the
+/// clamped-open span.
+fn search_stage_faults(ctx: &RequestCtx, clock: &DeadlineClock) -> TraceSpan {
+    let search_span = ctx.root.child(names::SPAN_STAGE_SEARCH);
+    begin_stage(&search_span, clock, ctx.faults.search_latency_ms);
+    if ctx.faults.panic_in_search {
+        search_span.annotate("fault_panic", 1u64);
+        // lint: allow(L001) fault-injected panic is this line's entire purpose
+        panic!("injected fault: panic in search stage (request {})", ctx.idx);
+    }
+    search_span
+}
+
+/// `POST /lookup` — the degradation ladder lives here. Returns the
+/// response plus whether it was answered from the overload pin (pinned
+/// answers must not feed back into the pin's own state machine).
+fn handle_lookup(state: &ServerState, ctx: &RequestCtx, clock: &DeadlineClock) -> (Response, bool) {
+    let faults = ctx.faults;
+    let (parsed, k) = match open_request(state, ctx, clock) {
+        Ok(opened) => opened,
+        Err(resp) => return (resp, false),
+    };
+    let Some(q) = parsed.get("q").and_then(Json::as_str) else {
+        return (bad_request(state, "missing string field 'q'"), false);
+    };
 
     // -- overload pin ---------------------------------------------------
     // Sustained deadline misses pinned the whole service to the string
     // rung: answer cheap, fast, and honestly tagged. Every
     // `overload_probe_interval`-th request still runs the full pipeline
     // below, and its outcome (recorded in `dispatch_post`) unpins.
-    if state.config.overload_threshold > 0 && lock(&state.overload).pin(idx) {
+    if state.config.overload_threshold > 0 && lock(&state.overload).pin(ctx.idx) {
         state.metrics.overload_pinned.inc();
         ctx.root.annotate("overload", "pinned");
-        let resp = finish_qgram(state, q, k, &clock, ctx)
+        let resp = finish_qgram(state, q, k, clock, ctx)
             .with_header("x-emblookup-overload", "pinned");
         return (resp, true);
     }
 
     if clock.frac_remaining() <= QGRAM_FRAC {
         // Not even the encoder fits in what's left: string rung.
-        return (finish_qgram(state, q, k, &clock, ctx), false);
+        return (finish_qgram(state, q, k, clock, ctx), false);
     }
 
     // -- encode stage ---------------------------------------------------
     let encode_span = ctx.root.child(names::SPAN_STAGE_ENCODE);
-    encode_span.annotate("deadline_remaining_ms", clock.deterministic_remaining_ms());
-    if faults.encode_latency_ms > 0 {
-        encode_span.annotate("fault_latency_ms", faults.encode_latency_ms);
-    }
-    clock.advance_ms(faults.encode_latency_ms);
+    begin_stage(&encode_span, clock, faults.encode_latency_ms);
     let emb = state.service.model().embed(q);
     encode_span.finish();
     if clock.expired() {
-        return (deadline_response(state, Stage::Encode, &clock), false);
+        return (deadline_response(state, Stage::Encode, clock), false);
     }
     let frac = clock.frac_remaining();
     if frac <= QGRAM_FRAC {
-        return (finish_qgram(state, q, k, &clock, ctx), false);
+        return (finish_qgram(state, q, k, clock, ctx), false);
     }
     let mut rung = if frac <= FLAT_FRAC { Rung::Flat } else { Rung::Full };
 
     // -- search stage ---------------------------------------------------
-    let search_span = ctx.root.child(names::SPAN_STAGE_SEARCH);
-    search_span.annotate("deadline_remaining_ms", clock.deterministic_remaining_ms());
-    if faults.search_latency_ms > 0 {
-        search_span.annotate("fault_latency_ms", faults.search_latency_ms);
-    }
-    clock.advance_ms(faults.search_latency_ms);
-    if faults.panic_in_search {
-        // The containment drill: a deliberately panicking backend. The
-        // per-request catch_unwind above turns this into one 500; the
-        // annotation survives into the clamped-open span.
-        search_span.annotate("fault_panic", 1u64);
-        // lint: allow(L001) fault-injected panic is this line's entire purpose
-        panic!("injected fault: panic in search stage (request {idx})");
-    }
+    let search_span = search_stage_faults(ctx, clock);
     let mut shard_header: Option<(usize, usize)> = None;
     let mut results: Option<Vec<(EntityId, f32)>> = None;
     if rung == Rung::Full {
@@ -1073,23 +952,12 @@ fn handle_lookup(
         } else {
             let hits: Option<Vec<(EntityId, f32)>> = match &state.sharded {
                 Some(sharded) => {
-                    let (merged, ok, total) = sharded_search(
-                        state,
-                        sharded,
-                        &clock,
-                        ShardReq { idx, faults },
-                        &emb,
-                        k,
-                        &search_span,
-                    );
-                    shard_header = Some((ok, total));
-                    if merged.is_none() {
-                        search_span.annotate("all_shards_failed", 1u64);
-                    } else if ok < total {
-                        state.metrics.partial.inc();
-                        search_span.annotate("partial", 1u64);
-                    }
-                    merged
+                    let search =
+                        |shard: &EntityIndex, span: &TraceSpan| shard.search_traced(&emb, k, span);
+                    let (per_shard, total) =
+                        scatter_shards(state, sharded, clock, ctx, &search_span, &search);
+                    shard_header = Some((per_shard.len(), total));
+                    (!per_shard.is_empty()).then(|| merge_topk(&per_shard, k))
                 }
                 None => Some(state.service.index().search_traced(&emb, k, &search_span)),
             };
@@ -1119,19 +987,7 @@ fn handle_lookup(
     };
     search_span.annotate("rung", rung.name());
     search_span.finish();
-    let tag = |resp: Response| match shard_header {
-        Some((ok, total)) => resp.with_header("x-emblookup-shards", &format!("{ok}/{total}")),
-        None => resp,
-    };
-    if clock.expired() {
-        return (tag(deadline_response(state, Stage::Search, &clock)), false);
-    }
-
-    // -- rank stage -----------------------------------------------------
-    let rank_span = ctx.root.child(names::SPAN_STAGE_RANK);
-    let resp = tag(ok_response(state, rung, &results, ctx));
-    rank_span.finish();
-    (resp, false)
+    (finish_lookup(state, ctx, clock, rung, &results, shard_header), false)
 }
 
 fn finish_qgram(
@@ -1139,56 +995,24 @@ fn finish_qgram(
     q: &str,
     k: usize,
     clock: &DeadlineClock,
-    ctx: &TraceCtx,
+    ctx: &RequestCtx,
 ) -> Response {
     let search_span = ctx.root.child(names::SPAN_STAGE_SEARCH);
     search_span.annotate("rung", Rung::Qgram.name());
     search_span.annotate("deadline_remaining_ms", clock.deterministic_remaining_ms());
     let results = state.ladder.qgram_search(q, k);
     search_span.finish();
-    if clock.expired() {
-        return deadline_response(state, Stage::Search, clock);
-    }
-    let rank_span = ctx.root.child(names::SPAN_STAGE_RANK);
-    let resp = ok_response(state, Rung::Qgram, &results, ctx);
-    rank_span.finish();
-    resp
+    finish_lookup(state, ctx, clock, Rung::Qgram, &results, None)
 }
 
 /// `POST /lookup/bulk` — full rung only; a batch that cannot run at
 /// full fidelity inside its budget fails fast with `504` so the client
 /// can split or retry it, rather than receiving a silently mixed-rung
 /// batch.
-fn handle_bulk(
-    state: &ServerState,
-    req: &Request,
-    idx: u64,
-    faults: StageFaults,
-    ctx: &TraceCtx,
-) -> Response {
-    let clock = request_clock(state, req, ctx);
-
-    // -- admit stage ----------------------------------------------------
-    let admit_span = ctx.root.child(names::SPAN_STAGE_ADMIT);
-    admit_span.annotate("deadline_remaining_ms", clock.deterministic_remaining_ms());
-    if faults.admit_latency_ms > 0 {
-        admit_span.annotate("fault_latency_ms", faults.admit_latency_ms);
-    }
-    clock.advance_ms(faults.admit_latency_ms);
-    admit_span.finish();
-    if clock.expired() {
-        return deadline_response(state, Stage::Admit, &clock);
-    }
-
-    // -- decode stage ---------------------------------------------------
-    let decode_span = ctx.root.child(names::SPAN_STAGE_DECODE);
-    let body = match std::str::from_utf8(&req.body) {
-        Ok(s) => s,
-        Err(_) => return bad_request(state, "body is not UTF-8"),
-    };
-    let parsed = match json::parse(body) {
-        Ok(v) => v,
-        Err(why) => return bad_request(state, why),
+fn handle_bulk(state: &ServerState, ctx: &RequestCtx, clock: &DeadlineClock) -> Response {
+    let (parsed, k) = match open_request(state, ctx, clock) {
+        Ok(opened) => opened,
+        Err(resp) => return resp,
     };
     let Some(queries) = parsed.get("queries").and_then(Json::as_arr) else {
         return bad_request(state, "missing array field 'queries'");
@@ -1203,26 +1027,10 @@ fn handle_bulk(
             None => return bad_request(state, "queries must be strings"),
         }
     }
-    let k = parsed
-        .get("k")
-        .and_then(Json::as_u64)
-        .unwrap_or(10)
-        .clamp(1, state.config.max_k as u64) as usize;
-    decode_span.finish();
 
     // -- search stage (bulk encodes inside its chunks) -------------------
-    let search_span = ctx.root.child(names::SPAN_STAGE_SEARCH);
-    search_span.annotate("deadline_remaining_ms", clock.deterministic_remaining_ms());
-    if faults.search_latency_ms > 0 {
-        search_span.annotate("fault_latency_ms", faults.search_latency_ms);
-    }
-    clock.advance_ms(faults.search_latency_ms);
-    if faults.panic_in_search {
-        search_span.annotate("fault_panic", 1u64);
-        // lint: allow(L001) fault-injected panic is this line's entire purpose
-        panic!("injected fault: panic in bulk search (request {idx})");
-    }
-    if faults.backend_error {
+    let search_span = search_stage_faults(ctx, clock);
+    if ctx.faults.backend_error {
         search_span.annotate("fault_backend_error", 1u64);
         state.metrics.errors.inc();
         return Response::json(500, "{\"error\":\"backend error\"}".to_string());
@@ -1236,27 +1044,17 @@ fn handle_bulk(
                 .service
                 .model()
                 .embed_batch(&refs, emblookup_core::num_threads());
-            let (per_shard, ok, total) = scatter_shards(
-                state,
-                sharded,
-                &clock,
-                ShardReq { idx, faults },
-                &search_span,
-                &|shard, span| {
-                    span.annotate("queries", embs.len() as u64);
-                    embs.iter().map(|e| shard.search(e, k)).collect::<Vec<_>>()
-                },
-            );
-            shard_header = Some((ok, total));
-            if ok == 0 {
+            let search = |shard: &EntityIndex, span: &TraceSpan| {
+                span.annotate("queries", embs.len() as u64);
+                embs.iter().map(|e| shard.search(e, k)).collect::<Vec<_>>()
+            };
+            let (per_shard, total) =
+                scatter_shards(state, sharded, clock, ctx, &search_span, &search);
+            shard_header = Some((per_shard.len(), total));
+            if per_shard.is_empty() {
                 state.metrics.errors.inc();
-                search_span.annotate("all_shards_failed", 1u64);
-                return Response::json(500, "{\"error\":\"all shards failed\"}".to_string())
-                    .with_header("x-emblookup-shards", &format!("0/{total}"));
-            }
-            if ok < total {
-                state.metrics.partial.inc();
-                search_span.annotate("partial", 1u64);
+                let resp = Response::json(500, "{\"error\":\"all shards failed\"}".to_string());
+                return tag_shards(resp, shard_header);
             }
             (0..refs.len())
                 .map(|qi| {
@@ -1276,12 +1074,8 @@ fn handle_bulk(
     };
     search_span.annotate("rung", Rung::Full.name());
     search_span.finish();
-    let tag = |resp: Response| match shard_header {
-        Some((ok, total)) => resp.with_header("x-emblookup-shards", &format!("{ok}/{total}")),
-        None => resp,
-    };
     if clock.expired() {
-        return tag(deadline_response(state, Stage::Search, &clock));
+        return tag_shards(deadline_response(state, Stage::Search, clock), shard_header);
     }
 
     // -- rank stage -----------------------------------------------------
@@ -1298,5 +1092,5 @@ fn handle_bulk(
     }
     out.push_str("]}");
     rank_span.finish();
-    tag(Response::json(200, out))
+    tag_shards(Response::json(200, out), shard_header)
 }

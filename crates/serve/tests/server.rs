@@ -592,3 +592,100 @@ fn deadline_header_overrides_and_is_clamped() {
     assert_eq!(resp.status, 504);
     assert!(resp.body.contains("\"budget_ms\":1000"), "body: {}", resp.body);
 }
+
+/// Spins until `ready` holds; the real-time faults below give it two
+/// orders of magnitude more time than it needs.
+fn wait_until(what: &str, ready: impl Fn() -> bool) {
+    let give_up = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while !ready() {
+        assert!(std::time::Instant::now() < give_up, "timed out waiting for {what}");
+        std::thread::yield_now();
+    }
+}
+
+#[test]
+fn time_spent_queued_is_charged_to_the_deadline() {
+    // Real-time faults: request 0 holds the only slot for 150 ms.
+    let (server, registry) = start(ServeConfig {
+        workers: 1,
+        queue_cap: 2,
+        faults: Some(FaultConfig::Scripted {
+            plan: vec![
+                StageFaults { search_latency_ms: 150, ..StageFaults::default() },
+                StageFaults::default(),
+            ],
+            virtual_time: false,
+        }),
+        ..ServeConfig::default()
+    });
+    let addr = server.addr();
+    let (_, kg) = shared_model();
+    let body = format!("{{\"q\":\"{}\",\"k\":3}}", kg.label(emblookup_kg::EntityId(0)));
+
+    std::thread::scope(|s| {
+        let slow = s.spawn(|| {
+            client::post_json(addr, "/lookup", &body, &[("x-emblookup-deadline-ms", "1000")])
+        });
+        wait_until("request 0 to take the slot", || {
+            counter(&registry, names::SERVE_ADMITTED) == 1
+        });
+        // 50 ms of budget, all of it (and more) spent waiting behind
+        // request 0: the deadline is the client's, not the handler's.
+        let queued =
+            client::post_json(addr, "/lookup", &body, &[("x-emblookup-deadline-ms", "50")])
+                .unwrap();
+        assert_eq!(queued.status, 504, "body: {}", queued.body);
+        assert_eq!(
+            queued.body,
+            "{\"error\":\"deadline\",\"stage\":\"admit\",\"budget_ms\":50}"
+        );
+        // Its trace shows the wait as the admit stage.
+        let id = queued.header("x-emblookup-trace-id").expect("trace id header");
+        let trace = client::get(addr, &format!("/debug/traces/{id}")).unwrap();
+        assert!(trace.body.contains("\"queued\":0"), "trace: {}", trace.body);
+        assert_eq!(slow.join().unwrap().unwrap().status, 200);
+    });
+    assert_eq!(counter(&registry, names::SERVE_DEADLINE_EXCEEDED), 1);
+    assert_eq!(counter(&registry, names::SERVE_ADMITTED), 2);
+}
+
+#[test]
+fn gate_runs_one_queues_one_sheds_the_third() {
+    // Real-time faults: every admitted request holds its slot for 200 ms.
+    let (server, registry) = start(ServeConfig {
+        workers: 1,
+        queue_cap: 1,
+        default_deadline_ms: 5_000,
+        faults: Some(FaultConfig::Scripted {
+            plan: vec![StageFaults { search_latency_ms: 200, ..StageFaults::default() }],
+            virtual_time: false,
+        }),
+        ..ServeConfig::default()
+    });
+    let addr = server.addr();
+    let (_, kg) = shared_model();
+    let body = format!("{{\"q\":\"{}\",\"k\":3}}", kg.label(emblookup_kg::EntityId(0)));
+    let post = || client::post_json(addr, "/lookup", &body, &[]).unwrap().status;
+
+    let mut statuses = std::thread::scope(|s| {
+        let running = s.spawn(post);
+        wait_until("the first request to take the slot", || {
+            counter(&registry, names::SERVE_ADMITTED) == 1
+        });
+        let waiting = s.spawn(post);
+        // The control plane answers while one request computes and one
+        // waits — and a scrape is what refreshes the queue-depth gauge.
+        wait_until("the second request to queue", || {
+            let metrics = client::get(addr, "/metrics").unwrap();
+            metrics.status == 200 && metrics.body.contains("emblookup_serve_queue_depth 1")
+        });
+        assert_eq!(client::get(addr, "/healthz").unwrap().status, 200);
+        let third = post();
+        vec![running.join().unwrap(), waiting.join().unwrap(), third]
+    });
+    assert_eq!(statuses[2], 429, "one running + one waiting: the third is refused");
+    statuses.sort_unstable();
+    assert_eq!(statuses, vec![200, 200, 429]);
+    assert_eq!(counter(&registry, names::SERVE_SHED), 1);
+    assert_eq!(counter(&registry, names::SERVE_ADMITTED), 2);
+}

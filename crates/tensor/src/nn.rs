@@ -630,199 +630,3 @@ mod tests {
         }
     }
 }
-
-/// Single GRU cell; unrolled over time by [`Gru`]. Gate layout inside the
-/// stacked `[3*hidden]` pre-activation is `[reset, update, candidate]`.
-pub struct GruCell {
-    wx: ParamId,
-    wh: ParamId,
-    b: ParamId,
-    /// Input feature count.
-    pub in_dim: usize,
-    /// Hidden state width.
-    pub hidden: usize,
-}
-
-impl GruCell {
-    /// Registers the cell's parameter tensors.
-    pub fn new<R: Rng + ?Sized>(
-        store: &mut ParamStore,
-        name: &str,
-        in_dim: usize,
-        hidden: usize,
-        rng: &mut R,
-    ) -> Self {
-        let bound = (1.0 / hidden as f32).sqrt();
-        let wx = store.register(
-            format!("{name}.wx"),
-            Tensor::uniform(&[in_dim, 3 * hidden], -bound, bound, rng),
-        );
-        let wh = store.register(
-            format!("{name}.wh"),
-            Tensor::uniform(&[hidden, 3 * hidden], -bound, bound, rng),
-        );
-        let b = store.register(format!("{name}.b"), Tensor::zeros(&[3 * hidden]));
-        GruCell { wx, wh, b, in_dim, hidden }
-    }
-
-    /// One step: consumes `x_t` `[in_dim]` and `h` `[hidden]`; returns the
-    /// next hidden state.
-    pub fn step(
-        &self,
-        g: &mut Graph,
-        bindings: &mut Bindings,
-        store: &ParamStore,
-        x_t: Var,
-        h: Var,
-    ) -> Var {
-        let hd = self.hidden;
-        let wx = bindings.bind(g, store, self.wx);
-        let wh = bindings.bind(g, store, self.wh);
-        let b = bindings.bind(g, store, self.b);
-
-        let x_row = g.reshape(x_t, &[1, self.in_dim]);
-        let h_row = g.reshape(h, &[1, hd]);
-        let xg = g.matmul(x_row, wx);
-        let xg = g.add_bias(xg, b);
-        let xg = g.reshape(xg, &[3 * hd]);
-        let hg = g.matmul(h_row, wh);
-        let hg = g.reshape(hg, &[3 * hd]);
-
-        let xr = g.slice(xg, 0, hd);
-        let xz = g.slice(xg, hd, hd);
-        let xn = g.slice(xg, 2 * hd, hd);
-        let hr = g.slice(hg, 0, hd);
-        let hz = g.slice(hg, hd, hd);
-        let hn = g.slice(hg, 2 * hd, hd);
-
-        let r_pre = g.add(xr, hr);
-        let r = g.sigmoid(r_pre);
-        let z_pre = g.add(xz, hz);
-        let z = g.sigmoid(z_pre);
-        let gated = g.mul(r, hn);
-        let n_pre = g.add(xn, gated);
-        let n = g.tanh(n_pre);
-
-        // h' = (1 - z) * n + z * h  ==  n + z * (h - n)
-        let diff = g.sub(h, n);
-        let scaled = g.mul(z, diff);
-        g.add(n, scaled)
-    }
-}
-
-/// GRU encoder: runs [`GruCell`] over a sequence, returning the final
-/// hidden state. The publicly released EmbLookup code used GRUs for the
-/// syntactic encoder; this layer supports that variant.
-pub struct Gru {
-    cell: GruCell,
-}
-
-impl Gru {
-    /// Builds a GRU with the given input/hidden dimensions.
-    pub fn new<R: Rng + ?Sized>(
-        store: &mut ParamStore,
-        name: &str,
-        in_dim: usize,
-        hidden: usize,
-        rng: &mut R,
-    ) -> Self {
-        Gru { cell: GruCell::new(store, name, in_dim, hidden, rng) }
-    }
-
-    /// Hidden width of the encoder.
-    pub fn hidden(&self) -> usize {
-        self.cell.hidden
-    }
-
-    /// Encodes a sequence of `[in_dim]` vectors.
-    ///
-    /// # Panics
-    /// Panics on an empty sequence.
-    pub fn encode(
-        &self,
-        g: &mut Graph,
-        bindings: &mut Bindings,
-        store: &ParamStore,
-        inputs: &[Var],
-    ) -> Var {
-        assert!(!inputs.is_empty(), "GRU over empty sequence");
-        let mut h = g.leaf(Tensor::zeros(&[self.cell.hidden]));
-        for &x_t in inputs {
-            h = self.cell.step(g, bindings, store, x_t, h);
-        }
-        h
-    }
-}
-
-#[cfg(test)]
-mod gru_tests {
-    use super::*;
-    use crate::optim::{Adam, Optimizer};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn gru_encode_shape_and_finiteness() {
-        let mut rng = StdRng::seed_from_u64(21);
-        let mut store = ParamStore::new();
-        let gru = Gru::new(&mut store, "gru", 5, 9, &mut rng);
-        let mut g = Graph::new();
-        let mut b = Bindings::new();
-        let seq: Vec<Var> = (0..6)
-            .map(|_| g.leaf(Tensor::uniform(&[5], -1.0, 1.0, &mut rng)))
-            .collect();
-        let h = gru.encode(&mut g, &mut b, &store, &seq);
-        assert_eq!(g.value(h).shape(), &[9]);
-        assert!(g.value(h).all_finite());
-    }
-
-    #[test]
-    fn gru_gradients_reach_all_params() {
-        let mut rng = StdRng::seed_from_u64(22);
-        let mut store = ParamStore::new();
-        let gru = Gru::new(&mut store, "gru", 3, 6, &mut rng);
-        let mut g = Graph::new();
-        let mut b = Bindings::new();
-        let seq: Vec<Var> = (0..4)
-            .map(|_| g.leaf(Tensor::uniform(&[3], -1.0, 1.0, &mut rng)))
-            .collect();
-        let h = gru.encode(&mut g, &mut b, &store, &seq);
-        let sq = g.mul(h, h);
-        let loss = g.sum_all(sq);
-        g.backward(loss);
-        assert_eq!(b.len(), 3); // wx, wh, b — each bound exactly once
-        for (_, var) in b.iter() {
-            assert!(g.grad(var).is_some(), "a GRU parameter got no gradient");
-        }
-    }
-
-    #[test]
-    fn gru_learns_margin_task() {
-        let mut rng = StdRng::seed_from_u64(23);
-        let mut store = ParamStore::new();
-        let gru = Gru::new(&mut store, "gru", 3, 8, &mut rng);
-        let head = Linear::new(&mut store, "head", 8, 1, &mut rng);
-        let seq_a: Vec<Tensor> = (0..4).map(|i| Tensor::vector(&[i as f32, 1.0, 0.0])).collect();
-        let seq_b: Vec<Tensor> = (0..4).map(|i| Tensor::vector(&[-(i as f32), 0.0, 1.0])).collect();
-        let mut opt = Adam::new(0.05);
-        let mut last = f32::INFINITY;
-        for _ in 0..40 {
-            let mut g = Graph::new();
-            let mut b = Bindings::new();
-            let va: Vec<Var> = seq_a.iter().map(|t| g.leaf(t.clone())).collect();
-            let vb: Vec<Var> = seq_b.iter().map(|t| g.leaf(t.clone())).collect();
-            let ha = gru.encode(&mut g, &mut b, &store, &va);
-            let hb = gru.encode(&mut g, &mut b, &store, &vb);
-            let sa = head.forward(&mut g, &mut b, &store, ha);
-            let sb = head.forward(&mut g, &mut b, &store, hb);
-            let diff = g.sub(sb, sa);
-            let shifted = g.add_scalar(diff, 1.0);
-            let hinge = g.relu(shifted);
-            let loss = g.sum_all(hinge);
-            g.backward(loss);
-            last = g.value(loss).item();
-            opt.step(&mut store, &g, &b);
-        }
-        assert!(last < 0.1, "GRU failed to learn margin, loss {last}");
-    }
-}

@@ -50,6 +50,11 @@ cargo run -q --release --offline -p emblookup-bench --bin ann_bench -- --smoke
 echo "== cargo clippy -- -D warnings =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+# A deletion must not strand a doc link to what it deleted (or to a
+# private item): broken and redundant intra-doc links are errors.
+echo "== cargo doc -D warnings (no dangling doc links) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
+
 echo "== emblookup-lint --api-check (L001-L012 incl. layering, API drift, interprocedural effects, atomics confinement) =="
 # Hard gate: exits 1 with file:line diagnostics on any violation — this
 # includes the interprocedural rules (L008 determinism, L009 lock
@@ -71,5 +76,14 @@ if [ "$lint_elapsed" -gt 30 ]; then
     echo "ci.sh: FAIL — lint pass exceeded the 30s wall-clock budget" >&2
     exit 1
 fi
+
+# The sizes the north-star tracks (ROADMAP.md: "`API.lock` item count and
+# per-crate LOC are tracked numbers that should go down") — quote these
+# in CHANGES.md.
+echo "== tracked sizes =="
+for crate in crates/*/; do
+    printf '%-18s %6d lines of *.rs\n' "$crate" "$(find "$crate" -name '*.rs' -exec cat {} + | wc -l)"
+done
+printf '%-18s %6d items\n' "API.lock" "$(grep -cvE '^(#|\[|$)' API.lock)"
 
 echo "ci.sh: all checks passed"
