@@ -167,9 +167,10 @@ pub const STD_METHODS: &[&str] = &[
 
 /// The pool's blocking entry points — exactly its public fork-join
 /// calls: the caller blocks until the parallel work completes (the
-/// `POOLWAIT` effect). `scatter` is the one on the serve request path.
+/// `POOLWAIT` effect). `scatter_grained` is the one on the serve request
+/// path.
 pub const POOLWAIT_NAMES: &[&str] =
-    &["parallel_map", "parallel_map_with", "parallel_map_traced", "scatter"];
+    &["parallel_map", "parallel_map_with", "parallel_map_traced", "scatter", "scatter_grained"];
 
 /// Method names that constitute a deadline check for L012: calling any
 /// of these on a clock dominates the rest of the function body.

@@ -30,8 +30,8 @@ pub const PANICS: u8 = 1 << 3;
 /// Produces results whose order depends on unordered iteration or
 /// thread interleaving (an L008 determinism hazard).
 pub const NONDET: u8 = 1 << 4;
-/// Waits for pool fan-out to complete (the `parallel_map` family and
-/// `scatter`): the caller blocks, helping, until every chunk has run.
+/// Waits for pool fan-out to complete (the `parallel_map` and
+/// `scatter` families): the caller blocks, helping, until every chunk has run.
 pub const POOLWAIT: u8 = 1 << 5;
 
 /// Human-readable name of a single effect bit.

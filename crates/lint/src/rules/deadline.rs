@@ -1,6 +1,6 @@
 //! L012 — deadline propagation: every function reachable from a
 //! `crates/serve` request handler that blocks (a `BLOCKS` seed or a
-//! pool fan-out: `parallel_map*`, `scatter`) must either receive a
+//! pool fan-out: `parallel_map*`, `scatter*`) must either receive a
 //! deadline-bearing parameter (`DeadlineClock`, or a param named
 //! `clock`/`deadline`) or be dominated by a deadline check
 //! (`.expired()`, `.remaining_ms()`, a `DeadlineClock::…`

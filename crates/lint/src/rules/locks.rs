@@ -365,6 +365,29 @@ pub fn record(pool: &Pool, breakers: &std::sync::Mutex<u32>) {
     }
 
     #[test]
+    fn golden_guard_held_across_scatter_grained() {
+        // the grain-taking sibling is the call `scatter_shards` makes; a
+        // fan-out under its grain runs inline, but the caller cannot
+        // know that, so the guard rule is the same
+        let src = "\
+pub fn gather(pool: &Pool, breakers: &std::sync::Mutex<u32>) {
+    let g = breakers.lock();
+    pool.scatter_grained(2, 8, |i| search(i));
+}
+pub fn search(i: usize) {}
+";
+        let (v, _) = run(vec![FileFacts::fixture("crates/serve/src/lib.rs", "emblookup-serve", src)]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].line, 3);
+        assert_eq!(
+            v[0].message,
+            "in `gather`, lock guard `breakers` is held across pool call `scatter_grained(…)` — \
+             the caller blocks here while the chunks it waits for may need the lock; drop the \
+             guard first"
+        );
+    }
+
+    #[test]
     fn guard_dropped_before_scatter_is_clean() {
         let src = "\
 pub fn dispatch(pool: &Pool, state: &std::sync::Mutex<u32>) {

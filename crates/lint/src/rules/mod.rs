@@ -148,9 +148,9 @@ pub const RULE_DOCS: &[RuleDoc] = &[
         rationale: "Two families: (a) the workspace-wide lock-acquisition-order graph must be \
                     acyclic — an A→B edge in one crate and B→A in another is a deadlock waiting \
                     for load; (b) no lock guard may be held across a pool fan-out (`parallel_map`, \
-                    `parallel_map_with`, `parallel_map_traced`, `scatter`) or a blocking call — \
-                    the caller of a fan-out helps run its chunks, so a chunk that needs the \
-                    held lock deadlocks against its own submitter. Diagnostics print the \
+                    `parallel_map_with`, `parallel_map_traced`, `scatter`, `scatter_grained`) or \
+                    a blocking call — the caller of a fan-out helps run its chunks, so a chunk \
+                    that needs the held lock deadlocks against its own submitter. Diagnostics print the \
                     acquisition chain with file:line per hop.",
         example: "let g = self.breakers.lock();\npool.scatter(n, |i| search(i)); // guard held across the fan-out",
         escape: "Restructure so the guard drops first (`drop(g)`), or \
@@ -190,7 +190,7 @@ pub const RULE_DOCS: &[RuleDoc] = &[
         title: "deadline propagation from serve handlers",
         rationale: "Every function reachable from a serve request handler (`handle_*` in \
                     `emblookup-serve`) that blocks — a `.recv()`/`.join()`/sleep site or a pool \
-                    fan-out (`parallel_map*`, `scatter`) — must receive a deadline-bearing \
+                    fan-out (`parallel_map*`, `scatter*`) — must receive a deadline-bearing \
                     parameter (`DeadlineClock`, or a param named `clock`/`deadline`) or be \
                     dominated by a deadline check along every unguarded call path. Otherwise a \
                     slow shard turns the request-deadline machinery from PR 7 into decoration: \

@@ -27,8 +27,9 @@
 //!
 //! Panics inside tasks are contained per L001: a worker catches them,
 //! and the `parallel_map*` calls rethrow the message as a panic on the
-//! calling thread while [`Pool::scatter`] reports it per index as a
-//! [`TaskPanic`] — a poisoned job never takes a worker down.
+//! calling thread while [`Pool::scatter`] / [`Pool::scatter_grained`]
+//! report it per index as a [`TaskPanic`] — a poisoned job never takes
+//! a worker down.
 //!
 //! Fork-join is the only mode: every task is one chunk of a job whose
 //! submitter is waiting (and helping) inside the call that created it.
@@ -377,19 +378,25 @@ impl Pool {
         self.try_parallel_map_with(n, grain, || (), |(), i| f(i))
     }
 
-    /// Fans `f` out over `0..n` (grain 1, one task per index) with
-    /// **per-index panic containment**: unlike [`Pool::parallel_map`],
-    /// where one panicking index fails the whole job, each index's
-    /// outcome is reported independently as `Ok(value)` or
-    /// `Err(TaskPanic)` in index order. This is the scatter-gather
-    /// primitive for sharded serving, where one misbehaving shard must
-    /// cost only its own slot of the response, never its siblings'.
-    pub fn scatter<U, F>(&self, n: usize, f: F) -> Vec<Result<U, TaskPanic>>
+    /// Fans `f` out over `0..n` with **per-index panic containment**:
+    /// unlike [`Pool::parallel_map`], where one panicking index fails the
+    /// whole job, each index's outcome is reported independently as
+    /// `Ok(value)` or `Err(TaskPanic)` in index order. This is the
+    /// scatter-gather primitive for sharded serving, where one
+    /// misbehaving shard must cost only its own slot of the response,
+    /// never its siblings'.
+    ///
+    /// `grain` is the least number of indices worth a pool task (the
+    /// caller knows what one index costs; a task costs a worker wake-up
+    /// and a completion wake-up). When `n` is within one grain there is
+    /// nothing to hand out: every index runs on the calling thread, in
+    /// index order, with no queue traffic, wake-up or park.
+    pub fn scatter_grained<U, F>(&self, n: usize, grain: usize, f: F) -> Vec<Result<U, TaskPanic>>
     where
         U: Send,
         F: Fn(usize) -> U + Sync,
     {
-        match self.try_parallel_map(n, 1, |i| {
+        match self.try_parallel_map(n, grain, |i| {
             panic::catch_unwind(AssertUnwindSafe(|| f(i)))
                 .map_err(|payload| TaskPanic::from_payload(payload.as_ref()))
         }) {
@@ -398,6 +405,15 @@ impl Pool {
             // contained above, so the outer job cannot fail.
             Err(e) => e.resume(),
         }
+    }
+
+    /// [`Pool::scatter_grained`] at grain 1: one task per index.
+    pub fn scatter<U, F>(&self, n: usize, f: F) -> Vec<Result<U, TaskPanic>>
+    where
+        U: Send,
+        F: Fn(usize) -> U + Sync,
+    {
+        self.scatter_grained(n, 1, f)
     }
 
     /// Like [`Pool::parallel_map`] with per-chunk scratch state: `init`

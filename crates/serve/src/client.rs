@@ -7,7 +7,8 @@
 //! bulk loop pays TCP setup once; the one-shot [`request`] helper keeps
 //! the old `Connection: close` behavior for single exchanges.
 
-use std::io::{Read, Write};
+use crate::http::{read_head, HeadError};
+use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -95,7 +96,8 @@ pub fn post_json(
 /// One keep-alive connection to a server; requests reuse the socket.
 #[derive(Debug)]
 pub struct Connection {
-    stream: TcpStream,
+    /// Reads go through the buffer; writes go to the socket under it.
+    reader: BufReader<TcpStream>,
 }
 
 impl Connection {
@@ -106,7 +108,7 @@ impl Connection {
     pub fn open(addr: SocketAddr) -> std::io::Result<Connection> {
         let stream = TcpStream::connect(addr)?;
         stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-        Ok(Connection { stream })
+        Ok(Connection { reader: BufReader::new(stream) })
     }
 
     /// Sends one request on the kept-alive socket and reads one
@@ -136,9 +138,10 @@ impl Connection {
         }
         out.push_str("\r\nconnection: keep-alive\r\n\r\n");
         out.push_str(body);
-        self.stream.write_all(out.as_bytes())?;
-        self.stream.flush()?;
-        read_framed_response(&mut self.stream)
+        let stream = self.reader.get_mut();
+        stream.write_all(out.as_bytes())?;
+        stream.flush()?;
+        read_framed_response(&mut self.reader)
     }
 
     /// `GET path` on the kept-alive socket.
@@ -165,32 +168,28 @@ impl Connection {
     }
 }
 
-/// Reads one response head (byte-at-a-time until CRLFCRLF, never
-/// over-reading into the next response) plus its `content-length` body.
-fn read_framed_response(stream: &mut TcpStream) -> std::io::Result<HttpResponse> {
+/// Upper bound on a response head.
+const MAX_HEAD_BYTES: usize = 64 * 1024;
+
+/// Reads one response head (framed exactly as the server frames a
+/// request head) plus its `content-length` body.
+fn read_framed_response(reader: &mut BufReader<TcpStream>) -> std::io::Result<HttpResponse> {
     let bad = || std::io::Error::new(std::io::ErrorKind::InvalidData, "malformed response");
-    let eof = || std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "connection closed");
     let mut head = Vec::with_capacity(256);
-    let mut byte = [0u8; 1];
-    loop {
-        match stream.read(&mut byte)? {
-            0 => return Err(eof()),
-            _ => head.push(byte[0]),
+    read_head(reader, MAX_HEAD_BYTES, &mut head).map_err(|why| match why {
+        HeadError::Closed => {
+            std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "connection closed")
         }
-        if head.len() > 64 * 1024 {
-            return Err(bad());
-        }
-        if head.ends_with(b"\r\n\r\n") {
-            break;
-        }
-    }
+        HeadError::TooLarge => bad(),
+        HeadError::Io(e) => e,
+    })?;
     let mut resp = parse_response(&head).ok_or_else(bad)?;
     let content_length: usize = resp
         .header("content-length")
         .and_then(|v| v.parse().ok())
         .ok_or_else(bad)?;
     let mut body = vec![0u8; content_length];
-    stream.read_exact(&mut body)?;
+    reader.read_exact(&mut body)?;
     resp.body = String::from_utf8_lossy(&body).into_owned();
     Ok(resp)
 }

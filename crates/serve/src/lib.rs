@@ -35,8 +35,13 @@
 //! * **Scatter-gather sharding** — the entity set is hash-partitioned
 //!   into `N` shards at startup; the full rung fans out over every live
 //!   shard (each under a slice of the request's budget) and merges
-//!   per-shard top-k deterministically. Connections are HTTP/1.1
-//!   keep-alive: one connection serves many requests in order.
+//!   per-shard top-k deterministically. The fan-out goes to the compute
+//!   pool only when a task would hold at least eight index searches (a
+//!   bulk request); a single `/lookup`'s shard searches cost less than
+//!   the two thread wake-ups a pool task does, and run on the request's
+//!   own thread. Connections are HTTP/1.1 keep-alive behind one read
+//!   buffer each: one connection serves many requests in order, and may
+//!   pipeline them.
 //! * **Circuit breakers** — a per-shard [`ShardBreaker`] ejects a shard
 //!   after consecutive failures and probes it back in (responses built
 //!   from a subset of shards carry `x-emblookup-shards: k/N`); a

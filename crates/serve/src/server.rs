@@ -5,33 +5,44 @@
 //!
 //! The accept thread only accepts: each TCP connection gets its own
 //! connection thread that reads HTTP/1.1 keep-alive requests in order
-//! (pipelining-safe, because [`read_request`] never reads past one
-//! request's body) and **runs each request itself** — there is one
-//! thread kind per request and no hand-off. Tiny control-plane GETs
-//! (`/healthz`, `/metrics`, `/debug/traces*`) are answered at once, so
-//! they can never be shed behind data-plane load. A `POST` first passes
-//! the admission gate (`gate.rs`): at most `ServeConfig::workers`
-//! requests compute at once, at most `ServeConfig::queue_cap` wait for
-//! a slot, and the rest are answered `429` with a deterministically
-//! jittered `Retry-After` — load is shed at the door, not buffered into
-//! an unbounded backlog. The wait is the request's `stage.admit` span
-//! and is charged to its deadline. Which waiting connection gets the
-//! next free slot is unspecified; responses stay in request order per
-//! connection by construction, because the thread that read a request
-//! writes its response before reading the next.
+//! through the connection's one read buffer (pipelining-safe: what the
+//! buffer holds beyond a request's body is the next request — see
+//! [`read_request`]; `TCP_NODELAY` is set, so a pipelined response
+//! never waits on the client's delayed ACK) and **runs each request
+//! itself** — there is one thread kind per request and no hand-off.
+//! Tiny control-plane GETs (`/healthz`, `/metrics`, `/debug/traces*`)
+//! are answered at once, so they can never be shed behind data-plane
+//! load. A `POST` first passes the admission gate (`gate.rs`): at most
+//! `ServeConfig::workers` requests compute at once, at most
+//! `ServeConfig::queue_cap` wait for a slot, and the rest are answered
+//! `429` with a deterministically jittered `Retry-After` — load is shed
+//! at the door, not buffered into an unbounded backlog. The wait is the
+//! request's `stage.admit` span and is charged to its deadline. Which
+//! waiting connection gets the next free slot is unspecified; responses
+//! stay in request order per connection by construction, because the
+//! thread that read a request writes its response before reading the
+//! next.
 //!
 //! Request indices are assigned in arrival order under the `seq`
 //! counter — the anchor for deterministic fault replay. The only pool
-//! the serving tier touches is the global compute pool (the sharded
-//! scatter and the bulk embedding/search fan-out).
+//! the serving tier touches is the global compute pool, and only for
+//! batches: the bulk embedding/search fan-out and a bulk's sharded
+//! scatter. A `/lookup`'s shard searches are too small to be worth a
+//! pool task and run on the connection thread (next section).
 //!
 //! ## Sharding, breakers, and the overload pin
 //!
 //! With `ServeConfig::shards > 1` the entity set is hash-partitioned at
 //! startup into a [`ShardedIndex`]; the full rung then scatter-gathers
-//! every live shard on the global pool, each under a private slice of
-//! the request's remaining deadline budget, and merges per-shard top-k
-//! deterministically (`total_cmp`, ties on entity id). A per-shard
+//! every live shard, each under a private slice of the request's
+//! remaining deadline budget, and merges per-shard top-k
+//! deterministically (`total_cmp`, ties on entity id). Where the
+//! attempts run follows from how much work they hold: a pool task must
+//! hold at least eight index searches, so a `/lookup` (one search per
+//! shard) runs its shards back to back on its own thread until there
+//! are more than eight of them, while a bulk of 32 is one pool task per
+//! shard. Either way every attempt has its own panic containment and
+//! its own clock, started when the attempt starts. A per-shard
 //! [`ShardBreaker`] ejects a shard after consecutive failures and
 //! half-open-probes it back in; responses assembled from a strict
 //! subset of shards carry `x-emblookup-shards: k/N`. A whole-service
@@ -78,7 +89,8 @@ use emblookup_obs::{
 use emblookup_pool::Pool;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::io;
+use std::fmt::Write as _;
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -92,6 +104,16 @@ const FLAT_FRAC: f64 = 0.5;
 const QGRAM_FRAC: f64 = 0.15;
 /// Cap on request bodies.
 const MAX_BODY_BYTES: usize = 1024 * 1024;
+/// The shard fan-out's grain, in index searches: a pool task must hold
+/// at least this many or the shards run back to back on the request's
+/// own thread. Handing a task to the pool costs two thread wake-ups (the
+/// worker's, then the waiting submitter's), measured at ~20 µs each on
+/// the benchmark host (loopback ping-pong 46 µs across vCPUs, 5–8 µs on
+/// one), against ~35 µs for one shard search on the 19k-entity tier — so
+/// a two-shard `/lookup` sent through the pool spent 101 µs around two
+/// 41 µs searches and gained no parallelism. Eight searches (~280 µs)
+/// is where a task's work clearly outweighs the ~40 µs of waking.
+const MIN_SEARCHES_PER_TASK: usize = 8;
 
 /// Eagerly-created handles for every `serve.*` metric, so `/metrics`
 /// exports the full family (at zero) from the first scrape.
@@ -159,7 +181,8 @@ struct ShardServing {
 struct ServerState {
     service: EmbLookup,
     ladder: Ladder,
-    /// Entity labels indexed by dense entity id, for response bodies.
+    /// Entity labels indexed by dense entity id, JSON-escaped once at
+    /// startup: they are read only to render response bodies.
     labels: Vec<String>,
     faults: Option<FaultLayer>,
     config: ServeConfig,
@@ -256,7 +279,7 @@ impl Server {
         let addr = listener.local_addr()?;
         let ladder = Ladder::build(&service, kg, config.fallback_cap);
         let labels: Vec<String> = (0..kg.num_entities())
-            .map(|i| kg.label(EntityId(i as u32)).to_string())
+            .map(|i| json::escape(kg.label(EntityId(i as u32))))
             .collect();
         let metrics = ServeMetrics::new(&registry);
         metrics.queue_depth.set(0.0);
@@ -368,15 +391,22 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>, shutdown: &Arc<
 
 /// Serves one keep-alive connection: reads requests in order until the
 /// client closes, asks for `Connection: close`, errors, or shutdown.
-fn connection_loop(mut stream: TcpStream, state: &ServerState, shutdown: &Flag) {
+fn connection_loop(stream: TcpStream, state: &ServerState, shutdown: &Flag) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(
         state.config.read_timeout_ms.max(1),
     )));
+    // Every response leaves in one `write`, so Nagle has nothing to
+    // coalesce; left on, it holds the second response of a pipeline
+    // until the client's delayed ACK of the first (~40 ms).
+    let _ = stream.set_nodelay(true);
+    // The connection's one read buffer: what it holds beyond a request's
+    // body is the start of the next request (see `http`).
+    let mut reader = BufReader::new(stream);
     loop {
         if shutdown.is_raised() {
             return;
         }
-        let req = match read_request(&mut stream, MAX_BODY_BYTES) {
+        let req = match read_request(&mut reader, MAX_BODY_BYTES) {
             Ok(req) => req,
             // An idle keep-alive peer hanging up (or timing out) between
             // requests is the protocol working, not an error.
@@ -384,7 +414,7 @@ fn connection_loop(mut stream: TcpStream, state: &ServerState, shutdown: &Flag) 
             Err(why) => {
                 state.metrics.errors.inc();
                 let body = format!("{{\"error\":\"{}\"}}", json::escape(why));
-                write_response(&mut stream, &Response::json(400, body), false);
+                write_response(reader.get_mut(), &Response::json(400, body), false);
                 return;
             }
         };
@@ -422,7 +452,7 @@ fn connection_loop(mut stream: TcpStream, state: &ServerState, shutdown: &Flag) 
             }
             _ => Response::json(405, "{\"error\":\"method not allowed\"}".to_string()),
         };
-        write_response(&mut stream, &resp, keep_alive);
+        write_response(reader.get_mut(), &resp, keep_alive);
         if !keep_alive {
             return;
         }
@@ -644,12 +674,15 @@ fn deadline_response(state: &ServerState, stage: Stage, clock: &DeadlineClock) -
     )
 }
 
-/// Renders candidates as a JSON array; scores are `-distance` for the
-/// embedding rungs and Jaccard similarity for the q-gram rung.
-fn results_json(state: &ServerState, results: &[(EntityId, f32)]) -> String {
-    let mut out = String::with_capacity(results.len() * 48 + 2);
+/// Appends candidates to `out` as a JSON array; scores are `-distance`
+/// for the embedding rungs and Jaccard similarity for the q-gram rung.
+fn push_results(
+    state: &ServerState,
+    out: &mut String,
+    results: impl Iterator<Item = (EntityId, f32)>,
+) {
     out.push('[');
-    for (i, (id, score)) in results.iter().enumerate() {
+    for (i, (id, score)) in results.enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -658,15 +691,10 @@ fn results_json(state: &ServerState, results: &[(EntityId, f32)]) -> String {
             .get(id.0 as usize)
             .map(String::as_str)
             .unwrap_or("");
-        out.push_str(&format!(
-            "{{\"id\":{},\"label\":\"{}\",\"score\":{}}}",
-            id.0,
-            json::escape(label),
-            score
-        ));
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "{{\"id\":{},\"label\":\"{label}\",\"score\":{score}}}", id.0);
     }
     out.push(']');
-    out
 }
 
 /// What follows a `/lookup` search on any rung: the search stage's
@@ -689,21 +717,33 @@ fn finish_lookup(
         Rung::Qgram => state.metrics.degraded_qgram.inc(),
     }
     ctx.root.annotate("rung", rung.name());
-    let body = format!(
-        "{{\"rung\":\"{}\",\"degraded\":{},\"results\":{}}}",
+    let mut body = String::with_capacity(results.len() * 64 + 48);
+    // Writing into a `String` cannot fail.
+    let _ = write!(
+        body,
+        "{{\"rung\":\"{}\",\"degraded\":{},\"results\":",
         rung.name(),
-        rung != Rung::Full,
-        results_json(state, results)
+        rung != Rung::Full
     );
+    push_results(state, &mut body, results.iter().copied());
+    body.push('}');
     rank_span.finish();
     tag_shards(Response::json(200, body), answered)
 }
 
-/// Scatter-gathers one closure across every breaker-admitted shard on
-/// the global pool, each attempt under a private slice of the request's
-/// remaining deadline budget. Returns the delivered per-shard results
-/// (in shard order; fewer than every shard is a partial answer, counted
-/// and annotated on `parent`) and the total shard count.
+/// Scatter-gathers one closure across every breaker-admitted shard,
+/// each attempt under a private slice of the request's remaining
+/// deadline budget. Returns the delivered per-shard results (in shard
+/// order; fewer than every shard is a partial answer, counted and
+/// annotated on `parent`) and the total shard count.
+///
+/// `searches_per_shard` is how many index searches one attempt holds
+/// (1 for `/lookup`, the batch size for `/lookup/bulk`); it sets how
+/// many shards share a pool task ([`MIN_SEARCHES_PER_TASK`]). A fan-out
+/// that fits one task never reaches the pool: its attempts run back to
+/// back on this thread, each still under its own panic containment and
+/// its own clock — started when the attempt starts, so the slices still
+/// sum to the budget that remained.
 ///
 /// Determinism: shard spans are pre-created sequentially
 /// ([`TraceSpan::child_deferred`]) so span ids are width-independent;
@@ -717,6 +757,7 @@ fn scatter_shards<T: Send>(
     clock: &DeadlineClock,
     ctx: &RequestCtx,
     parent: &TraceSpan,
+    searches_per_shard: usize,
     search: &(dyn Fn(&EntityIndex, &TraceSpan) -> T + Sync),
 ) -> (Vec<T>, usize) {
     let total = sharded.index.num_shards();
@@ -747,7 +788,8 @@ fn scatter_shards<T: Send>(
             span
         })
         .collect();
-    let outcomes = Pool::global().scatter(attempted.len(), |i| {
+    let shards_per_task = MIN_SEARCHES_PER_TASK.div_ceil(searches_per_shard.max(1));
+    let outcomes = Pool::global().scatter_grained(attempted.len(), shards_per_task, |i| {
         let shard_idx = attempted[i];
         let span = &spans[i];
         span.begin();
@@ -955,7 +997,7 @@ fn handle_lookup(state: &ServerState, ctx: &RequestCtx, clock: &DeadlineClock) -
                     let search =
                         |shard: &EntityIndex, span: &TraceSpan| shard.search_traced(&emb, k, span);
                     let (per_shard, total) =
-                        scatter_shards(state, sharded, clock, ctx, &search_span, &search);
+                        scatter_shards(state, sharded, clock, ctx, &search_span, 1, &search);
                     shard_header = Some((per_shard.len(), total));
                     (!per_shard.is_empty()).then(|| merge_topk(&per_shard, k))
                 }
@@ -1049,7 +1091,7 @@ fn handle_bulk(state: &ServerState, ctx: &RequestCtx, clock: &DeadlineClock) -> 
                 embs.iter().map(|e| shard.search(e, k)).collect::<Vec<_>>()
             };
             let (per_shard, total) =
-                scatter_shards(state, sharded, clock, ctx, &search_span, &search);
+                scatter_shards(state, sharded, clock, ctx, &search_span, embs.len(), &search);
             shard_header = Some((per_shard.len(), total));
             if per_shard.is_empty() {
                 state.metrics.errors.inc();
@@ -1081,14 +1123,13 @@ fn handle_bulk(state: &ServerState, ctx: &RequestCtx, clock: &DeadlineClock) -> 
     // -- rank stage -----------------------------------------------------
     let rank_span = ctx.root.child(names::SPAN_STAGE_RANK);
     ctx.root.annotate("rung", Rung::Full.name());
-    let mut out = String::from("{\"rung\":\"full\",\"degraded\":false,\"results\":[");
+    let mut out = String::with_capacity(batches.iter().map(Vec::len).sum::<usize>() * 64 + 48);
+    out.push_str("{\"rung\":\"full\",\"degraded\":false,\"results\":[");
     for (i, hits) in batches.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let scored: Vec<(EntityId, f32)> =
-            hits.iter().map(|(id, d)| (*id, -d)).collect();
-        out.push_str(&results_json(state, &scored));
+        push_results(state, &mut out, hits.iter().map(|(id, d)| (*id, -d)));
     }
     out.push_str("]}");
     rank_span.finish();

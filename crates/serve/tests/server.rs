@@ -689,3 +689,76 @@ fn gate_runs_one_queues_one_sheds_the_third() {
     assert_eq!(counter(&registry, names::SERVE_SHED), 1);
     assert_eq!(counter(&registry, names::SERVE_ADMITTED), 2);
 }
+
+/// Reads one `content-length`-framed response off a raw socket.
+fn read_raw_response(reader: &mut std::io::BufReader<std::net::TcpStream>) -> (u16, String) {
+    use std::io::{BufRead, Read};
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    let status = line.split(' ').nth(1).expect("status line").parse().unwrap();
+    let mut len = 0usize;
+    loop {
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        if line == "\r\n" {
+            break;
+        }
+        if let Some(v) = line.strip_prefix("content-length: ") {
+            len = v.trim().parse().unwrap();
+        }
+    }
+    let mut body = vec![0u8; len];
+    reader.read_exact(&mut body).unwrap();
+    (status, String::from_utf8(body).unwrap())
+}
+
+/// Two requests written in one `write_all` come back in order, and the
+/// second does not wait ~40 ms for Nagle and the client's delayed ACK:
+/// the stall is a kernel constant, so the 10 ms bound has a 4x margin.
+#[test]
+fn pipelined_requests_are_answered_in_order_without_stalling() {
+    use std::io::Write;
+    let (server, _registry) = start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    let mut reader = std::io::BufReader::new(stream);
+
+    let mut rounds = Vec::new();
+    for _ in 0..20 {
+        let begin = std::time::Instant::now();
+        reader
+            .get_mut()
+            .write_all(b"GET /healthz HTTP/1.1\r\n\r\nGET /nope HTTP/1.1\r\n\r\n")
+            .unwrap();
+        let first = read_raw_response(&mut reader);
+        let second = read_raw_response(&mut reader);
+        rounds.push(begin.elapsed());
+        assert_eq!(first, (200, "{\"status\":\"ok\"}".to_string()));
+        assert_eq!(second, (404, "{\"error\":\"not found\"}".to_string()));
+    }
+    rounds.sort_unstable();
+    assert!(
+        rounds[rounds.len() / 2] < std::time::Duration::from_millis(10),
+        "median pipelined round took {:?}: {rounds:?}",
+        rounds[rounds.len() / 2]
+    );
+
+    // A body-carrying request directly followed by another: what the
+    // connection's buffer read past the body is the next request.
+    let (_, kg) = shared_model();
+    let body = format!("{{\"q\":\"{}\",\"k\":3}}", kg.label(emblookup_kg::EntityId(0)));
+    let wire = format!(
+        "POST /lookup HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}GET /healthz HTTP/1.1\r\n\r\n",
+        body.len()
+    );
+    reader.get_mut().write_all(wire.as_bytes()).unwrap();
+    let (status, lookup) = read_raw_response(&mut reader);
+    assert_eq!(status, 200, "body: {lookup}");
+    assert!(lookup.contains("\"rung\":\"full\""), "body: {lookup}");
+    assert_eq!(read_raw_response(&mut reader), (200, "{\"status\":\"ok\"}".to_string()));
+}

@@ -334,3 +334,58 @@ fn sharded_chaos_responses_are_byte_identical_across_worker_counts() {
         );
     }
 }
+
+/// The fan-out's grain, seen from outside: a `/lookup` holds one search
+/// per shard — under the grain at two shards — so both attempts run on
+/// the request's own thread, shard 0 then shard 1, at any pool width
+/// (`scripts/ci.sh` runs this suite at `EMBLOOKUP_THREADS` 1, 2 and 4).
+#[test]
+fn lookup_shard_attempts_run_in_order_on_the_request_thread() {
+    use emblookup_serve::json::{self, Json};
+    let (server, _registry) = start(ServeConfig {
+        workers: 2,
+        shards: 2,
+        ..ServeConfig::default()
+    });
+    let addr = server.addr();
+    let resp =
+        client::post_json(addr, "/lookup", &lookup_body(0), &[("x-emblookup-trace-id", "5ca7")])
+            .unwrap();
+    assert_eq!(resp.status, 200, "body: {}", resp.body);
+    assert_eq!(resp.header("x-emblookup-shards"), Some("2/2"));
+
+    let fetched = client::get(addr, "/debug/traces/5ca7").unwrap();
+    assert_eq!(fetched.status, 200, "body: {}", fetched.body);
+    let doc = json::parse(&fetched.body).expect("trace must parse");
+    let spans = doc
+        .get("trace")
+        .and_then(|t| t.get("spans"))
+        .and_then(Json::as_arr)
+        .expect("trace carries spans");
+    let field =
+        |span: &Json, key: &str| span.get(key).and_then(Json::as_u64).expect("numeric span field");
+    let named = |name: &str| {
+        spans
+            .iter()
+            .filter(|s| s.get("name").and_then(Json::as_str) == Some(name))
+            .collect::<Vec<_>>()
+    };
+    let root = named("serve.request");
+    let shards = named("stage.shard");
+    assert_eq!((root.len(), shards.len()), (1, 2), "trace: {}", fetched.body);
+    for (at, span) in shards.iter().enumerate() {
+        let shard = span.get("annotations").and_then(|a| a.get("shard")).and_then(Json::as_u64);
+        assert_eq!(shard, Some(at as u64), "shard spans out of shard order");
+        assert_eq!(
+            field(span, "thread"),
+            field(root[0], "thread"),
+            "a below-grain shard attempt left the request's thread: {}",
+            fetched.body
+        );
+    }
+    assert!(
+        field(shards[1], "start_ns") >= field(shards[0], "start_ns") + field(shards[0], "dur_ns"),
+        "attempts must run back to back: {}",
+        fetched.body
+    );
+}

@@ -24,6 +24,15 @@ EMBLOOKUP_THREADS=1 cargo test -q --offline --workspace
 echo "== cargo test -q --offline --workspace (default threads) =="
 cargo test -q --offline --workspace
 
+# On a two-core box the default width is 1 as well, and the rule that
+# decides whether a shard fan-out goes to the pool or stays on the
+# request's thread only has two sides when the pool has workers: the
+# pool and serve suites run again at widths 2 and 4.
+for width in 2 4; do
+    echo "== cargo test -q --offline -p emblookup-pool -p emblookup-serve (EMBLOOKUP_THREADS=$width) =="
+    EMBLOOKUP_THREADS=$width cargo test -q --offline -p emblookup-pool -p emblookup-serve
+done
+
 # The benchmark package is a workspace of its own (path dependencies on
 # crates/*), so --workspace never compiles it: without these two lines a
 # signature change that breaks the harness is found only when the PR is
@@ -32,6 +41,14 @@ cargo test -q --offline --workspace
 echo "== benchmark package: cargo build --release + cargo test (offline) =="
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
+# The differential net under the serving tier (~1 min; writes only the
+# git-ignored benchmark/out/): all four workloads, and a non-zero exit on
+# any failed operation, any served answer that differs from the
+# in-process ShardedIndex oracle, or a non-zero serve.shed /
+# deadline_504 / degraded.
+echo "== benchmark/run.sh --smoke (served answers vs the in-process oracle) =="
+bash benchmark/run.sh --smoke
 
 # Kernel-dispatch matrix: the ann suite must hold under both the forced
 # scalar fallback and auto-detected SIMD (EMBLOOKUP_KERNEL resolves once
