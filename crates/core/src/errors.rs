@@ -1,12 +1,11 @@
 //! Typed errors for the fallible service path.
 //!
-//! The serving layer (`emblookup-serve`) must surface bad configuration
-//! as `400` and contained backend failures as per-request `500`s instead
-//! of aborting the process, so the training and lookup entry points get
-//! `Result` twins here (per lint rule L001: library code propagates
-//! errors, panicking wrappers stay thin and documented).
+//! A caller that takes its configuration from outside (the CLI, a
+//! serving front end) must be able to refuse a bad one instead of
+//! aborting the process, so the training entry point gets a `Result`
+//! twin here (per lint rule L001: library code propagates errors,
+//! panicking wrappers stay thin and documented).
 
-use std::any::Any;
 use std::fmt;
 
 /// Why [`crate::EmbLookup::try_train_on`] refused to train.
@@ -32,39 +31,6 @@ impl fmt::Display for TrainError {
 
 impl std::error::Error for TrainError {}
 
-/// A lookup failed instead of panicking. Carries the contained cause —
-/// usually a task panic that escaped a batched backend — so the serving
-/// layer can answer the one affected request with `500` while the
-/// process keeps serving.
-#[derive(Debug, Clone)]
-pub struct LookupError {
-    /// Human-readable cause.
-    pub message: String,
-}
-
-impl LookupError {
-    /// Builds an error from a contained panic payload (the shapes
-    /// `std::panic::catch_unwind` and the pool's rethrow produce).
-    pub fn from_panic(payload: Box<dyn Any + Send>) -> Self {
-        let message = if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_owned()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "lookup task panicked".to_owned()
-        };
-        LookupError { message }
-    }
-}
-
-impl fmt::Display for LookupError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "lookup failed: {}", self.message)
-    }
-}
-
-impl std::error::Error for LookupError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,15 +41,5 @@ mod tests {
         assert!(e.to_string().contains("epochs"));
         assert!(TrainError::EmptyKg.to_string().contains("empty"));
         assert!(TrainError::NoTriplets.to_string().contains("triplets"));
-    }
-
-    #[test]
-    fn lookup_error_extracts_panic_payloads() {
-        let from_str = LookupError::from_panic(Box::new("boom"));
-        assert_eq!(from_str.message, "boom");
-        let from_string = LookupError::from_panic(Box::new(String::from("kaboom")));
-        assert_eq!(from_string.message, "kaboom");
-        let opaque = LookupError::from_panic(Box::new(42u32));
-        assert!(opaque.message.contains("panicked"));
     }
 }

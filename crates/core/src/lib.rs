@@ -35,7 +35,7 @@ pub mod trainer;
 
 pub use config::{Compression, EmbLookupConfig, LossKind};
 pub use encoder_index::EncoderIndex;
-pub use errors::{LookupError, TrainError};
+pub use errors::TrainError;
 pub use eval::Workload;
 pub use index::EntityIndex;
 pub use mining::{mine_triplets, MiningConfig, Triplet, TripletFamily};

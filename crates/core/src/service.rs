@@ -2,7 +2,7 @@
 // lint: hot-path
 
 use crate::config::{Compression, EmbLookupConfig};
-use crate::errors::{LookupError, TrainError};
+use crate::errors::TrainError;
 use crate::index::EntityIndex;
 use crate::mining::{mine_triplets, MiningConfig};
 use crate::model::EmbLookupModel;
@@ -155,6 +155,13 @@ impl EmbLookup {
         &self.index
     }
 
+    /// Takes the service apart into its model and its index — for a
+    /// caller (the serving tier) that searches the index through a
+    /// structure of its own.
+    pub fn into_parts(self) -> (Arc<EmbLookupModel>, EntityIndex) {
+        (self.model, self.index)
+    }
+
     /// Training statistics.
     pub fn report(&self) -> &TrainReport {
         &self.report
@@ -217,63 +224,6 @@ impl EmbLookup {
             .record_duration_with_exemplar(start.elapsed(), parent.trace().id());
         hits
     }
-
-    /// Traced, fallible twin of [`EmbLookup::bulk_lookup`]: each query
-    /// runs the embed + search pipeline inside a `pool.chunk` child span
-    /// of `parent`. Chunking is derived from the query count alone (at
-    /// most [`EmbLookup::BULK_TRACE_CHUNKS`] chunks), never from the
-    /// pool width, so the span tree shape is identical at every
-    /// `EMBLOOKUP_THREADS` setting; results are bit-identical to the
-    /// untraced batched path.
-    ///
-    /// A panic escaping the embed or search stage (e.g. a pool
-    /// [`TaskPanic`] rethrown by the fan-out) is contained and surfaced
-    /// as a [`LookupError`] so one poisoned query cannot take the process
-    /// down — the serving layer maps it to a per-request `500`.
-    ///
-    /// # Errors
-    /// [`LookupError`] carrying the contained panic message.
-    ///
-    /// [`TaskPanic`]: emblookup_pool::TaskPanic
-    pub fn try_bulk_lookup_traced(
-        &self,
-        queries: &[&str],
-        k: usize,
-        parent: &emblookup_obs::TraceSpan,
-    ) -> Result<Vec<Vec<(EntityId, f32)>>, LookupError> {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let start = std::time::Instant::now();
-            parent.annotate("backend", self.index.backend_name());
-            parent.annotate("queries", queries.len() as u64);
-            let n = queries.len();
-            if n == 0 {
-                self.bulk_hist.record_duration(start.elapsed());
-                return Vec::new();
-            }
-            let grain = n.div_ceil(Self::BULK_TRACE_CHUNKS).max(1);
-            let hits = emblookup_pool::Pool::global().parallel_map_traced(
-                n,
-                grain,
-                parent,
-                names::SPAN_POOL_CHUNK,
-                |i| {
-                    let emb = self.model.embed(queries[i]);
-                    self.index.search(&emb, k)
-                },
-            );
-            let elapsed = start.elapsed();
-            self.bulk_hist.record_duration(elapsed);
-            let per_query = u64::try_from(elapsed.as_nanos() / n as u128).unwrap_or(u64::MAX);
-            self.bulk_query_hist.record_n(per_query, n as u64);
-            self.bulk_queries.add(n as u64);
-            hits
-        }))
-        .map_err(LookupError::from_panic)
-    }
-
-    /// Upper bound on `pool.chunk` spans per traced bulk request; also
-    /// the divisor deriving the deterministic chunk grain.
-    pub const BULK_TRACE_CHUNKS: usize = 8;
 }
 
 impl LookupService for EmbLookup {
@@ -423,36 +373,18 @@ mod tests {
     fn traced_lookups_match_untraced_and_build_stage_spans() {
         use emblookup_obs::{Trace, TraceClock};
         let (el, s) = trained();
-        let labels: Vec<&str> = s.kg.entities().take(10).map(|e| e.label.as_str()).collect();
+        let label = s.kg.entities().next().unwrap().label.as_str();
 
         let trace = Trace::start(0xF00D, TraceClock::real());
         let root = trace.root(names::SPAN_LOOKUP_REQUEST);
-        let traced = el.lookup_with_distances_traced(labels[0], 5, &root);
-        assert_eq!(traced, el.lookup_with_distances(labels[0], 5));
+        let traced = el.lookup_with_distances_traced(label, 5, &root);
+        assert_eq!(traced, el.lookup_with_distances(label, 5));
         root.finish();
         let data = trace.snapshot();
         let span_names: Vec<&str> = data.spans.iter().map(|sp| sp.name).collect();
         assert_eq!(
             span_names,
             vec![names::SPAN_LOOKUP_REQUEST, names::SPAN_STAGE_ENCODE, names::SPAN_STAGE_SEARCH]
-        );
-
-        let bulk_trace = Trace::start(0xBEEF, TraceClock::real());
-        let bulk_root = bulk_trace.root(names::SPAN_LOOKUP_REQUEST);
-        let traced_bulk = el
-            .try_bulk_lookup_traced(&labels, 3, &bulk_root)
-            .expect("healthy index");
-        assert_eq!(traced_bulk, el.bulk_lookup(&labels, 3));
-        bulk_root.finish();
-        let bulk_data = bulk_trace.snapshot();
-        let chunks = bulk_data
-            .spans
-            .iter()
-            .filter(|sp| sp.name == names::SPAN_POOL_CHUNK)
-            .count();
-        assert!(
-            (1..=EmbLookup::BULK_TRACE_CHUNKS).contains(&chunks),
-            "got {chunks} chunk spans"
         );
     }
 }

@@ -82,6 +82,13 @@ impl ShardedIndex {
         ShardedIndex { shards }
     }
 
+    /// One shard holding everything: an already-built index served
+    /// through the scatter-gather interface as it is, with no
+    /// re-embedding and no partition.
+    pub fn single(index: EntityIndex) -> Self {
+        ShardedIndex { shards: vec![index] }
+    }
+
     /// Number of shards (fixed at build time).
     pub fn num_shards(&self) -> usize {
         self.shards.len()

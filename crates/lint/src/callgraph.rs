@@ -170,7 +170,7 @@ pub const STD_METHODS: &[&str] = &[
 /// `POOLWAIT` effect). `scatter_grained` is the one on the serve request
 /// path.
 pub const POOLWAIT_NAMES: &[&str] =
-    &["parallel_map", "parallel_map_with", "parallel_map_traced", "scatter", "scatter_grained"];
+    &["parallel_map", "parallel_map_with", "scatter", "scatter_grained"];
 
 /// Method names that constitute a deadline check for L012: calling any
 /// of these on a clock dominates the rest of the function body.

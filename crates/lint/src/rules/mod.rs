@@ -148,7 +148,7 @@ pub const RULE_DOCS: &[RuleDoc] = &[
         rationale: "Two families: (a) the workspace-wide lock-acquisition-order graph must be \
                     acyclic — an A→B edge in one crate and B→A in another is a deadlock waiting \
                     for load; (b) no lock guard may be held across a pool fan-out (`parallel_map`, \
-                    `parallel_map_with`, `parallel_map_traced`, `scatter`, `scatter_grained`) or \
+                    `parallel_map_with`, `scatter`, `scatter_grained`) or \
                     a blocking call — the caller of a fan-out helps run its chunks, so a chunk \
                     that needs the held lock deadlocks against its own submitter. Diagnostics print the \
                     acquisition chain with file:line per hop.",

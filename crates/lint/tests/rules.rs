@@ -162,7 +162,7 @@ fn l003_span_name_literal_in_trace_position_fires() {
 
 #[test]
 fn l003_span_names_from_constants_are_clean() {
-    let src = "use emblookup_obs::names;\npub fn f(trace: &std::sync::Arc<emblookup_obs::Trace>) {\n    let root = trace.root(names::SPAN_SERVE_REQUEST);\n    let chunk = root.child_deferred(names::SPAN_POOL_CHUNK);\n    chunk.finish();\n}\n";
+    let src = "use emblookup_obs::names;\npub fn f(trace: &std::sync::Arc<emblookup_obs::Trace>) {\n    let root = trace.root(names::SPAN_SERVE_REQUEST);\n    let shard = root.child_deferred(names::SPAN_STAGE_SHARD);\n    shard.finish();\n}\n";
     assert_eq!(rules_at(LIB, src), vec![]);
 }
 

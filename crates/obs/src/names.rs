@@ -132,8 +132,6 @@ names! {
     SPAN_STAGE_RANK => "stage.rank",
     /// Trace span: one shard's slice of a scatter-gather search.
     SPAN_STAGE_SHARD => "stage.shard",
-    /// Trace span: one pool chunk of a parallel traced region.
-    SPAN_POOL_CHUNK => "pool.chunk",
     /// Counter of traces stored in the flight recorder.
     TRACE_RECORDED => "trace.recorded",
     /// Counter of traces promoted to the tail-sampled retained buffer.

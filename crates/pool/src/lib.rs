@@ -39,7 +39,6 @@
 
 use emblookup_obs::names;
 use emblookup_obs::sync::{Flag, RefCount};
-use emblookup_obs::TraceSpan;
 use emblookup_obs::{Counter, Gauge};
 use std::any::Any;
 use std::cell::Cell;
@@ -466,95 +465,6 @@ impl Pool {
         Ok(collected)
     }
 
-    /// Traced [`Pool::parallel_map`]: maps `f` over `0..n` with one
-    /// `pool.chunk` child span per chunk under `parent`, annotated with
-    /// the chunk's `lo`/`hi` range and stamped with the worker thread
-    /// that ran it. Task panics are rethrown on the caller.
-    ///
-    /// Unlike the untraced paths, chunking here is derived from `n` and
-    /// `grain` **only** — never from the worker count — so the span
-    /// tree a request produces has an identical shape at every pool
-    /// width (only the `thread` ordinal each chunk records may differ).
-    /// All chunk spans are created sequentially on the calling thread
-    /// before execution begins, which pins their span ids.
-    pub fn parallel_map_traced<U, F>(
-        &self,
-        n: usize,
-        grain: usize,
-        parent: &TraceSpan,
-        chunk_name: &'static str,
-        f: F,
-    ) -> Vec<U>
-    where
-        U: Send,
-        F: Fn(usize) -> U + Sync,
-    {
-        match self.try_parallel_map_traced(n, grain, parent, chunk_name, f) {
-            Ok(v) => v,
-            Err(e) => e.resume(),
-        }
-    }
-
-    /// [`Pool::parallel_map_traced`] with a task panic surfaced as an error.
-    fn try_parallel_map_traced<U, F>(
-        &self,
-        n: usize,
-        grain: usize,
-        parent: &TraceSpan,
-        chunk_name: &'static str,
-        f: F,
-    ) -> Result<Vec<U>, TaskPanic>
-    where
-        U: Send,
-        F: Fn(usize) -> U + Sync,
-    {
-        if n == 0 {
-            return Ok(Vec::new());
-        }
-        let grain = grain.max(1);
-        let chunks = n.div_ceil(grain);
-        let chunk = n.div_ceil(chunks);
-        let ranges: Vec<(usize, usize)> = (0..chunks)
-            .map(|t| (t * chunk, ((t + 1) * chunk).min(n)))
-            .filter(|&(lo, hi)| lo < hi)
-            .collect();
-        let spans: Vec<TraceSpan> = ranges
-            .iter()
-            .map(|&(lo, hi)| {
-                let span = parent.child_deferred(chunk_name);
-                span.annotate("lo", lo as u64);
-                span.annotate("hi", hi as u64);
-                span
-            })
-            .collect();
-
-        let mut out: Vec<Option<U>> = Vec::with_capacity(n);
-        out.resize_with(n, || None);
-        let slots = SlotPtr(out.as_mut_ptr());
-        // The outer run covers *chunk indices*; its own width-dependent
-        // re-chunking only groups chunk spans per task and never changes
-        // how many `pool.chunk` spans exist.
-        let runner = |clo: usize, chi: usize| {
-            for ci in clo..chi {
-                let (lo, hi) = ranges[ci];
-                spans[ci].begin();
-                for i in lo..hi {
-                    let v = f(i);
-                    // SAFETY: chunk ranges partition 0..n, so each index
-                    // is visited exactly once and writes land in disjoint
-                    // slots of a buffer that outlives the call.
-                    #[allow(unsafe_code)]
-                    unsafe { slots.write(i, v) };
-                }
-                spans[ci].finish();
-            }
-        };
-        self.run_chunked(ranges.len(), 1, &runner)?;
-        let collected: Vec<U> = out.into_iter().flatten().collect();
-        debug_assert_eq!(collected.len(), n, "parallel_map_traced lost a slot");
-        Ok(collected)
-    }
-
     /// Splits `0..n` into chunks and executes `runner(lo, hi)` for each
     /// across the pool, helping from the calling thread until done.
     fn run_chunked<F>(&self, n: usize, grain: usize, runner: &F) -> Result<(), TaskPanic>
@@ -817,56 +727,6 @@ mod tests {
         let a = serial.parallel_map(500, 8, f);
         let b = wide.parallel_map(500, 8, f);
         assert!(a.iter().zip(b.iter()).all(|(x, y)| x.to_bits() == y.to_bits()));
-    }
-
-    #[test]
-    fn traced_map_has_width_independent_span_shape() {
-        use emblookup_obs::{AnnoValue, Trace, TraceClock};
-        use emblookup_obs::sync::RelaxedU64 as Ns;
-
-        let shape = |threads: usize| {
-            let pool = Pool::with_threads(threads);
-            let ns = Arc::new(Ns::new(0));
-            let trace = Trace::start(threads as u64, TraceClock::virtual_shared(ns));
-            let root = trace.root(names::SPAN_LOOKUP_REQUEST);
-            let out = pool
-                .try_parallel_map_traced(100, 13, &root, names::SPAN_POOL_CHUNK, |i| i * 2)
-                .unwrap();
-            root.finish();
-            assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>());
-            let data = trace.snapshot();
-            data.spans
-                .iter()
-                .map(|s| (s.id, s.parent, s.name, s.start_ns, s.end_ns, s.annotations.clone()))
-                .collect::<Vec<_>>()
-        };
-        let narrow = shape(1);
-        let wide = shape(4);
-        assert_eq!(narrow, wide, "span tree must not depend on pool width");
-        // 100 / 13 → 8 chunks under the root
-        assert_eq!(narrow.len(), 9);
-        assert_eq!(narrow[1].5[0], ("lo", AnnoValue::U64(0)));
-        assert_eq!(narrow[8].5[1], ("hi", AnnoValue::U64(100)));
-    }
-
-    #[test]
-    fn traced_map_surfaces_panics_and_keeps_tree() {
-        use emblookup_obs::{Trace, TraceClock};
-        let pool = Pool::with_threads(2);
-        let trace = Trace::start(1, TraceClock::real());
-        let root = trace.root(names::SPAN_LOOKUP_REQUEST);
-        let err = pool
-            .try_parallel_map_traced(32, 4, &root, names::SPAN_POOL_CHUNK, |i| {
-                if i == 17 {
-                    panic!("chunk boom");
-                }
-                i
-            })
-            .expect_err("panic must surface");
-        assert!(err.message.contains("chunk boom"));
-        root.finish();
-        let data = trace.snapshot();
-        assert_eq!(data.spans.len(), 9, "all chunk spans exist even after a panic");
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! `emblookup-cli query` subcommand can exercise the server without
 //! pulling in an external HTTP dependency. [`Connection`] holds one
 //! keep-alive socket and frames responses by `content-length`, so a
-//! bulk loop pays TCP setup once; the one-shot [`request`] helper keeps
-//! the old `Connection: close` behavior for single exchanges.
+//! bulk loop pays TCP setup once; the one-shot [`request`] helper is a
+//! connection opened for a single `Connection: close` exchange.
 
 use crate::http::{read_head, HeadError};
 use std::io::{BufReader, Read, Write};
@@ -33,7 +33,8 @@ impl HttpResponse {
     }
 }
 
-/// Sends one request and reads the response to EOF.
+/// Sends one request on a connection of its own, asking the server to
+/// close it after the response.
 ///
 /// # Errors
 /// Propagates connect/read/write failures and malformed response
@@ -45,29 +46,7 @@ pub fn request(
     headers: &[(&str, &str)],
     body: &str,
 ) -> std::io::Result<HttpResponse> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-    let mut out = String::with_capacity(body.len() + 128);
-    out.push_str(method);
-    out.push(' ');
-    out.push_str(path);
-    out.push_str(" HTTP/1.1\r\nhost: emblookup\r\ncontent-length: ");
-    out.push_str(&body.len().to_string());
-    for (name, value) in headers {
-        out.push_str("\r\n");
-        out.push_str(name);
-        out.push_str(": ");
-        out.push_str(value);
-    }
-    out.push_str("\r\nconnection: close\r\n\r\n");
-    out.push_str(body);
-    stream.write_all(out.as_bytes())?;
-    stream.flush()?;
-
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw)?;
-    parse_response(&raw)
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "malformed response"))
+    Connection::open(addr)?.exchange(method, path, headers, body, "close")
 }
 
 /// `GET path`.
@@ -124,6 +103,19 @@ impl Connection {
         headers: &[(&str, &str)],
         body: &str,
     ) -> std::io::Result<HttpResponse> {
+        self.exchange(method, path, headers, body, "keep-alive")
+    }
+
+    /// Writes one request carrying `connection: <connection>` and reads
+    /// its response.
+    fn exchange(
+        &mut self,
+        method: &str,
+        path: &str,
+        headers: &[(&str, &str)],
+        body: &str,
+        connection: &str,
+    ) -> std::io::Result<HttpResponse> {
         let mut out = String::with_capacity(body.len() + 128);
         out.push_str(method);
         out.push(' ');
@@ -136,7 +128,9 @@ impl Connection {
             out.push_str(": ");
             out.push_str(value);
         }
-        out.push_str("\r\nconnection: keep-alive\r\n\r\n");
+        out.push_str("\r\nconnection: ");
+        out.push_str(connection);
+        out.push_str("\r\n\r\n");
         out.push_str(body);
         let stream = self.reader.get_mut();
         stream.write_all(out.as_bytes())?;

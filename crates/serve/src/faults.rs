@@ -64,11 +64,11 @@ pub struct StageFaults {
     /// full — exercises the shed path without needing real overload.
     pub shed: bool,
     /// `(target, ms)`: inject `ms` of latency into shard
-    /// `target % num_shards` during this request's scatter-gather.
-    /// Ignored by the unsharded path.
+    /// `target % num_shards` during this request's scatter-gather (at
+    /// one shard every target names it).
     pub shard_latency: Option<(u32, u64)>,
     /// Panic inside shard `target % num_shards` during scatter-gather
-    /// (per-shard containment drill). Ignored by the unsharded path.
+    /// (per-shard containment drill).
     pub shard_panic: Option<u32>,
 }
 

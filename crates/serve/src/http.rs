@@ -13,7 +13,10 @@
 //! `Connection: close` (or a response serialized with
 //! `keep_alive = false`) ends the connection after that exchange. Header
 //! and body sizes are capped so a malformed or hostile peer cannot grow
-//! buffers without bound.
+//! buffers without bound. `content-length` is the only framing: a
+//! request that names a `transfer-encoding`, or two lengths that
+//! disagree, is refused before its body is touched — read either way it
+//! would leave bytes behind to be parsed as a request nobody sent.
 
 use std::io::{self, BufRead, Read, Write};
 use std::net::TcpStream;
@@ -90,7 +93,9 @@ pub(crate) fn read_head(
 ///
 /// # Errors
 /// A static description of the framing problem (oversized head, missing
-/// terminator, bad content length, body larger than `max_body`).
+/// terminator, bad or conflicting content length, a transfer encoding,
+/// body larger than `max_body`). After an `Err` the reader's position
+/// is not a request boundary: the caller must close the connection.
 pub fn read_request(reader: &mut impl BufRead, max_body: usize) -> Result<Request, &'static str> {
     let mut head = Vec::with_capacity(512);
     match read_head(reader, MAX_HEAD_BYTES, &mut head) {
@@ -119,13 +124,19 @@ pub fn read_request(reader: &mut impl BufRead, max_body: usize) -> Result<Reques
         headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
     }
 
-    let content_length = headers
+    if headers.iter().any(|(n, _)| n == "transfer-encoding") {
+        return Err("transfer-encoding is not supported");
+    }
+    let mut lengths = headers
         .iter()
-        .find(|(n, _)| n == "content-length")
-        .map(|(_, v)| v.parse::<usize>())
-        .transpose()
-        .map_err(|_| "bad content-length")?
-        .unwrap_or(0);
+        .filter(|(n, _)| n == "content-length")
+        .map(|(_, v)| v.parse::<usize>().map_err(|_| "bad content-length"));
+    let content_length = lengths.next().transpose()?.unwrap_or(0);
+    for repeated in lengths {
+        if repeated? != content_length {
+            return Err("conflicting content-length");
+        }
+    }
     if content_length > max_body {
         return Err("request body too large");
     }
@@ -340,6 +351,22 @@ mod tests {
             (b"POST /lookup HTTP/1.1\r\ncontent-length: ten\r\n\r\n", "bad content-length"),
             (b"POST /lookup HTTP/1.1\r\ncontent-length: -1\r\n\r\n", "bad content-length"),
             (b"POST / HTTP/1.1\r\ncontent-length: 9\r\n\r\n{\"q\":", "truncated request body"),
+            (
+                b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n1\r\nx\r\n0\r\n\r\n",
+                "transfer-encoding is not supported",
+            ),
+            (
+                b"POST / HTTP/1.1\r\ncontent-length: 2\r\ntransfer-encoding: identity\r\n\r\n{}",
+                "transfer-encoding is not supported",
+            ),
+            (
+                b"POST / HTTP/1.1\r\ncontent-length: 2\r\nContent-Length: 0\r\n\r\n{}",
+                "conflicting content-length",
+            ),
+            (
+                b"POST / HTTP/1.1\r\ncontent-length: 2\r\ncontent-length: x\r\n\r\n{}",
+                "bad content-length",
+            ),
             (b"POST /lookup HTTP/1.1\r\nno colon here\r\n\r\n", "malformed header line"),
             (b"\r\n\r\n", "missing method"),
             (b"GET\r\n\r\n", "missing path"),
@@ -347,6 +374,34 @@ mod tests {
         ] {
             assert_eq!(parse(raw, 10).err(), Some(why), "{:?}", String::from_utf8_lossy(raw));
         }
+    }
+
+    /// The desync a chunked body used to cause: framed by the (absent)
+    /// `content-length` it was a bodiless request, answered, and then its
+    /// chunks were parsed as a second request. Refused, the reader has
+    /// taken the head and not one byte of what follows; the connection
+    /// loop answers one `400` and closes, so the rest is never parsed.
+    #[test]
+    fn a_chunked_request_is_refused_with_its_body_unread() {
+        let head = b"POST /lookup HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n";
+        let chunks = b"f\r\n{\"q\":\"x\",\"k\":2}\r\n0\r\n\r\n";
+        let wire = [&head[..], chunks].concat();
+        let mut reader: &[u8] = &wire;
+        assert_eq!(
+            read_request(&mut reader, 1024).err(),
+            Some("transfer-encoding is not supported")
+        );
+        assert_eq!(reader, chunks);
+
+        // Lengths that disagree are refused the same way; repeated, they
+        // are one length.
+        let head = b"POST / HTTP/1.1\r\ncontent-length: 15\r\ncontent-length: 0\r\n\r\n";
+        let wire = [&head[..], b"{\"q\":\"x\",\"k\":2}"].concat();
+        let mut reader: &[u8] = &wire;
+        assert_eq!(read_request(&mut reader, 1024).err(), Some("conflicting content-length"));
+        assert_eq!(reader.len(), 15);
+        let twice = b"POST / HTTP/1.1\r\ncontent-length: 2\r\nContent-Length: 2\r\n\r\n{}";
+        assert_eq!(parse(twice, 10).unwrap().body, b"{}");
     }
 
     /// A reader whose data runs out into a timeout instead of EOF, as a
@@ -375,18 +430,25 @@ mod tests {
 
     /// What an independent reading of the wire says a request may take:
     /// its head (through the first blank line, or the cap) and, when the
-    /// head declares one that fits, its body.
+    /// head declares one that fits — and no transfer encoding — its body.
     fn allowance(wire: &[u8], max_body: usize) -> usize {
         let head_end = wire
             .windows(4)
             .position(|w| w == b"\r\n\r\n")
             .map_or(wire.len(), |at| at + 4)
             .min(MAX_HEAD_BYTES + 1);
-        let declared = String::from_utf8_lossy(&wire[..head_end])
-            .split("\r\n")
-            .skip(1)
-            .filter_map(|line| line.split_once(':'))
-            .find(|(name, _)| name.trim().eq_ignore_ascii_case("content-length"))
+        let head = String::from_utf8_lossy(&wire[..head_end]);
+        let named = |header: &'static str| {
+            head.split("\r\n")
+                .skip(1)
+                .filter_map(|line| line.split_once(':'))
+                .filter(move |(name, _)| name.trim().eq_ignore_ascii_case(header))
+        };
+        if named("transfer-encoding").next().is_some() {
+            return head_end;
+        }
+        let declared = named("content-length")
+            .next()
             .and_then(|(_, v)| v.trim().parse::<usize>().ok())
             .filter(|&n| n <= max_body)
             .unwrap_or(0);
@@ -394,7 +456,8 @@ mod tests {
     }
 
     /// Seeded mutations of valid requests (byte flips, truncations,
-    /// doubled CRLFs, giant and negative lengths, a pipelined tail):
+    /// doubled CRLFs, giant and negative lengths, a pipelined tail, a
+    /// second length, a transfer encoding):
     /// `read_request` always returns, and never takes more from the
     /// reader than the head plus the body that head declares.
     #[test]
@@ -403,12 +466,12 @@ mod tests {
         let lengths: [&[u8]; 6] =
             [b"-1", b"18446744073709551616", b"99999999999", b"0x10", b"", b"65"];
         let mut rng = StdRng::seed_from_u64(0x4854_5450);
-        let (mut parsed, mut refused) = (0u32, 0u32);
+        let (mut parsed, mut refused, mut encoded) = (0u32, 0u32, 0u32);
         for case in 0..12_000u32 {
             let mut wire = [POST, HEALTHZ, METRICS][case as usize % 3].to_vec();
             for _ in 0..rng.gen_range(1..=3u32) {
                 let at = rng.gen_range(0..=wire.len());
-                match rng.gen_range(0..6u32) {
+                match rng.gen_range(0..7u32) {
                     0 if at < wire.len() => wire[at] ^= 1 << rng.gen_range(0..8u32),
                     1 => wire.truncate(at),
                     2 => drop(wire.splice(at..at, *b"\r\n")),
@@ -422,7 +485,15 @@ mod tests {
                         }
                     }
                     4 => wire.extend_from_slice(HEALTHZ),
-                    _ => drop(wire.splice(at..at, b"Content-Length: 7\r\n".iter().copied())),
+                    5 => drop(wire.splice(at..at, b"Content-Length: 7\r\n".iter().copied())),
+                    _ => {
+                        // A transfer encoding, as a header line of its
+                        // own wherever the wire has a line end.
+                        let ends: Vec<usize> =
+                            (2..=wire.len()).filter(|&e| wire[..e].ends_with(b"\r\n")).collect();
+                        let at = ends.get(rng.gen_range(0..=ends.len())).copied().unwrap_or(at);
+                        drop(wire.splice(at..at, b"Transfer-Encoding: chunked\r\n".iter().copied()));
+                    }
                 }
             }
             let mut reader: &[u8] = &wire;
@@ -435,12 +506,14 @@ mod tests {
                     assert_eq!(consumed, allowed, "case {case}: took {consumed}");
                     assert!(req.body.len() <= MAX_BODY);
                 }
-                Err(_) => {
+                Err(why) => {
                     refused += 1;
+                    encoded += u32::from(why == "transfer-encoding is not supported");
                     assert!(consumed <= allowed, "case {case}: took {consumed} of {allowed}");
                 }
             }
         }
         assert!(parsed > 1_000 && refused > 1_000, "one-sided corpus: {parsed} / {refused}");
+        assert!(encoded > 300, "only {encoded} cases reached the transfer-encoding refusal");
     }
 }

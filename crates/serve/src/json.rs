@@ -271,6 +271,8 @@ fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, &'stat
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn parses_lookup_request_shape() {
@@ -310,6 +312,13 @@ mod tests {
     fn rejects_pathological_nesting() {
         let deep = "[".repeat(100) + &"]".repeat(100);
         assert!(parse(&deep).is_err());
+        // Refused at the cap, not by the stack: a megabyte of openers
+        // (the body limit) costs `MAX_DEPTH` frames.
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nested(MAX_DEPTH + 1)).is_ok());
+        assert_eq!(parse(&nested(MAX_DEPTH + 2)).err(), Some("JSON nesting too deep"));
+        assert_eq!(parse(&"[".repeat(1 << 20)).err(), Some("JSON nesting too deep"));
+        assert_eq!(parse(&"{\"a\":".repeat(1 << 16)).err(), Some("JSON nesting too deep"));
     }
 
     #[test]
@@ -325,5 +334,88 @@ mod tests {
         let doc = format!("{{\"s\": \"{}\"}}", escape(nasty));
         let v = parse(&doc).unwrap();
         assert_eq!(v.get("s").and_then(Json::as_str), Some(nasty));
+    }
+
+    /// Seeded mutations of valid request bodies (bit flips, truncations,
+    /// nesting pushed past `MAX_DEPTH`, hostile number and escape tokens,
+    /// strings left open): whatever arrives, `parse` returns `Ok` or
+    /// `Err` — a panic here would be one `500` per hostile body, and an
+    /// unbounded recursion the whole process.
+    #[test]
+    fn mutated_documents_never_panic() {
+        const BODIES: [&str; 3] = [
+            r#"{"q": "germoney", "k": 5}"#,
+            r#"{"queries": ["a", "b\nc", "caf\u00e9 über \ud83d\ude00 𝄞"], "k": 2}"#,
+            r#"{"a": [1, 2.5, -3e2], "b": {"c": null, "d": true}, "e": "\"\\\/\b\f"}"#,
+        ];
+        const HOSTILE: [&str; 16] = [
+            "1e999", "-1e999", "-", "+", ".", "-.e+", "0x10", "\\u", "\\u12", "\\ud800",
+            "\\udfff\\ud800", "\\uzzzz", "\\", "\"", "\u{0}", "nul",
+        ];
+        assert!(BODIES.iter().all(|body| parse(body).is_ok()), "the corpus must be valid");
+        let mut rng = StdRng::seed_from_u64(0x4A53_4F4E);
+        let (mut accepted, mut refused) = (0u32, 0u32);
+        for case in 0..12_000u32 {
+            let mut doc = BODIES[case as usize % 3].as_bytes().to_vec();
+            for _ in 0..rng.gen_range(1..=3u32) {
+                let at = rng.gen_range(0..=doc.len());
+                let insert: Vec<u8> = match rng.gen_range(0..5u32) {
+                    0 if at < doc.len() => {
+                        doc[at] ^= 1 << rng.gen_range(0..8u32);
+                        continue;
+                    }
+                    1 => {
+                        doc.truncate(at);
+                        continue;
+                    }
+                    2 => {
+                        // A quote taken out (or one put in) leaves a
+                        // string open to the end of the document.
+                        match doc[at..].iter().position(|&b| b == b'"') {
+                            Some(quote) => drop(doc.remove(at + quote)),
+                            None => doc.push(b'"'),
+                        }
+                        continue;
+                    }
+                    3 => {
+                        let opener = if rng.gen_bool(0.5) { "[" } else { "{\"a\":" };
+                        opener.repeat(rng.gen_range(1..=2 * MAX_DEPTH)).into_bytes()
+                    }
+                    _ => HOSTILE[rng.gen_range(0..HOSTILE.len())].as_bytes().to_vec(),
+                };
+                drop(doc.splice(at..at, insert));
+            }
+            // The handler refuses a body that is not UTF-8 before it
+            // parses it; lossy decoding keeps those cases in the corpus.
+            match parse(&String::from_utf8_lossy(&doc)) {
+                Ok(_) => accepted += 1,
+                Err(_) => refused += 1,
+            }
+        }
+        assert!(accepted > 300 && refused > 3_000, "one-sided corpus: {accepted} / {refused}");
+    }
+
+    /// `escape` and `parse` are inverses on every string: seeded strings
+    /// of arbitrary `char`s — controls, quotes, backslashes, the top of
+    /// the BMP, astral planes — come back as they went in.
+    #[test]
+    fn escaped_strings_of_arbitrary_chars_round_trip() {
+        let mut rng = StdRng::seed_from_u64(0xE5CA);
+        let pools: [std::ops::RangeInclusive<u32>; 5] =
+            [0..=0x1F, 0x20..=0x7F, 0x80..=0xD7FF, 0xE000..=0xFFFF, 0x1_0000..=0x10_FFFF];
+        for case in 0..10_000u32 {
+            let s: String = (0..rng.gen_range(0..24u32))
+                .map(|_| match rng.gen_range(0..7usize) {
+                    5 => '"',
+                    6 => '\\',
+                    pool => {
+                        let code = rng.gen_range(pools[pool].clone());
+                        char::from_u32(code).expect("the pools hold no surrogate")
+                    }
+                })
+                .collect();
+            let doc = format!("\"{}\"", escape(&s));
+            assert_eq!(parse(&doc), Ok(Json::Str(s)), "case {case}: {doc:?}");
+        }
     }
 }

@@ -16,7 +16,7 @@
 //! across pool widths and repeat runs.
 
 use emblookup_ann::{FlatIndex, VectorSet};
-use emblookup_core::EmbLookup;
+use emblookup_core::EmbLookupModel;
 use emblookup_kg::{EntityId, KnowledgeGraph};
 use emblookup_text::distance::qgram_jaccard;
 
@@ -55,7 +55,7 @@ impl Ladder {
     /// Embeds the first `cap` entity labels with the trained model and
     /// builds the fallback index plus the label table. `cap` bounds
     /// both memory and worst-case fallback latency.
-    pub fn build(service: &EmbLookup, kg: &KnowledgeGraph, cap: usize) -> Self {
+    pub fn build(model: &EmbLookupModel, kg: &KnowledgeGraph, cap: usize) -> Self {
         let take = kg.num_entities().min(cap);
         let mut flat_ids = Vec::with_capacity(take);
         let mut labels = Vec::with_capacity(take);
@@ -66,8 +66,8 @@ impl Ladder {
         let refs: Vec<&str> = labels.iter().map(|(_, l)| l.as_str()).collect();
         // threads = 1: the fallback set is small and sequential
         // embedding keeps startup independent of pool configuration.
-        let embedded = service.model().embed_batch(&refs, 1);
-        let mut vectors = VectorSet::new(service.model().dim().max(1));
+        let embedded = model.embed_batch(&refs, 1);
+        let mut vectors = VectorSet::new(model.dim().max(1));
         for v in &embedded {
             vectors.push(v);
         }
@@ -118,7 +118,7 @@ impl Ladder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emblookup_core::EmbLookupConfig;
+    use emblookup_core::{EmbLookup, EmbLookupConfig};
     use emblookup_kg::{generate, SynthKgConfig};
 
     fn small_service() -> &'static (EmbLookup, KnowledgeGraph) {
@@ -134,7 +134,7 @@ mod tests {
     #[test]
     fn build_respects_cap() {
         let (service, kg) = small_service();
-        let ladder = Ladder::build(service, kg, 5);
+        let ladder = Ladder::build(service.model(), kg, 5);
         assert_eq!(ladder.len(), 5.min(kg.num_entities()));
         assert!(!ladder.is_empty());
     }
@@ -142,7 +142,7 @@ mod tests {
     #[test]
     fn flat_search_returns_scored_candidates() {
         let (service, kg) = small_service();
-        let ladder = Ladder::build(service, kg, 64);
+        let ladder = Ladder::build(service.model(), kg, 64);
         let emb = service.model().embed(kg.label(EntityId(0)));
         let hits = ladder.flat_search(&emb, 3);
         assert!(!hits.is_empty() && hits.len() <= 3);
@@ -155,7 +155,7 @@ mod tests {
     #[test]
     fn qgram_search_ranks_exact_label_first() {
         let (service, kg) = small_service();
-        let ladder = Ladder::build(service, kg, 64);
+        let ladder = Ladder::build(service.model(), kg, 64);
         let label = kg.label(EntityId(2)).to_string();
         let hits = ladder.qgram_search(&label, 5);
         assert_eq!(hits[0].0, EntityId(2), "exact label must win the q-gram rung");
@@ -165,7 +165,7 @@ mod tests {
     #[test]
     fn qgram_search_is_deterministic() {
         let (service, kg) = small_service();
-        let ladder = Ladder::build(service, kg, 64);
+        let ladder = Ladder::build(service.model(), kg, 64);
         let a = ladder.qgram_search("germoney", 10);
         let b = ladder.qgram_search("germoney", 10);
         assert_eq!(a, b);

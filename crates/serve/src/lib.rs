@@ -14,7 +14,7 @@
 //! | `GET /debug/traces/chrome` | retained traces as Chrome `trace_event` JSON (Perfetto) |
 //! | `GET /debug/traces/<id>` | one trace by 16-hex-digit id, retained or still in the ring |
 //!
-//! Three robustness mechanisms compose:
+//! Five robustness mechanisms compose:
 //!
 //! * **Admission control** — a request runs on the connection thread
 //!   that read it, after passing a gate: at most
@@ -29,24 +29,24 @@
 //!   errors/poisons), the answer steps down: PQ/ANN → exact flat search
 //!   on a capped set → q-gram string similarity. The rung is tagged in
 //!   the response and counted in `serve.degraded.*`.
-//!
-//! With [`ServeConfig::shards`] `> 1` two more compose on top:
-//!
-//! * **Scatter-gather sharding** — the entity set is hash-partitioned
-//!   into `N` shards at startup; the full rung fans out over every live
-//!   shard (each under a slice of the request's budget) and merges
-//!   per-shard top-k deterministically. The fan-out goes to the compute
-//!   pool only when a task would hold at least eight index searches (a
-//!   bulk request); a single `/lookup`'s shard searches cost less than
-//!   the two thread wake-ups a pool task does, and run on the request's
-//!   own thread. Connections are HTTP/1.1 keep-alive behind one read
-//!   buffer each: one connection serves many requests in order, and may
-//!   pipeline them.
+//! * **Scatter-gather sharding** — the full rung searches one sharded
+//!   index at every [`ServeConfig::shards`]: the caller's own index as
+//!   a single shard at `1`, the entity set hash-partitioned into `N`
+//!   shards at startup above. It fans out over every live shard (each
+//!   under a slice of the request's budget) and merges per-shard top-k
+//!   deterministically. The fan-out goes to the compute pool only when
+//!   a task would hold at least eight index searches (a bulk request);
+//!   a single `/lookup`'s shard searches cost less than the two thread
+//!   wake-ups a pool task does, and run on the request's own thread.
+//!   Connections are HTTP/1.1 keep-alive behind one read buffer each:
+//!   one connection serves many requests in order, and may pipeline
+//!   them.
 //! * **Circuit breakers** — a per-shard [`ShardBreaker`] ejects a shard
-//!   after consecutive failures and probes it back in (responses built
-//!   from a subset of shards carry `x-emblookup-shards: k/N`); a
-//!   whole-service [`OverloadPin`] pins sustained deadline-miss storms
-//!   to the q-gram rung, tagged `x-emblookup-overload: pinned`.
+//!   after consecutive failures and probes it back in (every answer
+//!   that consulted the shards carries `x-emblookup-shards: k/N`,
+//!   `k < N` when a subset answered); a whole-service [`OverloadPin`]
+//!   pins sustained deadline-miss storms to the q-gram rung, tagged
+//!   `x-emblookup-overload: pinned`.
 //!
 //! A deterministic fault-injection harness ([`faults`]) drives all of
 //! this in tests: scripted or seeded-random stage latency, backend
@@ -119,12 +119,12 @@ pub struct ServeConfig {
     /// Slow-trace threshold in milliseconds; `0` (the default) adapts
     /// to twice the observed p99 once 64 requests have completed.
     pub slow_trace_ms: u64,
-    /// Number of hash-partitioned index shards the full rung
-    /// scatter-gathers; `1` (the default) serves the single unsharded
-    /// index of the service passed to `Server::start`. Above `1` the
-    /// server re-embeds the graph at startup and builds every shard with
-    /// the model config's `compression`; the passed service's own index
-    /// is then unused.
+    /// Number of index shards the full rung scatter-gathers. At `1`
+    /// (the default; `0` means the same) the index of the service passed
+    /// to `Server::start` is the single shard. Above `1` the server
+    /// re-embeds the graph at startup, hash-partitions it and builds
+    /// every shard with the model config's `compression`; the passed
+    /// service's own index is then dropped.
     pub shards: usize,
     /// Consecutive failures (deadline-miss / error / panic) that open a
     /// shard's circuit breaker.

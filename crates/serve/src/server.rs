@@ -26,26 +26,30 @@
 //! Request indices are assigned in arrival order under the `seq`
 //! counter — the anchor for deterministic fault replay. The only pool
 //! the serving tier touches is the global compute pool, and only for
-//! batches: the bulk embedding/search fan-out and a bulk's sharded
-//! scatter. A `/lookup`'s shard searches are too small to be worth a
-//! pool task and run on the connection thread (next section).
+//! batches: a bulk's embedding pass and its scatter over the shards.
+//! A `/lookup`'s shard searches are too small to be worth a pool task
+//! and run on the connection thread (next section).
 //!
 //! ## Sharding, breakers, and the overload pin
 //!
-//! With `ServeConfig::shards > 1` the entity set is hash-partitioned at
-//! startup into a [`ShardedIndex`]; the full rung then scatter-gathers
-//! every live shard, each under a private slice of the request's
-//! remaining deadline budget, and merges per-shard top-k
-//! deterministically (`total_cmp`, ties on entity id). Where the
-//! attempts run follows from how much work they hold: a pool task must
-//! hold at least eight index searches, so a `/lookup` (one search per
-//! shard) runs its shards back to back on its own thread until there
-//! are more than eight of them, while a bulk of 32 is one pool task per
-//! shard. Either way every attempt has its own panic containment and
-//! its own clock, started when the attempt starts. A per-shard
-//! [`ShardBreaker`] ejects a shard after consecutive failures and
-//! half-open-probes it back in; responses assembled from a strict
-//! subset of shards carry `x-emblookup-shards: k/N`. A whole-service
+//! The full rung always searches one [`ShardedIndex`], through one
+//! function (`scatter_shards`). At `ServeConfig::shards <= 1` that is
+//! the caller's own index as a single shard; above, the entity set is
+//! hash-partitioned at startup. Every request scatter-gathers the live
+//! shards, each under a private slice of the request's remaining
+//! deadline budget, and merges per-shard top-k deterministically
+//! (`total_cmp`, ties on entity id). Where the attempts run follows
+//! from how much work they hold: a pool task must hold at least eight
+//! index searches, so a `/lookup` (one search per shard) runs its
+//! shards back to back on its own thread until there are more than
+//! eight of them, while a bulk of 32 is one pool task per shard, and
+//! each attempt searches its batch with `search_batch` on its share of
+//! the pool's width. Either way every attempt has its own panic
+//! containment and its own clock, started when the attempt starts. A
+//! per-shard [`ShardBreaker`] ejects a shard after consecutive failures
+//! and half-open-probes it back in; every answer that consulted the
+//! shards carries `x-emblookup-shards: k/N`, `k < N` when it was
+//! assembled from a strict subset. A whole-service
 //! [`OverloadPin`] watches consecutive `/lookup` deadline misses and
 //! pins sustained overload to the ladder's string rung — cheap answers
 //! beat timeouts — with periodic full-pipeline probes to unpin.
@@ -62,8 +66,9 @@
 //! A [`Trace`] is minted per request on arrival (id from the
 //! `x-emblookup-trace-id` header or derived from the request index) and
 //! threaded explicitly through the handler: every stage gets a child
-//! span, the full-rung search descends into the ANN backend, and bulk
-//! requests fan `pool.chunk` spans out of the search stage. Completed
+//! span, and the full-rung search hangs one `stage.shard` span per
+//! attempted shard under `stage.search` (a `/lookup`'s carry the ANN
+//! backend's `backend` / `visited`, a bulk's its `queries`). Completed
 //! trees always land in the flight-recorder ring; slow / shed /
 //! degraded / errored / panicked requests are additionally tail-sampled
 //! into the retained buffer served by `GET /debug/traces`. Under the
@@ -77,7 +82,8 @@ use crate::http::{read_request, write_response, Request, Response};
 use crate::json::{self, Json};
 use crate::ladder::{Ladder, Rung};
 use crate::ServeConfig;
-use emblookup_core::{merge_topk, EmbLookup, EntityIndex, ShardedIndex};
+use emblookup_ann::VectorSet;
+use emblookup_core::{merge_topk, EmbLookup, EmbLookupModel, EntityIndex, ShardedIndex};
 use emblookup_kg::{EntityId, KnowledgeGraph};
 use emblookup_obs::names;
 use emblookup_obs::sync::{Flag, RelaxedU64};
@@ -169,8 +175,8 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The sharded serving state: the partitioned index plus one circuit
-/// breaker per shard.
+/// What the full rung searches: the index, as one shard or many, plus
+/// one circuit breaker per shard.
 struct ShardServing {
     index: ShardedIndex,
     breakers: Mutex<Vec<ShardBreaker>>,
@@ -179,7 +185,9 @@ struct ShardServing {
 /// Everything the request handlers need, shared between the accept
 /// thread and the connection threads.
 struct ServerState {
-    service: EmbLookup,
+    model: Arc<EmbLookupModel>,
+    /// The full rung; only [`scatter_shards`] searches it.
+    shards: ShardServing,
     ladder: Ladder,
     /// Entity labels indexed by dense entity id, JSON-escaped once at
     /// startup: they are read only to render response bodies.
@@ -194,8 +202,6 @@ struct ServerState {
     seq: RelaxedU64,
     /// Admission: `workers` running, `queue_cap` waiting, the rest shed.
     gate: Gate,
-    /// Hash-partitioned shards + per-shard breakers when `shards > 1`.
-    sharded: Option<ShardServing>,
     /// Whole-service breaker pinning sustained overload to the string rung.
     overload: Mutex<OverloadPin>,
 }
@@ -248,11 +254,12 @@ impl Server {
     ///
     /// Which index answers the full rung depends on `config.shards`:
     /// at `shards <= 1` it is `service`'s own `EntityIndex`, as built by
-    /// the caller. At `shards > 1` that index is **not** consulted:
-    /// startup re-embeds every label of `kg` with `service.model()` and
-    /// builds the shards with `service.model().config().compression`,
-    /// so an index the caller built with another compression (or over
-    /// another graph) does not carry over.
+    /// the caller, served as a [`ShardedIndex`] of one. At `shards > 1`
+    /// that index is dropped, not retained: startup re-embeds every
+    /// label of `kg` with `service.model()` and builds the shards with
+    /// `service.model().config().compression`, so an index the caller
+    /// built with another compression (or over another graph) does not
+    /// carry over.
     ///
     /// # Errors
     /// Propagates socket bind/configuration failures.
@@ -262,10 +269,10 @@ impl Server {
     }
 
     /// Like [`Server::start`] (same rule for which index serves: the
-    /// service's own at `shards <= 1`, a re-embedded sharded one at
-    /// `shards > 1`) but exporting into a caller-supplied registry —
-    /// tests use a private registry per server instance to assert exact
-    /// counter values without cross-test interference.
+    /// service's own as the single shard at `shards <= 1`, a re-embedded
+    /// partition at `shards > 1`) but exporting into a caller-supplied
+    /// registry — tests use a private registry per server instance to
+    /// assert exact counter values without cross-test interference.
     ///
     /// # Errors
     /// Propagates socket bind/configuration failures.
@@ -277,7 +284,8 @@ impl Server {
     ) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let ladder = Ladder::build(&service, kg, config.fallback_cap);
+        let (model, own_index) = service.into_parts();
+        let ladder = Ladder::build(&model, kg, config.fallback_cap);
         let labels: Vec<String> = (0..kg.num_entities())
             .map(|i| json::escape(kg.label(EntityId(i as u32))))
             .collect();
@@ -291,30 +299,29 @@ impl Server {
         };
         let gate = Gate::new(workers, config.queue_cap);
         let hub = TraceHub::new(config.trace_ring_cap, config.trace_retain_per_trigger, &registry);
-        let sharded = if config.shards > 1 {
-            // Built single-threaded like the ladder: startup cost, paid
-            // once, in exchange for a deterministic partition.
-            let index = ShardedIndex::build(
-                service.model(),
-                kg,
-                service.model().config().compression,
-                config.shards,
-                1,
-            );
-            let breakers = (0..index.num_shards())
-                .map(|_| ShardBreaker::new(config.breaker_threshold, config.breaker_cooldown))
-                .collect();
-            Some(ShardServing { index, breakers: Mutex::new(breakers) })
+        let index = if config.shards <= 1 {
+            ShardedIndex::single(own_index)
         } else {
-            None
+            drop(own_index);
+            ShardedIndex::build(
+                &model,
+                kg,
+                model.config().compression,
+                config.shards,
+                emblookup_core::num_threads(),
+            )
         };
-        metrics.shards_live.set(config.shards.max(1) as f64);
+        let breakers = (0..index.num_shards())
+            .map(|_| ShardBreaker::new(config.breaker_threshold, config.breaker_cooldown))
+            .collect();
+        metrics.shards_live.set(index.num_shards() as f64);
         let overload = Mutex::new(OverloadPin::new(
             config.overload_threshold,
             config.overload_probe_interval,
         ));
         let state = Arc::new(ServerState {
-            service,
+            model,
+            shards: ShardServing { index, breakers: Mutex::new(breakers) },
             ladder,
             labels,
             faults,
@@ -324,7 +331,6 @@ impl Server {
             hub,
             seq: RelaxedU64::new(0),
             gate,
-            sharded,
             overload,
         });
         let shutdown = Arc::new(Flag::new(0));
@@ -745,6 +751,12 @@ fn finish_lookup(
 /// its own clock — started when the attempt starts, so the slices still
 /// sum to the budget that remained.
 ///
+/// `search`'s last argument is the attempt's share of the pool (its
+/// width divided among the attempts, at least 1): how many threads a
+/// closure that searches a batch may spread it over. One shard fans its
+/// batch over the whole pool; as many shards as the pool is wide search
+/// theirs sequentially, one task each.
+///
 /// Determinism: shard spans are pre-created sequentially
 /// ([`TraceSpan::child_deferred`]) so span ids are width-independent;
 /// shard tasks advance only their private clocks; gather and breaker
@@ -753,13 +765,13 @@ fn finish_lookup(
 /// width.
 fn scatter_shards<T: Send>(
     state: &ServerState,
-    sharded: &ShardServing,
     clock: &DeadlineClock,
     ctx: &RequestCtx,
     parent: &TraceSpan,
     searches_per_shard: usize,
-    search: &(dyn Fn(&EntityIndex, &TraceSpan) -> T + Sync),
+    search: &(dyn Fn(&EntityIndex, &TraceSpan, usize) -> T + Sync),
 ) -> (Vec<T>, usize) {
+    let sharded = &state.shards;
     let total = sharded.index.num_shards();
     let mut attempted: Vec<usize> = Vec::with_capacity(total);
     {
@@ -789,7 +801,9 @@ fn scatter_shards<T: Send>(
         })
         .collect();
     let shards_per_task = MIN_SEARCHES_PER_TASK.div_ceil(searches_per_shard.max(1));
-    let outcomes = Pool::global().scatter_grained(attempted.len(), shards_per_task, |i| {
+    let pool = Pool::global();
+    let share = (pool.threads() / attempted.len()).max(1);
+    let outcomes = pool.scatter_grained(attempted.len(), shards_per_task, |i| {
         let shard_idx = attempted[i];
         let span = &spans[i];
         span.begin();
@@ -816,7 +830,7 @@ fn scatter_shards<T: Send>(
             span.finish();
             return None;
         }
-        let out = search(sharded.index.shard(shard_idx), span);
+        let out = search(sharded.index.shard(shard_idx), span, share);
         if shard_clock.expired() {
             span.annotate("deadline_miss", 1u64);
             span.finish();
@@ -872,7 +886,9 @@ fn scatter_shards<T: Send>(
     (delivered, total)
 }
 
-/// Tags a response assembled from shards with `x-emblookup-shards: k/N`.
+/// Tags a response whose request consulted the shards with
+/// `x-emblookup-shards: k/N` (`None`: a rung below the full one answered
+/// without asking them).
 fn tag_shards(resp: Response, answered: Option<(usize, usize)>) -> Response {
     match answered {
         Some((ok, total)) => resp.with_header("x-emblookup-shards", &format!("{ok}/{total}")),
@@ -972,7 +988,7 @@ fn handle_lookup(state: &ServerState, ctx: &RequestCtx, clock: &DeadlineClock) -
     // -- encode stage ---------------------------------------------------
     let encode_span = ctx.root.child(names::SPAN_STAGE_ENCODE);
     begin_stage(&encode_span, clock, faults.encode_latency_ms);
-    let emb = state.service.model().embed(q);
+    let emb = state.model.embed(q);
     encode_span.finish();
     if clock.expired() {
         return (deadline_response(state, Stage::Encode, clock), false);
@@ -981,51 +997,42 @@ fn handle_lookup(state: &ServerState, ctx: &RequestCtx, clock: &DeadlineClock) -
     if frac <= QGRAM_FRAC {
         return (finish_qgram(state, q, k, clock, ctx), false);
     }
-    let mut rung = if frac <= FLAT_FRAC { Rung::Flat } else { Rung::Full };
 
     // -- search stage ---------------------------------------------------
     let search_span = search_stage_faults(ctx, clock);
     let mut shard_header: Option<(usize, usize)> = None;
-    let mut results: Option<Vec<(EntityId, f32)>> = None;
-    if rung == Rung::Full {
+    // The full rung's answer; none (budget too short for it, a failing
+    // backend, no shard delivered, a poisoned answer) steps down to the
+    // flat rung.
+    let mut full: Option<Vec<(EntityId, f32)>> = None;
+    if frac > FLAT_FRAC {
         if faults.backend_error {
             search_span.annotate("fault_backend_error", 1u64);
-            rung = Rung::Flat;
         } else {
-            let hits: Option<Vec<(EntityId, f32)>> = match &state.sharded {
-                Some(sharded) => {
-                    let search =
-                        |shard: &EntityIndex, span: &TraceSpan| shard.search_traced(&emb, k, span);
-                    let (per_shard, total) =
-                        scatter_shards(state, sharded, clock, ctx, &search_span, 1, &search);
-                    shard_header = Some((per_shard.len(), total));
-                    (!per_shard.is_empty()).then(|| merge_topk(&per_shard, k))
-                }
-                None => Some(state.service.index().search_traced(&emb, k, &search_span)),
+            let search = |shard: &EntityIndex, span: &TraceSpan, _share: usize| {
+                shard.search_traced(&emb, k, span)
             };
-            match hits {
-                Some(mut hits) => {
-                    if faults.poison {
-                        for (_, d) in hits.iter_mut() {
-                            *d = f32::NAN;
-                        }
-                    }
-                    if hits.iter().any(|(_, d)| d.is_nan()) {
-                        // Poisoned primary answer: reject it, step down.
-                        search_span.annotate("fault_poison", 1u64);
-                        rung = Rung::Flat;
-                    } else {
-                        results = Some(hits.into_iter().map(|(id, d)| (id, -d)).collect());
+            let (per_shard, total) = scatter_shards(state, clock, ctx, &search_span, 1, &search);
+            shard_header = Some((per_shard.len(), total));
+            if !per_shard.is_empty() {
+                let mut hits = merge_topk(&per_shard, k);
+                if faults.poison {
+                    for (_, d) in hits.iter_mut() {
+                        *d = f32::NAN;
                     }
                 }
-                // Every shard failed: honest degradation, step down.
-                None => rung = Rung::Flat,
+                if hits.iter().any(|(_, d)| d.is_nan()) {
+                    // Poisoned primary answer: reject it.
+                    search_span.annotate("fault_poison", 1u64);
+                } else {
+                    full = Some(hits.into_iter().map(|(id, d)| (id, -d)).collect());
+                }
             }
         }
     }
-    let results = match results {
-        Some(r) => r,
-        None => state.ladder.flat_search(&emb, k),
+    let (rung, results) = match full {
+        Some(results) => (Rung::Full, results),
+        None => (Rung::Flat, state.ladder.flat_search(&emb, k)),
     };
     search_span.annotate("rung", rung.name());
     search_span.finish();
@@ -1070,50 +1077,35 @@ fn handle_bulk(state: &ServerState, ctx: &RequestCtx, clock: &DeadlineClock) -> 
         }
     }
 
-    // -- search stage (bulk encodes inside its chunks) -------------------
+    // -- search stage (bulk encodes inside it) ---------------------------
     let search_span = search_stage_faults(ctx, clock);
     if ctx.faults.backend_error {
         search_span.annotate("fault_backend_error", 1u64);
         state.metrics.errors.inc();
         return Response::json(500, "{\"error\":\"backend error\"}".to_string());
     }
-    let mut shard_header: Option<(usize, usize)> = None;
-    let batches: Vec<Vec<(EntityId, f32)>> = match &state.sharded {
-        Some(sharded) => {
-            // One embedding pass for the whole batch, shared by every
-            // shard attempt.
-            let embs = state
-                .service
-                .model()
-                .embed_batch(&refs, emblookup_core::num_threads());
-            let search = |shard: &EntityIndex, span: &TraceSpan| {
-                span.annotate("queries", embs.len() as u64);
-                embs.iter().map(|e| shard.search(e, k)).collect::<Vec<_>>()
-            };
-            let (per_shard, total) =
-                scatter_shards(state, sharded, clock, ctx, &search_span, embs.len(), &search);
-            shard_header = Some((per_shard.len(), total));
-            if per_shard.is_empty() {
-                state.metrics.errors.inc();
-                let resp = Response::json(500, "{\"error\":\"all shards failed\"}".to_string());
-                return tag_shards(resp, shard_header);
-            }
-            (0..refs.len())
-                .map(|qi| {
-                    let lists: Vec<Vec<(EntityId, f32)>> =
-                        per_shard.iter().map(|s| s[qi].clone()).collect();
-                    merge_topk(&lists, k)
-                })
-                .collect()
-        }
-        None => match state.service.try_bulk_lookup_traced(&refs, k, &search_span) {
-            Ok(b) => b,
-            Err(_) => {
-                state.metrics.errors.inc();
-                return Response::json(500, "{\"error\":\"bulk lookup failed\"}".to_string());
-            }
-        },
+    // One embedding pass for the whole batch, shared by every shard
+    // attempt.
+    let embs = state.model.embed_batch(&refs, emblookup_core::num_threads());
+    let qs = VectorSet::from_flat(state.model.dim(), embs.concat());
+    let search = |shard: &EntityIndex, span: &TraceSpan, share: usize| {
+        span.annotate("queries", qs.len() as u64);
+        shard.search_batch(&qs, k, share)
     };
+    let (per_shard, total) = scatter_shards(state, clock, ctx, &search_span, qs.len(), &search);
+    let shard_header = Some((per_shard.len(), total));
+    if per_shard.is_empty() {
+        state.metrics.errors.inc();
+        let resp = Response::json(500, "{\"error\":\"all shards failed\"}".to_string());
+        return tag_shards(resp, shard_header);
+    }
+    let batches: Vec<Vec<(EntityId, f32)>> = (0..refs.len())
+        .map(|qi| {
+            let lists: Vec<Vec<(EntityId, f32)>> =
+                per_shard.iter().map(|s| s[qi].clone()).collect();
+            merge_topk(&lists, k)
+        })
+        .collect();
     search_span.annotate("rung", Rung::Full.name());
     search_span.finish();
     if clock.expired() {

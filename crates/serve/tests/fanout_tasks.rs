@@ -1,5 +1,15 @@
-//! How many pool tasks a sharded request costs on either side of the
-//! fan-out's grain.
+//! How many pool tasks a request costs on either side of the fan-out's
+//! grain.
+//!
+//! The count rule: a `/lookup` below the grain is the one inline chunk
+//! the pool counts for bookkeeping. A bulk is its embedding pass, plus
+//! one task per shard attempt (one inline chunk when the pool has
+//! nobody to hand a task to), plus — when an attempt's share of the
+//! pool, width / attempts, is above 1 — the chunks of that attempt's own
+//! `search_batch`, two per thread of its share. For 32 queries over 2
+//! shards that is `+1` at width 1, `+2` at widths 2–3 (share 1: each
+//! attempt searches its batch sequentially) and `+2 + 2 × 4` at width 4
+//! (share 2: four chunks of eight queries per attempt).
 //!
 //! One test, alone in its binary: it reads the process-wide `pool.tasks`
 //! counter, which any other server running beside it would move.
@@ -47,7 +57,8 @@ fn a_lookup_stays_off_the_pool_and_a_bulk_takes_one_task_per_shard() {
     assert_eq!(spent, 1, "a two-shard /lookup must not queue a pool task");
 
     // Thirty-two searches per shard: each shard is a task of its own,
-    // on top of whatever the batch's one embedding pass spends.
+    // on top of whatever the batch's one embedding pass spends, and
+    // fans its batch out again over its share of the pool.
     let labels: Vec<&str> = (0..32u32).map(|i| kg.label(EntityId(i % 8))).collect();
     let embed_spent = pool_tasks_spent(|| {
         model.embed_batch(&labels, emblookup_core::num_threads());
@@ -59,7 +70,12 @@ fn a_lookup_stays_off_the_pool_and_a_bulk_takes_one_task_per_shard() {
         assert_eq!(resp.status, 200, "body: {}", resp.body);
         assert_eq!(resp.header("x-emblookup-shards"), Some("2/2"));
     });
+    let width = Pool::global().threads() as u64;
     // A pool of one has nobody to hand a task to: it runs inline too.
-    let per_shard = if Pool::global().threads() > 1 { 2 } else { 1 };
-    assert_eq!(spent - embed_spent, per_shard, "bulk of 32 over 2 shards");
+    let attempts = if width > 1 { 2 } else { 1 };
+    // Each attempt's `search_batch` on its share of the pool: chunks of
+    // 32 / (2 × share) queries, none when the share is one thread.
+    let share = width / 2;
+    let batch_chunks = if share > 1 { 32u64.div_ceil(32u64.div_ceil(share * 2)) } else { 0 };
+    assert_eq!(spent - embed_spent, attempts + 2 * batch_chunks, "bulk of 32 over 2 shards");
 }

@@ -424,7 +424,7 @@ fn traces_capture_stage_trees_and_honor_client_ids() {
     assert!(fetched.body.contains("\"backend\":"), "search span lacks backend annotation");
     assert!(fetched.body.contains("\"visited\":"), "search span lacks visited annotation");
 
-    // Bulk requests fan pool.chunk spans out of the search stage.
+    // A bulk's search stage holds one stage.shard span per attempt.
     let bulk = format!(
         "{{\"queries\":[\"{}\",\"{}\",\"{}\"],\"k\":2}}",
         kg.label(emblookup_kg::EntityId(1)),
@@ -437,8 +437,8 @@ fn traces_capture_stage_trees_and_honor_client_ids() {
     let fetched = client::get(addr, "/debug/traces/beef").unwrap();
     assert_eq!(fetched.status, 200);
     assert!(
-        fetched.body.contains("\"name\":\"pool.chunk\""),
-        "bulk trace lacks pool.chunk spans:\n{}",
+        fetched.body.contains("\"name\":\"stage.shard\""),
+        "bulk trace lacks stage.shard spans:\n{}",
         fetched.body
     );
 
@@ -761,4 +761,38 @@ fn pipelined_requests_are_answered_in_order_without_stalling() {
     assert_eq!(status, 200, "body: {lookup}");
     assert!(lookup.contains("\"rung\":\"full\""), "body: {lookup}");
     assert_eq!(read_raw_response(&mut reader), (200, "{\"status\":\"ok\"}".to_string()));
+}
+
+/// A chunked `POST` used to be answered twice: framed as a bodiless
+/// request (`400`, keep-alive), then its chunks parsed as a second
+/// request head (`400`, close). It is one refusal now, and the chunks
+/// are never read as a request.
+#[test]
+fn a_chunked_post_gets_one_400_and_the_connection_closes() {
+    use std::io::{Read, Write};
+    let (server, registry) = start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    stream
+        .write_all(
+            b"POST /lookup HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n\
+              f\r\n{\"q\":\"x\",\"k\":2}\r\n0\r\n\r\n",
+        )
+        .unwrap();
+    // To the close; a reset instead of a clean end (the server hung up
+    // on bytes it never read) still comes after the answer.
+    let mut wire = Vec::new();
+    let _ = stream.read_to_end(&mut wire);
+    let wire = String::from_utf8(wire).unwrap();
+    assert_eq!(wire.matches("HTTP/1.1 ").count(), 1, "wire: {wire}");
+    assert!(wire.starts_with("HTTP/1.1 400 "), "wire: {wire}");
+    assert!(wire.contains("connection: close"), "wire: {wire}");
+    assert!(wire.ends_with("{\"error\":\"transfer-encoding is not supported\"}"), "wire: {wire}");
+    assert_eq!(counter(&registry, names::SERVE_ERRORS), 1);
+    assert_eq!(counter(&registry, names::SERVE_ADMITTED), 0);
 }

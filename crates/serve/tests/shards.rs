@@ -1,10 +1,11 @@
 //! End-to-end tests of sharded keep-alive serving: scatter-gather over
-//! hash-partitioned shards, per-shard circuit breakers, partial-result
-//! tagging, the whole-service overload pin, and shed-retry jitter.
+//! the shards (one holding everything, or a hash partition), per-shard
+//! circuit breakers, partial-result tagging, the whole-service overload
+//! pin, and shed-retry jitter.
 //!
-//! `scripts/ci.sh` runs this suite under both `EMBLOOKUP_THREADS=1`
-//! and the default thread count — the global pool the scatter fans out
-//! on — so everything asserted here must be width-independent.
+//! `scripts/ci.sh` runs this suite at `EMBLOOKUP_THREADS` 1, default, 2
+//! and 4 — the global pool the scatter fans out on — so everything
+//! asserted here must be width-independent.
 
 use emblookup_core::{EmbLookup, EmbLookupConfig, EmbLookupModel};
 use emblookup_kg::{generate, EntityId, KnowledgeGraph, SynthKgConfig};
@@ -388,4 +389,117 @@ fn lookup_shard_attempts_run_in_order_on_the_request_thread() {
         "attempts must run back to back: {}",
         fetched.body
     );
+}
+
+/// Every response of a walk as `(status, shard tag, body)`, and the
+/// server's counters after it.
+type WalkLog = (Vec<(u16, Option<String>, String)>, Arc<MetricsRegistry>);
+
+/// One shard is a shard like any other: it has a breaker, shard faults
+/// reach it (target 7 of 1 shard is shard 0), and the server keeps
+/// answering while it is ejected. Ten requests on one connection.
+fn one_shard_walk(workers: usize, path: &str, body: impl Fn(u32) -> String) -> WalkLog {
+    let (server, registry) = start(ServeConfig {
+        workers,
+        shards: 1,
+        breaker_threshold: 3,
+        breaker_cooldown: 4,
+        overload_threshold: 0,
+        faults: Some(shard_panic_plan(7, 3, 10)),
+        ..ServeConfig::default()
+    });
+    let mut conn = client::Connection::open(server.addr()).unwrap();
+    let responses = (0..10u32)
+        .map(|i| {
+            let resp = conn.post_json(path, &body(i), &[]).unwrap();
+            let tag = resp.header("x-emblookup-shards").map(str::to_string);
+            (resp.status, tag, resp.body)
+        })
+        .collect();
+    // The server outlived the panics and the ejection.
+    assert_eq!(conn.get("/healthz").unwrap().status, 200);
+    (responses, registry)
+}
+
+/// Requests 0–2 panic in the shard (the third opens its breaker, at
+/// request 2), 3–5 find it open, 6 is the half-open probe (opened at 2,
+/// cooldown 4) that readmits it.
+#[test]
+fn one_shard_breaker_walk_answers_from_the_flat_rung_while_ejected() {
+    let (walk, registry) = one_shard_walk(1, "/lookup", |i| lookup_body(i % 4));
+    for (i, (status, tag, body)) in walk.iter().enumerate() {
+        assert_eq!(*status, 200, "request {i}: {body}");
+        let (rung, answered) = if i < 6 { ("flat", "0/1") } else { ("full", "1/1") };
+        assert!(body.contains(&format!("\"rung\":\"{rung}\"")), "request {i}: {body}");
+        assert_eq!(tag.as_deref(), Some(answered), "request {i}");
+    }
+    for (name, want) in [
+        (names::SERVE_BREAKER_OPENED, 1),
+        (names::SERVE_BREAKER_PROBES, 1),
+        (names::SERVE_BREAKER_READMITTED, 1),
+        (names::SERVE_PANICS, 3),
+        (names::SERVE_DEGRADED_FLAT, 6),
+        (names::SERVE_PARTIAL, 0),
+        (names::SERVE_ERRORS, 0),
+    ] {
+        assert_eq!(counter(&registry, name), want, "{name}");
+    }
+    assert_eq!(registry.snapshot().gauge(names::SERVE_SHARDS_LIVE), Some(1.0));
+
+    let (wide, _) = one_shard_walk(4, "/lookup", |i| lookup_body(i % 4));
+    assert_eq!(walk, wide, "the walk must not depend on the worker count");
+}
+
+/// Bulk has no ladder under it: the same walk is six honest `500`s,
+/// tagged, and full answers once the shard is back.
+#[test]
+fn one_shard_bulk_fails_tagged_while_ejected_and_keeps_serving() {
+    let (_, kg) = shared_model();
+    let bulk = |i: u32| {
+        format!("{{\"queries\":[\"{}\",\"x\"],\"k\":2}}", kg.label(EntityId(i % 4)))
+    };
+    let (walk, registry) = one_shard_walk(1, "/lookup/bulk", bulk);
+    for (i, (status, tag, body)) in walk.iter().enumerate() {
+        if i < 6 {
+            assert_eq!((*status, body.as_str()), (500, "{\"error\":\"all shards failed\"}"));
+            assert_eq!(tag.as_deref(), Some("0/1"), "request {i}");
+        } else {
+            assert_eq!(*status, 200, "request {i}: {body}");
+            assert_eq!(tag.as_deref(), Some("1/1"), "request {i}");
+        }
+    }
+    assert_eq!(counter(&registry, names::SERVE_PANICS), 3);
+    assert_eq!(counter(&registry, names::SERVE_ERRORS), 6);
+    assert_eq!(counter(&registry, names::SERVE_BREAKER_READMITTED), 1);
+
+    let (wide, _) = one_shard_walk(4, "/lookup/bulk", bulk);
+    assert_eq!(walk, wide, "the walk must not depend on the worker count");
+}
+
+/// The ends of the shard-count range: a batch of nothing is an answer
+/// of nothing, and a partition far finer than the graph (most of its
+/// 500 shards hold no entity at all) answers what one shard answers.
+#[test]
+fn empty_batches_and_mostly_empty_shards_answer_normally() {
+    let (one, _) = start(ServeConfig { workers: 2, ..ServeConfig::default() });
+    let (many, _) = start(ServeConfig { workers: 2, shards: 500, ..ServeConfig::default() });
+
+    for (server, tag) in [(&one, "1/1"), (&many, "500/500")] {
+        let resp =
+            client::post_json(server.addr(), "/lookup/bulk", "{\"queries\":[],\"k\":3}", &[])
+                .unwrap();
+        assert_eq!(resp.status, 200, "body: {}", resp.body);
+        assert_eq!(resp.body, "{\"rung\":\"full\",\"degraded\":false,\"results\":[]}");
+        assert_eq!(resp.header("x-emblookup-shards"), Some(tag));
+    }
+
+    for entity in 0..8u32 {
+        let body = lookup_body(entity);
+        let a = client::post_json(one.addr(), "/lookup", &body, &[]).unwrap();
+        let b = client::post_json(many.addr(), "/lookup", &body, &[]).unwrap();
+        assert_eq!((a.status, b.status), (200, 200), "{} / {}", a.body, b.body);
+        assert_eq!(a.header("x-emblookup-shards"), Some("1/1"));
+        assert_eq!(b.header("x-emblookup-shards"), Some("500/500"));
+        assert_eq!(a.body, b.body, "entity {entity}: top-3 diverged");
+    }
 }

@@ -27,7 +27,12 @@ cargo test -q --offline --workspace
 # On a two-core box the default width is 1 as well, and the rule that
 # decides whether a shard fan-out goes to the pool or stays on the
 # request's thread only has two sides when the pool has workers: the
-# pool and serve suites run again at widths 2 and 4.
+# pool and serve suites run again at widths 2 and 4. The task count
+# tests/fanout_tasks.rs pins for a bulk of 32 over 2 shards — the
+# embedding pass, plus one task per shard attempt, plus each attempt's
+# own `search_batch` chunks once its share of the pool (width /
+# attempts) is above one thread — reads +1 at width 1, +2 at widths 2-3
+# and +2 + 2 x 4 at width 4, so the loop sees all three.
 for width in 2 4; do
     echo "== cargo test -q --offline -p emblookup-pool -p emblookup-serve (EMBLOOKUP_THREADS=$width) =="
     EMBLOOKUP_THREADS=$width cargo test -q --offline -p emblookup-pool -p emblookup-serve
@@ -96,11 +101,27 @@ fi
 
 # The sizes the north-star tracks (ROADMAP.md: "`API.lock` item count and
 # per-crate LOC are tracked numbers that should go down") — quote these
-# in CHANGES.md.
-echo "== tracked sizes =="
+# in CHANGES.md. Beside each, the same figure at HEAD: run before the
+# commit, that is the PR's before -> after, from the gate and not from
+# hand counting. Outside a git checkout only the current figure prints.
+echo "== tracked sizes (at HEAD -> now) =="
+count_items() { grep -cvE '^(#|\[|$)' || true; }
+# "<figure at HEAD> -> ", or nothing outside a git checkout; the figure
+# is computed by the command in "$@".
+at_head() {
+    git rev-parse -q --verify HEAD >/dev/null 2>&1 || return 0
+    printf '%6d -> ' "$("$@")"
+}
+# Lines of the *.rs files under $1 in the HEAD commit.
+head_rs_lines() {
+    git ls-tree -r --name-only HEAD -- "$1" | { grep '\.rs$' || true; } |
+        while read -r file; do git show "HEAD:$file"; done | wc -l
+}
+head_api_items() { git show HEAD:API.lock | count_items; }
 for crate in crates/*/; do
-    printf '%-18s %6d lines of *.rs\n' "$crate" "$(find "$crate" -name '*.rs' -exec cat {} + | wc -l)"
+    printf '%-18s %s%6d lines of *.rs\n' "$crate" "$(at_head head_rs_lines "$crate")" \
+        "$(find "$crate" -name '*.rs' -exec cat {} + | wc -l)"
 done
-printf '%-18s %6d items\n' "API.lock" "$(grep -cvE '^(#|\[|$)' API.lock)"
+printf '%-18s %s%6d items\n' "API.lock" "$(at_head head_api_items)" "$(count_items < API.lock)"
 
 echo "ci.sh: all checks passed"
