@@ -64,7 +64,7 @@ impl FlatIndex {
         }
         crate::metrics::flat_searches().inc();
         crate::metrics::flat_visited().add(self.vectors.len() as u64);
-        let mut tk = TopK::new(k);
+        let mut tk = TopK::new(k.min(self.vectors.len()));
         for (i, v) in self.vectors.iter().enumerate() {
             tk.push(i, sq_l2(query, v));
         }

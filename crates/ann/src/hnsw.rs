@@ -330,6 +330,7 @@ impl AnnIndex for HnswIndex {
         if k == 0 {
             return (Vec::new(), 0);
         }
+        let k = k.min(self.vectors.len());
         let mut current = self.entry;
         for layer in (1..=self.max_level).rev() {
             current = self.greedy_step(query, current, layer);

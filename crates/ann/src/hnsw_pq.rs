@@ -9,25 +9,25 @@
 //!    PQ codes in that graph-adjacency order, so a beam expansion reads
 //!    codes that are adjacent in memory.
 //! 2. **Search**: one ADC distance table per query; greedy descent is
-//!    scored with [`crate::kernels::adc`] and the layer-0 beam stages
-//!    each node's unvisited peers contiguously and scores them with one
-//!    [`crate::kernels::adc_block`] call against the shared table.
-//! 3. **Re-rank**: the final `ef` frontier goes through an exact
-//!    re-ranking tail against the raw vectors, so reported distances
-//!    are true squared L2, not ADC estimates.
+//!    scored with [`crate::kernels::adc`] and the layer-0 beam — one
+//!    sorted candidate buffer, the `retset` of NSG/DiskANN — scores each
+//!    node's unvisited peers where their codes lie with one
+//!    [`crate::kernels::adc_gather`] call against the shared table.
+//! 3. **Re-rank**: the buffer's ADC top-`max(ef, 4k)` goes through an
+//!    exact re-ranking tail against the raw vectors, so reported
+//!    distances are true squared L2, not ADC estimates.
 //!
 //! Determinism matches the rest of the crate: for a fixed kernel
 //! variant, a search is a pure function of `(index, query, k)` — the
 //! batched path and any pool width return bit-identical results.
 // lint: hot-path
 
-use crate::hnsw::{Far, HnswConfig, HnswIndex, Near};
+use crate::hnsw::{HnswConfig, HnswIndex};
 use crate::index::{batch_grain, AnnIndex};
 use crate::kernels;
 use crate::pq::{PqConfig, ProductQuantizer};
 use crate::topk::{Neighbor, TopK};
 use crate::vectors::VectorSet;
-use std::collections::BinaryHeap;
 
 /// Configuration for [`HnswPqIndex::build`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -39,25 +39,85 @@ pub struct HnswPqConfig {
 }
 
 /// Per-search scratch reused across queries: the ADC table, the visited
-/// bitset, the unvisited-peer staging buffer for four-lane ADC scoring,
-/// and the two beam heaps. Contents never survive a query (everything is
-/// cleared or overwritten), so reuse cannot affect results — it only
+/// bitset, the expanded node's unvisited peers and their ADC distances,
+/// and the [`Beam`]'s buffer. Contents never survive a query (everything
+/// is cleared or overwritten), so reuse cannot affect results — it only
 /// removes the per-query allocations.
 #[derive(Default)]
 struct Scratch {
     table: Vec<f32>,
     visited: Vec<u64>,
     peers: Vec<u32>,
-    peer_codes: Vec<u8>,
     peer_dists: Vec<f32>,
-    frontier: BinaryHeap<Near>,
-    results: BinaryHeap<Far>,
-    pool: BinaryHeap<Far>,
+    cands: Vec<(f32, u32)>,
+}
+
+/// Top bit of a [`Beam`] entry's id: the node's peers have been scored.
+/// [`HnswPqIndex::build`] keeps every BFS id below it.
+const EXPANDED: u32 = 1 << 31;
+
+/// The layer-0 beam and the re-rank pool in one buffer: `(ADC distance,
+/// BFS id)` sorted ascending by `total_cmp`, equal keys in arrival order,
+/// at most `cap` entries. The first `min(ef, len)` are the beam — what a
+/// results heap bounded at `ef` would hold — and all of them the pool the
+/// exact re-rank reads. An entry only ever moves to a higher rank, so one
+/// pushed past rank `ef` never re-enters the beam: exactly the entries a
+/// separate frontier heap would pop only to stop on.
+struct Beam<'a> {
+    cands: &'a mut Vec<(f32, u32)>,
+    ef: usize,
+    cap: usize,
+    /// No entry below this rank is unexpanded.
+    cursor: usize,
+}
+
+impl<'a> Beam<'a> {
+    /// A beam of width `ef` in a buffer of `cap`, holding the entry point.
+    fn start(cands: &'a mut Vec<(f32, u32)>, ef: usize, cap: usize, dist: f32, id: u32) -> Self {
+        cands.clear();
+        cands.reserve(cap);
+        cands.push((dist, id));
+        Beam { cands, ef, cap, cursor: 0 }
+    }
+
+    /// The nearest beam entry not yet expanded, marked expanded — or
+    /// `None` once every entry of the beam is, which ends the search.
+    fn next_unexpanded(&mut self) -> Option<u32> {
+        let width = self.ef.min(self.cands.len());
+        while self.cursor < width {
+            let entry = &mut self.cands[self.cursor];
+            if entry.1 & EXPANDED == 0 {
+                entry.1 |= EXPANDED;
+                return Some(entry.1 & !EXPANDED);
+            }
+            self.cursor += 1;
+        }
+        None
+    }
+
+    /// Offers a scored node. A full buffer admits it only when strictly
+    /// nearer than its last entry (a bounded heap's rule), which it drops.
+    fn offer(&mut self, dist: f32, id: u32) {
+        if self.cands.len() >= self.cap {
+            if self.cands.last().is_some_and(|last| dist.total_cmp(&last.0).is_ge()) {
+                return;
+            }
+            self.cands.pop();
+        }
+        let rank = self.cands.partition_point(|e| e.0.total_cmp(&dist).is_le());
+        self.cands.insert(rank, (dist, id));
+        self.cursor = self.cursor.min(rank);
+    }
+
+    /// Every entry's id, nearest first: the re-rank pool.
+    fn pool(&self) -> impl Iterator<Item = usize> + '_ {
+        self.cands.iter().map(|&(_, id)| (id & !EXPANDED) as usize)
+    }
 }
 
 std::thread_local! {
-    /// Single-query searches reuse one scratch per thread; batch search
-    /// threads its own per-chunk scratch through the pool instead.
+    /// Searches on the calling thread reuse one scratch per thread; a
+    /// batch fanned out over the pool threads its own per-chunk scratch.
     static SCRATCH: std::cell::RefCell<Scratch> = std::cell::RefCell::new(Scratch::default());
 }
 
@@ -106,12 +166,14 @@ impl HnswPqIndex {
     /// out in graph-adjacency order.
     ///
     /// # Panics
-    /// Panics on empty data, zero `m`, or PQ parameters that do not
-    /// divide the dimension (see [`ProductQuantizer::train`]).
+    /// Panics on empty data, 2³¹ vectors or more, zero `m`, or PQ
+    /// parameters that do not divide the dimension (see
+    /// [`ProductQuantizer::train`]).
     pub fn build(data: &VectorSet, config: HnswPqConfig) -> Self {
         let graph = HnswIndex::build(data.clone(), config.hnsw);
         let (vectors, links, entry, max_level, hnsw_cfg) = graph.into_parts();
         let n = vectors.len();
+        assert!(n < EXPANDED as usize, "HnswPq holds at most 2^31 - 1 vectors, got {n}");
 
         // BFS from the entry point over layer 0 defines the new id
         // order; unreachable nodes (possible in degenerate graphs)
@@ -254,6 +316,8 @@ impl HnswPqIndex {
         if k == 0 || self.raw.is_empty() {
             return (Vec::new(), 0);
         }
+        // a search returns at most `len()` hits, whatever `k` asks for
+        let k = k.min(self.raw.len());
         crate::metrics::hnswpq_searches().inc();
         let ks = self.quantizer.ks();
         let m = self.quantizer.m();
@@ -280,7 +344,7 @@ impl HnswPqIndex {
             }
         }
 
-        // layer-0 beam, unvisited peers scored four codes per ADC call
+        // layer-0 beam, a node's unvisited peers scored in one ADC call
         let n = self.raw.len();
         scratch.visited.clear();
         scratch.visited.resize(n.div_ceil(64), 0);
@@ -289,74 +353,46 @@ impl HnswPqIndex {
         let ef = self.ef_search.max(k);
         // The re-rank pool is wider than the beam: ADC mis-ranking can
         // push a true neighbour past the beam's `ef` cutoff, but every
-        // node the beam *scores* is remembered in an ADC top-`R` pool
-        // for the exact re-rank tail (kANNolo's re-rank factor). The
-        // extra pool pushes cost ~nothing — those nodes were scored
-        // anyway — and decouple traversal width from re-rank width.
-        let pool_cap = ef.max(4 * k);
-        let mut frontier = std::mem::take(&mut scratch.frontier);
-        let mut results = std::mem::take(&mut scratch.results);
-        let mut pool = std::mem::take(&mut scratch.pool);
-        frontier.clear();
-        results.clear();
-        pool.clear();
-        frontier.push(Near(dcur, current));
-        results.push(Far(dcur, current));
-        pool.push(Far(dcur, current));
+        // node the beam *scores* is remembered in the ADC top-`R` for the
+        // exact re-rank tail (kANNolo's re-rank factor): the buffer's
+        // entries past rank `ef` cost ~nothing to keep — those nodes were
+        // scored anyway — and decouple traversal width from re-rank
+        // width. No node is scored twice, so `n` slots always suffice.
+        let cap = ef.max(4usize.saturating_mul(k)).min(n);
+        let mut beam = Beam::start(&mut scratch.cands, ef, cap, dcur, current);
 
-        while let Some(Near(d, node)) = frontier.pop() {
-            let worst = results.peek().map(|f| f.0).unwrap_or(f32::INFINITY);
-            if d > worst && results.len() >= ef {
-                break;
-            }
+        while let Some(node) = beam.next_unexpanded() {
             let (lo, hi) = (self.offsets[node as usize] as usize, self.offsets[node as usize + 1] as usize);
-            scratch.peers.clear();
-            scratch.peer_codes.clear();
-            for &p in &self.edges[lo..hi] {
+            let edges = &self.edges[lo..hi];
+            // visited filter without a branch on the bit (set for ~70 %
+            // of edges, in no learnable pattern): every neighbour is
+            // written to the next slot, kept only if its bit was clear
+            scratch.peers.resize(edges.len(), 0);
+            let mut unvisited = 0;
+            for &p in edges {
                 let (w, b) = (p as usize / 64, 1u64 << (p as usize % 64));
-                if scratch.visited[w] & b == 0 {
-                    scratch.visited[w] |= b;
-                    scratch.peers.push(p);
-                    scratch.peer_codes.extend_from_slice(self.code(p as usize));
-                }
+                scratch.peers[unvisited] = p;
+                unvisited += usize::from(scratch.visited[w] & b == 0);
+                scratch.visited[w] |= b;
             }
-            visited_count += scratch.peers.len() as u64;
-            // one block-ADC kernel call scores every unvisited peer of
-            // this node; staging the codes contiguously costs an m-byte
-            // copy per peer and amortizes the dispatch over the block
-            scratch.peer_dists.clear();
-            scratch.peer_dists.resize(scratch.peers.len(), 0.0);
-            kernels::adc_block(table, ks, m, &scratch.peer_codes, &mut scratch.peer_dists);
+            scratch.peers.truncate(unvisited);
+            visited_count += unvisited as u64;
+            // one kernel call scores every unvisited peer of this node
+            // where its code lies, amortizing the dispatch over the block
+            scratch.peer_dists.resize(unvisited, 0.0);
+            kernels::adc_gather(table, ks, m, &self.codes, &scratch.peers, &mut scratch.peer_dists);
             for (&peer, &dp) in scratch.peers.iter().zip(&scratch.peer_dists) {
-                if pool.len() < pool_cap {
-                    pool.push(Far(dp, peer));
-                } else if dp < pool.peek().map(|f| f.0).unwrap_or(f32::INFINITY) {
-                    pool.push(Far(dp, peer));
-                    pool.pop();
-                }
-                let worst = results.peek().map(|f| f.0).unwrap_or(f32::INFINITY);
-                if results.len() < ef || dp < worst {
-                    frontier.push(Near(dp, peer));
-                    results.push(Far(dp, peer));
-                    if results.len() > ef {
-                        results.pop();
-                    }
-                }
+                beam.offer(dp, peer);
             }
         }
         crate::metrics::hnswpq_visited().add(visited_count);
 
         // exact re-rank of the ADC top-`R` pool, then map BFS ids back
         // to original vector ids
-        let pool_ids = pool.drain().map(|Far(_, id)| id as usize);
-        let mut hits = exact_rerank(&self.raw, query, pool_ids, k);
+        let mut hits = exact_rerank(&self.raw, query, beam.pool(), k);
         for h in &mut hits {
             h.index = self.orig[h.index] as usize;
         }
-        // return the heap storage to the scratch for the next query
-        scratch.frontier = frontier;
-        scratch.results = results;
-        scratch.pool = pool;
         (hits, visited_count)
     }
 }
@@ -388,18 +424,14 @@ impl AnnIndex for HnswPqIndex {
             return Vec::new();
         }
         let threads = threads.max(1).min(n);
-        let run = |scratch: &mut Scratch, i: usize| {
-            self.search_with_scratch(queries.get(i), k, scratch).0
-        };
         if threads == 1 {
-            let mut scratch = Scratch::default();
-            return (0..n).map(|i| run(&mut scratch, i)).collect();
+            return (0..n).map(|i| self.search_counted(queries.get(i), k).0).collect();
         }
         emblookup_pool::Pool::global().parallel_map_with(
             n,
             batch_grain(n, threads),
             Scratch::default,
-            run,
+            |scratch, i| self.search_with_scratch(queries.get(i), k, scratch).0,
         )
     }
 }
@@ -408,8 +440,108 @@ impl AnnIndex for HnswPqIndex {
 mod tests {
     use super::*;
     use crate::flat::FlatIndex;
+    use crate::hnsw::{Far, Near};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::BinaryHeap;
+
+    impl HnswPqIndex {
+        /// The search as it was before the one-buffer beam, kept as the
+        /// oracle: a frontier min-heap, a results max-heap of `ef`, a pool
+        /// max-heap of `max(ef, 4k)`, each unvisited peer's code copied
+        /// side by side and scored with `adc_block`. Outside exact ADC
+        /// ties (where a heap's pick among equal keys is arbitrary) it
+        /// expands the same nodes in the same order as
+        /// [`HnswPqIndex::search_with_scratch`].
+        fn search_reference(&self, query: &[f32], k: usize) -> (Vec<Neighbor>, u64) {
+            if k == 0 || self.raw.is_empty() {
+                return (Vec::new(), 0);
+            }
+            let ks = self.quantizer.ks();
+            let m = self.quantizer.m();
+            let table = self.quantizer.distance_table(query);
+            let table = table.as_slice();
+
+            // greedy ADC descent through the upper layers
+            let mut current: u32 = 0; // BFS renumbering puts the entry at 0
+            let mut dcur = kernels::adc(table, ks, self.code(0));
+            for layer in (1..=self.max_level).rev() {
+                loop {
+                    let mut improved = false;
+                    for &p in self.upper_links(current, layer) {
+                        let d = kernels::adc(table, ks, self.code(p as usize));
+                        if d < dcur {
+                            dcur = d;
+                            current = p;
+                            improved = true;
+                        }
+                    }
+                    if !improved {
+                        break;
+                    }
+                }
+            }
+
+            // layer-0 beam, unvisited peers scored four codes per ADC call
+            let n = self.raw.len();
+            let mut visited = vec![0u64; n.div_ceil(64)];
+            let mut visited_count: u64 = 1;
+            visited[current as usize / 64] |= 1 << (current as usize % 64);
+            let ef = self.ef_search.max(k);
+            let pool_cap = ef.max(4 * k);
+            let (mut peers, mut staged_codes, mut peer_dists) = (Vec::new(), Vec::new(), Vec::new());
+            let mut frontier = BinaryHeap::from([Near(dcur, current)]);
+            let mut results = BinaryHeap::from([Far(dcur, current)]);
+            let mut pool = BinaryHeap::from([Far(dcur, current)]);
+
+            while let Some(Near(d, node)) = frontier.pop() {
+                let worst = results.peek().map(|f| f.0).unwrap_or(f32::INFINITY);
+                if d > worst && results.len() >= ef {
+                    break;
+                }
+                let (lo, hi) = (self.offsets[node as usize] as usize, self.offsets[node as usize + 1] as usize);
+                peers.clear();
+                staged_codes.clear();
+                for &p in &self.edges[lo..hi] {
+                    let (w, b) = (p as usize / 64, 1u64 << (p as usize % 64));
+                    if visited[w] & b == 0 {
+                        visited[w] |= b;
+                        peers.push(p);
+                        staged_codes.extend_from_slice(self.code(p as usize));
+                    }
+                }
+                visited_count += peers.len() as u64;
+                peer_dists.clear();
+                peer_dists.resize(peers.len(), 0.0);
+                kernels::adc_block(table, ks, m, &staged_codes, &mut peer_dists);
+                for (&peer, &dp) in peers.iter().zip(&peer_dists) {
+                    if pool.len() < pool_cap {
+                        pool.push(Far(dp, peer));
+                    } else if dp < pool.peek().map(|f| f.0).unwrap_or(f32::INFINITY) {
+                        pool.push(Far(dp, peer));
+                        pool.pop();
+                    }
+                    let worst = results.peek().map(|f| f.0).unwrap_or(f32::INFINITY);
+                    if results.len() < ef || dp < worst {
+                        frontier.push(Near(dp, peer));
+                        results.push(Far(dp, peer));
+                        if results.len() > ef {
+                            results.pop();
+                        }
+                    }
+                }
+            }
+
+            // exact re-rank of the ADC top-`R` pool, then map BFS ids back
+            // to original vector ids
+            let pool_ids = pool.drain().map(|Far(_, id)| id as usize);
+            let mut hits = exact_rerank(&self.raw, query, pool_ids, k.min(n));
+            for h in &mut hits {
+                h.index = self.orig[h.index] as usize;
+            }
+            (hits, visited_count)
+        }
+    }
 
     fn random_set(n: usize, dim: usize, seed: u64) -> VectorSet {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -530,5 +662,163 @@ mod tests {
         assert!(idx.nbytes() > data.nbytes());
         assert!(idx.traversal_nbytes() >= 400 * 4, "codes missing from accounting");
         assert_eq!(idx.nbytes() - idx.traversal_nbytes(), data.nbytes());
+    }
+
+    /// `ks = 256` so the traversal takes the SIMD arm of `adc_gather`
+    /// where there is one, and so that no two of a few thousand random
+    /// vectors share a code: ADC distances are tie-free.
+    fn oracle_config() -> HnswPqConfig {
+        HnswPqConfig {
+            hnsw: HnswConfig::default(),
+            pq: PqConfig { m: 8, ks: 256, kmeans_iters: 4, seed: 0 },
+        }
+    }
+
+    /// Same hits up to what no search defines: distance lists equal to the
+    /// bit, ids equal wherever a distance differs from both its neighbours
+    /// (inside a run of equal exact distances the order is the re-rank's
+    /// arrival order, which is not part of the contract).
+    fn assert_same_hits(got: &[Neighbor], want: &[Neighbor], case: &str) {
+        let bits = |hits: &[Neighbor]| hits.iter().map(|h| h.dist.to_bits()).collect::<Vec<u32>>();
+        let d = bits(got);
+        assert!(d == bits(want), "{case}: distance lists differ");
+        for i in 0..d.len() {
+            let alone = (i == 0 || d[i - 1] != d[i]) && d.get(i + 1) != Some(&d[i]);
+            assert!(!alone || got[i].index == want[i].index, "{case}: ids differ at rank {i}");
+        }
+    }
+
+    #[test]
+    fn one_buffer_beam_is_the_three_heap_search_on_tie_free_data() {
+        for (n, dim, seed) in [(2_000usize, 16usize, 20u64), (600, 64, 21)] {
+            let data = random_set(n, dim, seed);
+            let mut idx = HnswPqIndex::build(&data, oracle_config());
+            let mut queries = random_set(24, dim, seed + 100);
+            for i in (0..n).step_by(n / 6) {
+                queries.push(data.get(i));
+            }
+            // `R > ef` at (8, 10), (8, 40), (64, 40); `R == ef` elsewhere
+            for ef_search in [8usize, 64] {
+                idx.ef_search = ef_search;
+                for k in [1usize, 10, 40, n + 5] {
+                    let case = format!("n {n} dim {dim} ef {ef_search} k {k}");
+                    let want: Vec<(Vec<Neighbor>, u64)> =
+                        queries.iter().map(|q| idx.search_reference(q, k)).collect();
+                    for (q, (hits, visited)) in queries.iter().zip(&want) {
+                        let (got, got_visited) = idx.search_counted(q, k);
+                        assert_eq!(got.len(), k.min(n), "{case}");
+                        // a short list of random distances has no ties:
+                        // there the id lists are equal outright
+                        assert!(k > 40 || &got == hits, "{case}: hits differ");
+                        assert_same_hits(&got, hits, &case);
+                        assert_eq!(got_visited, *visited, "{case}: visited sets differ");
+                    }
+                    for threads in [1usize, 4] {
+                        let batch = idx.search_batch(&queries, k, threads);
+                        for ((q, got), (hits, _)) in queries.iter().zip(&batch).zip(&want) {
+                            assert!(got == &idx.search(q, k), "{case}: batch at {threads} threads != single");
+                            assert_same_hits(got, hits, &case);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_buffer_beam_keeps_the_search_under_exact_ties() {
+        // Every vector three times over — the KGs' duplicate labels: equal
+        // ADC keys and equal exact distances everywhere. Which of three
+        // equal keys a heap surfaces is arbitrary and a sorted buffer
+        // takes them in arrival order (and the heaps still expand a copy
+        // that ties with the beam's worst after it fell out of the beam,
+        // the buffer does not), so the routes differ, and at a beam narrow
+        // enough for one copy to decide what is found so may the answers
+        // (on this data: 1 search in 240, at `ef = 10`). What must hold is
+        // that this stays rare and costs no recall.
+        let base = random_set(400, 16, 30);
+        let mut data = VectorSet::new(16);
+        for i in 0..1_200 {
+            data.push(base.get(i % 400));
+        }
+        // which copy comes back is arbitrary on both sides: ids are
+        // compared as "copy of base vector"
+        let copy_of = |hits: Vec<Neighbor>| -> Vec<Neighbor> {
+            hits.into_iter().map(|h| Neighbor { index: h.index % 400, ..h }).collect()
+        };
+        let flat = FlatIndex::new(data.clone());
+        let mut idx = HnswPqIndex::build(&data, oracle_config());
+        let queries = random_set(40, 16, 31);
+        let (mut searches, mut parted) = (0usize, 0usize);
+        let (mut found, mut found_ref) = (0usize, 0usize);
+        for ef_search in [8usize, 64] {
+            idx.ef_search = ef_search;
+            for k in [1usize, 10, 40] {
+                for q in queries.iter() {
+                    let got = copy_of(idx.search(q, k));
+                    let want = copy_of(idx.search_reference(q, k).0);
+                    searches += 1;
+                    if got.iter().map(|h| h.dist.to_bits()).eq(want.iter().map(|h| h.dist.to_bits())) {
+                        assert_same_hits(&got, &want, &format!("ef {ef_search} k {k}"));
+                    } else {
+                        parted += 1;
+                    }
+                    // recall by distance, for the same reason
+                    let truth = flat.search(q, k);
+                    let kth = truth[truth.len() - 1].dist;
+                    found += got.iter().filter(|h| h.dist <= kth).count();
+                    found_ref += want.iter().filter(|h| h.dist <= kth).count();
+                }
+            }
+        }
+        assert!(parted * 50 <= searches, "{parted} of {searches} searches returned other distances");
+        assert!(found * 200 >= found_ref * 199, "recall {found} against the reference's {found_ref}");
+    }
+
+    #[test]
+    fn beam_buffer_orders_admits_and_expands_like_the_heaps() {
+        let ids = |b: &Beam| b.pool().collect::<Vec<usize>>();
+
+        // the cursor is lowered by an insert below it
+        let mut cands = Vec::new();
+        let mut beam = Beam::start(&mut cands, 4, 4, 5.0, 0);
+        assert_eq!(beam.next_unexpanded(), Some(0));
+        beam.offer(7.0, 1);
+        beam.offer(6.0, 2);
+        assert_eq!(beam.next_unexpanded(), Some(2));
+        assert_eq!(beam.cursor, 1);
+        beam.offer(1.0, 3);
+        assert_eq!(beam.cursor, 0);
+        assert_eq!(ids(&beam), [3, 0, 2, 1]);
+        assert_eq!(beam.next_unexpanded(), Some(3));
+        assert_eq!(beam.next_unexpanded(), Some(1), "expanded entries are skipped, not re-expanded");
+        assert_eq!(beam.next_unexpanded(), None);
+
+        // a full buffer rejects an equal key and drops its last entry for
+        // a nearer one; equal keys below the last keep arrival order
+        beam.offer(7.0, 4);
+        assert_eq!(ids(&beam), [3, 0, 2, 1]);
+        beam.offer(5.0, 5);
+        assert_eq!(ids(&beam), [3, 0, 5, 2]);
+
+        // an entry pushed past rank `ef` is pool, never beam again
+        let mut cands = Vec::new();
+        let mut beam = Beam::start(&mut cands, 2, 4, 5.0, 0);
+        beam.offer(6.0, 1);
+        beam.offer(7.0, 2);
+        assert_eq!(beam.next_unexpanded(), Some(0));
+        beam.offer(4.0, 3); // pushes the unexpanded 1 from rank 1 to rank 2
+        assert_eq!(ids(&beam), [3, 0, 1, 2]);
+        assert_eq!(beam.next_unexpanded(), Some(3));
+        assert_eq!(beam.next_unexpanded(), None, "rank 2 is outside a beam of 2");
+
+        // fewer candidates than the beam is wide: all expanded, all pooled
+        let mut cands = Vec::new();
+        let mut beam = Beam::start(&mut cands, 10, 40, 2.0, 7);
+        beam.offer(1.0, 8);
+        assert_eq!(beam.next_unexpanded(), Some(8));
+        assert_eq!(beam.next_unexpanded(), Some(7));
+        assert_eq!(beam.next_unexpanded(), None);
+        assert_eq!(ids(&beam), [8, 7]);
     }
 }

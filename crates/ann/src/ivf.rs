@@ -129,7 +129,7 @@ impl AnnIndex for IvfIndex {
             .collect();
         order.sort_by(|a, b| a.1.total_cmp(&b.1));
 
-        let mut tk = TopK::new(k);
+        let mut tk = TopK::new(k.min(self.vectors.len()));
         let mut visited = 0u64;
         for &(list, _) in order.iter().take(self.nprobe) {
             visited += self.lists[list].len() as u64;

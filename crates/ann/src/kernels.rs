@@ -26,8 +26,17 @@
 //! float rounding (different add order, FMA contraction); tests bound
 //! the divergence at 1e-5 relative error. The ADC kernels are stricter:
 //! [`adc`] sums in ascending sub-quantizer order in every variant, and
-//! [`adc4`] accumulates each lane in that same order, so batched and
-//! per-code ADC agree **bit-exactly** under every variant.
+//! [`adc_block`] (contiguous codes) and [`adc_gather`] (codes picked by
+//! id) accumulate each lane in that same order, so batched and per-code
+//! ADC agree **bit-exactly** under every variant.
+//!
+//! # Preconditions
+//!
+//! The block kernels read through raw pointers: the lengths that keep
+//! those reads in bounds are `assert!`ed in the safe dispatcher, once per
+//! *block* call, in release builds too. "Every code byte is `< ks`" holds
+//! by construction at `ks >= 256`; a smaller `ks` takes the checked
+//! scalar arm.
 //!
 //! # Adding an ISA path
 //!
@@ -137,26 +146,39 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 ///
 /// Deliberately scalar in every variant: for a single code the `m`
 /// dependent table loads don't amortize a gather, and the strict
-/// ascending-`j` summation is what makes [`adc4`] lanes bit-exact
-/// against this function.
+/// ascending-`j` summation is what makes the lanes of [`adc_block`] and
+/// [`adc_gather`] bit-exact against this function.
 #[inline]
 pub fn adc(table: &[f32], ks: usize, code: &[u8]) -> f32 {
     scalar::adc(table, ks, code)
 }
 
-/// Batched ADC: four codes scored against one distance table per call.
+/// Gathered ADC: [`adc_block`] over the codes `ids` names, scored where
+/// they lie — `out[i]` equals `adc(table, ks, &codes[ids[i] * m..][..m])`
+/// **bit-exactly** under every variant — so a graph traversal scores a
+/// node's peers in one dispatched call without copying their codes side
+/// by side first.
 ///
-/// Each output lane equals `adc(table, ks, codes[lane])` bit-exactly:
-/// the SIMD path gathers one `j` row across all four lanes and adds in
-/// ascending `j`, the same order the single-code kernel uses.
+/// # Panics
+/// Panics if `m` is zero, `out` is shorter than `ids`, the table is
+/// shorter than `m * ks`, or an id names a code past the end of `codes`.
 #[inline]
-pub fn adc4(table: &[f32], ks: usize, codes: [&[u8]; 4]) -> [f32; 4] {
+pub fn adc_gather(table: &[f32], ks: usize, m: usize, codes: &[u8], ids: &[u32], out: &mut [f32]) {
+    assert!(m > 0 && ids.len() <= out.len() && table_holds(table, m, ks), "adc_gather: bad shape");
+    let rows = codes.len() / m;
+    assert!(ids.iter().all(|&id| (id as usize) < rows), "adc_gather: id out of range");
     #[cfg(target_arch = "x86_64")]
-    if variant() == V_AVX2 {
-        // lint: allow(L002) gated by dispatch: V_AVX2 is published only after is_x86_feature_detected verified avx2+fma
-        return unsafe { x86::adc4_avx2(table, ks, codes) };
+    if variant() == V_AVX2 && ks >= 256 {
+        // lint: allow(L002) gated by dispatch (V_AVX2 is published only after is_x86_feature_detected verified avx2+fma) and by the asserts above: every id's code lies inside `codes`, the table holds m rows of ks, and at ks >= 256 no code byte can leave its row
+        return unsafe { x86::adc_gather_avx2(table, ks, m, codes, ids, out) };
     }
-    scalar::adc4(table, ks, codes)
+    scalar::adc_gather(table, ks, m, codes, ids, out);
+}
+
+/// True when `table` holds `m` rows of `ks` distances.
+#[inline]
+fn table_holds(table: &[f32], m: usize, ks: usize) -> bool {
+    m.checked_mul(ks).is_some_and(|len| len <= table.len())
 }
 
 /// Block ADC: scores `out.len()` contiguous `m`-byte codes against one
@@ -168,13 +190,16 @@ pub fn adc4(table: &[f32], ks: usize, codes: [&[u8]; 4]) -> [f32; 4] {
 /// order. One dispatch + one call per *block* is what lets the SIMD win
 /// survive — per-quad calls into a `#[target_feature]` function cannot
 /// inline, and the call overhead eats the kernel's gain.
+///
+/// # Panics
+/// Panics if `m` is zero, `codes` holds fewer than `out.len()` codes, or
+/// the table is shorter than `m * ks`.
 #[inline]
 pub fn adc_block(table: &[f32], ks: usize, m: usize, codes: &[u8], out: &mut [f32]) {
-    debug_assert!(m > 0 && out.len() * m <= codes.len());
-    debug_assert!(m * ks <= table.len());
+    assert!(m > 0 && out.len() <= codes.len() / m && table_holds(table, m, ks), "adc_block: bad shape");
     #[cfg(target_arch = "x86_64")]
-    if variant() == V_AVX2 {
-        // lint: allow(L002) gated by dispatch: V_AVX2 is published only after is_x86_feature_detected verified avx2+fma
+    if variant() == V_AVX2 && ks >= 256 {
+        // lint: allow(L002) gated by dispatch (V_AVX2 is published only after is_x86_feature_detected verified avx2+fma) and by the assert above: `codes` holds out.len() codes, the table holds m rows of ks, and at ks >= 256 no code byte can leave its row
         return unsafe { x86::adc_block_avx2(table, ks, m, codes, out) };
     }
     scalar::adc_block(table, ks, m, codes, out);
@@ -185,9 +210,15 @@ pub fn adc_block(table: &[f32], ks: usize, m: usize, codes: &[u8], out: &mut [f3
 /// ADC table-build shape (one sub-query against a whole codebook).
 /// Same rounding contract as [`sq_l2`]: SIMD variants may differ from
 /// scalar within the tested 1e-5 relative bound.
+///
+/// # Panics
+/// Panics if `rows` holds fewer than `out.len()` rows of `query.len()`.
 #[inline]
 pub fn sq_l2_block(query: &[f32], rows: &[f32], out: &mut [f32]) {
-    debug_assert!(out.len() * query.len() <= rows.len());
+    assert!(
+        out.len().checked_mul(query.len()).is_some_and(|n| n <= rows.len()),
+        "sq_l2_block: rows shorter than out.len() * query.len()"
+    );
     #[cfg(target_arch = "x86_64")]
     if variant() == V_AVX2 {
         // lint: allow(L002) gated by dispatch: V_AVX2 is published only after is_x86_feature_detected verified avx2+fma
@@ -254,7 +285,7 @@ pub mod scalar {
     }
 
     /// Single-code ADC (reference). Strict ascending-`j` summation —
-    /// the order contract shared with [`adc4`].
+    /// the order contract shared with [`adc_block`] and [`adc_gather`].
     #[inline]
     pub fn adc(table: &[f32], ks: usize, code: &[u8]) -> f32 {
         let mut acc = 0.0f32;
@@ -264,20 +295,14 @@ pub mod scalar {
         acc
     }
 
-    /// Four-lane ADC (reference): each lane sums in ascending `j`, so
-    /// lane `l` equals `adc(table, ks, codes[l])` bit-exactly.
+    /// Gathered ADC (reference): one single-code ADC per id, so the
+    /// gathered form is bit-exact against the per-code form by
+    /// construction.
     #[inline]
-    pub fn adc4(table: &[f32], ks: usize, codes: [&[u8]; 4]) -> [f32; 4] {
-        let m = codes[0].len();
-        let mut out = [0.0f32; 4];
-        for j in 0..m {
-            let row = j * ks;
-            out[0] += table[row + codes[0][j] as usize];
-            out[1] += table[row + codes[1][j] as usize];
-            out[2] += table[row + codes[2][j] as usize];
-            out[3] += table[row + codes[3][j] as usize];
+    pub fn adc_gather(table: &[f32], ks: usize, m: usize, codes: &[u8], ids: &[u32], out: &mut [f32]) {
+        for (o, &id) in out.iter_mut().zip(ids) {
+            *o = adc(table, ks, &codes[id as usize * m..][..m]);
         }
-        out
     }
 
     /// Block ADC (reference): one single-code ADC per output slot, so
@@ -403,73 +428,38 @@ mod x86 {
         sum
     }
 
-    /// Four-lane ADC: per sub-quantizer, four unchecked table loads
-    /// packed into one 128-bit lane add. Lane adds happen in ascending
-    /// `j`, matching the scalar single-code order, so each lane is
-    /// bit-exact against `scalar::adc`. Deliberately NOT gather-based:
-    /// `vgatherdps` is microcoded (and Downfall-mitigated hosts make it
-    /// slower than four plain loads), while ADC is load-bound — the win
-    /// here is eliding the per-element bounds checks the safe scalar
-    /// path pays.
+    /// The one body of block and gathered ADC: `out[i]` is the distance of
+    /// the `m`-byte code at `code(i)`. Full quads go through the four-lane
+    /// body (per sub-quantizer, four unchecked table loads packed into
+    /// one 128-bit lane add), the remainder in single-code order — both
+    /// with ascending-`j` adds per lane, so every slot is bit-exact
+    /// against `scalar::adc`. Looping *inside* the `target_feature`
+    /// boundary amortizes the uninlinable dispatch call over the block.
+    /// Deliberately NOT gather-based: `vgatherdps` is microcoded (and
+    /// Downfall-mitigated hosts make it slower than four plain loads),
+    /// while ADC is load-bound — the win here is eliding the per-element
+    /// bounds checks the safe scalar path pays.
     ///
     /// # Safety
-    /// Requires AVX2; called only when `variant() == V_AVX2`. The table
-    /// loads stay in-bounds because every code byte `c` satisfies
-    /// `j * ks + c < table.len()` (codes are produced against the same
-    /// `m × ks` table layout).
+    /// Requires AVX2. Caller guarantees `n <= out.len()`, that `code(i)`
+    /// points at `m` readable bytes for every `i < n`, that
+    /// `m * ks <= table.len()` and that every code byte is `< ks`.
     #[target_feature(enable = "avx2")]
-    // lint: allow(L002) sound under dispatch: V_AVX2 is published only after runtime avx2+fma detection
-    pub unsafe fn adc4_avx2(table: &[f32], ks: usize, codes: [&[u8]; 4]) -> [f32; 4] {
-        let m = codes[0].len();
-        debug_assert!(m * ks <= table.len());
+    #[inline]
+    // lint: allow(L002) target_feature helper, reached only from dispatch-gated kernels in this module
+    unsafe fn adc_lanes_avx2(
+        table: &[f32],
+        ks: usize,
+        m: usize,
+        n: usize,
+        out: &mut [f32],
+        code: impl Fn(usize) -> *const u8,
+    ) {
         let base = table.as_ptr();
-        let (c0, c1, c2, c3) = (
-            codes[0].as_ptr(),
-            codes[1].as_ptr(),
-            codes[2].as_ptr(),
-            codes[3].as_ptr(),
-        );
-        let mut acc = _mm_setzero_ps();
-        let mut row = 0usize;
-        for j in 0..m {
-            let v = _mm_set_ps(
-                *base.add(row + *c3.add(j) as usize),
-                *base.add(row + *c2.add(j) as usize),
-                *base.add(row + *c1.add(j) as usize),
-                *base.add(row + *c0.add(j) as usize),
-            );
-            acc = _mm_add_ps(acc, v);
-            row += ks;
-        }
-        let mut out = [0.0f32; 4];
-        _mm_storeu_ps(out.as_mut_ptr(), acc);
-        out
-    }
-
-    /// Block ADC: full quads through the four-lane body, remainder in
-    /// single-code order — both with unchecked loads and ascending-`j`
-    /// scalar adds per lane, so every output slot is bit-exact against
-    /// `scalar::adc`. Looping *inside* the `target_feature` boundary
-    /// amortizes the uninlinable dispatch call over the whole block.
-    ///
-    /// # Safety
-    /// Requires AVX2; called only when `variant() == V_AVX2`. Caller
-    /// guarantees `out.len() * m <= codes.len()`, `m * ks <= table.len()`
-    /// and that every code byte is `< ks` (codes are produced against
-    /// the same `m × ks` table layout).
-    #[target_feature(enable = "avx2")]
-    // lint: allow(L002) sound under dispatch: V_AVX2 is published only after runtime avx2+fma detection
-    pub unsafe fn adc_block_avx2(table: &[f32], ks: usize, m: usize, codes: &[u8], out: &mut [f32]) {
-        let n = out.len();
-        let base = table.as_ptr();
-        let cp = codes.as_ptr();
         let op = out.as_mut_ptr();
         let mut i = 0;
         while i + 4 <= n {
-            let c0 = cp.add(i * m);
-            let c1 = cp.add((i + 1) * m);
-            let c2 = cp.add((i + 2) * m);
-            let c3 = cp.add((i + 3) * m);
+            let (c0, c1, c2, c3) = (code(i), code(i + 1), code(i + 2), code(i + 3));
             let mut acc = _mm_setzero_ps();
             let mut row = 0usize;
             for j in 0..m {
@@ -486,7 +476,7 @@ mod x86 {
             i += 4;
         }
         while i < n {
-            let c = cp.add(i * m);
+            let c = code(i);
             let mut s = 0.0f32;
             let mut row = 0usize;
             for j in 0..m {
@@ -496,6 +486,33 @@ mod x86 {
             *op.add(i) = s;
             i += 1;
         }
+    }
+
+    /// Block ADC: slot `i`'s code is the `i`-th of `codes`.
+    ///
+    /// # Safety
+    /// Requires AVX2; called only when `variant() == V_AVX2`. Caller
+    /// guarantees `out.len() * m <= codes.len()`, `m * ks <= table.len()`
+    /// and that every code byte is `< ks`.
+    #[target_feature(enable = "avx2")]
+    // lint: allow(L002) sound under dispatch: V_AVX2 is published only after runtime avx2+fma detection
+    pub unsafe fn adc_block_avx2(table: &[f32], ks: usize, m: usize, codes: &[u8], out: &mut [f32]) {
+        let cp = codes.as_ptr();
+        adc_lanes_avx2(table, ks, m, out.len(), out, |i| cp.add(i * m));
+    }
+
+    /// Gathered ADC: slot `i`'s code is the `ids[i]`-th of `codes`.
+    ///
+    /// # Safety
+    /// Requires AVX2; called only when `variant() == V_AVX2`. Caller
+    /// guarantees `ids.len() <= out.len()`, `(id + 1) * m <= codes.len()`
+    /// for every id, `m * ks <= table.len()` and that every code byte is
+    /// `< ks`.
+    #[target_feature(enable = "avx2")]
+    // lint: allow(L002) sound under dispatch: V_AVX2 is published only after runtime avx2+fma detection
+    pub unsafe fn adc_gather_avx2(table: &[f32], ks: usize, m: usize, codes: &[u8], ids: &[u32], out: &mut [f32]) {
+        let cp = codes.as_ptr();
+        adc_lanes_avx2(table, ks, m, ids.len(), out, |i| cp.add(*ids.get_unchecked(i) as usize * m));
     }
 
     /// Block squared-L2: the row loop lives inside the feature boundary
@@ -655,29 +672,67 @@ mod tests {
     }
 
     #[test]
-    fn batched_adc_is_bit_exact_against_single_code() {
-        // odd m leaves no alignment escape hatch; both kernels must sum
-        // in ascending j so lanes match to the bit, per the module
+    fn gathered_adc_is_bit_exact_against_single_code() {
+        // every length 0..=9 (quads plus each remainder), ids repeated and
+        // descending; `ks = 256` takes the SIMD arm where there is one, a
+        // smaller `ks` the checked scalar arm — both must sum in ascending
+        // j so every slot matches per-code ADC to the bit, per the module
         // determinism contract.
         let mut rng = StdRng::seed_from_u64(11);
-        for &(m, ks) in &[(1usize, 4usize), (5, 16), (8, 256)] {
+        for &(m, ks) in &[(1usize, 256usize), (4, 256), (8, 256), (4, 16)] {
             let table = random_vec(m * ks, &mut rng);
-            let codes: Vec<Vec<u8>> = (0..4)
-                .map(|_| (0..m).map(|_| rng.gen_range(0..ks as u16) as u8).collect())
-                .collect();
-            let lanes = [&codes[0][..], &codes[1][..], &codes[2][..], &codes[3][..]];
-            let batched = adc4(&table, ks, lanes);
-            let reference = scalar::adc4(&table, ks, lanes);
-            for l in 0..4 {
-                let single = adc(&table, ks, &codes[l]);
-                assert_eq!(
-                    batched[l].to_bits(),
-                    single.to_bits(),
-                    "m={m} ks={ks} lane {l}: batched != single"
-                );
-                assert_eq!(batched[l].to_bits(), reference[l].to_bits());
+            let rows = 40;
+            let codes: Vec<u8> = (0..rows * m).map(|_| rng.gen_range(0..ks as u16) as u8).collect();
+            for len in 0..=9usize {
+                let random: Vec<u32> = (0..len).map(|_| rng.gen_range(0..rows as u32)).collect();
+                let descending: Vec<u32> = (0..len as u32).map(|i| rows as u32 - 1 - i).collect();
+                let repeated = vec![rows as u32 - 1; len];
+                for ids in [random, descending, repeated] {
+                    let mut out = vec![f32::NAN; len];
+                    adc_gather(&table, ks, m, &codes, &ids, &mut out);
+                    for (i, &id) in ids.iter().enumerate() {
+                        let single = adc(&table, ks, &codes[id as usize * m..][..m]);
+                        assert_eq!(
+                            out[i].to_bits(),
+                            single.to_bits(),
+                            "m={m} ks={ks} ids={ids:?} slot {i}: gathered != single"
+                        );
+                    }
+                }
             }
         }
+    }
+
+    // The four below hold under EMBLOOKUP_KERNEL=scalar and =auto alike
+    // (ci.sh runs both): what keeps the SIMD arms' raw loads in bounds is
+    // an `assert!` in the dispatcher, not a `debug_assert!`.
+
+    #[test]
+    #[should_panic(expected = "adc_gather: id out of range")]
+    fn gathered_adc_rejects_an_id_past_the_codes() {
+        let (table, codes) = (vec![0.0f32; 8 * 256], vec![0u8; 5 * 8]);
+        adc_gather(&table, 256, 8, &codes, &[0, 4, 5], &mut [0.0; 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "adc_block: bad shape")]
+    fn block_adc_rejects_more_outputs_than_codes() {
+        let (table, codes) = (vec![0.0f32; 8 * 256], vec![0u8; 8]);
+        adc_block(&table, 256, 8, &codes, &mut [0.0; 64]);
+    }
+
+    #[test]
+    #[should_panic(expected = "sq_l2_block: rows shorter")]
+    fn block_sq_l2_rejects_more_outputs_than_rows() {
+        sq_l2_block(&[0.0; 8], &[0.0; 8], &mut [0.0; 64]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn a_code_byte_past_a_short_table_row_is_a_checked_index() {
+        // ks < 256: a byte can name a centroid the table does not have;
+        // that must never reach the unchecked loads
+        adc_block(&[0.0f32; 4], 4, 1, &[200, 1, 2, 3], &mut [0.0; 4]);
     }
 
     #[test]

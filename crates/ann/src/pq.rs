@@ -8,7 +8,7 @@
 //! distances turns each distance evaluation into `m` table lookups.
 // lint: hot-path
 
-use crate::index::{batch_grain, AnnIndex};
+use crate::index::AnnIndex;
 use crate::kernels::{self, sq_l2};
 use crate::kmeans::{KMeans, KMeansConfig};
 use crate::topk::{Neighbor, TopK};
@@ -144,9 +144,8 @@ impl ProductQuantizer {
     }
 
     /// Fills `table` with the ADC lookup table for `query`, reusing its
-    /// allocation — the batched-search path calls this once per query on
-    /// a single buffer per query block instead of allocating `m * ks`
-    /// floats every time.
+    /// allocation — the search paths call this once per query on one
+    /// buffer per thread instead of allocating `m * ks` floats every time.
     pub fn distance_table_into(&self, query: &[f32], table: &mut Vec<f32>) {
         assert_eq!(query.len(), self.dim(), "query dim {} != {}", query.len(), self.dim());
         table.clear();
@@ -169,19 +168,12 @@ impl ProductQuantizer {
     ///
     /// Delegates to the dispatched kernel layer, which sums in strict
     /// ascending sub-quantizer order — the order contract that makes
-    /// [`ProductQuantizer::adc4`] lanes bit-exact against this function,
-    /// so batched and per-code scans always agree exactly.
+    /// [`kernels::adc_block`] and [`kernels::adc_gather`] bit-exact
+    /// against this function, so batched and per-code scans always agree
+    /// exactly.
     #[inline]
     pub fn adc(&self, table: &[f32], code: &[u8]) -> f32 {
         kernels::adc(table, self.ks, code)
-    }
-
-    /// Batched ADC: four codes against one table per call (one row
-    /// gather per sub-quantizer on SIMD targets). Lane `l` equals
-    /// `self.adc(table, codes[l])` bit-exactly.
-    #[inline]
-    pub fn adc4(&self, table: &[f32], codes: [&[u8]; 4]) -> [f32; 4] {
-        kernels::adc4(table, self.ks, codes)
     }
 }
 
@@ -203,6 +195,13 @@ pub struct PqIndex {
     quantizer: ProductQuantizer,
     codes: Vec<u8>,
     n: usize,
+}
+
+std::thread_local! {
+    /// The ADC table of the query [`PqIndex::search`] is answering on this
+    /// thread — the caller's, or a pool worker's under `search_batch` —
+    /// rebuilt in place per query, so reuse cannot affect results.
+    static TABLE: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
 impl PqIndex {
@@ -247,35 +246,34 @@ impl PqIndex {
     }
 
     /// Approximate `k` nearest neighbours of `query` via ADC, ascending.
+    /// Codes are scored in fixed-size blocks through
+    /// [`kernels::adc_block`], which is bit-exact against the per-code
+    /// kernel, so results equal a per-code scan exactly.
     pub fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
         if self.n == 0 || k == 0 {
             return Vec::new();
         }
-        let table = self.quantizer.distance_table(query);
-        self.search_with_table(&table, k)
-    }
-
-    /// Scan under an already-built ADC table — the shared tail of the
-    /// single-query and batched paths. Codes are scored in fixed-size
-    /// blocks through [`kernels::adc_block`], which is bit-exact against
-    /// the per-code kernel, so results equal a per-code scan exactly.
-    fn search_with_table(&self, table: &[f32], k: usize) -> Vec<Neighbor> {
         crate::metrics::pq_searches().inc();
         crate::metrics::pq_visited().add(self.n as u64);
         let m = self.quantizer.m();
         let ks = self.quantizer.ks();
-        let mut tk = TopK::new(k);
-        // stack block: one dispatched kernel call per 256 codes
-        let mut dists = [0.0f32; 256];
-        let mut i = 0;
-        for chunk in self.codes.chunks(256 * m) {
-            let cn = chunk.len() / m;
-            kernels::adc_block(table, ks, m, chunk, &mut dists[..cn]);
-            for (l, &dl) in dists[..cn].iter().enumerate() {
-                tk.push(i + l, dl);
+        // a scan returns at most `n` hits, whatever `k` asks for
+        let mut tk = TopK::new(k.min(self.n));
+        TABLE.with(|table| {
+            let mut table = table.borrow_mut();
+            self.quantizer.distance_table_into(query, &mut table);
+            // stack block: one dispatched kernel call per 256 codes
+            let mut dists = [0.0f32; 256];
+            let mut i = 0;
+            for chunk in self.codes.chunks(256 * m) {
+                let cn = chunk.len() / m;
+                kernels::adc_block(&table, ks, m, chunk, &mut dists[..cn]);
+                for (l, &dl) in dists[..cn].iter().enumerate() {
+                    tk.push(i + l, dl);
+                }
+                i += cn;
             }
-            i += cn;
-        }
+        });
         tk.into_sorted()
     }
 }
@@ -297,32 +295,6 @@ impl AnnIndex for PqIndex {
     /// An ADC scan always visits every stored code.
     fn search_counted(&self, query: &[f32], k: usize) -> (Vec<Neighbor>, u64) {
         (self.search(query, k), self.n as u64)
-    }
-
-    /// Batch search; `threads > 1` fans the queries out over the
-    /// persistent compute pool. Either way, one distance-table buffer is
-    /// reused across each query block (per chunk when parallel) instead
-    /// of being reallocated per query, and the scan itself goes through
-    /// the same [`ProductQuantizer::adc`] as [`PqIndex::search`], so
-    /// results are exactly equal to the single-query path.
-    fn search_batch(&self, queries: &VectorSet, k: usize, threads: usize) -> Vec<Vec<Neighbor>> {
-        let n = queries.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        if self.n == 0 || k == 0 {
-            return vec![Vec::new(); n];
-        }
-        let threads = threads.max(1).min(n);
-        let run = |table: &mut Vec<f32>, i: usize| {
-            self.quantizer.distance_table_into(queries.get(i), table);
-            self.search_with_table(table, k)
-        };
-        if threads == 1 {
-            let mut table = Vec::new();
-            return (0..n).map(|i| run(&mut table, i)).collect();
-        }
-        emblookup_pool::Pool::global().parallel_map_with(n, batch_grain(n, threads), Vec::new, run)
     }
 }
 

@@ -21,13 +21,15 @@ pub struct TopK {
 }
 
 impl TopK {
-    /// Creates a collector for the `k` nearest candidates.
+    /// Creates a collector for the `k` nearest candidates. All `k` slots
+    /// are reserved up front, so callers bound `k` by the number of
+    /// candidates they can offer (an index clamps it to its `len()`).
     ///
     /// # Panics
     /// Panics if `k` is zero.
     pub fn new(k: usize) -> Self {
         assert!(k > 0, "top-k with k = 0");
-        TopK { k, heap: Vec::with_capacity(k + 1) }
+        TopK { k, heap: Vec::with_capacity(k) }
     }
 
     /// The current worst (largest) accepted distance, or `f32::INFINITY`

@@ -77,7 +77,7 @@ pub fn rank_candidates(
 ) -> Vec<emblookup_kg::Candidate> {
     scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
     let mut seen = std::collections::HashSet::new();
-    let mut out = Vec::with_capacity(k);
+    let mut out = Vec::with_capacity(k.min(scored.len()));
     for (entity, score) in scored {
         if seen.insert(entity) {
             out.push(emblookup_kg::Candidate { entity, score });

@@ -11,7 +11,9 @@
 //! Emits `BENCH_ann.json` in the repo root: per-tier, per-backend
 //! `recall_at_10`, `p50_ns`/`p99_ns`, build time and true index bytes,
 //! plus the active distance-kernel variant and the measured speedup of
-//! the batched 4-lane ADC kernel over per-code scoring.
+//! the batched 4-lane ADC kernels (contiguous block and gathered by id)
+//! over per-code scoring. Every run, `--smoke` included, exits non-zero
+//! unless the three ADC forms agree to the bit on the bench's own codes.
 
 #![forbid(unsafe_code)]
 
@@ -210,11 +212,32 @@ fn run_tier(n: usize, nq: usize, threads: usize) -> Vec<BackendRun> {
     out
 }
 
-/// Measures the batched block-ADC kernel against per-code scoring on
-/// the same table/codes — the exact shapes the PQ scan and the fused
-/// traversal use. Both variants produce the full distance array, so the
-/// comparison is store-for-store fair.
-fn adc_batch_speedup() -> f64 {
+/// Speed of the two batched ADC kernels relative to the per-code loop
+/// each replaces.
+struct AdcSpeedup {
+    /// `adc_block` over contiguous codes — the PQ scan's shape — against
+    /// `adc` per contiguous code.
+    block: f64,
+    /// `adc_gather` over id runs of [`GATHER_RUN`] — the PQ-fused
+    /// traversal's shape — against `adc` per id over the same ids.
+    gather: f64,
+}
+
+/// Ids per `adc_gather` call: the mean number of unvisited peers one beam
+/// expansion of the PQ-fused traversal scores (≈ 640 nodes over ≈ 65
+/// expansions per query on the 19k tier).
+const GATHER_RUN: usize = 10;
+
+/// Measures the batched ADC kernels against per-code scoring on the same
+/// table and codes, in the shapes their callers use: `adc_block` over
+/// the contiguous codes (the PQ scan), `adc_gather` over seeded id runs
+/// (the fused traversal, which scores peers where their codes lie; its
+/// baseline reads the same ids one `adc` at a time, with `m` a runtime
+/// value as it is in the index). Every variant produces the full
+/// distance array, so the comparison is store-for-store fair — and they
+/// must produce the *same* distances: `Err` names the first slot where
+/// any differ in any bit.
+fn adc_batch_speedup() -> Result<AdcSpeedup, String> {
     let m = 8usize;
     let ks = 256usize;
     let ncodes = 8192usize;
@@ -224,6 +247,7 @@ fn adc_batch_speedup() -> f64 {
     let codes: Vec<u8> = (0..ncodes * m)
         .map(|_| rng.gen_range(0..ks) as u8)
         .collect();
+    let ids: Vec<u32> = (0..ncodes).map(|_| rng.gen_range(0..ncodes as u32)).collect();
     let mut out = vec![0.0f32; ncodes];
 
     // warm-up resolves the kernel dispatch
@@ -234,6 +258,9 @@ fn adc_batch_speedup() -> f64 {
     // cost, everything above it is scheduler noise
     let mut per_code = u128::MAX;
     let mut batched = u128::MAX;
+    let mut per_id = u128::MAX;
+    let mut gathered = u128::MAX;
+    let m_rt = black_box(m);
     for _ in 0..5 {
         let t = Instant::now();
         for _ in 0..reps {
@@ -250,8 +277,42 @@ fn adc_batch_speedup() -> f64 {
             black_box(&mut out);
         }
         batched = batched.min(t.elapsed().as_nanos());
+
+        let t = Instant::now();
+        for _ in 0..reps {
+            for (o, &id) in out.iter_mut().zip(&ids) {
+                *o = kernels::adc(&table, ks, &codes[id as usize * m_rt..][..m_rt]);
+            }
+            black_box(&mut out);
+        }
+        per_id = per_id.min(t.elapsed().as_nanos());
+
+        let t = Instant::now();
+        for _ in 0..reps {
+            for (run, o) in ids.chunks(GATHER_RUN).zip(out.chunks_mut(GATHER_RUN)) {
+                kernels::adc_gather(&table, ks, m_rt, &codes, run, o);
+            }
+            black_box(&mut out);
+        }
+        gathered = gathered.min(t.elapsed().as_nanos());
     }
-    per_code as f64 / batched.max(1) as f64
+
+    // the determinism contract of `kernels`, checked on the bench's own
+    // inputs: `out` holds the last gathered pass, which must equal the
+    // per-code distance of the id it was given, as must the block pass
+    let single: Vec<f32> = codes.chunks_exact(m).map(|code| kernels::adc(&table, ks, code)).collect();
+    if let Some(i) = (0..ncodes).find(|&i| out[i].to_bits() != single[ids[i] as usize].to_bits()) {
+        return Err(format!("adc_gather differs from adc at slot {i} (code {})", ids[i]));
+    }
+    kernels::adc_block(&table, ks, m, &codes, &mut out);
+    if let Some(i) = (0..ncodes).find(|&i| out[i].to_bits() != single[i].to_bits()) {
+        return Err(format!("adc_block differs from adc at code {i}"));
+    }
+
+    Ok(AdcSpeedup {
+        block: per_code as f64 / batched.max(1) as f64,
+        gather: per_id as f64 / gathered.max(1) as f64,
+    })
 }
 
 fn fmt_ns(ns: u64) -> String {
@@ -279,17 +340,27 @@ fn main() {
         tiers.push((1_000_000, 100));
     }
 
-    let speedup = adc_batch_speedup();
+    let speedup = match adc_batch_speedup() {
+        Ok(speedup) => speedup,
+        Err(why) => {
+            eprintln!("[ann_bench] FAIL: batched ADC is not bit-equal to per-code ADC: {why}");
+            std::process::exit(1);
+        }
+    };
     eprintln!(
-        "[ann_bench] kernel={} batched-adc speedup={speedup:.2}x",
-        kernels::active()
+        "[ann_bench] kernel={} batched-adc speedup={:.2}x gathered-adc (runs of {GATHER_RUN}) speedup={:.2}x, outputs bit-equal",
+        kernels::active(),
+        speedup.block,
+        speedup.gather
     );
 
     let mut json = String::new();
     let _ = write!(
         json,
-        "{{\n  \"kernel\": \"{}\",\n  \"dim\": {DIM},\n  \"k\": {K},\n  \"adc_batch_speedup\": {speedup:.2},\n  \"tiers\": [",
-        kernels::active()
+        "{{\n  \"kernel\": \"{}\",\n  \"dim\": {DIM},\n  \"k\": {K},\n  \"adc_batch_speedup\": {:.2},\n  \"adc_gather_speedup\": {:.2},\n  \"tiers\": [",
+        kernels::active(),
+        speedup.block,
+        speedup.gather
     );
     for (ti, &(n, nq)) in tiers.iter().enumerate() {
         let runs = run_tier(n, nq, threads);

@@ -242,7 +242,7 @@ impl EntityIndex {
             return mapped.collect();
         }
         let mut seen = std::collections::HashSet::new();
-        let mut out = Vec::with_capacity(k);
+        let mut out = Vec::with_capacity(k.min(mapped.len()));
         for (id, d) in mapped {
             if seen.insert(id) {
                 out.push((id, d));
@@ -372,6 +372,14 @@ mod tests {
                     for (hits, query) in batch.iter().zip(queries.iter()) {
                         assert_eq!(*hits, idx.search(query, 5), "{case} threads {threads}");
                     }
+                }
+
+                // a `k` no index can fill is cut to what it holds — never
+                // reserved, multiplied or added to as it stands
+                for k in [121, 1 << 40, usize::MAX] {
+                    let all = idx.search(&q, k);
+                    assert_eq!(all.len(), if multi_row { 60 } else { 120 }, "{case} k {k}");
+                    assert!(all.windows(2).all(|w| w[0].1 <= w[1].1), "{case} k {k}");
                 }
             }
         }

@@ -132,9 +132,11 @@ for key in sorted(ci):
     speed = f"{pp / cp:.2f}x" if pp and cp else "-"
     rows.append((f"{key[0]}/{key[1]}", f"{c['recall_at_10']:.3f}", fmt(cp), fmt(pp), speed))
 
-sp, sc = prev.get("adc_batch_speedup"), cur.get("adc_batch_speedup")
-rows.append(("adc batched-vs-per-code", "-", f"{sc:.2f}x" if sc else "-",
-             f"{sp:.2f}x" if sp else "-", "-"))
+for field, label in (("adc_batch_speedup", "adc batched-vs-per-code"),
+                     ("adc_gather_speedup", "adc gathered-vs-per-id")):
+    sp, sc = prev.get(field), cur.get(field)
+    rows.append((label, "-", f"{sc:.2f}x" if sc else "-",
+                 f"{sp:.2f}x" if sp else "-", "-"))
 
 widths = [max(len(r[i]) for r in rows) for i in range(5)]
 print("\n== ANN tiers vs previous BENCH_ann.json (kernel: %s) ==" % cur.get("kernel", "?"))

@@ -106,9 +106,9 @@ fn query_path_stays_inside_its_allocation_budget() {
     assert!(embed <= 3, "embed allocated {embed} times (budget 3)");
 
     // A lookup adds what `EntityIndex::search` costs on top of `embed`: the
-    // neighbour list and the entity list, and on PQ the query's distance
-    // table. Was 94.
-    for (compression, budget) in [(Compression::None, 5), (Compression::default_pq(), 6)] {
+    // neighbour list and the entity list (PQ's distance table is a
+    // per-thread buffer, warm after the first call). Was 94, then 6 on PQ.
+    for (compression, budget) in [(Compression::None, 5), (Compression::default_pq(), 5)] {
         let service = EmbLookup::from_model(Arc::clone(&model), &synth.kg, compression);
         service.lookup_with_distances(longest, 10);
         let lookup = worst(&queries, |q| drop(service.lookup_with_distances(q, 10)));

@@ -89,6 +89,24 @@ fn all_backends_honor_the_search_contract() {
                 assert_eq!(*hits, index.search_counted(q, 10).0, "{name} threads {threads}");
             }
         }
+
+        // contract: `k` bounds the answer, it is not a size to reserve —
+        // past `len()` every backend returns all it can reach (IVF: the
+        // lists it probes), ascending and distinct
+        for k in [601, 1 << 40, usize::MAX] {
+            let (all, _) = index.search_counted(queries.get(0), k);
+            if name == "ivf" {
+                assert!(all.len() > 10 && all.len() <= 600, "{name} k {k}: {} hits", all.len());
+            } else {
+                assert_eq!(all.len(), 600, "{name} k {k}");
+            }
+            assert!(all.windows(2).all(|w| w[0].dist <= w[1].dist), "{name} k {k} unsorted");
+            let mut ids: Vec<usize> = all.iter().map(|n| n.index).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            assert_eq!(ids.len(), all.len(), "{name} k {k} returned duplicates");
+            assert_eq!(index.search_batch(&queries, k, 2)[0], all, "{name} k {k} batch");
+        }
     }
 }
 

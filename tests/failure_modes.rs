@@ -46,6 +46,30 @@ fn lookup_k_larger_than_kg_returns_all() {
     let service = EmbLookup::train_on(&synth.kg, EmbLookupConfig::tiny(93));
     let hits = service.lookup("anything", 10_000);
     assert_eq!(hits.len(), synth.kg.num_entities());
+
+    // No `k` is too large on any backend: an index answers with what it
+    // holds (`1 << 40` used to be reserved as asked and abort the process,
+    // `usize::MAX` to overflow `k + 1` and `4 * k`). IVF probes every list
+    // here so that it, too, can reach every entity.
+    let n = synth.kg.num_entities();
+    let compressions = [
+        Compression::None,
+        Compression::Pq { m: 4, ks: 16 },
+        Compression::Pca { k: 4 },
+        Compression::Ivf { nlist: 4, nprobe: 4 },
+        Compression::Hnsw { m: 8, ef_search: 32 },
+        Compression::HnswPq { m: 8, ef_search: 32, pq_m: 4, pq_ks: 16 },
+    ];
+    for compression in compressions {
+        let service = EmbLookup::from_model(service.model_arc(), &synth.kg, compression);
+        for k in [n + 1, 1 << 40, usize::MAX] {
+            let hits = service.lookup_with_distances("anything", k);
+            assert_eq!(hits.len(), n, "{} k {k}", compression.name());
+            assert!(hits.windows(2).all(|w| w[0].1 <= w[1].1), "{} k {k}", compression.name());
+            let bulk = service.bulk_lookup(&["anything", "else"], k);
+            assert_eq!(bulk[0], hits, "{} k {k}", compression.name());
+        }
+    }
 }
 
 #[test]
@@ -75,6 +99,9 @@ fn baselines_survive_pathological_queries() {
             let hits = svc.lookup(q, 5);
             assert!(hits.len() <= 5, "{} overflowed k on {q:?}", svc.name());
         }
+        // a `k` beyond the catalog is a bound on the answer, not a size to reserve
+        let label = &kg.entities().next().expect("tiny KG has entities").label;
+        assert!(svc.lookup(label, usize::MAX).len() <= kg.num_entities(), "{}", svc.name());
     }
 }
 
