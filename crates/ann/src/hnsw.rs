@@ -9,16 +9,38 @@
 //! a candidate is kept only if it is closer to the node than to every
 //! already-kept neighbour, which preserves the inter-cluster bridges that
 //! plain nearest-`m` pruning severs on clustered data.
+//!
+//! # Build
+//!
+//! The graph [`HnswIndex::build`] returns is, link for link, the one the
+//! textbook insertion loop builds (the `#[cfg(test)]` oracle
+//! `build_reference`, pinned by `build_is_the_reference_graph`); what the
+//! `Builder` drops is work whose result is already known:
+//!
+//! * one `SearchScratch` for the whole build — visited nodes are an
+//!   epoch-stamped array, not a hash set, and both heaps and every list
+//!   the selection works in are cleared, not re-allocated;
+//! * every edge remembers its length. `sq_l2` is bitwise symmetric, so the
+//!   distance the inserting search measured from the new node to a peer
+//!   *is* the distance a re-prune of that peer's list would measure back;
+//! * a list remembers how its last selection went: its ids are stored
+//!   kept-first, backfilled next, pushed-since last (`ListMemo`), and a
+//!   re-prune re-evaluates only the dominance checks a new edge can have
+//!   changed (see `Builder::select_diverse`; DESIGN.md §10 has the
+//!   argument).
+//!
+//! Query-time searches reuse one `SearchScratch` per thread.
 // lint: hot-path
 
 use crate::index::AnnIndex;
 use crate::kernels::sq_l2;
 use crate::topk::{Neighbor, TopK};
 use crate::vectors::VectorSet;
+use emblookup_obs::names;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 /// Configuration for [`HnswIndex::build`].
 #[derive(Debug, Clone, Copy)]
@@ -69,71 +91,212 @@ impl Ord for Near {
     }
 }
 
+/// `links[node][layer]` = neighbour ids.
+pub(crate) type Links = Vec<Vec<Vec<u32>>>;
+
 /// An HNSW graph over a vector collection.
 pub struct HnswIndex {
     vectors: VectorSet,
-    /// `links[node][layer]` = neighbour ids.
-    links: Vec<Vec<Vec<u32>>>,
+    links: Links,
     entry: u32,
     max_level: usize,
     config: HnswConfig,
 }
 
-impl HnswIndex {
-    /// Builds the graph by inserting every vector.
-    ///
-    /// # Panics
-    /// Panics on an empty collection or zero `m`.
-    pub fn build(vectors: VectorSet, config: HnswConfig) -> Self {
-        assert!(!vectors.is_empty(), "HNSW over empty data");
-        assert!(config.m >= 1, "HNSW m must be >= 1");
-        let n = vectors.len();
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let level_mult = 1.0 / (config.m as f64).ln().max(0.1);
+/// Working memory of [`search_layer`], reused from one search to the next
+/// — by the whole build, and per thread at query time. A search starts by
+/// clearing it, so reuse cannot affect results.
+#[derive(Default)]
+struct SearchScratch {
+    /// `stamps[v] == epoch` ⇔ node `v` was reached by the current search.
+    stamps: Vec<u32>,
+    epoch: u32,
+    frontier: BinaryHeap<Near>,
+    results: BinaryHeap<Far>,
+    /// What the last search found: up to `ef` nearest, ascending.
+    found: Vec<(f32, u32)>,
+}
 
-        let mut index = HnswIndex {
-            vectors,
-            links: Vec::with_capacity(n),
-            entry: 0,
-            max_level: 0,
-            config,
-        };
-        // node 0 seeds the graph at level 0
-        index.links.push(vec![Vec::new()]);
-        for node in 1..n as u32 {
-            let level = ((-rng.gen_range(f64::EPSILON..1.0).ln()) * level_mult) as usize;
-            index.insert(node, level);
+impl SearchScratch {
+    /// Starts a search over `n` nodes with nothing visited: a new epoch
+    /// instead of a cleared array (cleared only when the epoch wraps).
+    fn begin(&mut self, n: usize) {
+        if self.stamps.len() < n {
+            self.stamps.resize(n, 0);
         }
-        index
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamps.fill(0);
+            self.epoch = 1;
+        }
+        self.frontier.clear();
+        self.results.clear();
     }
+}
 
+std::thread_local! {
+    /// Query-time searches on this thread — the caller's, or a pool
+    /// worker's under `search_batch` — share one scratch.
+    static SCRATCH: std::cell::RefCell<SearchScratch> = std::cell::RefCell::new(SearchScratch::default());
+}
+
+/// Neighbours of `node` on `layer`, none when it does not reach it.
+#[inline]
+fn peers(links: &Links, node: u32, layer: usize) -> &[u32] {
+    links[node as usize].get(layer).map_or(&[], Vec::as_slice)
+}
+
+/// One greedy hop-to-local-minimum pass on a layer.
+fn greedy_step(vectors: &VectorSet, links: &Links, query: &[f32], start: u32, layer: usize) -> u32 {
+    let mut current = start;
+    let mut best = sq_l2(query, vectors.get(current as usize));
+    loop {
+        let mut improved = false;
+        for &peer in peers(links, current, layer) {
+            let d = sq_l2(query, vectors.get(peer as usize));
+            if d < best {
+                best = d;
+                current = peer;
+                improved = true;
+            }
+        }
+        if !improved {
+            return current;
+        }
+    }
+}
+
+/// Beam search on one layer: leaves up to `ef` nearest in `s.found`
+/// (ascending, equal distances in the results heap's order) and returns
+/// the number of distinct nodes visited.
+fn search_layer(
+    vectors: &VectorSet,
+    links: &Links,
+    query: &[f32],
+    start: u32,
+    layer: usize,
+    ef: usize,
+    s: &mut SearchScratch,
+) -> usize {
+    s.begin(vectors.len());
+    let epoch = s.epoch;
+    let d0 = sq_l2(query, vectors.get(start as usize));
+    s.stamps[start as usize] = epoch;
+    let mut visited = 1;
+    s.frontier.push(Near(d0, start));
+    s.results.push(Far(d0, start));
+
+    while let Some(Near(d, node)) = s.frontier.pop() {
+        let worst = s.results.peek().map_or(f32::INFINITY, |f| f.0);
+        if d > worst && s.results.len() >= ef {
+            break;
+        }
+        for &peer in peers(links, node, layer) {
+            if std::mem::replace(&mut s.stamps[peer as usize], epoch) == epoch {
+                continue;
+            }
+            visited += 1;
+            let dp = sq_l2(query, vectors.get(peer as usize));
+            let worst = s.results.peek().map_or(f32::INFINITY, |f| f.0);
+            if s.results.len() < ef || dp < worst {
+                s.frontier.push(Near(dp, peer));
+                s.results.push(Far(dp, peer));
+                if s.results.len() > ef {
+                    s.results.pop();
+                }
+            }
+        }
+    }
+    s.found.clear();
+    s.found.extend(s.results.drain().map(|Far(d, n)| (d, n)));
+    s.found.sort_by(|a, b| a.0.total_cmp(&b.0));
+    visited
+}
+
+/// How an edge came to be in its list, as far as the list's last
+/// selection is concerned.
+#[derive(Clone, Copy, PartialEq)]
+enum Origin {
+    /// Passed the diversity check of the last selection.
+    Kept,
+    /// Failed it — some kept edge dominates this one — and was taken back
+    /// to fill the list.
+    Backfilled,
+    /// Pushed since; no selection has seen it.
+    New,
+}
+
+/// What the build remembers about one neighbour list beside its ids. The
+/// ids are stored in selection order, so an edge's [`Origin`] is its
+/// position: the first `kept` were kept (ascending by distance), those up
+/// to `selected` backfilled (ascending too), the rest pushed since.
+#[derive(Clone, Default)]
+struct ListMemo {
+    /// Distance from the list's owner to each neighbour, parallel to the
+    /// ids.
+    dists: Vec<f32>,
+    kept: usize,
+    selected: usize,
+}
+
+impl ListMemo {
+    fn origin(&self, position: usize) -> Origin {
+        if position < self.kept {
+            Origin::Kept
+        } else if position < self.selected {
+            Origin::Backfilled
+        } else {
+            Origin::New
+        }
+    }
+}
+
+/// The graph under construction: the links as the finished index holds
+/// them, what each list remembers, and every buffer an insertion works in.
+struct Builder<'a> {
+    vectors: &'a VectorSet,
+    config: HnswConfig,
+    links: Links,
+    /// `memo[node][layer]` describes `links[node][layer]`.
+    memo: Vec<Vec<ListMemo>>,
+    entry: u32,
+    max_level: usize,
+    search: SearchScratch,
+    /// Input of [`Builder::select_diverse`].
+    scored: Vec<(f32, u32, Origin)>,
+    kept: Vec<(f32, u32, Origin)>,
+    skipped: Vec<(f32, u32, Origin)>,
+}
+
+impl Builder<'_> {
     fn insert(&mut self, node: u32, level: usize) {
         self.links.push(vec![Vec::new(); level + 1]);
-        let query = self.vectors.get(node as usize).to_vec();
+        self.memo.push(vec![ListMemo::default(); level + 1]);
+        let vectors = self.vectors;
+        let query = vectors.get(node as usize);
         let mut current = self.entry;
 
         // greedy descent through layers above the node's level
         let top = self.max_level;
         for layer in ((level + 1)..=top).rev() {
-            current = self.greedy_step(&query, current, layer);
+            current = greedy_step(vectors, &self.links, query, current, layer);
         }
         // beam search + connect on layers min(level, top)..=0
         for layer in (0..=level.min(top)).rev() {
-            let (candidates, _) =
-                self.search_layer(&query, current, layer, self.config.ef_construction);
-            let max_links = self.layer_cap(layer);
-            let scored: Vec<(f32, u32)> = candidates
-                .iter()
-                .map(|n| (n.dist, n.index as u32))
-                .collect();
-            let selected = self.select_diverse(scored, max_links);
-            for &peer in &selected {
-                self.links[node as usize][layer].push(peer);
-                self.links[peer as usize][layer].push(node);
-                self.prune(peer, layer);
+            let ef = self.config.ef_construction;
+            search_layer(vectors, &self.links, query, current, layer, ef, &mut self.search);
+            self.scored.clear();
+            self.scored.extend(self.search.found.iter().map(|&(d, p)| (d, p, Origin::New)));
+            self.select_diverse(node, layer);
+            // the new node's list is final before any peer's is touched:
+            // no re-prune below reads it
+            for i in 0..self.links[node as usize][layer].len() {
+                let peer = self.links[node as usize][layer][i];
+                let d = self.memo[node as usize][layer].dists[i];
+                self.link_back(peer, layer, node, d);
             }
-            if let Some(best) = candidates.first() {
-                current = best.index as u32;
+            if let Some(&(_, best)) = self.search.found.first() {
+                current = best;
             }
         }
         if level > self.max_level {
@@ -150,126 +313,115 @@ impl HnswIndex {
         }
     }
 
-    /// Re-prunes `node`'s neighbour list on `layer` to its cap with the
-    /// diversity heuristic.
-    fn prune(&mut self, node: u32, layer: usize) {
+    /// Adds the edge `peer → node` of length `d` (measured from `node`,
+    /// which is the same number) and re-prunes `peer`'s list to its cap
+    /// with the diversity heuristic when that overfills it.
+    fn link_back(&mut self, peer: u32, layer: usize, node: u32, d: f32) {
         let cap = self.layer_cap(layer);
-        if self.links[node as usize][layer].len() <= cap {
+        let ids = &mut self.links[peer as usize][layer];
+        let memo = &mut self.memo[peer as usize][layer];
+        ids.push(node);
+        memo.dists.push(d);
+        if ids.len() <= cap {
             return;
         }
-        let base = self.vectors.get(node as usize).to_vec();
-        let scored: Vec<(f32, u32)> = self.links[node as usize][layer]
-            .iter()
-            .map(|&p| (sq_l2(&base, self.vectors.get(p as usize)), p))
-            .collect();
-        self.links[node as usize][layer] = self.select_diverse(scored, cap);
+        self.scored.clear();
+        for (position, (&p, &dp)) in ids.iter().zip(&memo.dists).enumerate() {
+            self.scored.push((dp, p, memo.origin(position)));
+        }
+        self.select_diverse(peer, layer);
     }
 
-    /// Neighbour-selection heuristic (Malkov & Yashunin, Algorithm 4):
-    /// candidates arrive scored by distance to the base point, are taken
-    /// in ascending order, and are kept only when closer to the base
+    /// Neighbour-selection heuristic (Malkov & Yashunin, Algorithm 4)
+    /// over `self.scored`, written to `owner`'s list on `layer`:
+    /// candidates arrive scored by distance to the owner, are taken
+    /// in ascending order, and are kept only when closer to the owner
     /// than to every already-kept neighbour, so each kept edge covers a
     /// distinct direction. Skipped candidates backfill remaining
     /// capacity (`keepPrunedConnections`), keeping degree — and
-    /// therefore graph connectivity — high.
-    fn select_diverse(&self, mut scored: Vec<(f32, u32)>, cap: usize) -> Vec<u32> {
-        scored.sort_by(|a, b| a.0.total_cmp(&b.0));
-        scored.dedup_by_key(|&mut (_, p)| p);
-        let mut kept: Vec<u32> = Vec::with_capacity(cap);
-        let mut skipped: Vec<u32> = Vec::new();
-        for &(d, c) in &scored {
-            if kept.len() >= cap {
+    /// therefore graph connectivity — high. Ids in `scored` are distinct.
+    ///
+    /// A candidate's [`Origin`] says which of its checks the list's last
+    /// selection already made. Until this walk demotes an edge that
+    /// selection kept, the kept set is the old kept edges walked so far
+    /// plus new ones, so: a backfilled edge is still dominated (by the
+    /// same kept edge, which sorts before it now as it did then); a kept
+    /// edge can only be dominated by a *new* one; a new edge gets every
+    /// check. After the first demotion everything does. Every answer is
+    /// the one the full check would give.
+    fn select_diverse(&mut self, owner: u32, layer: usize) {
+        let cap = self.layer_cap(layer);
+        let vectors = self.vectors;
+        // stable: equal distances stay kept-, backfilled-, new-first
+        self.scored.sort_by(|a, b| a.0.total_cmp(&b.0));
+        self.kept.clear();
+        self.skipped.clear();
+        let mut memo_holds = true;
+        for &(d, c, origin) in &self.scored {
+            if self.kept.len() >= cap {
                 break;
             }
-            let cv = self.vectors.get(c as usize);
-            let dominated = kept
-                .iter()
-                .any(|&k| sq_l2(cv, self.vectors.get(k as usize)) < d);
+            let cv = vectors.get(c as usize);
+            let dominated = (memo_holds && origin == Origin::Backfilled)
+                || self.kept.iter().any(|&(_, k, kept_origin)| {
+                    (!memo_holds || origin == Origin::New || kept_origin == Origin::New)
+                        && sq_l2(cv, vectors.get(k as usize)) < d
+                });
             if dominated {
-                skipped.push(c);
+                memo_holds &= origin != Origin::Kept;
+                self.skipped.push((d, c, origin));
             } else {
-                kept.push(c);
+                self.kept.push((d, c, origin));
             }
         }
-        for c in skipped {
-            if kept.len() >= cap {
-                break;
-            }
-            kept.push(c);
+        let backfill = (cap - self.kept.len()).min(self.skipped.len());
+        let ids = &mut self.links[owner as usize][layer];
+        let memo = &mut self.memo[owner as usize][layer];
+        ids.clear();
+        memo.dists.clear();
+        for &(d, p, _) in self.kept.iter().chain(&self.skipped[..backfill]) {
+            ids.push(p);
+            memo.dists.push(d);
         }
-        kept
+        memo.kept = self.kept.len();
+        memo.selected = ids.len();
     }
+}
 
-    /// One greedy hop-to-local-minimum pass on a layer.
-    fn greedy_step(&self, query: &[f32], start: u32, layer: usize) -> u32 {
-        let mut current = start;
-        let mut best = sq_l2(query, self.vectors.get(current as usize));
-        loop {
-            let mut improved = false;
-            for &peer in self
-                .links[current as usize]
-                .get(layer)
-                .map(Vec::as_slice)
-                .unwrap_or(&[])
-            {
-                let d = sq_l2(query, self.vectors.get(peer as usize));
-                if d < best {
-                    best = d;
-                    current = peer;
-                    improved = true;
-                }
-            }
-            if !improved {
-                return current;
-            }
+impl HnswIndex {
+    /// Builds the graph by inserting every vector.
+    ///
+    /// # Panics
+    /// Panics on an empty collection or zero `m`.
+    pub fn build(vectors: VectorSet, config: HnswConfig) -> Self {
+        assert!(!vectors.is_empty(), "HNSW over empty data");
+        assert!(config.m >= 1, "HNSW m must be >= 1");
+        let n = vectors.len();
+        let _span = emblookup_obs::Span::enter(names::INDEX_BUILD_GRAPH).field("rows", n as u64);
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let level_mult = 1.0 / (config.m as f64).ln().max(0.1);
+
+        let mut builder = Builder {
+            vectors: &vectors,
+            config,
+            links: Vec::with_capacity(n),
+            memo: Vec::with_capacity(n),
+            entry: 0,
+            max_level: 0,
+            search: SearchScratch::default(),
+            scored: Vec::new(),
+            kept: Vec::new(),
+            skipped: Vec::new(),
+        };
+        // node 0 seeds the graph at level 0
+        builder.links.push(vec![Vec::new()]);
+        builder.memo.push(vec![ListMemo::default()]);
+        for node in 1..n as u32 {
+            let level = ((-rng.gen_range(f64::EPSILON..1.0).ln()) * level_mult) as usize;
+            builder.insert(node, level);
         }
-    }
-
-    /// Beam search on one layer; returns up to `ef` nearest (ascending)
-    /// plus the number of distinct nodes visited.
-    fn search_layer(
-        &self,
-        query: &[f32],
-        start: u32,
-        layer: usize,
-        ef: usize,
-    ) -> (Vec<Neighbor>, usize) {
-        let d0 = sq_l2(query, self.vectors.get(start as usize));
-        let mut visited: HashSet<u32> = HashSet::from([start]);
-        let mut frontier: BinaryHeap<Near> = BinaryHeap::from([Near(d0, start)]);
-        let mut results: BinaryHeap<Far> = BinaryHeap::from([Far(d0, start)]);
-
-        while let Some(Near(d, node)) = frontier.pop() {
-            let worst = results.peek().map(|f| f.0).unwrap_or(f32::INFINITY);
-            if d > worst && results.len() >= ef {
-                break;
-            }
-            for &peer in self
-                .links[node as usize]
-                .get(layer)
-                .map(Vec::as_slice)
-                .unwrap_or(&[])
-            {
-                if !visited.insert(peer) {
-                    continue;
-                }
-                let dp = sq_l2(query, self.vectors.get(peer as usize));
-                let worst = results.peek().map(|f| f.0).unwrap_or(f32::INFINITY);
-                if results.len() < ef || dp < worst {
-                    frontier.push(Near(dp, peer));
-                    results.push(Far(dp, peer));
-                    if results.len() > ef {
-                        results.pop();
-                    }
-                }
-            }
-        }
-        let mut out: Vec<Neighbor> = results
-            .into_iter()
-            .map(|Far(d, n)| Neighbor { index: n as usize, dist: d })
-            .collect();
-        out.sort_by(|a, b| a.dist.total_cmp(&b.dist));
-        (out, visited.len())
+        let Builder { links, entry, max_level, .. } = builder;
+        HnswIndex { vectors, links, entry, max_level, config }
     }
 
     /// Number of indexed vectors.
@@ -299,9 +451,7 @@ impl HnswIndex {
 
     /// Decomposes the graph for reuse by the PQ-fused variant:
     /// `(vectors, links, entry, max_level, config)`.
-    pub(crate) fn into_parts(
-        self,
-    ) -> (VectorSet, Vec<Vec<Vec<u32>>>, u32, usize, HnswConfig) {
+    pub(crate) fn into_parts(self) -> (VectorSet, Links, u32, usize, HnswConfig) {
         (self.vectors, self.links, self.entry, self.max_level, self.config)
     }
 
@@ -333,20 +483,22 @@ impl AnnIndex for HnswIndex {
         let k = k.min(self.vectors.len());
         let mut current = self.entry;
         for layer in (1..=self.max_level).rev() {
-            current = self.greedy_step(query, current, layer);
+            current = greedy_step(&self.vectors, &self.links, query, current, layer);
         }
         let ef = self.config.ef_search.max(k);
-        let (mut found, visited) = self.search_layer(query, current, 0, ef);
-        crate::metrics::hnsw_searches().inc();
-        crate::metrics::hnsw_visited().add(visited as u64);
-        found.truncate(k);
-        // found may contain duplicates only if links were inconsistent;
-        // TopK re-validation keeps the contract tight
-        let mut tk = TopK::new(k);
-        for n in found {
-            tk.push(n.index, n.dist);
-        }
-        (tk.into_sorted(), visited as u64)
+        SCRATCH.with(|scratch| {
+            let scratch = &mut *scratch.borrow_mut();
+            let visited = search_layer(&self.vectors, &self.links, query, current, 0, ef, scratch);
+            crate::metrics::hnsw_searches().inc();
+            crate::metrics::hnsw_visited().add(visited as u64);
+            // found may contain duplicates only if links were inconsistent;
+            // TopK re-validation keeps the contract tight
+            let mut tk = TopK::new(k);
+            for &(dist, node) in scratch.found.iter().take(k) {
+                tk.push(node as usize, dist);
+            }
+            (tk.into_sorted(), visited as u64)
+        })
     }
 }
 
@@ -354,6 +506,186 @@ impl AnnIndex for HnswIndex {
 mod tests {
     use super::*;
     use crate::flat::FlatIndex;
+    use std::collections::HashSet;
+
+    /// The build as it was before the [`Builder`], kept as the oracle:
+    /// a hash-set visited list and fresh heaps per search, every re-prune
+    /// re-measuring every edge and re-running every dominance check.
+    impl HnswIndex {
+        pub(crate) fn build_reference(vectors: VectorSet, config: HnswConfig) -> Self {
+            let n = vectors.len();
+            let mut rng = StdRng::seed_from_u64(config.seed);
+            let level_mult = 1.0 / (config.m as f64).ln().max(0.1);
+            let mut index = HnswIndex { vectors, links: Vec::with_capacity(n), entry: 0, max_level: 0, config };
+            index.links.push(vec![Vec::new()]);
+            for node in 1..n as u32 {
+                let level = ((-rng.gen_range(f64::EPSILON..1.0).ln()) * level_mult) as usize;
+                index.insert_reference(node, level);
+            }
+            index
+        }
+
+        fn insert_reference(&mut self, node: u32, level: usize) {
+            self.links.push(vec![Vec::new(); level + 1]);
+            let query = self.vectors.get(node as usize).to_vec();
+            let mut current = self.entry;
+            let top = self.max_level;
+            for layer in ((level + 1)..=top).rev() {
+                current = greedy_step(&self.vectors, &self.links, &query, current, layer);
+            }
+            for layer in (0..=level.min(top)).rev() {
+                let candidates =
+                    self.search_layer_reference(&query, current, layer, self.config.ef_construction);
+                let max_links = self.layer_cap_reference(layer);
+                let selected = self.select_diverse_reference(candidates.clone(), max_links);
+                for &peer in &selected {
+                    self.links[node as usize][layer].push(peer);
+                    self.links[peer as usize][layer].push(node);
+                    self.prune_reference(peer, layer);
+                }
+                if let Some(&(_, best)) = candidates.first() {
+                    current = best;
+                }
+            }
+            if level > self.max_level {
+                self.max_level = level;
+                self.entry = node;
+            }
+        }
+
+        fn layer_cap_reference(&self, layer: usize) -> usize {
+            if layer == 0 {
+                self.config.m * 2
+            } else {
+                self.config.m
+            }
+        }
+
+        fn prune_reference(&mut self, node: u32, layer: usize) {
+            let cap = self.layer_cap_reference(layer);
+            if self.links[node as usize][layer].len() <= cap {
+                return;
+            }
+            let base = self.vectors.get(node as usize).to_vec();
+            let scored: Vec<(f32, u32)> = self.links[node as usize][layer]
+                .iter()
+                .map(|&p| (sq_l2(&base, self.vectors.get(p as usize)), p))
+                .collect();
+            self.links[node as usize][layer] = self.select_diverse_reference(scored, cap);
+        }
+
+        fn select_diverse_reference(&self, mut scored: Vec<(f32, u32)>, cap: usize) -> Vec<u32> {
+            scored.sort_by(|a, b| a.0.total_cmp(&b.0));
+            scored.dedup_by_key(|&mut (_, p)| p);
+            let mut kept: Vec<u32> = Vec::with_capacity(cap);
+            let mut skipped: Vec<u32> = Vec::new();
+            for &(d, c) in &scored {
+                if kept.len() >= cap {
+                    break;
+                }
+                let cv = self.vectors.get(c as usize);
+                let dominated = kept
+                    .iter()
+                    .any(|&k| sq_l2(cv, self.vectors.get(k as usize)) < d);
+                if dominated {
+                    skipped.push(c);
+                } else {
+                    kept.push(c);
+                }
+            }
+            for c in skipped {
+                if kept.len() >= cap {
+                    break;
+                }
+                kept.push(c);
+            }
+            kept
+        }
+
+        fn search_layer_reference(&self, query: &[f32], start: u32, layer: usize, ef: usize) -> Vec<(f32, u32)> {
+            let d0 = sq_l2(query, self.vectors.get(start as usize));
+            let mut visited: HashSet<u32> = HashSet::from([start]);
+            let mut frontier: BinaryHeap<Near> = BinaryHeap::from([Near(d0, start)]);
+            let mut results: BinaryHeap<Far> = BinaryHeap::from([Far(d0, start)]);
+            while let Some(Near(d, node)) = frontier.pop() {
+                let worst = results.peek().map(|f| f.0).unwrap_or(f32::INFINITY);
+                if d > worst && results.len() >= ef {
+                    break;
+                }
+                for &peer in peers(&self.links, node, layer) {
+                    if !visited.insert(peer) {
+                        continue;
+                    }
+                    let dp = sq_l2(query, self.vectors.get(peer as usize));
+                    let worst = results.peek().map(|f| f.0).unwrap_or(f32::INFINITY);
+                    if results.len() < ef || dp < worst {
+                        frontier.push(Near(dp, peer));
+                        results.push(Far(dp, peer));
+                        if results.len() > ef {
+                            results.pop();
+                        }
+                    }
+                }
+            }
+            let mut out: Vec<(f32, u32)> = results.into_iter().map(|Far(d, n)| (d, n)).collect();
+            out.sort_by(|a, b| a.0.total_cmp(&b.0));
+            out
+        }
+    }
+
+    fn clustered_set(n: usize, dim: usize, seed: u64) -> VectorSet {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let centres = random_set(8, dim, seed ^ 0xC1);
+        let mut vs = VectorSet::new(dim);
+        for _ in 0..n {
+            let c = centres.get(rng.gen_range(0..8));
+            let v: Vec<f32> = c.iter().map(|x| x + rng.gen_range(-0.05..0.05)).collect();
+            vs.push(&v);
+        }
+        vs
+    }
+
+    /// Every vector three times over: duplicate labels are what the KGs have.
+    fn tripled_set(n: usize, dim: usize, seed: u64) -> VectorSet {
+        let base = random_set(n.div_ceil(3), dim, seed);
+        let mut vs = VectorSet::new(dim);
+        for i in 0..n {
+            vs.push(base.get(i % base.len()));
+        }
+        vs
+    }
+
+    /// Coordinates from `{0, 0.5, 1}`: an exact distance tie at every decision.
+    fn grid_set(n: usize, dim: usize, seed: u64) -> VectorSet {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut vs = VectorSet::new(dim);
+        for _ in 0..n {
+            let v: Vec<f32> = (0..dim).map(|_| rng.gen_range(0..3u32) as f32 * 0.5).collect();
+            vs.push(&v);
+        }
+        vs
+    }
+
+    #[test]
+    fn build_is_the_reference_graph() {
+        type Make = fn(usize, usize, u64) -> VectorSet;
+        let sets: [(&str, Make); 4] =
+            [("random", random_set), ("clustered", clustered_set), ("tripled", tripled_set), ("grid", grid_set)];
+        for (name, make) in sets {
+            for n in [1usize, 2, 33, 500, 3000] {
+                for m in [1usize, 2, 4, 16] {
+                    let data = make(n, 6, n as u64 + m as u64);
+                    let config = HnswConfig { m, ef_construction: 24.max(2 * m), ef_search: 16, seed: 7 };
+                    let fast = HnswIndex::build(data.clone(), config);
+                    let slow = HnswIndex::build_reference(data, config);
+                    let case = format!("{name} n {n} m {m}");
+                    assert_eq!(fast.entry, slow.entry, "{case}");
+                    assert_eq!(fast.max_level, slow.max_level, "{case}");
+                    assert!(fast.links == slow.links, "{case}: links differ");
+                }
+            }
+        }
+    }
 
     fn random_set(n: usize, dim: usize, seed: u64) -> VectorSet {
         let mut rng = StdRng::seed_from_u64(seed);

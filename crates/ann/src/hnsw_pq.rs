@@ -170,7 +170,12 @@ impl HnswPqIndex {
     /// parameters that do not divide the dimension (see
     /// [`ProductQuantizer::train`]).
     pub fn build(data: &VectorSet, config: HnswPqConfig) -> Self {
-        let graph = HnswIndex::build(data.clone(), config.hnsw);
+        Self::from_graph(HnswIndex::build(data.clone(), config.hnsw), config.pq)
+    }
+
+    /// Trains the quantizer on a finished graph's vectors and lays graph
+    /// and codes out in BFS order.
+    fn from_graph(graph: HnswIndex, pq: PqConfig) -> Self {
         let (vectors, links, entry, max_level, hnsw_cfg) = graph.into_parts();
         let n = vectors.len();
         assert!(n < EXPANDED as usize, "HnswPq holds at most 2^31 - 1 vectors, got {n}");
@@ -201,18 +206,18 @@ impl HnswPqIndex {
         }
 
         let quantizer = if n <= Self::MAX_TRAIN {
-            ProductQuantizer::train(&vectors, config.pq)
+            ProductQuantizer::train(&vectors, pq)
         } else {
             let stride = n.div_ceil(Self::MAX_TRAIN);
             let mut sample = VectorSet::new(vectors.dim());
             for i in (0..n).step_by(stride) {
                 sample.push(vectors.get(i));
             }
-            ProductQuantizer::train(&sample, config.pq)
+            ProductQuantizer::train(&sample, pq)
         };
 
+        let codes = quantizer.encode_rows(n, |pos| vectors.get(order[pos] as usize));
         let mut raw = VectorSet::new(vectors.dim());
-        let mut codes = Vec::with_capacity(n * quantizer.m());
         let mut offsets = Vec::with_capacity(n + 1);
         let mut edges = Vec::new();
         let mut upper: Vec<(u32, Vec<Vec<u32>>)> = Vec::new();
@@ -220,7 +225,6 @@ impl HnswPqIndex {
         for (pos, &old) in order.iter().enumerate() {
             let v = vectors.get(old as usize);
             raw.push(v);
-            codes.extend_from_slice(&quantizer.encode(v));
             for &p in &links[old as usize][0] {
                 edges.push(newid[p as usize]);
             }
@@ -551,6 +555,33 @@ mod tests {
             vs.push(&v);
         }
         vs
+    }
+
+    #[test]
+    fn build_over_the_reference_graph_is_the_same_index() {
+        // random rows, and every row three times (exact ties everywhere)
+        for (n, copies) in [(700usize, 1usize), (900, 3)] {
+            let base = random_set(n / copies, 16, 31);
+            let mut data = VectorSet::new(16);
+            for i in 0..n {
+                data.push(base.get(i % base.len()));
+            }
+            let config = HnswPqConfig {
+                hnsw: HnswConfig { m: 6, ef_construction: 32, ef_search: 32, seed: 3 },
+                pq: PqConfig { m: 4, ks: 16, kmeans_iters: 5, seed: 3 },
+            };
+            let fast = HnswPqIndex::build(&data, config);
+            let slow = HnswPqIndex::from_graph(HnswIndex::build_reference(data.clone(), config.hnsw), config.pq);
+            assert_eq!(fast.orig, slow.orig, "copies {copies}");
+            assert_eq!(fast.offsets, slow.offsets, "copies {copies}");
+            assert_eq!(fast.edges, slow.edges, "copies {copies}");
+            assert_eq!(fast.upper, slow.upper, "copies {copies}");
+            assert_eq!(fast.max_level, slow.max_level, "copies {copies}");
+            // the pooled block encode is the per-row encode
+            let per_row: Vec<u8> = fast.raw.iter().flat_map(|v| fast.quantizer.encode(v)).collect();
+            assert_eq!(fast.codes, per_row, "copies {copies}");
+            assert_eq!(fast.codes, slow.codes, "copies {copies}");
+        }
     }
 
     fn fixture_config() -> HnswPqConfig {

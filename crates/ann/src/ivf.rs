@@ -50,6 +50,8 @@ impl IvfIndex {
         assert!(!vectors.is_empty(), "IVF over empty data");
         assert!(config.nprobe > 0, "nprobe must be positive");
         let nlist = config.nlist.min(vectors.len()).max(1);
+        let span = emblookup_obs::Span::enter(emblookup_obs::names::INDEX_BUILD_QUANTIZER)
+            .field("rows", vectors.len() as u64);
         let coarse = KMeans::fit(
             &vectors,
             KMeansConfig {
@@ -58,6 +60,7 @@ impl IvfIndex {
                 seed: config.seed,
             },
         );
+        drop(span);
         let mut lists = vec![Vec::new(); nlist];
         for (i, v) in vectors.iter().enumerate() {
             let (c, _) = coarse.assign(v);

@@ -207,9 +207,12 @@ pub fn adc_block(table: &[f32], ks: usize, m: usize, codes: &[u8], out: &mut [f3
 
 /// Block squared-L2: distances from `query` to `out.len()` contiguous
 /// rows of `query.len()` floats each, in a single dispatched call — the
-/// ADC table-build shape (one sub-query against a whole codebook).
-/// Same rounding contract as [`sq_l2`]: SIMD variants may differ from
-/// scalar within the tested 1e-5 relative bound.
+/// ADC table-build and k-means assignment shape (one sub-vector against a
+/// whole codebook). `out[i]` is **bit-equal** to [`sq_l2`] of `query` and
+/// row `i` under every variant — each arm runs its per-row kernel inside
+/// the block loop — which is what lets k-means and PQ encoding call this
+/// without re-blessing a codebook; rounding may differ *between* variants
+/// as it does for `sq_l2` (within the tested 1e-5 relative bound).
 ///
 /// # Panics
 /// Panics if `rows` holds fewer than `out.len()` rows of `query.len()`.
@@ -759,17 +762,22 @@ mod tests {
 
     #[test]
     fn block_sq_l2_matches_per_row() {
+        // a multi-row kernel that rounds differently has to break this
+        // test, not a codebook: k-means and PQ encoding assign through the
+        // block form what they used to assign through the per-row form.
+        // Dims 7, 8 and 64, and the dsub = 8 codebook shape (256 rows).
         let mut rng = StdRng::seed_from_u64(19);
-        for &dim in &[7usize, 8, 64] {
+        for &(dim, n) in &[(7usize, 9usize), (8, 9), (64, 9), (8, 256)] {
             let q = random_vec(dim, &mut rng);
-            let n = 9;
             let rows = random_vec(n * dim, &mut rng);
             let mut out = vec![0.0f32; n];
             sq_l2_block(&q, &rows, &mut out);
             for i in 0..n {
-                let want = sq_l2(&q, &rows[i * dim..(i + 1) * dim]);
-                let e = rel_err(out[i], want);
-                assert!(e < 1e-5, "dim {dim} row {i}: rel err {e}");
+                let row = &rows[i * dim..(i + 1) * dim];
+                assert_eq!(out[i].to_bits(), sq_l2(&q, row).to_bits(), "dim {dim} row {i}: block != per-row");
+                // what lets an edge remember its length and k-means++
+                // measure from the centre: the kernel is symmetric to the bit
+                assert_eq!(sq_l2(&q, row).to_bits(), sq_l2(row, &q).to_bits(), "dim {dim} row {i}: asymmetric");
             }
         }
     }

@@ -9,10 +9,11 @@
 // lint: hot-path
 
 use crate::index::AnnIndex;
-use crate::kernels::{self, sq_l2};
-use crate::kmeans::{KMeans, KMeansConfig};
+use crate::kernels;
+use crate::kmeans::{nearest_centroid, KMeans, KMeansConfig};
 use crate::topk::{Neighbor, TopK};
 use crate::vectors::VectorSet;
+use emblookup_obs::names;
 
 /// Configuration for [`ProductQuantizer::train`].
 #[derive(Debug, Clone, Copy)]
@@ -62,6 +63,7 @@ impl ProductQuantizer {
             dim
         );
         let dsub = dim / config.m;
+        let _span = emblookup_obs::Span::enter(names::INDEX_BUILD_QUANTIZER).field("rows", data.len() as u64);
         let mut codebooks = Vec::with_capacity(config.m);
         for j in 0..config.m {
             let mut sub = VectorSet::new(dsub);
@@ -106,20 +108,36 @@ impl ProductQuantizer {
     /// # Panics
     /// Panics on dimension mismatch.
     pub fn encode(&self, v: &[f32]) -> Vec<u8> {
-        assert_eq!(v.len(), self.dim(), "encode dim {} != {}", v.len(), self.dim());
-        let mut code = Vec::with_capacity(self.m);
-        for j in 0..self.m {
-            let sub = &v[j * self.dsub..(j + 1) * self.dsub];
-            let mut best = (0usize, f32::INFINITY);
-            for (c, cent) in self.codebooks[j].iter().enumerate() {
-                let d = sq_l2(sub, cent);
-                if d < best.1 {
-                    best = (c, d);
-                }
-            }
-            code.push(best.0 as u8);
-        }
+        let mut code = vec![0u8; self.m];
+        self.encode_into(v, &mut code);
         code
+    }
+
+    /// [`ProductQuantizer::encode`] into the caller's `m` bytes: per
+    /// sub-vector one block-kernel call against the whole codebook.
+    fn encode_into(&self, v: &[f32], code: &mut [u8]) {
+        assert_eq!(v.len(), self.dim(), "encode dim {} != {}", v.len(), self.dim());
+        for (j, byte) in code.iter_mut().enumerate() {
+            let sub = &v[j * self.dsub..(j + 1) * self.dsub];
+            *byte = nearest_centroid(&self.codebooks[j], sub).0 as u8;
+        }
+    }
+
+    /// The codes of `row(0), .., row(n - 1)` side by side, encoded over
+    /// the pool in blocks of rows (each row's code is a pure function of
+    /// the row, so the bytes are the same at any width).
+    pub(crate) fn encode_rows<'v>(&self, n: usize, row: impl Fn(usize) -> &'v [f32] + Sync) -> Vec<u8> {
+        const BLOCK: usize = 512;
+        let _span = emblookup_obs::Span::enter(names::INDEX_BUILD_ENCODE).field("rows", n as u64);
+        let blocks = emblookup_pool::Pool::global().parallel_map(n.div_ceil(BLOCK), 1, |b| {
+            let rows = b * BLOCK..((b + 1) * BLOCK).min(n);
+            let mut codes = vec![0u8; rows.len() * self.m];
+            for (i, code) in rows.zip(codes.chunks_exact_mut(self.m)) {
+                self.encode_into(row(i), code);
+            }
+            codes
+        });
+        blocks.concat()
     }
 
     /// Reconstructs the approximate vector for a code.
@@ -213,10 +231,7 @@ impl PqIndex {
 
     /// Encodes `data` under an already-trained quantizer.
     pub fn from_quantizer(quantizer: ProductQuantizer, data: &VectorSet) -> Self {
-        let mut codes = Vec::with_capacity(data.len() * quantizer.m());
-        for v in data.iter() {
-            codes.extend_from_slice(&quantizer.encode(v));
-        }
+        let codes = quantizer.encode_rows(data.len(), |i| data.get(i));
         PqIndex { n: data.len(), quantizer, codes }
     }
 
@@ -302,6 +317,7 @@ impl AnnIndex for PqIndex {
 mod tests {
     use super::*;
     use crate::flat::FlatIndex;
+    use crate::kernels::sq_l2;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -317,6 +333,42 @@ mod tests {
 
     fn small_config() -> PqConfig {
         PqConfig { m: 4, ks: 16, kmeans_iters: 10, seed: 0 }
+    }
+
+    /// `encode` as it was before `encode_into`: one dispatched `sq_l2`
+    /// per centroid.
+    fn encode_reference(pq: &ProductQuantizer, v: &[f32]) -> Vec<u8> {
+        let mut code = Vec::with_capacity(pq.m);
+        for j in 0..pq.m {
+            let sub = &v[j * pq.dsub..(j + 1) * pq.dsub];
+            let mut best = (0usize, f32::INFINITY);
+            for (c, cent) in pq.codebooks[j].iter().enumerate() {
+                let d = sq_l2(sub, cent);
+                if d < best.1 {
+                    best = (c, d);
+                }
+            }
+            code.push(best.0 as u8);
+        }
+        code
+    }
+
+    #[test]
+    fn encode_is_bit_identical_to_the_per_centroid_reference() {
+        // the paper's 8 x 256 over 8-float sub-vectors, a one-float
+        // sub-space, and more rows than one encode block
+        for &(n, dim, m, ks) in &[(700usize, 64usize, 8usize, 256usize), (1300, 4, 4, 16), (300, 16, 2, 1)] {
+            let data = random_set(n, dim, 21);
+            let index = PqIndex::build(&data, PqConfig { m, ks, kmeans_iters: 4, seed: 5 });
+            let pq = index.quantizer();
+            let mut want = Vec::with_capacity(n * m);
+            for v in data.iter() {
+                let code = encode_reference(pq, v);
+                assert_eq!(pq.encode(v), code);
+                want.extend_from_slice(&code);
+            }
+            assert_eq!(index.codes, want, "n {n} dim {dim} m {m} ks {ks}");
+        }
     }
 
     #[test]

@@ -70,6 +70,7 @@ pub(crate) fn embed_rows(
             }
         }
     }
+    let _span = emblookup_obs::Span::enter(names::INDEX_BUILD_EMBED).field("rows", labels.len() as u64);
     let mut vectors = VectorSet::new(model.dim());
     for v in &model.embed_batch(&labels, threads) {
         vectors.push(v);

@@ -76,11 +76,11 @@ impl EmbLookup {
 
         let corpus = Corpus::from_kg(kg);
         let fasttext = {
-            let _s = emblookup_obs::Span::enter(names::TRAIN_FASTTEXT)
+            let span = emblookup_obs::Span::enter(names::TRAIN_FASTTEXT)
                 .field("dim", config.fasttext_dim as u64)
                 .field("epochs", config.fasttext_epochs as u64);
             // lint: allow(L010) training entry point, not the per-query loop
-            FastText::train(
+            let fasttext = FastText::train(
                 &corpus,
                 FastTextConfig {
                     dim: config.fasttext_dim,
@@ -88,7 +88,10 @@ impl EmbLookup {
                     seed: config.seed,
                     ..Default::default()
                 },
-            )
+            );
+            let (pairs, pairs_fast) = fasttext.pair_counts();
+            drop(span.field("pairs", pairs).field("pairs_fast", pairs_fast));
+            fasttext
         };
         // lint: allow(L010) model assembly happens once per (re)train
         let mut model = EmbLookupModel::new(fasttext, config.clone());

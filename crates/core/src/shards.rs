@@ -62,23 +62,13 @@ impl ShardedIndex {
         // alias rows hash on the entity id, so they stay on their
         // entity's shard
         let (ids, vectors) = embed_rows(model, kg, threads);
-        let dim = vectors.dim();
-        let mut shard_ids: Vec<Vec<EntityId>> = (0..num_shards).map(|_| Vec::new()).collect();
-        let mut shard_vecs: Vec<VectorSet> =
-            (0..num_shards).map(|_| VectorSet::new(dim)).collect();
-        for (row, id) in ids.iter().enumerate() {
-            let s = shard_of(*id, num_shards);
-            shard_ids[s].push(*id);
-            shard_vecs[s].push(vectors.get(row));
-        }
-        let shards = shard_ids
-            .into_iter()
-            .zip(shard_vecs)
-            .map(|(ids, vecs)| {
-                let per_shard = fit_compression(compression, ids.len());
-                EntityIndex::from_vectors(ids, vecs, per_shard)
-            })
-            .collect();
+        // each shard is a pure function of its rows, so the shards are
+        // built side by side (a shard's own fork-joins nest in this one)
+        let shards = emblookup_pool::Pool::global().parallel_map(num_shards, 1, |shard| {
+            let (shard_ids, shard_vecs) = shard_rows(&ids, &vectors, num_shards, shard);
+            let per_shard = fit_compression(compression, shard_ids.len());
+            EntityIndex::from_vectors(shard_ids, shard_vecs, per_shard)
+        });
         ShardedIndex { shards }
     }
 
@@ -120,6 +110,24 @@ impl ShardedIndex {
             self.shards.iter().map(|s| s.search(query, k)).collect();
         merge_topk(&per_shard, k)
     }
+}
+
+/// The rows [`shard_of`] assigns to `shard`, in row order.
+fn shard_rows(
+    ids: &[EntityId],
+    vectors: &VectorSet,
+    num_shards: usize,
+    shard: usize,
+) -> (Vec<EntityId>, VectorSet) {
+    let mut shard_ids = Vec::new();
+    let mut shard_vecs = VectorSet::new(vectors.dim());
+    for (row, id) in ids.iter().enumerate() {
+        if shard_of(*id, num_shards) == shard {
+            shard_ids.push(*id);
+            shard_vecs.push(vectors.get(row));
+        }
+    }
+    (shard_ids, shard_vecs)
 }
 
 /// Per-shard compression choice: falls back to the exact flat backend
@@ -166,21 +174,13 @@ mod tests {
     }
 
     fn sharded_from(ids: &[EntityId], vs: &VectorSet, num_shards: usize) -> ShardedIndex {
-        let dim = vs.dim();
-        let mut shard_ids: Vec<Vec<EntityId>> = (0..num_shards).map(|_| Vec::new()).collect();
-        let mut shard_vecs: Vec<VectorSet> = (0..num_shards).map(|_| VectorSet::new(dim)).collect();
-        for (row, id) in ids.iter().enumerate() {
-            let s = shard_of(*id, num_shards);
-            shard_ids[s].push(*id);
-            shard_vecs[s].push(vs.get(row));
-        }
-        ShardedIndex {
-            shards: shard_ids
-                .into_iter()
-                .zip(shard_vecs)
-                .map(|(ids, vecs)| EntityIndex::from_vectors(ids, vecs, Compression::None))
-                .collect(),
-        }
+        let shards = (0..num_shards)
+            .map(|shard| {
+                let (ids, vecs) = shard_rows(ids, vs, num_shards, shard);
+                EntityIndex::from_vectors(ids, vecs, Compression::None)
+            })
+            .collect();
+        ShardedIndex { shards }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! One test function on purpose — the assertions read the process-global
 //! registry and the global subscriber, which parallel tests would share.
 
-use emblookup_core::{EmbLookup, EmbLookupConfig};
+use emblookup_core::{Compression, EmbLookup, EmbLookupConfig};
 use emblookup_kg::{generate, LookupService, SynthKgConfig};
 use emblookup_obs::{CollectingSubscriber, EventKind};
 use std::sync::Arc;
@@ -30,21 +30,46 @@ fn training_and_lookups_populate_the_registry() {
     let qrefs: Vec<&str> = labels.iter().take(8).map(|s| s.as_str()).collect();
     let batch = el.bulk_lookup(&qrefs, 3);
     assert_eq!(batch.len(), 8);
+    // a second index over the same model, on the backend whose build has
+    // every phase: graph, quantizer, encode
+    let fused = Compression::HnswPq { m: 8, ef_search: 32, pq_m: 4, pq_ks: 16 };
+    let reindexed = EmbLookup::from_model(el.model_arc(), &s.kg, fused);
+    assert_eq!(reindexed.index().backend_name(), "hnswpq");
     emblookup_obs::clear_subscriber();
 
     // one structured event per training epoch, exactly
     assert_eq!(sub.count("train.epoch", EventKind::Point), epochs);
     // ... and the span ends for each pipeline stage
-    for stage in ["train.total", "train.fasttext", "train.mining", "train.triplet", "index.build"] {
+    for stage in ["train.total", "train.fasttext", "train.mining", "train.triplet"] {
         assert_eq!(sub.count(stage, EventKind::SpanEnd), 1, "stage {stage}");
     }
+    assert_eq!(sub.count("index.build", EventKind::SpanEnd), 2);
+
+    // the build says where its time goes: both builds embed the labels,
+    // only the fused one has a graph, codebooks and codes
+    assert_eq!(sub.count("index.build.embed", EventKind::SpanEnd), 2);
+    for phase in ["index.build.graph", "index.build.quantizer", "index.build.encode"] {
+        assert_eq!(sub.count(phase, EventKind::SpanEnd), 1, "phase {phase}");
+    }
+    // ... and fastText how many of its pairs took every dot first
+    let events = sub.events();
+    let fasttext = events
+        .iter()
+        .find(|e| e.name == "train.fasttext" && e.kind == EventKind::SpanEnd)
+        .expect("train.fasttext span end");
+    let field = |key: &str| -> u64 {
+        let value = fasttext.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v.parse());
+        value.unwrap_or_else(|| panic!("train.fasttext has no field {key}")).expect("an integer")
+    };
+    assert!(field("pairs") > 0);
+    assert!(field("pairs_fast") > 0 && field("pairs_fast") <= field("pairs"));
 
     let snap = emblookup_obs::global().snapshot();
     assert_eq!(snap.counter("train.epochs"), Some(epochs as u64));
     assert!(snap.counter("mining.triplets").unwrap_or(0) > 0);
 
     let build = snap.histogram("index.build").expect("index.build timed");
-    assert_eq!(build.count, 1);
+    assert_eq!(build.count, 2);
     assert!(build.max() > 0, "index build recorded a zero duration");
 
     let lat = snap.histogram("lookup.latency").expect("lookup latency histogram");

@@ -114,10 +114,12 @@ impl FastText {
         ids
     }
 
-    /// Embeds a single token through its n-gram features.
-    pub fn token_vector(&self, token: &str) -> Vec<f32> {
-        let ids = Self::ngram_ids(token, &self.config);
-        self.model.embed_features(&ids)
+    /// `(pairs, pairs_fast)`: skip-gram pairs this model was trained on,
+    /// and how many of them had distinct output rows and so took every dot
+    /// before the first update (see [`crate::sgns`]). Zero for a loaded
+    /// model.
+    pub fn pair_counts(&self) -> (u64, u64) {
+        self.model.pairs()
     }
 
     /// [`StringEncoder::embed`] into caller-owned memory, allocating

@@ -4,6 +4,15 @@
 //! Implemented with analytic gradients (as in the original C tools) rather
 //! than the autograd tape: SGNS updates touch a handful of rows per pair,
 //! and the closed-form gradient is both faster and simpler.
+//!
+//! A pair's cost is its dot products — one serial `f32` add chain of `dim`
+//! links per output row, each waiting on the last add. When the pair's
+//! output rows are distinct no row is read after it is written, so
+//! [`SgnsModel::train_pair`] takes every dot before the first update,
+//! three rows' chains advancing together in one loop; each chain still
+//! adds in the order `iter().sum()` does, so the model is bit-identical
+//! to the one-row-at-a-time loop (the `#[cfg(test)]` oracle
+//! `train_pair_reference`), which a repeated negative still takes.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -53,7 +62,25 @@ pub struct SgnsModel {
     dim: usize,
     in_vecs: Vec<f32>,
     out_vecs: Vec<f32>,
+    scratch: PairScratch,
+    /// Pairs trained, and how many of them took the dots-first path.
+    pairs: (u64, u64),
 }
+
+/// Working memory of [`SgnsModel::train_pair`]; nothing in it outlives a
+/// pair.
+#[derive(Debug, Clone, Default)]
+struct PairScratch {
+    hidden: Vec<f32>,
+    hidden_grad: Vec<f32>,
+    /// The pair's output rows: the target, then every negative that is
+    /// not the target.
+    words: Vec<u32>,
+    dots: Vec<f32>,
+}
+
+/// Output rows whose dot chains advance together.
+const CHAINS: usize = 3;
 
 impl SgnsModel {
     /// Allocates input/output matrices with the standard word2vec
@@ -63,7 +90,17 @@ impl SgnsModel {
         let bound = 0.5 / dim as f32;
         let in_vecs = (0..n_in * dim).map(|_| rng.gen_range(-bound..bound)).collect();
         let out_vecs = vec![0.0f32; n_out * dim];
-        SgnsModel { dim, in_vecs, out_vecs }
+        Self::from_parts(dim, in_vecs, out_vecs)
+    }
+
+    fn from_parts(dim: usize, in_vecs: Vec<f32>, out_vecs: Vec<f32>) -> Self {
+        SgnsModel { dim, in_vecs, out_vecs, scratch: PairScratch::default(), pairs: (0, 0) }
+    }
+
+    /// `(pairs trained, pairs that took every dot before the first
+    /// update)` over the model's lifetime.
+    pub(crate) fn pairs(&self) -> (u64, u64) {
+        self.pairs
     }
 
     /// Embedding dimension.
@@ -79,19 +116,8 @@ impl SgnsModel {
     /// Mean of the input-feature vectors for `features`; the zero vector
     /// for an empty feature set.
     pub fn embed_features(&self, features: &[u32]) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.dim];
-        if features.is_empty() {
-            return out;
-        }
-        for &f in features {
-            for (o, &x) in out.iter_mut().zip(self.in_row(f)) {
-                *o += x;
-            }
-        }
-        let inv = 1.0 / features.len() as f32;
-        for o in &mut out {
-            *o *= inv;
-        }
+        let mut out = Vec::new();
+        mean_rows(&self.in_vecs, self.dim, features, &mut out);
         out
     }
 
@@ -111,41 +137,96 @@ impl SgnsModel {
             return 0.0;
         }
         let dim = self.dim;
-        let hidden = self.embed_features(features);
-        let mut hidden_grad = vec![0.0f32; dim];
-        let mut loss = 0.0f32;
+        let PairScratch { hidden, hidden_grad, words, dots } = &mut self.scratch;
+        mean_rows(&self.in_vecs, dim, features, hidden);
+        hidden_grad.clear();
+        hidden_grad.resize(dim, 0.0);
+        words.clear();
+        words.push(target);
+        words.extend(negatives.iter().copied().filter(|&neg| neg != target));
 
-        let update_output = |this: &mut Self, word: u32, label: f32, hidden: &[f32], hidden_grad: &mut [f32]| {
-            let row_start = word as usize * dim;
-            let out_row = &mut this.out_vecs[row_start..row_start + dim];
-            let dot: f32 = out_row.iter().zip(hidden).map(|(&o, &h)| o * h).sum();
+        // distinct rows: an update cannot reach a row whose dot is still
+        // to be taken, so all of them can be taken first
+        let distinct = words.iter().enumerate().all(|(i, word)| !words[..i].contains(word));
+        self.pairs.0 += 1;
+        if distinct {
+            self.pairs.1 += 1;
+            dots.clear();
+            for rows in words.chunks(CHAINS) {
+                dots.extend_from_slice(&interleaved_dots(&self.out_vecs, dim, rows, hidden)[..rows.len()]);
+            }
+        }
+
+        let mut loss = 0.0f32;
+        for (i, &word) in words.iter().enumerate() {
+            let label = if i == 0 { 1.0 } else { 0.0 };
+            let out_row = &mut self.out_vecs[word as usize * dim..][..dim];
+            let dot: f32 = if distinct {
+                dots[i]
+            } else {
+                out_row.iter().zip(hidden.iter()).map(|(&o, &h)| o * h).sum()
+            };
             let pred = sigmoid(dot);
             let err = pred - label; // d loss / d dot
-            for j in 0..dim {
-                hidden_grad[j] += err * out_row[j];
-                out_row[j] -= lr * err * hidden[j];
+            // `lr * err * h` is `(lr * err) * h`; zipped slices, not indices,
+            // so the loop has no bounds check and runs on vector lanes
+            let step = lr * err;
+            for ((g, o), &h) in hidden_grad.iter_mut().zip(out_row.iter_mut()).zip(hidden.iter()) {
+                *g += err * *o;
+                *o -= step * h;
             }
-            -(if label > 0.5 { pred } else { 1.0 - pred }).max(1e-7).ln()
-        };
-
-        loss += update_output(self, target, 1.0, &hidden, &mut hidden_grad);
-        for &neg in negatives {
-            if neg == target {
-                continue;
-            }
-            loss += update_output(self, neg, 0.0, &hidden, &mut hidden_grad);
+            loss += -(if label > 0.5 { pred } else { 1.0 - pred }).max(1e-7).ln();
         }
 
         // distribute the hidden gradient over the contributing features
         let scale = lr / features.len() as f32;
         for &f in features {
-            let row = &mut self.in_vecs[f as usize * self.dim..(f as usize + 1) * self.dim];
-            for (r, &g) in row.iter_mut().zip(&hidden_grad) {
+            let row = &mut self.in_vecs[f as usize * dim..][..dim];
+            for (r, &g) in row.iter_mut().zip(hidden_grad.iter()) {
                 *r -= scale * g;
             }
         }
         loss
     }
+}
+
+/// Writes the mean of the rows `features` names into `out` (resized to
+/// `dim`); the zero vector for an empty feature set.
+fn mean_rows(in_vecs: &[f32], dim: usize, features: &[u32], out: &mut Vec<f32>) {
+    out.clear();
+    out.resize(dim, 0.0);
+    if features.is_empty() {
+        return;
+    }
+    for &f in features {
+        for (o, &x) in out.iter_mut().zip(&in_vecs[f as usize * dim..][..dim]) {
+            *o += x;
+        }
+    }
+    let inv = 1.0 / features.len() as f32;
+    for o in out.iter_mut() {
+        *o *= inv;
+    }
+}
+
+/// The dot of each of up to [`CHAINS`] output rows with `hidden`, all
+/// chains advancing one `j` at a time so their adds overlap. Each is the
+/// fold `iter().sum()` runs — ascending `j`, starting from `Sum`'s own
+/// neutral element — so every dot is that sum to the bit.
+#[inline]
+fn interleaved_dots(out_vecs: &[f32], dim: usize, rows: &[u32], hidden: &[f32]) -> [f32; CHAINS] {
+    let neutral: f32 = std::iter::empty::<f32>().sum();
+    let hidden = &hidden[..dim];
+    // a short last group scores its last row again; the caller drops it
+    let row: [&[f32]; CHAINS] =
+        std::array::from_fn(|c| &out_vecs[rows[c.min(rows.len() - 1)] as usize * dim..][..dim]);
+    let mut acc = [neutral; CHAINS];
+    for j in 0..dim {
+        for c in 0..CHAINS {
+            acc[c] += row[c][j] * hidden[j];
+        }
+    }
+    acc
 }
 
 #[inline]
@@ -157,6 +238,94 @@ fn sigmoid(x: f32) -> f32 {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    impl SgnsModel {
+        /// `train_pair` as it was before the dots-first path, kept as the
+        /// oracle: one output row at a time, its dot taken after every
+        /// earlier row's update, two fresh `Vec`s per pair.
+        fn train_pair_reference(&mut self, features: &[u32], target: u32, negatives: &[u32], lr: f32) -> f32 {
+            if features.is_empty() {
+                return 0.0;
+            }
+            let dim = self.dim;
+            let hidden = self.embed_features(features);
+            let mut hidden_grad = vec![0.0f32; dim];
+            let mut loss = 0.0f32;
+
+            let update_output = |this: &mut Self, word: u32, label: f32, hidden: &[f32], hidden_grad: &mut [f32]| {
+                let row_start = word as usize * dim;
+                let out_row = &mut this.out_vecs[row_start..row_start + dim];
+                let dot: f32 = out_row.iter().zip(hidden).map(|(&o, &h)| o * h).sum();
+                let pred = sigmoid(dot);
+                let err = pred - label;
+                for j in 0..dim {
+                    hidden_grad[j] += err * out_row[j];
+                    out_row[j] -= lr * err * hidden[j];
+                }
+                -(if label > 0.5 { pred } else { 1.0 - pred }).max(1e-7).ln()
+            };
+
+            loss += update_output(self, target, 1.0, &hidden, &mut hidden_grad);
+            for &neg in negatives {
+                if neg == target {
+                    continue;
+                }
+                loss += update_output(self, neg, 0.0, &hidden, &mut hidden_grad);
+            }
+            let scale = lr / features.len() as f32;
+            for &f in features {
+                let row = &mut self.in_vecs[f as usize * self.dim..(f as usize + 1) * self.dim];
+                for (r, &g) in row.iter_mut().zip(&hidden_grad) {
+                    *r -= scale * g;
+                }
+            }
+            loss
+        }
+    }
+
+    #[test]
+    fn train_pair_is_bit_identical_to_the_sequential_reference() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for dim in [1usize, 16, 64] {
+            let mut rng = StdRng::seed_from_u64(dim as u64);
+            let mut fast = SgnsModel::new(40, 12, dim, &mut rng);
+            // word2vec zeroes the output rows; start them off zero so the
+            // first dots already have something to round
+            for x in &mut fast.out_vecs {
+                *x = rng.gen_range(-0.5..0.5);
+            }
+            let mut slow = fast.clone();
+            // hand-picked: a repeated negative, a negative equal to the
+            // target (alone, and leaving five distinct rows), one feature,
+            // no feature, no negative, one more row than a group of chains
+            let fixed: Vec<(Vec<u32>, u32, Vec<u32>)> = vec![
+                (vec![3, 4, 5], 2, vec![7, 1, 7, 0, 9]),
+                (vec![3, 4], 2, vec![2, 2, 2]),
+                (vec![8, 3, 30], 6, vec![6, 1, 2, 3, 4]),
+                (vec![39], 11, vec![0, 1, 2, 3, 4]),
+                (vec![], 5, vec![1, 2]),
+                (vec![1, 2], 5, vec![]),
+                (vec![1, 1, 2], 0, vec![1, 2, 3]),
+            ];
+            let seeded = (0..400).map(|_| {
+                let features = (0..rng.gen_range(1..12)).map(|_| rng.gen_range(0..40u32)).collect();
+                let negatives = (0..rng.gen_range(0..8)).map(|_| rng.gen_range(0..12u32)).collect();
+                (features, rng.gen_range(0..12u32), negatives)
+            });
+            for (features, target, negatives) in fixed.into_iter().chain(seeded).collect::<Vec<_>>() {
+                let case = format!("dim {dim} features {features:?} target {target} negatives {negatives:?}");
+                let got = fast.train_pair(&features, target, &negatives, 0.05);
+                let want = slow.train_pair_reference(&features, target, &negatives, 0.05);
+                assert_eq!(got.to_bits(), want.to_bits(), "loss: {case}");
+                assert_eq!(bits(&fast.out_vecs), bits(&slow.out_vecs), "output rows: {case}");
+                assert_eq!(bits(&fast.in_vecs), bits(&slow.in_vecs), "input rows: {case}");
+            }
+            // both paths ran, and an empty feature list is not a pair
+            let (pairs, dots_first) = fast.pairs();
+            assert_eq!(pairs, 406, "dim {dim}");
+            assert!(dots_first > 100 && dots_first < pairs - 100, "dim {dim}: {dots_first} of {pairs}");
+        }
+    }
 
     #[test]
     fn sampler_prefers_frequent_words() {
@@ -287,7 +456,7 @@ impl SgnsModel {
         };
         let in_vecs = read_f32s(n_in, &mut cur);
         let out_vecs = read_f32s(n_out, &mut cur);
-        Ok(SgnsModel { dim, in_vecs, out_vecs })
+        Ok(Self::from_parts(dim, in_vecs, out_vecs))
     }
 }
 

@@ -38,6 +38,15 @@ names! {
     MINING_TRIPLETS => "mining.triplets",
     /// Span/histogram timing an entity-index build.
     INDEX_BUILD => "index.build",
+    /// Span/histogram timing the label-embedding pass of an index build.
+    INDEX_BUILD_EMBED => "index.build.embed",
+    /// Span/histogram timing an HNSW graph construction.
+    INDEX_BUILD_GRAPH => "index.build.graph",
+    /// Span/histogram timing quantizer training (PQ codebooks, IVF
+    /// coarse centroids).
+    INDEX_BUILD_QUANTIZER => "index.build.quantizer",
+    /// Span/histogram timing the PQ encoding of every indexed row.
+    INDEX_BUILD_ENCODE => "index.build.encode",
     /// Gauge: entities in the current index.
     INDEX_ENTITIES => "index.entities",
     /// Gauge: approximate index size in bytes.

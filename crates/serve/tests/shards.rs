@@ -503,3 +503,65 @@ fn empty_batches_and_mostly_empty_shards_answer_normally() {
         assert_eq!(a.body, b.body, "entity {entity}: top-3 diverged");
     }
 }
+
+/// `ShardedIndex::build` builds its shards side by side on the pool; each
+/// must be the index `EntityIndex::from_vectors` builds from that shard's
+/// rows alone, on one thread — same bytes, same answers — at every width
+/// ci.sh runs this suite at.
+#[test]
+fn sharded_build_is_the_serial_per_shard_build() {
+    use emblookup_ann::VectorSet;
+    use emblookup_core::{shard_of, Compression, EntityIndex, ShardedIndex};
+    use emblookup_kg::KgFlavor;
+
+    let (model, _) = shared_model();
+    // ≈ 3.8k rows: one shard is above k-means' pool threshold (its
+    // fork-joins nest inside the shard fan-out), three are built abreast
+    let kg = generate(SynthKgConfig::benchmark(5, KgFlavor::Wikidata)).kg;
+    let mut labels: Vec<&str> = kg.entities().map(|e| e.label.as_str()).collect();
+    let mut ids: Vec<EntityId> = kg.entities().map(|e| e.id).collect();
+    if model.config().index_aliases {
+        for e in kg.entities() {
+            for alias in &e.aliases {
+                labels.push(alias.as_str());
+                ids.push(e.id);
+            }
+        }
+    }
+    let rows = model.embed_batch(&labels, 1);
+    let queries = [0usize, 17, 333, 2024].map(|row| rows[row].clone());
+
+    let compressions = [
+        Compression::HnswPq { m: 8, ef_search: 32, pq_m: 4, pq_ks: 32 },
+        Compression::Pq { m: 4, ks: 32 },
+        Compression::Ivf { nlist: 16, nprobe: 4 },
+    ];
+    for compression in compressions {
+        for num_shards in [1usize, 3] {
+            let sharded = ShardedIndex::build(model, &kg, compression, num_shards, 2);
+            assert_eq!(sharded.len(), rows.len());
+            for shard in 0..num_shards {
+                let mut shard_ids = Vec::new();
+                let mut shard_vecs = VectorSet::new(model.dim());
+                for (row, id) in ids.iter().enumerate() {
+                    if shard_of(*id, num_shards) == shard {
+                        shard_ids.push(*id);
+                        shard_vecs.push(&rows[row]);
+                    }
+                }
+                let serial = EntityIndex::from_vectors(shard_ids, shard_vecs, compression);
+                let built = sharded.shard(shard);
+                let case = format!("{compression:?} shard {shard}/{num_shards}");
+                assert_eq!(built.len(), serial.len(), "{case}");
+                assert_eq!(built.nbytes(), serial.nbytes(), "{case}");
+                assert_eq!(built.backend_name(), serial.backend_name(), "{case}");
+                for q in &queries {
+                    let bits = |hits: Vec<(EntityId, f32)>| -> Vec<(EntityId, u32)> {
+                        hits.into_iter().map(|(id, d)| (id, d.to_bits())).collect()
+                    };
+                    assert_eq!(bits(built.search(q, 10)), bits(serial.search(q, 10)), "{case}");
+                }
+            }
+        }
+    }
+}
