@@ -13,9 +13,13 @@
 //!    sorted candidate buffer, the `retset` of NSG/DiskANN — scores each
 //!    node's unvisited peers where their codes lie with one
 //!    [`crate::kernels::adc_gather`] call against the shared table.
-//! 3. **Re-rank**: the buffer's ADC top-`max(ef, 4k)` goes through an
-//!    exact re-ranking tail against the raw vectors, so reported
-//!    distances are true squared L2, not ADC estimates.
+//! 3. **Re-rank**: the buffer's ADC top-`max(ef, 4k)` is re-scored
+//!    against the rows kept at one byte a dimension (`sq8.rs`, one
+//!    gathered kernel call for the pool) and the `k` nearest by that
+//!    score are returned. The raw `f32` rows are not kept: reported
+//!    distances are the 8-bit estimate of squared L2 — far tighter than
+//!    ADC, but an estimate (bound at [`HnswPqIndex::search`]). The
+//!    standalone [`HnswIndex`] is the graph that returns exact distances.
 //!
 //! Determinism matches the rest of the crate: for a fixed kernel
 //! variant, a search is a pure function of `(index, query, k)` — the
@@ -26,6 +30,7 @@ use crate::hnsw::{HnswConfig, HnswIndex};
 use crate::index::{batch_grain, AnnIndex};
 use crate::kernels;
 use crate::pq::{PqConfig, ProductQuantizer};
+use crate::sq8::Sq8Rows;
 use crate::topk::{Neighbor, TopK};
 use crate::vectors::VectorSet;
 
@@ -38,14 +43,17 @@ pub struct HnswPqConfig {
     pub pq: PqConfig,
 }
 
-/// Per-search scratch reused across queries: the ADC table, the visited
-/// bitset, the expanded node's unvisited peers and their ADC distances,
-/// and the [`Beam`]'s buffer. Contents never survive a query (everything
-/// is cleared or overwritten), so reuse cannot affect results — it only
+/// Per-search scratch reused across queries: the ADC table, the query
+/// shifted onto the re-rank store's grid, the visited bitset, a list of
+/// ids and their scores (the expanded node's unvisited peers and their
+/// ADC distances, then the pool and its 8-bit distances), and the
+/// [`Beam`]'s buffer. Contents never survive a query (everything is
+/// cleared or overwritten), so reuse cannot affect results — it only
 /// removes the per-query allocations.
 #[derive(Default)]
 struct Scratch {
     table: Vec<f32>,
+    shifted: Vec<f32>,
     visited: Vec<u64>,
     peers: Vec<u32>,
     peer_dists: Vec<f32>,
@@ -60,7 +68,7 @@ const EXPANDED: u32 = 1 << 31;
 /// BFS id)` sorted ascending by `total_cmp`, equal keys in arrival order,
 /// at most `cap` entries. The first `min(ef, len)` are the beam — what a
 /// results heap bounded at `ef` would hold — and all of them the pool the
-/// exact re-rank reads. An entry only ever moves to a higher rank, so one
+/// re-rank reads. An entry only ever moves to a higher rank, so one
 /// pushed past rank `ef` never re-enters the beam: exactly the entries a
 /// separate frontier heap would pop only to stop on.
 struct Beam<'a> {
@@ -110,8 +118,8 @@ impl<'a> Beam<'a> {
     }
 
     /// Every entry's id, nearest first: the re-rank pool.
-    fn pool(&self) -> impl Iterator<Item = usize> + '_ {
-        self.cands.iter().map(|&(_, id)| (id & !EXPANDED) as usize)
+    fn pool(&self) -> impl Iterator<Item = u32> + '_ {
+        self.cands.iter().map(|&(_, id)| id & !EXPANDED)
     }
 }
 
@@ -121,27 +129,13 @@ std::thread_local! {
     static SCRATCH: std::cell::RefCell<Scratch> = std::cell::RefCell::new(Scratch::default());
 }
 
-/// Exact re-ranking tail: scores each candidate id against the raw
-/// vectors with the dispatched kernel and keeps the `k` nearest.
-/// Candidates may arrive in any order; ties and final order are fixed by
-/// [`TopK`].
-fn exact_rerank<I>(raw: &VectorSet, query: &[f32], candidates: I, k: usize) -> Vec<Neighbor>
-where
-    I: IntoIterator<Item = usize>,
-{
-    let mut tk = TopK::new(k);
-    for i in candidates {
-        tk.push(i, kernels::sq_l2(query, raw.get(i)));
-    }
-    tk.into_sorted()
-}
-
 /// HNSW graph whose traversal is scored with batched ADC over PQ codes
 /// stored in graph-adjacency (BFS) order.
 pub struct HnswPqIndex {
     quantizer: ProductQuantizer,
-    /// Raw vectors in BFS order, kept for the exact re-rank tail.
-    raw: VectorSet,
+    /// The vectors at one byte a dimension, in BFS order: what the pool
+    /// is re-ranked against.
+    rerank: Sq8Rows,
     /// PQ codes in BFS order, `m` bytes per node.
     codes: Vec<u8>,
     /// Layer-0 adjacency as CSR over BFS ids: neighbours of node `i`
@@ -217,14 +211,12 @@ impl HnswPqIndex {
         };
 
         let codes = quantizer.encode_rows(n, |pos| vectors.get(order[pos] as usize));
-        let mut raw = VectorSet::new(vectors.dim());
+        let rerank = Sq8Rows::encode(vectors.dim(), n, |pos| vectors.get(order[pos] as usize));
         let mut offsets = Vec::with_capacity(n + 1);
         let mut edges = Vec::new();
         let mut upper: Vec<(u32, Vec<Vec<u32>>)> = Vec::new();
         offsets.push(0u32);
         for (pos, &old) in order.iter().enumerate() {
-            let v = vectors.get(old as usize);
-            raw.push(v);
             for &p in &links[old as usize][0] {
                 edges.push(newid[p as usize]);
             }
@@ -240,7 +232,7 @@ impl HnswPqIndex {
 
         HnswPqIndex {
             quantizer,
-            raw,
+            rerank,
             codes,
             offsets,
             edges,
@@ -253,12 +245,12 @@ impl HnswPqIndex {
 
     /// Number of indexed vectors.
     pub fn len(&self) -> usize {
-        self.raw.len()
+        self.orig.len()
     }
 
     /// True when no vectors are indexed.
     pub fn is_empty(&self) -> bool {
-        self.raw.is_empty()
+        self.orig.is_empty()
     }
 
     /// The trained quantizer.
@@ -267,8 +259,8 @@ impl HnswPqIndex {
     }
 
     /// True index size in bytes: PQ codes + codebooks + graph adjacency
-    /// (layer-0 CSR and upper links) + id map + the raw vectors the
-    /// exact re-rank tail retains.
+    /// (layer-0 CSR and upper links) + id map + the 8-bit rows (and their
+    /// grid) the re-rank reads.
     pub fn nbytes(&self) -> usize {
         let u32s = std::mem::size_of::<u32>();
         let upper_payload: usize = self
@@ -280,13 +272,13 @@ impl HnswPqIndex {
             + self.quantizer.codebook_nbytes()
             + (self.offsets.len() + self.edges.len() + self.orig.len()) * u32s
             + upper_payload
-            + self.raw.nbytes()
+            + self.rerank.nbytes()
     }
 
-    /// Graph-plus-codes footprint without the re-rank vectors — the
+    /// Graph-plus-codes footprint without the re-rank store — the
     /// part the compressed traversal actually touches.
     pub fn traversal_nbytes(&self) -> usize {
-        self.nbytes() - self.raw.nbytes()
+        self.nbytes() - self.rerank.nbytes()
     }
 
     #[inline]
@@ -308,20 +300,26 @@ impl HnswPqIndex {
         }
     }
 
-    /// Approximate `k` nearest neighbours, ascending by exact distance
-    /// (the frontier is re-ranked against the raw vectors).
+    /// Approximate `k` nearest neighbours, ascending by distance.
+    ///
+    /// The distances are estimates: squared L2 to the vector as the
+    /// re-rank store holds it, each dimension rounded onto a 256-level
+    /// grid of step `s_j` = 1/255 of that dimension's range over the
+    /// indexed vectors. For a hit at true squared distance `d` the
+    /// reported value is within `√d · ‖s‖ + ‖s‖² / 4` of `d`; a dimension
+    /// constant over the index adds nothing.
     pub fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
         self.search_counted(query, k).0
     }
 
-    /// The search body: ADC-scored descent + beam, exact re-rank tail.
+    /// The search body: ADC-scored descent + beam, 8-bit re-rank tail.
     /// Returns the hits (original ids) and the visited-node count.
     fn search_with_scratch(&self, query: &[f32], k: usize, scratch: &mut Scratch) -> (Vec<Neighbor>, u64) {
-        if k == 0 || self.raw.is_empty() {
+        if k == 0 || self.is_empty() {
             return (Vec::new(), 0);
         }
         // a search returns at most `len()` hits, whatever `k` asks for
-        let k = k.min(self.raw.len());
+        let k = k.min(self.len());
         crate::metrics::hnswpq_searches().inc();
         let ks = self.quantizer.ks();
         let m = self.quantizer.m();
@@ -349,7 +347,7 @@ impl HnswPqIndex {
         }
 
         // layer-0 beam, a node's unvisited peers scored in one ADC call
-        let n = self.raw.len();
+        let n = self.len();
         scratch.visited.clear();
         scratch.visited.resize(n.div_ceil(64), 0);
         let mut visited_count: u64 = 1;
@@ -358,7 +356,7 @@ impl HnswPqIndex {
         // The re-rank pool is wider than the beam: ADC mis-ranking can
         // push a true neighbour past the beam's `ef` cutoff, but every
         // node the beam *scores* is remembered in the ADC top-`R` for the
-        // exact re-rank tail (kANNolo's re-rank factor): the buffer's
+        // re-rank tail (kANNolo's re-rank factor): the buffer's
         // entries past rank `ef` cost ~nothing to keep — those nodes were
         // scored anyway — and decouple traversal width from re-rank
         // width. No node is scored twice, so `n` slots always suffice.
@@ -391,13 +389,19 @@ impl HnswPqIndex {
         }
         crate::metrics::hnswpq_visited().add(visited_count);
 
-        // exact re-rank of the ADC top-`R` pool, then map BFS ids back
-        // to original vector ids
-        let mut hits = exact_rerank(&self.raw, query, beam.pool(), k);
-        for h in &mut hits {
-            h.index = self.orig[h.index] as usize;
+        // re-rank of the ADC top-`R` pool — one kernel call scores it
+        // against the 8-bit rows, ties and final order are `TopK`'s — then
+        // map BFS ids back to original vector ids
+        scratch.peers.clear();
+        scratch.peers.extend(beam.pool());
+        scratch.peer_dists.resize(scratch.peers.len(), 0.0);
+        self.rerank.prepare(query, &mut scratch.shifted);
+        self.rerank.score(&scratch.shifted, &scratch.peers, &mut scratch.peer_dists);
+        let mut tk = TopK::new(k);
+        for (&id, &dist) in scratch.peers.iter().zip(&scratch.peer_dists) {
+            tk.push(self.orig[id as usize] as usize, dist);
         }
-        (hits, visited_count)
+        (tk.into_sorted(), visited_count)
     }
 }
 
@@ -407,7 +411,7 @@ impl AnnIndex for HnswPqIndex {
     }
 
     fn len(&self) -> usize {
-        self.raw.len()
+        self.orig.len()
     }
 
     fn nbytes(&self) -> usize {
@@ -449,17 +453,31 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use std::collections::BinaryHeap;
 
+    /// Exact re-ranking tail: scores each candidate (an original id)
+    /// against the raw vectors and keeps the `k` nearest. Candidates may
+    /// arrive in any order; ties and final order are fixed by [`TopK`].
+    fn exact_rerank(raw: &VectorSet, query: &[f32], candidates: impl Iterator<Item = usize>, k: usize) -> Vec<Neighbor> {
+        let mut tk = TopK::new(k);
+        for i in candidates {
+            tk.push(i, kernels::sq_l2(query, raw.get(i)));
+        }
+        tk.into_sorted()
+    }
+
     impl HnswPqIndex {
-        /// The search as it was before the one-buffer beam, kept as the
-        /// oracle: a frontier min-heap, a results max-heap of `ef`, a pool
-        /// max-heap of `max(ef, 4k)`, each unvisited peer's code copied
-        /// side by side and scored with `adc_block`. Outside exact ADC
-        /// ties (where a heap's pick among equal keys is arbitrary) it
-        /// expands the same nodes in the same order as
-        /// [`HnswPqIndex::search_with_scratch`].
-        fn search_reference(&self, query: &[f32], k: usize) -> (Vec<Neighbor>, u64) {
-            if k == 0 || self.raw.is_empty() {
-                return (Vec::new(), 0);
+        /// The search as it was before the one-buffer beam and the 8-bit
+        /// re-rank store, kept as the oracle: a frontier min-heap, a
+        /// results max-heap of `ef`, a pool max-heap of `max(ef, 4k)`,
+        /// each unvisited peer's code copied side by side and scored with
+        /// `adc_block`, and the pool re-ranked exactly against `raw` — the
+        /// vectors the index was built on, which it no longer holds.
+        /// Outside exact ADC ties (where a heap's pick among equal keys is
+        /// arbitrary) it expands the same nodes in the same order as
+        /// [`HnswPqIndex::search_with_scratch`]. Returns the hits, the
+        /// visited count and the pool (original ids, in no order).
+        fn search_reference(&self, raw: &VectorSet, query: &[f32], k: usize) -> (Vec<Neighbor>, u64, Vec<usize>) {
+            if k == 0 || self.is_empty() {
+                return (Vec::new(), 0, Vec::new());
             }
             let ks = self.quantizer.ks();
             let m = self.quantizer.m();
@@ -487,7 +505,7 @@ mod tests {
             }
 
             // layer-0 beam, unvisited peers scored four codes per ADC call
-            let n = self.raw.len();
+            let n = self.len();
             let mut visited = vec![0u64; n.div_ceil(64)];
             let mut visited_count: u64 = 1;
             visited[current as usize / 64] |= 1 << (current as usize % 64);
@@ -536,14 +554,21 @@ mod tests {
                 }
             }
 
-            // exact re-rank of the ADC top-`R` pool, then map BFS ids back
-            // to original vector ids
-            let pool_ids = pool.drain().map(|Far(_, id)| id as usize);
-            let mut hits = exact_rerank(&self.raw, query, pool_ids, k.min(n));
-            for h in &mut hits {
-                h.index = self.orig[h.index] as usize;
-            }
-            (hits, visited_count)
+            // exact re-rank of the ADC top-`R` pool, by original vector id
+            let pool_ids: Vec<usize> = pool.drain().map(|Far(_, id)| self.orig[id as usize] as usize).collect();
+            let hits = exact_rerank(raw, query, pool_ids.iter().copied(), k.min(n));
+            (hits, visited_count, pool_ids)
+        }
+
+        /// The run-time traversal under the reference's re-rank: the pool
+        /// [`HnswPqIndex::search_with_scratch`] scored last (it is what the
+        /// scratch's id list still holds), re-ranked exactly against `raw`.
+        /// What differs from `search_reference` is then the beam alone.
+        fn search_exact(&self, raw: &VectorSet, query: &[f32], k: usize) -> (Vec<Neighbor>, u64, Vec<usize>) {
+            let mut scratch = Scratch::default();
+            let (_, visited) = self.search_with_scratch(query, k, &mut scratch);
+            let pool: Vec<usize> = scratch.peers.iter().map(|&id| self.orig[id as usize] as usize).collect();
+            (exact_rerank(raw, query, pool.iter().copied(), k.min(self.len())), visited, pool)
         }
     }
 
@@ -577,8 +602,9 @@ mod tests {
             assert_eq!(fast.edges, slow.edges, "copies {copies}");
             assert_eq!(fast.upper, slow.upper, "copies {copies}");
             assert_eq!(fast.max_level, slow.max_level, "copies {copies}");
-            // the pooled block encode is the per-row encode
-            let per_row: Vec<u8> = fast.raw.iter().flat_map(|v| fast.quantizer.encode(v)).collect();
+            // the pooled block encode is the per-row encode, in BFS order
+            let per_row: Vec<u8> =
+                fast.orig.iter().flat_map(|&old| fast.quantizer.encode(data.get(old as usize))).collect();
             assert_eq!(fast.codes, per_row, "copies {copies}");
             assert_eq!(fast.codes, slow.codes, "copies {copies}");
         }
@@ -586,29 +612,50 @@ mod tests {
 
     fn fixture_config() -> HnswPqConfig {
         // quantized traversal needs a wider beam than exact HNSW: the
-        // ADC estimate mis-ranks near-ties, and the exact re-rank can
-        // only fix what the frontier contains
+        // ADC estimate mis-ranks near-ties, and the re-rank can only fix
+        // what the frontier contains
         HnswPqConfig {
             hnsw: HnswConfig { ef_search: 96, ..HnswConfig::default() },
             pq: PqConfig { m: 4, ks: 16, kmeans_iters: 10, seed: 0 },
         }
     }
 
+    /// `‖s‖` of the grid the re-rank store must have laid over `data`,
+    /// worked out here from the rows: `s_j` = 1/255 of dimension `j`'s
+    /// range.
+    fn grid_step_norm(data: &VectorSet) -> f32 {
+        let mut norm_sq = 0.0f32;
+        for j in 0..data.dim() {
+            let (lo, hi) = data.iter().fold((f32::INFINITY, f32::NEG_INFINITY), |(lo, hi), v| (lo.min(v[j]), hi.max(v[j])));
+            norm_sq += ((hi - lo) / 255.0).powi(2);
+        }
+        norm_sq.sqrt()
+    }
+
+    /// How far a reported distance may lie from the true squared distance
+    /// `d` (the bound documented at [`HnswPqIndex::search`]), with 1 % for
+    /// the float arithmetic on both sides.
+    fn estimate_bound(d: f32, step_norm: f32) -> f32 {
+        1.01 * (d.sqrt() * step_norm + step_norm * step_norm / 4.0) + 1e-6
+    }
+
     #[test]
-    fn finds_self_as_nearest_with_exact_distance() {
+    fn finds_self_as_nearest_within_the_store_bound() {
         let data = random_set(600, 16, 1);
         let idx = HnswPqIndex::build(&data, fixture_config());
+        let step_norm = grid_step_norm(&data);
         for i in (0..600).step_by(53) {
             let hits = idx.search(data.get(i), 1);
             assert_eq!(hits[0].index, i, "vector {i} did not find itself");
-            assert_eq!(hits[0].dist, 0.0, "re-ranked distance must be exact");
+            // not 0.0 any more: the row is held on an 8-bit grid
+            assert!(hits[0].dist <= estimate_bound(0.0, step_norm), "self-distance {} of vector {i}", hits[0].dist);
         }
     }
 
     #[test]
     fn recall_at_10_regression_on_600_entity_fixture() {
         // the seeded 600-entity fixture of the acceptance criteria:
-        // ADC-guided traversal + exact re-rank must stay close to flat
+        // ADC-guided traversal + 8-bit re-rank must stay close to flat
         let data = random_set(600, 16, 2);
         let flat = FlatIndex::new(data.clone());
         let idx = HnswPqIndex::build(&data, fixture_config());
@@ -685,14 +732,15 @@ mod tests {
     }
 
     #[test]
-    fn nbytes_accounts_for_codes_graph_and_rerank_vectors() {
+    fn nbytes_accounts_for_codes_graph_and_rerank_rows() {
         let data = random_set(400, 16, 8);
         let idx = HnswPqIndex::build(&data, fixture_config());
-        // raw re-rank vectors alone are a strict lower bound, and the
-        // traversal footprint (codes + graph) must be non-trivial
-        assert!(idx.nbytes() > data.nbytes());
+        // the traversal footprint (codes + graph) must be non-trivial, and
+        // the re-rank store is a byte a dimension plus its grid — a
+        // quarter of the raw rows, which are no longer held
         assert!(idx.traversal_nbytes() >= 400 * 4, "codes missing from accounting");
-        assert_eq!(idx.nbytes() - idx.traversal_nbytes(), data.nbytes());
+        assert_eq!(idx.nbytes() - idx.traversal_nbytes(), 400 * 16 + 16 * 8);
+        assert!(idx.nbytes() - idx.traversal_nbytes() < data.nbytes() / 3);
     }
 
     /// `ks = 256` so the traversal takes the SIMD arm of `adc_gather`
@@ -720,8 +768,11 @@ mod tests {
     }
 
     #[test]
-    fn one_buffer_beam_is_the_three_heap_search_on_tie_free_data() {
-        for (n, dim, seed) in [(2_000usize, 16usize, 20u64), (600, 64, 21)] {
+    fn sq8_rerank_reads_the_pool_the_exact_rerank_read() {
+        // The traversal is the reference's: on tie-free data it visits as
+        // many nodes and hands its re-rank the same pool, so under the
+        // reference's exact re-rank it returns the reference's hits.
+        for (n, dim, seed) in [(2_000usize, 16usize, 20u64), (3_000, 64, 21)] {
             let data = random_set(n, dim, seed);
             let mut idx = HnswPqIndex::build(&data, oracle_config());
             let mut queries = random_set(24, dim, seed + 100);
@@ -733,26 +784,63 @@ mod tests {
                 idx.ef_search = ef_search;
                 for k in [1usize, 10, 40, n + 5] {
                     let case = format!("n {n} dim {dim} ef {ef_search} k {k}");
-                    let want: Vec<(Vec<Neighbor>, u64)> =
-                        queries.iter().map(|q| idx.search_reference(q, k)).collect();
-                    for (q, (hits, visited)) in queries.iter().zip(&want) {
-                        let (got, got_visited) = idx.search_counted(q, k);
+                    for q in queries.iter() {
+                        let (want, visited, mut pool) = idx.search_reference(&data, q, k);
+                        let (got, got_visited, mut got_pool) = idx.search_exact(&data, q, k);
+                        assert_eq!(got_visited, visited, "{case}: visited sets differ");
+                        pool.sort_unstable();
+                        got_pool.sort_unstable();
+                        assert!(got_pool == pool, "{case}: pools differ");
                         assert_eq!(got.len(), k.min(n), "{case}");
                         // a short list of random distances has no ties:
                         // there the id lists are equal outright
-                        assert!(k > 40 || &got == hits, "{case}: hits differ");
-                        assert_same_hits(&got, hits, &case);
-                        assert_eq!(got_visited, *visited, "{case}: visited sets differ");
+                        assert!(k > 40 || got == want, "{case}: hits differ");
+                        assert_same_hits(&got, &want, &case);
                     }
                     for threads in [1usize, 4] {
                         let batch = idx.search_batch(&queries, k, threads);
-                        for ((q, got), (hits, _)) in queries.iter().zip(&batch).zip(&want) {
+                        for (q, got) in queries.iter().zip(&batch) {
                             assert!(got == &idx.search(q, k), "{case}: batch at {threads} threads != single");
-                            assert_same_hits(got, hits, &case);
                         }
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn sq8_distances_stay_inside_their_bound() {
+        // tie-free rows, and every row three times over
+        let base = random_set(400, 64, 41);
+        let mut tripled = VectorSet::new(64);
+        for i in 0..1_200 {
+            tripled.push(base.get(i % 400));
+        }
+        for (data, what) in [(random_set(3_000, 64, 40), "random"), (tripled, "tripled")] {
+            let idx = HnswPqIndex::build(&data, oracle_config());
+            let step_norm = grid_step_norm(&data);
+            let mut queries = random_set(40, 64, 42);
+            for i in (0..data.len()).step_by(data.len() / 6) {
+                queries.push(data.get(i));
+            }
+            let (mut kept, mut asked) = (0usize, 0usize);
+            for q in queries.iter() {
+                let got = idx.search(q, 10);
+                assert!(got.windows(2).all(|w| w[0].dist <= w[1].dist), "{what}: not ascending");
+                for h in &got {
+                    let d = kernels::sq_l2(q, data.get(h.index));
+                    let off = (h.dist - d).abs();
+                    assert!(off <= estimate_bound(d, step_norm), "{what}: reported {} for a true {d}", h.dist);
+                }
+                // overlap@10 with the exact re-rank of the same pool, by
+                // distance: which of three equal copies comes back is
+                // arbitrary on both sides
+                let (exact, _, _) = idx.search_exact(&data, q, 10);
+                let kth = exact[exact.len() - 1].dist;
+                kept += got.iter().filter(|h| kernels::sq_l2(q, data.get(h.index)) <= kth).count();
+                asked += exact.len();
+            }
+            assert!(kept * 100 >= asked * 95, "{what}: overlap@10 with the exact re-rank {kept}/{asked}");
         }
     }
 
@@ -766,7 +854,8 @@ mod tests {
         // the buffer does not), so the routes differ, and at a beam narrow
         // enough for one copy to decide what is found so may the answers
         // (on this data: 1 search in 240, at `ef = 10`). What must hold is
-        // that this stays rare and costs no recall.
+        // that this stays rare and costs no recall. Both sides re-rank
+        // exactly here: the beams are what is compared.
         let base = random_set(400, 16, 30);
         let mut data = VectorSet::new(16);
         for i in 0..1_200 {
@@ -786,8 +875,8 @@ mod tests {
             idx.ef_search = ef_search;
             for k in [1usize, 10, 40] {
                 for q in queries.iter() {
-                    let got = copy_of(idx.search(q, k));
-                    let want = copy_of(idx.search_reference(q, k).0);
+                    let got = copy_of(idx.search_exact(&data, q, k).0);
+                    let want = copy_of(idx.search_reference(&data, q, k).0);
                     searches += 1;
                     if got.iter().map(|h| h.dist.to_bits()).eq(want.iter().map(|h| h.dist.to_bits())) {
                         assert_same_hits(&got, &want, &format!("ef {ef_search} k {k}"));
@@ -808,7 +897,7 @@ mod tests {
 
     #[test]
     fn beam_buffer_orders_admits_and_expands_like_the_heaps() {
-        let ids = |b: &Beam| b.pool().collect::<Vec<usize>>();
+        let ids = |b: &Beam| b.pool().collect::<Vec<u32>>();
 
         // the cursor is lowered by an insert below it
         let mut cands = Vec::new();

@@ -22,13 +22,14 @@
 //!
 //! For a *fixed* variant, every kernel is a pure function of its inputs:
 //! results are bit-identical across calls, threads, and pool widths.
-//! Scalar and SIMD variants of `sq_l2`/`dot` may differ in
-//! float rounding (different add order, FMA contraction); tests bound
-//! the divergence at 1e-5 relative error. The ADC kernels are stricter:
-//! [`adc`] sums in ascending sub-quantizer order in every variant, and
-//! [`adc_block`] (contiguous codes) and [`adc_gather`] (codes picked by
-//! id) accumulate each lane in that same order, so batched and per-code
-//! ADC agree **bit-exactly** under every variant.
+//! Scalar and SIMD variants of `sq_l2`/`dot` (and of the crate's own
+//! `sq8_l2_gather`) may differ in float rounding (different add order,
+//! FMA contraction); tests bound the divergence at 1e-5 relative error.
+//! The ADC kernels are stricter: [`adc`] sums in ascending sub-quantizer
+//! order in every variant, and [`adc_block`] (contiguous codes) and
+//! [`adc_gather`] (codes picked by id) accumulate each lane in that same
+//! order, so batched and per-code ADC agree **bit-exactly** under every
+//! variant.
 //!
 //! # Preconditions
 //!
@@ -235,6 +236,32 @@ pub fn sq_l2_block(query: &[f32], rows: &[f32], out: &mut [f32]) {
     scalar::sq_l2_block(query, rows, out);
 }
 
+/// Gathered 8-bit squared-L2: `out[i] = Σ_j (shifted[j] − step[j] ·
+/// codes[ids[i] · dim + j])²` with `dim = shifted.len()` — the distance
+/// from a query, already shifted by the grid's origin, to each
+/// scalar-quantized row `ids` names ([`crate::HnswPqIndex`]'s re-rank;
+/// crate-private until something outside the crate scores such rows).
+/// One dispatched call per *list*, the row loop inside the
+/// `target_feature` boundary, for the reason given at [`adc_block`].
+/// Variants may round differently, as they do for [`sq_l2`].
+///
+/// # Panics
+/// Panics if `shifted` is empty, `step` is not as long as `shifted`, `out`
+/// is shorter than `ids`, or an id names a row past the end of `codes`.
+#[inline]
+pub(crate) fn sq8_l2_gather(shifted: &[f32], step: &[f32], codes: &[u8], ids: &[u32], out: &mut [f32]) {
+    let dim = shifted.len();
+    assert!(dim > 0 && step.len() == dim && ids.len() <= out.len(), "sq8_l2_gather: bad shape");
+    let rows = codes.len() / dim;
+    assert!(ids.iter().all(|&id| (id as usize) < rows), "sq8_l2_gather: id out of range");
+    #[cfg(target_arch = "x86_64")]
+    if variant() == V_AVX2 {
+        // lint: allow(L002) gated by dispatch (V_AVX2 is published only after is_x86_feature_detected verified avx2+fma) and by the asserts above: `step` holds dim floats, `out` a slot per id, and every id's dim-byte row lies inside `codes`
+        return unsafe { x86::sq8_l2_gather_avx2(shifted, step, codes, ids, out) };
+    }
+    scalar::sq8_l2_gather(shifted, step, codes, ids, out);
+}
+
 /// Unrolled scalar reference kernels — the fallback variant and the
 /// ground truth the SIMD paths are tested against. Four independent
 /// accumulators break the serial float dependency chain (the compiler
@@ -288,7 +315,7 @@ pub mod scalar {
     }
 
     /// Single-code ADC (reference). Strict ascending-`j` summation —
-    /// the order contract shared with [`adc_block`] and [`adc_gather`].
+    /// the order contract shared with [`adc_block`] and [`super::adc_gather`].
     #[inline]
     pub fn adc(table: &[f32], ks: usize, code: &[u8]) -> f32 {
         let mut acc = 0.0f32;
@@ -302,7 +329,7 @@ pub mod scalar {
     /// gathered form is bit-exact against the per-code form by
     /// construction.
     #[inline]
-    pub fn adc_gather(table: &[f32], ks: usize, m: usize, codes: &[u8], ids: &[u32], out: &mut [f32]) {
+    pub(crate) fn adc_gather(table: &[f32], ks: usize, m: usize, codes: &[u8], ids: &[u32], out: &mut [f32]) {
         for (o, &id) in out.iter_mut().zip(ids) {
             *o = adc(table, ks, &codes[id as usize * m..][..m]);
         }
@@ -324,6 +351,22 @@ pub mod scalar {
         let dim = query.len();
         for (o, row) in out.iter_mut().zip(rows.chunks_exact(dim)) {
             *o = sq_l2(query, row);
+        }
+    }
+
+    /// Gathered 8-bit squared-L2 (reference): four accumulators as in
+    /// [`sq_l2`], dimension `j` into accumulator `j % 4`.
+    #[inline]
+    pub(crate) fn sq8_l2_gather(shifted: &[f32], step: &[f32], codes: &[u8], ids: &[u32], out: &mut [f32]) {
+        let dim = shifted.len();
+        for (o, &id) in out.iter_mut().zip(ids) {
+            let row = &codes[id as usize * dim..][..dim];
+            let mut s = [0.0f32; 4];
+            for (j, ((&q, &t), &c)) in shifted.iter().zip(step).zip(row).enumerate() {
+                let d = q - t * f32::from(c);
+                s[j % 4] += d * d;
+            }
+            *o = (s[0] + s[1]) + (s[2] + s[3]);
         }
     }
 }
@@ -532,6 +575,61 @@ mod x86 {
             *o = sq_l2_avx2(query, rows.get_unchecked(i * dim..(i + 1) * dim));
         }
     }
+
+    /// Eight code bytes at `p` as eight floats.
+    ///
+    /// # Safety
+    /// Requires AVX2; `p` points at 8 readable bytes.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    // lint: allow(L002) target_feature helper, reached only from dispatch-gated kernels in this module
+    unsafe fn codes8_ps(p: *const u8) -> __m256 {
+        _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(_mm_loadl_epi64(p.cast())))
+    }
+
+    /// Gathered 8-bit squared-L2: per row, two 8-lane chains of
+    /// `d = shifted − step · code`, `acc += d²` as in [`sq_l2_avx2`],
+    /// the rows looped over inside the feature boundary.
+    ///
+    /// # Safety
+    /// Requires AVX2+FMA; called only when `variant() == V_AVX2`. Caller
+    /// guarantees `step.len() == shifted.len()`, `ids.len() <= out.len()`
+    /// and `(id + 1) * shifted.len() <= codes.len()` for every id.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    // lint: allow(L002) sound under dispatch: V_AVX2 is published only after runtime avx2+fma detection
+    pub unsafe fn sq8_l2_gather_avx2(shifted: &[f32], step: &[f32], codes: &[u8], ids: &[u32], out: &mut [f32]) {
+        let dim = shifted.len();
+        let (qp, tp) = (shifted.as_ptr(), step.as_ptr());
+        for (o, &id) in out.iter_mut().zip(ids) {
+            let row = codes.as_ptr().add(id as usize * dim);
+            let mut acc0 = _mm256_setzero_ps();
+            let mut acc1 = _mm256_setzero_ps();
+            let mut j = 0;
+            while j + 16 <= dim {
+                let d0 = _mm256_fnmadd_ps(_mm256_loadu_ps(tp.add(j)), codes8_ps(row.add(j)), _mm256_loadu_ps(qp.add(j)));
+                let d1 = _mm256_fnmadd_ps(
+                    _mm256_loadu_ps(tp.add(j + 8)),
+                    codes8_ps(row.add(j + 8)),
+                    _mm256_loadu_ps(qp.add(j + 8)),
+                );
+                acc0 = _mm256_fmadd_ps(d0, d0, acc0);
+                acc1 = _mm256_fmadd_ps(d1, d1, acc1);
+                j += 16;
+            }
+            if j + 8 <= dim {
+                let d = _mm256_fnmadd_ps(_mm256_loadu_ps(tp.add(j)), codes8_ps(row.add(j)), _mm256_loadu_ps(qp.add(j)));
+                acc0 = _mm256_fmadd_ps(d, d, acc0);
+                j += 8;
+            }
+            let mut sum = hsum256(_mm256_add_ps(acc0, acc1));
+            while j < dim {
+                let d = *qp.add(j) - *tp.add(j) * f32::from(*row.add(j));
+                sum += d * d;
+                j += 1;
+            }
+            *o = sum;
+        }
+    }
 }
 
 /// NEON kernels (aarch64; NEON is architecturally baseline there, so
@@ -706,7 +804,7 @@ mod tests {
         }
     }
 
-    // The four below hold under EMBLOOKUP_KERNEL=scalar and =auto alike
+    // The `should_panic`s below hold under EMBLOOKUP_KERNEL=scalar and =auto alike
     // (ci.sh runs both): what keeps the SIMD arms' raw loads in bounds is
     // an `assert!` in the dispatcher, not a `debug_assert!`.
 
@@ -736,6 +834,66 @@ mod tests {
         // ks < 256: a byte can name a centroid the table does not have;
         // that must never reach the unchecked loads
         adc_block(&[0.0f32; 4], 4, 1, &[200, 1, 2, 3], &mut [0.0; 4]);
+    }
+
+    #[test]
+    fn gathered_sq8_matches_the_scalar_reference_and_the_decoded_rows() {
+        // dims: all tail, sub-register, one 8-lane step, one 16-lane step,
+        // the serving dimension, and one past it; every list length 0..=9
+        let mut rng = StdRng::seed_from_u64(23);
+        for &dim in &[1usize, 7, 8, 16, 64, 65] {
+            let rows = 40;
+            let shifted = random_vec(dim, &mut rng);
+            let mut step: Vec<f32> = (0..dim).map(|_| rng.gen_range(0.0..0.02f32)).collect();
+            step[0] = 0.0; // a constant dimension
+            let codes: Vec<u8> = (0..rows * dim).map(|_| rng.gen_range(0..256u16) as u8).collect();
+            let decoded = |id: u32| -> Vec<f32> {
+                let row = &codes[id as usize * dim..][..dim];
+                row.iter().zip(&step).map(|(&c, &t)| t * f32::from(c)).collect()
+            };
+            for len in 0..=9usize {
+                let random: Vec<u32> = (0..len).map(|_| rng.gen_range(0..rows as u32)).collect();
+                let repeated = vec![rows as u32 - 1; len];
+                for ids in [random, repeated] {
+                    // a longer `out` keeps its tail
+                    let mut out = vec![f32::NAN; len + 1];
+                    sq8_l2_gather(&shifted, &step, &codes, &ids, &mut out);
+                    assert!(out[len].is_nan(), "dim {dim}: wrote past ids.len()");
+                    let mut want = vec![f32::NAN; len];
+                    scalar::sq8_l2_gather(&shifted, &step, &codes, &ids, &mut want);
+                    for (i, &id) in ids.iter().enumerate() {
+                        let e = rel_err(out[i], want[i]);
+                        assert!(e < 1e-5, "dim {dim} ids {ids:?} slot {i}: rel err {e} against scalar");
+                        let e = rel_err(out[i], sq_l2(&shifted, &decoded(id)));
+                        assert!(e < 1e-5, "dim {dim} ids {ids:?} slot {i}: rel err {e} against decode-then-sq_l2");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "sq8_l2_gather: id out of range")]
+    fn gathered_sq8_rejects_an_id_past_the_codes() {
+        sq8_l2_gather(&[0.0; 64], &[0.0; 64], &[0u8; 5 * 64], &[0, 4, 5], &mut [0.0; 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "sq8_l2_gather: id out of range")]
+    fn gathered_sq8_rejects_a_row_the_codes_end_inside() {
+        sq8_l2_gather(&[0.0; 64], &[0.0; 64], &[0u8; 2 * 64 - 1], &[1], &mut [0.0; 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "sq8_l2_gather: bad shape")]
+    fn gathered_sq8_rejects_a_step_of_another_length() {
+        sq8_l2_gather(&[0.0; 64], &[0.0; 63], &[0u8; 64], &[0], &mut [0.0; 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "sq8_l2_gather: bad shape")]
+    fn gathered_sq8_rejects_fewer_outputs_than_ids() {
+        sq8_l2_gather(&[0.0; 64], &[0.0; 64], &[0u8; 64], &[0, 0], &mut [0.0; 1]);
     }
 
     #[test]

@@ -22,6 +22,7 @@ pub mod lsh;
 mod metrics;
 pub mod pca;
 pub mod pq;
+mod sq8;
 pub mod topk;
 pub mod vectors;
 

@@ -159,10 +159,11 @@ fn run_tier(n: usize, nq: usize, threads: usize) -> Vec<BackendRun> {
     } else {
         (16, 128)
     };
-    // the fused backend exact-re-ranks an ADC top-max(ef,4k) pool
-    // collected over every scored node, so it holds full recall with a
-    // much narrower beam than plain HNSW (sweep: ef 12 is the 600-tier
-    // recall knee); at 1M the pool must widen with the ADC error
+    // the fused backend re-ranks an ADC top-max(ef,4k) pool collected
+    // over every scored node (against its 8-bit rows), so it holds its
+    // recall with a much narrower beam than plain HNSW (sweep: ef 12 is
+    // the 600-tier recall knee); at 1M the pool must widen with the ADC
+    // error
     let (hpm, hpef) = if n <= 1_000 {
         (12, 16)
     } else if n <= 200_000 {

@@ -41,9 +41,13 @@ pub enum Compression {
         ef_search: usize,
     },
     /// PQ-fused HNSW: graph traversal scored on PQ codes laid out in
-    /// adjacency order, with an exact re-rank of the final frontier
-    /// (kANNolo-style). Combines sub-linear traversal with cache-friendly
-    /// compressed scoring.
+    /// adjacency order, with a re-rank of the final frontier against the
+    /// vectors kept at one byte a dimension (kANNolo-style). Combines
+    /// sub-linear traversal with cache-friendly compressed scoring, and
+    /// holds no raw vector: at dimension 64 it is smaller than the flat
+    /// index. Reported distances are the 8-bit estimate of squared L2
+    /// (bound at `HnswPqIndex::search`), not exact — `Hnsw` is the graph
+    /// that returns exact distances.
     HnswPq {
         /// Max neighbours per node per layer.
         m: usize,

@@ -16,10 +16,11 @@
 //! the entity id, never the row.
 
 use crate::config::Compression;
-use crate::index::{embed_rows, EntityIndex};
+use crate::index::{embed_rows, publish_size, EntityIndex};
 use crate::model::EmbLookupModel;
 use emblookup_ann::VectorSet;
 use emblookup_kg::{EntityId, KnowledgeGraph};
+use emblookup_obs::names;
 
 /// Deterministic shard assignment: a splitmix64-style finalizer over the
 /// entity id, reduced mod `num_shards`. Dense sequential ids (the synth
@@ -48,6 +49,10 @@ impl ShardedIndex {
     /// only — partitioning never makes a shard less accurate than the
     /// unsharded index.
     ///
+    /// Reported as one index: one `index.build` span around the whole
+    /// build, and the `index.entities` / `index.nbytes` gauges set to the
+    /// totals over the shards.
+    ///
     /// # Panics
     /// Panics on an empty knowledge graph or `num_shards == 0`.
     pub fn build(
@@ -59,6 +64,10 @@ impl ShardedIndex {
     ) -> Self {
         assert!(num_shards > 0, "sharding into zero shards");
         assert!(kg.num_entities() > 0, "sharding an empty knowledge graph");
+        let span = emblookup_obs::Span::enter(names::INDEX_BUILD)
+            .field("entities", kg.num_entities() as u64)
+            .field("backend", compression.name())
+            .field("shards", num_shards as u64);
         // alias rows hash on the entity id, so they stay on their
         // entity's shard
         let (ids, vectors) = embed_rows(model, kg, threads);
@@ -69,7 +78,10 @@ impl ShardedIndex {
             let per_shard = fit_compression(compression, shard_ids.len());
             EntityIndex::from_vectors(shard_ids, shard_vecs, per_shard)
         });
-        ShardedIndex { shards }
+        let sharded = ShardedIndex { shards };
+        publish_size(sharded.len(), sharded.nbytes());
+        drop(span);
+        sharded
     }
 
     /// One shard holding everything: an already-built index served
@@ -100,6 +112,12 @@ impl ShardedIndex {
     /// True when no rows are indexed.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Byte size of the stored index: [`EntityIndex::nbytes`] summed over
+    /// the shards.
+    pub fn nbytes(&self) -> usize {
+        self.shards.iter().map(EntityIndex::nbytes).sum()
     }
 
     /// Searches every shard sequentially and merges: the reference

@@ -5,7 +5,7 @@
 //! One test function on purpose — the assertions read the process-global
 //! registry and the global subscriber, which parallel tests would share.
 
-use emblookup_core::{Compression, EmbLookup, EmbLookupConfig};
+use emblookup_core::{Compression, EmbLookup, EmbLookupConfig, ShardedIndex};
 use emblookup_kg::{generate, LookupService, SynthKgConfig};
 use emblookup_obs::{CollectingSubscriber, EventKind};
 use std::sync::Arc;
@@ -35,6 +35,9 @@ fn training_and_lookups_populate_the_registry() {
     let fused = Compression::HnswPq { m: 8, ef_search: 32, pq_m: 4, pq_ks: 16 };
     let reindexed = EmbLookup::from_model(el.model_arc(), &s.kg, fused);
     assert_eq!(reindexed.index().backend_name(), "hnswpq");
+    // ... and a third, in three shards: one index as far as the registry
+    // is concerned, its size the total over the shards
+    let sharded = ShardedIndex::build(el.model(), &s.kg, fused, 3, 1);
     emblookup_obs::clear_subscriber();
 
     // one structured event per training epoch, exactly
@@ -43,13 +46,14 @@ fn training_and_lookups_populate_the_registry() {
     for stage in ["train.total", "train.fasttext", "train.mining", "train.triplet"] {
         assert_eq!(sub.count(stage, EventKind::SpanEnd), 1, "stage {stage}");
     }
-    assert_eq!(sub.count("index.build", EventKind::SpanEnd), 2);
+    assert_eq!(sub.count("index.build", EventKind::SpanEnd), 3);
 
-    // the build says where its time goes: both builds embed the labels,
-    // only the fused one has a graph, codebooks and codes
-    assert_eq!(sub.count("index.build.embed", EventKind::SpanEnd), 2);
+    // the build says where its time goes: every build embeds the labels
+    // once, only the fused ones have a graph, codebooks and codes — the
+    // whole index one of each, the sharded one one of each per shard
+    assert_eq!(sub.count("index.build.embed", EventKind::SpanEnd), 3);
     for phase in ["index.build.graph", "index.build.quantizer", "index.build.encode"] {
-        assert_eq!(sub.count(phase, EventKind::SpanEnd), 1, "phase {phase}");
+        assert_eq!(sub.count(phase, EventKind::SpanEnd), 1 + 3, "phase {phase}");
     }
     // ... and fastText how many of its pairs took every dot first
     let events = sub.events();
@@ -69,7 +73,7 @@ fn training_and_lookups_populate_the_registry() {
     assert!(snap.counter("mining.triplets").unwrap_or(0) > 0);
 
     let build = snap.histogram("index.build").expect("index.build timed");
-    assert_eq!(build.count, 2);
+    assert_eq!(build.count, 3);
     assert!(build.max() > 0, "index build recorded a zero duration");
 
     let lat = snap.histogram("lookup.latency").expect("lookup latency histogram");
@@ -95,5 +99,10 @@ fn training_and_lookups_populate_the_registry() {
     // the tiny config indexes a flat backend: the ann counters must agree
     // (100 single lookups + 8 bulk queries)
     assert_eq!(snap.counter("ann.flat.searches"), Some(108));
+    // the gauges describe the index built last: the three shards together
     assert_eq!(snap.gauge("index.entities"), Some(s.kg.num_entities() as f64));
+    let shard_bytes: usize = (0..3).map(|shard| sharded.shard(shard).nbytes()).sum();
+    assert_eq!(sharded.nbytes(), shard_bytes);
+    assert_eq!(snap.gauge("index.nbytes"), Some(shard_bytes as f64));
+    assert_ne!(shard_bytes, reindexed.index().nbytes(), "three codebooks are not one");
 }

@@ -682,6 +682,10 @@ fn deadline_response(state: &ServerState, stage: Stage, clock: &DeadlineClock) -
 
 /// Appends candidates to `out` as a JSON array; scores are `-distance`
 /// for the embedding rungs and Jaccard similarity for the q-gram rung.
+/// The distance is what the answering index reports: exact squared L2
+/// from the flat rung (and a flat or plain-HNSW full rung), an estimate
+/// of it from a compressed full rung — ADC under PQ, the 8-bit re-rank
+/// store's under HnswPq (bound at `HnswPqIndex::search`).
 fn push_results(
     state: &ServerState,
     out: &mut String,

@@ -7,7 +7,7 @@
 //! and 4 — the global pool the scatter fans out on — so everything
 //! asserted here must be width-independent.
 
-use emblookup_core::{EmbLookup, EmbLookupConfig, EmbLookupModel};
+use emblookup_core::{Compression, EmbLookup, EmbLookupConfig, EmbLookupModel};
 use emblookup_kg::{generate, EntityId, KnowledgeGraph, SynthKgConfig};
 use emblookup_obs::{names, MetricsRegistry};
 use emblookup_serve::{client, FaultConfig, ServeConfig, Server, StageFaults};
@@ -117,6 +117,24 @@ fn keep_alive_connection_serves_many_requests() {
 /// The breaker walk: panics eject one shard (responses degrade to
 /// partial, never fail), the cooldown admits a half-open probe, and a
 /// healthy probe re-admits the shard.
+#[test]
+fn sharded_server_publishes_the_size_of_the_index_it_searches() {
+    // At `shards = 2` the server drops the index it is handed — PQ here —
+    // and builds its shards with the model's own compression, flat. The
+    // gauges are process-global, but every other server of this binary
+    // indexes the same graph flat, so whatever writes them meanwhile
+    // writes these same totals.
+    let (model, kg) = shared_model();
+    let front = EmbLookup::from_model(Arc::clone(model), kg, Compression::Pq { m: 4, ks: 16 });
+    let flat_bytes = kg.num_entities() * model.dim() * std::mem::size_of::<f32>();
+    assert!(front.index().nbytes() < flat_bytes / 2);
+    let _server = Server::start(front, kg, ServeConfig { workers: 1, shards: 2, ..ServeConfig::default() })
+        .expect("server must start");
+    let snap = emblookup_obs::global().snapshot();
+    assert_eq!(snap.gauge(names::INDEX_NBYTES), Some(flat_bytes as f64));
+    assert_eq!(snap.gauge(names::INDEX_ENTITIES), Some(kg.num_entities() as f64));
+}
+
 #[test]
 fn breaker_ejects_shard_then_readmits_after_probe() {
     let (server, registry) = start(ServeConfig {
