@@ -1,10 +1,11 @@
-//! Runtime-dispatched SIMD distance kernels — the single home for every
-//! hot distance loop in the workspace (all ANN backends plus, via
-//! `emblookup-tensor`, the blocked-matmul inner product).
+//! Runtime-dispatched SIMD kernels — the single home for every hot loop
+//! in the workspace: the distance kernels of all ANN backends and, via
+//! `emblookup-tensor`, the blocked-matmul inner product and the encoder's
+//! dense convolutions and matrix-vector products.
 //!
 //! # Dispatch
 //!
-//! The first distance call resolves a kernel *variant* once per process
+//! The first kernel call resolves a kernel *variant* once per process
 //! and caches it in a [`Flag`]:
 //!
 //! | variant    | when                                                        |
@@ -16,26 +17,41 @@
 //! `EMBLOOKUP_KERNEL=scalar|auto` is resolved once, mirroring how
 //! `EMBLOOKUP_THREADS` pins the pool width; any value other than
 //! `scalar` means auto-detect. [`active`] reports the resolved name so
-//! benchmarks can record it next to their numbers.
+//! benchmarks can record it next to their numbers. A kernel without a
+//! body for the resolved variant runs its [`scalar`] arm (`neon` has
+//! bodies for `sq_l2`, `dot` and `sq_l2_block` only).
 //!
 //! # Determinism contract
 //!
 //! For a *fixed* variant, every kernel is a pure function of its inputs:
 //! results are bit-identical across calls, threads, and pool widths.
-//! Scalar and SIMD variants of `sq_l2`/`dot` (and of the crate's own
-//! `sq8_l2_gather`) may differ in float rounding (different add order,
-//! FMA contraction); tests bound the divergence at 1e-5 relative error.
-//! The ADC kernels are stricter: [`adc`] sums in ascending sub-quantizer
-//! order in every variant, and [`adc_block`] (contiguous codes) and
-//! [`adc_gather`] (codes picked by id) accumulate each lane in that same
-//! order, so batched and per-code ADC agree **bit-exactly** under every
-//! variant.
+//! Between variants there are three tiers:
+//!
+//! * **Rounding may differ** — `sq_l2`/`dot` (and the crate's own
+//!   `sq8_l2_gather`): scalar and SIMD arms add in different orders and
+//!   contract to FMA differently; tests bound the divergence at 1e-5
+//!   relative error.
+//! * **Bit-equal to the same variant's per-item kernel** —
+//!   [`sq_l2_block`]: `out[i]` is that variant's `sq_l2(query, row i)`
+//!   to the bit. The AVX2 arm's eight-row body at `query.len() == 8`
+//!   keeps this by reducing its eight registers in the per-row
+//!   horizontal sum's own addition tree.
+//! * **Bit-exact under every variant** — a lane *is* an output element
+//!   and adds into it in the scalar loop's order, with no FMA: [`adc`]
+//!   sums in ascending sub-quantizer order and [`adc_block`] (contiguous
+//!   codes) and [`adc_gather`] (codes picked by id) accumulate each lane
+//!   in that same order, so batched and per-code ADC agree exactly; and
+//!   [`conv1d_plane`] and [`gemv_bias`] — the encoder's arithmetic — are
+//!   bit-exact against `scalar::conv1d_plane` / `scalar::gemv_bias`, so an
+//!   embedding does not depend on `EMBLOOKUP_KERNEL` and no index has to
+//!   be rebuilt when the variant changes.
 //!
 //! # Preconditions
 //!
 //! The block kernels read through raw pointers: the lengths that keep
 //! those reads in bounds are `assert!`ed in the safe dispatcher, once per
-//! *block* call, in release builds too. "Every code byte is `< ks`" holds
+//! *block* call, in release builds too (with `checked_mul` where a
+//! product of lengths could wrap). "Every code byte is `< ks`" holds
 //! by construction at `ks >= 256`; a smaller `ks` takes the checked
 //! scalar arm.
 //!
@@ -46,7 +62,9 @@
 //! detection arm in `detect()`, and a dispatch arm in each public
 //! wrapper. Every `unsafe` token needs an `// lint: allow(L002)`
 //! justification naming the dispatch-time feature check that makes it
-//! sound.
+//! sound. Keep the loop over a block *inside* the feature boundary and
+//! its accumulators in registers across it: a call into a
+//! `#[target_feature]` function cannot inline into its safe dispatcher.
 // lint: hot-path
 
 use emblookup_obs::sync::Flag;
@@ -262,6 +280,60 @@ pub(crate) fn sq8_l2_gather(shifted: &[f32], step: &[f32], codes: &[u8], ids: &[
     scalar::sq8_l2_gather(shifted, step, codes, ids, out);
 }
 
+/// One dense "same"-padded 1-D convolution layer over padded planes — the
+/// encoder's dense layers (`emblookup-tensor`'s `conv1d_rows`). A plane is
+/// `[C][l + k - 1]` row-major, each row `k / 2` zeros, its `l` samples,
+/// `k / 2` zeros; `x` holds `C_in` rows, `y` `b.len()` rows, `w` is
+/// `[C_out][C_in][k]`. Every sample of `y` is overwritten with
+/// `b[co] + Σ w[co][ci][kk] · x[ci][t + kk]`, the terms added one by one
+/// in lexicographic `(ci, kk)` order, each product rounded before its add
+/// (no FMA); `y`'s halo is not touched. **Bit-exact against
+/// `scalar::conv1d_plane` under every variant**: the SIMD arm gives every
+/// output sample a lane of its own and adds into it in that same order.
+///
+/// # Panics
+/// Panics if `k` is even, `l` is zero (or `l + k` overflows), `x` or `y` is
+/// not a whole number of `l + k - 1`-float rows, `y` does not have
+/// `b.len()` rows, or `w` is not `b.len() * C_in * k` long.
+#[inline]
+pub fn conv1d_plane(x: &[f32], w: &[f32], b: &[f32], y: &mut [f32], k: usize, l: usize) {
+    assert!(k % 2 == 1 && (1..=usize::MAX - k).contains(&l), "conv1d_plane: k must be odd and l in 1..=usize::MAX - k");
+    let stride = l + k - 1;
+    assert!(x.len().is_multiple_of(stride), "conv1d_plane: x is not [C_in][l + k - 1]");
+    assert!(b.len().checked_mul(stride) == Some(y.len()), "conv1d_plane: y is not [b.len()][l + k - 1]");
+    let taps = (x.len() / stride).checked_mul(k).and_then(|t| t.checked_mul(b.len()));
+    assert!(taps == Some(w.len()), "conv1d_plane: w is not [C_out][C_in][k]");
+    #[cfg(target_arch = "x86_64")]
+    if variant() == V_AVX2 {
+        // lint: allow(L002) gated by dispatch (V_AVX2 is published only after is_x86_feature_detected verified avx2+fma) and by the asserts above: x, y and w hold whole [C_in], [b.len()] and [b.len()][C_in] blocks of l + k - 1 and k floats
+        return unsafe { x86::conv1d_plane_avx2(x, w, b, y, k, l) };
+    }
+    scalar::conv1d_plane(x, w, b, y, k, l);
+}
+
+/// Row-vector times matrix plus bias, `y = x W + bias` with `W` `[x.len()]
+/// [y.len()]` row-major — the encoder's two fully-connected layers
+/// (`emblookup-tensor`'s `Linear::infer_into`). Every output starts from
+/// zero and takes `x[i] · W[i][j]` input by input in ascending `i`, inputs
+/// that are exactly zero (either sign) skipped, each product rounded
+/// before its add (no FMA), the bias last. **Bit-exact against
+/// `scalar::gemv_bias` under every variant**: the SIMD arm gives every
+/// output a lane of its own and adds into it in that same order.
+///
+/// # Panics
+/// Panics unless `w.len() == x.len() * y.len()` and `bias.len() == y.len()`.
+#[inline]
+pub fn gemv_bias(x: &[f32], w: &[f32], bias: &[f32], y: &mut [f32]) {
+    assert!(x.len().checked_mul(y.len()) == Some(w.len()), "gemv_bias: w is not [x.len()][y.len()]");
+    assert!(bias.len() == y.len(), "gemv_bias: bias is not as long as y");
+    #[cfg(target_arch = "x86_64")]
+    if variant() == V_AVX2 {
+        // lint: allow(L002) gated by dispatch (V_AVX2 is published only after is_x86_feature_detected verified avx2+fma) and by the asserts above: w holds x.len() rows of y.len() floats and bias y.len()
+        return unsafe { x86::gemv_bias_avx2(x, w, bias, y) };
+    }
+    scalar::gemv_bias(x, w, bias, y);
+}
+
 /// Unrolled scalar reference kernels — the fallback variant and the
 /// ground truth the SIMD paths are tested against. Four independent
 /// accumulators break the serial float dependency chain (the compiler
@@ -367,6 +439,53 @@ pub mod scalar {
                 s[j % 4] += d * d;
             }
             *o = (s[0] + s[1]) + (s[2] + s[3]);
+        }
+    }
+
+    /// Dense conv layer over padded planes (reference, and the arm of
+    /// every variant without a SIMD body): bias first, then `(ci, kk)` in
+    /// lexicographic order, multiply then add — the order of
+    /// `emblookup-tensor`'s `conv1d_forward`, whose skipped terms
+    /// (out-of-range taps, empty channels, zero weights) appear here as
+    /// `+ w·0`, which changes no finite sum.
+    #[inline]
+    pub(crate) fn conv1d_plane(x: &[f32], w: &[f32], b: &[f32], y: &mut [f32], k: usize, l: usize) {
+        let (stride, pad) = (l + k - 1, k / 2);
+        let c_in = x.len() / stride;
+        for (co, (yrow, &bias)) in y.chunks_exact_mut(stride).zip(b).enumerate() {
+            let orow = &mut yrow[pad..pad + l];
+            orow.fill(bias);
+            let taps = &w[co * c_in * k..(co + 1) * c_in * k];
+            for (xrow, wrow) in x.chunks_exact(stride).zip(taps.chunks_exact(k)) {
+                for (kk, &wv) in wrow.iter().enumerate() {
+                    for (o, &xv) in orow.iter_mut().zip(&xrow[kk..kk + l]) {
+                        *o += wv * xv;
+                    }
+                }
+            }
+        }
+    }
+
+    /// `y = x W + bias` (reference): from zero, input by input with zero
+    /// inputs skipped, the bias last — the order of the row-vector
+    /// `Tensor::matmul`.
+    #[inline]
+    pub(crate) fn gemv_bias(x: &[f32], w: &[f32], bias: &[f32], y: &mut [f32]) {
+        y.fill(0.0);
+        if y.is_empty() {
+            return;
+        }
+        for (&a, wrow) in x.iter().zip(w.chunks_exact(y.len())) {
+            // lint: allow(L007) exact-zero sparsity skip, as in `matmul`: ReLU leaves many inputs exactly zero
+            if a == 0.0 {
+                continue;
+            }
+            for (o, &wv) in y.iter_mut().zip(wrow) {
+                *o += a * wv;
+            }
+        }
+        for (o, &b) in y.iter_mut().zip(bias) {
+            *o += b;
         }
     }
 }
@@ -562,7 +681,11 @@ mod x86 {
     }
 
     /// Block squared-L2: the row loop lives inside the feature boundary
-    /// so the per-row kernel inlines into it.
+    /// so the per-row kernel inlines into it. At `query.len() == 8` — one
+    /// register per row: the ADC table build, PQ encoding and k-means
+    /// assignment at the paper's `dsub` — rows go eight at a time through
+    /// [`hsum8x256`], whose lane `r` is `hsum256` of row `r`'s register to
+    /// the bit, so every slot still equals [`sq_l2_avx2`] of its row.
     ///
     /// # Safety
     /// Requires AVX2+FMA; called only when `variant() == V_AVX2`. Caller
@@ -571,8 +694,225 @@ mod x86 {
     // lint: allow(L002) sound under dispatch: V_AVX2 is published only after runtime avx2+fma detection
     pub unsafe fn sq_l2_block_avx2(query: &[f32], rows: &[f32], out: &mut [f32]) {
         let dim = query.len();
-        for (i, o) in out.iter_mut().enumerate() {
+        let mut i = 0;
+        if dim == 8 {
+            let q = _mm256_loadu_ps(query.as_ptr());
+            let (rp, op) = (rows.as_ptr(), out.as_mut_ptr());
+            // what `sq_l2_avx2` hands `hsum256` for an 8-float row: d² fused onto zero
+            let sq = |r: usize| {
+                let d = _mm256_sub_ps(q, _mm256_loadu_ps(rp.add(r * 8)));
+                _mm256_fmadd_ps(d, d, _mm256_setzero_ps())
+            };
+            while i + 8 <= out.len() {
+                let v = [sq(i), sq(i + 1), sq(i + 2), sq(i + 3), sq(i + 4), sq(i + 5), sq(i + 6), sq(i + 7)];
+                _mm256_storeu_ps(op.add(i), hsum8x256(v));
+                i += 8;
+            }
+        }
+        for (i, o) in out.iter_mut().enumerate().skip(i) {
             *o = sq_l2_avx2(query, rows.get_unchecked(i * dim..(i + 1) * dim));
+        }
+    }
+
+    /// Eight [`hsum256`]s at once: lane `r` of the result is the
+    /// horizontal sum of `v[r]`, added in `hsum256`'s own tree — `lo + hi`,
+    /// then elements `0 + 2` and `1 + 3`, then `0 + 1` — so it is
+    /// bit-equal to `hsum256(v[r])`. Rows `r` and `r + 4` share a register
+    /// from the first step on, which is what leaves the sums in lane order:
+    /// 14 shuffles and 7 adds where eight `hsum256`s pay 24 and 24.
+    ///
+    /// # Safety
+    /// Requires AVX2 (guaranteed by the caller's dispatch check).
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    // lint: allow(L002) target_feature helper, reached only from dispatch-gated kernels in this module
+    unsafe fn hsum8x256(v: [__m256; 8]) -> __m256 {
+        // [lo(a) + hi(a) | lo(b) + hi(b)]
+        let fold = |a: __m256, b: __m256| {
+            _mm256_add_ps(_mm256_permute2f128_ps(a, b, 0x20), _mm256_permute2f128_ps(a, b, 0x31))
+        };
+        // per 128-bit half [a0 + a2, a1 + a3, b0 + b2, b1 + b3]
+        let pairs = |a: __m256, b: __m256| {
+            _mm256_add_ps(_mm256_shuffle_ps(a, b, 0b01_00_01_00), _mm256_shuffle_ps(a, b, 0b11_10_11_10))
+        };
+        let p04_15 = pairs(fold(v[0], v[4]), fold(v[1], v[5]));
+        let p26_37 = pairs(fold(v[2], v[6]), fold(v[3], v[7]));
+        // per half [a0 + a1, a2 + a3, b0 + b1, b2 + b3]: rows 0..4 | rows 4..8
+        _mm256_add_ps(
+            _mm256_shuffle_ps(p04_15, p26_37, 0b10_00_10_00),
+            _mm256_shuffle_ps(p04_15, p26_37, 0b11_01_11_01),
+        )
+    }
+
+    /// `CH` output channels × `V` vectors of eight samples of one conv
+    /// layer: the `CH * V` accumulators start at the bias and stay in
+    /// registers across every `(ci, kk)` tap, each `x` vector loaded once
+    /// for all `CH` channels; `acc + w·x` unfused, one lane per sample.
+    ///
+    /// # Safety
+    /// Requires AVX2. `x` points at sample `t` of input row 0 (tap 0),
+    /// `w` / `b` at the first of the `CH` channels' taps / biases, `y` at
+    /// sample `t` of its output row; rows are `stride` floats apart, a
+    /// channel's taps `c_in * k`, and `8 * V` samples from `t` exist.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    // lint: allow(L002) target_feature helper, reached only from dispatch-gated kernels in this module
+    unsafe fn conv_tile_avx2<const CH: usize, const V: usize>(
+        x: *const f32,
+        w: *const f32,
+        b: *const f32,
+        y: *mut f32,
+        (c_in, k, stride): (usize, usize, usize),
+    ) {
+        let mut acc = [[_mm256_setzero_ps(); V]; CH];
+        for (c, a) in acc.iter_mut().enumerate() {
+            *a = [_mm256_set1_ps(*b.add(c)); V];
+        }
+        for ci in 0..c_in {
+            for kk in 0..k {
+                let mut xv = [_mm256_setzero_ps(); V];
+                for (v, xv) in xv.iter_mut().enumerate() {
+                    *xv = _mm256_loadu_ps(x.add(ci * stride + kk + 8 * v));
+                }
+                for (c, a) in acc.iter_mut().enumerate() {
+                    let wv = _mm256_set1_ps(*w.add((c * c_in + ci) * k + kk));
+                    for (a, &xv) in a.iter_mut().zip(&xv) {
+                        *a = _mm256_add_ps(*a, _mm256_mul_ps(wv, xv));
+                    }
+                }
+            }
+        }
+        for (c, a) in acc.iter().enumerate() {
+            for (v, &a) in a.iter().enumerate() {
+                _mm256_storeu_ps(y.add(c * stride + 8 * v), a);
+            }
+        }
+    }
+
+    /// `CH` output channels of one conv layer, all `l` samples: tiles of
+    /// 32, then of 8, then one sample at a time in the same order.
+    ///
+    /// # Safety
+    /// Requires AVX2. `x` is the input plane, `w` / `b` / `y` point at the
+    /// first of the `CH` channels' taps / bias / padded output row.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    // lint: allow(L002) target_feature helper, reached only from dispatch-gated kernels in this module
+    unsafe fn conv_channels_avx2<const CH: usize>(
+        x: *const f32,
+        w: *const f32,
+        b: *const f32,
+        y: *mut f32,
+        (c_in, k, l): (usize, usize, usize),
+    ) {
+        let stride = l + k - 1;
+        let y = y.add(k / 2);
+        let mut t = 0;
+        while t + 32 <= l {
+            conv_tile_avx2::<CH, 4>(x.add(t), w, b, y.add(t), (c_in, k, stride));
+            t += 32;
+        }
+        while t + 8 <= l {
+            conv_tile_avx2::<CH, 1>(x.add(t), w, b, y.add(t), (c_in, k, stride));
+            t += 8;
+        }
+        while t < l {
+            for c in 0..CH {
+                let mut s = *b.add(c);
+                for ci in 0..c_in {
+                    for kk in 0..k {
+                        s += *w.add((c * c_in + ci) * k + kk) * *x.add(ci * stride + t + kk);
+                    }
+                }
+                *y.add(c * stride + t) = s;
+            }
+            t += 1;
+        }
+    }
+
+    /// Dense conv layer over padded planes, the whole layer inside the
+    /// feature boundary: output channels two at a time (eight accumulators
+    /// per 32-sample tile), a single-channel pass for an odd `C_out`.
+    ///
+    /// # Safety
+    /// Requires AVX2; called only when `variant() == V_AVX2`. Caller
+    /// guarantees `k` odd, `x.len() == C_in * (l + k - 1)`,
+    /// `y.len() == b.len() * (l + k - 1)` and `w.len() == b.len() * C_in * k`.
+    #[target_feature(enable = "avx2")]
+    // lint: allow(L002) sound under dispatch: V_AVX2 is published only after runtime avx2+fma detection
+    pub unsafe fn conv1d_plane_avx2(x: &[f32], w: &[f32], b: &[f32], y: &mut [f32], k: usize, l: usize) {
+        let stride = l + k - 1;
+        let (c_in, c_out) = (x.len() / stride, b.len());
+        let (xp, wp, bp, yp) = (x.as_ptr(), w.as_ptr(), b.as_ptr(), y.as_mut_ptr());
+        let mut co = 0;
+        while co + 2 <= c_out {
+            conv_channels_avx2::<2>(xp, wp.add(co * c_in * k), bp.add(co), yp.add(co * stride), (c_in, k, l));
+            co += 2;
+        }
+        if co < c_out {
+            conv_channels_avx2::<1>(xp, wp.add(co * c_in * k), bp.add(co), yp.add(co * stride), (c_in, k, l));
+        }
+    }
+
+    /// `V` vectors of eight outputs of `y = x W + bias` from column `j`:
+    /// the accumulators start at zero and stay in registers across the
+    /// inputs, zero inputs skipped, `acc + x·w` unfused, the bias last.
+    ///
+    /// # Safety
+    /// Requires AVX2. `w` holds `x.len()` rows of `n` floats, `bias` and
+    /// `y` `n` floats, and `j + 8 * V <= n`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    // lint: allow(L002) target_feature helper, reached only from dispatch-gated kernels in this module
+    unsafe fn gemv_cols_avx2<const V: usize>(x: &[f32], w: *const f32, bias: *const f32, y: *mut f32, n: usize, j: usize) {
+        let mut acc = [_mm256_setzero_ps(); V];
+        for (i, &a) in x.iter().enumerate() {
+            // lint: allow(L007) exact-zero sparsity skip, as in `scalar::gemv_bias`
+            if a == 0.0 {
+                continue;
+            }
+            let av = _mm256_set1_ps(a);
+            for (v, acc) in acc.iter_mut().enumerate() {
+                *acc = _mm256_add_ps(*acc, _mm256_mul_ps(av, _mm256_loadu_ps(w.add(i * n + j + 8 * v))));
+            }
+        }
+        for (v, &acc) in acc.iter().enumerate() {
+            _mm256_storeu_ps(y.add(j + 8 * v), _mm256_add_ps(acc, _mm256_loadu_ps(bias.add(j + 8 * v))));
+        }
+    }
+
+    /// `y = x W + bias` in column blocks of 64 outputs (eight
+    /// accumulators), then of 8, then one output at a time in the same
+    /// order.
+    ///
+    /// # Safety
+    /// Requires AVX2; called only when `variant() == V_AVX2`. Caller
+    /// guarantees `w.len() == x.len() * y.len()` and
+    /// `bias.len() == y.len()`.
+    #[target_feature(enable = "avx2")]
+    // lint: allow(L002) sound under dispatch: V_AVX2 is published only after runtime avx2+fma detection
+    pub unsafe fn gemv_bias_avx2(x: &[f32], w: &[f32], bias: &[f32], y: &mut [f32]) {
+        let n = y.len();
+        let (wp, bp, yp) = (w.as_ptr(), bias.as_ptr(), y.as_mut_ptr());
+        let mut j = 0;
+        while j + 64 <= n {
+            gemv_cols_avx2::<8>(x, wp, bp, yp, n, j);
+            j += 64;
+        }
+        while j + 8 <= n {
+            gemv_cols_avx2::<1>(x, wp, bp, yp, n, j);
+            j += 8;
+        }
+        while j < n {
+            let mut s = 0.0f32;
+            for (i, &a) in x.iter().enumerate() {
+                // lint: allow(L007) exact-zero sparsity skip, as in `scalar::gemv_bias`
+                if a != 0.0 {
+                    s += a * *wp.add(i * n + j);
+                }
+            }
+            *yp.add(j) = s + *bp.add(j);
+            j += 1;
         }
     }
 
@@ -923,12 +1263,15 @@ mod tests {
         // a multi-row kernel that rounds differently has to break this
         // test, not a codebook: k-means and PQ encoding assign through the
         // block form what they used to assign through the per-row form.
-        // Dims 7, 8 and 64, and the dsub = 8 codebook shape (256 rows).
+        // Dims 7, 8 and 64, and at dim 8 — where the AVX2 arm reduces eight
+        // rows together — every count around a multiple of eight up to the
+        // dsub = 8 codebook shape (256 rows) and one past it.
         let mut rng = StdRng::seed_from_u64(19);
-        for &(dim, n) in &[(7usize, 9usize), (8, 9), (64, 9), (8, 256)] {
+        let dim8 = [0usize, 1, 7, 8, 9, 255, 256, 257].map(|n| (8usize, n));
+        for &(dim, n) in [(7usize, 9usize), (64, 9)].iter().chain(&dim8) {
             let q = random_vec(dim, &mut rng);
             let rows = random_vec(n * dim, &mut rng);
-            let mut out = vec![0.0f32; n];
+            let mut out = vec![f32::NAN; n];
             sq_l2_block(&q, &rows, &mut out);
             for i in 0..n {
                 let row = &rows[i * dim..(i + 1) * dim];
@@ -938,6 +1281,135 @@ mod tests {
                 assert_eq!(sq_l2(&q, row).to_bits(), sq_l2(row, &q).to_bits(), "dim {dim} row {i}: asymmetric");
             }
         }
+    }
+
+    /// `[C][l]` samples as a padded plane.
+    fn to_plane(samples: &[f32], k: usize, l: usize) -> Vec<f32> {
+        let mut plane = vec![0.0f32; samples.len() / l * (l + k - 1)];
+        for (prow, srow) in plane.chunks_exact_mut(l + k - 1).zip(samples.chunks_exact(l)) {
+            prow[k / 2..][..l].copy_from_slice(srow);
+        }
+        plane
+    }
+
+    /// Equal bits, or both NaN: which operand's payload a NaN keeps is
+    /// the one thing an arm may choose.
+    fn assert_same(got: f32, want: f32, what: &str) {
+        assert!(got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()), "{what}: {got} != {want}");
+    }
+
+    #[test]
+    fn conv1d_plane_is_bit_exact_against_the_scalar_arm() {
+        // every tile tail (l), channel tail (c_out) and width (k); inputs
+        // as after a ReLU — exact zeros, one empty channel — with a -0.0
+        // bias, and once per shape with ±inf and NaN samples
+        let mut rng = StdRng::seed_from_u64(29);
+        for &l in &[1usize, 5, 8, 31, 32, 33, 40, 64] {
+            for &c_in in &[1usize, 3, 8, 9] {
+                for &c_out in &[1usize, 2, 3, 8] {
+                    for &k in &[1usize, 3, 5] {
+                        for special in [false, true] {
+                            let mut samples: Vec<f32> = random_vec(c_in * l, &mut rng).iter().map(|v| v.max(0.0)).collect();
+                            samples[..l].fill(0.0);
+                            if special {
+                                for v in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+                                    let at = rng.gen_range(0..samples.len());
+                                    samples[at] = v;
+                                }
+                            }
+                            let x = to_plane(&samples, k, l);
+                            let w = random_vec(c_out * c_in * k, &mut rng);
+                            let mut b = random_vec(c_out, &mut rng);
+                            b[0] = -0.0;
+                            // dirty between the halos, which must stay zero
+                            let mut got = to_plane(&vec![f32::NAN; c_out * l], k, l);
+                            let mut want = got.clone();
+                            conv1d_plane(&x, &w, &b, &mut got, k, l);
+                            scalar::conv1d_plane(&x, &w, &b, &mut want, k, l);
+                            let what = format!("l {l} c_in {c_in} c_out {c_out} k {k} special {special}");
+                            for (row, wrow) in got.chunks_exact(l + k - 1).zip(want.chunks_exact(l + k - 1)) {
+                                let mut halo = row[..k / 2].iter().chain(&row[k / 2 + l..]);
+                                assert!(halo.all(|v| v.to_bits() == 0), "{what}: halo written");
+                                for (&g, &w) in row.iter().zip(wrow) {
+                                    assert_same(g, w, &what);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gemv_bias_is_bit_exact_against_the_scalar_arm() {
+        // every column-block tail (n); inputs with the skipped zeros of
+        // either sign, and once per shape with a NaN input
+        let mut rng = StdRng::seed_from_u64(31);
+        for &n in &[1usize, 7, 8, 63, 64, 65, 128, 136] {
+            for &n_in in &[1usize, 13, 96] {
+                for special in [false, true] {
+                    let mut x: Vec<f32> = random_vec(n_in, &mut rng).iter().map(|v| v.max(0.0)).collect();
+                    x[0] = -0.0;
+                    if special {
+                        x[n_in / 2] = f32::NAN;
+                    }
+                    // an infinite weight on a skipped input must stay unread
+                    let mut w = random_vec(n_in * n, &mut rng);
+                    w[0] = f32::INFINITY;
+                    let bias = random_vec(n, &mut rng);
+                    let (mut got, mut want) = (vec![f32::NAN; n], vec![f32::NAN; n]);
+                    gemv_bias(&x, &w, &bias, &mut got);
+                    scalar::gemv_bias(&x, &w, &bias, &mut want);
+                    for (&g, &w) in got.iter().zip(&want) {
+                        assert_same(g, w, &format!("n {n} in {n_in} special {special}"));
+                    }
+                    assert!(special || got.iter().all(|v| v.is_finite()));
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "conv1d_plane: x is not")]
+    fn conv1d_plane_rejects_a_short_input_plane() {
+        conv1d_plane(&[0.0; 2 * 10 - 1], &[0.0; 2 * 2 * 3], &[0.0; 2], &mut [0.0; 2 * 10], 3, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "conv1d_plane: y is not")]
+    fn conv1d_plane_rejects_a_short_output_plane() {
+        conv1d_plane(&[0.0; 2 * 10], &[0.0; 2 * 2 * 3], &[0.0; 2], &mut [0.0; 2 * 10 - 1], 3, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "conv1d_plane: y is not")]
+    fn conv1d_plane_rejects_a_short_bias() {
+        conv1d_plane(&[0.0; 2 * 10], &[0.0; 2 * 2 * 3], &[0.0; 1], &mut [0.0; 2 * 10], 3, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "conv1d_plane: k must be odd")]
+    fn conv1d_plane_rejects_an_even_kernel() {
+        conv1d_plane(&[0.0; 2 * 9], &[0.0; 2 * 2 * 2], &[0.0; 2], &mut [0.0; 2 * 9], 2, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "conv1d_plane: w is not")]
+    fn conv1d_plane_rejects_weights_of_another_shape() {
+        conv1d_plane(&[0.0; 2 * 10], &[0.0; 2 * 3 * 3], &[0.0; 2], &mut [0.0; 2 * 10], 3, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "gemv_bias: w is not")]
+    fn gemv_bias_rejects_weights_of_another_shape() {
+        gemv_bias(&[0.0; 13], &[0.0; 13 * 64 - 1], &[0.0; 64], &mut [0.0; 64]);
+    }
+
+    #[test]
+    #[should_panic(expected = "gemv_bias: bias is not")]
+    fn gemv_bias_rejects_a_short_bias() {
+        gemv_bias(&[0.0; 13], &[0.0; 13 * 64], &[0.0; 63], &mut [0.0; 64]);
     }
 
     #[test]

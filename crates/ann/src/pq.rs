@@ -283,9 +283,7 @@ impl PqIndex {
             for chunk in self.codes.chunks(256 * m) {
                 let cn = chunk.len() / m;
                 kernels::adc_block(&table, ks, m, chunk, &mut dists[..cn]);
-                for (l, &dl) in dists[..cn].iter().enumerate() {
-                    tk.push(i + l, dl);
-                }
+                tk.offer_block(i, &dists[..cn]);
                 i += cn;
             }
         });

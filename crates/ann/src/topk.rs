@@ -53,6 +53,22 @@ impl TopK {
         }
     }
 
+    /// [`TopK::push`] for `dists[l]` under index `base + l`, in order:
+    /// the same hits in the same order, but the bar a candidate has to
+    /// beat sits in a local across the block and is re-read only after a
+    /// push — a scan that offers every code of an index spends more on
+    /// the calls it loses than on the few it wins.
+    pub(crate) fn offer_block(&mut self, base: usize, dists: &[f32]) {
+        let mut threshold = self.threshold();
+        for (l, &dist) in dists.iter().enumerate() {
+            // a collector that is not full takes anything, NaN included
+            if dist < threshold || self.heap.len() < self.k {
+                self.push(base + l, dist);
+                threshold = self.threshold();
+            }
+        }
+    }
+
     /// Number of candidates currently held.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -138,6 +154,26 @@ mod tests {
         assert_eq!(tk.threshold(), 3.0);
         tk.push(2, 0.5);
         assert_eq!(tk.threshold(), 1.0);
+    }
+
+    #[test]
+    fn offer_block_equals_one_push_per_distance() {
+        // 600 distances in blocks of 256 as `PqIndex::search` offers them:
+        // ties inside and across blocks, a NaN and an infinity among the
+        // first k (taken while the collector fills) and later (never)
+        let mut dists: Vec<f32> = (0..600).map(|i| ((i * 37) % 101) as f32 * 0.5).collect();
+        (dists[3], dists[7], dists[300], dists[301]) = (f32::NAN, f32::INFINITY, f32::NAN, f32::INFINITY);
+        for k in [1, 5, 10, 600] {
+            let (mut pushed, mut offered) = (TopK::new(k), TopK::new(k));
+            for (i, &d) in dists.iter().enumerate() {
+                pushed.push(i, d);
+            }
+            for (b, block) in dists.chunks(256).enumerate() {
+                offered.offer_block(b * 256, block);
+            }
+            let hits = |tk: TopK| tk.into_sorted().iter().map(|h| (h.index, h.dist.to_bits())).collect::<Vec<_>>();
+            assert_eq!(hits(offered), hits(pushed), "k {k}");
+        }
     }
 
     #[test]

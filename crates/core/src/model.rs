@@ -419,6 +419,26 @@ mod tests {
         }
     }
 
+    /// FNV-1a over the bits of every embedding `paper_model(false)` gives
+    /// `differential_corpus`, in order. The test above compares two paths
+    /// inside one process, which resolves one kernel variant; this
+    /// constant is what the `EMBLOOKUP_KERNEL=scalar` and `auto` runs of
+    /// the gate must both arrive at — the cross-process proof that an
+    /// embedding does not depend on the variant.
+    const PAPER_MODEL_EMBEDDINGS_FNV1A: u64 = 0xa8e1_1112_303a_1297;
+
+    #[test]
+    fn embeddings_hash_to_the_golden_value_under_every_kernel_variant() {
+        let model = paper_model(false);
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for s in differential_corpus() {
+            for byte in model.embed(&s).iter().flat_map(|v| v.to_bits().to_le_bytes()) {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(hash, PAPER_MODEL_EMBEDDINGS_FNV1A, "got {hash:#018x}");
+    }
+
     #[test]
     fn embed_has_configured_dim_and_is_finite() {
         let m = tiny_model();

@@ -5,7 +5,7 @@ use crate::config::{Compression, EmbLookupConfig};
 use crate::errors::TrainError;
 use crate::index::EntityIndex;
 use crate::mining::{mine_triplets, MiningConfig};
-use crate::model::EmbLookupModel;
+use crate::model::{EmbLookupModel, EmbedScratch};
 use crate::trainer::{train, TrainReport};
 use emblookup_ann::VectorSet;
 use emblookup_embed::{Corpus, FastText, FastTextConfig};
@@ -31,6 +31,16 @@ pub struct EmbLookup {
     /// `lookup.latency.<scope>.bulk` under a metrics scope).
     bulk_query_hist: Arc<Histogram>,
     bulk_queries: Arc<emblookup_obs::Counter>,
+}
+
+std::thread_local! {
+    /// The encoder's working memory and the embedding of the query this
+    /// thread is looking up. [`EmbLookup::with_embedding`] takes the pair
+    /// out for the call and puts it back after the search, so a lookup
+    /// that begins on this thread while another is under way finds an
+    /// empty pair and sizes its own; both are rewritten per query, so
+    /// reuse cannot affect results.
+    static QUERY: std::cell::RefCell<(EmbedScratch, Vec<f32>)> = std::cell::RefCell::default();
 }
 
 impl EmbLookup {
@@ -170,14 +180,24 @@ impl EmbLookup {
         &self.report
     }
 
+    /// Runs `search` on `q`'s embedding, computed in this thread's
+    /// [`QUERY`] pair.
+    fn with_embedding<R>(&self, q: &str, search: impl FnOnce(&[f32]) -> R) -> R {
+        let (mut scratch, mut emb) = QUERY.take();
+        emb.resize(self.model.dim(), 0.0);
+        self.model.embed_into(q, &mut scratch, &mut emb);
+        let found = search(&emb);
+        QUERY.set((scratch, emb));
+        found
+    }
+
     /// Embeds a query and returns the `k` nearest entities with distances.
     ///
     /// Latency (embed + ANN search) is recorded with one atomic histogram
     /// update; no lock is held across the search.
     pub fn lookup_with_distances(&self, q: &str, k: usize) -> Vec<(EntityId, f32)> {
         let start = std::time::Instant::now();
-        let emb = self.model.embed(q);
-        let hits = self.index.search(&emb, k);
+        let hits = self.with_embedding(q, |emb| self.index.search(emb, k));
         self.lookup_hist.record_duration(start.elapsed());
         hits
     }
@@ -218,11 +238,13 @@ impl EmbLookup {
     ) -> Vec<(EntityId, f32)> {
         let start = std::time::Instant::now();
         let encode = parent.child(names::SPAN_STAGE_ENCODE);
-        let emb = self.model.embed(q);
-        encode.finish();
-        let search = parent.child(names::SPAN_STAGE_SEARCH);
-        let hits = self.index.search_traced(&emb, k, &search);
-        search.finish();
+        let hits = self.with_embedding(q, |emb| {
+            encode.finish();
+            let search = parent.child(names::SPAN_STAGE_SEARCH);
+            let hits = self.index.search_traced(emb, k, &search);
+            search.finish();
+            hits
+        });
         self.lookup_hist
             .record_duration_with_exemplar(start.elapsed(), parent.trace().id());
         hits

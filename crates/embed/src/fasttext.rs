@@ -11,8 +11,6 @@ use crate::encoder::StringEncoder;
 use crate::sgns::{NegativeSampler, SgnsModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
 
 /// Training configuration for [`FastText::train`].
 #[derive(Debug, Clone, Copy)]
@@ -180,8 +178,8 @@ impl FastText {
 /// two cannot drift: every window of `n` characters of the wrapped token
 /// `"<token>"` for `n` in `min_n..=max_n`, by `n` then by position, and then
 /// the whole wrapped token unless one of those windows already was it. Each
-/// feature is handed over as its hash bucket — `DefaultHasher` over the
-/// n-gram as a `str`, which is what hashing the owned `String` fed it.
+/// feature is handed over as its hash bucket, [`ngram_hash`] modulo the
+/// bucket count.
 fn for_each_feature(wrapped: &str, config: &FastTextConfig, mut f: impl FnMut(u32)) {
     assert!(
         config.min_n > 0 && config.min_n <= config.max_n,
@@ -189,11 +187,7 @@ fn for_each_feature(wrapped: &str, config: &FastTextConfig, mut f: impl FnMut(u3
         config.min_n,
         config.max_n
     );
-    let mut emit = |gram: &str| {
-        let mut h = DefaultHasher::new();
-        gram.hash(&mut h);
-        f((h.finish() % config.buckets as u64) as u32);
-    };
+    let mut emit = |gram: &str| f((ngram_hash(gram) % config.buckets as u64) as u32);
     let chars = wrapped.chars().count();
     for n in config.min_n..=config.max_n.min(chars) {
         // a window starting at character `i` ends where character `i + n`
@@ -207,6 +201,55 @@ fn for_each_feature(wrapped: &str, config: &FastTextConfig, mut f: impl FnMut(u3
     if !(config.min_n..=config.max_n).contains(&chars) {
         emit(wrapped);
     }
+}
+
+/// The hash that addresses the n-gram table: SipHash-1-3 under zero keys
+/// over the n-gram's bytes followed by `0xff`. That is what
+/// `DefaultHasher::new()` computed for a `str` when every table this
+/// repository has written was trained, but std documents its algorithm as
+/// unspecified and free to change between releases, and
+/// [`FastText::to_bytes`] persists the table — so the function is pinned
+/// here, where a toolchain cannot move it.
+fn ngram_hash(gram: &str) -> u64 {
+    fn round(v: &mut [u64; 4]) {
+        v[0] = v[0].wrapping_add(v[1]);
+        v[2] = v[2].wrapping_add(v[3]);
+        v[1] = v[1].rotate_left(13) ^ v[0];
+        v[3] = v[3].rotate_left(16) ^ v[2];
+        v[0] = v[0].rotate_left(32);
+        v[2] = v[2].wrapping_add(v[1]);
+        v[0] = v[0].wrapping_add(v[3]);
+        v[1] = v[1].rotate_left(17) ^ v[2];
+        v[3] = v[3].rotate_left(21) ^ v[0];
+        v[2] = v[2].rotate_left(32);
+    }
+    let le = |bytes: &[u8]| bytes.iter().rev().fold(0u64, |word, &b| word << 8 | u64::from(b));
+    let mut v = [0x736f_6d65_7073_6575u64, 0x646f_7261_6e64_6f6d, 0x6c79_6765_6e65_7261, 0x7465_6462_7974_6573];
+    let mut absorb = |word: u64| {
+        v[3] ^= word;
+        round(&mut v);
+        v[0] ^= word;
+    };
+    let words = gram.as_bytes().chunks_exact(8);
+    // the message ends with `str::hash`'s 0xff; its last word carries the
+    // bytes past the last whole word and, in the top byte, the length
+    let rest = words.remainder();
+    let mut last = [0u8; 8];
+    last[..rest.len()].copy_from_slice(rest);
+    last[rest.len()] = 0xff;
+    let length = (gram.len() as u64 + 1) << 56;
+    words.for_each(|word| absorb(le(word)));
+    if rest.len() == 7 {
+        absorb(le(&last));
+        absorb(length);
+    } else {
+        absorb(le(&last) | length);
+    }
+    v[2] ^= 0xff;
+    for _ in 0..3 {
+        round(&mut v);
+    }
+    v[0] ^ v[1] ^ v[2] ^ v[3]
 }
 
 impl StringEncoder for FastText {
@@ -235,6 +278,8 @@ mod tests {
     use emblookup_text::tokenize::{fasttext_ngrams, words};
     use emblookup_text::NoiseInjector;
     use rand::Rng;
+    use std::collections::hash_map::DefaultHasher;
+    use std::hash::{Hash, Hasher};
 
     fn toy_corpus() -> Corpus {
         let mut c = Corpus::default();
@@ -350,6 +395,57 @@ mod tests {
                 "{token:?}"
             );
         }
+    }
+
+    #[test]
+    fn ngram_hash_is_pinned() {
+        // SipHash-1-3, zero keys, over the bytes then 0xff: the empty
+        // message, lengths on either side of the 8- and 16-byte word
+        // boundaries (a 7-byte n-gram fills its word with the 0xff), and
+        // multi-byte characters
+        for (gram, want) in [
+            ("", 0x30406ea523c53defu64),
+            ("<a>", 0xdebc187301d5ec4f),
+            ("<germ", 0xb8de842ececb14ed),
+            ("abcdefg", 0x2295ef44bd078ae9),
+            ("abcdefgh", 0x5cd7657fa7f96c16),
+            ("abcdefghi", 0xc8ebc5efcb27092d),
+            ("0123456789abcde", 0x8283e94c24e84630),
+            ("0123456789abcdef", 0x3cdd3ee8e7c8d0cb),
+            ("<日本語>", 0x20022a314c091ff9),
+            ("ß", 0xd60b6c18a4c182e6),
+        ] {
+            assert_eq!(ngram_hash(gram), want, "{gram:?}");
+        }
+    }
+
+    /// Every table trained so far was addressed by `DefaultHasher`; this
+    /// shows the pinned hash is that function, on all 64 bits, over every
+    /// n-gram of the kinds of string the differential test below embeds.
+    /// It is the test to delete the day std changes `DefaultHasher`:
+    /// `ngram_hash_is_pinned` then carries the contract alone.
+    #[test]
+    fn ngram_hash_equals_the_default_hasher_it_replaced() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let typos = NoiseInjector::typos();
+        let labels = ["germany", "deutschland", "tokyo japan", "Federal Republic of Germany"];
+        let mut strings: Vec<String> =
+            ["日本語", "Ünïcode Straße", "a", "ab", "abcd", "GerMANY tokyo", "AT&T Corp.", "route 66"]
+                .map(String::from)
+                .to_vec();
+        strings.push("x".repeat(500));
+        strings.extend((0..600).map(|i| typos.corrupt(labels[i % labels.len()], &mut rng)));
+        let mut grams = 0;
+        for token in strings.iter().flat_map(|s| words(s)) {
+            // 1..=17 characters: every tail length of both hashed words
+            for gram in fasttext_ngrams(&token, 1, 17) {
+                let mut h = DefaultHasher::new();
+                gram.hash(&mut h);
+                assert_eq!(ngram_hash(&gram), h.finish(), "{gram:?}");
+                grams += 1;
+            }
+        }
+        assert!(grams > 50_000, "only {grams} n-grams compared");
     }
 
     #[test]

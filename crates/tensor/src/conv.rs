@@ -155,7 +155,9 @@ fn column_onehot(xd: &[f32], c_in: usize, l: usize) -> Option<Vec<(u32, f32)>> {
 /// `w` `[C_out][C_in][K]`, `b` `[C_out]`, `y` `[C_out][L + K - 1]`. Like
 /// `conv1d_forward` it gathers when no input column has two nonzeros (and
 /// the input is not narrow) and runs the dense sum otherwise; the two sum
-/// in different orders, so the choice is part of the result.
+/// in different orders, so the choice is part of the result. The dense sum
+/// is `emblookup_ann::kernels::conv1d_plane`, bit-exact against its scalar
+/// arm under every kernel variant.
 pub(crate) fn conv1d_rows(x: &[f32], w: &[f32], b: &[f32], y: &mut [f32], k: usize, l: usize) {
     let (stride, pad) = (l + k - 1, k / 2);
     let c_in = x.len() / stride;
@@ -172,18 +174,7 @@ pub(crate) fn conv1d_rows(x: &[f32], w: &[f32], b: &[f32], y: &mut [f32], k: usi
         return;
     }
     // dense: bias first, then (ci, kk) in lexicographic order, multiply then add
-    for (co, (yrow, &bias)) in y.chunks_exact_mut(stride).zip(b).enumerate() {
-        let orow = &mut yrow[pad..pad + l];
-        orow.fill(bias);
-        let taps = &w[co * c_in * k..(co + 1) * c_in * k];
-        for (xrow, wrow) in x.chunks_exact(stride).zip(taps.chunks_exact(k)) {
-            for (kk, &wv) in wrow.iter().enumerate() {
-                for (o, &xv) in orow.iter_mut().zip(&xrow[kk..kk + l]) {
-                    *o += wv * xv;
-                }
-            }
-        }
-    }
+    emblookup_ann::kernels::conv1d_plane(x, w, b, y, k, l);
 }
 
 /// The first layer: its input plane is one-hot, given as the row of each

@@ -86,19 +86,7 @@ impl Linear {
     pub fn infer_into(&self, store: &ParamStore, x: &[f32], y: &mut [f32]) {
         assert_eq!(x.len(), self.in_dim, "linear input len {} != in_dim {}", x.len(), self.in_dim);
         assert_eq!(y.len(), self.out_dim, "linear output len {} != out_dim {}", y.len(), self.out_dim);
-        y.fill(0.0);
-        for (&a, wrow) in x.iter().zip(store.get(self.w).data().chunks_exact(self.out_dim)) {
-            // lint: allow(L007) exact-zero sparsity skip, as in `matmul`: ReLU leaves many inputs exactly zero
-            if a == 0.0 {
-                continue;
-            }
-            for (o, &wv) in y.iter_mut().zip(wrow) {
-                *o += a * wv;
-            }
-        }
-        for (o, &bias) in y.iter_mut().zip(store.get(self.b).data()) {
-            *o += bias;
-        }
+        emblookup_ann::kernels::gemv_bias(x, store.get(self.w).data(), store.get(self.b).data(), y);
     }
 
     /// The weight parameter id (exposed for serialization tests).

@@ -55,16 +55,19 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 echo "== benchmark/run.sh --smoke (served answers vs the in-process oracle) =="
 bash benchmark/run.sh --smoke
 
-# Kernel-dispatch matrix: the ann suite must hold under both the forced
-# scalar fallback and auto-detected SIMD (EMBLOOKUP_KERNEL resolves once
-# per process, so each setting needs its own run). The ANN bench smoke
-# (600-tier only, snapshot untouched) proves the recall/latency harness
-# itself stays healthy.
-echo "== cargo test -q --offline -p emblookup-ann (EMBLOOKUP_KERNEL=scalar) =="
-EMBLOOKUP_KERNEL=scalar cargo test -q --offline -p emblookup-ann
-
-echo "== cargo test -q --offline -p emblookup-ann (EMBLOOKUP_KERNEL=auto) =="
-EMBLOOKUP_KERNEL=auto cargo test -q --offline -p emblookup-ann
+# Kernel-dispatch matrix: every suite whose arithmetic resolves a kernel
+# variant must hold under both the forced scalar fallback and auto-detected
+# SIMD (EMBLOOKUP_KERNEL resolves once per process, so each setting needs
+# its own run). That was the ann suite alone while only distances
+# dispatched; the encoder's convolutions and gemvs now do too, so tensor,
+# embed and core ride along — core's golden embedding hash is one constant
+# both runs must produce. The ANN bench smoke (600-tier only, snapshot
+# untouched) proves the recall/latency harness itself stays healthy.
+kernel_suites=(-p emblookup-ann -p emblookup-tensor -p emblookup-embed -p emblookup-core)
+for kernel in scalar auto; do
+    echo "== cargo test -q --offline ${kernel_suites[*]} (EMBLOOKUP_KERNEL=$kernel) =="
+    EMBLOOKUP_KERNEL=$kernel cargo test -q --offline "${kernel_suites[@]}"
+done
 
 echo "== ann_bench --smoke (600-tier health check) =="
 cargo run -q --release --offline -p emblookup-bench --bin ann_bench -- --smoke
