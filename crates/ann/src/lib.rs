@@ -38,75 +38,94 @@ pub use pq::{PqConfig, PqIndex, ProductQuantizer};
 pub use topk::{Neighbor, TopK};
 pub use vectors::{sq_l2, VectorSet};
 
-// Property tests need the external `proptest` crate, unavailable in
-// offline builds; enable with `--features proptest-tests` when vendored.
-#[cfg(all(test, feature = "proptest-tests"))]
-mod proptests {
+/// Seeded property tests: case `seed` draws its inputs from
+/// `StdRng::seed_from_u64(seed)` and names the seed when it fails.
+#[cfg(test)]
+mod properties {
     use crate::flat::FlatIndex;
     use crate::pq::{PqConfig, ProductQuantizer};
     use crate::topk::TopK;
     use crate::vectors::{sq_l2, VectorSet};
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
-    fn vec_set(n: usize, dim: usize) -> impl Strategy<Value = VectorSet> {
-        proptest::collection::vec(-10.0f32..10.0, n * dim)
-            .prop_map(move |data| VectorSet::from_flat(dim, data))
+    fn cases() -> impl Iterator<Item = (u64, StdRng)> {
+        (0..32).map(|seed| (seed, StdRng::seed_from_u64(seed)))
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
+    /// `len` floats uniform in `[-10, 10)`.
+    fn floats(rng: &mut StdRng, len: usize) -> Vec<f32> {
+        (0..len).map(|_| rng.gen_range(-10.0f32..10.0)).collect()
+    }
 
-        #[test]
-        fn flat_search_first_hit_is_global_min(set in vec_set(30, 4), q in proptest::collection::vec(-10.0f32..10.0, 4)) {
-            let idx = FlatIndex::new(set.clone());
-            let hits = idx.search(&q, 1);
-            let best = hits[0].dist;
-            for v in set.iter() {
-                prop_assert!(sq_l2(&q, v) >= best - 1e-4);
+    fn vec_set(rng: &mut StdRng, n: usize, dim: usize) -> VectorSet {
+        VectorSet::from_flat(dim, floats(rng, n * dim))
+    }
+
+    const SMALL_PQ: PqConfig = PqConfig { m: 2, ks: 8, kmeans_iters: 4, seed: 0 };
+
+    #[test]
+    fn flat_search_first_hit_is_global_min() {
+        for (seed, mut rng) in cases() {
+            let idx = FlatIndex::new(vec_set(&mut rng, 30, 4));
+            let q = floats(&mut rng, 4);
+            let best = idx.search(&q, 1)[0].dist;
+            for v in idx.vectors().iter() {
+                assert!(sq_l2(&q, v) >= best - 1e-4, "seed {seed}: {v:?} is nearer than {best}");
             }
         }
+    }
 
-        #[test]
-        fn flat_search_results_are_distinct(set in vec_set(25, 3), q in proptest::collection::vec(-10.0f32..10.0, 3)) {
-            let idx = FlatIndex::new(set);
-            let hits = idx.search(&q, 10);
+    #[test]
+    fn flat_search_results_are_distinct() {
+        for (seed, mut rng) in cases() {
+            let idx = FlatIndex::new(vec_set(&mut rng, 25, 3));
+            let hits = idx.search(&floats(&mut rng, 3), 10);
             let mut indices: Vec<usize> = hits.iter().map(|h| h.index).collect();
             indices.sort_unstable();
             indices.dedup();
-            prop_assert_eq!(indices.len(), hits.len());
+            assert_eq!(indices.len(), hits.len(), "seed {seed}: {hits:?}");
         }
+    }
 
-        #[test]
-        fn topk_keeps_true_minimum(dists in proptest::collection::vec(0.0f32..100.0, 1..50), k in 1usize..10) {
+    #[test]
+    fn topk_keeps_true_minimum() {
+        for (seed, mut rng) in cases() {
+            let dists: Vec<f32> =
+                (0..rng.gen_range(1..50)).map(|_| rng.gen_range(0.0f32..100.0)).collect();
+            let k = rng.gen_range(1..10);
             let mut tk = TopK::new(k);
             for (i, &d) in dists.iter().enumerate() {
                 tk.push(i, d);
             }
             let hits = tk.into_sorted();
-            let true_min = dists.iter().cloned().fold(f32::INFINITY, f32::min);
-            prop_assert_eq!(hits[0].dist, true_min);
-            prop_assert_eq!(hits.len(), k.min(dists.len()));
+            let true_min = dists.iter().copied().fold(f32::INFINITY, f32::min);
+            assert_eq!(hits[0].dist, true_min, "seed {seed}: k {k} over {dists:?}");
+            assert_eq!(hits.len(), k.min(dists.len()), "seed {seed}");
         }
+    }
 
-        #[test]
-        fn pq_codes_are_in_range(set in vec_set(40, 8)) {
-            let pq = ProductQuantizer::train(&set, PqConfig { m: 2, ks: 8, kmeans_iters: 4, seed: 0 });
+    #[test]
+    fn pq_codes_are_in_range() {
+        for (seed, mut rng) in cases() {
+            let set = vec_set(&mut rng, 40, 8);
+            let pq = ProductQuantizer::train(&set, SMALL_PQ);
             for v in set.iter() {
                 let code = pq.encode(v);
-                prop_assert_eq!(code.len(), 2);
-                for &c in &code {
-                    prop_assert!((c as usize) < 8);
-                }
+                assert_eq!(code.len(), 2, "seed {seed}");
+                assert!(code.iter().all(|&c| c < 8), "seed {seed}: {code:?}");
             }
         }
+    }
 
-        #[test]
-        fn pq_decode_encode_is_idempotent(set in vec_set(40, 8)) {
-            // encoding a decoded (centroid) vector must return the same code
-            let pq = ProductQuantizer::train(&set, PqConfig { m: 2, ks: 8, kmeans_iters: 4, seed: 0 });
+    #[test]
+    fn pq_decode_encode_is_idempotent() {
+        // encoding a decoded (centroid) vector must return the same code
+        for (seed, mut rng) in cases() {
+            let set = vec_set(&mut rng, 40, 8);
+            let pq = ProductQuantizer::train(&set, SMALL_PQ);
             let code = pq.encode(set.get(0));
-            let rec = pq.decode(&code);
-            prop_assert_eq!(pq.encode(&rec), code);
+            assert_eq!(pq.encode(&pq.decode(&code)), code, "seed {seed}");
         }
     }
 }

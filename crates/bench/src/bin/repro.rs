@@ -11,9 +11,9 @@
 //! Every run ends with the observability snapshot: a per-stage lookup
 //! self-time table built from span trees, a per-stage metrics table
 //! (training stage wall-times, index build, per-query lookup
-//! percentiles) on stdout and the same data as JSON in
-//! `BENCH_lookup.json`. Set `EMBLOOKUP_OBS=stderr` or
-//! `EMBLOOKUP_OBS_JSON=<path>` for live stage events.
+//! percentiles) on stdout; nothing is written to disk. Set
+//! `EMBLOOKUP_OBS=stderr` or `EMBLOOKUP_OBS_JSON=<path>` for live stage
+//! events.
 
 #![forbid(unsafe_code)]
 
@@ -206,9 +206,5 @@ fn main() {
     let snap = emblookup_obs::global().snapshot();
     println!("## Pipeline metrics\n");
     println!("{}", snap.render_table());
-    match std::fs::write("BENCH_lookup.json", snap.to_json()) {
-        Ok(()) => eprintln!("[repro] metrics snapshot written to BENCH_lookup.json"),
-        Err(e) => eprintln!("[repro] cannot write BENCH_lookup.json: {e}"),
-    }
     eprintln!("[repro] total {:.1?}", t0.elapsed());
 }

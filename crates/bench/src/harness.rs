@@ -6,14 +6,6 @@ use emblookup_kg::{generate, KgFlavor, LookupService, SynthKg, SynthKgConfig};
 use emblookup_semtab::{generate_dataset, Dataset, DatasetConfig};
 use std::time::Duration;
 
-/// Reads a usize override from the environment (smoke-scale tuning knob).
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 /// Master seed for the whole experiment suite; every derived seed offsets
 /// from it so the full report is reproducible end to end.
 pub const MASTER_SEED: u64 = 2022;
@@ -43,8 +35,8 @@ impl Scale {
     pub fn emblookup_config(&self) -> EmbLookupConfig {
         match self {
             Scale::Smoke => EmbLookupConfig {
-                epochs: env_usize("EL_EPOCHS", 6),
-                triplets_per_entity: env_usize("EL_TRIPLETS", 10),
+                epochs: 6,
+                triplets_per_entity: 10,
                 ..EmbLookupConfig::fast(MASTER_SEED)
             },
             Scale::Full => EmbLookupConfig {

@@ -1,13 +1,12 @@
 //! # emblookup-bench
 //!
-//! Experiment harness regenerating every table and figure of the paper.
-//! See `src/bin/repro.rs` for the table/figure reproductions and
-//! `benches/` for the micro-benchmarks (run on the in-tree [`micro`]
-//! runner so the workspace needs no external bench framework).
+//! Experiment harness regenerating every table and figure of the paper
+//! (`src/bin/repro.rs` → `repro_full.md` → EXPERIMENTS.md) and the ANN
+//! scale tiers (`src/bin/ann_bench.rs` → `BENCH_ann.json`). End-to-end and
+//! per-layer latencies are `benchmark/`'s, not this crate's.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod experiments;
 pub mod harness;
-pub mod micro;

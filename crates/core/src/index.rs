@@ -178,11 +178,6 @@ impl EntityIndex {
         self.index.nbytes()
     }
 
-    /// The entity id stored at an internal index position.
-    pub fn entity_at(&self, position: usize) -> EntityId {
-        self.ids[position]
-    }
-
     /// Stable lower-case name of the active ANN backend.
     pub fn backend_name(&self) -> &'static str {
         self.index.name()

@@ -318,40 +318,54 @@ mod tests {
     }
 }
 
-// Property tests need the external `proptest` crate, unavailable in
-// offline builds; enable with `--features proptest-tests` when vendored.
-#[cfg(all(test, feature = "proptest-tests"))]
-mod proptests {
+/// Seeded property tests: case `seed` draws its inputs from
+/// `StdRng::seed_from_u64(seed)` and names the seed when it fails.
+#[cfg(test)]
+mod properties {
     use super::*;
     use emblookup_kg::synth::{generate as gen_kg, SynthKgConfig};
-    use proptest::prelude::*;
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(12))]
+    fn cases() -> impl Iterator<Item = (u64, StdRng)> {
+        (0..12).map(|seed| (seed, StdRng::seed_from_u64(seed)))
+    }
 
-        #[test]
-        fn triplets_never_have_empty_fields(seed in 0u64..50, budget in 1usize..20) {
-            let kg = gen_kg(SynthKgConfig::tiny(seed)).kg;
-            for t in mine_triplets(&kg, &MiningConfig::with_budget(budget, seed)) {
-                prop_assert!(!t.anchor.is_empty());
-                prop_assert!(!t.positive.is_empty());
-                prop_assert!(!t.negative.is_empty());
-                prop_assert_ne!(&t.anchor, &t.positive);
+    #[test]
+    fn triplets_never_have_empty_fields() {
+        for (seed, mut rng) in cases() {
+            let (kg_seed, budget) = (rng.gen_range(0..50), rng.gen_range(1..20));
+            let kg = gen_kg(SynthKgConfig::tiny(kg_seed)).kg;
+            for t in mine_triplets(&kg, &MiningConfig::with_budget(budget, kg_seed)) {
+                assert!(
+                    !t.anchor.is_empty() && !t.positive.is_empty() && !t.negative.is_empty(),
+                    "seed {seed}: {t:?}"
+                );
+                assert_ne!(t.anchor, t.positive, "seed {seed}");
             }
         }
+    }
 
-        #[test]
-        fn budget_bounds_hold(seed in 0u64..50, budget in 1usize..30) {
-            let kg = gen_kg(SynthKgConfig::tiny(seed)).kg;
-            let triplets = mine_triplets(&kg, &MiningConfig::with_budget(budget, seed));
-            prop_assert!(triplets.len() <= kg.num_entities() * budget);
+    #[test]
+    fn budget_bounds_hold() {
+        for (seed, mut rng) in cases() {
+            let (kg_seed, budget) = (rng.gen_range(0..50), rng.gen_range(1..30));
+            let kg = gen_kg(SynthKgConfig::tiny(kg_seed)).kg;
+            let triplets = mine_triplets(&kg, &MiningConfig::with_budget(budget, kg_seed));
+            assert!(
+                triplets.len() <= kg.num_entities() * budget,
+                "seed {seed}: {} triplets over budget {budget}",
+                triplets.len()
+            );
         }
+    }
 
-        #[test]
-        fn anchors_are_entity_labels(seed in 0u64..20) {
-            let kg = gen_kg(SynthKgConfig::tiny(seed)).kg;
-            for t in mine_triplets(&kg, &MiningConfig::with_budget(5, seed)).iter().take(100) {
-                prop_assert!(!kg.find_exact(&t.anchor).is_empty(), "anchor {:?} unknown", t.anchor);
+    #[test]
+    fn anchors_are_entity_labels() {
+        for (seed, mut rng) in cases() {
+            let kg_seed = rng.gen_range(0..20);
+            let kg = gen_kg(SynthKgConfig::tiny(kg_seed)).kg;
+            for t in mine_triplets(&kg, &MiningConfig::with_budget(5, kg_seed)).iter().take(100) {
+                let known = !kg.find_exact(&t.anchor).is_empty();
+                assert!(known, "seed {seed}: anchor {:?} unknown", t.anchor);
             }
         }
     }

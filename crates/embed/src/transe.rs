@@ -129,11 +129,6 @@ impl TransE {
         &self.entities[id.0 as usize * self.dim..(id.0 as usize + 1) * self.dim]
     }
 
-    /// Embedding of a property id.
-    pub fn relation_embedding(&self, id: emblookup_kg::PropertyId) -> &[f32] {
-        &self.relations[id.0 as usize * self.dim..(id.0 as usize + 1) * self.dim]
-    }
-
     /// Plausibility of a fact: squared `‖h + r − t‖` (lower = more
     /// plausible).
     pub fn fact_energy(&self, h: EntityId, r: emblookup_kg::PropertyId, t: EntityId) -> f32 {

@@ -62,8 +62,7 @@ fn pick<'a, R: Rng + ?Sized>(rng: &mut R, table: &'a [&'a str]) -> &'a str {
 ///
 /// Every `next_*` call draws from the supplied RNG; the forge remembers all
 /// names it handed out and retries (appending more syllables) on collision,
-/// so two calls never return the same string unless
-/// [`NameForge::allow_duplicate`] is used.
+/// so two calls never return the same string.
 #[derive(Debug, Default)]
 pub struct NameForge {
     used: HashSet<String>,
@@ -102,12 +101,6 @@ impl NameForge {
             }
             attempt += 1;
         }
-    }
-
-    /// Generates a name without uniqueness bookkeeping — used by the KG
-    /// builder to create deliberately ambiguous labels.
-    pub fn allow_duplicate<R: Rng + ?Sized>(kind: NameKind, rng: &mut R) -> String {
-        Self::raw(kind, rng, 0)
     }
 
     fn raw<R: Rng + ?Sized>(kind: NameKind, rng: &mut R, extra_syllables: usize) -> String {

@@ -60,8 +60,8 @@ pub struct Violation {
     pub rule: String,
     /// Human-readable description.
     pub message: String,
-    /// For L003 literals that match a registered name: the suggested
-    /// `names::` constant (drives `--fix-metric-names`).
+    /// For L003 literals that match a registered name: the `names::`
+    /// constant to use instead.
     pub suggestion: Option<String>,
 }
 

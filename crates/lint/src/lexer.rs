@@ -41,10 +41,6 @@ pub struct Token {
     pub text: String,
     /// 1-based line where the token starts.
     pub line: u32,
-    /// Char offset (not bytes) of the token's first character in the
-    /// source — the index into `src.chars()`. Drives the `--write`
-    /// rewriter, which splices on a char vector.
-    pub offset: usize,
 }
 
 impl Token {
@@ -202,7 +198,6 @@ pub fn lex(src: &str) -> Vec<Token> {
     let mut out = Vec::new();
     while let Some(c) = lx.peek(0) {
         let line = lx.line;
-        let offset = lx.pos;
         if c.is_whitespace() {
             lx.bump();
             continue;
@@ -211,7 +206,7 @@ pub fn lex(src: &str) -> Vec<Token> {
         // comments
         if c == '/' && lx.peek(1) == Some('/') {
             lx.take_while(&mut text, |c| c != '\n');
-            out.push(Token { kind: TokenKind::LineComment, text, line, offset });
+            out.push(Token { kind: TokenKind::LineComment, text, line });
             continue;
         }
         if c == '/' && lx.peek(1) == Some('*') {
@@ -236,19 +231,19 @@ pub fn lex(src: &str) -> Vec<Token> {
                     None => break,
                 }
             }
-            out.push(Token { kind: TokenKind::BlockComment, text, line, offset });
+            out.push(Token { kind: TokenKind::BlockComment, text, line });
             continue;
         }
         // raw strings / raw idents / byte strings, before plain idents
         if c == 'r' || c == 'b' || c == 'c' {
             if let Some(kind) = lex_string_prefix(&mut lx, &mut text) {
-                out.push(Token { kind, text, line, offset });
+                out.push(Token { kind, text, line });
                 continue;
             }
         }
         if is_ident_start(c) {
             lx.take_while(&mut text, is_ident_continue);
-            out.push(Token { kind: TokenKind::Ident, text, line, offset });
+            out.push(Token { kind: TokenKind::Ident, text, line });
             continue;
         }
         if c.is_ascii_digit() {
@@ -270,14 +265,14 @@ pub fn lex(src: &str) -> Vec<Token> {
                     lx.bump();
                 }
             }
-            out.push(Token { kind: TokenKind::Number, text, line, offset });
+            out.push(Token { kind: TokenKind::Number, text, line });
             continue;
         }
         if c == '"' {
             text.push('"');
             lx.bump();
             lx.quoted_body(&mut text);
-            out.push(Token { kind: TokenKind::Str, text, line, offset });
+            out.push(Token { kind: TokenKind::Str, text, line });
             continue;
         }
         if c == '\'' {
@@ -294,16 +289,16 @@ pub fn lex(src: &str) -> Vec<Token> {
             lx.bump();
             if is_char {
                 lx.char_body(&mut text);
-                out.push(Token { kind: TokenKind::Char, text, line, offset });
+                out.push(Token { kind: TokenKind::Char, text, line });
             } else {
                 lx.take_while(&mut text, is_ident_continue);
-                out.push(Token { kind: TokenKind::Lifetime, text, line, offset });
+                out.push(Token { kind: TokenKind::Lifetime, text, line });
             }
             continue;
         }
         lx.bump();
         text.push(c);
-        out.push(Token { kind: TokenKind::Punct, text, line, offset });
+        out.push(Token { kind: TokenKind::Punct, text, line });
     }
     out
 }

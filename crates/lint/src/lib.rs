@@ -26,10 +26,10 @@
 //! so stale directives can be audited.
 //!
 //! The `emblookup-lint` binary walks `crates/*/src` and `src/`
-//! ([`walk`]), renders text or golden-stable JSON ([`report`]), can
-//! rewrite metric-name literals in place ([`fix`]) and explains any
-//! rule via `--explain Lxxx` (from the [`rules::RULE_DOCS`] table). It
-//! is wired into `scripts/ci.sh` as a hard gate (with `--api-check`).
+//! ([`walk`]), renders text or golden-stable JSON ([`report`]) and
+//! explains any rule via `--explain Lxxx` (from the
+//! [`rules::RULE_DOCS`] table). It is wired into `scripts/ci.sh` as a
+//! hard gate (with `--api-check`).
 //!
 //! See CONTRIBUTING.md ("Static analysis") for the rule catalog, the
 //! `// lint: allow(Lxxx) reason` escape-hatch policy and the
@@ -44,7 +44,6 @@ pub mod cargo;
 pub mod effects;
 pub mod engine;
 pub mod facts;
-pub mod fix;
 pub mod layers;
 pub mod lexer;
 pub mod parser;

@@ -5,7 +5,6 @@
 //! ```text
 //! emblookup-lint [--root DIR] [--format text|json]
 //!                [--api-check | --api-bless]
-//!                [--fix-metric-names [--write]]
 //! emblookup-lint --explain Lxxx
 //! ```
 //!
@@ -13,10 +12,6 @@
 //!   against the checked-in `API.lock` (rule L006).
 //! * `--api-bless` regenerates `API.lock` from the current tree and
 //!   exits; commit the result to acknowledge an API change.
-//! * `--fix-metric-names` prints a dry-run plan mapping each metric-name
-//!   literal onto its `emblookup_obs::names` constant; with `--write`
-//!   the files are rewritten in place (idempotently) and the report
-//!   reflects the rewritten tree.
 //! * `--explain Lxxx` prints the rule's rationale, an offending example
 //!   and the escape-hatch policy from the in-source rule-doc table.
 //!
@@ -46,15 +41,13 @@
 
 #![forbid(unsafe_code)]
 
-use emblookup_lint::{api, fix, obs_name_registry, report, rules, walk, workspace, Workspace};
+use emblookup_lint::{api, obs_name_registry, report, rules, walk, workspace, Workspace};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Options {
     root: Option<PathBuf>,
     json: bool,
-    fix_metric_names: bool,
-    write: bool,
     api_check: bool,
     api_bless: bool,
     explain: Option<String>,
@@ -64,8 +57,6 @@ fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         root: None,
         json: false,
-        fix_metric_names: false,
-        write: false,
         api_check: false,
         api_bless: false,
         explain: None,
@@ -82,8 +73,6 @@ fn parse_args() -> Result<Options, String> {
                 Some("text") => opts.json = false,
                 other => return Err(format!("--format expects text|json, got {other:?}")),
             },
-            "--fix-metric-names" => opts.fix_metric_names = true,
-            "--write" => opts.write = true,
             "--api-check" => opts.api_check = true,
             "--api-bless" => opts.api_bless = true,
             "--explain" => {
@@ -92,7 +81,7 @@ fn parse_args() -> Result<Options, String> {
             }
             "--help" | "-h" => {
                 println!(
-                    "emblookup-lint [--root DIR] [--format text|json] [--api-check | --api-bless] [--fix-metric-names [--write]] | --explain Lxxx\n\
+                    "emblookup-lint [--root DIR] [--format text|json] [--api-check | --api-bless] | --explain Lxxx\n\
                      Repo-specific lints: L001 panic-freedom, L002 hot-path, L003 metric names,\n\
                      L004 TODO hygiene, L005 crate layering, L006 API drift (API.lock), L007 float discipline,\n\
                      L008 determinism, L009 lock discipline, L010 interprocedural hot-path effects,\n\
@@ -103,9 +92,6 @@ fn parse_args() -> Result<Options, String> {
             }
             other => return Err(format!("unknown argument `{other}`")),
         }
-    }
-    if opts.write && !opts.fix_metric_names {
-        return Err("--write only makes sense with --fix-metric-names".to_string());
     }
     if opts.api_check && opts.api_bless {
         return Err("--api-check and --api-bless are mutually exclusive".to_string());
@@ -134,7 +120,7 @@ fn run() -> Result<ExitCode, String> {
             .ok_or("no workspace root found (run inside the repo or pass --root)")?,
     };
     let registry = obs_name_registry();
-    let mut ws = Workspace::load(&root, &registry)?;
+    let ws = Workspace::load(&root, &registry)?;
 
     if opts.api_bless {
         let snapshot = ws.api_snapshot();
@@ -148,24 +134,6 @@ fn run() -> Result<ExitCode, String> {
             snapshot.sections.values().map(|s| s.len()).sum::<usize>()
         );
         return Ok(ExitCode::SUCCESS);
-    }
-
-    if opts.fix_metric_names && opts.write {
-        let mut rewritten = 0usize;
-        for f in &ws.files {
-            let path = root.join(&f.rel);
-            let src = std::fs::read_to_string(&path)
-                .map_err(|e| format!("reading {}: {e}", f.rel))?;
-            if let Some(fixed) = fix::rewrite_source(&f.rel, &src, &registry) {
-                std::fs::write(&path, fixed)
-                    .map_err(|e| format!("writing {}: {e}", f.rel))?;
-                println!("--fix-metric-names: rewrote {}", f.rel);
-                rewritten += 1;
-            }
-        }
-        println!("--fix-metric-names: {rewritten} file(s) rewritten");
-        // report on the rewritten tree
-        ws = Workspace::load(&root, &registry)?;
     }
 
     let report = ws.check();
@@ -202,20 +170,6 @@ fn run() -> Result<ExitCode, String> {
             if warnings.len() == 1 { "" } else { "s" },
             if opts.api_check { " (API.lock checked)" } else { "" }
         );
-    }
-
-    if opts.fix_metric_names && !opts.write {
-        let fixable: Vec<&emblookup_lint::Violation> =
-            violations.iter().filter(|v| v.suggestion.is_some()).collect();
-        println!(
-            "--fix-metric-names (dry run): {} literal(s) map onto constants (pass --write to apply)",
-            fixable.len()
-        );
-        for v in fixable {
-            if let Some(s) = &v.suggestion {
-                println!("  {}:{}: replace literal with emblookup_obs::names::{s}", v.file, v.line);
-            }
-        }
     }
 
     Ok(if violations.is_empty() { ExitCode::SUCCESS } else { ExitCode::from(1) })

@@ -83,7 +83,7 @@ pub const RULE_DOCS: &[RuleDoc] = &[
                     violation.",
         example: "obs.counter(\"lookup_cache_hits\", 1); // literal, not names::CACHE_HITS",
         escape: "Rarely allowed; register the name in `emblookup_obs::names` instead. \
-                 `--fix-metric-names --write` rewrites literals onto their constants.",
+                 The diagnostic's suggestion names the constant to use.",
     },
     RuleDoc {
         id: "L004",

@@ -414,22 +414,6 @@ fn json_report_is_golden_stable() {
     assert_eq!(got, want);
 }
 
-// ------------------------------------------- --fix-metric-names --write
-
-#[test]
-fn fix_write_round_trips_and_relints_clean() {
-    let src = "pub fn f() {\n    emblookup_obs::global().counter(\"train.epochs\").inc();\n    emblookup_obs::global().histogram(\"lookup.latency\");\n}\n";
-    let registry = emblookup_lint::obs_name_registry();
-    let fixed = emblookup_lint::fix::rewrite_source(LIB, src, &registry)
-        .expect("two literals should be rewritten");
-    assert!(fixed.contains("counter(emblookup_obs::names::TRAIN_EPOCHS)"), "{fixed}");
-    assert!(fixed.contains("histogram(emblookup_obs::names::LOOKUP_LATENCY)"), "{fixed}");
-    // idempotent: a second pass changes nothing
-    assert!(emblookup_lint::fix::rewrite_source(LIB, &fixed, &registry).is_none());
-    // and the result re-lints clean
-    assert_eq!(rules_at(LIB, &fixed), vec![]);
-}
-
 // ---------------------------------------------------------------------
 // on-disk load: a workspace read from the filesystem reports what the
 // in-memory fixtures report

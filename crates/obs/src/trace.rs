@@ -251,11 +251,6 @@ impl TraceSpan {
         &self.trace
     }
 
-    /// This span's id within the trace.
-    pub fn span_id(&self) -> u32 {
-        self.id
-    }
-
     /// Creates and starts a child span. Name-position for lint L003.
     pub fn child(&self, name: &'static str) -> TraceSpan {
         self.trace.new_span(self.id, name, false)

@@ -193,7 +193,10 @@ struct Shared {
 
 impl Shared {
     fn note_enqueued(&self, added: usize) {
-        let now = self.queued.inc(added) + added;
+        // `push_tasks` publishes the tasks before it counts them, so a
+        // thief's `note_dequeued` can land first and take the count
+        // through zero; it wraps there and back, and so must this sum.
+        let now = self.queued.inc(added).wrapping_add(added);
         self.queue_depth.set(now as f64);
     }
 
@@ -581,6 +584,16 @@ mod tests {
             });
             assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
         }
+    }
+
+    #[test]
+    fn a_dequeue_counted_before_its_enqueue_wraps_and_recovers() {
+        // the interleaving `push_tasks` allows: a task is stolen between
+        // the deque's `extend` and `note_enqueued`
+        let pool = Pool::with_threads(1);
+        pool.shared.note_dequeued();
+        pool.shared.note_enqueued(2);
+        assert_eq!(pool.shared.queued.get(), 1);
     }
 
     #[test]

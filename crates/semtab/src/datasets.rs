@@ -379,58 +379,63 @@ mod tests {
     }
 }
 
-// Property tests need the external `proptest` crate, unavailable in
-// offline builds; enable with `--features proptest-tests` when vendored.
-#[cfg(all(test, feature = "proptest-tests"))]
-mod proptests {
+/// Seeded property tests: case `seed` draws its inputs from
+/// `StdRng::seed_from_u64(seed)` and names the seed when it fails.
+#[cfg(test)]
+mod properties {
     use super::*;
     use emblookup_kg::generate as gen_kg;
     use emblookup_kg::SynthKgConfig;
-    use proptest::prelude::*;
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(8))]
+    /// Per case: the case's seed, its RNG, and a tiny graph and dataset
+    /// generated from a seed drawn below `max_seed`.
+    fn cases(max_seed: u64) -> impl Iterator<Item = (u64, StdRng, SynthKg, Dataset)> {
+        (0..8).map(move |seed| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let data_seed = rng.gen_range(0..max_seed);
+            let synth = gen_kg(SynthKgConfig::tiny(data_seed));
+            let ds = generate_dataset(&synth, &DatasetConfig::tiny(data_seed));
+            (seed, rng, synth, ds)
+        })
+    }
 
-        #[test]
-        fn generated_tables_are_rectangular_with_valid_truth(seed in 0u64..40) {
-            let synth = gen_kg(SynthKgConfig::tiny(seed));
-            let ds = generate_dataset(&synth, &DatasetConfig::tiny(seed));
+    #[test]
+    fn generated_tables_are_rectangular_with_valid_truth() {
+        for (seed, _, synth, ds) in cases(40) {
             for t in &ds.tables {
-                prop_assert!(t.validate().is_ok());
+                assert!(t.validate().is_ok(), "seed {seed}: {:?}", t.validate());
                 for (_, _, cell) in t.entity_cells() {
-                    let truth = cell.truth.unwrap();
-                    prop_assert!((truth.0 as usize) < synth.kg.num_entities());
+                    let truth = cell.truth.unwrap_or_else(|| panic!("seed {seed}: cell without truth"));
+                    assert!((truth.0 as usize) < synth.kg.num_entities(), "seed {seed}: {truth:?}");
                 }
             }
         }
+    }
 
-        #[test]
-        fn noise_preserves_truth_and_shape(seed in 0u64..40, frac in 0.0f64..1.0) {
-            let synth = gen_kg(SynthKgConfig::tiny(seed));
-            let ds = generate_dataset(&synth, &DatasetConfig::tiny(seed));
-            let noisy = with_noise(&ds, frac, seed);
-            prop_assert_eq!(ds.tables.len(), noisy.tables.len());
+    #[test]
+    fn noise_preserves_truth_and_shape() {
+        for (seed, mut rng, _, ds) in cases(40) {
+            let noisy = with_noise(&ds, rng.gen_range(0.0..1.0), seed);
+            assert_eq!(ds.tables.len(), noisy.tables.len(), "seed {seed}");
             for (a, b) in ds.tables.iter().zip(&noisy.tables) {
-                prop_assert_eq!(a.num_rows(), b.num_rows());
-                for (ra, rb) in a.rows.iter().zip(&b.rows) {
-                    for (ca, cb) in ra.iter().zip(rb) {
-                        prop_assert_eq!(ca.truth, cb.truth);
-                        prop_assert_eq!(ca.missing, cb.missing);
-                    }
+                assert_eq!(a.num_rows(), b.num_rows(), "seed {seed}");
+                for (ca, cb) in a.rows.iter().flatten().zip(b.rows.iter().flatten()) {
+                    assert_eq!(ca.truth, cb.truth, "seed {seed}");
+                    assert_eq!(ca.missing, cb.missing, "seed {seed}");
                 }
             }
         }
+    }
 
-        #[test]
-        fn missing_fraction_is_monotone(seed in 0u64..20) {
-            let synth = gen_kg(SynthKgConfig::tiny(seed));
-            let ds = generate_dataset(&synth, &DatasetConfig::tiny(seed));
-            let count = |d: &Dataset| -> usize {
-                d.tables.iter().flat_map(|t| t.rows.iter().flatten()).filter(|c| c.missing).count()
-            };
-            let low = with_missing(&ds, 0.1, seed);
-            let high = with_missing(&ds, 0.9, seed);
-            prop_assert!(count(&high) >= count(&low));
+    #[test]
+    fn missing_fraction_is_monotone() {
+        let count = |d: &Dataset| {
+            d.tables.iter().flat_map(|t| t.rows.iter().flatten()).filter(|c| c.missing).count()
+        };
+        for (seed, _, _, ds) in cases(20) {
+            let low = count(&with_missing(&ds, 0.1, seed));
+            let high = count(&with_missing(&ds, 0.9, seed));
+            assert!(high >= low, "seed {seed}: {high} missing at 0.9 < {low} at 0.1");
         }
     }
 }

@@ -232,11 +232,6 @@ impl DeadlineClock {
         }
     }
 
-    /// The shared virtual nanosecond counter behind this clock.
-    pub fn virtual_ns_handle(&self) -> Arc<RelaxedU64> {
-        Arc::clone(&self.virtual_ns)
-    }
-
     /// True when injected latency advances the clock instead of
     /// sleeping (the clock was built with `virtual_only`).
     pub fn is_virtual(&self) -> bool {

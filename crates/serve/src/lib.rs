@@ -99,23 +99,8 @@ pub struct ServeConfig {
     pub default_deadline_ms: u64,
     /// Upper clamp on client-requested deadlines.
     pub max_deadline_ms: u64,
-    /// Upper clamp on requested `k`.
-    pub max_k: usize,
-    /// Entities covered by the flat and q-gram fallback rungs.
-    pub fallback_cap: usize,
-    /// Maximum queries per bulk request.
-    pub max_bulk: usize,
-    /// Socket read timeout, in milliseconds.
-    pub read_timeout_ms: u64,
     /// Fault injection plan; `None` (the default) injects nothing.
     pub faults: Option<FaultConfig>,
-    /// Flight-recorder capacity: every request's span tree lands in a
-    /// ring of this many slots, overwriting the oldest.
-    pub trace_ring_cap: usize,
-    /// Tail-sampled traces retained per trigger class (slow / shed /
-    /// degraded / error / panic); total retention is bounded at five
-    /// times this.
-    pub trace_retain_per_trigger: usize,
     /// Slow-trace threshold in milliseconds; `0` (the default) adapts
     /// to twice the observed p99 once 64 requests have completed.
     pub slow_trace_ms: u64,
@@ -138,12 +123,6 @@ pub struct ServeConfig {
     /// Every n-th pinned request retries the full pipeline; success
     /// unpins.
     pub overload_probe_interval: u64,
-    /// Base `Retry-After` for shed responses, in milliseconds; the
-    /// actual value is jittered deterministically over
-    /// `[base/2, 3*base/2]`.
-    pub retry_after_ms: u64,
-    /// Seed for the shed-retry jitter stream.
-    pub retry_jitter_seed: u64,
 }
 
 impl Default for ServeConfig {
@@ -154,21 +133,13 @@ impl Default for ServeConfig {
             queue_cap: 64,
             default_deadline_ms: 250,
             max_deadline_ms: 10_000,
-            max_k: 100,
-            fallback_cap: 1024,
-            max_bulk: 1024,
-            read_timeout_ms: 2000,
             faults: None,
-            trace_ring_cap: 256,
-            trace_retain_per_trigger: 8,
             slow_trace_ms: 0,
             shards: 1,
             breaker_threshold: 3,
             breaker_cooldown: 8,
             overload_threshold: 3,
             overload_probe_interval: 4,
-            retry_after_ms: 1000,
-            retry_jitter_seed: 0xEB10,
         }
     }
 }

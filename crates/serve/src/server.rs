@@ -110,6 +110,26 @@ const FLAT_FRAC: f64 = 0.5;
 const QGRAM_FRAC: f64 = 0.15;
 /// Cap on request bodies.
 const MAX_BODY_BYTES: usize = 1024 * 1024;
+/// Upper clamp on requested `k`.
+const MAX_K: u64 = 100;
+/// Entities covered by the flat and q-gram fallback rungs.
+const FALLBACK_CAP: usize = 1024;
+/// Maximum queries per bulk request.
+const MAX_BULK: usize = 1024;
+/// Socket read timeout, in milliseconds.
+const READ_TIMEOUT_MS: u64 = 2000;
+/// Flight-recorder capacity: every request's span tree lands in a ring
+/// of this many slots, overwriting the oldest.
+const TRACE_RING_CAP: usize = 256;
+/// Tail-sampled traces retained per trigger class (slow / shed /
+/// degraded / error / panic); total retention is bounded at five times
+/// this.
+const TRACE_RETAIN_PER_TRIGGER: usize = 8;
+/// Base `Retry-After` for shed responses, in milliseconds; the actual
+/// value is jittered deterministically over `[base/2, 3*base/2]`.
+const RETRY_AFTER_MS: u64 = 1000;
+/// Seed for the shed-retry jitter stream.
+const RETRY_JITTER_SEED: u64 = 0xEB10;
 /// The shard fan-out's grain, in index searches: a pool task must hold
 /// at least this many or the shards run back to back on the request's
 /// own thread. Handing a task to the pool costs two thread wake-ups (the
@@ -285,7 +305,7 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let (model, own_index) = service.into_parts();
-        let ladder = Ladder::build(&model, kg, config.fallback_cap);
+        let ladder = Ladder::build(&model, kg, FALLBACK_CAP);
         let labels: Vec<String> = (0..kg.num_entities())
             .map(|i| json::escape(kg.label(EntityId(i as u32))))
             .collect();
@@ -298,7 +318,7 @@ impl Server {
             config.workers
         };
         let gate = Gate::new(workers, config.queue_cap);
-        let hub = TraceHub::new(config.trace_ring_cap, config.trace_retain_per_trigger, &registry);
+        let hub = TraceHub::new(TRACE_RING_CAP, TRACE_RETAIN_PER_TRIGGER, &registry);
         let index = if config.shards <= 1 {
             ShardedIndex::single(own_index)
         } else {
@@ -398,9 +418,7 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>, shutdown: &Arc<
 /// Serves one keep-alive connection: reads requests in order until the
 /// client closes, asks for `Connection: close`, errors, or shutdown.
 fn connection_loop(stream: TcpStream, state: &ServerState, shutdown: &Flag) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(
-        state.config.read_timeout_ms.max(1),
-    )));
+    let _ = stream.set_read_timeout(Some(Duration::from_millis(READ_TIMEOUT_MS)));
     // Every response leaves in one `write`, so Nagle has nothing to
     // coalesce; left on, it holds the second response of a pipeline
     // until the client's delayed ACK of the first (~40 ms).
@@ -506,15 +524,10 @@ fn arrive<'a>(state: &ServerState, req: &'a Request) -> (RequestCtx<'a>, Deadlin
 /// request index, so a herd of shed clients spreads its retries over
 /// `[base/2, 3*base/2]` ms instead of stampeding back in lockstep —
 /// and a replayed chaos run reproduces the same spread byte-for-byte.
-fn retry_after_ms(state: &ServerState, idx: u64) -> u64 {
-    let base = state.config.retry_after_ms.max(2);
-    let mut rng = StdRng::seed_from_u64(
-        state
-            .config
-            .retry_jitter_seed
-            ^ idx.wrapping_mul(0xA076_1D64_78BD_642F),
-    );
-    base / 2 + rng.gen_range(0..=base)
+fn retry_after_ms(idx: u64) -> u64 {
+    let mut rng =
+        StdRng::seed_from_u64(RETRY_JITTER_SEED ^ idx.wrapping_mul(0xA076_1D64_78BD_642F));
+    RETRY_AFTER_MS / 2 + rng.gen_range(0..=RETRY_AFTER_MS)
 }
 
 /// Answers a shed request: publishes its minimal trace (root +
@@ -531,7 +544,7 @@ fn shed_response(state: &ServerState, ctx: &RequestCtx, reason: &'static str) ->
     ctx.root.finish();
     let trace_id = ctx.root.trace().id();
     state.hub.publish(ctx.root.trace().snapshot(), &[Trigger::Shed]);
-    let retry_ms = retry_after_ms(state, ctx.idx);
+    let retry_ms = retry_after_ms(ctx.idx);
     Response::json(
         429,
         format!("{{\"error\":\"shed\",\"reason\":\"{}\"}}", json::escape(reason)),
@@ -937,7 +950,7 @@ fn open_request(
         .get("k")
         .and_then(Json::as_u64)
         .unwrap_or(10)
-        .clamp(1, state.config.max_k as u64) as usize;
+        .clamp(1, MAX_K) as usize;
     decode_span.finish();
     Ok((parsed, k))
 }
@@ -1070,7 +1083,7 @@ fn handle_bulk(state: &ServerState, ctx: &RequestCtx, clock: &DeadlineClock) -> 
     let Some(queries) = parsed.get("queries").and_then(Json::as_arr) else {
         return bad_request(state, "missing array field 'queries'");
     };
-    if queries.len() > state.config.max_bulk {
+    if queries.len() > MAX_BULK {
         return bad_request(state, "too many queries in one batch");
     }
     let mut refs: Vec<&str> = Vec::with_capacity(queries.len());

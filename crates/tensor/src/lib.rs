@@ -37,106 +37,125 @@ pub use graph::{Graph, Var};
 pub use params::{Bindings, ParamId, ParamStore};
 pub use tensor::Tensor;
 
-// Property tests need the external `proptest` crate, unavailable in
-// offline builds; enable with `--features proptest-tests` when vendored.
-#[cfg(all(test, feature = "proptest-tests"))]
-mod proptests {
+/// Seeded property tests: case `seed` draws its inputs from
+/// `StdRng::seed_from_u64(seed)` and names the seed when it fails.
+#[cfg(test)]
+mod properties {
     use crate::graph::Graph;
     use crate::tensor::Tensor;
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
-    fn tensor_1d(len: usize) -> impl Strategy<Value = Tensor> {
-        proptest::collection::vec(-5.0f32..5.0, len).prop_map(move |v| Tensor::vector(&v))
+    fn cases() -> impl Iterator<Item = (u64, StdRng)> {
+        (0..32).map(|seed| (seed, StdRng::seed_from_u64(seed)))
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
+    /// `len` floats uniform in `[-bound, bound)`.
+    fn floats(rng: &mut StdRng, len: usize, bound: f32) -> Vec<f32> {
+        (0..len).map(|_| rng.gen_range(-bound..bound)).collect()
+    }
 
-        #[test]
-        fn add_is_commutative(a in tensor_1d(6), b in tensor_1d(6)) {
+    fn tensor_1d(rng: &mut StdRng, len: usize) -> Tensor {
+        Tensor::vector(&floats(rng, len, 5.0))
+    }
+
+    #[test]
+    fn add_is_commutative() {
+        for (seed, mut rng) in cases() {
             let mut g = Graph::new();
-            let va = g.leaf(a);
-            let vb = g.leaf(b);
+            let va = g.leaf(tensor_1d(&mut rng, 6));
+            let vb = g.leaf(tensor_1d(&mut rng, 6));
             let ab = g.add(va, vb);
             let ba = g.add(vb, va);
-            prop_assert_eq!(g.value(ab).data(), g.value(ba).data());
+            assert_eq!(g.value(ab).data(), g.value(ba).data(), "seed {seed}");
         }
+    }
 
-        #[test]
-        fn relu_is_idempotent(a in tensor_1d(8)) {
+    #[test]
+    fn relu_is_idempotent() {
+        for (seed, mut rng) in cases() {
             let mut g = Graph::new();
-            let v = g.leaf(a);
+            let v = g.leaf(tensor_1d(&mut rng, 8));
             let r1 = g.relu(v);
             let r2 = g.relu(r1);
-            prop_assert_eq!(g.value(r1).data(), g.value(r2).data());
+            assert_eq!(g.value(r1).data(), g.value(r2).data(), "seed {seed}");
         }
+    }
 
-        #[test]
-        fn softmax_rows_are_distributions(data in proptest::collection::vec(-8.0f32..8.0, 12)) {
+    #[test]
+    fn softmax_rows_are_distributions() {
+        for (seed, mut rng) in cases() {
             let mut g = Graph::new();
-            let v = g.leaf(Tensor::from_vec(&[3, 4], data));
+            let v = g.leaf(Tensor::from_vec(&[3, 4], floats(&mut rng, 12, 8.0)));
             let sm = g.softmax_rows(v);
             for r in 0..3 {
                 let row = g.value(sm).row(r);
-                prop_assert!(row.iter().all(|&x| (0.0..=1.0).contains(&x)));
+                assert!(row.iter().all(|&x| (0.0..=1.0).contains(&x)), "seed {seed}: {row:?}");
                 let s: f32 = row.iter().sum();
-                prop_assert!((s - 1.0).abs() < 1e-4);
+                assert!((s - 1.0).abs() < 1e-4, "seed {seed}: row {r} sums to {s}");
             }
         }
+    }
 
-        #[test]
-        fn l2_normalize_gives_unit_norm(a in tensor_1d(5)) {
-            prop_assume!(a.norm() > 1e-3);
+    #[test]
+    fn l2_normalize_gives_unit_norm() {
+        for (seed, mut rng) in cases() {
+            let a = tensor_1d(&mut rng, 5);
+            if a.norm() <= 1e-3 {
+                continue;
+            }
             let mut g = Graph::new();
             let v = g.leaf(a);
             let n = g.l2_normalize(v);
-            prop_assert!((g.value(n).norm() - 1.0).abs() < 1e-4);
+            let norm = g.value(n).norm();
+            assert!((norm - 1.0).abs() < 1e-4, "seed {seed}: norm {norm}");
         }
+    }
 
-        #[test]
-        fn matmul_distributes_over_add(
-            a in proptest::collection::vec(-2.0f32..2.0, 6),
-            b in proptest::collection::vec(-2.0f32..2.0, 6),
-            w in proptest::collection::vec(-2.0f32..2.0, 6),
-        ) {
+    #[test]
+    fn matmul_distributes_over_add() {
+        for (seed, mut rng) in cases() {
             let mut g = Graph::new();
-            let va = g.leaf(Tensor::from_vec(&[2, 3], a));
-            let vb = g.leaf(Tensor::from_vec(&[2, 3], b));
-            let vw = g.leaf(Tensor::from_vec(&[3, 2], w));
+            let va = g.leaf(Tensor::from_vec(&[2, 3], floats(&mut rng, 6, 2.0)));
+            let vb = g.leaf(Tensor::from_vec(&[2, 3], floats(&mut rng, 6, 2.0)));
+            let vw = g.leaf(Tensor::from_vec(&[3, 2], floats(&mut rng, 6, 2.0)));
             let sum = g.add(va, vb);
             let lhs = g.matmul(sum, vw);
             let ma = g.matmul(va, vw);
             let mb = g.matmul(vb, vw);
             let rhs = g.add(ma, mb);
             for (x, y) in g.value(lhs).data().iter().zip(g.value(rhs).data()) {
-                prop_assert!((x - y).abs() < 1e-3, "{} vs {}", x, y);
+                assert!((x - y).abs() < 1e-3, "seed {seed}: {x} vs {y}");
             }
         }
+    }
 
-        #[test]
-        fn triplet_loss_is_nonnegative(
-            a in tensor_1d(4), p in tensor_1d(4), n in tensor_1d(4), margin in 0.0f32..2.0,
-        ) {
+    #[test]
+    fn triplet_loss_is_nonnegative() {
+        for (seed, mut rng) in cases() {
             let mut g = Graph::new();
-            let va = g.leaf(a);
-            let vp = g.leaf(p);
-            let vn = g.leaf(n);
+            let va = g.leaf(tensor_1d(&mut rng, 4));
+            let vp = g.leaf(tensor_1d(&mut rng, 4));
+            let vn = g.leaf(tensor_1d(&mut rng, 4));
+            let margin = rng.gen_range(0.0f32..2.0);
             let l = crate::loss::triplet(&mut g, va, vp, vn, margin);
-            prop_assert!(g.value(l).item() >= 0.0);
+            let loss = g.value(l).item();
+            assert!(loss >= 0.0, "seed {seed}: loss {loss} at margin {margin}");
         }
+    }
 
-        #[test]
-        fn backward_never_produces_nan(
-            data in proptest::collection::vec(-3.0f32..3.0, 10),
-        ) {
+    #[test]
+    fn backward_never_produces_nan() {
+        for (seed, mut rng) in cases() {
             let mut g = Graph::new();
-            let x = g.leaf(Tensor::vector(&data));
+            let x = g.leaf(Tensor::vector(&floats(&mut rng, 10, 3.0)));
             let s = g.sigmoid(x);
             let t = g.tanh(s);
             let sq = g.mul(t, t);
             let loss = g.mean_all(sq);
             g.backward(loss);
-            prop_assert!(g.grad(x).unwrap().all_finite());
+            let grad = g.grad(x).unwrap_or_else(|| panic!("seed {seed}: leaf has no gradient"));
+            assert!(grad.all_finite(), "seed {seed}: {:?}", grad.data());
         }
     }
 }

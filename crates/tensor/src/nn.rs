@@ -88,11 +88,6 @@ impl Linear {
         assert_eq!(y.len(), self.out_dim, "linear output len {} != out_dim {}", y.len(), self.out_dim);
         emblookup_ann::kernels::gemv_bias(x, store.get(self.w).data(), store.get(self.b).data(), y);
     }
-
-    /// The weight parameter id (exposed for serialization tests).
-    pub fn weight_id(&self) -> ParamId {
-        self.w
-    }
 }
 
 /// 1-D convolution layer over `[C_in, L]` inputs with "same" padding.

@@ -181,16 +181,6 @@ impl Bindings {
     pub fn is_empty(&self) -> bool {
         self.bound.is_empty()
     }
-
-    /// Sum of squared gradient norms over all bound parameters
-    /// (useful for gradient-explosion diagnostics in tests).
-    pub fn grad_norm_sq(&self, graph: &Graph) -> f32 {
-        self.bound
-            .iter()
-            .filter_map(|&(_, v)| graph.grad(v))
-            .map(|g| g.data().iter().map(|x| x * x).sum::<f32>())
-            .sum()
-    }
 }
 
 #[cfg(test)]

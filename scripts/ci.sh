@@ -89,12 +89,11 @@ echo "== emblookup-lint --api-check (L001-L012 incl. layering, API drift, interp
 # crates/obs/src/sync.rs).
 # Prints a per-rule violation count summary (zeros included);
 # --api-check diffs the public-API snapshot against API.lock (bless with
-# --api-bless); the --fix-metric-names dry run prints the
-# literal→constant plan for the log. The full pass (including the
-# whole-workspace fixed point) must finish within a 30 s wall-clock
-# budget so the gate stays cheap enough to run on every push.
+# --api-bless). The full pass (including the whole-workspace fixed
+# point) must finish within a 30 s wall-clock budget so the gate stays
+# cheap enough to run on every push.
 lint_start=$(date +%s)
-cargo run -q -p emblookup-lint --release --offline -- --api-check --fix-metric-names
+cargo run -q -p emblookup-lint --release --offline -- --api-check
 lint_elapsed=$(( $(date +%s) - lint_start ))
 echo "emblookup-lint: full pass took ${lint_elapsed}s (budget 30s)"
 if [ "$lint_elapsed" -gt 30 ]; then
@@ -121,10 +120,18 @@ head_rs_lines() {
         while read -r file; do git show "HEAD:$file"; done | wc -l
 }
 head_api_items() { git show HEAD:API.lock | count_items; }
+# Lines of the tooling outside crates/ (scripts/* and root-level *.py)
+# in the HEAD commit.
+head_tooling_lines() {
+    { git ls-tree -r --name-only HEAD -- scripts; git ls-tree --name-only HEAD | { grep '\.py$' || true; }; } |
+        while read -r file; do git show "HEAD:$file"; done | wc -l
+}
 for crate in crates/*/; do
     printf '%-18s %s%6d lines of *.rs\n' "$crate" "$(at_head head_rs_lines "$crate")" \
         "$(find "$crate" -name '*.rs' -exec cat {} + | wc -l)"
 done
+printf '%-18s %s%6d lines of scripts/* and root *.py\n' "tooling" "$(at_head head_tooling_lines)" \
+    "$({ find scripts -type f; find . -maxdepth 1 -name '*.py'; } | xargs cat | wc -l)"
 printf '%-18s %s%6d items\n' "API.lock" "$(at_head head_api_items)" "$(count_items < API.lock)"
 
 echo "ci.sh: all checks passed"
