@@ -7,12 +7,17 @@
 //! 1. **Build**: construct the standard HNSW graph, then re-number all
 //!    nodes in BFS order from the entry point over layer 0 and store the
 //!    PQ codes in that graph-adjacency order, so a beam expansion reads
-//!    codes that are adjacent in memory.
+//!    codes that are adjacent in memory. Layer 0 is stored as one
+//!    fixed-width, line-aligned row of `2m` ids per node, padded with the
+//!    sentinel id `n`, so where a node's neighbours lie is known from its
+//!    id alone.
 //! 2. **Search**: one ADC distance table per query; greedy descent is
 //!    scored with [`crate::kernels::adc`] and the layer-0 beam — one
 //!    sorted candidate buffer, the `retset` of NSG/DiskANN — scores each
 //!    node's unvisited peers where their codes lie with one
-//!    [`crate::kernels::adc_gather`] call against the shared table.
+//!    [`crate::kernels::adc_gather`] call against the shared table. A
+//!    peer admitted to the beam has its neighbour row prefetched
+//!    ([`crate::kernels::prefetch`]) then, one step before it is expanded.
 //! 3. **Re-rank**: the buffer's ADC top-`max(ef, 4k)` is re-scored
 //!    against the rows kept at one byte a dimension (`sq8.rs`, one
 //!    gathered kernel call for the pool) and the `k` nearest by that
@@ -30,7 +35,7 @@ use crate::hnsw::{HnswConfig, HnswIndex};
 use crate::index::{batch_grain, AnnIndex};
 use crate::kernels;
 use crate::pq::{PqConfig, ProductQuantizer};
-use crate::sq8::Sq8Rows;
+use crate::sq8::{LineAligned, Sq8Rows};
 use crate::topk::{Neighbor, TopK};
 use crate::vectors::VectorSet;
 
@@ -103,18 +108,20 @@ impl<'a> Beam<'a> {
         None
     }
 
-    /// Offers a scored node. A full buffer admits it only when strictly
-    /// nearer than its last entry (a bounded heap's rule), which it drops.
-    fn offer(&mut self, dist: f32, id: u32) {
+    /// Offers a scored node and returns the rank it was admitted at. A
+    /// full buffer admits it only when strictly nearer than its last entry
+    /// (a bounded heap's rule), which it drops.
+    fn offer(&mut self, dist: f32, id: u32) -> Option<usize> {
         if self.cands.len() >= self.cap {
             if self.cands.last().is_some_and(|last| dist.total_cmp(&last.0).is_ge()) {
-                return;
+                return None;
             }
             self.cands.pop();
         }
         let rank = self.cands.partition_point(|e| e.0.total_cmp(&dist).is_le());
         self.cands.insert(rank, (dist, id));
         self.cursor = self.cursor.min(rank);
+        Some(rank)
     }
 
     /// Every entry's id, nearest first: the re-rank pool.
@@ -138,10 +145,12 @@ pub struct HnswPqIndex {
     rerank: Sq8Rows,
     /// PQ codes in BFS order, `m` bytes per node.
     codes: Vec<u8>,
-    /// Layer-0 adjacency as CSR over BFS ids: neighbours of node `i`
-    /// are `edges[offsets[i]..offsets[i + 1]]`.
-    offsets: Vec<u32>,
-    edges: Vec<u32>,
+    /// Layer-0 adjacency over BFS ids: node `i`'s neighbours are row `i`
+    /// of `width` ids, a node with fewer links padded with the sentinel
+    /// `len()` at the row's end. The rows start on a cache line.
+    rows: LineAligned<u32>,
+    /// Ids a row holds: the graph's layer-0 cap, `2m`.
+    width: usize,
     /// Upper-layer links for the few nodes that have them, sorted by
     /// BFS id: `(node, links-per-layer starting at layer 1)`.
     upper: Vec<(u32, Vec<Vec<u32>>)>,
@@ -212,15 +221,15 @@ impl HnswPqIndex {
 
         let codes = quantizer.encode_rows(n, |pos| vectors.get(order[pos] as usize));
         let rerank = Sq8Rows::encode(vectors.dim(), n, |pos| vectors.get(order[pos] as usize));
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut edges = Vec::new();
+        let width = 2 * hnsw_cfg.m;
+        let mut rows = LineAligned::new(n * width, n as u32);
         let mut upper: Vec<(u32, Vec<Vec<u32>>)> = Vec::new();
-        offsets.push(0u32);
         for (pos, &old) in order.iter().enumerate() {
-            for &p in &links[old as usize][0] {
-                edges.push(newid[p as usize]);
+            let layer0 = &links[old as usize][0];
+            assert!(layer0.len() <= width, "node {old} has {} layer-0 links, more than 2m = {width}", layer0.len());
+            for (slot, &p) in rows.as_mut_slice()[pos * width..].iter_mut().zip(layer0) {
+                *slot = newid[p as usize];
             }
-            offsets.push(edges.len() as u32);
             if links[old as usize].len() > 1 {
                 let layers: Vec<Vec<u32>> = links[old as usize][1..]
                     .iter()
@@ -234,8 +243,8 @@ impl HnswPqIndex {
             quantizer,
             rerank,
             codes,
-            offsets,
-            edges,
+            rows,
+            width,
             upper,
             orig: order,
             max_level,
@@ -259,8 +268,8 @@ impl HnswPqIndex {
     }
 
     /// True index size in bytes: PQ codes + codebooks + graph adjacency
-    /// (layer-0 CSR and upper links) + id map + the 8-bit rows (and their
-    /// grid) the re-rank reads.
+    /// (layer-0 rows and upper links) + id map + the 8-bit rows (and their
+    /// grid) the re-rank reads. Alignment slack is not counted.
     pub fn nbytes(&self) -> usize {
         let u32s = std::mem::size_of::<u32>();
         let upper_payload: usize = self
@@ -270,7 +279,7 @@ impl HnswPqIndex {
             .sum();
         self.codes.len()
             + self.quantizer.codebook_nbytes()
-            + (self.offsets.len() + self.edges.len() + self.orig.len()) * u32s
+            + (self.rows.as_slice().len() + self.orig.len()) * u32s
             + upper_payload
             + self.rerank.nbytes()
     }
@@ -285,6 +294,13 @@ impl HnswPqIndex {
     fn code(&self, node: usize) -> &[u8] {
         let m = self.quantizer.m();
         &self.codes[node * m..(node + 1) * m]
+    }
+
+    /// Layer-0 row of `node`: its neighbours, then the sentinel `len()`
+    /// up to `width` ids.
+    #[inline]
+    fn row(&self, node: u32) -> &[u32] {
+        &self.rows.as_slice()[node as usize * self.width..][..self.width]
     }
 
     /// Upper-layer neighbours of `node` at `layer` (≥ 1), empty when
@@ -349,7 +365,10 @@ impl HnswPqIndex {
         // layer-0 beam, a node's unvisited peers scored in one ADC call
         let n = self.len();
         scratch.visited.clear();
-        scratch.visited.resize(n.div_ceil(64), 0);
+        scratch.visited.resize((n + 1).div_ceil(64), 0);
+        // the padding id `n` counts as visited from the start, so the
+        // filter below drops it and `adc_gather` never sees it
+        scratch.visited[n / 64] |= 1 << (n % 64);
         let mut visited_count: u64 = 1;
         scratch.visited[current as usize / 64] |= 1 << (current as usize % 64);
         let ef = self.ef_search.max(k);
@@ -364,8 +383,7 @@ impl HnswPqIndex {
         let mut beam = Beam::start(&mut scratch.cands, ef, cap, dcur, current);
 
         while let Some(node) = beam.next_unexpanded() {
-            let (lo, hi) = (self.offsets[node as usize] as usize, self.offsets[node as usize + 1] as usize);
-            let edges = &self.edges[lo..hi];
+            let edges = self.row(node);
             // visited filter without a branch on the bit (set for ~70 %
             // of edges, in no learnable pattern): every neighbour is
             // written to the next slot, kept only if its bit was clear
@@ -384,7 +402,11 @@ impl HnswPqIndex {
             scratch.peer_dists.resize(unvisited, 0.0);
             kernels::adc_gather(table, ks, m, &self.codes, &scratch.peers, &mut scratch.peer_dists);
             for (&peer, &dp) in scratch.peers.iter().zip(&scratch.peer_dists) {
-                beam.offer(dp, peer);
+                // a peer that enters the beam will be expanded unless
+                // pushed out first: start its row's miss now
+                if beam.offer(dp, peer).is_some_and(|rank| rank < ef) {
+                    kernels::prefetch(self.row(peer));
+                }
             }
         }
         crate::metrics::hnswpq_visited().add(visited_count);
@@ -465,6 +487,12 @@ mod tests {
     }
 
     impl HnswPqIndex {
+        /// Layer-0 neighbours of `node`: its row without the padding.
+        fn neighbours(&self, node: u32) -> &[u32] {
+            let row = self.row(node);
+            &row[..row.iter().position(|&p| p as usize == self.len()).unwrap_or(row.len())]
+        }
+
         /// The search as it was before the one-buffer beam and the 8-bit
         /// re-rank store, kept as the oracle: a frontier min-heap, a
         /// results max-heap of `ef`, a pool max-heap of `max(ef, 4k)`,
@@ -521,10 +549,9 @@ mod tests {
                 if d > worst && results.len() >= ef {
                     break;
                 }
-                let (lo, hi) = (self.offsets[node as usize] as usize, self.offsets[node as usize + 1] as usize);
                 peers.clear();
                 staged_codes.clear();
-                for &p in &self.edges[lo..hi] {
+                for &p in self.neighbours(node) {
                     let (w, b) = (p as usize / 64, 1u64 << (p as usize % 64));
                     if visited[w] & b == 0 {
                         visited[w] |= b;
@@ -598,8 +625,7 @@ mod tests {
             let fast = HnswPqIndex::build(&data, config);
             let slow = HnswPqIndex::from_graph(HnswIndex::build_reference(data.clone(), config.hnsw), config.pq);
             assert_eq!(fast.orig, slow.orig, "copies {copies}");
-            assert_eq!(fast.offsets, slow.offsets, "copies {copies}");
-            assert_eq!(fast.edges, slow.edges, "copies {copies}");
+            assert_eq!(fast.rows.as_slice(), slow.rows.as_slice(), "copies {copies}");
             assert_eq!(fast.upper, slow.upper, "copies {copies}");
             assert_eq!(fast.max_level, slow.max_level, "copies {copies}");
             // the pooled block encode is the per-row encode, in BFS order
@@ -741,6 +767,79 @@ mod tests {
         assert!(idx.traversal_nbytes() >= 400 * 4, "codes missing from accounting");
         assert_eq!(idx.nbytes() - idx.traversal_nbytes(), 400 * 16 + 16 * 8);
         assert!(idx.nbytes() - idx.traversal_nbytes() < data.nbytes() / 3);
+        // codes + codebooks + (id map + n rows of 2m ids) + upper links + re-rank store
+        let two_m = 2 * fixture_config().hnsw.m;
+        let upper: usize = idx.upper.iter().flat_map(|(_, layers)| layers).map(Vec::len).sum();
+        let pq = fixture_config().pq;
+        assert_eq!(
+            idx.nbytes(),
+            400 * pq.m + idx.quantizer.codebook_nbytes() + (400 + 400 * two_m) * 4 + upper * 4 + 400 * 16 + 16 * 8
+        );
+    }
+
+    /// Runs the index against `search_reference` on `queries` at every
+    /// `k` of `ks`: equal hits, visited count and pool, and no padding id
+    /// in any of them.
+    fn assert_matches_the_reference(idx: &HnswPqIndex, data: &VectorSet, queries: &VectorSet, ks: &[usize], case: &str) {
+        let n = idx.len();
+        for &k in ks {
+            for q in queries.iter() {
+                let case = format!("{case} k {k}");
+                let (want, visited, mut pool) = idx.search_reference(data, q, k);
+                let (got, got_visited, mut got_pool) = idx.search_exact(data, q, k);
+                assert_eq!(got_visited, visited, "{case}: visited counts differ");
+                assert!(got_visited as usize <= n, "{case}: {got_visited} visited of {n} nodes");
+                pool.sort_unstable();
+                got_pool.sort_unstable();
+                assert!(got_pool == pool, "{case}: pools differ");
+                assert!(got_pool.iter().all(|&id| id < n), "{case}: padding id in the pool");
+                assert_same_hits(&got, &want, &case);
+                let run = idx.search(q, k);
+                assert_eq!(run.len(), k.min(n), "{case}");
+                assert!(run.iter().chain(&got).all(|h| h.index < n), "{case}: padding id in the hits");
+            }
+        }
+    }
+
+    #[test]
+    fn padded_rows_search_like_the_reference() {
+        // every graph of at most 2m nodes pads every row; at 2m + 1 a node
+        // may link to all others
+        let config = |n: usize| HnswPqConfig {
+            hnsw: HnswConfig::default(),
+            pq: PqConfig { m: 4, ks: n.min(16), kmeans_iters: 4, seed: 0 },
+        };
+        let two_m = 2 * HnswConfig::default().m;
+        for n in [1usize, 2, 5, two_m, two_m + 1] {
+            let data = random_set(n, 16, 50 + n as u64);
+            let idx = HnswPqIndex::build(&data, config(n));
+            assert_eq!(idx.width, two_m);
+            if n <= two_m {
+                assert!((0..n as u32).all(|i| idx.row(i).contains(&(n as u32))), "n {n}: a row without padding");
+            }
+            let mut queries = random_set(6, 16, 60 + n as u64);
+            queries.push(data.get(n - 1));
+            assert_matches_the_reference(&idx, &data, &queries, &[1, 10, n], &format!("n {n}"));
+        }
+    }
+
+    #[test]
+    fn full_rows_search_like_the_reference() {
+        // 2 000 rows in 20 tight clusters: every node fills its 2m links
+        let centres = random_set(20, 16, 70);
+        let mut rng = StdRng::seed_from_u64(71);
+        let mut data = VectorSet::new(16);
+        for i in 0..2_000 {
+            let v: Vec<f32> = centres.get(i % 20).iter().map(|&c| c + rng.gen_range(-0.05..0.05)).collect();
+            data.push(&v);
+        }
+        let idx = HnswPqIndex::build(&data, oracle_config());
+        assert!(idx.rows.as_slice().iter().all(|&p| (p as usize) < 2_000), "a padded row");
+        let mut queries = random_set(12, 16, 72);
+        for i in (0..2_000).step_by(400) {
+            queries.push(data.get(i));
+        }
+        assert_matches_the_reference(&idx, &data, &queries, &[1, 10, 2_000], "clustered");
     }
 
     /// `ks = 256` so the traversal takes the SIMD arm of `adc_gather`
@@ -903,11 +1002,11 @@ mod tests {
         let mut cands = Vec::new();
         let mut beam = Beam::start(&mut cands, 4, 4, 5.0, 0);
         assert_eq!(beam.next_unexpanded(), Some(0));
-        beam.offer(7.0, 1);
-        beam.offer(6.0, 2);
+        assert_eq!(beam.offer(7.0, 1), Some(1));
+        assert_eq!(beam.offer(6.0, 2), Some(1), "admitted at the rank it was inserted at");
         assert_eq!(beam.next_unexpanded(), Some(2));
         assert_eq!(beam.cursor, 1);
-        beam.offer(1.0, 3);
+        assert_eq!(beam.offer(1.0, 3), Some(0));
         assert_eq!(beam.cursor, 0);
         assert_eq!(ids(&beam), [3, 0, 2, 1]);
         assert_eq!(beam.next_unexpanded(), Some(3));
@@ -916,9 +1015,9 @@ mod tests {
 
         // a full buffer rejects an equal key and drops its last entry for
         // a nearer one; equal keys below the last keep arrival order
-        beam.offer(7.0, 4);
+        assert_eq!(beam.offer(7.0, 4), None, "rejected");
         assert_eq!(ids(&beam), [3, 0, 2, 1]);
-        beam.offer(5.0, 5);
+        assert_eq!(beam.offer(5.0, 5), Some(2), "after the equal key already there");
         assert_eq!(ids(&beam), [3, 0, 5, 2]);
 
         // an entry pushed past rank `ef` is pool, never beam again

@@ -19,7 +19,8 @@
 //! `scalar` means auto-detect. [`active`] reports the resolved name so
 //! benchmarks can record it next to their numbers. A kernel without a
 //! body for the resolved variant runs its [`scalar`] arm (`neon` has
-//! bodies for `sq_l2`, `dot` and `sq_l2_block` only).
+//! bodies for `sq_l2`, `dot` and `sq_l2_block` only). [`prefetch`] is
+//! not a kernel and does not dispatch: it computes nothing.
 //!
 //! # Determinism contract
 //!
@@ -332,6 +333,44 @@ pub fn gemv_bias(x: &[f32], w: &[f32], bias: &[f32], y: &mut [f32]) {
         return unsafe { x86::gemv_bias_avx2(x, w, bias, y) };
     }
     scalar::gemv_bias(x, w, bias, y);
+}
+
+/// Cache-line size [`prefetch`] steps by.
+const LINE: usize = 64;
+
+/// Asks the CPU to bring every 64-byte line `data` spans into L1 (a T0
+/// prefetch per line) and returns at once: for a read known one step
+/// before it is made — a beam entry's neighbour row when it is admitted,
+/// a token's n-gram rows before they are summed. It reads nothing and
+/// changes no value, so it is not a dispatched variant and
+/// `EMBLOOKUP_KERNEL` does not gate it; on targets other than x86_64 it
+/// does nothing.
+#[inline]
+pub fn prefetch<T>(data: &[T]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        let (first, lines) = line_span(data);
+        for i in 0..lines {
+            // lint: allow(L002) a prefetch is a hint that never faults and reads nothing the program sees; SSE (all `_mm_prefetch` needs) is baseline on x86_64
+            unsafe { core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(first.wrapping_add(i * LINE)) };
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = data;
+}
+
+/// The first 64-byte line `data` touches and how many lines it spans
+/// (zero for an empty slice).
+#[inline]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+fn line_span<T>(data: &[T]) -> (*const i8, usize) {
+    let start = data.as_ptr().cast::<i8>();
+    let bytes = std::mem::size_of_val(data);
+    if bytes == 0 {
+        return (start, 0);
+    }
+    let lead = start as usize % LINE;
+    (start.wrapping_sub(lead), (lead + bytes).div_ceil(LINE))
 }
 
 /// Unrolled scalar reference kernels — the fallback variant and the
@@ -1424,6 +1463,43 @@ mod tests {
             .map(|(j, &c)| table[j * ks + c as usize])
             .sum();
         assert!(rel_err(adc(&table, ks, &code), naive) < 1e-6);
+    }
+
+    #[test]
+    fn prefetch_spans_every_line_and_changes_nothing() {
+        // a buffer whose first element sits on a line boundary, so every
+        // offset below is known relative to a line
+        #[repr(C, align(64))]
+        struct Lines([u8; 4 * LINE]);
+        let buf = Lines(std::array::from_fn(|i| i as u8));
+        let bytes = &buf.0[..];
+        let words: Vec<u32> = (0..100).collect();
+        let floats: Vec<f32> = (0..100).map(|i| i as f32 * 0.5).collect();
+
+        // empty, one element, an unaligned tail, several lines
+        for (slice, lines) in [(&bytes[..0], 0), (&bytes[..1], 1), (&bytes[63..64], 1), (&bytes[63..65], 2), (bytes, 4)] {
+            assert_eq!(line_span(slice).1, lines, "{} bytes at {}", slice.len(), slice.as_ptr() as usize % LINE);
+            assert_eq!(line_span(slice).0 as usize % LINE, 0);
+            prefetch(slice);
+        }
+        assert_eq!(line_span(&bytes[5..200]), (bytes.as_ptr().cast::<i8>(), 4));
+        for slice in [&words[..0], &words[..1], &words[3..7], &words[..]] {
+            let (first, lines) = line_span(slice);
+            let (lo, hi) = (slice.as_ptr() as usize, slice.as_ptr() as usize + 4 * slice.len());
+            assert!(slice.is_empty() || (first as usize <= lo && hi <= first as usize + lines * LINE));
+            assert!(lines == 0 || hi > first as usize + (lines - 1) * LINE, "a line too many");
+            prefetch(slice);
+        }
+        for slice in [&floats[..0], &floats[..1], &floats[17..], &floats[..]] {
+            assert_eq!(line_span(slice).1 == 0, slice.is_empty());
+            prefetch(slice);
+        }
+        // zero-sized elements span nothing
+        assert_eq!(line_span(&[(); 8]).1, 0);
+        prefetch(&[(); 8]);
+        assert!(buf.0.iter().enumerate().all(|(i, &b)| b == i as u8));
+        assert!(words.iter().enumerate().all(|(i, &w)| w == i as u32));
+        assert!(floats.iter().enumerate().all(|(i, &f)| f == i as f32 * 0.5));
     }
 
     #[test]

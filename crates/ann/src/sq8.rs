@@ -16,16 +16,46 @@ use crate::kernels;
 /// row is one line and not two halves.
 const LINE: usize = 64;
 
+/// `len` elements from `buf[start]`, the first element of the allocation
+/// on a [`LINE`] boundary — the 8-bit rows here, and the fixed-width
+/// neighbour rows of [`crate::HnswPqIndex`]. Never grown after `new`, so
+/// the boundary stays where it was found.
+pub(crate) struct LineAligned<T> {
+    buf: Vec<T>,
+    start: usize,
+    len: usize,
+}
+
+impl<T: Copy> LineAligned<T> {
+    /// `len` copies of `fill`, starting on a line.
+    pub(crate) fn new(len: usize, fill: T) -> Self {
+        let slack = LINE / std::mem::size_of::<T>().clamp(1, LINE) - 1;
+        let buf = vec![fill; len + slack];
+        // `align_offset` may decline to answer (usize::MAX): the elements
+        // are then merely unaligned
+        let start = match buf.as_ptr().align_offset(LINE) {
+            offset if offset <= slack => offset,
+            _ => 0,
+        };
+        LineAligned { buf, start, len }
+    }
+
+    pub(crate) fn as_slice(&self) -> &[T] {
+        &self.buf[self.start..self.start + self.len]
+    }
+
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [T] {
+        &mut self.buf[self.start..self.start + self.len]
+    }
+}
+
 /// `n` rows of `dim` one-byte codes and the per-dimension grid (`dim`
 /// entries of `lo` and of `step`) they decode on.
 pub(crate) struct Sq8Rows {
     lo: Vec<f32>,
     step: Vec<f32>,
-    /// The codes, row-major from `buf[start]` — the first byte of the
-    /// allocation on a [`LINE`] boundary. Never grown after `encode`, so
-    /// the boundary stays where it was found.
-    buf: Vec<u8>,
-    start: usize,
+    /// The codes, row-major.
+    codes: LineAligned<u8>,
 }
 
 impl Sq8Rows {
@@ -60,26 +90,19 @@ impl Sq8Rows {
             }
         }
 
-        let mut buf = vec![0u8; n * dim + (LINE - 1)];
-        // `align_offset` may decline to answer (usize::MAX): the rows are
-        // then merely unaligned
-        let start = match buf.as_ptr().align_offset(LINE) {
-            offset if offset < LINE => offset,
-            _ => 0,
-        };
-        for (i, codes) in buf[start..start + n * dim].chunks_exact_mut(dim).enumerate() {
+        let mut codes = LineAligned::new(n * dim, 0u8);
+        for (i, codes) in codes.as_mut_slice().chunks_exact_mut(dim).enumerate() {
             for (((c, &x), &l), &s) in codes.iter_mut().zip(row(i)).zip(&lo).zip(&step) {
                 // the float-to-int cast saturates and maps NaN to 0
                 *c = if s > 0.0 { ((x - l) / s).round() as u8 } else { 0 };
             }
         }
-        Sq8Rows { lo, step, buf, start }
+        Sq8Rows { lo, step, codes }
     }
 
     /// The code bytes, `dim` per row.
     fn codes(&self) -> &[u8] {
-        let len = self.buf.len() - (LINE - 1);
-        &self.buf[self.start..self.start + len]
+        self.codes.as_slice()
     }
 
     /// Bytes held: the codes and the two floats per dimension of the grid
@@ -178,6 +201,18 @@ mod tests {
         let rows = encode(&vs);
         assert_eq!(rows.codes().len(), 64 * 9);
         assert_eq!(rows.codes().as_ptr().align_offset(LINE), 0);
+    }
+
+    #[test]
+    fn line_aligned_buffers_start_on_a_line_whatever_the_element() {
+        for len in [0usize, 1, 15, 16, 33] {
+            let bytes = LineAligned::new(len, 7u8);
+            let words = LineAligned::new(len, 9u32);
+            assert_eq!((bytes.as_slice().len(), words.as_slice().len()), (len, len));
+            assert_eq!(bytes.as_slice().as_ptr().align_offset(LINE), 0);
+            assert_eq!(words.as_slice().as_ptr().align_offset(LINE), 0);
+            assert!(bytes.as_slice().iter().all(|&b| b == 7) && words.as_slice().iter().all(|&w| w == 9));
+        }
     }
 
     #[test]

@@ -140,10 +140,21 @@ impl EmbLookupModel {
 
     /// Graph-free embedding of a mention — the hot path used to embed
     /// every KG entity when building the index and every query at lookup.
+    /// Works in a per-thread scratch, so once the thread has embedded a
+    /// string as long it allocates only the returned vector.
     pub fn embed(&self, s: &str) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.config.embedding_dim];
-        self.embed_into(s, &mut EmbedScratch::default(), &mut out);
-        out
+        self.with_embedding(s, <[f32]>::to_vec)
+    }
+
+    /// Runs `f` on `s`'s embedding, computed in this thread's [`QUERY`]
+    /// pair.
+    pub(crate) fn with_embedding<R>(&self, s: &str, f: impl FnOnce(&[f32]) -> R) -> R {
+        let (mut scratch, mut emb) = QUERY.take();
+        emb.resize(self.dim(), 0.0);
+        self.embed_into(s, &mut scratch, &mut emb);
+        let found = f(&emb);
+        QUERY.set((scratch, emb));
+        found
     }
 
     /// [`EmbLookupModel::embed`] into `out`, working in `scratch`: once the
@@ -232,6 +243,16 @@ impl EmbLookupModel {
         let grain = n.div_ceil(threads * 2).max(1);
         emblookup_pool::Pool::global().parallel_map_with(n, grain, EmbedScratch::default, embed_one)
     }
+}
+
+std::thread_local! {
+    /// The encoder's working memory and the embedding of the string this
+    /// thread is embedding. [`EmbLookupModel::with_embedding`] takes the
+    /// pair out for the call and puts it back after `f`, so an embedding
+    /// that begins on this thread while another is under way finds an
+    /// empty pair and sizes its own; both are rewritten per string, so
+    /// reuse cannot affect results.
+    static QUERY: std::cell::RefCell<(EmbedScratch, Vec<f32>)> = std::cell::RefCell::default();
 }
 
 /// Working memory of [`EmbLookupModel::embed_into`]: the activation planes

@@ -5,7 +5,7 @@ use crate::config::{Compression, EmbLookupConfig};
 use crate::errors::TrainError;
 use crate::index::EntityIndex;
 use crate::mining::{mine_triplets, MiningConfig};
-use crate::model::{EmbLookupModel, EmbedScratch};
+use crate::model::EmbLookupModel;
 use crate::trainer::{train, TrainReport};
 use emblookup_ann::VectorSet;
 use emblookup_embed::{Corpus, FastText, FastTextConfig};
@@ -31,16 +31,6 @@ pub struct EmbLookup {
     /// `lookup.latency.<scope>.bulk` under a metrics scope).
     bulk_query_hist: Arc<Histogram>,
     bulk_queries: Arc<emblookup_obs::Counter>,
-}
-
-std::thread_local! {
-    /// The encoder's working memory and the embedding of the query this
-    /// thread is looking up. [`EmbLookup::with_embedding`] takes the pair
-    /// out for the call and puts it back after the search, so a lookup
-    /// that begins on this thread while another is under way finds an
-    /// empty pair and sizes its own; both are rewritten per query, so
-    /// reuse cannot affect results.
-    static QUERY: std::cell::RefCell<(EmbedScratch, Vec<f32>)> = std::cell::RefCell::default();
 }
 
 impl EmbLookup {
@@ -180,24 +170,13 @@ impl EmbLookup {
         &self.report
     }
 
-    /// Runs `search` on `q`'s embedding, computed in this thread's
-    /// [`QUERY`] pair.
-    fn with_embedding<R>(&self, q: &str, search: impl FnOnce(&[f32]) -> R) -> R {
-        let (mut scratch, mut emb) = QUERY.take();
-        emb.resize(self.model.dim(), 0.0);
-        self.model.embed_into(q, &mut scratch, &mut emb);
-        let found = search(&emb);
-        QUERY.set((scratch, emb));
-        found
-    }
-
     /// Embeds a query and returns the `k` nearest entities with distances.
     ///
     /// Latency (embed + ANN search) is recorded with one atomic histogram
     /// update; no lock is held across the search.
     pub fn lookup_with_distances(&self, q: &str, k: usize) -> Vec<(EntityId, f32)> {
         let start = std::time::Instant::now();
-        let hits = self.with_embedding(q, |emb| self.index.search(emb, k));
+        let hits = self.model.with_embedding(q, |emb| self.index.search(emb, k));
         self.lookup_hist.record_duration(start.elapsed());
         hits
     }
@@ -238,7 +217,7 @@ impl EmbLookup {
     ) -> Vec<(EntityId, f32)> {
         let start = std::time::Instant::now();
         let encode = parent.child(names::SPAN_STAGE_ENCODE);
-        let hits = self.with_embedding(q, |emb| {
+        let hits = self.model.with_embedding(q, |emb| {
             encode.finish();
             let search = parent.child(names::SPAN_STAGE_SEARCH);
             let hits = self.index.search_traced(emb, k, &search);

@@ -165,11 +165,11 @@ fn fit_compression(compression: Compression, rows: usize) -> Compression {
     }
 }
 
-/// Deterministic top-k merge of per-shard hit lists: ascending distance
-/// under `total_cmp`, ties broken by entity id. Shards are id-disjoint,
-/// so no deduplication is needed.
-pub fn merge_topk(per_shard: &[Vec<(EntityId, f32)>], k: usize) -> Vec<(EntityId, f32)> {
-    let mut all: Vec<(EntityId, f32)> = per_shard.iter().flatten().copied().collect();
+/// Deterministic top-k merge of per-shard hit lists — owned `Vec`s or
+/// borrowed slices: ascending distance under `total_cmp`, ties broken by
+/// entity id. Shards are id-disjoint, so no deduplication is needed.
+pub fn merge_topk<L: AsRef<[(EntityId, f32)]>>(per_shard: &[L], k: usize) -> Vec<(EntityId, f32)> {
+    let mut all: Vec<(EntityId, f32)> = per_shard.iter().flat_map(AsRef::as_ref).copied().collect();
     all.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
     all.truncate(k);
     all
@@ -257,8 +257,8 @@ mod tests {
         let a = vec![(EntityId(5), 0.5f32), (EntityId(1), 0.9)];
         let b = vec![(EntityId(3), 0.5f32), (EntityId(2), 0.1)];
         let ab = merge_topk(&[a.clone(), b.clone()], 4);
-        let ba = merge_topk(&[b, a], 4);
-        assert_eq!(ab, ba);
+        let ba = merge_topk(&[b.as_slice(), a.as_slice()], 4);
+        assert_eq!(ab, ba, "owned and borrowed lists merge alike");
     }
 
     #[test]

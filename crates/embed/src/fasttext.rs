@@ -150,14 +150,21 @@ impl FastText {
             let token = &wrapped[1..wrapped.len() - 1];
             let w = self.idf.get(token).copied().unwrap_or(self.max_idf);
 
+            // the rows are random lines of a table far larger than the
+            // cache: hashed a batch ahead, their misses overlap instead of
+            // stalling one add at a time
             token_vec.fill(0.0);
-            let mut features = 0usize;
+            let (mut batch, mut batched, mut features) = ([0u32; ROW_BATCH], 0usize, 0usize);
             for_each_feature(wrapped, &self.config, |id| {
-                for (t, &x) in token_vec.iter_mut().zip(self.model.in_row(id)) {
-                    *t += x;
+                batch[batched] = id;
+                batched += 1;
+                if batched == ROW_BATCH {
+                    self.add_rows(&batch, token_vec);
+                    batched = 0;
                 }
                 features += 1;
             });
+            self.add_rows(&batch[..batched], token_vec);
             // every token has at least its whole-word feature
             let inv = 1.0 / features as f32;
             for (a, t) in out.iter_mut().zip(token_vec.iter()) {
@@ -171,7 +178,26 @@ impl FastText {
             }
         }
     }
+
+    /// Adds the n-gram rows `ids` names into `token_vec`, in `ids` order,
+    /// after prefetching all of them.
+    fn add_rows(&self, ids: &[u32], token_vec: &mut [f32]) {
+        for &id in ids {
+            emblookup_ann::kernels::prefetch(self.model.in_row(id));
+        }
+        for &id in ids {
+            for (t, &x) in token_vec.iter_mut().zip(self.model.in_row(id)) {
+                *t += x;
+            }
+        }
+    }
 }
+
+/// Feature ids [`FastText::embed_into`] hashes before it reads their rows:
+/// a token of `t` characters has `3t - 2` features at the default 3..=5
+/// grams, so one batch covers a token of up to 22 characters and a longer
+/// token takes several.
+const ROW_BATCH: usize = 64;
 
 /// The one enumeration of a token's subword features, shared by training
 /// ([`FastText::ngram_ids`]) and inference ([`FastText::embed_into`]) so the
@@ -446,6 +472,21 @@ mod tests {
             }
         }
         assert!(grams > 50_000, "only {grams} n-grams compared");
+    }
+
+    #[test]
+    fn a_token_longer_than_one_row_batch_is_bit_identical() {
+        let ft = FastText::train(&toy_corpus(), small_config());
+        // 200 distinct-ish characters: ≈ 600 n-grams, ten batches and a tail
+        let long: String = (0..200u32).map(|i| char::from(b'a' + (i * 7 % 26) as u8)).collect();
+        let wrapped = format!("<{long}>");
+        let mut grams = 0;
+        for_each_feature(&wrapped, &ft.config, |_| grams += 1);
+        assert!(grams > 3 * ROW_BATCH, "{grams} features");
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for s in [long.clone(), format!("germany {long} tokyo"), format!("{long} {}", &long[..ROW_BATCH / 3])] {
+            assert_eq!(bits(&ft.embed(&s)), bits(&embed_oracle(&ft, &s)), "{} characters", s.len());
+        }
     }
 
     #[test]

@@ -1,8 +1,7 @@
-//! Renderings of a [`MetricsSnapshot`]: Prometheus text exposition,
-//! a JSON snapshot, and an aligned human-readable table.
+//! Renderings of a [`MetricsSnapshot`]: Prometheus text exposition and
+//! an aligned human-readable table.
 
 use crate::fmt::fmt_nanos;
-use crate::json::escape_json;
 use crate::registry::MetricsSnapshot;
 
 /// Maps a dotted metric name to a Prometheus-legal identifier.
@@ -63,55 +62,6 @@ impl MetricsSnapshot {
             out.push_str(&format!("{p}_seconds_sum {}\n", secs(h.sum)));
             out.push_str(&format!("{p}_seconds_count {}\n", h.count));
         }
-        out
-    }
-
-    /// JSON object with `counters`, `gauges` and `histograms` sections;
-    /// histogram durations stay in integer nanoseconds.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"counters\": {");
-        for (i, (name, value)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    \"{}\": {value}", escape_json(name)));
-        }
-        out.push_str("\n  },\n  \"gauges\": {");
-        for (i, (name, value)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let v = if value.is_finite() { value.to_string() } else { "null".into() };
-            out.push_str(&format!("\n    \"{}\": {v}", escape_json(name)));
-        }
-        out.push_str("\n  },\n  \"histograms\": {");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            if h.count == 0 {
-                // A never-recorded histogram has no observed min/max:
-                // emit the explicit zero count alone so downstream
-                // deltas don't treat 0 as a measured value.
-                out.push_str(&format!("\n    \"{}\": {{\"count\": 0}}", escape_json(name)));
-                continue;
-            }
-            out.push_str(&format!(
-                "\n    \"{}\": {{\"count\": {}, \"sum_ns\": {}, \"min_ns\": {}, \
-                 \"max_ns\": {}, \"mean_ns\": {:.1}, \"p50_ns\": {}, \"p90_ns\": {}, \
-                 \"p99_ns\": {}}}",
-                escape_json(name),
-                h.count,
-                h.sum,
-                h.min(),
-                h.max(),
-                h.mean(),
-                h.p50(),
-                h.p90(),
-                h.p99(),
-            ));
-        }
-        out.push_str("\n  }\n}\n");
         out
     }
 
@@ -191,24 +141,6 @@ mod tests {
     }
 
     #[test]
-    fn json_golden_output() {
-        let json = sample().snapshot().to_json();
-        for needle in [
-            "\"lookup.queries\": 150",
-            "\"index.entities\": 600",
-            "\"lookup.latency\": {\"count\": 3, \"sum_ns\": 7000",
-            "\"min_ns\": 1000",
-            "\"max_ns\": 4000",
-        ] {
-            assert!(json.contains(needle), "missing {needle:?} in:\n{json}");
-        }
-        // structurally: braces balance
-        let opens = json.matches('{').count();
-        let closes = json.matches('}').count();
-        assert_eq!(opens, closes, "unbalanced JSON:\n{json}");
-    }
-
-    #[test]
     fn table_lists_all_metrics() {
         let table = sample().snapshot().render_table();
         assert!(table.contains("lookup.latency"), "{table}");
@@ -221,17 +153,13 @@ mod tests {
     fn empty_snapshot_renders_empty() {
         let reg = MetricsRegistry::new();
         assert_eq!(reg.snapshot().render_table(), "");
-        let json = reg.snapshot().to_json();
-        assert!(json.contains("\"counters\""));
+        assert_eq!(reg.snapshot().to_prometheus(), "");
     }
 
     #[test]
-    fn empty_histogram_exports_count_zero_without_min_max() {
+    fn empty_histogram_exports_count_zero_without_quantiles() {
         let reg = MetricsRegistry::new();
         let _ = reg.histogram("lookup.latency");
-        let json = reg.snapshot().to_json();
-        assert!(json.contains("\"lookup.latency\": {\"count\": 0}"), "{json}");
-        assert!(!json.contains("min_ns"), "empty histogram leaked min_ns:\n{json}");
         let prom = reg.snapshot().to_prometheus();
         assert!(prom.contains("# TYPE emblookup_lookup_latency_seconds summary"), "{prom}");
         assert!(prom.contains("emblookup_lookup_latency_seconds_count 0"), "{prom}");

@@ -17,8 +17,7 @@
 //!   machine-readable lines; [`init_from_env()`] wires either from
 //!   `EMBLOOKUP_OBS` / `EMBLOOKUP_OBS_JSON`.
 //! * **Exporters** — a [`MetricsSnapshot`] renders to Prometheus text
-//!   ([`MetricsSnapshot::to_prometheus`]), JSON
-//!   ([`MetricsSnapshot::to_json`]) or an aligned table
+//!   ([`MetricsSnapshot::to_prometheus`]) or an aligned table
 //!   ([`MetricsSnapshot::render_table`]).
 //! * **Traces** — a request-scoped [`Trace`] builds a span tree through
 //!   explicitly threaded [`TraceSpan`] handles (no thread-locals);

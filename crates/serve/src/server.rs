@@ -1116,10 +1116,12 @@ fn handle_bulk(state: &ServerState, ctx: &RequestCtx, clock: &DeadlineClock) -> 
         let resp = Response::json(500, "{\"error\":\"all shards failed\"}".to_string());
         return tag_shards(resp, shard_header);
     }
+    // each query's shard lists, borrowed into one reused list
+    let mut lists: Vec<&[(EntityId, f32)]> = Vec::with_capacity(per_shard.len());
     let batches: Vec<Vec<(EntityId, f32)>> = (0..refs.len())
         .map(|qi| {
-            let lists: Vec<Vec<(EntityId, f32)>> =
-                per_shard.iter().map(|s| s[qi].clone()).collect();
+            lists.clear();
+            lists.extend(per_shard.iter().map(|s| s[qi].as_slice()));
             merge_topk(&lists, k)
         })
         .collect();
