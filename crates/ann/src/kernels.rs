@@ -19,8 +19,9 @@
 //! `scalar` means auto-detect. [`active`] reports the resolved name so
 //! benchmarks can record it next to their numbers. A kernel without a
 //! body for the resolved variant runs its [`scalar`] arm (`neon` has
-//! bodies for `sq_l2`, `dot` and `sq_l2_block` only). [`prefetch`] is
-//! not a kernel and does not dispatch: it computes nothing.
+//! bodies for `sq_l2`, `dot`, `sq_l2_block` and `sq_l2_columns` only).
+//! [`prefetch`] is not a kernel and does not dispatch: it computes
+//! nothing.
 //!
 //! # Determinism contract
 //!
@@ -36,7 +37,9 @@
 //!   [`sq_l2_block`]: `out[i]` is that variant's `sq_l2(query, row i)`
 //!   to the bit. The AVX2 arm's eight-row body at `query.len() == 8`
 //!   keeps this by reducing its eight registers in the per-row
-//!   horizontal sum's own addition tree.
+//!   horizontal sum's own addition tree. The crate's `sq_l2_columns`
+//!   (points stored dimension-major, eight to a register) keeps it by
+//!   adding each lane's squares in that same tree.
 //! * **Bit-exact under every variant** — a lane *is* an output element
 //!   and adds into it in the scalar loop's order, with no FMA: [`adc`]
 //!   sums in ascending sub-quantizer order and [`adc_block`] (contiguous
@@ -227,11 +230,11 @@ pub fn adc_block(table: &[f32], ks: usize, m: usize, codes: &[u8], out: &mut [f3
 
 /// Block squared-L2: distances from `query` to `out.len()` contiguous
 /// rows of `query.len()` floats each, in a single dispatched call — the
-/// ADC table-build and k-means assignment shape (one sub-vector against a
-/// whole codebook). `out[i]` is **bit-equal** to [`sq_l2`] of `query` and
-/// row `i` under every variant — each arm runs its per-row kernel inside
-/// the block loop — which is what lets k-means and PQ encoding call this
-/// without re-blessing a codebook; rounding may differ *between* variants
+/// k-means assignment shape (one point against a whole codebook).
+/// `out[i]` is **bit-equal** to [`sq_l2`] of `query` and row `i` under
+/// every variant — each arm runs its per-row kernel inside the block loop
+/// — which is what lets k-means call this without re-blessing a
+/// codebook; rounding may differ *between* variants
 /// as it does for `sq_l2` (within the tested 1e-5 relative bound).
 ///
 /// # Panics
@@ -253,6 +256,37 @@ pub fn sq_l2_block(query: &[f32], rows: &[f32], out: &mut [f32]) {
         return unsafe { neon::sq_l2_block_neon(query, rows, out) };
     }
     scalar::sq_l2_block(query, rows, out);
+}
+
+/// Squared-L2 from `query` to `out.len()` points stored dimension-major:
+/// coordinate `k` of point `c` at `columns[k * out.len() + c]` — how
+/// [`crate::ProductQuantizer`] stores a codebook, so that its ADC table
+/// and encoder read one contiguous run of centroids per dimension.
+/// `out[c]` is **bit-equal** to [`sq_l2`] of `query` and point `c` under
+/// every variant, so it is what [`sq_l2_block`] gives over the row-major
+/// codebook: the AVX2 and scalar arms hold eight points in a register (or
+/// an array) and add each point's squares in the tree that variant's
+/// per-row kernel reduces a row in — no horizontal sum per point.
+///
+/// # Panics
+/// Panics unless `columns.len() == query.len() * out.len()`.
+#[inline]
+pub(crate) fn sq_l2_columns(query: &[f32], columns: &[f32], out: &mut [f32]) {
+    assert!(
+        query.len().checked_mul(out.len()) == Some(columns.len()),
+        "sq_l2_columns: columns is not [query.len()][out.len()]"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if variant() == V_AVX2 {
+        // lint: allow(L002) gated by dispatch (V_AVX2 is published only after is_x86_feature_detected verified avx2+fma) and by the assert above: columns holds query.len() rows of out.len() floats
+        return unsafe { x86::sq_l2_columns_avx2(query, columns, out) };
+    }
+    #[cfg(target_arch = "aarch64")]
+    if variant() == V_NEON {
+        // lint: allow(L002) gated by dispatch (V_NEON implies NEON, which is baseline on aarch64) and by the assert above: columns holds query.len() rows of out.len() floats
+        return unsafe { neon::sq_l2_columns_neon(query, columns, out) };
+    }
+    scalar::sq_l2_columns(query, columns, out);
 }
 
 /// Gathered 8-bit squared-L2: `out[i] = Σ_j (shifted[j] − step[j] ·
@@ -462,6 +496,29 @@ pub mod scalar {
         let dim = query.len();
         for (o, row) in out.iter_mut().zip(rows.chunks_exact(dim)) {
             *o = sq_l2(query, row);
+        }
+    }
+
+    /// Dimension-major squared-L2: [`sq_l2`] eight points at a time, each
+    /// point's lane taking dimension `k` into accumulator `k % 4` while `k`
+    /// is in a whole quad, into the remainder's sum after.
+    #[inline]
+    pub(crate) fn sq_l2_columns(query: &[f32], columns: &[f32], out: &mut [f32]) {
+        let n = out.len();
+        let quads = query.len() / 4 * 4;
+        let neutral: f32 = std::iter::empty::<f32>().sum();
+        for (b, out) in out.chunks_mut(8).enumerate() {
+            let (mut s, mut rest) = ([[0.0f32; 8]; 4], [neutral; 8]);
+            for (k, &q) in query.iter().enumerate() {
+                let acc = if k < quads { &mut s[k % 4] } else { &mut rest };
+                for (a, &x) in acc.iter_mut().zip(&columns[k * n + 8 * b..][..out.len()]) {
+                    let d = q - x;
+                    *a += d * d;
+                }
+            }
+            for (l, o) in out.iter_mut().enumerate() {
+                *o = (s[0][l] + s[1][l]) + (s[2][l] + s[3][l]) + rest[l];
+            }
         }
     }
 
@@ -721,8 +778,8 @@ mod x86 {
 
     /// Block squared-L2: the row loop lives inside the feature boundary
     /// so the per-row kernel inlines into it. At `query.len() == 8` — one
-    /// register per row: the ADC table build, PQ encoding and k-means
-    /// assignment at the paper's `dsub` — rows go eight at a time through
+    /// register per row: k-means assignment while PQ trains at the
+    /// paper's `dsub` — rows go eight at a time through
     /// [`hsum8x256`], whose lane `r` is `hsum256` of row `r`'s register to
     /// the bit, so every slot still equals [`sq_l2_avx2`] of its row.
     ///
@@ -781,6 +838,156 @@ mod x86 {
             _mm256_shuffle_ps(p04_15, p26_37, 0b10_00_10_00),
             _mm256_shuffle_ps(p04_15, p26_37, 0b11_01_11_01),
         )
+    }
+
+    /// Dimension-major squared-L2: eight points per register, each lane
+    /// running [`sq_l2_avx2`]'s own arithmetic for its point, so every slot
+    /// equals `sq_l2_avx2` of its point. Each step is a full register of
+    /// points where the row-major form pays a horizontal sum per point.
+    /// The 4- and 8-float sub-spaces of the serving tiers get a body
+    /// compiled for their width ([`sq_l2_8_narrow`]), any other width the
+    /// general one ([`sq_l2_8_columns`]). The last, partial group of points
+    /// is read and written through a lane mask.
+    ///
+    /// # Safety
+    /// Requires AVX2+FMA; called only when `variant() == V_AVX2`. Caller
+    /// guarantees `columns.len() == query.len() * out.len()`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    // lint: allow(L002) sound under dispatch: V_AVX2 is published only after runtime avx2+fma detection
+    pub unsafe fn sq_l2_columns_avx2(query: &[f32], columns: &[f32], out: &mut [f32]) {
+        let (n, cp) = (out.len(), columns.as_ptr());
+        match query.len() {
+            4 => {
+                let q = broadcast::<4>(query);
+                in_groups_of_8(out, |c, mask| sq_l2_8_narrow(&q, cp.add(c), n, mask));
+            }
+            8 => {
+                let q = broadcast::<8>(query);
+                in_groups_of_8(out, |c, mask| sq_l2_8_narrow(&q, cp.add(c), n, mask));
+            }
+            _ => in_groups_of_8(out, |c, mask| sq_l2_8_columns(query, cp.add(c), n, mask)),
+        }
+    }
+
+    /// Stores `group(c, mask)` — the values of slots `c..c + 8`, read
+    /// through `mask` when it is set — over `out`, eight slots at a time;
+    /// the last, partial group with a lane mask that neither `group` nor
+    /// the store goes past.
+    ///
+    /// # Safety
+    /// Requires AVX2; `group` is sound for every group of `out`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    // lint: allow(L002) target_feature helper, reached only from dispatch-gated kernels in this module
+    unsafe fn in_groups_of_8(out: &mut [f32], group: impl Fn(usize, Option<__m256i>) -> __m256) {
+        let (n, op) = (out.len(), out.as_mut_ptr());
+        let mut c = 0;
+        while c + 8 <= n {
+            _mm256_storeu_ps(op.add(c), group(c, None));
+            c += 8;
+        }
+        if c < n {
+            let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32((n - c) as i32), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+            _mm256_maskstore_ps(op.add(c), mask, group(c, Some(mask)));
+        }
+    }
+
+    /// The `D` floats of `query`, each broadcast to a register.
+    ///
+    /// # Safety
+    /// Requires AVX2.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    // lint: allow(L002) target_feature helper, reached only from dispatch-gated kernels in this module
+    unsafe fn broadcast<const D: usize>(query: &[f32]) -> [__m256; D] {
+        std::array::from_fn(|k| _mm256_set1_ps(query[k]))
+    }
+
+    /// Eight floats from `p`, or the lanes `mask` sets (the others read
+    /// as zero and touch no memory).
+    ///
+    /// # Safety
+    /// Requires AVX2; the lanes read lie in one allocation.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    // lint: allow(L002) target_feature helper, reached only from dispatch-gated kernels in this module
+    unsafe fn load8(p: *const f32, mask: Option<__m256i>) -> __m256 {
+        match mask {
+            None => _mm256_loadu_ps(p),
+            Some(mask) => _mm256_maskload_ps(p, mask),
+        }
+    }
+
+    /// [`sq_l2_8_columns`] at a width `D < 16` known to the compiler, the
+    /// query broadcast once by the caller: below 16 floats `sq_l2_avx2`'s
+    /// second chain is +0 and adding it changes no lane (a sum of squares
+    /// is never −0), and its fused add of `d·d` onto +0 is the one
+    /// rounding `d·d` is.
+    ///
+    /// # Safety
+    /// Requires AVX2; `load8(col + k * n, mask)` is sound for `k < D`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    // lint: allow(L002) target_feature helper, reached only from dispatch-gated kernels in this module
+    unsafe fn sq_l2_8_narrow<const D: usize>(q: &[__m256; D], col: *const f32, n: usize, mask: Option<__m256i>) -> __m256 {
+        let sq = |k: usize| {
+            let d = _mm256_sub_ps(q[k], load8(col.add(k * n), mask));
+            _mm256_mul_ps(d, d)
+        };
+        // below 8 floats the tree's sum is +0 too
+        let (mut sum, head) = if D >= 8 {
+            let pair = |a: usize, b: usize| _mm256_add_ps(sq(a), sq(b));
+            (_mm256_add_ps(_mm256_add_ps(pair(0, 4), pair(2, 6)), _mm256_add_ps(pair(1, 5), pair(3, 7))), 8)
+        } else {
+            (_mm256_setzero_ps(), 0)
+        };
+        for k in head..D {
+            sum = _mm256_add_ps(sum, sq(k));
+        }
+        sum
+    }
+
+    /// The eight points at `col` (coordinate `k` at `col + k * n`) at any
+    /// `query.len()`, in `sq_l2_avx2`'s order lane by lane: each whole
+    /// 16-float step fused into sixteen accumulators (the two chains'
+    /// lanes), a whole 8-float step after that into the first eight, the
+    /// chains added, the eight summed in [`hsum256`]'s tree, the tail
+    /// added in order.
+    ///
+    /// # Safety
+    /// Requires AVX2+FMA; `load8(col + k * n, mask)` is sound for every
+    /// `k < query.len()`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    #[inline]
+    // lint: allow(L002) target_feature helper, reached only from dispatch-gated kernels in this module
+    unsafe fn sq_l2_8_columns(query: &[f32], col: *const f32, n: usize, mask: Option<__m256i>) -> __m256 {
+        let dim = query.len();
+        let d = |k: usize| _mm256_sub_ps(_mm256_set1_ps(query[k]), load8(col.add(k * n), mask));
+        let (mut acc0, mut acc1) = ([_mm256_setzero_ps(); 8], [_mm256_setzero_ps(); 8]);
+        let mut k = 0;
+        while k + 16 <= dim {
+            for l in 0..8 {
+                let (d0, d1) = (d(k + l), d(k + 8 + l));
+                acc0[l] = _mm256_fmadd_ps(d0, d0, acc0[l]);
+                acc1[l] = _mm256_fmadd_ps(d1, d1, acc1[l]);
+            }
+            k += 16;
+        }
+        if k + 8 <= dim {
+            for (l, acc) in acc0.iter_mut().enumerate() {
+                let d0 = d(k + l);
+                *acc = _mm256_fmadd_ps(d0, d0, *acc);
+            }
+            k += 8;
+        }
+        let pair = |a: usize, b: usize| _mm256_add_ps(_mm256_add_ps(acc0[a], acc1[a]), _mm256_add_ps(acc0[b], acc1[b]));
+        let mut sum = _mm256_add_ps(_mm256_add_ps(pair(0, 4), pair(2, 6)), _mm256_add_ps(pair(1, 5), pair(3, 7)));
+        while k < dim {
+            let dk = d(k);
+            sum = _mm256_add_ps(sum, _mm256_mul_ps(dk, dk));
+            k += 1;
+        }
+        sum
     }
 
     /// `CH` output channels × `V` vectors of eight samples of one conv
@@ -893,36 +1100,44 @@ mod x86 {
         }
     }
 
-    /// `V` vectors of eight outputs of `y = x W + bias` from column `j`:
-    /// the accumulators start at zero and stay in registers across the
-    /// inputs, zero inputs skipped, `acc + x·w` unfused, the bias last.
+    /// Inputs [`gemv_bias_avx2`] gathers per pass: its stack list of
+    /// nonzero-input indices has this many one-byte slots.
+    const GATHER: usize = 256;
+
+    /// `V` vectors of eight outputs of `y += x W` from column `j`, over
+    /// the inputs `nz` names: the accumulators start at `y`'s partial sums
+    /// and stay in registers across the list, `acc + x·w` unfused.
     ///
     /// # Safety
-    /// Requires AVX2. `w` holds `x.len()` rows of `n` floats, `bias` and
-    /// `y` `n` floats, and `j + 8 * V <= n`.
+    /// Requires AVX2. `x` and `w` are read at every index in `nz` (`w` in
+    /// rows of `n` floats), `y` holds `n` floats, and `j + 8 * V <= n`.
     #[target_feature(enable = "avx2")]
     #[inline]
     // lint: allow(L002) target_feature helper, reached only from dispatch-gated kernels in this module
-    unsafe fn gemv_cols_avx2<const V: usize>(x: &[f32], w: *const f32, bias: *const f32, y: *mut f32, n: usize, j: usize) {
+    unsafe fn gemv_cols_avx2<const V: usize>(x: *const f32, nz: &[u8], w: *const f32, y: *mut f32, n: usize, j: usize) {
         let mut acc = [_mm256_setzero_ps(); V];
-        for (i, &a) in x.iter().enumerate() {
-            // lint: allow(L007) exact-zero sparsity skip, as in `scalar::gemv_bias`
-            if a == 0.0 {
-                continue;
-            }
-            let av = _mm256_set1_ps(a);
+        for (v, acc) in acc.iter_mut().enumerate() {
+            *acc = _mm256_loadu_ps(y.add(j + 8 * v));
+        }
+        for &i in nz {
+            let i = i as usize;
+            let av = _mm256_set1_ps(*x.add(i));
             for (v, acc) in acc.iter_mut().enumerate() {
                 *acc = _mm256_add_ps(*acc, _mm256_mul_ps(av, _mm256_loadu_ps(w.add(i * n + j + 8 * v))));
             }
         }
         for (v, &acc) in acc.iter().enumerate() {
-            _mm256_storeu_ps(y.add(j + 8 * v), _mm256_add_ps(acc, _mm256_loadu_ps(bias.add(j + 8 * v))));
+            _mm256_storeu_ps(y.add(j + 8 * v), acc);
         }
     }
 
-    /// `y = x W + bias` in column blocks of 64 outputs (eight
-    /// accumulators), then of 8, then one output at a time in the same
-    /// order.
+    /// `y = x W + bias`, [`GATHER`] inputs per pass: the pass first lists
+    /// its nonzero inputs' indices — a store per input and a count that
+    /// grows only past a nonzero one, so a ReLU layer's zeros cost no
+    /// mispredicted branch — then runs column blocks of 64 outputs (eight
+    /// accumulators), of 8, and one output at a time over the list, each
+    /// carrying its sums in `y` from pass to pass. The terms and their
+    /// order are `scalar::gemv_bias`'s; the bias is added last.
     ///
     /// # Safety
     /// Requires AVX2; called only when `variant() == V_AVX2`. Caller
@@ -932,26 +1147,39 @@ mod x86 {
     // lint: allow(L002) sound under dispatch: V_AVX2 is published only after runtime avx2+fma detection
     pub unsafe fn gemv_bias_avx2(x: &[f32], w: &[f32], bias: &[f32], y: &mut [f32]) {
         let n = y.len();
-        let (wp, bp, yp) = (w.as_ptr(), bias.as_ptr(), y.as_mut_ptr());
-        let mut j = 0;
-        while j + 64 <= n {
-            gemv_cols_avx2::<8>(x, wp, bp, yp, n, j);
-            j += 64;
-        }
-        while j + 8 <= n {
-            gemv_cols_avx2::<1>(x, wp, bp, yp, n, j);
-            j += 8;
-        }
-        while j < n {
-            let mut s = 0.0f32;
-            for (i, &a) in x.iter().enumerate() {
+        y.fill(0.0);
+        let yp = y.as_mut_ptr();
+        let mut list = [0u8; GATHER];
+        for (pass, xs) in x.chunks(GATHER).enumerate() {
+            let (xp, wp) = (xs.as_ptr(), w.as_ptr().add(pass * GATHER * n));
+            let mut len = 0;
+            for (i, &a) in xs.iter().enumerate() {
+                // `len <= i < GATHER`: the slot exists
+                *list.get_unchecked_mut(len) = i as u8;
                 // lint: allow(L007) exact-zero sparsity skip, as in `scalar::gemv_bias`
-                if a != 0.0 {
-                    s += a * *wp.add(i * n + j);
-                }
+                len += usize::from(a != 0.0);
             }
-            *yp.add(j) = s + *bp.add(j);
-            j += 1;
+            let nz = list.get_unchecked(..len);
+            let mut j = 0;
+            while j + 64 <= n {
+                gemv_cols_avx2::<8>(xp, nz, wp, yp, n, j);
+                j += 64;
+            }
+            while j + 8 <= n {
+                gemv_cols_avx2::<1>(xp, nz, wp, yp, n, j);
+                j += 8;
+            }
+            while j < n {
+                let mut s = *yp.add(j);
+                for &i in nz {
+                    s += *xp.add(i as usize) * *wp.add(i as usize * n + j);
+                }
+                *yp.add(j) = s;
+                j += 1;
+            }
+        }
+        for (o, &b) in y.iter_mut().zip(bias) {
+            *o += b;
         }
     }
 
@@ -1025,31 +1253,64 @@ mod neon {
     // lint: allow(L002) sound under dispatch: V_NEON is published only on aarch64 where NEON is baseline
     pub unsafe fn sq_l2_neon(a: &[f32], b: &[f32]) -> f32 {
         let n = a.len().min(b.len());
+        let bp = b.as_ptr();
+        sq_l2_neon_by(&a[..n], |i| vld1q_f32(bp.add(i)), |i| *bp.add(i))
+    }
+
+    /// [`sq_l2_neon`] of `a` and the point whose coordinates `b4(i)`
+    /// (four from `i`) and `b1(i)` read, in that kernel's order.
+    ///
+    /// # Safety
+    /// Requires NEON. `b4(i)` and `b1(i)` are sound reads for every
+    /// `i < a.len()` they are asked for.
+    #[target_feature(enable = "neon")]
+    #[inline]
+    // lint: allow(L002) target_feature helper, reached only from dispatch-gated kernels in this module
+    unsafe fn sq_l2_neon_by(a: &[f32], b4: impl Fn(usize) -> float32x4_t, b1: impl Fn(usize) -> f32) -> f32 {
+        let n = a.len();
         let mut acc0 = vdupq_n_f32(0.0);
         let mut acc1 = vdupq_n_f32(0.0);
         let mut i = 0;
         while i + 8 <= n {
-            let d0 = vsubq_f32(vld1q_f32(a.as_ptr().add(i)), vld1q_f32(b.as_ptr().add(i)));
-            let d1 = vsubq_f32(
-                vld1q_f32(a.as_ptr().add(i + 4)),
-                vld1q_f32(b.as_ptr().add(i + 4)),
-            );
+            let d0 = vsubq_f32(vld1q_f32(a.as_ptr().add(i)), b4(i));
+            let d1 = vsubq_f32(vld1q_f32(a.as_ptr().add(i + 4)), b4(i + 4));
             acc0 = vfmaq_f32(acc0, d0, d0);
             acc1 = vfmaq_f32(acc1, d1, d1);
             i += 8;
         }
         if i + 4 <= n {
-            let d = vsubq_f32(vld1q_f32(a.as_ptr().add(i)), vld1q_f32(b.as_ptr().add(i)));
+            let d = vsubq_f32(vld1q_f32(a.as_ptr().add(i)), b4(i));
             acc0 = vfmaq_f32(acc0, d, d);
             i += 4;
         }
         let mut sum = vaddvq_f32(vaddq_f32(acc0, acc1));
         while i < n {
-            let d = a[i] - b[i];
+            let d = a[i] - b1(i);
             sum += d * d;
             i += 1;
         }
         sum
+    }
+
+    /// Dimension-major squared-L2, a point at a time: [`sq_l2_neon`]'s
+    /// arithmetic over the point's strided coordinates.
+    ///
+    /// # Safety
+    /// Requires NEON; called only when `variant() == V_NEON`. Caller
+    /// guarantees `columns.len() == query.len() * out.len()`.
+    #[target_feature(enable = "neon")]
+    // lint: allow(L002) sound under dispatch: V_NEON is published only on aarch64 where NEON is baseline
+    pub unsafe fn sq_l2_columns_neon(query: &[f32], columns: &[f32], out: &mut [f32]) {
+        let n = out.len();
+        let cp = columns.as_ptr();
+        for (c, o) in out.iter_mut().enumerate() {
+            let at = |k: usize| *cp.add(k * n + c);
+            let quad = |k: usize| {
+                let v = [at(k), at(k + 1), at(k + 2), at(k + 3)];
+                vld1q_f32(v.as_ptr())
+            };
+            *o = sq_l2_neon_by(query, quad, at);
+        }
     }
 
     /// Dot product, two FMA chains of 4 lanes.
@@ -1300,8 +1561,8 @@ mod tests {
     #[test]
     fn block_sq_l2_matches_per_row() {
         // a multi-row kernel that rounds differently has to break this
-        // test, not a codebook: k-means and PQ encoding assign through the
-        // block form what they used to assign through the per-row form.
+        // test, not a codebook: k-means assigns through the block form
+        // what it used to assign through the per-row form.
         // Dims 7, 8 and 64, and at dim 8 — where the AVX2 arm reduces eight
         // rows together — every count around a multiple of eight up to the
         // dsub = 8 codebook shape (256 rows) and one past it.
@@ -1320,6 +1581,58 @@ mod tests {
                 assert_eq!(sq_l2(&q, row).to_bits(), sq_l2(row, &q).to_bits(), "dim {dim} row {i}: asymmetric");
             }
         }
+    }
+
+    #[test]
+    fn columns_sq_l2_is_sq_l2_block_over_the_rows() {
+        // the ADC table's shape: dsub 4, 8 and 16 (the serving tiers) and
+        // each side of them, every width of a 16-float step; ks 1, 7, 16,
+        // 100 and 256, so a full group, a masked group alone and after
+        // full ones; once per shape with ±inf and NaN coordinates
+        let mut rng = StdRng::seed_from_u64(37);
+        for &dim in &[1usize, 3, 4, 5, 7, 8, 9, 15, 16, 17, 24, 31, 32, 33, 64] {
+            for &n in &[1usize, 7, 8, 16, 100, 256] {
+                for special in [false, true] {
+                    let q = random_vec(dim, &mut rng);
+                    let mut rows = random_vec(n * dim, &mut rng);
+                    if special {
+                        for v in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+                            let at = rng.gen_range(0..rows.len());
+                            rows[at] = v;
+                        }
+                    }
+                    let columns: Vec<f32> = (0..dim).flat_map(|k| (0..n).map(|c| rows[c * dim + k]).collect::<Vec<_>>()).collect();
+                    let (mut got, mut want) = (vec![f32::NAN; n], vec![f32::NAN; n]);
+                    sq_l2_columns(&q, &columns, &mut got);
+                    sq_l2_block(&q, &rows, &mut want);
+                    let mut scalar_got = vec![f32::NAN; n];
+                    scalar::sq_l2_columns(&q, &columns, &mut scalar_got);
+                    for c in 0..n {
+                        let what = format!("dim {dim} n {n} point {c} special {special}");
+                        assert_same(got[c], want[c], &what);
+                        assert_same(scalar_got[c], scalar::sq_l2(&q, &rows[c * dim..(c + 1) * dim]), &what);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn columns_sq_l2_writes_only_its_points() {
+        // 3 points after a full group of 8: the masked store leaves the
+        // slice's neighbours alone
+        let mut rng = StdRng::seed_from_u64(41);
+        let (dim, n) = (8usize, 11usize);
+        let (q, columns) = (random_vec(dim, &mut rng), random_vec(dim * n, &mut rng));
+        let mut buf = vec![f32::NAN; n + 5];
+        sq_l2_columns(&q, &columns, &mut buf[..n]);
+        assert!(buf[..n].iter().all(|v| v.is_finite()) && buf[n..].iter().all(|v| v.is_nan()));
+    }
+
+    #[test]
+    #[should_panic(expected = "sq_l2_columns: columns is not")]
+    fn columns_sq_l2_rejects_columns_of_another_shape() {
+        sq_l2_columns(&[0.0; 8], &[0.0; 8 * 7], &mut [0.0; 8]);
     }
 
     /// `[C][l]` samples as a padded plane.
@@ -1382,20 +1695,33 @@ mod tests {
 
     #[test]
     fn gemv_bias_is_bit_exact_against_the_scalar_arm() {
-        // every column-block tail (n); inputs with the skipped zeros of
-        // either sign, and once per shape with a NaN input
+        // every column-block tail (n), and input counts on each side of the
+        // AVX2 arm's 256-input gather pass; about half the inputs exact
+        // zeros of either sign, as after a ReLU, and once per shape with a
+        // NaN input
         let mut rng = StdRng::seed_from_u64(31);
         for &n in &[1usize, 7, 8, 63, 64, 65, 128, 136] {
-            for &n_in in &[1usize, 13, 96] {
+            for &n_in in &[0usize, 1, 13, 96, 255, 256, 257] {
                 for special in [false, true] {
-                    let mut x: Vec<f32> = random_vec(n_in, &mut rng).iter().map(|v| v.max(0.0)).collect();
-                    x[0] = -0.0;
-                    if special {
+                    let mut x: Vec<f32> = (0..n_in)
+                        .map(|_| match rng.gen_range(0..4) {
+                            0 => 0.0,
+                            1 => -0.0,
+                            _ => rng.gen_range(0.01..2.0),
+                        })
+                        .collect();
+                    let mut w = random_vec(n_in * n, &mut rng);
+                    // an infinite weight, and a whole row of inf or NaN, on
+                    // skipped inputs must stay unread
+                    if n_in > 0 {
+                        let z = rng.gen_range(0..n_in);
+                        (x[0], x[z]) = (-0.0, 0.0);
+                        w[0] = f32::INFINITY;
+                        w[z * n..(z + 1) * n].fill(if special { f32::NAN } else { f32::NEG_INFINITY });
+                    }
+                    if special && n_in > 0 {
                         x[n_in / 2] = f32::NAN;
                     }
-                    // an infinite weight on a skipped input must stay unread
-                    let mut w = random_vec(n_in * n, &mut rng);
-                    w[0] = f32::INFINITY;
                     let bias = random_vec(n, &mut rng);
                     let (mut got, mut want) = (vec![f32::NAN; n], vec![f32::NAN; n]);
                     gemv_bias(&x, &w, &bias, &mut got);

@@ -10,7 +10,7 @@
 
 use crate::index::AnnIndex;
 use crate::kernels;
-use crate::kmeans::{nearest_centroid, KMeans, KMeansConfig};
+use crate::kmeans::{KMeans, KMeansConfig};
 use crate::topk::{Neighbor, TopK};
 use crate::vectors::VectorSet;
 use emblookup_obs::names;
@@ -41,8 +41,13 @@ pub struct ProductQuantizer {
     m: usize,
     dsub: usize,
     ks: usize,
-    /// Codebook `j` holds `ks` centroids of dimension `dsub`.
-    codebooks: Vec<VectorSet>,
+    /// The `m` codebooks of `ks` centroids of dimension `dsub`, side by
+    /// side, each stored dimension-major (`[dsub][ks]`): coordinate `k` of
+    /// codebook `j`'s centroid `c` is at `(j * dsub + k) * ks + c`. The ADC
+    /// table and the encoder score a sub-vector against a whole codebook
+    /// with [`kernels::sq_l2_columns`], one register of centroids per
+    /// dimension.
+    codebooks: Vec<f32>,
 }
 
 impl ProductQuantizer {
@@ -64,7 +69,7 @@ impl ProductQuantizer {
         );
         let dsub = dim / config.m;
         let _span = emblookup_obs::Span::enter(names::INDEX_BUILD_QUANTIZER).field("rows", data.len() as u64);
-        let mut codebooks = Vec::with_capacity(config.m);
+        let mut codebooks = Vec::with_capacity(dim * config.ks);
         for j in 0..config.m {
             let mut sub = VectorSet::new(dsub);
             for v in data.iter() {
@@ -78,9 +83,19 @@ impl ProductQuantizer {
                     seed: config.seed.wrapping_add(j as u64),
                 },
             );
-            codebooks.push(km.centroids().clone());
+            // k-means returns exactly `ks` centroids, duplicates included
+            let centroids = km.centroids();
+            for k in 0..dsub {
+                codebooks.extend((0..config.ks).map(|c| centroids.get(c)[k]));
+            }
         }
         ProductQuantizer { m: config.m, dsub, ks: config.ks, codebooks }
+    }
+
+    /// Codebook `j`, dimension-major.
+    #[inline]
+    fn codebook(&self, j: usize) -> &[f32] {
+        &self.codebooks[j * self.dsub * self.ks..(j + 1) * self.dsub * self.ks]
     }
 
     /// Number of sub-quantizers.
@@ -100,7 +115,7 @@ impl ProductQuantizer {
 
     /// Size of the codebooks in bytes.
     pub fn codebook_nbytes(&self) -> usize {
-        self.codebooks.iter().map(VectorSet::nbytes).sum()
+        std::mem::size_of_val(self.codebooks.as_slice())
     }
 
     /// Encodes one vector into `m` bytes.
@@ -114,12 +129,21 @@ impl ProductQuantizer {
     }
 
     /// [`ProductQuantizer::encode`] into the caller's `m` bytes: per
-    /// sub-vector one block-kernel call against the whole codebook.
+    /// sub-vector one kernel call against the whole codebook, then the
+    /// nearest centroid, the first of equals (as k-means assigns).
     fn encode_into(&self, v: &[f32], code: &mut [u8]) {
         assert_eq!(v.len(), self.dim(), "encode dim {} != {}", v.len(), self.dim());
+        let mut dists = [0.0f32; 256];
+        let dists = &mut dists[..self.ks];
         for (j, byte) in code.iter_mut().enumerate() {
-            let sub = &v[j * self.dsub..(j + 1) * self.dsub];
-            *byte = nearest_centroid(&self.codebooks[j], sub).0 as u8;
+            kernels::sq_l2_columns(&v[j * self.dsub..(j + 1) * self.dsub], self.codebook(j), dists);
+            let mut best = (0usize, f32::INFINITY);
+            for (c, &d) in dists.iter().enumerate() {
+                if d < best.1 {
+                    best = (c, d);
+                }
+            }
+            *byte = best.0 as u8;
         }
     }
 
@@ -143,12 +167,14 @@ impl ProductQuantizer {
     /// Reconstructs the approximate vector for a code.
     ///
     /// # Panics
-    /// Panics if the code length differs from `m`.
+    /// Panics if the code length differs from `m` or a byte names no
+    /// centroid.
     pub fn decode(&self, code: &[u8]) -> Vec<f32> {
         assert_eq!(code.len(), self.m, "code length {} != m {}", code.len(), self.m);
         let mut out = Vec::with_capacity(self.dim());
         for (j, &c) in code.iter().enumerate() {
-            out.extend_from_slice(self.codebooks[j].get(c as usize));
+            assert!((c as usize) < self.ks, "code byte {c} >= ks {}", self.ks);
+            out.extend(self.codebook(j).iter().skip(c as usize).step_by(self.ks));
         }
         out
     }
@@ -168,17 +194,11 @@ impl ProductQuantizer {
         assert_eq!(query.len(), self.dim(), "query dim {} != {}", query.len(), self.dim());
         table.clear();
         table.resize(self.m * self.ks, 0.0);
-        for j in 0..self.m {
-            let sub = &query[j * self.dsub..(j + 1) * self.dsub];
-            // one dispatched call per codebook row, not per centroid —
-            // at small dsub the per-call dispatch would otherwise cost
-            // more than the arithmetic
-            let ncent = self.codebooks[j].len();
-            kernels::sq_l2_block(
-                sub,
-                self.codebooks[j].flat(),
-                &mut table[j * self.ks..j * self.ks + ncent],
-            );
+        // one dispatched call per codebook, not per centroid — at small
+        // dsub the per-call dispatch would otherwise cost more than the
+        // arithmetic
+        for (j, row) in table.chunks_exact_mut(self.ks).enumerate() {
+            kernels::sq_l2_columns(&query[j * self.dsub..(j + 1) * self.dsub], self.codebook(j), row);
         }
     }
 
@@ -333,6 +353,13 @@ mod tests {
         PqConfig { m: 4, ks: 16, kmeans_iters: 10, seed: 0 }
     }
 
+    /// Codebook `j` row-major, as k-means returned it.
+    fn centroid_rows(pq: &ProductQuantizer, j: usize) -> VectorSet {
+        let columns = pq.codebook(j);
+        let rows = (0..pq.ks).flat_map(|c| (0..pq.dsub).map(move |k| columns[k * pq.ks + c])).collect();
+        VectorSet::from_flat(pq.dsub, rows)
+    }
+
     /// `encode` as it was before `encode_into`: one dispatched `sq_l2`
     /// per centroid.
     fn encode_reference(pq: &ProductQuantizer, v: &[f32]) -> Vec<u8> {
@@ -340,7 +367,7 @@ mod tests {
         for j in 0..pq.m {
             let sub = &v[j * pq.dsub..(j + 1) * pq.dsub];
             let mut best = (0usize, f32::INFINITY);
-            for (c, cent) in pq.codebooks[j].iter().enumerate() {
+            for (c, cent) in centroid_rows(pq, j).iter().enumerate() {
                 let d = sq_l2(sub, cent);
                 if d < best.1 {
                     best = (c, d);
@@ -367,6 +394,40 @@ mod tests {
             }
             assert_eq!(index.codes, want, "n {n} dim {dim} m {m} ks {ks}");
         }
+    }
+
+    #[test]
+    fn the_table_equals_sq_l2_block_over_the_row_major_codebooks() {
+        // the codebooks k-means trains, stored once dimension-major: every
+        // table entry is the row-major block kernel's to the bit, every
+        // decoded centroid its row, at the dsubs of every serving tier
+        for &(dim, m, ks) in &[(64usize, 16usize, 256usize), (64, 8, 256), (64, 4, 16), (32, 4, 100), (16, 2, 7), (8, 1, 1)] {
+            let data = random_set(400, dim, 3);
+            let pq = ProductQuantizer::train(&data, PqConfig { m, ks, kmeans_iters: 3, seed: 1 });
+            assert_eq!(pq.codebook_nbytes(), m * ks * (dim / m) * 4);
+            for q in random_set(5, dim, 4).iter() {
+                let table = pq.distance_table(q);
+                for j in 0..m {
+                    let rows = centroid_rows(&pq, j);
+                    let mut want = vec![f32::NAN; ks];
+                    kernels::sq_l2_block(&q[j * pq.dsub..(j + 1) * pq.dsub], rows.flat(), &mut want);
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&table[j * ks..(j + 1) * ks]), bits(&want), "dim {dim} m {m} ks {ks} j {j}");
+                }
+            }
+            for c in 0..ks {
+                let decoded = pq.decode(&vec![c as u8; m]);
+                let want: Vec<f32> = (0..m).flat_map(|j| centroid_rows(&pq, j).get(c).to_vec()).collect();
+                assert_eq!(decoded, want, "dim {dim} m {m} ks {ks} centroid {c}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "code byte 7 >= ks 7")]
+    fn decode_rejects_a_byte_past_the_codebook() {
+        let pq = ProductQuantizer::train(&random_set(50, 8, 5), PqConfig { m: 2, ks: 7, kmeans_iters: 2, seed: 0 });
+        let _ = pq.decode(&[0, 7]);
     }
 
     #[test]

@@ -13,7 +13,17 @@ pub struct Neighbor {
 /// Collects the `k` smallest-distance candidates seen so far.
 ///
 /// Implemented as a bounded binary max-heap keyed on distance, so a stream
-/// of `n` candidates costs `O(n log k)`. Ties broken by insertion order.
+/// of `n` candidates costs `O(n log k)`.
+///
+/// Ties are broken by heap position, not by insertion order or index. A
+/// candidate enters a full collector only when strictly closer than the
+/// worst it holds, so a later candidate never displaces an earlier one at
+/// the same distance. An entering candidate evicts the hit at the heap's
+/// root, and when several held hits tie at the worst distance, which one
+/// that is follows from the heap's shape: `TopK::new(2)` fed (1, 5.0),
+/// (2, 5.0), (3, 1.0) keeps 2 and 3, and `TopK::new(3)` fed (10, 2.0),
+/// (11, 2.0), (12, 2.0), (13, 0.5) keeps 11, 12 and 13.
+/// [`TopK::into_sorted`] leaves equal distances in heap order.
 #[derive(Debug)]
 pub struct TopK {
     k: usize,
@@ -174,6 +184,24 @@ mod tests {
             let hits = |tk: TopK| tk.into_sorted().iter().map(|h| (h.index, h.dist.to_bits())).collect::<Vec<_>>();
             assert_eq!(hits(offered), hits(pushed), "k {k}");
         }
+    }
+
+    #[test]
+    fn ties_follow_the_heap_not_insertion_order() {
+        // the documented cases: moving to a (distance, index) order would
+        // keep 1 and 3, then 10, 11 and 13 — and change which of a tied
+        // answer's ids every search returns, so it has to break this test
+        let hits = |k: usize, offers: &[(usize, f32)]| {
+            let mut tk = TopK::new(k);
+            for &(i, d) in offers {
+                tk.push(i, d);
+            }
+            tk.into_sorted().iter().map(|h| (h.index, h.dist)).collect::<Vec<_>>()
+        };
+        assert_eq!(hits(2, &[(1, 5.0), (2, 5.0), (3, 1.0)]), [(3, 1.0), (2, 5.0)]);
+        assert_eq!(hits(3, &[(10, 2.0), (11, 2.0), (12, 2.0), (13, 0.5)]), [(13, 0.5), (11, 2.0), (12, 2.0)]);
+        // a later candidate at the worst distance does not enter a full collector
+        assert_eq!(hits(2, &[(1, 5.0), (2, 1.0), (3, 5.0)]), [(2, 1.0), (1, 5.0)]);
     }
 
     #[test]

@@ -537,29 +537,33 @@ impl EmbLookupModel {
     /// `config` must match the architecture the weights were trained with.
     ///
     /// # Errors
-    /// Returns a description of the first structural mismatch.
+    /// Returns a description of the first structural mismatch, including a
+    /// block length the buffer cannot hold and a fastText leg whose
+    /// dimension is not `config.fasttext_dim`.
     pub fn from_bytes(bytes: &[u8], config: EmbLookupConfig) -> Result<Self, String> {
         let read_block = |cur: &mut usize| -> Result<&[u8], String> {
             let end = *cur + 8;
-            let len =
-                u64::from_le_bytes(
-                    bytes
-                        .get(*cur..end)
-                        .ok_or("truncated model buffer")?
-                        .try_into()
-                        .map_err(|_| "truncated model buffer")?,
-                ) as usize;
+            let len = u64::from_le_bytes(
+                bytes
+                    .get(*cur..end)
+                    .ok_or("truncated model buffer")?
+                    .try_into()
+                    .map_err(|_| "truncated model buffer")?,
+            );
             *cur = end;
-            let block = bytes.get(*cur..*cur + len).ok_or("truncated model block")?;
-            *cur += len;
+            let block_end = usize::try_from(len).ok().and_then(|len| end.checked_add(len));
+            let block = block_end.and_then(|block_end| bytes.get(end..block_end)).ok_or("truncated model block")?;
+            *cur += block.len();
             Ok(block)
         };
         let mut cur = 0usize;
-        let ft_block = read_block(&mut cur)?;
-        let semantic = FastText::from_bytes(ft_block)?;
-        let weight_block = read_block(&mut cur)?.to_vec();
+        let semantic = FastText::from_bytes(read_block(&mut cur)?)?;
+        if semantic.dim() != config.fasttext_dim {
+            return Err(format!("fastText dim {} != config.fasttext_dim {}", semantic.dim(), config.fasttext_dim));
+        }
+        let weight_block = read_block(&mut cur)?;
         let mut model = EmbLookupModel::new(semantic, config);
-        model.store.load_bytes(&weight_block)?;
+        model.store.load_bytes(weight_block)?;
         Ok(model)
     }
 }
@@ -586,6 +590,98 @@ mod persist_tests {
         let restored = EmbLookupModel::from_bytes(&bytes, config).unwrap();
         for s in ["alpha", "beta gamma", "xyz"] {
             assert_eq!(model.embed(s), restored.embed(s), "mismatch for {s}");
+        }
+    }
+
+    /// The offsets of every length and count field of an
+    /// [`EmbLookupModel::to_bytes`] buffer — the two block lengths; in the
+    /// fastText block its dimension and bucket count, the idf count, each
+    /// token's length, the SGNS block's length and that block's dim / in /
+    /// out header; in the weight block the parameter count, each rank and
+    /// each shape dimension — and where the fastText and SGNS blocks lie.
+    fn length_fields(bytes: &[u8]) -> (Vec<usize>, std::ops::Range<usize>, std::ops::Range<usize>) {
+        let at = |i: usize| u64::from_le_bytes(bytes[i..i + 8].try_into().unwrap()) as usize;
+        let ft = 8..8 + at(0);
+        let mut fields = vec![0, ft.start, ft.start + 24];
+        // past the seven u64 settings, lr, seed and max_idf
+        let mut cur = ft.start + 7 * 8 + 4 + 8 + 4;
+        fields.push(cur);
+        let tokens = at(cur);
+        cur += 8;
+        for _ in 0..tokens {
+            fields.push(cur);
+            cur += 8 + at(cur) + 4;
+        }
+        fields.push(cur);
+        let sgns = cur + 8..cur + 8 + at(cur);
+        fields.extend([sgns.start, sgns.start + 8, sgns.start + 16]);
+        assert_eq!(sgns.end, ft.end);
+        fields.push(ft.end);
+        cur = ft.end + 8;
+        fields.push(cur);
+        let params = at(cur);
+        cur += 8;
+        for _ in 0..params {
+            fields.push(cur);
+            let rank = at(cur);
+            cur += 8;
+            let mut floats = 1;
+            for _ in 0..rank {
+                fields.push(cur);
+                floats *= at(cur);
+                cur += 8;
+            }
+            cur += 4 * floats;
+        }
+        assert_eq!(cur, bytes.len());
+        (fields, ft, sgns)
+    }
+
+    #[test]
+    fn readers_reject_every_truncation_and_every_crafted_length() {
+        // a real buffer, seeded: every prefix of it — and of its fastText
+        // and SGNS blocks, which the outer reader's own length check would
+        // otherwise stop first — and each length field set to 0, to one
+        // past the buffer, to 2^60 and to u64::MAX, is an `Err`, never a
+        // panic (here or under --release) or a reservation sized by the
+        // field
+        let mut corpus = Corpus::default();
+        for s in ["alpha beta gamma", "gamma delta", "epsilon alpha zeta"] {
+            corpus.add_sentence(s.split(' ').map(String::from).collect());
+        }
+        let ft = FastText::train(&corpus, FastTextConfig { dim: 16, buckets: 1 << 8, epochs: 2, seed: 7, ..Default::default() });
+        let config = EmbLookupConfig::tiny(5);
+        let bytes = EmbLookupModel::new(ft, config.clone()).to_bytes();
+        assert!(EmbLookupModel::from_bytes(&bytes, config.clone()).is_ok());
+        let (fields, ft_block, sgns_block) = length_fields(&bytes);
+        assert!(fields.len() > 20, "{} length fields", fields.len());
+
+        for cut in 0..bytes.len() {
+            assert!(EmbLookupModel::from_bytes(&bytes[..cut], config.clone()).is_err(), "model cut at {cut}");
+        }
+        let ft_bytes = &bytes[ft_block.clone()];
+        for cut in 0..ft_bytes.len() {
+            assert!(FastText::from_bytes(&ft_bytes[..cut]).is_err(), "fastText cut at {cut}");
+        }
+        let sgns_bytes = &bytes[sgns_block];
+        for cut in 0..sgns_bytes.len() {
+            assert!(emblookup_embed::sgns::SgnsModel::from_bytes(&sgns_bytes[..cut]).is_err(), "SGNS cut at {cut}");
+        }
+
+        for &field in &fields {
+            let one_past = (bytes.len() - field - 8 + 1) as u64;
+            for value in [0, one_past, 1 << 60, u64::MAX] {
+                let mut crafted = bytes.clone();
+                crafted[field..field + 8].copy_from_slice(&value.to_le_bytes());
+                assert!(
+                    EmbLookupModel::from_bytes(&crafted, config.clone()).is_err(),
+                    "length field at {field} set to {value}"
+                );
+                if ft_block.contains(&field) {
+                    let inner = &crafted[ft_block.clone()];
+                    assert!(FastText::from_bytes(inner).is_err(), "fastText field at {field} set to {value}");
+                }
+            }
         }
     }
 

@@ -55,11 +55,20 @@ impl Default for FastTextConfig {
 pub struct FastText {
     model: SgnsModel,
     config: FastTextConfig,
-    /// Inverse-document-frequency weight per vocabulary token; embedding a
-    /// multi-token string uses an idf-weighted mean so generic tokens
-    /// ("of", "kingdom", "republic") do not dilute the distinctive ones.
-    idf: std::collections::HashMap<String, f32>,
+    /// What a vocabulary token embeds to, keyed by the token.
+    known: std::collections::HashMap<String, Known>,
     max_idf: f32,
+}
+
+/// A vocabulary token as [`FastText::embed_into`] reads it.
+struct Known {
+    /// Inverse-document-frequency weight: embedding a multi-token string
+    /// uses an idf-weighted mean so generic tokens ("of", "kingdom",
+    /// "republic") do not dilute the distinctive ones.
+    idf: f32,
+    /// The token's n-gram mean, computed once from the model by the sums
+    /// the query path runs for an unknown token.
+    mean: Box<[f32]>,
 }
 
 impl FastText {
@@ -95,14 +104,37 @@ impl FastText {
         }
         // idf over the corpus vocabulary
         let n_sentences = corpus.sentences.len().max(1) as f32;
-        let mut idf = std::collections::HashMap::new();
+        let mut idf = Vec::with_capacity(corpus.vocab_size());
         let mut max_idf: f32 = 1.0;
         for id in 0..corpus.vocab_size() as u32 {
             let w = (n_sentences / (1.0 + corpus.count(id) as f32)).ln().max(0.1);
             max_idf = max_idf.max(w);
-            idf.insert(corpus.token(id).to_string(), w);
+            idf.push((corpus.token(id).to_string(), w));
         }
-        FastText { model, config, idf, max_idf }
+        Self::with_vocabulary(model, config, idf, max_idf)
+    }
+
+    /// The model over `vocabulary` (token, idf): each token's n-gram mean
+    /// is summed here, once, by [`FastText::sum_features`] and scaled by
+    /// `1 / features` as `embed_into` scales an unknown token's sum, so
+    /// reading it instead gives the same bits.
+    fn with_vocabulary(model: SgnsModel, config: FastTextConfig, vocabulary: Vec<(String, f32)>, max_idf: f32) -> Self {
+        let mut ft = FastText { model, config, known: std::collections::HashMap::new(), max_idf };
+        let (mut wrapped, mut token_vec) = (String::new(), vec![0.0f32; ft.model.dim()]);
+        let known = vocabulary
+            .into_iter()
+            .map(|(token, idf)| {
+                wrapped.clear();
+                wrapped.push('<');
+                wrapped.push_str(&token);
+                wrapped.push('>');
+                let inv = 1.0 / ft.sum_features(&wrapped, &mut token_vec) as f32;
+                let mean = token_vec.iter().map(|t| t * inv).collect();
+                (token, Known { idf, mean })
+            })
+            .collect();
+        ft.known = known;
+        ft
     }
 
     /// Training-time feature ids of one vocabulary token.
@@ -124,10 +156,11 @@ impl FastText {
     /// nothing once `wrapped` has the capacity of the longest string seen:
     /// `out` receives the embedding, `token_vec` (same length, the model's
     /// dimension) and `wrapped` are working space whose contents on entry
-    /// do not matter. Every sum runs in the order `embed` always used —
-    /// features in `n`-then-position order into the token mean, tokens in
-    /// string order into the idf-weighted mean — so the result is
-    /// bit-identical to it.
+    /// do not matter. A vocabulary token adds its precomputed mean; only an
+    /// unknown one hashes its n-grams. Every sum runs in the order `embed`
+    /// always used — features in `n`-then-position order into the token
+    /// mean, tokens in string order into the idf-weighted mean — so the
+    /// result is bit-identical to it.
     ///
     /// # Panics
     /// Panics unless `out` and `token_vec` both have length `dim()`.
@@ -148,28 +181,22 @@ impl FastText {
             wrapped.make_ascii_lowercase();
             wrapped.push('>');
             let token = &wrapped[1..wrapped.len() - 1];
-            let w = self.idf.get(token).copied().unwrap_or(self.max_idf);
-
-            // the rows are random lines of a table far larger than the
-            // cache: hashed a batch ahead, their misses overlap instead of
-            // stalling one add at a time
-            token_vec.fill(0.0);
-            let (mut batch, mut batched, mut features) = ([0u32; ROW_BATCH], 0usize, 0usize);
-            for_each_feature(wrapped, &self.config, |id| {
-                batch[batched] = id;
-                batched += 1;
-                if batched == ROW_BATCH {
-                    self.add_rows(&batch, token_vec);
-                    batched = 0;
+            // `w * (t * inv)` whether `t * inv` was taken at build time or now
+            let w = match self.known.get(token) {
+                Some(known) => {
+                    for (a, &m) in out.iter_mut().zip(known.mean.iter()) {
+                        *a += known.idf * m;
+                    }
+                    known.idf
                 }
-                features += 1;
-            });
-            self.add_rows(&batch[..batched], token_vec);
-            // every token has at least its whole-word feature
-            let inv = 1.0 / features as f32;
-            for (a, t) in out.iter_mut().zip(token_vec.iter()) {
-                *a += w * (*t * inv);
-            }
+                None => {
+                    let inv = 1.0 / self.sum_features(wrapped, token_vec) as f32;
+                    for (a, t) in out.iter_mut().zip(token_vec.iter()) {
+                        *a += self.max_idf * (*t * inv);
+                    }
+                    self.max_idf
+                }
+            };
             total_w += w;
         }
         if total_w > 0.0 {
@@ -177,6 +204,28 @@ impl FastText {
                 *a /= total_w;
             }
         }
+    }
+
+    /// Overwrites `token_vec` with the sum of the rows of `wrapped`'s
+    /// (`"<token>"`) features, in feature order, and returns how many
+    /// features there were — at least one, the whole-word feature.
+    fn sum_features(&self, wrapped: &str, token_vec: &mut [f32]) -> usize {
+        // the rows are random lines of a table far larger than the cache:
+        // hashed a batch ahead, their misses overlap instead of stalling
+        // one add at a time
+        token_vec.fill(0.0);
+        let (mut batch, mut batched, mut features) = ([0u32; ROW_BATCH], 0usize, 0usize);
+        for_each_feature(wrapped, &self.config, |id| {
+            batch[batched] = id;
+            batched += 1;
+            if batched == ROW_BATCH {
+                self.add_rows(&batch, token_vec);
+                batched = 0;
+            }
+            features += 1;
+        });
+        self.add_rows(&batch[..batched], token_vec);
+        features
     }
 
     /// Adds the n-gram rows `ids` names into `token_vec`, in `ids` order,
@@ -193,14 +242,14 @@ impl FastText {
     }
 }
 
-/// Feature ids [`FastText::embed_into`] hashes before it reads their rows:
+/// Feature ids [`FastText::sum_features`] hashes before it reads their rows:
 /// a token of `t` characters has `3t - 2` features at the default 3..=5
 /// grams, so one batch covers a token of up to 22 characters and a longer
 /// token takes several.
 const ROW_BATCH: usize = 64;
 
 /// The one enumeration of a token's subword features, shared by training
-/// ([`FastText::ngram_ids`]) and inference ([`FastText::embed_into`]) so the
+/// ([`FastText::ngram_ids`]) and inference ([`FastText::sum_features`]) so the
 /// two cannot drift: every window of `n` characters of the wrapped token
 /// `"<token>"` for `n` in `min_n..=max_n`, by `n` then by position, and then
 /// the whole wrapped token unless one of those windows already was it. Each
@@ -213,7 +262,14 @@ fn for_each_feature(wrapped: &str, config: &FastTextConfig, mut f: impl FnMut(u3
         config.min_n,
         config.max_n
     );
-    let mut emit = |gram: &str| f((ngram_hash(gram) % config.buckets as u64) as u32);
+    // modulo a power of two (the default 2^15) is a mask: the same bucket
+    // without a 64-bit division per n-gram
+    let buckets = config.buckets as u64;
+    let mask = buckets.is_power_of_two().then(|| buckets - 1);
+    let mut emit = |gram: &str| {
+        let hash = ngram_hash(gram);
+        f(mask.map_or_else(|| hash % buckets, |mask| hash & mask) as u32)
+    };
     let chars = wrapped.chars().count();
     for n in config.min_n..=config.max_n.min(chars) {
         // a window starting at character `i` ends where character `i + n`
@@ -389,7 +445,7 @@ mod tests {
         let mut acc = vec![0.0f32; ft.dim()];
         let mut total_w = 0.0f32;
         for token in &words(s) {
-            let w = ft.idf.get(token).copied().unwrap_or(ft.max_idf);
+            let w = ft.known.get(token).map_or(ft.max_idf, |known| known.idf);
             let v = ft.model.embed_features(&owned_ngram_ids(token, &ft.config));
             for (a, x) in acc.iter_mut().zip(v) {
                 *a += w * x;
@@ -518,6 +574,57 @@ mod tests {
             assert_eq!(bits(&ft.embed(s)), bits(&want), "embed differs for {s:?}");
         }
     }
+
+    #[test]
+    fn known_token_rows_are_bit_identical_to_the_oracle() {
+        // the benchmark's graph: every token of its vocabulary takes its
+        // precomputed row; its uppercase form (lowercased back onto the
+        // row, or unknown where the case is not ASCII), non-ASCII and
+        // typo'd neighbours hash their n-grams — in a trained model and in
+        // the same model reloaded, which rebuilds the rows from its bytes
+        let synth = emblookup_kg::generate(emblookup_kg::SynthKgConfig::small(11));
+        let corpus = Corpus::from_kg(&synth.kg);
+        let ft = FastText::train(&corpus, FastTextConfig { dim: 16, buckets: 1 << 12, epochs: 1, ..Default::default() });
+        let reloaded = FastText::from_bytes(&ft.to_bytes()).unwrap();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let typos = NoiseInjector::typos();
+        let mut rng = StdRng::seed_from_u64(13);
+        let vocab = corpus.vocab_size() as u32;
+        assert!(vocab > 1000, "{vocab} tokens");
+        let (mut wrapped, mut token_vec, mut out) = (String::new(), vec![0.0f32; 16], vec![0.0f32; 16]);
+        for id in 0..vocab {
+            let token = corpus.token(id);
+            assert_eq!(bits(&reloaded.known[token].mean), bits(&ft.known[token].mean), "{token:?}");
+            let next = corpus.token((id + 1) % vocab);
+            let strings = [
+                token.to_string(),
+                token.to_uppercase(),
+                format!("{token}é"),
+                format!("ß{token}"),
+                typos.corrupt(token, &mut rng),
+                format!("{token} {next}"),
+            ];
+            for s in &strings {
+                let want = bits(&embed_oracle(&ft, s));
+                ft.embed_into(s, &mut wrapped, &mut token_vec, &mut out);
+                assert_eq!(bits(&out), want, "embed_into differs for {s:?}");
+                assert_eq!(bits(&reloaded.embed(s)), want, "reloaded embed differs for {s:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_table_of_other_than_a_power_of_two_buckets_still_takes_the_modulo() {
+        let config = FastTextConfig { buckets: 1000, ..small_config() };
+        for token in ["germany", "tokyo", "日本語", "x"] {
+            assert_eq!(FastText::ngram_ids(token, &config), owned_ngram_ids(token, &config), "{token:?}");
+        }
+        let ft = FastText::train(&toy_corpus(), config);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for s in ["germany tokyo", "germani", "deutschland"] {
+            assert_eq!(bits(&ft.embed(s)), bits(&embed_oracle(&ft, s)), "{s:?}");
+        }
+    }
 }
 
 impl FastText {
@@ -540,11 +647,11 @@ impl FastText {
         out.extend_from_slice(&self.config.lr.to_le_bytes());
         out.extend_from_slice(&self.config.seed.to_le_bytes());
         out.extend_from_slice(&self.max_idf.to_le_bytes());
-        // idf table
-        out.extend_from_slice(&(self.idf.len() as u64).to_le_bytes());
-        let mut entries: Vec<(&String, &f32)> = self.idf.iter().collect();
+        // idf table; the token means are the model's, recomputed on load
+        out.extend_from_slice(&(self.known.len() as u64).to_le_bytes());
+        let mut entries: Vec<(&String, f32)> = self.known.iter().map(|(token, known)| (token, known.idf)).collect();
         entries.sort_by(|a, b| a.0.cmp(b.0));
-        for (token, &w) in entries {
+        for (token, w) in entries {
             out.extend_from_slice(&(token.len() as u64).to_le_bytes());
             out.extend_from_slice(token.as_bytes());
             out.extend_from_slice(&w.to_le_bytes());
@@ -556,22 +663,28 @@ impl FastText {
         out
     }
 
-    /// Restores a model serialized with [`FastText::to_bytes`].
+    /// Restores a model serialized with [`FastText::to_bytes`], and
+    /// recomputes each vocabulary token's n-gram mean from it.
     ///
     /// # Errors
-    /// Returns a description of the first structural problem found.
+    /// Returns a description of the first structural problem found —
+    /// including a length or count the buffer cannot hold, which is never
+    /// reserved for.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
         let mut cur = 0usize;
+        // `len` bytes from `cur` on, or an error naming `what`
+        let take = |cur: &mut usize, len: u64, what: &str| -> Result<&[u8], String> {
+            let end = usize::try_from(len).ok().and_then(|len| cur.checked_add(len));
+            let s = end.and_then(|end| bytes.get(*cur..end)).ok_or_else(|| format!("truncated {what}"))?;
+            *cur += s.len();
+            Ok(s)
+        };
         let read_u64 = |cur: &mut usize| -> Result<u64, String> {
-            let end = *cur + 8;
-            let s = bytes.get(*cur..end).ok_or("truncated fastText buffer")?;
-            *cur = end;
+            let s = take(cur, 8, "fastText buffer")?;
             Ok(u64::from_le_bytes(s.try_into().map_err(|_| "truncated fastText buffer")?))
         };
         let read_f32 = |cur: &mut usize| -> Result<f32, String> {
-            let end = *cur + 4;
-            let s = bytes.get(*cur..end).ok_or("truncated fastText buffer")?;
-            *cur = end;
+            let s = take(cur, 4, "fastText buffer")?;
             Ok(f32::from_le_bytes(s.try_into().map_err(|_| "truncated fastText buffer")?))
         };
         let dim = read_u64(&mut cur)? as usize;
@@ -587,25 +700,31 @@ impl FastText {
         let config = FastTextConfig {
             dim, min_n, max_n, buckets, window, negatives, epochs, lr, seed,
         };
-        let idf_len = read_u64(&mut cur)? as usize;
-        let mut idf = std::collections::HashMap::with_capacity(idf_len);
+        if min_n == 0 || min_n > max_n {
+            return Err(format!("invalid n-gram range {min_n}..={max_n}"));
+        }
+        let idf_len = read_u64(&mut cur)?;
+        // an entry is at least its 8-byte length and 4-byte weight
+        let fits = (bytes.len() - cur) / 12;
+        let mut idf = Vec::with_capacity(usize::try_from(idf_len).map_or(fits, |n| n.min(fits)));
         for _ in 0..idf_len {
-            let tlen = read_u64(&mut cur)? as usize;
-            let end = cur + tlen;
-            let token = std::str::from_utf8(bytes.get(cur..end).ok_or("truncated token")?)
+            let tlen = read_u64(&mut cur)?;
+            let token = std::str::from_utf8(take(&mut cur, tlen, "token")?)
                 .map_err(|e| format!("invalid utf8 token: {e}"))?
                 .to_string();
-            cur = end;
             let w = read_f32(&mut cur)?;
-            idf.insert(token, w);
+            idf.push((token, w));
         }
-        let sgns_len = read_u64(&mut cur)? as usize;
-        let end = cur + sgns_len;
-        let model = SgnsModel::from_bytes(bytes.get(cur..end).ok_or("truncated SGNS block")?)?;
+        let sgns_len = read_u64(&mut cur)?;
+        let model = SgnsModel::from_bytes(take(&mut cur, sgns_len, "SGNS block")?)?;
         if model.dim() != dim {
             return Err(format!("SGNS dim {} != config dim {dim}", model.dim()));
         }
-        Ok(FastText { model, config, idf, max_idf })
+        // every bucket a feature can hash to has its row
+        if model.in_rows() != buckets {
+            return Err(format!("SGNS has {} input rows for {buckets} buckets", model.in_rows()));
+        }
+        Ok(Self::with_vocabulary(model, config, idf, max_idf))
     }
 }
 
@@ -633,5 +752,29 @@ mod persist_tests {
     #[test]
     fn rejects_corrupt_buffer() {
         assert!(FastText::from_bytes(&[1, 2, 3]).is_err());
+    }
+
+    #[test]
+    fn rejects_counts_and_ranges_the_model_cannot_have() {
+        let mut c = Corpus::default();
+        c.add_sentence(vec!["alpha".into(), "beta".into()]);
+        let bytes = FastText::train(&c, FastTextConfig { dim: 4, buckets: 1 << 6, epochs: 1, ..Default::default() }).to_bytes();
+        let with = |at: usize, v: u64| {
+            let mut b = bytes.clone();
+            b[at..at + 8].copy_from_slice(&v.to_le_bytes());
+            b
+        };
+        // the idf count sits after 7 u64s, lr, seed and max_idf
+        let idf_count = 7 * 8 + 4 + 8 + 4;
+        assert_eq!(bytes[idf_count..idf_count + 8], 2u64.to_le_bytes());
+        assert!(FastText::from_bytes(&with(idf_count, 1 << 60)).is_err(), "reserved for 2^60 tokens");
+        assert!(FastText::from_bytes(&with(idf_count + 8, u64::MAX)).is_err(), "token length past the end");
+        // an n-gram range no feature walk accepts, and a table whose rows
+        // are not the buckets the hash addresses
+        assert!(FastText::from_bytes(&with(8, 0)).is_err());
+        assert!(FastText::from_bytes(&with(8, 6)).is_err());
+        assert!(FastText::from_bytes(&with(24, 1 << 7)).is_err());
+        assert!(FastText::from_bytes(&with(24, 0)).is_err());
+        assert!(FastText::from_bytes(&bytes).is_ok());
     }
 }

@@ -113,6 +113,11 @@ impl SgnsModel {
         &self.in_vecs[f as usize * self.dim..(f as usize + 1) * self.dim]
     }
 
+    /// Number of input features (rows of the input matrix).
+    pub(crate) fn in_rows(&self) -> usize {
+        self.in_vecs.len() / self.dim
+    }
+
     /// Mean of the input-feature vectors for `features`; the zero vector
     /// for an empty feature set.
     pub fn embed_features(&self, features: &[u32]) -> Vec<f32> {
@@ -422,40 +427,31 @@ impl SgnsModel {
         out
     }
 
-    /// Restores a model serialized with [`SgnsModel::to_bytes`].
+    /// Restores a model serialized with [`SgnsModel::to_bytes`]; the buffer
+    /// holds that and nothing more.
     ///
     /// # Errors
-    /// Returns a description of the first structural problem found.
+    /// Returns a description of the first structural problem found,
+    /// including a header whose float counts the buffer does not hold
+    /// exactly (nothing is reserved before that is checked).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
-        let mut cur = 0usize;
-        let read_u64 = |cur: &mut usize| -> Result<u64, String> {
-            let end = *cur + 8;
-            let s = bytes.get(*cur..end).ok_or("truncated SGNS buffer")?;
-            *cur = end;
-            Ok(u64::from_le_bytes(s.try_into().map_err(|_| "truncated SGNS buffer")?))
-        };
-        let dim = read_u64(&mut cur)? as usize;
-        let n_in = read_u64(&mut cur)? as usize;
-        let n_out = read_u64(&mut cur)? as usize;
-        if dim == 0 || !n_in.is_multiple_of(dim) || !n_out.is_multiple_of(dim) {
+        const HEADER: usize = 24;
+        let header = bytes.get(..HEADER).ok_or("truncated SGNS buffer")?;
+        let [dim, n_in, n_out] =
+            std::array::from_fn(|i| u64::from_le_bytes(std::array::from_fn(|b| header[8 * i + b])));
+        let floats = n_in.checked_add(n_out).and_then(|n| n.checked_mul(4));
+        if floats != Some((bytes.len() - HEADER) as u64) {
+            return Err(format!("SGNS buffer of {} bytes does not hold in {n_in} + out {n_out} floats", bytes.len()));
+        }
+        // the counts now fit in memory, so in `usize`
+        let (dim, n_in) = (dim as usize, n_in as usize);
+        if dim == 0 || n_in == 0 || n_out == 0 || !n_in.is_multiple_of(dim) || !(n_out as usize).is_multiple_of(dim) {
             return Err(format!("inconsistent SGNS header: dim {dim}, in {n_in}, out {n_out}"));
         }
-        let need = cur + 4 * (n_in + n_out);
-        if bytes.len() < need {
-            return Err(format!("truncated SGNS buffer: {} < {need}", bytes.len()));
-        }
-        let read_f32s = |count: usize, cur: &mut usize| -> Vec<f32> {
-            let mut v = Vec::with_capacity(count);
-            for _ in 0..count {
-                let end = *cur + 4;
-                // lint: allow(L001) infallible: buffer length was verified against `need` above
-                v.push(f32::from_le_bytes(bytes[*cur..end].try_into().unwrap()));
-                *cur = end;
-            }
-            v
-        };
-        let in_vecs = read_f32s(n_in, &mut cur);
-        let out_vecs = read_f32s(n_out, &mut cur);
+        let mut values =
+            bytes[HEADER..].chunks_exact(4).map(|b| f32::from_le_bytes(std::array::from_fn(|i| b[i])));
+        let in_vecs = values.by_ref().take(n_in).collect();
+        let out_vecs = values.collect();
         Ok(Self::from_parts(dim, in_vecs, out_vecs))
     }
 }
@@ -481,6 +477,29 @@ mod persist_tests {
         let bytes = model.to_bytes();
         assert!(SgnsModel::from_bytes(&bytes[..bytes.len() - 3]).is_err());
         assert!(SgnsModel::from_bytes(&bytes[..4]).is_err());
+    }
+
+    #[test]
+    fn rejects_counts_the_buffer_does_not_hold_exactly() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let bytes = SgnsModel::new(3, 2, 4, &mut rng).to_bytes();
+        let header = |dim: u64, n_in: u64, n_out: u64| {
+            let mut b = bytes.clone();
+            for (i, v) in [dim, n_in, n_out].into_iter().enumerate() {
+                b[8 * i..8 * i + 8].copy_from_slice(&v.to_le_bytes());
+            }
+            b
+        };
+        // `4 * (n_in + n_out)` wraps to a length this buffer passes
+        assert!(SgnsModel::from_bytes(&header(1, 1 << 62, 1 << 62)).is_err());
+        // counts that add up, but one side empty or not whole rows
+        assert!(SgnsModel::from_bytes(&header(4, 20, 0)).is_err());
+        assert!(SgnsModel::from_bytes(&header(4, 0, 20)).is_err());
+        assert!(SgnsModel::from_bytes(&header(3, 10, 10)).is_err());
+        let mut longer = bytes.clone();
+        longer.push(0);
+        assert!(SgnsModel::from_bytes(&longer).is_err());
+        assert!(SgnsModel::from_bytes(&header(4, 12, 8)).is_ok());
     }
 }
 

@@ -110,8 +110,17 @@ impl ParamStore {
             ));
         }
         for i in 0..count {
-            let rank = read_u64(&mut cur)? as usize;
-            let mut shape = Vec::with_capacity(rank);
+            let rank = read_u64(&mut cur)?;
+            // the stored rank is a count nothing vouches for: compare it
+            // before reserving for it
+            if rank != self.params[i].shape().len() as u64 {
+                return Err(format!(
+                    "rank mismatch for parameter {i} ({}): stored {rank}, expected {}",
+                    self.names[i],
+                    self.params[i].shape().len()
+                ));
+            }
+            let mut shape = Vec::with_capacity(self.params[i].shape().len());
             for _ in 0..rank {
                 shape.push(read_u64(&mut cur)? as usize);
             }

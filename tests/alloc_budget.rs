@@ -66,10 +66,28 @@ fn query_path_stays_inside_its_allocation_budget() {
     // no training to allocate like trained ones
     let synth = generate(SynthKgConfig::small(11));
     let config = EmbLookupConfig::default();
-    let fasttext = FastText::train(
-        &Corpus::from_kg(&synth.kg),
-        FastTextConfig { dim: config.fasttext_dim, epochs: 1, ..Default::default() },
-    );
+    let corpus = Corpus::from_kg(&synth.kg);
+    let fasttext =
+        FastText::train(&corpus, FastTextConfig { dim: config.fasttext_dim, epochs: 1, ..Default::default() });
+
+    // The fastText leg alone, warm after one call on the longest string: a
+    // vocabulary token reads its precomputed row, a token outside it hashes
+    // its n-grams into the caller's buffer — neither allocates.
+    let known: Vec<String> = (0..corpus.vocab_size().min(300) as u32).map(|id| corpus.token(id).to_string()).collect();
+    let unknown: Vec<String> = (0..300).map(|i| format!("qx{i}zvk wq{i}")).collect();
+    let (mut wrapped, mut token_vec, mut semantic) =
+        (String::new(), vec![0.0f32; config.fasttext_dim], vec![0.0f32; config.fasttext_dim]);
+    let longest = known.iter().chain(&unknown).max_by_key(|s| s.len()).map_or("", String::as_str);
+    fasttext.embed_into(longest, &mut wrapped, &mut token_vec, &mut semantic);
+    for (tokens, strings) in [("known", &known), ("unknown", &unknown)] {
+        let warm = allocations(|| {
+            for s in strings {
+                fasttext.embed_into(s, &mut wrapped, &mut token_vec, &mut semantic);
+            }
+        });
+        assert_eq!(warm, 0, "FastText::embed_into on {tokens} tokens allocated {warm} times over {} strings", strings.len());
+    }
+
     let model = Arc::new(EmbLookupModel::new(fasttext, config));
 
     // 200 mixed strings: labels, one typo each, aliases, and the shapes
