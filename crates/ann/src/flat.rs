@@ -1,7 +1,6 @@
 //! Exact brute-force nearest-neighbour index ("IndexFlatL2" in FAISS
 //! terms) — the EL-NC configuration of the paper, and the ground truth for
 //! the recall experiments of Figure 4.
-// lint: hot-path
 
 use crate::index::AnnIndex;
 use crate::topk::{Neighbor, TopK};

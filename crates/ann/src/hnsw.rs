@@ -30,7 +30,6 @@
 //!   argument).
 //!
 //! Query-time searches reuse one `SearchScratch` per thread.
-// lint: hot-path
 
 use crate::index::AnnIndex;
 use crate::kernels::sq_l2;

@@ -29,7 +29,6 @@
 //! Determinism matches the rest of the crate: for a fixed kernel
 //! variant, a search is a pure function of `(index, query, k)` — the
 //! batched path and any pool width return bit-identical results.
-// lint: hot-path
 
 use crate::hnsw::{HnswConfig, HnswIndex};
 use crate::index::{batch_grain, AnnIndex};

@@ -4,7 +4,6 @@
 //! centroid; a query scans only the `nprobe` closest buckets. EmbLookup is
 //! "modular and could accommodate either exact or approximate similarity
 //! search" (§III-C); this is the approximate non-compressed option.
-// lint: hot-path
 
 use crate::index::AnnIndex;
 use crate::kernels::sq_l2;

@@ -61,15 +61,15 @@
 //!
 //! # Adding an ISA path
 //!
-//! Add a `#[target_feature]`-gated module here (L002 rejects
-//! `target_feature` in any other lib file), a variant constant, a
-//! detection arm in `detect()`, and a dispatch arm in each public
-//! wrapper. Every `unsafe` token needs an `// lint: allow(L002)`
-//! justification naming the dispatch-time feature check that makes it
-//! sound. Keep the loop over a block *inside* the feature boundary and
-//! its accumulators in registers across it: a call into a
+//! Add a `#[target_feature]`-gated module here (every other lib crate
+//! forbids `unsafe_code`, so a feature-gated fn cannot be called outside
+//! this module and the pool), a variant constant, a detection arm in
+//! `detect()`, and a dispatch arm in each public wrapper. Every `unsafe`
+//! block needs a `// SAFETY:` comment naming the dispatch-time feature
+//! check that makes it sound (`clippy::undocumented_unsafe_blocks`).
+//! Keep the loop over a block *inside* the feature boundary and its
+//! accumulators in registers across it: a call into a
 //! `#[target_feature]` function cannot inline into its safe dispatcher.
-// lint: hot-path
 
 use emblookup_obs::sync::Flag;
 
@@ -136,12 +136,12 @@ pub fn sq_l2(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     #[cfg(target_arch = "x86_64")]
     if variant() == V_AVX2 {
-        // lint: allow(L002) gated by dispatch: V_AVX2 is published only after is_x86_feature_detected verified avx2+fma
+        // SAFETY: gated by dispatch: V_AVX2 is published only after is_x86_feature_detected verified avx2+fma
         return unsafe { x86::sq_l2_avx2(a, b) };
     }
     #[cfg(target_arch = "aarch64")]
     if variant() == V_NEON {
-        // lint: allow(L002) gated by dispatch: V_NEON implies NEON, which is baseline on aarch64
+        // SAFETY: gated by dispatch: V_NEON implies NEON, which is baseline on aarch64
         return unsafe { neon::sq_l2_neon(a, b) };
     }
     scalar::sq_l2(a, b)
@@ -153,12 +153,12 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     #[cfg(target_arch = "x86_64")]
     if variant() == V_AVX2 {
-        // lint: allow(L002) gated by dispatch: V_AVX2 is published only after is_x86_feature_detected verified avx2+fma
+        // SAFETY: gated by dispatch: V_AVX2 is published only after is_x86_feature_detected verified avx2+fma
         return unsafe { x86::dot_avx2(a, b) };
     }
     #[cfg(target_arch = "aarch64")]
     if variant() == V_NEON {
-        // lint: allow(L002) gated by dispatch: V_NEON implies NEON, which is baseline on aarch64
+        // SAFETY: gated by dispatch: V_NEON implies NEON, which is baseline on aarch64
         return unsafe { neon::dot_neon(a, b) };
     }
     scalar::dot(a, b)
@@ -192,7 +192,7 @@ pub fn adc_gather(table: &[f32], ks: usize, m: usize, codes: &[u8], ids: &[u32],
     assert!(ids.iter().all(|&id| (id as usize) < rows), "adc_gather: id out of range");
     #[cfg(target_arch = "x86_64")]
     if variant() == V_AVX2 && ks >= 256 {
-        // lint: allow(L002) gated by dispatch (V_AVX2 is published only after is_x86_feature_detected verified avx2+fma) and by the asserts above: every id's code lies inside `codes`, the table holds m rows of ks, and at ks >= 256 no code byte can leave its row
+        // SAFETY: gated by dispatch (V_AVX2 is published only after is_x86_feature_detected verified avx2+fma) and by the asserts above: every id's code lies inside `codes`, the table holds m rows of ks, and at ks >= 256 no code byte can leave its row
         return unsafe { x86::adc_gather_avx2(table, ks, m, codes, ids, out) };
     }
     scalar::adc_gather(table, ks, m, codes, ids, out);
@@ -222,7 +222,7 @@ pub fn adc_block(table: &[f32], ks: usize, m: usize, codes: &[u8], out: &mut [f3
     assert!(m > 0 && out.len() <= codes.len() / m && table_holds(table, m, ks), "adc_block: bad shape");
     #[cfg(target_arch = "x86_64")]
     if variant() == V_AVX2 && ks >= 256 {
-        // lint: allow(L002) gated by dispatch (V_AVX2 is published only after is_x86_feature_detected verified avx2+fma) and by the assert above: `codes` holds out.len() codes, the table holds m rows of ks, and at ks >= 256 no code byte can leave its row
+        // SAFETY: gated by dispatch (V_AVX2 is published only after is_x86_feature_detected verified avx2+fma) and by the assert above: `codes` holds out.len() codes, the table holds m rows of ks, and at ks >= 256 no code byte can leave its row
         return unsafe { x86::adc_block_avx2(table, ks, m, codes, out) };
     }
     scalar::adc_block(table, ks, m, codes, out);
@@ -247,12 +247,12 @@ pub fn sq_l2_block(query: &[f32], rows: &[f32], out: &mut [f32]) {
     );
     #[cfg(target_arch = "x86_64")]
     if variant() == V_AVX2 {
-        // lint: allow(L002) gated by dispatch: V_AVX2 is published only after is_x86_feature_detected verified avx2+fma
+        // SAFETY: gated by dispatch: V_AVX2 is published only after is_x86_feature_detected verified avx2+fma
         return unsafe { x86::sq_l2_block_avx2(query, rows, out) };
     }
     #[cfg(target_arch = "aarch64")]
     if variant() == V_NEON {
-        // lint: allow(L002) gated by dispatch: V_NEON implies NEON, which is baseline on aarch64
+        // SAFETY: gated by dispatch: V_NEON implies NEON, which is baseline on aarch64
         return unsafe { neon::sq_l2_block_neon(query, rows, out) };
     }
     scalar::sq_l2_block(query, rows, out);
@@ -278,12 +278,12 @@ pub(crate) fn sq_l2_columns(query: &[f32], columns: &[f32], out: &mut [f32]) {
     );
     #[cfg(target_arch = "x86_64")]
     if variant() == V_AVX2 {
-        // lint: allow(L002) gated by dispatch (V_AVX2 is published only after is_x86_feature_detected verified avx2+fma) and by the assert above: columns holds query.len() rows of out.len() floats
+        // SAFETY: gated by dispatch (V_AVX2 is published only after is_x86_feature_detected verified avx2+fma) and by the assert above: columns holds query.len() rows of out.len() floats
         return unsafe { x86::sq_l2_columns_avx2(query, columns, out) };
     }
     #[cfg(target_arch = "aarch64")]
     if variant() == V_NEON {
-        // lint: allow(L002) gated by dispatch (V_NEON implies NEON, which is baseline on aarch64) and by the assert above: columns holds query.len() rows of out.len() floats
+        // SAFETY: gated by dispatch (V_NEON implies NEON, which is baseline on aarch64) and by the assert above: columns holds query.len() rows of out.len() floats
         return unsafe { neon::sq_l2_columns_neon(query, columns, out) };
     }
     scalar::sq_l2_columns(query, columns, out);
@@ -309,7 +309,7 @@ pub(crate) fn sq8_l2_gather(shifted: &[f32], step: &[f32], codes: &[u8], ids: &[
     assert!(ids.iter().all(|&id| (id as usize) < rows), "sq8_l2_gather: id out of range");
     #[cfg(target_arch = "x86_64")]
     if variant() == V_AVX2 {
-        // lint: allow(L002) gated by dispatch (V_AVX2 is published only after is_x86_feature_detected verified avx2+fma) and by the asserts above: `step` holds dim floats, `out` a slot per id, and every id's dim-byte row lies inside `codes`
+        // SAFETY: gated by dispatch (V_AVX2 is published only after is_x86_feature_detected verified avx2+fma) and by the asserts above: `step` holds dim floats, `out` a slot per id, and every id's dim-byte row lies inside `codes`
         return unsafe { x86::sq8_l2_gather_avx2(shifted, step, codes, ids, out) };
     }
     scalar::sq8_l2_gather(shifted, step, codes, ids, out);
@@ -340,7 +340,7 @@ pub fn conv1d_plane(x: &[f32], w: &[f32], b: &[f32], y: &mut [f32], k: usize, l:
     assert!(taps == Some(w.len()), "conv1d_plane: w is not [C_out][C_in][k]");
     #[cfg(target_arch = "x86_64")]
     if variant() == V_AVX2 {
-        // lint: allow(L002) gated by dispatch (V_AVX2 is published only after is_x86_feature_detected verified avx2+fma) and by the asserts above: x, y and w hold whole [C_in], [b.len()] and [b.len()][C_in] blocks of l + k - 1 and k floats
+        // SAFETY: gated by dispatch (V_AVX2 is published only after is_x86_feature_detected verified avx2+fma) and by the asserts above: x, y and w hold whole [C_in], [b.len()] and [b.len()][C_in] blocks of l + k - 1 and k floats
         return unsafe { x86::conv1d_plane_avx2(x, w, b, y, k, l) };
     }
     scalar::conv1d_plane(x, w, b, y, k, l);
@@ -363,7 +363,7 @@ pub fn gemv_bias(x: &[f32], w: &[f32], bias: &[f32], y: &mut [f32]) {
     assert!(bias.len() == y.len(), "gemv_bias: bias is not as long as y");
     #[cfg(target_arch = "x86_64")]
     if variant() == V_AVX2 {
-        // lint: allow(L002) gated by dispatch (V_AVX2 is published only after is_x86_feature_detected verified avx2+fma) and by the asserts above: w holds x.len() rows of y.len() floats and bias y.len()
+        // SAFETY: gated by dispatch (V_AVX2 is published only after is_x86_feature_detected verified avx2+fma) and by the asserts above: w holds x.len() rows of y.len() floats and bias y.len()
         return unsafe { x86::gemv_bias_avx2(x, w, bias, y) };
     }
     scalar::gemv_bias(x, w, bias, y);
@@ -385,7 +385,7 @@ pub fn prefetch<T>(data: &[T]) {
     {
         let (first, lines) = line_span(data);
         for i in 0..lines {
-            // lint: allow(L002) a prefetch is a hint that never faults and reads nothing the program sees; SSE (all `_mm_prefetch` needs) is baseline on x86_64
+            // SAFETY: a prefetch is a hint that never faults and reads nothing the program sees; SSE (all `_mm_prefetch` needs) is baseline on x86_64
             unsafe { core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(first.wrapping_add(i * LINE)) };
         }
     }
@@ -598,7 +598,6 @@ mod x86 {
     /// # Safety
     /// Requires AVX2 (guaranteed by the caller's dispatch check).
     #[target_feature(enable = "avx2")]
-    // lint: allow(L002) target_feature helper, reached only from dispatch-gated kernels in this module
     unsafe fn hsum256(v: __m256) -> f32 {
         let lo = _mm256_castps256_ps128(v);
         let hi = _mm256_extractf128_ps(v, 1);
@@ -613,7 +612,6 @@ mod x86 {
     /// # Safety
     /// Requires AVX2+FMA; called only when `variant() == V_AVX2`.
     #[target_feature(enable = "avx2", enable = "fma")]
-    // lint: allow(L002) sound under dispatch: V_AVX2 is published only after runtime avx2+fma detection
     pub unsafe fn sq_l2_avx2(a: &[f32], b: &[f32]) -> f32 {
         let n = a.len().min(b.len());
         let mut acc0 = _mm256_setzero_ps();
@@ -654,7 +652,6 @@ mod x86 {
     /// # Safety
     /// Requires AVX2+FMA; called only when `variant() == V_AVX2`.
     #[target_feature(enable = "avx2", enable = "fma")]
-    // lint: allow(L002) sound under dispatch: V_AVX2 is published only after runtime avx2+fma detection
     pub unsafe fn dot_avx2(a: &[f32], b: &[f32]) -> f32 {
         let n = a.len().min(b.len());
         let mut acc0 = _mm256_setzero_ps();
@@ -707,7 +704,6 @@ mod x86 {
     /// `m * ks <= table.len()` and that every code byte is `< ks`.
     #[target_feature(enable = "avx2")]
     #[inline]
-    // lint: allow(L002) target_feature helper, reached only from dispatch-gated kernels in this module
     unsafe fn adc_lanes_avx2(
         table: &[f32],
         ks: usize,
@@ -756,7 +752,6 @@ mod x86 {
     /// guarantees `out.len() * m <= codes.len()`, `m * ks <= table.len()`
     /// and that every code byte is `< ks`.
     #[target_feature(enable = "avx2")]
-    // lint: allow(L002) sound under dispatch: V_AVX2 is published only after runtime avx2+fma detection
     pub unsafe fn adc_block_avx2(table: &[f32], ks: usize, m: usize, codes: &[u8], out: &mut [f32]) {
         let cp = codes.as_ptr();
         adc_lanes_avx2(table, ks, m, out.len(), out, |i| cp.add(i * m));
@@ -770,7 +765,6 @@ mod x86 {
     /// for every id, `m * ks <= table.len()` and that every code byte is
     /// `< ks`.
     #[target_feature(enable = "avx2")]
-    // lint: allow(L002) sound under dispatch: V_AVX2 is published only after runtime avx2+fma detection
     pub unsafe fn adc_gather_avx2(table: &[f32], ks: usize, m: usize, codes: &[u8], ids: &[u32], out: &mut [f32]) {
         let cp = codes.as_ptr();
         adc_lanes_avx2(table, ks, m, ids.len(), out, |i| cp.add(*ids.get_unchecked(i) as usize * m));
@@ -787,7 +781,6 @@ mod x86 {
     /// Requires AVX2+FMA; called only when `variant() == V_AVX2`. Caller
     /// guarantees `out.len() * query.len() <= rows.len()`.
     #[target_feature(enable = "avx2", enable = "fma")]
-    // lint: allow(L002) sound under dispatch: V_AVX2 is published only after runtime avx2+fma detection
     pub unsafe fn sq_l2_block_avx2(query: &[f32], rows: &[f32], out: &mut [f32]) {
         let dim = query.len();
         let mut i = 0;
@@ -821,7 +814,6 @@ mod x86 {
     /// Requires AVX2 (guaranteed by the caller's dispatch check).
     #[target_feature(enable = "avx2")]
     #[inline]
-    // lint: allow(L002) target_feature helper, reached only from dispatch-gated kernels in this module
     unsafe fn hsum8x256(v: [__m256; 8]) -> __m256 {
         // [lo(a) + hi(a) | lo(b) + hi(b)]
         let fold = |a: __m256, b: __m256| {
@@ -853,7 +845,6 @@ mod x86 {
     /// Requires AVX2+FMA; called only when `variant() == V_AVX2`. Caller
     /// guarantees `columns.len() == query.len() * out.len()`.
     #[target_feature(enable = "avx2", enable = "fma")]
-    // lint: allow(L002) sound under dispatch: V_AVX2 is published only after runtime avx2+fma detection
     pub unsafe fn sq_l2_columns_avx2(query: &[f32], columns: &[f32], out: &mut [f32]) {
         let (n, cp) = (out.len(), columns.as_ptr());
         match query.len() {
@@ -878,7 +869,6 @@ mod x86 {
     /// Requires AVX2; `group` is sound for every group of `out`.
     #[target_feature(enable = "avx2")]
     #[inline]
-    // lint: allow(L002) target_feature helper, reached only from dispatch-gated kernels in this module
     unsafe fn in_groups_of_8(out: &mut [f32], group: impl Fn(usize, Option<__m256i>) -> __m256) {
         let (n, op) = (out.len(), out.as_mut_ptr());
         let mut c = 0;
@@ -898,7 +888,6 @@ mod x86 {
     /// Requires AVX2.
     #[target_feature(enable = "avx2")]
     #[inline]
-    // lint: allow(L002) target_feature helper, reached only from dispatch-gated kernels in this module
     unsafe fn broadcast<const D: usize>(query: &[f32]) -> [__m256; D] {
         std::array::from_fn(|k| _mm256_set1_ps(query[k]))
     }
@@ -910,7 +899,6 @@ mod x86 {
     /// Requires AVX2; the lanes read lie in one allocation.
     #[target_feature(enable = "avx2")]
     #[inline]
-    // lint: allow(L002) target_feature helper, reached only from dispatch-gated kernels in this module
     unsafe fn load8(p: *const f32, mask: Option<__m256i>) -> __m256 {
         match mask {
             None => _mm256_loadu_ps(p),
@@ -928,7 +916,6 @@ mod x86 {
     /// Requires AVX2; `load8(col + k * n, mask)` is sound for `k < D`.
     #[target_feature(enable = "avx2")]
     #[inline]
-    // lint: allow(L002) target_feature helper, reached only from dispatch-gated kernels in this module
     unsafe fn sq_l2_8_narrow<const D: usize>(q: &[__m256; D], col: *const f32, n: usize, mask: Option<__m256i>) -> __m256 {
         let sq = |k: usize| {
             let d = _mm256_sub_ps(q[k], load8(col.add(k * n), mask));
@@ -959,7 +946,6 @@ mod x86 {
     /// `k < query.len()`.
     #[target_feature(enable = "avx2", enable = "fma")]
     #[inline]
-    // lint: allow(L002) target_feature helper, reached only from dispatch-gated kernels in this module
     unsafe fn sq_l2_8_columns(query: &[f32], col: *const f32, n: usize, mask: Option<__m256i>) -> __m256 {
         let dim = query.len();
         let d = |k: usize| _mm256_sub_ps(_mm256_set1_ps(query[k]), load8(col.add(k * n), mask));
@@ -1002,7 +988,6 @@ mod x86 {
     /// channel's taps `c_in * k`, and `8 * V` samples from `t` exist.
     #[target_feature(enable = "avx2")]
     #[inline]
-    // lint: allow(L002) target_feature helper, reached only from dispatch-gated kernels in this module
     unsafe fn conv_tile_avx2<const CH: usize, const V: usize>(
         x: *const f32,
         w: *const f32,
@@ -1043,7 +1028,6 @@ mod x86 {
     /// first of the `CH` channels' taps / bias / padded output row.
     #[target_feature(enable = "avx2")]
     #[inline]
-    // lint: allow(L002) target_feature helper, reached only from dispatch-gated kernels in this module
     unsafe fn conv_channels_avx2<const CH: usize>(
         x: *const f32,
         w: *const f32,
@@ -1085,7 +1069,6 @@ mod x86 {
     /// guarantees `k` odd, `x.len() == C_in * (l + k - 1)`,
     /// `y.len() == b.len() * (l + k - 1)` and `w.len() == b.len() * C_in * k`.
     #[target_feature(enable = "avx2")]
-    // lint: allow(L002) sound under dispatch: V_AVX2 is published only after runtime avx2+fma detection
     pub unsafe fn conv1d_plane_avx2(x: &[f32], w: &[f32], b: &[f32], y: &mut [f32], k: usize, l: usize) {
         let stride = l + k - 1;
         let (c_in, c_out) = (x.len() / stride, b.len());
@@ -1113,7 +1096,6 @@ mod x86 {
     /// rows of `n` floats), `y` holds `n` floats, and `j + 8 * V <= n`.
     #[target_feature(enable = "avx2")]
     #[inline]
-    // lint: allow(L002) target_feature helper, reached only from dispatch-gated kernels in this module
     unsafe fn gemv_cols_avx2<const V: usize>(x: *const f32, nz: &[u8], w: *const f32, y: *mut f32, n: usize, j: usize) {
         let mut acc = [_mm256_setzero_ps(); V];
         for (v, acc) in acc.iter_mut().enumerate() {
@@ -1144,7 +1126,6 @@ mod x86 {
     /// guarantees `w.len() == x.len() * y.len()` and
     /// `bias.len() == y.len()`.
     #[target_feature(enable = "avx2")]
-    // lint: allow(L002) sound under dispatch: V_AVX2 is published only after runtime avx2+fma detection
     pub unsafe fn gemv_bias_avx2(x: &[f32], w: &[f32], bias: &[f32], y: &mut [f32]) {
         let n = y.len();
         y.fill(0.0);
@@ -1189,7 +1170,6 @@ mod x86 {
     /// Requires AVX2; `p` points at 8 readable bytes.
     #[target_feature(enable = "avx2")]
     #[inline]
-    // lint: allow(L002) target_feature helper, reached only from dispatch-gated kernels in this module
     unsafe fn codes8_ps(p: *const u8) -> __m256 {
         _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(_mm_loadl_epi64(p.cast())))
     }
@@ -1203,7 +1183,6 @@ mod x86 {
     /// guarantees `step.len() == shifted.len()`, `ids.len() <= out.len()`
     /// and `(id + 1) * shifted.len() <= codes.len()` for every id.
     #[target_feature(enable = "avx2", enable = "fma")]
-    // lint: allow(L002) sound under dispatch: V_AVX2 is published only after runtime avx2+fma detection
     pub unsafe fn sq8_l2_gather_avx2(shifted: &[f32], step: &[f32], codes: &[u8], ids: &[u32], out: &mut [f32]) {
         let dim = shifted.len();
         let (qp, tp) = (shifted.as_ptr(), step.as_ptr());
@@ -1250,7 +1229,6 @@ mod neon {
     /// # Safety
     /// Requires NEON; called only when `variant() == V_NEON`.
     #[target_feature(enable = "neon")]
-    // lint: allow(L002) sound under dispatch: V_NEON is published only on aarch64 where NEON is baseline
     pub unsafe fn sq_l2_neon(a: &[f32], b: &[f32]) -> f32 {
         let n = a.len().min(b.len());
         let bp = b.as_ptr();
@@ -1265,7 +1243,6 @@ mod neon {
     /// `i < a.len()` they are asked for.
     #[target_feature(enable = "neon")]
     #[inline]
-    // lint: allow(L002) target_feature helper, reached only from dispatch-gated kernels in this module
     unsafe fn sq_l2_neon_by(a: &[f32], b4: impl Fn(usize) -> float32x4_t, b1: impl Fn(usize) -> f32) -> f32 {
         let n = a.len();
         let mut acc0 = vdupq_n_f32(0.0);
@@ -1299,7 +1276,6 @@ mod neon {
     /// Requires NEON; called only when `variant() == V_NEON`. Caller
     /// guarantees `columns.len() == query.len() * out.len()`.
     #[target_feature(enable = "neon")]
-    // lint: allow(L002) sound under dispatch: V_NEON is published only on aarch64 where NEON is baseline
     pub unsafe fn sq_l2_columns_neon(query: &[f32], columns: &[f32], out: &mut [f32]) {
         let n = out.len();
         let cp = columns.as_ptr();
@@ -1318,7 +1294,6 @@ mod neon {
     /// # Safety
     /// Requires NEON; called only when `variant() == V_NEON`.
     #[target_feature(enable = "neon")]
-    // lint: allow(L002) sound under dispatch: V_NEON is published only on aarch64 where NEON is baseline
     pub unsafe fn dot_neon(a: &[f32], b: &[f32]) -> f32 {
         let n = a.len().min(b.len());
         let mut acc0 = vdupq_n_f32(0.0);
@@ -1360,7 +1335,6 @@ mod neon {
     /// Requires NEON; called only when `variant() == V_NEON`. Caller
     /// guarantees `out.len() * query.len() <= rows.len()`.
     #[target_feature(enable = "neon")]
-    // lint: allow(L002) sound under dispatch: V_NEON is published only on aarch64 where NEON is baseline
     pub unsafe fn sq_l2_block_neon(query: &[f32], rows: &[f32], out: &mut [f32]) {
         let dim = query.len();
         for (i, o) in out.iter_mut().enumerate() {

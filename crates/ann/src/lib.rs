@@ -15,7 +15,7 @@ pub mod hnsw;
 pub mod hnsw_pq;
 mod index;
 pub mod ivf;
-#[allow(unsafe_code)]
+#[expect(unsafe_code, reason = "the SIMD kernels behind runtime feature dispatch")]
 pub mod kernels;
 pub mod kmeans;
 pub mod lsh;

@@ -5,7 +5,6 @@
 //! Items are arbitrary `u64` feature sets (the baselines crate feeds hashed
 //! character q-grams). Signatures of `bands × rows` min-hashes are banded;
 //! items sharing any band bucket with the query become candidates.
-// lint: hot-path
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

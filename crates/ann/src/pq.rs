@@ -6,7 +6,6 @@
 //! paper's default `D = 64`, `m = 8`, `ks = 256`). Queries use asymmetric
 //! distance computation (ADC): a per-query table of query-to-centroid
 //! distances turns each distance evaluation into `m` table lookups.
-// lint: hot-path
 
 use crate::index::AnnIndex;
 use crate::kernels;

@@ -8,7 +8,6 @@
 //! rows without decoding them: [`Sq8Rows::prepare`] subtracts `lo` from
 //! the query once, and [`crate::kernels::sq8_l2_gather`] sums
 //! `(shifted[j] - step[j] * code)²` per row.
-// lint: hot-path
 
 use crate::kernels;
 

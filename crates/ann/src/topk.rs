@@ -1,5 +1,4 @@
 //! Bounded top-k selection by distance.
-// lint: hot-path
 
 /// One search hit: index into the collection plus squared L2 distance.
 #[derive(Debug, Clone, Copy, PartialEq)]

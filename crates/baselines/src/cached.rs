@@ -3,12 +3,10 @@
 //! repeat mentions heavily (a popular country appears in thousands of
 //! rows). Wrapping a service in [`CachedService`] models that, and the
 //! timed path charges only cache misses.
-// lint: hot-path
 
 use emblookup_kg::{Candidate, LookupService};
 use emblookup_obs::Counter;
 use std::collections::HashMap;
-// lint: allow(L002) the memo table needs shared interior mutability; one short critical section per query, amortized by hits
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
@@ -19,7 +17,7 @@ use std::time::Duration;
 /// itself sits behind a mutex.
 pub struct CachedService<S: LookupService> {
     inner: S,
-    // lint: allow(L002) the memo table needs shared interior mutability; one short critical section per query, amortized by hits
+    // one short critical section per query, amortized by hits
     cache: Mutex<HashMap<(String, usize), Vec<Candidate>>>,
     name: String,
     hits: Counter,
@@ -29,11 +27,9 @@ pub struct CachedService<S: LookupService> {
 impl<S: LookupService> CachedService<S> {
     /// Wraps `inner` with an unbounded memo cache.
     pub fn new(inner: S) -> Self {
-        // lint: allow(L002) one-time construction, not on the query path
         let name = format!("{} (cached)", inner.name());
         CachedService {
             inner,
-            // lint: allow(L002) the memo table needs shared interior mutability; one short critical section per query, amortized by hits
             cache: Mutex::new(HashMap::new()),
             name,
             hits: Counter::default(),
@@ -44,7 +40,8 @@ impl<S: LookupService> CachedService<S> {
     /// The memo table, recovered from poisoning: a panicking inner
     /// service must not wedge every later lookup.
     fn table(&self) -> MutexGuard<'_, HashMap<(String, usize), Vec<Candidate>>> {
-        // lint: allow(L002) the memo-cache baseline IS a locked table by design; the contention is part of what it measures
+        // the memo-cache baseline is a locked table by design; the
+        // contention is part of what it measures
         self.cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -61,7 +58,7 @@ impl<S: LookupService> CachedService<S> {
 
 impl<S: LookupService> LookupService for CachedService<S> {
     fn lookup(&self, q: &str, k: usize) -> Vec<Candidate> {
-        // lint: allow(L002) the memo map needs an owned key for insert; no borrowed-tuple lookup exists
+        // the memo map needs an owned key for insert
         let key = (q.to_string(), k);
         if let Some(hit) = self.table().get(&key) {
             self.hits.inc();
@@ -78,7 +75,7 @@ impl<S: LookupService> LookupService for CachedService<S> {
     }
 
     fn lookup_timed(&self, q: &str, k: usize) -> (Vec<Candidate>, Duration) {
-        // lint: allow(L002) the memo map needs an owned key for insert; no borrowed-tuple lookup exists
+        // the memo map needs an owned key for insert
         let key = (q.to_string(), k);
         if let Some(hit) = self.table().get(&key) {
             self.hits.inc();

@@ -78,7 +78,7 @@ impl ElasticOpService {
             }
         }
         // sorted before it escapes: callers must not inherit hash
-        // iteration order (L008)
+        // iteration order
         let mut out: Vec<u32> = counts
             .into_iter()
             .filter(|&(_, c)| c >= min_shared)

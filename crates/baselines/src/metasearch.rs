@@ -25,6 +25,7 @@ impl MetaSearchService {
                 index.entry(Self::key(surface)).or_default().push(e.id);
             }
         }
+        #[expect(clippy::iter_over_hash_type, reason = "each list is sorted in place, independently of the others")]
         for list in index.values_mut() {
             list.sort_unstable();
             list.dedup();

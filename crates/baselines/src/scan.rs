@@ -112,7 +112,7 @@ impl LookupService for QGramService {
         grams.sort_unstable();
         grams.dedup();
         // candidate pre-filter: any shared q-gram
-        // BTreeMap: candidate order escapes into scoring (L008)
+        // BTreeMap: candidate order escapes into scoring
         let mut counts: BTreeMap<u32, u32> = BTreeMap::new();
         for g in &grams {
             if let Some(list) = self.inverted.get(g) {

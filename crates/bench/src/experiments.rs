@@ -65,7 +65,7 @@ pub fn original_service(system: &str, kg: &KnowledgeGraph) -> Box<dyn LookupServ
         )),
         "DoSeR" => Box::new(QGramService::new(kg, false, 3)),
         "Katara" => Box::new(LevenshteinService::new(kg, false, 3)),
-        // lint: allow(L001) dispatch over the const SYSTEMS table in this file; an unknown name is a programming error
+        #[expect(clippy::panic, reason = "dispatch over the const SYSTEMS table in this file; an unknown name is a programming error")]
         other => panic!("unknown system {other}"),
     }
 }
@@ -109,7 +109,7 @@ fn run_speedup_row(
                 let broken = with_missing(ds, 0.10, MASTER_SEED + 9);
                 run_data_repair(kg, &broken, &KataraSystem, service, k)
             }
-            // lint: allow(L001) dispatch over the const table rows declared above; an unknown cell is a programming error
+            #[expect(clippy::panic, reason = "dispatch over the const table rows declared above; an unknown cell is a programming error")]
             other => panic!("unknown cell {other:?}"),
         }
     };
@@ -293,7 +293,7 @@ fn noisy_cell(env: &Env, ds: &Dataset, task: &str, system: &str) -> (f64, f64) {
                 let broken = with_missing(ds, 0.10, MASTER_SEED + 9);
                 run_data_repair(kg, &broken, &KataraSystem, service, k).metrics
             }
-            // lint: allow(L001) dispatch over the const table rows declared above; an unknown cell is a programming error
+            #[expect(clippy::panic, reason = "dispatch over the const table rows declared above; an unknown cell is a programming error")]
             other => panic!("unknown cell {other:?}"),
         }
     };
@@ -831,7 +831,7 @@ pub fn ablation(scale: Scale) -> String {
             compression: Compression::None,
             ..base_config.clone()
         };
-        // lint: allow(L001) round-trips bytes serialized two lines up; failure means a serializer bug
+        #[expect(clippy::expect_used, reason = "round-trips bytes serialized two lines up; failure means a serializer bug")]
         let semantic = Ft::from_bytes(&ft_bytes).expect("fastText round trip");
         let mut model = EmbLookupModel::new(semantic, config.clone());
         let mining = MiningConfig {

@@ -3,8 +3,9 @@
 //! A caller that takes its configuration from outside (the CLI, a
 //! serving front end) must be able to refuse a bad one instead of
 //! aborting the process, so the training entry point gets a `Result`
-//! twin here (per lint rule L001: library code propagates errors,
-//! panicking wrappers stay thin and documented).
+//! twin here (library code propagates errors — `clippy::panic` and
+//! `expect_used` are denied there — and panicking wrappers stay thin,
+//! documented and under an `#[expect]`).
 
 use std::fmt;
 

@@ -40,7 +40,7 @@ impl EmbLookupModel {
     /// Panics if `config` fails validation or the fastText dimension
     /// disagrees with `config.fasttext_dim`.
     pub fn new(semantic: FastText, config: EmbLookupConfig) -> Self {
-        // lint: allow(L001) documented panic contract: config is validated up front, before any work
+        #[expect(clippy::expect_used, reason = "documented panic contract: config is validated up front, before any work")]
         config.validate().expect("invalid EmbLookup config");
         assert_eq!(
             semantic.dim(),

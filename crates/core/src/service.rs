@@ -1,5 +1,4 @@
 //! The end-to-end EmbLookup service: train → embed → index → `lookup(q, k)`.
-// lint: hot-path
 
 use crate::config::{Compression, EmbLookupConfig};
 use crate::errors::TrainError;
@@ -47,7 +46,7 @@ impl EmbLookup {
     pub fn train_on(kg: &KnowledgeGraph, config: EmbLookupConfig) -> Self {
         match Self::try_train_on(kg, config) {
             Ok(service) => service,
-            // lint: allow(L001) documented panic contract of the thin wrapper; try_train_on is the fallible path
+            #[expect(clippy::panic, reason = "documented panic contract of the thin wrapper; try_train_on is the fallible path")]
             Err(e) => panic!("EmbLookup::train_on: {e}"),
         }
     }
@@ -63,7 +62,6 @@ impl EmbLookup {
     /// [`TrainError::NoTriplets`] when mining produces nothing to train
     /// on.
     pub fn try_train_on(kg: &KnowledgeGraph, config: EmbLookupConfig) -> Result<Self, TrainError> {
-        // lint: allow(L010) build entry point: validation errors allocate only on rejection, never per query
         config.validate().map_err(TrainError::InvalidConfig)?;
         if kg.num_entities() == 0 {
             return Err(TrainError::EmptyKg);
@@ -79,7 +77,6 @@ impl EmbLookup {
             let span = emblookup_obs::Span::enter(names::TRAIN_FASTTEXT)
                 .field("dim", config.fasttext_dim as u64)
                 .field("epochs", config.fasttext_epochs as u64);
-            // lint: allow(L010) training entry point, not the per-query loop
             let fasttext = FastText::train(
                 &corpus,
                 FastTextConfig {
@@ -93,9 +90,7 @@ impl EmbLookup {
             drop(span.field("pairs", pairs).field("pairs_fast", pairs_fast));
             fasttext
         };
-        // lint: allow(L010) model assembly happens once per (re)train
         let mut model = EmbLookupModel::new(fasttext, config.clone());
-        // lint: allow(L010) triplet mining is training-time
         let triplets = mine_triplets(
             kg,
             &MiningConfig::with_budget(config.triplets_per_entity, config.seed),
@@ -103,7 +98,6 @@ impl EmbLookup {
         if triplets.is_empty() {
             return Err(TrainError::NoTriplets);
         }
-        // lint: allow(L010) training loop: progress events may print; never runs while serving
         let report = train(&mut model, &triplets);
         let index = EntityIndex::build(&model, kg, config.compression, num_threads());
         drop(total);

@@ -52,6 +52,13 @@ impl<'a> Reader<'a> {
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
+    /// Capacity for `count` records of at least `min_bytes` each: never
+    /// more than the rest of the buffer can hold, so a crafted count
+    /// cannot reserve memory the buffer does not back.
+    fn capacity(&self, count: usize, min_bytes: usize) -> usize {
+        count.min(self.remaining() / min_bytes)
+    }
+
     fn get_str(&mut self) -> Result<String, String> {
         if self.remaining() < 4 {
             return Err("truncated string length".into());
@@ -117,7 +124,7 @@ pub fn kg_to_bytes(kg: &KnowledgeGraph) -> Vec<u8> {
 ///
 /// # Errors
 /// Returns a description of the first structural problem (bad magic,
-/// truncation, dangling ids).
+/// truncation, dangling ids, trailing bytes).
 pub fn kg_from_bytes(bytes: &[u8]) -> Result<KnowledgeGraph, String> {
     let mut buf = Reader::new(bytes);
     if buf.remaining() < MAGIC.len() || buf.take(MAGIC.len())? != MAGIC {
@@ -126,7 +133,8 @@ pub fn kg_from_bytes(bytes: &[u8]) -> Result<KnowledgeGraph, String> {
 
     let mut kg = KnowledgeGraph::new();
     let n_types = buf.get_u32_le()? as usize;
-    let mut parents = Vec::with_capacity(n_types);
+    // a type is a string length and a parent id
+    let mut parents = Vec::with_capacity(buf.capacity(n_types, 8));
     for _ in 0..n_types {
         let name = buf.get_str()?;
         parents.push(buf.get_u32_le()?);
@@ -150,12 +158,12 @@ pub fn kg_from_bytes(bytes: &[u8]) -> Result<KnowledgeGraph, String> {
     for _ in 0..n_entities {
         let label = buf.get_str()?;
         let n_aliases = buf.get_u32_le()? as usize;
-        let mut aliases = Vec::with_capacity(n_aliases);
+        let mut aliases = Vec::with_capacity(buf.capacity(n_aliases, 4));
         for _ in 0..n_aliases {
             aliases.push(buf.get_str()?);
         }
         let n_t = buf.get_u32_le()? as usize;
-        let mut types = Vec::with_capacity(n_t);
+        let mut types = Vec::with_capacity(buf.capacity(n_t, 4));
         for _ in 0..n_t {
             let t = buf.get_u32_le()?;
             if t as usize >= n_types {
@@ -189,6 +197,9 @@ pub fn kg_from_bytes(bytes: &[u8]) -> Result<KnowledgeGraph, String> {
             other => return Err(format!("unknown object tag {other}")),
         };
         kg.add_fact(EntityId(subject), PropertyId(property), object);
+    }
+    if buf.remaining() > 0 {
+        return Err(format!("{} trailing bytes after the last fact", buf.remaining()));
     }
     Ok(kg)
 }
@@ -230,6 +241,74 @@ mod tests {
         assert!(kg_from_bytes(b"not a kg").is_err());
         let good = kg_to_bytes(&generate(SynthKgConfig::tiny(1)).kg);
         assert!(kg_from_bytes(&good[..good.len() / 2]).is_err());
+    }
+
+    /// Offsets of every record count in a `kg_to_bytes` buffer: the type,
+    /// property, entity and fact counts and each entity's alias and type
+    /// counts.
+    fn count_fields(bytes: &[u8]) -> Vec<usize> {
+        let at = |i: usize| u32::from_le_bytes([bytes[i], bytes[i + 1], bytes[i + 2], bytes[i + 3]]) as usize;
+        let skip_str = |i: usize| i + 4 + at(i);
+        let mut fields = vec![MAGIC.len()];
+        let mut cur = MAGIC.len() + 4;
+        for _ in 0..at(MAGIC.len()) {
+            cur = skip_str(cur) + 4;
+        }
+        fields.push(cur);
+        let props = at(cur);
+        cur += 4;
+        for _ in 0..props {
+            cur = skip_str(cur);
+        }
+        fields.push(cur);
+        let entities = at(cur);
+        cur += 4;
+        for _ in 0..entities {
+            cur = skip_str(cur);
+            fields.push(cur);
+            let aliases = at(cur);
+            cur += 4;
+            for _ in 0..aliases {
+                cur = skip_str(cur);
+            }
+            fields.push(cur);
+            cur += 4 + 4 * at(cur);
+        }
+        fields.push(cur);
+        let facts = at(cur);
+        cur += 4;
+        for _ in 0..facts {
+            cur += 9;
+            cur = if bytes[cur - 1] == 0 { cur + 4 } else { skip_str(cur) };
+        }
+        assert_eq!(cur, bytes.len());
+        fields
+    }
+
+    #[test]
+    fn rejects_every_truncation_and_every_crafted_count() {
+        // every prefix of a real buffer, and each record count set to 0,
+        // to one past the buffer, to 2^31 and to u32::MAX, is an `Err` —
+        // never an abort on a reservation sized by the count
+        let bytes = kg_to_bytes(&generate(SynthKgConfig::tiny(3)).kg);
+        assert!(kg_from_bytes(&bytes).is_ok());
+        for cut in 0..bytes.len() {
+            assert!(kg_from_bytes(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
+        let fields = count_fields(&bytes);
+        assert!(fields.len() > 20, "{} count fields", fields.len());
+        for &field in &fields {
+            let original = &bytes[field..field + 4];
+            let one_past = (bytes.len() - field - 4 + 1) as u32;
+            for value in [0, one_past, 1 << 31, u32::MAX] {
+                if value.to_le_bytes() == original {
+                    continue;
+                }
+                let mut crafted = bytes.clone();
+                crafted[field..field + 4].copy_from_slice(&value.to_le_bytes());
+                assert!(kg_from_bytes(&crafted).is_err(), "count at {field} set to {value}");
+            }
+        }
     }
 
     #[test]

@@ -1,35 +1,29 @@
-//! The lint engine: file model (test regions, directives) and the four
-//! repo-specific passes.
+//! The lint engine: file model (test regions, directives) and the three
+//! per-file passes.
 //!
 //! | rule | invariant |
 //! |------|-----------|
-//! | L001 | no `unwrap()/expect()/panic!/unreachable!/todo!/unimplemented!` in non-test library code |
-//! | L002 | no locks / `sleep` / allocating formatting / unjustified `unsafe` in `// lint: hot-path` modules; `#[target_feature]` only inside `kernels.rs` |
 //! | L003 | metric & span names come from `emblookup_obs::names`, never string literals |
 //! | L004 | task-marker comments carry an issue reference (`#123` or a URL) |
 //! | L007 | float discipline: no `==`/`!=` against float operands, no panicking or inconsistent `partial_cmp` comparators (use `total_cmp`) |
-//! | L011 | `std::sync::atomic` is named in non-test library code only inside `crates/obs/src/sync.rs` |
-//! | L000 | the lint directives themselves are well-formed (allow needs a reason) |
 //!
 //! The workspace-level rules L005 (crate layering) and L006 (public-API
 //! drift against `API.lock`) live in [`crate::workspace`]; their allow
-//! directives share this file's machinery.
+//! directives share this file's machinery. What the compiler and clippy
+//! check (panics, `unsafe`, atomics, hash-order iteration) is configured
+//! in the workspace `Cargo.toml` and `clippy.toml`, not here.
 //!
 //! A site is exempted with `// lint: allow(Lxxx) reason`, which covers the
-//! directive's own line and the next source line; the reason is mandatory.
+//! directive's own line and the next source line. The reason is mandatory:
+//! a directive without one suppresses nothing.
 
 use crate::lexer::{lex, Token, TokenKind};
 use std::collections::{BTreeMap, HashSet};
 
 /// All enforceable rules, in catalog order. L005 (layering) and L006
 /// (API drift) are workspace-level passes run by [`crate::workspace`];
-/// L008–L010 are the interprocedural passes in [`crate::rules`] fed by
-/// the call graph ([`crate::callgraph`]) and the effect lattice
-/// ([`crate::effects`]); the rest are per-file passes on [`SourceFile`].
-pub const RULES: &[&str] = &[
-    "L001", "L002", "L003", "L004", "L005", "L006", "L007", "L008", "L009", "L010", "L011",
-    "L012",
-];
+/// the rest are per-file passes on [`SourceFile`].
+pub const RULES: &[&str] = &["L003", "L004", "L005", "L006", "L007"];
 
 /// One `// lint: allow(Lxxx) reason` directive. It suppresses `rule` on
 /// its own line and the next source line; the stale-allow audit reports
@@ -56,7 +50,7 @@ pub struct Violation {
     pub file: String,
     /// 1-based line.
     pub line: u32,
-    /// Rule id (`L001`…`L004`, or `L000` for malformed directives).
+    /// Rule id (`L003`…`L007`).
     pub rule: String,
     /// Human-readable description.
     pub message: String,
@@ -71,9 +65,9 @@ pub enum FileClass {
     /// Library code: all rules apply.
     Lib,
     /// Binary, bench, integration-test and example code (`main.rs`,
-    /// `bin/`, `benches/`, `tests/`, `examples/`): panic-freedom,
-    /// hot-path and atomics rules are relaxed, name and task-marker
-    /// hygiene still apply.
+    /// `bin/`, `benches/`, `tests/`, `examples/`): float discipline and
+    /// the API snapshot skip it, name and task-marker hygiene still
+    /// apply.
     Bin,
 }
 
@@ -112,12 +106,8 @@ pub struct SourceFile {
     /// Token-index ranges (inclusive) covering `#[cfg(test)]` / `#[test]`
     /// items.
     test_ranges: Vec<(usize, usize)>,
-    /// Whether the module carries a `// lint: hot-path` annotation.
-    hot_path: bool,
     /// Allow directives in declaration order.
     allows: Vec<AllowDecl>,
-    /// Malformed-directive diagnostics discovered during parsing.
-    directive_errors: Vec<(u32, String)>,
 }
 
 impl SourceFile {
@@ -125,55 +115,22 @@ impl SourceFile {
     pub fn parse(path: &str, src: &str) -> Self {
         let tokens = lex(src);
         let test_ranges = find_test_ranges(&tokens);
-        let mut hot_path = false;
         let mut allows: Vec<AllowDecl> = Vec::new();
-        let mut directive_errors = Vec::new();
-        for t in &tokens {
-            if t.kind != TokenKind::LineComment {
-                continue;
-            }
-            let body = t
-                .text
-                .trim_start_matches('/')
-                .trim_start_matches('!')
-                .trim();
-            let Some(directive) = body.strip_prefix("lint:") else {
+        for t in tokens.iter().filter(|t| t.kind == TokenKind::LineComment) {
+            let body = t.text.trim_start_matches('/').trim_start_matches('!').trim();
+            let directive = body.strip_prefix("lint:").map(str::trim);
+            let Some((ids, reason)) =
+                directive.and_then(|d| d.strip_prefix("allow(")).and_then(|r| r.split_once(')'))
+            else {
                 continue;
             };
-            let directive = directive.trim();
-            if directive == "hot-path" {
-                hot_path = true;
-            } else if let Some(rest) = directive.strip_prefix("allow(") {
-                match rest.split_once(')') {
-                    Some((ids, reason)) => {
-                        if reason.trim().is_empty() {
-                            directive_errors.push((
-                                t.line,
-                                "lint allow requires a reason: `// lint: allow(Lxxx) <why>`"
-                                    .to_string(),
-                            ));
-                            continue;
-                        }
-                        for id in ids.split(',') {
-                            let id = id.trim();
-                            if RULES.contains(&id) {
-                                allows.push(AllowDecl { rule: id.to_string(), line: t.line });
-                            } else {
-                                directive_errors.push((
-                                    t.line,
-                                    format!("unknown lint rule `{id}` in allow directive"),
-                                ));
-                            }
-                        }
-                    }
-                    None => directive_errors
-                        .push((t.line, "unclosed lint allow directive".to_string())),
-                }
-            } else {
-                directive_errors.push((
-                    t.line,
-                    format!("unknown lint directive `{directive}` (expected `hot-path` or `allow(Lxxx) reason`)"),
-                ));
+            if reason.trim().is_empty() {
+                continue;
+            }
+            // any id is recorded: one that names no rule never matches a
+            // diagnostic, so the stale-allow audit reports it
+            for id in ids.split(',') {
+                allows.push(AllowDecl { rule: id.trim().to_string(), line: t.line });
             }
         }
         SourceFile {
@@ -181,9 +138,7 @@ impl SourceFile {
             class: classify(path),
             tokens,
             test_ranges,
-            hot_path,
             allows,
-            directive_errors,
         }
     }
 
@@ -213,11 +168,6 @@ impl SourceFile {
         &self.allows
     }
 
-    /// Whether the file is a `// lint: hot-path` module.
-    pub(crate) fn is_hot_path(&self) -> bool {
-        self.hot_path
-    }
-
     /// Previous non-comment token before `idx`.
     fn prev_sig(&self, idx: usize) -> Option<&Token> {
         self.tokens[..idx].iter().rev().find(|t| !t.is_comment())
@@ -239,30 +189,16 @@ impl SourceFile {
     pub fn check(&self, registry: &NameRegistry) -> Vec<Violation> {
         self.check_raw(registry)
             .into_iter()
-            .filter(|v| v.rule == "L000" || !self.allowed(&v.rule, v.line))
+            .filter(|v| !self.allowed(&v.rule, v.line))
             .collect()
     }
 
     /// Runs every per-file pass without applying allow directives.
-    /// `L000` directive errors are included (they are never
-    /// suppressible).
     pub fn check_raw(&self, registry: &NameRegistry) -> Vec<Violation> {
         let mut out = Vec::new();
-        for (line, message) in &self.directive_errors {
-            out.push(Violation {
-                file: self.path.clone(),
-                line: *line,
-                rule: "L000".to_string(),
-                message: message.clone(),
-                suggestion: None,
-            });
-        }
-        self.check_l001(&mut out);
-        self.check_l002(&mut out);
         self.check_l003(registry, &mut out);
         self.check_l004(&mut out);
         self.check_l007(&mut out);
-        self.check_l011(&mut out);
         out.sort_by(|a, b| a.line.cmp(&b.line).then_with(|| a.rule.cmp(&b.rule)));
         out
     }
@@ -282,172 +218,6 @@ impl SourceFile {
             message,
             suggestion,
         });
-    }
-
-    fn check_l001(&self, out: &mut Vec<Violation>) {
-        if self.class != FileClass::Lib {
-            return;
-        }
-        for (i, t) in self.tokens.iter().enumerate() {
-            if t.kind != TokenKind::Ident || self.in_test(i) {
-                continue;
-            }
-            match t.text.as_str() {
-                "unwrap" | "expect" => {
-                    let after_dot = self.prev_sig(i).is_some_and(|p| p.text == ".");
-                    let called = self.next_sig(i, 1).is_some_and(|n| n.text == "(");
-                    if after_dot && called {
-                        self.push(
-                            out,
-                            "L001",
-                            t.line,
-                            format!(
-                                ".{}() can panic; propagate a Result or add `// lint: allow(L001) reason`",
-                                t.text
-                            ),
-                            None,
-                        );
-                    }
-                }
-                "panic" | "unreachable" | "todo" | "unimplemented"
-                    if self.next_sig(i, 1).is_some_and(|n| n.text == "!") =>
-                {
-                    self.push(
-                        out,
-                        "L001",
-                        t.line,
-                        format!(
-                            "{}! in library code; return a typed error or add `// lint: allow(L001) reason`",
-                            t.text
-                        ),
-                        None,
-                    );
-                }
-                _ => {}
-            }
-        }
-    }
-
-    fn check_l002(&self, out: &mut Vec<Violation>) {
-        if self.class != FileClass::Lib {
-            return;
-        }
-        // `#[target_feature]` is confined to the runtime-dispatched kernel
-        // module: anywhere else a mis-gated call is a latent SIGILL on
-        // older CPUs. This arm applies to every lib file, hot-path or not.
-        if !self.path.replace('\\', "/").ends_with("kernels.rs") {
-            for (i, t) in self.tokens.iter().enumerate() {
-                if t.kind == TokenKind::Ident && t.text == "target_feature" && !self.in_test(i) {
-                    self.push(
-                        out,
-                        "L002",
-                        t.line,
-                        "`#[target_feature]` outside the kernel dispatch module; route SIMD \
-                         through `emblookup_ann::kernels` or add `// lint: allow(L002) reason`"
-                            .to_string(),
-                        None,
-                    );
-                }
-            }
-        }
-        if !self.hot_path {
-            return;
-        }
-        for (i, t) in self.tokens.iter().enumerate() {
-            if t.kind != TokenKind::Ident || self.in_test(i) {
-                continue;
-            }
-            let flag = |what: &str| {
-                format!("{what} in a `lint: hot-path` module; move it off the hot path or add `// lint: allow(L002) reason`")
-            };
-            match t.text.as_str() {
-                "unsafe" => {
-                    self.push(
-                        out,
-                        "L002",
-                        t.line,
-                        "`unsafe` on the hot path needs a written soundness argument: add \
-                         `// lint: allow(L002) reason` on the preceding line"
-                            .to_string(),
-                        None,
-                    );
-                }
-                "Mutex" | "RwLock" | "Condvar" | "Barrier" => {
-                    self.push(out, "L002", t.line, flag(&format!("lock primitive `{}`", t.text)), None);
-                }
-                "sleep" if self.next_sig(i, 1).is_some_and(|n| n.text == "(") => {
-                    self.push(out, "L002", t.line, flag("`sleep`"), None);
-                }
-                "format" if self.next_sig(i, 1).is_some_and(|n| n.text == "!") => {
-                    self.push(out, "L002", t.line, flag("allocating `format!`"), None);
-                }
-                "to_string" | "to_owned" => {
-                    let after_dot = self.prev_sig(i).is_some_and(|p| p.text == ".");
-                    let called = self.next_sig(i, 1).is_some_and(|n| n.text == "(");
-                    if after_dot && called {
-                        self.push(
-                            out,
-                            "L002",
-                            t.line,
-                            flag(&format!("allocating `.{}()`", t.text)),
-                            None,
-                        );
-                    }
-                }
-                "Box" | "String" => {
-                    // Box::new( / String::from(
-                    let path_call = self.next_sig(i, 1).is_some_and(|n| n.text == ":")
-                        && self.next_sig(i, 3).is_some_and(|n| {
-                            n.text == "new" || n.text == "from"
-                        })
-                        && self.next_sig(i, 4).is_some_and(|n| n.text == "(");
-                    if path_call {
-                        self.push(
-                            out,
-                            "L002",
-                            t.line,
-                            flag(&format!("allocating `{}::…`", t.text)),
-                            None,
-                        );
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// L011 — `std::sync::atomic` is confined to the one module whose
-    /// types hard-code each protocol's `Ordering` (built like L002's
-    /// `#[target_feature]` confinement). Fires on `atomic` as a path
-    /// segment: `sync::atomic` (imported or fully qualified) and
-    /// `atomic::…` (nested `use` groups, module aliases).
-    fn check_l011(&self, out: &mut Vec<Violation>) {
-        if self.class != FileClass::Lib
-            || self.path.replace('\\', "/").ends_with("crates/obs/src/sync.rs")
-        {
-            return;
-        }
-        let sig: Vec<(usize, &Token)> =
-            self.tokens.iter().enumerate().filter(|(_, t)| !t.is_comment()).collect();
-        let txt = |s: usize| sig.get(s).map_or("", |(_, t)| t.text.as_str());
-        for (s, &(i, t)) in sig.iter().enumerate() {
-            if t.kind != TokenKind::Ident || t.text != "atomic" || self.in_test(i) {
-                continue;
-            }
-            let after_sync = s >= 3 && [txt(s - 3), txt(s - 2), txt(s - 1)] == ["sync", ":", ":"];
-            if after_sync || [txt(s + 1), txt(s + 2)] == [":", ":"] {
-                self.push(
-                    out,
-                    "L011",
-                    t.line,
-                    "`std::sync::atomic` named outside `crates/obs/src/sync.rs`; use an \
-                     `emblookup_obs::sync` type (`RelaxedU64`, `Flag`, `RingHead`, `RefCount`, \
-                     `SeqPair`), or add the protocol you need there together with its test"
-                        .to_string(),
-                    None,
-                );
-            }
-        }
     }
 
     fn check_l003(&self, registry: &NameRegistry, out: &mut Vec<Violation>) {
@@ -709,7 +479,7 @@ impl SourceFile {
             if !t.is_comment() {
                 continue;
             }
-            // uppercase markers only: `todo!` the macro is L001's business
+            // uppercase markers only: `todo!` the macro is clippy's business
             let text = &t.text;
             let marker = ["TODO", "FIXME"].iter().find(|m| {
                 text.match_indices(*m)
@@ -862,13 +632,13 @@ mod tests {
     }
 
     #[test]
-    fn cfg_test_module_is_exempt_from_l001() {
+    fn cfg_test_module_is_exempt_from_l007() {
         let src = r#"
             pub fn lib() -> u32 { 1 }
             #[cfg(test)]
             mod tests {
                 #[test]
-                fn t() { Some(1).unwrap(); panic!("fine in tests"); }
+                fn t() { assert!(super::lib() as f32 == 1.0); }
             }
         "#;
         assert!(check("crates/x/src/lib.rs", src).is_empty());
@@ -878,17 +648,26 @@ mod tests {
     fn cfg_not_test_is_still_linted() {
         let src = r#"
             #[cfg(not(test))]
-            pub fn lib() { Some(1).unwrap(); }
+            pub fn lib(x: f32) -> bool { x == 0.5 }
         "#;
         let v = check("crates/x/src/lib.rs", src);
         assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "L001");
+        assert_eq!(v[0].rule, "L007");
     }
 
     #[test]
-    fn bin_files_skip_l001() {
-        let src = "fn main() { std::env::args().next().unwrap(); }";
+    fn bin_files_skip_l007() {
+        let src = "fn main() { assert!(std::env::args().count() as f32 != 0.5); }";
         assert!(check("src/bin/cli.rs", src).is_empty());
         assert!(check("crates/x/src/main.rs", src).is_empty());
+    }
+
+    #[test]
+    fn allow_without_reason_suppresses_nothing() {
+        let src = "pub fn f(x: f32) -> bool {\n    // lint: allow(L007)\n    x == 0.5\n}\n";
+        let v = check("crates/x/src/lib.rs", src);
+        assert_eq!(v.iter().map(|v| (v.rule.as_str(), v.line)).collect::<Vec<_>>(), [("L007", 3)]);
+        let src = "pub fn f(x: f32) -> bool {\n    // lint: allow(L007) fixture reason\n    x == 0.5\n}\n";
+        assert!(check("crates/x/src/lib.rs", src).is_empty());
     }
 }

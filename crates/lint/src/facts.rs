@@ -2,15 +2,13 @@
 //! decoupled from the token stream.
 //!
 //! [`FileFacts::extract`] runs every per-file pass once (raw rule
-//! violations, `emblookup_*::` references, public API items, `use`
-//! imports, function facts) and the workspace driver
-//! ([`crate::workspace`]) then works purely on facts: central allow
-//! suppression, the stale-allow audit, the L005/L006 checks and the
-//! interprocedural rules never touch a [`SourceFile`] again.
+//! violations, `emblookup_*::` references, public API items) and the
+//! workspace driver ([`crate::workspace`]) then works purely on facts:
+//! central allow suppression, the stale-allow audit and the L005/L006
+//! checks never touch a [`SourceFile`] again.
 
-use crate::callgraph::{scan_fns, FnFact};
 use crate::engine::{AllowDecl, FileClass, NameRegistry, SourceFile, Violation};
-use crate::parser::{crate_refs, public_items, use_imports, ApiItem, CrateRef, ImportMap};
+use crate::parser::{crate_refs, public_items, ApiItem, CrateRef};
 
 /// The complete analysis output for one source file.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,8 +22,6 @@ pub struct FileFacts {
     pub krate: String,
     /// Library or binary code.
     pub class: FileClass,
-    /// Whether the file carries `// lint: hot-path`.
-    pub hot_path: bool,
     /// Allow directives in declaration order.
     pub allows: Vec<AllowDecl>,
     /// Raw per-file violations (no allow suppression applied).
@@ -34,10 +30,6 @@ pub struct FileFacts {
     pub refs: Vec<CrateRef>,
     /// Public API items (L006 snapshot input).
     pub api: Vec<ApiItem>,
-    /// `use emblookup_*::…` import map (call resolution input).
-    pub imports: ImportMap,
-    /// Per-function facts (call graph input).
-    pub fns: Vec<FnFact>,
 }
 
 impl FileFacts {
@@ -55,13 +47,10 @@ impl FileFacts {
             src_rel: src_rel.to_string(),
             krate: krate.to_string(),
             class: sf.class,
-            hot_path: sf.is_hot_path(),
             allows: sf.allow_decls().to_vec(),
             raw: sf.check_raw(registry),
             refs: crate_refs(&sf),
             api: public_items(&sf),
-            imports: use_imports(&sf),
-            fns: scan_fns(&sf),
         }
     }
 
@@ -86,12 +75,11 @@ mod tests {
     #[test]
     fn extract_collects_all_fact_kinds() {
         let src = "\
-// lint: hot-path
 use emblookup_kg::Candidate;
 
-pub fn f() -> u32 {
-    // lint: allow(L001) fixture reason
-    helper().unwrap()
+pub fn f(x: f32) -> bool {
+    // lint: allow(L007) fixture reason
+    x == 0.5
 }
 ";
         let f = FileFacts::extract(
@@ -102,15 +90,12 @@ pub fn f() -> u32 {
             &NameRegistry::new(),
         );
         assert_eq!(f.class, FileClass::Lib);
-        assert!(f.hot_path);
         assert_eq!(f.allows.len(), 1);
         assert_eq!(f.refs.len(), 1, "{:?}", f.refs);
-        assert_eq!(f.imports.names.get("Candidate").map(String::as_str), Some("emblookup_kg"));
-        assert_eq!(f.fns.len(), 1);
         assert!(!f.api.is_empty());
-        // raw L001 for the unwrap is present even though allowed — the
-        // workspace pass suppresses centrally and audits usage
-        assert!(f.raw.iter().any(|v| v.rule == "L001"), "{:?}", f.raw);
-        assert!(f.allowed("L001", 6));
+        // raw L007 for the comparison is present even though allowed —
+        // the workspace pass suppresses centrally and audits usage
+        assert!(f.raw.iter().any(|v| v.rule == "L007"), "{:?}", f.raw);
+        assert!(f.allowed("L007", 5));
     }
 }

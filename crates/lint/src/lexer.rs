@@ -1,7 +1,7 @@
 //! A minimal Rust lexer — just enough syntax awareness for reliable
 //! pattern lints: it distinguishes identifiers from the inside of
-//! string/char literals and comments, so `r#"x.unwrap()"#` never fires
-//! L001 and `'a` lifetimes never parse as unterminated chars.
+//! string/char literals and comments, so `r#"x == 0.5"#` never fires
+//! L007 and `'a` lifetimes never parse as unterminated chars.
 //!
 //! The lexer is deliberately permissive: unterminated constructs are
 //! consumed to end-of-file instead of erroring, because a lint tool must

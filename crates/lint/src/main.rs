@@ -24,13 +24,11 @@
 //!
 //! ```json
 //! {"violations":[
-//!    {"file":"crates/x/src/lib.rs","line":3,"rule":"L001",
+//!    {"file":"crates/x/src/lib.rs","line":3,"rule":"L003",
 //!     "message":"…","suggestion":"…"}],
 //!  "warnings":[],
 //!  "files_checked":42,
-//!  "rule_counts":{"L000":0,"L001":1,"L002":0,"L003":0,"L004":0,
-//!                 "L005":0,"L006":0,"L007":0,"L008":0,"L009":0,
-//!                 "L010":0,"L011":0,"L012":0}}
+//!  "rule_counts":{"L003":1,"L004":0,"L005":0,"L006":0,"L007":0}}
 //! ```
 //!
 //! `violations` is sorted by (file, line, rule); `suggestion` appears
@@ -76,16 +74,15 @@ fn parse_args() -> Result<Options, String> {
             "--api-check" => opts.api_check = true,
             "--api-bless" => opts.api_bless = true,
             "--explain" => {
-                let v = args.next().ok_or("--explain requires a rule id (e.g. L008)")?;
+                let v = args.next().ok_or("--explain requires a rule id (e.g. L007)")?;
                 opts.explain = Some(v);
             }
             "--help" | "-h" => {
                 println!(
                     "emblookup-lint [--root DIR] [--format text|json] [--api-check | --api-bless] | --explain Lxxx\n\
-                     Repo-specific lints: L001 panic-freedom, L002 hot-path, L003 metric names,\n\
-                     L004 TODO hygiene, L005 crate layering, L006 API drift (API.lock), L007 float discipline,\n\
-                     L008 determinism, L009 lock discipline, L010 interprocedural hot-path effects,\n\
-                     L011 raw atomics confined to obs::sync, L012 deadline propagation.\n\
+                     Repo-specific lints: L003 metric names, L004 TODO hygiene, L005 crate layering,\n\
+                     L006 API drift (API.lock), L007 float discipline. The rest is clippy's\n\
+                     (workspace Cargo.toml [workspace.lints.clippy] and clippy.toml).\n\
                      `--explain Lxxx` prints any rule's rationale, example and escape-hatch policy."
                 );
                 std::process::exit(0);

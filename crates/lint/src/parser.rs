@@ -67,68 +67,6 @@ pub fn crate_refs(sf: &SourceFile) -> Vec<CrateRef> {
     out
 }
 
-/// Workspace-crate imports visible in a file — the raw material of
-/// bare-name and `Type::method` call resolution in the call graph
-/// ([`crate::callgraph`]).
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct ImportMap {
-    /// Imported name (post-`as` alias) → crate ident in underscore form
-    /// (`Candidate → emblookup_kg`). Module imports count too
-    /// (`use emblookup_ann::flat;` maps `flat → emblookup_ann`).
-    pub names: std::collections::BTreeMap<String, String>,
-    /// Crates glob-imported via `use emblookup_x::…::*;`.
-    pub globs: Vec<String>,
-}
-
-/// Extracts every `use emblookup_*::…` import, resolving the leaf names
-/// (including `{a, b as c}` groups and `*` globs) to their source crate.
-pub fn use_imports(sf: &SourceFile) -> ImportMap {
-    let toks = sf.tokens();
-    let sig: Vec<usize> = (0..toks.len()).filter(|&i| !toks[i].is_comment()).collect();
-    let txt = |s: usize| sig.get(s).map(|&j| toks[j].text.as_str()).unwrap_or("");
-    let is_ident = |s: usize| sig.get(s).is_some_and(|&j| toks[j].kind == TokenKind::Ident);
-    let mut map = ImportMap::default();
-    let mut s = 0usize;
-    while s < sig.len() {
-        if txt(s) != "use" || !txt(s + 1).starts_with("emblookup_") {
-            s += 1;
-            continue;
-        }
-        let krate = txt(s + 1).to_string();
-        // walk the use tree to the terminating `;`, recording leaf names
-        let mut last_ident: Option<String> = None;
-        let mut k = s + 2;
-        while k < sig.len() && txt(k) != ";" {
-            match txt(k) {
-                "as" => {
-                    last_ident = Some(txt(k + 1).to_string());
-                    k += 2;
-                    continue;
-                }
-                "*" => {
-                    if !map.globs.contains(&krate) {
-                        map.globs.push(krate.clone());
-                    }
-                    last_ident = None;
-                }
-                "," | "{" | "}" => {
-                    if let Some(n) = last_ident.take() {
-                        map.names.insert(n, krate.clone());
-                    }
-                }
-                t if is_ident(k) => last_ident = Some(t.to_string()),
-                _ => {}
-            }
-            k += 1;
-        }
-        if let Some(n) = last_ident.take() {
-            map.names.insert(n, krate.clone());
-        }
-        s = k + 1;
-    }
-    map
-}
-
 /// Tolerant item parser: cursor over significant-token indices.
 struct Parser<'a> {
     sf: &'a SourceFile,
@@ -1018,25 +956,6 @@ mod tests {
             items(src),
             vec!["pub fn pick<T: Clone>(xs: &[T]) -> Option<T> where T: Default"]
         );
-    }
-
-    #[test]
-    fn use_imports_resolve_groups_aliases_and_globs() {
-        let src = r#"
-            use emblookup_kg::Candidate;
-            use emblookup_ann::{flat, ivf::IvfIndex, topk::TopK as Heap};
-            use emblookup_obs::names::*;
-            use std::collections::HashMap;
-        "#;
-        let sf = SourceFile::parse("crates/demo/src/lib.rs", src);
-        let m = use_imports(&sf);
-        assert_eq!(m.names.get("Candidate").map(String::as_str), Some("emblookup_kg"));
-        assert_eq!(m.names.get("flat").map(String::as_str), Some("emblookup_ann"));
-        assert_eq!(m.names.get("IvfIndex").map(String::as_str), Some("emblookup_ann"));
-        assert_eq!(m.names.get("Heap").map(String::as_str), Some("emblookup_ann"));
-        assert!(!m.names.contains_key("TopK"), "alias replaces the original name");
-        assert!(!m.names.contains_key("HashMap"), "std imports are not workspace imports");
-        assert_eq!(m.globs, vec!["emblookup_obs".to_string()]);
     }
 
     #[test]

@@ -25,14 +25,9 @@ pub fn json_escape(s: &str) -> String {
 }
 
 /// Violation count per rule, zeros included, in catalog order
-/// (`L000` first, then [`RULES`]).
+/// ([`RULES`]).
 pub fn rule_counts(violations: &[Violation]) -> Vec<(&'static str, usize)> {
-    let mut out = Vec::with_capacity(RULES.len() + 1);
-    for rule in std::iter::once(&"L000").chain(RULES.iter()) {
-        let n = violations.iter().filter(|v| v.rule == *rule).count();
-        out.push((*rule, n));
-    }
-    out
+    RULES.iter().map(|&rule| (rule, violations.iter().filter(|v| v.rule == rule).count())).collect()
 }
 
 /// Renders the JSON report. Schema (stable field order, one line):
@@ -40,15 +35,15 @@ pub fn rule_counts(violations: &[Violation]) -> Vec<(&'static str, usize)> {
 /// ```json
 /// {
 ///   "violations": [
-///     {"file": "crates/x/src/lib.rs", "line": 3, "rule": "L001",
+///     {"file": "crates/x/src/lib.rs", "line": 3, "rule": "L003",
 ///      "message": "…", "suggestion": "…"}
 ///   ],
 ///   "warnings": [
-///     {"file": "crates/x/src/lib.rs", "line": 9, "rule": "L000",
-///      "message": "stale `// lint: allow(L001)`: …"}
+///     {"file": "crates/x/src/lib.rs", "line": 9, "rule": "L007",
+///      "message": "stale `// lint: allow(L007)`: …"}
 ///   ],
 ///   "files_checked": 42,
-///   "rule_counts": {"L000": 0, "L001": 1, "…": 0}
+///   "rule_counts": {"L003": 1, "L004": 0, "…": 0}
 /// }
 /// ```
 ///
@@ -93,7 +88,7 @@ fn render_items(out: &mut String, items: &[Violation]) {
 }
 
 /// Renders the one-line per-rule summary for the text report and CI
-/// logs: `per-rule: L000=0 L001=2 …`.
+/// logs: `per-rule: L003=2 L004=0 …`.
 pub fn render_rule_summary(violations: &[Violation]) -> String {
     let parts: Vec<String> = rule_counts(violations)
         .iter()
@@ -120,24 +115,23 @@ mod tests {
     fn counts_include_zeros_in_catalog_order() {
         let vs = vec![v("a", 1, "L003", None), v("b", 2, "L003", None), v("c", 3, "L007", None)];
         let counts = rule_counts(&vs);
-        assert_eq!(counts[0], ("L000", 0));
-        assert!(counts.contains(&("L003", 2)));
+        assert_eq!(counts[0], ("L003", 2));
         assert!(counts.contains(&("L005", 0)));
         assert!(counts.contains(&("L007", 1)));
-        assert_eq!(counts.len(), RULES.len() + 1);
+        assert_eq!(counts.len(), RULES.len());
     }
 
     #[test]
     fn json_escapes_and_orders_fields() {
-        let vs = vec![v("a\"b.rs", 7, "L001", Some("X"))];
-        let ws = vec![v("w.rs", 2, "L000", None)];
+        let vs = vec![v("a\"b.rs", 7, "L003", Some("X"))];
+        let ws = vec![v("w.rs", 2, "L007", None)];
         let j = render_json(&vs, &ws, 3);
         assert!(j.starts_with("{\"violations\":["));
         assert!(j.contains("\"file\":\"a\\\"b.rs\""));
         assert!(j.contains("\"suggestion\":\"X\""));
         assert!(j.contains("\"warnings\":[{\"file\":\"w.rs\""));
         assert!(j.contains("\"files_checked\":3"));
-        assert!(j.contains("\"rule_counts\":{\"L000\":0,\"L001\":1,"));
+        assert!(j.contains("\"rule_counts\":{\"L003\":1,\"L004\":0,"));
     }
 
     #[test]

@@ -1,22 +1,20 @@
 //! Workspace-level analysis: loads every manifest and lintable source
-//! file once, then runs the per-file passes (L001–L004, L007, L011), the
-//! layering pass (L005), the interprocedural rules (L008–L010, L012) and the
-//! API snapshot (L006) over the shared model. This is what the
-//! `emblookup-lint` binary drives.
+//! file once, then runs the per-file passes (L003, L004, L007), the
+//! layering pass (L005) and the API snapshot (L006) over the shared
+//! model. This is what the `emblookup-lint` binary drives.
 //!
 //! Allow-directive suppression is **central**: every pass returns raw
 //! violations, and this module matches them against the owning file's
 //! `// lint: allow` directives. That single choke point is what makes
 //! the stale-allow audit possible — a directive that suppressed
 //! nothing anywhere in the run is reported as a warning. Manifest-side
-//! L005 violations and L000 directive errors bypass suppression by
-//! construction.
+//! L005 violations bypass suppression by construction.
 
 use crate::api::Snapshot;
 use crate::cargo::{read_manifests, Manifest};
 use crate::engine::{NameRegistry, Violation};
 use crate::facts::FileFacts;
-use crate::{layers, rules, walk};
+use crate::{layers, walk};
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 
@@ -34,7 +32,8 @@ pub struct Workspace {
 pub struct Report {
     /// Rule violations after central allow suppression (exit-code 1).
     pub violations: Vec<Violation>,
-    /// Stale-allow audit findings (advisory, rule `L000`).
+    /// Stale-allow audit findings (advisory; `rule` is the id the
+    /// directive names).
     pub warnings: Vec<Violation>,
 }
 
@@ -70,7 +69,7 @@ impl Workspace {
         // never suppressible
         let mut violations = layers::check_manifests(&self.manifests);
 
-        // raw per-file + layering + interprocedural findings
+        // raw per-file + layering findings
         let mut raw: Vec<Violation> = Vec::new();
         for f in &self.files {
             raw.extend(f.raw.iter().cloned());
@@ -78,27 +77,12 @@ impl Workspace {
                 raw.extend(layers::check_refs(&f.rel, &f.krate, &f.refs));
             }
         }
-        raw.extend(rules::run(&self.manifests, &self.files));
 
         // central suppression + usage tracking
         let by_rel: HashMap<&str, &FileFacts> =
             self.files.iter().map(|f| (f.rel.as_str(), f)).collect();
         let mut used: HashSet<(String, String, u32)> = HashSet::new();
-        // allows consumed at seed level (a justified leaf allow absolves
-        // transitive callers — see callgraph::Scanner::seed) are used
-        // even though no central violation matches them
-        for f in &self.files {
-            for fun in &f.fns {
-                for (rule, decl_line) in &fun.seed_allows {
-                    used.insert((f.rel.clone(), rule.clone(), *decl_line));
-                }
-            }
-        }
         for v in raw {
-            if v.rule == "L000" {
-                violations.push(v);
-                continue;
-            }
             let decl = by_rel
                 .get(v.file.as_str())
                 .and_then(|f| f.allows.iter().find(|d| d.covers(&v.rule, v.line)));
@@ -118,7 +102,7 @@ impl Workspace {
                     warnings.push(Violation {
                         file: f.rel.clone(),
                         line: d.line,
-                        rule: "L000".to_string(),
+                        rule: d.rule.clone(),
                         message: format!(
                             "stale `// lint: allow({})`: no {} diagnostic here any more; \
                              remove the directive",
@@ -218,39 +202,14 @@ mod tests {
 
     #[test]
     fn stale_allow_is_warned_not_errored() {
-        let src = "// lint: allow(L001) left over from a removed unwrap\npub fn f() {}\n";
+        let src = "// lint: allow(L007) left over from a removed comparison\npub fn f() {}\n";
         let f = FileFacts::fixture("crates/kg/src/lib.rs", "emblookup-kg", src);
         let ws = Workspace::from_parts(vec![manifest("emblookup-kg", "crates/kg")], vec![f]);
         let report = ws.check();
         assert!(report.violations.is_empty(), "{:?}", report.violations);
         assert_eq!(report.warnings.len(), 1, "{:?}", report.warnings);
-        assert_eq!(report.warnings[0].rule, "L000");
+        assert_eq!(report.warnings[0].rule, "L007");
         assert_eq!(report.warnings[0].line, 1);
         assert!(report.warnings[0].message.contains("stale"), "{}", report.warnings[0].message);
-    }
-
-    #[test]
-    fn interprocedural_rules_run_through_check() {
-        let hot = "// lint: hot-path\nuse emblookup_kg::describe;\n\
-                   pub fn score(n: u32) -> usize { describe(n).len() }\n";
-        let leaf = "pub fn describe(n: u32) -> String { format!(\"node {n}\") }\n";
-        let kg = manifest("emblookup-kg", "crates/kg");
-        let ann = parse_manifest(
-            "crates/ann/Cargo.toml",
-            Path::new("crates/ann"),
-            "[package]\nname = \"emblookup-ann\"\n[dependencies]\nemblookup-kg.workspace = true\n",
-        )
-        .expect("manifest");
-        let ws = Workspace::from_parts(
-            vec![kg, ann],
-            vec![
-                FileFacts::fixture("crates/kg/src/lib.rs", "emblookup-kg", leaf),
-                FileFacts::fixture("crates/ann/src/flat.rs", "emblookup-ann", hot),
-            ],
-        );
-        let report = ws.check();
-        let l010: Vec<_> = report.violations.iter().filter(|v| v.rule == "L010").collect();
-        assert_eq!(l010.len(), 1, "{:?}", report.violations);
-        assert!(l010[0].message.contains("transitively allocates"), "{}", l010[0].message);
     }
 }

@@ -14,119 +14,6 @@ fn rules_at(path: &str, src: &str) -> Vec<(String, u32)> {
         .collect()
 }
 
-// ----------------------------------------------------------------- L001
-
-#[test]
-fn l001_unwrap_in_library_code_fires() {
-    let src = "pub fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n";
-    assert_eq!(rules_at(LIB, src), vec![("L001".to_string(), 2)]);
-}
-
-#[test]
-fn l001_expect_panic_unreachable_fire() {
-    let src = "pub fn f(x: Option<u32>) -> u32 {\n    if x.is_none() { panic!(\"no\") }\n    x.expect(\"some\")\n}\npub fn g() { unreachable!() }\n";
-    let got = rules_at(LIB, src);
-    assert_eq!(
-        got,
-        vec![
-            ("L001".to_string(), 2),
-            ("L001".to_string(), 3),
-            ("L001".to_string(), 5)
-        ]
-    );
-}
-
-#[test]
-fn l001_allow_with_reason_suppresses() {
-    let src = "pub fn f(x: Option<u32>) -> u32 {\n    // lint: allow(L001) invariant: caller checked is_some\n    x.unwrap()\n}\n";
-    assert_eq!(rules_at(LIB, src), vec![]);
-}
-
-#[test]
-fn l001_allow_without_reason_is_an_error() {
-    let src = "pub fn f(x: Option<u32>) -> u32 {\n    // lint: allow(L001)\n    x.unwrap()\n}\n";
-    let got = rules_at(LIB, src);
-    // the bare allow is rejected (L000) and therefore does NOT suppress
-    assert!(got.contains(&("L000".to_string(), 2)), "got {got:?}");
-    assert!(got.contains(&("L001".to_string(), 3)), "got {got:?}");
-}
-
-#[test]
-fn l001_test_code_is_exempt() {
-    let src = "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { Some(1).unwrap(); }\n}\n";
-    assert_eq!(rules_at(LIB, src), vec![]);
-}
-
-#[test]
-fn l001_binaries_are_exempt() {
-    let src = "fn main() { std::env::args().next().unwrap(); }\n";
-    assert_eq!(rules_at("crates/demo/src/main.rs", src), vec![]);
-}
-
-// ----------------------------------------------------------------- L002
-
-#[test]
-fn l002_lock_in_hot_path_module_fires() {
-    let src = "// lint: hot-path\nuse std::sync::Mutex;\npub struct S { m: Mutex<u32> }\n";
-    let got = rules_at(LIB, src);
-    assert!(
-        got.iter().any(|(r, _)| r == "L002"),
-        "expected L002, got {got:?}"
-    );
-}
-
-#[test]
-fn l002_allocation_in_hot_path_module_fires() {
-    let src = "// lint: hot-path\npub fn f(n: u32) -> String {\n    format!(\"q{n}\")\n}\n";
-    assert_eq!(rules_at(LIB, src), vec![("L002".to_string(), 3)]);
-}
-
-#[test]
-fn l002_same_code_without_hot_path_is_clean() {
-    let src = "pub fn f(n: u32) -> String {\n    format!(\"q{n}\")\n}\n";
-    assert_eq!(rules_at(LIB, src), vec![]);
-}
-
-#[test]
-fn l002_allow_with_reason_suppresses() {
-    let src = "// lint: hot-path\npub fn f(n: u32) -> String {\n    // lint: allow(L002) error path only, never taken per lookup\n    format!(\"q{n}\")\n}\n";
-    assert_eq!(rules_at(LIB, src), vec![]);
-}
-
-#[test]
-fn l002_unjustified_unsafe_in_hot_path_fires() {
-    let src = "// lint: hot-path\npub fn f(p: *const f32) -> f32 {\n    unsafe { *p }\n}\n";
-    assert_eq!(rules_at(LIB, src), vec![("L002".to_string(), 3)]);
-}
-
-#[test]
-fn l002_justified_unsafe_in_hot_path_is_clean() {
-    let src = "// lint: hot-path\npub fn f(p: *const f32) -> f32 {\n    // lint: allow(L002) caller guarantees p is valid for reads\n    unsafe { *p }\n}\n";
-    assert_eq!(rules_at(LIB, src), vec![]);
-}
-
-#[test]
-fn l002_unsafe_off_hot_path_is_clean() {
-    let src = "pub fn f(p: *const f32) -> f32 {\n    unsafe { *p }\n}\n";
-    assert_eq!(rules_at(LIB, src), vec![]);
-}
-
-#[test]
-fn l002_target_feature_outside_kernels_fires_even_without_hot_path() {
-    let src = "#[target_feature(enable = \"avx2\")]\npub unsafe fn f() {}\n";
-    let got = rules_at(LIB, src);
-    assert!(
-        got.contains(&("L002".to_string(), 1)),
-        "expected target_feature L002, got {got:?}"
-    );
-}
-
-#[test]
-fn l002_target_feature_inside_kernels_module_is_exempt() {
-    let src = "// lint: hot-path\n#[target_feature(enable = \"avx2\")]\n// lint: allow(L002) dispatch-gated: caller verified avx2\nunsafe fn f() {}\npub fn g() {}\n";
-    assert_eq!(rules_at("crates/demo/src/kernels.rs", src), vec![]);
-}
-
 // ----------------------------------------------------------------- L003
 
 #[test]
@@ -194,13 +81,13 @@ fn l004_todo_with_issue_reference_is_clean() {
 #[test]
 fn banned_tokens_inside_strings_and_comments_do_not_fire() {
     let src = concat!(
-        "// .unwrap() discussed in a comment is fine\n",
-        "/* panic!(\"in a block comment\") */\n",
+        "// x == 0.5 discussed in a comment is fine\n",
+        "/* a.partial_cmp(b).unwrap() in a block comment */\n",
         "pub fn f() -> &'static str {\n",
-        "    \"calls .unwrap() and panic!()\"\n",
+        "    \"compares x == 0.5\"\n",
         "}\n",
         "pub fn g() -> &'static str {\n",
-        "    r#\"raw with \".unwrap()\" inside\"#\n",
+        "    r#\"raw with \"x != 1.5\" inside\"#\n",
         "}\n",
     );
     assert_eq!(rules_at(LIB, src), vec![]);
@@ -228,8 +115,14 @@ fn unterminated_string_does_not_hang_or_panic() {
 
 #[test]
 fn cfg_not_test_is_still_linted() {
-    let src = "#[cfg(not(test))]\npub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
-    assert_eq!(rules_at(LIB, src), vec![("L001".to_string(), 2)]);
+    let src = "#[cfg(not(test))]\npub fn f(x: f32) -> bool { x == 0.5 }\n";
+    assert_eq!(rules_at(LIB, src), vec![("L007".to_string(), 2)]);
+}
+
+#[test]
+fn allow_without_reason_is_no_allow() {
+    let src = "pub fn f(x: f32) -> bool {\n    // lint: allow(L007)\n    x == 0.5\n}\n";
+    assert_eq!(rules_at(LIB, src), vec![("L007".to_string(), 3)]);
 }
 
 // ----------------------------------------------------------------- L005
@@ -307,11 +200,7 @@ fn l007_float_equality_in_ann_fires() {
 #[test]
 fn l007_panicking_partial_cmp_chain_fires() {
     let src = "pub fn cmp(a: f32, b: f32) -> std::cmp::Ordering {\n    a.partial_cmp(&b).unwrap()\n}\n";
-    // the chain is both a panic site (L001) and a NaN hazard (L007)
-    assert_eq!(
-        rules_at(LIB, src),
-        vec![("L001".to_string(), 2), ("L007".to_string(), 2)]
-    );
+    assert_eq!(rules_at(LIB, src), vec![("L007".to_string(), 2)]);
 }
 
 #[test]
@@ -334,70 +223,11 @@ fn l007_integer_comparisons_are_clean() {
     assert_eq!(rules_at(LIB, src), vec![]);
 }
 
-// ----------------------------------------------------------------- L011
-
-#[test]
-fn l011_raw_atomics_outside_obs_sync_fire_with_file_and_line() {
-    // imported, fully qualified, and through a nested `use` group
-    let serve = "use std::sync::atomic::AtomicU64;\n\
-                 pub fn f() -> bool {\n\
-                 \x20   std::sync::atomic::AtomicBool::new(false).into_inner()\n\
-                 }\n\
-                 use std::sync::{atomic::Ordering, Arc};\n";
-    // PR 8's two real bugs (the Relaxed-published ring head, the torn
-    // exemplar slots) both started as raw `AtomicU64` fields; naming
-    // the type there is now the error
-    let ring = "use std::sync::atomic::{AtomicU64, Ordering};\npub struct Ring { head: AtomicU64 }\n";
-    let hist = "pub struct Slot { version: std::sync::atomic::AtomicU64 }\n";
-    for (path, src, lines) in [
-        ("crates/serve/src/x.rs", serve, vec![1, 3, 5]),
-        ("crates/obs/src/ring.rs", ring, vec![1]),
-        ("crates/obs/src/hist.rs", hist, vec![1]),
-    ] {
-        let vs = lint_source(path, src);
-        let got: Vec<(&str, &str, u32)> =
-            vs.iter().map(|v| (v.file.as_str(), v.rule.as_str(), v.line)).collect();
-        let want: Vec<(&str, &str, u32)> = lines.iter().map(|&l| (path, "L011", l)).collect();
-        assert_eq!(got, want);
-        assert!(vs[0].message.contains("crates/obs/src/sync.rs"), "{}", vs[0].message);
-    }
-}
-
-#[test]
-fn l011_is_clean_in_obs_sync_tests_and_non_library_files() {
-    let src = "use std::sync::atomic::{AtomicU64, Ordering};\npub struct S(AtomicU64);\n";
-    assert_eq!(rules_at("crates/obs/src/sync.rs", src), vec![]);
-    for path in [
-        "crates/demo/src/main.rs",
-        "crates/demo/src/bin/tool.rs",
-        "crates/demo/benches/b.rs",
-        "crates/demo/tests/it.rs",
-        "examples/quickstart.rs",
-    ] {
-        assert_eq!(rules_at(path, src), vec![], "{path}");
-    }
-    let in_test = "#[cfg(test)]\nmod tests {\n    use std::sync::atomic::{AtomicUsize, Ordering};\n}\n";
-    assert_eq!(rules_at(LIB, in_test), vec![]);
-    // a variable or field that merely is called `atomic` is not a path
-    let named = "pub struct S { atomic: bool }\npub fn f(s: &S) -> bool { s.atomic }\n";
-    assert_eq!(rules_at(LIB, named), vec![]);
-}
-
-#[test]
-fn l011_is_suppressible_only_by_an_allow_with_reason() {
-    let bare = "// lint: allow(L011)\nuse std::sync::atomic::AtomicU64;\n";
-    let got = rules_at(LIB, bare);
-    assert!(got.contains(&("L000".to_string(), 1)), "got {got:?}");
-    assert!(got.contains(&("L011".to_string(), 2)), "got {got:?}");
-    let ok = "// lint: allow(L011) fixture: FFI handshake needs a raw AtomicU32\nuse std::sync::atomic::AtomicU32;\n";
-    assert_eq!(rules_at(LIB, ok), vec![]);
-}
-
 // ------------------------------------------------------- JSON golden
 
 #[test]
 fn json_report_is_golden_stable() {
-    let src = "pub fn f(x: Option<u32>) -> u32 {\n    emblookup_obs::global().counter(\"train.epochs\");\n    x.unwrap()\n}\n";
+    let src = "pub fn f(x: f32) -> bool {\n    emblookup_obs::global().counter(\"train.epochs\");\n    x == 0.5\n}\n";
     let violations = lint_source("crates/demo/src/a \"b.rs", src);
     let got = emblookup_lint::report::render_json(&violations, &[], 1);
     let want = concat!(
@@ -405,11 +235,10 @@ fn json_report_is_golden_stable() {
         "{\"file\":\"crates/demo/src/a \\\"b.rs\",\"line\":2,\"rule\":\"L003\",",
         "\"message\":\"metric name literal \\\"train.epochs\\\"; use emblookup_obs::names::TRAIN_EPOCHS\",",
         "\"suggestion\":\"TRAIN_EPOCHS\"},",
-        "{\"file\":\"crates/demo/src/a \\\"b.rs\",\"line\":3,\"rule\":\"L001\",",
-        "\"message\":\".unwrap() can panic; propagate a Result or add `// lint: allow(L001) reason`\"}",
+        "{\"file\":\"crates/demo/src/a \\\"b.rs\",\"line\":3,\"rule\":\"L007\",",
+        "\"message\":\"float `==` comparison is NaN-hazardous; compare with a tolerance, use total_cmp, or add `// lint: allow(L007) reason`\"}",
         "],\"warnings\":[],\"files_checked\":1,",
-        "\"rule_counts\":{\"L000\":0,\"L001\":1,\"L002\":0,\"L003\":1,\"L004\":0,\"L005\":0,\"L006\":0,",
-        "\"L007\":0,\"L008\":0,\"L009\":0,\"L010\":0,\"L011\":0,\"L012\":0}}"
+        "\"rule_counts\":{\"L003\":1,\"L004\":0,\"L005\":0,\"L006\":0,\"L007\":1}}"
     );
     assert_eq!(got, want);
 }
@@ -426,72 +255,46 @@ fn workspace_loaded_from_disk_reports_every_rule_family() {
 
     let root = std::env::temp_dir().join(format!("emblookup-lint-load-{}", std::process::id()));
     let _ = fs::remove_dir_all(&root);
-    fs::create_dir_all(root.join("crates/kg/src")).expect("mkdir");
-    fs::create_dir_all(root.join("crates/ann/src")).expect("mkdir");
-    fs::write(
-        root.join("Cargo.toml"),
-        "[package]\nname = \"emblookup\"\n[workspace]\nmembers = [\"crates/*\"]\n",
-    )
-    .expect("write");
-    fs::create_dir_all(root.join("src")).expect("mkdir");
-    fs::write(root.join("src/lib.rs"), "pub use emblookup_kg::describe;\n").expect("write");
-    fs::write(
-        root.join("crates/kg/Cargo.toml"),
-        "[package]\nname = \"emblookup-kg\"\n",
-    )
-    .expect("write");
-    fs::write(
-        root.join("crates/kg/src/lib.rs"),
-        "pub fn describe(n: u32) -> String { format!(\"node {n}\") }\n",
-    )
-    .expect("write");
-    fs::write(
-        root.join("crates/ann/Cargo.toml"),
-        "[package]\nname = \"emblookup-ann\"\n[dependencies]\nemblookup-kg.workspace = true\n",
-    )
-    .expect("write");
-    fs::write(
-        root.join("crates/ann/src/flat.rs"),
-        "// lint: hot-path\nuse emblookup_kg::describe;\n\
-         // lint: allow(L005) fixture: stale on purpose\n\
-         pub fn score(n: u32) -> usize { describe(n).len() }\n\
-         pub fn dead(x: Option<u32>) -> u32 { x.unwrap() }\n",
-    )
-    .expect("write");
-    // a raw atomic outside obs::sync (L011) and an undeadlined
-    // blocking site under a serve handler (L012)
-    fs::create_dir_all(root.join("crates/serve/src")).expect("mkdir");
-    fs::write(
-        root.join("crates/serve/Cargo.toml"),
-        "[package]\nname = \"emblookup-serve\"\n",
-    )
-    .expect("write");
-    fs::write(
-        root.join("crates/serve/src/server.rs"),
-        "use std::sync::atomic::{AtomicBool, Ordering};\n\
-         pub struct St {\n\
-         \x20   stop: AtomicBool,\n\
-         }\n\
-         impl St {\n\
-         \x20   pub fn raise(&self) { self.stop.store(true, Ordering::Relaxed); }\n\
-         }\n\
-         pub fn handle_lookup(req: u32) -> u32 { rx.recv(); req }\n",
-    )
-    .expect("write");
+    for dir in ["src", "crates/kg/src", "crates/ann/src"] {
+        fs::create_dir_all(root.join(dir)).expect("mkdir");
+    }
+    let files = [
+        ("Cargo.toml", "[package]\nname = \"emblookup\"\n[workspace]\nmembers = [\"crates/*\"]\n"),
+        ("src/lib.rs", "pub use emblookup_ann::score;\n"),
+        ("crates/kg/Cargo.toml", "[package]\nname = \"emblookup-kg\"\n"),
+        ("crates/kg/src/lib.rs", "pub fn up() -> usize { 1 }\n"),
+        ("crates/ann/Cargo.toml", "[package]\nname = \"emblookup-ann\"\n"),
+        // a layering inversion (L005): ann sits below kg
+        ("crates/ann/src/up.rs", "pub fn up() -> usize { emblookup_kg::up() }\n"),
+        // a float comparison (L007), an unanchored task marker (L004),
+        // a metric literal (L003) and an allow that suppresses nothing
+        (
+            "crates/ann/src/lib.rs",
+            "// TODO tighten\n\
+             // lint: allow(L005) fixture: stale on purpose\n\
+             pub fn score(n: u32) -> usize { emblookup_obs::global().counter(\"my.metric\"); n as usize }\n\
+             pub fn same(x: f32) -> bool { x == 0.5 }\n",
+        ),
+    ];
+    for (path, text) in files {
+        fs::write(root.join(path), text).expect("write");
+    }
 
     let report = Workspace::load(&root, &obs_name_registry()).expect("load").check();
 
-    // the fixture exercises raw per-file rules (L001), interprocedural
-    // effects (L010), atomics confinement (L011), deadline propagation
-    // (L012) and the stale-allow audit
-    assert!(!report.warnings.is_empty(), "fixture must produce a stale-allow warning");
-    for rule in ["L001", "L010", "L011", "L012"] {
-        assert!(
-            report.violations.iter().any(|v| v.rule == rule),
-            "fixture must produce a {rule} diagnostic: {:?}",
-            report.violations
-        );
-    }
+    assert_eq!(report.warnings.len(), 1, "{:?}", report.warnings);
+    assert!(report.warnings[0].message.contains("stale"), "{}", report.warnings[0].message);
+    let got: Vec<(&str, &str, u32)> =
+        report.violations.iter().map(|v| (v.file.as_str(), v.rule.as_str(), v.line)).collect();
+    assert_eq!(
+        got,
+        [
+            ("crates/ann/src/lib.rs", "L004", 1),
+            ("crates/ann/src/lib.rs", "L003", 3),
+            ("crates/ann/src/lib.rs", "L007", 4),
+            ("crates/ann/src/up.rs", "L005", 1),
+        ]
+    );
 
     let _ = fs::remove_dir_all(&root);
 }

@@ -100,7 +100,7 @@ impl Histogram {
     pub fn new() -> Self {
         // `RelaxedU64` is not Copy; build the array through a Vec once.
         let v: Vec<RelaxedU64> = (0..NUM_BUCKETS).map(|_| RelaxedU64::new(0)).collect();
-        // lint: allow(L001) infallible: the Vec is built with exactly NUM_BUCKETS elements one line up
+        #[expect(clippy::expect_used, reason = "the Vec is built with exactly NUM_BUCKETS elements one line up")]
         let buckets: Box<[RelaxedU64; NUM_BUCKETS]> = v.into_boxed_slice().try_into().expect("bucket count is fixed");
         Histogram {
             buckets,

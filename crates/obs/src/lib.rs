@@ -55,6 +55,7 @@ pub mod fmt;
 pub mod names;
 pub mod ring;
 pub mod sample;
+#[expect(clippy::disallowed_types, reason = "the one module that may name std::sync::atomic")]
 pub mod sync;
 pub mod trace;
 mod hist;

@@ -153,14 +153,14 @@ names! {
 /// `lookup.latency.<scope>` (e.g. `lookup.latency.el_nc`, or a baseline
 /// slug from the benchmark harness).
 pub fn lookup_latency_scoped(scope: &str) -> String {
-    // lint: allow(L002) scoped names are built once when a service is configured, not per query
+    // Scoped names are built once when a service is configured, not per query
     format!("{LOOKUP_LATENCY}.{scope}")
 }
 
 /// Scoped per-query-in-batch latency histogram name:
 /// `lookup.latency.<scope>.bulk`.
 pub fn lookup_latency_bulk_scoped(scope: &str) -> String {
-    // lint: allow(L002) scoped names are built once when a service is configured, not per query
+    // Scoped names are built once when a service is configured, not per query
     format!("{LOOKUP_LATENCY}.{scope}.bulk")
 }
 

@@ -73,7 +73,7 @@ impl MetricsRegistry {
     /// The map, recovered from poisoning — a panic elsewhere must not
     /// take metrics registration down with it.
     fn locked(&self) -> MutexGuard<'_, Inner> {
-        // lint: allow(L002) registration-time lock: callers resolve a handle once and cache it; the hot path never re-enters
+        // Registration-time lock: callers resolve a handle once and cache it; the hot path never re-enters
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -81,21 +81,21 @@ impl MetricsRegistry {
     /// returned handle — it never touches the registry lock again.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
         let mut inner = self.locked();
-        // lint: allow(L002) name interned once per metric at registration, not per increment
+        // Name interned once per metric at registration, not per increment
         Arc::clone(inner.counters.entry(name.to_string()).or_default())
     }
 
     /// Get-or-create the gauge `name`.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
         let mut inner = self.locked();
-        // lint: allow(L002) name interned once per metric at registration, not per increment
+        // Name interned once per metric at registration, not per increment
         Arc::clone(inner.gauges.entry(name.to_string()).or_default())
     }
 
     /// Get-or-create the histogram `name`.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
         let mut inner = self.locked();
-        // lint: allow(L002) name interned once per metric at registration, not per increment
+        // Name interned once per metric at registration, not per increment
         Arc::clone(inner.histograms.entry(name.to_string()).or_default())
     }
 

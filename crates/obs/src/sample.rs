@@ -82,7 +82,7 @@ impl TailSampler {
     }
 
     fn locked(&self) -> std::sync::MutexGuard<'_, Vec<RetainedTrace>> {
-        // lint: allow(L002) tail-sampler reservoir: touched once per completed request, after the response is built
+        // Tail-sampler reservoir: touched once per completed request, after the response is built
         self.retained.lock().unwrap_or_else(PoisonError::into_inner)
     }
 

@@ -139,7 +139,6 @@ pub fn clear_subscriber() {
 /// Sends an event to the installed subscriber, if any.
 pub fn emit(event: &Event<'_>) {
     // Uncontended read lock; None is the common case and returns at once.
-    // lint: allow(L002) uncontended read lock; no subscriber installed is the common case
     if let Some(sub) = SUBSCRIBER.read().unwrap_or_else(PoisonError::into_inner).as_ref() {
         sub.on_event(event);
     }
@@ -175,7 +174,7 @@ pub fn init_from_env() -> bool {
     match subs.len() {
         0 => false,
         1 => {
-            // lint: allow(L001) infallible: this branch only runs when len() == 1
+            #[expect(clippy::expect_used, reason = "this branch only runs when len() == 1")]
             set_subscriber(subs.pop().expect("one subscriber"));
             true
         }

@@ -1,7 +1,8 @@
 //! The workspace's concurrency protocols, as types.
 //!
-//! This is the only non-test library file that may name
-//! `std::sync::atomic` (lint rule L011). Every atomic elsewhere is one
+//! This is the only library module that may name `std::sync::atomic`:
+//! `clippy.toml` lists the atomic types under `disallowed-types`, and
+//! this module's `#[expect]` is the one exemption. Every atomic elsewhere is one
 //! of the five types below, and each method hard-codes the `Ordering`
 //! its protocol needs — a call site cannot choose one, so it cannot
 //! choose a wrong one. Need an atomic? Pick a type. Need a protocol

@@ -189,7 +189,7 @@ impl Trace {
     }
 
     fn locked(&self) -> std::sync::MutexGuard<'_, Vec<SpanRecord>> {
-        // lint: allow(L002) per-trace span buffer: short uncontended critical section, only on traced requests
+        // Per-trace span buffer: short uncontended critical section, only on traced requests
         self.spans.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 

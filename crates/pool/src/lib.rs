@@ -25,7 +25,7 @@
 //! Tests that need explicit widths construct their own
 //! [`Pool::with_threads`].
 //!
-//! Panics inside tasks are contained per L001: a worker catches them,
+//! Panics inside tasks are contained: a worker catches them,
 //! and the `parallel_map*` calls rethrow the message as a panic on the
 //! calling thread while [`Pool::scatter`] / [`Pool::scatter_grained`]
 //! report it per index as a [`TaskPanic`] — a poisoned job never takes
@@ -52,7 +52,7 @@ use std::time::Duration;
 /// every critical section is a plain field update and task panics are
 /// already contained by `catch_unwind` before completion bookkeeping.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    // lint: allow(L002) the pool's bounded critical sections are its documented design (DESIGN.md: work-stealing pool); every other lock in the workspace must justify itself
+    // The pool's bounded critical sections are its documented design (DESIGN.md: work-stealing pool)
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -67,19 +67,16 @@ pub struct TaskPanic {
 impl TaskPanic {
     fn from_payload(payload: &(dyn Any + Send)) -> Self {
         let message = if let Some(s) = payload.downcast_ref::<&str>() {
-            // lint: allow(L002) panic error path: a worker task already panicked, the copy is for the report
             (*s).to_owned()
         } else if let Some(s) = payload.downcast_ref::<String>() {
             s.clone()
         } else {
-            // lint: allow(L002) panic error path: a worker task already panicked, the copy is for the report
             "task panicked".to_owned()
         };
         TaskPanic { message }
     }
 
     fn resume(self) -> ! {
-        // lint: allow(L002) panic resume path: re-throws a captured worker panic
         panic::resume_unwind(Box::new(self.message))
     }
 }
@@ -108,12 +105,13 @@ struct JobCore {
 
 // SAFETY: `data` points at a `Sync` closure owned by the submitting
 // frame, which outlives every task of the job (see struct docs).
-#[allow(unsafe_code)]
+#[expect(unsafe_code, reason = "type-erased job shared with the workers")]
 unsafe impl Send for JobCore {}
-#[allow(unsafe_code)]
+// SAFETY: as for `Send`: the closure behind `data` is `Sync`.
+#[expect(unsafe_code, reason = "type-erased job shared with the workers")]
 unsafe impl Sync for JobCore {}
 
-#[allow(unsafe_code)]
+#[expect(unsafe_code, reason = "calls the trampoline paired with `data`")]
 impl JobCore {
     /// Runs chunk `lo..hi` of the erased closure.
     fn run_chunk(&self, lo: usize, hi: usize) {
@@ -130,8 +128,9 @@ impl JobCore {
 ///
 /// # Safety
 /// `data` must point at a live `F`.
-#[allow(unsafe_code)]
+#[expect(unsafe_code, reason = "re-types the erased closure pointer")]
 unsafe fn call_chunk<F: Fn(usize, usize) + Sync>(data: *const (), lo: usize, hi: usize) {
+    // SAFETY: the caller guarantees `data` points at a live `F`.
     unsafe { (*(data as *const F))(lo, hi) }
 }
 
@@ -140,16 +139,18 @@ unsafe fn call_chunk<F: Fn(usize, usize) + Sync>(data: *const (), lo: usize, hi:
 struct SlotPtr<U>(*mut Option<U>);
 // SAFETY: the pointer is only written through `write`, whose contract
 // gives each index to one writer; `U: Send` lets values cross threads.
-#[allow(unsafe_code)]
+#[expect(unsafe_code, reason = "disjoint-slot writes from several chunks")]
 unsafe impl<U: Send> Sync for SlotPtr<U> {}
-#[allow(unsafe_code)]
+// SAFETY: as for `Sync`: `U: Send`, and each slot has one writer.
+#[expect(unsafe_code, reason = "disjoint-slot writes from several chunks")]
 unsafe impl<U: Send> Send for SlotPtr<U> {}
-#[allow(unsafe_code)]
+#[expect(unsafe_code, reason = "disjoint-slot writes from several chunks")]
 impl<U> SlotPtr<U> {
     /// # Safety
     /// Each index must be written at most once while the backing
     /// buffer is alive and no other reference observes slot `i`.
     unsafe fn write(&self, i: usize, v: U) {
+        // SAFETY: the caller gives slot `i` one writer while the buffer lives.
         unsafe { *self.0.add(i) = Some(v) }
     }
 }
@@ -326,7 +327,7 @@ impl Pool {
                 // a failed spawn only narrows parallelism: the missing
                 // worker's deque is still drained through steals
                 std::thread::Builder::new()
-                    // lint: allow(L002) once per worker at pool construction, never per task
+                    // Once per worker at pool construction, never per task
                     .name(format!("emblookup-pool-{i}"))
                     .spawn(move || worker_loop(shared, i))
                     .ok()
@@ -458,7 +459,7 @@ impl Pool {
                 // SAFETY: chunks partition 0..n, so each index is visited
                 // exactly once and writes land in disjoint slots of a
                 // buffer that outlives the call.
-                #[allow(unsafe_code)]
+                #[expect(unsafe_code, reason = "disjoint-slot write")]
                 unsafe { slots.write(i, v) };
             }
         };
@@ -569,6 +570,7 @@ pub fn default_threads() -> usize {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_types, reason = "the tests count visits with raw atomics of their own")]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -662,6 +664,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::unreachable, reason = "the closure must never run over an empty range")]
     fn zero_len_and_single_index_work() {
         let pool = Pool::with_threads(4);
         let none: Vec<usize> = pool.parallel_map(0, 8, |_| unreachable!("no indices"));

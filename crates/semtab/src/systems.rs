@@ -10,7 +10,7 @@
 
 use crate::table::Table;
 use emblookup_kg::{Candidate, EntityId, KnowledgeGraph, LookupService, TypeId};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::time::{Duration, Instant};
 
 /// Per-table annotation output.
@@ -199,6 +199,7 @@ impl AnnotationSystem for MantisTableSystem {
         }
 
         // phase 2: type-constrained disambiguation
+        #[expect(clippy::iter_over_hash_type, reason = "each cell is written once; no order reaches the output")]
         for ((r, c), cands) in &candidates {
             let pick = match elected[*c] {
                 Some(t) => cands
@@ -278,6 +279,7 @@ impl AnnotationSystem for JenTabSystem {
                 .iter()
                 .map(|(&rc, cands)| (rc, cands.iter().take(3).map(|c| c.entity).collect()))
                 .collect();
+            #[expect(clippy::iter_over_hash_type, reason = "each pool is filtered against the frozen snapshot, independently of the others")]
             for (&(r, c), cands) in pools.iter_mut() {
                 if cands.len() <= 1 {
                     continue;
@@ -305,6 +307,7 @@ impl AnnotationSystem for JenTabSystem {
                 }
             }
         }
+        #[expect(clippy::iter_over_hash_type, reason = "each cell is written once; no order reaches the output")]
         for (&(r, c), cands) in &pools {
             cells[r][c] = cands.first().map(|cand| cand.entity);
         }
@@ -455,6 +458,7 @@ impl KataraSystem {
         let (candidates, lookup_time) = fetch_candidates(table, service, k);
         let start = Instant::now();
         let mut annotated: HashMap<(usize, usize), EntityId> = HashMap::new();
+        #[expect(clippy::iter_over_hash_type, reason = "one insert per distinct key; the map is the same in any order")]
         for (&rc, cands) in &candidates {
             if let Some(first) = cands.first() {
                 annotated.insert(rc, first.entity);
@@ -463,8 +467,10 @@ impl KataraSystem {
 
         // discover dominant property per ordered column pair (src -> dst)
         let ncols = table.num_cols();
-        let mut pair_votes: HashMap<(usize, usize, emblookup_kg::PropertyId), usize> =
-            HashMap::new();
+        // ordered: the first property seen wins a tie below, so the
+        // iteration order decides which property is dominant
+        let mut pair_votes: BTreeMap<(usize, usize, emblookup_kg::PropertyId), usize> =
+            BTreeMap::new();
         for r in 0..table.num_rows() {
             for src in 0..ncols {
                 for dst in 0..ncols {

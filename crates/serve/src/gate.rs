@@ -66,6 +66,7 @@ impl Drop for Permit<'_> {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_types, reason = "the test tracks occupancy with raw atomics of its own")]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};

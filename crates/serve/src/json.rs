@@ -3,7 +3,7 @@
 //! The serving layer's request bodies are tiny (`{"q": "...", "k": 5}`),
 //! so a compact recursive-descent parser on `std` keeps the workspace
 //! dependency-free. Depth is capped, input size is capped by the HTTP
-//! layer, and every failure is a typed `Err` — never a panic (L001).
+//! layer, and every failure is a typed `Err` — never a panic (`clippy::panic`, `unwrap_used`).
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]

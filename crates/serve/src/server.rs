@@ -820,6 +820,7 @@ fn scatter_shards<T: Send>(
     let shards_per_task = MIN_SEARCHES_PER_TASK.div_ceil(searches_per_shard.max(1));
     let pool = Pool::global();
     let share = (pool.threads() / attempted.len()).max(1);
+    #[expect(clippy::panic, reason = "a fault-injected panic is the shard_panic fault's entire purpose")]
     let outcomes = pool.scatter_grained(attempted.len(), shards_per_task, |i| {
         let shard_idx = attempted[i];
         let span = &spans[i];
@@ -838,7 +839,6 @@ fn scatter_shards<T: Send>(
             if target as usize % total == shard_idx {
                 span.annotate("fault_panic", 1u64);
                 span.finish();
-                // lint: allow(L001) fault-injected panic is this line's entire purpose
                 panic!("injected fault: panic in shard {shard_idx} (request {})", ctx.idx);
             }
         }
@@ -960,12 +960,12 @@ fn open_request(
 /// deliberately panicking backend, which the per-request `catch_unwind`
 /// in [`admit`] turns into one `500`; the annotation survives into the
 /// clamped-open span.
+#[expect(clippy::panic, reason = "a fault-injected panic is the panic_in_search fault's entire purpose")]
 fn search_stage_faults(ctx: &RequestCtx, clock: &DeadlineClock) -> TraceSpan {
     let search_span = ctx.root.child(names::SPAN_STAGE_SEARCH);
     begin_stage(&search_span, clock, ctx.faults.search_latency_ms);
     if ctx.faults.panic_in_search {
         search_span.annotate("fault_panic", 1u64);
-        // lint: allow(L001) fault-injected panic is this line's entire purpose
         panic!("injected fault: panic in search stage (request {})", ctx.idx);
     }
     search_span

@@ -9,6 +9,8 @@
 //! side of the fan-out's grain, and with a bulk attempt's `search_batch`
 //! both sequential and pooled.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, reason = "integration-test helpers panic to report a failure")]
+
 use emblookup_core::{merge_topk, Compression, EmbLookup, EmbLookupConfig, EmbLookupModel};
 use emblookup_kg::{generate, EntityId, KnowledgeGraph, SynthKgConfig};
 use emblookup_serve::json::{self, Json};

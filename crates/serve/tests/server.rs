@@ -11,6 +11,8 @@
 //! rung order, counter values, response bytes — must hold at any pool
 //! width.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, reason = "integration-test helpers panic to report a failure")]
+
 use emblookup_core::{EmbLookup, EmbLookupConfig, EmbLookupModel};
 use emblookup_kg::{generate, KnowledgeGraph, SynthKgConfig};
 use emblookup_obs::{names, MetricsRegistry};

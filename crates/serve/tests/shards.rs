@@ -7,6 +7,8 @@
 //! and 4 — the global pool the scatter fans out on — so everything
 //! asserted here must be width-independent.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, reason = "integration-test helpers panic to report a failure")]
+
 use emblookup_core::{Compression, EmbLookup, EmbLookupConfig, EmbLookupModel};
 use emblookup_kg::{generate, EntityId, KnowledgeGraph, SynthKgConfig};
 use emblookup_obs::{names, MetricsRegistry};

@@ -21,7 +21,7 @@ pub struct Var(pub(crate) usize);
 /// (The `AddScalar` constant is carried for `Debug` output even though the
 /// backward pass never reads it — the gradient of `x + c` ignores `c`.)
 #[derive(Debug, Clone)]
-#[allow(dead_code)]
+#[expect(dead_code, reason = "`AddScalar`'s constant is read only by `Debug`")]
 enum Op {
     /// Input or parameter leaf; `backward` stops here.
     Leaf,

@@ -6,6 +6,8 @@
 //! cargo run --release --example csv_pipeline
 //! ```
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, reason = "an example: a panic is its error report")]
+
 use emblookup::prelude::*;
 use emblookup::semtab::{
     apply_cea_targets, cea_targets_to_csv, run_cea, table_from_csv, table_to_csv, BbwSystem,

@@ -5,6 +5,8 @@
 //! cargo run --release --example data_repair
 //! ```
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, reason = "an example: a panic is its error report")]
+
 use emblookup::prelude::*;
 use emblookup::semtab::{run_data_repair, with_missing, with_noise, KataraSystem};
 

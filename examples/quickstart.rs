@@ -5,6 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, reason = "an example: a panic is its error report")]
+
 use emblookup::prelude::*;
 
 fn main() {

@@ -72,7 +72,13 @@ done
 echo "== ann_bench --smoke (600-tier health check) =="
 cargo run -q --release --offline -p emblookup-bench --bin ann_bench -- --smoke
 
-echo "== cargo clippy -- -D warnings =="
+# Enforces the root Cargo.toml's [workspace.lints.clippy] table (every
+# member opts in) and clippy.toml: no unwrap/expect/panic/unreachable/
+# todo/unimplemented in library code, a `// SAFETY:` on every unsafe
+# block, a reason on every suppression (written `#[expect]`, so a stale
+# one fails here), no loop over a hash container's order, and
+# std::sync::atomic only inside emblookup_obs::sync.
+echo "== cargo clippy -- -D warnings (workspace lints + clippy.toml) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
 # A deletion must not strand a doc link to what it deleted (or to a
@@ -80,18 +86,13 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "== cargo doc -D warnings (no dangling doc links) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
-echo "== emblookup-lint --api-check (L001-L012 incl. layering, API drift, interprocedural effects, atomics confinement) =="
-# Hard gate: exits 1 with file:line diagnostics on any violation — this
-# includes the interprocedural rules (L008 determinism, L009 lock
-# discipline, L010 hot-path effects, L012 deadline propagation from
-# serve handlers), whose diagnostics print the full call/witness chain
-# with file:line per hop, and L011 (std::sync::atomic named only inside
-# crates/obs/src/sync.rs).
-# Prints a per-rule violation count summary (zeros included);
-# --api-check diffs the public-API snapshot against API.lock (bless with
-# --api-bless). The full pass (including the whole-workspace fixed
-# point) must finish within a 30 s wall-clock budget so the gate stays
-# cheap enough to run on every push.
+echo "== emblookup-lint --api-check (L003 metric names, L004 TODO refs, L005 layering, L006 API drift, L007 float discipline) =="
+# Hard gate for the five rules no clippy lint expresses: exits 1 with
+# file:line diagnostics on any violation and prints a per-rule count
+# summary (zeros included); --api-check diffs the public-API snapshot
+# against API.lock (bless with --api-bless). The full pass must finish
+# within a 30 s wall-clock budget so the gate stays cheap enough to run
+# on every push.
 lint_start=$(date +%s)
 cargo run -q -p emblookup-lint --release --offline -- --api-check
 lint_elapsed=$(( $(date +%s) - lint_start ))

@@ -56,7 +56,7 @@ else
 fi
 
 if [ "$ran_any" -eq 0 ]; then
-    echo "sanitize.sh: nothing ran (no nightly tooling available) — static coverage only (obs::sync's types and tests, L011 confinement and forbid(unsafe_code) via scripts/ci.sh)"
+    echo "sanitize.sh: nothing ran (no nightly tooling available) — static coverage only (obs::sync's types and tests, clippy's disallowed-types confinement of atomics and forbid(unsafe_code) via scripts/ci.sh)"
 else
     echo "sanitize.sh: done"
 fi
