@@ -8,7 +8,7 @@
 //! index`, so run N of a test sees bit-for-bit the run N-1 saw.
 //!
 //! Injected latency can run in *virtual time*: instead of sleeping, the
-//! fault advances the request's [`DeadlineClock`] by the injected
+//! fault advances the request's deadline clock by the injected
 //! amount. Tests stay fast, and — because virtual milliseconds dwarf
 //! the microseconds of real work — degradation decisions become
 //! independent of machine speed and pool width.
@@ -25,7 +25,7 @@ use std::time::Instant;
 
 /// A pipeline stage at which faults apply and deadlines are checked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Stage {
+pub(crate) enum Stage {
     /// Queueing / admission, before any work.
     Admit,
     /// Query embedding (CNN + fastText forward pass).
@@ -36,7 +36,7 @@ pub enum Stage {
 
 impl Stage {
     /// Stable lower-case name used in `504` response metadata.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Stage::Admit => "admit",
             Stage::Encode => "encode",
@@ -111,18 +111,18 @@ pub enum FaultConfig {
 
 /// Resolves [`FaultConfig`] into per-request [`StageFaults`].
 #[derive(Debug, Clone)]
-pub struct FaultLayer {
+pub(crate) struct FaultLayer {
     config: FaultConfig,
 }
 
 impl FaultLayer {
     /// Wraps a fault configuration.
-    pub fn new(config: FaultConfig) -> Self {
+    pub(crate) fn new(config: FaultConfig) -> Self {
         FaultLayer { config }
     }
 
     /// Whether injected latency should advance virtual time.
-    pub fn virtual_time(&self) -> bool {
+    pub(crate) fn virtual_time(&self) -> bool {
         match &self.config {
             FaultConfig::Scripted { virtual_time, .. }
             | FaultConfig::Random { virtual_time, .. } => *virtual_time,
@@ -130,7 +130,7 @@ impl FaultLayer {
     }
 
     /// The faults for request number `index` (assigned by accept order).
-    pub fn for_request(&self, index: u64) -> StageFaults {
+    pub(crate) fn for_request(&self, index: u64) -> StageFaults {
         match &self.config {
             FaultConfig::Scripted { plan, .. } => {
                 if plan.is_empty() {
@@ -206,7 +206,7 @@ impl FaultLayer {
 /// shows up identically in deadline accounting and captured span
 /// durations, bit-for-bit across pool widths.
 #[derive(Debug)]
-pub struct DeadlineClock {
+pub(crate) struct DeadlineClock {
     start: Instant,
     budget_ms: u64,
     /// Monotone accrual; nothing is published through it.
@@ -217,13 +217,13 @@ pub struct DeadlineClock {
 impl DeadlineClock {
     /// Starts a clock with `budget_ms` of budget. With `virtual_only`,
     /// injected latency advances the clock instead of sleeping.
-    pub fn new(budget_ms: u64, virtual_only: bool) -> Self {
+    pub(crate) fn new(budget_ms: u64, virtual_only: bool) -> Self {
         Self::with_virtual_ns(budget_ms, virtual_only, Arc::new(RelaxedU64::new(0)))
     }
 
     /// Like [`DeadlineClock::new`], but accruing virtual time into a
     /// caller-provided shared nanosecond counter.
-    pub fn with_virtual_ns(budget_ms: u64, virtual_only: bool, virtual_ns: Arc<RelaxedU64>) -> Self {
+    pub(crate) fn with_virtual_ns(budget_ms: u64, virtual_only: bool, virtual_ns: Arc<RelaxedU64>) -> Self {
         DeadlineClock {
             start: Instant::now(),
             budget_ms,
@@ -234,13 +234,13 @@ impl DeadlineClock {
 
     /// True when injected latency advances the clock instead of
     /// sleeping (the clock was built with `virtual_only`).
-    pub fn is_virtual(&self) -> bool {
+    pub(crate) fn is_virtual(&self) -> bool {
         self.virtual_only
     }
 
     /// Applies `ms` of injected latency: virtually (clock advance) or
     /// physically (sleep), per construction.
-    pub fn advance_ms(&self, ms: u64) {
+    pub(crate) fn advance_ms(&self, ms: u64) {
         if ms == 0 {
             return;
         }
@@ -252,12 +252,12 @@ impl DeadlineClock {
     }
 
     /// Total budget in milliseconds.
-    pub fn budget_ms(&self) -> u64 {
+    pub(crate) fn budget_ms(&self) -> u64 {
         self.budget_ms
     }
 
     /// Virtual milliseconds accrued so far.
-    pub fn virtual_elapsed_ms(&self) -> u64 {
+    pub(crate) fn virtual_elapsed_ms(&self) -> u64 {
         self.virtual_ns.get() / 1_000_000
     }
 
@@ -265,7 +265,7 @@ impl DeadlineClock {
     /// this ignores real elapsed time, so the value is reproducible
     /// across runs and pool widths (span annotations use it). In real
     /// mode it equals [`DeadlineClock::remaining_ms`].
-    pub fn deterministic_remaining_ms(&self) -> u64 {
+    pub(crate) fn deterministic_remaining_ms(&self) -> u64 {
         if self.virtual_only {
             self.budget_ms.saturating_sub(self.virtual_elapsed_ms())
         } else {
@@ -274,18 +274,18 @@ impl DeadlineClock {
     }
 
     /// Elapsed real plus virtual milliseconds.
-    pub fn elapsed_ms(&self) -> u64 {
+    pub(crate) fn elapsed_ms(&self) -> u64 {
         let real = self.start.elapsed().as_millis() as u64;
         real.saturating_add(self.virtual_elapsed_ms())
     }
 
     /// Milliseconds of budget left (saturating at zero).
-    pub fn remaining_ms(&self) -> u64 {
+    pub(crate) fn remaining_ms(&self) -> u64 {
         self.budget_ms.saturating_sub(self.elapsed_ms())
     }
 
     /// Fraction of budget remaining, in `[0, 1]`.
-    pub fn frac_remaining(&self) -> f64 {
+    pub(crate) fn frac_remaining(&self) -> f64 {
         if self.budget_ms == 0 {
             return 0.0;
         }
@@ -293,7 +293,7 @@ impl DeadlineClock {
     }
 
     /// True once the budget is exhausted.
-    pub fn expired(&self) -> bool {
+    pub(crate) fn expired(&self) -> bool {
         self.remaining_ms() == 0
     }
 }

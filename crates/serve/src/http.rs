@@ -26,20 +26,20 @@ const MAX_HEAD_BYTES: usize = 16 * 1024;
 
 /// A parsed request: method, path, lower-cased headers, raw body.
 #[derive(Debug, Clone)]
-pub struct Request {
+pub(crate) struct Request {
     /// `GET`, `POST`, ... (upper-case as sent).
-    pub method: String,
+    pub(crate) method: String,
     /// The request target, e.g. `/lookup`.
-    pub path: String,
+    pub(crate) path: String,
     /// Header `(name, value)` pairs with names lower-cased.
-    pub headers: Vec<(String, String)>,
+    pub(crate) headers: Vec<(String, String)>,
     /// Raw body bytes (`content-length` framed).
-    pub body: Vec<u8>,
+    pub(crate) body: Vec<u8>,
 }
 
 impl Request {
     /// First value of header `name` (lower-case), if present.
-    pub fn header(&self, name: &str) -> Option<&str> {
+    pub(crate) fn header(&self, name: &str) -> Option<&str> {
         self.headers
             .iter()
             .find(|(n, _)| n == name)
@@ -96,7 +96,7 @@ pub(crate) fn read_head(
 /// terminator, bad or conflicting content length, a transfer encoding,
 /// body larger than `max_body`). After an `Err` the reader's position
 /// is not a request boundary: the caller must close the connection.
-pub fn read_request(reader: &mut impl BufRead, max_body: usize) -> Result<Request, &'static str> {
+pub(crate) fn read_request(reader: &mut impl BufRead, max_body: usize) -> Result<Request, &'static str> {
     let mut head = Vec::with_capacity(512);
     match read_head(reader, MAX_HEAD_BYTES, &mut head) {
         Ok(()) => {}
@@ -149,20 +149,20 @@ pub fn read_request(reader: &mut impl BufRead, max_body: usize) -> Result<Reques
 
 /// A response ready to serialize.
 #[derive(Debug, Clone)]
-pub struct Response {
+pub(crate) struct Response {
     /// HTTP status code.
-    pub status: u16,
+    pub(crate) status: u16,
     /// `Content-Type` value.
-    pub content_type: &'static str,
+    pub(crate) content_type: &'static str,
     /// Additional headers (e.g. `Retry-After`).
-    pub extra_headers: Vec<(String, String)>,
+    pub(crate) extra_headers: Vec<(String, String)>,
     /// Response body.
-    pub body: String,
+    pub(crate) body: String,
 }
 
 impl Response {
     /// A JSON response with the given status.
-    pub fn json(status: u16, body: String) -> Self {
+    pub(crate) fn json(status: u16, body: String) -> Self {
         Response {
             status,
             content_type: "application/json",
@@ -172,7 +172,7 @@ impl Response {
     }
 
     /// A plain-text response with the given status.
-    pub fn text(status: u16, body: String) -> Self {
+    pub(crate) fn text(status: u16, body: String) -> Self {
         Response {
             status,
             content_type: "text/plain; version=0.0.4",
@@ -182,7 +182,7 @@ impl Response {
     }
 
     /// Adds one extra header.
-    pub fn with_header(mut self, name: &str, value: &str) -> Self {
+    pub(crate) fn with_header(mut self, name: &str, value: &str) -> Self {
         self.extra_headers.push((name.to_string(), value.to_string()));
         self
     }
@@ -206,7 +206,7 @@ fn reason(status: u16) -> &'static str {
 /// `connection: keep-alive` or `close` per `keep_alive`. Write errors
 /// are swallowed: the peer may have hung up, and the connection's fate
 /// is already decided either way.
-pub fn write_response(stream: &mut TcpStream, resp: &Response, keep_alive: bool) {
+pub(crate) fn write_response(stream: &mut TcpStream, resp: &Response, keep_alive: bool) {
     let mut out = String::with_capacity(resp.body.len() + 128);
     out.push_str("HTTP/1.1 ");
     out.push_str(&resp.status.to_string());

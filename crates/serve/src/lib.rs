@@ -41,12 +41,14 @@
 //!   Connections are HTTP/1.1 keep-alive behind one read buffer each:
 //!   one connection serves many requests in order, and may pipeline
 //!   them.
-//! * **Circuit breakers** — a per-shard [`ShardBreaker`] ejects a shard
-//!   after consecutive failures and probes it back in (every answer
-//!   that consulted the shards carries `x-emblookup-shards: k/N`,
-//!   `k < N` when a subset answered); a whole-service [`OverloadPin`]
-//!   pins sustained deadline-miss storms to the q-gram rung, tagged
-//!   `x-emblookup-overload: pinned`.
+//! * **Circuit breakers** — a per-shard breaker ejects a shard after
+//!   consecutive failures and lets one probe request try it back in
+//!   (every answer that consulted the shards carries
+//!   `x-emblookup-shards: k/N`, `k < N` when a subset answered); a
+//!   whole-service overload pin sends sustained deadline-miss storms to
+//!   the q-gram rung, tagged `x-emblookup-overload: pinned`. Both are
+//!   counted in requests, not wall time, so a replayed fault plan walks
+//!   them the same way at any pool width.
 //!
 //! A deterministic fault-injection harness ([`faults`]) drives all of
 //! this in tests: scripted or seeded-random stage latency, backend
@@ -68,18 +70,16 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod breaker;
 pub mod client;
 pub mod faults;
 mod gate;
-pub mod http;
+mod health;
+mod http;
 pub mod json;
-pub mod ladder;
-pub mod server;
+mod ladder;
+mod server;
 
-pub use breaker::{BreakerState, OverloadPin, PinEvent, ShardBreaker, Transition};
-pub use faults::{DeadlineClock, FaultConfig, FaultLayer, Stage, StageFaults};
-pub use ladder::{Ladder, Rung};
+pub use faults::{FaultConfig, StageFaults};
 pub use server::Server;
 
 /// Server configuration. The default is safe for production use:
@@ -95,10 +95,9 @@ pub struct ServeConfig {
     /// waiting is shed with `429`, so `0` sheds every `POST`.
     pub queue_cap: usize,
     /// Deadline budget when the client sends no
-    /// `x-emblookup-deadline-ms` header, in milliseconds.
+    /// `x-emblookup-deadline-ms` header, in milliseconds. A header is
+    /// clamped to 10 000.
     pub default_deadline_ms: u64,
-    /// Upper clamp on client-requested deadlines.
-    pub max_deadline_ms: u64,
     /// Fault injection plan; `None` (the default) injects nothing.
     pub faults: Option<FaultConfig>,
     /// Slow-trace threshold in milliseconds; `0` (the default) adapts
@@ -111,18 +110,6 @@ pub struct ServeConfig {
     /// every shard with the model config's `compression`; the passed
     /// service's own index is then dropped.
     pub shards: usize,
-    /// Consecutive failures (deadline-miss / error / panic) that open a
-    /// shard's circuit breaker.
-    pub breaker_threshold: u32,
-    /// Requests an open breaker waits before admitting one half-open
-    /// probe.
-    pub breaker_cooldown: u64,
-    /// Consecutive whole-request deadline misses that pin the service
-    /// to the q-gram rung; `0` disables the overload pin.
-    pub overload_threshold: u32,
-    /// Every n-th pinned request retries the full pipeline; success
-    /// unpins.
-    pub overload_probe_interval: u64,
 }
 
 impl Default for ServeConfig {
@@ -132,14 +119,9 @@ impl Default for ServeConfig {
             workers: 0,
             queue_cap: 64,
             default_deadline_ms: 250,
-            max_deadline_ms: 10_000,
             faults: None,
             slow_trace_ms: 0,
             shards: 1,
-            breaker_threshold: 3,
-            breaker_cooldown: 8,
-            overload_threshold: 3,
-            overload_probe_interval: 4,
         }
     }
 }

@@ -7,7 +7,7 @@
 //! connection thread that reads HTTP/1.1 keep-alive requests in order
 //! through the connection's one read buffer (pipelining-safe: what the
 //! buffer holds beyond a request's body is the next request — see
-//! [`read_request`]; `TCP_NODELAY` is set, so a pipelined response
+//! `http.rs`; `TCP_NODELAY` is set, so a pipelined response
 //! never waits on the client's delayed ACK) and **runs each request
 //! itself** — there is one thread kind per request and no hand-off.
 //! Tiny control-plane GETs (`/healthz`, `/metrics`, `/debug/traces*`)
@@ -45,14 +45,20 @@
 //! eight of them, while a bulk of 32 is one pool task per shard, and
 //! each attempt searches its batch with `search_batch` on its share of
 //! the pool's width. Either way every attempt has its own panic
-//! containment and its own clock, started when the attempt starts. A
-//! per-shard [`ShardBreaker`] ejects a shard after consecutive failures
-//! and half-open-probes it back in; every answer that consulted the
-//! shards carries `x-emblookup-shards: k/N`, `k < N` when it was
-//! assembled from a strict subset. A whole-service
-//! [`OverloadPin`] watches consecutive `/lookup` deadline misses and
-//! pins sustained overload to the ladder's string rung — cheap answers
-//! beat timeouts — with periodic full-pipeline probes to unpin.
+//! containment and its own clock, started when the attempt starts.
+//!
+//! Which shards a request attempts, and whether `/lookup` is pinned to
+//! the ladder's string rung, is the service's health (`health.rs`): one
+//! value behind one mutex, read at admission and changed only by
+//! recording outcomes. A shard's breaker ejects it after consecutive
+//! failures and lets one probe request try it back in; every answer that
+//! consulted the shards carries `x-emblookup-shards: k/N`, `k < N` when
+//! it was assembled from a strict subset. The overload pin watches
+//! consecutive `/lookup` deadline misses and pins sustained overload to
+//! the string rung — cheap answers beat timeouts — with periodic
+//! full-pipeline probes to unpin. The rung itself keeps no state between
+//! requests: it follows from each request's remaining budget
+//! (`FLAT_FRAC`, `QGRAM_FRAC`).
 //!
 //! ## Request lifecycle
 //!
@@ -75,9 +81,9 @@
 //! virtual-time fault harness the trace clock shares the deadline
 //! clock's nanosecond counter, so captured durations are deterministic.
 
-use crate::breaker::{BreakerState, OverloadPin, ShardBreaker, Transition};
 use crate::faults::{DeadlineClock, FaultLayer, Stage, StageFaults};
 use crate::gate::Gate;
+use crate::health::{Change, Health, Outcome};
 use crate::http::{read_request, write_response, Request, Response};
 use crate::json::{self, Json};
 use crate::ladder::{Ladder, Rung};
@@ -108,6 +114,19 @@ const FLAT_FRAC: f64 = 0.5;
 /// Below this fraction even encoding is skipped; the q-gram string
 /// rung answers directly.
 const QGRAM_FRAC: f64 = 0.15;
+/// Upper clamp on client-requested deadlines, in milliseconds.
+const MAX_DEADLINE_MS: u64 = 10_000;
+/// Consecutive failed attempts (deadline miss / error / panic) that open
+/// a shard's circuit breaker.
+pub(crate) const BREAKER_THRESHOLD: u32 = 3;
+/// Requests an open breaker waits before one request probes the shard.
+pub(crate) const BREAKER_COOLDOWN: u64 = 8;
+/// Consecutive full-pipeline `/lookup` deadline misses that pin the
+/// service to the q-gram rung.
+pub(crate) const OVERLOAD_THRESHOLD: u32 = 3;
+/// Every this-many-th request after pinning retries the full pipeline;
+/// one that beats its deadline unpins.
+pub(crate) const OVERLOAD_PROBE_INTERVAL: u64 = 4;
 /// Cap on request bodies.
 const MAX_BODY_BYTES: usize = 1024 * 1024;
 /// Upper clamp on requested `k`.
@@ -188,26 +207,23 @@ impl ServeMetrics {
 }
 
 /// Locks a serve-side mutex, ignoring poison: everything behind these
-/// mutexes is plain breaker/gate bookkeeping whose every update leaves
+/// mutexes is plain health/gate bookkeeping whose every update leaves
 /// it valid, and handler panics are already contained by `catch_unwind`
 /// upstream.
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// What the full rung searches: the index, as one shard or many, plus
-/// one circuit breaker per shard.
-struct ShardServing {
-    index: ShardedIndex,
-    breakers: Mutex<Vec<ShardBreaker>>,
-}
-
 /// Everything the request handlers need, shared between the accept
 /// thread and the connection threads.
 struct ServerState {
     model: Arc<EmbLookupModel>,
-    /// The full rung; only [`scatter_shards`] searches it.
-    shards: ShardServing,
+    /// The full rung, as one shard or many; only [`scatter_shards`]
+    /// searches it.
+    index: ShardedIndex,
+    /// Every shard's breaker and the overload pin. Never held while a
+    /// span is annotated or a metric updated.
+    health: Mutex<Health>,
     ladder: Ladder,
     /// Entity labels indexed by dense entity id, JSON-escaped once at
     /// startup: they are read only to render response bodies.
@@ -222,8 +238,6 @@ struct ServerState {
     seq: RelaxedU64,
     /// Admission: `workers` running, `queue_cap` waiting, the rest shed.
     gate: Gate,
-    /// Whole-service breaker pinning sustained overload to the string rung.
-    overload: Mutex<OverloadPin>,
 }
 
 impl ServerState {
@@ -331,17 +345,11 @@ impl Server {
                 emblookup_core::num_threads(),
             )
         };
-        let breakers = (0..index.num_shards())
-            .map(|_| ShardBreaker::new(config.breaker_threshold, config.breaker_cooldown))
-            .collect();
         metrics.shards_live.set(index.num_shards() as f64);
-        let overload = Mutex::new(OverloadPin::new(
-            config.overload_threshold,
-            config.overload_probe_interval,
-        ));
         let state = Arc::new(ServerState {
             model,
-            shards: ShardServing { index, breakers: Mutex::new(breakers) },
+            health: Mutex::new(Health::new(index.num_shards())),
+            index,
             ladder,
             labels,
             faults,
@@ -351,7 +359,6 @@ impl Server {
             hub,
             seq: RelaxedU64::new(0),
             gate,
-            overload,
         });
         let shutdown = Arc::new(Flag::new(0));
         let shutdown_flag = Arc::clone(&shutdown);
@@ -503,7 +510,7 @@ fn arrive<'a>(state: &ServerState, req: &'a Request) -> (RequestCtx<'a>, Deadlin
     let budget_ms = req
         .header("x-emblookup-deadline-ms")
         .and_then(|v| v.parse::<u64>().ok())
-        .map(|ms| ms.clamp(1, state.config.max_deadline_ms))
+        .map(|ms| ms.clamp(1, MAX_DEADLINE_MS))
         .unwrap_or(state.config.default_deadline_ms);
     let (trace_clock, clock) = if virtual_time {
         let ns = Arc::new(RelaxedU64::new(0));
@@ -593,7 +600,10 @@ fn admit(state: &ServerState, req: &Request) -> Response {
     let start = Instant::now();
     let trace_id = ctx.root.trace().id();
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        dispatch_post(state, &ctx, &clock)
+        match ctx.req.path.as_str() {
+            "/lookup" => handle_lookup(state, &ctx, &clock),
+            _ => handle_bulk(state, &ctx, &clock),
+        }
     }));
     let panicked = caught.is_err();
     let resp = caught.unwrap_or_else(|_| {
@@ -613,23 +623,6 @@ fn admit(state: &ServerState, req: &Request) -> Response {
         .latency
         .record_duration_with_exemplar(start.elapsed(), trace_id);
     resp.with_header("x-emblookup-trace-id", &format_trace_id(trace_id))
-}
-
-fn dispatch_post(state: &ServerState, ctx: &RequestCtx, clock: &DeadlineClock) -> Response {
-    match ctx.req.path.as_str() {
-        "/lookup" => {
-            let (resp, pinned) = handle_lookup(state, ctx, clock);
-            // Pinned answers skip the full pipeline, so they carry no
-            // signal about whether the overload cleared; only full
-            // attempts (200 = recovered, 504 = still drowning) feed the
-            // pin's state machine.
-            if state.config.overload_threshold > 0 && !pinned && matches!(resp.status, 200 | 504) {
-                lock(&state.overload).record(ctx.idx, resp.status == 504);
-            }
-            resp
-        }
-        _ => handle_bulk(state, ctx, clock),
-    }
 }
 
 /// One retained trace as `{"triggers":[…],"trace":{…}}`.
@@ -788,19 +781,10 @@ fn scatter_shards<T: Send>(
     searches_per_shard: usize,
     search: &(dyn Fn(&EntityIndex, &TraceSpan, usize) -> T + Sync),
 ) -> (Vec<T>, usize) {
-    let sharded = &state.shards;
-    let total = sharded.index.num_shards();
-    let mut attempted: Vec<usize> = Vec::with_capacity(total);
-    {
-        let mut breakers = lock(&sharded.breakers);
-        for (i, b) in breakers.iter_mut().enumerate() {
-            if b.admit(ctx.idx) {
-                if b.state() == BreakerState::HalfOpen {
-                    state.metrics.breaker_probes.inc();
-                }
-                attempted.push(i);
-            }
-        }
+    let total = state.index.num_shards();
+    let (attempted, probes) = lock(&state.health).admit_shards(ctx.idx);
+    if probes > 0 {
+        state.metrics.breaker_probes.add(probes);
     }
     if attempted.is_empty() {
         parent.annotate("all_shards_failed", 1u64);
@@ -847,7 +831,7 @@ fn scatter_shards<T: Send>(
             span.finish();
             return None;
         }
-        let out = search(sharded.index.shard(shard_idx), span, share);
+        let out = search(state.index.shard(shard_idx), span, share);
         if shard_clock.expired() {
             span.annotate("deadline_miss", 1u64);
             span.finish();
@@ -868,32 +852,33 @@ fn scatter_shards<T: Send>(
             .unwrap_or(0);
         clock.advance_ms(injected.min(slice_ms));
     }
+    let (mut opened, mut readmitted) = (0, 0);
+    let live = {
+        let mut health = lock(&state.health);
+        for (&shard, outcome) in attempted.iter().zip(&outcomes) {
+            let ok = matches!(outcome, Ok(Some(_)));
+            match health.record(ctx.idx, Outcome::Shard { shard, ok }) {
+                Some(Change::Opened) => opened += 1,
+                Some(Change::Readmitted) => readmitted += 1,
+                _ => {}
+            }
+        }
+        health.live_shards()
+    };
+    // Shared counters: a healthy request does not touch them.
+    if opened + readmitted > 0 {
+        state.metrics.breaker_opened.add(opened);
+        state.metrics.breaker_readmitted.add(readmitted);
+    }
+    state.metrics.shards_live.set(live as f64);
     let mut delivered: Vec<T> = Vec::with_capacity(attempted.len());
-    let mut breakers = lock(&sharded.breakers);
-    for (slot, outcome) in outcomes.into_iter().enumerate() {
-        let shard_idx = attempted[slot];
-        let ok = match outcome {
-            Ok(Some(result)) => {
-                delivered.push(result);
-                true
-            }
-            Ok(None) => false,
-            Err(_panic) => {
-                state.metrics.panics.inc();
-                false
-            }
-        };
-        match breakers[shard_idx].record(ctx.idx, ok) {
-            Some(Transition::Opened | Transition::Reopened) => state.metrics.breaker_opened.inc(),
-            Some(Transition::Readmitted) => state.metrics.breaker_readmitted.inc(),
-            None => {}
+    for outcome in outcomes {
+        match outcome {
+            Ok(Some(result)) => delivered.push(result),
+            Ok(None) => {}
+            Err(_panic) => state.metrics.panics.inc(),
         }
     }
-    let live = breakers
-        .iter()
-        .filter(|b| b.state() != BreakerState::Open)
-        .count();
-    state.metrics.shards_live.set(live as f64);
     if delivered.is_empty() {
         parent.annotate("all_shards_failed", 1u64);
     } else if delivered.len() < total {
@@ -971,35 +956,46 @@ fn search_stage_faults(ctx: &RequestCtx, clock: &DeadlineClock) -> TraceSpan {
     search_span
 }
 
-/// `POST /lookup` — the degradation ladder lives here. Returns the
-/// response plus whether it was answered from the overload pin (pinned
-/// answers must not feed back into the pin's own state machine).
-fn handle_lookup(state: &ServerState, ctx: &RequestCtx, clock: &DeadlineClock) -> (Response, bool) {
-    let faults = ctx.faults;
-    let (parsed, k) = match open_request(state, ctx, clock) {
-        Ok(opened) => opened,
-        Err(resp) => return (resp, false),
+/// `POST /lookup` — the overload pin, then the degradation ladder.
+/// Pinned answers skip the full pipeline, so they carry no signal about
+/// whether the overload cleared; every other `200` (recovered) or `504`
+/// (still drowning) is recorded in the service's health.
+fn handle_lookup(state: &ServerState, ctx: &RequestCtx, clock: &DeadlineClock) -> Response {
+    let resp = match open_request(state, ctx, clock) {
+        Ok((parsed, k)) => {
+            let Some(q) = parsed.get("q").and_then(Json::as_str) else {
+                return bad_request(state, "missing string field 'q'");
+            };
+            // Sustained deadline misses pinned the whole service to the
+            // string rung: answer cheap, fast, and honestly tagged.
+            if lock(&state.health).pinned(ctx.idx) {
+                state.metrics.overload_pinned.inc();
+                ctx.root.annotate("overload", "pinned");
+                return finish_qgram(state, q, k, clock, ctx)
+                    .with_header("x-emblookup-overload", "pinned");
+            }
+            ladder_lookup(state, ctx, clock, q, k)
+        }
+        Err(resp) => resp,
     };
-    let Some(q) = parsed.get("q").and_then(Json::as_str) else {
-        return (bad_request(state, "missing string field 'q'"), false);
-    };
-
-    // -- overload pin ---------------------------------------------------
-    // Sustained deadline misses pinned the whole service to the string
-    // rung: answer cheap, fast, and honestly tagged. Every
-    // `overload_probe_interval`-th request still runs the full pipeline
-    // below, and its outcome (recorded in `dispatch_post`) unpins.
-    if state.config.overload_threshold > 0 && lock(&state.overload).pin(ctx.idx) {
-        state.metrics.overload_pinned.inc();
-        ctx.root.annotate("overload", "pinned");
-        let resp = finish_qgram(state, q, k, clock, ctx)
-            .with_header("x-emblookup-overload", "pinned");
-        return (resp, true);
+    if matches!(resp.status, 200 | 504) {
+        lock(&state.health).record(ctx.idx, Outcome::Lookup { hit: resp.status == 200 });
     }
+    resp
+}
 
+/// The degradation ladder under a `/lookup` the pin let through.
+fn ladder_lookup(
+    state: &ServerState,
+    ctx: &RequestCtx,
+    clock: &DeadlineClock,
+    q: &str,
+    k: usize,
+) -> Response {
+    let faults = ctx.faults;
     if clock.frac_remaining() <= QGRAM_FRAC {
         // Not even the encoder fits in what's left: string rung.
-        return (finish_qgram(state, q, k, clock, ctx), false);
+        return finish_qgram(state, q, k, clock, ctx);
     }
 
     // -- encode stage ---------------------------------------------------
@@ -1008,11 +1004,11 @@ fn handle_lookup(state: &ServerState, ctx: &RequestCtx, clock: &DeadlineClock) -
     let emb = state.model.embed(q);
     encode_span.finish();
     if clock.expired() {
-        return (deadline_response(state, Stage::Encode, clock), false);
+        return deadline_response(state, Stage::Encode, clock);
     }
     let frac = clock.frac_remaining();
     if frac <= QGRAM_FRAC {
-        return (finish_qgram(state, q, k, clock, ctx), false);
+        return finish_qgram(state, q, k, clock, ctx);
     }
 
     // -- search stage ---------------------------------------------------
@@ -1053,7 +1049,7 @@ fn handle_lookup(state: &ServerState, ctx: &RequestCtx, clock: &DeadlineClock) -
     };
     search_span.annotate("rung", rung.name());
     search_span.finish();
-    (finish_lookup(state, ctx, clock, rung, &results, shard_header), false)
+    finish_lookup(state, ctx, clock, rung, &results, shard_header)
 }
 
 fn finish_qgram(

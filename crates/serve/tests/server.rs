@@ -572,18 +572,17 @@ fn deadline_header_overrides_and_is_clamped() {
     let (server, _registry) = start(ServeConfig {
         workers: 1,
         default_deadline_ms: 250,
-        max_deadline_ms: 1000,
         faults: Some(FaultConfig::Scripted {
             plan: vec![StageFaults {
-                admit_latency_ms: 5000,
+                admit_latency_ms: 20_000,
                 ..StageFaults::default()
             }],
             virtual_time: true,
         }),
         ..ServeConfig::default()
     });
-    // Client asks for far more than the server allows; the clamp keeps
-    // the injected 5s of latency fatal.
+    // Client asks for far more than the server allows; the 10 s clamp
+    // keeps the injected 20 s of latency fatal.
     let resp = client::post_json(
         server.addr(),
         "/lookup",
@@ -592,7 +591,7 @@ fn deadline_header_overrides_and_is_clamped() {
     )
     .unwrap();
     assert_eq!(resp.status, 504);
-    assert!(resp.body.contains("\"budget_ms\":1000"), "body: {}", resp.body);
+    assert!(resp.body.contains("\"budget_ms\":10000"), "body: {}", resp.body);
 }
 
 /// Spins until `ready` holds; the real-time faults below give it two

@@ -116,9 +116,6 @@ fn keep_alive_connection_serves_many_requests() {
     assert_eq!(counter(&registry, names::SERVE_ADMITTED), 4);
 }
 
-/// The breaker walk: panics eject one shard (responses degrade to
-/// partial, never fail), the cooldown admits a half-open probe, and a
-/// healthy probe re-admits the shard.
 #[test]
 fn sharded_server_publishes_the_size_of_the_index_it_searches() {
     // At `shards = 2` the server drops the index it is handed — PQ here —
@@ -137,22 +134,23 @@ fn sharded_server_publishes_the_size_of_the_index_it_searches() {
     assert_eq!(snap.gauge(names::INDEX_ENTITIES), Some(kg.num_entities() as f64));
 }
 
+/// The breaker walk: panics eject one shard (responses degrade to
+/// partial, never fail), the end of the cooldown lets one request probe
+/// it, and a healthy probe readmits the shard.
 #[test]
 fn breaker_ejects_shard_then_readmits_after_probe() {
     let (server, registry) = start(ServeConfig {
         workers: 1,
         shards: 2,
-        breaker_threshold: 2,
-        breaker_cooldown: 3,
-        faults: Some(shard_panic_plan(0, 2, 8)),
+        faults: Some(shard_panic_plan(0, 3, 12)),
         ..ServeConfig::default()
     });
     let mut conn = client::Connection::open(server.addr()).unwrap();
 
-    // Requests 0–1: shard 0 panics; both answers are partial 200s and
-    // the second failure opens the breaker.
-    for i in 0..2u32 {
-        let resp = conn.post_json("/lookup", &lookup_body(i), &[]).unwrap();
+    // Requests 0–2: shard 0 panics; every answer is a partial 200 and
+    // the third failure opens the breaker.
+    for i in 0..3u32 {
+        let resp = conn.post_json("/lookup", &lookup_body(i % 4), &[]).unwrap();
         assert_eq!(resp.status, 200, "request {i}: {}", resp.body);
         assert_eq!(resp.header("x-emblookup-shards"), Some("1/2"), "request {i}");
         assert!(resp.body.contains("\"rung\":\"full\""));
@@ -160,16 +158,16 @@ fn breaker_ejects_shard_then_readmits_after_probe() {
     assert_eq!(counter(&registry, names::SERVE_BREAKER_OPENED), 1);
     assert_eq!(registry.snapshot().gauge(names::SERVE_SHARDS_LIVE), Some(1.0));
 
-    // Requests 2–3: breaker open, shard skipped without being attempted.
-    for i in 2..4u32 {
-        let resp = conn.post_json("/lookup", &lookup_body(i), &[]).unwrap();
+    // Requests 3–9: breaker open, shard skipped without being attempted.
+    for i in 3..10u32 {
+        let resp = conn.post_json("/lookup", &lookup_body(i % 4), &[]).unwrap();
         assert_eq!(resp.status, 200);
         assert_eq!(resp.header("x-emblookup-shards"), Some("1/2"), "request {i}");
     }
     assert_eq!(counter(&registry, names::SERVE_BREAKER_PROBES), 0);
 
-    // Request 4: cooldown elapsed (opened at 1, cooldown 3) — the
-    // half-open probe runs against a now-healthy shard and re-admits it.
+    // Request 10: cooldown elapsed (opened at 2, cooldown 8) — the
+    // probe runs against a now-healthy shard and readmits it.
     let resp = conn.post_json("/lookup", &lookup_body(0), &[]).unwrap();
     assert_eq!(resp.status, 200);
     assert_eq!(resp.header("x-emblookup-shards"), Some("2/2"));
@@ -177,12 +175,12 @@ fn breaker_ejects_shard_then_readmits_after_probe() {
     assert_eq!(counter(&registry, names::SERVE_BREAKER_READMITTED), 1);
     assert_eq!(registry.snapshot().gauge(names::SERVE_SHARDS_LIVE), Some(2.0));
 
-    // Request 5: steady state again.
+    // Request 11: steady state again.
     let resp = conn.post_json("/lookup", &lookup_body(1), &[]).unwrap();
     assert_eq!(resp.header("x-emblookup-shards"), Some("2/2"));
 
-    assert_eq!(counter(&registry, names::SERVE_PARTIAL), 4);
-    assert_eq!(counter(&registry, names::SERVE_PANICS), 2);
+    assert_eq!(counter(&registry, names::SERVE_PARTIAL), 10);
+    assert_eq!(counter(&registry, names::SERVE_PANICS), 3);
     assert_eq!(counter(&registry, names::SERVE_ERRORS), 0, "no request failed");
 }
 
@@ -190,14 +188,15 @@ fn breaker_ejects_shard_then_readmits_after_probe() {
 /// the ladder steps down to the flat fallback instead of failing.
 #[test]
 fn all_shards_ejected_falls_back_to_flat() {
-    let mut plan = vec![StageFaults::default(); 4];
-    plan[0].shard_panic = Some(0);
-    plan[1].shard_panic = Some(1);
+    // Requests 0–2 eject shard 0 (at 2), requests 3–5 shard 1 (at 5);
+    // neither cooldown ends before request 10.
+    let mut plan = vec![StageFaults::default(); 8];
+    for (i, slot) in plan.iter_mut().take(6).enumerate() {
+        slot.shard_panic = Some(u32::from(i >= 3));
+    }
     let (server, registry) = start(ServeConfig {
         workers: 1,
         shards: 2,
-        breaker_threshold: 1,
-        breaker_cooldown: 100,
         faults: Some(FaultConfig::Scripted {
             plan,
             virtual_time: true,
@@ -206,8 +205,8 @@ fn all_shards_ejected_falls_back_to_flat() {
     });
     let mut conn = client::Connection::open(server.addr()).unwrap();
 
-    for i in 0..2u32 {
-        let resp = conn.post_json("/lookup", &lookup_body(i), &[]).unwrap();
+    for i in 0..6u32 {
+        let resp = conn.post_json("/lookup", &lookup_body(i % 4), &[]).unwrap();
         assert_eq!(resp.status, 200, "request {i}: {}", resp.body);
     }
     assert_eq!(counter(&registry, names::SERVE_BREAKER_OPENED), 2);
@@ -235,13 +234,11 @@ fn overload_pins_to_string_rung_and_probe_unpins() {
         encode_latency_ms: 130,
         ..StageFaults::default()
     };
-    let mut plan = vec![stall; 5];
+    let mut plan = vec![stall; 7];
     plan.extend(vec![StageFaults::default(); 5]);
     let (server, registry) = start(ServeConfig {
         workers: 1,
         default_deadline_ms: 100,
-        overload_threshold: 2,
-        overload_probe_interval: 3,
         faults: Some(FaultConfig::Scripted {
             plan,
             virtual_time: true,
@@ -250,7 +247,7 @@ fn overload_pins_to_string_rung_and_probe_unpins() {
     });
     let mut conn = client::Connection::open(server.addr()).unwrap();
     let mut outcomes = Vec::new();
-    for i in 0..8u32 {
+    for i in 0..11u32 {
         let resp = conn.post_json("/lookup", &lookup_body(i % 4), &[]).unwrap();
         outcomes.push((
             resp.status,
@@ -262,17 +259,20 @@ fn overload_pins_to_string_rung_and_probe_unpins() {
         outcomes,
         vec![
             (504, None),          // miss 1
-            (504, None),          // miss 2: pin engages (pinned_at = 1)
+            (504, None),          // miss 2
+            (504, None),          // miss 3: pin engages (since 2)
             (200, pinned.clone()), // pinned: q-gram answer
             (200, pinned.clone()), // pinned
-            (504, None),          // probe ((4-1)%3==0) still stalled
+            (200, pinned.clone()), // pinned
+            (504, None),          // probe ((6-2)%4==0) still stalled
+            (200, pinned.clone()), // pinned
             (200, pinned.clone()), // pinned
             (200, pinned), // pinned
-            (200, None),   // probe ((7-1)%3==0) beats its budget: unpinned
+            (200, None),   // probe ((10-2)%4==0) beats its budget: unpinned
         ],
         "pin walk diverged"
     );
-    assert_eq!(counter(&registry, names::SERVE_OVERLOAD_PINNED), 4);
+    assert_eq!(counter(&registry, names::SERVE_OVERLOAD_PINNED), 6);
 }
 
 /// Shed responses spread their retry hints: deterministic per request
@@ -320,16 +320,15 @@ fn shed_retry_jitter_is_bounded_spread_and_deterministic() {
 /// and default, varying the scatter pool's width too.)
 #[test]
 fn sharded_chaos_responses_are_byte_identical_across_worker_counts() {
-    let mut plan = vec![StageFaults::default(); 10];
+    let mut plan = vec![StageFaults::default(); 12];
     plan[0].shard_panic = Some(1);
     plan[1].shard_latency = Some((1, 400)); // stall > slice: deadline miss
     plan[2].shard_panic = Some(1); // third strike: breaker opens
     plan[5].shard_latency = Some((0, 5)); // small stall, absorbed
+    // request 10 probes shard 1 back in
     let config = |workers| ServeConfig {
         workers,
         shards: 3,
-        breaker_threshold: 3,
-        breaker_cooldown: 4,
         default_deadline_ms: 200,
         faults: Some(FaultConfig::Scripted {
             plan: plan.clone(),
@@ -342,7 +341,7 @@ fn sharded_chaos_responses_are_byte_identical_across_worker_counts() {
     let mut narrow_conn = client::Connection::open(narrow.addr()).unwrap();
     let mut wide_conn = client::Connection::open(wide.addr()).unwrap();
 
-    for i in 0..10u32 {
+    for i in 0..12u32 {
         let body = lookup_body(i % 4);
         let a = narrow_conn.post_json("/lookup", &body, &[]).unwrap();
         let b = wide_conn.post_json("/lookup", &body, &[]).unwrap();
@@ -417,19 +416,16 @@ type WalkLog = (Vec<(u16, Option<String>, String)>, Arc<MetricsRegistry>);
 
 /// One shard is a shard like any other: it has a breaker, shard faults
 /// reach it (target 7 of 1 shard is shard 0), and the server keeps
-/// answering while it is ejected. Ten requests on one connection.
+/// answering while it is ejected. Fourteen requests on one connection.
 fn one_shard_walk(workers: usize, path: &str, body: impl Fn(u32) -> String) -> WalkLog {
     let (server, registry) = start(ServeConfig {
         workers,
         shards: 1,
-        breaker_threshold: 3,
-        breaker_cooldown: 4,
-        overload_threshold: 0,
-        faults: Some(shard_panic_plan(7, 3, 10)),
+        faults: Some(shard_panic_plan(7, 3, 14)),
         ..ServeConfig::default()
     });
     let mut conn = client::Connection::open(server.addr()).unwrap();
-    let responses = (0..10u32)
+    let responses = (0..14u32)
         .map(|i| {
             let resp = conn.post_json(path, &body(i), &[]).unwrap();
             let tag = resp.header("x-emblookup-shards").map(str::to_string);
@@ -442,14 +438,15 @@ fn one_shard_walk(workers: usize, path: &str, body: impl Fn(u32) -> String) -> W
 }
 
 /// Requests 0–2 panic in the shard (the third opens its breaker, at
-/// request 2), 3–5 find it open, 6 is the half-open probe (opened at 2,
-/// cooldown 4) that readmits it.
+/// request 2), 3–9 find it open, 10 is the probe (opened at 2,
+/// cooldown 8) that readmits it. Every answer is a `200`, so the
+/// overload pin never engages.
 #[test]
 fn one_shard_breaker_walk_answers_from_the_flat_rung_while_ejected() {
     let (walk, registry) = one_shard_walk(1, "/lookup", |i| lookup_body(i % 4));
     for (i, (status, tag, body)) in walk.iter().enumerate() {
         assert_eq!(*status, 200, "request {i}: {body}");
-        let (rung, answered) = if i < 6 { ("flat", "0/1") } else { ("full", "1/1") };
+        let (rung, answered) = if i < 10 { ("flat", "0/1") } else { ("full", "1/1") };
         assert!(body.contains(&format!("\"rung\":\"{rung}\"")), "request {i}: {body}");
         assert_eq!(tag.as_deref(), Some(answered), "request {i}");
     }
@@ -458,7 +455,7 @@ fn one_shard_breaker_walk_answers_from_the_flat_rung_while_ejected() {
         (names::SERVE_BREAKER_PROBES, 1),
         (names::SERVE_BREAKER_READMITTED, 1),
         (names::SERVE_PANICS, 3),
-        (names::SERVE_DEGRADED_FLAT, 6),
+        (names::SERVE_DEGRADED_FLAT, 10),
         (names::SERVE_PARTIAL, 0),
         (names::SERVE_ERRORS, 0),
     ] {
@@ -470,7 +467,7 @@ fn one_shard_breaker_walk_answers_from_the_flat_rung_while_ejected() {
     assert_eq!(walk, wide, "the walk must not depend on the worker count");
 }
 
-/// Bulk has no ladder under it: the same walk is six honest `500`s,
+/// Bulk has no ladder under it: the same walk is ten honest `500`s,
 /// tagged, and full answers once the shard is back.
 #[test]
 fn one_shard_bulk_fails_tagged_while_ejected_and_keeps_serving() {
@@ -480,7 +477,7 @@ fn one_shard_bulk_fails_tagged_while_ejected_and_keeps_serving() {
     };
     let (walk, registry) = one_shard_walk(1, "/lookup/bulk", bulk);
     for (i, (status, tag, body)) in walk.iter().enumerate() {
-        if i < 6 {
+        if i < 10 {
             assert_eq!((*status, body.as_str()), (500, "{\"error\":\"all shards failed\"}"));
             assert_eq!(tag.as_deref(), Some("0/1"), "request {i}");
         } else {
@@ -489,7 +486,7 @@ fn one_shard_bulk_fails_tagged_while_ejected_and_keeps_serving() {
         }
     }
     assert_eq!(counter(&registry, names::SERVE_PANICS), 3);
-    assert_eq!(counter(&registry, names::SERVE_ERRORS), 6);
+    assert_eq!(counter(&registry, names::SERVE_ERRORS), 10);
     assert_eq!(counter(&registry, names::SERVE_BREAKER_READMITTED), 1);
 
     let (wide, _) = one_shard_walk(4, "/lookup/bulk", bulk);

@@ -82,9 +82,14 @@ echo "== cargo clippy -- -D warnings (workspace lints + clippy.toml) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
 # A deletion must not strand a doc link to what it deleted (or to a
-# private item): broken and redundant intra-doc links are errors.
+# private item): broken and redundant intra-doc links are errors. The
+# first run renders the public docs, so it catches a public doc that
+# links to a private item; the second renders private modules too, whose
+# links the first never reads.
 echo "== cargo doc -D warnings (no dangling doc links) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
+echo "== cargo doc -D warnings --document-private-items (links inside private modules) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace --document-private-items
 
 echo "== emblookup-lint --api-check (L003 metric names, L004 TODO refs, L005 layering, L006 API drift, L007 float discipline) =="
 # Hard gate for the five rules no clippy lint expresses: exits 1 with
