@@ -396,7 +396,7 @@ impl HnswIndex {
         assert!(!vectors.is_empty(), "HNSW over empty data");
         assert!(config.m >= 1, "HNSW m must be >= 1");
         let n = vectors.len();
-        let _span = emblookup_obs::Span::enter(names::INDEX_BUILD_GRAPH).field("rows", n as u64);
+        let _span = emblookup_obs::Span::enter(names::INDEX_BUILD_GRAPH);
         let mut rng = StdRng::seed_from_u64(config.seed);
         let level_mult = 1.0 / (config.m as f64).ln().max(0.1);
 

@@ -49,8 +49,7 @@ impl IvfIndex {
         assert!(!vectors.is_empty(), "IVF over empty data");
         assert!(config.nprobe > 0, "nprobe must be positive");
         let nlist = config.nlist.min(vectors.len()).max(1);
-        let span = emblookup_obs::Span::enter(emblookup_obs::names::INDEX_BUILD_QUANTIZER)
-            .field("rows", vectors.len() as u64);
+        let span = emblookup_obs::Span::enter(emblookup_obs::names::INDEX_BUILD_QUANTIZER);
         let coarse = KMeans::fit(
             &vectors,
             KMeansConfig {

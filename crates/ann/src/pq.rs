@@ -67,7 +67,7 @@ impl ProductQuantizer {
             dim
         );
         let dsub = dim / config.m;
-        let _span = emblookup_obs::Span::enter(names::INDEX_BUILD_QUANTIZER).field("rows", data.len() as u64);
+        let _span = emblookup_obs::Span::enter(names::INDEX_BUILD_QUANTIZER);
         let mut codebooks = Vec::with_capacity(dim * config.ks);
         for j in 0..config.m {
             let mut sub = VectorSet::new(dsub);
@@ -151,7 +151,7 @@ impl ProductQuantizer {
     /// the row, so the bytes are the same at any width).
     pub(crate) fn encode_rows<'v>(&self, n: usize, row: impl Fn(usize) -> &'v [f32] + Sync) -> Vec<u8> {
         const BLOCK: usize = 512;
-        let _span = emblookup_obs::Span::enter(names::INDEX_BUILD_ENCODE).field("rows", n as u64);
+        let _span = emblookup_obs::Span::enter(names::INDEX_BUILD_ENCODE);
         let blocks = emblookup_pool::Pool::global().parallel_map(n.div_ceil(BLOCK), 1, |b| {
             let rows = b * BLOCK..((b + 1) * BLOCK).min(n);
             let mut codes = vec![0u8; rows.len() * self.m];

@@ -11,9 +11,7 @@
 //! Every run ends with the observability snapshot: a per-stage lookup
 //! self-time table built from span trees, a per-stage metrics table
 //! (training stage wall-times, index build, per-query lookup
-//! percentiles) on stdout; nothing is written to disk. Set
-//! `EMBLOOKUP_OBS=stderr` or `EMBLOOKUP_OBS_JSON=<path>` for live stage
-//! events.
+//! percentiles) on stdout; nothing is written to disk.
 
 #![forbid(unsafe_code)]
 
@@ -129,7 +127,6 @@ fn stage_self_time_report(env: &Env) -> String {
 }
 
 fn main() {
-    emblookup_obs::init_from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let scale = if args.iter().any(|a| a == "--smoke") {
         Scale::Smoke

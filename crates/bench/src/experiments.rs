@@ -5,7 +5,7 @@
 //! together. Substitutions relative to the paper's setup are documented in
 //! DESIGN.md §2; the per-experiment mapping lives in DESIGN.md §4.
 
-use crate::harness::{fmt_duration, hit_rate_at_k, speedup, Env, Scale, MASTER_SEED};
+use crate::harness::{hit_rate_at_k, speedup, Env, Scale, MASTER_SEED};
 use emblookup_baselines::{
     ElasticLikeService, ElasticOp, ElasticOpService, ExactMatchService, FuzzyWuzzyService,
     LevenshteinService, LshService, MetaSearchService, QGramService, RemoteCostModel,
@@ -17,6 +17,7 @@ use emblookup_embed::{
     LstmEncoderConfig, Word2Vec, Word2VecConfig,
 };
 use emblookup_kg::{generate, KgFlavor, KnowledgeGraph, LookupService, SynthKg};
+use emblookup_obs::fmt_duration;
 use emblookup_semtab::{
     generate_dataset, run_cea, run_cta, run_data_repair, run_entity_disambiguation,
     with_alias_substitution, with_missing, with_noise, BbwSystem, Dataset,

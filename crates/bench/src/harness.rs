@@ -158,13 +158,6 @@ pub fn hit_rate_at_k(
     hits as f64 / queries.len() as f64
 }
 
-/// Formats a duration compactly for table output. Delegates to the obs
-/// crate's nanosecond formatter so sub-millisecond lookup latencies print
-/// as `45.0µs` instead of the old `0.0ms`.
-pub fn fmt_duration(d: Duration) -> String {
-    emblookup_obs::fmt_duration(d)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,11 +169,24 @@ mod tests {
     }
 
     #[test]
-    fn fmt_duration_scales() {
-        assert_eq!(fmt_duration(Duration::from_millis(1500)), "1.50s");
-        assert_eq!(fmt_duration(Duration::from_micros(2500)), "2.5ms");
-        // the microsecond range used to collapse to "0.0ms"
-        assert_eq!(fmt_duration(Duration::from_micros(45)), "45.0µs");
-        assert_eq!(fmt_duration(Duration::from_nanos(800)), "800ns");
+    fn hit_rate_counts_truth_in_the_top_k() {
+        use emblookup_kg::{Candidate, EntityId};
+        /// The same ranking for every query.
+        struct Fixed(Vec<EntityId>);
+        impl LookupService for Fixed {
+            fn lookup(&self, _q: &str, k: usize) -> Vec<Candidate> {
+                self.0.iter().take(k).map(|&entity| Candidate { entity, score: 0.0 }).collect()
+            }
+            fn name(&self) -> &str {
+                "fixed"
+            }
+        }
+        let svc = Fixed(vec![EntityId(0), EntityId(1), EntityId(2)]);
+        // truth at rank 1, at rank 3, and missing
+        let queries = [("a", EntityId(0)), ("b", EntityId(2)), ("c", EntityId(9))];
+        assert!((hit_rate_at_k(&svc, &queries, 1) - 1.0 / 3.0).abs() < 1e-9);
+        assert!((hit_rate_at_k(&svc, &queries, 3) - 2.0 / 3.0).abs() < 1e-9);
+        // no queries is vacuously a full hit rate
+        assert_eq!(hit_rate_at_k(&Fixed(Vec::new()), &[], 5), 1.0);
     }
 }

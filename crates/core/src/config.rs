@@ -67,7 +67,7 @@ impl Compression {
         Compression::Pq { m: 8, ks: 256 }
     }
 
-    /// Short backend label used in metric/event fields.
+    /// Short backend label: `flat`, `pq`, `pca`, `ivf`, `hnsw` or `hnswpq`.
     pub fn name(&self) -> &'static str {
         match self {
             Compression::None => "flat",

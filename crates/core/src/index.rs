@@ -70,7 +70,7 @@ pub(crate) fn embed_rows(
             }
         }
     }
-    let _span = emblookup_obs::Span::enter(names::INDEX_BUILD_EMBED).field("rows", labels.len() as u64);
+    let _span = emblookup_obs::Span::enter(names::INDEX_BUILD_EMBED);
     let mut vectors = VectorSet::new(model.dim());
     for v in &model.embed_batch(&labels, threads) {
         vectors.push(v);
@@ -100,13 +100,10 @@ impl EntityIndex {
         threads: usize,
     ) -> Self {
         assert!(kg.num_entities() > 0, "indexing an empty knowledge graph");
-        let span = emblookup_obs::Span::enter(names::INDEX_BUILD)
-            .field("entities", kg.num_entities() as u64)
-            .field("backend", compression.name());
+        let _span = emblookup_obs::Span::enter(names::INDEX_BUILD);
         let (ids, vectors) = embed_rows(model, kg, threads);
         let index = Self::from_vectors(ids, vectors, compression);
         publish_size(index.len(), index.nbytes());
-        drop(span);
         index
     }
 

@@ -25,7 +25,6 @@
 pub mod config;
 pub mod encoder_index;
 pub mod errors;
-pub mod eval;
 pub mod index;
 pub mod mining;
 pub mod model;
@@ -36,7 +35,6 @@ pub mod trainer;
 pub use config::{Compression, EmbLookupConfig, LossKind};
 pub use encoder_index::EncoderIndex;
 pub use errors::TrainError;
-pub use eval::Workload;
 pub use index::EntityIndex;
 pub use mining::{mine_triplets, MiningConfig, Triplet, TripletFamily};
 pub use model::{EmbLookupModel, EmbedScratch};

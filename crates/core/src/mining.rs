@@ -84,9 +84,7 @@ impl MiningConfig {
 /// completely), then the remaining budget goes to syntactic perturbations
 /// and type-sharing positives.
 pub fn mine_triplets(kg: &KnowledgeGraph, config: &MiningConfig) -> Vec<Triplet> {
-    let span = emblookup_obs::Span::enter(names::TRAIN_MINING)
-        .field("entities", kg.num_entities() as u64)
-        .field("budget_per_entity", config.per_entity as u64);
+    let _span = emblookup_obs::Span::enter(names::TRAIN_MINING);
     let mut rng = StdRng::seed_from_u64(config.seed);
     let injector = NoiseInjector::with_kinds(vec![
         NoiseKind::DropChar,
@@ -179,7 +177,6 @@ pub fn mine_triplets(kg: &KnowledgeGraph, config: &MiningConfig) -> Vec<Triplet>
     }
     out.shuffle(&mut rng);
     emblookup_obs::global().counter(names::MINING_TRIPLETS).add(out.len() as u64);
-    drop(span.field("triplets", out.len() as u64));
     out
 }
 

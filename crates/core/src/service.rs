@@ -69,15 +69,12 @@ impl EmbLookup {
         if config.triplets_per_entity == 0 {
             return Err(TrainError::NoTriplets);
         }
-        let total = emblookup_obs::Span::enter(names::TRAIN_TOTAL)
-            .field("entities", kg.num_entities() as u64);
+        let total = emblookup_obs::Span::enter(names::TRAIN_TOTAL);
 
         let corpus = Corpus::from_kg(kg);
         let fasttext = {
-            let span = emblookup_obs::Span::enter(names::TRAIN_FASTTEXT)
-                .field("dim", config.fasttext_dim as u64)
-                .field("epochs", config.fasttext_epochs as u64);
-            let fasttext = FastText::train(
+            let _span = emblookup_obs::Span::enter(names::TRAIN_FASTTEXT);
+            FastText::train(
                 &corpus,
                 FastTextConfig {
                     dim: config.fasttext_dim,
@@ -85,10 +82,7 @@ impl EmbLookup {
                     seed: config.seed,
                     ..Default::default()
                 },
-            );
-            let (pairs, pairs_fast) = fasttext.pair_counts();
-            drop(span.field("pairs", pairs).field("pairs_fast", pairs_fast));
-            fasttext
+            )
         };
         let mut model = EmbLookupModel::new(fasttext, config.clone());
         let triplets = mine_triplets(

@@ -64,10 +64,7 @@ impl ShardedIndex {
     ) -> Self {
         assert!(num_shards > 0, "sharding into zero shards");
         assert!(kg.num_entities() > 0, "sharding an empty knowledge graph");
-        let span = emblookup_obs::Span::enter(names::INDEX_BUILD)
-            .field("entities", kg.num_entities() as u64)
-            .field("backend", compression.name())
-            .field("shards", num_shards as u64);
+        let _span = emblookup_obs::Span::enter(names::INDEX_BUILD);
         // alias rows hash on the entity id, so they stay on their
         // entity's shard
         let (ids, vectors) = embed_rows(model, kg, threads);
@@ -80,7 +77,6 @@ impl ShardedIndex {
         });
         let sharded = ShardedIndex { shards };
         publish_size(sharded.len(), sharded.nbytes());
-        drop(span);
         sharded
     }
 

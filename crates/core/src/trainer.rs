@@ -58,9 +58,7 @@ impl TrainReport {
 pub fn train(model: &mut EmbLookupModel, triplets: &[Triplet]) -> TrainReport {
     assert!(!triplets.is_empty(), "training without triplets");
     let config = model.config().clone();
-    let _span = emblookup_obs::Span::enter(names::TRAIN_TRIPLET)
-        .field("triplets", triplets.len() as u64)
-        .field("epochs", config.epochs as u64);
+    let _span = emblookup_obs::Span::enter(names::TRAIN_TRIPLET);
     let reg = emblookup_obs::global();
     let epoch_hist = reg.histogram(names::TRAIN_EPOCH_DURATION);
     let epoch_counter = reg.counter(names::TRAIN_EPOCHS);
@@ -70,19 +68,9 @@ pub fn train(model: &mut EmbLookupModel, triplets: &[Triplet]) -> TrainReport {
     let mut report = TrainReport::default();
     let offline_epochs = config.epochs / 2 + config.epochs % 2;
 
-    let observe_epoch = |stats: &EpochStats, start: std::time::Instant| {
-        let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        epoch_hist.record(ns);
+    let observe_epoch = |start: std::time::Instant| {
+        epoch_hist.record(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
         epoch_counter.inc();
-        emblookup_obs::event(
-            "train.epoch",
-            &[
-                ("epoch", (stats.epoch as u64).into()),
-                ("mean_loss", f64::from(stats.mean_loss).into()),
-                ("active_triplets", (stats.active_triplets as u64).into()),
-                ("online", stats.online_phase.into()),
-            ],
-        );
     };
 
     let mut order: Vec<usize> = (0..triplets.len()).collect();
@@ -97,14 +85,13 @@ pub fn train(model: &mut EmbLookupModel, triplets: &[Triplet]) -> TrainReport {
         };
         if active.is_empty() {
             // every triplet is easy — converged
-            let stats = EpochStats {
+            observe_epoch(epoch_start);
+            report.epochs.push(EpochStats {
                 epoch,
                 mean_loss: 0.0,
                 active_triplets: 0,
                 online_phase: online,
-            };
-            observe_epoch(&stats, epoch_start);
-            report.epochs.push(stats);
+            });
             continue;
         }
         let mut epoch_loss = 0.0f64;
@@ -125,14 +112,13 @@ pub fn train(model: &mut EmbLookupModel, triplets: &[Triplet]) -> TrainReport {
             merged.scale(1.0 / chunk.len() as f32);
             optimizer.step_grads(&mut model.store, &merged);
         }
-        let stats = EpochStats {
+        observe_epoch(epoch_start);
+        report.epochs.push(EpochStats {
             epoch,
             mean_loss: (epoch_loss / active.len() as f64) as f32,
             active_triplets: active.len(),
             online_phase: online,
-        };
-        observe_epoch(&stats, epoch_start);
-        report.epochs.push(stats);
+        });
     }
     report
 }

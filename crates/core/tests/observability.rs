@@ -1,20 +1,16 @@
 //! End-to-end check that the instrumented pipeline actually reports what
-//! it does: training emits one event per epoch, the index build is timed,
-//! and every single-query lookup lands in the latency histogram.
+//! it does: every training and index-build stage is timed into the
+//! registry, each epoch is counted, and every single-query lookup lands
+//! in the latency histogram.
 //!
 //! One test function on purpose — the assertions read the process-global
-//! registry and the global subscriber, which parallel tests would share.
+//! registry, which parallel tests would share.
 
 use emblookup_core::{Compression, EmbLookup, EmbLookupConfig, ShardedIndex};
 use emblookup_kg::{generate, LookupService, SynthKgConfig};
-use emblookup_obs::{CollectingSubscriber, EventKind};
-use std::sync::Arc;
 
 #[test]
 fn training_and_lookups_populate_the_registry() {
-    let sub = Arc::new(CollectingSubscriber::new());
-    emblookup_obs::set_subscriber(sub.clone());
-
     let s = generate(SynthKgConfig::tiny(17));
     let config = EmbLookupConfig::tiny(17);
     let epochs = config.epochs;
@@ -38,42 +34,32 @@ fn training_and_lookups_populate_the_registry() {
     // ... and a third, in three shards: one index as far as the registry
     // is concerned, its size the total over the shards
     let sharded = ShardedIndex::build(el.model(), &s.kg, fused, 3, 1);
-    emblookup_obs::clear_subscriber();
 
-    // one structured event per training epoch, exactly
-    assert_eq!(sub.count("train.epoch", EventKind::Point), epochs);
-    // ... and the span ends for each pipeline stage
+    let snap = emblookup_obs::global().snapshot();
+    let timed = |stage: &str| snap.histogram(stage).map_or(0, |h| h.count);
+    // one wall-time per pipeline stage
     for stage in ["train.total", "train.fasttext", "train.mining", "train.triplet"] {
-        assert_eq!(sub.count(stage, EventKind::SpanEnd), 1, "stage {stage}");
+        assert_eq!(timed(stage), 1, "stage {stage}");
     }
-    assert_eq!(sub.count("index.build", EventKind::SpanEnd), 3);
+    assert_eq!(timed("index.build"), 3);
 
     // the build says where its time goes: every build embeds the labels
     // once, only the fused ones have a graph, codebooks and codes — the
     // whole index one of each, the sharded one one of each per shard
-    assert_eq!(sub.count("index.build.embed", EventKind::SpanEnd), 3);
+    assert_eq!(timed("index.build.embed"), 3);
     for phase in ["index.build.graph", "index.build.quantizer", "index.build.encode"] {
-        assert_eq!(sub.count(phase, EventKind::SpanEnd), 1 + 3, "phase {phase}");
+        assert_eq!(timed(phase), 1 + 3, "phase {phase}");
     }
     // ... and fastText how many of its pairs took every dot first
-    let events = sub.events();
-    let fasttext = events
-        .iter()
-        .find(|e| e.name == "train.fasttext" && e.kind == EventKind::SpanEnd)
-        .expect("train.fasttext span end");
-    let field = |key: &str| -> u64 {
-        let value = fasttext.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v.parse());
-        value.unwrap_or_else(|| panic!("train.fasttext has no field {key}")).expect("an integer")
-    };
-    assert!(field("pairs") > 0);
-    assert!(field("pairs_fast") > 0 && field("pairs_fast") <= field("pairs"));
+    let (pairs, pairs_fast) = el.model().semantic().pair_counts();
+    assert!(pairs > 0);
+    assert!(pairs_fast > 0 && pairs_fast <= pairs);
 
-    let snap = emblookup_obs::global().snapshot();
+    // one count per training epoch, exactly
     assert_eq!(snap.counter("train.epochs"), Some(epochs as u64));
     assert!(snap.counter("mining.triplets").unwrap_or(0) > 0);
 
     let build = snap.histogram("index.build").expect("index.build timed");
-    assert_eq!(build.count, 3);
     assert!(build.max() > 0, "index build recorded a zero duration");
 
     let lat = snap.histogram("lookup.latency").expect("lookup latency histogram");

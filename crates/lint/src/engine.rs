@@ -228,7 +228,7 @@ impl SourceFile {
         }
         // token indices of string literals that sit in a metric-name
         // position (argument region of counter/gauge/histogram/
-        // Span::enter/Span::enter_in/static_counter!, and the trace-span
+        // Span::enter/static_counter!, and the trace-span
         // creators Trace::root/TraceSpan::child/child_deferred)
         let mut position_hits: HashSet<usize> = HashSet::new();
         for (i, t) in self.tokens.iter().enumerate() {
@@ -239,8 +239,7 @@ impl SourceFile {
                 t.text.as_str(),
                 "counter" | "gauge" | "histogram" | "root" | "child" | "child_deferred"
             ) && self.prev_sig(i).is_some_and(|p| p.text == ".");
-            let is_span = matches!(t.text.as_str(), "enter" | "enter_in")
-                && self.prev_sig(i).is_some_and(|p| p.text == ":");
+            let is_span = t.text == "enter" && self.prev_sig(i).is_some_and(|p| p.text == ":");
             let is_macro = t.text == "static_counter"
                 && self.next_sig(i, 1).is_some_and(|n| n.text == "!");
             if !(is_method || is_span || is_macro) {

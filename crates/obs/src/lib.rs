@@ -9,13 +9,7 @@
 //!   count/sum). Resolve a handle once, then record lock-free; the
 //!   process-global registry is [`global()`].
 //! * **Spans** — [`Span::enter("index.build")`](Span::enter) RAII guards
-//!   time a stage into the histogram of the same name and notify the
-//!   subscriber.
-//! * **Events** — [`event()`] emits structured point events (per-epoch
-//!   loss, triplet counts) through the pluggable [`Subscriber`]:
-//!   [`StderrSubscriber`] pretty-prints, [`JsonLinesSubscriber`] appends
-//!   machine-readable lines; [`init_from_env()`] wires either from
-//!   `EMBLOOKUP_OBS` / `EMBLOOKUP_OBS_JSON`.
+//!   time a stage into the global histogram of the same name.
 //! * **Exporters** — a [`MetricsSnapshot`] renders to Prometheus text
 //!   ([`MetricsSnapshot::to_prometheus`]) or an aligned table
 //!   ([`MetricsSnapshot::render_table`]).
@@ -62,7 +56,6 @@ mod hist;
 mod json;
 mod registry;
 mod span;
-mod subscriber;
 
 pub use fmt::{fmt_duration, fmt_nanos};
 pub use hist::{Exemplar, Histogram, HistogramSnapshot};
@@ -73,9 +66,4 @@ pub use span::Span;
 pub use trace::{
     format_trace_id, parse_trace_id, trace_id_from_index, traces_to_chrome_json, AnnoValue,
     SpanRecord, Trace, TraceClock, TraceData, TraceSpan,
-};
-pub use subscriber::{
-    clear_subscriber, emit, event, init_from_env, set_subscriber, CollectingSubscriber, Event,
-    EventKind, FieldValue, JsonLinesSubscriber, MultiSubscriber, OwnedEvent, StderrSubscriber,
-    Subscriber,
 };

@@ -120,18 +120,6 @@ impl TailSampler {
     pub fn find(&self, id: u64) -> Option<RetainedTrace> {
         self.locked().iter().find(|r| r.trace.id == id).cloned()
     }
-
-    /// Retained-trace count per trigger class, in [`Trigger::ALL`]
-    /// order.
-    pub fn counts(&self) -> [usize; 5] {
-        let mut counts = [0usize; 5];
-        for r in self.locked().iter() {
-            for t in &r.triggers {
-                counts[t.index()] += 1;
-            }
-        }
-        counts
-    }
 }
 
 /// The per-server tracing hub: always-on flight recorder + tail
@@ -204,11 +192,12 @@ mod tests {
         assert!(!sampler.offer(trace(4), &[Trigger::Slow]), "class saturated");
         // a saturated class piggybacks on a class with room
         assert!(sampler.offer(trace(5), &[Trigger::Slow, Trigger::Panic]));
-        assert_eq!(sampler.counts(), [3, 0, 0, 0, 1]);
+        assert!(sampler.offer(trace(6), &[Trigger::Panic]), "panic class has one slot left");
+        assert!(!sampler.offer(trace(7), &[Trigger::Panic, Trigger::Slow]), "both saturated");
         assert!(sampler.find(3).is_some());
         assert!(sampler.find(4).is_none());
         let ids: Vec<u64> = sampler.retained().iter().map(|r| r.trace.id).collect();
-        assert_eq!(ids, vec![2, 3, 5], "retained list sorts by trace id");
+        assert_eq!(ids, vec![2, 3, 5, 6], "retained list sorts by trace id");
     }
 
     #[test]

@@ -1,93 +1,57 @@
-//! RAII span timers: `let _s = Span::enter("index.build");` records the
-//! elapsed time into the histogram of the same name when dropped, and
-//! emits start/end events to the installed subscriber.
+//! RAII stage timers: `let _s = Span::enter("index.build");` records the
+//! elapsed time into the global histogram of the same name when dropped.
 
 use crate::hist::Histogram;
-use crate::registry::{global, MetricsRegistry};
-use crate::subscriber::{emit, Event, EventKind, FieldValue};
+use crate::registry::global;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A running stage timer. Dropping it records the duration.
 #[must_use = "a Span records on drop; binding it to `_` drops immediately"]
 pub struct Span {
-    name: String,
     start: Instant,
     hist: Arc<Histogram>,
-    fields: Vec<(&'static str, FieldValue)>,
 }
 
 impl Span {
     /// Starts a span recording into the global registry's histogram
     /// `name` on drop.
-    pub fn enter(name: impl Into<String>) -> Span {
-        Self::enter_in(global(), name)
-    }
-
-    /// Starts a span bound to a specific registry.
-    pub fn enter_in(registry: &MetricsRegistry, name: impl Into<String>) -> Span {
-        let name = name.into();
-        let hist = registry.histogram(&name);
-        emit(&Event {
-            name: &name,
-            kind: EventKind::SpanStart,
-            duration_ns: None,
-            fields: &[],
-        });
-        Span { name, start: Instant::now(), hist, fields: Vec::new() }
-    }
-
-    /// Attaches a field reported with the span-end event.
-    pub fn field(mut self, key: &'static str, value: impl Into<FieldValue>) -> Span {
-        self.fields.push((key, value.into()));
-        self
-    }
-
-    /// Time elapsed since the span was entered.
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
+    pub fn enter(name: &str) -> Span {
+        Span { hist: global().histogram(name), start: Instant::now() }
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let ns = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.hist.record(ns);
-        emit(&Event {
-            name: &self.name,
-            kind: EventKind::SpanEnd,
-            duration_ns: Some(ns),
-            fields: &self.fields,
-        });
+        self.hist.record(u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn span_records_into_named_histogram() {
-        let reg = MetricsRegistry::new();
         {
-            let _s = Span::enter_in(&reg, "stage.one");
+            let _s = Span::enter("test.span.one");
             std::thread::sleep(Duration::from_millis(2));
         }
-        let snap = reg.snapshot();
-        let h = snap.histogram("stage.one").expect("histogram registered");
+        let snap = global().snapshot();
+        let h = snap.histogram("test.span.one").expect("histogram registered");
         assert_eq!(h.count, 1);
         assert!(h.max() >= 2_000_000, "recorded {} ns", h.max());
     }
 
     #[test]
     fn nested_spans_record_independently() {
-        let reg = MetricsRegistry::new();
         {
-            let _outer = Span::enter_in(&reg, "outer");
-            let _inner = Span::enter_in(&reg, "inner");
+            let _outer = Span::enter("test.span.outer");
+            let _inner = Span::enter("test.span.inner");
         }
-        let snap = reg.snapshot();
-        assert_eq!(snap.histogram("outer").unwrap().count, 1);
-        assert_eq!(snap.histogram("inner").unwrap().count, 1);
+        let snap = global().snapshot();
+        assert_eq!(snap.histogram("test.span.outer").unwrap().count, 1);
+        assert_eq!(snap.histogram("test.span.inner").unwrap().count, 1);
     }
 }

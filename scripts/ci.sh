@@ -132,6 +132,13 @@ head_tooling_lines() {
     { git ls-tree -r --name-only HEAD -- scripts; git ls-tree --name-only HEAD | { grep '\.py$' || true; }; } |
         while read -r file; do git show "HEAD:$file"; done | wc -l
 }
+# Distinct EMBLOOKUP_* names passed to env::var in the *.rs files under
+# crates/ and src/: the environment variables the program reads. The
+# command in "$@" prints the matching calls.
+env_var_pattern='env::var(_os)?\("EMBLOOKUP_[A-Z0-9_]+"'
+count_env_vars() { { "$@" || true; } | grep -oE 'EMBLOOKUP_[A-Z0-9_]+' | sort -u | wc -l; }
+head_env_vars() { count_env_vars git grep -hoE "$env_var_pattern" HEAD -- 'crates/*.rs' 'src/*.rs'; }
+now_env_vars() { count_env_vars grep -rhoE --include='*.rs' "$env_var_pattern" crates src; }
 for crate in crates/*/; do
     printf '%-18s %s%6d lines of *.rs\n' "$crate" "$(at_head head_rs_lines "$crate")" \
         "$(find "$crate" -name '*.rs' -exec cat {} + | wc -l)"
@@ -139,5 +146,6 @@ done
 printf '%-18s %s%6d lines of scripts/* and root *.py\n' "tooling" "$(at_head head_tooling_lines)" \
     "$({ find scripts -type f; find . -maxdepth 1 -name '*.py'; } | xargs cat | wc -l)"
 printf '%-18s %s%6d items\n' "API.lock" "$(at_head head_api_items)" "$(count_items < API.lock)"
+printf '%-18s %s%6d EMBLOOKUP_* names read\n' "env vars" "$(at_head head_env_vars)" "$(now_env_vars)"
 
 echo "ci.sh: all checks passed"

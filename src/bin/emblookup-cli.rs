@@ -10,6 +10,10 @@
 //! emblookup-cli trace    --addr 127.0.0.1:7878 [--id <hex>] [--chrome]
 //! ```
 //!
+//! `train` prints one line per epoch (phase, active triplets, mean loss)
+//! and then the metrics registry's table: the wall-time of every training
+//! and index-build stage.
+//!
 //! `trace` talks to the serve layer's flight recorder (DESIGN.md §9):
 //! without flags it lists retained + recent traces, `--id` pretty-prints
 //! one span tree, and `--chrome` dumps Chrome `trace_event` JSON that
@@ -26,8 +30,6 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 fn main() -> ExitCode {
-    // EMBLOOKUP_OBS=stderr / EMBLOOKUP_OBS_JSON=<path> stream stage events
-    emblookup::obs::init_from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
         eprintln!("{USAGE}");
@@ -135,7 +137,17 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
         config.triplets_per_entity
     );
     let service = EmbLookup::train_on(&kg, config);
+    for e in &service.report().epochs {
+        println!(
+            "epoch {:>3}  {:<7}  {:>7} active triplets  mean loss {:.4}",
+            e.epoch,
+            if e.online_phase { "online" } else { "offline" },
+            e.active_triplets,
+            e.mean_loss
+        );
+    }
     println!("final loss {:.4}", service.report().final_loss());
+    println!("{}", emblookup::obs::global().snapshot().render_table());
     std::fs::write(&out, service.model().to_bytes()).map_err(|e| e.to_string())?;
     println!("wrote {out}");
     Ok(())
