@@ -1,7 +1,8 @@
 //! Runtime-dispatched SIMD kernels — the single home for every hot loop
-//! in the workspace: the distance kernels of all ANN backends and, via
-//! `emblookup-tensor`, the blocked-matmul inner product and the encoder's
-//! dense convolutions and matrix-vector products.
+//! in the workspace: the distance kernels of all ANN backends, via
+//! `emblookup-tensor` the blocked-matmul inner product and the encoder's
+//! dense convolutions and matrix-vector products, and via
+//! `emblookup-embed` the row arithmetic of SGNS training.
 //!
 //! # Dispatch
 //!
@@ -48,7 +49,10 @@
 //!   [`conv1d_plane`] and [`gemv_bias`] — the encoder's arithmetic — are
 //!   bit-exact against `scalar::conv1d_plane` / `scalar::gemv_bias`, so an
 //!   embedding does not depend on `EMBLOOKUP_KERNEL` and no index has to
-//!   be rebuilt when the variant changes.
+//!   be rebuilt when the variant changes; and [`mean_rows`],
+//!   [`out_row_step`] and [`sub_scaled_rows`] — SGNS's row arithmetic —
+//!   are bit-exact against their scalar arms, so neither does a trained
+//!   fastText table.
 //!
 //! # Preconditions
 //!
@@ -369,6 +373,69 @@ pub fn gemv_bias(x: &[f32], w: &[f32], bias: &[f32], y: &mut [f32]) {
     scalar::gemv_bias(x, w, bias, y);
 }
 
+/// The mean of the rows of `table` that `ids` names, rows of `out.len()`
+/// floats: every output starts from `+0.0`, takes the named rows' elements
+/// in `ids` order (a repeated id counts twice) and is then multiplied by
+/// `1 / ids.len()`; an empty list gives zeros — SGNS's hidden vector, a
+/// word's n-gram mean. **Bit-exact against `scalar::mean_rows` under every
+/// variant**: the SIMD arm gives every output a lane of its own and adds
+/// into it in that same order, without FMA.
+///
+/// # Panics
+/// Panics if `out` is empty or an id names a row past the end of `table`.
+#[inline]
+pub fn mean_rows(table: &[f32], ids: &[u32], out: &mut [f32]) {
+    assert!(!out.is_empty(), "mean_rows: rows of zero floats");
+    let rows = table.len() / out.len();
+    assert!(ids.iter().all(|&id| (id as usize) < rows), "mean_rows: id out of range");
+    #[cfg(target_arch = "x86_64")]
+    if variant() == V_AVX2 {
+        // SAFETY: gated by dispatch (V_AVX2 is published only after is_x86_feature_detected verified avx2+fma) and by the asserts above: every id's out.len()-float row lies inside `table`
+        return unsafe { x86::mean_rows_avx2(table, ids, out) };
+    }
+    scalar::mean_rows(table, ids, out);
+}
+
+/// One SGNS output-row step: `grad[j] += err · row[j]`, then
+/// `row[j] −= step · hidden[j]`, for every `j` — the gradient reads the row
+/// before the row moves. Each product is rounded before its add (no FMA).
+/// **Bit-exact against `scalar::out_row_step` under every variant**: one
+/// lane per element, the same two operations in the same order.
+///
+/// # Panics
+/// Panics unless `row`, `hidden` and `grad` have one length.
+#[inline]
+pub fn out_row_step(row: &mut [f32], hidden: &[f32], grad: &mut [f32], err: f32, step: f32) {
+    assert!(hidden.len() == row.len() && grad.len() == row.len(), "out_row_step: row, hidden and grad differ in length");
+    #[cfg(target_arch = "x86_64")]
+    if variant() == V_AVX2 {
+        // SAFETY: gated by dispatch (V_AVX2 is published only after is_x86_feature_detected verified avx2+fma) and by the assert above: the three slices have one length
+        return unsafe { x86::out_row_step_avx2(row, hidden, grad, err, step) };
+    }
+    scalar::out_row_step(row, hidden, grad, err, step);
+}
+
+/// `row −= scale · grad` for every row of `table` that `ids` names, rows of
+/// `grad.len()` floats, in `ids` order, so a repeated id moves twice — the
+/// SGNS input-row update. Each product is rounded before its subtract (no
+/// FMA). **Bit-exact against `scalar::sub_scaled_rows` under every
+/// variant**: one lane per element, its updates in `ids` order.
+///
+/// # Panics
+/// Panics if `grad` is empty or an id names a row past the end of `table`.
+#[inline]
+pub fn sub_scaled_rows(table: &mut [f32], ids: &[u32], scale: f32, grad: &[f32]) {
+    assert!(!grad.is_empty(), "sub_scaled_rows: rows of zero floats");
+    let rows = table.len() / grad.len();
+    assert!(ids.iter().all(|&id| (id as usize) < rows), "sub_scaled_rows: id out of range");
+    #[cfg(target_arch = "x86_64")]
+    if variant() == V_AVX2 {
+        // SAFETY: gated by dispatch (V_AVX2 is published only after is_x86_feature_detected verified avx2+fma) and by the asserts above: every id's grad.len()-float row lies inside `table`
+        return unsafe { x86::sub_scaled_rows_avx2(table, ids, scale, grad) };
+    }
+    scalar::sub_scaled_rows(table, ids, scale, grad);
+}
+
 /// Cache-line size [`prefetch`] steps by.
 const LINE: usize = 64;
 
@@ -582,6 +649,47 @@ pub mod scalar {
         }
         for (o, &b) in y.iter_mut().zip(bias) {
             *o += b;
+        }
+    }
+
+    /// Mean of the named rows (reference): from `+0.0`, row by row in
+    /// `ids` order, then times `1 / ids.len()`.
+    #[inline]
+    pub(crate) fn mean_rows(table: &[f32], ids: &[u32], out: &mut [f32]) {
+        out.fill(0.0);
+        if ids.is_empty() {
+            return;
+        }
+        let dim = out.len();
+        for &id in ids {
+            for (o, &x) in out.iter_mut().zip(&table[id as usize * dim..][..dim]) {
+                *o += x;
+            }
+        }
+        let inv = 1.0 / ids.len() as f32;
+        for o in out.iter_mut() {
+            *o *= inv;
+        }
+    }
+
+    /// SGNS output-row step (reference), over zipped slices so it has no
+    /// bounds check and runs at the baseline vector width.
+    #[inline]
+    pub(crate) fn out_row_step(row: &mut [f32], hidden: &[f32], grad: &mut [f32], err: f32, step: f32) {
+        for ((g, o), &h) in grad.iter_mut().zip(row.iter_mut()).zip(hidden) {
+            *g += err * *o;
+            *o -= step * h;
+        }
+    }
+
+    /// Scaled row updates (reference): row by row in `ids` order.
+    #[inline]
+    pub(crate) fn sub_scaled_rows(table: &mut [f32], ids: &[u32], scale: f32, grad: &[f32]) {
+        let dim = grad.len();
+        for &id in ids {
+            for (r, &g) in table[id as usize * dim..][..dim].iter_mut().zip(grad) {
+                *r -= scale * g;
+            }
         }
     }
 }
@@ -1164,6 +1272,138 @@ mod x86 {
         }
     }
 
+    /// `V` vectors of eight columns of the mean: the accumulators start at
+    /// `+0.0` and stay in registers across every named row.
+    ///
+    /// # Safety
+    /// Requires AVX2. `col + id * dim + 8 * V` floats are readable for
+    /// every id and `out` holds `8 * V` floats.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn mean_cols_avx2<const V: usize>(col: *const f32, dim: usize, ids: &[u32], inv: f32, out: *mut f32) {
+        let mut acc = [_mm256_setzero_ps(); V];
+        for &id in ids {
+            let row = col.add(id as usize * dim);
+            for (v, acc) in acc.iter_mut().enumerate() {
+                *acc = _mm256_add_ps(*acc, _mm256_loadu_ps(row.add(8 * v)));
+            }
+        }
+        let inv = _mm256_set1_ps(inv);
+        for (v, &acc) in acc.iter().enumerate() {
+            _mm256_storeu_ps(out.add(8 * v), _mm256_mul_ps(acc, inv));
+        }
+    }
+
+    /// Mean of the named rows, the whole list per column block (64
+    /// columns in eight accumulators, then 8, then one at a time), each
+    /// lane adding its rows in `ids` order as `scalar::mean_rows` does.
+    ///
+    /// # Safety
+    /// Requires AVX2; called only when `variant() == V_AVX2`. Caller
+    /// guarantees `(id + 1) * out.len() <= table.len()` for every id.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn mean_rows_avx2(table: &[f32], ids: &[u32], out: &mut [f32]) {
+        if ids.is_empty() {
+            out.fill(0.0);
+            return;
+        }
+        let dim = out.len();
+        let (tp, op) = (table.as_ptr(), out.as_mut_ptr());
+        let inv = 1.0 / ids.len() as f32;
+        let mut j = 0;
+        while j + 64 <= dim {
+            mean_cols_avx2::<8>(tp.add(j), dim, ids, inv, op.add(j));
+            j += 64;
+        }
+        while j + 8 <= dim {
+            mean_cols_avx2::<1>(tp.add(j), dim, ids, inv, op.add(j));
+            j += 8;
+        }
+        for j in j..dim {
+            let mut s = 0.0f32;
+            for &id in ids {
+                s += *tp.add(id as usize * dim + j);
+            }
+            *op.add(j) = s * inv;
+        }
+    }
+
+    /// SGNS output-row step, eight elements a step: `grad + err·row`, then
+    /// `row − step·hidden`, unfused.
+    ///
+    /// # Safety
+    /// Requires AVX2; called only when `variant() == V_AVX2`. Caller
+    /// guarantees the three slices have one length.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn out_row_step_avx2(row: &mut [f32], hidden: &[f32], grad: &mut [f32], err: f32, step: f32) {
+        let n = row.len();
+        let (rp, hp, gp) = (row.as_mut_ptr(), hidden.as_ptr(), grad.as_mut_ptr());
+        let (e, s) = (_mm256_set1_ps(err), _mm256_set1_ps(step));
+        let mut j = 0;
+        while j + 8 <= n {
+            let o = _mm256_loadu_ps(rp.add(j));
+            _mm256_storeu_ps(gp.add(j), _mm256_add_ps(_mm256_loadu_ps(gp.add(j)), _mm256_mul_ps(e, o)));
+            _mm256_storeu_ps(rp.add(j), _mm256_sub_ps(o, _mm256_mul_ps(s, _mm256_loadu_ps(hp.add(j)))));
+            j += 8;
+        }
+        while j < n {
+            *gp.add(j) += err * *rp.add(j);
+            *rp.add(j) -= step * *hp.add(j);
+            j += 1;
+        }
+    }
+
+    /// `V` vectors of eight columns of the scaled row updates: `scale ·
+    /// grad` is taken once into registers — the product every row's
+    /// update rounds — and subtracted from each named row in `ids` order.
+    ///
+    /// # Safety
+    /// Requires AVX2. `col + id * dim + 8 * V` floats are writable for
+    /// every id and `grad` holds `8 * V` floats.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn sub_scaled_cols_avx2<const V: usize>(col: *mut f32, dim: usize, ids: &[u32], scale: f32, grad: *const f32) {
+        let scale = _mm256_set1_ps(scale);
+        let mut step = [_mm256_setzero_ps(); V];
+        for (v, step) in step.iter_mut().enumerate() {
+            *step = _mm256_mul_ps(scale, _mm256_loadu_ps(grad.add(8 * v)));
+        }
+        for &id in ids {
+            let row = col.add(id as usize * dim);
+            for (v, &step) in step.iter().enumerate() {
+                _mm256_storeu_ps(row.add(8 * v), _mm256_sub_ps(_mm256_loadu_ps(row.add(8 * v)), step));
+            }
+        }
+    }
+
+    /// Scaled row updates per column block (64 columns, then 8, then one
+    /// at a time), each lane moving by its rows in `ids` order as
+    /// `scalar::sub_scaled_rows` does.
+    ///
+    /// # Safety
+    /// Requires AVX2; called only when `variant() == V_AVX2`. Caller
+    /// guarantees `(id + 1) * grad.len() <= table.len()` for every id.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn sub_scaled_rows_avx2(table: &mut [f32], ids: &[u32], scale: f32, grad: &[f32]) {
+        let dim = grad.len();
+        let (tp, gp) = (table.as_mut_ptr(), grad.as_ptr());
+        let mut j = 0;
+        while j + 64 <= dim {
+            sub_scaled_cols_avx2::<8>(tp.add(j), dim, ids, scale, gp.add(j));
+            j += 64;
+        }
+        while j + 8 <= dim {
+            sub_scaled_cols_avx2::<1>(tp.add(j), dim, ids, scale, gp.add(j));
+            j += 8;
+        }
+        for j in j..dim {
+            let step = scale * *gp.add(j);
+            for &id in ids {
+                *tp.add(id as usize * dim + j) -= step;
+            }
+        }
+    }
+
     /// Eight code bytes at `p` as eight floats.
     ///
     /// # Safety
@@ -1707,6 +1947,95 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn sgns_row_kernels_are_bit_exact_against_the_scalar_arms() {
+        // every column-block tail (1, 7, 8, 9, 63, 64, 65, 200); empty,
+        // single, repeated and long id lists; and once per width with ±0,
+        // subnormals, ±inf and NaN in the rows, the gradient and the
+        // hidden vector — NaN-ness, not payload, must agree
+        let specials = [0.0, -0.0, f32::from_bits(1), -f32::from_bits(0x0040_0000), f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        let mut rng = StdRng::seed_from_u64(43);
+        for &dim in &[1usize, 7, 8, 9, 63, 64, 65, 200] {
+            for special in [false, true] {
+                let rows = 12u32;
+                let (mut table, mut grad, mut hidden) =
+                    (random_vec(rows as usize * dim, &mut rng), random_vec(dim, &mut rng), random_vec(dim, &mut rng));
+                if special {
+                    for (i, &v) in specials.iter().enumerate() {
+                        let at = rng.gen_range(0..table.len());
+                        table[at] = v;
+                        grad[i % dim] = specials[(i + 3) % specials.len()];
+                        hidden[(i + 1) % dim] = specials[(i + 5) % specials.len()];
+                    }
+                }
+                let long: Vec<u32> = (0..20).map(|_| rng.gen_range(0..rows)).collect();
+                for ids in [vec![], vec![rows - 1], vec![3, 3, 7, 0, 3], long] {
+                    let what = format!("dim {dim} special {special} ids {ids:?}");
+                    let (mut got, mut want) = (vec![f32::NAN; dim], vec![f32::NAN; dim]);
+                    mean_rows(&table, &ids, &mut got);
+                    scalar::mean_rows(&table, &ids, &mut want);
+                    for (&g, &w) in got.iter().zip(&want) {
+                        assert_same(g, w, &format!("mean_rows {what}"));
+                    }
+                    // the scale of a pair's input update, and one whose
+                    // products are subnormal
+                    for scale in [0.05f32 / 3.0, 1e-38] {
+                        let (mut got, mut want) = (table.clone(), table.clone());
+                        sub_scaled_rows(&mut got, &ids, scale, &grad);
+                        scalar::sub_scaled_rows(&mut want, &ids, scale, &grad);
+                        for (&g, &w) in got.iter().zip(&want) {
+                            assert_same(g, w, &format!("sub_scaled_rows scale {scale} {what}"));
+                        }
+                    }
+                }
+                for (err, step) in [(0.37f32, 0.0185f32), (-0.62, -0.031), (-0.0, 0.0), (1e-39, 1e-40), (f32::NAN, f32::INFINITY)] {
+                    let what = format!("out_row_step dim {dim} special {special} err {err}");
+                    let (mut got_row, mut want_row) = (table[..dim].to_vec(), table[..dim].to_vec());
+                    let (mut got_grad, mut want_grad) = (grad.clone(), grad.clone());
+                    out_row_step(&mut got_row, &hidden, &mut got_grad, err, step);
+                    scalar::out_row_step(&mut want_row, &hidden, &mut want_grad, err, step);
+                    for (&g, &w) in got_row.iter().chain(&got_grad).zip(want_row.iter().chain(&want_grad)) {
+                        assert_same(g, w, &what);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sgns_row_kernels_compute_what_they_name() {
+        let table = [1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0];
+        let mut mean = [f32::NAN; 2];
+        mean_rows(&table, &[0, 2, 2, 2], &mut mean);
+        assert_eq!(mean, [4.0, 5.0]);
+        mean_rows(&table, &[], &mut mean);
+        assert_eq!(mean.map(f32::to_bits), [0, 0], "an empty list is +0.0, not -0.0");
+        let mut moved = table;
+        sub_scaled_rows(&mut moved, &[1, 1], 0.5, &[2.0, -4.0]);
+        assert_eq!(moved, [1.0, 2.0, 1.0, 8.0, 5.0, 6.0]);
+        let (mut row, mut grad) = ([1.0f32, -2.0], [0.5f32, 0.5]);
+        out_row_step(&mut row, &[4.0, 8.0], &mut grad, 2.0, 0.25);
+        assert_eq!((row, grad), ([0.0, -4.0], [2.5, -3.5]), "the gradient reads the row before it moves");
+    }
+
+    #[test]
+    #[should_panic(expected = "mean_rows: id out of range")]
+    fn mean_rows_rejects_an_id_past_the_table() {
+        mean_rows(&[0.0; 2 * 64 - 1], &[0, 1], &mut [0.0; 64]);
+    }
+
+    #[test]
+    #[should_panic(expected = "sub_scaled_rows: id out of range")]
+    fn sub_scaled_rows_rejects_an_id_past_the_table() {
+        sub_scaled_rows(&mut [0.0; 3 * 8], &[3], 1.0, &[0.0; 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out_row_step: row, hidden and grad differ")]
+    fn out_row_step_rejects_slices_of_other_lengths() {
+        out_row_step(&mut [0.0; 64], &[0.0; 64], &mut [0.0; 63], 1.0, 1.0);
     }
 
     #[test]

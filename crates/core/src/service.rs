@@ -352,6 +352,23 @@ mod tests {
         assert_eq!(el.lookup("anything", 2).len(), 2);
     }
 
+    /// FNV-1a over `EmbLookupModel::to_bytes()` after `train_on` the tiny
+    /// graph: fastText's SGNS, the tape's forward and backward passes and
+    /// Adam, end to end. The `EMBLOOKUP_KERNEL=scalar` and `auto` runs of
+    /// the gate must both arrive at it, at any pool width.
+    const TRAINED_MODEL_FNV1A: u64 = 0xcb4c_8f48_11db_f578;
+
+    #[test]
+    fn trained_model_hashes_to_the_golden_value_under_every_kernel_variant() {
+        let (el, _) = trained();
+        let hash = el
+            .model()
+            .to_bytes()
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3));
+        assert_eq!(hash, TRAINED_MODEL_FNV1A, "got {hash:#018x}");
+    }
+
     #[test]
     #[should_panic(expected = "EmbLookup::train_on")]
     fn train_on_wrapper_panics_on_invalid_config() {

@@ -613,6 +613,22 @@ mod tests {
         }
     }
 
+    /// FNV-1a over `FastText::to_bytes()` after training on the
+    /// 600-entity graph of seed 1 at the paper's 64 dimensions, two epochs.
+    /// The SGNS pair loop's arithmetic runs through dispatched kernels, so
+    /// this constant is what the `EMBLOOKUP_KERNEL=scalar` and `auto` runs
+    /// of the gate must both arrive at: every trained weight, not only the
+    /// embeddings of a toy corpus, is the same bits under every variant.
+    const TRAINED_FASTTEXT_FNV1A: u64 = 0x936d_866c_c073_d0fe;
+
+    #[test]
+    fn trained_fasttext_hashes_to_the_golden_value_under_every_kernel_variant() {
+        let corpus = Corpus::from_kg(&emblookup_kg::generate(emblookup_kg::SynthKgConfig::small(1)).kg);
+        let ft = FastText::train(&corpus, FastTextConfig { dim: 64, epochs: 2, ..Default::default() });
+        let hash = ft.to_bytes().iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3));
+        assert_eq!(hash, TRAINED_FASTTEXT_FNV1A, "got {hash:#018x}");
+    }
+
     #[test]
     fn a_table_of_other_than_a_power_of_two_buckets_still_takes_the_modulo() {
         let config = FastTextConfig { buckets: 1000, ..small_config() };

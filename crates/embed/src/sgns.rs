@@ -5,22 +5,41 @@
 //! than the autograd tape: SGNS updates touch a handful of rows per pair,
 //! and the closed-form gradient is both faster and simpler.
 //!
-//! A pair's cost is its dot products — one serial `f32` add chain of `dim`
+//! A pair's row arithmetic — the mean of its feature rows, each output
+//! row's step, the input rows' update — runs through the dispatched
+//! kernels `emblookup_ann::kernels::{mean_rows, out_row_step,
+//! sub_scaled_rows}`, which are bit-exact against their scalar arms, so a
+//! trained table does not depend on `EMBLOOKUP_KERNEL`.
+//!
+//! What is left is the dot products — one serial `f32` add chain of `dim`
 //! links per output row, each waiting on the last add. When the pair's
 //! output rows are distinct no row is read after it is written, so
-//! [`SgnsModel::train_pair`] takes every dot before the first update,
-//! three rows' chains advancing together in one loop; each chain still
-//! adds in the order `iter().sum()` does, so the model is bit-identical
-//! to the one-row-at-a-time loop (the `#[cfg(test)]` oracle
+//! [`SgnsModel::train_pair`] takes every dot before the first update, the
+//! chains of up to six rows (the target and the default five negatives)
+//! advancing together in one pass; each chain still adds in the order
+//! `iter().sum()` does, so the model is bit-identical to the
+//! one-row-at-a-time loop (the `#[cfg(test)]` oracle
 //! `train_pair_reference`), which a repeated negative still takes.
 
+use emblookup_ann::kernels;
 use rand::rngs::StdRng;
 use rand::Rng;
 
 /// Unigram^0.75 negative-sampling distribution over output words.
+///
+/// A draw is `r` uniform in `[0, total)` and the word is the first `i` with
+/// `cdf[i] >= r`. That index is found from a guide table rather than by a
+/// binary search (the `#[cfg(test)]` oracle `sample_reference`): `r`'s
+/// bucket — `r` scaled onto `2 × vocabulary` buckets, a monotone map —
+/// names the first index whose own bucket is not below it, every index
+/// before that has `cdf < r`, and a short forward scan finds the answer.
 #[derive(Debug, Clone)]
 pub struct NegativeSampler {
     cdf: Vec<f64>,
+    /// `guide[b]`: the first `i` with `bucket(cdf[i]) >= b`.
+    guide: Vec<u32>,
+    /// Buckets per unit of `r`.
+    scale: f64,
 }
 
 impl NegativeSampler {
@@ -36,19 +55,38 @@ impl NegativeSampler {
             acc += (c.max(1) as f64).powf(0.75);
             cdf.push(acc);
         }
-        NegativeSampler { cdf }
+        let buckets = 2 * cdf.len();
+        let mut sampler = NegativeSampler { scale: buckets as f64 / acc, cdf, guide: Vec::with_capacity(buckets) };
+        // `bucket` is monotone and the cdf ascends, so the first index of
+        // each bucket only moves forward
+        let mut first = 0;
+        for b in 0..buckets {
+            while first + 1 < sampler.cdf.len() && sampler.bucket(sampler.cdf[first]) < b {
+                first += 1;
+            }
+            sampler.guide.push(first as u32);
+        }
+        sampler
+    }
+
+    /// The guide bucket of `r`: non-decreasing in `r`, at most the last.
+    #[inline]
+    fn bucket(&self, r: f64) -> usize {
+        ((r * self.scale) as usize).min(2 * self.cdf.len() - 1)
     }
 
     /// Samples one word id.
     pub fn sample(&self, rng: &mut StdRng) -> u32 {
         let Some(&total) = self.cdf.last() else { return 0 };
-        let r = rng.gen_range(0.0..total);
-        match self
-            .cdf
-            .binary_search_by(|x| x.total_cmp(&r))
-        {
-            Ok(i) | Err(i) => i.min(self.cdf.len() - 1) as u32,
-        }
+        self.pick(rng.gen_range(0.0..total))
+    }
+
+    /// The first `i` with `cdf[i] >= r`, or the last word if there is none.
+    #[inline]
+    fn pick(&self, r: f64) -> u32 {
+        let start = self.guide[self.bucket(r)] as usize;
+        let scanned = self.cdf[start..].iter().position(|&c| c >= r);
+        scanned.map_or(self.cdf.len() - 1, |at| start + at) as u32
     }
 }
 
@@ -79,8 +117,9 @@ struct PairScratch {
     dots: Vec<f32>,
 }
 
-/// Output rows whose dot chains advance together.
-const CHAINS: usize = 3;
+/// Output rows whose dot chains advance together: the target and the
+/// default five negatives.
+const CHAINS: usize = 6;
 
 impl SgnsModel {
     /// Allocates input/output matrices with the standard word2vec
@@ -121,29 +160,25 @@ impl SgnsModel {
     /// Mean of the input-feature vectors for `features`; the zero vector
     /// for an empty feature set.
     pub fn embed_features(&self, features: &[u32]) -> Vec<f32> {
-        let mut out = Vec::new();
-        mean_rows(&self.in_vecs, self.dim, features, &mut out);
+        let mut out = vec![0.0f32; self.dim];
+        kernels::mean_rows(&self.in_vecs, features, &mut out);
         out
     }
 
     /// One SGNS update: pushes the mean of `features` toward output word
-    /// `target` and away from `negatives`. Returns the pair's loss.
+    /// `target` and away from `negatives`. The pair's loss is not
+    /// computed: no caller reads it.
     ///
     /// # Panics
-    /// Panics (in debug) on out-of-range feature/word ids.
-    pub fn train_pair(
-        &mut self,
-        features: &[u32],
-        target: u32,
-        negatives: &[u32],
-        lr: f32,
-    ) -> f32 {
+    /// Panics on out-of-range feature/word ids.
+    pub fn train_pair(&mut self, features: &[u32], target: u32, negatives: &[u32], lr: f32) {
         if features.is_empty() {
-            return 0.0;
+            return;
         }
         let dim = self.dim;
         let PairScratch { hidden, hidden_grad, words, dots } = &mut self.scratch;
-        mean_rows(&self.in_vecs, dim, features, hidden);
+        hidden.resize(dim, 0.0);
+        kernels::mean_rows(&self.in_vecs, features, hidden);
         hidden_grad.clear();
         hidden_grad.resize(dim, 0.0);
         words.clear();
@@ -162,7 +197,6 @@ impl SgnsModel {
             }
         }
 
-        let mut loss = 0.0f32;
         for (i, &word) in words.iter().enumerate() {
             let label = if i == 0 { 1.0 } else { 0.0 };
             let out_row = &mut self.out_vecs[word as usize * dim..][..dim];
@@ -171,46 +205,13 @@ impl SgnsModel {
             } else {
                 out_row.iter().zip(hidden.iter()).map(|(&o, &h)| o * h).sum()
             };
-            let pred = sigmoid(dot);
-            let err = pred - label; // d loss / d dot
-            // `lr * err * h` is `(lr * err) * h`; zipped slices, not indices,
-            // so the loop has no bounds check and runs on vector lanes
-            let step = lr * err;
-            for ((g, o), &h) in hidden_grad.iter_mut().zip(out_row.iter_mut()).zip(hidden.iter()) {
-                *g += err * *o;
-                *o -= step * h;
-            }
-            loss += -(if label > 0.5 { pred } else { 1.0 - pred }).max(1e-7).ln();
+            let err = sigmoid(dot) - label; // d loss / d dot
+            // `lr * err * h` is `(lr * err) * h`
+            kernels::out_row_step(out_row, hidden, hidden_grad, err, lr * err);
         }
 
         // distribute the hidden gradient over the contributing features
-        let scale = lr / features.len() as f32;
-        for &f in features {
-            let row = &mut self.in_vecs[f as usize * dim..][..dim];
-            for (r, &g) in row.iter_mut().zip(hidden_grad.iter()) {
-                *r -= scale * g;
-            }
-        }
-        loss
-    }
-}
-
-/// Writes the mean of the rows `features` names into `out` (resized to
-/// `dim`); the zero vector for an empty feature set.
-fn mean_rows(in_vecs: &[f32], dim: usize, features: &[u32], out: &mut Vec<f32>) {
-    out.clear();
-    out.resize(dim, 0.0);
-    if features.is_empty() {
-        return;
-    }
-    for &f in features {
-        for (o, &x) in out.iter_mut().zip(&in_vecs[f as usize * dim..][..dim]) {
-            *o += x;
-        }
-    }
-    let inv = 1.0 / features.len() as f32;
-    for o in out.iter_mut() {
-        *o *= inv;
+        kernels::sub_scaled_rows(&mut self.in_vecs, features, lr / features.len() as f32, hidden_grad);
     }
 }
 
@@ -222,7 +223,7 @@ fn mean_rows(in_vecs: &[f32], dim: usize, features: &[u32], out: &mut Vec<f32>) 
 fn interleaved_dots(out_vecs: &[f32], dim: usize, rows: &[u32], hidden: &[f32]) -> [f32; CHAINS] {
     let neutral: f32 = std::iter::empty::<f32>().sum();
     let hidden = &hidden[..dim];
-    // a short last group scores its last row again; the caller drops it
+    // a short group scores its last row again; the caller drops it
     let row: [&[f32]; CHAINS] =
         std::array::from_fn(|c| &out_vecs[rows[c.min(rows.len() - 1)] as usize * dim..][..dim]);
     let mut acc = [neutral; CHAINS];
@@ -245,37 +246,44 @@ mod tests {
     use rand::SeedableRng;
 
     impl SgnsModel {
-        /// `train_pair` as it was before the dots-first path, kept as the
-        /// oracle: one output row at a time, its dot taken after every
+        /// `train_pair` as it was before the dots-first path and the row
+        /// kernels, kept as the oracle: the feature mean summed element by
+        /// element, one output row at a time, its dot taken after every
         /// earlier row's update, two fresh `Vec`s per pair.
-        fn train_pair_reference(&mut self, features: &[u32], target: u32, negatives: &[u32], lr: f32) -> f32 {
+        fn train_pair_reference(&mut self, features: &[u32], target: u32, negatives: &[u32], lr: f32) {
             if features.is_empty() {
-                return 0.0;
+                return;
             }
             let dim = self.dim;
-            let hidden = self.embed_features(features);
+            let mut hidden = vec![0.0f32; dim];
+            for &f in features {
+                for (h, &x) in hidden.iter_mut().zip(self.in_row(f)) {
+                    *h += x;
+                }
+            }
+            let inv = 1.0 / features.len() as f32;
+            for h in &mut hidden {
+                *h *= inv;
+            }
             let mut hidden_grad = vec![0.0f32; dim];
-            let mut loss = 0.0f32;
 
             let update_output = |this: &mut Self, word: u32, label: f32, hidden: &[f32], hidden_grad: &mut [f32]| {
                 let row_start = word as usize * dim;
                 let out_row = &mut this.out_vecs[row_start..row_start + dim];
                 let dot: f32 = out_row.iter().zip(hidden).map(|(&o, &h)| o * h).sum();
-                let pred = sigmoid(dot);
-                let err = pred - label;
+                let err = sigmoid(dot) - label;
                 for j in 0..dim {
                     hidden_grad[j] += err * out_row[j];
                     out_row[j] -= lr * err * hidden[j];
                 }
-                -(if label > 0.5 { pred } else { 1.0 - pred }).max(1e-7).ln()
             };
 
-            loss += update_output(self, target, 1.0, &hidden, &mut hidden_grad);
+            update_output(self, target, 1.0, &hidden, &mut hidden_grad);
             for &neg in negatives {
                 if neg == target {
                     continue;
                 }
-                loss += update_output(self, neg, 0.0, &hidden, &mut hidden_grad);
+                update_output(self, neg, 0.0, &hidden, &mut hidden_grad);
             }
             let scale = lr / features.len() as f32;
             for &f in features {
@@ -284,7 +292,6 @@ mod tests {
                     *r -= scale * g;
                 }
             }
-            loss
         }
     }
 
@@ -301,8 +308,9 @@ mod tests {
             }
             let mut slow = fast.clone();
             // hand-picked: a repeated negative, a negative equal to the
-            // target (alone, and leaving five distinct rows), one feature,
-            // no feature, no negative, one more row than a group of chains
+            // target (alone, and leaving five distinct rows), exactly one
+            // group of chains, one feature, no feature, no negative, a
+            // repeated feature, one more row than a group of chains
             let fixed: Vec<(Vec<u32>, u32, Vec<u32>)> = vec![
                 (vec![3, 4, 5], 2, vec![7, 1, 7, 0, 9]),
                 (vec![3, 4], 2, vec![2, 2, 2]),
@@ -311,6 +319,7 @@ mod tests {
                 (vec![], 5, vec![1, 2]),
                 (vec![1, 2], 5, vec![]),
                 (vec![1, 1, 2], 0, vec![1, 2, 3]),
+                (vec![5, 6], 3, vec![0, 1, 2, 4, 7, 8]),
             ];
             let seeded = (0..400).map(|_| {
                 let features = (0..rng.gen_range(1..12)).map(|_| rng.gen_range(0..40u32)).collect();
@@ -319,16 +328,66 @@ mod tests {
             });
             for (features, target, negatives) in fixed.into_iter().chain(seeded).collect::<Vec<_>>() {
                 let case = format!("dim {dim} features {features:?} target {target} negatives {negatives:?}");
-                let got = fast.train_pair(&features, target, &negatives, 0.05);
-                let want = slow.train_pair_reference(&features, target, &negatives, 0.05);
-                assert_eq!(got.to_bits(), want.to_bits(), "loss: {case}");
+                fast.train_pair(&features, target, &negatives, 0.05);
+                slow.train_pair_reference(&features, target, &negatives, 0.05);
                 assert_eq!(bits(&fast.out_vecs), bits(&slow.out_vecs), "output rows: {case}");
                 assert_eq!(bits(&fast.in_vecs), bits(&slow.in_vecs), "input rows: {case}");
             }
             // both paths ran, and an empty feature list is not a pair
             let (pairs, dots_first) = fast.pairs();
-            assert_eq!(pairs, 406, "dim {dim}");
+            assert_eq!(pairs, 407, "dim {dim}");
             assert!(dots_first > 100 && dots_first < pairs - 100, "dim {dim}: {dots_first} of {pairs}");
+        }
+    }
+
+    impl NegativeSampler {
+        /// The sampler as it was before the guide table, kept as the
+        /// oracle: the same draw, then a binary search over the cdf.
+        fn sample_reference(&self, rng: &mut StdRng) -> u32 {
+            let Some(&total) = self.cdf.last() else { return 0 };
+            self.pick_reference(rng.gen_range(0.0..total))
+        }
+
+        /// The binary search's index of `r`, clamped to the last word.
+        fn pick_reference(&self, r: f64) -> u32 {
+            match self.cdf.binary_search_by(|x| x.total_cmp(&r)) {
+                Ok(i) | Err(i) => i.min(self.cdf.len() - 1) as u32,
+            }
+        }
+    }
+
+    /// The largest `f64` below a positive `x`.
+    fn just_below(x: f64) -> f64 {
+        f64::from_bits(x.to_bits() - 1)
+    }
+
+    #[test]
+    fn the_guide_table_picks_what_the_binary_search_picks() {
+        // a corpus's skewed counts, one word, zero counts (which count as
+        // one), and one word at 10^6 beside 2 000 singletons
+        let mut rng = StdRng::seed_from_u64(17);
+        let skewed: Vec<u64> = (0..2176).map(|i| 1 + 5000 / (i + 1) + rng.gen_range(0..4u64)).collect();
+        let mut heavy = vec![1u64; 2001];
+        heavy[0] = 1_000_000;
+        for counts in [skewed, vec![5], vec![0, 0, 0], heavy, vec![1, 1_000_000, 0, 7]] {
+            let sampler = NegativeSampler::new(&counts);
+            assert_eq!(sampler.guide.len(), 2 * counts.len());
+            let what = format!("{} words", counts.len());
+            // every boundary: 0, each cdf value and the float just below
+            // it, and the float just below the total
+            let total = sampler.cdf[sampler.cdf.len() - 1];
+            let mut edges = vec![0.0, just_below(total), total];
+            for &c in &sampler.cdf {
+                edges.extend([c, just_below(c)]);
+            }
+            for r in edges {
+                assert_eq!(sampler.pick(r), sampler.pick_reference(r), "{what}: r = {r:e}");
+            }
+            // seeded draws, through `sample` itself, the RNG stream shared
+            let (mut fast, mut slow) = (StdRng::seed_from_u64(3), StdRng::seed_from_u64(3));
+            for draw in 0..100_000 {
+                assert_eq!(sampler.sample(&mut fast), sampler.sample_reference(&mut slow), "{what}: draw {draw}");
+            }
         }
     }
 
@@ -394,10 +453,10 @@ mod tests {
     fn empty_features_are_noop() {
         let mut rng = StdRng::seed_from_u64(4);
         let mut model = SgnsModel::new(2, 2, 4, &mut rng);
-        let before = model.in_vecs.clone();
-        let loss = model.train_pair(&[], 0, &[1], 0.1);
-        assert_eq!(loss, 0.0);
-        assert_eq!(model.in_vecs, before);
+        let (before_in, before_out) = (model.in_vecs.clone(), model.out_vecs.clone());
+        model.train_pair(&[], 0, &[1], 0.1);
+        assert_eq!(model.in_vecs, before_in);
+        assert_eq!(model.out_vecs, before_out);
         assert!(model.embed_features(&[]).iter().all(|&x| x == 0.0));
     }
 

@@ -3,8 +3,11 @@
 //!
 //! The loops are arranged as shifted slice operations (`out[t] += w *
 //! x[t + k - pad]` over a precomputed valid range) so the inner loop is a
-//! branch-free fused multiply-add the compiler can vectorize — this is the
-//! hottest code in EmbLookup training.
+//! branch-free multiply, then add, that the compiler can vectorize — this
+//! is the hottest code in EmbLookup training. It is never a fused
+//! multiply-add: Rust does not contract `a * b + c`, and the bit-exact
+//! contract between the kernel variants rests on each product being
+//! rounded before its add.
 
 use crate::tensor::Tensor;
 

@@ -12,6 +12,7 @@
 
 use crate::conv::{conv1d_backward_masked, conv1d_forward};
 use crate::tensor::Tensor;
+use std::borrow::Cow;
 
 /// Handle to a node on a [`Graph`] tape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -102,6 +103,24 @@ struct Node {
     /// it, and whole gradient branches that reach only constants are
     /// skipped (see [`Graph::constant`]).
     no_grad: bool,
+}
+
+/// `v`'s value transposed. A leaf's transpose is kept in `cache` for the
+/// rest of the backward pass — nothing writes a value during it, so the
+/// reused tensor is the one a fresh transpose would give; any other node's
+/// is computed where it is needed.
+fn transposed<'c>(nodes: &[Node], cache: &'c mut Vec<(Var, Tensor)>, v: Var) -> Cow<'c, Tensor> {
+    if !matches!(nodes[v.0].op, Op::Leaf) {
+        return Cow::Owned(nodes[v.0].value.transpose());
+    }
+    let at = match cache.iter().position(|(leaf, _)| *leaf == v) {
+        Some(at) => at,
+        None => {
+            cache.push((v, nodes[v.0].value.transpose()));
+            cache.len() - 1
+        }
+    };
+    Cow::Borrowed(&cache[at].1)
 }
 
 /// Visits every parent [`Var`] an op reads, in recorded order.
@@ -596,6 +615,9 @@ impl Graph {
             self.needs[i] = needed;
         }
         self.nodes[root.0].grad = Some(Tensor::full(self.nodes[root.0].value.shape(), 1.0));
+        // a weight is one leaf however many products read it: its transpose
+        // is taken on the first backward product and reused by the rest
+        let mut leaf_transposes: Vec<(Var, Tensor)> = Vec::new();
 
         for i in (0..self.nodes.len()).rev() {
             let Some(gy) = self.nodes[i].grad.clone() else {
@@ -646,13 +668,11 @@ impl Graph {
                 }
                 Op::Matmul(a, b) => {
                     if self.needs[a.0] {
-                        let bt = self.nodes[b.0].value.transpose();
-                        let ga = gy.matmul(&bt);
+                        let ga = gy.matmul(&transposed(&self.nodes, &mut leaf_transposes, b));
                         self.accum(a, &ga);
                     }
                     if self.needs[b.0] {
-                        let at = self.nodes[a.0].value.transpose();
-                        let gb = at.matmul(&gy);
+                        let gb = transposed(&self.nodes, &mut leaf_transposes, a).matmul(&gy);
                         self.accum(b, &gb);
                     }
                 }
@@ -971,6 +991,44 @@ mod tests {
             let y = g.matmul(a, x);
             g.sum_all(y)
         }, 4, 1e-2);
+    }
+
+    #[test]
+    fn a_weight_read_by_many_products_gets_the_per_product_gradients_bit_for_bit() {
+        // the trainer's shape: one weight leaf, a row vector per mention,
+        // and the weight also on the left of one product; every gradient
+        // must be what a fresh transpose per product gives
+        let mut rng = StdRng::seed_from_u64(12);
+        let w0 = Tensor::uniform(&[9, 5], -1.0, 1.0, &mut rng);
+        let xs: Vec<Tensor> = (0..4).map(|_| Tensor::uniform(&[1, 9], -1.0, 1.0, &mut rng)).collect();
+        let r0 = Tensor::uniform(&[5, 9], -1.0, 1.0, &mut rng);
+        let mut g = Graph::new();
+        let w = g.leaf(w0.clone());
+        let x: Vec<Var> = xs.iter().map(|t| g.leaf(t.clone())).collect();
+        let r = g.leaf(r0.clone());
+        let mut total = None;
+        for &xi in &x {
+            let y = g.matmul(xi, w);
+            let sq = g.mul(y, y);
+            let l = g.sum_all(sq);
+            total = Some(total.map_or(l, |acc| g.add(acc, l)));
+        }
+        let rw = g.matmul(r, w);
+        let l = g.sum_all(rw);
+        let root = g.add(total.expect("four mentions"), l);
+        g.backward(root);
+
+        // by hand, in the sweep's order: `r · w` was recorded last
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let ones = Tensor::full(&[5, 5], 1.0);
+        let mut gw = r0.transpose().matmul(&ones);
+        for (xi, &at) in xs.iter().zip(&x).rev() {
+            let gy = xi.matmul(&w0).map(|v| v + v);
+            assert_eq!(bits(g.grad(at).expect("x grad")), bits(&gy.matmul(&w0.transpose())));
+            gw.axpy(1.0, &xi.transpose().matmul(&gy));
+        }
+        assert_eq!(bits(g.grad(w).expect("w grad")), bits(&gw));
+        assert_eq!(bits(g.grad(r).expect("r grad")), bits(&ones.matmul(&w0.transpose())));
     }
 
     #[test]

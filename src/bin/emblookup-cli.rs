@@ -10,9 +10,10 @@
 //! emblookup-cli trace    --addr 127.0.0.1:7878 [--id <hex>] [--chrome]
 //! ```
 //!
-//! `train` prints one line per epoch (phase, active triplets, mean loss)
-//! and then the metrics registry's table: the wall-time of every training
-//! and index-build stage.
+//! `train` prints one line per epoch (phase, active triplets, mean loss),
+//! one line of fastText's skip-gram pairs and how many of them took every
+//! dot before the first update, and then the metrics registry's table: the
+//! wall-time of every training and index-build stage.
 //!
 //! `trace` talks to the serve layer's flight recorder (DESIGN.md §9):
 //! without flags it lists retained + recent traces, `--id` pretty-prints
@@ -147,6 +148,8 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
         );
     }
     println!("final loss {:.4}", service.report().final_loss());
+    let (pairs, dots_first) = service.model().semantic().pair_counts();
+    println!("fasttext: {pairs} pairs, {dots_first} dots-first");
     println!("{}", emblookup::obs::global().snapshot().render_table());
     std::fs::write(&out, service.model().to_bytes()).map_err(|e| e.to_string())?;
     println!("wrote {out}");

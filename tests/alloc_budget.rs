@@ -4,7 +4,8 @@
 //! `to_string`, `Box::new`; a `Tensor` per layer or a `String` per n-gram
 //! is invisible to it. This test wraps the global allocator and counts
 //! what one call really does, and is the query path's only allocation
-//! check. Every bound below is a
+//! check — and, beside it, the SGNS pair step's, the training loop every
+//! set-up runs millions of times. Every bound below is a
 //! ratchet: it states today's figure and may only be lowered.
 //!
 //! One `#[test]` only: the counter is process-wide, so that the pool's
@@ -12,6 +13,7 @@
 //! would be counted with them.
 
 use emblookup::core::{EmbLookupModel, EmbedScratch};
+use emblookup::embed::sgns::SgnsModel;
 use emblookup::embed::{Corpus, FastText, FastTextConfig};
 use emblookup::obs::sync::RelaxedU64;
 use emblookup::prelude::*;
@@ -92,6 +94,20 @@ fn query_path_stays_inside_its_allocation_budget() {
         });
         assert_eq!(warm, 0, "FastText::embed_into on {tokens} tokens allocated {warm} times over {} strings", strings.len());
     }
+
+    // SGNS's pair step works in the model's own scratch: warm after one
+    // pair with the most output rows, neither the dots-first path (distinct
+    // rows) nor the row-at-a-time one (a repeated negative) allocates.
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut sgns = SgnsModel::new(1 << 12, 600, config.fasttext_dim, &mut rng);
+    sgns.train_pair(&[1, 2, 3], 0, &[10, 11, 12, 13, 14], 0.05);
+    let warm = allocations(|| {
+        for i in 0..1000u32 {
+            let negatives = [i % 600, (7 * i) % 600, (i + 1) % 600, (i * i) % 600, (3 * i) % 5];
+            sgns.train_pair(&[i % 4096, (i * 31) % 4096, 17], (i * 13) % 600, &negatives, 0.05);
+        }
+    });
+    assert_eq!(warm, 0, "SgnsModel::train_pair allocated {warm} times over 1000 warm pairs");
 
     let model = Arc::new(EmbLookupModel::new(fasttext, config));
 
