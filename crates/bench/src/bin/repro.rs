@@ -6,7 +6,8 @@
 //! cargo run --release -p emblookup-bench --bin repro -- table5 fig4
 //! ```
 //!
-//! Experiment names: `table1` … `table8`, `fig3`, `fig4`, `fig5`, `sizes`.
+//! Experiment names: `table1` … `table8`, `ablation`, `fig3`, `fig4`,
+//! `fig5`, `sizes`. Any other name exits with code 2 and lists them.
 //!
 //! Every run ends with the observability snapshot: a per-stage lookup
 //! self-time table built from span trees, a per-stage metrics table
@@ -17,8 +18,9 @@
 
 use emblookup_bench::experiments as exp;
 use emblookup_bench::harness::{Env, Scale};
+use emblookup_bench::report::Report;
 use emblookup_kg::KgFlavor;
-use emblookup_obs::{names, trace_id_from_index, Trace, TraceClock};
+use std::cell::OnceCell;
 use std::time::Instant;
 
 /// Queries used to populate the `lookup.latency.{el,el_nc}` histograms so
@@ -27,13 +29,8 @@ use std::time::Instant;
 const LATENCY_PROBE_QUERIES: usize = 100;
 
 fn probe_lookup_latency(env: &Env) {
-    let labels: Vec<&str> = env
-        .synth
-        .kg
-        .entities()
-        .take(LATENCY_PROBE_QUERIES)
-        .map(|e| e.label.as_str())
-        .collect();
+    let labels: Vec<&str> =
+        env.synth.kg.entities().take(LATENCY_PROBE_QUERIES).map(|e| e.label.as_str()).collect();
     for service in [&env.el, &env.el_nc] {
         for q in labels.iter().cycle().take(LATENCY_PROBE_QUERIES) {
             let _ = service.lookup_with_distances(q, 10);
@@ -41,164 +38,94 @@ fn probe_lookup_latency(env: &Env) {
     }
 }
 
-/// Per-stage self-time table derived from span trees: every probe query
-/// runs through the traced lookup path under its own trace, and each
-/// span's *self* time (duration minus direct children) is aggregated by
-/// span name. Unlike the stage histograms, which time stages in
-/// isolation, this attributes every nanosecond of the request wall time
-/// to exactly one stage — the rows sum to the root duration.
-fn stage_self_time_report(env: &Env) -> String {
-    let labels: Vec<&str> = env
-        .synth
-        .kg
-        .entities()
-        .take(LATENCY_PROBE_QUERIES)
-        .map(|e| e.label.as_str())
-        .collect();
-    // (span name, total self ns, span count) in first-seen order, which
-    // the span-id ordering of the snapshot makes the pipeline order.
-    let mut agg: Vec<(&'static str, u64, u64)> = Vec::new();
-    let mut total_ns: u64 = 0;
-    for (i, q) in labels.iter().cycle().take(LATENCY_PROBE_QUERIES).enumerate() {
-        let trace = Trace::start(trace_id_from_index(i as u64), TraceClock::real());
-        let root = trace.root(names::SPAN_LOOKUP_REQUEST);
-        let _ = env.el.lookup_with_distances_traced(q, 10, &root);
-        root.finish();
-        let data = trace.snapshot();
-        total_ns += data.duration_ns();
-        for (span, self_ns) in data.spans.iter().zip(data.self_times_ns()) {
-            match agg.iter_mut().find(|(n, _, _)| *n == span.name) {
-                Some(row) => {
-                    row.1 += self_ns;
-                    row.2 += 1;
-                }
-                None => agg.push((span.name, self_ns, 1)),
-            }
-        }
-    }
-    let fmt_ns = |ns: u64| {
-        if ns >= 1_000_000_000 {
-            format!("{:.2}s", ns as f64 / 1e9)
-        } else if ns >= 1_000_000 {
-            format!("{:.2}ms", ns as f64 / 1e6)
-        } else if ns >= 1_000 {
-            format!("{:.2}us", ns as f64 / 1e3)
-        } else {
-            format!("{ns}ns")
-        }
-    };
-    let mut rows: Vec<[String; 5]> = vec![[
-        "span".into(),
-        "spans".into(),
-        "total self".into(),
-        "mean self".into(),
-        "share".into(),
-    ]];
-    for &(name, self_ns, count) in &agg {
-        let share = if total_ns > 0 { 100.0 * self_ns as f64 / total_ns as f64 } else { 0.0 };
-        rows.push([
-            name.to_string(),
-            count.to_string(),
-            fmt_ns(self_ns),
-            fmt_ns(self_ns / count.max(1)),
-            format!("{share:.1}%"),
-        ]);
-    }
-    let widths: Vec<usize> =
-        (0..5).map(|c| rows.iter().map(|r| r[c].len()).max().unwrap_or(0)).collect();
-    let mut out = String::from("## Lookup stage self-times (from span trees)\n\n");
-    out.push_str(&format!(
-        "{} traced queries against {}; self time = span duration minus direct children.\n\n",
-        LATENCY_PROBE_QUERIES,
-        env.el.index().backend_name(),
-    ));
-    for (i, r) in rows.iter().enumerate() {
-        let line: Vec<String> =
-            r.iter().enumerate().map(|(c, cell)| format!("{cell:<w$}", w = widths[c])).collect();
-        out.push_str(line.join("  ").trim_end());
-        out.push('\n');
-        if i == 0 {
-            let dashes: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
-            out.push_str(&dashes.join("  "));
-            out.push('\n');
-        }
-    }
-    out
+/// The two evaluation environments, each built when an experiment first
+/// asks for it.
+struct Envs {
+    scale: Scale,
+    wd: OnceCell<Env>,
+    db: OnceCell<Env>,
 }
+
+impl Envs {
+    fn build(&self, flavor: KgFlavor) -> Env {
+        let start = Instant::now();
+        let env = Env::build(flavor, self.scale);
+        eprintln!("[setup] {flavor:?} environment built in {:.1?}", start.elapsed());
+        env
+    }
+
+    /// ST-Wikidata; its first use also runs the latency probe.
+    fn wd(&self) -> &Env {
+        self.wd.get_or_init(|| {
+            let env = self.build(KgFlavor::Wikidata);
+            probe_lookup_latency(&env);
+            env
+        })
+    }
+
+    fn db(&self) -> &Env {
+        self.db.get_or_init(|| self.build(KgFlavor::DbPedia))
+    }
+}
+
+/// Builds one experiment's report, asking `Envs` for what it needs.
+type Experiment = fn(&Envs) -> Report;
+
+/// Every experiment by name, in report order.
+const EXPERIMENTS: [(&str, Experiment); 13] = [
+    ("table1", |e| exp::table1(e.scale)),
+    ("table2", |e| exp::speedups(e.wd())),
+    ("table3", |e| exp::speedups(e.db())),
+    ("table4", |e| exp::table4(e.wd(), e.db(), e.scale)),
+    ("table6", |e| exp::table6(e.wd(), e.db(), e.scale)),
+    ("table5", |e| exp::table5(e.wd(), e.scale)),
+    ("table7", |e| exp::table7(e.wd())),
+    ("table8", |e| exp::table8(e.scale)),
+    ("ablation", |e| exp::ablation(e.scale)),
+    ("fig3", |e| exp::fig3(e.scale)),
+    ("fig4", |e| exp::fig4(e.wd())),
+    ("fig5", |e| exp::fig5(e.wd())),
+    ("sizes", |e| exp::index_sizes(e.wd())),
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = if args.iter().any(|a| a == "--smoke") {
-        Scale::Smoke
-    } else {
-        Scale::Full
-    };
-    let selected: Vec<&str> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .collect();
-    let want = |name: &str| selected.is_empty() || selected.contains(&name);
+    let scale = if args.iter().any(|a| a == "--smoke") { Scale::Smoke } else { Scale::Full };
+    let selected: Vec<&str> =
+        args.iter().filter(|a| !a.starts_with("--")).map(String::as_str).collect();
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|&(name, _)| name).collect();
+    if let Some(unknown) = selected.iter().find(|s| !names.contains(s)) {
+        eprintln!(
+            "repro: unknown experiment `{unknown}`; valid names: {}",
+            names.join(", ")
+        );
+        std::process::exit(2);
+    }
 
     println!(
         "# EmbLookup reproduction report ({})\n",
-        if scale == Scale::Smoke { "smoke scale" } else { "full scale" }
+        if scale == Scale::Smoke {
+            "smoke scale"
+        } else {
+            "full scale"
+        }
     );
-
-    let needs_wd = ["table2", "table4", "table5", "table6", "table7", "fig4", "fig5", "sizes"]
-        .iter()
-        .any(|e| want(e));
-    let needs_db = ["table3", "table4", "table6"].iter().any(|e| want(e));
-
     let t0 = Instant::now();
-    let env_wd = needs_wd.then(|| {
-        eprintln!("[setup] building ST-Wikidata environment…");
-        Env::build(KgFlavor::Wikidata, scale)
-    });
-    let env_db = needs_db.then(|| {
-        eprintln!("[setup] building ST-DBPedia environment…");
-        Env::build(KgFlavor::DbPedia, scale)
-    });
-    eprintln!("[setup] done in {:.1?}", t0.elapsed());
-    if let Some(env) = &env_wd {
-        probe_lookup_latency(env);
-    }
-
-    let run = |name: &str, f: &mut dyn FnMut() -> String| {
-        if !want(name) {
-            return;
+    let envs = Envs {
+        scale,
+        wd: OnceCell::new(),
+        db: OnceCell::new(),
+    };
+    for (name, run) in EXPERIMENTS {
+        if !selected.is_empty() && !selected.contains(&name) {
+            continue;
         }
         let start = Instant::now();
-        let report = f();
-        println!("{report}");
+        println!("{}", run(&envs));
         eprintln!("[{name}] finished in {:.1?}", start.elapsed());
-    };
-
-    run("table1", &mut || exp::table1(scale));
-    if let Some(env) = &env_wd {
-        run("table2", &mut || exp::table2(env));
     }
-    if let Some(env) = &env_db {
-        run("table3", &mut || exp::table3(env));
-    }
-    if let (Some(wd), Some(db)) = (&env_wd, &env_db) {
-        run("table4", &mut || exp::table4(wd, db, scale));
-        run("table6", &mut || exp::table6(wd, db, scale));
-    }
-    if let Some(env) = &env_wd {
-        run("table5", &mut || exp::table5(env, scale));
-        run("table7", &mut || exp::table7(env));
-    }
-    run("table8", &mut || exp::table8(scale));
-    run("ablation", &mut || exp::ablation(scale));
-    run("fig3", &mut || exp::fig3(scale));
-    if let Some(env) = &env_wd {
-        run("fig4", &mut || exp::fig4(env));
-        run("fig5", &mut || exp::fig5(env));
-        run("sizes", &mut || exp::index_sizes(env));
-    }
-    if let Some(env) = &env_wd {
-        println!("{}", stage_self_time_report(env));
+    if let Some(env) = envs.wd.get() {
+        println!("{}", exp::stage_self_times(env, LATENCY_PROBE_QUERIES));
     }
     let snap = emblookup_obs::global().snapshot();
     println!("## Pipeline metrics\n");

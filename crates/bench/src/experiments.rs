@@ -1,11 +1,14 @@
 //! Reproductions of every table and figure of the paper's evaluation.
 //!
-//! Each function builds its workload, runs the measurement and returns a
-//! markdown-formatted report fragment. `src/bin/repro.rs` stitches them
-//! together. Substitutions relative to the paper's setup are documented in
+//! Each function builds its workload, runs the measurement and returns
+//! the numbers as a [`Report`]: `src/bin/repro.rs` prints them as
+//! markdown, and `tests/repro_harness.rs` asserts the paper's shape on
+//! them. Substitutions relative to the paper's setup are documented in
 //! DESIGN.md §2; the per-experiment mapping lives in DESIGN.md §4.
 
 use crate::harness::{hit_rate_at_k, speedup, Env, Scale, MASTER_SEED};
+use crate::report::Cell::{self, Label, Num, Speedup};
+use crate::report::Report;
 use emblookup_baselines::{
     ElasticLikeService, ElasticOp, ElasticOpService, ExactMatchService, FuzzyWuzzyService,
     LevenshteinService, LshService, MetaSearchService, QGramService, RemoteCostModel,
@@ -16,15 +19,14 @@ use emblookup_embed::{
     BertMini, BertMiniConfig, Corpus, FastText, FastTextConfig, LstmEncoder,
     LstmEncoderConfig, Word2Vec, Word2VecConfig,
 };
-use emblookup_kg::{generate, KgFlavor, KnowledgeGraph, LookupService, SynthKg};
-use emblookup_obs::fmt_duration;
+use emblookup_kg::{generate, EntityId, KgFlavor, KnowledgeGraph, LookupService, SynthKg};
+use emblookup_obs::{fmt_duration, fmt_nanos, names, trace_id_from_index, Trace, TraceClock};
 use emblookup_semtab::{
-    generate_dataset, run_cea, run_cta, run_data_repair, run_entity_disambiguation,
-    with_alias_substitution, with_missing, with_noise, BbwSystem, Dataset,
+    generate_dataset, run_cea_cta, run_data_repair, run_entity_disambiguation,
+    with_alias_substitution, with_missing, with_noise, AnnotationSystem, BbwSystem, Dataset,
     DatasetConfig, DoSerSystem, JenTabSystem, KataraSystem, MantisTableSystem, PrF, TaskReport,
 };
 use emblookup_ann::lsh::LshConfig;
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 /// Virtual data-parallel lanes standing in for the paper's V100 GPU
@@ -39,184 +41,147 @@ pub fn gpu_time(cpu: Duration) -> Duration {
     cpu / GPU_LANES
 }
 
-/// The lookup service each reimplemented system originally used
-/// (see DESIGN.md: bbw→SearX meta-search, MantisTable→ElasticSearch server,
-/// JenTab→Wikidata API, DoSeR→local fuzzy index, Katara→edit-distance scan).
-pub fn original_service(system: &str, kg: &KnowledgeGraph) -> Box<dyn LookupService> {
-    match system {
-        "bbw" => Box::new(RemoteService::new(
-            MetaSearchService::new(kg),
-            RemoteCostModel::searx(),
-            "SearX API",
-        )),
-        "MantisTable" => Box::new(RemoteService::new(
-            ElasticLikeService::new(kg, false),
-            // loopback server overhead of a real ElasticSearch instance
-            RemoteCostModel {
-                rtt: Duration::from_micros(500),
-                server_time: Duration::from_micros(300),
-                max_concurrency: 16,
-            },
-            "ElasticSearch",
-        )),
-        "JenTab" => Box::new(RemoteService::new(
-            ExactMatchService::new(kg, true),
-            RemoteCostModel::wikidata(),
-            "Wikidata API",
-        )),
-        "DoSeR" => Box::new(QGramService::new(kg, false, 3)),
-        "Katara" => Box::new(LevenshteinService::new(kg, false, 3)),
-        #[expect(clippy::panic, reason = "dispatch over the const SYSTEMS table in this file; an unknown name is a programming error")]
-        other => panic!("unknown system {other}"),
-    }
+/// The five systems whose lookup component the paper accelerates.
+#[derive(Debug, Clone, Copy)]
+enum System {
+    Bbw,
+    MantisTable,
+    JenTab,
+    DoSeR,
+    Katara,
 }
 
-/// One row of the Table II/III layout.
-struct SpeedupRow {
-    task: &'static str,
-    system: &'static str,
-    cpu_el: f64,
-    cpu_elnc: f64,
-    gpu_el: f64,
-    gpu_elnc: f64,
-    f_orig: f64,
-    f_el: f64,
-    f_elnc: f64,
-}
+/// Row order of the per-(task, system) tables: by task, then by system.
+const TASKS: [&str; 4] = ["CEA", "CTA", "EA", "DR"];
 
-/// Runs one (task, system) cell: original service vs EL vs EL-NC.
-fn run_speedup_row(
-    env: &Env,
-    task: &'static str,
-    system_name: &'static str,
-) -> SpeedupRow {
-    let kg = &env.synth.kg;
-    let ds = &env.dataset;
-    let original = original_service(system_name, kg);
-    let k = emblookup_semtab::DEFAULT_K;
+impl System {
+    const ALL: [System; 5] =
+        [System::Bbw, System::MantisTable, System::JenTab, System::DoSeR, System::Katara];
 
-    let run = |service: &dyn LookupService| -> TaskReport {
-        match (task, system_name) {
-            ("CEA", "bbw") => run_cea(kg, ds, &BbwSystem, service, k),
-            ("CEA", "MantisTable") => run_cea(kg, ds, &MantisTableSystem, service, k),
-            ("CEA", "JenTab") => run_cea(kg, ds, &JenTabSystem::default(), service, k),
-            ("CTA", "bbw") => run_cta(kg, ds, &BbwSystem, service, k),
-            ("CTA", "MantisTable") => run_cta(kg, ds, &MantisTableSystem, service, k),
-            ("CTA", "JenTab") => run_cta(kg, ds, &JenTabSystem::default(), service, k),
-            ("EA", "DoSeR") => {
-                run_entity_disambiguation(kg, ds, &DoSerSystem::default(), service, k)
-            }
-            ("DR", "Katara") => {
-                let broken = with_missing(ds, 0.10, MASTER_SEED + 9);
-                run_data_repair(kg, &broken, &KataraSystem, service, k)
-            }
-            #[expect(clippy::panic, reason = "dispatch over the const table rows declared above; an unknown cell is a programming error")]
-            other => panic!("unknown cell {other:?}"),
+    fn name(self) -> &'static str {
+        match self {
+            System::Bbw => "bbw",
+            System::MantisTable => "MantisTable",
+            System::JenTab => "JenTab",
+            System::DoSeR => "DoSeR",
+            System::Katara => "Katara",
         }
-    };
+    }
 
-    let orig = run(original.as_ref());
-    let el = run(&env.el);
-    let elnc = run(&env.el_nc);
-    SpeedupRow {
-        task,
-        system: system_name,
-        cpu_el: speedup(orig.lookup_time, el.lookup_time),
-        cpu_elnc: speedup(orig.lookup_time, elnc.lookup_time),
-        gpu_el: speedup(orig.lookup_time, gpu_time(el.lookup_time)),
-        gpu_elnc: speedup(orig.lookup_time, gpu_time(elnc.lookup_time)),
-        f_orig: orig.f1(),
-        f_el: el.f1(),
-        f_elnc: elnc.f1(),
+    /// The lookup service the system originally used (see DESIGN.md:
+    /// bbw→SearX meta-search, MantisTable→ElasticSearch server,
+    /// JenTab→Wikidata API, DoSeR→local fuzzy index, Katara→edit-distance
+    /// scan).
+    fn original_service(self, kg: &KnowledgeGraph) -> Box<dyn LookupService> {
+        match self {
+            System::Bbw => Box::new(RemoteService::new(
+                MetaSearchService::new(kg),
+                RemoteCostModel::searx(),
+                "SearX API",
+            )),
+            System::MantisTable => Box::new(RemoteService::new(
+                ElasticLikeService::new(kg, false),
+                // loopback server overhead of a real ElasticSearch instance
+                RemoteCostModel {
+                    rtt: Duration::from_micros(500),
+                    server_time: Duration::from_micros(300),
+                    max_concurrency: 16,
+                },
+                "ElasticSearch",
+            )),
+            System::JenTab => Box::new(RemoteService::new(
+                ExactMatchService::new(kg, true),
+                RemoteCostModel::wikidata(),
+                "Wikidata API",
+            )),
+            System::DoSeR => Box::new(QGramService::new(kg, false, 3)),
+            System::Katara => Box::new(LevenshteinService::new(kg, false, 3)),
+        }
+    }
+
+    /// Runs the system with `service` over `w`: one report per task it is
+    /// scored on, in [`TASKS`] order. bbw, MantisTable and JenTab score
+    /// CEA and CTA off one annotation pass, so both share its lookup time.
+    fn run(self, w: &Workload, service: &dyn LookupService) -> Vec<(&'static str, TaskReport)> {
+        let k = emblookup_semtab::DEFAULT_K;
+        let sta = |system: &dyn AnnotationSystem| {
+            let (cea, cta) = run_cea_cta(w.kg, w.ds, system, service, k);
+            vec![("CEA", cea), ("CTA", cta)]
+        };
+        match self {
+            System::Bbw => sta(&BbwSystem),
+            System::MantisTable => sta(&MantisTableSystem),
+            System::JenTab => sta(&JenTabSystem::default()),
+            System::DoSeR => {
+                let ea = run_entity_disambiguation(w.kg, w.ds, &DoSerSystem::default(), service, k);
+                vec![("EA", ea)]
+            }
+            System::Katara => {
+                vec![("DR", run_data_repair(w.kg, &w.broken, &KataraSystem, service, k))]
+            }
+        }
     }
 }
 
-const SPEEDUP_CELLS: [(&str, &str); 8] = [
-    ("CEA", "bbw"),
-    ("CEA", "MantisTable"),
-    ("CEA", "JenTab"),
-    ("CTA", "bbw"),
-    ("CTA", "MantisTable"),
-    ("CTA", "JenTab"),
-    ("EA", "DoSeR"),
-    ("DR", "Katara"),
-];
-
-fn speedup_table(env: &Env, caption: &str) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "### {caption}\n");
-    let _ = writeln!(
-        out,
-        "| Task | System | Original | Speedup CPU (EL) | Speedup CPU (EL-NC) | Speedup GPU* (EL) | Speedup GPU* (EL-NC) | F orig | F EL | F EL-NC |"
-    );
-    let _ = writeln!(out, "|---|---|---|---|---|---|---|---|---|---|");
-    for (task, system) in SPEEDUP_CELLS {
-        let orig_name = original_service(system, &env.synth.kg).name().to_string();
-        let r = run_speedup_row(env, task, system);
-        let _ = writeln!(
-            out,
-            "| {} | {} | {} | {:.0}x | {:.0}x | {:.0}x | {:.0}x | {:.2} | {:.2} | {:.2} |",
-            r.task, r.system, orig_name, r.cpu_el, r.cpu_elnc, r.gpu_el, r.gpu_elnc,
-            r.f_orig, r.f_el, r.f_elnc
-        );
-    }
-    let _ = writeln!(
-        out,
-        "\n*GPU columns use the {GPU_LANES}-lane virtual data-parallel cost model (DESIGN.md §2)."
-    );
-    out
+/// A dataset as the systems consume it: its tables, and the copy with
+/// 10 % of cells blanked that data repair imputes, built once for every
+/// system and service that runs on it.
+struct Workload<'a> {
+    kg: &'a KnowledgeGraph,
+    ds: &'a Dataset,
+    broken: Dataset,
 }
 
-// ------------------------------------------------------------------
-// Table I — dataset statistics
-// ------------------------------------------------------------------
+impl<'a> Workload<'a> {
+    fn new(kg: &'a KnowledgeGraph, ds: &'a Dataset) -> Self {
+        Workload { kg, ds, broken: with_missing(ds, 0.10, MASTER_SEED + 9) }
+    }
+}
+
+/// The rows of a per-(task, system) table, each tagged with its task, in
+/// the paper's order: by task ([`TASKS`]), then by system.
+fn in_task_order(mut rows: Vec<(&str, Vec<Cell>)>) -> Vec<Vec<Cell>> {
+    rows.sort_by_key(|(task, _)| TASKS.iter().position(|t| t == task));
+    rows.into_iter().map(|(_, cells)| cells).collect()
+}
+
+// ---- Table I — dataset statistics ----
 
 /// Table I: statistics of the three tabular benchmark datasets.
-pub fn table1(scale: Scale) -> String {
-    let mut out = String::from("## Table I — dataset statistics\n\n");
+pub fn table1(scale: Scale) -> Report {
     let wd = generate(scale.kg_config(KgFlavor::Wikidata));
     let db = generate(scale.kg_config(KgFlavor::DbPedia));
     let datasets = [
-        (
-            generate_dataset(&wd, &scale.dataset_config(DatasetConfig::st_wikidata(MASTER_SEED + 1))),
-            &wd,
-        ),
-        (
-            generate_dataset(&db, &scale.dataset_config(DatasetConfig::st_dbpedia(MASTER_SEED + 2))),
-            &db,
-        ),
-        (
-            tough_tables(&wd, scale),
-            &wd,
-        ),
+        generate_dataset(&wd, &scale.dataset_config(DatasetConfig::st_wikidata(MASTER_SEED + 1))),
+        generate_dataset(&db, &scale.dataset_config(DatasetConfig::st_dbpedia(MASTER_SEED + 2))),
+        tough_tables(&wd, scale),
     ];
-    let _ = writeln!(out, "| | {} | {} | {} |", datasets[0].0.name, datasets[1].0.name, datasets[2].0.name);
-    let _ = writeln!(out, "|---|---|---|---|");
-    let row = |label: &str, f: &dyn Fn(&Dataset) -> String| {
-        format!(
-            "| {label} | {} | {} | {} |",
-            f(&datasets[0].0),
-            f(&datasets[1].0),
-            f(&datasets[2].0)
-        )
+    let mut columns = vec![""];
+    columns.extend(datasets.iter().map(|d| d.name.as_str()));
+    let mut report = Report::new("Table I — dataset statistics", &columns);
+    let row = |label: &str, stat: &dyn Fn(&Dataset) -> Cell| {
+        let mut cells = vec![Label(label.into())];
+        cells.extend(datasets.iter().map(stat));
+        cells
     };
-    let _ = writeln!(out, "{}", row("#Tables", &|d| d.tables.len().to_string()));
-    let _ = writeln!(out, "{}", row("Avg #Rows", &|d| format!("{:.1}", d.avg_rows())));
-    let _ = writeln!(out, "{}", row("Avg #Cols", &|d| format!("{:.1}", d.avg_cols())));
-    let _ = writeln!(out, "{}", row("#Cells to annotate", &|d| d.num_entity_cells().to_string()));
-    let _ = writeln!(
-        out,
-        "\nKG sizes: ST-Wikidata graph {} entities / {} facts, ST-DBPedia graph {} entities / {} facts.",
+    report.rows = vec![
+        row("#Tables", &|d| Num(d.tables.len() as f64, 0)),
+        row("Avg #Rows", &|d| Num(d.avg_rows(), 1)),
+        row("Avg #Cols", &|d| Num(d.avg_cols(), 1)),
+        row("#Cells to annotate", &|d| Num(d.num_entity_cells() as f64, 0)),
+    ];
+    report.notes.push(format!(
+        "KG sizes: ST-Wikidata graph {} entities / {} facts, ST-DBPedia graph {} entities / {} facts.",
         wd.kg.num_entities(),
         wd.kg.num_facts(),
         db.kg.num_entities(),
         db.kg.num_facts()
-    );
-    out
+    ));
+    report
 }
 
 /// The Tough Tables analogue: few large tables, heavy noise + ambiguity.
-pub fn tough_tables(synth: &SynthKg, scale: Scale) -> Dataset {
+fn tough_tables(synth: &SynthKg, scale: Scale) -> Dataset {
     let base = generate_dataset(
         synth,
         &scale.dataset_config(DatasetConfig::tough_tables(MASTER_SEED + 3)),
@@ -226,84 +191,131 @@ pub fn tough_tables(synth: &SynthKg, scale: Scale) -> Dataset {
     noisy
 }
 
-// ------------------------------------------------------------------
-// Tables II & III — system speedups on clean data
-// ------------------------------------------------------------------
+// ---- Tables II & III — system speedups on clean data ----
 
-/// Table II: speedups + F-scores on the ST-Wikidata analogue.
-pub fn table2(env: &Env) -> String {
-    let mut out = String::from("## Table II — accelerating systems on ST-Wikidata\n\n");
-    out.push_str(&speedup_table(env, "no-error variant, k = 20"));
-    out
+/// Tables II (ST-Wikidata `env`) and III (ST-DBPedia `env`): each system's
+/// lookup speedup with EL and EL-NC over its original service, and the
+/// F-scores of all three, on the clean dataset.
+pub fn speedups(env: &Env) -> Report {
+    let number = match env.synth.config.flavor {
+        KgFlavor::Wikidata => "II",
+        KgFlavor::DbPedia => "III",
+    };
+    let mut report = Report::new(
+        format!(
+            "Table {number} — accelerating systems on {} (no-error variant, k = 20)",
+            env.dataset.name
+        ),
+        &["Task", "System", "Original", "Speedup CPU (EL)", "Speedup CPU (EL-NC)",
+          "Speedup GPU* (EL)", "Speedup GPU* (EL-NC)", "F orig", "F EL", "F EL-NC"],
+    );
+    let kg = &env.synth.kg;
+    let w = Workload::new(kg, &env.dataset);
+    let mut rows = Vec::new();
+    for system in System::ALL {
+        let original = system.original_service(kg);
+        let orig = system.run(&w, original.as_ref());
+        let el = system.run(&w, &env.el);
+        let elnc = system.run(&w, &env.el_nc);
+        for (((task, o), (_, e)), (_, n)) in orig.into_iter().zip(el).zip(elnc) {
+            let cpu = [e.lookup_time, n.lookup_time];
+            let mut cells: Vec<Cell> =
+                [task, system.name(), original.name()].map(|s| Label(s.into())).into();
+            cells.extend(cpu.map(|t| Speedup(speedup(o.lookup_time, t))));
+            cells.extend(cpu.map(|t| Speedup(speedup(o.lookup_time, gpu_time(t)))));
+            cells.extend([o.f1(), e.f1(), n.f1()].map(|f| Num(f, 2)));
+            rows.push((task, cells));
+        }
+    }
+    report.rows = in_task_order(rows);
+    report.notes.push(format!(
+        "*GPU columns use the {GPU_LANES}-lane virtual data-parallel cost model (DESIGN.md §2)."
+    ));
+    report
 }
 
-/// Table III: speedups + F-scores on the ST-DBPedia analogue.
-pub fn table3(env: &Env) -> String {
-    let mut out = String::from("## Table III — accelerating systems on ST-DBPedia\n\n");
-    out.push_str(&speedup_table(env, "no-error variant, k = 20"));
-    out
+// ---- Tables IV & VI — F-scores on perturbed datasets ----
+
+/// Mean F per task of `system` with `service` over `variants` (at least one).
+fn mean_f(
+    system: System,
+    variants: &[Workload],
+    service: &dyn LookupService,
+) -> Vec<(&'static str, f64)> {
+    let runs: Vec<_> = variants.iter().map(|w| system.run(w, service)).collect();
+    let mean = |i: usize| runs.iter().map(|run| run[i].1.f1()).sum::<f64>() / runs.len() as f64;
+    runs[0].iter().enumerate().map(|(i, &(task, _))| (task, mean(i))).collect()
 }
 
-// ------------------------------------------------------------------
-// Table IV — noisy datasets
-// ------------------------------------------------------------------
+/// Tables IV and VI: per (task, system) row, the F-score with the system's
+/// original service and with EL on three datasets, each the mean over that
+/// dataset's variants. `sets` pairs each dataset's variants with the index
+/// into `envs` of the environment (KG and EL) they were drawn from, so each
+/// original service is built once per KG.
+fn orig_vs_el(title: &str, envs: [&Env; 2], sets: [(usize, Vec<Dataset>); 3]) -> Report {
+    let mut report = Report::new(
+        title,
+        &["Task", "System", "ST-Wikidata orig", "ST-Wikidata EL", "ST-DBPedia orig",
+          "ST-DBPedia EL", "ToughTables orig", "ToughTables EL"],
+    );
+    let workloads: Vec<(usize, Vec<Workload>)> = sets
+        .iter()
+        .map(|(e, dss)| (*e, dss.iter().map(|ds| Workload::new(&envs[*e].synth.kg, ds)).collect()))
+        .collect();
+    let mut rows = Vec::new();
+    for system in System::ALL {
+        let originals = envs.map(|env| system.original_service(&env.synth.kg));
+        // the six F columns (orig, EL per dataset), each one entry per task
+        let columns: Vec<Vec<(&str, f64)>> = workloads
+            .iter()
+            .flat_map(|(e, variants)| {
+                [originals[*e].as_ref(), &envs[*e].el as &dyn LookupService]
+                    .map(|service| mean_f(system, variants, service))
+            })
+            .collect();
+        for (i, &(task, _)) in columns[0].iter().enumerate() {
+            let mut cells = vec![Label(task.into()), Label(system.name().into())];
+            cells.extend(columns.iter().map(|column| Num(column[i].1, 2)));
+            rows.push((task, cells));
+        }
+    }
+    report.rows = in_task_order(rows);
+    report
+}
 
 /// Table IV: F-scores under 10% cell noise (plus the Tough Tables
 /// analogue), original lookup vs EmbLookup, per system.
-pub fn table4(env_wd: &Env, env_db: &Env, scale: Scale) -> String {
-    let mut out = String::from("## Table IV — noisy tabular datasets\n\n");
-    let noisy_wd = with_noise(&env_wd.dataset, 0.10, MASTER_SEED + 4);
-    let noisy_db = with_noise(&env_db.dataset, 0.10, MASTER_SEED + 5);
-    let tough = tough_tables(&env_wd.synth, scale);
-    let _ = writeln!(
-        out,
-        "| Task | System | ST-Wikidata orig | ST-Wikidata EL | ST-DBPedia orig | ST-DBPedia EL | ToughTables orig | ToughTables EL |"
-    );
-    let _ = writeln!(out, "|---|---|---|---|---|---|---|---|");
-    for (task, system) in SPEEDUP_CELLS {
-        let mut cells = Vec::new();
-        for (env, ds) in [(env_wd, &noisy_wd), (env_db, &noisy_db), (env_wd, &tough)] {
-            let (orig_f, el_f) = noisy_cell(env, ds, task, system);
-            cells.push((orig_f, el_f));
-        }
-        let _ = writeln!(
-            out,
-            "| {} | {} | {:.2} | {:.2} | {:.2} | {:.2} | {:.2} | {:.2} |",
-            task, system, cells[0].0, cells[0].1, cells[1].0, cells[1].1, cells[2].0, cells[2].1
-        );
-    }
-    out
+pub fn table4(env_wd: &Env, env_db: &Env, scale: Scale) -> Report {
+    orig_vs_el(
+        "Table IV — noisy tabular datasets",
+        [env_wd, env_db],
+        [
+            (0, vec![with_noise(&env_wd.dataset, 0.10, MASTER_SEED + 4)]),
+            (1, vec![with_noise(&env_db.dataset, 0.10, MASTER_SEED + 5)]),
+            (0, vec![tough_tables(&env_wd.synth, scale)]),
+        ],
+    )
 }
 
-fn noisy_cell(env: &Env, ds: &Dataset, task: &str, system: &str) -> (f64, f64) {
-    let kg = &env.synth.kg;
-    let original = original_service(system, kg);
-    let k = emblookup_semtab::DEFAULT_K;
-    let run = |service: &dyn LookupService| -> PrF {
-        match (task, system) {
-            ("CEA", "bbw") => run_cea(kg, ds, &BbwSystem, service, k).metrics,
-            ("CEA", "MantisTable") => run_cea(kg, ds, &MantisTableSystem, service, k).metrics,
-            ("CEA", "JenTab") => run_cea(kg, ds, &JenTabSystem::default(), service, k).metrics,
-            ("CTA", "bbw") => run_cta(kg, ds, &BbwSystem, service, k).metrics,
-            ("CTA", "MantisTable") => run_cta(kg, ds, &MantisTableSystem, service, k).metrics,
-            ("CTA", "JenTab") => run_cta(kg, ds, &JenTabSystem::default(), service, k).metrics,
-            ("EA", _) => {
-                run_entity_disambiguation(kg, ds, &DoSerSystem::default(), service, k).metrics
-            }
-            ("DR", _) => {
-                let broken = with_missing(ds, 0.10, MASTER_SEED + 9);
-                run_data_repair(kg, &broken, &KataraSystem, service, k).metrics
-            }
-            #[expect(clippy::panic, reason = "dispatch over the const table rows declared above; an unknown cell is a programming error")]
-            other => panic!("unknown cell {other:?}"),
-        }
+/// Table VI: F-scores when every mention is replaced by a random alias,
+/// averaged over 5 perturbed variants.
+pub fn table6(env_wd: &Env, env_db: &Env, scale: Scale) -> Report {
+    let aliased = |base: &Dataset, env: &Env| -> Vec<Dataset> {
+        (0..5).map(|v| with_alias_substitution(base, &env.synth, MASTER_SEED + 40 + v)).collect()
     };
-    (run(original.as_ref()).f1(), run(&env.el).f1())
+    let tough = tough_tables(&env_wd.synth, scale);
+    orig_vs_el(
+        "Table VI — semantic lookup (alias-substituted mentions)",
+        [env_wd, env_db],
+        [
+            (0, aliased(&env_wd.dataset, env_wd)),
+            (1, aliased(&env_db.dataset, env_db)),
+            (0, aliased(&tough, env_wd)),
+        ],
+    )
 }
 
-// ------------------------------------------------------------------
-// Table V — head-to-head lookup services
-// ------------------------------------------------------------------
+// ---- Table V — head-to-head lookup services ----
 
 /// Table V: EmbLookup vs eight lookup services on top-10 retrieval over
 /// a large lookup catalog (the paper queries full Wikidata; speedup
@@ -312,8 +324,7 @@ fn noisy_cell(env: &Env, ds: &Dataset, task: &str, system: &str) -> (f64, f64) {
 /// The error variant applies 1–3 corruptions per query ("dropping/
 /// inserting one or more letters, transposing letters, swapping the
 /// tokens, abbreviations" — §IV-B).
-pub fn table5(env: &Env, scale: Scale) -> String {
-    let mut out = String::from("## Table V — comparison with popular lookup services\n\n");
+pub fn table5(env: &Env, scale: Scale) -> Report {
     let catalog = generate(scale.catalog_kg_config());
     let kg = &catalog.kg;
     let el = EmbLookup::from_model(env.el_nc.model_arc(), kg, Compression::default_pq());
@@ -325,19 +336,15 @@ pub fn table5(env: &Env, scale: Scale) -> String {
     let mut entity_pool: Vec<&emblookup_kg::Entity> = kg.entities().collect();
     entity_pool.shuffle(&mut rng);
     entity_pool.truncate(scale.catalog_queries());
-    let clean: Vec<(String, emblookup_kg::EntityId)> = entity_pool
+    let clean: Vec<(String, EntityId)> = entity_pool
         .iter()
         .map(|e| (e.label.clone(), e.id))
         .collect();
+    use emblookup_text::NoiseKind::*;
     let injector = emblookup_text::NoiseInjector::with_kinds(vec![
-        emblookup_text::NoiseKind::DropChar,
-        emblookup_text::NoiseKind::InsertChar,
-        emblookup_text::NoiseKind::SubstituteChar,
-        emblookup_text::NoiseKind::TransposeChars,
-        emblookup_text::NoiseKind::SwapTokens,
-        emblookup_text::NoiseKind::Abbreviate,
+        DropChar, InsertChar, SubstituteChar, TransposeChars, SwapTokens, Abbreviate,
     ]);
-    let noisy: Vec<(String, emblookup_kg::EntityId)> = entity_pool
+    let noisy: Vec<(String, EntityId)> = entity_pool
         .iter()
         .map(|e| {
             let n = rng.gen_range(1..=2usize);
@@ -373,9 +380,7 @@ pub fn table5(env: &Env, scale: Scale) -> String {
     ];
 
     let k = 10;
-    let eval = |svc: &dyn LookupService,
-                queries: &[(String, emblookup_kg::EntityId)]|
-     -> (f64, Duration) {
+    let eval = |svc: &dyn LookupService, queries: &[(String, EntityId)]| -> (f64, Duration) {
         let refs: Vec<&str> = queries.iter().map(|(q, _)| q.as_str()).collect();
         let (results, elapsed) = svc.lookup_batch_timed(&refs, k);
         let mut m = PrF::default();
@@ -388,122 +393,39 @@ pub fn table5(env: &Env, scale: Scale) -> String {
     let (el_clean_f, el_time) = eval(&el, &clean);
     let (el_noisy_f, _) = eval(&el, &noisy);
 
-    let _ = writeln!(
-        out,
-        "| Approach | Speedup (CPU) | Speedup (GPU*) | F (no error) orig | F (no error) EL | F (error) orig | F (error) EL |"
+    let mut report = Report::new(
+        "Table V — comparison with popular lookup services",
+        &["Approach", "Speedup (CPU)", "Speedup (GPU*)", "F (no error) orig", "F (no error) EL",
+          "F (error) orig", "F (error) EL"],
     );
-    let _ = writeln!(out, "|---|---|---|---|---|---|---|");
     for svc in &services {
         let (f_clean, t_clean) = eval(svc.as_ref(), &clean);
         let (f_noisy, _) = eval(svc.as_ref(), &noisy);
-        let _ = writeln!(
-            out,
-            "| {} | {:.0}x | {:.0}x | {:.2} | {:.2} | {:.2} | {:.2} |",
-            svc.name(),
-            speedup(t_clean, el_time),
-            speedup(t_clean, gpu_time(el_time)),
-            f_clean,
-            el_clean_f,
-            f_noisy,
-            el_noisy_f,
-        );
+        let mut cells = vec![Label(svc.name().into())];
+        cells.extend([el_time, gpu_time(el_time)].map(|t| Speedup(speedup(t_clean, t))));
+        cells.extend([f_clean, el_clean_f, f_noisy, el_noisy_f].map(|f| Num(f, 2)));
+        report.rows.push(cells);
     }
-    let _ = writeln!(
-        out,
-        "\nCatalog: {} entities; {} queries; EmbLookup bulk time {} (CPU).",
+    report.notes.push(format!(
+        "Catalog: {} entities; {} queries; EmbLookup bulk time {} (CPU).",
         kg.num_entities(),
         clean.len(),
         fmt_duration(el_time)
-    );
-    out
+    ));
+    report
 }
 
-// ------------------------------------------------------------------
-// Table VI — semantic (alias) lookup
-// ------------------------------------------------------------------
-
-/// Table VI: F-scores when every mention is replaced by a random alias,
-/// averaged over 5 perturbed variants.
-pub fn table6(env_wd: &Env, env_db: &Env, scale: Scale) -> String {
-    let mut out = String::from("## Table VI — semantic lookup (alias-substituted mentions)\n\n");
-    let tough = tough_tables(&env_wd.synth, scale);
-    let _ = writeln!(
-        out,
-        "| Task | System | ST-Wikidata orig | ST-Wikidata EL | ST-DBPedia orig | ST-DBPedia EL | ToughTables orig | ToughTables EL |"
-    );
-    let _ = writeln!(out, "|---|---|---|---|---|---|---|---|");
-    for (task, system) in SPEEDUP_CELLS {
-        let mut cells = Vec::new();
-        for (env, base) in [
-            (env_wd, &env_wd.dataset),
-            (env_db, &env_db.dataset),
-            (env_wd, &tough),
-        ] {
-            let mut orig_sum = 0.0;
-            let mut el_sum = 0.0;
-            const VARIANTS: u64 = 5;
-            for v in 0..VARIANTS {
-                let ds = with_alias_substitution(base, &env.synth, MASTER_SEED + 40 + v);
-                let (o, e) = noisy_cell(env, &ds, task, system);
-                orig_sum += o;
-                el_sum += e;
-            }
-            cells.push((orig_sum / VARIANTS as f64, el_sum / VARIANTS as f64));
-        }
-        let _ = writeln!(
-            out,
-            "| {} | {} | {:.2} | {:.2} | {:.2} | {:.2} | {:.2} | {:.2} |",
-            task, system, cells[0].0, cells[0].1, cells[1].0, cells[1].1, cells[2].0, cells[2].1
-        );
-    }
-    out
-}
-
-// ------------------------------------------------------------------
-// Table VII — varying the embedding algorithm
-// ------------------------------------------------------------------
+// ---- Table VII — varying the embedding algorithm ----
 
 /// Table VII: swapping the embedding generation algorithm under the CEA
 /// task (EmbLookup vs word2vec, fastText, BERT-mini, LSTM).
-pub fn table7(env: &Env) -> String {
-    let mut out = String::from("## Table VII — varying the embedding algorithm (CEA hit@10 F)\n\n");
+pub fn table7(env: &Env) -> Report {
     let kg = &env.synth.kg;
     let corpus = Corpus::from_kg(kg);
 
     // workloads: clean + fully-noised mention queries
-    let clean: Vec<(String, emblookup_kg::EntityId)> = env
-        .dataset
-        .tables
-        .iter()
-        .flat_map(|t| {
-            t.entity_cells()
-                .filter_map(|(_, _, c)| c.truth.map(|t| (c.text.clone(), t)))
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    let noisy_ds = with_noise(&env.dataset, 0.9999, MASTER_SEED + 7);
-    let noisy: Vec<(String, emblookup_kg::EntityId)> = noisy_ds
-        .tables
-        .iter()
-        .flat_map(|t| {
-            t.entity_cells()
-                .filter_map(|(_, _, c)| c.truth.map(|t| (c.text.clone(), t)))
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    let clean_refs: Vec<(&str, emblookup_kg::EntityId)> =
-        clean.iter().map(|(s, id)| (s.as_str(), *id)).collect();
-    let noisy_refs: Vec<(&str, emblookup_kg::EntityId)> =
-        noisy.iter().map(|(s, id)| (s.as_str(), *id)).collect();
-
-    let _ = writeln!(out, "| Embedding | F (no error) | F (error) |");
-    let _ = writeln!(out, "|---|---|---|");
-    let _ = writeln!(
-        out,
-        "| EmbLookup | {:.2} | {:.2} |",
-        hit_rate_at_k(&env.el, &clean_refs, 10),
-        hit_rate_at_k(&env.el, &noisy_refs, 10)
-    );
+    let clean = queries_of(&env.dataset);
+    let noisy = queries_of(&with_noise(&env.dataset, 0.9999, MASTER_SEED + 7));
 
     let w2v = EncoderIndex::build(
         Word2Vec::train(&corpus, Word2VecConfig { epochs: 10, seed: MASTER_SEED, ..Default::default() }),
@@ -539,31 +461,25 @@ pub fn table7(env: &Env) -> String {
         kg,
     );
 
-    for svc in [
-        &w2v as &dyn LookupService,
-        &ft as &dyn LookupService,
-        &bert as &dyn LookupService,
-        &lstm as &dyn LookupService,
-    ] {
-        let _ = writeln!(
-            out,
-            "| {} | {:.2} | {:.2} |",
-            svc.name(),
-            hit_rate_at_k(svc, &clean_refs, 10),
-            hit_rate_at_k(svc, &noisy_refs, 10)
-        );
+    let mut report = Report::new(
+        "Table VII — varying the embedding algorithm (CEA hit@10 F)",
+        &["Embedding", "F (no error)", "F (error)"],
+    );
+    for svc in [&env.el as &dyn LookupService, &w2v, &ft, &bert, &lstm] {
+        report.rows.push(vec![
+            Label(svc.name().into()),
+            Num(hit_rate_at_k(svc, &clean, 10), 2),
+            Num(hit_rate_at_k(svc, &noisy, 10), 2),
+        ]);
     }
-    out
+    report
 }
 
-// ------------------------------------------------------------------
-// Table VIII — embedding dimension sweep
-// ------------------------------------------------------------------
+// ---- Table VIII — embedding dimension sweep ----
 
 /// Table VIII: varying the embedding dimension (uncompressed index to
 /// isolate the effect from quantization).
-pub fn table8(scale: Scale) -> String {
-    let mut out = String::from("## Table VIII — varying the embedding dimension\n\n");
+pub fn table8(scale: Scale) -> Report {
     // sensitivity sweeps retrain the model per configuration; they run on
     // the small KG with the full training budget so four trainings stay
     // tractable on one core (trends, not absolute values — EXPERIMENTS.md)
@@ -572,37 +488,32 @@ pub fn table8(scale: Scale) -> String {
         &synth,
         &Scale::Smoke.dataset_config(DatasetConfig::st_wikidata(MASTER_SEED + 1)),
     );
-    let noisy = with_noise(&ds, 0.9999, MASTER_SEED + 8);
-    let clean_q: Vec<(String, emblookup_kg::EntityId)> = queries_of(&ds);
-    let noisy_q: Vec<(String, emblookup_kg::EntityId)> = queries_of(&noisy);
+    let clean = queries_of(&ds);
+    let noisy = queries_of(&with_noise(&ds, 0.9999, MASTER_SEED + 8));
 
-    let _ = writeln!(out, "| Dimension | F (no error) | F (error) |");
-    let _ = writeln!(out, "|---|---|---|");
+    let mut report = Report::new(
+        "Table VIII — varying the embedding dimension",
+        &["Dimension", "F (no error)", "F (error)"],
+    );
     for dim in [32usize, 64, 128, 256] {
         let config = EmbLookupConfig {
             embedding_dim: dim,
             compression: Compression::None,
             ..scale.emblookup_config()
         };
-        let _ = &scale;
         let el = EmbLookup::train_on(&synth.kg, config);
-        let c: Vec<(&str, emblookup_kg::EntityId)> =
-            clean_q.iter().map(|(s, id)| (s.as_str(), *id)).collect();
-        let n: Vec<(&str, emblookup_kg::EntityId)> =
-            noisy_q.iter().map(|(s, id)| (s.as_str(), *id)).collect();
-        let tag = if dim == 64 { "64 (default)" } else { &dim.to_string() };
-        let _ = writeln!(
-            out,
-            "| {} | {:.2} | {:.2} |",
-            tag,
-            hit_rate_at_k(&el, &c, 10),
-            hit_rate_at_k(&el, &n, 10)
-        );
+        let tag = if dim == 64 { "64 (default)".to_string() } else { dim.to_string() };
+        report.rows.push(vec![
+            Label(tag),
+            Num(hit_rate_at_k(&el, &clean, 10), 2),
+            Num(hit_rate_at_k(&el, &noisy, 10), 2),
+        ]);
     }
-    out
+    report
 }
 
-fn queries_of(ds: &Dataset) -> Vec<(String, emblookup_kg::EntityId)> {
+/// Every entity cell with a ground truth, as a (mention, entity) query.
+fn queries_of(ds: &Dataset) -> Vec<(String, EntityId)> {
     ds.tables
         .iter()
         .flat_map(|t| {
@@ -613,26 +524,24 @@ fn queries_of(ds: &Dataset) -> Vec<(String, emblookup_kg::EntityId)> {
         .collect()
 }
 
-// ------------------------------------------------------------------
-// Figure 3 — number of triplets per entity
-// ------------------------------------------------------------------
+// ---- Figure 3 — number of triplets per entity ----
 
 /// Figure 3: accuracy of the four tasks and training time as the triplet
 /// budget per entity grows (paper sweeps 25–1000 at Wikidata scale; we
 /// sweep a proportionally scaled range).
-pub fn fig3(scale: Scale) -> String {
-    let mut out = String::from("## Figure 3 — impact of the number of training triplets\n\n");
+pub fn fig3(scale: Scale) -> Report {
     // same sensitivity-scale setup as Table VIII (see comment there)
     let synth = generate(Scale::Smoke.kg_config(KgFlavor::Wikidata));
     let ds = generate_dataset(
         &synth,
         &Scale::Smoke.dataset_config(DatasetConfig::st_wikidata(MASTER_SEED + 1)),
     );
-    let kg = &synth.kg;
-    let k = emblookup_semtab::DEFAULT_K;
+    let w = Workload::new(&synth.kg, &ds);
 
-    let _ = writeln!(out, "| Triplets/entity | CEA | CTA | EA | DR | Train time |");
-    let _ = writeln!(out, "|---|---|---|---|---|---|");
+    let mut report = Report::new(
+        "Figure 3 — impact of the number of training triplets",
+        &["Triplets/entity", "CEA", "CTA", "EA", "DR", "Train time"],
+    );
     let budgets: &[usize] = match scale {
         Scale::Smoke => &[5, 10, 25],
         Scale::Full => &[5, 10, 25, 50],
@@ -643,136 +552,110 @@ pub fn fig3(scale: Scale) -> String {
             ..scale.emblookup_config()
         };
         let start = Instant::now();
-        let el = EmbLookup::train_on(kg, config);
+        let el = EmbLookup::train_on(&synth.kg, config);
         let train_time = start.elapsed();
-        let cea = run_cea(kg, &ds, &BbwSystem, &el, k).f1();
-        let cta = run_cta(kg, &ds, &BbwSystem, &el, k).f1();
-        let ea = run_entity_disambiguation(kg, &ds, &DoSerSystem::default(), &el, k).f1();
-        let broken = with_missing(&ds, 0.10, MASTER_SEED + 9);
-        let dr = run_data_repair(kg, &broken, &KataraSystem, &el, k).f1();
-        let _ = writeln!(
-            out,
-            "| {} | {:.2} | {:.2} | {:.2} | {:.2} | {} |",
-            budget, cea, cta, ea, dr, fmt_duration(train_time)
-        );
+        // bbw scores CEA and CTA, DoSeR EA, Katara DR
+        let mut row = vec![Num(budget as f64, 0)];
+        for system in [System::Bbw, System::DoSeR, System::Katara] {
+            row.extend(system.run(&w, &el).iter().map(|(_, r)| Num(r.f1(), 2)));
+        }
+        row.push(Label(fmt_duration(train_time)));
+        report.rows.push(row);
     }
-    out
+    report
 }
 
-// ------------------------------------------------------------------
-// Figure 4 — PQ recall vs k
-// ------------------------------------------------------------------
+// ---- Figure 4 — PQ recall vs k ----
 
 /// Figure 4: recall of the PQ-compressed index against the uncompressed
 /// index as a function of `k` — low at small `k`, recovering for the
 /// larger `k` the downstream applications use.
-pub fn fig4(env: &Env) -> String {
-    let mut out = String::from("## Figure 4 — impact of compression on recall\n\n");
-    let queries: Vec<(String, emblookup_kg::EntityId)> = queries_of(&env.dataset);
-    let _ = writeln!(out, "| k | Recall of EL vs EL-NC |");
-    let _ = writeln!(out, "|---|---|");
+pub fn fig4(env: &Env) -> Report {
+    let queries = queries_of(&env.dataset);
+    let mut report = Report::new(
+        "Figure 4 — impact of compression on recall",
+        &["k", "Recall of EL vs EL-NC"],
+    );
     for k in [1usize, 2, 5, 10, 20, 50, 100] {
         let mut recall_sum = 0.0;
         let total = queries.len().min(400);
+        let ids = |el: &EmbLookup, q: &str| -> Vec<EntityId> {
+            el.lookup_with_distances(q, k).into_iter().map(|(e, _)| e).collect()
+        };
         for (q, _) in queries.iter().take(total) {
-            let truth: Vec<_> = env
-                .el_nc
-                .lookup_with_distances(q, k)
-                .into_iter()
-                .map(|(e, _)| e)
-                .collect();
-            let got: Vec<_> = env
-                .el
-                .lookup_with_distances(q, k)
-                .into_iter()
-                .map(|(e, _)| e)
-                .collect();
+            let (truth, got) = (ids(&env.el_nc, q), ids(&env.el, q));
             if truth.is_empty() {
                 continue;
             }
             let inter = truth.iter().filter(|e| got.contains(e)).count();
             recall_sum += inter as f64 / truth.len() as f64;
         }
-        let _ = writeln!(out, "| {} | {:.3} |", k, recall_sum / total as f64);
+        report.rows.push(vec![Num(k as f64, 0), Num(recall_sum / total as f64, 3)]);
     }
-    out
+    report
 }
 
-// ------------------------------------------------------------------
-// Figure 5 — PQ vs PCA at matched byte budgets
-// ------------------------------------------------------------------
+// ---- Figure 5 — PQ vs PCA at matched byte budgets ----
 
 /// Figure 5: compression scheme comparison at equal storage budgets —
 /// product quantization vs PCA, on the CEA and CTA tasks (bbw system).
-pub fn fig5(env: &Env) -> String {
-    let mut out = String::from("## Figure 5 — PQ vs PCA at matched byte budgets\n\n");
+pub fn fig5(env: &Env) -> Report {
     let kg = &env.synth.kg;
-    let ds = &env.dataset;
-    let k = emblookup_semtab::DEFAULT_K;
     let model = env.el_nc.model_arc();
-    let _ = writeln!(out, "| Bytes/entity | CEA (PQ) | CEA (PCA) | CTA (PQ) | CTA (PCA) |");
-    let _ = writeln!(out, "|---|---|---|---|---|");
+    let k = emblookup_semtab::DEFAULT_K;
+    let bbw_f = |service: &dyn LookupService| {
+        let (cea, cta) = run_cea_cta(kg, &env.dataset, &BbwSystem, service, k);
+        (cea.f1(), cta.f1())
+    };
+    let mut report = Report::new(
+        "Figure 5 — PQ vs PCA at matched byte budgets",
+        &["Bytes/entity", "CEA (PQ)", "CEA (PCA)", "CTA (PQ)", "CTA (PCA)"],
+    );
     // PQ stores m bytes (ks=256); PCA stores k f32 = 4k bytes
     for bytes in [8usize, 16, 32, 64] {
-        let pq = EmbLookup::from_model(
-            model.clone(),
-            kg,
-            Compression::Pq { m: bytes, ks: 256 },
-        );
-        let pca = EmbLookup::from_model(
-            model.clone(),
-            kg,
-            Compression::Pca { k: (bytes / 4).max(1) },
-        );
-        let cea_pq = run_cea(kg, ds, &BbwSystem, &pq, k).f1();
-        let cea_pca = run_cea(kg, ds, &BbwSystem, &pca, k).f1();
-        let cta_pq = run_cta(kg, ds, &BbwSystem, &pq, k).f1();
-        let cta_pca = run_cta(kg, ds, &BbwSystem, &pca, k).f1();
-        let _ = writeln!(
-            out,
-            "| {} | {:.2} | {:.2} | {:.2} | {:.2} |",
-            bytes, cea_pq, cea_pca, cta_pq, cta_pca
-        );
+        let pq = EmbLookup::from_model(model.clone(), kg, Compression::Pq { m: bytes, ks: 256 });
+        let pca = EmbLookup::from_model(model.clone(), kg, Compression::Pca { k: (bytes / 4).max(1) });
+        let (cea_pq, cta_pq) = bbw_f(&pq);
+        let (cea_pca, cta_pca) = bbw_f(&pca);
+        let mut cells = vec![Num(bytes as f64, 0)];
+        cells.extend([cea_pq, cea_pca, cta_pq, cta_pca].map(|f| Num(f, 2)));
+        report.rows.push(cells);
     }
     // 256 B = uncompressed reference
-    let cea_flat = run_cea(kg, ds, &BbwSystem, &env.el_nc, k).f1();
-    let cta_flat = run_cta(kg, ds, &BbwSystem, &env.el_nc, k).f1();
-    let _ = writeln!(out, "| 256 (none) | {cea_flat:.2} | {cea_flat:.2} | {cta_flat:.2} | {cta_flat:.2} |");
-    out
+    let (cea, cta) = bbw_f(&env.el_nc);
+    let mut cells = vec![Label("256 (none)".into())];
+    cells.extend([cea, cea, cta, cta].map(|f| Num(f, 2)));
+    report.rows.push(cells);
+    report
 }
 
-// ------------------------------------------------------------------
-// Index-size comparison (§IV-D discussion)
-// ------------------------------------------------------------------
+// ---- Index-size comparison (§IV-D discussion) ----
 
 /// The storage comparison of §IV-D: EmbLookup's compressed index vs an
 /// ElasticSearch index with and without aliases.
-pub fn index_sizes(env: &Env) -> String {
-    let mut out = String::from("## Index sizes (§IV-D)\n\n");
+pub fn index_sizes(env: &Env) -> Report {
     let kg = &env.synth.kg;
-    let elastic_labels = ElasticLikeService::new(kg, false);
-    let elastic_aliases = ElasticLikeService::new(kg, true);
-    let _ = writeln!(out, "| Index | Bytes |");
-    let _ = writeln!(out, "|---|---|");
-    let _ = writeln!(out, "| EmbLookup PQ (EL) | {} |", env.el.index().nbytes());
-    let _ = writeln!(out, "| EmbLookup flat (EL-NC) | {} |", env.el_nc.index().nbytes());
-    let _ = writeln!(out, "| ElasticLike labels only | {} |", elastic_labels.nbytes());
-    let _ = writeln!(out, "| ElasticLike labels+aliases | {} |", elastic_aliases.nbytes());
-    out
+    let mut report = Report::new("Index sizes (§IV-D)", &["Index", "Bytes"]);
+    for (name, bytes) in [
+        ("EmbLookup PQ (EL)", env.el.index().nbytes()),
+        ("EmbLookup flat (EL-NC)", env.el_nc.index().nbytes()),
+        ("ElasticLike labels only", ElasticLikeService::new(kg, false).nbytes()),
+        ("ElasticLike labels+aliases", ElasticLikeService::new(kg, true).nbytes()),
+    ] {
+        report.rows.push(vec![Label(name.into()), Num(bytes as f64, 0)]);
+    }
+    report
 }
 
-// ------------------------------------------------------------------
-// Ablation — design choices (beyond the paper; DESIGN.md §6)
-// ------------------------------------------------------------------
+// ---- Ablation — design choices (beyond the paper; DESIGN.md §6) ----
 
 /// Ablation of EmbLookup's design choices: triplet-mining families,
 /// output L2 normalization, and the §III-C alias-indexing option.
 /// Reported as typo / alias hit@10 on the sensitivity-scale KG.
-pub fn ablation(scale: Scale) -> String {
+pub fn ablation(scale: Scale) -> Report {
     use emblookup_core::{mine_triplets, EmbLookupModel, MiningConfig, TripletFamily};
     use emblookup_embed::FastText as Ft;
 
-    let mut out = String::from("## Ablation — mining families, normalization, alias indexing\n\n");
     let synth = generate(Scale::Smoke.kg_config(KgFlavor::Wikidata));
     let kg = &synth.kg;
     let base_config = scale.emblookup_config();
@@ -794,12 +677,12 @@ pub fn ablation(scale: Scale) -> String {
     let mut rng = rand::rngs::StdRng::seed_from_u64(MASTER_SEED + 70);
     use rand::SeedableRng as _;
     let injector = emblookup_text::NoiseInjector::typos();
-    let typo_q: Vec<(String, emblookup_kg::EntityId)> = kg
+    let typo_q: Vec<(String, EntityId)> = kg
         .entities()
         .take(300)
         .map(|e| (injector.corrupt(&e.label, &mut rng), e.id))
         .collect();
-    let alias_q: Vec<(String, emblookup_kg::EntityId)> = kg
+    let alias_q: Vec<(String, EntityId)> = kg
         .entities()
         .filter(|e| !e.aliases.is_empty())
         .take(300)
@@ -822,8 +705,10 @@ pub fn ablation(scale: Scale) -> String {
         ("alias-indexed (§III-C option)", all, true, true, LossKind::Triplet),
     ];
 
-    let _ = writeln!(out, "| Variant | Typo hit@10 | Alias hit@10 | Index rows |");
-    let _ = writeln!(out, "|---|---|---|---|");
+    let mut report = Report::new(
+        "Ablation — mining families, normalization, alias indexing",
+        &["Variant", "Typo hit@10", "Alias hit@10", "Index rows"],
+    );
     for (name, families, normalize, index_aliases, loss) in variants {
         let config = EmbLookupConfig {
             l2_normalize: normalize,
@@ -842,20 +727,67 @@ pub fn ablation(scale: Scale) -> String {
         let triplets = mine_triplets(kg, &mining);
         emblookup_core::train(&mut model, &triplets);
         let service = EmbLookup::from_model(std::sync::Arc::new(model), kg, Compression::None);
-        let t: Vec<(&str, emblookup_kg::EntityId)> =
-            typo_q.iter().map(|(s, id)| (s.as_str(), *id)).collect();
-        let a: Vec<(&str, emblookup_kg::EntityId)> =
-            alias_q.iter().map(|(s, id)| (s.as_str(), *id)).collect();
-        let _ = writeln!(
-            out,
-            "| {} | {:.3} | {:.3} | {} |",
-            name,
-            hit_rate_at_k(&service, &t, 10),
-            hit_rate_at_k(&service, &a, 10),
-            service.index().len(),
-        );
+        report.rows.push(vec![
+            Label(name.into()),
+            Num(hit_rate_at_k(&service, &typo_q, 10), 3),
+            Num(hit_rate_at_k(&service, &alias_q, 10), 3),
+            Num(service.index().len() as f64, 0),
+        ]);
     }
-    out
+    report
+}
+
+// ---- Lookup stage self-times (observability, beyond the paper) ----
+
+/// Per-stage self times of `queries` traced lookups on EL, from span
+/// trees: each query runs through the traced lookup path under its own
+/// trace, and each span's *self* time (duration minus direct children) is
+/// summed by span name. Unlike the stage histograms, which time stages in
+/// isolation, this attributes every nanosecond of the request wall time to
+/// exactly one stage — the rows sum to the root durations.
+pub fn stage_self_times(env: &Env, queries: usize) -> Report {
+    let labels: Vec<&str> =
+        env.synth.kg.entities().take(queries).map(|e| e.label.as_str()).collect();
+    // (span name, total self ns, span count) in first-seen order, which
+    // the span-id ordering of the snapshot makes the pipeline order.
+    let mut agg: Vec<(&'static str, u64, u64)> = Vec::new();
+    let mut total_ns: u64 = 0;
+    for (i, q) in labels.iter().cycle().take(queries).enumerate() {
+        let trace = Trace::start(trace_id_from_index(i as u64), TraceClock::real());
+        let root = trace.root(names::SPAN_LOOKUP_REQUEST);
+        let _ = env.el.lookup_with_distances_traced(q, 10, &root);
+        root.finish();
+        let data = trace.snapshot();
+        total_ns += data.duration_ns();
+        for (span, self_ns) in data.spans.iter().zip(data.self_times_ns()) {
+            match agg.iter_mut().find(|(n, _, _)| *n == span.name) {
+                Some(row) => {
+                    row.1 += self_ns;
+                    row.2 += 1;
+                }
+                None => agg.push((span.name, self_ns, 1)),
+            }
+        }
+    }
+    let mut report = Report::new(
+        "Lookup stage self-times (from span trees)",
+        &["span", "spans", "total self", "mean self", "share %"],
+    );
+    for (name, self_ns, count) in agg {
+        let share = if total_ns > 0 { 100.0 * self_ns as f64 / total_ns as f64 } else { 0.0 };
+        report.rows.push(vec![
+            Label(name.into()),
+            Num(count as f64, 0),
+            Label(fmt_nanos(self_ns)),
+            Label(fmt_nanos(self_ns / count.max(1))),
+            Num(share, 1),
+        ]);
+    }
+    report.notes.push(format!(
+        "{queries} traced queries against {}; self time = span duration minus direct children.",
+        env.el.index().backend_name(),
+    ));
+    report
 }
 
 #[cfg(test)]
@@ -869,18 +801,11 @@ mod tests {
     }
 
     #[test]
-    fn original_service_mapping_is_total() {
+    fn every_system_has_an_original_service() {
         let s = generate(SynthKgConfig::tiny(50));
-        for system in ["bbw", "MantisTable", "JenTab", "DoSeR", "Katara"] {
-            let svc = original_service(system, &s.kg);
-            assert!(!svc.name().is_empty());
+        for system in System::ALL {
+            let svc = system.original_service(&s.kg);
+            assert!(!svc.name().is_empty(), "{system:?}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown system")]
-    fn unknown_system_panics() {
-        let s = generate(SynthKgConfig::tiny(51));
-        let _ = original_service("nope", &s.kg);
     }
 }

@@ -2,7 +2,7 @@
 //! baseline services, built once per flavor and reused across experiments.
 
 use emblookup_core::{Compression, EmbLookup, EmbLookupConfig};
-use emblookup_kg::{generate, KgFlavor, LookupService, SynthKg, SynthKgConfig};
+use emblookup_kg::{generate, EntityId, KgFlavor, LookupService, SynthKg, SynthKgConfig};
 use emblookup_semtab::{generate_dataset, Dataset, DatasetConfig};
 use std::time::Duration;
 
@@ -140,20 +140,16 @@ pub fn speedup(slow: Duration, fast: Duration) -> f64 {
 
 /// Fraction of queries whose ground-truth entity appears in the service's
 /// top-`k` — the success criterion of the paper's head-to-head comparison.
-pub fn hit_rate_at_k(
-    service: &dyn LookupService,
-    queries: &[(&str, emblookup_kg::EntityId)],
-    k: usize,
-) -> f64 {
+pub fn hit_rate_at_k(service: &dyn LookupService, queries: &[(String, EntityId)], k: usize) -> f64 {
     if queries.is_empty() {
         return 1.0;
     }
-    let texts: Vec<&str> = queries.iter().map(|&(q, _)| q).collect();
+    let texts: Vec<&str> = queries.iter().map(|(q, _)| q.as_str()).collect();
     let results = service.lookup_batch(&texts, k);
     let hits = results
         .iter()
         .zip(queries)
-        .filter(|(hits, &(_, truth))| hits.iter().any(|c| c.entity == truth))
+        .filter(|(hits, (_, truth))| hits.iter().any(|c| c.entity == *truth))
         .count();
     hits as f64 / queries.len() as f64
 }
@@ -170,7 +166,7 @@ mod tests {
 
     #[test]
     fn hit_rate_counts_truth_in_the_top_k() {
-        use emblookup_kg::{Candidate, EntityId};
+        use emblookup_kg::Candidate;
         /// The same ranking for every query.
         struct Fixed(Vec<EntityId>);
         impl LookupService for Fixed {
@@ -183,7 +179,7 @@ mod tests {
         }
         let svc = Fixed(vec![EntityId(0), EntityId(1), EntityId(2)]);
         // truth at rank 1, at rank 3, and missing
-        let queries = [("a", EntityId(0)), ("b", EntityId(2)), ("c", EntityId(9))];
+        let queries = [("a", 0), ("b", 2), ("c", 9)].map(|(q, id)| (q.to_string(), EntityId(id)));
         assert!((hit_rate_at_k(&svc, &queries, 1) - 1.0 / 3.0).abs() < 1e-9);
         assert!((hit_rate_at_k(&svc, &queries, 3) - 2.0 / 3.0).abs() < 1e-9);
         // no queries is vacuously a full hit rate

@@ -10,3 +10,4 @@
 
 pub mod experiments;
 pub mod harness;
+pub mod report;

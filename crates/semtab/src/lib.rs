@@ -27,6 +27,4 @@ pub use systems::{
     TableAnnotation,
 };
 pub use table::{Cell, Table};
-pub use tasks::{
-    run_cea, run_cta, run_data_repair, run_entity_disambiguation, Task, TaskReport, DEFAULT_K,
-};
+pub use tasks::{run_cea_cta, run_data_repair, run_entity_disambiguation, TaskReport, DEFAULT_K};

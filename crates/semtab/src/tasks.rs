@@ -7,36 +7,9 @@ use crate::systems::{AnnotationSystem, DoSerSystem, KataraSystem};
 use emblookup_kg::{KnowledgeGraph, LookupService};
 use std::time::Duration;
 
-/// The four semantic annotation tasks of §II.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Task {
-    /// Cell entity annotation.
-    Cea,
-    /// Column type annotation.
-    Cta,
-    /// Entity disambiguation.
-    EntityDisambiguation,
-    /// Data repair.
-    DataRepair,
-}
-
-impl Task {
-    /// Paper-style display name.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Task::Cea => "CEA",
-            Task::Cta => "CTA",
-            Task::EntityDisambiguation => "Entity Disambiguation",
-            Task::DataRepair => "Data Repair",
-        }
-    }
-}
-
 /// Outcome of running one task over one dataset with one lookup service.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TaskReport {
-    /// Which task ran.
-    pub task: Task,
     /// Accuracy tally.
     pub metrics: PrF,
     /// Total time charged to the lookup service.
@@ -58,58 +31,39 @@ impl TaskReport {
 /// 20–100 neighbours and post-processes.
 pub const DEFAULT_K: usize = 20;
 
-/// Runs CEA: per entity cell, does the system's chosen entity match the
-/// ground truth?
-pub fn run_cea(
+/// Runs CEA and CTA off one annotation pass per table, returned as
+/// `(cea, cta)`. CEA: per entity cell, does the system's chosen entity
+/// match the ground truth? CTA: per typed column, does its elected type?
+/// Both reports carry the whole pass's lookup and post-processing time.
+pub fn run_cea_cta(
     kg: &KnowledgeGraph,
     dataset: &Dataset,
     system: &dyn AnnotationSystem,
     service: &dyn LookupService,
     k: usize,
-) -> TaskReport {
-    let mut metrics = PrF::default();
-    let mut lookup_time = Duration::ZERO;
-    let mut post_time = Duration::ZERO;
-    let mut items = 0;
+) -> (TaskReport, TaskReport) {
+    let (mut cea, mut cta) = (TaskReport::default(), TaskReport::default());
     for table in &dataset.tables {
         let ann = system.annotate(kg, table, service, k);
-        lookup_time += ann.lookup_time;
-        post_time += ann.post_time;
+        for report in [&mut cea, &mut cta] {
+            report.lookup_time += ann.lookup_time;
+            report.post_time += ann.post_time;
+        }
         for (r, c, cell) in table.entity_cells() {
             let predicted = ann.cell_entities[r][c];
-            metrics.record(predicted.is_some(), predicted == cell.truth);
-            items += 1;
+            cea.metrics.record(predicted.is_some(), predicted == cell.truth);
+            cea.items += 1;
         }
-    }
-    TaskReport { task: Task::Cea, metrics, lookup_time, post_time, items }
-}
-
-/// Runs CTA: per typed column, does the system's elected type match?
-pub fn run_cta(
-    kg: &KnowledgeGraph,
-    dataset: &Dataset,
-    system: &dyn AnnotationSystem,
-    service: &dyn LookupService,
-    k: usize,
-) -> TaskReport {
-    let mut metrics = PrF::default();
-    let mut lookup_time = Duration::ZERO;
-    let mut post_time = Duration::ZERO;
-    let mut items = 0;
-    for table in &dataset.tables {
-        let ann = system.annotate(kg, table, service, k);
-        lookup_time += ann.lookup_time;
-        post_time += ann.post_time;
         for c in 0..table.num_cols() {
             let Some(truth) = table.col_types[c] else { continue };
             let predicted = ann.col_types[c];
             // a parent type counts as correct only if it equals the truth;
             // the paper scores the most specific annotation
-            metrics.record(predicted.is_some(), predicted == Some(truth));
-            items += 1;
+            cta.metrics.record(predicted.is_some(), predicted == Some(truth));
+            cta.items += 1;
         }
     }
-    TaskReport { task: Task::Cta, metrics, lookup_time, post_time, items }
+    (cea, cta)
 }
 
 /// Runs entity disambiguation: each table's entity cells of each row form
@@ -121,10 +75,7 @@ pub fn run_entity_disambiguation(
     service: &dyn LookupService,
     k: usize,
 ) -> TaskReport {
-    let mut metrics = PrF::default();
-    let mut lookup_time = Duration::ZERO;
-    let mut post_time = Duration::ZERO;
-    let mut items = 0;
+    let mut report = TaskReport::default();
     for table in &dataset.tables {
         for row in &table.rows {
             let mentions: Vec<&str> = row
@@ -141,21 +92,15 @@ pub fn run_entity_disambiguation(
                 .filter_map(|c| c.truth)
                 .collect();
             let result = system.disambiguate(kg, &mentions, service, k);
-            lookup_time += result.lookup_time;
-            post_time += result.post_time;
+            report.lookup_time += result.lookup_time;
+            report.post_time += result.post_time;
             for (assigned, truth) in result.assignments.iter().zip(&truths) {
-                metrics.record(assigned.is_some(), *assigned == Some(*truth));
-                items += 1;
+                report.metrics.record(assigned.is_some(), *assigned == Some(*truth));
+                report.items += 1;
             }
         }
     }
-    TaskReport {
-        task: Task::EntityDisambiguation,
-        metrics,
-        lookup_time,
-        post_time,
-        items,
-    }
+    report
 }
 
 /// Runs data repair over a dataset whose cells were blanked with
@@ -168,14 +113,11 @@ pub fn run_data_repair(
     service: &dyn LookupService,
     k: usize,
 ) -> TaskReport {
-    let mut metrics = PrF::default();
-    let mut lookup_time = Duration::ZERO;
-    let mut post_time = Duration::ZERO;
-    let mut items = 0;
+    let mut report = TaskReport::default();
     for table in &dataset.tables {
         let result = system.repair(kg, table, service, k);
-        lookup_time += result.lookup_time;
-        post_time += result.post_time;
+        report.lookup_time += result.lookup_time;
+        report.post_time += result.post_time;
         for r in 0..table.num_rows() {
             for c in 0..table.num_cols() {
                 let cell = table.cell(r, c);
@@ -183,12 +125,12 @@ pub fn run_data_repair(
                     continue;
                 }
                 let imputed = result.imputations.get(&(r, c)).copied();
-                metrics.record(imputed.is_some(), imputed == cell.truth);
-                items += 1;
+                report.metrics.record(imputed.is_some(), imputed == cell.truth);
+                report.items += 1;
             }
         }
     }
-    TaskReport { task: Task::DataRepair, metrics, lookup_time, post_time, items }
+    report
 }
 
 #[cfg(test)]
@@ -205,11 +147,11 @@ mod tests {
         let ds = generate_dataset(&s, &DatasetConfig::tiny(40));
         let service = ExactMatchService::new(&s.kg, false);
 
-        let clean = run_cea(&s.kg, &ds, &BbwSystem, &service, 10);
+        let (clean, _) = run_cea_cta(&s.kg, &ds, &BbwSystem, &service, 10);
         assert!(clean.f1() > 0.8, "clean F1 {}", clean.f1());
 
         let noisy_ds = with_noise(&ds, 0.5, 41);
-        let noisy = run_cea(&s.kg, &noisy_ds, &BbwSystem, &service, 10);
+        let (noisy, _) = run_cea_cta(&s.kg, &noisy_ds, &BbwSystem, &service, 10);
         assert!(
             noisy.f1() < clean.f1() - 0.2,
             "noise did not hurt exact match: {} vs {}",
@@ -225,8 +167,8 @@ mod tests {
         let noisy_ds = with_noise(&ds, 0.6, 43);
         let exact = ExactMatchService::new(&s.kg, false);
         let lev = LevenshteinService::new(&s.kg, false, 3);
-        let f_exact = run_cea(&s.kg, &noisy_ds, &BbwSystem, &exact, 10).f1();
-        let f_lev = run_cea(&s.kg, &noisy_ds, &BbwSystem, &lev, 10).f1();
+        let f_exact = run_cea_cta(&s.kg, &noisy_ds, &BbwSystem, &exact, 10).0.f1();
+        let f_lev = run_cea_cta(&s.kg, &noisy_ds, &BbwSystem, &lev, 10).0.f1();
         assert!(
             f_lev > f_exact,
             "Levenshtein {f_lev} not better than exact {f_exact} under noise"
@@ -238,7 +180,9 @@ mod tests {
         let s = generate(SynthKgConfig::small(44));
         let ds = generate_dataset(&s, &DatasetConfig::tiny(44));
         let service = ExactMatchService::new(&s.kg, false);
-        let report = run_cta(&s.kg, &ds, &BbwSystem, &service, 10);
+        let (cea, report) = run_cea_cta(&s.kg, &ds, &BbwSystem, &service, 10);
+        // one annotation pass: both tasks carry the same lookup time
+        assert_eq!(cea.lookup_time, report.lookup_time);
         // one CTA item per typed column; the per-table count depends on
         // which templates the seed draws (wide person tables have three)
         let typed_cols: usize = ds

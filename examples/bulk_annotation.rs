@@ -33,7 +33,7 @@ fn main() {
     let emblookup = EmbLookup::train_on(&synth.kg, EmbLookupConfig::fast(17));
 
     for service in [&remote as &dyn LookupService, &emblookup as &dyn LookupService] {
-        let report = run_cea(&synth.kg, &dataset, &BbwSystem, service, 20);
+        let (report, _) = run_cea_cta(&synth.kg, &dataset, &BbwSystem, service, 20);
         let per_cell = report.lookup_time.as_secs_f64() / cells as f64;
         println!(
             "{:<14} CEA F1 {:.3} | lookup {:>9.2?} total ({:.2} ms/cell) | extrapolated to 768K cells: {:.1} h",

@@ -10,8 +10,7 @@
 
 use emblookup::prelude::*;
 use emblookup::semtab::{
-    apply_cea_targets, cea_targets_to_csv, run_cea, table_from_csv, table_to_csv, BbwSystem,
-    Dataset,
+    apply_cea_targets, cea_targets_to_csv, table_from_csv, table_to_csv, BbwSystem, Dataset,
 };
 
 fn main() {
@@ -41,7 +40,7 @@ fn main() {
     // 3. annotate the round-tripped dataset with EmbLookup
     println!("training EmbLookup…");
     let service = EmbLookup::train_on(&synth.kg, EmbLookupConfig::fast(77));
-    let report = run_cea(&synth.kg, &reimported, &BbwSystem, &service, 20);
+    let (report, _) = run_cea_cta(&synth.kg, &reimported, &BbwSystem, &service, 20);
     println!(
         "CEA over re-imported CSVs: F1 {:.3} ({} cells, lookup {:?})",
         report.f1(),

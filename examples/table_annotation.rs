@@ -32,8 +32,7 @@ fn main() {
     for (tag, ds) in [("clean", &clean), ("30% noise", &noisy)] {
         println!("\n=== {tag} tables ===");
         for service in [&elastic as &dyn LookupService, &emblookup as &dyn LookupService] {
-            let cea = run_cea(&synth.kg, ds, &system, service, 20);
-            let cta = run_cta(&synth.kg, ds, &system, service, 20);
+            let (cea, cta) = run_cea_cta(&synth.kg, ds, &system, service, 20);
             println!(
                 "  {:<12} CEA F1 {:.3} | CTA F1 {:.3} | lookup {:?}",
                 service.name(),

@@ -72,6 +72,17 @@ done
 echo "== ann_bench --smoke (600-tier health check) =="
 cargo run -q --release --offline -p emblookup-bench --bin ann_bench -- --smoke
 
+# The repro binary's own dispatch, which the library tests never reach:
+# one experiment end to end at smoke scale (one environment, ~6 s), and
+# an experiment name it does not know must fail instead of printing an
+# empty report.
+echo "== repro --smoke sizes; repro rejects an unknown experiment =="
+cargo run -q --release --offline -p emblookup-bench --bin repro -- --smoke sizes >/dev/null
+if cargo run -q --release --offline -p emblookup-bench --bin repro -- nope 2>/dev/null; then
+    echo "ci.sh: FAIL — repro accepted the unknown experiment name 'nope'" >&2
+    exit 1
+fi
+
 # Enforces the root Cargo.toml's [workspace.lints.clippy] table (every
 # member opts in) and clippy.toml: no unwrap/expect/panic/unreachable/
 # todo/unimplemented in library code, a `// SAFETY:` on every unsafe

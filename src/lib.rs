@@ -54,7 +54,5 @@ pub mod prelude {
     pub use emblookup_kg::{
         generate, Candidate, EntityId, KnowledgeGraph, LookupService, SynthKgConfig,
     };
-    pub use emblookup_semtab::{
-        generate_dataset, run_cea, run_cta, DatasetConfig, Task, TaskReport,
-    };
+    pub use emblookup_semtab::{generate_dataset, run_cea_cta, DatasetConfig, TaskReport};
 }

@@ -47,8 +47,8 @@ fn every_sta_system_works_with_every_service() {
     ];
     for system in &systems {
         for service in services(&f.synth.kg) {
-            let cea = run_cea(&f.synth.kg, &f.dataset, system.as_ref(), service.as_ref(), 10);
-            let cta = run_cta(&f.synth.kg, &f.dataset, system.as_ref(), service.as_ref(), 10);
+            let (cea, cta) =
+                run_cea_cta(&f.synth.kg, &f.dataset, system.as_ref(), service.as_ref(), 10);
             assert!(
                 cea.f1() > 0.7,
                 "{} + {} CEA F1 {} too low on clean data",
@@ -101,8 +101,8 @@ fn noise_hurts_exact_match_most() {
     let noisy = with_noise(&f.dataset, 0.8, 202);
     let exact = ExactMatchService::new(&f.synth.kg, false);
     let lev = LevenshteinService::new(&f.synth.kg, false, 3);
-    let f_exact = run_cea(&f.synth.kg, &noisy, &BbwSystem, &exact, 10).f1();
-    let f_lev = run_cea(&f.synth.kg, &noisy, &BbwSystem, &lev, 10).f1();
+    let f_exact = run_cea_cta(&f.synth.kg, &noisy, &BbwSystem, &exact, 10).0.f1();
+    let f_lev = run_cea_cta(&f.synth.kg, &noisy, &BbwSystem, &lev, 10).0.f1();
     assert!(
         f_exact < f_lev,
         "exact ({f_exact}) should collapse harder than Levenshtein ({f_lev})"
@@ -118,8 +118,8 @@ fn remote_service_charges_latency_in_system_runs() {
         "Wikidata API",
     );
     let local = ExactMatchService::new(&f.synth.kg, true);
-    let r_remote = run_cea(&f.synth.kg, &f.dataset, &BbwSystem, &remote, 10);
-    let r_local = run_cea(&f.synth.kg, &f.dataset, &BbwSystem, &local, 10);
+    let (r_remote, _) = run_cea_cta(&f.synth.kg, &f.dataset, &BbwSystem, &remote, 10);
+    let (r_local, _) = run_cea_cta(&f.synth.kg, &f.dataset, &BbwSystem, &local, 10);
     assert!(
         r_remote.lookup_time > r_local.lookup_time * 5,
         "remote lookup time {:?} not dominated by simulated latency (local {:?})",
