@@ -15,10 +15,16 @@
 use crate::config::EmbLookupConfig;
 use emblookup_embed::{FastText, StringEncoder};
 use emblookup_tensor::nn::{Conv1dLayer, Linear};
-use emblookup_tensor::{Bindings, Graph, ParamStore, Tensor, Var};
+use emblookup_tensor::ParamStore;
+#[cfg(test)]
+use emblookup_tensor::{Bindings, Graph, Tensor, Var};
 use emblookup_text::{Alphabet, OneHotEncoder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+mod train_pass;
+
+pub use train_pass::TrainScratch;
 
 /// The trainable EmbLookup network plus its frozen semantic encoder.
 pub struct EmbLookupModel {
@@ -100,42 +106,6 @@ impl EmbLookupModel {
     /// The frozen semantic encoder.
     pub fn semantic(&self) -> &FastText {
         &self.semantic
-    }
-
-    /// One-hot matrix of a mention as a `[|A|, L]` tensor.
-    fn encode_chars(&self, s: &str) -> Tensor {
-        let (rows, cols) = self.onehot.shape();
-        Tensor::from_vec(&[rows, cols], self.onehot.encode(s))
-    }
-
-    /// Records the forward pass for one mention on a training graph and
-    /// returns its embedding node.
-    pub fn forward(
-        &self,
-        g: &mut Graph,
-        b: &mut Bindings,
-        s: &str,
-    ) -> Var {
-        // Constant leaves: neither the one-hot character planes nor the frozen
-        // fastText vector ever receive gradients, so marking them `constant`
-        // lets `backward` skip the first conv layer's input-gradient pass.
-        let mut x = g.constant(self.encode_chars(s));
-        for conv in &self.convs {
-            x = conv.forward(g, b, &self.store, x);
-            x = g.relu(x);
-        }
-        let pooled = g.max_pool_segments(x, self.config.pool_segments); // [kernels * segments]
-        let sem = g.constant(Tensor::vector(&self.semantic.embed(s))); // frozen
-        let cat = g.concat(&[pooled, sem]);
-        let h = self.fuse1.forward(g, b, &self.store, cat);
-        let h = g.relu(h);
-        let out = self.fuse2.forward(g, b, &self.store, h);
-        let out = g.reshape(out, &[self.config.embedding_dim]);
-        if self.config.l2_normalize {
-            g.l2_normalize(out)
-        } else {
-            out
-        }
     }
 
     /// Graph-free embedding of a mention — the hot path used to embed
@@ -274,6 +244,44 @@ fn relu(xs: &mut [f32]) {
 
 #[cfg(test)]
 impl EmbLookupModel {
+    /// One-hot matrix of a mention as a `[|A|, L]` tensor.
+    fn encode_chars(&self, s: &str) -> Tensor {
+        let (rows, cols) = self.onehot.shape();
+        Tensor::from_vec(&[rows, cols], self.onehot.encode(s))
+    }
+
+    /// The forward pass on a training graph, one tape node per op — how
+    /// training recorded a mention before
+    /// [`EmbLookupModel::encode_recorded`]: the slow oracle the training
+    /// pass's embeddings and gradients must match bit for bit.
+    pub(crate) fn forward(
+        &self,
+        g: &mut Graph,
+        b: &mut Bindings,
+        s: &str,
+    ) -> Var {
+        // Constant leaves: neither the one-hot character planes nor the frozen
+        // fastText vector ever receive gradients, so marking them `constant`
+        // lets `backward` skip the first conv layer's input-gradient pass.
+        let mut x = g.constant(self.encode_chars(s));
+        for conv in &self.convs {
+            x = conv.forward(g, b, &self.store, x);
+            x = g.relu(x);
+        }
+        let pooled = g.max_pool_segments(x, self.config.pool_segments); // [kernels * segments]
+        let sem = g.constant(Tensor::vector(&self.semantic.embed(s))); // frozen
+        let cat = g.concat(&[pooled, sem]);
+        let h = self.fuse1.forward(g, b, &self.store, cat);
+        let h = g.relu(h);
+        let out = self.fuse2.forward(g, b, &self.store, h);
+        let out = g.reshape(out, &[self.config.embedding_dim]);
+        if self.config.l2_normalize {
+            g.l2_normalize(out)
+        } else {
+            out
+        }
+    }
+
     /// The forward pass as it was before [`EmbLookupModel::embed_into`] —
     /// a `Tensor` per layer out of the training path's primitives
     /// (`conv1d_forward` behind `Conv1dLayer::infer`, `Tensor::matmul`) and
@@ -430,6 +438,13 @@ mod tests {
                 m.embed_into(s, &mut scratch, &mut out);
                 assert_eq!(bits(&out), want[i], "embed_into differs for {s:?}");
                 assert_eq!(bits(&m.embed(s)), want[i], "embed differs for {s:?}");
+            }
+        }
+        // the training pass's forward, records piling up in one scratch
+        for (m, want) in models.iter().zip(&want) {
+            let mut train = TrainScratch::default();
+            for (s, want) in refs.iter().zip(want) {
+                assert_eq!(&bits(m.encode_recorded(s, &mut train)), want, "encode_recorded differs for {s:?}");
             }
         }
         for (m, want) in models.iter().zip(&want) {

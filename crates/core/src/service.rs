@@ -358,15 +358,42 @@ mod tests {
     /// the gate must both arrive at it, at any pool width.
     const TRAINED_MODEL_FNV1A: u64 = 0xcb4c_8f48_11db_f578;
 
+    /// FNV-1a over a model's serialized bytes.
+    fn model_fnv1a(model: &EmbLookupModel) -> u64 {
+        model
+            .to_bytes()
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+    }
+
     #[test]
     fn trained_model_hashes_to_the_golden_value_under_every_kernel_variant() {
         let (el, _) = trained();
-        let hash = el
-            .model()
-            .to_bytes()
-            .iter()
-            .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3));
+        let hash = model_fnv1a(el.model());
         assert_eq!(hash, TRAINED_MODEL_FNV1A, "got {hash:#018x}");
+    }
+
+    /// [`TRAINED_MODEL_FNV1A`] for the paper's architecture — 5 conv
+    /// layers of 8 kernels, `max_len` 32, 4 pool segments, hidden 128,
+    /// 64-d — which the tiny configuration does not reach: 8 channels take
+    /// the one-hot gather and 64 outputs fill whole kernel blocks. A short
+    /// `train_on` on the tiny graph, one offline and one online epoch.
+    const PAPER_ARCHITECTURE_MODEL_FNV1A: u64 = 0xc821_f9bf_6643_2419;
+
+    #[test]
+    fn paper_architecture_model_hashes_to_the_golden_value_under_every_kernel_variant() {
+        let s = generate(SynthKgConfig::tiny(8));
+        let config = EmbLookupConfig {
+            epochs: 2,
+            triplets_per_entity: 3,
+            fasttext_epochs: 2,
+            batch_size: 64,
+            compression: Compression::None,
+            ..EmbLookupConfig::fast(8)
+        };
+        let el = EmbLookup::train_on(&s.kg, config);
+        let hash = model_fnv1a(el.model());
+        assert_eq!(hash, PAPER_ARCHITECTURE_MODEL_FNV1A, "got {hash:#018x}");
     }
 
     #[test]

@@ -30,6 +30,12 @@ names! {
     TRAIN_MINING => "train.mining",
     /// Span/histogram timing the two-phase triplet training loop.
     TRAIN_TRIPLET => "train.triplet",
+    /// Histogram of one micro-batch's encoder forward passes (one sample
+    /// per micro-batch).
+    TRAIN_TRIPLET_ENCODE => "train.triplet.encode",
+    /// Histogram of one micro-batch's loss tape and encoder backward
+    /// passes (one sample per micro-batch).
+    TRAIN_TRIPLET_BACKPROP => "train.triplet.backprop",
     /// Histogram of per-epoch wall time.
     TRAIN_EPOCH_DURATION => "train.epoch.duration",
     /// Counter of completed training epochs.

@@ -428,6 +428,96 @@ mod tests {
         );
     }
 
+    /// A request on the wire: `head_lines` after the request line, then a
+    /// `Content-Length` per entry of `lengths` and the body.
+    fn wire(path: &str, head_lines: &[&str], lengths: &[&str], body: &[u8]) -> Vec<u8> {
+        let mut w = format!("POST {path} HTTP/1.1\r\n").into_bytes();
+        for line in head_lines {
+            w.extend_from_slice(format!("{line}\r\n").as_bytes());
+        }
+        for len in lengths {
+            w.extend_from_slice(format!("Content-Length: {len}\r\n").as_bytes());
+        }
+        w.extend_from_slice(b"\r\n");
+        w.extend_from_slice(body);
+        w
+    }
+
+    /// Every prefix of a valid `/lookup` and `/lookup/bulk` request —
+    /// read whole and one byte per `read` — is an `Err`; only the whole
+    /// request parses, to its method, path, headers and body.
+    #[test]
+    fn every_cut_of_a_valid_request_is_an_err_and_the_whole_parses() {
+        const MAX_BODY: usize = 1 << 16;
+        let lookup = r#"{"q": "café über", "k": 10}"#.as_bytes();
+        let bulk: &[u8] = br#"{"queries": ["germoney", "east berlin", ""], "k": 3}"#;
+        for (path, body) in [("/lookup", lookup), ("/lookup/bulk", bulk)] {
+            let len = body.len().to_string();
+            let w = wire(path, &["Host: x", "Content-Type: application/json"], &[len.as_str()], body);
+            let req = parse(&w, MAX_BODY).expect("the whole request");
+            assert_eq!((req.method.as_str(), req.path.as_str(), &req.body[..]), ("POST", path, body));
+            assert_eq!(req.header("content-type"), Some("application/json"));
+            for cut in 0..w.len() {
+                assert!(parse(&w[..cut], MAX_BODY).is_err(), "{path} cut at {cut} parsed");
+                let mut dribble = BufReader::new(Dribble { rest: &w[..cut], chunk: 1, reads: 0 });
+                assert!(read_request(&mut dribble, MAX_BODY).is_err(), "{path} cut at {cut} parsed a byte at a time");
+            }
+        }
+    }
+
+    /// `Content-Length` set to 0, to `max_body` and one past it, past
+    /// `u64::MAX`, to non-digits, and given twice (agreeing and not): each
+    /// is the request it declares or an `Err` naming the length.
+    #[test]
+    fn crafted_content_lengths_parse_exactly_or_are_refused() {
+        const MAX_BODY: usize = 64;
+        let body = [b'a'; MAX_BODY + 1];
+        let max = MAX_BODY.to_string();
+        let past = (MAX_BODY + 1).to_string();
+        let cases: [(&[&str], Result<usize, &str>); 12] = [
+            (&["0"], Ok(0)),
+            (&[max.as_str()], Ok(MAX_BODY)),
+            (&[past.as_str()], Err("request body too large")),
+            (&["18446744073709551616"], Err("bad content-length")),
+            (&["99999999999999999999999"], Err("bad content-length")),
+            (&["12a"], Err("bad content-length")),
+            (&["-1"], Err("bad content-length")),
+            (&["0x10"], Err("bad content-length")),
+            (&[""], Err("bad content-length")),
+            (&["7", "7"], Ok(7)),
+            (&["7", "8"], Err("conflicting content-length")),
+            (&["7", "x"], Err("bad content-length")),
+        ];
+        for (lengths, want) in cases {
+            // a body as long as the first length says, where it is a number
+            let n = lengths[0].parse::<usize>().map_or(0, |n| n.min(body.len()));
+            let w = wire("/lookup", &["Host: x"], lengths, &body[..n]);
+            match (parse(&w, MAX_BODY), want) {
+                (Ok(req), Ok(len)) => assert_eq!(req.body.len(), len, "{lengths:?}"),
+                (Err(why), Err(reason)) => assert_eq!(why, reason, "{lengths:?}"),
+                (got, want) => panic!("{lengths:?}: got {got:?}, want {want:?}"),
+            }
+        }
+    }
+
+    /// A head at the cap parses; one header line, or as many short ones
+    /// as it takes, one byte past it is refused as too large.
+    #[test]
+    fn header_lines_and_counts_past_the_cap_are_refused() {
+        let fixed = wire("/lookup", &["X-Pad: "], &["0"], b"").len();
+        let pad = "p".repeat(MAX_HEAD_BYTES - fixed);
+        let at_cap = wire("/lookup", &[&format!("X-Pad: {pad}")], &["0"], b"");
+        assert_eq!(at_cap.len(), MAX_HEAD_BYTES);
+        assert!(parse(&at_cap, 0).is_ok(), "a head of exactly the cap");
+        let one_long = wire("/lookup", &[&format!("X-Pad: {pad}p")], &["0"], b"");
+        assert_eq!(parse(&one_long, 0).err(), Some("request head too large"));
+        let many: Vec<String> = (0..MAX_HEAD_BYTES / 8).map(|i| format!("X-{i}: v")).collect();
+        let many: Vec<&str> = many.iter().map(String::as_str).collect();
+        let w = wire("/lookup", &many, &["0"], b"");
+        assert!(w.len() > MAX_HEAD_BYTES);
+        assert_eq!(parse(&w, 0).err(), Some("request head too large"));
+    }
+
     /// What an independent reading of the wire says a request may take:
     /// its head (through the first blank line, or the cap) and, when the
     /// head declares one that fits — and no transfer encoding — its body.

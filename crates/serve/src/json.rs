@@ -395,6 +395,35 @@ mod tests {
         assert!(accepted > 300 && refused > 3_000, "one-sided corpus: {accepted} / {refused}");
     }
 
+    /// A `/lookup` and a `/lookup/bulk` body cut at every byte: a cut
+    /// inside a multi-byte character is not UTF-8 (the handler refuses it
+    /// before parsing), every other proper prefix is an `Err` — the
+    /// document is an object, so no prefix closes it — and only the whole
+    /// body parses, to the request it spells.
+    #[test]
+    fn every_cut_of_a_request_body_is_an_err_and_the_whole_parses() {
+        let bodies = [
+            (r#"{"q": "café über", "k": 10}"#, Some("café über"), 10, 0),
+            (r#"{"queries": ["germoney", "b
+c", "😀 𝄞", ""], "k": 3}"#, None, 3, 4),
+        ];
+        for (body, query, k, queries) in bodies {
+            let whole = parse(body).expect("the corpus is valid");
+            assert_eq!(whole.get("q").and_then(Json::as_str), query);
+            assert_eq!(whole.get("k").and_then(Json::as_u64), Some(k));
+            assert_eq!(whole.get("queries").and_then(Json::as_arr).map_or(0, <[Json]>::len), queries);
+            let bytes = body.as_bytes();
+            let mut parsed_cuts = 0;
+            for cut in 0..bytes.len() {
+                if let Ok(prefix) = std::str::from_utf8(&bytes[..cut]) {
+                    parsed_cuts += 1;
+                    assert!(parse(prefix).is_err(), "cut at {cut} of {body:?} parsed");
+                }
+            }
+            assert!(parsed_cuts + 8 >= bytes.len(), "only {parsed_cuts} cuts were UTF-8");
+        }
+    }
+
     /// `escape` and `parse` are inverses on every string: seeded strings
     /// of arbitrary `char`s — controls, quotes, backslashes, the top of
     /// the BMP, astral planes — come back as they went in.

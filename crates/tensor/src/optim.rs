@@ -43,6 +43,23 @@ impl GradBuffer {
         }
     }
 
+    /// The gradient accumulator of parameter `id`, a tensor of `shape`
+    /// created at `+0.0` on first touch — for backward passes that add
+    /// each contribution in place instead of handing over a tensor.
+    /// Adding into `+0.0` is [`GradBuffer::accumulate`]'s copy for every
+    /// contribution but `-0.0`.
+    ///
+    /// # Panics
+    /// Panics if the slot exists with another shape.
+    pub fn slot(&mut self, id: ParamId, shape: &[usize]) -> &mut [f32] {
+        if self.grads.len() <= id.0 {
+            self.grads.resize_with(id.0 + 1, || None);
+        }
+        let t = self.grads[id.0].get_or_insert_with(|| Tensor::zeros(shape));
+        assert_eq!(t.shape(), shape, "gradient slot {} has shape {:?}, not {shape:?}", id.0, t.shape());
+        t.data_mut()
+    }
+
     /// Adds every gradient of `other` into `self`. Slots combine in
     /// ascending [`ParamId`] order, so folding micro-batch buffers in a
     /// fixed sequence yields a deterministic result.

@@ -5,14 +5,16 @@
 //! is invisible to it. This test wraps the global allocator and counts
 //! what one call really does, and is the query path's only allocation
 //! check — and, beside it, the SGNS pair step's, the training loop every
-//! set-up runs millions of times. Every bound below is a
+//! set-up runs millions of times, and the triplet trainer's micro-batch. Every bound below is a
 //! ratchet: it states today's figure and may only be lowered.
 //!
 //! One `#[test]` only: the counter is process-wide, so that the pool's
 //! workers are counted too, and a second test running beside this one
 //! would be counted with them.
 
-use emblookup::core::{EmbLookupModel, EmbedScratch};
+use emblookup::core::trainer::run_micro_batch;
+use emblookup::core::{mine_triplets, EmbLookupModel, EmbedScratch, MiningConfig, TrainScratch};
+use emblookup::tensor::optim::GradBuffer;
 use emblookup::embed::sgns::SgnsModel;
 use emblookup::embed::{Corpus, FastText, FastTextConfig};
 use emblookup::obs::sync::RelaxedU64;
@@ -181,4 +183,36 @@ fn query_path_stays_inside_its_allocation_budget() {
             compression.name()
         );
     }
+
+    // Training: with a warm scratch the encoder's forward and backward
+    // passes allocate nothing per mention — the activation records, the
+    // gradient planes and the transposed weights reuse their memory, and a
+    // gradient buffer's slots exist after the first mention.
+    let triplets = mine_triplets(&synth.kg, &MiningConfig::with_budget(6, 1));
+    let mentions: Vec<&str> = triplets.iter().take(40).flat_map(|t| [&t.anchor, &t.positive, &t.negative]).map(String::as_str).collect();
+    let (mut scratch, mut grads) = (TrainScratch::default(), GradBuffer::new());
+    let grad: Vec<f32> = (0..model.dim()).map(|i| (i as f32 * 0.37).sin()).collect();
+    let step = |scratch: &mut TrainScratch, grads: &mut GradBuffer| {
+        scratch.clear();
+        for m in &mentions {
+            model.encode_recorded(m, scratch);
+        }
+        for n in (0..mentions.len()).rev() {
+            model.backprop(n, &grad, scratch, grads);
+        }
+    };
+    step(&mut scratch, &mut grads);
+    let warm = allocations(|| step(&mut scratch, &mut grads));
+    assert_eq!(warm, 0, "encode_recorded + backprop allocated {warm} times over {} warm mentions", mentions.len());
+
+    // A whole micro-batch adds the loss tape over the embeddings: per
+    // distinct mention a leaf, per triplet ten loss nodes and the
+    // gradients their backward pass clones and builds, a tensor (shape and
+    // data) each — 2 541 for these 32 triplets when this was written, ≈ 79
+    // a triplet — plus the micro-batch's gradient buffer and lists.
+    let micro: Vec<usize> = (0..32).collect();
+    run_micro_batch(&model, &triplets, &micro);
+    let batch = allocations(|| run_micro_batch(&model, &triplets, &micro));
+    let budget = 80 * micro.len() as u64 + 64;
+    assert!(batch <= budget, "a warm micro-batch of {} triplets allocated {batch} times (budget {budget})", micro.len());
 }
