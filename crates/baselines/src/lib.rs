@@ -11,22 +11,18 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod cached;
 pub mod catalog;
 pub mod elastic;
 pub mod elastic_ops;
 pub mod lsh_service;
 pub mod metasearch;
-pub mod metered;
 pub mod remote;
 pub mod scan;
 
-pub use cached::CachedService;
 pub use catalog::MentionCatalog;
 pub use elastic::ElasticLikeService;
 pub use elastic_ops::{ElasticOp, ElasticOpService};
 pub use lsh_service::LshService;
 pub use metasearch::MetaSearchService;
-pub use metered::Metered;
 pub use remote::{RemoteCostModel, RemoteService};
 pub use scan::{ExactMatchService, FuzzyWuzzyService, LevenshteinService, QGramService};

@@ -95,6 +95,20 @@ pub enum LossKind {
     Contrastive,
 }
 
+impl LossKind {
+    /// Whether this loss is non-zero on a triplet at squared distances
+    /// `d_ap` (anchor–positive) and `d_an` (anchor–negative) — the
+    /// triplets the online phase keeps.
+    pub(crate) fn is_nonzero(self, d_ap: f32, d_an: f32, margin: f32) -> bool {
+        match self {
+            // `max(0, d_ap − d_an + margin)`: hard or semi-hard
+            LossKind::Triplet => d_an < d_ap + margin,
+            // `d_ap + max(0, margin² − d_an)`
+            LossKind::Contrastive => d_ap > 0.0 || d_an < margin * margin,
+        }
+    }
+}
+
 /// Hyperparameters of the EmbLookup model and training procedure (§III).
 ///
 /// Paper defaults: 64-d embeddings, 5 conv layers of 8 kernels of size 3,

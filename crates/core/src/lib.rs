@@ -37,7 +37,7 @@ pub use encoder_index::EncoderIndex;
 pub use errors::TrainError;
 pub use index::EntityIndex;
 pub use mining::{mine_triplets, MiningConfig, Triplet, TripletFamily};
-pub use model::{EmbLookupModel, EmbedScratch, TrainScratch};
+pub use model::{EmbLookupModel, EncodeScratch};
 pub use service::{num_threads, EmbLookup};
 pub use shards::{merge_topk, shard_of, ShardedIndex};
 pub use trainer::{train, EpochStats, TrainReport};

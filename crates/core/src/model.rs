@@ -24,7 +24,7 @@ use rand::SeedableRng;
 
 mod train_pass;
 
-pub use train_pass::TrainScratch;
+pub use train_pass::EncodeScratch;
 
 /// The trainable EmbLookup network plus its frozen semantic encoder.
 pub struct EmbLookupModel {
@@ -116,83 +116,20 @@ impl EmbLookupModel {
         self.with_embedding(s, <[f32]>::to_vec)
     }
 
-    /// Runs `f` on `s`'s embedding, computed in this thread's [`QUERY`]
-    /// pair.
+    /// Runs `f` on `s`'s embedding, [`EmbLookupModel::encode`]d as a step
+    /// of one mention in this thread's [`QUERY`] scratch.
     pub(crate) fn with_embedding<R>(&self, s: &str, f: impl FnOnce(&[f32]) -> R) -> R {
-        let (mut scratch, mut emb) = QUERY.take();
-        emb.resize(self.dim(), 0.0);
-        self.embed_into(s, &mut scratch, &mut emb);
-        let found = f(&emb);
-        QUERY.set((scratch, emb));
+        let mut scratch = QUERY.take();
+        scratch.clear();
+        let found = f(self.encode(s, &mut scratch));
+        QUERY.set(scratch);
         found
-    }
-
-    /// [`EmbLookupModel::embed`] into `out`, working in `scratch`: once the
-    /// scratch has been through one call it allocates nothing. The pass
-    /// runs over plain slices — character rows straight into the first
-    /// layer's tap gather, the other layers plane to plane, the pooled
-    /// maxima and the fastText vector written side by side into the fused
-    /// vector, two matrix-vector products — with every sum in the order
-    /// the tensor path (`Conv1dLayer::infer`, `Linear::infer`,
-    /// `FastText::embed`) runs it, so the embedding is the same bits.
-    ///
-    /// # Panics
-    /// Panics unless `out` has `dim()` elements.
-    pub fn embed_into(&self, s: &str, scratch: &mut EmbedScratch, out: &mut [f32]) {
-        let c = &self.config;
-        assert_eq!(out.len(), c.embedding_dim, "embedding output len {} != dim {}", out.len(), c.embedding_dim);
-        let (len, pad, segments) = (c.max_len, c.kernel_size / 2, c.pool_segments);
-        let stride = len + 2 * pad;
-        let plane = c.kernels * stride;
-        let pooled = c.kernels * segments;
-
-        // [plane | plane | fused = pooled ++ fastText | hidden | fastText token mean]
-        let EmbedScratch { buf, token } = scratch;
-        buf.resize(2 * plane + pooled + 2 * c.fasttext_dim + c.fusion_hidden, 0.0);
-        let (planes, rest) = buf.split_at_mut(2 * plane);
-        let (fused, rest) = rest.split_at_mut(pooled + c.fasttext_dim);
-        let (hidden, token_vec) = rest.split_at_mut(c.fusion_hidden);
-        // the layers write samples only and read the `pad` zeros around
-        // them; whatever used this scratch last may have had another shape
-        planes.fill(0.0);
-        let (mut x, mut y) = planes.split_at_mut(plane);
-
-        self.convs[0].infer_onehot(&self.store, self.onehot.indices(s), x, len);
-        relu(x);
-        for conv in &self.convs[1..] {
-            conv.infer_rows(&self.store, x, y, len);
-            relu(y);
-            std::mem::swap(&mut x, &mut y);
-        }
-        // segmented max over time per channel (mirrors the graph op)
-        let chunk = len / segments;
-        for (row, maxima) in x.chunks_exact(stride).zip(fused.chunks_exact_mut(segments)) {
-            let row = &row[pad..pad + len];
-            for (seg, m) in maxima.iter_mut().enumerate() {
-                let lo = seg * chunk;
-                let hi = if seg + 1 == segments { len } else { lo + chunk };
-                *m = row[lo..hi].iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            }
-        }
-        self.semantic.embed_into(s, token, token_vec, &mut fused[pooled..]);
-
-        self.fuse1.infer_into(&self.store, fused, hidden);
-        relu(hidden);
-        self.fuse2.infer_into(&self.store, hidden, out);
-        if c.l2_normalize {
-            let norm = out.iter().map(|x| x * x).sum::<f32>().sqrt();
-            if norm > 1e-12 {
-                for v in out.iter_mut() {
-                    *v /= norm;
-                }
-            }
-        }
     }
 
     /// Embeds a batch of mentions, preserving order — the bulk path
     /// behind index building and batched queries. `threads == 1` stays
     /// on the calling thread; larger values fan out over the persistent
-    /// compute pool, one [`EmbedScratch`] per chunk. Each mention's
+    /// compute pool, one [`EncodeScratch`] per chunk. Each mention's
     /// embedding lands in its own output slot, so results are
     /// bit-identical across thread counts.
     pub fn embed_batch(&self, mentions: &[&str], threads: usize) -> Vec<Vec<f32>> {
@@ -200,40 +137,27 @@ impl EmbLookupModel {
         if n == 0 {
             return Vec::new();
         }
-        let embed_one = |scratch: &mut EmbedScratch, i: usize| {
-            let mut out = vec![0.0f32; self.config.embedding_dim];
-            self.embed_into(mentions[i], scratch, &mut out);
-            out
+        let embed_one = |scratch: &mut EncodeScratch, i: usize| {
+            scratch.clear();
+            self.encode(mentions[i], scratch).to_vec()
         };
         let threads = threads.max(1).min(n);
         if threads == 1 {
-            let mut scratch = EmbedScratch::default();
+            let mut scratch = EncodeScratch::default();
             return (0..n).map(|i| embed_one(&mut scratch, i)).collect();
         }
         let grain = n.div_ceil(threads * 2).max(1);
-        emblookup_pool::Pool::global().parallel_map_with(n, grain, EmbedScratch::default, embed_one)
+        emblookup_pool::Pool::global().parallel_map_with(n, grain, EncodeScratch::default, embed_one)
     }
 }
 
 std::thread_local! {
-    /// The encoder's working memory and the embedding of the string this
-    /// thread is embedding. [`EmbLookupModel::with_embedding`] takes the
-    /// pair out for the call and puts it back after `f`, so an embedding
-    /// that begins on this thread while another is under way finds an
-    /// empty pair and sizes its own; both are rewritten per string, so
-    /// reuse cannot affect results.
-    static QUERY: std::cell::RefCell<(EmbedScratch, Vec<f32>)> = std::cell::RefCell::default();
-}
-
-/// Working memory of [`EmbLookupModel::embed_into`]: the activation planes
-/// and vectors of one forward pass in a single buffer, and the fastText
-/// leg's token buffer. A fresh one is empty; the first call sizes it for
-/// the model, later calls reuse it. Nothing in it outlives a call, so one
-/// scratch may serve any sequence of strings and models — one per thread.
-#[derive(Debug, Default)]
-pub struct EmbedScratch {
-    buf: Vec<f32>,
-    token: String,
+    /// The encoder's working memory on this thread.
+    /// [`EmbLookupModel::with_embedding`] takes it out for the call and
+    /// puts it back after `f`, so an embedding that begins on this thread
+    /// while another is under way finds an empty scratch and sizes its
+    /// own; a step rewrites what it reads, so reuse cannot affect results.
+    static QUERY: std::cell::RefCell<EncodeScratch> = std::cell::RefCell::default();
 }
 
 fn relu(xs: &mut [f32]) {
@@ -251,9 +175,8 @@ impl EmbLookupModel {
     }
 
     /// The forward pass on a training graph, one tape node per op — how
-    /// training recorded a mention before
-    /// [`EmbLookupModel::encode_recorded`]: the slow oracle the training
-    /// pass's embeddings and gradients must match bit for bit.
+    /// training recorded a mention before [`EmbLookupModel::encode`]: the
+    /// slow oracle its embeddings and gradients must match bit for bit.
     pub(crate) fn forward(
         &self,
         g: &mut Graph,
@@ -282,10 +205,10 @@ impl EmbLookupModel {
         }
     }
 
-    /// The forward pass as it was before [`EmbLookupModel::embed_into`] —
-    /// a `Tensor` per layer out of the training path's primitives
-    /// (`conv1d_forward` behind `Conv1dLayer::infer`, `Tensor::matmul`) and
-    /// `FastText::embed`: the slow oracle `embed` must match bit for bit.
+    /// The forward pass as a `Tensor` per layer out of the tape's
+    /// primitives (`conv1d_forward` behind `Conv1dLayer::infer`,
+    /// `Tensor::matmul`) and `FastText::embed`: the slow oracle `embed`
+    /// must match bit for bit.
     fn embed_reference(&self, s: &str) -> Vec<f32> {
         let mut x = self.encode_chars(s);
         for conv in &self.convs {
@@ -430,21 +353,18 @@ mod tests {
             .iter()
             .map(|m| refs.iter().map(|s| bits(&m.embed_reference(s))).collect())
             .collect();
-        // one scratch for every string and — interleaved — every model
-        let mut scratch = EmbedScratch::default();
+        // this thread's scratch for every string and — interleaved — every
+        // model
         for (i, s) in refs.iter().enumerate() {
             for (m, want) in models.iter().zip(&want) {
-                let mut out = vec![f32::NAN; m.dim()];
-                m.embed_into(s, &mut scratch, &mut out);
-                assert_eq!(bits(&out), want[i], "embed_into differs for {s:?}");
                 assert_eq!(bits(&m.embed(s)), want[i], "embed differs for {s:?}");
             }
         }
-        // the training pass's forward, records piling up in one scratch
+        // a training step's records piling up in one scratch
         for (m, want) in models.iter().zip(&want) {
-            let mut train = TrainScratch::default();
+            let mut scratch = EncodeScratch::default();
             for (s, want) in refs.iter().zip(want) {
-                assert_eq!(&bits(m.encode_recorded(s, &mut train)), want, "encode_recorded differs for {s:?}");
+                assert_eq!(&bits(m.encode(s, &mut scratch)), want, "encode differs for {s:?}");
             }
         }
         for (m, want) in models.iter().zip(&want) {

@@ -1,12 +1,13 @@
 //! Two-phase triplet training (§III-B "Model Training Procedure").
 //!
 //! The first half of the epochs trains offline on every mined triplet; the
-//! second half mines online, keeping only the *hard* (`d(a,n) < d(a,p)`)
-//! and *semi-hard* (`d(a,p) < d(a,n) < d(a,p) + margin`) triplets whose
-//! loss is non-zero, which keeps easy triplets from diluting the gradient.
+//! second half mines online, keeping only the triplets whose loss is
+//! non-zero — under the paper's triplet loss the *hard*
+//! (`d(a,n) < d(a,p)`) and *semi-hard* (`d(a,p) < d(a,n) < d(a,p) + margin`)
+//! ones — which keeps easy triplets from diluting the gradient.
 
 use crate::mining::Triplet;
-use crate::model::{EmbLookupModel, TrainScratch};
+use crate::model::{EmbLookupModel, EncodeScratch};
 use emblookup_ann::sq_l2;
 use emblookup_obs::names;
 use emblookup_tensor::loss;
@@ -78,7 +79,7 @@ pub fn train(model: &mut EmbLookupModel, triplets: &[Triplet]) -> TrainReport {
         let epoch_start = std::time::Instant::now();
         let online = epoch >= offline_epochs;
         let active: Vec<usize> = if online {
-            select_hard(model, triplets, config.margin)
+            select_hard(model, triplets)
         } else {
             order.shuffle(&mut rng);
             order.clone()
@@ -126,7 +127,7 @@ pub fn train(model: &mut EmbLookupModel, triplets: &[Triplet]) -> TrainReport {
 std::thread_local! {
     /// This thread's activation records and backward memory, taken out for
     /// one micro-batch and put back after it.
-    static TRAIN: std::cell::RefCell<TrainScratch> = std::cell::RefCell::default();
+    static TRAIN: std::cell::RefCell<EncodeScratch> = std::cell::RefCell::default();
 }
 
 /// One micro-batch — the triplets `micro` names — under the current
@@ -135,7 +136,7 @@ std::thread_local! {
 /// gradients by the batch length, which recovers the batch-mean update.
 ///
 /// Each distinct mention is encoded once, in order of first appearance,
-/// on the inference kernels ([`EmbLookupModel::encode_recorded`]) —
+/// by the encoder's forward pass ([`EmbLookupModel::encode`]) —
 /// triplet mining repeats anchors heavily, so most legs are shared. Only
 /// the embeddings go on a tape, as leaves, with the loss over them; its
 /// backward pass yields each embedding's gradient, which
@@ -163,7 +164,7 @@ pub fn run_micro_batch(
         let t = &triplets[i];
         legs.push([&t.anchor, &t.positive, &t.negative].map(|s| {
             *memo.entry(s.as_str()).or_insert_with(|| {
-                let leaf = g.leaf(Tensor::vector(model.encode_recorded(s, &mut scratch)));
+                let leaf = g.leaf(Tensor::vector(model.encode(s, &mut scratch)));
                 leaves.push(leaf);
                 leaf
             })
@@ -198,11 +199,12 @@ pub fn run_micro_batch(
     (f64::from(g.value(total).item()), grads)
 }
 
-/// Indices of triplets with non-zero loss under the current model — the
-/// hard and semi-hard set of the paper's online phase. Embeddings are
-/// computed once per distinct mention through the fast inference path,
-/// fanned out over the compute pool.
-fn select_hard(model: &EmbLookupModel, triplets: &[Triplet], margin: f32) -> Vec<usize> {
+/// Indices of triplets with non-zero loss under the current model and its
+/// configured loss — the paper's online phase. Embeddings are computed
+/// once per distinct mention through the fast inference path, fanned out
+/// over the compute pool.
+fn select_hard(model: &EmbLookupModel, triplets: &[Triplet]) -> Vec<usize> {
+    let config = model.config();
     // embed each distinct mention once; keys borrow from `triplets`
     let mut distinct: Vec<&str> = Vec::new();
     let mut cache: HashMap<&str, Vec<f32>> = HashMap::new();
@@ -225,9 +227,7 @@ fn select_hard(model: &EmbLookupModel, triplets: &[Triplet], margin: f32) -> Vec
             let a = &cache[t.anchor.as_str()];
             let p = &cache[t.positive.as_str()];
             let n = &cache[t.negative.as_str()];
-            let d_ap = sq_l2(a, p);
-            let d_an = sq_l2(a, n);
-            d_an < d_ap + margin // hard or semi-hard
+            config.loss.is_nonzero(sq_l2(a, p), sq_l2(a, n), config.margin)
         })
         .map(|(i, _)| i)
         .collect()
@@ -349,6 +349,31 @@ mod tests {
                     assert_eq!(gradient_bits(&got), gradient_bits(&want), "{what}: gradients");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn online_phase_keeps_the_triplets_the_configured_loss_is_nonzero_on() {
+        use crate::config::LossKind;
+        let (model, _) = setup();
+        let triplet = |a: &str, p: &str, n: &str| Triplet { anchor: a.into(), positive: p.into(), negative: n.into() };
+        let x = model.embed("x");
+        let d = |s: &str| sq_l2(&x, &model.embed(s));
+        let (mut p, mut n) = ("east berlin", "tokyo");
+        if d(n) < d(p) {
+            (p, n) = (n, p);
+        }
+        let (d_ap, d_an) = (d(p), d(n));
+        let margin = (d_an - d_ap) / 2.0;
+        assert!(d_ap > 0.0 && margin > 0.0 && margin * margin < d_an, "d_ap {d_ap}, d_an {d_an}");
+        // `d_an ≥ d_ap + margin`: zero triplet loss, but the contrastive
+        // loss still pulls the positive; with the positive on the anchor
+        // and the negative past `margin`, both losses are zero
+        let triplets = [triplet("x", p, n), triplet("x", "x", n)];
+        for (loss, kept) in [(LossKind::Triplet, vec![]), (LossKind::Contrastive, vec![0])] {
+            let config = EmbLookupConfig { loss, margin, ..model.config().clone() };
+            let model = EmbLookupModel::from_bytes(&model.to_bytes(), config).expect("same architecture");
+            assert_eq!(select_hard(&model, &triplets), kept, "{loss:?}");
         }
     }
 

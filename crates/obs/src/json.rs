@@ -1,6 +1,6 @@
-//! Minimal JSON string escaping for the trace exporters. Full
-//! serialization stays hand-rolled — this crate depends on nothing
-//! outside std.
+//! Minimal JSON string escaping: the trace exporters' and the serving
+//! layer's one escaper. Full serialization stays hand-rolled — this crate
+//! depends on nothing outside std.
 
 /// Escapes a string for embedding inside a JSON string literal.
 pub fn escape_json(s: &str) -> String {

@@ -59,6 +59,7 @@ mod span;
 
 pub use fmt::{fmt_duration, fmt_nanos};
 pub use hist::{Exemplar, Histogram, HistogramSnapshot};
+pub use json::escape_json;
 pub use registry::{global, Counter, Gauge, MetricsRegistry, MetricsSnapshot};
 pub use ring::FlightRecorder;
 pub use sample::{RetainedTrace, TailSampler, TraceHub, Trigger};

@@ -1,4 +1,4 @@
-//! A minimal, strict-enough JSON reader and string escaper.
+//! A minimal, strict-enough JSON reader.
 //!
 //! The serving layer's request bodies are tiny (`{"q": "...", "k": 5}`),
 //! so a compact recursive-descent parser on `std` keeps the workspace
@@ -57,30 +57,6 @@ impl Json {
             _ => None,
         }
     }
-}
-
-/// Escapes `s` for embedding inside a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str("\\u");
-                let code = c as u32;
-                for shift in [12u32, 8, 4, 0] {
-                    let digit = (code >> shift) & 0xF;
-                    out.push(char::from_digit(digit, 16).unwrap_or('0'));
-                }
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 const MAX_DEPTH: usize = 32;
@@ -271,6 +247,7 @@ fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, &'stat
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emblookup_obs::escape_json;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -331,7 +308,7 @@ mod tests {
     #[test]
     fn escape_round_trips_through_parse() {
         let nasty = "a\"b\\c\nd\te\u{1}f über";
-        let doc = format!("{{\"s\": \"{}\"}}", escape(nasty));
+        let doc = format!("{{\"s\": \"{}\"}}", escape_json(nasty));
         let v = parse(&doc).unwrap();
         assert_eq!(v.get("s").and_then(Json::as_str), Some(nasty));
     }
@@ -424,7 +401,7 @@ c", "😀 𝄞", ""], "k": 3}"#, None, 3, 4),
         }
     }
 
-    /// `escape` and `parse` are inverses on every string: seeded strings
+    /// `escape_json` and `parse` are inverses on every string: seeded strings
     /// of arbitrary `char`s — controls, quotes, backslashes, the top of
     /// the BMP, astral planes — come back as they went in.
     #[test]
@@ -443,7 +420,7 @@ c", "😀 𝄞", ""], "k": 3}"#, None, 3, 4),
                     }
                 })
                 .collect();
-            let doc = format!("\"{}\"", escape(&s));
+            let doc = format!("\"{}\"", escape_json(&s));
             assert_eq!(parse(&doc), Ok(Json::Str(s)), "case {case}: {doc:?}");
         }
     }

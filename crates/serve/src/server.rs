@@ -94,7 +94,7 @@ use emblookup_kg::{EntityId, KnowledgeGraph};
 use emblookup_obs::names;
 use emblookup_obs::sync::{Flag, RelaxedU64};
 use emblookup_obs::{
-    format_trace_id, parse_trace_id, trace_id_from_index, traces_to_chrome_json, AnnoValue,
+    escape_json, format_trace_id, parse_trace_id, trace_id_from_index, traces_to_chrome_json, AnnoValue,
     Counter, Gauge, Histogram, MetricsRegistry, RetainedTrace, Trace, TraceClock, TraceData,
     TraceHub, TraceSpan, Trigger,
 };
@@ -321,7 +321,7 @@ impl Server {
         let (model, own_index) = service.into_parts();
         let ladder = Ladder::build(&model, kg, FALLBACK_CAP);
         let labels: Vec<String> = (0..kg.num_entities())
-            .map(|i| json::escape(kg.label(EntityId(i as u32))))
+            .map(|i| escape_json(kg.label(EntityId(i as u32))))
             .collect();
         let metrics = ServeMetrics::new(&registry);
         metrics.queue_depth.set(0.0);
@@ -444,7 +444,7 @@ fn connection_loop(stream: TcpStream, state: &ServerState, shutdown: &Flag) {
             Err("connection closed before request head") => return,
             Err(why) => {
                 state.metrics.errors.inc();
-                let body = format!("{{\"error\":\"{}\"}}", json::escape(why));
+                let body = format!("{{\"error\":\"{}\"}}", escape_json(why));
                 write_response(reader.get_mut(), &Response::json(400, body), false);
                 return;
             }
@@ -554,7 +554,7 @@ fn shed_response(state: &ServerState, ctx: &RequestCtx, reason: &'static str) ->
     let retry_ms = retry_after_ms(ctx.idx);
     Response::json(
         429,
-        format!("{{\"error\":\"shed\",\"reason\":\"{}\"}}", json::escape(reason)),
+        format!("{{\"error\":\"shed\",\"reason\":\"{}\"}}", escape_json(reason)),
     )
     .with_header("retry-after", &retry_ms.div_ceil(1000).max(1).to_string())
     .with_header("x-emblookup-retry-after-ms", &retry_ms.to_string())
@@ -670,7 +670,7 @@ fn debug_traces_json(state: &ServerState) -> String {
 
 fn bad_request(state: &ServerState, why: &str) -> Response {
     state.metrics.errors.inc();
-    Response::json(400, format!("{{\"error\":\"{}\"}}", json::escape(why)))
+    Response::json(400, format!("{{\"error\":\"{}\"}}", escape_json(why)))
 }
 
 fn deadline_response(state: &ServerState, stage: Stage, clock: &DeadlineClock) -> Response {

@@ -102,7 +102,7 @@ fn served_answers_equal_the_in_process_service_at_every_shard_count() {
     let queries = queries(kg);
     let refs: Vec<&str> = queries.iter().map(String::as_str).collect();
     let quoted: Vec<String> =
-        queries.iter().map(|q| format!("\"{}\"", json::escape(q))).collect();
+        queries.iter().map(|q| format!("\"{}\"", emblookup_obs::escape_json(q))).collect();
 
     let check = |server: &Server, shards: usize, oracle: &EmbLookup, exact: bool| {
         let mut conn = client::Connection::open(server.addr()).unwrap();

@@ -58,9 +58,6 @@ enum Op {
         bias: Var,
         pad: usize,
     },
-    /// Max over the time axis of `[C, L]`, producing `[C]`.
-    /// Argmax positions are cached in the node's `aux`.
-    MaxPoolTime(Var),
     /// Segmented max over time: `[C, L]` split into `s` equal time chunks,
     /// producing `[C * s]` (channel-major). Argmaxes cached in `aux`.
     MaxPoolSegments(Var, usize),
@@ -77,8 +74,6 @@ enum Op {
     /// Gathers rows of a `[V, D]` matrix, producing `[n, D]`.
     /// Row indices are cached in the node's `aux`.
     Rows(Var),
-    /// Stacks rank-1 tensors of equal length into a `[n, D]` matrix.
-    StackRows(Vec<Var>),
     /// Mean over the rows of `[n, D]`, producing `[D]`.
     MeanRows(Var),
     /// Layer normalization over the last axis of `[n, D]` with learned
@@ -138,7 +133,6 @@ fn for_each_input(op: &Op, mut f: impl FnMut(Var)) {
         | Op::Sigmoid(a)
         | Op::Tanh(a)
         | Op::SoftmaxRows(a)
-        | Op::MaxPoolTime(a)
         | Op::MaxPoolSegments(a, _)
         | Op::Slice(a, _, _)
         | Op::Reshape(a)
@@ -153,7 +147,7 @@ fn for_each_input(op: &Op, mut f: impl FnMut(Var)) {
             f(*weight);
             f(*bias);
         }
-        Op::Concat(parts) | Op::StackRows(parts) => {
+        Op::Concat(parts) => {
             for p in parts {
                 f(*p);
             }
@@ -356,29 +350,6 @@ impl Graph {
         self.push(out, Op::Conv1d { input, weight, bias, pad })
     }
 
-    /// Max over time: `[C, L] -> [C]`, caching argmax positions.
-    pub fn max_pool_time(&mut self, a: Var) -> Var {
-        let x = &self.nodes[a.0].value;
-        assert_eq!(x.rank(), 2, "max_pool_time needs [C, L], got {:?}", x.shape());
-        let (c, l) = (x.shape()[0], x.shape()[1]);
-        assert!(l > 0, "max_pool_time over empty time axis");
-        let mut out = Tensor::zeros(&[c]);
-        let mut arg = Vec::with_capacity(c);
-        for ch in 0..c {
-            let row = &x.data()[ch * l..(ch + 1) * l];
-            let (mut best_i, mut best_v) = (0usize, row[0]);
-            for (i, &v) in row.iter().enumerate().skip(1) {
-                if v > best_v {
-                    best_v = v;
-                    best_i = i;
-                }
-            }
-            out.data_mut()[ch] = best_v;
-            arg.push(best_i as u32);
-        }
-        self.push_full(out, Op::MaxPoolTime(a), arg, Vec::new())
-    }
-
     /// Segmented max pooling: splits the time axis of `[C, L]` into
     /// `segments` equal chunks (the last takes the remainder) and takes the
     /// max per (channel, chunk), producing `[C * segments]` channel-major.
@@ -477,22 +448,6 @@ impl Graph {
             Op::Rows(table),
             indices.to_vec(),
             Vec::new(),
-        )
-    }
-
-    /// Stacks rank-1 tensors of equal length into a `[n, D]` matrix.
-    pub fn stack_rows(&mut self, parts: &[Var]) -> Var {
-        assert!(!parts.is_empty(), "stack_rows of zero tensors");
-        let d = self.nodes[parts[0].0].value.len();
-        let mut data = Vec::with_capacity(parts.len() * d);
-        for &p in parts {
-            let t = &self.nodes[p.0].value;
-            assert_eq!(t.len(), d, "stack_rows parts must have equal length");
-            data.extend_from_slice(t.data());
-        }
-        self.push(
-            Tensor::from_vec(&[parts.len(), d], data),
-            Op::StackRows(parts.to_vec()),
         )
     }
 
@@ -709,16 +664,6 @@ impl Graph {
                 Op::Conv1d { input, weight, bias, pad } => {
                     self.conv1d_backward(i, input, weight, bias, pad, &gy);
                 }
-                Op::MaxPoolTime(a) => {
-                    let arg = self.nodes[i].aux.clone();
-                    let x_shape = self.nodes[a.0].value.shape().to_vec();
-                    let l = x_shape[1];
-                    let mut g = Tensor::zeros(&x_shape);
-                    for (ch, &pos) in arg.iter().enumerate() {
-                        g.data_mut()[ch * l + pos as usize] += gy.data()[ch];
-                    }
-                    self.accum(a, &g);
-                }
                 Op::MaxPoolSegments(a, segments) => {
                     let arg = self.nodes[i].aux.clone();
                     let x_shape = self.nodes[a.0].value.shape().to_vec();
@@ -772,16 +717,6 @@ impl Graph {
                         }
                     }
                     self.accum(table, &g);
-                }
-                Op::StackRows(parts) => {
-                    let d = self.nodes[parts[0].0].value.len();
-                    for (r, p) in parts.into_iter().enumerate() {
-                        let g = Tensor::from_vec(
-                            self.nodes[p.0].value.shape(),
-                            gy.data()[r * d..(r + 1) * d].to_vec(),
-                        );
-                        self.accum(p, &g);
-                    }
                 }
                 Op::MeanRows(a) => {
                     let shape = self.nodes[a.0].value.shape().to_vec();
@@ -1087,7 +1022,7 @@ mod tests {
             let b = g.leaf(b0.clone());
             let m = g.leaf(m0.clone());
             let y = g.conv1d(x, w, b, 1);
-            let pooled = g.max_pool_time(y);
+            let pooled = g.max_pool_segments(y, 1);
             let cat = g.concat(&[pooled, sem]);
             let row = g.reshape(cat, &[1, 6]);
             let out = g.matmul(row, m);
@@ -1118,7 +1053,7 @@ mod tests {
     #[test]
     fn grad_max_pool_time() {
         check_grad(&[3, 6], |g, x| {
-            let y = g.max_pool_time(x);
+            let y = g.max_pool_segments(x, 1);
             let sq = g.mul(y, y);
             g.sum_all(sq)
         }, 11, 1e-2);
@@ -1165,11 +1100,9 @@ mod tests {
     }
 
     #[test]
-    fn grad_mean_rows_and_stack() {
+    fn grad_mean_rows() {
         check_grad(&[8], |g, x| {
-            let a = g.slice(x, 0, 4);
-            let b = g.slice(x, 4, 4);
-            let m = g.stack_rows(&[a, b]);
+            let m = g.reshape(x, &[2, 4]);
             let mean = g.mean_rows(m);
             let sq = g.mul(mean, mean);
             g.sum_all(sq)
@@ -1340,19 +1273,6 @@ mod l2_tests {
 #[cfg(test)]
 mod segment_pool_tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn one_segment_equals_max_pool_time() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let x0 = Tensor::uniform(&[3, 7], -1.0, 1.0, &mut rng);
-        let mut g = Graph::new();
-        let x = g.leaf(x0.clone());
-        let a = g.max_pool_time(x);
-        let b = g.max_pool_segments(x, 1);
-        assert_eq!(g.value(a).data(), g.value(b).data());
-    }
 
     #[test]
     fn segments_cover_chunks() {

@@ -30,13 +30,6 @@ pub fn batch_mean(g: &mut Graph, losses: &[Var]) -> Var {
     g.mean_all(cat)
 }
 
-/// Mean squared error between a prediction node and a target node.
-pub fn mse(g: &mut Graph, pred: Var, target: Var) -> Var {
-    let d = g.sub(pred, target);
-    let d2 = g.mul(d, d);
-    g.mean_all(d2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,15 +74,6 @@ mod tests {
         let l2 = g.leaf(Tensor::scalar(3.0));
         let m = batch_mean(&mut g, &[l1, l2]);
         assert_eq!(g.value(m).item(), 2.0);
-    }
-
-    #[test]
-    fn mse_of_identical_is_zero() {
-        let mut g = Graph::new();
-        let a = g.leaf(Tensor::vector(&[1.0, 2.0]));
-        let b = g.leaf(Tensor::vector(&[1.0, 2.0]));
-        let l = mse(&mut g, a, b);
-        assert_eq!(g.value(l).item(), 0.0);
     }
 }
 

@@ -214,7 +214,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     let k: usize = parsed(args, "--k", 10)?;
     let body = format!(
         "{{\"q\":\"{}\",\"k\":{}}}",
-        emblookup::serve::json::escape(&query),
+        emblookup::obs::escape_json(&query),
         k
     );
     let headers: Vec<(String, String)> = match flag(args, "--deadline-ms") {

@@ -13,7 +13,7 @@
 //! would be counted with them.
 
 use emblookup::core::trainer::run_micro_batch;
-use emblookup::core::{mine_triplets, EmbLookupModel, EmbedScratch, MiningConfig, TrainScratch};
+use emblookup::core::{mine_triplets, EmbLookupModel, EncodeScratch, MiningConfig};
 use emblookup::tensor::optim::GradBuffer;
 use emblookup::embed::sgns::SgnsModel;
 use emblookup::embed::{Corpus, FastText, FastTextConfig};
@@ -130,16 +130,16 @@ fn query_path_stays_inside_its_allocation_budget() {
 
     // A warm scratch allocates nothing. The one warm-up call is on the
     // longest string: the token buffer grows to the longest string seen.
-    let mut scratch = EmbedScratch::default();
-    let mut out = vec![0.0f32; model.dim()];
+    let mut scratch = EncodeScratch::default();
     let longest = queries.iter().copied().max_by_key(|q| q.len()).unwrap_or("");
-    model.embed_into(longest, &mut scratch, &mut out);
+    model.encode(longest, &mut scratch);
     let warm = allocations(|| {
         for q in &queries {
-            model.embed_into(q, &mut scratch, &mut out);
+            scratch.clear();
+            model.encode(q, &mut scratch);
         }
     });
-    assert_eq!(warm, 0, "embed_into with a warm scratch allocated {warm} times over 200 strings");
+    assert_eq!(warm, 0, "encode with a warm scratch allocated {warm} times over 200 strings");
 
     // `embed` = the output vector: it works in the thread's scratch, warm
     // after one call on the longest string. Was 91 per call on average
@@ -190,12 +190,12 @@ fn query_path_stays_inside_its_allocation_budget() {
     // gradient buffer's slots exist after the first mention.
     let triplets = mine_triplets(&synth.kg, &MiningConfig::with_budget(6, 1));
     let mentions: Vec<&str> = triplets.iter().take(40).flat_map(|t| [&t.anchor, &t.positive, &t.negative]).map(String::as_str).collect();
-    let (mut scratch, mut grads) = (TrainScratch::default(), GradBuffer::new());
+    let (mut scratch, mut grads) = (EncodeScratch::default(), GradBuffer::new());
     let grad: Vec<f32> = (0..model.dim()).map(|i| (i as f32 * 0.37).sin()).collect();
-    let step = |scratch: &mut TrainScratch, grads: &mut GradBuffer| {
+    let step = |scratch: &mut EncodeScratch, grads: &mut GradBuffer| {
         scratch.clear();
         for m in &mentions {
-            model.encode_recorded(m, scratch);
+            model.encode(m, scratch);
         }
         for n in (0..mentions.len()).rev() {
             model.backprop(n, &grad, scratch, grads);
@@ -203,7 +203,7 @@ fn query_path_stays_inside_its_allocation_budget() {
     };
     step(&mut scratch, &mut grads);
     let warm = allocations(|| step(&mut scratch, &mut grads));
-    assert_eq!(warm, 0, "encode_recorded + backprop allocated {warm} times over {} warm mentions", mentions.len());
+    assert_eq!(warm, 0, "encode + backprop allocated {warm} times over {} warm mentions", mentions.len());
 
     // A whole micro-batch adds the loss tape over the embeddings: per
     // distinct mention a leaf, per triplet ten loss nodes and the
