@@ -12,34 +12,51 @@
 //!
 //! # Build
 //!
-//! The graph [`HnswIndex::build`] returns is, link for link, the one the
-//! textbook insertion loop builds (the `#[cfg(test)]` oracle
-//! `build_reference`, pinned by `build_is_the_reference_graph`); what the
-//! `Builder` drops is work whose result is already known:
+//! Nodes are inserted in deterministic batches (after ParlayANN's
+//! batched insertion). Levels are drawn in id order; a batch is the next
+//! run of ids, at most `BATCH_CAP` and at most as many as the graph
+//! already holds, ended before any node that would raise the top layer —
+//! that node goes alone, so the entry point moves when it would one node
+//! at a time. Phase 1 plans each batch node (descent, layer searches, its
+//! own lists) against the graph as the batch found it, nodes in parallel;
+//! phase 2 groups the reverse edges by the list they go to, in node
+//! order, and each touched list takes its group and is re-pruned once,
+//! lists in parallel. The graph is a function of the vectors and the
+//! config alone, at any pool width. It is, link for link, what the
+//! textbook pieces build on that schedule (the `#[cfg(test)]` oracle
+//! `build_batched_reference`, pinned by `build_is_the_reference_graph`),
+//! and at batches of one it is the textbook insertion loop
+//! (`build_reference`, pinned by
+//! `one_node_batches_are_the_serial_reference_graph`). DESIGN.md §10
+//! *Build* has the argument. What the `Builder` drops is work whose
+//! result is already known:
 //!
-//! * one `SearchScratch` for the whole build — visited nodes are an
-//!   epoch-stamped array, not a hash set, and both heaps and every list
-//!   the selection works in are cleared, not re-allocated;
+//! * one `SearchScratch` per thread and one `Selection` per pool chunk —
+//!   visited nodes are an epoch-stamped array, not a hash set, and both
+//!   heaps and every list the selection works in are cleared, not
+//!   re-allocated;
 //! * every edge remembers its length. `sq_l2` is bitwise symmetric, so the
 //!   distance the inserting search measured from the new node to a peer
 //!   *is* the distance a re-prune of that peer's list would measure back;
 //! * a list remembers how its last selection went: its ids are stored
 //!   kept-first, backfilled next, pushed-since last (`ListMemo`), and a
 //!   re-prune re-evaluates only the dominance checks a new edge can have
-//!   changed (see `Builder::select_diverse`; DESIGN.md §10 has the
-//!   argument).
+//!   changed (see `Selection::run`).
 //!
-//! Query-time searches reuse one `SearchScratch` per thread.
+//! Phase 1's searches and query-time searches share that per-thread
+//! scratch.
 
 use crate::index::AnnIndex;
 use crate::kernels::sq_l2;
 use crate::topk::{Neighbor, TopK};
 use crate::vectors::VectorSet;
 use emblookup_obs::names;
+use emblookup_pool::Pool;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
 /// Configuration for [`HnswIndex::build`].
 #[derive(Debug, Clone, Copy)]
@@ -103,8 +120,8 @@ pub struct HnswIndex {
 }
 
 /// Working memory of [`search_layer`], reused from one search to the next
-/// — by the whole build, and per thread at query time. A search starts by
-/// clearing it, so reuse cannot affect results.
+/// on its thread — by the build's phase 1 and at query time. A search
+/// starts by clearing it, so reuse cannot affect results.
 #[derive(Default)]
 struct SearchScratch {
     /// `stamps[v] == epoch` ⇔ node `v` was reached by the current search.
@@ -134,8 +151,8 @@ impl SearchScratch {
 }
 
 std::thread_local! {
-    /// Query-time searches on this thread — the caller's, or a pool
-    /// worker's under `search_batch` — share one scratch.
+    /// Searches on this thread — the caller's, or a pool worker's under
+    /// `search_batch` or a build's phase 1 — share one scratch.
     static SCRATCH: std::cell::RefCell<SearchScratch> = std::cell::RefCell::new(SearchScratch::default());
 }
 
@@ -250,95 +267,31 @@ impl ListMemo {
     }
 }
 
-/// The graph under construction: the links as the finished index holds
-/// them, what each list remembers, and every buffer an insertion works in.
-struct Builder<'a> {
-    vectors: &'a VectorSet,
-    config: HnswConfig,
-    links: Links,
-    /// `memo[node][layer]` describes `links[node][layer]`.
-    memo: Vec<Vec<ListMemo>>,
-    entry: u32,
-    max_level: usize,
-    search: SearchScratch,
-    /// Input of [`Builder::select_diverse`].
+/// Most nodes one batch inserts against one state of the graph.
+const BATCH_CAP: usize = 256;
+
+/// Least number of touched lists worth a pool task in phase 2: a re-prune
+/// costs a few microseconds, a task's wake-ups tens.
+const RELINK_GRAIN: usize = 32;
+
+/// Every list a neighbour selection works in.
+#[derive(Default)]
+struct Selection {
+    /// Input of [`Selection::run`].
     scored: Vec<(f32, u32, Origin)>,
     kept: Vec<(f32, u32, Origin)>,
     skipped: Vec<(f32, u32, Origin)>,
 }
 
-impl Builder<'_> {
-    fn insert(&mut self, node: u32, level: usize) {
-        self.links.push(vec![Vec::new(); level + 1]);
-        self.memo.push(vec![ListMemo::default(); level + 1]);
-        let vectors = self.vectors;
-        let query = vectors.get(node as usize);
-        let mut current = self.entry;
-
-        // greedy descent through layers above the node's level
-        let top = self.max_level;
-        for layer in ((level + 1)..=top).rev() {
-            current = greedy_step(vectors, &self.links, query, current, layer);
-        }
-        // beam search + connect on layers min(level, top)..=0
-        for layer in (0..=level.min(top)).rev() {
-            let ef = self.config.ef_construction;
-            search_layer(vectors, &self.links, query, current, layer, ef, &mut self.search);
-            self.scored.clear();
-            self.scored.extend(self.search.found.iter().map(|&(d, p)| (d, p, Origin::New)));
-            self.select_diverse(node, layer);
-            // the new node's list is final before any peer's is touched:
-            // no re-prune below reads it
-            for i in 0..self.links[node as usize][layer].len() {
-                let peer = self.links[node as usize][layer][i];
-                let d = self.memo[node as usize][layer].dists[i];
-                self.link_back(peer, layer, node, d);
-            }
-            if let Some(&(_, best)) = self.search.found.first() {
-                current = best;
-            }
-        }
-        if level > self.max_level {
-            self.max_level = level;
-            self.entry = node;
-        }
-    }
-
-    fn layer_cap(&self, layer: usize) -> usize {
-        if layer == 0 {
-            self.config.m * 2
-        } else {
-            self.config.m
-        }
-    }
-
-    /// Adds the edge `peer → node` of length `d` (measured from `node`,
-    /// which is the same number) and re-prunes `peer`'s list to its cap
-    /// with the diversity heuristic when that overfills it.
-    fn link_back(&mut self, peer: u32, layer: usize, node: u32, d: f32) {
-        let cap = self.layer_cap(layer);
-        let ids = &mut self.links[peer as usize][layer];
-        let memo = &mut self.memo[peer as usize][layer];
-        ids.push(node);
-        memo.dists.push(d);
-        if ids.len() <= cap {
-            return;
-        }
-        self.scored.clear();
-        for (position, (&p, &dp)) in ids.iter().zip(&memo.dists).enumerate() {
-            self.scored.push((dp, p, memo.origin(position)));
-        }
-        self.select_diverse(peer, layer);
-    }
-
+impl Selection {
     /// Neighbour-selection heuristic (Malkov & Yashunin, Algorithm 4)
-    /// over `self.scored`, written to `owner`'s list on `layer`:
-    /// candidates arrive scored by distance to the owner, are taken
-    /// in ascending order, and are kept only when closer to the owner
-    /// than to every already-kept neighbour, so each kept edge covers a
-    /// distinct direction. Skipped candidates backfill remaining
-    /// capacity (`keepPrunedConnections`), keeping degree — and
-    /// therefore graph connectivity — high. Ids in `scored` are distinct.
+    /// over `self.scored`, written to `ids` and `memo` with at most `cap`
+    /// edges: candidates arrive scored by distance to the list's owner,
+    /// are taken in ascending order, and are kept only when closer to the
+    /// owner than to every already-kept neighbour, so each kept edge
+    /// covers a distinct direction. Skipped candidates backfill remaining
+    /// capacity (`keepPrunedConnections`), keeping degree — and therefore
+    /// graph connectivity — high. Ids in `scored` are distinct.
     ///
     /// A candidate's [`Origin`] says which of its checks the list's last
     /// selection already made. Until this walk demotes an edge that
@@ -348,9 +301,7 @@ impl Builder<'_> {
     /// edge can only be dominated by a *new* one; a new edge gets every
     /// check. After the first demotion everything does. Every answer is
     /// the one the full check would give.
-    fn select_diverse(&mut self, owner: u32, layer: usize) {
-        let cap = self.layer_cap(layer);
-        let vectors = self.vectors;
+    fn run(&mut self, vectors: &VectorSet, cap: usize, ids: &mut Vec<u32>, memo: &mut ListMemo) {
         // stable: equal distances stay kept-, backfilled-, new-first
         self.scored.sort_by(|a, b| a.0.total_cmp(&b.0));
         self.kept.clear();
@@ -374,8 +325,6 @@ impl Builder<'_> {
             }
         }
         let backfill = (cap - self.kept.len()).min(self.skipped.len());
-        let ids = &mut self.links[owner as usize][layer];
-        let memo = &mut self.memo[owner as usize][layer];
         ids.clear();
         memo.dists.clear();
         for &(d, p, _) in self.kept.iter().chain(&self.skipped[..backfill]) {
@@ -387,37 +336,182 @@ impl Builder<'_> {
     }
 }
 
+/// One new node's lists as phase 1 selected them, indexed by layer.
+type Plan = Vec<(Vec<u32>, ListMemo)>;
+
+/// The reverse edge `peer → node` on `layer`, of length `d`, waiting for
+/// phase 2.
+struct Edge {
+    peer: u32,
+    layer: usize,
+    node: u32,
+    d: f32,
+}
+
+/// The graph under construction: the links as the finished index holds
+/// them and what each list remembers.
+struct Builder<'a> {
+    vectors: &'a VectorSet,
+    config: HnswConfig,
+    links: Links,
+    /// `memo[node][layer]` describes `links[node][layer]`.
+    memo: Vec<Vec<ListMemo>>,
+    entry: u32,
+    max_level: usize,
+}
+
+impl Builder<'_> {
+    fn layer_cap(&self, layer: usize) -> usize {
+        if layer == 0 {
+            self.config.m * 2
+        } else {
+            self.config.m
+        }
+    }
+
+    /// Inserts the batch `nodes` in two phases. Phase 1 plans every node
+    /// — greedy descent, layer searches, its own lists — against the
+    /// graph as it stands, in parallel. Phase 2 adds the reverse edges:
+    /// grouped by the list they go to, in node order, each touched list
+    /// takes its group and is re-pruned once, lists in parallel, written
+    /// back in order. Both phases read only what the batch found, so the
+    /// graph is the same at any pool width.
+    fn insert_batch(&mut self, pool: &Pool, nodes: Range<u32>, levels: &[usize]) {
+        let plans = pool.parallel_map_with(nodes.len(), 1, Selection::default, |selection, i| {
+            let node = nodes.start + i as u32;
+            SCRATCH.with(|search| self.plan(node, levels[node as usize], &mut search.borrow_mut(), selection))
+        });
+        let mut edges = Vec::new();
+        for (node, plan) in nodes.zip(plans) {
+            for (layer, (ids, memo)) in plan.into_iter().enumerate() {
+                edges.extend(ids.iter().zip(&memo.dists).map(|(&peer, &d)| Edge { peer, layer, node, d }));
+                self.links[node as usize][layer] = ids;
+                self.memo[node as usize][layer] = memo;
+            }
+        }
+        // stable: a list's group stays in node order
+        edges.sort_by_key(|e| (e.peer, e.layer));
+        let groups: Vec<&[Edge]> = edges.chunk_by(|a, b| (a.peer, a.layer) == (b.peer, b.layer)).collect();
+        let pruned =
+            pool.parallel_map_with(groups.len(), RELINK_GRAIN, Selection::default, |selection, g| {
+                self.relink(groups[g], selection)
+            });
+        for (group, list) in groups.into_iter().zip(pruned) {
+            let (peer, layer) = (group[0].peer as usize, group[0].layer);
+            let (ids, memo) = (&mut self.links[peer][layer], &mut self.memo[peer][layer]);
+            match list {
+                Some((pruned_ids, pruned_memo)) => {
+                    *ids = pruned_ids;
+                    *memo = pruned_memo;
+                }
+                None => {
+                    for e in group {
+                        ids.push(e.node);
+                        memo.dists.push(e.d);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Phase 1 for one node: its lists on every layer it shares with the
+    /// graph, selected from what the layer searches find.
+    fn plan(&self, node: u32, level: usize, search: &mut SearchScratch, selection: &mut Selection) -> Plan {
+        let vectors = self.vectors;
+        let query = vectors.get(node as usize);
+        let mut current = self.entry;
+        // greedy descent through layers above the node's level
+        let top = self.max_level;
+        for layer in ((level + 1)..=top).rev() {
+            current = greedy_step(vectors, &self.links, query, current, layer);
+        }
+        // beam search + selection on layers min(level, top)..=0
+        let mut plan: Plan = vec![(Vec::new(), ListMemo::default()); level.min(top) + 1];
+        for layer in (0..=level.min(top)).rev() {
+            search_layer(vectors, &self.links, query, current, layer, self.config.ef_construction, search);
+            selection.scored.clear();
+            selection.scored.extend(search.found.iter().map(|&(d, p)| (d, p, Origin::New)));
+            let (ids, memo) = &mut plan[layer];
+            selection.run(vectors, self.layer_cap(layer), ids, memo);
+            if let Some(&(_, best)) = search.found.first() {
+                current = best;
+            }
+        }
+        plan
+    }
+
+    /// Phase 2 for one list: the edges `group` adds to it (one list's, in
+    /// node order; each edge's length was measured from its node, which
+    /// is the same number), re-pruned once to the list's cap with the
+    /// diversity heuristic. `None` when they fit: they are pushed as
+    /// they are.
+    fn relink(&self, group: &[Edge], selection: &mut Selection) -> Option<(Vec<u32>, ListMemo)> {
+        let (peer, layer) = (group[0].peer as usize, group[0].layer);
+        let (ids, memo) = (&self.links[peer][layer], &self.memo[peer][layer]);
+        let cap = self.layer_cap(layer);
+        if ids.len() + group.len() <= cap {
+            return None;
+        }
+        selection.scored.clear();
+        for (position, (&p, &dp)) in ids.iter().zip(&memo.dists).enumerate() {
+            selection.scored.push((dp, p, memo.origin(position)));
+        }
+        selection.scored.extend(group.iter().map(|e| (e.d, e.node, Origin::New)));
+        let mut pruned = (Vec::with_capacity(cap), ListMemo::default());
+        selection.run(self.vectors, cap, &mut pruned.0, &mut pruned.1);
+        Some(pruned)
+    }
+}
+
 impl HnswIndex {
-    /// Builds the graph by inserting every vector.
+    /// Builds the graph by inserting every vector, in batches on the
+    /// global pool.
     ///
     /// # Panics
     /// Panics on an empty collection or zero `m`.
     pub fn build(vectors: VectorSet, config: HnswConfig) -> Self {
+        Self::build_in_batches(vectors, config, BATCH_CAP, Pool::global())
+    }
+
+    /// The build with batches of at most `cap` nodes; at `cap = 1` it is
+    /// the one-node-at-a-time insertion loop.
+    fn build_in_batches(vectors: VectorSet, config: HnswConfig, cap: usize, pool: &Pool) -> Self {
         assert!(!vectors.is_empty(), "HNSW over empty data");
         assert!(config.m >= 1, "HNSW m must be >= 1");
         let n = vectors.len();
         let _span = emblookup_obs::Span::enter(names::INDEX_BUILD_GRAPH);
         let mut rng = StdRng::seed_from_u64(config.seed);
         let level_mult = 1.0 / (config.m as f64).ln().max(0.1);
+        // node 0 seeds the graph at level 0; the rest draw in id order
+        let levels: Vec<usize> = std::iter::once(0)
+            .chain((1..n).map(|_| ((-rng.gen_range(f64::EPSILON..1.0).ln()) * level_mult) as usize))
+            .collect();
 
         let mut builder = Builder {
             vectors: &vectors,
             config,
-            links: Vec::with_capacity(n),
-            memo: Vec::with_capacity(n),
+            links: levels.iter().map(|&level| vec![Vec::new(); level + 1]).collect(),
+            memo: levels.iter().map(|&level| vec![ListMemo::default(); level + 1]).collect(),
             entry: 0,
             max_level: 0,
-            search: SearchScratch::default(),
-            scored: Vec::new(),
-            kept: Vec::new(),
-            skipped: Vec::new(),
         };
-        // node 0 seeds the graph at level 0
-        builder.links.push(vec![Vec::new()]);
-        builder.memo.push(vec![ListMemo::default()]);
-        for node in 1..n as u32 {
-            let level = ((-rng.gen_range(f64::EPSILON..1.0).ln()) * level_mult) as usize;
-            builder.insert(node, level);
+        let mut next = 1;
+        while next < n {
+            // a node that raises the top layer goes alone, so the entry
+            // point moves when it would one node at a time
+            let raises = levels[next] > builder.max_level;
+            let end = if raises {
+                next + 1
+            } else {
+                let limit = n.min(next + cap.min(next));
+                (next..limit).find(|&i| levels[i] > builder.max_level).unwrap_or(limit)
+            };
+            builder.insert_batch(pool, next as u32..end as u32, &levels);
+            if raises {
+                builder.max_level = levels[next];
+                builder.entry = next as u32;
+            }
+            next = end;
         }
         let Builder { links, entry, max_level, .. } = builder;
         HnswIndex { vectors, links, entry, max_level, config }
@@ -552,6 +646,75 @@ mod tests {
             }
         }
 
+        /// The batched build's oracle, in the textbook pieces above: each
+        /// batch's nodes are planned one after another against the graph
+        /// as the batch found it, then every touched list takes its new
+        /// edges in node order and is pruned once.
+        pub(crate) fn build_batched_reference(vectors: VectorSet, config: HnswConfig) -> Self {
+            let n = vectors.len();
+            let mut rng = StdRng::seed_from_u64(config.seed);
+            let level_mult = 1.0 / (config.m as f64).ln().max(0.1);
+            let levels: Vec<usize> = std::iter::once(0)
+                .chain((1..n).map(|_| ((-rng.gen_range(f64::EPSILON..1.0).ln()) * level_mult) as usize))
+                .collect();
+            let mut index = HnswIndex { vectors, links: Vec::with_capacity(n), entry: 0, max_level: 0, config };
+            index.links.push(vec![Vec::new()]);
+            let mut next = 1;
+            while next < n {
+                let mut end = next + 1;
+                if levels[next] <= index.max_level {
+                    while end < n && end - next < BATCH_CAP.min(next) && levels[end] <= index.max_level {
+                        end += 1;
+                    }
+                }
+                // every plan is made before any list changes
+                let plans: Vec<Vec<Vec<u32>>> = (next..end).map(|node| index.plan_reference(node, levels[node])).collect();
+                let mut touched = Vec::new();
+                for (node, plan) in (next..end).zip(plans) {
+                    let mut lists = vec![Vec::new(); levels[node] + 1];
+                    for (layer, selected) in plan.into_iter().enumerate() {
+                        for &peer in &selected {
+                            index.links[peer as usize][layer].push(node as u32);
+                            touched.push((peer, layer));
+                        }
+                        lists[layer] = selected;
+                    }
+                    index.links.push(lists);
+                }
+                touched.sort_unstable();
+                touched.dedup();
+                for (peer, layer) in touched {
+                    index.prune_reference(peer, layer);
+                }
+                if levels[next] > index.max_level {
+                    index.max_level = levels[next];
+                    index.entry = next as u32;
+                }
+                next = end;
+            }
+            index
+        }
+
+        /// One node's selected lists, indexed by layer, against the
+        /// graph as it stands.
+        fn plan_reference(&self, node: usize, level: usize) -> Vec<Vec<u32>> {
+            let query = self.vectors.get(node);
+            let mut current = self.entry;
+            let top = self.max_level;
+            for layer in ((level + 1)..=top).rev() {
+                current = greedy_step(&self.vectors, &self.links, query, current, layer);
+            }
+            let mut plan = vec![Vec::new(); level.min(top) + 1];
+            for layer in (0..=level.min(top)).rev() {
+                let candidates = self.search_layer_reference(query, current, layer, self.config.ef_construction);
+                plan[layer] = self.select_diverse_reference(candidates.clone(), self.layer_cap_reference(layer));
+                if let Some(&(_, best)) = candidates.first() {
+                    current = best;
+                }
+            }
+            plan
+        }
+
         fn layer_cap_reference(&self, layer: usize) -> usize {
             if layer == 0 {
                 self.config.m * 2
@@ -665,8 +828,9 @@ mod tests {
         vs
     }
 
-    #[test]
-    fn build_is_the_reference_graph() {
+    /// Every case of the identity tests: four kinds of data, five sizes,
+    /// four list caps.
+    fn for_each_case(mut check: impl FnMut(&str, VectorSet, HnswConfig)) {
         type Make = fn(usize, usize, u64) -> VectorSet;
         let sets: [(&str, Make); 4] =
             [("random", random_set), ("clustered", clustered_set), ("tripled", tripled_set), ("grid", grid_set)];
@@ -675,14 +839,43 @@ mod tests {
                 for m in [1usize, 2, 4, 16] {
                     let data = make(n, 6, n as u64 + m as u64);
                     let config = HnswConfig { m, ef_construction: 24.max(2 * m), ef_search: 16, seed: 7 };
-                    let fast = HnswIndex::build(data.clone(), config);
-                    let slow = HnswIndex::build_reference(data, config);
-                    let case = format!("{name} n {n} m {m}");
-                    assert_eq!(fast.entry, slow.entry, "{case}");
-                    assert_eq!(fast.max_level, slow.max_level, "{case}");
-                    assert!(fast.links == slow.links, "{case}: links differ");
+                    check(&format!("{name} n {n} m {m}"), data, config);
                 }
             }
+        }
+    }
+
+    fn assert_same_graph(fast: &HnswIndex, slow: &HnswIndex, case: &str) {
+        assert_eq!(fast.entry, slow.entry, "{case}");
+        assert_eq!(fast.max_level, slow.max_level, "{case}");
+        assert!(fast.links == slow.links, "{case}: links differ");
+    }
+
+    #[test]
+    fn build_is_the_reference_graph() {
+        for_each_case(|case, data, config| {
+            let fast = HnswIndex::build(data.clone(), config);
+            assert_same_graph(&fast, &HnswIndex::build_batched_reference(data, config), case);
+        });
+    }
+
+    #[test]
+    fn one_node_batches_are_the_serial_reference_graph() {
+        let pool = Pool::global();
+        for_each_case(|case, data, config| {
+            let fast = HnswIndex::build_in_batches(data.clone(), config, 1, pool);
+            assert_same_graph(&fast, &HnswIndex::build_reference(data, config), case);
+        });
+    }
+
+    #[test]
+    fn build_is_the_same_graph_at_every_pool_width() {
+        let data = clustered_set(3000, 6, 11);
+        let config = HnswConfig { m: 4, ef_construction: 24, ef_search: 16, seed: 7 };
+        let one = HnswIndex::build_in_batches(data.clone(), config, BATCH_CAP, &Pool::with_threads(1));
+        for threads in [2, 4] {
+            let wide = HnswIndex::build_in_batches(data.clone(), config, BATCH_CAP, &Pool::with_threads(threads));
+            assert_same_graph(&wide, &one, &format!("{threads} threads"));
         }
     }
 

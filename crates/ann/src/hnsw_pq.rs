@@ -622,7 +622,7 @@ mod tests {
                 pq: PqConfig { m: 4, ks: 16, kmeans_iters: 5, seed: 3 },
             };
             let fast = HnswPqIndex::build(&data, config);
-            let slow = HnswPqIndex::from_graph(HnswIndex::build_reference(data.clone(), config.hnsw), config.pq);
+            let slow = HnswPqIndex::from_graph(HnswIndex::build_batched_reference(data.clone(), config.hnsw), config.pq);
             assert_eq!(fast.orig, slow.orig, "copies {copies}");
             assert_eq!(fast.rows.as_slice(), slow.rows.as_slice(), "copies {copies}");
             assert_eq!(fast.upper, slow.upper, "copies {copies}");

@@ -32,10 +32,13 @@ cargo test -q --offline --workspace
 # embedding pass, plus one task per shard attempt, plus each attempt's
 # own `search_batch` chunks once its share of the pool (width /
 # attempts) is above one thread — reads +1 at width 1, +2 at widths 2-3
-# and +2 + 2 x 4 at width 4, so the loop sees all three.
+# and +2 + 2 x 4 at width 4, so the loop sees all three. The ann suite
+# rides along: the HNSW build runs each batch's two phases on the global
+# pool, and its identity tests against the batched oracle only reach the
+# parallel arms when the pool has workers.
 for width in 2 4; do
-    echo "== cargo test -q --offline -p emblookup-pool -p emblookup-serve (EMBLOOKUP_THREADS=$width) =="
-    EMBLOOKUP_THREADS=$width cargo test -q --offline -p emblookup-pool -p emblookup-serve
+    echo "== cargo test -q --offline -p emblookup-pool -p emblookup-serve -p emblookup-ann (EMBLOOKUP_THREADS=$width) =="
+    EMBLOOKUP_THREADS=$width cargo test -q --offline -p emblookup-pool -p emblookup-serve -p emblookup-ann
 done
 
 # The benchmark package is a workspace of its own (path dependencies on
