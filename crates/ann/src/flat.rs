@@ -18,21 +18,6 @@ impl FlatIndex {
         FlatIndex { vectors }
     }
 
-    /// Number of indexed vectors.
-    pub fn len(&self) -> usize {
-        self.vectors.len()
-    }
-
-    /// True when the index holds no vectors.
-    pub fn is_empty(&self) -> bool {
-        self.vectors.is_empty()
-    }
-
-    /// Vector dimension.
-    pub fn dim(&self) -> usize {
-        self.vectors.dim()
-    }
-
     /// Index size in bytes (the full-precision 256 B/vector of the paper
     /// for 64-d embeddings).
     pub fn nbytes(&self) -> usize {
@@ -40,7 +25,8 @@ impl FlatIndex {
     }
 
     /// Borrows the underlying vectors (used as recall ground truth).
-    pub fn vectors(&self) -> &VectorSet {
+    #[cfg(test)]
+    pub(crate) fn vectors(&self) -> &VectorSet {
         &self.vectors
     }
 

@@ -517,16 +517,6 @@ impl HnswIndex {
         HnswIndex { vectors, links, entry, max_level, config }
     }
 
-    /// Number of indexed vectors.
-    pub fn len(&self) -> usize {
-        self.vectors.len()
-    }
-
-    /// True when no vectors are indexed.
-    pub fn is_empty(&self) -> bool {
-        self.vectors.is_empty()
-    }
-
     /// True index size in bytes: the raw vectors plus the graph
     /// adjacency payload (neighbour ids across every layer).
     pub fn nbytes(&self) -> usize {
@@ -534,7 +524,7 @@ impl HnswIndex {
     }
 
     /// Adjacency payload alone (u32 neighbour ids, all layers).
-    pub fn links_nbytes(&self) -> usize {
+    pub(crate) fn links_nbytes(&self) -> usize {
         self.links
             .iter()
             .flat_map(|layers| layers.iter())

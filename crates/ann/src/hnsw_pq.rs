@@ -170,7 +170,7 @@ impl HnswPqIndex {
     /// # Panics
     /// Panics on empty data, 2³¹ vectors or more, zero `m`, or PQ
     /// parameters that do not divide the dimension (see
-    /// [`ProductQuantizer::train`]).
+    /// `ProductQuantizer::train`).
     pub fn build(data: &VectorSet, config: HnswPqConfig) -> Self {
         Self::from_graph(HnswIndex::build(data.clone(), config.hnsw), config.pq)
     }
@@ -252,18 +252,13 @@ impl HnswPqIndex {
     }
 
     /// Number of indexed vectors.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.orig.len()
     }
 
     /// True when no vectors are indexed.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.orig.is_empty()
-    }
-
-    /// The trained quantizer.
-    pub fn quantizer(&self) -> &ProductQuantizer {
-        &self.quantizer
     }
 
     /// True index size in bytes: PQ codes + codebooks + graph adjacency
@@ -285,7 +280,8 @@ impl HnswPqIndex {
 
     /// Graph-plus-codes footprint without the re-rank store — the
     /// part the compressed traversal actually touches.
-    pub fn traversal_nbytes(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn traversal_nbytes(&self) -> usize {
         self.nbytes() - self.rerank.nbytes()
     }
 

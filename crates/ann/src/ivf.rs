@@ -72,18 +72,9 @@ impl IvfIndex {
         }
     }
 
-    /// Number of indexed vectors.
-    pub fn len(&self) -> usize {
-        self.vectors.len()
-    }
-
-    /// True when no vectors are indexed.
-    pub fn is_empty(&self) -> bool {
-        self.vectors.is_empty()
-    }
-
     /// Number of inverted lists.
-    pub fn nlist(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn nlist(&self) -> usize {
         self.lists.len()
     }
 

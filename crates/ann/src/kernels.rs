@@ -507,7 +507,7 @@ pub mod scalar {
 
     /// Dot product (reference).
     #[inline]
-    pub fn dot(a: &[f32], b: &[f32]) -> f32 {
+    pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
         let mut ca = a.chunks_exact(4);
         let mut cb = b.chunks_exact(4);
         let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
@@ -529,7 +529,7 @@ pub mod scalar {
     /// Single-code ADC (reference). Strict ascending-`j` summation —
     /// the order contract shared with [`adc_block`] and [`super::adc_gather`].
     #[inline]
-    pub fn adc(table: &[f32], ks: usize, code: &[u8]) -> f32 {
+    pub(crate) fn adc(table: &[f32], ks: usize, code: &[u8]) -> f32 {
         let mut acc = 0.0f32;
         for (j, &c) in code.iter().enumerate() {
             acc += table[j * ks + c as usize];
@@ -551,7 +551,7 @@ pub mod scalar {
     /// the block form is bit-exact against the per-code form by
     /// construction.
     #[inline]
-    pub fn adc_block(table: &[f32], ks: usize, m: usize, codes: &[u8], out: &mut [f32]) {
+    pub(crate) fn adc_block(table: &[f32], ks: usize, m: usize, codes: &[u8], out: &mut [f32]) {
         for (o, code) in out.iter_mut().zip(codes.chunks_exact(m)) {
             *o = adc(table, ks, code);
         }
@@ -559,7 +559,7 @@ pub mod scalar {
 
     /// Block squared-L2 (reference): one row at a time.
     #[inline]
-    pub fn sq_l2_block(query: &[f32], rows: &[f32], out: &mut [f32]) {
+    pub(crate) fn sq_l2_block(query: &[f32], rows: &[f32], out: &mut [f32]) {
         let dim = query.len();
         for (o, row) in out.iter_mut().zip(rows.chunks_exact(dim)) {
             *o = sq_l2(query, row);
@@ -720,7 +720,7 @@ mod x86 {
     /// # Safety
     /// Requires AVX2+FMA; called only when `variant() == V_AVX2`.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn sq_l2_avx2(a: &[f32], b: &[f32]) -> f32 {
+    pub(super) unsafe fn sq_l2_avx2(a: &[f32], b: &[f32]) -> f32 {
         let n = a.len().min(b.len());
         let mut acc0 = _mm256_setzero_ps();
         let mut acc1 = _mm256_setzero_ps();
@@ -760,7 +760,7 @@ mod x86 {
     /// # Safety
     /// Requires AVX2+FMA; called only when `variant() == V_AVX2`.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn dot_avx2(a: &[f32], b: &[f32]) -> f32 {
+    pub(super) unsafe fn dot_avx2(a: &[f32], b: &[f32]) -> f32 {
         let n = a.len().min(b.len());
         let mut acc0 = _mm256_setzero_ps();
         let mut acc1 = _mm256_setzero_ps();
@@ -860,7 +860,7 @@ mod x86 {
     /// guarantees `out.len() * m <= codes.len()`, `m * ks <= table.len()`
     /// and that every code byte is `< ks`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn adc_block_avx2(table: &[f32], ks: usize, m: usize, codes: &[u8], out: &mut [f32]) {
+    pub(super) unsafe fn adc_block_avx2(table: &[f32], ks: usize, m: usize, codes: &[u8], out: &mut [f32]) {
         let cp = codes.as_ptr();
         adc_lanes_avx2(table, ks, m, out.len(), out, |i| cp.add(i * m));
     }
@@ -873,7 +873,7 @@ mod x86 {
     /// for every id, `m * ks <= table.len()` and that every code byte is
     /// `< ks`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn adc_gather_avx2(table: &[f32], ks: usize, m: usize, codes: &[u8], ids: &[u32], out: &mut [f32]) {
+    pub(super) unsafe fn adc_gather_avx2(table: &[f32], ks: usize, m: usize, codes: &[u8], ids: &[u32], out: &mut [f32]) {
         let cp = codes.as_ptr();
         adc_lanes_avx2(table, ks, m, ids.len(), out, |i| cp.add(*ids.get_unchecked(i) as usize * m));
     }
@@ -889,7 +889,7 @@ mod x86 {
     /// Requires AVX2+FMA; called only when `variant() == V_AVX2`. Caller
     /// guarantees `out.len() * query.len() <= rows.len()`.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn sq_l2_block_avx2(query: &[f32], rows: &[f32], out: &mut [f32]) {
+    pub(super) unsafe fn sq_l2_block_avx2(query: &[f32], rows: &[f32], out: &mut [f32]) {
         let dim = query.len();
         let mut i = 0;
         if dim == 8 {
@@ -953,7 +953,7 @@ mod x86 {
     /// Requires AVX2+FMA; called only when `variant() == V_AVX2`. Caller
     /// guarantees `columns.len() == query.len() * out.len()`.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn sq_l2_columns_avx2(query: &[f32], columns: &[f32], out: &mut [f32]) {
+    pub(super) unsafe fn sq_l2_columns_avx2(query: &[f32], columns: &[f32], out: &mut [f32]) {
         let (n, cp) = (out.len(), columns.as_ptr());
         match query.len() {
             4 => {
@@ -1177,7 +1177,7 @@ mod x86 {
     /// guarantees `k` odd, `x.len() == C_in * (l + k - 1)`,
     /// `y.len() == b.len() * (l + k - 1)` and `w.len() == b.len() * C_in * k`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn conv1d_plane_avx2(x: &[f32], w: &[f32], b: &[f32], y: &mut [f32], k: usize, l: usize) {
+    pub(super) unsafe fn conv1d_plane_avx2(x: &[f32], w: &[f32], b: &[f32], y: &mut [f32], k: usize, l: usize) {
         let stride = l + k - 1;
         let (c_in, c_out) = (x.len() / stride, b.len());
         let (xp, wp, bp, yp) = (x.as_ptr(), w.as_ptr(), b.as_ptr(), y.as_mut_ptr());
@@ -1234,7 +1234,7 @@ mod x86 {
     /// guarantees `w.len() == x.len() * y.len()` and
     /// `bias.len() == y.len()`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn gemv_bias_avx2(x: &[f32], w: &[f32], bias: &[f32], y: &mut [f32]) {
+    pub(super) unsafe fn gemv_bias_avx2(x: &[f32], w: &[f32], bias: &[f32], y: &mut [f32]) {
         let n = y.len();
         y.fill(0.0);
         let yp = y.as_mut_ptr();
@@ -1302,7 +1302,7 @@ mod x86 {
     /// Requires AVX2; called only when `variant() == V_AVX2`. Caller
     /// guarantees `(id + 1) * out.len() <= table.len()` for every id.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn mean_rows_avx2(table: &[f32], ids: &[u32], out: &mut [f32]) {
+    pub(super) unsafe fn mean_rows_avx2(table: &[f32], ids: &[u32], out: &mut [f32]) {
         if ids.is_empty() {
             out.fill(0.0);
             return;
@@ -1335,7 +1335,7 @@ mod x86 {
     /// Requires AVX2; called only when `variant() == V_AVX2`. Caller
     /// guarantees the three slices have one length.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn out_row_step_avx2(row: &mut [f32], hidden: &[f32], grad: &mut [f32], err: f32, step: f32) {
+    pub(super) unsafe fn out_row_step_avx2(row: &mut [f32], hidden: &[f32], grad: &mut [f32], err: f32, step: f32) {
         let n = row.len();
         let (rp, hp, gp) = (row.as_mut_ptr(), hidden.as_ptr(), grad.as_mut_ptr());
         let (e, s) = (_mm256_set1_ps(err), _mm256_set1_ps(step));
@@ -1384,7 +1384,7 @@ mod x86 {
     /// Requires AVX2; called only when `variant() == V_AVX2`. Caller
     /// guarantees `(id + 1) * grad.len() <= table.len()` for every id.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn sub_scaled_rows_avx2(table: &mut [f32], ids: &[u32], scale: f32, grad: &[f32]) {
+    pub(super) unsafe fn sub_scaled_rows_avx2(table: &mut [f32], ids: &[u32], scale: f32, grad: &[f32]) {
         let dim = grad.len();
         let (tp, gp) = (table.as_mut_ptr(), grad.as_ptr());
         let mut j = 0;
@@ -1423,7 +1423,7 @@ mod x86 {
     /// guarantees `step.len() == shifted.len()`, `ids.len() <= out.len()`
     /// and `(id + 1) * shifted.len() <= codes.len()` for every id.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn sq8_l2_gather_avx2(shifted: &[f32], step: &[f32], codes: &[u8], ids: &[u32], out: &mut [f32]) {
+    pub(super) unsafe fn sq8_l2_gather_avx2(shifted: &[f32], step: &[f32], codes: &[u8], ids: &[u32], out: &mut [f32]) {
         let dim = shifted.len();
         let (qp, tp) = (shifted.as_ptr(), step.as_ptr());
         for (o, &id) in out.iter_mut().zip(ids) {
@@ -1469,7 +1469,7 @@ mod neon {
     /// # Safety
     /// Requires NEON; called only when `variant() == V_NEON`.
     #[target_feature(enable = "neon")]
-    pub unsafe fn sq_l2_neon(a: &[f32], b: &[f32]) -> f32 {
+    pub(super) unsafe fn sq_l2_neon(a: &[f32], b: &[f32]) -> f32 {
         let n = a.len().min(b.len());
         let bp = b.as_ptr();
         sq_l2_neon_by(&a[..n], |i| vld1q_f32(bp.add(i)), |i| *bp.add(i))
@@ -1516,7 +1516,7 @@ mod neon {
     /// Requires NEON; called only when `variant() == V_NEON`. Caller
     /// guarantees `columns.len() == query.len() * out.len()`.
     #[target_feature(enable = "neon")]
-    pub unsafe fn sq_l2_columns_neon(query: &[f32], columns: &[f32], out: &mut [f32]) {
+    pub(super) unsafe fn sq_l2_columns_neon(query: &[f32], columns: &[f32], out: &mut [f32]) {
         let n = out.len();
         let cp = columns.as_ptr();
         for (c, o) in out.iter_mut().enumerate() {
@@ -1534,7 +1534,7 @@ mod neon {
     /// # Safety
     /// Requires NEON; called only when `variant() == V_NEON`.
     #[target_feature(enable = "neon")]
-    pub unsafe fn dot_neon(a: &[f32], b: &[f32]) -> f32 {
+    pub(super) unsafe fn dot_neon(a: &[f32], b: &[f32]) -> f32 {
         let n = a.len().min(b.len());
         let mut acc0 = vdupq_n_f32(0.0);
         let mut acc1 = vdupq_n_f32(0.0);
@@ -1575,7 +1575,7 @@ mod neon {
     /// Requires NEON; called only when `variant() == V_NEON`. Caller
     /// guarantees `out.len() * query.len() <= rows.len()`.
     #[target_feature(enable = "neon")]
-    pub unsafe fn sq_l2_block_neon(query: &[f32], rows: &[f32], out: &mut [f32]) {
+    pub(super) unsafe fn sq_l2_block_neon(query: &[f32], rows: &[f32], out: &mut [f32]) {
         let dim = query.len();
         for (i, o) in out.iter_mut().enumerate() {
             *o = sq_l2_neon(query, rows.get_unchecked(i * dim..(i + 1) * dim));

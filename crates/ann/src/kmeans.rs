@@ -19,7 +19,7 @@ pub struct KMeans {
     centroids: VectorSet,
 }
 
-/// Parameters for [`KMeans::fit`].
+/// Parameters for `KMeans::fit`.
 #[derive(Debug, Clone, Copy)]
 pub struct KMeansConfig {
     /// Number of clusters.
@@ -45,7 +45,7 @@ impl KMeans {
     ///
     /// # Panics
     /// Panics if `data` is empty or `config.k` is zero.
-    pub fn fit(data: &VectorSet, config: KMeansConfig) -> Self {
+    pub(crate) fn fit(data: &VectorSet, config: KMeansConfig) -> Self {
         assert!(config.k > 0, "k-means with k = 0");
         assert!(!data.is_empty(), "k-means over empty data");
         let dim = data.dim();
@@ -131,22 +131,24 @@ impl KMeans {
     }
 
     /// The learned centroids.
-    pub fn centroids(&self) -> &VectorSet {
+    pub(crate) fn centroids(&self) -> &VectorSet {
         &self.centroids
     }
 
     /// Number of clusters.
-    pub fn k(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn k(&self) -> usize {
         self.centroids.len()
     }
 
     /// Index and squared distance of the centroid nearest to `v`.
-    pub fn assign(&self, v: &[f32]) -> (usize, f32) {
+    pub(crate) fn assign(&self, v: &[f32]) -> (usize, f32) {
         nearest_centroid(&self.centroids, v)
     }
 
     /// Mean squared quantization error of `data` under this codebook.
-    pub fn distortion(&self, data: &VectorSet) -> f32 {
+    #[cfg(test)]
+    pub(crate) fn distortion(&self, data: &VectorSet) -> f32 {
         if data.is_empty() {
             return 0.0;
         }

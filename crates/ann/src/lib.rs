@@ -2,10 +2,15 @@
 //!
 //! Similarity search and vector compression for the EmbLookup reproduction
 //! — the FAISS stand-in. Provides the exact flat index (EL-NC), product
-//! quantization (EL, §III-D), IVF-Flat, HNSW and PQ-fused HNSW — all
-//! searched through the one [`AnnIndex`] trait — plus PCA (the Figure 5
-//! compression baseline), k-means, and a MinHash LSH used by the Table V
-//! baseline.
+//! quantization (EL, §III-D) and PQ-fused HNSW — the three backends the
+//! pipeline builds, all searched through the one [`AnnIndex`] trait — plus
+//! PCA (the Figure 5 compression baseline), k-means, and a MinHash LSH
+//! used by the Table V baseline.
+//!
+//! [`IvfIndex`] and the standalone [`HnswIndex`] search remain only for
+//! `benchmark/src/probes.rs` and `ann_bench`, which build them by name;
+//! they go once the benchmark stops naming them. The HNSW graph builder
+//! stays either way: it is the graph under [`HnswPqIndex`].
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

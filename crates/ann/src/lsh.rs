@@ -63,19 +63,9 @@ impl MinHashLsh {
         }
     }
 
-    /// Number of inserted items.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no items are indexed.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// MinHash signature of a feature set. Empty sets get a fixed sentinel
     /// signature so they collide only with other empty sets.
-    pub fn signature(&self, features: &[u64]) -> Vec<u64> {
+    pub(crate) fn signature(&self, features: &[u64]) -> Vec<u64> {
         let n = self.config.bands * self.config.rows;
         if features.is_empty() {
             return vec![u64::MAX; n];
@@ -186,14 +176,5 @@ mod tests {
     fn signature_is_deterministic() {
         let lsh = MinHashLsh::new(LshConfig { bands: 4, rows: 4, seed: 9 });
         assert_eq!(lsh.signature(&[1, 2, 3]), lsh.signature(&[3, 2, 1]));
-    }
-
-    #[test]
-    fn len_counts_inserts() {
-        let mut lsh = MinHashLsh::new(LshConfig::default());
-        assert!(lsh.is_empty());
-        lsh.insert(0, &features("a"));
-        lsh.insert(1, &features("b"));
-        assert_eq!(lsh.len(), 2);
     }
 }

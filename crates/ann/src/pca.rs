@@ -87,12 +87,12 @@ impl Pca {
     }
 
     /// Number of components.
-    pub fn k(&self) -> usize {
+    pub(crate) fn k(&self) -> usize {
         self.components.len()
     }
 
     /// Input dimension.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.mean.len()
     }
 
@@ -130,7 +130,8 @@ impl Pca {
 
     /// Reconstructs an approximation of the original vector from its
     /// projection.
-    pub fn reconstruct(&self, proj: &[f32]) -> Vec<f32> {
+    #[cfg(test)]
+    pub(crate) fn reconstruct(&self, proj: &[f32]) -> Vec<f32> {
         assert_eq!(proj.len(), self.k(), "reconstruct k {} != {}", proj.len(), self.k());
         let mut out = self.mean.clone();
         for (comp, &p) in self.components.iter().zip(proj) {

@@ -14,7 +14,7 @@ use crate::topk::{Neighbor, TopK};
 use crate::vectors::VectorSet;
 use emblookup_obs::names;
 
-/// Configuration for [`ProductQuantizer::train`].
+/// Configuration for `ProductQuantizer::train`.
 #[derive(Debug, Clone, Copy)]
 pub struct PqConfig {
     /// Number of sub-quantizers (`m`); must divide the vector dimension.
@@ -55,7 +55,7 @@ impl ProductQuantizer {
     /// # Panics
     /// Panics if `data` is empty, `config.m` does not divide the dimension,
     /// or `config.ks` exceeds 256.
-    pub fn train(data: &VectorSet, config: PqConfig) -> Self {
+    pub(crate) fn train(data: &VectorSet, config: PqConfig) -> Self {
         assert!(!data.is_empty(), "PQ training data is empty");
         assert!(config.ks >= 1 && config.ks <= 256, "ks must be 1..=256, got {}", config.ks);
         let dim = data.dim();
@@ -98,22 +98,22 @@ impl ProductQuantizer {
     }
 
     /// Number of sub-quantizers.
-    pub fn m(&self) -> usize {
+    pub(crate) fn m(&self) -> usize {
         self.m
     }
 
     /// Centroids per sub-quantizer.
-    pub fn ks(&self) -> usize {
+    pub(crate) fn ks(&self) -> usize {
         self.ks
     }
 
     /// Dimension handled by the quantizer.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.m * self.dsub
     }
 
     /// Size of the codebooks in bytes.
-    pub fn codebook_nbytes(&self) -> usize {
+    pub(crate) fn codebook_nbytes(&self) -> usize {
         std::mem::size_of_val(self.codebooks.as_slice())
     }
 
@@ -121,13 +121,14 @@ impl ProductQuantizer {
     ///
     /// # Panics
     /// Panics on dimension mismatch.
-    pub fn encode(&self, v: &[f32]) -> Vec<u8> {
+    #[cfg(test)]
+    pub(crate) fn encode(&self, v: &[f32]) -> Vec<u8> {
         let mut code = vec![0u8; self.m];
         self.encode_into(v, &mut code);
         code
     }
 
-    /// [`ProductQuantizer::encode`] into the caller's `m` bytes: per
+    /// Encodes one vector into the caller's `m` bytes: per
     /// sub-vector one kernel call against the whole codebook, then the
     /// nearest centroid, the first of equals (as k-means assigns).
     fn encode_into(&self, v: &[f32], code: &mut [u8]) {
@@ -168,7 +169,8 @@ impl ProductQuantizer {
     /// # Panics
     /// Panics if the code length differs from `m` or a byte names no
     /// centroid.
-    pub fn decode(&self, code: &[u8]) -> Vec<f32> {
+    #[cfg(test)]
+    pub(crate) fn decode(&self, code: &[u8]) -> Vec<f32> {
         assert_eq!(code.len(), self.m, "code length {} != m {}", code.len(), self.m);
         let mut out = Vec::with_capacity(self.dim());
         for (j, &c) in code.iter().enumerate() {
@@ -180,7 +182,8 @@ impl ProductQuantizer {
 
     /// ADC lookup table for `query`: entry `[j * ks + c]` holds the squared
     /// distance between the query's `j`-th sub-vector and centroid `c`.
-    pub fn distance_table(&self, query: &[f32]) -> Vec<f32> {
+    #[cfg(test)]
+    pub(crate) fn distance_table(&self, query: &[f32]) -> Vec<f32> {
         let mut table = Vec::new();
         self.distance_table_into(query, &mut table);
         table
@@ -189,7 +192,7 @@ impl ProductQuantizer {
     /// Fills `table` with the ADC lookup table for `query`, reusing its
     /// allocation — the search paths call this once per query on one
     /// buffer per thread instead of allocating `m * ks` floats every time.
-    pub fn distance_table_into(&self, query: &[f32], table: &mut Vec<f32>) {
+    pub(crate) fn distance_table_into(&self, query: &[f32], table: &mut Vec<f32>) {
         assert_eq!(query.len(), self.dim(), "query dim {} != {}", query.len(), self.dim());
         table.clear();
         table.resize(self.m * self.ks, 0.0);
@@ -209,7 +212,8 @@ impl ProductQuantizer {
     /// against this function, so batched and per-code scans always agree
     /// exactly.
     #[inline]
-    pub fn adc(&self, table: &[f32], code: &[u8]) -> f32 {
+    #[cfg(test)]
+    pub(crate) fn adc(&self, table: &[f32], code: &[u8]) -> f32 {
         kernels::adc(table, self.ks, code)
     }
 }
@@ -249,28 +253,19 @@ impl PqIndex {
     }
 
     /// Encodes `data` under an already-trained quantizer.
-    pub fn from_quantizer(quantizer: ProductQuantizer, data: &VectorSet) -> Self {
+    pub(crate) fn from_quantizer(quantizer: ProductQuantizer, data: &VectorSet) -> Self {
         let codes = quantizer.encode_rows(data.len(), |i| data.get(i));
         PqIndex { n: data.len(), quantizer, codes }
     }
 
-    /// Number of indexed vectors.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True when the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
     /// The trained quantizer.
-    pub fn quantizer(&self) -> &ProductQuantizer {
+    #[cfg(test)]
+    pub(crate) fn quantizer(&self) -> &ProductQuantizer {
         &self.quantizer
     }
 
     /// Size of the stored codes in bytes (8 B/vector at paper defaults).
-    pub fn code_nbytes(&self) -> usize {
+    pub(crate) fn code_nbytes(&self) -> usize {
         self.codes.len()
     }
 

@@ -22,7 +22,7 @@ pub struct Neighbor {
 /// that is follows from the heap's shape: `TopK::new(2)` fed (1, 5.0),
 /// (2, 5.0), (3, 1.0) keeps 2 and 3, and `TopK::new(3)` fed (10, 2.0),
 /// (11, 2.0), (12, 2.0), (13, 0.5) keeps 11, 12 and 13.
-/// [`TopK::into_sorted`] leaves equal distances in heap order.
+/// `TopK::into_sorted` leaves equal distances in heap order.
 #[derive(Debug)]
 pub struct TopK {
     k: usize,
@@ -36,14 +36,14 @@ impl TopK {
     ///
     /// # Panics
     /// Panics if `k` is zero.
-    pub fn new(k: usize) -> Self {
+    pub(crate) fn new(k: usize) -> Self {
         assert!(k > 0, "top-k with k = 0");
         TopK { k, heap: Vec::with_capacity(k) }
     }
 
     /// The current worst (largest) accepted distance, or `f32::INFINITY`
     /// while fewer than `k` candidates are held. Useful for pruning.
-    pub fn threshold(&self) -> f32 {
+    pub(crate) fn threshold(&self) -> f32 {
         if self.heap.len() < self.k {
             f32::INFINITY
         } else {
@@ -52,7 +52,7 @@ impl TopK {
     }
 
     /// Offers a candidate; it is kept only if it beats the current top-k.
-    pub fn push(&mut self, index: usize, dist: f32) {
+    pub(crate) fn push(&mut self, index: usize, dist: f32) {
         if self.heap.len() < self.k {
             self.heap.push(Neighbor { index, dist });
             self.sift_up(self.heap.len() - 1);
@@ -78,18 +78,8 @@ impl TopK {
         }
     }
 
-    /// Number of candidates currently held.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when nothing has been accepted yet.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
     /// Consumes the collector, returning hits sorted by ascending distance.
-    pub fn into_sorted(mut self) -> Vec<Neighbor> {
+    pub(crate) fn into_sorted(mut self) -> Vec<Neighbor> {
         self.heap.sort_by(|a, b| a.dist.total_cmp(&b.dist));
         self.heap
     }

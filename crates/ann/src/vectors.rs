@@ -71,13 +71,13 @@ impl VectorSet {
     }
 
     /// Borrows the whole row-major buffer.
-    pub fn flat(&self) -> &[f32] {
+    pub(crate) fn flat(&self) -> &[f32] {
         &self.data
     }
 
     /// In-memory size of the raw vectors in bytes (4 bytes per element),
     /// used by the index-size comparisons of the evaluation.
-    pub fn nbytes(&self) -> usize {
+    pub(crate) fn nbytes(&self) -> usize {
         self.data.len() * std::mem::size_of::<f32>()
     }
 }

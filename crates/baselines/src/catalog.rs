@@ -25,7 +25,7 @@ pub struct MentionCatalog {
 
 impl MentionCatalog {
     /// Builds the catalog from a graph.
-    pub fn from_kg(kg: &KnowledgeGraph, include_aliases: bool) -> Self {
+    pub(crate) fn from_kg(kg: &KnowledgeGraph, include_aliases: bool) -> Self {
         let mut entries = Vec::with_capacity(kg.num_entities());
         for e in kg.entities() {
             entries.push(CatalogEntry {
@@ -45,22 +45,17 @@ impl MentionCatalog {
     }
 
     /// All entries.
-    pub fn entries(&self) -> &[CatalogEntry] {
+    pub(crate) fn entries(&self) -> &[CatalogEntry] {
         &self.entries
     }
 
     /// Number of indexed surface forms.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// True when no surface forms are indexed.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Total bytes of the stored mention strings (index-size reports).
-    pub fn nbytes(&self) -> usize {
+    pub(crate) fn nbytes(&self) -> usize {
         self.entries
             .iter()
             .map(|e| e.mention.len() + std::mem::size_of::<EntityId>())
@@ -71,7 +66,7 @@ impl MentionCatalog {
 /// Converts scored `(entity, score)` pairs into a deduplicated top-k
 /// candidate list, best score first. An entity reachable through several
 /// surface forms keeps its best score.
-pub fn rank_candidates(
+pub(crate) fn rank_candidates(
     mut scored: Vec<(EntityId, f32)>,
     k: usize,
 ) -> Vec<emblookup_kg::Candidate> {

@@ -25,7 +25,7 @@ pub enum ElasticOp {
 
 impl ElasticOp {
     /// Display name matching the paper's Table V rows.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             ElasticOp::Exact => "Exact Match",
             ElasticOp::QGram => "q-gram",

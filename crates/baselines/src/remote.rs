@@ -43,13 +43,13 @@ impl RemoteCostModel {
     }
 
     /// Latency charged for one request.
-    pub fn per_request(&self) -> Duration {
+    pub(crate) fn per_request(&self) -> Duration {
         self.rtt + self.server_time
     }
 
     /// Virtual elapsed time for `n` requests issued as fast as the rate
     /// limit allows (perfect pipelining within the concurrency budget).
-    pub fn batch_elapsed(&self, n: usize) -> Duration {
+    pub(crate) fn batch_elapsed(&self, n: usize) -> Duration {
         if n == 0 {
             return Duration::ZERO;
         }
@@ -74,11 +74,6 @@ impl<S: LookupService> RemoteService<S> {
     /// Wraps `inner` under the given cost model and display name.
     pub fn new(inner: S, cost: RemoteCostModel, name: impl Into<String>) -> Self {
         RemoteService { inner, cost, name: name.into() }
-    }
-
-    /// The wrapped service.
-    pub fn inner(&self) -> &S {
-        &self.inner
     }
 }
 

@@ -21,38 +21,19 @@ pub enum Compression {
         /// Retained components.
         k: usize,
     },
-    /// IVF-Flat: approximate search over full-precision vectors (§III-C —
-    /// EmbLookup "could accommodate either exact or approximate similarity
-    /// search"). Not a compression scheme; index size is the flat one plus
-    /// the coarse centroids and the posting lists.
-    Ivf {
-        /// Coarse clusters.
-        nlist: usize,
-        /// Clusters probed per query.
-        nprobe: usize,
-    },
-    /// HNSW graph search over full-precision vectors (the nmslib-style
-    /// alternative the paper's §III-C survey mentions). Index size grows
-    /// by the neighbour lists.
-    Hnsw {
-        /// Max neighbours per node per layer.
-        m: usize,
-        /// Beam width at query time.
-        ef_search: usize,
-    },
     /// PQ-fused HNSW: graph traversal scored on PQ codes laid out in
     /// adjacency order, with a re-rank of the final frontier against the
     /// vectors kept at one byte a dimension (kANNolo-style). Combines
     /// sub-linear traversal with cache-friendly compressed scoring, and
     /// holds no raw vector: at dimension 64 it is smaller than the flat
     /// index. Reported distances are the 8-bit estimate of squared L2
-    /// (bound at `HnswPqIndex::search`), not exact — `Hnsw` is the graph
+    /// (bound at `HnswPqIndex::search`), not exact — `None` is the index
     /// that returns exact distances.
     HnswPq {
         /// Max neighbours per node per layer.
         m: usize,
         /// Beam width at query time. Quantized traversal needs a wider
-        /// beam than exact HNSW for the same recall.
+        /// beam than an exact-distance graph for the same recall.
         ef_search: usize,
         /// PQ sub-quantizer count (must divide the embedding dimension).
         pq_m: usize,
@@ -73,8 +54,6 @@ impl Compression {
             Compression::None => "flat",
             Compression::Pq { .. } => "pq",
             Compression::Pca { .. } => "pca",
-            Compression::Ivf { .. } => "ivf",
-            Compression::Hnsw { .. } => "hnsw",
             Compression::HnswPq { .. } => "hnswpq",
         }
     }
@@ -231,7 +210,7 @@ impl EmbLookupConfig {
     ///
     /// # Errors
     /// Describes the first invalid field.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.embedding_dim == 0 {
             return Err("embedding_dim must be positive".into());
         }
@@ -283,16 +262,6 @@ impl EmbLookupConfig {
                     "PCA k = {k} out of range 1..={}",
                     self.embedding_dim
                 ));
-            }
-        }
-        if let Compression::Ivf { nlist, nprobe } = self.compression {
-            if nlist == 0 || nprobe == 0 || nprobe > nlist {
-                return Err(format!("IVF nlist {nlist} / nprobe {nprobe} invalid"));
-            }
-        }
-        if let Compression::Hnsw { m, ef_search } = self.compression {
-            if m == 0 || ef_search == 0 {
-                return Err(format!("HNSW m {m} / ef_search {ef_search} invalid"));
             }
         }
         if let Compression::HnswPq { m, ef_search, pq_m, pq_ks } = self.compression {

@@ -40,11 +40,6 @@ impl<E: StringEncoder> EncoderIndex<E> {
             name,
         }
     }
-
-    /// The wrapped encoder.
-    pub fn encoder(&self) -> &E {
-        &self.encoder
-    }
 }
 
 impl<E: StringEncoder + Sync> LookupService for EncoderIndex<E> {

@@ -12,7 +12,7 @@ use std::fmt;
 /// Why [`crate::EmbLookup::try_train_on`] refused to train.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TrainError {
-    /// The configuration failed [`crate::EmbLookupConfig::validate`].
+    /// The configuration failed `EmbLookupConfig::validate`.
     InvalidConfig(String),
     /// The knowledge graph has no entities to index.
     EmptyKg,

@@ -1,15 +1,15 @@
 //! The entity embedding index (§III-C/D).
 //!
 //! Every entity's primary label is embedded once; lookups embed the query
-//! and retrieve nearest neighbours from either the exact flat index
-//! (EL-NC), a product-quantized index (EL, 8 B/entity at defaults), or a
-//! PCA-compressed flat index (the Figure 5 alternative).
+//! and retrieve nearest neighbours from the exact flat index (EL-NC), a
+//! product-quantized index (EL, 8 B/entity at defaults), a PCA-compressed
+//! flat index (the Figure 5 alternative), or the PQ-fused HNSW graph the
+//! served workloads run.
 
 use crate::config::Compression;
 use crate::model::EmbLookupModel;
 use emblookup_ann::{
-    AnnIndex, FlatIndex, HnswConfig, HnswIndex, HnswPqConfig, HnswPqIndex, IvfConfig, IvfIndex,
-    Neighbor, Pca, PqIndex, VectorSet,
+    AnnIndex, FlatIndex, HnswConfig, HnswPqConfig, HnswPqIndex, Neighbor, Pca, PqIndex, VectorSet,
 };
 use emblookup_kg::{EntityId, KnowledgeGraph};
 use emblookup_obs::names;
@@ -18,7 +18,6 @@ use emblookup_obs::names;
 pub struct EntityIndex {
     ids: Vec<EntityId>,
     index: Box<dyn AnnIndex>,
-    dim: usize,
     /// True when several rows map to one entity (alias indexing): results
     /// must then be deduplicated by entity.
     multi_row: bool,
@@ -111,17 +110,10 @@ impl EntityIndex {
     /// to reuse one embedding pass across several compression settings).
     pub fn from_vectors(ids: Vec<EntityId>, vectors: VectorSet, compression: Compression) -> Self {
         assert_eq!(ids.len(), vectors.len(), "id/vector count mismatch");
-        let dim = vectors.dim();
         let multi_row = {
             let mut sorted = ids.clone();
             sorted.sort_unstable();
             sorted.windows(2).any(|w| w[0] == w[1])
-        };
-        let hnsw_config = |m: usize, ef_search: usize| HnswConfig {
-            m,
-            ef_search,
-            ef_construction: ef_search.max(2 * m),
-            seed: 0xC0DE,
         };
         let index: Box<dyn AnnIndex> = match compression {
             Compression::None => Box::new(FlatIndex::new(vectors)),
@@ -133,22 +125,20 @@ impl EntityIndex {
                 let flat = FlatIndex::new(pca.project_set(&vectors));
                 Box::new(PcaFlat { pca, flat })
             }
-            Compression::Ivf { nlist, nprobe } => Box::new(IvfIndex::build(
-                vectors,
-                IvfConfig { nlist, nprobe, kmeans_iters: 15, seed: 0xC0DE },
-            )),
-            Compression::Hnsw { m, ef_search } => {
-                Box::new(HnswIndex::build(vectors, hnsw_config(m, ef_search)))
-            }
             Compression::HnswPq { m, ef_search, pq_m, pq_ks } => Box::new(HnswPqIndex::build(
                 &vectors,
                 HnswPqConfig {
-                    hnsw: hnsw_config(m, ef_search),
+                    hnsw: HnswConfig {
+                        m,
+                        ef_search,
+                        ef_construction: ef_search.max(2 * m),
+                        seed: 0xC0DE,
+                    },
                     pq: Compression::pq_config(pq_m, pq_ks, 0xC0DE),
                 },
             )),
         };
-        EntityIndex { ids, index, dim, multi_row }
+        EntityIndex { ids, index, multi_row }
     }
 
     /// Number of indexed entities.
@@ -159,11 +149,6 @@ impl EntityIndex {
     /// True when no entities are indexed.
     pub fn is_empty(&self) -> bool {
         self.ids.is_empty()
-    }
-
-    /// Embedding dimension expected by [`EntityIndex::search`].
-    pub fn dim(&self) -> usize {
-        self.dim
     }
 
     /// Byte size of the stored index, matching the storage comparisons of
@@ -202,8 +187,16 @@ impl EntityIndex {
     }
 
     fn search_counted(&self, query: &[f32], k: usize) -> (Vec<(EntityId, f32)>, u64) {
-        let (rows, visited) = self.index.search_counted(query, self.fetch(k));
-        (self.to_entities(rows, k), visited)
+        let mut fetch = self.fetch(k);
+        let mut visited = 0;
+        loop {
+            let (rows, more) = self.index.search_counted(query, fetch);
+            visited += more;
+            if let Some(hits) = self.settle(rows, fetch, k) {
+                return (hits, visited);
+            }
+            fetch = fetch.saturating_mul(2);
+        }
     }
 
     /// Batch search across `threads` threads.
@@ -213,21 +206,35 @@ impl EntityIndex {
         k: usize,
         threads: usize,
     ) -> Vec<Vec<(EntityId, f32)>> {
+        let fetch = self.fetch(k);
         self.index
-            .search_batch(queries, self.fetch(k), threads)
+            .search_batch(queries, fetch, threads)
             .into_iter()
-            .map(|rows| self.to_entities(rows, k))
+            .zip(queries.iter())
+            .map(|(rows, query)| {
+                self.settle(rows, fetch, k).unwrap_or_else(|| self.search_counted(query, k).0)
+            })
             .collect()
     }
 
-    /// Rows to fetch for `k` entities: alias rows are over-fetched so
-    /// that `k` distinct entities survive deduplication.
+    /// Rows to fetch first for `k` entities: alias rows are over-fetched
+    /// so that `k` distinct entities usually survive deduplication.
     fn fetch(&self, k: usize) -> usize {
         if self.multi_row {
             k.saturating_mul(3)
         } else {
             k
         }
+    }
+
+    /// The entities of `rows`, a search for `fetch` rows, or `None` when
+    /// one entity's alias rows crowded others out: fewer than `k` distinct
+    /// entities came back although the backend filled the fetch and some
+    /// rows went unseen, so a wider fetch can find more.
+    fn settle(&self, rows: Vec<Neighbor>, fetch: usize, k: usize) -> Option<Vec<(EntityId, f32)>> {
+        let filled = rows.len() == fetch && fetch < self.ids.len();
+        let hits = self.to_entities(rows, k);
+        (hits.len() == k || !filled).then_some(hits)
     }
 
     /// Maps row hits to entities, keeping each entity's first (best) row.
@@ -327,8 +334,6 @@ mod tests {
             Compression::None,
             Compression::Pq { m: 4, ks: 16 },
             Compression::Pca { k: 4 },
-            Compression::Ivf { nlist: 4, nprobe: 4 },
-            Compression::Hnsw { m: 8, ef_search: 32 },
             Compression::HnswPq { m: 8, ef_search: 64, pq_m: 4, pq_ks: 16 },
         ];
         for compression in compressions {
@@ -405,6 +410,38 @@ mod alias_index_tests {
         assert_eq!(entities, dedup);
     }
 
+    /// One entity with 40 rows nearest the query and 20 single-row
+    /// entities behind it: the first fetch (3k rows) holds one entity, so
+    /// the search widens until it has `k`.
+    fn crowded(dim: usize) -> (Vec<EntityId>, VectorSet) {
+        let mut vs = VectorSet::new(dim);
+        let mut ids = Vec::new();
+        for i in 0..60u32 {
+            let (id, x) = if i < 40 { (0, i as f32 * 1e-3) } else { (i - 39, 1.0 + i as f32 * 0.1) };
+            let mut v = vec![0.0; dim];
+            v[0] = x;
+            vs.push(&v);
+            ids.push(EntityId(id));
+        }
+        (ids, vs)
+    }
+
+    #[test]
+    fn alias_rows_do_not_crowd_out_entities() {
+        let (ids, vs) = crowded(4);
+        let mut queries = VectorSet::new(4);
+        queries.push(&[0.0; 4]);
+        for compression in [Compression::None, Compression::Pq { m: 2, ks: 16 }] {
+            let idx = EntityIndex::from_vectors(ids.clone(), vs.clone(), compression);
+            for k in [10, 21] {
+                let hits = idx.search(&[0.0; 4], k);
+                assert_eq!(hits.len(), k.min(21), "{} k {k}", idx.backend_name());
+                assert_eq!(hits[0].0, EntityId(0), "{}", idx.backend_name());
+                assert_eq!(idx.search_batch(&queries, k, 2)[0], hits, "{}", idx.backend_name());
+            }
+        }
+    }
+
     #[test]
     fn batch_dedups_too() {
         let mut vs = VectorSet::new(2);
@@ -417,45 +454,6 @@ mod alias_index_tests {
         queries.push(&[0.0, 0.0]);
         let batch = idx.search_batch(&queries, 3, 2);
         assert_eq!(batch[0].len(), 2);
-    }
-}
-
-#[cfg(test)]
-mod ivf_backend_tests {
-    use super::*;
-
-    #[test]
-    fn ivf_backend_finds_exact_matches() {
-        let mut vs = VectorSet::new(4);
-        let mut ids = Vec::new();
-        for i in 0..100u32 {
-            let f = i as f32;
-            vs.push(&[f, -f, f * 0.5, 1.0]);
-            ids.push(EntityId(i));
-        }
-        let idx = EntityIndex::from_vectors(
-            ids,
-            vs.clone(),
-            Compression::Ivf { nlist: 8, nprobe: 8 },
-        );
-        // probing every list is exact
-        let hits = idx.search(vs.get(42), 1);
-        assert_eq!(hits[0].0, EntityId(42));
-        assert_eq!(hits[0].1, 0.0);
-    }
-
-    #[test]
-    fn ivf_nbytes_is_flat_plus_overhead() {
-        let mut vs = VectorSet::new(4);
-        let ids: Vec<EntityId> = (0..50u32).map(EntityId).collect();
-        for i in 0..50 {
-            vs.push(&[i as f32, 0.0, 0.0, 0.0]);
-        }
-        let flat = EntityIndex::from_vectors(ids.clone(), vs.clone(), Compression::None);
-        let ivf = EntityIndex::from_vectors(ids, vs, Compression::Ivf { nlist: 4, nprobe: 2 });
-        // full vectors + 4 centroids of dim 4 + one u32 posting per row
-        let f32s = std::mem::size_of::<f32>();
-        assert_eq!(ivf.nbytes(), flat.nbytes() + 4 * 4 * f32s + 50 * std::mem::size_of::<u32>());
     }
 }
 
@@ -504,29 +502,5 @@ mod hnswpq_backend_tests {
         // quarter of flat), and codes + graph + id map must fit in the rest
         assert!(hp.nbytes() > flat.nbytes() / 4, "hp {} vs flat {}", hp.nbytes(), flat.nbytes());
         assert!(hp.nbytes() < flat.nbytes(), "hp {} vs flat {}", hp.nbytes(), flat.nbytes());
-    }
-}
-
-#[cfg(test)]
-mod hnsw_backend_tests {
-    use super::*;
-
-    #[test]
-    fn hnsw_backend_finds_exact_matches() {
-        let mut vs = VectorSet::new(4);
-        let mut ids = Vec::new();
-        for i in 0..200u32 {
-            let f = i as f32;
-            vs.push(&[f.sin(), f.cos(), f * 0.01, 1.0]);
-            ids.push(EntityId(i));
-        }
-        let idx = EntityIndex::from_vectors(
-            ids,
-            vs.clone(),
-            Compression::Hnsw { m: 8, ef_search: 32 },
-        );
-        let hits = idx.search(vs.get(17), 1);
-        assert_eq!(hits[0].0, EntityId(17));
-        assert_eq!(hits[0].1, 0.0);
     }
 }

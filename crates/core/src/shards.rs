@@ -44,7 +44,7 @@ impl ShardedIndex {
     /// by [`shard_of`], and builds one backend per shard.
     ///
     /// Shards whose row count is too small to train the configured
-    /// compression (PQ/IVF codebooks need at least as many vectors as
+    /// compression (PQ codebooks need at least as many vectors as
     /// centroids) fall back to the exact flat backend for that shard
     /// only — partitioning never makes a shard less accurate than the
     /// unsharded index.
@@ -150,8 +150,6 @@ fn fit_compression(compression: Compression, rows: usize) -> Compression {
     let min_rows = match compression {
         Compression::None | Compression::Pca { .. } => 1,
         Compression::Pq { ks, .. } => ks,
-        Compression::Ivf { nlist, .. } => nlist,
-        Compression::Hnsw { .. } => 2,
         Compression::HnswPq { pq_ks, .. } => pq_ks,
     };
     if rows < min_rows.max(1) {
@@ -237,6 +235,30 @@ mod tests {
         }
     }
 
+    /// A shard holding an entity with 40 alias rows nearest the query
+    /// still answers `k` entities when it has them (40 single-row
+    /// entities are spread over the two shards).
+    #[test]
+    fn alias_rows_do_not_crowd_out_a_shard() {
+        let mut vs = VectorSet::new(2);
+        let mut ids = Vec::new();
+        for i in 0..80u32 {
+            let (id, x) = if i < 40 { (0, i as f32 * 1e-3) } else { (i - 39, 1.0 + i as f32 * 0.1) };
+            vs.push(&[x, 0.0]);
+            ids.push(EntityId(id));
+        }
+        let sharded = sharded_from(&ids, &vs, 2);
+        let home = shard_of(EntityId(0), 2);
+        let mut entities: Vec<EntityId> = ids.clone();
+        entities.dedup();
+        let in_home = entities.iter().filter(|&&id| shard_of(id, 2) == home).count();
+        assert!(in_home > 10, "the test needs more than k entities in the shard");
+        let hits = sharded.shard(home).search(&[0.0, 0.0], 10);
+        assert_eq!(hits.len(), 10);
+        assert_eq!(hits[0].0, EntityId(0));
+        assert_eq!(sharded.search(&[0.0, 0.0], 10).len(), 10);
+    }
+
     #[test]
     fn merge_topk_orders_by_distance_then_id() {
         let a = vec![(EntityId(5), 0.5f32), (EntityId(1), 0.9)];
@@ -267,6 +289,10 @@ mod tests {
             fit_compression(Compression::Pq { m: 8, ks: 16 }, 40),
             Compression::Pq { m: 8, ks: 16 }
         );
+        let hnswpq = |pq_ks| Compression::HnswPq { m: 8, ef_search: 48, pq_m: 8, pq_ks };
+        assert_eq!(fit_compression(hnswpq(41), 40), Compression::None);
+        assert_eq!(fit_compression(hnswpq(40), 40), hnswpq(40));
+        assert_eq!(fit_compression(hnswpq(16), 40), hnswpq(16));
         assert_eq!(fit_compression(Compression::None, 0), Compression::None);
     }
 }

@@ -56,8 +56,6 @@ pub struct BertMini {
     blocks: Vec<TransformerBlock>,
     alphabet: Alphabet,
     config: BertMiniConfig,
-    /// Vocabulary = alphabet (incl. `<unk>`) + one `[MASK]` slot.
-    vocab: usize,
 }
 
 impl BertMini {
@@ -131,12 +129,13 @@ impl BertMini {
                 optimizer.step(&mut store, &g, &b);
             }
         }
-        BertMini { store, token_emb, pos_emb, blocks, alphabet, config, vocab }
+        BertMini { store, token_emb, pos_emb, blocks, alphabet, config }
     }
 
-    /// Vocabulary size (alphabet + mask).
-    pub fn vocab_size(&self) -> usize {
-        self.vocab
+    /// Vocabulary size: the alphabet (incl. `<unk>`) plus one `[MASK]` slot.
+    #[cfg(test)]
+    pub(crate) fn vocab_size(&self) -> usize {
+        self.alphabet.len() + 1
     }
 }
 

@@ -116,27 +116,29 @@ impl Corpus {
     }
 
     /// Vocabulary id of a token, if present.
-    pub fn id_of(&self, token: &str) -> Option<u32> {
+    #[cfg(test)]
+    pub(crate) fn id_of(&self, token: &str) -> Option<u32> {
         self.index.get(token).copied()
     }
 
     /// Corpus frequency of a vocabulary id.
-    pub fn count(&self, id: u32) -> u64 {
+    pub(crate) fn count(&self, id: u32) -> u64 {
         self.counts[id as usize]
     }
 
     /// All token counts (for negative-sampling tables).
-    pub fn counts(&self) -> &[u64] {
+    pub(crate) fn counts(&self) -> &[u64] {
         &self.counts
     }
 
     /// Total number of tokens across all sentences.
-    pub fn num_tokens(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn num_tokens(&self) -> usize {
         self.sentences.iter().map(Vec::len).sum()
     }
 
     /// Iterates `(center, context)` skip-gram pairs with the given window.
-    pub fn pairs(&self, window: usize) -> impl Iterator<Item = (u32, u32)> + '_ {
+    pub(crate) fn pairs(&self, window: usize) -> impl Iterator<Item = (u32, u32)> + '_ {
         self.sentences.iter().flat_map(move |sent| {
             sent.iter().enumerate().flat_map(move |(i, &center)| {
                 let lo = i.saturating_sub(window);

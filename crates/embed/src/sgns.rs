@@ -47,7 +47,7 @@ impl NegativeSampler {
     ///
     /// # Panics
     /// Panics on an empty count vector.
-    pub fn new(counts: &[u64]) -> Self {
+    pub(crate) fn new(counts: &[u64]) -> Self {
         assert!(!counts.is_empty(), "negative sampler over empty vocabulary");
         let mut cdf = Vec::with_capacity(counts.len());
         let mut acc = 0.0f64;
@@ -76,7 +76,7 @@ impl NegativeSampler {
     }
 
     /// Samples one word id.
-    pub fn sample(&self, rng: &mut StdRng) -> u32 {
+    pub(crate) fn sample(&self, rng: &mut StdRng) -> u32 {
         let Some(&total) = self.cdf.last() else { return 0 };
         self.pick(rng.gen_range(0.0..total))
     }
@@ -143,7 +143,7 @@ impl SgnsModel {
     }
 
     /// Embedding dimension.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.dim
     }
 
@@ -159,7 +159,7 @@ impl SgnsModel {
 
     /// Mean of the input-feature vectors for `features`; the zero vector
     /// for an empty feature set.
-    pub fn embed_features(&self, features: &[u32]) -> Vec<f32> {
+    pub(crate) fn embed_features(&self, features: &[u32]) -> Vec<f32> {
         let mut out = vec![0.0f32; self.dim];
         kernels::mean_rows(&self.in_vecs, features, &mut out);
         out
@@ -475,7 +475,7 @@ mod tests {
 
 impl SgnsModel {
     /// Serializes the model to a length-prefixed little-endian buffer.
-    pub fn to_bytes(&self) -> Vec<u8> {
+    pub(crate) fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16 + 4 * (self.in_vecs.len() + self.out_vecs.len()));
         out.extend_from_slice(&(self.dim as u64).to_le_bytes());
         out.extend_from_slice(&(self.in_vecs.len() as u64).to_le_bytes());
@@ -486,7 +486,7 @@ impl SgnsModel {
         out
     }
 
-    /// Restores a model serialized with [`SgnsModel::to_bytes`]; the buffer
+    /// Restores a model serialized with `SgnsModel::to_bytes`; the buffer
     /// holds that and nothing more.
     ///
     /// # Errors

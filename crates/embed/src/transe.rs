@@ -118,11 +118,6 @@ impl TransE {
             .sum()
     }
 
-    /// Embedding dimension.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// Embedding of an entity **id** — the only access path TransE offers,
     /// which is precisely why it cannot serve string lookups directly.
     pub fn entity_embedding(&self, id: EntityId) -> &[f32] {

@@ -65,13 +65,6 @@ impl Word2Vec {
             .collect();
         Word2Vec { model, vocab }
     }
-
-    /// Vector of a single in-vocabulary word.
-    pub fn word_vector(&self, word: &str) -> Option<Vec<f32>> {
-        self.vocab
-            .get(word)
-            .map(|&id| self.model.embed_features(&[id]))
-    }
 }
 
 impl StringEncoder for Word2Vec {
@@ -165,12 +158,5 @@ mod tests {
         for i in 0..8 {
             assert!((both[i] - (g[i] + j[i]) / 2.0).abs() < 1e-5);
         }
-    }
-
-    #[test]
-    fn word_vector_lookup() {
-        let w2v = Word2Vec::train(&toy_corpus(), Word2VecConfig { dim: 8, epochs: 1, ..Default::default() });
-        assert!(w2v.word_vector("tokyo").is_some());
-        assert!(w2v.word_vector("nonexistent").is_none());
     }
 }

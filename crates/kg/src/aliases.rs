@@ -57,7 +57,7 @@ const HISTORICAL_SUFFIX: &[(&str, &str)] = &[
 /// Returns `None` when the rule does not apply (e.g. an initialism of a
 /// single-word label), so the caller can fall through to another rule.
 /// `forge`/`rng` are only used by [`AliasRule::Translation`].
-pub fn apply_rule<R: Rng + ?Sized>(
+pub(crate) fn apply_rule<R: Rng + ?Sized>(
     rule: AliasRule,
     label: &str,
     kind: NameKind,
@@ -122,7 +122,7 @@ pub fn apply_rule<R: Rng + ?Sized>(
 
 /// Generates up to `budget` aliases for `label` by cycling through the rules
 /// in randomized order, skipping rules that do not apply and deduplicating.
-pub fn generate_aliases<R: Rng + ?Sized>(
+pub(crate) fn generate_aliases<R: Rng + ?Sized>(
     label: &str,
     kind: NameKind,
     budget: usize,

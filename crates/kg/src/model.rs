@@ -184,7 +184,7 @@ impl KnowledgeGraph {
     }
 
     /// Parent of a type (roots return themselves).
-    pub fn type_parent(&self, id: TypeId) -> TypeId {
+    pub(crate) fn type_parent(&self, id: TypeId) -> TypeId {
         self.type_parents[id.0 as usize]
     }
 
@@ -193,13 +193,14 @@ impl KnowledgeGraph {
     ///
     /// # Panics
     /// Panics if either id is out of range.
-    pub fn set_type_parent(&mut self, id: TypeId, parent: TypeId) {
+    pub(crate) fn set_type_parent(&mut self, id: TypeId, parent: TypeId) {
         assert!((parent.0 as usize) < self.type_parents.len(), "parent out of range");
         self.type_parents[id.0 as usize] = parent;
     }
 
     /// True when `ancestor` is `t` or a transitive parent of `t`.
-    pub fn type_is_a(&self, t: TypeId, ancestor: TypeId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn type_is_a(&self, t: TypeId, ancestor: TypeId) -> bool {
         let mut cur = t;
         loop {
             if cur == ancestor {

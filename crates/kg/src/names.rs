@@ -70,7 +70,7 @@ pub struct NameForge {
 
 impl NameForge {
     /// Creates an empty forge.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -91,7 +91,7 @@ impl NameForge {
     }
 
     /// Generates a fresh, globally-unique name of the given kind.
-    pub fn next<R: Rng + ?Sized>(&mut self, kind: NameKind, rng: &mut R) -> String {
+    pub(crate) fn next<R: Rng + ?Sized>(&mut self, kind: NameKind, rng: &mut R) -> String {
         let mut attempt = 0usize;
         loop {
             let extra = attempt / 3; // widen the space if collisions persist
@@ -150,13 +150,14 @@ impl NameForge {
     }
 
     /// Number of distinct names handed out so far.
-    pub fn issued(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn issued(&self) -> usize {
         self.used.len()
     }
 }
 
 /// Uppercases the first ASCII letter of each word.
-pub fn capitalize(s: &str) -> String {
+pub(crate) fn capitalize(s: &str) -> String {
     s.split(' ')
         .map(|w| {
             let mut c = w.chars();

@@ -166,24 +166,6 @@ pub struct SynthKg {
     pub config: SynthKgConfig,
 }
 
-impl SynthKg {
-    /// Category ([`NameKind`]) of an entity, derived from its first type.
-    pub fn kind_of(&self, id: EntityId) -> NameKind {
-        let t = self.kg.entity(id).types[0];
-        if t == self.types.country {
-            NameKind::Country
-        } else if t == self.types.city {
-            NameKind::City
-        } else if t == self.types.person {
-            NameKind::Person
-        } else if t == self.types.organization {
-            NameKind::Organization
-        } else {
-            NameKind::Film
-        }
-    }
-}
-
 /// Generates a synthetic knowledge graph from the configuration.
 ///
 /// Determinism: the same config yields the same graph, entity by entity.
@@ -409,14 +391,6 @@ mod tests {
             }
         }
         assert!(any_shared, "no shared city labels at 30% ambiguity");
-    }
-
-    #[test]
-    fn kind_of_matches_category() {
-        let s = generate(SynthKgConfig::tiny(6));
-        assert_eq!(s.kind_of(s.countries[0]), NameKind::Country);
-        assert_eq!(s.kind_of(s.persons[0]), NameKind::Person);
-        assert_eq!(s.kind_of(s.films[0]), NameKind::Film);
     }
 
     #[test]

@@ -133,7 +133,7 @@ impl Histogram {
     /// value seen, so the p99 line of the Prometheus export points at
     /// a genuinely slow trace. `trace_id == 0` records without an
     /// exemplar.
-    pub fn record_with_exemplar(&self, value: u64, trace_id: u64) {
+    pub(crate) fn record_with_exemplar(&self, value: u64, trace_id: u64) {
         self.record(value);
         if trace_id == 0 {
             return;
@@ -144,7 +144,7 @@ impl Histogram {
         }
     }
 
-    /// [`Histogram::record_with_exemplar`] for a duration in
+    /// `Histogram::record_with_exemplar` for a duration in
     /// nanoseconds (saturating).
     pub fn record_duration_with_exemplar(&self, d: std::time::Duration, trace_id: u64) {
         self.record_with_exemplar(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX), trace_id);
@@ -169,7 +169,7 @@ impl Histogram {
     }
 
     /// Sum of recorded values.
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum.get()
     }
 
@@ -204,7 +204,8 @@ pub struct HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// Smallest recorded value, or 0 when empty.
-    pub fn min(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn min(&self) -> u64 {
         if self.count == 0 {
             0
         } else {
@@ -219,18 +220,19 @@ impl HistogramSnapshot {
 
     /// The exemplar with the largest value recorded via
     /// [`Histogram::record_with_exemplar`], if any.
-    pub fn exemplar_max(&self) -> Option<Exemplar> {
+    pub(crate) fn exemplar_max(&self) -> Option<Exemplar> {
         self.exemplar_max
     }
 
     /// The most recent exemplar recorded via
     /// [`Histogram::record_with_exemplar`], if any.
-    pub fn exemplar_last(&self) -> Option<Exemplar> {
+    pub(crate) fn exemplar_last(&self) -> Option<Exemplar> {
         self.exemplar_last
     }
 
     /// Mean of recorded values, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -245,7 +247,7 @@ impl HistogramSnapshot {
     ///
     /// # Panics
     /// Panics when `q` is not in `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         assert!((0.0..=1.0).contains(&q), "quantile {q} out of [0,1]");
         if self.count == 0 {
             return 0;
@@ -268,7 +270,7 @@ impl HistogramSnapshot {
     }
 
     /// 90th percentile.
-    pub fn p90(&self) -> u64 {
+    pub(crate) fn p90(&self) -> u64 {
         self.quantile(0.90)
     }
 

@@ -170,15 +170,6 @@ pub fn lookup_latency_bulk_scoped(scope: &str) -> String {
     format!("{LOOKUP_LATENCY}.{scope}.bulk")
 }
 
-/// True when `name` is a registered constant value or an instance of a
-/// registered dynamic family (`lookup.latency.*`).
-pub fn is_registered(name: &str) -> bool {
-    ALL.iter().any(|&(_, v)| v == name)
-        || name
-            .strip_prefix(LOOKUP_LATENCY)
-            .is_some_and(|rest| rest.starts_with('.') && rest.len() > 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,10 +202,5 @@ mod tests {
     fn scoped_helpers_stay_in_family() {
         assert_eq!(lookup_latency_scoped("el_nc"), "lookup.latency.el_nc");
         assert_eq!(lookup_latency_bulk_scoped("el"), "lookup.latency.el.bulk");
-        assert!(is_registered("lookup.latency.el_nc"));
-        assert!(is_registered(LOOKUP_BULK));
-        assert!(is_registered(LOOKUP_LATENCY));
-        assert!(!is_registered("lookup.latency."));
-        assert!(!is_registered("lookup.unknown"));
     }
 }

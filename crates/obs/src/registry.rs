@@ -27,7 +27,7 @@ impl Counter {
     }
 
     /// Current value.
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.value.get()
     }
 }
@@ -45,7 +45,7 @@ impl Gauge {
     }
 
     /// Current value.
-    pub fn get(&self) -> f64 {
+    pub(crate) fn get(&self) -> f64 {
         f64::from_bits(self.bits.get())
     }
 }
@@ -119,13 +119,6 @@ impl MetricsRegistry {
                 .map(|(k, v)| (k.clone(), v.snapshot()))
                 .collect(),
         }
-    }
-
-    /// Drops every registered metric. Existing handles keep working but
-    /// are no longer reachable from the registry (used by tests).
-    pub fn clear(&self) {
-        let mut inner = self.locked();
-        *inner = Inner::default();
     }
 }
 
@@ -223,15 +216,5 @@ mod tests {
         let snap = reg.snapshot();
         let names: Vec<&str> = snap.counters.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["a", "b", "c"]);
-    }
-
-    #[test]
-    fn clear_detaches_metrics() {
-        let reg = MetricsRegistry::new();
-        let c = reg.counter("x");
-        c.inc();
-        reg.clear();
-        assert_eq!(reg.snapshot().counter("x"), None);
-        c.inc(); // old handle still safe to use
     }
 }

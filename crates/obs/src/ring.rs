@@ -24,7 +24,7 @@ pub struct FlightRecorder {
 
 impl FlightRecorder {
     /// Creates a recorder holding at most `capacity` traces (min 1).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         FlightRecorder {
             slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
@@ -36,7 +36,7 @@ impl FlightRecorder {
     /// under contention: if the claimed slot is momentarily held, the
     /// trace is dropped instead of blocking. Returns whether the trace
     /// was stored.
-    pub fn record(&self, trace: Arc<TraceData>) -> bool {
+    pub(crate) fn record(&self, trace: Arc<TraceData>) -> bool {
         // `recent` must see the slot writes made before any claim it
         // observes: `RingHead`'s Release/Acquire pairing
         let slot = (self.head.claim() as usize) % self.slots.len();
@@ -67,7 +67,7 @@ impl FlightRecorder {
     }
 
     /// Finds a held trace by wire id.
-    pub fn find(&self, id: u64) -> Option<Arc<TraceData>> {
+    pub(crate) fn find(&self, id: u64) -> Option<Arc<TraceData>> {
         self.recent().into_iter().find(|t| t.id == id)
     }
 }

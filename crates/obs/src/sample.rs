@@ -77,7 +77,7 @@ pub struct TailSampler {
 impl TailSampler {
     /// Creates a sampler keeping up to `per_trigger_cap` traces per
     /// trigger class (min 1).
-    pub fn new(per_trigger_cap: usize) -> Self {
+    pub(crate) fn new(per_trigger_cap: usize) -> Self {
         TailSampler { per_trigger_cap: per_trigger_cap.max(1), retained: Mutex::new(Vec::new()) }
     }
 
@@ -89,7 +89,7 @@ impl TailSampler {
     /// Offers a completed trace with the triggers its request hit.
     /// Returns `true` when the trace was retained — i.e. at least one
     /// of its trigger classes still had room.
-    pub fn offer(&self, trace: Arc<TraceData>, triggers: &[Trigger]) -> bool {
+    pub(crate) fn offer(&self, trace: Arc<TraceData>, triggers: &[Trigger]) -> bool {
         let triggers: Vec<Trigger> =
             Trigger::ALL.iter().copied().filter(|t| triggers.contains(t)).collect();
         if triggers.is_empty() {
@@ -117,7 +117,7 @@ impl TailSampler {
     }
 
     /// Finds a retained trace by wire id.
-    pub fn find(&self, id: u64) -> Option<RetainedTrace> {
+    pub(crate) fn find(&self, id: u64) -> Option<RetainedTrace> {
         self.locked().iter().find(|r| r.trace.id == id).cloned()
     }
 }

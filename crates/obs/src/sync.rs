@@ -51,19 +51,19 @@ impl RelaxedU64 {
 
     /// Overwrites the value.
     #[inline]
-    pub fn set(&self, v: u64) {
+    pub(crate) fn set(&self, v: u64) {
         self.0.store(v, Relaxed)
     }
 
     /// Lowers the value to `v` if `v` is smaller.
     #[inline]
-    pub fn min(&self, v: u64) {
+    pub(crate) fn min(&self, v: u64) {
         self.0.fetch_min(v, Relaxed);
     }
 
     /// Raises the value to `v` if `v` is larger.
     #[inline]
-    pub fn max(&self, v: u64) {
+    pub(crate) fn max(&self, v: u64) {
         self.0.fetch_max(v, Relaxed);
     }
 }
@@ -124,13 +124,13 @@ impl RingHead {
 
     /// Advances the head by one and returns the claimed ticket.
     #[inline]
-    pub fn claim(&self) -> u64 {
+    pub(crate) fn claim(&self) -> u64 {
         self.0.fetch_add(1, Release)
     }
 
     /// Current head.
     #[inline]
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.0.load(Acquire)
     }
 }
@@ -196,7 +196,7 @@ impl SeqPair {
     /// Best-effort publish; a concurrent writer wins and this write is
     /// silently skipped.
     #[inline]
-    pub fn offer(&self, a: u64, b: u64) {
+    pub(crate) fn offer(&self, a: u64, b: u64) {
         let v = self.version.load(Acquire);
         if v % 2 == 1 {
             return; // writer in progress
@@ -211,14 +211,14 @@ impl SeqPair {
 
     /// The first element alone (it may belong to a write in progress).
     #[inline]
-    pub fn first(&self) -> u64 {
+    pub(crate) fn first(&self) -> u64 {
         self.a.load(Acquire)
     }
 
     /// The pair of one single write, or `None` when nothing was ever
     /// written or four attempts in a row raced a writer.
     #[inline]
-    pub fn read(&self) -> Option<(u64, u64)> {
+    pub(crate) fn read(&self) -> Option<(u64, u64)> {
         for _ in 0..4 {
             let v1 = self.version.load(Acquire);
             if v1 == 0 {

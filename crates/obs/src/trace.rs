@@ -61,7 +61,7 @@ pub fn trace_id_from_index(index: u64) -> u64 {
 
 /// Small process-wide thread ordinal (1, 2, …) used instead of
 /// `std::thread::ThreadId` so span records stay plain `u64`s.
-pub fn thread_ordinal() -> u64 {
+pub(crate) fn thread_ordinal() -> u64 {
     use std::cell::Cell;
     // id allocator: uniqueness, not ordering
     static NEXT: RelaxedU64 = RelaxedU64::new(1);
@@ -102,7 +102,7 @@ impl TraceClock {
     }
 
     /// Nanoseconds since the clock's epoch.
-    pub fn now_ns(&self) -> u64 {
+    pub(crate) fn now_ns(&self) -> u64 {
         match self {
             TraceClock::Real(epoch) => epoch.elapsed().as_nanos() as u64,
             // a late-by-one read only shifts a span timestamp
@@ -181,11 +181,6 @@ impl Trace {
     /// The wire trace id.
     pub fn id(&self) -> u64 {
         self.id
-    }
-
-    /// The clock this trace stamps from.
-    pub fn clock(&self) -> &TraceClock {
-        &self.clock
     }
 
     fn locked(&self) -> std::sync::MutexGuard<'_, Vec<SpanRecord>> {

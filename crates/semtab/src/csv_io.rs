@@ -4,10 +4,10 @@
 
 use crate::datasets::Dataset;
 use crate::table::{Cell, Table};
-use emblookup_kg::{EntityId, TypeId};
+use emblookup_kg::EntityId;
 use std::fmt::Write as _;
 
-/// Serializes one table as CSV (RFC-4180-style quoting of `",\n`).
+/// Serializes one table as CSV (RFC-4180-style quoting of `",\n\r`).
 pub fn table_to_csv(table: &Table) -> String {
     let mut out = String::new();
     for row in &table.rows {
@@ -31,33 +31,16 @@ pub fn cea_targets_to_csv(dataset: &Dataset) -> String {
     out
 }
 
-/// Serializes the CTA ground truth: `table_id,col,type_id` per typed column.
-pub fn cta_targets_to_csv(dataset: &Dataset) -> String {
-    let mut out = String::new();
-    for table in &dataset.tables {
-        for (c, t) in table.col_types.iter().enumerate() {
-            if let Some(t) = t {
-                let _ = writeln!(out, "{},{},{}", table.id, c, t.0);
-            }
-        }
-    }
-    out
-}
-
 /// Parses one CSV document into a table (all cells as literals; attach
 /// ground truth separately with [`apply_cea_targets`]).
 ///
 /// # Errors
 /// Returns a message for unbalanced quotes or ragged rows.
 pub fn table_from_csv(id: u32, csv: &str) -> Result<Table, String> {
-    let mut rows: Vec<Vec<Cell>> = Vec::new();
-    for (ln, line) in csv.lines().enumerate() {
-        if line.is_empty() {
-            continue;
-        }
-        let fields = split_csv_line(line).map_err(|e| format!("line {}: {e}", ln + 1))?;
-        rows.push(fields.into_iter().map(Cell::literal).collect());
-    }
+    let rows: Vec<Vec<Cell>> = parse_records(csv)?
+        .into_iter()
+        .map(|fields| fields.into_iter().map(Cell::literal).collect())
+        .collect();
     let width = rows.first().map(Vec::len).unwrap_or(0);
     if rows.iter().any(|r| r.len() != width) {
         return Err("ragged rows".into());
@@ -99,49 +82,28 @@ pub fn apply_cea_targets(table: &mut Table, targets_csv: &str) -> Result<(), Str
     Ok(())
 }
 
-/// Applies CTA target rows (`table_id,col,type_id`) to a table.
-///
-/// # Errors
-/// Returns a message for malformed lines or out-of-range columns.
-pub fn apply_cta_targets(table: &mut Table, targets_csv: &str) -> Result<(), String> {
-    for (ln, line) in targets_csv.lines().enumerate() {
-        if line.is_empty() {
-            continue;
-        }
-        let parts: Vec<&str> = line.split(',').collect();
-        if parts.len() != 3 {
-            return Err(format!("line {}: expected 3 fields", ln + 1));
-        }
-        let parse = |s: &str| -> Result<u32, String> {
-            s.trim().parse().map_err(|_| format!("line {}: bad number {s:?}", ln + 1))
-        };
-        let (tid, c, t) = (parse(parts[0])?, parse(parts[1])?, parse(parts[2])?);
-        if tid != table.id {
-            continue;
-        }
-        let c = c as usize;
-        if c >= table.num_cols() {
-            return Err(format!("line {}: column {c} out of range", ln + 1));
-        }
-        table.col_types[c] = Some(TypeId(t));
-    }
-    Ok(())
-}
-
 fn quote(s: &str) -> String {
-    if s.contains(['"', ',', '\n']) {
+    if s.contains(['"', ',', '\n', '\r']) {
         format!("\"{}\"", s.replace('"', "\"\""))
     } else {
         s.to_string()
     }
 }
 
-fn split_csv_line(line: &str) -> Result<Vec<String>, String> {
-    let mut out = Vec::new();
+/// Splits a CSV document into records of fields. A record ends at a `\n`
+/// or `\r\n` outside quotes, so a quoted field may span lines, and an
+/// empty line is a record of one empty field (the row of a one-column
+/// table whose cell is empty). Only a final record without a terminator
+/// needs any text to count.
+fn parse_records(csv: &str) -> Result<Vec<Vec<String>>, String> {
+    let mut records = Vec::new();
+    let mut record = Vec::new();
     let mut field = String::new();
-    let mut chars = line.chars().peekable();
-    let mut in_quotes = false;
+    let mut chars = csv.chars().peekable();
+    let (mut in_quotes, mut pending) = (false, false);
+    let (mut line, mut record_line) = (1usize, 1usize);
     while let Some(c) = chars.next() {
+        pending = true;
         match (c, in_quotes) {
             ('"', false) => {
                 if field.is_empty() {
@@ -158,17 +120,29 @@ fn split_csv_line(line: &str) -> Result<Vec<String>, String> {
                     in_quotes = false;
                 }
             }
-            (',', false) => {
-                out.push(std::mem::take(&mut field));
+            (',', false) => record.push(std::mem::take(&mut field)),
+            ('\r', false) if chars.peek() == Some(&'\n') => {}
+            ('\n', false) => {
+                record.push(std::mem::take(&mut field));
+                records.push(std::mem::take(&mut record));
+                pending = false;
+                line += 1;
+                record_line = line;
             }
-            (c, _) => field.push(c),
+            (c, _) => {
+                line += usize::from(c == '\n');
+                field.push(c);
+            }
         }
     }
     if in_quotes {
-        return Err("unbalanced quotes".into());
+        return Err(format!("line {record_line}: unbalanced quotes"));
     }
-    out.push(field);
-    Ok(out)
+    if pending {
+        record.push(field);
+        records.push(record);
+    }
+    Ok(records)
 }
 
 #[cfg(test)]
@@ -216,6 +190,39 @@ mod tests {
         assert_eq!(restored.cell(0, 2).text, "plain");
     }
 
+    /// Any cell text survives `table_to_csv` → `table_from_csv`: cells are
+    /// drawn from `, " \n \r` (empty included), over shapes down to one
+    /// column, where a row whose only cell is empty is an empty line.
+    #[test]
+    fn any_cell_text_round_trips() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const PIECES: [&str; 5] = [",", "\"", "\n", "\r", ""];
+        let single_empty = vec![vec![Cell::literal("x")], vec![Cell::literal("")]];
+        let mut tables = vec![Table { id: 0, rows: single_empty, col_types: vec![None] }];
+        for seed in 0..64u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (rows, cols) = (rng.gen_range(1..5usize), rng.gen_range(1..4usize));
+            let cell = |rng: &mut StdRng| {
+                let len = rng.gen_range(0..4usize);
+                (0..len).map(|_| PIECES[rng.gen_range(0..PIECES.len())]).collect::<String>()
+            };
+            let rows = (0..rows)
+                .map(|_| (0..cols).map(|_| Cell::literal(cell(&mut rng))).collect())
+                .collect();
+            tables.push(Table { id: seed as u32, rows, col_types: vec![None; cols] });
+        }
+        for table in &tables {
+            let csv = table_to_csv(table);
+            let restored = table_from_csv(table.id, &csv)
+                .unwrap_or_else(|e| panic!("table {}: {e} in {csv:?}", table.id));
+            let texts = |t: &Table| -> Vec<Vec<String>> {
+                t.rows.iter().map(|r| r.iter().map(|c| c.text.clone()).collect()).collect()
+            };
+            assert_eq!(texts(&restored), texts(table), "table {} via {csv:?}", table.id);
+        }
+    }
+
     #[test]
     fn malformed_inputs_are_errors() {
         assert!(table_from_csv(0, "a,b\nc").is_err()); // ragged
@@ -223,17 +230,5 @@ mod tests {
         let mut t = Table { id: 0, rows: vec![vec![Cell::literal("x")]], col_types: vec![None] };
         assert!(apply_cea_targets(&mut t, "0,9,9,1").is_err());
         assert!(apply_cea_targets(&mut t, "0,0").is_err());
-        assert!(apply_cta_targets(&mut t, "0,9,1").is_err());
-    }
-
-    #[test]
-    fn cta_targets_round_trip() {
-        let synth = generate(SynthKgConfig::tiny(71));
-        let ds = generate_dataset(&synth, &DatasetConfig::tiny(71));
-        let original = &ds.tables[1];
-        let targets = cta_targets_to_csv(&ds);
-        let mut restored = table_from_csv(original.id, &table_to_csv(original)).unwrap();
-        apply_cta_targets(&mut restored, &targets).unwrap();
-        assert_eq!(restored.col_types, original.col_types);
     }
 }

@@ -20,7 +20,7 @@ pub mod tasks;
 pub use datasets::{
     generate_dataset, with_alias_substitution, with_missing, with_noise, Dataset, DatasetConfig,
 };
-pub use csv_io::{apply_cea_targets, apply_cta_targets, cea_targets_to_csv, cta_targets_to_csv, table_from_csv, table_to_csv};
+pub use csv_io::{apply_cea_targets, cea_targets_to_csv, table_from_csv, table_to_csv};
 pub use metrics::PrF;
 pub use systems::{
     AnnotationSystem, BbwSystem, DoSerSystem, JenTabSystem, KataraSystem, MantisTableSystem,

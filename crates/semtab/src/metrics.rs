@@ -24,13 +24,6 @@ impl PrF {
         }
     }
 
-    /// Merges another tally into this one.
-    pub fn merge(&mut self, other: PrF) {
-        self.correct += other.correct;
-        self.predicted += other.predicted;
-        self.truth += other.truth;
-    }
-
     /// Precision (1.0 when nothing was predicted).
     pub fn precision(&self) -> f64 {
         if self.predicted == 0 {
@@ -98,12 +91,5 @@ mod tests {
     fn empty_tally_is_safe() {
         let m = PrF::default();
         assert_eq!(m.f1(), 1.0); // vacuous truth
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = PrF { correct: 1, predicted: 2, truth: 3 };
-        a.merge(PrF { correct: 2, predicted: 2, truth: 2 });
-        assert_eq!(a, PrF { correct: 3, predicted: 4, truth: 5 });
     }
 }

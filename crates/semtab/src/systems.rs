@@ -364,7 +364,7 @@ impl Default for DoSerSystem {
 
 impl DoSerSystem {
     /// Disambiguates a list of mentions collectively.
-    pub fn disambiguate(
+    pub(crate) fn disambiguate(
         &self,
         kg: &KnowledgeGraph,
         mentions: &[&str],

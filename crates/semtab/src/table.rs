@@ -16,17 +16,18 @@ pub struct Cell {
 
 impl Cell {
     /// Entity-mention cell with ground truth.
-    pub fn entity(text: impl Into<String>, truth: EntityId) -> Self {
+    pub(crate) fn entity(text: impl Into<String>, truth: EntityId) -> Self {
         Cell { text: text.into(), truth: Some(truth), missing: false }
     }
 
     /// Literal cell (numbers, dates).
-    pub fn literal(text: impl Into<String>) -> Self {
+    pub(crate) fn literal(text: impl Into<String>) -> Self {
         Cell { text: text.into(), truth: None, missing: false }
     }
 
     /// Missing cell that originally referred to `truth`.
-    pub fn missing(truth: EntityId) -> Self {
+    #[cfg(test)]
+    pub(crate) fn missing(truth: EntityId) -> Self {
         Cell { text: String::new(), truth: Some(truth), missing: true }
     }
 }
@@ -59,7 +60,7 @@ impl Table {
     }
 
     /// Mutably borrows the cell at `(row, col)`.
-    pub fn cell_mut(&mut self, row: usize, col: usize) -> &mut Cell {
+    pub(crate) fn cell_mut(&mut self, row: usize, col: usize) -> &mut Cell {
         &mut self.rows[row][col]
     }
 
@@ -75,7 +76,7 @@ impl Table {
     }
 
     /// Total number of annotatable entity cells.
-    pub fn num_entity_cells(&self) -> usize {
+    pub(crate) fn num_entity_cells(&self) -> usize {
         self.entity_cells().count()
     }
 
@@ -83,7 +84,8 @@ impl Table {
     ///
     /// # Errors
     /// Describes the first violated invariant.
-    pub fn validate(&self) -> Result<(), String> {
+    #[cfg(test)]
+    pub(crate) fn validate(&self) -> Result<(), String> {
         for (r, row) in self.rows.iter().enumerate() {
             if row.len() != self.col_types.len() {
                 return Err(format!(

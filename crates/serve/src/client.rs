@@ -4,7 +4,7 @@
 //! `emblookup-cli query` subcommand can exercise the server without
 //! pulling in an external HTTP dependency. [`Connection`] holds one
 //! keep-alive socket and frames responses by `content-length`, so a
-//! bulk loop pays TCP setup once; the one-shot [`request`] helper is a
+//! bulk loop pays TCP setup once; the one-shot `request` helper is a
 //! connection opened for a single `Connection: close` exchange.
 
 use crate::http::{read_head, HeadError};
@@ -39,7 +39,7 @@ impl HttpResponse {
 /// # Errors
 /// Propagates connect/read/write failures and malformed response
 /// framing as `io::Error`.
-pub fn request(
+pub(crate) fn request(
     addr: SocketAddr,
     method: &str,
     path: &str,
@@ -52,7 +52,7 @@ pub fn request(
 /// `GET path`.
 ///
 /// # Errors
-/// See [`request`].
+/// See `request`.
 pub fn get(addr: SocketAddr, path: &str) -> std::io::Result<HttpResponse> {
     request(addr, "GET", path, &[], "")
 }
@@ -60,7 +60,7 @@ pub fn get(addr: SocketAddr, path: &str) -> std::io::Result<HttpResponse> {
 /// `POST path` with a JSON body.
 ///
 /// # Errors
-/// See [`request`].
+/// See `request`.
 pub fn post_json(
     addr: SocketAddr,
     path: &str,
@@ -96,7 +96,7 @@ impl Connection {
     /// # Errors
     /// Propagates read/write failures and malformed framing as
     /// `io::Error`; the connection should be dropped after an error.
-    pub fn request(
+    pub(crate) fn request(
         &mut self,
         method: &str,
         path: &str,
@@ -141,7 +141,7 @@ impl Connection {
     /// `GET path` on the kept-alive socket.
     ///
     /// # Errors
-    /// See [`Connection::request`].
+    /// See `Connection::request`.
     pub fn get(&mut self, path: &str) -> std::io::Result<HttpResponse> {
         self.request("GET", path, &[], "")
     }
@@ -149,7 +149,7 @@ impl Connection {
     /// `POST path` with a JSON body on the kept-alive socket.
     ///
     /// # Errors
-    /// See [`Connection::request`].
+    /// See `Connection::request`.
     pub fn post_json(
         &mut self,
         path: &str,

@@ -271,8 +271,7 @@ struct RequestCtx<'a> {
     admit: TraceSpan,
 }
 
-/// A running server. Dropping it (or calling [`Server::shutdown`])
-/// stops the accept loop.
+/// A running server. Dropping it stops the accept loop.
 pub struct Server {
     addr: SocketAddr,
     /// One-way stop publication to the accept and connection loops.
@@ -384,7 +383,7 @@ impl Server {
     }
 
     /// Stops accepting and joins the accept thread. Idempotent.
-    pub fn shutdown(&mut self) {
+    pub(crate) fn shutdown(&mut self) {
         self.shutdown.raise();
         // Unblock the accept call with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
@@ -689,9 +688,10 @@ fn deadline_response(state: &ServerState, stage: Stage, clock: &DeadlineClock) -
 /// Appends candidates to `out` as a JSON array; scores are `-distance`
 /// for the embedding rungs and Jaccard similarity for the q-gram rung.
 /// The distance is what the answering index reports: exact squared L2
-/// from the flat rung (and a flat or plain-HNSW full rung), an estimate
-/// of it from a compressed full rung — ADC under PQ, the 8-bit re-rank
-/// store's under HnswPq (bound at `HnswPqIndex::search`).
+/// from the flat rung (and a flat full rung), an estimate of it from a
+/// compressed full rung — ADC under PQ, the distance between projections
+/// under PCA, the 8-bit re-rank store's under HnswPq (bound at
+/// `HnswPqIndex::search`).
 fn push_results(
     state: &ServerState,
     out: &mut String,

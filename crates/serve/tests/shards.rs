@@ -551,7 +551,6 @@ fn sharded_build_is_the_serial_per_shard_build() {
     let compressions = [
         Compression::HnswPq { m: 8, ef_search: 32, pq_m: 4, pq_ks: 32 },
         Compression::Pq { m: 4, ks: 32 },
-        Compression::Ivf { nlist: 16, nprobe: 4 },
     ];
     for compression in compressions {
         for num_shards in [1usize, 3] {

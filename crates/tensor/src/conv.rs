@@ -33,7 +33,7 @@ fn valid_range(kk: usize, pad: usize, l: usize, l_out: usize) -> (usize, usize, 
 ///
 /// # Panics
 /// Panics on shape mismatches (see the message for the offending dims).
-pub fn conv1d_forward(x: &Tensor, w: &Tensor, b: &Tensor, pad: usize) -> Tensor {
+pub(crate) fn conv1d_forward(x: &Tensor, w: &Tensor, b: &Tensor, pad: usize) -> Tensor {
     assert_eq!(x.rank(), 2, "conv1d input must be [C_in, L], got {:?}", x.shape());
     assert_eq!(w.rank(), 3, "conv1d weight must be [C_out, C_in, K], got {:?}", w.shape());
     let (c_in, l) = (x.shape()[0], x.shape()[1]);
@@ -378,7 +378,8 @@ pub(crate) fn conv1d_rows_onehot_grad(cells: &[u32], gy: &[f32], gw: &mut [f32],
 }
 
 /// Gradients of the forward convolution. Returns `(gx, gw, gb)`.
-pub fn conv1d_backward(
+#[cfg(test)]
+pub(crate) fn conv1d_backward(
     x: &Tensor,
     w: &Tensor,
     gy: &Tensor,

@@ -184,13 +184,9 @@ impl Graph {
     }
 
     /// Number of nodes currently on the tape.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// True when no nodes have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
     }
 
     fn push(&mut self, value: Tensor, op: Op) -> Var {
@@ -245,7 +241,7 @@ impl Graph {
 
     /// Broadcast add of a `[n]` bias over the rows of a `[m,n]` matrix
     /// (or an `[n]` vector, treated as a single row).
-    pub fn add_bias(&mut self, x: Var, bias: Var) -> Var {
+    pub(crate) fn add_bias(&mut self, x: Var, bias: Var) -> Var {
         let xt = &self.nodes[x.0].value;
         let bt = &self.nodes[bias.0].value;
         let n = bt.len();
@@ -266,38 +262,38 @@ impl Graph {
     }
 
     /// Adds the constant `c` to every element.
-    pub fn add_scalar(&mut self, a: Var, c: f32) -> Var {
+    pub(crate) fn add_scalar(&mut self, a: Var, c: f32) -> Var {
         let value = self.nodes[a.0].value.map(|x| x + c);
         self.push(value, Op::AddScalar(a, c))
     }
 
     /// Elementwise difference. Panics on shape mismatch.
-    pub fn sub(&mut self, a: Var, b: Var) -> Var {
+    pub(crate) fn sub(&mut self, a: Var, b: Var) -> Var {
         let value = self.nodes[a.0].value.sub(&self.nodes[b.0].value);
         self.push(value, Op::Sub(a, b))
     }
 
     /// Elementwise product. Panics on shape mismatch. `mul(x, x)` squares.
-    pub fn mul(&mut self, a: Var, b: Var) -> Var {
+    pub(crate) fn mul(&mut self, a: Var, b: Var) -> Var {
         let value = self.nodes[a.0].value.mul(&self.nodes[b.0].value);
         self.push(value, Op::Mul(a, b))
     }
 
     /// Multiplies every element by `s`.
-    pub fn scale(&mut self, a: Var, s: f32) -> Var {
+    pub(crate) fn scale(&mut self, a: Var, s: f32) -> Var {
         let mut value = self.nodes[a.0].value.clone();
         value.scale_mut(s);
         self.push(value, Op::Scale(a, s))
     }
 
     /// Rank-2 matrix product.
-    pub fn matmul(&mut self, a: Var, b: Var) -> Var {
+    pub(crate) fn matmul(&mut self, a: Var, b: Var) -> Var {
         let value = self.nodes[a.0].value.matmul(&self.nodes[b.0].value);
         self.push(value, Op::Matmul(a, b))
     }
 
     /// Rank-2 transpose.
-    pub fn transpose(&mut self, a: Var) -> Var {
+    pub(crate) fn transpose(&mut self, a: Var) -> Var {
         let value = self.nodes[a.0].value.transpose();
         self.push(value, Op::Transpose(a))
     }
@@ -309,19 +305,19 @@ impl Graph {
     }
 
     /// Elementwise logistic sigmoid.
-    pub fn sigmoid(&mut self, a: Var) -> Var {
+    pub(crate) fn sigmoid(&mut self, a: Var) -> Var {
         let value = self.nodes[a.0].value.map(|x| 1.0 / (1.0 + (-x).exp()));
         self.push(value, Op::Sigmoid(a))
     }
 
     /// Elementwise tanh.
-    pub fn tanh(&mut self, a: Var) -> Var {
+    pub(crate) fn tanh(&mut self, a: Var) -> Var {
         let value = self.nodes[a.0].value.map(|x| x.tanh());
         self.push(value, Op::Tanh(a))
     }
 
     /// Row-wise softmax of a rank-2 tensor (rank-1 treated as one row).
-    pub fn softmax_rows(&mut self, a: Var) -> Var {
+    pub(crate) fn softmax_rows(&mut self, a: Var) -> Var {
         let x = &self.nodes[a.0].value;
         let (rows, cols) = (x.rows(), x.cols());
         let mut out = x.clone();
@@ -342,7 +338,7 @@ impl Graph {
     ///
     /// # Panics
     /// Panics on any dimension mismatch or if the kernel does not fit.
-    pub fn conv1d(&mut self, input: Var, weight: Var, bias: Var, pad: usize) -> Var {
+    pub(crate) fn conv1d(&mut self, input: Var, weight: Var, bias: Var, pad: usize) -> Var {
         let x = &self.nodes[input.0].value;
         let w = &self.nodes[weight.0].value;
         let b = &self.nodes[bias.0].value;
@@ -397,7 +393,7 @@ impl Graph {
     }
 
     /// Takes `len` elements of a rank-1 tensor starting at `start`.
-    pub fn slice(&mut self, a: Var, start: usize, len: usize) -> Var {
+    pub(crate) fn slice(&mut self, a: Var, start: usize, len: usize) -> Var {
         let t = &self.nodes[a.0].value;
         assert!(
             start + len <= t.len(),
@@ -417,13 +413,13 @@ impl Graph {
     }
 
     /// Sum of all elements, producing a scalar node.
-    pub fn sum_all(&mut self, a: Var) -> Var {
+    pub(crate) fn sum_all(&mut self, a: Var) -> Var {
         let value = Tensor::scalar(self.nodes[a.0].value.sum());
         self.push(value, Op::SumAll(a))
     }
 
     /// Mean of all elements, producing a scalar node.
-    pub fn mean_all(&mut self, a: Var) -> Var {
+    pub(crate) fn mean_all(&mut self, a: Var) -> Var {
         let t = &self.nodes[a.0].value;
         assert!(!t.is_empty(), "mean_all of empty tensor");
         let value = Tensor::scalar(t.sum() / t.len() as f32);
@@ -470,7 +466,7 @@ impl Graph {
     }
 
     /// Layer normalization over the last axis of `[n, D]` (or `[D]`).
-    pub fn layer_norm(&mut self, x: Var, gamma: Var, beta: Var) -> Var {
+    pub(crate) fn layer_norm(&mut self, x: Var, gamma: Var, beta: Var) -> Var {
         let t = &self.nodes[x.0].value;
         let g = &self.nodes[gamma.0].value;
         let b = &self.nodes[beta.0].value;

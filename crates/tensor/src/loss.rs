@@ -3,7 +3,7 @@
 use crate::graph::{Graph, Var};
 
 /// Squared Euclidean distance between two same-shape embedding nodes.
-pub fn sq_distance(g: &mut Graph, a: Var, b: Var) -> Var {
+pub(crate) fn sq_distance(g: &mut Graph, a: Var, b: Var) -> Var {
     let d = g.sub(a, b);
     let d2 = g.mul(d, d);
     g.sum_all(d2)

@@ -303,7 +303,7 @@ pub struct LstmCell {
 
 impl LstmCell {
     /// Registers the cell's three parameter tensors.
-    pub fn new<R: Rng + ?Sized>(
+    pub(crate) fn new<R: Rng + ?Sized>(
         store: &mut ParamStore,
         name: &str,
         in_dim: usize,
@@ -330,7 +330,7 @@ impl LstmCell {
 
     /// One step: consumes `x_t` `[in_dim]`, `(h, c)` `[hidden]` each;
     /// returns the next `(h, c)`.
-    pub fn step(
+    pub(crate) fn step(
         &self,
         g: &mut Graph,
         bindings: &mut Bindings,
@@ -391,11 +391,6 @@ impl Lstm {
         }
     }
 
-    /// Hidden width of the encoder.
-    pub fn hidden(&self) -> usize {
-        self.cell.hidden
-    }
-
     /// Encodes a sequence of `[in_dim]` vectors, returning the final hidden
     /// state `[hidden]`.
     ///
@@ -428,14 +423,14 @@ pub struct LayerNorm {
 
 impl LayerNorm {
     /// Registers `[dim]` gamma (ones) and beta (zeros).
-    pub fn new(store: &mut ParamStore, name: &str, dim: usize) -> Self {
+    pub(crate) fn new(store: &mut ParamStore, name: &str, dim: usize) -> Self {
         let gamma = store.register(format!("{name}.gamma"), Tensor::ones(&[dim]));
         let beta = store.register(format!("{name}.beta"), Tensor::zeros(&[dim]));
         LayerNorm { gamma, beta }
     }
 
     /// Normalizes over the last axis of `[n, dim]` (or `[dim]`).
-    pub fn forward(
+    pub(crate) fn forward(
         &self,
         g: &mut Graph,
         bindings: &mut Bindings,

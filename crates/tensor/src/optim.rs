@@ -33,7 +33,7 @@ impl GradBuffer {
 
     /// Adds `g` into the slot for `id` (element-wise), creating it on
     /// first touch.
-    pub fn accumulate(&mut self, id: ParamId, g: &Tensor) {
+    pub(crate) fn accumulate(&mut self, id: ParamId, g: &Tensor) {
         if self.grads.len() <= id.0 {
             self.grads.resize_with(id.0 + 1, || None);
         }
@@ -51,7 +51,7 @@ impl GradBuffer {
     ///
     /// # Panics
     /// Panics if the slot exists with another shape.
-    pub fn slot(&mut self, id: ParamId, shape: &[usize]) -> &mut [f32] {
+    pub(crate) fn slot(&mut self, id: ParamId, shape: &[usize]) -> &mut [f32] {
         if self.grads.len() <= id.0 {
             self.grads.resize_with(id.0 + 1, || None);
         }
@@ -79,22 +79,12 @@ impl GradBuffer {
         }
     }
 
-    /// The gradient stored for `id`, if any.
-    pub fn get(&self, id: ParamId) -> Option<&Tensor> {
-        self.grads.get(id.0).and_then(Option::as_ref)
-    }
-
     /// Iterates stored `(id, gradient)` pairs in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = (ParamId, &Tensor)> {
         self.grads
             .iter()
             .enumerate()
             .filter_map(|(i, g)| g.as_ref().map(|g| (ParamId(i), g)))
-    }
-
-    /// True when no gradient is stored.
-    pub fn is_empty(&self) -> bool {
-        self.grads.iter().all(Option::is_none)
     }
 }
 
@@ -123,7 +113,8 @@ pub struct Sgd {
 
 impl Sgd {
     /// SGD with the given learning rate and no clipping.
-    pub fn new(lr: f32) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(lr: f32) -> Self {
         Sgd { lr, clip_norm: None }
     }
 }

@@ -33,7 +33,7 @@ impl ParamStore {
     }
 
     /// Borrows a parameter's current value.
-    pub fn get(&self, id: ParamId) -> &Tensor {
+    pub(crate) fn get(&self, id: ParamId) -> &Tensor {
         &self.params[id.0]
     }
 
@@ -58,7 +58,8 @@ impl ParamStore {
     }
 
     /// Total number of scalar weights across all parameters.
-    pub fn num_weights(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn num_weights(&self) -> usize {
         self.params.iter().map(Tensor::len).sum()
     }
 
@@ -177,18 +178,14 @@ impl Bindings {
     }
 
     /// Iterates over recorded `(parameter, leaf)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (ParamId, Var)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (ParamId, Var)> + '_ {
         self.bound.iter().copied()
     }
 
     /// Number of bound parameters.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.bound.len()
-    }
-
-    /// True when nothing has been bound yet.
-    pub fn is_empty(&self) -> bool {
-        self.bound.is_empty()
     }
 }
 

@@ -10,7 +10,7 @@ use std::fmt;
 
 /// A dense, row-major tensor of `f32` values.
 ///
-/// Shapes are immutable after construction except through [`Tensor::reshape`],
+/// Shapes are immutable after construction except through `Tensor::reshape`,
 /// which only re-labels the same buffer. All arithmetic helpers panic on
 /// shape mismatch with a message naming the offending shapes; the autograd
 /// layer in [`crate::graph`] validates shapes before calling them.
@@ -22,7 +22,7 @@ pub struct Tensor {
 
 impl Tensor {
     /// Creates a tensor of the given shape filled with `value`.
-    pub fn full(shape: &[usize], value: f32) -> Self {
+    pub(crate) fn full(shape: &[usize], value: f32) -> Self {
         let n = shape.iter().product();
         Tensor {
             shape: shape.to_vec(),
@@ -36,12 +36,12 @@ impl Tensor {
     }
 
     /// Creates a one-filled tensor.
-    pub fn ones(shape: &[usize]) -> Self {
+    pub(crate) fn ones(shape: &[usize]) -> Self {
         Self::full(shape, 1.0)
     }
 
     /// Creates a rank-0 (scalar) tensor.
-    pub fn scalar(value: f32) -> Self {
+    pub(crate) fn scalar(value: f32) -> Self {
         Tensor {
             shape: vec![],
             data: vec![value],
@@ -116,19 +116,19 @@ impl Tensor {
 
     /// Number of elements.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.data.len()
     }
 
     /// True when the tensor holds no elements.
     #[inline]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.data.is_empty()
     }
 
     /// Tensor rank (number of dimensions).
     #[inline]
-    pub fn rank(&self) -> usize {
+    pub(crate) fn rank(&self) -> usize {
         self.shape.len()
     }
 
@@ -164,7 +164,7 @@ impl Tensor {
     }
 
     /// Number of rows of a rank-2 tensor (rank-1 counts as a single row).
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         match self.shape.len() {
             0 | 1 => 1,
             _ => self.shape[0],
@@ -172,7 +172,7 @@ impl Tensor {
     }
 
     /// Number of columns of a rank-1 or rank-2 tensor.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         match self.shape.len() {
             0 => 1,
             1 => self.shape[0],
@@ -182,14 +182,16 @@ impl Tensor {
 
     /// Reads element `(i, j)` of a rank-2 tensor.
     #[inline]
-    pub fn at2(&self, i: usize, j: usize) -> f32 {
+    #[cfg(test)]
+    pub(crate) fn at2(&self, i: usize, j: usize) -> f32 {
         debug_assert_eq!(self.rank(), 2);
         self.data[i * self.shape[1] + j]
     }
 
     /// Writes element `(i, j)` of a rank-2 tensor.
     #[inline]
-    pub fn set2(&mut self, i: usize, j: usize, v: f32) {
+    #[cfg(test)]
+    pub(crate) fn set2(&mut self, i: usize, j: usize, v: f32) {
         debug_assert_eq!(self.rank(), 2);
         self.data[i * self.shape[1] + j] = v;
     }
@@ -198,7 +200,7 @@ impl Tensor {
     ///
     /// # Panics
     /// Panics if the element counts differ.
-    pub fn reshape(mut self, shape: &[usize]) -> Self {
+    pub(crate) fn reshape(mut self, shape: &[usize]) -> Self {
         let n: usize = shape.iter().product();
         assert_eq!(
             n,
@@ -217,17 +219,17 @@ impl Tensor {
     ///
     /// # Panics
     /// Panics on shape mismatch.
-    pub fn add(&self, other: &Tensor) -> Tensor {
+    pub(crate) fn add(&self, other: &Tensor) -> Tensor {
         self.zip_with(other, |a, b| a + b)
     }
 
     /// Elementwise subtraction producing a new tensor.
-    pub fn sub(&self, other: &Tensor) -> Tensor {
+    pub(crate) fn sub(&self, other: &Tensor) -> Tensor {
         self.zip_with(other, |a, b| a - b)
     }
 
     /// Elementwise (Hadamard) product producing a new tensor.
-    pub fn mul(&self, other: &Tensor) -> Tensor {
+    pub(crate) fn mul(&self, other: &Tensor) -> Tensor {
         self.zip_with(other, |a, b| a * b)
     }
 
@@ -235,7 +237,7 @@ impl Tensor {
     ///
     /// # Panics
     /// Panics on shape mismatch.
-    pub fn zip_with(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
+    pub(crate) fn zip_with(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
         assert_eq!(
             self.shape, other.shape,
             "shape mismatch: {:?} vs {:?}",
@@ -254,7 +256,7 @@ impl Tensor {
     }
 
     /// Applies `f` to every element, producing a new tensor.
-    pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
+    pub(crate) fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         Tensor {
             shape: self.shape.clone(),
             data: self.data.iter().map(|&x| f(x)).collect(),
@@ -262,7 +264,7 @@ impl Tensor {
     }
 
     /// Multiplies every element by `s` in place.
-    pub fn scale_mut(&mut self, s: f32) {
+    pub(crate) fn scale_mut(&mut self, s: f32) {
         for x in &mut self.data {
             *x *= s;
         }
@@ -272,7 +274,7 @@ impl Tensor {
     ///
     /// # Panics
     /// Panics on shape mismatch.
-    pub fn axpy(&mut self, alpha: f32, other: &Tensor) {
+    pub(crate) fn axpy(&mut self, alpha: f32, other: &Tensor) {
         assert_eq!(
             self.shape, other.shape,
             "axpy shape mismatch: {:?} vs {:?}",
@@ -284,30 +286,13 @@ impl Tensor {
     }
 
     /// Sum of all elements.
-    pub fn sum(&self) -> f32 {
+    pub(crate) fn sum(&self) -> f32 {
         self.data.iter().sum()
     }
 
     /// Euclidean (L2) norm of the flattened tensor.
-    pub fn norm(&self) -> f32 {
+    pub(crate) fn norm(&self) -> f32 {
         self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
-    }
-
-    /// Dot product of two tensors of identical shape, flattened.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
-    pub fn dot(&self, other: &Tensor) -> f32 {
-        assert_eq!(
-            self.shape, other.shape,
-            "dot shape mismatch: {:?} vs {:?}",
-            self.shape, other.shape
-        );
-        self.data
-            .iter()
-            .zip(other.data.iter())
-            .map(|(&a, &b)| a * b)
-            .sum()
     }
 
     /// Matrix product of two rank-2 tensors: `[m,k] x [k,n] -> [m,n]`.
@@ -373,7 +358,7 @@ impl Tensor {
     ///
     /// # Panics
     /// Panics unless the tensor is rank-2.
-    pub fn transpose(&self) -> Tensor {
+    pub(crate) fn transpose(&self) -> Tensor {
         assert_eq!(self.rank(), 2, "transpose needs rank-2, got {:?}", self.shape);
         let (m, n) = (self.shape[0], self.shape[1]);
         let mut data = vec![0.0f32; m * n];
@@ -390,28 +375,15 @@ impl Tensor {
 
     /// Borrows row `i` of a rank-2 tensor as a slice.
     #[inline]
-    pub fn row(&self, i: usize) -> &[f32] {
+    pub(crate) fn row(&self, i: usize) -> &[f32] {
         debug_assert_eq!(self.rank(), 2);
         let n = self.shape[1];
         &self.data[i * n..(i + 1) * n]
     }
 
-    /// Squared Euclidean distance between two same-shape tensors.
-    pub fn sq_dist(&self, other: &Tensor) -> f32 {
-        assert_eq!(
-            self.shape, other.shape,
-            "sq_dist shape mismatch: {:?} vs {:?}",
-            self.shape, other.shape
-        );
-        self.data
-            .iter()
-            .zip(other.data.iter())
-            .map(|(&a, &b)| (a - b) * (a - b))
-            .sum()
-    }
-
     /// True when every element is finite (no NaN / infinities).
-    pub fn all_finite(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn all_finite(&self) -> bool {
         self.data.iter().all(|x| x.is_finite())
     }
 }
@@ -555,10 +527,8 @@ mod tests {
     }
 
     #[test]
-    fn sq_dist_matches_norm_of_diff() {
+    fn norm_is_euclidean() {
         let a = Tensor::vector(&[1.0, 2.0, 3.0]);
-        let b = Tensor::vector(&[0.0, 0.0, 0.0]);
-        assert!((a.sq_dist(&b) - 14.0).abs() < 1e-6);
         assert!((a.norm() - 14.0f32.sqrt()).abs() < 1e-6);
     }
 

@@ -25,7 +25,7 @@ impl Alphabet {
     ///
     /// Duplicates are ignored; one extra `<unk>` slot is always appended, so
     /// [`Alphabet::len`] is `chars.len() + 1` for duplicate-free input.
-    pub fn new(chars: impl IntoIterator<Item = char>) -> Self {
+    pub(crate) fn new(chars: impl IntoIterator<Item = char>) -> Self {
         let mut list = Vec::new();
         let mut index = BTreeMap::new();
         for c in chars {
@@ -73,12 +73,14 @@ impl Alphabet {
     }
 
     /// True when `c` (case-folded) is a member of the alphabet.
-    pub fn contains(&self, c: char) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains(&self, c: char) -> bool {
         self.index.contains_key(&c.to_ascii_lowercase())
     }
 
     /// The characters of the alphabet, in index order (without `<unk>`).
-    pub fn chars(&self) -> &[char] {
+    #[cfg(test)]
+    pub(crate) fn chars(&self) -> &[char] {
         &self.chars
     }
 }

@@ -96,7 +96,7 @@ pub fn damerau_levenshtein(a: &str, b: &str) -> usize {
 }
 
 /// Normalized Levenshtein similarity in `[0, 1]`; `1.0` means equal strings.
-pub fn levenshtein_similarity(a: &str, b: &str) -> f64 {
+pub(crate) fn levenshtein_similarity(a: &str, b: &str) -> f64 {
     let max_len = a.chars().count().max(b.chars().count());
     if max_len == 0 {
         return 1.0;
@@ -131,72 +131,10 @@ pub fn qgram_jaccard(a: &str, b: &str, q: usize) -> f64 {
     inter as f64 / union as f64
 }
 
-/// Jaro similarity in `[0, 1]`.
-pub fn jaro(a: &str, b: &str) -> f64 {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    if a.is_empty() || b.is_empty() {
-        return 0.0;
-    }
-    let window = (a.len().max(b.len()) / 2).saturating_sub(1);
-    let mut b_used = vec![false; b.len()];
-    let mut matches = 0usize;
-    let mut a_matched = Vec::new();
-    for (i, &ca) in a.iter().enumerate() {
-        let lo = i.saturating_sub(window);
-        let hi = (i + window + 1).min(b.len());
-        for j in lo..hi {
-            if !b_used[j] && b[j] == ca {
-                b_used[j] = true;
-                matches += 1;
-                a_matched.push(i);
-                break;
-            }
-        }
-    }
-    if matches == 0 {
-        return 0.0;
-    }
-    let b_matched: Vec<usize> = b_used
-        .iter()
-        .enumerate()
-        .filter_map(|(j, &u)| u.then_some(j))
-        .collect();
-    let transpositions = a_matched
-        .iter()
-        .zip(b_matched.iter())
-        .filter(|&(&i, &j)| a[i] != b[j])
-        .count()
-        / 2;
-    let m = matches as f64;
-    (m / a.len() as f64 + m / b.len() as f64 + (m - transpositions as f64) / m) / 3.0
-}
-
-/// Jaro–Winkler similarity, boosting shared prefixes (scaling 0.1, max 4).
-pub fn jaro_winkler(a: &str, b: &str) -> f64 {
-    let j = jaro(a, b);
-    let prefix = a
-        .chars()
-        .zip(b.chars())
-        .take(4)
-        .take_while(|(x, y)| x == y)
-        .count();
-    j + prefix as f64 * 0.1 * (1.0 - j)
-}
-
 /// FuzzyWuzzy-style "simple ratio": normalized Levenshtein similarity scaled
 /// to 0–100 (the paper's FuzzyWuzzy baseline uses Levenshtein internally).
-pub fn fuzz_ratio(a: &str, b: &str) -> u32 {
+pub(crate) fn fuzz_ratio(a: &str, b: &str) -> u32 {
     (levenshtein_similarity(a, b) * 100.0).round() as u32
-}
-
-/// FuzzyWuzzy-style token-sort ratio: tokens are sorted before comparison,
-/// making the score order-insensitive (catches "gates bill" ≈ "bill gates").
-pub fn token_sort_ratio(a: &str, b: &str) -> u32 {
-    fuzz_ratio(&sorted_tokens(a), &sorted_tokens(b))
 }
 
 /// FuzzyWuzzy-style token-set ratio: compares the shared-token core against
@@ -216,12 +154,6 @@ pub fn token_set_ratio(a: &str, b: &str) -> u32 {
     let c_b = fuzz_ratio(&core, &full_b);
     let a_b = fuzz_ratio(&full_a, &full_b);
     c_a.max(c_b).max(a_b)
-}
-
-fn sorted_tokens(s: &str) -> String {
-    let mut tokens: Vec<&str> = s.split_whitespace().collect();
-    tokens.sort_unstable();
-    tokens.join(" ")
 }
 
 #[cfg(test)]
@@ -269,20 +201,6 @@ mod tests {
         assert_eq!(qgram_jaccard("berlin", "berlin", 3), 1.0);
         assert!(qgram_jaccard("berlin", "bellin", 3) > 0.3);
         assert!(qgram_jaccard("berlin", "tokyo", 3) < 0.1);
-    }
-
-    #[test]
-    fn jaro_winkler_favors_prefix() {
-        let plain = jaro("martha", "marhta");
-        let jw = jaro_winkler("martha", "marhta");
-        assert!(jw > plain);
-        assert!((jaro("martha", "marhta") - 0.9444).abs() < 1e-3);
-    }
-
-    #[test]
-    fn token_sort_handles_reordering() {
-        assert_eq!(token_sort_ratio("bill gates", "gates bill"), 100);
-        assert!(fuzz_ratio("bill gates", "gates bill") < 100);
     }
 
     #[test]

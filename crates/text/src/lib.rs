@@ -125,20 +125,10 @@ mod properties {
     }
 
     #[test]
-    fn jaro_winkler_in_unit_interval() {
-        for (seed, mut rng) in cases() {
-            let (a, b) = (small_string(&mut rng), small_string(&mut rng));
-            let j = jaro_winkler(&a, &b);
-            assert!((0.0..=1.0 + 1e-9).contains(&j), "seed {seed}: {a:?} {b:?} -> {j}");
-        }
-    }
-
-    #[test]
     fn fuzz_ratio_at_most_100() {
         for (seed, mut rng) in cases() {
             let (a, b) = (small_string(&mut rng), small_string(&mut rng));
             assert!(fuzz_ratio(&a, &b) <= 100, "seed {seed}: {a:?} {b:?}");
-            assert!(token_sort_ratio(&a, &b) <= 100, "seed {seed}: {a:?} {b:?}");
             assert!(token_set_ratio(&a, &b) <= 100, "seed {seed}: {a:?} {b:?}");
         }
     }

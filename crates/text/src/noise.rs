@@ -61,7 +61,7 @@ pub struct NoiseInjector {
 
 impl NoiseInjector {
     /// Injector over every noise family.
-    pub fn all() -> Self {
+    pub(crate) fn all() -> Self {
         NoiseInjector { kinds: NoiseKind::ALL.to_vec() }
     }
 

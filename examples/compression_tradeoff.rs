@@ -1,6 +1,6 @@
 //! The accuracy/storage/latency trade-off of §III-D: the same trained
-//! model served from an uncompressed index, a product-quantized index, and
-//! a PCA-compressed index.
+//! model served from an uncompressed index, a product-quantized index, a
+//! PCA-compressed index, and the PQ-fused HNSW graph the served tier runs.
 //!
 //! ```text
 //! cargo run --release --example compression_tradeoff
@@ -26,8 +26,10 @@ fn main() {
         ("flat (EL-NC)", Compression::None),
         ("PQ 8x256 (EL)", Compression::default_pq()),
         ("PCA k=8", Compression::Pca { k: 8 }),
-        ("IVF 32/6", Compression::Ivf { nlist: 32, nprobe: 6 }),
-        ("HNSW m=12", Compression::Hnsw { m: 12, ef_search: 48 }),
+        (
+            "HnswPq m=16",
+            Compression::HnswPq { m: 16, ef_search: 64, pq_m: 8, pq_ks: 256 },
+        ),
     ];
 
     // workload: every entity label, corrupted once

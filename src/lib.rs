@@ -16,7 +16,7 @@
 //! | [`kg`] | `emblookup-kg` | knowledge graphs, synthetic generators, `LookupService` |
 //! | [`text`] | `emblookup-text` | one-hot encoding, string distances, noise |
 //! | [`embed`] | `emblookup-embed` | fastText, word2vec, LSTM, BERT-mini encoders |
-//! | [`ann`] | `emblookup-ann` | flat/IVF/PQ/PCA/LSH similarity search |
+//! | [`ann`] | `emblookup-ann` | flat/PQ/PCA/PQ-fused HNSW/LSH similarity search |
 //! | [`baselines`] | `emblookup-baselines` | competing lookup services |
 //! | [`semtab`] | `emblookup-semtab` | tables, datasets, CEA/CTA/EA/DR tasks, systems |
 //! | [`serve`] | `emblookup-serve` | hardened HTTP serving: admission control, deadlines, degradation ladder |

@@ -49,15 +49,12 @@ fn lookup_k_larger_than_kg_returns_all() {
 
     // No `k` is too large on any backend: an index answers with what it
     // holds (`1 << 40` used to be reserved as asked and abort the process,
-    // `usize::MAX` to overflow `k + 1` and `4 * k`). IVF probes every list
-    // here so that it, too, can reach every entity.
+    // `usize::MAX` to overflow `k + 1` and `4 * k`).
     let n = synth.kg.num_entities();
     let compressions = [
         Compression::None,
         Compression::Pq { m: 4, ks: 16 },
         Compression::Pca { k: 4 },
-        Compression::Ivf { nlist: 4, nprobe: 4 },
-        Compression::Hnsw { m: 8, ef_search: 32 },
         Compression::HnswPq { m: 8, ef_search: 32, pq_m: 4, pq_ks: 16 },
     ];
     for compression in compressions {
