@@ -639,7 +639,7 @@ pub mod scalar {
             return;
         }
         for (&a, wrow) in x.iter().zip(w.chunks_exact(y.len())) {
-            // lint: allow(L007) exact-zero sparsity skip, as in `matmul`: ReLU leaves many inputs exactly zero
+            // exact-zero sparsity skip, as in `matmul`: ReLU leaves many inputs exactly zero
             if a == 0.0 {
                 continue;
             }
@@ -1245,7 +1245,7 @@ mod x86 {
             for (i, &a) in xs.iter().enumerate() {
                 // `len <= i < GATHER`: the slot exists
                 *list.get_unchecked_mut(len) = i as u8;
-                // lint: allow(L007) exact-zero sparsity skip, as in `scalar::gemv_bias`
+                // exact-zero sparsity skip, as in `scalar::gemv_bias`
                 len += usize::from(a != 0.0);
             }
             let nz = list.get_unchecked(..len);

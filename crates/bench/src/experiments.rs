@@ -760,7 +760,7 @@ pub fn stage_self_times(env: &Env, queries: usize) -> Report {
     let mut total_ns: u64 = 0;
     for (i, q) in labels.iter().cycle().take(queries).enumerate() {
         let trace = Trace::start(trace_id_from_index(i as u64), TraceClock::real());
-        let root = trace.root(names::SPAN_LOOKUP_REQUEST);
+        let root = trace.root(names::SPAN_LOOKUP_REQUEST.as_str());
         let _ = env.el.lookup_with_distances_traced(q, 10, &root);
         root.finish();
         let data = trace.snapshot();

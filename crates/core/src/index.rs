@@ -352,7 +352,7 @@ mod tests {
                 let case = format!("backend {} multi_row {multi_row}", idx.backend_name());
 
                 let trace = Trace::start(1, TraceClock::real());
-                let root = trace.root(emblookup_obs::names::SPAN_STAGE_SEARCH);
+                let root = trace.root(emblookup_obs::names::SPAN_STAGE_SEARCH.as_str());
                 let traced = idx.search_traced(&q, 5, &root);
                 assert_eq!(traced, idx.search(&q, 5), "{case}");
                 root.finish();

@@ -125,8 +125,8 @@ impl EmbLookup {
     /// in one registry.
     pub fn with_metrics_scope(mut self, scope: &str) -> Self {
         let reg = emblookup_obs::global();
-        self.lookup_hist = reg.histogram(&names::lookup_latency_scoped(scope));
-        self.bulk_query_hist = reg.histogram(&names::lookup_latency_bulk_scoped(scope));
+        self.lookup_hist = reg.histogram_scoped(names::LOOKUP_LATENCY, scope);
+        self.bulk_query_hist = reg.histogram_scoped(names::LOOKUP_LATENCY, &format!("{scope}.bulk"));
         self
     }
 
@@ -412,7 +412,7 @@ mod tests {
         let label = s.kg.entities().next().unwrap().label.as_str();
 
         let trace = Trace::start(0xF00D, TraceClock::real());
-        let root = trace.root(names::SPAN_LOOKUP_REQUEST);
+        let root = trace.root(names::SPAN_LOOKUP_REQUEST.as_str());
         let traced = el.lookup_with_distances_traced(label, 5, &root);
         assert_eq!(traced, el.lookup_with_distances(label, 5));
         root.finish();
@@ -420,7 +420,8 @@ mod tests {
         let span_names: Vec<&str> = data.spans.iter().map(|sp| sp.name).collect();
         assert_eq!(
             span_names,
-            vec![names::SPAN_LOOKUP_REQUEST, names::SPAN_STAGE_ENCODE, names::SPAN_STAGE_SEARCH]
+            [names::SPAN_LOOKUP_REQUEST, names::SPAN_STAGE_ENCODE, names::SPAN_STAGE_SEARCH]
+                .map(names::Name::as_str)
         );
     }
 }

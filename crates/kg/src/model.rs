@@ -4,16 +4,36 @@
 use std::collections::HashMap;
 
 /// Identifier of an entity in `E` (dense, 0-based).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EntityId(pub u32);
 
 /// Identifier of a type in `T`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TypeId(pub u32);
 
 /// Identifier of a property in `P`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PropertyId(pub u32);
+
+// Written out rather than derived: a derived `PartialOrd` calls
+// `partial_cmp` on the field, which clippy.toml disallows workspace-wide,
+// and clippy wants `Ord` written beside a hand-written `PartialOrd`.
+macro_rules! order_by_id {
+    ($($id:ty),*) => {$(
+        impl Ord for $id {
+            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+                self.0.cmp(&other.0)
+            }
+        }
+
+        impl PartialOrd for $id {
+            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+    )*};
+}
+order_by_id!(EntityId, TypeId, PropertyId);
 
 /// Object position of a fact: another entity or a literal string.
 #[derive(Debug, Clone, PartialEq, Eq)]

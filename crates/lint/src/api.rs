@@ -4,16 +4,16 @@
 //! surface (from [`crate::parser::public_items`]): one line per item,
 //! grouped into `[crate-name]` sections, sorted, deterministic. The
 //! snapshot is serialized to `API.lock` at the workspace root by
-//! `emblookup-lint --api-bless`; `--api-check` re-derives it and fails
-//! on any difference, so every surface change is explicit in a PR's
-//! `API.lock` diff.
+//! `emblookup-lint --api-bless`; every other run re-derives it and
+//! fails on any difference, so every surface change is explicit in a
+//! PR's `API.lock` diff.
 //!
 //! Entry format: `<module-path> <signature>`, with `.` standing for the
 //! crate root. The lines are treated as opaque strings for diffing —
 //! nothing ever parses them back into items.
 
-use crate::engine::{FileClass, SourceFile, Violation};
 use crate::parser::public_items;
+use crate::source::{is_library, SourceFile, Violation};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Name of the lockfile at the workspace root.
@@ -29,10 +29,10 @@ const HEADER: &str = "\
 #[derive(Debug, Default)]
 pub struct Snapshot {
     /// crate name → sorted, deduplicated entry lines.
-    pub sections: BTreeMap<String, BTreeSet<String>>,
+    sections: BTreeMap<String, BTreeSet<String>>,
     /// (crate, entry) → first source occurrence, for added-item
     /// diagnostics.
-    pub provenance: HashMap<(String, String), (String, u32)>,
+    provenance: HashMap<(String, String), (String, u32)>,
 }
 
 /// Module path of a file inside its crate's `src/`: `lib.rs` → ``,
@@ -50,27 +50,16 @@ fn file_module(src_rel: &str) -> String {
 }
 
 impl Snapshot {
-    /// Adds one parsed file belonging to `krate`. `rel` is the
-    /// workspace-relative path; `src_rel` the path inside `src/`.
-    pub fn add_file(&mut self, krate: &str, rel: &str, src_rel: &str, sf: &SourceFile) {
-        self.add_items(krate, rel, src_rel, sf.class, &public_items(sf));
-    }
-
-    /// Variant over pre-extracted items (the facts path, where no
-    /// parsed [`SourceFile`] exists).
-    pub fn add_items(
-        &mut self,
-        krate: &str,
-        rel: &str,
-        src_rel: &str,
-        class: FileClass,
-        items: &[crate::parser::ApiItem],
-    ) {
-        if class != FileClass::Lib {
-            return; // binaries and benches have no library surface
+    /// Adds the source text of one file belonging to `krate`. `rel` is
+    /// the workspace-relative path; `src_rel` the path inside `src/`.
+    /// Binaries, tests and examples have no library surface and add
+    /// nothing.
+    pub fn add_file(&mut self, krate: &str, rel: &str, src_rel: &str, src: &str) {
+        if !is_library(rel) {
+            return;
         }
         let base = file_module(src_rel);
-        for item in items {
+        for item in public_items(&SourceFile::parse(src)) {
             let module = match (base.as_str(), item.module.as_str()) {
                 ("", "") => ".".to_string(),
                 ("", m) => m.to_string(),
@@ -152,12 +141,11 @@ pub fn diff(lock_text: &str, current: &Snapshot) -> Vec<Violation> {
             out.push(Violation {
                 file,
                 line,
-                rule: "L006".to_string(),
+                rule: "L006",
                 message: format!(
                     "public API of `{krate}` changed without bless: added `{added}` \
                      (run `emblookup-lint --api-bless` and commit {LOCK_FILE})"
                 ),
-                suggestion: None,
             });
         }
         for removed in was.difference(now) {
@@ -168,12 +156,11 @@ pub fn diff(lock_text: &str, current: &Snapshot) -> Vec<Violation> {
             out.push(Violation {
                 file: LOCK_FILE.to_string(),
                 line,
-                rule: "L006".to_string(),
+                rule: "L006",
                 message: format!(
                     "public API of `{krate}` changed without bless: removed `{removed}` \
                      (run `emblookup-lint --api-bless` and commit {LOCK_FILE})"
                 ),
-                suggestion: None,
             });
         }
     }
@@ -186,9 +173,7 @@ mod tests {
 
     fn snap(krate: &str, src_rel: &str, src: &str) -> Snapshot {
         let mut s = Snapshot::default();
-        let rel = format!("crates/x/src/{src_rel}");
-        let sf = SourceFile::parse(&rel, src);
-        s.add_file(krate, &rel, src_rel, &sf);
+        s.add_file(krate, &format!("crates/x/src/{src_rel}"), src_rel, src);
         s
     }
 
@@ -253,9 +238,7 @@ mod tests {
 
     #[test]
     fn binaries_contribute_no_surface() {
-        let mut s = Snapshot::default();
-        let sf = SourceFile::parse("crates/x/src/main.rs", "pub fn exposed() {}\n");
-        s.add_file("emblookup-demo", "crates/x/src/main.rs", "main.rs", &sf);
+        let s = snap("emblookup-demo", "main.rs", "pub fn exposed() {}\n");
         assert!(s.sections.is_empty());
     }
 }

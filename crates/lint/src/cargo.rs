@@ -10,27 +10,27 @@ use std::path::{Path, PathBuf};
 
 /// One dependency edge read from a manifest.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Dep {
+pub(crate) struct Dep {
     /// Package name as written (`emblookup-kg`, `rand`).
-    pub name: String,
+    pub(crate) name: String,
     /// 1-based line of the entry inside the manifest.
-    pub line: u32,
+    pub(crate) line: u32,
     /// True for `[dev-dependencies]` entries.
-    pub dev: bool,
+    pub(crate) dev: bool,
 }
 
 /// One parsed workspace-member manifest.
 #[derive(Debug, Clone)]
 pub struct Manifest {
     /// `[package] name`.
-    pub name: String,
+    pub(crate) name: String,
     /// Workspace-relative manifest path (`crates/ann/Cargo.toml`).
-    pub path: String,
+    pub(crate) path: String,
     /// Workspace-relative directory of the package (`crates/ann`, or
     /// `.` for the root package).
-    pub dir: PathBuf,
+    pub(crate) dir: PathBuf,
     /// Declared dependencies, normal and dev.
-    pub deps: Vec<Dep>,
+    pub(crate) deps: Vec<Dep>,
 }
 
 /// Parses one manifest's text. Returns `None` when no `[package]`
@@ -76,7 +76,7 @@ pub fn parse_manifest(path: &str, dir: &Path, text: &str) -> Option<Manifest> {
 
 /// Reads every workspace-member manifest under `root`: the root package
 /// (`Cargo.toml`) plus each `crates/*/Cargo.toml`.
-pub fn read_manifests(root: &Path) -> io::Result<Vec<Manifest>> {
+pub(crate) fn read_manifests(root: &Path) -> io::Result<Vec<Manifest>> {
     let mut out = Vec::new();
     let root_toml = root.join("Cargo.toml");
     if root_toml.is_file() {

@@ -15,24 +15,21 @@
 //!   rank 45   serve                  (hardened HTTP serving layer)
 //!   rank 50+  baselines, semtab, bench  (consumers)
 //!   rank 100  emblookup              (root facade crate)
-//!   —         lint                   (isolated; may use obs only)
+//!   —         lint                   (isolated: no dependencies)
 //! ```
 //!
-//! A crate may depend only on strictly lower ranks. Both manifest edges
-//! (`[dependencies]` and `[dev-dependencies]`) and source-level
-//! `emblookup_*::` paths are checked; `#[cfg(test)]` code is exempt on
-//! the source side (its edges surface as dev-dependencies instead).
-//! `emblookup-lint` is special-cased: it may depend only on
-//! `emblookup-obs` (for the metric-name registry), and nothing may
-//! depend on it.
+//! A crate may depend only on strictly lower ranks. The manifest edges
+//! (`[dependencies]` and `[dev-dependencies]`) are what is checked: an
+//! `emblookup_*::` path in the source only compiles when such an edge
+//! exists. `emblookup-lint` is special-cased: it depends on no
+//! workspace crate, and nothing may depend on it.
 
 use crate::cargo::Manifest;
-use crate::engine::{SourceFile, Violation};
-use crate::parser::CrateRef;
+use crate::source::Violation;
 
 /// Declared layer rank per workspace crate. Lower ranks are closer to
 /// the leaves; an edge is legal iff `rank(dep) < rank(crate)`.
-pub const LAYERS: &[(&str, u32)] = &[
+const LAYERS: &[(&str, u32)] = &[
     ("rand", 0),
     ("emblookup-obs", 0),
     ("emblookup-pool", 5),
@@ -50,13 +47,11 @@ pub const LAYERS: &[(&str, u32)] = &[
 ];
 
 /// The isolated crate: not in the layer DAG at all.
-pub const ISOLATED: &str = "emblookup-lint";
-/// The only crates the isolated crate may depend on.
-pub const ISOLATED_ALLOWED: &[&str] = &["emblookup-obs"];
+const ISOLATED: &str = "emblookup-lint";
 
 /// Rank of a crate in the declared DAG, `None` for unknown crates and
 /// for the isolated lint crate.
-pub fn rank(name: &str) -> Option<u32> {
+fn rank(name: &str) -> Option<u32> {
     LAYERS.iter().find(|(n, _)| *n == name).map(|&(_, r)| r)
 }
 
@@ -71,14 +66,7 @@ fn judge(krate: &str, dep: &str) -> Result<(), String> {
         return Err(format!("`{ISOLATED}` is isolated; no crate may depend on it"));
     }
     if krate == ISOLATED {
-        return if ISOLATED_ALLOWED.contains(&dep) {
-            Ok(())
-        } else {
-            Err(format!(
-                "`{ISOLATED}` is isolated and may depend only on {}",
-                ISOLATED_ALLOWED.join(", ")
-            ))
-        };
+        return Err(format!("`{ISOLATED}` is isolated and depends on no workspace crate"));
     }
     let (Some(rk), Some(rd)) = (rank(krate), rank(dep)) else {
         return Ok(()); // non-workspace crate on either side
@@ -107,39 +95,10 @@ pub fn check_manifests(manifests: &[Manifest]) -> Vec<Violation> {
                 out.push(Violation {
                     file: m.path.clone(),
                     line: d.line,
-                    rule: "L005".to_string(),
+                    rule: "L005",
                     message: if d.dev { format!("{why} (dev-dependency)") } else { why },
-                    suggestion: None,
                 });
             }
-        }
-    }
-    out
-}
-
-/// Checks one source file's `emblookup_*::` references against the DAG.
-/// `krate` is the owning package name (dash form); `refs` come from
-/// [`crate::parser::crate_refs`] and exclude test regions already.
-/// Violations are raw — the workspace driver applies `allow(L005)`
-/// directives centrally so their usage can be audited.
-pub fn check_source(sf: &SourceFile, krate: &str, refs: &[CrateRef]) -> Vec<Violation> {
-    check_refs(&sf.path, krate, refs)
-}
-
-/// Path-based variant of [`check_source`] for pre-extracted facts
-/// (where no parsed [`SourceFile`] exists).
-pub fn check_refs(path: &str, krate: &str, refs: &[CrateRef]) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for r in refs {
-        let dep = r.krate.replace('_', "-");
-        if let Err(why) = judge(krate, &dep) {
-            out.push(Violation {
-                file: path.to_string(),
-                line: r.line,
-                rule: "L005".to_string(),
-                message: format!("use of `{}::` — {why}", r.krate),
-                suggestion: None,
-            });
         }
     }
     out
@@ -149,7 +108,6 @@ pub fn check_refs(path: &str, krate: &str, refs: &[CrateRef]) -> Vec<Violation> 
 mod tests {
     use super::*;
     use crate::cargo::parse_manifest;
-    use crate::parser::crate_refs;
     use std::path::Path;
 
     #[test]
@@ -217,34 +175,18 @@ mod tests {
     }
 
     #[test]
-    fn reversed_use_path_is_flagged_with_file_line() {
-        let src = "use emblookup_core::EmbLookup;\npub fn f() {}\n";
-        let sf = SourceFile::parse("crates/tensor/src/lib.rs", src);
-        let refs = crate_refs(&sf);
-        let v = check_source(&sf, "emblookup-tensor", &refs);
-        assert_eq!(v.len(), 1);
-        assert_eq!((v[0].file.as_str(), v[0].line), ("crates/tensor/src/lib.rs", 1));
-        assert_eq!(v[0].rule, "L005");
-    }
-
-    #[test]
-    fn downward_use_path_and_test_code_are_clean() {
-        let src = "use emblookup_kg::Candidate;\n#[cfg(test)]\nmod tests { use emblookup_core::EmbLookup; }\n";
-        let sf = SourceFile::parse("crates/baselines/src/lib.rs", src);
-        let refs = crate_refs(&sf);
-        assert!(check_source(&sf, "emblookup-baselines", &refs).is_empty());
-    }
-
-    #[test]
-    fn check_source_reports_raw_violations_even_when_allowed() {
-        // Suppression is central (workspace::check matches allow
-        // directives against raw violations so it can audit stale
-        // allows); the layering pass itself stays raw.
-        let src = "// lint: allow(L005) transitional: moving to core in PR 9\nuse emblookup_core::EmbLookup;\npub fn f() {}\n";
-        let sf = SourceFile::parse("crates/tensor/src/lib.rs", src);
-        let refs = crate_refs(&sf);
-        let v = check_source(&sf, "emblookup-tensor", &refs);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "L005");
+    fn lint_depending_on_a_workspace_crate_is_flagged() {
+        let text = "[package]\nname = \"emblookup-lint\"\n[dependencies]\nemblookup-obs.workspace = true\n";
+        let m = parse_manifest("crates/lint/Cargo.toml", Path::new("crates/lint"), text)
+            .expect("manifest");
+        let obs = parse_manifest(
+            "crates/obs/Cargo.toml",
+            Path::new("crates/obs"),
+            "[package]\nname = \"emblookup-obs\"\n",
+        )
+        .expect("manifest");
+        let v = check_manifests(&[m, obs]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].message.contains("isolated"), "{}", v[0].message);
     }
 }

@@ -1,16 +1,16 @@
-//! A minimal Rust lexer — just enough syntax awareness for reliable
-//! pattern lints: it distinguishes identifiers from the inside of
-//! string/char literals and comments, so `r#"x == 0.5"#` never fires
-//! L007 and `'a` lifetimes never parse as unterminated chars.
+//! A minimal Rust lexer — just enough syntax awareness for the item
+//! parser: it distinguishes identifiers from the inside of string/char
+//! literals and comments, so `"pub fn f()"` in a string never reads as
+//! an item and `'a` lifetimes never parse as unterminated chars.
 //!
 //! The lexer is deliberately permissive: unterminated constructs are
-//! consumed to end-of-file instead of erroring, because a lint tool must
-//! keep producing diagnostics for the rest of the workspace even when one
-//! file is mid-edit.
+//! consumed to end-of-file instead of erroring, because the linter must
+//! keep checking the rest of the workspace even when one file is
+//! mid-edit.
 
 /// Lexical class of a [`Token`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     /// Identifier or keyword (`unwrap`, `fn`, `Mutex`), including raw
     /// identifiers (`r#type`, stored without the `r#` prefix).
     Ident,
@@ -34,67 +34,20 @@ pub enum TokenKind {
 
 /// One lexed token with its raw source text and 1-based start line.
 #[derive(Debug, Clone)]
-pub struct Token {
+pub(crate) struct Token {
     /// Lexical class.
-    pub kind: TokenKind,
+    pub(crate) kind: TokenKind,
     /// Raw source slice (quotes/comment markers included).
-    pub text: String,
+    pub(crate) text: String,
     /// 1-based line where the token starts.
-    pub line: u32,
+    pub(crate) line: u32,
 }
 
 impl Token {
-    /// For string tokens: the literal's value with quotes/hashes stripped
-    /// and common escapes (`\\`, `\"`, `\n`, `\t`, `\r`, `\0`) decoded.
-    /// Returns `None` for non-string tokens.
-    pub fn str_value(&self) -> Option<String> {
-        match self.kind {
-            TokenKind::Str => {
-                let inner = strip_quoted(&self.text)?;
-                Some(unescape(inner))
-            }
-            TokenKind::RawStr => {
-                let t = self.text.trim_start_matches(['b', 'r', 'c']);
-                let hashes = t.chars().take_while(|&c| c == '#').count();
-                let t = t.get(hashes..)?.strip_prefix('"')?;
-                let t = t.strip_suffix(&"#".repeat(hashes)).unwrap_or(t);
-                Some(t.strip_suffix('"').unwrap_or(t).to_string())
-            }
-            _ => None,
-        }
-    }
-
     /// True for both comment kinds.
-    pub fn is_comment(&self) -> bool {
+    pub(crate) fn is_comment(&self) -> bool {
         matches!(self.kind, TokenKind::LineComment | TokenKind::BlockComment)
     }
-}
-
-/// Strips a leading prefix (`b`/`c`) and the surrounding double quotes.
-fn strip_quoted(text: &str) -> Option<&str> {
-    let t = text.trim_start_matches(['b', 'c']);
-    let t = t.strip_prefix('"')?;
-    Some(t.strip_suffix('"').unwrap_or(t))
-}
-
-fn unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('t') => out.push('\t'),
-            Some('r') => out.push('\r'),
-            Some('0') => out.push('\0'),
-            Some(other) => out.push(other), // \\, \", \' and anything exotic
-            None => out.push('\\'),
-        }
-    }
-    out
 }
 
 fn is_ident_start(c: char) -> bool {
@@ -193,7 +146,7 @@ impl Lexer {
 
 /// Lexes `src` into tokens. Never fails: malformed trailing constructs are
 /// consumed to end-of-file.
-pub fn lex(src: &str) -> Vec<Token> {
+pub(crate) fn lex(src: &str) -> Vec<Token> {
     let mut lx = Lexer { chars: src.chars().collect(), pos: 0, line: 1 };
     let mut out = Vec::new();
     while let Some(c) = lx.peek(0) {
@@ -381,17 +334,18 @@ mod tests {
     }
 
     #[test]
-    fn string_value_unescapes() {
-        let ts = lex(r#"let s = "a\"b\n";"#);
+    fn escaped_quote_stays_inside_the_string() {
+        let ts = lex(r#"let s = "a\"b\n"; x"#);
         let s = ts.iter().find(|t| t.kind == TokenKind::Str).expect("str token");
-        assert_eq!(s.str_value().expect("value"), "a\"b\n");
+        assert_eq!(s.text, r#""a\"b\n""#);
+        assert_eq!(ts.last().map(|t| t.text.as_str()), Some("x"));
     }
 
     #[test]
     fn raw_string_with_hashes() {
         let ts = lex(r###"let s = r#"contains "quotes" and unwrap()"#;"###);
         let s = ts.iter().find(|t| t.kind == TokenKind::RawStr).expect("raw str");
-        assert_eq!(s.str_value().expect("value"), r#"contains "quotes" and unwrap()"#);
+        assert_eq!(s.text, r###"r#"contains "quotes" and unwrap()"#"###);
         // no ident token named unwrap leaks out of the literal
         assert!(!ts.iter().any(|t| t.kind == TokenKind::Ident && t.text == "unwrap"));
     }

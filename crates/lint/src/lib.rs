@@ -1,58 +1,42 @@
 //! # emblookup-lint
 //!
-//! In-tree static analysis for the EmbLookup workspace, built on a
-//! minimal Rust lexer ([`lexer`]) and a tolerant item-level parser
-//! ([`parser`]). It checks only what the compiler and clippy cannot:
+//! In-tree static analysis for the two invariants of the EmbLookup
+//! workspace that neither rustc nor clippy checks:
 //!
-//! * **Per-file** ([`engine`]): metric-name provenance from
-//!   `emblookup_obs::names` (L003), task-marker hygiene (L004) and float
-//!   discipline — NaN-hazardous `==`/`partial_cmp` patterns (L007).
-//! * **Workspace-level** ([`workspace`]): crate-layering conformance
-//!   against the declared layer DAG (L005, [`layers`]) and public-API
-//!   drift gating against the checked-in `API.lock` (L006, [`api`]),
-//!   fed by the [`cargo`] manifest reader and [`parser`] item extractor.
+//! * **L005** ([`check_manifests`]): every manifest edge
+//!   (`[dependencies]` and `[dev-dependencies]`) flows down the declared
+//!   layer DAG (DESIGN.md §1.1).
+//! * **L006** ([`Snapshot`], [`diff`]): the public API of every library
+//!   crate matches the checked-in `API.lock`.
 //!
-//! Panic-freedom, `unsafe` documentation, atomics confinement and
-//! hash-order iteration are clippy lints set in the workspace
-//! `Cargo.toml` and `clippy.toml` (CONTRIBUTING.md maps each retired
-//! rule id to its replacement).
+//! The API snapshot reads every file under `crates/*/src` and `src/`
+//! with a minimal Rust lexer and a tolerant item-level parser, so
+//! comments, string literals and `#[cfg(test)]` items never count as
+//! surface. [`Workspace`] loads the manifests and sources once and runs
+//! both rules; the `emblookup-lint` binary drives it from
+//! `scripts/ci.sh`.
 //!
-//! Allow-directive suppression is applied centrally by [`workspace`]
-//! so stale directives can be audited.
-//!
-//! The `emblookup-lint` binary walks `crates/*/src` and `src/`
-//! ([`walk`]), renders text or golden-stable JSON ([`report`]) and
-//! explains any rule via `--explain Lxxx` (from the
-//! [`rules::RULE_DOCS`] table). It is wired into `scripts/ci.sh` as a
-//! hard gate (with `--api-check`).
-//!
-//! See CONTRIBUTING.md ("Static analysis") for the rule catalog, the
-//! `// lint: allow(Lxxx) reason` escape-hatch policy and the
-//! `--api-bless` workflow.
+//! Everything else is carried by a type or by clippy: metric names are
+//! `emblookup_obs::names::Name`s, float discipline is `clippy::float_cmp`
+//! plus `disallowed-methods` in `clippy.toml`, and `scripts/ci.sh` greps
+//! for task markers without a reference. CONTRIBUTING.md ("Static
+//! analysis") maps each retired rule id to its replacement.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod api;
-pub mod cargo;
-pub mod engine;
-pub mod facts;
-pub mod layers;
-pub mod lexer;
-pub mod parser;
-pub mod report;
-pub mod rules;
-pub mod walk;
-pub mod workspace;
+mod api;
+mod cargo;
+mod layers;
+mod lexer;
+mod parser;
+mod source;
+mod walk;
+mod workspace;
 
-pub use engine::{classify, obs_name_registry, FileClass, NameRegistry, SourceFile, Violation};
-pub use facts::FileFacts;
-pub use workspace::{Report, Workspace};
-
-/// Lints a single in-memory source file against the obs name registry —
-/// the entry point the fixture tests use. Runs the per-file passes
-/// (L003, L004, L007); the workspace passes need manifests and a lockfile
-/// and run through [`Workspace`].
-pub fn lint_source(path: &str, src: &str) -> Vec<Violation> {
-    SourceFile::parse(path, src).check(&obs_name_registry())
-}
+pub use api::{diff, Snapshot, LOCK_FILE};
+pub use cargo::{parse_manifest, Manifest};
+pub use layers::check_manifests;
+pub use source::Violation;
+pub use walk::find_root;
+pub use workspace::Workspace;

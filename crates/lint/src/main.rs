@@ -1,174 +1,76 @@
-//! `emblookup-lint` CLI: loads the workspace model, runs every pass and
-//! reports violations. Exit code 0 = clean, 1 = violations, 2 =
-//! usage/IO error.
+//! `emblookup-lint` CLI: loads the workspace, checks the layer DAG (L005)
+//! and the public API against `API.lock` (L006), and reports violations.
+//! Exit code 0 = clean, 1 = violations, 2 = usage/IO error.
 //!
 //! ```text
-//! emblookup-lint [--root DIR] [--format text|json]
-//!                [--api-check | --api-bless]
-//! emblookup-lint --explain Lxxx
+//! emblookup-lint [--root DIR] [--api-bless]
 //! ```
 //!
-//! * `--api-check` additionally diffs the current public-API snapshot
-//!   against the checked-in `API.lock` (rule L006).
+//! * `--root DIR` checks the workspace at `DIR` instead of the one
+//!   enclosing the current directory.
 //! * `--api-bless` regenerates `API.lock` from the current tree and
 //!   exits; commit the result to acknowledge an API change.
-//! * `--explain Lxxx` prints the rule's rationale, an offending example
-//!   and the escape-hatch policy from the in-source rule-doc table.
-//!
-//! Advisory warnings (the stale-allow audit) are printed after the
-//! violations and never affect the exit code.
-//!
-//! # JSON output schema (`--format json`)
-//!
-//! One line, stable field order (goldenable):
-//!
-//! ```json
-//! {"violations":[
-//!    {"file":"crates/x/src/lib.rs","line":3,"rule":"L003",
-//!     "message":"…","suggestion":"…"}],
-//!  "warnings":[],
-//!  "files_checked":42,
-//!  "rule_counts":{"L003":1,"L004":0,"L005":0,"L006":0,"L007":0}}
-//! ```
-//!
-//! `violations` is sorted by (file, line, rule); `suggestion` appears
-//! only on violations that carry one (L003 literals with a registered
-//! constant); `warnings` holds the advisory stale-allow audit;
-//! `rule_counts` always lists every catalog rule, zeros included, in
-//! catalog order.
 
 #![forbid(unsafe_code)]
 
-use emblookup_lint::{api, obs_name_registry, report, rules, walk, workspace, Workspace};
+use emblookup_lint::{find_root, Workspace, LOCK_FILE};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-struct Options {
-    root: Option<PathBuf>,
-    json: bool,
-    api_check: bool,
-    api_bless: bool,
-    explain: Option<String>,
-}
+const USAGE: &str = "emblookup-lint [--root DIR] [--api-bless]\n\
+    Checks crate layering (L005) and public-API drift against API.lock (L006).\n\
+    `--api-bless` rewrites API.lock from the current tree instead.";
 
-fn parse_args() -> Result<Options, String> {
-    let mut opts = Options {
-        root: None,
-        json: false,
-        api_check: false,
-        api_bless: false,
-        explain: None,
-    };
+fn run() -> Result<ExitCode, String> {
+    let mut root = None;
+    let mut bless = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--root" => {
-                let v = args.next().ok_or("--root requires a directory")?;
-                opts.root = Some(PathBuf::from(v));
-            }
-            "--format" => match args.next().as_deref() {
-                Some("json") => opts.json = true,
-                Some("text") => opts.json = false,
-                other => return Err(format!("--format expects text|json, got {other:?}")),
-            },
-            "--api-check" => opts.api_check = true,
-            "--api-bless" => opts.api_bless = true,
-            "--explain" => {
-                let v = args.next().ok_or("--explain requires a rule id (e.g. L007)")?;
-                opts.explain = Some(v);
-            }
+            "--root" => root = Some(PathBuf::from(args.next().ok_or("--root requires a directory")?)),
+            "--api-bless" => bless = true,
             "--help" | "-h" => {
-                println!(
-                    "emblookup-lint [--root DIR] [--format text|json] [--api-check | --api-bless] | --explain Lxxx\n\
-                     Repo-specific lints: L003 metric names, L004 TODO hygiene, L005 crate layering,\n\
-                     L006 API drift (API.lock), L007 float discipline. The rest is clippy's\n\
-                     (workspace Cargo.toml [workspace.lints.clippy] and clippy.toml).\n\
-                     `--explain Lxxx` prints any rule's rationale, example and escape-hatch policy."
-                );
-                std::process::exit(0);
+                println!("{USAGE}");
+                return Ok(ExitCode::SUCCESS);
             }
-            other => return Err(format!("unknown argument `{other}`")),
+            other => return Err(format!("unknown argument `{other}`\n{USAGE}")),
         }
     }
-    if opts.api_check && opts.api_bless {
-        return Err("--api-check and --api-bless are mutually exclusive".to_string());
-    }
-    Ok(opts)
-}
-
-fn run() -> Result<ExitCode, String> {
-    let opts = parse_args()?;
-    if let Some(id) = &opts.explain {
-        return match rules::explain(id) {
-            Some(text) => {
-                println!("{text}");
-                Ok(ExitCode::SUCCESS)
-            }
-            None => Err(format!(
-                "unknown rule `{id}`; known rules: {}",
-                rules::RULE_DOCS.iter().map(|d| d.id).collect::<Vec<_>>().join(", ")
-            )),
-        };
-    }
-    let cwd = std::env::current_dir().map_err(|e| format!("cwd: {e}"))?;
-    let root = match opts.root {
+    let root = match root {
         Some(r) => r,
-        None => walk::find_root(&cwd)
-            .ok_or("no workspace root found (run inside the repo or pass --root)")?,
+        None => {
+            let cwd = std::env::current_dir().map_err(|e| format!("cwd: {e}"))?;
+            find_root(&cwd).ok_or("no workspace root found (run inside the repo or pass --root)")?
+        }
     };
-    let registry = obs_name_registry();
-    let ws = Workspace::load(&root, &registry)?;
+    let ws = Workspace::load(&root)?;
+    let lock_path = root.join(LOCK_FILE);
 
-    if opts.api_bless {
-        let snapshot = ws.api_snapshot();
-        let lock_path = root.join(api::LOCK_FILE);
-        std::fs::write(&lock_path, snapshot.render())
+    if bless {
+        let text = ws.api.render();
+        std::fs::write(&lock_path, &text)
             .map_err(|e| format!("writing {}: {e}", lock_path.display()))?;
-        println!(
-            "emblookup-lint: blessed {} ({} crates, {} public items)",
-            api::LOCK_FILE,
-            snapshot.sections.len(),
-            snapshot.sections.values().map(|s| s.len()).sum::<usize>()
-        );
+        let items = text.lines().filter(|l| !l.is_empty() && !l.starts_with(['#', '['])).count();
+        println!("emblookup-lint: blessed {LOCK_FILE} ({items} public items)");
         return Ok(ExitCode::SUCCESS);
     }
 
-    let report = ws.check();
-    let mut violations = report.violations;
-    let warnings = report.warnings;
-    if opts.api_check {
-        let lock_path = root.join(api::LOCK_FILE);
-        let lock_text = std::fs::read_to_string(&lock_path).map_err(|e| {
-            format!(
-                "reading {}: {e} (run `emblookup-lint --api-bless` to create it)",
-                lock_path.display()
-            )
-        })?;
-        violations.extend(api::diff(&lock_text, &ws.api_snapshot()));
-        workspace::sort(&mut violations);
+    let lock_text = std::fs::read_to_string(&lock_path).map_err(|e| {
+        format!("reading {}: {e} (run `emblookup-lint --api-bless` to create it)", lock_path.display())
+    })?;
+    let violations = ws.check(&lock_text);
+    for v in &violations {
+        println!("{}:{}: {}: {}", v.file, v.line, v.rule, v.message);
     }
-
-    if opts.json {
-        println!("{}", report::render_json(&violations, &warnings, ws.files.len()));
-    } else {
-        for v in &violations {
-            println!("{}:{}: {}: {}", v.file, v.line, v.rule, v.message);
-        }
-        for w in &warnings {
-            println!("{}:{}: warning: {}", w.file, w.line, w.message);
-        }
-        println!("emblookup-lint: {}", report::render_rule_summary(&violations));
-        println!(
-            "emblookup-lint: {} files checked, {} violation{}, {} warning{}{}",
-            ws.files.len(),
-            violations.len(),
-            if violations.len() == 1 { "" } else { "s" },
-            warnings.len(),
-            if warnings.len() == 1 { "" } else { "s" },
-            if opts.api_check { " (API.lock checked)" } else { "" }
-        );
-    }
-
+    let count = |rule: &str| violations.iter().filter(|v| v.rule == rule).count();
+    println!(
+        "emblookup-lint: L005 {}, L006 {} — {} files checked, {} violation{}",
+        count("L005"),
+        count("L006"),
+        ws.files,
+        violations.len(),
+        if violations.len() == 1 { "" } else { "s" },
+    );
     Ok(if violations.is_empty() { ExitCode::SUCCESS } else { ExitCode::from(1) })
 }
 

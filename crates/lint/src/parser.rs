@@ -1,70 +1,30 @@
-//! Item-level parsing on top of the [`crate::lexer`] token stream.
-//!
-//! Two extractions feed the workspace-level rules:
-//!
-//! * [`crate_refs`] — every `emblookup_*::` path mentioned in non-test
-//!   code, with its line. The L005 layering pass checks these against the
-//!   declared layer DAG (the Cargo.toml side is handled by
-//!   [`crate::cargo`]).
-//! * [`public_items`] — a normalized snapshot of a file's `pub` surface
-//!   (functions, structs with their public fields, enums with variants,
-//!   traits with their methods, trait impls, re-exports, exported
-//!   macros), the raw material of the L006 `API.lock` snapshot.
+//! Item-level parsing on top of the [`crate::lexer`] token stream:
+//! [`public_items`] is a normalized snapshot of a file's `pub` surface
+//! (functions, structs with their public fields, enums with variants,
+//! traits with their methods, trait impls, re-exports, exported macros),
+//! the raw material of the L006 `API.lock` snapshot.
 //!
 //! The parser is a tolerant recursive descent over *significant* tokens
 //! (comments skipped): it understands item structure, visibility,
 //! generics and bodies well enough to recover signatures, and degrades
 //! to balanced-delimiter skipping on anything it does not model (macro
 //! invocations at item position, `extern` blocks, …). `#[cfg(test)]`
-//! regions are excluded via the [`crate::engine::SourceFile`] test map.
+//! regions are excluded via the [`crate::source::SourceFile`] test map.
 
-use crate::engine::SourceFile;
 use crate::lexer::TokenKind;
-
-/// A reference to another workspace crate in non-test code:
-/// `use emblookup_kg::…` or an inline `emblookup_kg::Candidate` path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CrateRef {
-    /// Crate ident in underscore form (`emblookup_kg`).
-    pub krate: String,
-    /// 1-based line of the reference.
-    pub line: u32,
-}
+use crate::source::SourceFile;
 
 /// One public item of a file, normalized for the `API.lock` snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ApiItem {
+pub(crate) struct ApiItem {
     /// Inline-module chain inside the file (`""` at the top level,
     /// `"detail::impls"` for nested inline mods).
-    pub module: String,
+    pub(crate) module: String,
     /// Normalized signature, e.g.
     /// `pub fn build(encoder: E, kg: &KnowledgeGraph) -> Self`.
-    pub signature: String,
+    pub(crate) signature: String,
     /// 1-based line where the item starts.
-    pub line: u32,
-}
-
-/// Extracts every `emblookup_*::` crate reference outside test regions.
-pub fn crate_refs(sf: &SourceFile) -> Vec<CrateRef> {
-    let toks = sf.tokens();
-    let sig: Vec<usize> = (0..toks.len()).filter(|&i| !toks[i].is_comment()).collect();
-    let mut out = Vec::new();
-    for (s, &i) in sig.iter().enumerate() {
-        let t = &toks[i];
-        if t.kind != TokenKind::Ident || !t.text.starts_with("emblookup_") || sf.in_test(i) {
-            continue;
-        }
-        let colon2 = sig.get(s + 1).map(|&j| toks[j].text.as_str()) == Some(":")
-            && sig.get(s + 2).map(|&j| toks[j].text.as_str()) == Some(":");
-        // `use emblookup_obs;` (whole-crate import) also counts
-        let bare_use = sig.get(s + 1).map(|&j| toks[j].text.as_str()) == Some(";")
-            && s >= 1
-            && toks[sig[s - 1]].text == "use";
-        if colon2 || bare_use {
-            out.push(CrateRef { krate: t.text.clone(), line: t.line });
-        }
-    }
-    out
+    pub(crate) line: u32,
 }
 
 /// Tolerant item parser: cursor over significant-token indices.
@@ -79,7 +39,7 @@ struct Parser<'a> {
 
 /// Extracts the file's public items. `module` paths are the inline-mod
 /// chain only; the caller prefixes the file-level module path.
-pub fn public_items(sf: &SourceFile) -> Vec<ApiItem> {
+pub(crate) fn public_items(sf: &SourceFile) -> Vec<ApiItem> {
     let toks = sf.tokens();
     let sig: Vec<usize> = (0..toks.len()).filter(|&i| !toks[i].is_comment()).collect();
     let mut p = Parser { sf, sig, i: 0, out: Vec::new() };
@@ -832,7 +792,7 @@ mod tests {
     use super::*;
 
     fn items(src: &str) -> Vec<String> {
-        let sf = SourceFile::parse("crates/demo/src/lib.rs", src);
+        let sf = SourceFile::parse(src);
         public_items(&sf)
             .into_iter()
             .map(|i| {
@@ -956,19 +916,5 @@ mod tests {
             items(src),
             vec!["pub fn pick<T: Clone>(xs: &[T]) -> Option<T> where T: Default"]
         );
-    }
-
-    #[test]
-    fn crate_refs_found_outside_tests_only() {
-        let src = r#"
-            use emblookup_kg::Candidate;
-            pub fn f() -> emblookup_text::Alphabet { emblookup_text::Alphabet::default_lookup() }
-            #[cfg(test)]
-            mod tests { use emblookup_ann::sq_l2; }
-        "#;
-        let sf = SourceFile::parse("crates/demo/src/lib.rs", src);
-        let refs = crate_refs(&sf);
-        let crates: Vec<&str> = refs.iter().map(|r| r.krate.as_str()).collect();
-        assert_eq!(crates, vec!["emblookup_kg", "emblookup_text", "emblookup_text"]);
     }
 }

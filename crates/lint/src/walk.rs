@@ -1,7 +1,7 @@
-//! Workspace traversal: finds the `.rs` files the lint passes cover —
+//! Workspace traversal: finds the `.rs` files the API snapshot covers —
 //! `crates/*/src/**` and the root package's `src/**`. Integration-test
 //! directories (`crates/*/tests`, `tests/`) and `target/` are out of
-//! scope: the lints guard shipping library code.
+//! scope: they have no library surface.
 //!
 //! The walk is cycle-proof: symlinked directories are skipped outright
 //! (lintable code is checked in directly, never behind a link) and
@@ -30,7 +30,7 @@ pub fn find_root(start: &Path) -> Option<PathBuf> {
 }
 
 /// All lintable `.rs` files under `root`, workspace-relative, sorted.
-pub fn lintable_files(root: &Path) -> io::Result<Vec<PathBuf>> {
+pub(crate) fn lintable_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     let crates = root.join("crates");
     if crates.is_dir() {

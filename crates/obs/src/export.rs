@@ -105,13 +105,14 @@ impl MetricsSnapshot {
 
 #[cfg(test)]
 mod tests {
+    use crate::names::Name;
     use crate::registry::MetricsRegistry;
 
     fn sample() -> MetricsRegistry {
         let reg = MetricsRegistry::new();
-        reg.counter("lookup.queries").add(150);
-        reg.gauge("index.entities").set(600.0);
-        let h = reg.histogram("lookup.latency");
+        reg.counter(Name("lookup.queries")).add(150);
+        reg.gauge(Name("index.entities")).set(600.0);
+        let h = reg.histogram(Name("lookup.latency"));
         h.record(1_000);
         h.record(2_000);
         h.record(4_000);
@@ -159,7 +160,7 @@ mod tests {
     #[test]
     fn empty_histogram_exports_count_zero_without_quantiles() {
         let reg = MetricsRegistry::new();
-        let _ = reg.histogram("lookup.latency");
+        let _ = reg.histogram(Name("lookup.latency"));
         let prom = reg.snapshot().to_prometheus();
         assert!(prom.contains("# TYPE emblookup_lookup_latency_seconds summary"), "{prom}");
         assert!(prom.contains("emblookup_lookup_latency_seconds_count 0"), "{prom}");
@@ -169,7 +170,7 @@ mod tests {
     #[test]
     fn exemplars_render_on_quantile_lines() {
         let reg = MetricsRegistry::new();
-        let h = reg.histogram("lookup.latency");
+        let h = reg.histogram(Name("lookup.latency"));
         h.record_with_exemplar(1_000, 0xAB);
         h.record_with_exemplar(9_000, 0xCD);
         let prom = reg.snapshot().to_prometheus();

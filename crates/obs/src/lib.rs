@@ -8,8 +8,11 @@
 //!   [`Gauge`]s and log-bucketed [`Histogram`]s (p50/p90/p99/max,
 //!   count/sum). Resolve a handle once, then record lock-free; the
 //!   process-global registry is [`global()`].
-//! * **Spans** — [`Span::enter("index.build")`](Span::enter) RAII guards
-//!   time a stage into the global histogram of the same name.
+//! * **Names** — every metric and span name is a [`names::Name`]
+//!   constant; registration takes a `Name`, and only this crate builds
+//!   one.
+//! * **Spans** — [`Span::enter(names::INDEX_BUILD)`](Span::enter) RAII
+//!   guards time a stage into the global histogram of the same name.
 //! * **Exporters** — a [`MetricsSnapshot`] renders to Prometheus text
 //!   ([`MetricsSnapshot::to_prometheus`]) or an aligned table
 //!   ([`MetricsSnapshot::render_table`]).
@@ -28,11 +31,11 @@
 //!   `/metrics` percentile line back to the trace id that produced it.
 //!
 //! ```
-//! use emblookup_obs as obs;
+//! use emblookup_obs::{self as obs, names};
 //!
-//! let lookups = obs::global().histogram("lookup.latency");
+//! let lookups = obs::global().histogram(names::LOOKUP_LATENCY);
 //! {
-//!     let _stage = obs::Span::enter("index.build");
+//!     let _stage = obs::Span::enter(names::INDEX_BUILD);
 //!     // ... build ...
 //! }
 //! lookups.record(12_345); // nanoseconds, lock-free

@@ -2,22 +2,46 @@
 //! workspace.
 //!
 //! Every counter/gauge/histogram/span name that production code emits is
-//! declared here once; call sites refer to the constant, never to a raw
-//! string literal. `emblookup-lint` rule **L003** enforces this and
-//! cross-checks call sites against [`ALL`], so a dashboard watching
+//! declared here once, as a [`Name`]. The registration calls
+//! ([`MetricsRegistry::counter`](crate::MetricsRegistry::counter),
+//! [`Span::enter`](crate::Span::enter),
+//! [`TraceSpan::child`](crate::TraceSpan::child), …) take a `Name`, and
+//! only this crate can build one, so a dashboard watching
 //! `lookup.latency` can't silently drift from the code emitting it.
 //!
-//! Dynamically scoped families (`lookup.latency.<scope>`) go through the
-//! `*_scoped` helpers below so the prefix still comes from this module.
+//! Dynamically scoped families (`lookup.latency.<scope>`) go through
+//! [`MetricsRegistry::histogram_scoped`](crate::MetricsRegistry::histogram_scoped),
+//! so the prefix still comes from this module.
+
+/// A registered metric or span name.
+///
+/// The field is private to `emblookup-obs`, so the constants below are
+/// the only `Name`s a caller can pass; a string literal does not
+/// compile:
+///
+/// ```compile_fail
+/// emblookup_obs::global().counter("x");
+/// ```
+///
+/// ```compile_fail
+/// let _ = emblookup_obs::names::Name("x");
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Name(pub(crate) &'static str);
+
+impl Name {
+    /// The dotted metric name, for reading a snapshot by name.
+    pub fn as_str(self) -> &'static str {
+        self.0
+    }
+}
 
 macro_rules! names {
     ($($(#[$doc:meta])* $ident:ident => $value:literal),* $(,)?) => {
-        $($(#[$doc])* pub const $ident: &str = $value;)*
+        $($(#[$doc])* pub const $ident: Name = Name($value);)*
 
-        /// `(constant identifier, metric name)` for every registered
-        /// name, in declaration order. The lint engine and the
-        /// uniqueness test below consume this table.
-        pub const ALL: &[(&str, &str)] = &[$((stringify!($ident), $value)),*];
+        /// Every registered name, in declaration order.
+        pub const ALL: &[Name] = &[$($ident),*];
     };
 }
 
@@ -155,39 +179,23 @@ names! {
     TRACE_DROPPED => "trace.dropped",
 }
 
-/// Scoped single-query latency histogram name:
-/// `lookup.latency.<scope>` (e.g. `lookup.latency.el_nc`, or a baseline
-/// slug from the benchmark harness).
-pub fn lookup_latency_scoped(scope: &str) -> String {
-    // Scoped names are built once when a service is configured, not per query
-    format!("{LOOKUP_LATENCY}.{scope}")
-}
-
-/// Scoped per-query-in-batch latency histogram name:
-/// `lookup.latency.<scope>.bulk`.
-pub fn lookup_latency_bulk_scoped(scope: &str) -> String {
-    // Scoped names are built once when a service is configured, not per query
-    format!("{LOOKUP_LATENCY}.{scope}.bulk")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashSet;
 
     #[test]
-    fn values_and_idents_are_unique() {
-        let mut idents = HashSet::new();
+    fn names_are_unique() {
         let mut values = HashSet::new();
-        for &(ident, value) in ALL {
-            assert!(idents.insert(ident), "duplicate constant {ident}");
-            assert!(values.insert(value), "duplicate metric name {value}");
+        for name in ALL {
+            assert!(values.insert(name.as_str()), "duplicate metric name {name:?}");
         }
     }
 
     #[test]
-    fn values_are_dotted_lowercase() {
-        for &(_, value) in ALL {
+    fn names_are_dotted_lowercase() {
+        for name in ALL {
+            let value = name.as_str();
             assert!(
                 value
                     .chars()
@@ -196,11 +204,5 @@ mod tests {
             );
             assert!(!value.starts_with('.') && !value.ends_with('.'));
         }
-    }
-
-    #[test]
-    fn scoped_helpers_stay_in_family() {
-        assert_eq!(lookup_latency_scoped("el_nc"), "lookup.latency.el_nc");
-        assert_eq!(lookup_latency_bulk_scoped("el"), "lookup.latency.el.bulk");
     }
 }

@@ -5,6 +5,7 @@
 //! construction, before any hot loop) and then operate on plain atomics.
 
 use crate::hist::{Histogram, HistogramSnapshot};
+use crate::names::Name;
 use crate::sync::RelaxedU64;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -79,24 +80,36 @@ impl MetricsRegistry {
 
     /// Get-or-create the counter `name`. Resolve once, then use the
     /// returned handle — it never touches the registry lock again.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
+    pub fn counter(&self, name: Name) -> Arc<Counter> {
         let mut inner = self.locked();
         // Name interned once per metric at registration, not per increment
-        Arc::clone(inner.counters.entry(name.to_string()).or_default())
+        Arc::clone(inner.counters.entry(name.0.to_string()).or_default())
     }
 
     /// Get-or-create the gauge `name`.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
+    pub fn gauge(&self, name: Name) -> Arc<Gauge> {
         let mut inner = self.locked();
         // Name interned once per metric at registration, not per increment
-        Arc::clone(inner.gauges.entry(name.to_string()).or_default())
+        Arc::clone(inner.gauges.entry(name.0.to_string()).or_default())
     }
 
     /// Get-or-create the histogram `name`.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
+    pub fn histogram(&self, name: Name) -> Arc<Histogram> {
+        self.histogram_named(name.0.to_string())
+    }
+
+    /// Get-or-create the histogram `<family>.<scope>`, e.g.
+    /// `lookup.latency.el_nc` — a scoped member of a registered family
+    /// (the benchmarks separate EL from EL-NC timings this way).
+    pub fn histogram_scoped(&self, family: Name, scope: &str) -> Arc<Histogram> {
+        // Scoped names are built once when a service is configured, not per query
+        self.histogram_named(format!("{}.{scope}", family.0))
+    }
+
+    fn histogram_named(&self, name: String) -> Arc<Histogram> {
         let mut inner = self.locked();
-        // Name interned once per metric at registration, not per increment
-        Arc::clone(inner.histograms.entry(name.to_string()).or_default())
+        // Name interned once per metric at registration, not per record
+        Arc::clone(inner.histograms.entry(name).or_default())
     }
 
     /// Point-in-time copy of every metric, sorted by name.
@@ -169,12 +182,13 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::names;
 
     #[test]
     fn same_name_returns_same_metric() {
         let reg = MetricsRegistry::new();
-        let a = reg.counter("x");
-        let b = reg.counter("x");
+        let a = reg.counter(Name("x"));
+        let b = reg.counter(Name("x"));
         a.add(3);
         b.inc();
         assert_eq!(reg.snapshot().counter("x"), Some(4));
@@ -187,7 +201,7 @@ mod tests {
         let per_thread = 50_000u64;
         std::thread::scope(|scope| {
             for _ in 0..threads {
-                let c = reg.counter("hits");
+                let c = reg.counter(Name("hits"));
                 scope.spawn(move || {
                     for _ in 0..per_thread {
                         c.inc();
@@ -201,7 +215,7 @@ mod tests {
     #[test]
     fn gauge_holds_last_write() {
         let reg = MetricsRegistry::new();
-        let g = reg.gauge("temp");
+        let g = reg.gauge(Name("temp"));
         g.set(1.5);
         g.set(-3.25);
         assert_eq!(reg.snapshot().gauge("temp"), Some(-3.25));
@@ -210,11 +224,21 @@ mod tests {
     #[test]
     fn snapshot_is_sorted_by_name() {
         let reg = MetricsRegistry::new();
-        reg.counter("b");
-        reg.counter("a");
-        reg.counter("c");
+        reg.counter(Name("b"));
+        reg.counter(Name("a"));
+        reg.counter(Name("c"));
         let snap = reg.snapshot();
         let names: Vec<&str> = snap.counters.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["a", "b", "c"]);
+    }
+
+    #[test]
+    fn scoped_histograms_stay_in_family() {
+        let reg = MetricsRegistry::new();
+        reg.histogram_scoped(names::LOOKUP_LATENCY, "el");
+        reg.histogram_scoped(names::LOOKUP_LATENCY, "el.bulk");
+        let snap = reg.snapshot();
+        let got: Vec<&str> = snap.histograms.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(got, ["lookup.latency.el", "lookup.latency.el.bulk"]);
     }
 }

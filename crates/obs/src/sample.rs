@@ -215,9 +215,9 @@ mod tests {
         hub.publish(TraceData { id: 1, spans: Vec::new() }, &[]);
         hub.publish(TraceData { id: 2, spans: Vec::new() }, &[Trigger::Shed]);
         let snap = registry.snapshot();
-        assert_eq!(snap.counter(names::TRACE_RECORDED), Some(2));
-        assert_eq!(snap.counter(names::TRACE_RETAINED), Some(1));
-        assert_eq!(snap.counter(names::TRACE_DROPPED), Some(0));
+        assert_eq!(snap.counter(names::TRACE_RECORDED.as_str()), Some(2));
+        assert_eq!(snap.counter(names::TRACE_RETAINED.as_str()), Some(1));
+        assert_eq!(snap.counter(names::TRACE_DROPPED.as_str()), Some(0));
         assert!(hub.find(2).is_some_and(|r| r.triggers == vec![Trigger::Shed]));
         assert!(hub.find(1).is_some_and(|r| r.triggers.is_empty()), "ring fallback");
         assert!(hub.find(99).is_none());

@@ -1,7 +1,9 @@
-//! RAII stage timers: `let _s = Span::enter("index.build");` records the
-//! elapsed time into the global histogram of the same name when dropped.
+//! RAII stage timers: `let _s = Span::enter(names::INDEX_BUILD);` records
+//! the elapsed time into the global histogram of the same name when
+//! dropped.
 
 use crate::hist::Histogram;
+use crate::names::Name;
 use crate::registry::global;
 use std::sync::Arc;
 use std::time::Instant;
@@ -16,7 +18,7 @@ pub struct Span {
 impl Span {
     /// Starts a span recording into the global registry's histogram
     /// `name` on drop.
-    pub fn enter(name: &str) -> Span {
+    pub fn enter(name: Name) -> Span {
         Span { hist: global().histogram(name), start: Instant::now() }
     }
 }
@@ -35,7 +37,7 @@ mod tests {
     #[test]
     fn span_records_into_named_histogram() {
         {
-            let _s = Span::enter("test.span.one");
+            let _s = Span::enter(Name("test.span.one"));
             std::thread::sleep(Duration::from_millis(2));
         }
         let snap = global().snapshot();
@@ -47,8 +49,8 @@ mod tests {
     #[test]
     fn nested_spans_record_independently() {
         {
-            let _outer = Span::enter("test.span.outer");
-            let _inner = Span::enter("test.span.inner");
+            let _outer = Span::enter(Name("test.span.outer"));
+            let _inner = Span::enter(Name("test.span.inner"));
         }
         let snap = global().snapshot();
         assert_eq!(snap.histogram("test.span.outer").unwrap().count, 1);

@@ -19,6 +19,7 @@
 //! `trace_event` JSON (`/debug/traces/chrome`, loadable in
 //! `about:tracing` / Perfetto).
 
+use crate::names::{self, Name};
 use crate::json::escape_json;
 use crate::sync::RelaxedU64;
 use std::sync::{Arc, Mutex};
@@ -205,9 +206,14 @@ impl Trace {
         TraceSpan { trace: Arc::clone(self), id }
     }
 
-    /// Creates and starts the root span. Name-position for lint L003:
-    /// `name` must come from `names::`.
+    /// Creates and starts the root span. `name` is a registered span
+    /// name's string (`names::SPAN_LOOKUP_REQUEST.as_str()`); debug builds
+    /// assert that it is one.
     pub fn root(self: &Arc<Trace>, name: &'static str) -> TraceSpan {
+        debug_assert!(
+            names::ALL.iter().any(|n| n.as_str() == name),
+            "`{name}` is not a registered span name"
+        );
         self.new_span(0, name, false)
     }
 
@@ -246,16 +252,15 @@ impl TraceSpan {
         &self.trace
     }
 
-    /// Creates and starts a child span. Name-position for lint L003.
-    pub fn child(&self, name: &'static str) -> TraceSpan {
-        self.trace.new_span(self.id, name, false)
+    /// Creates and starts a child span.
+    pub fn child(&self, name: Name) -> TraceSpan {
+        self.trace.new_span(self.id, name.as_str(), false)
     }
 
     /// Creates a child span without starting it; a pool worker later
     /// stamps its start (and thread) via [`TraceSpan::begin`].
-    /// Name-position for lint L003.
-    pub fn child_deferred(&self, name: &'static str) -> TraceSpan {
-        self.trace.new_span(self.id, name, true)
+    pub fn child_deferred(&self, name: Name) -> TraceSpan {
+        self.trace.new_span(self.id, name.as_str(), true)
     }
 
     /// Stamps the start time and executing thread of a deferred span.
@@ -448,7 +453,7 @@ mod tests {
         let ns = Arc::new(RelaxedU64::new(0));
         let trace = Trace::start(7, TraceClock::virtual_shared(Arc::clone(&ns)));
         let root = trace.root("train.total");
-        let child = root.child("train.mining");
+        let child = root.child(names::TRAIN_MINING);
         ns.add(5_000);
         child.annotate("visited", 42u64);
         child.finish();
@@ -472,13 +477,13 @@ mod tests {
         let ns = Arc::new(RelaxedU64::new(0));
         let trace = Trace::start(9, TraceClock::virtual_shared(Arc::clone(&ns)));
         let root = trace.root("train.total");
-        let chunk = root.child_deferred("train.mining");
+        let chunk = root.child_deferred(names::TRAIN_MINING);
         ns.add(100);
         chunk.begin();
         ns.add(50);
         chunk.finish();
         chunk.finish(); // idempotent
-        let never_begun = root.child_deferred("train.triplet");
+        let never_begun = root.child_deferred(names::TRAIN_TRIPLET);
         let data = trace.snapshot(); // root + never_begun still open
         assert_eq!(data.spans[1].start_ns, 100);
         assert_eq!(data.spans[1].end_ns, 150);

@@ -9,7 +9,7 @@ use std::sync::Mutex;
 use std::thread::{self, ThreadId};
 
 fn tasks() -> u64 {
-    emblookup_obs::global().snapshot().counter(names::POOL_TASKS).unwrap_or(0)
+    emblookup_obs::global().snapshot().counter(names::POOL_TASKS.as_str()).unwrap_or(0)
 }
 
 #[test]
@@ -35,7 +35,7 @@ fn a_fan_out_within_one_grain_stays_on_the_calling_thread() {
         "every index on the caller, in index order"
     );
     assert_eq!(
-        emblookup_obs::global().snapshot().gauge(names::POOL_QUEUE_DEPTH).unwrap_or(0.0),
+        emblookup_obs::global().snapshot().gauge(names::POOL_QUEUE_DEPTH.as_str()).unwrap_or(0.0),
         0.0,
         "nothing was ever queued"
     );

@@ -44,7 +44,7 @@ impl PrF {
     pub fn f1(&self) -> f64 {
         let p = self.precision();
         let r = self.recall();
-        // lint: allow(L007) p and r are ratios in [0, 1]; exact zero is the only divide-by-zero guard needed
+        // p and r are ratios in [0, 1]; exact zero is the only divide-by-zero guard needed
         if p + r == 0.0 {
             return 0.0;
         }

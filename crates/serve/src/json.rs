@@ -42,7 +42,7 @@ impl Json {
     /// A non-negative integral number, `None` otherwise.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            // lint: allow(L007) fract()==0.0 is the exact integrality test, not a tolerance check
+            // fract()==0.0 is the exact integrality test, not a tolerance check
             Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
                 Some(*n as u64)
             }

@@ -520,7 +520,7 @@ fn arrive<'a>(state: &ServerState, req: &'a Request) -> (RequestCtx<'a>, Deadlin
     } else {
         (TraceClock::real(), DeadlineClock::new(budget_ms, false))
     };
-    let root = Trace::start(id, trace_clock).root(names::SPAN_SERVE_REQUEST);
+    let root = Trace::start(id, trace_clock).root(names::SPAN_SERVE_REQUEST.as_str());
     root.annotate("request", idx);
     let admit = root.child(names::SPAN_STAGE_ADMIT);
     (RequestCtx { req, idx, faults, root, admit }, clock)

@@ -22,7 +22,7 @@ use emblookup_pool::Pool;
 use emblookup_serve::{client, ServeConfig, Server};
 
 fn pool_tasks_spent(work: impl FnOnce()) -> u64 {
-    let tasks = || emblookup_obs::global().snapshot().counter(names::POOL_TASKS).unwrap_or(0);
+    let tasks = || emblookup_obs::global().snapshot().counter(names::POOL_TASKS.as_str()).unwrap_or(0);
     let before = tasks();
     work();
     tasks() - before

@@ -15,7 +15,8 @@
 
 use emblookup_core::{EmbLookup, EmbLookupConfig, EmbLookupModel};
 use emblookup_kg::{generate, KnowledgeGraph, SynthKgConfig};
-use emblookup_obs::{names, MetricsRegistry};
+use emblookup_obs::names::{self, Name};
+use emblookup_obs::MetricsRegistry;
 use emblookup_serve::{client, FaultConfig, ServeConfig, Server, StageFaults};
 use std::sync::{Arc, OnceLock};
 
@@ -42,8 +43,8 @@ fn start(config: ServeConfig) -> (Server, Arc<MetricsRegistry>) {
     (server, registry)
 }
 
-fn counter(registry: &MetricsRegistry, name: &str) -> u64 {
-    registry.snapshot().counter(name).unwrap_or(0)
+fn counter(registry: &MetricsRegistry, name: Name) -> u64 {
+    registry.snapshot().counter(name.as_str()).unwrap_or(0)
 }
 
 #[test]

@@ -11,7 +11,8 @@
 
 use emblookup_core::{Compression, EmbLookup, EmbLookupConfig, EmbLookupModel};
 use emblookup_kg::{generate, EntityId, KnowledgeGraph, SynthKgConfig};
-use emblookup_obs::{names, MetricsRegistry};
+use emblookup_obs::names::{self, Name};
+use emblookup_obs::MetricsRegistry;
 use emblookup_serve::{client, FaultConfig, ServeConfig, Server, StageFaults};
 use std::sync::{Arc, OnceLock};
 
@@ -34,8 +35,8 @@ fn start(config: ServeConfig) -> (Server, Arc<MetricsRegistry>) {
     (server, registry)
 }
 
-fn counter(registry: &MetricsRegistry, name: &str) -> u64 {
-    registry.snapshot().counter(name).unwrap_or(0)
+fn counter(registry: &MetricsRegistry, name: Name) -> u64 {
+    registry.snapshot().counter(name.as_str()).unwrap_or(0)
 }
 
 fn lookup_body(entity: u32) -> String {
@@ -88,7 +89,7 @@ fn sharded_lookup_answers_full_rung_with_full_coverage_tag() {
     assert_eq!(resp.header("x-emblookup-shards"), Some("4/4"));
 
     assert_eq!(counter(&registry, names::SERVE_PARTIAL), 0);
-    assert_eq!(registry.snapshot().gauge(names::SERVE_SHARDS_LIVE), Some(4.0));
+    assert_eq!(registry.snapshot().gauge(names::SERVE_SHARDS_LIVE.as_str()), Some(4.0));
 }
 
 #[test]
@@ -130,8 +131,8 @@ fn sharded_server_publishes_the_size_of_the_index_it_searches() {
     let _server = Server::start(front, kg, ServeConfig { workers: 1, shards: 2, ..ServeConfig::default() })
         .expect("server must start");
     let snap = emblookup_obs::global().snapshot();
-    assert_eq!(snap.gauge(names::INDEX_NBYTES), Some(flat_bytes as f64));
-    assert_eq!(snap.gauge(names::INDEX_ENTITIES), Some(kg.num_entities() as f64));
+    assert_eq!(snap.gauge(names::INDEX_NBYTES.as_str()), Some(flat_bytes as f64));
+    assert_eq!(snap.gauge(names::INDEX_ENTITIES.as_str()), Some(kg.num_entities() as f64));
 }
 
 /// The breaker walk: panics eject one shard (responses degrade to
@@ -156,7 +157,7 @@ fn breaker_ejects_shard_then_readmits_after_probe() {
         assert!(resp.body.contains("\"rung\":\"full\""));
     }
     assert_eq!(counter(&registry, names::SERVE_BREAKER_OPENED), 1);
-    assert_eq!(registry.snapshot().gauge(names::SERVE_SHARDS_LIVE), Some(1.0));
+    assert_eq!(registry.snapshot().gauge(names::SERVE_SHARDS_LIVE.as_str()), Some(1.0));
 
     // Requests 3–9: breaker open, shard skipped without being attempted.
     for i in 3..10u32 {
@@ -173,7 +174,7 @@ fn breaker_ejects_shard_then_readmits_after_probe() {
     assert_eq!(resp.header("x-emblookup-shards"), Some("2/2"));
     assert_eq!(counter(&registry, names::SERVE_BREAKER_PROBES), 1);
     assert_eq!(counter(&registry, names::SERVE_BREAKER_READMITTED), 1);
-    assert_eq!(registry.snapshot().gauge(names::SERVE_SHARDS_LIVE), Some(2.0));
+    assert_eq!(registry.snapshot().gauge(names::SERVE_SHARDS_LIVE.as_str()), Some(2.0));
 
     // Request 11: steady state again.
     let resp = conn.post_json("/lookup", &lookup_body(1), &[]).unwrap();
@@ -216,7 +217,7 @@ fn all_shards_ejected_falls_back_to_flat() {
     assert_eq!(resp.header("x-emblookup-shards"), Some("0/2"));
     assert!(resp.body.contains("\"rung\":\"flat\""), "body: {}", resp.body);
     assert!(resp.body.contains("\"degraded\":true"));
-    assert_eq!(registry.snapshot().gauge(names::SERVE_SHARDS_LIVE), Some(0.0));
+    assert_eq!(registry.snapshot().gauge(names::SERVE_SHARDS_LIVE.as_str()), Some(0.0));
 
     // Bulk has no ladder: all shards gone is an honest 500, tagged.
     let bulk = "{\"queries\":[\"x\"],\"k\":1}";
@@ -459,9 +460,9 @@ fn one_shard_breaker_walk_answers_from_the_flat_rung_while_ejected() {
         (names::SERVE_PARTIAL, 0),
         (names::SERVE_ERRORS, 0),
     ] {
-        assert_eq!(counter(&registry, name), want, "{name}");
+        assert_eq!(counter(&registry, name), want, "{name:?}");
     }
-    assert_eq!(registry.snapshot().gauge(names::SERVE_SHARDS_LIVE), Some(1.0));
+    assert_eq!(registry.snapshot().gauge(names::SERVE_SHARDS_LIVE.as_str()), Some(1.0));
 
     let (wide, _) = one_shard_walk(4, "/lookup", |i| lookup_body(i % 4));
     assert_eq!(walk, wide, "the walk must not depend on the worker count");

@@ -93,7 +93,7 @@ pub(crate) fn conv1d_forward(x: &Tensor, w: &Tensor, b: &Tensor, pad: usize) -> 
             let wbase = co * c_in * k + ci * k;
             for kk in 0..k {
                 let wv = wd[wbase + kk];
-                // lint: allow(L007) exact-zero sparsity skip; any nonzero (or NaN) takes the dense path
+                // exact-zero sparsity skip; any nonzero (or NaN) takes the dense path
                 if wv == 0.0 {
                     continue;
                 }
@@ -116,7 +116,7 @@ pub(crate) fn conv1d_forward(x: &Tensor, w: &Tensor, b: &Tensor, pad: usize) -> 
 #[inline]
 fn channel_occupancy(xd: &[f32], c_in: usize, l: usize) -> Vec<bool> {
     (0..c_in)
-        // lint: allow(L007) exact-zero occupancy test; NaN counts as occupied and takes the dense path
+        // exact-zero occupancy test; NaN counts as occupied and takes the dense path
         .map(|ci| xd[ci * l..(ci + 1) * l].iter().any(|&v| v != 0.0))
         .collect()
 }
@@ -136,7 +136,7 @@ fn column_onehot(xd: &[f32], c_in: usize, l: usize) -> Option<Vec<(u32, f32)>> {
     for ci in 0..c_in {
         let xrow = &xd[ci * l..(ci + 1) * l];
         for (t, &v) in xrow.iter().enumerate() {
-            // lint: allow(L007) exact-zero sparsity test; a NaN column entry stays on this path and propagates through the gather exactly like the dense sum
+            // exact-zero sparsity test; a NaN column entry stays on this path and propagates through the gather exactly like the dense sum
             if v != 0.0 {
                 if cols[t].0 != u32::MAX {
                     return None;
@@ -216,7 +216,7 @@ fn gathers(x: &[f32], k: usize, l: usize) -> bool {
 /// ascending order.
 fn column_nonzeros(x: &[f32], k: usize, l: usize, u: usize) -> impl Iterator<Item = usize> + '_ {
     let (stride, pad) = (l + k - 1, k / 2);
-    // lint: allow(L007) exact-zero sparsity test, NaN counts as occupied — the test `column_onehot` makes
+    // exact-zero sparsity test, NaN counts as occupied — the test `column_onehot` makes
     (0..x.len() / stride).filter(move |&ci| x[ci * stride + pad + u] != 0.0)
 }
 
@@ -334,7 +334,7 @@ pub(crate) fn conv1d_rows_grad_weight(x: &[f32], gy: &[f32], gw: &mut [f32], k: 
         for (kk, tap) in taps.iter_mut().enumerate() {
             let mut v = 0.0f32;
             for (u, &xv) in xrow.iter().enumerate() {
-                // lint: allow(L007) the gather's exact-zero test: only a column's nonzero sample is gathered
+                // the gather's exact-zero test: only a column's nonzero sample is gathered
                 if xv != 0.0 && (kk..l + kk).contains(&(u + pad)) {
                     v += grow[u + pad - kk] * xv;
                 }
@@ -436,7 +436,7 @@ pub(crate) fn conv1d_backward_masked(
                     let xs0 = (t0 as isize + shift) as usize;
                     let xs1 = (t1 as isize + shift) as usize;
                     let wv = wd[wbase + kk];
-                    // lint: allow(L007) exact-zero sparsity skip mirroring the forward pass
+                    // exact-zero sparsity skip mirroring the forward pass
                     if wv != 0.0 {
                         for (gx_v, &g) in gxrow[xs0..xs1].iter_mut().zip(&grow[t0..t1]) {
                             *gx_v += g * wv;

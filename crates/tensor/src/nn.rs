@@ -127,7 +127,7 @@ impl Linear {
         // gy · Wᵀ: every input's gradient from +0.0, output gradient by
         // output gradient ascending, exact zeros skipped
         gx.fill(0.0);
-        // lint: allow(L007) exact-zero sparsity skip, as the row-vector `matmul` skips
+        // exact-zero sparsity skip, as the row-vector `matmul` skips
         for (&g, wrow) in gy.iter().zip(wt.chunks_exact(gx.len().max(1))).filter(|(&g, _)| g != 0.0) {
             for (o, &wv) in gx.iter_mut().zip(wrow) {
                 *o += g * wv;
@@ -136,7 +136,7 @@ impl Linear {
         // xᵀ · gy: a zero input's row is +0.0, which changes no accumulator
         // begun at +0.0
         let gw = grads.slot(self.w, store.get(self.w).shape());
-        // lint: allow(L007) exact-zero sparsity skip, as the row-vector `matmul` skips
+        // exact-zero sparsity skip, as the row-vector `matmul` skips
         for (&xi, row) in x.iter().zip(gw.chunks_exact_mut(self.out_dim)).filter(|(&xi, _)| xi != 0.0) {
             for (acc, &g) in row.iter_mut().zip(gy) {
                 *acc += xi * g;

@@ -324,7 +324,7 @@ impl Tensor {
                 let arow = &self.data[i * k..(i + 1) * k];
                 let orow = &mut out[i * n..(i + 1) * n];
                 for (p, &a) in arow.iter().enumerate() {
-                    // lint: allow(L007) exact-zero sparsity skip; any nonzero (or NaN) takes the dense path
+                    // exact-zero sparsity skip; any nonzero (or NaN) takes the dense path
                     if a == 0.0 {
                         continue; // one-hot inputs make lhs extremely sparse
                     }
