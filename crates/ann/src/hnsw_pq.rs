@@ -31,7 +31,7 @@
 //! batched path and any pool width return bit-identical results.
 
 use crate::hnsw::{HnswConfig, HnswIndex};
-use crate::index::{batch_grain, AnnIndex};
+use crate::index::AnnIndex;
 use crate::kernels;
 use crate::pq::{PqConfig, ProductQuantizer};
 use crate::sq8::{LineAligned, Sq8Rows};
@@ -130,8 +130,8 @@ impl<'a> Beam<'a> {
 }
 
 std::thread_local! {
-    /// Searches on the calling thread reuse one scratch per thread; a
-    /// batch fanned out over the pool threads its own per-chunk scratch.
+    /// Every search reuses its thread's scratch, a pool worker's too, so
+    /// a batch builds none per chunk.
     static SCRATCH: std::cell::RefCell<Scratch> = std::cell::RefCell::new(Scratch::default());
 }
 
@@ -438,26 +438,6 @@ impl AnnIndex for HnswPqIndex {
 
     fn search_counted(&self, query: &[f32], k: usize) -> (Vec<Neighbor>, u64) {
         SCRATCH.with(|s| self.search_with_scratch(query, k, &mut s.borrow_mut()))
-    }
-
-    /// Batch search; `threads > 1` fans queries out over the persistent
-    /// pool with one scratch (ADC table + bitset) per chunk. Results are
-    /// bit-identical to the single-query path at any width.
-    fn search_batch(&self, queries: &VectorSet, k: usize, threads: usize) -> Vec<Vec<Neighbor>> {
-        let n = queries.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let threads = threads.max(1).min(n);
-        if threads == 1 {
-            return (0..n).map(|i| self.search_counted(queries.get(i), k).0).collect();
-        }
-        emblookup_pool::Pool::global().parallel_map_with(
-            n,
-            batch_grain(n, threads),
-            Scratch::default,
-            |scratch, i| self.search_with_scratch(queries.get(i), k, scratch).0,
-        )
     }
 }
 

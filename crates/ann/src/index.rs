@@ -52,7 +52,7 @@ pub trait AnnIndex: Send + Sync {
 }
 
 /// Pool chunk size for an `n`-query batch at `threads`: two chunks per
-/// thread so a slow chunk can be stolen around.
+/// thread so an idle thread can take a chunk a slow one has not reached.
 pub(crate) fn batch_grain(n: usize, threads: usize) -> usize {
     n.div_ceil(threads * 2).max(1)
 }

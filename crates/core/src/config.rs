@@ -48,7 +48,7 @@ impl Compression {
         Compression::Pq { m: 8, ks: 256 }
     }
 
-    /// Short backend label: `flat`, `pq`, `pca`, `ivf`, `hnsw` or `hnswpq`.
+    /// Short backend label: `flat`, `pq`, `pca` or `hnswpq`.
     pub fn name(&self) -> &'static str {
         match self {
             Compression::None => "flat",

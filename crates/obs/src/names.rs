@@ -153,8 +153,6 @@ names! {
     POOL_TASKS => "pool.tasks",
     /// Gauge: tasks currently queued in the compute pool.
     POOL_QUEUE_DEPTH => "pool.queue.depth",
-    /// Counter of tasks stolen from another worker's deque.
-    POOL_STEALS => "pool.steal",
     /// Trace span: root of one served HTTP request.
     SPAN_SERVE_REQUEST => "serve.request",
     /// Trace span: root of one traced library-level lookup.

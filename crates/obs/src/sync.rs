@@ -14,7 +14,7 @@
 //! | [`RelaxedU64`] | statistics, id allocators, the virtual clock | everything `Relaxed` |
 //! | [`Flag`] | one-way state publication (shutdown, resolved kernel) | `set` = `Release`, `get` = `Acquire` |
 //! | [`RingHead`] | overwrite-oldest ring cursor | `claim` = `fetch_add(Release)`, `get` = `Acquire` |
-//! | [`RefCount`] | outstanding-work counts that gate a wake-up or a free | `inc`/`dec` = `AcqRel`, `get` = `Acquire` |
+//! | [`RefCount`] | outstanding-work counts that gate a wake-up or a free | `dec` = `AcqRel`, `get` = `Acquire` |
 //! | [`SeqPair`] | a `(u64, u64)` pair read untorn without a lock | loads `Acquire`, stores `Release`, claim CAS `AcqRel` |
 //!
 //! Why each protocol needs these orderings is argued on its type.
@@ -137,7 +137,8 @@ impl RingHead {
 
 /// Count of outstanding work items. The decrement carries `Release`
 /// so the thread that observes zero (`Acquire`) also observes the work
-/// every earlier decrementer completed; both directions are `AcqRel`.
+/// every earlier decrementer completed; it is `AcqRel`, so the last
+/// decrementer observes that work too.
 #[derive(Debug)]
 #[repr(transparent)]
 pub struct RefCount(AtomicUsize);
@@ -147,12 +148,6 @@ impl RefCount {
     #[inline]
     pub const fn new(n: usize) -> Self {
         RefCount(AtomicUsize::new(n))
-    }
-
-    /// Adds `n` and returns the previous count.
-    #[inline]
-    pub fn inc(&self, n: usize) -> usize {
-        self.0.fetch_add(n, AcqRel)
     }
 
     /// Subtracts one and returns the previous count (`1` means the

@@ -1,23 +1,25 @@
 //! # emblookup-pool
 //!
-//! A persistent work-stealing compute pool built on std primitives only —
+//! A persistent fork-join compute pool built on std primitives only —
 //! the shared parallel substrate behind bulk embedding, batched ANN
 //! search, k-means assignment and minibatch training.
 //!
-//! Before this crate, every batched call site spawned fresh OS threads
-//! through `std::thread::scope`, paying thread start-up per call. The
-//! pool keeps its workers alive for the process lifetime (FAISS-style)
-//! and hands out work through per-worker deques plus a global injector:
+//! The workers live for the process (FAISS-style), so a batched call
+//! pays no thread start-up. Every queued chunk of every job sits in one
+//! queue behind one lock, with one condvar beside it:
 //!
-//! * a submitting worker pushes chunks onto **its own deque** and pops
-//!   them LIFO (cache-warm); idle workers **steal FIFO** from the other
-//!   end or from the injector;
-//! * the **caller participates**: while waiting for its job it executes
-//!   pending tasks instead of blocking, which makes nested
-//!   [`Pool::parallel_map`] calls deadlock-free even on a single worker;
+//! * the condvar is notified under the queue lock on a push, on a job's
+//!   last chunk and on shutdown, so no wake-up can be lost and no wait
+//!   needs a timeout;
+//! * workers take the **newest** task;
+//! * the **caller participates**: while waiting for its job it runs that
+//!   job's queued chunks, and **only that job's**. Every waiter can drain
+//!   its own job, so nested [`Pool::parallel_map`] calls cannot deadlock,
+//!   even on a single worker; a waiter that ran other jobs' chunks would
+//!   return only when the longest of them ended;
 //! * task closures borrow from the caller's stack. This is safe because
 //!   the submitting call does not return until every chunk of its job
-//!   has completed (the job handle counts outstanding chunks).
+//!   has completed (the job counts outstanding chunks).
 //!
 //! Sizing is resolved once per process by [`default_threads`]
 //! (`EMBLOOKUP_THREADS` override, else `available_parallelism() - 1`,
@@ -41,18 +43,16 @@ use emblookup_obs::names;
 use emblookup_obs::sync::{Flag, RefCount};
 use emblookup_obs::{Counter, Gauge};
 use std::any::Any;
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// Locks a mutex, ignoring poison: pool state stays consistent because
 /// every critical section is a plain field update and task panics are
 /// already contained by `catch_unwind` before completion bookkeeping.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    // The pool's bounded critical sections are its documented design (DESIGN.md: work-stealing pool)
+    // The pool's bounded critical sections are its documented design (DESIGN.md §7)
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -91,16 +91,16 @@ impl std::error::Error for TaskPanic {}
 
 /// One outstanding fork-join invocation: a lifetime- and
 /// type-erased chunk runner plus completion bookkeeping. The raw pointer
-/// stays valid because the submitting call blocks (work-helping) until
-/// `pending` reaches zero, and only then lets the pointee drop.
+/// stays valid because the submitting call blocks (running the job's
+/// queued chunks) until `pending` reaches zero, and only then lets the
+/// pointee drop.
 struct JobCore {
     data: *const (),
     call: unsafe fn(*const (), usize, usize),
-    /// Chunks outstanding; the zero observer frees `data`.
+    /// Chunks outstanding; the submitter returns, freeing `data`, once
+    /// it reads zero under the queue lock.
     pending: RefCount,
     panic_payload: Mutex<Option<Box<dyn Any + Send>>>,
-    done: Mutex<bool>,
-    done_cv: Condvar,
 }
 
 // SAFETY: `data` points at a `Sync` closure owned by the submitting
@@ -162,8 +162,6 @@ fn job_for<F: Fn(usize, usize) + Sync>(runner: &F, pending: usize) -> Arc<JobCor
         call: call_chunk::<F>,
         pending: RefCount::new(pending),
         panic_payload: Mutex::new(None),
-        done: Mutex::new(false),
-        done_cv: Condvar::new(),
     })
 }
 
@@ -176,68 +174,22 @@ struct Task {
 }
 
 struct Shared {
-    /// One deque per worker; owners pop LIFO, thieves steal FIFO.
-    deques: Vec<Mutex<VecDeque<Task>>>,
-    /// Overflow queue for submissions from non-worker threads.
-    injector: Mutex<VecDeque<Task>>,
-    /// Tasks currently sitting in any queue (not yet picked up).
-    /// Gates the worker sleep/wake handshake.
-    queued: RefCount,
-    sleep: Mutex<()>,
+    /// Queued chunks of every outstanding job, oldest first.
+    queue: Mutex<VecDeque<Task>>,
+    /// Notified under `queue` on a push, on a job's last chunk and on
+    /// shutdown: idle workers wait here for a task, submitters for
+    /// their job.
     wake: Condvar,
     /// One-way shutdown publication to workers.
     shutdown: Flag,
     tasks_total: Arc<Counter>,
-    steals: Arc<Counter>,
     queue_depth: Arc<Gauge>,
 }
 
 impl Shared {
-    fn note_enqueued(&self, added: usize) {
-        // `push_tasks` publishes the tasks before it counts them, so a
-        // thief's `note_dequeued` can land first and take the count
-        // through zero; it wraps there and back, and so must this sum.
-        let now = self.queued.inc(added).wrapping_add(added);
-        self.queue_depth.set(now as f64);
-    }
-
-    fn note_dequeued(&self) {
-        let prev = self.queued.dec();
-        self.queue_depth.set(prev.saturating_sub(1) as f64);
-    }
-
-    /// Pops a task: own deque back (LIFO) first when called from worker
-    /// `me`, then the injector, then the other deques' front (steal).
-    fn find_task(&self, me: Option<usize>) -> Option<Task> {
-        if let Some(i) = me {
-            if let Some(t) = lock(&self.deques[i]).pop_back() {
-                self.note_dequeued();
-                return Some(t);
-            }
-        }
-        if let Some(t) = lock(&self.injector).pop_front() {
-            self.note_dequeued();
-            return Some(t);
-        }
-        let n = self.deques.len();
-        let start = me.map(|i| i + 1).unwrap_or(0);
-        for off in 0..n {
-            let j = (start + off) % n;
-            if Some(j) == me {
-                continue;
-            }
-            if let Some(t) = lock(&self.deques[j]).pop_front() {
-                self.note_dequeued();
-                self.steals.inc();
-                return Some(t);
-            }
-        }
-        None
-    }
-
     /// Runs one task under `catch_unwind`: a panic records the first
-    /// payload on its job, and the last chunk signals completion.
-    fn run_task(&self, task: Task) {
+    /// payload on its job. True when the task was its job's last chunk.
+    fn run_task(&self, task: Task) -> bool {
         self.tasks_total.inc();
         let Task { job, lo, hi } = task;
         let result = panic::catch_unwind(AssertUnwindSafe(|| job.run_chunk(lo, hi)));
@@ -247,55 +199,31 @@ impl Shared {
                 *slot = Some(payload);
             }
         }
-        if job.pending.dec() == 1 {
-            let mut done = lock(&job.done);
-            *done = true;
-            job.done_cv.notify_all();
-        }
-    }
-
-    fn push_tasks(&self, tasks: Vec<Task>, me: Option<usize>) {
-        let n = tasks.len();
-        match me {
-            Some(i) => lock(&self.deques[i]).extend(tasks),
-            None => lock(&self.injector).extend(tasks),
-        }
-        self.note_enqueued(n);
-        // taking the sleep lock orders this notify after any in-progress
-        // queue check inside the workers' park sequence
-        let _g = lock(&self.sleep);
-        self.wake.notify_all();
+        job.pending.dec() == 1
     }
 }
 
-thread_local! {
-    /// `(Shared address, worker index)` of the pool this thread works for.
-    static WORKER: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
-}
-
-fn worker_loop(shared: Arc<Shared>, me: usize) {
-    WORKER.with(|w| w.set(Some((Arc::as_ptr(&shared) as usize, me))));
+fn worker_loop(shared: &Shared) {
+    let mut queue = lock(&shared.queue);
     loop {
-        if let Some(task) = shared.find_task(Some(me)) {
-            shared.run_task(task);
-            continue;
-        }
-        if shared.shutdown.is_raised() {
-            break;
-        }
-        let guard = lock(&shared.sleep);
-        if shared.queued.get() == 0 && !shared.shutdown.is_raised() {
-            // timed wait as a lost-wakeup backstop; producers notify under
-            // the same lock, so this normally wakes promptly on new work
-            let _ = shared
-                .wake
-                .wait_timeout(guard, Duration::from_millis(50))
-                .unwrap_or_else(PoisonError::into_inner);
+        if let Some(task) = queue.pop_back() {
+            shared.queue_depth.set(queue.len() as f64);
+            drop(queue);
+            let finished = shared.run_task(task);
+            queue = lock(&shared.queue);
+            if finished {
+                // the job's submitter may be waiting on `wake`
+                shared.wake.notify_all();
+            }
+        } else if shared.shutdown.is_raised() {
+            return;
+        } else {
+            queue = shared.wake.wait(queue).unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
 
-/// Persistent work-stealing pool; see the crate docs for the design.
+/// Persistent fork-join pool; see the crate docs for the design.
 pub struct Pool {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
@@ -311,25 +239,21 @@ impl Pool {
         let workers = threads.max(1) - 1;
         let reg = emblookup_obs::global();
         let shared = Arc::new(Shared {
-            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            injector: Mutex::new(VecDeque::new()),
-            queued: RefCount::new(0),
-            sleep: Mutex::new(()),
+            queue: Mutex::new(VecDeque::new()),
             wake: Condvar::new(),
             shutdown: Flag::new(0),
             tasks_total: reg.counter(names::POOL_TASKS),
-            steals: reg.counter(names::POOL_STEALS),
             queue_depth: reg.gauge(names::POOL_QUEUE_DEPTH),
         });
         let handles = (0..workers)
             .filter_map(|i| {
                 let shared = Arc::clone(&shared);
-                // a failed spawn only narrows parallelism: the missing
-                // worker's deque is still drained through steals
+                // a failed spawn only narrows parallelism: every waiter
+                // still drains its own job
                 std::thread::Builder::new()
                     // Once per worker at pool construction, never per task
                     .name(format!("emblookup-pool-{i}"))
-                    .spawn(move || worker_loop(shared, i))
+                    .spawn(move || worker_loop(&shared))
                     .ok()
             })
             .collect();
@@ -345,16 +269,7 @@ impl Pool {
 
     /// Total parallelism of this pool (workers + the submitting thread).
     pub fn threads(&self) -> usize {
-        self.shared.deques.len() + 1
-    }
-
-    /// Worker index when the current thread belongs to this pool.
-    fn current_worker(&self) -> Option<usize> {
-        let key = Arc::as_ptr(&self.shared) as usize;
-        WORKER.with(|w| match w.get() {
-            Some((pool, idx)) if pool == key => Some(idx),
-            _ => None,
-        })
+        self.workers.len() + 1
     }
 
     /// Maps `f` over `0..n` into a `Vec` in index order, computing the
@@ -470,7 +385,8 @@ impl Pool {
     }
 
     /// Splits `0..n` into chunks and executes `runner(lo, hi)` for each
-    /// across the pool, helping from the calling thread until done.
+    /// across the pool; the calling thread runs the job's queued chunks
+    /// and waits for the ones other threads took.
     fn run_chunked<F>(&self, n: usize, grain: usize, runner: &F) -> Result<(), TaskPanic>
     where
         F: Fn(usize, usize) + Sync,
@@ -479,7 +395,7 @@ impl Pool {
             return Ok(());
         }
         let grain = grain.max(1);
-        let workers = self.shared.deques.len();
+        let workers = self.workers.len();
         // enough chunks for balance, not so many that queue traffic wins
         let max_chunks = (workers + 1) * 4;
         let chunks = n.div_ceil(grain).min(max_chunks).max(1);
@@ -491,47 +407,34 @@ impl Pool {
             return result.map_err(|p| TaskPanic::from_payload(p.as_ref()));
         }
         let chunk = n.div_ceil(chunks);
-        let ranges: Vec<(usize, usize)> = (0..chunks)
-            .map(|t| (t * chunk, ((t + 1) * chunk).min(n)))
-            .filter(|&(lo, hi)| lo < hi)
-            .collect();
-        let job = job_for(runner, ranges.len());
-        let me = self.current_worker();
-        let tasks = ranges
-            .into_iter()
-            .map(|(lo, hi)| Task { job: Arc::clone(&job), lo, hi })
-            .collect();
-        self.shared.push_tasks(tasks, me);
-        self.help_until_done(&job);
+        let tasks = n.div_ceil(chunk);
+        let job = job_for(runner, tasks);
+        let mut queue = lock(&self.shared.queue);
+        queue.extend((0..tasks).map(|t| Task {
+            job: Arc::clone(&job),
+            lo: t * chunk,
+            hi: ((t + 1) * chunk).min(n),
+        }));
+        self.shared.queue_depth.set(queue.len() as f64);
+        self.shared.wake.notify_all();
+        // only this job's chunks: every waiter can drain its own job
+        while job.pending.get() > 0 {
+            let mine = queue.iter().rposition(|t| Arc::ptr_eq(&t.job, &job));
+            match mine.and_then(|at| queue.remove(at)) {
+                Some(task) => {
+                    self.shared.queue_depth.set(queue.len() as f64);
+                    drop(queue);
+                    self.shared.run_task(task);
+                    queue = lock(&self.shared.queue);
+                }
+                None => queue = self.shared.wake.wait(queue).unwrap_or_else(PoisonError::into_inner),
+            }
+        }
+        drop(queue);
         let panicked = lock(&job.panic_payload).take();
         match panicked {
             Some(payload) => Err(TaskPanic::from_payload(payload.as_ref())),
             None => Ok(()),
-        }
-    }
-
-    /// Executes pending tasks (any job) until `job` completes; parks on
-    /// the job's condvar only when no runnable task exists.
-    fn help_until_done(&self, job: &Arc<JobCore>) {
-        let me = self.current_worker();
-        loop {
-            if *lock(&job.done) {
-                return;
-            }
-            if let Some(task) = self.shared.find_task(me) {
-                self.shared.run_task(task);
-                continue;
-            }
-            let guard = lock(&job.done);
-            if *guard {
-                return;
-            }
-            // short timeout: a nested job may enqueue helpable tasks
-            // without signalling this job's condvar
-            let _ = job
-                .done_cv
-                .wait_timeout(guard, Duration::from_millis(1))
-                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
@@ -540,7 +443,7 @@ impl Drop for Pool {
     fn drop(&mut self) {
         self.shared.shutdown.raise();
         {
-            let _g = lock(&self.shared.sleep);
+            let _queue = lock(&self.shared.queue);
             self.shared.wake.notify_all();
         }
         for handle in self.workers.drain(..) {
@@ -586,16 +489,6 @@ mod tests {
             });
             assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
         }
-    }
-
-    #[test]
-    fn a_dequeue_counted_before_its_enqueue_wraps_and_recovers() {
-        // the interleaving `push_tasks` allows: a task is stolen between
-        // the deque's `extend` and `note_enqueued`
-        let pool = Pool::with_threads(1);
-        pool.shared.note_dequeued();
-        pool.shared.note_enqueued(2);
-        assert_eq!(pool.shared.queued.get(), 1);
     }
 
     #[test]

@@ -8,8 +8,12 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release --offline =="
 cargo build --release --offline
 
-# Tests run twice: pinned to one thread (pure serial pool paths) and at the
-# machine default. Batch kernels write disjoint output slots, so both
+# Tests run twice: pinned to one thread (pure serial pool paths) and at
+# width 2, the benchmark's, where the pool has a worker. The second run
+# is pinned, not the machine default: on a two-core box the default is
+# available_parallelism() - 1 = 1, which would repeat the first run and
+# never show the root package's tests (alloc_budget, end_to_end, ...) a
+# pool worker. Batch kernels write disjoint output slots, so both
 # configurations must produce identical results — divergence is a bug.
 # --workspace: the root package alone is 9 test binaries; every crate's
 # unit and integration tests are part of the gate. That includes the
@@ -21,25 +25,24 @@ cargo build --release --offline
 echo "== cargo test -q --offline --workspace (EMBLOOKUP_THREADS=1) =="
 EMBLOOKUP_THREADS=1 cargo test -q --offline --workspace
 
-echo "== cargo test -q --offline --workspace (default threads) =="
-cargo test -q --offline --workspace
+echo "== cargo test -q --offline --workspace (EMBLOOKUP_THREADS=2) =="
+EMBLOOKUP_THREADS=2 cargo test -q --offline --workspace
 
-# On a two-core box the default width is 1 as well, and the rule that
-# decides whether a shard fan-out goes to the pool or stays on the
-# request's thread only has two sides when the pool has workers: the
-# pool and serve suites run again at widths 2 and 4. The task count
+# The pool and serve suites run once more at width 4, where a shard
+# attempt's own search is chunked too. The task count
 # tests/fanout_tasks.rs pins for a bulk of 32 over 2 shards — the
 # embedding pass, plus one task per shard attempt, plus each attempt's
 # own `search_batch` chunks once its share of the pool (width /
 # attempts) is above one thread — reads +1 at width 1, +2 at widths 2-3
-# and +2 + 2 x 4 at width 4, so the loop sees all three. The ann suite
-# rides along: the HNSW build runs each batch's two phases on the global
-# pool, and its identity tests against the batched oracle only reach the
-# parallel arms when the pool has workers.
-for width in 2 4; do
-    echo "== cargo test -q --offline -p emblookup-pool -p emblookup-serve -p emblookup-ann (EMBLOOKUP_THREADS=$width) =="
-    EMBLOOKUP_THREADS=$width cargo test -q --offline -p emblookup-pool -p emblookup-serve -p emblookup-ann
-done
+# and +2 + 2 x 4 at width 4, so widths 1, 2 and 4 see all three. The
+# ann suite rides along: the HNSW build runs each batch's two phases on
+# the global pool, and its identity tests against the batched oracle
+# reach more parallel arms with more workers. alloc_budget rides along
+# too: its bulk budgets grow with the pool width.
+echo "== cargo test -q --offline -p emblookup-pool -p emblookup-serve -p emblookup-ann (EMBLOOKUP_THREADS=4) =="
+EMBLOOKUP_THREADS=4 cargo test -q --offline -p emblookup-pool -p emblookup-serve -p emblookup-ann
+echo "== cargo test -q --offline -p emblookup --test alloc_budget (EMBLOOKUP_THREADS=4) =="
+EMBLOOKUP_THREADS=4 cargo test -q --offline -p emblookup --test alloc_budget
 
 # The benchmark package is a workspace of its own (path dependencies on
 # crates/*), so --workspace never compiles it: without these two lines a

@@ -171,8 +171,10 @@ fn query_path_stays_inside_its_allocation_budget() {
         // the neighbour list, the entity list — and a per-call part that
         // grows with the pool width: a scratch and a task per chunk, the
         // result slots, the batch's query matrix (8 at width 1, 38 at 2,
-        // 85 at 8 when this was written). HnswPq's chunks also build a
-        // search scratch each: 8 at width 1, 70 at 2, 119 at 4, 213 at 8.
+        // 85 at 8 when this was written). HnswPq searches in each
+        // thread's warm scratch, so it allocates what flat does; its
+        // budget keeps the larger per-chunk part it had when its chunks
+        // built a scratch each.
         let batch: Vec<&str> = queries.iter().copied().cycle().take(256).collect();
         service.bulk_lookup(&batch, 10);
         let bulk = allocations(|| drop(service.bulk_lookup(&batch, 10)));
