@@ -21,14 +21,12 @@
 //!   span ids are allocated in creation order so the tree shape is
 //!   deterministic, and [`TraceClock`] can share a virtual-nanosecond
 //!   counter with a deadline clock for bit-identical capture under
-//!   fault injection. Completed [`TraceData`] lands in the fixed-size
-//!   overwrite-oldest [`FlightRecorder`] ring; a [`TailSampler`]
-//!   promotes traces judged interesting after the fact (slow, shed,
-//!   degraded, error, panic — [`Trigger`]) into per-class retained
-//!   buffers, and [`TraceHub`] bundles both behind one `publish()`.
-//!   Export as JSON ([`TraceData::to_json`]) or Chrome `trace_event`
-//!   ([`traces_to_chrome_json`]); [`Histogram`] exemplars link a
-//!   `/metrics` percentile line back to the trace id that produced it.
+//!   fault injection. A completed tree is an immutable [`TraceData`]:
+//!   export it as JSON ([`TraceData::to_json`]) or Chrome `trace_event`
+//!   ([`traces_to_chrome_json`]). Storing traces is the server's
+//!   business (`emblookup-serve` keeps the recent and the tail-sampled
+//!   ones); [`Histogram`] exemplars link a `/metrics` percentile line
+//!   back to the trace id that produced it.
 //!
 //! ```
 //! use emblookup_obs::{self as obs, names};
@@ -50,8 +48,6 @@
 pub mod export;
 pub mod fmt;
 pub mod names;
-pub mod ring;
-pub mod sample;
 #[expect(clippy::disallowed_types, reason = "the one module that may name std::sync::atomic")]
 pub mod sync;
 pub mod trace;
@@ -64,8 +60,6 @@ pub use fmt::{fmt_duration, fmt_nanos};
 pub use hist::{Exemplar, Histogram, HistogramSnapshot};
 pub use json::escape_json;
 pub use registry::{global, Counter, Gauge, MetricsRegistry, MetricsSnapshot};
-pub use ring::FlightRecorder;
-pub use sample::{RetainedTrace, TailSampler, TraceHub, Trigger};
 pub use span::Span;
 pub use trace::{
     format_trace_id, parse_trace_id, trace_id_from_index, traces_to_chrome_json, AnnoValue,

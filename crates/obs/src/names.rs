@@ -169,12 +169,10 @@ names! {
     SPAN_STAGE_RANK => "stage.rank",
     /// Trace span: one shard's slice of a scatter-gather search.
     SPAN_STAGE_SHARD => "stage.shard",
-    /// Counter of traces stored in the flight recorder.
+    /// Counter of traces published to the server's trace store.
     TRACE_RECORDED => "trace.recorded",
-    /// Counter of traces promoted to the tail-sampled retained buffer.
+    /// Counter of published traces the tail sampler retained.
     TRACE_RETAINED => "trace.retained",
-    /// Counter of traces dropped to flight-recorder slot contention.
-    TRACE_DROPPED => "trace.dropped",
 }
 
 #[cfg(test)]

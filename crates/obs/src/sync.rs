@@ -3,7 +3,7 @@
 //! This is the only library module that may name `std::sync::atomic`:
 //! `clippy.toml` lists the atomic types under `disallowed-types`, and
 //! this module's `#[expect]` is the one exemption. Every atomic elsewhere is one
-//! of the five types below, and each method hard-codes the `Ordering`
+//! of the four types below, and each method hard-codes the `Ordering`
 //! its protocol needs — a call site cannot choose one, so it cannot
 //! choose a wrong one. Need an atomic? Pick a type. Need a protocol
 //! that is not here? Add it to this file together with a test that
@@ -13,7 +13,6 @@
 //! |---|---|---|
 //! | [`RelaxedU64`] | statistics, id allocators, the virtual clock | everything `Relaxed` |
 //! | [`Flag`] | one-way state publication (shutdown, resolved kernel) | `set` = `Release`, `get` = `Acquire` |
-//! | [`RingHead`] | overwrite-oldest ring cursor | `claim` = `fetch_add(Release)`, `get` = `Acquire` |
 //! | [`RefCount`] | outstanding-work counts that gate a wake-up or a free | `dec` = `AcqRel`, `get` = `Acquire` |
 //! | [`SeqPair`] | a `(u64, u64)` pair read untorn without a lock | loads `Acquire`, stores `Release`, claim CAS `AcqRel` |
 //!
@@ -104,34 +103,6 @@ impl Flag {
     #[inline]
     pub fn is_raised(&self) -> bool {
         self.get() != 0
-    }
-}
-
-/// Cursor of an overwrite-oldest ring. Its value *is* the claim that
-/// the slots below it were written, so `claim` advances it with a
-/// `Release` `fetch_add` and scanners `get` it with `Acquire` before
-/// touching slots.
-#[derive(Debug)]
-#[repr(transparent)]
-pub struct RingHead(AtomicU64);
-
-impl RingHead {
-    /// A head at ticket `v`.
-    #[inline]
-    pub const fn new(v: u64) -> Self {
-        RingHead(AtomicU64::new(v))
-    }
-
-    /// Advances the head by one and returns the claimed ticket.
-    #[inline]
-    pub(crate) fn claim(&self) -> u64 {
-        self.0.fetch_add(1, Release)
-    }
-
-    /// Current head.
-    #[inline]
-    pub(crate) fn get(&self) -> u64 {
-        self.0.load(Acquire)
     }
 }
 
@@ -285,12 +256,6 @@ mod tests {
         let flag = Flag::new(0);
         publishes_payload(|n| flag.set(n as u8), || u64::from(flag.get()));
         assert!(flag.is_raised());
-    }
-
-    #[test]
-    fn ring_head_claim_publishes_earlier_writes() {
-        let head = RingHead::new(0);
-        publishes_payload(|n| assert_eq!(head.claim(), n - 1), || head.get());
     }
 
     #[test]

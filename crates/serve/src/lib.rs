@@ -78,6 +78,7 @@ mod http;
 pub mod json;
 mod ladder;
 mod server;
+mod traces;
 
 pub use faults::{FaultConfig, StageFaults};
 pub use server::Server;
@@ -101,7 +102,8 @@ pub struct ServeConfig {
     /// Fault injection plan; `None` (the default) injects nothing.
     pub faults: Option<FaultConfig>,
     /// Slow-trace threshold in milliseconds; `0` (the default) adapts
-    /// to twice the observed p99 once 64 requests have completed.
+    /// to twice the `serve.latency` p99, re-read every 64th request
+    /// (nothing is slow before the 64th).
     pub slow_trace_ms: u64,
     /// Number of index shards the full rung scatter-gathers. At `1`
     /// (the default; `0` means the same) the index of the service passed

@@ -74,10 +74,10 @@
 //! threaded explicitly through the handler: every stage gets a child
 //! span, and the full-rung search hangs one `stage.shard` span per
 //! attempted shard under `stage.search` (a `/lookup`'s carry the ANN
-//! backend's `backend` / `visited`, a bulk's its `queries`). Completed
-//! trees always land in the flight-recorder ring; slow / shed /
-//! degraded / errored / panicked requests are additionally tail-sampled
-//! into the retained buffer served by `GET /debug/traces`. Under the
+//! backend's `backend` / `visited`, a bulk's its `queries`). Every
+//! completed tree is published to the trace store (`traces.rs`) before
+//! its response is written; slow / shed / degraded / errored / panicked
+//! ones are also retained there for `GET /debug/traces`. Under the
 //! virtual-time fault harness the trace clock shares the deadline
 //! clock's nanosecond counter, so captured durations are deterministic.
 
@@ -87,6 +87,7 @@ use crate::health::{Change, Health, Outcome};
 use crate::http::{read_request, write_response, Request, Response};
 use crate::json::{self, Json};
 use crate::ladder::{Ladder, Rung};
+use crate::traces::{Traces, Trigger};
 use crate::ServeConfig;
 use emblookup_ann::VectorSet;
 use emblookup_core::{merge_topk, EmbLookup, EmbLookupModel, EntityIndex, ShardedIndex};
@@ -94,9 +95,8 @@ use emblookup_kg::{EntityId, KnowledgeGraph};
 use emblookup_obs::names;
 use emblookup_obs::sync::{Flag, RelaxedU64};
 use emblookup_obs::{
-    escape_json, format_trace_id, parse_trace_id, trace_id_from_index, traces_to_chrome_json, AnnoValue,
-    Counter, Gauge, Histogram, MetricsRegistry, RetainedTrace, Trace, TraceClock, TraceData,
-    TraceHub, TraceSpan, Trigger,
+    escape_json, format_trace_id, parse_trace_id, trace_id_from_index, AnnoValue, Counter, Gauge,
+    Histogram, MetricsRegistry, Trace, TraceClock, TraceData, TraceSpan,
 };
 use emblookup_pool::Pool;
 use rand::rngs::StdRng;
@@ -137,13 +137,6 @@ const FALLBACK_CAP: usize = 1024;
 const MAX_BULK: usize = 1024;
 /// Socket read timeout, in milliseconds.
 const READ_TIMEOUT_MS: u64 = 2000;
-/// Flight-recorder capacity: every request's span tree lands in a ring
-/// of this many slots, overwriting the oldest.
-const TRACE_RING_CAP: usize = 256;
-/// Tail-sampled traces retained per trigger class (slow / shed /
-/// degraded / error / panic); total retention is bounded at five times
-/// this.
-const TRACE_RETAIN_PER_TRIGGER: usize = 8;
 /// Base `Retry-After` for shed responses, in milliseconds; the actual
 /// value is jittered deterministically over `[base/2, 3*base/2]`.
 const RETRY_AFTER_MS: u64 = 1000;
@@ -232,29 +225,13 @@ struct ServerState {
     config: ServeConfig,
     registry: Arc<MetricsRegistry>,
     metrics: ServeMetrics,
-    /// Flight recorder + tail sampler every completed trace publishes to.
-    hub: TraceHub,
+    /// Recent and tail-sampled traces; every completed request publishes
+    /// here.
+    traces: Traces,
     /// Request indices in arrival order; the fault layer's replay key.
     seq: RelaxedU64,
     /// Admission: `workers` running, `queue_cap` waiting, the rest shed.
     gate: Gate,
-}
-
-impl ServerState {
-    /// Slow-trace threshold in clock nanoseconds: the configured value,
-    /// or — when `slow_trace_ms` is 0 — twice the observed latency p99
-    /// once 64 requests have completed (nothing is "slow" before that).
-    fn slow_threshold_ns(&self) -> u64 {
-        let ms = self.config.slow_trace_ms;
-        if ms > 0 {
-            return ms.saturating_mul(1_000_000);
-        }
-        if self.metrics.latency.count() >= 64 {
-            self.metrics.latency.snapshot().p99().saturating_mul(2)
-        } else {
-            u64::MAX
-        }
-    }
 }
 
 /// What one request carries from arrival to response.
@@ -331,7 +308,7 @@ impl Server {
             config.workers
         };
         let gate = Gate::new(workers, config.queue_cap);
-        let hub = TraceHub::new(TRACE_RING_CAP, TRACE_RETAIN_PER_TRIGGER, &registry);
+        let traces = Traces::new(config.slow_trace_ms, &registry);
         let index = if config.shards <= 1 {
             ShardedIndex::single(own_index)
         } else {
@@ -355,7 +332,7 @@ impl Server {
             config,
             registry: Arc::clone(&registry),
             metrics,
-            hub,
+            traces,
             seq: RelaxedU64::new(0),
             gate,
         });
@@ -460,19 +437,15 @@ fn connection_loop(stream: TcpStream, state: &ServerState, shutdown: &Flag) {
                 state.metrics.queue_depth.set(state.gate.waiting() as f64);
                 Response::text(200, state.registry.snapshot().to_prometheus())
             }
-            ("GET", "/debug/traces") => Response::json(200, debug_traces_json(state)),
-            ("GET", "/debug/traces/chrome") => {
-                let retained = state.hub.sampler.retained();
-                let traces: Vec<TraceData> = retained.iter().map(|r| (*r.trace).clone()).collect();
-                Response::json(200, traces_to_chrome_json(&traces))
-            }
+            ("GET", "/debug/traces") => Response::json(200, state.traces.listing_json()),
+            ("GET", "/debug/traces/chrome") => Response::json(200, state.traces.chrome_json()),
             ("GET", path) if path.starts_with("/debug/traces/") => {
                 let found = path
                     .strip_prefix("/debug/traces/")
                     .and_then(parse_trace_id)
-                    .and_then(|id| state.hub.find(id));
+                    .and_then(|id| state.traces.find_json(id));
                 match found {
-                    Some(r) => Response::json(200, retained_trace_json(&r)),
+                    Some(body) => Response::json(200, body),
                     None => Response::json(404, "{\"error\":\"trace not found\"}".to_string()),
                 }
             }
@@ -549,7 +522,7 @@ fn shed_response(state: &ServerState, ctx: &RequestCtx, reason: &'static str) ->
     ctx.root.annotate("status", 429u64);
     ctx.root.finish();
     let trace_id = ctx.root.trace().id();
-    state.hub.publish(ctx.root.trace().snapshot(), &[Trigger::Shed]);
+    state.traces.publish(ctx.root.trace().snapshot(), &[Trigger::Shed]);
     let retry_ms = retry_after_ms(ctx.idx);
     Response::json(
         429,
@@ -560,13 +533,10 @@ fn shed_response(state: &ServerState, ctx: &RequestCtx, reason: &'static str) ->
     .with_header("x-emblookup-trace-id", &format_trace_id(trace_id))
 }
 
-/// The trigger classes a completed request hit, derived from its
-/// outcome: the tail-sampling decision.
-fn triggers_for(state: &ServerState, data: &TraceData, panicked: bool, status: u16) -> Vec<Trigger> {
+/// The trigger classes a completed request's outcome hit; whether it
+/// was also slow is for [`Traces::publish`] to decide.
+fn triggers_for(data: &TraceData, panicked: bool, status: u16) -> Vec<Trigger> {
     let mut triggers = Vec::new();
-    if data.duration_ns() >= state.slow_threshold_ns() {
-        triggers.push(Trigger::Slow);
-    }
     if let Some(AnnoValue::Str(rung)) = data.root_annotation("rung") {
         if rung != Rung::Full.name() {
             triggers.push(Trigger::Degraded);
@@ -613,58 +583,15 @@ fn admit(state: &ServerState, req: &Request) -> Response {
     ctx.root.annotate("status", u64::from(resp.status));
     ctx.root.finish();
     let data = ctx.root.trace().snapshot();
-    let triggers = triggers_for(state, &data, panicked, resp.status);
+    let triggers = triggers_for(&data, panicked, resp.status);
     // Published before the response is written: a client that saw the
     // answer can always fetch its trace.
-    state.hub.publish(data, &triggers);
+    state.traces.publish(data, &triggers);
     state
         .metrics
         .latency
         .record_duration_with_exemplar(start.elapsed(), trace_id);
     resp.with_header("x-emblookup-trace-id", &format_trace_id(trace_id))
-}
-
-/// One retained trace as `{"triggers":[…],"trace":{…}}`.
-fn retained_trace_json(r: &RetainedTrace) -> String {
-    let mut out = String::from("{\"triggers\":[");
-    for (i, t) in r.triggers.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        out.push_str(t.name());
-        out.push('"');
-    }
-    out.push_str("],\"trace\":");
-    out.push_str(&r.trace.to_json());
-    out.push('}');
-    out
-}
-
-/// `GET /debug/traces`: retained (tail-sampled) traces with their
-/// triggers, plus the sorted ids currently in the flight-recorder ring.
-fn debug_traces_json(state: &ServerState) -> String {
-    let retained = state.hub.sampler.retained();
-    let mut out = String::from("{\"retained\":[");
-    for (i, r) in retained.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&retained_trace_json(r));
-    }
-    out.push_str("],\"recent\":[");
-    let mut ids: Vec<u64> = state.hub.recorder.recent().iter().map(|t| t.id).collect();
-    ids.sort_unstable();
-    for (i, id) in ids.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        out.push_str(&format_trace_id(*id));
-        out.push('"');
-    }
-    out.push_str("]}");
-    out
 }
 
 fn bad_request(state: &ServerState, why: &str) -> Response {

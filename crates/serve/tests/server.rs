@@ -16,6 +16,7 @@
 use emblookup_core::{EmbLookup, EmbLookupConfig, EmbLookupModel};
 use emblookup_kg::{generate, KnowledgeGraph, SynthKgConfig};
 use emblookup_obs::names::{self, Name};
+use emblookup_obs::sync::Flag;
 use emblookup_obs::MetricsRegistry;
 use emblookup_serve::{client, FaultConfig, ServeConfig, Server, StageFaults};
 use std::sync::{Arc, OnceLock};
@@ -449,7 +450,6 @@ fn traces_capture_stage_trees_and_honor_client_ids() {
     assert_eq!(client::get(addr, "/debug/traces/ffffffffffffffff").unwrap().status, 404);
     assert_eq!(client::get(addr, "/debug/traces/zz").unwrap().status, 404);
     assert_eq!(counter(&registry, names::TRACE_RECORDED), 2);
-    assert_eq!(counter(&registry, names::TRACE_DROPPED), 0);
 }
 
 /// A scripted storm with explicit slow threshold: one request per
@@ -566,6 +566,93 @@ fn latency_exemplar_resolves_to_a_fetchable_trace() {
     let fetched = client::get(addr, &format!("/debug/traces/{id}")).unwrap();
     assert_eq!(fetched.status, 200, "exemplar trace {id} not fetchable");
     assert!(fetched.body.contains(&format!("\"trace_id\":\"{id}\"")));
+}
+
+#[test]
+fn an_answered_request_can_always_fetch_its_trace_while_the_listing_is_scanned() {
+    const LOOKUPS: usize = 3000;
+    let (server, registry) = start(ServeConfig { workers: 2, ..ServeConfig::default() });
+    let addr = server.addr();
+    let (_, kg) = shared_model();
+    let body = format!("{{\"q\":\"{}\",\"k\":3}}", kg.label(emblookup_kg::EntityId(0)));
+    let stop = Flag::new(0);
+    let missed = std::thread::scope(|s| {
+        for _ in 0..3 {
+            s.spawn(|| {
+                let mut conn = client::Connection::open(addr).unwrap();
+                while !stop.is_raised() {
+                    assert_eq!(conn.get("/debug/traces").unwrap().status, 200);
+                }
+            });
+        }
+        let mut conn = client::Connection::open(addr).unwrap();
+        let mut missed = Vec::new();
+        for _ in 0..LOOKUPS {
+            let resp = conn.post_json("/lookup", &body, &[]);
+            let fetched = resp.and_then(|resp| {
+                let id = resp.header("x-emblookup-trace-id").unwrap_or("none").to_string();
+                conn.get(&format!("/debug/traces/{id}")).map(|f| (id, f.status))
+            });
+            match fetched {
+                Ok((_, 200)) => {}
+                Ok((id, status)) => missed.push(format!("{id}: {status}")),
+                Err(e) => missed.push(e.to_string()),
+            }
+        }
+        // Raised before any assertion, so the scanners always stop.
+        stop.raise();
+        missed
+    });
+    assert!(missed.is_empty(), "{} of {LOOKUPS} traces not fetched: {missed:?}", missed.len());
+    assert_eq!(counter(&registry, names::TRACE_RECORDED), LOOKUPS as u64);
+}
+
+#[test]
+fn a_reused_trace_id_fetches_the_newest_trace() {
+    let (server, _registry) = start(ServeConfig { workers: 1, ..ServeConfig::default() });
+    let addr = server.addr();
+    for _ in 0..2 {
+        let resp =
+            client::post_json(addr, "/lookup", "{\"q\":\"x\"}", &[("x-emblookup-trace-id", "7e57")])
+                .unwrap();
+        assert_eq!(resp.status, 200);
+    }
+    let fetched = client::get(addr, "/debug/traces/7e57").unwrap();
+    assert_eq!(fetched.status, 200);
+    // The root span's `request` annotation is the arrival index.
+    assert!(fetched.body.contains("\"request\":1"), "not the second request:\n{}", fetched.body);
+}
+
+#[test]
+fn adaptive_slow_threshold_engages_from_the_64th_request() {
+    // Requests 0–63 run clean; the 64th publication sets the threshold
+    // to twice their p99, and request 64 then sleeps 50 ms in encode.
+    let mut plan = vec![StageFaults::default(); 65];
+    plan[64].encode_latency_ms = 50;
+    let (server, _registry) = start(ServeConfig {
+        workers: 1,
+        faults: Some(FaultConfig::Scripted { plan, virtual_time: false }),
+        ..ServeConfig::default()
+    });
+    let addr = server.addr();
+    let (_, kg) = shared_model();
+    let body = format!("{{\"q\":\"{}\",\"k\":3}}", kg.label(emblookup_kg::EntityId(0)));
+    let mut conn = client::Connection::open(addr).unwrap();
+    for _ in 0..64 {
+        assert_eq!(conn.post_json("/lookup", &body, &[]).unwrap().status, 200);
+    }
+    let listing = conn.get("/debug/traces").unwrap();
+    assert!(!listing.body.contains("\"slow\""), "slow before the refresh:\n{}", listing.body);
+
+    let resp = conn.post_json("/lookup", &body, &[]).unwrap();
+    assert_eq!(resp.status, 200);
+    let id = resp.header("x-emblookup-trace-id").unwrap();
+    let fetched = conn.get(&format!("/debug/traces/{id}")).unwrap();
+    assert!(
+        fetched.body.starts_with("{\"triggers\":[\"slow\"],"),
+        "a 50 ms request was not retained as slow:\n{}",
+        fetched.body
+    );
 }
 
 #[test]

@@ -15,7 +15,7 @@
 //! dot before the first update, and then the metrics registry's table: the
 //! wall-time of every training and index-build stage.
 //!
-//! `trace` talks to the serve layer's flight recorder (DESIGN.md §9):
+//! `trace` talks to the server's trace store (DESIGN.md §9):
 //! without flags it lists retained + recent traces, `--id` pretty-prints
 //! one span tree, and `--chrome` dumps Chrome `trace_event` JSON that
 //! loads in `about:tracing` or <https://ui.perfetto.dev>.
