@@ -4,6 +4,8 @@
 
 use crate::topk::Neighbor;
 use crate::vectors::VectorSet;
+use emblookup_pool::Pool;
+use std::cell::Cell;
 
 /// A built nearest-neighbour index over a fixed set of vectors.
 ///
@@ -40,14 +42,14 @@ pub trait AnnIndex: Send + Sync {
         if n == 0 {
             return Vec::new();
         }
-        let search = |i: usize| self.search_counted(queries.get(i), k).0;
+        let search = |i: usize| as_batch_query(|| self.search_counted(queries.get(i), k).0);
         let threads = threads.max(1).min(n);
         if threads == 1 {
             return (0..n).map(search).collect();
         }
         // each result is written to its own slot, so output is
         // bit-identical across thread counts
-        emblookup_pool::Pool::global().parallel_map(n, batch_grain(n, threads), search)
+        Pool::global().parallel_map(n, batch_grain(n, threads), search)
     }
 }
 
@@ -55,4 +57,44 @@ pub trait AnnIndex: Send + Sync {
 /// thread so an idle thread can take a chunk a slow one has not reached.
 pub(crate) fn batch_grain(n: usize, threads: usize) -> usize {
     n.div_ceil(threads * 2).max(1)
+}
+
+std::thread_local! {
+    /// True while this thread answers one query of a `search_batch`.
+    static IN_BATCH: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Runs `f` as one query of a batch, restoring the thread's mark after
+/// it, also when `f` panics.
+fn as_batch_query<T>(f: impl FnOnce() -> T) -> T {
+    let outer = IN_BATCH.replace(true);
+    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+    IN_BATCH.set(outer);
+    out.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+}
+
+/// The pool one query's full scan may split over: the global pool, or
+/// none for a query of a `search_batch`, whose queries already fill the
+/// pool — so a batch never forks inside its own tasks.
+pub(crate) fn scan_pool() -> Option<&'static Pool> {
+    (!IN_BATCH.get()).then(Pool::global)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_batch_query_marks_its_thread_until_it_returns_or_panics() {
+        assert!(scan_pool().is_some());
+        as_batch_query(|| {
+            assert!(scan_pool().is_none());
+            as_batch_query(|| ());
+            assert!(scan_pool().is_none(), "a nested query must not clear the outer mark");
+        });
+        assert!(scan_pool().is_some());
+        let panicked = std::panic::catch_unwind(|| as_batch_query(|| panic!("a query panicked")));
+        assert!(panicked.is_err());
+        assert!(scan_pool().is_some(), "a panicking query must not leave its thread marked");
+    }
 }

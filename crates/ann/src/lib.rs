@@ -27,6 +27,7 @@ pub mod lsh;
 mod metrics;
 pub mod pca;
 pub mod pq;
+mod scan;
 mod sq8;
 pub mod topk;
 pub mod vectors;

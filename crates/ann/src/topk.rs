@@ -78,6 +78,31 @@ impl TopK {
         }
     }
 
+    /// [`TopK::offer_block`] for one chunk of a split scan (`crate::scan`),
+    /// appending every row a scan over all rows could take to
+    /// `entrants`, in row order: the rows this collector takes, and a NaN
+    /// at index below `k`. A NaN never enters this collector, which then
+    /// holds the `k` smallest other distances, its root the `k`-th. The
+    /// whole scan's collector takes a NaN only while it fills (rows
+    /// `0..k`, logged here), and past that point its root, when not a
+    /// NaN, never grows — NaN never moves in the heap, and every
+    /// parent–child pair without one is ordered — so it is at most the
+    /// `k`-th smallest of any `k` or more other distances before: every
+    /// row it takes is taken here too.
+    pub(crate) fn offer_block_logged(&mut self, base: usize, dists: &[f32], entrants: &mut Vec<Neighbor>) {
+        let mut threshold = self.threshold();
+        for (l, &dist) in dists.iter().enumerate() {
+            let index = base + l;
+            if dist < threshold || (self.heap.len() < self.k && !dist.is_nan()) {
+                self.push(index, dist);
+                entrants.push(Neighbor { index, dist });
+                threshold = self.threshold();
+            } else if dist.is_nan() && index < self.k {
+                entrants.push(Neighbor { index, dist });
+            }
+        }
+    }
+
     /// Consumes the collector, returning hits sorted by ascending distance.
     pub(crate) fn into_sorted(mut self) -> Vec<Neighbor> {
         self.heap.sort_by(|a, b| a.dist.total_cmp(&b.dist));

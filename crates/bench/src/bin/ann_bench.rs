@@ -10,7 +10,8 @@
 //!
 //! Emits `BENCH_ann.json` in the repo root: per-tier, per-backend
 //! `recall_at_10`, `p50_ns`/`p99_ns`, build time and true index bytes,
-//! plus the active distance-kernel variant and the measured speedup of
+//! plus the active distance-kernel variant, the compute pool's width
+//! (`pool_threads`, set by `EMBLOOKUP_THREADS`) and the measured speedup of
 //! the batched 4-lane ADC kernels (contiguous block and gathered by id)
 //! over per-code scoring. Every run, `--smoke` included, exits non-zero
 //! unless the three ADC forms agree to the bit on the bench's own codes.
@@ -21,6 +22,7 @@ use emblookup_ann::{
     kernels, AnnIndex, FlatIndex, HnswConfig, HnswIndex, HnswPqConfig, HnswPqIndex, IvfConfig,
     IvfIndex, PqConfig, PqIndex, VectorSet,
 };
+use emblookup_pool::Pool;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
@@ -330,7 +332,11 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let scale = args.iter().any(|a| a == "--scale");
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    // the width the batches below really run at: the global pool's, which
+    // `EMBLOOKUP_THREADS` sets (else `available_parallelism() - 1`); one
+    // query's flat or PQ scan splits over it too, so `p50_ns` and
+    // `build_ms` both depend on it
+    let threads = Pool::global().threads();
 
     let mut tiers: Vec<(usize, usize)> = if smoke {
         vec![(600, 50)]
@@ -358,14 +364,14 @@ fn main() {
     let mut json = String::new();
     let _ = write!(
         json,
-        "{{\n  \"kernel\": \"{}\",\n  \"dim\": {DIM},\n  \"k\": {K},\n  \"adc_batch_speedup\": {:.2},\n  \"adc_gather_speedup\": {:.2},\n  \"tiers\": [",
+        "{{\n  \"kernel\": \"{}\",\n  \"pool_threads\": {threads},\n  \"dim\": {DIM},\n  \"k\": {K},\n  \"adc_batch_speedup\": {:.2},\n  \"adc_gather_speedup\": {:.2},\n  \"tiers\": [",
         kernels::active(),
         speedup.block,
         speedup.gather
     );
     for (ti, &(n, nq)) in tiers.iter().enumerate() {
         let runs = run_tier(n, nq, threads);
-        println!("\n== tier: {n} entities, {nq} queries x {PASSES} passes, kernel {} ==", kernels::active());
+        println!("\n== tier: {n} entities, {nq} queries x {PASSES} passes, kernel {}, pool width {threads} ==", kernels::active());
         println!(
             "{:<8} {:>10} {:>10} {:>10} {:>10} {:>12}",
             "backend", "recall@10", "p50", "p99", "build_ms", "nbytes"

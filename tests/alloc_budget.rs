@@ -13,6 +13,7 @@
 //! would be counted with them.
 
 use emblookup::core::trainer::run_micro_batch;
+use emblookup::ann::{FlatIndex, VectorSet};
 use emblookup::core::{mine_triplets, EmbLookupModel, EncodeScratch, MiningConfig};
 use emblookup::tensor::optim::GradBuffer;
 use emblookup::embed::sgns::SgnsModel;
@@ -185,6 +186,23 @@ fn query_path_stays_inside_its_allocation_budget() {
             compression.name()
         );
     }
+
+    // One exact search of an index above the flat scan's split grain
+    // (8 192 rows) — the size where one query's scan runs on every pool
+    // thread. On one thread it is the result list, as at 600 entities.
+    // With a worker it adds the pool job and its result slots (4), and
+    // per chunk — one per thread, at most ⌈20 000 / 8 192⌉ = 3 — a
+    // collector and its log of entrants (2): 9 at width 2, 11 at 4 when
+    // this was written.
+    let rows = 20_000;
+    let vectors = VectorSet::from_flat(64, (0..rows * 64).map(|i| (i as f32 * 0.618).sin()).collect());
+    let flat = FlatIndex::new(vectors);
+    let query: Vec<f32> = (0..64).map(|i| (i as f32 * 0.3).cos()).collect();
+    drop(flat.search(&query, 10));
+    let split = allocations(|| drop(flat.search(&query, 10)));
+    let width = emblookup::core::num_threads() as u64;
+    let split_budget = if width == 1 { 1 } else { 5 + 2 * width.min(3) };
+    assert!(split <= split_budget, "a flat search over {rows} rows allocated {split} times (budget {split_budget})");
 
     // Training: with a warm scratch the encoder's forward and backward
     // passes allocate nothing per mention — the activation records, the
