@@ -69,7 +69,7 @@ impl FlatIndex {
         crate::metrics::flat_searches().inc();
         crate::metrics::flat_visited().add(self.vectors.len() as u64);
         let (dim, rows) = (self.vectors.dim(), self.vectors.flat());
-        crate::scan::top_k(self.vectors.len(), k, GRAIN, pool, |lo, out| {
+        crate::scan::top_k(self.vectors.len(), k, pool.map(|pool| (pool, GRAIN)), |lo, out| {
             kernels::sq_l2_block(query, &rows[lo * dim..], out);
         })
     }
@@ -226,14 +226,15 @@ mod tests {
     #[test]
     fn a_split_scan_equals_the_per_row_scan() {
         // ids, distance bits and order at every width, around the grain
-        // and well above it, for k of 1 to past n
+        // and well above it, for k of 1 to past n — usize::MAX included,
+        // which no chunk may reserve or multiply as it stands
         let pools = [1, 2, 4].map(Pool::with_threads);
         for n in [GRAIN - 1, GRAIN, GRAIN + 1, 3 * GRAIN + 7] {
             for shape in 0..3 {
                 let idx = FlatIndex::new(awkward_set(n, shape));
                 let queries = [idx.vectors().get(509).to_vec(), vec![0.25; 8], vec![-0.5; 8]];
                 for q in &queries {
-                    for k in [1, 10, n, n + 5] {
+                    for k in [1, 10, n, n + 5, usize::MAX] {
                         let bits = |hits: Vec<Neighbor>| hits.iter().map(|h| (h.index, h.dist.to_bits())).collect::<Vec<_>>();
                         let want = bits(idx.search_reference(q, k));
                         if k >= n {

@@ -42,7 +42,10 @@ pub trait AnnIndex: Send + Sync {
         if n == 0 {
             return Vec::new();
         }
-        let search = |i: usize| as_batch_query(|| self.search_counted(queries.get(i), k).0);
+        let search = |i: usize| {
+            let _mark = BatchQuery::enter();
+            self.search_counted(queries.get(i), k).0
+        };
         let threads = threads.max(1).min(n);
         if threads == 1 {
             return (0..n).map(search).collect();
@@ -64,16 +67,25 @@ std::thread_local! {
     static IN_BATCH: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Runs `f` as one query of a batch, restoring the thread's mark after
-/// it, also when `f` panics.
-fn as_batch_query<T>(f: impl FnOnce() -> T) -> T {
-    let outer = IN_BATCH.replace(true);
-    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
-    IN_BATCH.set(outer);
-    out.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+/// Marks this thread as answering one query of a batch until dropped,
+/// then restores the mark it found — also when the query panics.
+struct BatchQuery {
+    outer: bool,
 }
 
-/// The pool one query's full scan may split over: the global pool, or
+impl BatchQuery {
+    fn enter() -> Self {
+        BatchQuery { outer: IN_BATCH.replace(true) }
+    }
+}
+
+impl Drop for BatchQuery {
+    fn drop(&mut self) {
+        IN_BATCH.set(self.outer);
+    }
+}
+
+/// The pool one query's flat scan may split over: the global pool, or
 /// none for a query of a `search_batch`, whose queries already fill the
 /// pool — so a batch never forks inside its own tasks.
 pub(crate) fn scan_pool() -> Option<&'static Pool> {
@@ -87,13 +99,17 @@ mod tests {
     #[test]
     fn a_batch_query_marks_its_thread_until_it_returns_or_panics() {
         assert!(scan_pool().is_some());
-        as_batch_query(|| {
+        {
+            let _outer = BatchQuery::enter();
             assert!(scan_pool().is_none());
-            as_batch_query(|| ());
+            drop(BatchQuery::enter());
             assert!(scan_pool().is_none(), "a nested query must not clear the outer mark");
-        });
+        }
         assert!(scan_pool().is_some());
-        let panicked = std::panic::catch_unwind(|| as_batch_query(|| panic!("a query panicked")));
+        let panicked = std::panic::catch_unwind(|| {
+            let _mark = BatchQuery::enter();
+            panic!("a query panicked")
+        });
         assert!(panicked.is_err());
         assert!(scan_pool().is_some(), "a panicking query must not leave its thread marked");
     }

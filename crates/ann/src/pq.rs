@@ -13,15 +13,6 @@ use crate::kmeans::{KMeans, KMeansConfig};
 use crate::topk::Neighbor;
 use crate::vectors::VectorSet;
 use emblookup_obs::names;
-use emblookup_pool::Pool;
-
-/// Codes above which one query's scan is split over the pool, one chunk
-/// per thread. An ADC scan is bound by its table lookups, not by memory,
-/// and gains less from a second vCPU than a flat scan of the same
-/// duration: paired in-process runs at width 2 won in 1–95 % of pairs
-/// from run to run at 12 288–49 152 codes (≈ 75–275 µs), and in 80–95 %
-/// of pairs in 7 of 8 runs at 100 000 (p50 ≈ 600 → 430 µs).
-pub(crate) const GRAIN: usize = 65_536;
 
 /// Configuration for `ProductQuantizer::train`.
 #[derive(Debug, Clone, Copy)]
@@ -286,15 +277,9 @@ impl PqIndex {
     /// Approximate `k` nearest neighbours of `query` via ADC, ascending.
     /// Codes are scored in fixed-size blocks through
     /// [`kernels::adc_block`], which is bit-exact against the per-code
-    /// kernel, so results equal a per-code scan exactly; an index above
-    /// 65 536 codes is scanned on every pool thread, with the same hits in
-    /// the same order.
+    /// kernel, so results equal a per-code scan exactly. The scan runs on
+    /// the calling thread at any size.
     pub fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
-        self.search_on(query, k, crate::index::scan_pool())
-    }
-
-    /// [`PqIndex::search`], split over `pool` when one is given.
-    pub(crate) fn search_on(&self, query: &[f32], k: usize, pool: Option<&Pool>) -> Vec<Neighbor> {
         if self.n == 0 || k == 0 {
             return Vec::new();
         }
@@ -305,7 +290,7 @@ impl PqIndex {
             let mut table = table.borrow_mut();
             self.quantizer.distance_table_into(query, &mut table);
             let table = table.as_slice();
-            crate::scan::top_k(self.n, k, GRAIN, pool, |lo, out| {
+            crate::scan::top_k(self.n, k, None, |lo, out| {
                 kernels::adc_block(table, ks, m, &self.codes[lo * m..], out);
             })
         })
@@ -499,16 +484,14 @@ mod tests {
     }
 
     #[test]
-    fn a_split_scan_equals_the_per_block_scan() {
-        // ids, distance bits and order at every width, around the grain
-        // and well above it, for k of 1 to past n. Centroid 1 of
-        // codebook 1 holds a NaN and centroid 2 of codebook 2 `+∞`, so
-        // every code naming them scores NaN or `+∞` (row 0 a NaN with
-        // `nan_first`); codes repeat, so distances tie within and across
-        // chunks.
-        let pools = [1, 2, 4].map(Pool::with_threads);
+    fn the_shared_scan_equals_the_per_block_scan() {
+        // ids, distance bits and order around one 256-code block and
+        // across several, for k of 1 to past n. Centroid 1 of codebook 1
+        // holds a NaN and centroid 2 of codebook 2 `+∞`, so every code
+        // naming them scores NaN or `+∞` (row 0 a NaN with `nan_first`);
+        // codes repeat, so distances tie within and across blocks.
         let pq = ProductQuantizer::train(&random_set(2000, 8, 31), PqConfig { m: 4, ks: 16, kmeans_iters: 3, seed: 2 });
-        for n in [GRAIN - 1, GRAIN, GRAIN + 1, 3 * GRAIN + 7] {
+        for n in [255, 256, 257, 3 * 256 + 7] {
             for nan_first in [false, true] {
                 let mut idx = PqIndex::from_quantizer(pq.clone(), &random_set(n, 8, n as u64));
                 let (dsub, ks) = (pq.dsub, pq.ks);
@@ -518,18 +501,14 @@ mod tests {
                     idx.codes[1] = 1;
                 }
                 for q in random_set(2, 8, 32).iter() {
-                    for k in [1, 10, n, n + 5] {
+                    for k in [1, 10, n, n + 5, usize::MAX] {
                         let bits = |hits: Vec<Neighbor>| hits.iter().map(|h| (h.index, h.dist.to_bits())).collect::<Vec<_>>();
                         let want = bits(idx.search_reference(q, k));
                         if k >= n {
                             let has = |p: fn(f32) -> bool| want.iter().any(|&(_, b)| p(f32::from_bits(b)));
                             assert!(has(f32::is_nan) && has(f32::is_infinite), "n {n}: no NaN or infinite row");
                         }
-                        assert_eq!(bits(idx.search(q, k)), want, "n {n} k {k} global pool");
-                        for pool in &pools {
-                            let got = bits(idx.search_on(q, k, Some(pool)));
-                            assert_eq!(got, want, "n {n} nan_first {nan_first} k {k} width {}", pool.threads());
-                        }
+                        assert_eq!(bits(idx.search(q, k)), want, "n {n} nan_first {nan_first} k {k}");
                     }
                 }
             }

@@ -1,8 +1,8 @@
 //! The full scan behind [`crate::FlatIndex::search`] and
 //! [`crate::PqIndex::search`]: every row scored in blocks of [`BLOCK`]
-//! and offered to one [`TopK`] — on the calling thread, or, for an index
-//! above its backend's grain, in one chunk per pool thread whose
-//! entrants are replayed in row order.
+//! and offered to one [`TopK`] — on the calling thread, or, for a flat
+//! index above its grain, in one chunk per pool thread whose entrants
+//! are replayed in row order.
 //!
 //! *Why the replay is exact.* A row the sequential scan takes is below
 //! the `k`-th smallest distance of all rows before it, hence below the
@@ -23,26 +23,27 @@ const BLOCK: usize = 256;
 
 /// The `k` smallest of rows `0..n` (`n > 0`, `k > 0`), ascending;
 /// `score(lo, out)` writes the distances of rows `lo..lo + out.len()`
-/// (at most [`BLOCK`] rows a call). With a `pool`, a scan over more than
-/// `grain` rows is cut into `⌈n / grain⌉` chunks, at most one per pool
-/// thread; otherwise it runs on the caller with no pool call and no
-/// allocation beyond the result.
-pub(crate) fn top_k<F>(n: usize, k: usize, grain: usize, pool: Option<&Pool>, score: F) -> Vec<Neighbor>
+/// (at most [`BLOCK`] rows a call). With a `split` of `(pool, grain)`, a
+/// scan over more than `grain` rows is cut into `⌈n / grain⌉` chunks, at
+/// most one per pool thread; otherwise it runs on the caller with no pool
+/// call and no allocation beyond the result.
+pub(crate) fn top_k<F>(n: usize, k: usize, split: Option<(&Pool, usize)>, score: F) -> Vec<Neighbor>
 where
     F: Fn(usize, &mut [f32]) + Sync,
 {
     // a scan returns at most `n` hits, whatever `k` asks for
-    let mut tk = TopK::new(k.min(n));
-    let chunks = pool.map_or(1, |pool| n.div_ceil(grain.max(1)).min(pool.threads()));
-    match pool {
-        Some(pool) if chunks > 1 => {
+    let k = k.min(n);
+    let mut tk = TopK::new(k);
+    let chunks = split.map_or(1, |(pool, grain)| n.div_ceil(grain.max(1)).min(pool.threads()));
+    match split {
+        Some((pool, _)) if chunks > 1 => {
             let len = n.div_ceil(chunks);
             let logs = pool.parallel_map(chunks, 1, |c| {
                 let (lo, hi) = (c * len, ((c + 1) * len).min(n));
-                let mut local = TopK::new(k.min(n));
+                let mut local = TopK::new(k);
                 // rows in random order log ≈ k (1 + ln(rows / k)) entrants:
                 // 79 for 10 of 9 530
-                let mut entrants = Vec::with_capacity((8 * k).min(hi - lo));
+                let mut entrants = Vec::with_capacity(k.saturating_mul(8).min(hi - lo));
                 blocks(lo, hi, &score, |base, dists| local.offer_block_logged(base, dists, &mut entrants));
                 entrants
             });
@@ -83,7 +84,7 @@ mod tests {
 
     fn scanned(dists: &[f32], k: usize, grain: usize, pool: &Pool) -> Vec<(usize, u32)> {
         let score = |lo: usize, out: &mut [f32]| out.copy_from_slice(&dists[lo..lo + out.len()]);
-        top_k(dists.len(), k, grain, Some(pool), score).iter().map(|h| (h.index, h.dist.to_bits())).collect()
+        top_k(dists.len(), k, Some((pool, grain)), score).iter().map(|h| (h.index, h.dist.to_bits())).collect()
     }
 
     #[test]
@@ -112,7 +113,7 @@ mod tests {
         cases.push(nan_first);
         cases.push((0..n).rev().map(|i| i as f32).collect());
         for (c, dists) in cases.iter().enumerate() {
-            for k in [1, 3, 10, 300, n, n + 5] {
+            for k in [1, 3, 10, 300, n, n + 5, usize::MAX] {
                 let want = pushed(dists, k);
                 for pool in &pools {
                     for grain in [1, 250, 333, 999, 1000] {

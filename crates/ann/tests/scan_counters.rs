@@ -1,12 +1,12 @@
-//! A flat or PQ search split over the pool counts one query and every
-//! row it scores, however many chunks ran it, and a batch's queries do
-//! not split: `ann.<backend>.visited_nodes / searches` is the index size.
+//! A flat search split over the pool counts one query and every row it
+//! scores, however many chunks ran it, and a batch's queries do not
+//! split: `ann.flat.visited_nodes / searches` is the index size.
 //!
 //! One test, alone in its binary: the counters are process-wide. It pins
 //! the pool to width 4 before anything reads the width, so the split
 //! runs on every host.
 
-use emblookup_ann::{AnnIndex, FlatIndex, PqConfig, PqIndex, VectorSet};
+use emblookup_ann::{AnnIndex, FlatIndex, VectorSet};
 use emblookup_obs::names::{self, Name};
 use emblookup_pool::Pool;
 
@@ -15,8 +15,8 @@ fn counter(name: Name) -> u64 {
 }
 
 /// How `f` moves the three counters: (searches, visited, pool tasks).
-fn spent(searches: Name, visited: Name, f: impl FnOnce()) -> [u64; 3] {
-    let read = || [counter(searches), counter(visited), counter(names::POOL_TASKS)];
+fn spent(f: impl FnOnce()) -> [u64; 3] {
+    let read = || [counter(names::ANN_FLAT_SEARCHES), counter(names::ANN_FLAT_VISITED), counter(names::POOL_TASKS)];
     let before = read();
     f();
     let after = read();
@@ -27,22 +27,14 @@ fn spent(searches: Name, visited: Name, f: impl FnOnce()) -> [u64; 3] {
 fn a_split_scan_counts_one_query_and_every_row() {
     std::env::set_var("EMBLOOKUP_THREADS", "4");
     assert_eq!(Pool::global().threads(), 4);
-    let rows = |n: usize| VectorSet::from_flat(8, (0..n * 8).map(|i| (i as f32 * 0.618).sin()).collect());
     let queries = VectorSet::from_flat(8, (0..8 * 8).map(|i| (i as f32 * 0.3).cos()).collect());
     let q = queries.get(0);
 
     // 3 x 8 192 + 7 rows: four chunks at width 4, one task each
     let n = 3 * 8_192 + 7;
-    let flat = FlatIndex::new(rows(n));
-    let (s, v, n) = (names::ANN_FLAT_SEARCHES, names::ANN_FLAT_VISITED, n as u64);
-    assert_eq!(spent(s, v, || drop(flat.search(q, 10))), [1, n, 4]);
+    let flat = FlatIndex::new(VectorSet::from_flat(8, (0..n * 8).map(|i| (i as f32 * 0.618).sin()).collect()));
+    let n = n as u64;
+    assert_eq!(spent(|| drop(flat.search(q, 10))), [1, n, 4]);
     // eight queries in eight batch tasks (two per thread), none split
-    assert_eq!(spent(s, v, || drop(flat.search_batch(&queries, 10, 4))), [8, 8 * n, 8]);
-
-    // 65 536 + 7 codes: two chunks
-    let n = 65_536 + 7;
-    let pq = PqIndex::build(&rows(n), PqConfig { m: 2, ks: 16, kmeans_iters: 2, seed: 0 });
-    let (s, v, n) = (names::ANN_PQ_SEARCHES, names::ANN_PQ_VISITED, n as u64);
-    assert_eq!(spent(s, v, || drop(pq.search(q, 10))), [1, n, 2]);
-    assert_eq!(spent(s, v, || drop(pq.search_batch(&queries, 10, 4))), [8, 8 * n, 8]);
+    assert_eq!(spent(|| drop(flat.search_batch(&queries, 10, 4))), [8, 8 * n, 8]);
 }

@@ -334,7 +334,7 @@ fn main() {
     let scale = args.iter().any(|a| a == "--scale");
     // the width the batches below really run at: the global pool's, which
     // `EMBLOOKUP_THREADS` sets (else `available_parallelism() - 1`); one
-    // query's flat or PQ scan splits over it too, so `p50_ns` and
+    // query's flat scan splits over it too, so flat `p50_ns` and
     // `build_ms` both depend on it
     let threads = Pool::global().threads();
 
