@@ -78,7 +78,7 @@ const EXPERIMENTS: [(&str, Experiment); 13] = [
     ("table3", |e| exp::speedups(e.db())),
     ("table4", |e| exp::table4(e.wd(), e.db(), e.scale)),
     ("table6", |e| exp::table6(e.wd(), e.db(), e.scale)),
-    ("table5", |e| exp::table5(e.wd(), e.scale)),
+    ("table5", |e| exp::table5(e.scale)),
     ("table7", |e| exp::table7(e.wd())),
     ("table8", |e| exp::table8(e.scale)),
     ("ablation", |e| exp::ablation(e.scale)),

@@ -319,15 +319,18 @@ pub fn table6(env_wd: &Env, env_db: &Env, scale: Scale) -> Report {
 
 /// Table V: EmbLookup vs eight lookup services on top-10 retrieval over
 /// a large lookup catalog (the paper queries full Wikidata; speedup
-/// magnitudes require a catalog much larger than the training KG, so this
-/// experiment indexes the catalog graph with the already-trained model).
-/// The error variant applies 1–3 corruptions per query ("dropping/
-/// inserting one or more letters, transposing letters, swapping the
-/// tokens, abbreviations" — §IV-B).
-pub fn table5(env: &Env, scale: Scale) -> Report {
+/// magnitudes require a catalog much larger than the training KG).
+/// EmbLookup is trained on the catalog it serves, as in the paper; its
+/// training time is reported in the table's note, not charged to the
+/// speed-up, which compares lookup time only. The error variant applies
+/// 1–2 corruptions per query ("dropping/inserting one or more letters,
+/// transposing letters, swapping the tokens, abbreviations" — §IV-B).
+pub fn table5(scale: Scale) -> Report {
     let catalog = generate(scale.catalog_kg_config());
     let kg = &catalog.kg;
-    let el = EmbLookup::from_model(env.el_nc.model_arc(), kg, Compression::default_pq());
+    let train_start = Instant::now();
+    let el = EmbLookup::train_on(kg, scale.emblookup_config());
+    let train_time = train_start.elapsed();
 
     // query workload: sampled entity labels, clean + corrupted
     use rand::seq::SliceRandom;
@@ -407,10 +410,12 @@ pub fn table5(env: &Env, scale: Scale) -> Report {
         report.rows.push(cells);
     }
     report.notes.push(format!(
-        "Catalog: {} entities; {} queries; EmbLookup bulk time {} (CPU).",
+        "Catalog: {} entities; {} queries; EmbLookup bulk time {} (CPU), after {} of \
+         training on the catalog.",
         kg.num_entities(),
         clean.len(),
-        fmt_duration(el_time)
+        fmt_duration(el_time),
+        fmt_duration(train_time)
     ));
     report
 }

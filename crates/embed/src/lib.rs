@@ -15,7 +15,6 @@ pub mod encoder;
 pub mod fasttext;
 pub mod lstm_encoder;
 pub mod sgns;
-pub mod transe;
 pub mod word2vec;
 
 pub use bert_mini::{BertMini, BertMiniConfig};
@@ -23,5 +22,4 @@ pub use corpus::Corpus;
 pub use encoder::StringEncoder;
 pub use fasttext::{FastText, FastTextConfig};
 pub use lstm_encoder::{LstmEncoder, LstmEncoderConfig};
-pub use transe::{TransE, TransEConfig};
 pub use word2vec::{Word2Vec, Word2VecConfig};

@@ -77,33 +77,18 @@ pub fn parse_manifest(path: &str, dir: &Path, text: &str) -> Option<Manifest> {
 /// Reads every workspace-member manifest under `root`: the root package
 /// (`Cargo.toml`) plus each `crates/*/Cargo.toml`.
 pub(crate) fn read_manifests(root: &Path) -> io::Result<Vec<Manifest>> {
-    let mut out = Vec::new();
-    let root_toml = root.join("Cargo.toml");
-    if root_toml.is_file() {
-        let text = fs::read_to_string(&root_toml)?;
-        if let Some(m) = parse_manifest("Cargo.toml", Path::new("."), &text) {
-            out.push(m);
-        }
+    let mut dirs = vec![PathBuf::from(".")];
+    if root.join("crates").is_dir() {
+        let mut members: Vec<PathBuf> =
+            fs::read_dir(root.join("crates"))?.filter_map(|e| Some(e.ok()?.path())).collect();
+        members.sort();
+        dirs.extend(members.iter().filter_map(|d| d.strip_prefix(root).ok().map(Path::to_path_buf)));
     }
-    let crates = root.join("crates");
-    if crates.is_dir() {
-        let mut dirs: Vec<PathBuf> = fs::read_dir(&crates)?
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.is_dir())
-            .collect();
-        dirs.sort();
-        for dir in dirs {
-            let toml = dir.join("Cargo.toml");
-            if !toml.is_file() {
-                continue;
-            }
-            let text = fs::read_to_string(&toml)?;
-            let rel_dir = dir.strip_prefix(root).unwrap_or(&dir).to_path_buf();
-            let rel_path = rel_dir.join("Cargo.toml").to_string_lossy().replace('\\', "/");
-            if let Some(m) = parse_manifest(&rel_path, &rel_dir, &text) {
-                out.push(m);
-            }
-        }
+    let mut out = Vec::new();
+    for dir in dirs.iter().filter(|d| root.join(d).join("Cargo.toml").is_file()) {
+        let path = dir.join("Cargo.toml").to_string_lossy().replace('\\', "/").trim_start_matches("./").to_string();
+        let text = fs::read_to_string(root.join(&path))?;
+        out.extend(parse_manifest(&path, dir, &text));
     }
     Ok(out)
 }

@@ -15,17 +15,17 @@
 //!   rank 45   serve                  (hardened HTTP serving layer)
 //!   rank 50+  baselines, semtab, bench  (consumers)
 //!   rank 100  emblookup              (root facade crate)
-//!   —         lint                   (isolated: no dependencies)
+//!   —         lint                   (off the DAG: obs only)
 //! ```
 //!
 //! A crate may depend only on strictly lower ranks. The manifest edges
 //! (`[dependencies]` and `[dev-dependencies]`) are what is checked: an
 //! `emblookup_*::` path in the source only compiles when such an edge
-//! exists. `emblookup-lint` is special-cased: it depends on no
-//! workspace crate, and nothing may depend on it.
+//! exists. `emblookup-lint` is special-cased: its one workspace edge is
+//! to obs (for the JSON reader), and nothing may depend on it.
 
 use crate::cargo::Manifest;
-use crate::source::Violation;
+use crate::Violation;
 
 /// Declared layer rank per workspace crate. Lower ranks are closer to
 /// the leaves; an edge is legal iff `rank(dep) < rank(crate)`.
@@ -46,11 +46,14 @@ const LAYERS: &[(&str, u32)] = &[
     ("emblookup", 100),
 ];
 
-/// The isolated crate: not in the layer DAG at all.
+/// The linter: not in the layer DAG, and a leaf no crate may depend on.
 const ISOLATED: &str = "emblookup-lint";
 
+/// The one workspace crate the linter may depend on.
+const ISOLATED_DEP: &str = "emblookup-obs";
+
 /// Rank of a crate in the declared DAG, `None` for unknown crates and
-/// for the isolated lint crate.
+/// for the lint crate.
 fn rank(name: &str) -> Option<u32> {
     LAYERS.iter().find(|(n, _)| *n == name).map(|&(_, r)| r)
 }
@@ -65,8 +68,10 @@ fn judge(krate: &str, dep: &str) -> Result<(), String> {
     if dep == ISOLATED {
         return Err(format!("`{ISOLATED}` is isolated; no crate may depend on it"));
     }
-    if krate == ISOLATED {
-        return Err(format!("`{ISOLATED}` is isolated and depends on no workspace crate"));
+    if krate == ISOLATED && dep != ISOLATED_DEP {
+        return Err(format!(
+            "`{ISOLATED}` is isolated: its one workspace dependency is `{ISOLATED_DEP}`"
+        ));
     }
     let (Some(rk), Some(rd)) = (rank(krate), rank(dep)) else {
         return Ok(()); // non-workspace crate on either side
@@ -110,6 +115,19 @@ mod tests {
     use crate::cargo::parse_manifest;
     use std::path::Path;
 
+    /// The L005 verdicts on `krate` depending on each of `deps`, all of
+    /// them workspace members.
+    fn check(krate: &str, deps: &[&str]) -> Vec<Violation> {
+        let member = |name: &str, deps: &[&str]| {
+            let lines: String = deps.iter().map(|d| format!("{d}.workspace = true\n")).collect();
+            let text = format!("[package]\nname = \"{name}\"\n[dependencies]\n{lines}");
+            parse_manifest("Cargo.toml", Path::new("."), &text).expect("manifest")
+        };
+        let mut manifests = vec![member(krate, deps)];
+        manifests.extend(deps.iter().map(|d| member(d, &[])));
+        check_manifests(&manifests)
+    }
+
     #[test]
     fn declared_dag_covers_every_workspace_crate_once() {
         let mut names: Vec<&str> = LAYERS.iter().map(|&(n, _)| n).collect();
@@ -121,72 +139,21 @@ mod tests {
     }
 
     #[test]
-    fn reversed_manifest_edge_is_flagged() {
-        let text = "[package]\nname = \"emblookup-tensor\"\n[dependencies]\nemblookup-core.workspace = true\n";
-        let m = parse_manifest("crates/tensor/Cargo.toml", Path::new("crates/tensor"), text)
-            .expect("manifest");
-        // pretend both crates are workspace members
-        let core = parse_manifest(
-            "crates/core/Cargo.toml",
-            Path::new("crates/core"),
-            "[package]\nname = \"emblookup-core\"\n",
-        )
-        .expect("manifest");
-        let v = check_manifests(&[m, core]);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "L005");
-        assert_eq!(v[0].file, "crates/tensor/Cargo.toml");
-        assert_eq!(v[0].line, 4);
-    }
-
-    #[test]
     fn downward_edges_are_clean() {
-        let text = "[package]\nname = \"emblookup-core\"\n[dependencies]\nemblookup-ann.workspace = true\nrand.workspace = true\n";
-        let m = parse_manifest("crates/core/Cargo.toml", Path::new("crates/core"), text)
-            .expect("manifest");
-        let ann = parse_manifest(
-            "crates/ann/Cargo.toml",
-            Path::new("crates/ann"),
-            "[package]\nname = \"emblookup-ann\"\n",
-        )
-        .expect("manifest");
-        let rand = parse_manifest(
-            "crates/rand/Cargo.toml",
-            Path::new("crates/rand"),
-            "[package]\nname = \"rand\"\n",
-        )
-        .expect("manifest");
-        assert!(check_manifests(&[m, ann, rand]).is_empty());
+        assert!(check("emblookup-core", &["emblookup-ann", "rand"]).is_empty());
     }
 
     #[test]
     fn depending_on_lint_is_flagged() {
-        let text = "[package]\nname = \"emblookup-core\"\n[dependencies]\nemblookup-lint.workspace = true\n";
-        let m = parse_manifest("crates/core/Cargo.toml", Path::new("crates/core"), text)
-            .expect("manifest");
-        let lint = parse_manifest(
-            "crates/lint/Cargo.toml",
-            Path::new("crates/lint"),
-            "[package]\nname = \"emblookup-lint\"\n",
-        )
-        .expect("manifest");
-        let v = check_manifests(&[m, lint]);
+        let v = check("emblookup-core", &["emblookup-lint"]);
         assert_eq!(v.len(), 1, "{v:?}");
     }
 
     #[test]
-    fn lint_depending_on_a_workspace_crate_is_flagged() {
-        let text = "[package]\nname = \"emblookup-lint\"\n[dependencies]\nemblookup-obs.workspace = true\n";
-        let m = parse_manifest("crates/lint/Cargo.toml", Path::new("crates/lint"), text)
-            .expect("manifest");
-        let obs = parse_manifest(
-            "crates/obs/Cargo.toml",
-            Path::new("crates/obs"),
-            "[package]\nname = \"emblookup-obs\"\n",
-        )
-        .expect("manifest");
-        let v = check_manifests(&[m, obs]);
+    fn lint_may_depend_on_obs_and_on_no_other_workspace_crate() {
+        let v = check("emblookup-lint", &["emblookup-obs", "emblookup-kg"]);
         assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].line, 5, "the kg edge, not the obs one");
         assert!(v[0].message.contains("isolated"), "{}", v[0].message);
     }
 }

@@ -9,12 +9,12 @@
 //! * **L006** ([`Snapshot`], [`diff`]): the public API of every library
 //!   crate matches the checked-in `API.lock`.
 //!
-//! The API snapshot reads every file under `crates/*/src` and `src/`
-//! with a minimal Rust lexer and a tolerant item-level parser, so
-//! comments, string literals and `#[cfg(test)]` items never count as
-//! surface. [`Workspace`] loads the manifests and sources once and runs
-//! both rules; the `emblookup-lint` binary drives it from
-//! `scripts/ci.sh`.
+//! The API snapshot is read from rustdoc's JSON, not from the source:
+//! [`Workspace::load`] runs `cargo +nightly doc`, JSON output, into
+//! `target/emblookup-lint` and renders each crate's reachable public
+//! items, so what rustc exports is what is locked. A missing nightly or a
+//! rustdoc `format_version` the renderer does not read is an error, never
+//! a skipped check. `scripts/ci.sh` runs the `emblookup-lint` binary.
 //!
 //! Everything else is carried by a type or by clippy: metric names are
 //! `emblookup_obs::names::Name`s, float discipline is `clippy::float_cmp`
@@ -28,15 +28,23 @@
 mod api;
 mod cargo;
 mod layers;
-mod lexer;
-mod parser;
-mod source;
-mod walk;
+mod rustdoc;
 mod workspace;
 
 pub use api::{diff, Snapshot, LOCK_FILE};
 pub use cargo::{parse_manifest, Manifest};
 pub use layers::check_manifests;
-pub use source::Violation;
-pub use walk::find_root;
-pub use workspace::Workspace;
+pub use workspace::{find_root, Workspace};
+
+/// One diagnostic.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Violation {
+    /// Workspace-relative path of the offending file.
+    pub file: String,
+    /// 1-based line.
+    pub line: u32,
+    /// Rule id (`L005` or `L006`).
+    pub rule: &'static str,
+    /// Human-readable description.
+    pub message: String,
+}

@@ -1,6 +1,7 @@
-//! `emblookup-lint` CLI: loads the workspace, checks the layer DAG (L005)
-//! and the public API against `API.lock` (L006), and reports violations.
-//! Exit code 0 = clean, 1 = violations, 2 = usage/IO error.
+//! `emblookup-lint` CLI: loads the workspace (rustdoc's JSON built first by
+//! `cargo +nightly doc`), checks the layer DAG (L005) and the public API
+//! against `API.lock` (L006), and reports violations. Exit code 0 = clean,
+//! 1 = violations, 2 = usage, IO or rustdoc error (a missing nightly too).
 //!
 //! ```text
 //! emblookup-lint [--root DIR] [--api-bless]
@@ -64,10 +65,10 @@ fn run() -> Result<ExitCode, String> {
     }
     let count = |rule: &str| violations.iter().filter(|v| v.rule == rule).count();
     println!(
-        "emblookup-lint: L005 {}, L006 {} — {} files checked, {} violation{}",
+        "emblookup-lint: L005 {}, L006 {} — {} crates checked, {} violation{}",
         count("L005"),
         count("L006"),
-        ws.files,
+        ws.crates,
         violations.len(),
         if violations.len() == 1 { "" } else { "s" },
     );

@@ -1,42 +1,54 @@
 //! Workspace-level analysis: reads every member manifest and every
-//! library source file once, then checks the manifests' edges against
-//! the layer DAG (L005) and the public-API snapshot against `API.lock`
-//! (L006). This is what the `emblookup-lint` binary drives.
+//! library crate's rustdoc JSON once, then checks the manifests' edges
+//! against the layer DAG (L005) and the public-API snapshot against
+//! `API.lock` (L006). This is what the `emblookup-lint` binary drives.
 
 use crate::api::{self, Snapshot};
 use crate::cargo::{read_manifests, Manifest};
-use crate::layers;
-use crate::source::Violation;
-use crate::walk;
-use std::path::Path;
+use crate::{layers, rustdoc, Violation};
+use std::path::{Path, PathBuf};
 
 /// The loaded workspace model.
 pub struct Workspace {
     /// Parsed member manifests (root package + `crates/*`).
     manifests: Vec<Manifest>,
-    /// The public-API snapshot of every library file.
+    /// The public-API snapshot of every library crate.
     pub api: Snapshot,
-    /// Number of source files read.
-    pub files: usize,
+    /// Number of library crates read.
+    pub crates: usize,
 }
 
 impl Workspace {
-    /// Reads manifests and sources under `root`.
+    /// Reads the manifests under `root` and the rustdoc JSON of its
+    /// library crates, built first with `cargo +nightly doc`.
+    ///
+    /// # Errors
+    /// An unreadable manifest, a failed rustdoc build (a missing nightly
+    /// included), or JSON the renderer cannot read.
     pub fn load(root: &Path) -> Result<Workspace, String> {
+        let docs = rustdoc::build(root)?;
+        Workspace::read(root, &docs)
+    }
+
+    /// Reads the manifests under `root` and, for every package with a
+    /// `src/lib.rs`, its `<crate_name>.json` from the rustdoc output
+    /// directory `docs`.
+    ///
+    /// # Errors
+    /// As [`Workspace::load`], without the build.
+    pub fn read(root: &Path, docs: &Path) -> Result<Workspace, String> {
         let manifests = read_manifests(root)
             .map_err(|e| format!("reading manifests under {}: {e}", root.display()))?;
-        let rels = walk::lintable_files(root)
-            .map_err(|e| format!("walking {}: {e}", root.display()))?;
         let mut api = Snapshot::default();
-        for rel_path in &rels {
-            let rel = rel_path.to_string_lossy().replace('\\', "/");
-            let src = std::fs::read_to_string(root.join(rel_path))
-                .map_err(|e| format!("reading {rel}: {e}"))?;
-            if let Some((krate, src_rel)) = owner(&manifests, &rel) {
-                api.add_file(krate, &rel, src_rel, &src);
-            }
+        let mut crates = 0;
+        for m in manifests.iter().filter(|m| root.join(&m.dir).join("src/lib.rs").is_file()) {
+            let path = docs.join(format!("{}.json", m.name.replace('-', "_")));
+            let text = std::fs::read_to_string(&path)
+                .map_err(|e| format!("reading {}: {e}", path.display()))?;
+            api.add_crate(&m.name, &text).map_err(|e| format!("{}: {e}", path.display()))?;
+            crates += 1;
         }
-        Ok(Workspace { manifests, api, files: rels.len() })
+        Ok(Workspace { manifests, api, crates })
     }
 
     /// Runs both rules: the manifest edges against the layer DAG and the
@@ -52,38 +64,8 @@ impl Workspace {
     }
 }
 
-/// Resolves a workspace-relative source path to its owning package and
-/// its path inside that package's `src/`; `None` outside every package.
-fn owner<'a>(manifests: &'a [Manifest], rel: &'a str) -> Option<(&'a str, &'a str)> {
-    manifests.iter().find_map(|m| {
-        let prefix = if m.dir == Path::new(".") {
-            "src/".to_string()
-        } else {
-            format!("{}/src/", m.dir.to_string_lossy().replace('\\', "/"))
-        };
-        rel.strip_prefix(&prefix).map(|inner| (m.name.as_str(), inner))
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::cargo::parse_manifest;
-
-    fn manifest(name: &str, dir: &str) -> Manifest {
-        parse_manifest(
-            &format!("{dir}/Cargo.toml"),
-            Path::new(dir),
-            &format!("[package]\nname = \"{name}\"\n"),
-        )
-        .expect("manifest")
-    }
-
-    #[test]
-    fn owner_maps_crates_and_root_src() {
-        let ms = vec![manifest("emblookup", "."), manifest("emblookup-ann", "crates/ann")];
-        assert_eq!(owner(&ms, "crates/ann/src/topk.rs"), Some(("emblookup-ann", "topk.rs")));
-        assert_eq!(owner(&ms, "src/lib.rs"), Some(("emblookup", "lib.rs")));
-        assert_eq!(owner(&ms, "crates/unknown/src/lib.rs"), None);
-    }
+/// Locates the workspace root: walks up from `start` until a directory
+/// containing both `Cargo.toml` and `crates/` appears.
+pub fn find_root(start: &Path) -> Option<PathBuf> {
+    start.ancestors().find(|d| d.join("Cargo.toml").is_file() && d.join("crates").is_dir()).map(Path::to_path_buf)
 }

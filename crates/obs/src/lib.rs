@@ -47,12 +47,12 @@
 
 pub mod export;
 pub mod fmt;
+pub mod json;
 pub mod names;
 #[expect(clippy::disallowed_types, reason = "the one module that may name std::sync::atomic")]
 pub mod sync;
 pub mod trace;
 mod hist;
-mod json;
 mod registry;
 mod span;
 

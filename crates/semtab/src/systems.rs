@@ -115,10 +115,11 @@ impl AnnotationSystem for BbwSystem {
         let (mut cells, mut cols) = empty_annotation(table);
 
         for (r, cell_row) in cells.iter_mut().enumerate() {
-            // top candidates of the other cells in this row form the context
-            let row_context: Vec<EntityId> = (0..table.num_cols())
-                .filter_map(|c| candidates.get(&(r, c)))
-                .flat_map(|cands| cands.iter().take(3).map(|c| c.entity))
+            // top candidates of every cell in this row, with their column:
+            // a cell's context is the other cells' entries
+            let row_context: Vec<(usize, EntityId)> = (0..table.num_cols())
+                .filter_map(|c| candidates.get(&(r, c)).map(|cands| (c, cands)))
+                .flat_map(|(c, cands)| cands.iter().take(3).map(move |cand| (c, cand.entity)))
                 .collect();
             for (c, cell) in cell_row.iter_mut().enumerate() {
                 let Some(cands) = candidates.get(&(r, c)) else { continue };
@@ -128,8 +129,9 @@ impl AnnotationSystem for BbwSystem {
                     .map(|(rank, cand)| {
                         let context_bonus = row_context
                             .iter()
-                            .filter(|&&other| {
-                                other != cand.entity
+                            .filter(|&&(col, other)| {
+                                col != c
+                                    && other != cand.entity
                                     && (kg.connected(cand.entity, other)
                                         || kg.connected(other, cand.entity))
                             })
@@ -664,6 +666,39 @@ mod tests {
             correct * 2 >= total,
             "Katara imputed only {correct}/{total}"
         );
+    }
+
+    /// A service that answers every mention with the same ranked list.
+    struct Fixed(Vec<EntityId>);
+
+    impl LookupService for Fixed {
+        fn lookup(&self, _q: &str, k: usize) -> Vec<Candidate> {
+            self.0.iter().take(k).map(|&entity| Candidate { entity, score: 1.0 }).collect()
+        }
+
+        fn name(&self) -> &str {
+            "fixed"
+        }
+    }
+
+    #[test]
+    fn bbw_gives_no_bonus_for_links_to_a_rival_of_the_same_cell() {
+        // a one-cell row: its candidates' links to one another are not
+        // context, so the service's top candidate must win, although the
+        // second is linked to both of its rivals
+        let mut kg = KnowledgeGraph::new();
+        let [top, linked, third] =
+            ["paris", "paris", "paris"].map(|l| kg.add_entity(l, Vec::new(), Vec::new()));
+        let near = kg.add_property("near");
+        kg.add_fact(linked, near, emblookup_kg::Object::Entity(top));
+        kg.add_fact(linked, near, emblookup_kg::Object::Entity(third));
+        let table = Table {
+            id: 0,
+            rows: vec![vec![crate::table::Cell::entity("paris", top)]],
+            col_types: vec![None],
+        };
+        let ann = BbwSystem.annotate(&kg, &table, &Fixed(vec![top, linked, third]), 3);
+        assert_eq!(ann.cell_entities[0][0], Some(top));
     }
 
     #[test]

@@ -75,11 +75,11 @@ pub mod faults;
 mod gate;
 mod health;
 mod http;
-pub mod json;
 mod ladder;
 mod server;
 mod traces;
 
+pub use emblookup_obs::json;
 pub use faults::{FaultConfig, StageFaults};
 pub use server::Server;
 

@@ -127,9 +127,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace --document-
 echo "== emblookup-lint (L005 crate layering, L006 API drift) =="
 # Hard gate for the two rules no rustc or clippy check expresses: every
 # manifest edge flows down the layer DAG, and the public-API snapshot
-# matches API.lock (bless with --api-bless). Exits 1 with file:line
-# diagnostics on any violation and prints a per-rule count (zeros
-# included). The full pass must finish within a 30 s wall-clock budget
+# matches API.lock (bless with --api-bless). The snapshot comes from
+# rustdoc: the linter first runs `RUSTDOCFLAGS='-Z unstable-options
+# --output-format json' cargo +nightly doc --offline --no-deps
+# --workspace --lib` into target/emblookup-lint, and exits 2 if that
+# fails (no nightly, say). Exits 1 with file:line diagnostics on any
+# violation and prints a per-rule count (zeros included). The full pass,
+# the rustdoc step included, must finish within a 30 s wall-clock budget
 # so the gate stays cheap enough to run on every push.
 lint_start=$(date +%s)
 cargo run -q -p emblookup-lint --release --offline

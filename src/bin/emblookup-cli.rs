@@ -24,7 +24,7 @@
 
 use emblookup::core::{EmbLookup, EmbLookupConfig, EmbLookupModel};
 use emblookup::kg::{generate, kg_from_bytes, kg_to_bytes, LookupService, SynthKgConfig};
-use emblookup::serve::json::{self, Json};
+use emblookup::obs::json::{self, Json};
 use emblookup::serve::{client, ServeConfig, Server};
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::process::ExitCode;

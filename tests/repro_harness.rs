@@ -43,7 +43,7 @@ macro_rules! shared_report {
 shared_report!(table2, exp::speedups(wd()));
 shared_report!(table3, exp::speedups(db()));
 shared_report!(table4, exp::table4(wd(), db(), Scale::Smoke));
-shared_report!(table5, exp::table5(wd(), Scale::Smoke));
+shared_report!(table5, exp::table5(Scale::Smoke));
 shared_report!(table6, exp::table6(wd(), db(), Scale::Smoke));
 shared_report!(table7, exp::table7(wd()));
 shared_report!(fig4, exp::fig4(wd()));
@@ -160,14 +160,14 @@ fn index_sizes_show_pq_smaller_than_flat() {
 }
 
 /// Tables II and III: EL's lookups are faster than every system's
-/// original, and every row but bbw's CEA keeps its F within 0.03 of the
-/// original's (bbw's CEA is a `*_deviation` below; its CTA holds in
-/// Table II with 0.029 to spare).
-fn assert_el_is_faster_at_the_originals_f(report: &Report) {
+/// original, and every row keeps its F within 0.03 of the original's, but
+/// for the rows in `deviating` (Table III's bbw CEA, a `*_deviation`
+/// below).
+fn assert_el_is_faster_at_the_originals_f(report: &Report, deviating: &[&str]) {
     for row in SPEEDUP_ROWS {
         let speedup = value(report, row, "Speedup CPU (EL)");
         assert!(speedup > 1.0, "{row}: EL speedup {speedup}\n{report}");
-        if row != "CEA bbw" {
+        if !deviating.contains(&row) {
             let (orig, el) = (value(report, row, "F orig"), value(report, row, "F EL"));
             assert!(
                 el >= orig - 0.03,
@@ -179,12 +179,12 @@ fn assert_el_is_faster_at_the_originals_f(report: &Report) {
 
 #[test]
 fn table2_el_is_faster_at_the_originals_f() {
-    assert_el_is_faster_at_the_originals_f(table2());
+    assert_el_is_faster_at_the_originals_f(table2(), &[]);
 }
 
 #[test]
 fn table3_el_is_faster_at_the_originals_f() {
-    assert_el_is_faster_at_the_originals_f(table3());
+    assert_el_is_faster_at_the_originals_f(table3(), &["CEA bbw"]);
 }
 
 /// Table IV: under cell noise, JenTab (exact Wikidata API lookups) with EL
@@ -292,28 +292,22 @@ fn fig4_recall_does_not_fall_from_k5_to_k100() {
 // Deviations: where the reproduction does not show the paper's shape
 // ------------------------------------------------------------------
 
-/// Tables II and III: bbw's CEA with EL loses more than 0.03 F against
-/// its SearX original; its rescoring overrides EL's rank-1 gold.
-fn assert_bbw_cea_loses_f(report: &Report) {
-    let (orig, el) = (
-        value(report, "CEA bbw", "F orig"),
-        value(report, "CEA bbw", "F EL"),
-    );
-    assert!(
-        orig - el > 0.03,
-        "CEA bbw: F EL {el} is now within 0.03 of orig {orig}. ROADMAP A's bbw scorer fix \
-         flipped this deviation: move the row into the claim test.\n{report}"
-    );
-}
-
-#[test]
-fn table2_bbw_cea_deviation() {
-    assert_bbw_cea_loses_f(table2());
-}
-
+/// Table III: bbw's CEA with EL still loses more than 0.03 F against its
+/// SearX original (0.96 against 1.00 at smoke scale, `MASTER_SEED`). Its
+/// context bonus counts only the row's other cells, and Table II's row
+/// holds the claim; on the DBPedia-style tables the rest of the gap is
+/// cells where EL's candidates lose gold that SearX's exact labels rank
+/// first.
 #[test]
 fn table3_bbw_cea_deviation() {
-    assert_bbw_cea_loses_f(table3());
+    let (orig, el) = (value(table3(), "CEA bbw", "F orig"), value(table3(), "CEA bbw", "F EL"));
+    assert!(
+        orig - el > 0.03,
+        "CEA bbw: F EL {el} is now within 0.03 of orig {orig}, closing the last gap of \
+         0.04 F: move Table III's row into the claim test (ROADMAP A2's seed sweep says \
+         on how many seeds it holds).\n{}",
+        table3()
+    );
 }
 
 /// Fig. 5 on fully-noised mentions: at 8 and 16 B per entity the PQ
@@ -326,8 +320,9 @@ fn fig5_pq_finds_at_least_what_pca_finds_at_8_and_16_bytes() {
     }
 }
 
-/// Table V under noise: EL's F is below the best scan's. The catalog is a
-/// KG the model never trained on.
+/// Table V under noise: EL's F is below the best scan's, 0.83 against
+/// FuzzyWuzzy's 0.85 at smoke scale (`MASTER_SEED`), with EL trained on
+/// the catalog it serves.
 #[test]
 fn table5_noise_deviation() {
     let el = value(table5(), "Exact Match", "F (error) EL");
@@ -337,8 +332,9 @@ fn table5_noise_deviation() {
         .fold(0.0, f64::max);
     assert!(
         el < best_scan,
-        "EL F(error) {el} now >= the best scan's {best_scan}. ROADMAP B (index-mined \
-         negatives) flipped this deviation: assert EL's lead instead.\n{}",
+        "EL F(error) {el} now >= the best scan's {best_scan}, closing a gap of 0.02 F: \
+         assert EL's lead instead (ROADMAP A2's seed sweep says on how many seeds it \
+         holds).\n{}",
         table5()
     );
 }
