@@ -288,6 +288,23 @@ fn fig4_recall_does_not_fall_from_k5_to_k100() {
     );
 }
 
+/// Table II: bbw's CEA with EL keeps its F within 0.03 of its SearX
+/// original (0.98 against 1.00 at smoke scale, `MASTER_SEED`). The row
+/// deviated until bbw's context bonus stopped counting links to a rival
+/// for the same cell; the test keeps the name it had then, and fails if
+/// the gap comes back.
+#[test]
+fn table2_bbw_cea_deviation() {
+    let (orig, el) = (value(table2(), "CEA bbw", "F orig"), value(table2(), "CEA bbw", "F EL"));
+    assert!(
+        orig - el <= 0.03,
+        "CEA bbw: F EL {el} is again more than 0.03 below orig {orig}: bbw's context \
+         bonus (bbw's scorer in `semtab::systems`) lets a rival's links outweigh EL's \
+         rank-1 gold.\n{}",
+        table2()
+    );
+}
+
 // ------------------------------------------------------------------
 // Deviations: where the reproduction does not show the paper's shape
 // ------------------------------------------------------------------
