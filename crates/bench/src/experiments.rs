@@ -1,12 +1,13 @@
 //! Reproductions of every table and figure of the paper's evaluation.
 //!
 //! Each function builds its workload, runs the measurement and returns
-//! the numbers as a [`Report`]: `src/bin/repro.rs` prints them as
-//! markdown, and `tests/repro_harness.rs` asserts the paper's shape on
-//! them. Substitutions relative to the paper's setup are documented in
-//! DESIGN.md §2; the per-experiment mapping lives in DESIGN.md §4.
+//! the numbers as a [`Report`]; the [`Suite`](crate::harness::Suite) calls
+//! each once, `repro` prints the reports as markdown, and the claims table
+//! (`crate::claims`) checks the paper's shape on them. Substitutions
+//! relative to the paper's setup are documented in DESIGN.md §2; the
+//! per-experiment mapping lives in DESIGN.md §4.
 
-use crate::harness::{hit_rate_at_k, speedup, Env, Scale, MASTER_SEED};
+use crate::harness::{hit_rate_at_k, kg_and_dataset, speedup, Env, Scale, MASTER_SEED};
 use crate::report::Cell::{self, Label, Num, Speedup};
 use crate::report::Report;
 use emblookup_baselines::{
@@ -34,10 +35,10 @@ use std::time::{Duration, Instant};
 /// distance computation; on this single-core testbed we charge the bulk
 /// lookup `measured / GPU_LANES` on the same virtual clock used for the
 /// simulated remote endpoints. The paper's GPU/CPU speedup ratio is ≈4×.
-pub const GPU_LANES: u32 = 4;
+pub(crate) const GPU_LANES: u32 = 4;
 
 /// Virtual GPU time for a measured bulk-lookup duration.
-pub fn gpu_time(cpu: Duration) -> Duration {
+pub(crate) fn gpu_time(cpu: Duration) -> Duration {
     cpu / GPU_LANES
 }
 
@@ -148,14 +149,10 @@ fn in_task_order(mut rows: Vec<(&str, Vec<Cell>)>) -> Vec<Vec<Cell>> {
 // ---- Table I — dataset statistics ----
 
 /// Table I: statistics of the three tabular benchmark datasets.
-pub fn table1(scale: Scale) -> Report {
-    let wd = generate(scale.kg_config(KgFlavor::Wikidata));
-    let db = generate(scale.kg_config(KgFlavor::DbPedia));
-    let datasets = [
-        generate_dataset(&wd, &scale.dataset_config(DatasetConfig::st_wikidata(MASTER_SEED + 1))),
-        generate_dataset(&db, &scale.dataset_config(DatasetConfig::st_dbpedia(MASTER_SEED + 2))),
-        tough_tables(&wd, scale),
-    ];
+pub(crate) fn table1(scale: Scale) -> Report {
+    let (wd, wd_dataset) = kg_and_dataset(KgFlavor::Wikidata, scale);
+    let (db, db_dataset) = kg_and_dataset(KgFlavor::DbPedia, scale);
+    let datasets = [wd_dataset, db_dataset, tough_tables(&wd, scale)];
     let mut columns = vec![""];
     columns.extend(datasets.iter().map(|d| d.name.as_str()));
     let mut report = Report::new("Table I — dataset statistics", &columns);
@@ -196,7 +193,7 @@ fn tough_tables(synth: &SynthKg, scale: Scale) -> Dataset {
 /// Tables II (ST-Wikidata `env`) and III (ST-DBPedia `env`): each system's
 /// lookup speedup with EL and EL-NC over its original service, and the
 /// F-scores of all three, on the clean dataset.
-pub fn speedups(env: &Env) -> Report {
+pub(crate) fn speedups(env: &Env) -> Report {
     let number = match env.synth.config.flavor {
         KgFlavor::Wikidata => "II",
         KgFlavor::DbPedia => "III",
@@ -285,7 +282,7 @@ fn orig_vs_el(title: &str, envs: [&Env; 2], sets: [(usize, Vec<Dataset>); 3]) ->
 
 /// Table IV: F-scores under 10% cell noise (plus the Tough Tables
 /// analogue), original lookup vs EmbLookup, per system.
-pub fn table4(env_wd: &Env, env_db: &Env, scale: Scale) -> Report {
+pub(crate) fn table4(env_wd: &Env, env_db: &Env, scale: Scale) -> Report {
     orig_vs_el(
         "Table IV — noisy tabular datasets",
         [env_wd, env_db],
@@ -299,7 +296,7 @@ pub fn table4(env_wd: &Env, env_db: &Env, scale: Scale) -> Report {
 
 /// Table VI: F-scores when every mention is replaced by a random alias,
 /// averaged over 5 perturbed variants.
-pub fn table6(env_wd: &Env, env_db: &Env, scale: Scale) -> Report {
+pub(crate) fn table6(env_wd: &Env, env_db: &Env, scale: Scale) -> Report {
     let aliased = |base: &Dataset, env: &Env| -> Vec<Dataset> {
         (0..5).map(|v| with_alias_substitution(base, &env.synth, MASTER_SEED + 40 + v)).collect()
     };
@@ -325,7 +322,7 @@ pub fn table6(env_wd: &Env, env_db: &Env, scale: Scale) -> Report {
 /// speed-up, which compares lookup time only. The error variant applies
 /// 1–2 corruptions per query ("dropping/inserting one or more letters,
 /// transposing letters, swapping the tokens, abbreviations" — §IV-B).
-pub fn table5(scale: Scale) -> Report {
+pub(crate) fn table5(scale: Scale) -> Report {
     let catalog = generate(scale.catalog_kg_config());
     let kg = &catalog.kg;
     let train_start = Instant::now();
@@ -424,7 +421,7 @@ pub fn table5(scale: Scale) -> Report {
 
 /// Table VII: swapping the embedding generation algorithm under the CEA
 /// task (EmbLookup vs word2vec, fastText, BERT-mini, LSTM).
-pub fn table7(env: &Env) -> Report {
+pub(crate) fn table7(env: &Env) -> Report {
     let kg = &env.synth.kg;
     let corpus = Corpus::from_kg(kg);
 
@@ -484,15 +481,11 @@ pub fn table7(env: &Env) -> Report {
 
 /// Table VIII: varying the embedding dimension (uncompressed index to
 /// isolate the effect from quantization).
-pub fn table8(scale: Scale) -> Report {
+pub(crate) fn table8(scale: Scale) -> Report {
     // sensitivity sweeps retrain the model per configuration; they run on
     // the small KG with the full training budget so four trainings stay
     // tractable on one core (trends, not absolute values — EXPERIMENTS.md)
-    let synth = generate(Scale::Smoke.kg_config(KgFlavor::Wikidata));
-    let ds = generate_dataset(
-        &synth,
-        &Scale::Smoke.dataset_config(DatasetConfig::st_wikidata(MASTER_SEED + 1)),
-    );
+    let (synth, ds) = kg_and_dataset(KgFlavor::Wikidata, Scale::Smoke);
     let clean = queries_of(&ds);
     let noisy = queries_of(&with_noise(&ds, 0.9999, MASTER_SEED + 8));
 
@@ -534,13 +527,9 @@ fn queries_of(ds: &Dataset) -> Vec<(String, EntityId)> {
 /// Figure 3: accuracy of the four tasks and training time as the triplet
 /// budget per entity grows (paper sweeps 25–1000 at Wikidata scale; we
 /// sweep a proportionally scaled range).
-pub fn fig3(scale: Scale) -> Report {
+pub(crate) fn fig3(scale: Scale) -> Report {
     // same sensitivity-scale setup as Table VIII (see comment there)
-    let synth = generate(Scale::Smoke.kg_config(KgFlavor::Wikidata));
-    let ds = generate_dataset(
-        &synth,
-        &Scale::Smoke.dataset_config(DatasetConfig::st_wikidata(MASTER_SEED + 1)),
-    );
+    let (synth, ds) = kg_and_dataset(KgFlavor::Wikidata, Scale::Smoke);
     let w = Workload::new(&synth.kg, &ds);
 
     let mut report = Report::new(
@@ -575,7 +564,7 @@ pub fn fig3(scale: Scale) -> Report {
 /// Figure 4: recall of the PQ-compressed index against the uncompressed
 /// index as a function of `k` — low at small `k`, recovering for the
 /// larger `k` the downstream applications use.
-pub fn fig4(env: &Env) -> Report {
+pub(crate) fn fig4(env: &Env) -> Report {
     let queries = queries_of(&env.dataset);
     let mut report = Report::new(
         "Figure 4 — impact of compression on recall",
@@ -608,7 +597,7 @@ pub fn fig4(env: &Env) -> Report {
 /// fully noised (every entity cell misspelled): on clean mentions a label
 /// embeds onto its own row and even a one-component projection finds it,
 /// which hides what a compression loses.
-pub fn fig5(env: &Env) -> Report {
+pub(crate) fn fig5(env: &Env) -> Report {
     let kg = &env.synth.kg;
     let model = env.el_nc.model_arc();
     let k = emblookup_semtab::DEFAULT_K;
@@ -644,7 +633,7 @@ pub fn fig5(env: &Env) -> Report {
 
 /// The storage comparison of §IV-D: EmbLookup's compressed index vs an
 /// ElasticSearch index with and without aliases.
-pub fn index_sizes(env: &Env) -> Report {
+pub(crate) fn index_sizes(env: &Env) -> Report {
     let kg = &env.synth.kg;
     let mut report = Report::new("Index sizes (§IV-D)", &["Index", "Bytes"]);
     for (name, bytes) in [
@@ -663,7 +652,7 @@ pub fn index_sizes(env: &Env) -> Report {
 /// Ablation of EmbLookup's design choices: triplet-mining families,
 /// output L2 normalization, and the §III-C alias-indexing option.
 /// Reported as typo / alias hit@10 on the sensitivity-scale KG.
-pub fn ablation(scale: Scale) -> Report {
+pub(crate) fn ablation(scale: Scale) -> Report {
     use emblookup_core::{mine_triplets, EmbLookupModel, MiningConfig, TripletFamily};
     use emblookup_embed::FastText as Ft;
 
@@ -751,14 +740,21 @@ pub fn ablation(scale: Scale) -> Report {
 // ---- Lookup stage self-times (observability, beyond the paper) ----
 
 /// Per-stage self times of `queries` traced lookups on EL, from span
-/// trees: each query runs through the traced lookup path under its own
-/// trace, and each span's *self* time (duration minus direct children) is
-/// summed by span name. Unlike the stage histograms, which time stages in
-/// isolation, this attributes every nanosecond of the request wall time to
-/// exactly one stage — the rows sum to the root durations.
-pub fn stage_self_times(env: &Env, queries: usize) -> Report {
+/// trees, after the same queries untraced on EL and EL-NC (they fill the
+/// per-query latency histograms): each query runs through the traced
+/// lookup path under its own trace, and each span's *self* time (duration
+/// minus direct children) is summed by span name. Unlike the stage
+/// histograms, which time stages in isolation, this attributes every
+/// nanosecond of the request wall time to exactly one stage — the rows sum
+/// to the root durations.
+pub(crate) fn stage_self_times(env: &Env, queries: usize) -> Report {
     let labels: Vec<&str> =
         env.synth.kg.entities().take(queries).map(|e| e.label.as_str()).collect();
+    for service in [&env.el, &env.el_nc] {
+        for q in labels.iter().cycle().take(queries) {
+            let _ = service.lookup_with_distances(q, 10);
+        }
+    }
     // (span name, total self ns, span count) in first-seen order, which
     // the span-id ordering of the snapshot makes the pipeline order.
     let mut agg: Vec<(&'static str, u64, u64)> = Vec::new();
@@ -808,6 +804,7 @@ mod tests {
 
     #[test]
     fn gpu_time_divides() {
+        assert_eq!(GPU_LANES, 4);
         assert_eq!(gpu_time(Duration::from_secs(4)), Duration::from_secs(1));
     }
 

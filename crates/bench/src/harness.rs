@@ -1,10 +1,14 @@
-//! Shared experiment context: KGs, datasets, trained EmbLookup models and
-//! baseline services, built once per flavor and reused across experiments.
+//! The evaluation's shared context: the [`Suite`] that builds each KG,
+//! dataset and trained EmbLookup once per flavor and each experiment's
+//! report once, for `repro` and `tests/repro_harness.rs` alike.
 
+use crate::experiments as exp;
+use crate::report::Report;
 use emblookup_core::{Compression, EmbLookup, EmbLookupConfig};
 use emblookup_kg::{generate, EntityId, KgFlavor, LookupService, SynthKg, SynthKgConfig};
 use emblookup_semtab::{generate_dataset, Dataset, DatasetConfig};
-use std::time::Duration;
+use std::sync::OnceLock;
+use std::time::{Duration, Instant};
 
 /// Master seed for the whole experiment suite; every derived seed offsets
 /// from it so the full report is reproducible end to end.
@@ -21,7 +25,7 @@ pub enum Scale {
 
 impl Scale {
     /// KG config for a flavor at this scale.
-    pub fn kg_config(&self, flavor: KgFlavor) -> SynthKgConfig {
+    pub(crate) fn kg_config(&self, flavor: KgFlavor) -> SynthKgConfig {
         match self {
             Scale::Smoke => SynthKgConfig {
                 flavor,
@@ -32,7 +36,7 @@ impl Scale {
     }
 
     /// EmbLookup training config at this scale.
-    pub fn emblookup_config(&self) -> EmbLookupConfig {
+    pub(crate) fn emblookup_config(&self) -> EmbLookupConfig {
         match self {
             Scale::Smoke => EmbLookupConfig {
                 epochs: 6,
@@ -47,12 +51,11 @@ impl Scale {
         }
     }
 
-    /// Configuration of the large lookup catalog used by the head-to-head
+    /// Configuration of the large lookup catalog of the head-to-head
     /// service comparison (Table V). The paper evaluates lookup over full
-    /// Wikidata; speedup magnitudes only emerge once the catalog is much
-    /// larger than the training KG, so Table V indexes this bigger graph
-    /// with the already-trained model.
-    pub fn catalog_kg_config(&self) -> SynthKgConfig {
+    /// Wikidata; speedup magnitudes only emerge on a catalog much larger
+    /// than the other experiments' KGs.
+    pub(crate) fn catalog_kg_config(&self) -> SynthKgConfig {
         match self {
             Scale::Smoke => SynthKgConfig {
                 flavor: KgFlavor::Wikidata,
@@ -73,7 +76,7 @@ impl Scale {
     }
 
     /// Number of queries for the head-to-head comparison.
-    pub fn catalog_queries(&self) -> usize {
+    pub(crate) fn catalog_queries(&self) -> usize {
         match self {
             Scale::Smoke => 150,
             Scale::Full => 800,
@@ -81,7 +84,7 @@ impl Scale {
     }
 
     /// Dataset config factory scaled down for smoke runs.
-    pub fn dataset_config(&self, base: DatasetConfig) -> DatasetConfig {
+    pub(crate) fn dataset_config(&self, base: DatasetConfig) -> DatasetConfig {
         match self {
             Scale::Smoke => DatasetConfig {
                 tables: (base.tables / 8).max(3),
@@ -92,29 +95,36 @@ impl Scale {
     }
 }
 
+/// The KG of `flavor` at `scale` and its clean benchmark dataset
+/// (ST-Wikidata or ST-DBPedia).
+pub(crate) fn kg_and_dataset(flavor: KgFlavor, scale: Scale) -> (SynthKg, Dataset) {
+    let synth = generate(scale.kg_config(flavor));
+    let base = match flavor {
+        KgFlavor::Wikidata => DatasetConfig::st_wikidata(MASTER_SEED + 1),
+        KgFlavor::DbPedia => DatasetConfig::st_dbpedia(MASTER_SEED + 2),
+    };
+    let dataset = generate_dataset(&synth, &scale.dataset_config(base));
+    (synth, dataset)
+}
+
 /// One fully-prepared evaluation environment for a KG flavor.
-pub struct Env {
+pub(crate) struct Env {
     /// The synthetic KG.
-    pub synth: SynthKg,
+    pub(crate) synth: SynthKg,
     /// Clean benchmark dataset for this flavor.
-    pub dataset: Dataset,
+    pub(crate) dataset: Dataset,
     /// Trained EmbLookup with PQ compression (the paper's EL).
-    pub el: EmbLookup,
+    pub(crate) el: EmbLookup,
     /// Trained EmbLookup without compression (EL-NC), same weights.
-    pub el_nc: EmbLookup,
+    pub(crate) el_nc: EmbLookup,
 }
 
 impl Env {
     /// Builds the environment: generates the KG and dataset, trains
     /// EmbLookup once, and indexes the same weights twice (PQ and flat).
-    pub fn build(flavor: KgFlavor, scale: Scale) -> Self {
-        let synth = generate(scale.kg_config(flavor));
-        let ds_config = scale.dataset_config(match flavor {
-            KgFlavor::Wikidata => DatasetConfig::st_wikidata(MASTER_SEED + 1),
-            KgFlavor::DbPedia => DatasetConfig::st_dbpedia(MASTER_SEED + 2),
-        });
-        let dataset = generate_dataset(&synth, &ds_config);
-
+    fn build(flavor: KgFlavor, scale: Scale) -> Self {
+        let start = Instant::now();
+        let (synth, dataset) = kg_and_dataset(flavor, scale);
         let config = scale.emblookup_config();
         // train once (flat index), then re-index the same shared weights
         // under PQ — EL and EL-NC must use the identical embedding model
@@ -125,12 +135,98 @@ impl Env {
         .with_metrics_scope("el_nc");
         let el = EmbLookup::from_model(el_nc.model_arc(), &synth.kg, Compression::default_pq())
             .with_metrics_scope("el");
+        eprintln!("[setup] {flavor:?} environment built in {:.1?}", start.elapsed());
         Env { synth, dataset, el, el_nc }
     }
 }
 
+/// Builds one experiment's report, asking the suite for what it needs.
+type Experiment = fn(&Suite) -> Report;
+
+/// Every experiment by name, in report order.
+const EXPERIMENTS: [(&str, Experiment); 13] = [
+    ("table1", |s| exp::table1(s.scale)),
+    ("table2", |s| exp::speedups(s.wd())),
+    ("table3", |s| exp::speedups(s.db())),
+    ("table4", |s| exp::table4(s.wd(), s.db(), s.scale)),
+    ("table6", |s| exp::table6(s.wd(), s.db(), s.scale)),
+    ("table5", |s| exp::table5(s.scale)),
+    ("table7", |s| exp::table7(s.wd())),
+    ("table8", |s| exp::table8(s.scale)),
+    ("ablation", |s| exp::ablation(s.scale)),
+    ("fig3", |s| exp::fig3(s.scale)),
+    ("fig4", |s| exp::fig4(s.wd())),
+    ("fig5", |s| exp::fig5(s.wd())),
+    ("sizes", |s| exp::index_sizes(s.wd())),
+];
+
+/// Queries of [`Suite::lookup_probe`].
+const LATENCY_PROBE_QUERIES: usize = 100;
+
+/// The paper's evaluation at one scale: the two environments (ST-Wikidata
+/// and ST-DBPedia), each built when an experiment first asks for it, and
+/// each experiment's report, computed once. One `repro` run is one suite,
+/// and `tests/repro_harness.rs` shares one static suite across its tests.
+pub struct Suite {
+    scale: Scale,
+    wd: OnceLock<Env>,
+    db: OnceLock<Env>,
+    reports: [OnceLock<Report>; EXPERIMENTS.len()],
+}
+
+impl Suite {
+    /// A suite at `scale` that has built nothing yet.
+    pub const fn new(scale: Scale) -> Self {
+        Suite {
+            scale,
+            wd: OnceLock::new(),
+            db: OnceLock::new(),
+            reports: [const { OnceLock::new() }; EXPERIMENTS.len()],
+        }
+    }
+
+    /// Every experiment's name (`table1` … `table8`, `ablation`, `fig3`,
+    /// `fig4`, `fig5`, `sizes`), in report order.
+    pub fn experiments() -> impl Iterator<Item = &'static str> {
+        EXPERIMENTS.iter().map(|&(name, _)| name)
+    }
+
+    fn slot(&self, experiment: &str) -> Option<(&OnceLock<Report>, Experiment)> {
+        let i = EXPERIMENTS.iter().position(|&(name, _)| name == experiment)?;
+        Some((&self.reports[i], EXPERIMENTS[i].1))
+    }
+
+    /// The report of `experiment`, computed on its first call; `None` for
+    /// a name not in [`Suite::experiments`].
+    pub fn report(&self, experiment: &str) -> Option<&Report> {
+        let (slot, run) = self.slot(experiment)?;
+        Some(slot.get_or_init(|| run(self)))
+    }
+
+    /// The report of `experiment` if it has been computed.
+    pub(crate) fn computed(&self, experiment: &str) -> Option<&Report> {
+        self.slot(experiment)?.0.get()
+    }
+
+    fn wd(&self) -> &Env {
+        self.wd.get_or_init(|| Env::build(KgFlavor::Wikidata, self.scale))
+    }
+
+    fn db(&self) -> &Env {
+        self.db.get_or_init(|| Env::build(KgFlavor::DbPedia, self.scale))
+    }
+
+    /// If an experiment built ST-Wikidata: its lookups on EL and EL-NC,
+    /// which fill the `lookup.latency.{el,el_nc}` histograms whichever
+    /// experiments ran, and the per-stage self-times of traced lookups on
+    /// its EL.
+    pub fn lookup_probe(&self) -> Option<Report> {
+        self.wd.get().map(|env| exp::stage_self_times(env, LATENCY_PROBE_QUERIES))
+    }
+}
+
 /// Speedup of `fast` over `slow`, as the paper reports ("20x").
-pub fn speedup(slow: Duration, fast: Duration) -> f64 {
+pub(crate) fn speedup(slow: Duration, fast: Duration) -> f64 {
     let f = fast.as_secs_f64();
     if f <= 0.0 {
         return f64::INFINITY;
@@ -140,7 +236,7 @@ pub fn speedup(slow: Duration, fast: Duration) -> f64 {
 
 /// Fraction of queries whose ground-truth entity appears in the service's
 /// top-`k` — the success criterion of the paper's head-to-head comparison.
-pub fn hit_rate_at_k(service: &dyn LookupService, queries: &[(String, EntityId)], k: usize) -> f64 {
+pub(crate) fn hit_rate_at_k(service: &dyn LookupService, queries: &[(String, EntityId)], k: usize) -> f64 {
     if queries.is_empty() {
         return 1.0;
     }

@@ -1,6 +1,6 @@
 //! One experiment's result as values: a titled table of cells and its
 //! trailing notes. Markdown is one renderer over it ([`fmt::Display`]);
-//! tests read the numbers back with [`Report::value`].
+//! the claims table reads the numbers back with `Report::value`.
 
 use std::fmt;
 
@@ -50,7 +50,7 @@ impl Report {
     /// its first two joined with a space (`"CEA bbw"`). `None` if no row or
     /// more than one has that name, the column does not exist, or the cell
     /// is a label.
-    pub fn value(&self, row: &str, column: &str) -> Option<f64> {
+    pub(crate) fn value(&self, row: &str, column: &str) -> Option<f64> {
         let c = self.columns.iter().position(|h| h == column)?;
         let named = |cells: &&Vec<Cell>| {
             let first = cells.first().map(Cell::text).unwrap_or_default();

@@ -473,8 +473,8 @@ impl EmbLookupModel {
     ///
     /// # Errors
     /// Returns a description of the first structural mismatch, including a
-    /// block length the buffer cannot hold and a fastText leg whose
-    /// dimension is not `config.fasttext_dim`.
+    /// block length the buffer cannot hold, bytes after the last block and
+    /// a fastText leg whose dimension is not `config.fasttext_dim`.
     pub fn from_bytes(bytes: &[u8], config: EmbLookupConfig) -> Result<Self, String> {
         let read_block = |cur: &mut usize| -> Result<&[u8], String> {
             let end = *cur + 8;
@@ -497,6 +497,9 @@ impl EmbLookupModel {
             return Err(format!("fastText dim {} != config.fasttext_dim {}", semantic.dim(), config.fasttext_dim));
         }
         let weight_block = read_block(&mut cur)?;
+        if cur != bytes.len() {
+            return Err(format!("{} trailing bytes after the weight block", bytes.len() - cur));
+        }
         let mut model = EmbLookupModel::new(semantic, config);
         model.store.load_bytes(weight_block)?;
         Ok(model)
@@ -576,7 +579,8 @@ mod persist_tests {
     fn readers_reject_every_truncation_and_every_crafted_length() {
         // a real buffer, seeded: every prefix of it — and of its fastText
         // and SGNS blocks, which the outer reader's own length check would
-        // otherwise stop first — and each length field set to 0, to one
+        // otherwise stop first —, each reader's buffer with one byte
+        // appended, and each length field set to 0, to one
         // past the buffer, to 2^60 and to u64::MAX, is an `Err`, never a
         // panic (here or under --release) or a reservation sized by the
         // field
@@ -598,6 +602,13 @@ mod persist_tests {
         for cut in 0..ft_bytes.len() {
             assert!(FastText::from_bytes(&ft_bytes[..cut]).is_err(), "fastText cut at {cut}");
         }
+        // one appended byte: after the whole buffer, after the fastText
+        // block, and after the weight block that the store reads
+        let appended = |block: &[u8]| [block, &[0]].concat();
+        assert!(EmbLookupModel::from_bytes(&appended(&bytes), config.clone()).is_err(), "model + 1 byte");
+        assert!(FastText::from_bytes(&appended(ft_bytes)).is_err(), "fastText + 1 byte");
+        let mut model = EmbLookupModel::from_bytes(&bytes, config.clone()).unwrap();
+        assert!(model.store.load_bytes(&appended(&bytes[ft_block.end + 8..])).is_err(), "weights + 1 byte");
         let sgns_bytes = &bytes[sgns_block];
         for cut in 0..sgns_bytes.len() {
             assert!(emblookup_embed::sgns::SgnsModel::from_bytes(&sgns_bytes[..cut]).is_err(), "SGNS cut at {cut}");

@@ -11,7 +11,7 @@ use crate::model::{EmbLookupModel, EncodeScratch};
 use emblookup_ann::sq_l2;
 use emblookup_obs::names;
 use emblookup_tensor::loss;
-use emblookup_tensor::optim::{Adam, GradBuffer, Optimizer};
+use emblookup_tensor::optim::{Adam, GradBuffer};
 use emblookup_tensor::{Graph, Tensor, Var};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;

@@ -5,7 +5,7 @@
 
 use crate::encoder::StringEncoder;
 use emblookup_tensor::nn::{Linear, TransformerBlock};
-use emblookup_tensor::optim::{Adam, Optimizer};
+use emblookup_tensor::optim::Adam;
 use emblookup_tensor::{Bindings, Graph, ParamId, ParamStore, Tensor, Var};
 use emblookup_text::Alphabet;
 use rand::rngs::StdRng;

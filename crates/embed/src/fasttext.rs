@@ -685,7 +685,7 @@ impl FastText {
     /// # Errors
     /// Returns a description of the first structural problem found —
     /// including a length or count the buffer cannot hold, which is never
-    /// reserved for.
+    /// reserved for, and bytes after the SGNS block.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
         let mut cur = 0usize;
         // `len` bytes from `cur` on, or an error naming `what`
@@ -733,6 +733,9 @@ impl FastText {
         }
         let sgns_len = read_u64(&mut cur)?;
         let model = SgnsModel::from_bytes(take(&mut cur, sgns_len, "SGNS block")?)?;
+        if cur != bytes.len() {
+            return Err(format!("{} trailing bytes after the SGNS block", bytes.len() - cur));
+        }
         if model.dim() != dim {
             return Err(format!("SGNS dim {} != config dim {dim}", model.dim()));
         }

@@ -6,7 +6,7 @@
 
 use crate::encoder::StringEncoder;
 use emblookup_tensor::nn::Lstm;
-use emblookup_tensor::optim::{Adam, Optimizer};
+use emblookup_tensor::optim::Adam;
 use emblookup_tensor::{loss, Bindings, Graph, ParamStore, Tensor, Var};
 use emblookup_text::{Alphabet, OneHotEncoder};
 use rand::rngs::StdRng;

@@ -2,8 +2,8 @@
 //!
 //! Minimal deep-learning substrate for the EmbLookup reproduction: dense
 //! `f32` tensors, a tape-based reverse-mode autograd, the layers EmbLookup's
-//! models need (linear, conv1d, LSTM, transformer block, layer norm), Adam /
-//! SGD optimizers and the triplet loss of the paper.
+//! models need (linear, conv1d, LSTM, transformer block, layer norm), the
+//! Adam optimizer and the triplet loss of the paper.
 //!
 //! The crate intentionally implements only the op set the paper's models
 //! exercise — it replaces PyTorch for this reproduction, not in general.

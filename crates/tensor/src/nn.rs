@@ -510,7 +510,7 @@ impl TransformerBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optim::{Adam, Optimizer};
+    use crate::optim::Adam;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

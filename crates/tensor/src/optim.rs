@@ -1,4 +1,4 @@
-//! Optimizers operating on a [`ParamStore`] after a backward pass.
+//! The Adam optimizer, operating on a [`ParamStore`] after a backward pass.
 
 use crate::graph::Graph;
 use crate::params::{Bindings, ParamId, ParamStore};
@@ -88,76 +88,30 @@ impl GradBuffer {
     }
 }
 
-/// A gradient-descent style optimizer.
-pub trait Optimizer {
-    /// Applies one update step from the gradients accumulated in `graph`
-    /// for every parameter recorded in `bindings`.
-    fn step(&mut self, store: &mut ParamStore, graph: &Graph, bindings: &Bindings) {
-        let grads = GradBuffer::from_graph(graph, bindings);
-        self.step_grads(store, &grads);
-    }
-
-    /// Applies one update step from pre-collected gradients — the entry
-    /// point for micro-batch training, where several graphs' gradients
-    /// are merged into one [`GradBuffer`] before a single update.
-    fn step_grads(&mut self, store: &mut ParamStore, grads: &GradBuffer);
-}
-
-/// Plain stochastic gradient descent with optional gradient clipping.
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-    /// When set, every gradient tensor is clipped to this L2 norm.
-    pub clip_norm: Option<f32>,
-}
-
-impl Sgd {
-    /// SGD with the given learning rate and no clipping.
-    #[cfg(test)]
-    pub(crate) fn new(lr: f32) -> Self {
-        Sgd { lr, clip_norm: None }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step_grads(&mut self, store: &mut ParamStore, grads: &GradBuffer) {
-        for (id, grad) in grads.iter() {
-            let mut g = grad.clone();
-            maybe_clip(&mut g, self.clip_norm);
-            store.get_mut(id).axpy(-self.lr, &g);
-        }
-    }
-}
+/// Exponential decay of Adam's first moment.
+const BETA1: f32 = 0.9;
+/// Exponential decay of Adam's second moment.
+const BETA2: f32 = 0.999;
+/// Adam's numerical stabilizer.
+const EPS: f32 = 1e-8;
+/// Every gradient tensor is clipped to this L2 norm before it reaches the
+/// moments.
+const CLIP_NORM: f32 = 5.0;
 
 /// Adam optimizer (Kingma & Ba) with bias correction, matching the paper's
-/// training setup ("we use the Adam optimizer").
+/// training setup ("we use the Adam optimizer"): β₁ = 0.9, β₂ = 0.999,
+/// ε = 1e-8, each gradient tensor clipped to L2 norm 5.
 pub struct Adam {
     /// Learning rate (paper-scale default `1e-3`).
     pub lr: f32,
-    /// Exponential decay for the first moment.
-    pub beta1: f32,
-    /// Exponential decay for the second moment.
-    pub beta2: f32,
-    /// Numerical stabilizer.
-    pub eps: f32,
-    /// When set, every gradient tensor is clipped to this L2 norm.
-    pub clip_norm: Option<f32>,
     step: u64,
     moments: Vec<Option<(Tensor, Tensor)>>,
 }
 
 impl Adam {
-    /// Adam with standard hyperparameters (β₁=0.9, β₂=0.999, ε=1e-8).
+    /// Adam at learning rate `lr`, before its first step.
     pub fn new(lr: f32) -> Self {
-        Adam {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            clip_norm: Some(5.0),
-            step: 0,
-            moments: Vec::new(),
-        }
+        Adam { lr, step: 0, moments: Vec::new() }
     }
 
     fn moment_slot(&mut self, id: ParamId, shape: &[usize]) -> &mut (Tensor, Tensor) {
@@ -167,40 +121,42 @@ impl Adam {
         self.moments[id.0]
             .get_or_insert_with(|| (Tensor::zeros(shape), Tensor::zeros(shape)))
     }
-}
 
-impl Optimizer for Adam {
-    fn step_grads(&mut self, store: &mut ParamStore, grads: &GradBuffer) {
+    /// Applies one update step from the gradients accumulated in `graph`
+    /// for every parameter recorded in `bindings`.
+    pub fn step(&mut self, store: &mut ParamStore, graph: &Graph, bindings: &Bindings) {
+        let grads = GradBuffer::from_graph(graph, bindings);
+        self.step_grads(store, &grads);
+    }
+
+    /// Applies one update step from pre-collected gradients — the entry
+    /// point for micro-batch training, where several graphs' gradients
+    /// are merged into one [`GradBuffer`] before a single update.
+    pub fn step_grads(&mut self, store: &mut ParamStore, grads: &GradBuffer) {
         self.step += 1;
         let t = self.step as f32;
-        let bc1 = 1.0 - self.beta1.powf(t);
-        let bc2 = 1.0 - self.beta2.powf(t);
+        let bc1 = 1.0 - BETA1.powf(t);
+        let bc2 = 1.0 - BETA2.powf(t);
+        let lr = self.lr;
         for (id, grad) in grads.iter() {
             let mut g = grad.clone();
-            maybe_clip(&mut g, self.clip_norm);
-            let (beta1, beta2, eps, lr) = (self.beta1, self.beta2, self.eps, self.lr);
+            let n = g.norm();
+            if n > CLIP_NORM {
+                g.scale_mut(CLIP_NORM / n);
+            }
             let (m, v) = self.moment_slot(id, g.shape());
             let param = store.get_mut(id);
             let pd = param.data_mut();
             for (i, p) in pd.iter_mut().enumerate() {
                 let gi = g.data()[i];
-                let mi = beta1 * m.data()[i] + (1.0 - beta1) * gi;
-                let vi = beta2 * v.data()[i] + (1.0 - beta2) * gi * gi;
+                let mi = BETA1 * m.data()[i] + (1.0 - BETA1) * gi;
+                let vi = BETA2 * v.data()[i] + (1.0 - BETA2) * gi * gi;
                 m.data_mut()[i] = mi;
                 v.data_mut()[i] = vi;
                 let mhat = mi / bc1;
                 let vhat = vi / bc2;
-                *p -= lr * mhat / (vhat.sqrt() + eps);
+                *p -= lr * mhat / (vhat.sqrt() + EPS);
             }
-        }
-    }
-}
-
-fn maybe_clip(g: &mut Tensor, clip: Option<f32>) {
-    if let Some(max_norm) = clip {
-        let n = g.norm();
-        if n > max_norm && n > 0.0 {
-            g.scale_mut(max_norm / n);
         }
     }
 }
@@ -211,7 +167,7 @@ mod tests {
     use crate::graph::Graph;
 
     /// Minimizes f(x) = sum((x - target)^2) and checks convergence.
-    fn converges(optimizer: &mut dyn Optimizer, iters: usize) -> f32 {
+    fn converges(optimizer: &mut Adam, iters: usize) -> f32 {
         let mut store = ParamStore::new();
         let x = store.register("x", Tensor::vector(&[5.0, -3.0, 0.5]));
         let target = Tensor::vector(&[1.0, 2.0, 3.0]);
@@ -230,12 +186,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut opt = Sgd::new(0.1);
-        assert!(converges(&mut opt, 100) < 1e-3);
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let mut opt = Adam::new(0.2);
         assert!(converges(&mut opt, 300) < 1e-2);
@@ -244,19 +194,19 @@ mod tests {
     #[test]
     fn clipping_bounds_update() {
         let mut store = ParamStore::new();
-        let x = store.register("x", Tensor::vector(&[1000.0]));
+        let x = store.register("x", Tensor::vector(&[512.0]));
         let mut graph = Graph::new();
         let mut bindings = Bindings::new();
         let xv = bindings.bind(&mut graph, &store, x);
         let sq = graph.mul(xv, xv);
         let loss = graph.sum_all(sq);
         graph.backward(loss);
-        let before = store.get(x).data()[0];
-        let mut opt = Sgd { lr: 1.0, clip_norm: Some(1.0) };
+        let mut opt = Adam::new(1.0);
         opt.step(&mut store, &graph, &bindings);
-        let after = store.get(x).data()[0];
-        // gradient is 2000 but clipped to norm 1 -> step of exactly lr * 1
-        assert!((before - after - 1.0).abs() < 1e-4);
+        // the gradient is 1024, clipped to norm 5 before the moments see it
+        let (m, v) = opt.moments[x.0].as_ref().unwrap();
+        assert_eq!(m.data(), &[(1.0 - BETA1) * CLIP_NORM]);
+        assert_eq!(v.data(), &[(1.0 - BETA2) * CLIP_NORM * CLIP_NORM]);
     }
 
     #[test]
@@ -267,7 +217,7 @@ mod tests {
         let run = |micro: bool| -> Vec<f32> {
             let mut store = ParamStore::new();
             let x = store.register("x", Tensor::vector(&[0.0, 0.0]));
-            let mut opt = Sgd::new(0.5);
+            let mut opt = Adam::new(0.5);
             if micro {
                 let mut total = GradBuffer::new();
                 for target in &targets {

@@ -94,7 +94,8 @@ impl ParamStore {
     ///
     /// # Errors
     /// Returns a description of the first structural mismatch encountered
-    /// (truncated buffer, wrong parameter count, or shape mismatch).
+    /// (truncated buffer, wrong parameter count, shape mismatch, or bytes
+    /// after the last parameter).
     pub fn load_bytes(&mut self, bytes: &[u8]) -> Result<(), String> {
         let mut cur = 0usize;
         let read_u64 = |cur: &mut usize| -> Result<u64, String> {
@@ -142,6 +143,9 @@ impl ParamStore {
                 data.push(f32::from_le_bytes(slice.try_into().map_err(|_| "truncated buffer")?));
             }
             self.params[i] = Tensor::from_vec(&shape, data);
+        }
+        if cur != bytes.len() {
+            return Err(format!("{} trailing bytes after the last parameter", bytes.len() - cur));
         }
         Ok(())
     }

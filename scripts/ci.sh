@@ -75,15 +75,22 @@ for kernel in scalar auto; do
     EMBLOOKUP_KERNEL=$kernel cargo test -q --offline "${kernel_suites[@]}"
 done
 
+# The hostile-input tests of the file readers (KG, fastText, SGNS and
+# model buffers: every truncation, crafted lengths, appended bytes) once
+# more in release, where integer overflow wraps silently instead of
+# panicking: a length check that leans on the debug-build panic shows here.
+echo "== cargo test -q --release --offline -p emblookup-kg -p emblookup-embed -p emblookup-core -- reject =="
+cargo test -q --release --offline -p emblookup-kg -p emblookup-embed -p emblookup-core -- reject
+
 echo "== ann_bench --smoke (600-tier health check) =="
 cargo run -q --release --offline -p emblookup-bench --bin ann_bench -- --smoke
 
 # The repro binary's own dispatch, which the library tests never reach:
-# one experiment end to end at smoke scale (one environment, ~6 s), and
-# an experiment name it does not know must fail instead of printing an
-# empty report.
+# one experiment end to end at smoke scale (one environment, ~6 s),
+# printing its claims table, and an experiment name it does not know
+# must fail instead of printing an empty report.
 echo "== repro --smoke sizes; repro rejects an unknown experiment =="
-cargo run -q --release --offline -p emblookup-bench --bin repro -- --smoke sizes >/dev/null
+cargo run -q --release --offline -p emblookup-bench --bin repro -- --smoke sizes | awk '/^## /{show = /^## Claims/} show'
 if cargo run -q --release --offline -p emblookup-bench --bin repro -- nope 2>/dev/null; then
     echo "ci.sh: FAIL — repro accepted the unknown experiment name 'nope'" >&2
     exit 1

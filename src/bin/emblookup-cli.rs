@@ -161,9 +161,10 @@ fn cmd_lookup(args: &[String]) -> Result<(), String> {
     let model_path = required(args, "--model")?;
     let query = required(args, "--query")?;
     let k: usize = parsed(args, "--k", 10)?;
-    let seed: u64 = parsed(args, "--seed", 42)?;
     let bytes = std::fs::read(&model_path).map_err(|e| format!("{model_path}: {e}"))?;
-    let model = EmbLookupModel::from_bytes(&bytes, EmbLookupConfig::fast(seed))?;
+    // the default configuration has `train`'s architecture; every weight
+    // comes from the file
+    let model = EmbLookupModel::from_bytes(&bytes, EmbLookupConfig::default())?;
     let service = EmbLookup::from_model(Arc::new(model), &kg, emblookup::core::Compression::default_pq());
     for (rank, c) in service.lookup(&query, k).iter().enumerate() {
         println!("{:>2}. {:<32} {:.4}", rank + 1, kg.label(c.entity), c.score);
