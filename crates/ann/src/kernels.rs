@@ -264,7 +264,7 @@ pub fn sq_l2_block(query: &[f32], rows: &[f32], out: &mut [f32]) {
 
 /// Squared-L2 from `query` to `out.len()` points stored dimension-major:
 /// coordinate `k` of point `c` at `columns[k * out.len() + c]` — how
-/// [`crate::ProductQuantizer`] stores a codebook, so that its ADC table
+/// [`crate::pq::ProductQuantizer`] stores a codebook, so that its ADC table
 /// and encoder read one contiguous run of centroids per dimension.
 /// `out[c]` is **bit-equal** to [`sq_l2`] of `query` and point `c` under
 /// every variant, so it is what [`sq_l2_block`] gives over the row-major

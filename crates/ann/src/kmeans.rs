@@ -15,25 +15,19 @@ use rand::{Rng, SeedableRng};
 
 /// Result of a k-means run: `k` centroids of the input dimension.
 #[derive(Debug, Clone)]
-pub struct KMeans {
+pub(crate) struct KMeans {
     centroids: VectorSet,
 }
 
 /// Parameters for `KMeans::fit`.
 #[derive(Debug, Clone, Copy)]
-pub struct KMeansConfig {
+pub(crate) struct KMeansConfig {
     /// Number of clusters.
-    pub k: usize,
+    pub(crate) k: usize,
     /// Maximum Lloyd iterations.
-    pub max_iters: usize,
+    pub(crate) max_iters: usize,
     /// RNG seed for the k-means++ initialization.
-    pub seed: u64,
-}
-
-impl Default for KMeansConfig {
-    fn default() -> Self {
-        KMeansConfig { k: 256, max_iters: 20, seed: 0 }
-    }
+    pub(crate) seed: u64,
 }
 
 impl KMeans {

@@ -22,7 +22,7 @@ mod index;
 pub mod ivf;
 #[expect(unsafe_code, reason = "the SIMD kernels behind runtime feature dispatch")]
 pub mod kernels;
-pub mod kmeans;
+mod kmeans;
 pub mod lsh;
 mod metrics;
 pub mod pca;
@@ -37,11 +37,10 @@ pub use hnsw::{HnswConfig, HnswIndex};
 pub use hnsw_pq::{HnswPqConfig, HnswPqIndex};
 pub use index::AnnIndex;
 pub use ivf::{IvfConfig, IvfIndex};
-pub use kmeans::{KMeans, KMeansConfig};
 pub use lsh::{LshConfig, MinHashLsh};
 pub use pca::Pca;
-pub use pq::{PqConfig, PqIndex, ProductQuantizer};
-pub use topk::{Neighbor, TopK};
+pub use pq::{PqConfig, PqIndex};
+pub use topk::Neighbor;
 pub use vectors::{sq_l2, VectorSet};
 
 /// Seeded property tests: case `seed` draws its inputs from

@@ -36,7 +36,7 @@ impl Default for PqConfig {
 
 /// Trained product quantizer: `m` codebooks of `ks` sub-centroids each.
 #[derive(Debug, Clone)]
-pub struct ProductQuantizer {
+pub(crate) struct ProductQuantizer {
     m: usize,
     dsub: usize,
     ks: usize,

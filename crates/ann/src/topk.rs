@@ -24,7 +24,7 @@ pub struct Neighbor {
 /// (11, 2.0), (12, 2.0), (13, 0.5) keeps 11, 12 and 13.
 /// `TopK::into_sorted` leaves equal distances in heap order.
 #[derive(Debug)]
-pub struct TopK {
+pub(crate) struct TopK {
     k: usize,
     heap: Vec<Neighbor>, // max-heap on dist
 }

@@ -6,11 +6,11 @@ use emblookup_text::tokenize::normalize;
 
 /// A searchable surface form (label or alias) paired with its entity.
 #[derive(Debug, Clone)]
-pub struct CatalogEntry {
+pub(crate) struct CatalogEntry {
     /// Normalized surface form.
-    pub mention: String,
+    pub(crate) mention: String,
     /// Owning entity.
-    pub entity: EntityId,
+    pub(crate) entity: EntityId,
 }
 
 /// Flat catalog of surface forms extracted from a knowledge graph.
@@ -19,7 +19,7 @@ pub struct CatalogEntry {
 /// out that including aliases inflates an ElasticSearch index from 63 MB to
 /// 790 MB); pass `include_aliases = true` to model alias-aware services.
 #[derive(Debug, Clone, Default)]
-pub struct MentionCatalog {
+pub(crate) struct MentionCatalog {
     entries: Vec<CatalogEntry>,
 }
 

@@ -44,9 +44,9 @@ pub struct ElasticOpService {
 }
 
 impl ElasticOpService {
-    /// Builds the trigram candidate index over the catalog.
-    pub fn new(kg: &KnowledgeGraph, include_aliases: bool, op: ElasticOp) -> Self {
-        let catalog = MentionCatalog::from_kg(kg, include_aliases);
+    /// Builds the trigram candidate index over the graph's primary labels.
+    pub fn new(kg: &KnowledgeGraph, op: ElasticOp) -> Self {
+        let catalog = MentionCatalog::from_kg(kg, false);
         let mut inverted: HashMap<String, Vec<u32>> = HashMap::new();
         for (i, e) in catalog.entries().iter().enumerate() {
             let mut grams = qgrams(&e.mention, 3);
@@ -141,7 +141,7 @@ mod tests {
     #[test]
     fn exact_op_matches_only_exact() {
         let s = synth();
-        let svc = ElasticOpService::new(&s.kg, false, ElasticOp::Exact);
+        let svc = ElasticOpService::new(&s.kg, ElasticOp::Exact);
         let e = s.kg.entities().next().unwrap();
         assert!(svc.lookup(&e.label, 5).iter().any(|c| c.entity == e.id));
         let mut rng = StdRng::seed_from_u64(1);
@@ -152,7 +152,7 @@ mod tests {
     #[test]
     fn levenshtein_op_tolerates_typos() {
         let s = synth();
-        let svc = ElasticOpService::new(&s.kg, false, ElasticOp::Levenshtein);
+        let svc = ElasticOpService::new(&s.kg, ElasticOp::Levenshtein);
         let mut rng = StdRng::seed_from_u64(2);
         let e = s.kg.entities().nth(5).unwrap();
         let noisy = emblookup_text::apply_noise(&e.label, NoiseKind::DropChar, &mut rng);
@@ -162,7 +162,7 @@ mod tests {
     #[test]
     fn qgram_op_scores_by_jaccard() {
         let s = synth();
-        let svc = ElasticOpService::new(&s.kg, false, ElasticOp::QGram);
+        let svc = ElasticOpService::new(&s.kg, ElasticOp::QGram);
         let e = s.kg.entities().nth(8).unwrap();
         let hits = svc.lookup(&e.label, 5);
         assert_eq!(hits[0].entity, e.id);
@@ -177,7 +177,7 @@ mod tests {
             (ElasticOp::QGram, "q-gram"),
             (ElasticOp::Levenshtein, "Levenshtein"),
         ] {
-            assert_eq!(ElasticOpService::new(&s.kg, false, op).name(), name);
+            assert_eq!(ElasticOpService::new(&s.kg, op).name(), name);
         }
     }
 }

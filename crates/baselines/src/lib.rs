@@ -11,7 +11,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod catalog;
+mod catalog;
 pub mod elastic;
 pub mod elastic_ops;
 pub mod lsh_service;
@@ -19,7 +19,6 @@ pub mod metasearch;
 pub mod remote;
 pub mod scan;
 
-pub use catalog::MentionCatalog;
 pub use elastic::ElasticLikeService;
 pub use elastic_ops::{ElasticOp, ElasticOpService};
 pub use lsh_service::LshService;

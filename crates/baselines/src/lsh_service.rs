@@ -17,9 +17,10 @@ pub struct LshService {
 }
 
 impl LshService {
-    /// Builds the LSH tables over catalog q-gram sets.
-    pub fn new(kg: &KnowledgeGraph, include_aliases: bool, config: LshConfig) -> Self {
-        let catalog = MentionCatalog::from_kg(kg, include_aliases);
+    /// Builds the LSH tables over the q-gram sets of the graph's primary
+    /// labels.
+    pub fn new(kg: &KnowledgeGraph, config: LshConfig) -> Self {
+        let catalog = MentionCatalog::from_kg(kg, false);
         let q = 3;
         let mut lsh = MinHashLsh::new(config);
         for (i, e) in catalog.entries().iter().enumerate() {
@@ -63,7 +64,7 @@ mod tests {
     #[test]
     fn exact_label_is_found() {
         let s = generate(SynthKgConfig::tiny(13));
-        let svc = LshService::new(&s.kg, false, LshConfig::default());
+        let svc = LshService::new(&s.kg, LshConfig::default());
         let e = s.kg.entities().nth(2).unwrap();
         let hits = svc.lookup(&e.label, 5);
         assert!(hits.iter().any(|c| c.entity == e.id));
@@ -75,7 +76,7 @@ mod tests {
         // LSH is a candidate filter: some typos fall out of every band —
         // that is exactly the accuracy gap Table V shows for LSH.
         let s = generate(SynthKgConfig::tiny(14));
-        let svc = LshService::new(&s.kg, false, LshConfig { bands: 24, rows: 2, seed: 0 });
+        let svc = LshService::new(&s.kg, LshConfig { bands: 24, rows: 2, seed: 0 });
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(4);
         let mut found = 0;
         let total = 20;
@@ -95,7 +96,7 @@ mod tests {
     #[test]
     fn unrelated_query_returns_few_or_none() {
         let s = generate(SynthKgConfig::tiny(15));
-        let svc = LshService::new(&s.kg, false, LshConfig { bands: 8, rows: 6, seed: 0 });
+        let svc = LshService::new(&s.kg, LshConfig { bands: 8, rows: 6, seed: 0 });
         let hits = svc.lookup("qqqqqqzzzzzz", 10);
         assert!(hits.len() < 5);
     }

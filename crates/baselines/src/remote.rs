@@ -3,10 +3,10 @@
 //! Remote services dominate the paper's slow end of Table V: their cost is
 //! round-trip latency plus rate limits (Wikidata allows five parallel
 //! queries per IP). We model that cost deterministically on a virtual
-//! clock instead of doing network I/O: `lookup_timed` returns the inner
-//! (alias-aware, server-side) match result plus the latency the real
-//! endpoint would have charged. Results are deterministic and the harness
-//! never sleeps.
+//! clock instead of doing network I/O: `lookup_batch_timed` returns the
+//! inner (alias-aware, server-side) match results plus the latency the
+//! real endpoint would have charged. Results are deterministic and the
+//! harness never sleeps.
 
 use emblookup_kg::{Candidate, LookupService};
 use std::time::Duration;
@@ -86,19 +86,8 @@ impl<S: LookupService> LookupService for RemoteService<S> {
         &self.name
     }
 
-    fn lookup_timed(&self, q: &str, k: usize) -> (Vec<Candidate>, Duration) {
-        let (hits, compute) = self.inner.lookup_timed(q, k);
-        (hits, compute + self.cost.per_request())
-    }
-
     fn lookup_batch_timed(&self, queries: &[&str], k: usize) -> (Vec<Vec<Candidate>>, Duration) {
-        let mut out = Vec::with_capacity(queries.len());
-        let mut compute = Duration::ZERO;
-        for q in queries {
-            let (hits, t) = self.inner.lookup_timed(q, k);
-            compute += t;
-            out.push(hits);
-        }
+        let (out, compute) = self.inner.lookup_batch_timed(queries, k);
         (out, compute + self.cost.batch_elapsed(queries.len()))
     }
 }
@@ -109,17 +98,37 @@ mod tests {
     use crate::scan::ExactMatchService;
     use emblookup_kg::{generate, SynthKgConfig};
 
+    /// Answers nothing and charges a fixed compute time per batch.
+    struct Charged(Duration);
+
+    impl LookupService for Charged {
+        fn lookup(&self, _q: &str, _k: usize) -> Vec<Candidate> {
+            Vec::new()
+        }
+        fn name(&self) -> &str {
+            "charged"
+        }
+        fn lookup_batch_timed(&self, queries: &[&str], _k: usize) -> (Vec<Vec<Candidate>>, Duration) {
+            (vec![Vec::new(); queries.len()], self.0)
+        }
+    }
+
     #[test]
     fn per_request_latency_is_charged() {
-        let s = generate(SynthKgConfig::tiny(16));
-        let remote = RemoteService::new(
-            ExactMatchService::new(&s.kg, true),
-            RemoteCostModel::wikidata(),
-            "Wikidata API",
-        );
-        let label = s.kg.label(s.cities[0]).to_string();
-        let (_, t) = remote.lookup_timed(&label, 5);
-        assert!(t >= Duration::from_millis(85), "{t:?} too fast");
+        // the charge is the inner service's batch time plus the modeled
+        // latency of the rate-limited requests
+        let compute = Duration::from_micros(1234);
+        let cost = RemoteCostModel::wikidata();
+        let remote = RemoteService::new(Charged(compute), cost, "Wikidata API");
+        // one request, and twelve: three waves at concurrency 5
+        for n in [1, 12] {
+            let queries = vec!["q"; n];
+            let (out, t) = remote.lookup_batch_timed(&queries, 5);
+            assert_eq!(out.len(), n);
+            assert_eq!(t, compute + cost.batch_elapsed(n), "n = {n}");
+        }
+        assert_eq!(cost.batch_elapsed(1), cost.per_request());
+        assert_eq!(cost.batch_elapsed(12), cost.per_request() * 3);
     }
 
     #[test]

@@ -144,10 +144,10 @@ pub struct FuzzyWuzzyService {
 }
 
 impl FuzzyWuzzyService {
-    /// Builds the scan service.
-    pub fn new(kg: &KnowledgeGraph, include_aliases: bool) -> Self {
+    /// Builds the scan service over the graph's primary labels.
+    pub fn new(kg: &KnowledgeGraph) -> Self {
         FuzzyWuzzyService {
-            catalog: MentionCatalog::from_kg(kg, include_aliases),
+            catalog: MentionCatalog::from_kg(kg, false),
             name: "FuzzyWuzzy".into(),
         }
     }
@@ -224,7 +224,7 @@ mod tests {
     #[test]
     fn fuzzywuzzy_handles_token_reorder() {
         let s = synth();
-        let svc = FuzzyWuzzyService::new(&s.kg, false);
+        let svc = FuzzyWuzzyService::new(&s.kg);
         let person = s.persons[0];
         let label = s.kg.label(person);
         let reversed: Vec<&str> = label.split(' ').rev().collect();
@@ -274,7 +274,7 @@ mod tests {
             Box::new(ExactMatchService::new(&s.kg, false)),
             Box::new(LevenshteinService::new(&s.kg, false, 5)),
             Box::new(QGramService::new(&s.kg, false, 3)),
-            Box::new(FuzzyWuzzyService::new(&s.kg, false)),
+            Box::new(FuzzyWuzzyService::new(&s.kg)),
         ];
         for svc in &services {
             let hits = svc.lookup(s.kg.label(s.cities[0]), 3);
@@ -287,7 +287,7 @@ mod tests {
         let s = synth();
         let svc = QGramService::new(&s.kg, false, 3);
         let _ = svc.lookup("", 5);
-        let svc = FuzzyWuzzyService::new(&s.kg, false);
+        let svc = FuzzyWuzzyService::new(&s.kg);
         let _ = svc.lookup("", 5);
     }
 }

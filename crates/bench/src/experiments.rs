@@ -112,9 +112,9 @@ impl System {
         match self {
             System::Bbw => sta(&BbwSystem),
             System::MantisTable => sta(&MantisTableSystem),
-            System::JenTab => sta(&JenTabSystem::default()),
+            System::JenTab => sta(&JenTabSystem),
             System::DoSeR => {
-                let ea = run_entity_disambiguation(w.kg, w.ds, &DoSerSystem::default(), service, k);
+                let ea = run_entity_disambiguation(w.kg, w.ds, &DoSerSystem, service, k);
                 vec![("EA", ea)]
             }
             System::Katara => {
@@ -353,7 +353,7 @@ pub(crate) fn table5(scale: Scale) -> Report {
         .collect();
 
     let services: Vec<Box<dyn LookupService>> = vec![
-        Box::new(FuzzyWuzzyService::new(kg, false)),
+        Box::new(FuzzyWuzzyService::new(kg)),
         Box::new(RemoteService::new(
             ElasticLikeService::new(kg, false),
             RemoteCostModel {
@@ -363,10 +363,10 @@ pub(crate) fn table5(scale: Scale) -> Report {
             },
             "Elastic Search",
         )),
-        Box::new(LshService::new(kg, false, LshConfig::default())),
-        Box::new(ElasticOpService::new(kg, false, ElasticOp::Exact)),
-        Box::new(ElasticOpService::new(kg, false, ElasticOp::QGram)),
-        Box::new(ElasticOpService::new(kg, false, ElasticOp::Levenshtein)),
+        Box::new(LshService::new(kg, LshConfig::default())),
+        Box::new(ElasticOpService::new(kg, ElasticOp::Exact)),
+        Box::new(ElasticOpService::new(kg, ElasticOp::QGram)),
+        Box::new(ElasticOpService::new(kg, ElasticOp::Levenshtein)),
         Box::new(RemoteService::new(
             ExactMatchService::new(kg, true),
             RemoteCostModel::wikidata(),

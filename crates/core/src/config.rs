@@ -63,6 +63,9 @@ impl Compression {
     }
 }
 
+/// Triplet-loss margin (Equation 3).
+pub(crate) const MARGIN: f32 = 0.5;
+
 /// Which metric-learning loss drives training. The paper uses triplet
 /// loss and lists "evaluating other loss functions" as future work;
 /// [`LossKind::Contrastive`] implements that extension.
@@ -78,12 +81,12 @@ impl LossKind {
     /// Whether this loss is non-zero on a triplet at squared distances
     /// `d_ap` (anchor–positive) and `d_an` (anchor–negative) — the
     /// triplets the online phase keeps.
-    pub(crate) fn is_nonzero(self, d_ap: f32, d_an: f32, margin: f32) -> bool {
+    pub(crate) fn is_nonzero(self, d_ap: f32, d_an: f32) -> bool {
         match self {
             // `max(0, d_ap − d_an + margin)`: hard or semi-hard
-            LossKind::Triplet => d_an < d_ap + margin,
+            LossKind::Triplet => d_an < d_ap + MARGIN,
             // `d_ap + max(0, margin² − d_an)`
-            LossKind::Contrastive => d_ap > 0.0 || d_an < margin * margin,
+            LossKind::Contrastive => d_ap > 0.0 || d_an < MARGIN * MARGIN,
         }
     }
 }
@@ -113,8 +116,6 @@ pub struct EmbLookupConfig {
     /// says "we use max-pooling to aggregate outputs" without fixing the
     /// granularity; 4 segments preserve coarse positional information.
     pub pool_segments: usize,
-    /// Triplet-loss margin.
-    pub margin: f32,
     /// Loss function (paper: triplet; contrastive is the future-work
     /// extension).
     pub loss: LossKind,
@@ -156,7 +157,6 @@ impl Default for EmbLookupConfig {
             max_len: 32,
             fusion_hidden: 128,
             pool_segments: 4,
-            margin: 0.5,
             loss: LossKind::Triplet,
             epochs: 100,
             batch_size: 128,

@@ -41,14 +41,15 @@ pub enum TripletFamily {
     TypeSharing,
 }
 
+/// Fraction of an entity's budget left after its aliases that goes to
+/// syntactic perturbations; the rest goes to type-sharing positives.
+const SYNTACTIC_SHARE: f64 = 0.8;
+
 /// Mining configuration.
 #[derive(Debug, Clone)]
 pub struct MiningConfig {
     /// Triplet budget per entity (paper default 100).
     pub per_entity: usize,
-    /// Fraction of the remaining budget (after aliases) spent on
-    /// syntactic perturbations; the rest goes to type-sharing positives.
-    pub syntactic_share: f64,
     /// Families enabled (ablations disable individual heuristics).
     pub families: Vec<TripletFamily>,
     /// RNG seed.
@@ -59,7 +60,6 @@ impl Default for MiningConfig {
     fn default() -> Self {
         MiningConfig {
             per_entity: 100,
-            syntactic_share: 0.8,
             families: vec![
                 TripletFamily::Semantic,
                 TripletFamily::Syntactic,
@@ -130,7 +130,7 @@ pub fn mine_triplets(kg: &KnowledgeGraph, config: &MiningConfig) -> Vec<Triplet>
 
         // 2. syntactic perturbations of the label
         if use_family(TripletFamily::Syntactic) {
-            let syntactic = ((budget as f64) * config.syntactic_share).round() as usize;
+            let syntactic = ((budget as f64) * SYNTACTIC_SHARE).round() as usize;
             for _ in 0..syntactic {
                 // 1–2 stacked corruptions: the paper's error model drops or
                 // inserts "one or more" letters

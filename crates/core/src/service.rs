@@ -292,14 +292,24 @@ mod tests {
 
     #[test]
     fn batch_agrees_with_single() {
+        // the timed bulk lookup the tables run returns what one
+        // `lookup_with_distances` per query returns, scores to the bit,
+        // over the flat index and over PQ
         let (el, s) = trained();
         let labels: Vec<&str> = s.kg.entities().take(6).map(|e| e.label.as_str()).collect();
-        let batch = el.lookup_batch(&labels, 3);
-        for (q, hits) in labels.iter().zip(&batch) {
-            let single = el.lookup(q, 3);
-            let bi: Vec<EntityId> = hits.iter().map(|c| c.entity).collect();
-            let si: Vec<EntityId> = single.iter().map(|c| c.entity).collect();
-            assert_eq!(bi, si);
+        let pq = EmbLookup::from_model(el.model_arc(), &s.kg, Compression::Pq { m: 4, ks: 16 });
+        for service in [&el, &pq] {
+            let (batch, _) = service.lookup_batch_timed(&labels, 3);
+            assert_eq!(batch.len(), labels.len());
+            for (q, hits) in labels.iter().zip(&batch) {
+                let bulk: Vec<(EntityId, u32)> = hits.iter().map(|c| (c.entity, c.score.to_bits())).collect();
+                let single: Vec<(EntityId, u32)> = service
+                    .lookup_with_distances(q, 3)
+                    .into_iter()
+                    .map(|(entity, dist)| (entity, (-dist).to_bits()))
+                    .collect();
+                assert_eq!(bulk, single, "{} {q:?}", service.index().backend_name());
+            }
         }
     }
 

@@ -6,6 +6,7 @@
 //! (`d(a,n) < d(a,p)`) and *semi-hard* (`d(a,p) < d(a,n) < d(a,p) + margin`)
 //! ones — which keeps easy triplets from diluting the gradient.
 
+use crate::config::MARGIN;
 use crate::mining::Triplet;
 use crate::model::{EmbLookupModel, EncodeScratch};
 use emblookup_ann::sq_l2;
@@ -176,8 +177,8 @@ pub fn run_micro_batch(
     let mut total: Option<Var> = None;
     for [ea, ep, en] in legs {
         let l = match config.loss {
-            crate::config::LossKind::Triplet => loss::triplet(&mut g, ea, ep, en, config.margin),
-            crate::config::LossKind::Contrastive => loss::contrastive_triplet(&mut g, ea, ep, en, config.margin),
+            crate::config::LossKind::Triplet => loss::triplet(&mut g, ea, ep, en, MARGIN),
+            crate::config::LossKind::Contrastive => loss::contrastive_triplet(&mut g, ea, ep, en, MARGIN),
         };
         total = Some(match total {
             Some(acc) => g.add(acc, l),
@@ -227,7 +228,7 @@ fn select_hard(model: &EmbLookupModel, triplets: &[Triplet]) -> Vec<usize> {
             let a = &cache[t.anchor.as_str()];
             let p = &cache[t.positive.as_str()];
             let n = &cache[t.negative.as_str()];
-            config.loss.is_nonzero(sq_l2(a, p), sq_l2(a, n), config.margin)
+            config.loss.is_nonzero(sq_l2(a, p), sq_l2(a, n))
         })
         .map(|(i, _)| i)
         .collect()
@@ -269,8 +270,8 @@ mod tests {
             let [ea, ep, en] = [&t.anchor, &t.positive, &t.negative]
                 .map(|s| *memo.entry(s.as_str()).or_insert_with(|| model.forward(&mut g, &mut b, s)));
             let l = match config.loss {
-                crate::config::LossKind::Triplet => loss::triplet(&mut g, ea, ep, en, config.margin),
-                crate::config::LossKind::Contrastive => loss::contrastive_triplet(&mut g, ea, ep, en, config.margin),
+                crate::config::LossKind::Triplet => loss::triplet(&mut g, ea, ep, en, MARGIN),
+                crate::config::LossKind::Contrastive => loss::contrastive_triplet(&mut g, ea, ep, en, MARGIN),
             };
             total = Some(match total {
                 Some(acc) => g.add(acc, l),
@@ -319,26 +320,28 @@ mod tests {
                 FastTextConfig { dim: base.fasttext_dim, buckets: 1 << 11, epochs: 1, ..Default::default() },
             );
             let mut model = EmbLookupModel::new(ft, base.clone());
-            // biases as training leaves them: none zero
+            // biases as training leaves them: none zero, and small enough
+            // that the untrained encoders spread some mention past the
+            // margin from "x" (at ±0.2 none is)
             let mut rng = StdRng::seed_from_u64(17);
             let ids: Vec<_> = model.store.iter().map(|p| p.0).collect();
             for id in ids {
                 if model.store.name(id).ends_with(".b") {
-                    model.store.get_mut(id).data_mut().iter_mut().for_each(|b| *b = rng.gen_range(-0.2..0.2));
+                    model.store.get_mut(id).data_mut().iter_mut().for_each(|b| *b = rng.gen_range(-0.005..0.005));
                 }
             }
             // the zero-loss triplet: "x" twice, and the mention farthest
-            // from it, under a margin half that distance
+            // from it, past the margin
             let x = model.embed("x");
             let far = triplets.iter().map(|t| t.negative.as_str()).max_by(|a, b| sq_l2(&x, &model.embed(a)).total_cmp(&sq_l2(&x, &model.embed(b))));
             let far = far.expect("triplets").to_string();
-            let margin = sq_l2(&x, &model.embed(&far)) / 2.0;
-            assert!(margin > 0.0 && margin < 1.0, "{arch}: margin {margin}");
+            let d_far = sq_l2(&x, &model.embed(&far));
+            assert!(d_far >= MARGIN, "{arch}: the farthest mention is at {d_far}");
             let mut triplets = triplets.clone();
             triplets.push(triplet("x", "x", &far));
             let all: Vec<usize> = (0..triplets.len()).collect();
             for loss in [LossKind::Triplet, LossKind::Contrastive] {
-                let config = EmbLookupConfig { loss, margin, ..base.clone() };
+                let config = EmbLookupConfig { loss, ..base.clone() };
                 let model = EmbLookupModel::from_bytes(&model.to_bytes(), config).expect("same architecture");
                 for micro in [&all[..], &all[first_crafted..], &all[..1], &all[3..9]] {
                     let (want_loss, want) = run_micro_batch_reference(&model, &triplets, micro);
@@ -355,23 +358,22 @@ mod tests {
     #[test]
     fn online_phase_keeps_the_triplets_the_configured_loss_is_nonzero_on() {
         use crate::config::LossKind;
-        let (model, _) = setup();
+        let (model, mined) = setup();
         let triplet = |a: &str, p: &str, n: &str| Triplet { anchor: a.into(), positive: p.into(), negative: n.into() };
         let x = model.embed("x");
         let d = |s: &str| sq_l2(&x, &model.embed(s));
-        let (mut p, mut n) = ("east berlin", "tokyo");
-        if d(n) < d(p) {
-            (p, n) = (n, p);
-        }
+        // the mined mentions nearest to and farthest from "x"
+        let mut mentions: Vec<&str> = mined.iter().map(|t| t.negative.as_str()).collect();
+        mentions.sort_by(|a, b| d(a).total_cmp(&d(b)));
+        let (p, n) = (mentions[0], mentions[mentions.len() - 1]);
         let (d_ap, d_an) = (d(p), d(n));
-        let margin = (d_an - d_ap) / 2.0;
-        assert!(d_ap > 0.0 && margin > 0.0 && margin * margin < d_an, "d_ap {d_ap}, d_an {d_an}");
+        assert!(d_ap > 0.0 && d_an >= d_ap + MARGIN, "d_ap {d_ap}, d_an {d_an}");
         // `d_an ≥ d_ap + margin`: zero triplet loss, but the contrastive
         // loss still pulls the positive; with the positive on the anchor
         // and the negative past `margin`, both losses are zero
         let triplets = [triplet("x", p, n), triplet("x", "x", n)];
         for (loss, kept) in [(LossKind::Triplet, vec![]), (LossKind::Contrastive, vec![0])] {
-            let config = EmbLookupConfig { loss, margin, ..model.config().clone() };
+            let config = EmbLookupConfig { loss, ..model.config().clone() };
             let model = EmbLookupModel::from_bytes(&model.to_bytes(), config).expect("same architecture");
             assert_eq!(select_hard(&model, &triplets), kept, "{loss:?}");
         }

@@ -12,6 +12,11 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
+/// Fraction of characters masked per string.
+const MASK_PROB: f64 = 0.15;
+/// Adam learning rate.
+const LR: f32 = 0.01;
+
 /// Training configuration for [`BertMini::train`].
 #[derive(Debug, Clone)]
 pub struct BertMiniConfig {
@@ -21,14 +26,10 @@ pub struct BertMiniConfig {
     pub max_len: usize,
     /// Number of transformer blocks.
     pub blocks: usize,
-    /// Fraction of characters masked per string.
-    pub mask_prob: f64,
     /// Epochs over the string list.
     pub epochs: usize,
     /// Minibatch size (strings per step).
     pub batch: usize,
-    /// Adam learning rate.
-    pub lr: f32,
     /// RNG seed.
     pub seed: u64,
 }
@@ -39,10 +40,8 @@ impl Default for BertMiniConfig {
             dim: 32,
             max_len: 24,
             blocks: 2,
-            mask_prob: 0.15,
             epochs: 3,
             batch: 8,
-            lr: 0.01,
             seed: 0,
         }
     }
@@ -84,7 +83,7 @@ impl BertMini {
             .collect();
         let head = Linear::new(&mut store, "mlm_head", config.dim, vocab, &mut rng);
 
-        let mut optimizer = Adam::new(config.lr);
+        let mut optimizer = Adam::new(LR);
         let mut order: Vec<usize> = (0..strings.len()).collect();
         for _ in 0..config.epochs {
             order.shuffle(&mut rng);
@@ -97,12 +96,12 @@ impl BertMini {
                     if ids.len() < 2 {
                         continue;
                     }
-                    // mask ~mask_prob of positions, at least one
+                    // mask ~MASK_PROB of positions, at least one
                     let mut masked_pos: Vec<u32> = Vec::new();
                     let mut targets: Vec<u32> = Vec::new();
                     let mut corrupted = ids.clone();
                     for (pos, &id) in ids.iter().enumerate() {
-                        if rng.gen_bool(config.mask_prob) {
+                        if rng.gen_bool(MASK_PROB) {
                             masked_pos.push(pos as u32);
                             targets.push(id);
                             corrupted[pos] = mask_id;

@@ -13,6 +13,11 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
+/// Triplet-loss margin.
+const MARGIN: f32 = 0.5;
+/// Adam learning rate.
+const LR: f32 = 0.01;
+
 /// Training configuration for [`LstmEncoder::train`].
 #[derive(Debug, Clone)]
 pub struct LstmEncoderConfig {
@@ -20,14 +25,10 @@ pub struct LstmEncoderConfig {
     pub hidden: usize,
     /// Maximum characters consumed per string.
     pub max_len: usize,
-    /// Triplet-loss margin.
-    pub margin: f32,
     /// Epochs over the triplet list.
     pub epochs: usize,
     /// Minibatch size.
     pub batch: usize,
-    /// Adam learning rate.
-    pub lr: f32,
     /// RNG seed.
     pub seed: u64,
 }
@@ -37,10 +38,8 @@ impl Default for LstmEncoderConfig {
         LstmEncoderConfig {
             hidden: 64,
             max_len: 24,
-            margin: 0.5,
             epochs: 3,
             batch: 16,
-            lr: 0.01,
             seed: 0,
         }
     }
@@ -72,7 +71,7 @@ impl LstmEncoder {
         let onehot = OneHotEncoder::new(Alphabet::default_lookup(), config.max_len);
         let in_dim = onehot.rows();
         let lstm = Lstm::new(&mut store, "lstm", in_dim, config.hidden, &mut rng);
-        let mut optimizer = Adam::new(config.lr);
+        let mut optimizer = Adam::new(LR);
 
         let mut order: Vec<usize> = (0..pairs.len()).collect();
         for _ in 0..config.epochs {
@@ -87,7 +86,7 @@ impl LstmEncoder {
                     let ea = encode_seq(&mut g, &mut b, &store, &lstm, &onehot, anchor);
                     let ep = encode_seq(&mut g, &mut b, &store, &lstm, &onehot, positive);
                     let en = encode_seq(&mut g, &mut b, &store, &lstm, &onehot, negative);
-                    losses.push(loss::triplet(&mut g, ea, ep, en, config.margin));
+                    losses.push(loss::triplet(&mut g, ea, ep, en, MARGIN));
                 }
                 let total = loss::batch_mean(&mut g, &losses);
                 g.backward(total);

@@ -34,7 +34,7 @@ use rand::Rng;
 /// names the first index whose own bucket is not below it, every index
 /// before that has `cdf < r`, and a short forward scan finds the answer.
 #[derive(Debug, Clone)]
-pub struct NegativeSampler {
+pub(crate) struct NegativeSampler {
     cdf: Vec<f64>,
     /// `guide[b]`: the first `i` with `bucket(cdf[i]) >= b`.
     guide: Vec<u32>,

@@ -12,26 +12,27 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 
+/// Skip-gram window.
+const WINDOW: usize = 4;
+/// Negative samples per pair.
+const NEGATIVES: usize = 5;
+/// SGD learning rate.
+const LR: f32 = 0.05;
+
 /// Training configuration for [`Word2Vec::train`].
 #[derive(Debug, Clone, Copy)]
 pub struct Word2VecConfig {
     /// Embedding dimension (paper-scale default 64).
     pub dim: usize,
-    /// Skip-gram window.
-    pub window: usize,
-    /// Negative samples per pair.
-    pub negatives: usize,
     /// Training epochs over the corpus.
     pub epochs: usize,
-    /// Learning rate.
-    pub lr: f32,
     /// RNG seed.
     pub seed: u64,
 }
 
 impl Default for Word2VecConfig {
     fn default() -> Self {
-        Word2VecConfig { dim: 64, window: 4, negatives: 5, epochs: 5, lr: 0.05, seed: 0 }
+        Word2VecConfig { dim: 64, epochs: 5, seed: 0 }
     }
 }
 
@@ -51,13 +52,13 @@ impl Word2Vec {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut model = SgnsModel::new(corpus.vocab_size(), corpus.vocab_size(), config.dim, &mut rng);
         let sampler = NegativeSampler::new(corpus.counts());
-        let mut negs = vec![0u32; config.negatives];
+        let mut negs = vec![0u32; NEGATIVES];
         for _ in 0..config.epochs {
-            for (center, context) in corpus.pairs(config.window) {
+            for (center, context) in corpus.pairs(WINDOW) {
                 for n in &mut negs {
                     *n = sampler.sample(&mut rng);
                 }
-                model.train_pair(&[center], context, &negs, config.lr);
+                model.train_pair(&[center], context, &negs, LR);
             }
         }
         let vocab = (0..corpus.vocab_size() as u32)

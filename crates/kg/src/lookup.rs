@@ -27,33 +27,21 @@ pub trait LookupService: Sync {
     /// Human-readable service name for reports.
     fn name(&self) -> &str;
 
-    /// Like [`LookupService::lookup`] but also reports the time charged to
-    /// the query. Local services report measured wall time; simulated
-    /// remote services add their modeled network latency, which is how the
-    /// speedup tables account for rate-limited endpoints without real
-    /// network traffic.
-    fn lookup_timed(&self, q: &str, k: usize) -> (Vec<Candidate>, Duration) {
-        let start = Instant::now();
-        let out = self.lookup(q, k);
-        (out, start.elapsed())
-    }
-
     /// Bulk lookup of many mentions; the default loops sequentially.
     /// Services with a fast batched path (EmbLookup) override this.
     fn lookup_batch(&self, queries: &[&str], k: usize) -> Vec<Vec<Candidate>> {
         queries.iter().map(|q| self.lookup(q, k)).collect()
     }
 
-    /// Total time charged for a bulk lookup (measured + simulated).
+    /// [`LookupService::lookup_batch`] and the time charged for it. Local
+    /// services report the call's measured wall time; simulated remote
+    /// services add their modeled network latency, which is how the
+    /// speedup tables account for rate-limited endpoints without real
+    /// network traffic.
     fn lookup_batch_timed(&self, queries: &[&str], k: usize) -> (Vec<Vec<Candidate>>, Duration) {
-        let mut total = Duration::ZERO;
-        let mut out = Vec::with_capacity(queries.len());
-        for q in queries {
-            let (hits, t) = self.lookup_timed(q, k);
-            total += t;
-            out.push(hits);
-        }
-        (out, total)
+        let start = Instant::now();
+        let out = self.lookup_batch(queries, k);
+        (out, start.elapsed())
     }
 }
 
@@ -85,14 +73,41 @@ mod tests {
         let t = kg.add_type("t", None);
         let id = kg.add_entity("Berlin", vec![], vec![t]);
         let svc = Exact(&kg);
-        let (hits, d) = svc.lookup_timed("berlin", 5);
-        assert_eq!(hits[0].entity, id);
-        assert!(d < Duration::from_secs(1));
-
         let (batch, total) = svc.lookup_batch_timed(&["berlin", "nope"], 3);
         assert_eq!(batch.len(), 2);
+        assert_eq!(batch[0][0].entity, id);
         assert_eq!(batch[0].len(), 1);
         assert!(batch[1].is_empty());
         assert!(total < Duration::from_secs(1));
+    }
+
+    /// Counts the calls that reach each of its two lookup paths.
+    #[derive(Default)]
+    struct Counting {
+        /// `(lookup calls, lookup_batch calls)`.
+        calls: std::sync::Mutex<(usize, usize)>,
+    }
+
+    impl LookupService for Counting {
+        fn lookup(&self, _q: &str, _k: usize) -> Vec<Candidate> {
+            self.calls.lock().unwrap().0 += 1;
+            Vec::new()
+        }
+        fn name(&self) -> &str {
+            "counting"
+        }
+        fn lookup_batch(&self, queries: &[&str], _k: usize) -> Vec<Vec<Candidate>> {
+            self.calls.lock().unwrap().1 += 1;
+            vec![Vec::new(); queries.len()]
+        }
+    }
+
+    #[test]
+    fn batch_timed_times_one_batch_call() {
+        // a service's own batch path is the one the timed bulk lookup runs
+        let svc = Counting::default();
+        let (out, _) = svc.lookup_batch_timed(&["a", "b", "c"], 2);
+        assert_eq!(out.len(), 3);
+        assert_eq!(*svc.calls.lock().unwrap(), (0, 1));
     }
 }

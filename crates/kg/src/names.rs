@@ -64,7 +64,7 @@ fn pick<'a, R: Rng + ?Sized>(rng: &mut R, table: &'a [&'a str]) -> &'a str {
 /// names it handed out and retries (appending more syllables) on collision,
 /// so two calls never return the same string.
 #[derive(Debug, Default)]
-pub struct NameForge {
+pub(crate) struct NameForge {
     used: HashSet<String>,
 }
 

@@ -14,7 +14,7 @@
 //! | [`RelaxedU64`] | statistics, id allocators, the virtual clock | everything `Relaxed` |
 //! | [`Flag`] | one-way state publication (shutdown, resolved kernel) | `set` = `Release`, `get` = `Acquire` |
 //! | [`RefCount`] | outstanding-work counts that gate a wake-up or a free | `dec` = `AcqRel`, `get` = `Acquire` |
-//! | [`SeqPair`] | a `(u64, u64)` pair read untorn without a lock | loads `Acquire`, stores `Release`, claim CAS `AcqRel` |
+//! | `SeqPair` (crate-private) | a `(u64, u64)` pair read untorn without a lock (a histogram's exemplar) | loads `Acquire`, stores `Release`, claim CAS `AcqRel` |
 //!
 //! Why each protocol needs these orderings is argued on its type.
 
@@ -146,7 +146,7 @@ impl RefCount {
 /// odd or advanced version and retries — with all-`Relaxed` accesses
 /// the recheck could validate a torn pair.
 #[derive(Debug, Default)]
-pub struct SeqPair {
+pub(crate) struct SeqPair {
     version: AtomicU64,
     a: AtomicU64,
     b: AtomicU64,
@@ -155,7 +155,7 @@ pub struct SeqPair {
 impl SeqPair {
     /// A never-written pair.
     #[inline]
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         SeqPair { version: AtomicU64::new(0), a: AtomicU64::new(0), b: AtomicU64::new(0) }
     }
 

@@ -76,16 +76,34 @@ fn column_majority_type(
         .map(|(t, _)| t)
 }
 
-/// Empty annotation skeleton matching the table's shape.
-fn empty_annotation(table: &Table) -> (Vec<Vec<Option<EntityId>>>, Vec<Option<TypeId>>) {
-    (
-        table
-            .rows
-            .iter()
-            .map(|row| vec![None; row.len()])
-            .collect(),
-        vec![None; table.num_cols()],
-    )
+/// Empty cell annotation matching the table's shape.
+fn empty_cells(table: &Table) -> Vec<Vec<Option<EntityId>>> {
+    table.rows.iter().map(|row| vec![None; row.len()]).collect()
+}
+
+/// The annotation of a table whose cells are chosen: CTA elects each typed
+/// column's majority type from its chosen cells, and everything since
+/// `start` is charged as post-processing.
+fn finish(
+    kg: &KnowledgeGraph,
+    table: &Table,
+    cells: Vec<Vec<Option<EntityId>>>,
+    lookup_time: Duration,
+    start: Instant,
+) -> TableAnnotation {
+    let col_types = (0..table.num_cols())
+        .map(|c| {
+            table.col_types[c].and_then(|_| {
+                column_majority_type(kg, (0..table.num_rows()).filter_map(|r| cells[r][c]))
+            })
+        })
+        .collect();
+    TableAnnotation {
+        cell_entities: cells,
+        col_types,
+        lookup_time,
+        post_time: start.elapsed(),
+    }
 }
 
 // --------------------------------------------------------------------
@@ -112,7 +130,7 @@ impl AnnotationSystem for BbwSystem {
     ) -> TableAnnotation {
         let (candidates, lookup_time) = fetch_candidates(table, service, k);
         let start = Instant::now();
-        let (mut cells, mut cols) = empty_annotation(table);
+        let mut cells = empty_cells(table);
 
         for (r, cell_row) in cells.iter_mut().enumerate() {
             // top candidates of every cell in this row, with their column:
@@ -143,20 +161,7 @@ impl AnnotationSystem for BbwSystem {
                 *cell = best.map(|(e, _)| e);
             }
         }
-        for c in 0..table.num_cols() {
-            if table.col_types[c].is_some() {
-                cols[c] = column_majority_type(
-                    kg,
-                    (0..table.num_rows()).filter_map(|r| cells[r][c]),
-                );
-            }
-        }
-        TableAnnotation {
-            cell_entities: cells,
-            col_types: cols,
-            lookup_time,
-            post_time: start.elapsed(),
-        }
+        finish(kg, table, cells, lookup_time, start)
     }
 }
 
@@ -183,7 +188,7 @@ impl AnnotationSystem for MantisTableSystem {
     ) -> TableAnnotation {
         let (candidates, lookup_time) = fetch_candidates(table, service, k);
         let start = Instant::now();
-        let (mut cells, mut cols) = empty_annotation(table);
+        let mut cells = empty_cells(table);
 
         // phase 1: column type election from top-1 candidates
         let mut elected: Vec<Option<TypeId>> = vec![None; table.num_cols()];
@@ -212,20 +217,7 @@ impl AnnotationSystem for MantisTableSystem {
             };
             cells[*r][*c] = pick.map(|cand| cand.entity);
         }
-        for c in 0..table.num_cols() {
-            if table.col_types[c].is_some() {
-                cols[c] = column_majority_type(
-                    kg,
-                    (0..table.num_rows()).filter_map(|r| cells[r][c]),
-                );
-            }
-        }
-        TableAnnotation {
-            cell_entities: cells,
-            col_types: cols,
-            lookup_time,
-            post_time: start.elapsed(),
-        }
+        finish(kg, table, cells, lookup_time, start)
     }
 }
 
@@ -237,16 +229,10 @@ impl AnnotationSystem for MantisTableSystem {
 /// lack both row support (no fact link to surviving candidates of the
 /// row) and type support (minority type in their column) are removed over
 /// a few rounds before final selection.
-pub struct JenTabSystem {
-    /// Pruning rounds (the original runs create/filter/select loops).
-    pub rounds: usize,
-}
+pub struct JenTabSystem;
 
-impl Default for JenTabSystem {
-    fn default() -> Self {
-        JenTabSystem { rounds: 2 }
-    }
-}
+/// JenTab's pruning rounds (the original runs create/filter/select loops).
+const JENTAB_ROUNDS: usize = 2;
 
 impl AnnotationSystem for JenTabSystem {
     fn name(&self) -> &'static str {
@@ -263,9 +249,9 @@ impl AnnotationSystem for JenTabSystem {
         let (fetched, lookup_time) = fetch_candidates(table, service, k);
         let start = Instant::now();
         let mut pools: HashMap<(usize, usize), Vec<Candidate>> = fetched;
-        let (mut cells, mut cols) = empty_annotation(table);
+        let mut cells = empty_cells(table);
 
-        for _ in 0..self.rounds {
+        for _ in 0..JENTAB_ROUNDS {
             // column type support from current pools
             let mut col_type: Vec<Option<TypeId>> = vec![None; table.num_cols()];
             for (c, slot) in col_type.iter_mut().enumerate() {
@@ -313,23 +299,7 @@ impl AnnotationSystem for JenTabSystem {
         for (&(r, c), cands) in &pools {
             cells[r][c] = cands.first().map(|cand| cand.entity);
         }
-        for c in 0..table.num_cols() {
-            if table.col_types[c].is_some() {
-                // JenTab reports the most specific covering type: prefer a
-                // child type over its parent when both are voted
-                let majority = column_majority_type(
-                    kg,
-                    (0..table.num_rows()).filter_map(|r| cells[r][c]),
-                );
-                cols[c] = majority;
-            }
-        }
-        TableAnnotation {
-            cell_entities: cells,
-            col_types: cols,
-            lookup_time,
-            post_time: start.elapsed(),
-        }
+        finish(kg, table, cells, lookup_time, start)
     }
 }
 
@@ -351,18 +321,12 @@ pub struct DisambiguationResult {
 /// DoSeR-style collective entity disambiguation: candidates of all
 /// mentions form a graph (edges = KG facts); scores propagate PageRank-
 /// style so candidates coherent with the rest of the list win.
-pub struct DoSerSystem {
-    /// Propagation damping factor.
-    pub damping: f32,
-    /// Propagation iterations.
-    pub iterations: usize,
-}
+pub struct DoSerSystem;
 
-impl Default for DoSerSystem {
-    fn default() -> Self {
-        DoSerSystem { damping: 0.6, iterations: 8 }
-    }
-}
+/// DoSeR's propagation damping factor.
+const DOSER_DAMPING: f32 = 0.6;
+/// DoSeR's propagation iterations.
+const DOSER_ITERATIONS: usize = 8;
 
 impl DoSerSystem {
     /// Disambiguates a list of mentions collectively.
@@ -399,14 +363,14 @@ impl DoSerSystem {
         }
         // score propagation
         let mut score: Vec<f32> = nodes.iter().map(|&(_, _, p)| p).collect();
-        for _ in 0..self.iterations {
+        for _ in 0..DOSER_ITERATIONS {
             let mut next = vec![0.0f32; nodes.len()];
             for i in 0..nodes.len() {
                 let spread: f32 = adj[i]
                     .iter()
                     .map(|&j| score[j] / adj[j].len().max(1) as f32)
                     .sum();
-                next[i] = (1.0 - self.damping) * nodes[i].2 + self.damping * spread;
+                next[i] = (1.0 - DOSER_DAMPING) * nodes[i].2 + DOSER_DAMPING * spread;
             }
             score = next;
         }
@@ -567,7 +531,7 @@ mod tests {
         let systems: Vec<Box<dyn AnnotationSystem>> = vec![
             Box::new(BbwSystem),
             Box::new(MantisTableSystem),
-            Box::new(JenTabSystem::default()),
+            Box::new(JenTabSystem),
         ];
         for system in &systems {
             let mut correct = 0;
@@ -616,7 +580,7 @@ mod tests {
     fn doser_resolves_ambiguity_through_coherence() {
         let (s, _) = setup();
         let service = ExactMatchService::new(&s.kg, false);
-        let doser = DoSerSystem::default();
+        let doser = DoSerSystem;
         // mentions: a city and its country — coherent candidates connect
         let city = s.cities[0];
         let country = s

@@ -201,7 +201,7 @@ mod tests {
         let ds = generate_dataset(&s, &DatasetConfig::tiny(45));
         let service = ExactMatchService::new(&s.kg, false);
         let report = run_entity_disambiguation(
-            &s.kg, &ds, &DoSerSystem::default(), &service, 10,
+            &s.kg, &ds, &DoSerSystem, &service, 10,
         );
         assert!(report.items > 0);
         assert!(report.f1() > 0.7, "EA F1 {}", report.f1());

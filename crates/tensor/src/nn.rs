@@ -416,7 +416,7 @@ impl Lstm {
 }
 
 /// Layer normalization with learned gain/offset.
-pub struct LayerNorm {
+pub(crate) struct LayerNorm {
     gamma: ParamId,
     beta: ParamId,
 }

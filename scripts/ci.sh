@@ -170,6 +170,10 @@ head_rs_lines() {
         while read -r file; do git show "HEAD:$file"; done | wc -l
 }
 head_api_items() { git show HEAD:API.lock | count_items; }
+# Public fields of `*Config` structs in API.lock: the settable values the
+# Options rule counts (CONTRIBUTING.md, "Changing a public API").
+count_config_fields() { grep -cE 'pub [A-Za-z0-9]*Config\.[a-z_0-9]+:' || true; }
+head_config_fields() { git show HEAD:API.lock | count_config_fields; }
 # Lines of the tooling outside crates/ (scripts/* and root-level *.py)
 # in the HEAD commit.
 head_tooling_lines() {
@@ -190,6 +194,8 @@ done
 printf '%-18s %s%6d lines of scripts/* and root *.py\n' "tooling" "$(at_head head_tooling_lines)" \
     "$({ find scripts -type f; find . -maxdepth 1 -name '*.py'; } | xargs cat | wc -l)"
 printf '%-18s %s%6d items\n' "API.lock" "$(at_head head_api_items)" "$(count_items < API.lock)"
+printf '%-18s %s%6d pub fields of *Config structs in API.lock\n' "config fields" "$(at_head head_config_fields)" \
+    "$(count_config_fields < API.lock)"
 printf '%-18s %s%6d EMBLOOKUP_* names read\n' "env vars" "$(at_head head_env_vars)" "$(now_env_vars)"
 
 echo "ci.sh: all checks passed"

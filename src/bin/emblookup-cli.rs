@@ -67,7 +67,8 @@ USAGE:
   emblookup-cli train    --kg <kg.bin> --out <model.bin> [--epochs E] [--triplets T] [--seed S]
   emblookup-cli lookup   --kg <kg.bin> --model <model.bin> --query <text> [--k K]
   emblookup-cli serve    --kg <kg.bin> [--model <model.bin>] [--addr A] [--workers N]
-                         [--queue-cap N] [--deadline-ms D] [--seed S] [--shards N]
+                         [--queue-cap N] [--deadline-ms D] [--shards N]
+                         [--seed S]   (used only to train when no --model is given)
   emblookup-cli query    --addr <host:port> --query <text> [--k K] [--deadline-ms D]
                          [--repeat N]
   emblookup-cli stats    --kg <kg.bin>
@@ -174,14 +175,15 @@ fn cmd_lookup(args: &[String]) -> Result<(), String> {
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     let kg = load_kg(args)?;
-    let seed: u64 = parsed(args, "--seed", 42)?;
     let service = match flag(args, "--model") {
         Some(model_path) => {
             let bytes = std::fs::read(&model_path).map_err(|e| format!("{model_path}: {e}"))?;
-            let model = EmbLookupModel::from_bytes(&bytes, EmbLookupConfig::fast(seed))?;
+            // as in `cmd_lookup`: every weight comes from the file
+            let model = EmbLookupModel::from_bytes(&bytes, EmbLookupConfig::default())?;
             EmbLookup::from_model(Arc::new(model), &kg, emblookup::core::Compression::default_pq())
         }
         None => {
+            let seed: u64 = parsed(args, "--seed", 42)?;
             println!("no --model given; training on {} entities…", kg.num_entities());
             EmbLookup::try_train_on(&kg, EmbLookupConfig::fast(seed)).map_err(|e| e.to_string())?
         }

@@ -78,9 +78,9 @@ fn baselines_survive_pathological_queries() {
         Box::new(ExactMatchService::new(kg, true)),
         Box::new(LevenshteinService::new(kg, false, 3)),
         Box::new(QGramService::new(kg, false, 3)),
-        Box::new(FuzzyWuzzyService::new(kg, false)),
+        Box::new(FuzzyWuzzyService::new(kg)),
         Box::new(ElasticLikeService::new(kg, false)),
-        Box::new(ElasticOpService::new(kg, false, ElasticOp::Levenshtein)),
+        Box::new(ElasticOpService::new(kg, ElasticOp::Levenshtein)),
     ];
     let nasty = [
         "",

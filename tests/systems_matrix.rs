@@ -27,7 +27,7 @@ fn services(kg: &KnowledgeGraph) -> Vec<Box<dyn LookupService + '_>> {
         Box::new(ExactMatchService::new(kg, false)),
         Box::new(LevenshteinService::new(kg, false, 3)),
         Box::new(QGramService::new(kg, false, 3)),
-        Box::new(FuzzyWuzzyService::new(kg, false)),
+        Box::new(FuzzyWuzzyService::new(kg)),
         Box::new(ElasticLikeService::new(kg, false)),
         Box::new(RemoteService::new(
             ExactMatchService::new(kg, true),
@@ -43,7 +43,7 @@ fn every_sta_system_works_with_every_service() {
     let systems: Vec<Box<dyn AnnotationSystem>> = vec![
         Box::new(BbwSystem),
         Box::new(MantisTableSystem),
-        Box::new(JenTabSystem::default()),
+        Box::new(JenTabSystem),
     ];
     for system in &systems {
         for service in services(&f.synth.kg) {
@@ -75,7 +75,7 @@ fn doser_and_katara_work_with_every_service() {
         let ea = run_entity_disambiguation(
             &f.synth.kg,
             &f.dataset,
-            &DoSerSystem::default(),
+            &DoSerSystem,
             service.as_ref(),
             10,
         );
